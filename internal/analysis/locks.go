@@ -19,7 +19,7 @@ import (
 // these edges). Functions carry their lock contracts the same way, on the
 // declaration's doc comment:
 //
-//	//divflow:locks requires=shard ascending=backlog
+//	//divflow:locks requires=reshard ascending=shard
 //
 // `requires` = classes the caller must already hold; `ascending` = classes
 // the function is blessed to acquire more than one instance of (ascending by
@@ -324,12 +324,11 @@ func lockOp(pkg *Package, world *World, call *ast.CallExpr) (class, op string) {
 	return world.FieldClass[key], fun.Sel.Name
 }
 
-// heldSet is the abstract state: for each lock class, how many instances are
-// held at a program point. The count (not a boolean) is what lets the checker
-// track the blessed two-instance sections — steal's thief/donor pair, the
-// all-shards sweeps — where one instance is released while a sibling of the
-// same class stays held.
-type heldSet map[string]int
+// heldSet is the abstract state: the lock classes held at a program point.
+// A class, not an instance count: the only blessed multi-instance sections
+// are the all-shards sweeps (a snapshot's cut, a reshard's publish), which
+// take every instance in one loop and release them all in another.
+type heldSet map[string]bool
 
 func (h heldSet) clone() heldSet {
 	c := make(heldSet, len(h))
@@ -370,7 +369,7 @@ func checkFuncBody(pass *Pass, world *World, body *ast.BlockStmt, fl *FuncLocks,
 	ck := &lockChecker{pass: pass, world: world, fl: fl, orderMode: orderMode}
 	held := make(heldSet)
 	for _, r := range fl.Requires {
-		held[r] = 1
+		held[r] = true
 	}
 	ck.stmts(body.List, held)
 }
@@ -491,23 +490,19 @@ func (ck *lockChecker) stmt(s ast.Stmt, held heldSet) bool {
 // the body and still held at its end stays held after the loop — and because
 // the body may run again, that is instance-after-instance acquisition, which
 // only functions blessed `ascending=<class>` may do (the all-shards lock
-// sweep in snapshotLocked and Reshard). A class the body releases (the
-// matching unlock-descending sweep) is no longer held after the loop.
+// sweep in snapshotLocked and publishGeneration). A class the body releases
+// (the matching unlock-descending sweep) is no longer held after the loop.
 func (ck *lockChecker) loopCarry(pos token.Pos, held, bodyHeld heldSet) {
-	for c, n := range bodyHeld {
-		if n > held[c] && ck.orderMode && !ck.fl.Ascending[c] {
+	for c := range bodyHeld {
+		if !held[c] && ck.orderMode && !ck.fl.Ascending[c] {
 			ck.pass.Reportf(pos, "loop acquires %s instance per iteration without //divflow:locks ascending=%s blessing", c, c)
 		}
 	}
 	for c := range held {
-		if bodyHeld[c] == 0 {
-			delete(held, c)
-		}
+		delete(held, c)
 	}
-	for c, n := range bodyHeld {
-		if n > 0 {
-			held[c] = n
-		}
+	for c := range bodyHeld {
+		held[c] = true
 	}
 }
 
@@ -592,14 +587,13 @@ func intersectInto(held heldSet, exits []heldSet) {
 	for k := range held {
 		delete(held, k)
 	}
-	for k, n := range exits[0] {
+	for k := range exits[0] {
+		all := true
 		for _, e := range exits[1:] {
-			if e[k] < n {
-				n = e[k]
-			}
+			all = all && e[k]
 		}
-		if n > 0 {
-			held[k] = n
+		if all {
+			held[k] = true
 		}
 	}
 }
@@ -663,13 +657,9 @@ func (ck *lockChecker) call(call *ast.CallExpr, held heldSet) {
 		switch op {
 		case "Lock", "RLock":
 			ck.acquire(call.Pos(), class, held)
-			held[class]++
+			held[class] = true
 		case "Unlock", "RUnlock":
-			if held[class] > 1 {
-				held[class]--
-			} else {
-				delete(held, class)
-			}
+			delete(held, class)
 		}
 		return
 	}
@@ -683,14 +673,14 @@ func (ck *lockChecker) call(call *ast.CallExpr, held heldSet) {
 	}
 	if !ck.orderMode {
 		for _, r := range fl.Requires {
-			if held[r] == 0 {
+			if !held[r] {
 				ck.pass.Reportf(call.Pos(), "call to %s requires %s held (holding %s)", callee.Name(), r, held.names())
 			}
 		}
 		return
 	}
 	for c := range fl.Acquires {
-		if held[c] > 0 {
+		if held[c] {
 			if !ck.fl.Ascending[c] && !fl.Ascending[c] {
 				ck.pass.Reportf(call.Pos(), "call to %s may acquire %s while %s is already held (no ascending blessing)", callee.Name(), c, c)
 			}
@@ -706,7 +696,7 @@ func (ck *lockChecker) acquire(pos token.Pos, class string, held heldSet) {
 	if !ck.orderMode {
 		return
 	}
-	if held[class] > 0 {
+	if held[class] {
 		if !ck.fl.Ascending[class] {
 			ck.pass.Reportf(pos, "re-acquires %s while already held; only //divflow:locks ascending=%s helpers may hold two instances", class, class)
 		}
@@ -748,9 +738,7 @@ func (ck *lockChecker) funcLitWith(lit *ast.FuncLit, outer heldSet) {
 	}
 	held := outer.clone()
 	for _, r := range fl.Requires {
-		if held[r] == 0 {
-			held[r] = 1
-		}
+		held[r] = true
 	}
 	sub := &lockChecker{pass: ck.pass, world: ck.world, fl: fl, orderMode: ck.orderMode}
 	sub.stmts(lit.Body.List, held)

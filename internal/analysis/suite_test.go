@@ -62,7 +62,7 @@ func TestFuncLocksGob(t *testing.T) {
 		"divflow/internal/server.shard.catchUp": {
 			Acquires:  map[string]bool{"journal": true},
 			Requires:  []string{"shard"},
-			Ascending: map[string]bool{"backlog": true},
+			Ascending: map[string]bool{"shard": true},
 		},
 		"divflow/internal/server.shardRPC.Submit": {
 			Acquires:       map[string]bool{"shard": true},

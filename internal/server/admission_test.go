@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"divflow/internal/model"
@@ -282,4 +283,125 @@ func TestAdmissionCertificatesOverRPC(t *testing.T) {
 	if st.CompletedAt != "3" || st.DeadlineMet == nil || !*st.DeadlineMet {
 		t.Errorf("job over RPC = done @ %s met %v, want @ 3 met", st.CompletedAt, st.DeadlineMet)
 	}
+}
+
+// tenantBacklogs reads the per-tenant residual work twice over: the
+// GET /v1/tenants rows (every shard, retired ones included) and the sum the
+// router's quota check sees (RouteInfo over the active shards only). Zero
+// entries are dropped from both, so drained fleets compare equal to empty.
+func tenantBacklogs(t *testing.T, srv *Server) (rows, quota map[string]string) {
+	t.Helper()
+	rows, quota = map[string]string{}, map[string]string{}
+	for _, row := range srv.TenantStats().Tenants {
+		if row.Backlog != "0" {
+			rows[row.Tenant] = row.Backlog
+		}
+	}
+	sum := map[string]*big.Rat{}
+	for _, sh := range srv.active() {
+		ri, err := sh.link.RouteInfo(shardlink.RouteInfoArgs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tenant, b := range ri.TenantBacklog {
+			if sum[tenant] == nil {
+				sum[tenant] = new(big.Rat)
+			}
+			sum[tenant].Add(sum[tenant], b)
+		}
+	}
+	for tenant, b := range sum {
+		if b.Sign() != 0 {
+			quota[tenant] = b.RatString()
+		}
+	}
+	return rows, quota
+}
+
+// TestReshardConservesTenantBacklog is the regression test for the live
+// reshard that moved a job's size between shard backlogs but left its tenant's
+// share on the retired donor: the router's quota sum (active shards only) lost
+// the tenant's work, the destination's completion then subtracted from an
+// entry it never had, and a server restored from the WAL — whose replay moved
+// both — disagreed with the one that crashed. With tenant work queued and
+// half-executed on two shards, a 2→1 reshard must conserve every tenant's
+// backlog in both views, a restore from the same WAL must report the same
+// numbers, and completing the jobs must bring them back to exactly zero.
+func TestReshardConservesTenantBacklog(t *testing.T) {
+	tc, err := model.ParseTenantConfig([]byte(`{"tenants":[
+		{"name":"gold","weight":"2"},{"name":"silver","weight":"1"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The scenario up to the quiesced post-reshard state: four tenant jobs
+	// (premium, so the quota never sheds the fixture itself) spread over both
+	// shards by the router, one unit of time executed, then the reshard.
+	scenario := func(cfg Config) (*Server, *VirtualClock) {
+		vc := NewVirtualClock()
+		cfg.Clock = vc
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []struct{ size, tenant string }{
+			{"6", "gold"}, {"4", "silver"}, {"2", "gold"}, {"3", "silver"},
+		} {
+			if _, err := srv.Submit(&model.SubmitRequest{Size: spec.size, Tenant: spec.tenant,
+				SLAClass: model.SLAPremium, Databanks: []string{"shared"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, sh := range srv.active() {
+			if ri, _ := sh.link.RouteInfo(shardlink.RouteInfoArgs{}); len(ri.TenantBacklog) == 0 {
+				t.Fatalf("shard %d holds no tenant work; the fixture must load both shards", sh.idx)
+			}
+		}
+		srv.Start()
+		waitStats(t, srv, func(st model.StatsResponse) bool { return st.BatchedArrivals >= 4 })
+		vc.Advance(rat(1, 1))
+		quiesce(t, srv, rat(1, 1))
+		before, beforeQuota := tenantBacklogs(t, srv)
+		if before["gold"] != "8" || before["silver"] != "7" {
+			t.Fatalf("pre-reshard backlogs = %v, want gold 8, silver 7", before)
+		}
+		resp, err := srv.Reshard(&model.Platform{Machines: uniformFleet(4), Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.RetiredShards) != 2 || resp.MigratedJobs != 4 {
+			t.Fatalf("reshard = %+v, want 2 retired shards and 4 migrated jobs", resp)
+		}
+		quiesce(t, srv, rat(1, 1))
+		after, afterQuota := tenantBacklogs(t, srv)
+		if !reflect.DeepEqual(after, before) || !reflect.DeepEqual(afterQuota, beforeQuota) {
+			t.Fatalf("tenant backlog not conserved across the reshard: rows %v -> %v, quota view %v -> %v",
+				before, after, beforeQuota, afterQuota)
+		}
+		return srv, vc
+	}
+	drained := func(srv *Server, vc *VirtualClock) {
+		t.Helper()
+		drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 4 })
+		if rows, quota := tenantBacklogs(t, srv); len(rows) != 0 || len(quota) != 0 {
+			t.Errorf("tenant backlog after every job completed: rows %v, quota view %v, want none", rows, quota)
+		}
+	}
+	cfg := Config{Machines: uniformFleet(4), Shards: 2, Policy: "srpt", Tenants: tc, DisableSteal: true}
+
+	live, vc := scenario(cfg)
+	defer live.Close()
+	wantRows, wantQuota := tenantBacklogs(t, live)
+	drained(live, vc)
+
+	// The same run, crashed right after the reshard and restored from its WAL.
+	cfg.WALDir = t.TempDir()
+	scenario(cfg)
+	restored, vc2 := reopenServer(t, cfg)
+	defer restored.Close()
+	if rows, quota := tenantBacklogs(t, restored); !reflect.DeepEqual(rows, wantRows) || !reflect.DeepEqual(quota, wantQuota) {
+		t.Errorf("restored tenant backlog: rows %v, quota view %v; the server that crashed had %v, %v",
+			rows, quota, wantRows, wantQuota)
+	}
+	restored.Start()
+	drained(restored, vc2)
 }

@@ -11,6 +11,7 @@ import (
 
 	"divflow/internal/model"
 	"divflow/internal/obs"
+	"divflow/internal/shardlink"
 	"divflow/internal/sim"
 	"divflow/internal/stats"
 	"divflow/internal/wal"
@@ -20,15 +21,15 @@ import (
 // fleet is logged write-ahead: submissions (with their exact rational size,
 // weight, and release), admission batches (the virtual time the loop admitted
 // them at — the one input the executed trace is a deterministic function of),
-// steal and reshard migrations, topology-generation installs, and — as pure
-// truncation markers — completions and compaction horizons. Periodic
-// snapshots capture the whole fleet exactly (per-shard engine states with the
-// live jobs' remaining fractions, the forwarding table, the generation list,
-// all counters); the log is truncated behind each. On startup the newest
-// valid snapshot is loaded (torn ones skipped), and the WAL suffix past its
-// watermark is replayed through the normal admission paths at the recorded
-// virtual times — so the restored fleet's merged trace validates exactly and
-// matches an uninterrupted run bit for bit.
+// every step of a steal or reshard migration, topology-generation installs,
+// and — as pure truncation markers — completions and compaction horizons.
+// Periodic snapshots capture the whole fleet exactly (per-shard engine states
+// with the live jobs' remaining fractions, the forwarding table, the
+// generation list, all counters); the log is truncated behind each. On
+// startup the newest valid snapshot is loaded (torn ones skipped), and the
+// WAL suffix past its watermark is replayed through the normal admission
+// paths at the recorded virtual times — so the restored fleet's merged trace
+// validates exactly and matches an uninterrupted run bit for bit.
 //
 // The failure policy is freeze-and-serve: the first WAL append, fsync, or
 // snapshot failure latches an error, after which no further appends or
@@ -41,9 +42,14 @@ const (
 	walTypeSubmit   = "submit"
 	walTypeAdmit    = "admit"
 	walTypeComplete = "complete"
-	walTypeMigrate  = "migrate"
 	walTypeTopo     = "topology"
 	walTypeCompact  = "compact"
+	// The steps of a migration, each logged by the shard-side function that
+	// performs it, under the mu of the shard whose state it changes.
+	walTypeExtract = "extract"
+	walTypeAdopt   = "adopt"
+	walTypeCommit  = "commit"
+	walTypeAbort   = "abort"
 )
 
 // recSubmit logs one accepted submission. Rationals marshal as exact "p/q"
@@ -83,20 +89,28 @@ type recComplete struct {
 	At    *big.Rat `json:"at"`
 }
 
-// recMigrate logs one job moving between shards (steal or reshard), at the
-// donor's exact engine time of the extraction. Decide marks the migrate that
-// triggered the donor's post-steal re-plan, so replay reproduces the same
-// decision count.
-type recMigrate struct {
-	From      int      `json:"from"`
-	FromLocal int      `json:"fromLocal"`
-	To        int      `json:"to"`
-	ToLocal   int      `json:"toLocal"`
-	GID       int      `json:"gid"`
-	Remaining *big.Rat `json:"remaining,omitempty"`
-	At        *big.Rat `json:"at"`
-	Reason    string   `json:"reason"` // "steal" | "reshard"
-	Decide    bool     `json:"decide,omitempty"`
+// recExtract logs the donor half of a migration: which records were reserved,
+// at the donor's exact engine time. Replay catches the donor up to that time
+// and reserves the same records, which reproduces the remaining fractions
+// and — when a live job left — the donor's re-plan. The time also fixes the
+// records' later compaction horizon.
+type recExtract struct {
+	Shard  int      `json:"shard"`
+	At     *big.Rat `json:"at"`
+	Locals []int    `json:"locals"`
+}
+
+// recAdopt logs the destination half: the whole adoption message, so replay
+// needs nothing from the donor.
+type recAdopt struct {
+	Shard int `json:"shard"`
+	shardlink.AdmitArgs
+}
+
+// recSettle logs the donor's commit or abort of the listed reservations.
+type recSettle struct {
+	Shard  int   `json:"shard"`
+	Locals []int `json:"locals"`
 }
 
 // walMachine is one machine in a WAL or snapshot document.
@@ -291,20 +305,6 @@ func (d *durability) appendCompact(sh *shard, now, horizon *big.Rat) {
 		return
 	}
 	d.append(walTypeCompact, &recCompact{Shard: sh.idx, Now: copyRat(now), Horizon: copyRat(horizon)})
-}
-
-// appendMigrate logs one cross-shard migration. Callers hold both shards'
-// mus.
-//
-//divflow:locks requires=shard
-func (d *durability) appendMigrate(from, to *shard, fromLocal, toLocal, gid int, remaining, at *big.Rat, reason string, decide bool) {
-	if d == nil {
-		return
-	}
-	d.append(walTypeMigrate, &recMigrate{
-		From: from.idx, FromLocal: fromLocal, To: to.idx, ToLocal: toLocal,
-		GID: gid, Remaining: copyRat(remaining), At: copyRat(at), Reason: reason, Decide: decide,
-	})
 }
 
 // --- Snapshots ---------------------------------------------------------
@@ -528,14 +528,20 @@ func exportShardLocked(sh *shard) snapShard {
 // background snapshots take) and truncates the WAL behind its watermark.
 func (s *Server) Snapshot() error {
 	s.reshardMu.Lock()
-	defer s.reshardMu.Unlock()
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
-	if closed {
-		return ErrClosed
+	err := ErrClosed
+	if !closed {
+		err = s.snapshotLocked()
 	}
-	return s.snapshotLocked()
+	s.reshardMu.Unlock()
+	// A steal that found the fleet held for the cut was skipped, not queued:
+	// wake the loops so an idle one asks again.
+	for _, sh := range s.active() {
+		_ = sh.link.Poke(shardlink.PokeArgs{})
+	}
+	return err
 }
 
 // snapshotLocked exports and writes one snapshot. Callers hold reshardMu (so
@@ -741,11 +747,7 @@ func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
 		}
 		sh.records = append(sh.records, rec)
 		if rec.state == StateQueued || rec.state == StateScheduled || rec.state == StateDone {
-			for i := range sh.machines {
-				if sh.machines[i].Hosts(rec.databanks) {
-					sh.eligible[i][rec.id] = true
-				}
-			}
+			sh.markEligible(rec) //divflow:emitmu-ok restore builds a private shard that is not yet published; no other goroutine can reach its mu
 		}
 	}
 	for _, id := range ss.PendingIDs {
@@ -901,6 +903,7 @@ func (s *Server) restore(st *restoreState) error {
 	if err := s.replay(st.suffix); err != nil {
 		return err
 	}
+	s.finishMigrations()
 	s.repairRetired(st.now)
 	return nil
 }
@@ -949,10 +952,20 @@ func (s *Server) replay(recs []wal.Record) error {
 			if err = json.Unmarshal(rec.Data, &r); err == nil {
 				err = s.replayComplete(&r)
 			}
-		case walTypeMigrate:
-			var r recMigrate
+		case walTypeExtract:
+			var r recExtract
 			if err = json.Unmarshal(rec.Data, &r); err == nil {
-				err = s.replayMigrate(&r)
+				err = s.replayExtract(&r)
+			}
+		case walTypeAdopt:
+			var r recAdopt
+			if err = json.Unmarshal(rec.Data, &r); err == nil {
+				err = s.replayAdopt(&r)
+			}
+		case walTypeCommit, walTypeAbort:
+			var r recSettle
+			if err = json.Unmarshal(rec.Data, &r); err == nil {
+				err = s.replaySettle(&r, rec.Type == walTypeCommit)
 			}
 		case walTypeTopo:
 			var r recTopo
@@ -1004,14 +1017,7 @@ func (s *Server) replaySubmit(r *recSubmit) error {
 	sh.backlog.Add(sh.backlog, rec.size)
 	sh.tenantBacklogAdd(rec.tenant, rec.size)
 	sh.backlogMu.Unlock()
-	hosted := false
-	for i := range sh.machines {
-		if sh.machines[i].Hosts(rec.databanks) {
-			sh.eligible[i][rec.id] = true
-			hosted = true
-		}
-	}
-	if !hosted {
+	if !sh.markEligible(rec) {
 		return fmt.Errorf("submit %d: no machine of shard %d hosts %v", r.GID, sh.idx, r.Databanks)
 	}
 	sh.obs.event(obs.EventSubmit, rec.gid, rec.release, "replayed")
@@ -1079,81 +1085,53 @@ func (s *Server) replayCompact(r *recCompact) error {
 	return nil
 }
 
-//divflow:locks ascending=shard
-func (s *Server) replayMigrate(r *recMigrate) error {
-	from, err := s.shardByIdx(r.From)
-	if err != nil {
-		return err
-	}
-	to, err := s.shardByIdx(r.To)
+// The migration records replay through the very functions that logged them
+// (the write-ahead hooks are off), each under its one shard's mu.
+
+func (s *Server) replayExtract(r *recExtract) error {
+	sh, err := s.shardByIdx(r.Shard)
 	if err != nil {
 		return err
 	}
 	if r.At == nil {
-		return errors.New("migrate record missing time")
+		return errors.New("extract record missing time")
 	}
-	first, second := from, to
-	if to.idx < from.idx {
-		first, second = to, from
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, local := range r.Locals {
+		if local < 0 || local >= len(sh.records) || sh.records[local] == nil {
+			return fmt.Errorf("shard %d has no record %d", sh.idx, local)
+		}
 	}
-	first.mu.Lock()
-	second.mu.Lock()
-	defer second.mu.Unlock()
-	defer first.mu.Unlock()
 	// The donor's engine time at the extraction is part of the recorded
-	// execution: migratedAt drives the record's later compaction.
-	from.catchUpTo(r.At)
-	if r.FromLocal < 0 || r.FromLocal >= len(from.records) || from.records[r.FromLocal] == nil {
-		return fmt.Errorf("shard %d has no record %d", from.idx, r.FromLocal)
+	// execution: it sets the remaining fractions and migratedAt.
+	sh.catchUpTo(r.At)
+	sh.reserve(r.Locals)
+	return nil
+}
+
+func (s *Server) replayAdopt(r *recAdopt) error {
+	sh, err := s.shardByIdx(r.Shard)
+	if err != nil {
+		return err
 	}
-	rec := from.records[r.FromLocal]
-	var remaining *big.Rat
-	if rj, err := from.eng.Remove(rec.id); err == nil {
-		remaining = rj.Remaining
+	rep := sh.admitMigrated(r.AdmitArgs)
+	if !rep.Accepted {
+		return fmt.Errorf("shard %d refuses the recorded adoption", sh.idx)
+	}
+	s.forwardTo(sh, r.Jobs, rep.Locals)
+	return nil
+}
+
+func (s *Server) replaySettle(r *recSettle, commit bool) error {
+	sh, err := s.shardByIdx(r.Shard)
+	if err != nil {
+		return err
+	}
+	if commit {
+		sh.commitExtract(shardlink.CommitArgs{Locals: r.Locals})
 	} else {
-		pending := from.pending[:0]
-		found := false
-		for _, p := range from.pending {
-			if p == rec {
-				found = true
-				continue
-			}
-			pending = append(pending, p)
-		}
-		from.pending = pending
-		if !found {
-			return fmt.Errorf("job %d neither live nor pending on shard %d", r.GID, from.idx)
-		}
-		remaining = rec.remaining
-	}
-	from.orphanRecord(rec)
-	nrec := to.adoptRecord(rec, remaining)
-	if nrec.id != r.ToLocal {
-		return fmt.Errorf("job %d landed at local %d on shard %d, record says %d", r.GID, nrec.id, to.idx, r.ToLocal)
-	}
-	if r.Reason == "reshard" {
-		from.reshardOut++
-		to.reshardIn++
-	} else {
-		from.migratedOut++
-		to.stolenIn++
-	}
-	s.fwdMu.Lock()
-	s.forward[rec.gid] = fwdLoc{sh: to, local: nrec.id}
-	s.fwdMu.Unlock()
-	from.backlogMu.Lock()
-	from.backlog.Sub(from.backlog, rec.size)
-	from.tenantBacklogSub(rec.tenant, rec.size)
-	from.backlogMu.Unlock()
-	to.backlogMu.Lock()
-	to.backlog.Add(to.backlog, rec.size)
-	to.tenantBacklogAdd(rec.tenant, rec.size)
-	to.backlogMu.Unlock()
-	to.obs.event(obs.EventMigrate, rec.gid, nil, fmt.Sprintf("replayed %s from shard %d", r.Reason, from.idx))
-	// The live steal re-plans the donor once per steal batch; the flagged
-	// record reproduces that single decision at the same point.
-	if r.Decide && from.lastErr == nil {
-		from.decide()
+		sh.abortExtract(shardlink.AbortArgs{Locals: r.Locals})
 	}
 	return nil
 }
@@ -1208,95 +1186,55 @@ func (s *Server) replayTopo(r *recTopo) error {
 	return nil
 }
 
-// repairRetired finishes an interrupted reshard: a crash between the
-// topology record and the last migration record leaves queued or live jobs
-// on retired shards. They are re-migrated through the normal paths — with
-// the write-ahead hooks live again, so the repair itself is durable — using
-// the same least-residual-work placement the reshard would have used, in the
-// same order, so the repaired run matches the uninterrupted one.
-func (s *Server) repairRetired(now *big.Rat) {
-	act := s.gens[len(s.gens)-1].shards
-	resid := make(map[*shard]*big.Rat, len(act))
-	for _, sh := range act {
-		resid[sh] = sh.residualWork()
+// finishMigrations settles every migration a crash cut in half: its reserved
+// records — extracted, neither committed nor aborted — are still on the
+// donor. A reservation whose job a destination already adopted (the
+// forwarding table names another shard) is committed; one nobody adopted is
+// aborted, and the donor keeps the job. The write-ahead hooks are live again,
+// so the settlement itself is durable.
+func (s *Server) finishMigrations() {
+	for _, sh := range s.all {
+		var adopted, orphaned []int
+		sh.mu.Lock()
+		for _, rec := range sh.records {
+			if rec == nil || rec.migratedAt == nil || rec.state == StateMigrated {
+				continue
+			}
+			if owner, _, _ := s.locate(rec.gid); owner != sh {
+				adopted = append(adopted, rec.id)
+			} else {
+				orphaned = append(orphaned, rec.id)
+			}
+		}
+		sh.mu.Unlock()
+		sh.commitExtract(shardlink.CommitArgs{Locals: adopted})
+		sh.abortExtract(shardlink.AbortArgs{Locals: orphaned})
 	}
+}
+
+// repairRetired finishes an interrupted reshard: a crash after the topology
+// record leaves queued or live jobs on retired shards. They are drained
+// through the normal exchange — with the write-ahead hooks live again, so the
+// repair itself is durable — using the same least-residual-work placement the
+// reshard would have used, in the same order, so the repaired run matches the
+// uninterrupted one.
+func (s *Server) repairRetired(now *big.Rat) {
+	place := newPlacement(s.gens[len(s.gens)-1].shards)
 	for _, donor := range s.all {
 		if !donor.retired || donor.freed {
 			continue
 		}
-		donor.mu.Lock()
 		// Catch the donor up to the restored virtual time before extracting:
-		// the lost migrate records are what carried the original donor's
+		// the lost extract record is what carried the original donor's
 		// catch-up to the reshard time, so without this the work it executed
 		// since its last replayed record would be retroactively discarded and
 		// the repaired remainings would not match the uninterrupted run's.
+		donor.mu.Lock()
 		if donor.lastErr == nil {
 			donor.catchUpTo(now)
 		}
-		var stranded []*jobRecord
-		stranded = append(stranded, donor.pending...)
-		donor.pending = nil
-		type liveJob struct {
-			rec       *jobRecord
-			remaining *big.Rat
-		}
-		var live []liveJob
-		for _, br := range donor.eng.RemoveAll() {
-			live = append(live, liveJob{rec: donor.records[br.ID], remaining: copyRat(br.Job.Remaining)})
-		}
-		//divflow:locks requires=shard ascending=shard
-		migrate := func(rec *jobRecord, remaining *big.Rat) {
-			donor.orphanRecord(rec)
-			donor.reshardOut++
-			var dest, destStalled *shard
-			for _, sh := range act {
-				if !sh.hosts(rec.databanks) {
-					continue
-				}
-				if sh.lastErr != nil {
-					if destStalled == nil || resid[sh].Cmp(resid[destStalled]) < 0 {
-						destStalled = sh
-					}
-					continue
-				}
-				if dest == nil || resid[sh].Cmp(resid[dest]) < 0 {
-					dest = sh
-				}
-			}
-			if dest == nil {
-				dest = destStalled
-			}
-			if dest == nil {
-				// No host on the current topology: the job is lost to the
-				// crash window. Leave it migrated-away and surface the gap.
-				s.tel.event(obs.EventReject, -1, rec.gid, "restore: no shard hosts the stranded job")
-				return
-			}
-			dest.mu.Lock()
-			nrec := dest.adoptRecord(rec, remaining)
-			dest.reshardIn++
-			s.dur.appendMigrate(donor, dest, rec.id, nrec.id, rec.gid, remaining, donor.eng.Now(), "reshard", false)
-			dest.mu.Unlock()
-			s.fwdMu.Lock()
-			s.forward[rec.gid] = fwdLoc{sh: dest, local: nrec.id}
-			s.fwdMu.Unlock()
-			resid[dest].Add(resid[dest], rec.size)
-			donor.backlogMu.Lock()
-			donor.backlog.Sub(donor.backlog, rec.size)
-			donor.tenantBacklogSub(rec.tenant, rec.size)
-			donor.backlogMu.Unlock()
-			dest.backlogMu.Lock()
-			dest.backlog.Add(dest.backlog, rec.size)
-			dest.tenantBacklogAdd(rec.tenant, rec.size)
-			dest.backlogMu.Unlock()
-		}
-		for _, rec := range stranded {
-			migrate(rec, rec.remaining)
-		}
-		for _, lj := range live {
-			migrate(lj.rec, lj.remaining)
-		}
 		donor.mu.Unlock()
+		s.migrate(donor, shardlink.ExtractArgs{All: true}, migrateReshard, place.pick)
 	}
 }
 

@@ -251,13 +251,50 @@ func testCrashRestartEquivalence(t *testing.T, policy string, cut int) {
 	validateServer(t, srv2)
 }
 
+// migrationCrash is one crash point of the transport × crash table the two
+// migration crash tests below run over: none (the whole exchange is durable),
+// or a simulated crash striking right after the named record of the exchange
+// landed in the log — between extract and admit, or between admit and commit.
+type migrationCrash struct {
+	name string
+	// record is the 0-based position of the fatal append among the appends
+	// that follow arming; -1 arms nothing.
+	record int
+	// committed reports whether the restored fleet holds the migration: a
+	// reservation nobody adopted is aborted, an adopted one is committed.
+	committed bool
+}
+
+// migrationCrashes lists the crash points. Both scenarios arm the fault with
+// exactly one append left before the exchange (a completion, the topology
+// record), so the extract record is append 1 and the adopt record append 2.
+var migrationCrashes = []migrationCrash{
+	{name: "complete", record: -1, committed: true},
+	{name: "crash-after-extract", record: 1, committed: false},
+	{name: "crash-after-admit", record: 2, committed: true},
+}
+
 // TestWALCrashAfterStealRestoresExactly crashes right after a cross-shard
-// steal migrated a half-executed job and checks the restored fleet finishes
-// with the exact closed-form completions of the uninterrupted scenario
-// (TestStealMigratesHalfExecutedJob): the migrate records replay the recorded
-// placements and the donor's re-plan, and the merged trace still validates.
+// steal migrated a half-executed job — or in the middle of that steal's
+// exchange — and checks the restored fleet finishes with the exact
+// closed-form completions of the uninterrupted scenario
+// (TestStealMigratesHalfExecutedJob): the extract, adopt and commit records
+// replay the recorded placements and the donor's re-plan, a cut-off exchange
+// is settled (aborted before the adoption, committed after it), and the
+// merged trace still validates. Every row runs on both transports.
 func TestWALCrashAfterStealRestoresExactly(t *testing.T) {
-	cfg := Config{Machines: hotSharedFleet(), Shards: 2, Policy: "srpt", WALDir: t.TempDir()}
+	for _, tr := range transportAxis {
+		// Armed at t=2, the log next takes B's completion at t=3, then the
+		// steal's extract, adopt and commit.
+		for _, crash := range migrationCrashes {
+			t.Run(tr+"/"+crash.name, func(t *testing.T) { testWALCrashAfterSteal(t, tr, crash) })
+		}
+	}
+}
+
+func testWALCrashAfterSteal(t *testing.T, transport string, crash migrationCrash) {
+	t.Cleanup(faults.Reset)
+	cfg := Config{Machines: hotSharedFleet(), Shards: 2, Policy: "srpt", WALDir: t.TempDir(), Transport: transport}
 	vc := NewVirtualClock()
 	crashCfg := cfg
 	crashCfg.Clock = vc
@@ -273,6 +310,10 @@ func TestWALCrashAfterStealRestoresExactly(t *testing.T) {
 	waitStats(t, srv, func(st model.StatsResponse) bool { return st.BatchedArrivals >= 4 })
 	vc.Advance(rat(2, 1))
 	waitStats(t, srv, func(st model.StatsResponse) bool { return st.JobsCompleted == 1 })
+	quiesce(t, srv, rat(2, 1))
+	if crash.record >= 0 {
+		faults.Arm(faults.CrashAfterAppend, crash.record)
+	}
 	// t=3: B completes, shard 1 idles and steals the half-executed A. Wait for
 	// the thief to admit it so the whole steal batch (and the admission) is in
 	// the WAL, then crash.
@@ -281,15 +322,40 @@ func TestWALCrashAfterStealRestoresExactly(t *testing.T) {
 		return st.Migrations == 1 && st.Shards[1].JobsLive == 1
 	})
 	quiesce(t, srv, rat(3, 1))
+	if crash.record >= 0 && srv.dur.latchedErr() == nil {
+		t.Fatal("simulated crash did not latch durability")
+	}
+	faults.Reset()
+	// A's donor-side record is dated by the extraction, live and replayed
+	// alike: the date fixes the record's compaction horizon.
+	extractedAt := func(s *Server) string {
+		donor := s.allShards()[0]
+		donor.mu.Lock()
+		defer donor.mu.Unlock()
+		if rec := donor.records[idA/2]; rec.state == StateMigrated && rec.migratedAt != nil {
+			return rec.migratedAt.RatString()
+		}
+		return "not migrated"
+	}
+	if at := extractedAt(srv); at != "3" {
+		t.Fatalf("live donor record of A migrated at %s, want 3", at)
+	}
 
 	srv2, vc2 := reopenServer(t, cfg)
 	defer srv2.Close()
+	if at := extractedAt(srv2); crash.committed && at != "3" {
+		t.Errorf("restored donor record of A migrated at %s, want 3", at)
+	}
 	if now := srv2.RestoredNow(); now.Cmp(rat(3, 1)) != 0 {
 		t.Fatalf("restored virtual time = %s, want 3 (the steal time)", now.RatString())
 	}
 	st := srv2.Stats()
-	if st.Migrations != 1 || st.StolenJobs != 1 {
-		t.Fatalf("restored steal counters = %d migrations / %d stolen, want 1/1", st.Migrations, st.StolenJobs)
+	want := 0
+	if crash.committed {
+		want = 1
+	}
+	if st.Migrations != want || st.StolenJobs != want {
+		t.Fatalf("restored steal counters = %d migrations / %d stolen, want %d/%d", st.Migrations, st.StolenJobs, want, want)
 	}
 	// The stolen record's local slot decodes to the never-issued global ID 3;
 	// it must stay unknown after restore, not leak A under a phantom ID.
@@ -297,6 +363,11 @@ func TestWALCrashAfterStealRestoresExactly(t *testing.T) {
 		t.Error("phantom global ID 3 resolves after restore")
 	}
 	srv2.Start()
+	// An aborted steal is simply retried by the idle thief; like the first
+	// time, it must land before the clock moves on from t=3.
+	waitStats(t, srv2, func(st model.StatsResponse) bool {
+		return st.Migrations == 1 && st.Shards[1].JobsLive == 1
+	})
 	drive(t, vc2, func() bool { return srv2.Stats().JobsCompleted == 4 })
 	for id, want := range map[int]string{idD: "2", idB: "3", idA: "6", idC: "12"} {
 		got, known := srv2.jobStatus(id)
@@ -348,12 +419,24 @@ func finishReshardScenario(t *testing.T, srv *Server, vc *VirtualClock, ids []in
 
 // TestWALCrashAfterReshardRestoresExactly crashes right after a completed
 // live reshard (topology generation 1, jobs migrated onto the merged shard)
-// and checks the restored fleet comes back in the new topology and finishes
-// exactly like the uninterrupted run.
+// — or in the middle of the reshard's drain of a retired shard — and checks
+// the restored fleet comes back in the new topology and finishes exactly like
+// the uninterrupted run. Every row runs on both transports.
 func TestWALCrashAfterReshardRestoresExactly(t *testing.T) {
+	for _, tr := range transportAxis {
+		// Armed right before the reshard, the log next takes the topology
+		// record, then the bankA island's extract, adopt and commit.
+		for _, crash := range migrationCrashes {
+			t.Run(tr+"/"+crash.name, func(t *testing.T) { testWALCrashAfterReshard(t, tr, crash) })
+		}
+	}
+}
+
+func testWALCrashAfterReshard(t *testing.T, transport string, crash migrationCrash) {
+	t.Cleanup(faults.Reset)
 	// Reference: the reshard scenario uninterrupted.
 	refVC := NewVirtualClock()
-	refSrv, err := New(Config{Machines: islandFleet(), Policy: "srpt", Clock: refVC})
+	refSrv, err := New(Config{Machines: islandFleet(), Policy: "srpt", Clock: refVC, Transport: transport})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +447,7 @@ func TestWALCrashAfterReshardRestoresExactly(t *testing.T) {
 	}
 	want := finishReshardScenario(t, refSrv, refVC, refIDs)
 
-	cfg := Config{Machines: islandFleet(), Policy: "srpt", WALDir: t.TempDir()}
+	cfg := Config{Machines: islandFleet(), Policy: "srpt", WALDir: t.TempDir(), Transport: transport}
 	vc := NewVirtualClock()
 	crashCfg := cfg
 	crashCfg.Clock = vc
@@ -373,6 +456,9 @@ func TestWALCrashAfterReshardRestoresExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := reshardScript(t, srv, vc)
+	if crash.record >= 0 {
+		faults.Arm(faults.CrashAfterAppend, crash.record)
+	}
 	resp, err := srv.Reshard(&model.Platform{Machines: replicatedFleet()})
 	if err != nil {
 		t.Fatal(err)
@@ -383,12 +469,20 @@ func TestWALCrashAfterReshardRestoresExactly(t *testing.T) {
 	// Let the spawned shard admit the migrated jobs so the whole reshard is
 	// durable, then crash.
 	quiesce(t, srv, rat(2, 1))
+	if crash.record >= 0 && srv.dur.latchedErr() == nil {
+		t.Fatal("simulated crash did not latch durability")
+	}
+	faults.Reset()
 
 	srv2, vc2 := reopenServer(t, cfg)
 	defer srv2.Close()
 	if srv2.Generation() != 1 || srv2.ShardCount() != 1 {
 		t.Fatalf("restored topology = generation %d, %d shards, want generation 1 with 1 shard",
 			srv2.Generation(), srv2.ShardCount())
+	}
+	// However far the drain got, restore finishes it before any loop runs.
+	if st := srv2.Stats(); st.ReshardedJobs != 3 {
+		t.Fatalf("restored fleet resharded %d jobs, want 3", st.ReshardedJobs)
 	}
 	srv2.Start()
 	got := finishReshardScenario(t, srv2, vc2, ids)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math/big"
 	"net/rpc"
 
 	"divflow/internal/obs"
@@ -11,8 +10,8 @@ import (
 
 // This file is the server side of the shardlink boundary: the shard-level
 // handlers behind every transport, plus the two Link implementations —
-// localLink (direct in-process calls, today's behavior bit-for-bit) and
-// rpcLink (net/rpc over a loopback pipe or a worker's TCP socket). The
+// localLink (the handlers called directly) and rpcLink (the same handlers
+// behind net/rpc, over a loopback pipe or a worker's TCP socket). The
 // router holds exactly one Link per shard and speaks to the shard only
 // through it; which transport sits behind the Link is invisible above this
 // file.
@@ -45,8 +44,8 @@ var linkOps = []string{
 }
 
 // ---------------------------------------------------------------------------
-// Shard-side operation handlers. These are what both transports ultimately
-// invoke; each takes the shard's own mu and nothing beyond it.
+// Shard-side operations. These are what both transports ultimately invoke;
+// each takes the shard's own mu and nothing beyond it.
 
 // submitOp is shard.submit in message form: the error cases the router keys
 // its control flow on (retired → re-route, closed → 503, no-host → 422,
@@ -86,65 +85,97 @@ func submitErr(rep shardlink.SubmitReply) (int, error) {
 	}
 }
 
-// extractJobs is the reserve phase of a two-phase migration, on the donor:
-// catch up, take the steal census against the thief's machines, and pull the
-// selected jobs out of the engine and the pending queue. The extracted
-// records are *reserved*, not yet migrated — they stay readable at their
-// pre-move state (no not-found window while the messages are in flight) and
-// their work stays in the donor's backlog until commitExtract, so the
-// router's view of fleet-wide residual work never dips mid-exchange.
+// ---------------------------------------------------------------------------
+// Migration. "Move job j with remaining fraction ρ_j from shard A to shard B"
+// is the divisible-load model's one structural operation, and these four
+// handlers are its only implementation: work stealing, live re-sharding, WAL
+// replay and the restore-time repair all drive them (Server.migrate, and the
+// replay functions in durability.go). Each runs under its own shard's mu and
+// nothing else, and each logs its own WAL record under that mu — so the log
+// orders a migration's steps exactly as the donor's and the destination's
+// other records saw them, and replaying the records through these same
+// functions retraces the live run.
+
+// extractJobs is the reserve phase, on the donor: catch up, select — the
+// steal census against the thief's machines, or everything when a reshard
+// drains a retired shard — and pull the selection out of the engine and the
+// pending queue. The extracted records are *reserved*, not yet migrated: they
+// stay readable at their pre-move state (no not-found window while the
+// messages are in flight) and their work stays in the donor's backlog until
+// commitExtract, so the router's view of fleet-wide residual work never dips
+// mid-exchange.
 func (sh *shard) extractJobs(args shardlink.ExtractArgs) shardlink.ExtractReply {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.closed || sh.retired || sh.freed || sh.lastErr != nil {
+	// A closed donor is off limits — during Server.Close a still-running
+	// shard must not extract live jobs from an already-drained one just to
+	// have its own close() mark them rejected. Retirement must match the
+	// mode: a steal never touches a shard a reshard is draining.
+	if sh.closed || sh.freed || sh.retired != args.All {
 		return shardlink.ExtractReply{}
 	}
-	// Same reason as the in-process path: remaining fractions must reflect
-	// everything (notionally) executed up to the present, and the catch-up's
-	// re-solve must happen before the census reads the engine.
-	if _, ok := sh.catchUp(); !ok {
-		return shardlink.ExtractReply{}
+	// Remaining fractions must reflect everything (notionally) executed up
+	// to the present — the engine may be asleep at its last event — and the
+	// catch-up's re-solve must happen before the selection reads the engine.
+	// A latched donor skips it and still gives: its jobs are better off
+	// anywhere else.
+	if sh.lastErr == nil {
+		sh.catchUp()
 	}
-	items := sh.stealCensus(func(databanks []string) bool {
-		return hostsAny(args.ThiefMachines, databanks)
-	})
-	var rep shardlink.ExtractReply
-	for _, it := range items {
-		rec := it.rec
-		remaining := rec.remaining
-		if it.live {
-			rj, err := sh.eng.Remove(rec.id)
-			if err != nil {
-				// Unreachable while the census runs under the same lock; skip
-				// rather than poison the migration.
-				continue
-			}
-			remaining = rj.Remaining
-			rep.RemovedLive = true
-		} else {
-			pending := sh.pending[:0]
-			for _, p := range sh.pending {
-				if p != rec {
-					pending = append(pending, p)
-				}
-			}
-			sh.pending = pending
+	var locals []int
+	if args.All {
+		for _, rec := range sh.pending {
+			locals = append(locals, rec.id)
 		}
-		// Reserve: out of the engine and the queue, eligibility scrubbed so
-		// no local re-admission can resurrect it, exact remaining stored on
-		// the record for the abort give-back.
+		locals = append(locals, sh.eng.LiveIDs()...)
+	} else {
+		locals = sh.stealCensus(func(databanks []string) bool {
+			return hostsAny(args.ThiefMachines, databanks)
+		})
+	}
+	return sh.reserve(locals)
+}
+
+// reserve takes the listed jobs out of the engine and the pending queue at
+// the engine's current time, logging the extraction write-ahead. Replay calls
+// it with the recorded selection after catching up to the recorded time.
+// Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) reserve(locals []int) shardlink.ExtractReply {
+	if len(locals) == 0 {
+		return shardlink.ExtractReply{}
+	}
+	rep := shardlink.ExtractReply{From: sh.idx, At: sh.eng.Now()}
+	sh.wal.append(walTypeExtract, &recExtract{Shard: sh.idx, At: copyRat(rep.At), Locals: locals})
+	taken := make(map[int]bool, len(locals))
+	removedLive := false
+	for _, local := range locals {
+		rec := sh.records[local]
+		taken[local] = true
+		if rec.state == StateScheduled {
+			// Live: the engine hands back the exact unprocessed fraction.
+			if rj, err := sh.eng.Remove(local); err == nil {
+				rec.remaining = copyRat(rj.Remaining)
+				removedLive = true
+			}
+		}
+		// Eligibility scrubbed so no local re-admission can resurrect it; the
+		// extraction time stamped now, because every donor piece of the job
+		// ends by it — that, not the later commit, fixes the record's
+		// compaction horizon.
 		for i := range sh.eligible {
-			delete(sh.eligible[i], rec.id)
+			delete(sh.eligible[i], local)
 		}
-		rec.remaining = copyRat(remaining)
+		rec.migratedAt = copyRat(rep.At)
 		rep.Jobs = append(rep.Jobs, shardlink.MigratedJob{
-			FromLocal: rec.id,
+			FromLocal: local,
 			GID:       rec.gid,
 			Name:      rec.name,
 			Weight:    copyRat(rec.weight),
 			Size:      copyRat(rec.size),
 			Release:   copyRat(rec.release),
-			Remaining: copyRat(remaining),
+			Remaining: copyRat(rec.remaining),
 			Databanks: rec.databanks,
 			Counted:   rec.counted,
 			Deadline:  copyRat(rec.deadline),
@@ -152,124 +183,104 @@ func (sh *shard) extractJobs(args shardlink.ExtractArgs) shardlink.ExtractReply 
 			SLAClass:  rec.slaClass,
 		})
 	}
+	kept := sh.pending[:0]
+	for _, rec := range sh.pending {
+		if !taken[rec.id] {
+			kept = append(kept, rec)
+		}
+	}
+	sh.pending = kept
 	// Re-plan immediately: the extraction invalidated the plan cache, and the
 	// machines that ran the extracted jobs must not idle for a whole message
 	// round-trip waiting for the commit.
-	if rep.RemovedLive && sh.lastErr == nil {
+	if removedLive && sh.lastErr == nil {
 		sh.decide()
 	}
 	return rep
 }
 
-// admitMigrated is the adoption phase on the destination: the mirrored
-// adoptRecord over wire-form jobs. Accepted=false — the shard retired,
-// closed, or latched an error while the exchange was in flight, or (for a
-// steal) went busy — tells the router to abort the donor's reservation.
+// admitMigrated is the adoption phase on the destination. Accepted=false —
+// the shard retired or closed while the exchange was in flight, or a thief
+// latched an error — tells the router to abort the donor's reservation.
 func (sh *shard) admitMigrated(args shardlink.AdmitArgs) shardlink.AdmitReply {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.closed || sh.retired || sh.lastErr != nil {
+	if sh.closed || sh.retired || sh.freed {
 		return shardlink.AdmitReply{}
 	}
-	// Same rule the locked path enforces on the thief: stealing onto a shard
-	// that already has work helps nobody — a submission raced the exchange.
-	if args.Reason == migrateSteal && (sh.eng.Live() > 0 || len(sh.pending) > 0) {
+	// Stealing onto a shard that can never schedule the work helps nobody; a
+	// reshard does place on a stalled shard, when the router found no healthy
+	// host. A thief that was idle when it asked and has since been handed a
+	// submission still adopts: the donor's machines have already moved on,
+	// and giving the jobs back would cost it two more exact solves to end up
+	// where it started.
+	if args.Reason == migrateSteal && sh.lastErr != nil {
 		return shardlink.AdmitReply{}
 	}
+	sh.wal.append(walTypeAdopt, &recAdopt{Shard: sh.idx, AdmitArgs: args})
 	rep := shardlink.AdmitReply{Accepted: true}
-	added := new(big.Rat)
-	addedTenants := make(map[string]*big.Rat)
-	for _, mj := range args.Jobs {
-		nrec := &jobRecord{
-			id:        len(sh.records),
-			gid:       mj.GID, // the global ID survives the move
-			name:      mj.Name,
-			weight:    copyRat(mj.Weight),
-			size:      copyRat(mj.Size),
-			databanks: mj.Databanks,
-			state:     StateQueued,
-			release:   copyRat(mj.Release), // flow origin: still the first submission
-			remaining: copyRat(mj.Remaining),
-			deadline:  copyRat(mj.Deadline),
-			tenant:    mj.Tenant,
-			slaClass:  mj.SLAClass,
-			stolen:    true,
-			counted:   mj.Counted,
-		}
-		sh.records = append(sh.records, nrec)
-		sh.pending = append(sh.pending, nrec)
-		for i := range sh.machines {
-			if sh.machines[i].Hosts(nrec.databanks) {
-				sh.eligible[i][nrec.id] = true
-			}
-		}
+	adopted := make([]*jobRecord, len(args.Jobs))
+	for i := range args.Jobs {
+		nrec := sh.adoptRecord(&args.Jobs[i])
+		adopted[i] = nrec
+		rep.Locals = append(rep.Locals, nrec.id)
 		if args.Reason == migrateReshard {
 			sh.reshardIn++
+			sh.obs.event(obs.EventMigrate, nrec.gid, nil, fmt.Sprintf("resharded from shard %d", args.From))
 		} else {
 			sh.stolenIn++
+			sh.obs.event(obs.EventMigrate, nrec.gid, nil, fmt.Sprintf("stolen from shard %d", args.From))
 		}
-		added.Add(added, nrec.size)
-		if nrec.tenant != "" {
-			if addedTenants[nrec.tenant] == nil {
-				addedTenants[nrec.tenant] = new(big.Rat)
-			}
-			addedTenants[nrec.tenant].Add(addedTenants[nrec.tenant], nrec.size)
-		}
-		rep.Locals = append(rep.Locals, nrec.id)
-		sh.obs.event(obs.EventMigrate, nrec.gid, nil, fmt.Sprintf("%s migration admitted", args.Reason))
 	}
-	if added.Sign() > 0 {
-		sh.backlogMu.Lock()
-		sh.backlog.Add(sh.backlog, added)
-		for t, v := range addedTenants {
-			sh.tenantBacklogAdd(t, v)
-		}
-		sh.backlogMu.Unlock()
-		sh.obs.event(obs.EventSteal, -1, sh.eng.Now(),
-			fmt.Sprintf("%d jobs admitted by %s migration", len(args.Jobs), args.Reason))
+	sh.shiftBacklog(adopted, true)
+	if args.Reason == migrateSteal {
+		sh.obs.event(obs.EventSteal, -1, args.At, fmt.Sprintf("%d jobs from shard %d", len(adopted), args.From))
 	}
 	return rep
 }
 
-// commitExtract finishes a two-phase migration on the donor: the reserved
-// records flip to the migrated state (readable only through the forwarding
-// table, which the router updated before committing) and the moved work
-// finally leaves the donor's backlog.
+// reservedRecords returns the listed records that an extraction reserved and
+// no commit or abort has settled yet. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) reservedRecords(locals []int) []*jobRecord {
+	var recs []*jobRecord
+	for _, local := range locals {
+		if local < 0 || local >= len(sh.records) || sh.records[local] == nil {
+			continue
+		}
+		if rec := sh.records[local]; rec.migratedAt != nil && rec.state != StateMigrated {
+			recs = append(recs, rec)
+		}
+	}
+	return recs
+}
+
+// commitExtract finishes a migration on the donor: the reserved records flip
+// to the migrated state (readable only through the forwarding table, which
+// the router updated before committing) and the moved work finally leaves the
+// donor's backlog.
 func (sh *shard) commitExtract(args shardlink.CommitArgs) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.freed {
 		return
 	}
-	moved := new(big.Rat)
-	movedTenants := make(map[string]*big.Rat)
-	for _, local := range args.Locals {
-		if local < 0 || local >= len(sh.records) || sh.records[local] == nil {
-			continue
-		}
-		rec := sh.records[local]
-		if rec.state == StateMigrated {
-			continue
-		}
-		sh.orphanRecord(rec)
-		sh.migratedOut++
-		moved.Add(moved, rec.size)
-		if rec.tenant != "" {
-			if movedTenants[rec.tenant] == nil {
-				movedTenants[rec.tenant] = new(big.Rat)
-			}
-			movedTenants[rec.tenant].Add(movedTenants[rec.tenant], rec.size)
-		}
-	}
-	if moved.Sign() == 0 {
+	recs := sh.reservedRecords(args.Locals)
+	if len(recs) == 0 {
 		return
 	}
-	sh.backlogMu.Lock()
-	sh.backlog.Sub(sh.backlog, moved)
-	for t, v := range movedTenants {
-		sh.tenantBacklogSub(t, v)
+	sh.wal.append(walTypeCommit, &recSettle{Shard: sh.idx, Locals: args.Locals})
+	for _, rec := range recs {
+		sh.orphanRecord(rec)
+		// Only a reshard drains a retired shard; everything else is a steal.
+		if sh.retired {
+			sh.reshardOut++
+		} else {
+			sh.migratedOut++
+		}
 	}
-	sh.backlogMu.Unlock()
+	sh.shiftBacklog(recs, false)
 }
 
 // abortExtract is the give-back path: the destination refused (or the
@@ -283,123 +294,26 @@ func (sh *shard) abortExtract(args shardlink.AbortArgs) {
 	if sh.freed {
 		return
 	}
-	readmitted := false
-	for _, local := range args.Locals {
-		if local < 0 || local >= len(sh.records) || sh.records[local] == nil {
-			continue
-		}
-		rec := sh.records[local]
-		if rec.state == StateMigrated {
-			continue
-		}
+	recs := sh.reservedRecords(args.Locals)
+	if len(recs) == 0 {
+		return
+	}
+	sh.wal.append(walTypeAbort, &recSettle{Shard: sh.idx, Locals: args.Locals})
+	for _, rec := range recs {
+		rec.state = StateQueued // out of the engine until the loop re-admits it
+		rec.migratedAt = nil
 		sh.pending = append(sh.pending, rec)
-		for i := range sh.machines {
-			if sh.machines[i].Hosts(rec.databanks) {
-				sh.eligible[i][rec.id] = true
-			}
-		}
-		readmitted = true
+		sh.markEligible(rec)
 	}
-	if readmitted {
-		sh.poke()
-	}
+	sh.poke()
 }
 
 // ---------------------------------------------------------------------------
-// In-process transport.
-
-// localLink is the in-process transport: direct calls into the shard under
-// its own mutex, exactly the pre-boundary code path, plus the per-transport
-// call counters. It never returns an error.
-type localLink struct {
-	sh    *shard
-	calls map[string]*obs.Counter // op → prebuilt child; read-only after build
-}
-
-// linkCallCounters prebuilds one transport's counter children, so the hot
-// paths increment an atomic instead of locking the family map per call.
-func linkCallCounters(t *telemetry, transport string) map[string]*obs.Counter {
-	m := make(map[string]*obs.Counter, len(linkOps))
-	for _, op := range linkOps {
-		m[op] = t.linkCalls.With(transport, op)
-	}
-	return m
-}
-
-func newLocalLink(t *telemetry, sh *shard) *localLink {
-	return &localLink{sh: sh, calls: linkCallCounters(t, shardlink.TransportInproc)}
-}
-
-func (l *localLink) Transport() string { return shardlink.TransportInproc }
-
-func (l *localLink) Submit(args shardlink.SubmitArgs) (shardlink.SubmitReply, error) {
-	l.calls[opSubmit].Inc()
-	return l.sh.submitOp(args), nil
-}
-
-func (l *localLink) CheckDeadline(args shardlink.CheckDeadlineArgs) (shardlink.CheckDeadlineReply, error) {
-	l.calls[opCheckDeadline].Inc()
-	return l.sh.checkDeadline(args), nil
-}
-
-func (l *localLink) JobStatus(args shardlink.JobStatusArgs) (shardlink.JobStatusReply, error) {
-	l.calls[opJobStatus].Inc()
-	st, known, migrated := l.sh.jobStatus(args.Local, args.GID)
-	return shardlink.JobStatusReply{Status: st, Known: known, Migrated: migrated}, nil
-}
-
-func (l *localLink) Schedule(args shardlink.ScheduleArgs) (shardlink.ScheduleReply, error) {
-	l.calls[opSchedule].Inc()
-	pieces, now, makespan := l.sh.scheduleSnapshot(args.Since)
-	return shardlink.ScheduleReply{Pieces: pieces, Now: now, Makespan: makespan}, nil
-}
-
-func (l *localLink) Stats(shardlink.StatsArgs) (shardlink.StatsSnapshot, error) {
-	l.calls[opStats].Inc()
-	return l.sh.statsSnapshot(), nil
-}
-
-func (l *localLink) RouteInfo(shardlink.RouteInfoArgs) (shardlink.RouteInfoReply, error) {
-	l.calls[opRouteInfo].Inc()
-	backlog, routeErr, tenants := l.sh.routeInfo()
-	return shardlink.RouteInfoReply{Backlog: backlog, Err: routeErr, TenantBacklog: tenants}, nil
-}
-
-func (l *localLink) Poke(shardlink.PokeArgs) error {
-	l.calls[opPoke].Inc()
-	l.sh.poke()
-	return nil
-}
-
-func (l *localLink) ExtractJobs(args shardlink.ExtractArgs) (shardlink.ExtractReply, error) {
-	l.calls[opExtract].Inc()
-	return l.sh.extractJobs(args), nil
-}
-
-func (l *localLink) AdmitMigrated(args shardlink.AdmitArgs) (shardlink.AdmitReply, error) {
-	l.calls[opAdmit].Inc()
-	return l.sh.admitMigrated(args), nil
-}
-
-func (l *localLink) CommitExtract(args shardlink.CommitArgs) error {
-	l.calls[opCommit].Inc()
-	l.sh.commitExtract(args)
-	return nil
-}
-
-func (l *localLink) AbortExtract(args shardlink.AbortArgs) error {
-	l.calls[opAbort].Inc()
-	l.sh.abortExtract(args)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// RPC transport.
-
-// shardRPC is one shard's net/rpc service ("Shard<idx>"): the gob-decoded
-// mirror of localLink, registered per shard on the loopback server and in
-// worker processes. A handler is pinned to its own shard at registration —
-// no message can name another shard, so no handler can ever need a second
+// The shard-side adapter set, written once: shardRPC is one shard's net/rpc
+// service ("Shard<idx>") — registered per shard on the loopback server and in
+// worker processes — and the in-process transport calls the very same
+// methods directly. A handler is pinned to its own shard at registration: no
+// message can name another shard, so no handler can ever need a second
 // shard's mutex; the lockorder analyzer enforces that shape through the
 // boundary facts below.
 type shardRPC struct {
@@ -475,6 +389,83 @@ func (r *shardRPC) AbortExtract(args *shardlink.AbortArgs, _ *shardlink.AbortRep
 	return nil
 }
 
+// linkCallCounters prebuilds one transport's counter children, so the hot
+// paths increment an atomic instead of locking the family map per call.
+func linkCallCounters(t *telemetry, transport string) map[string]*obs.Counter {
+	m := make(map[string]*obs.Counter, len(linkOps))
+	for _, op := range linkOps {
+		m[op] = t.linkCalls.With(transport, op)
+	}
+	return m
+}
+
+// localLink is the in-process transport: the shard's handlers called
+// directly, plus the per-transport call counters. It never returns an error.
+type localLink struct {
+	h     shardRPC
+	calls map[string]*obs.Counter // op → prebuilt child; read-only after build
+}
+
+func newLocalLink(t *telemetry, sh *shard) *localLink {
+	return &localLink{h: shardRPC{sh: sh}, calls: linkCallCounters(t, shardlink.TransportInproc)}
+}
+
+// direct is every in-process operation: count it, run the handler on the
+// caller's goroutine.
+func direct[A, R any](l *localLink, op string, handler func(*A, *R) error, args A) (R, error) {
+	l.calls[op].Inc()
+	var rep R
+	err := handler(&args, &rep)
+	return rep, err
+}
+
+func (l *localLink) Submit(args shardlink.SubmitArgs) (shardlink.SubmitReply, error) {
+	return direct(l, opSubmit, l.h.Submit, args)
+}
+
+func (l *localLink) CheckDeadline(args shardlink.CheckDeadlineArgs) (shardlink.CheckDeadlineReply, error) {
+	return direct(l, opCheckDeadline, l.h.CheckDeadline, args)
+}
+
+func (l *localLink) JobStatus(args shardlink.JobStatusArgs) (shardlink.JobStatusReply, error) {
+	return direct(l, opJobStatus, l.h.JobStatus, args)
+}
+
+func (l *localLink) Schedule(args shardlink.ScheduleArgs) (shardlink.ScheduleReply, error) {
+	return direct(l, opSchedule, l.h.Schedule, args)
+}
+
+func (l *localLink) Stats(args shardlink.StatsArgs) (shardlink.StatsSnapshot, error) {
+	return direct(l, opStats, l.h.Stats, args)
+}
+
+func (l *localLink) RouteInfo(args shardlink.RouteInfoArgs) (shardlink.RouteInfoReply, error) {
+	return direct(l, opRouteInfo, l.h.RouteInfo, args)
+}
+
+func (l *localLink) Poke(args shardlink.PokeArgs) error {
+	_, err := direct(l, opPoke, l.h.Poke, args)
+	return err
+}
+
+func (l *localLink) ExtractJobs(args shardlink.ExtractArgs) (shardlink.ExtractReply, error) {
+	return direct(l, opExtract, l.h.ExtractJobs, args)
+}
+
+func (l *localLink) AdmitMigrated(args shardlink.AdmitArgs) (shardlink.AdmitReply, error) {
+	return direct(l, opAdmit, l.h.AdmitMigrated, args)
+}
+
+func (l *localLink) CommitExtract(args shardlink.CommitArgs) error {
+	_, err := direct(l, opCommit, l.h.CommitExtract, args)
+	return err
+}
+
+func (l *localLink) AbortExtract(args shardlink.AbortArgs) error {
+	_, err := direct(l, opAbort, l.h.AbortExtract, args)
+	return err
+}
+
 // rpcLink speaks to a shardRPC service over one net/rpc client — a loopback
 // pipe in Transport="rpc" mode, a worker's TCP socket in -worker fleets. The
 // client multiplexes concurrent calls over the single connection.
@@ -499,8 +490,6 @@ func newRPCLink(t *telemetry, c *rpc.Client, svc string) *rpcLink {
 	}
 	return l
 }
-
-func (l *rpcLink) Transport() string { return shardlink.TransportRPC }
 
 // call is every RPC operation's round trip: counted per transport, timed
 // into the RPC latency histogram (wall clock read only with telemetry on).
@@ -547,11 +536,6 @@ func (l *rpcLink) Stats(args shardlink.StatsArgs) (shardlink.StatsSnapshot, erro
 func (l *rpcLink) RouteInfo(args shardlink.RouteInfoArgs) (shardlink.RouteInfoReply, error) {
 	var rep shardlink.RouteInfoReply
 	err := l.call(opRouteInfo, "RouteInfo", &args, &rep)
-	if err == nil && rep.Backlog == nil {
-		// gob drops zero-value rationals; the router compares uncondition-
-		// ally, so restore the exact zero here at the boundary.
-		rep.Backlog = new(big.Rat)
-	}
 	return rep, err
 }
 

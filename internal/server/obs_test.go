@@ -335,11 +335,18 @@ func TestPerShardSolverTallySumsToAggregate(t *testing.T) {
 // reshard, and replays the run from GET /v1/events: submissions, admissions,
 // the per-job migrate and steal summary, and the reshard-generation event
 // must come back in exact order, filterable and pageable, with every event
-// mirrored to the NDJSON sink.
+// mirrored to the NDJSON sink — the same journal, word for word, on every
+// transport.
 func TestEventJournalReplaysStealAndReshard(t *testing.T) {
+	for _, tr := range transportAxis {
+		t.Run(tr, func(t *testing.T) { testEventJournalReplaysStealAndReshard(t, tr) })
+	}
+}
+
+func testEventJournalReplaysStealAndReshard(t *testing.T, transport string) {
 	var sink bytes.Buffer
 	vc := NewVirtualClock()
-	srv, err := New(Config{Machines: hotSharedFleet(), Shards: 2, Policy: "srpt", Clock: vc, EventSink: &sink})
+	srv, err := New(Config{Machines: hotSharedFleet(), Shards: 2, Policy: "srpt", Clock: vc, EventSink: &sink, Transport: transport})
 	if err != nil {
 		t.Fatal(err)
 	}

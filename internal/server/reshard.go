@@ -3,13 +3,13 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"sort"
 	"strconv"
 	"strings"
 
 	"divflow/internal/model"
 	"divflow/internal/obs"
+	"divflow/internal/shardlink"
 	"divflow/internal/sim"
 )
 
@@ -26,13 +26,13 @@ import (
 //     machine list (name, speed, databanks) is identical to a running
 //     shard's keeps that shard untouched, engine, executed trace, plan
 //     cache, warm-start basis chain and all;
-//  3. retire every unmatched shard, migrating its queued and live jobs —
-//     exact remaining fractions, original global IDs and flow origins —
-//     onto the new topology with the same machinery work stealing uses
-//     (Engine.RemoveAll / AddPartial plus the forwarding table);
-//  4. spawn loops for the new groups and advance the topology generation,
-//     so new global IDs decode through the new shard count while old IDs
-//     keep resolving through the generation that issued them.
+//  3. retire every unmatched shard, spawn shards for the new groups and
+//     advance the topology generation in one cut, so new global IDs decode
+//     through the new shard count while old IDs keep resolving through the
+//     generation that issued them;
+//  4. drain each retired shard onto the new topology — exact remaining
+//     fractions, original global IDs and flow origins — through the same
+//     extract → admit → commit exchange work stealing uses (Server.migrate).
 //
 // A reshard whose platform induces the partition already running is a no-op:
 // nothing migrates, the generation does not advance, and the server is
@@ -114,28 +114,39 @@ func (s *Server) renumberRetired(newFleet []model.Machine, active []*shard) {
 	}
 }
 
+// reshardPlan is a structural reshard between its diff and its publish: the
+// new partition, which running shard each group keeps (nil: spawn one), the
+// shards left over to retire, and a ready policy per spawned group.
+type reshardPlan struct {
+	shards   int // the document's explicit "shards" override; 0 inherits
+	fleet    []model.Machine
+	groups   [][]int           // global machine indices per group
+	machines [][]model.Machine // the same, resolved
+	keep     []*shard          // per group; nil spawns
+	retiring []*shard
+	policies map[int]sim.Policy // per spawned group
+}
+
 // Reshard repartitions the running fleet against an updated platform
 // document (the POST /v1/platform admin API and the daemon's SIGHUP reload
 // both land here). It is atomic: either the whole new topology is installed
 // with every affected job migrated, or — when some queued or live job's
 // databanks are hosted by no machine of the new platform — nothing changes
 // and an error describes the stranded job. Reads racing the reshard stay
-// exact: every migrated job's forwarding entry is written while the donor's
-// mutex is held, so a read that decoded the job's birth shard arithmetically
+// exact: a job waiting to be drained off a retired shard is readable there,
+// its forwarding entry is written before the donor's record flips to
+// migrated, so a read that decoded the job's birth shard arithmetically
 // retries through the forwarding table exactly like a read racing a steal.
-//
-//divflow:locks ascending=shard
 func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	var resp model.ReshardResponse
 	if s.noReshard {
 		return resp, ErrReshardDisabled
 	}
 	if len(s.workers) > 0 {
-		// A worker-hosted shard's engine lives in another process: retiring
-		// it would need a cross-process drain-and-migrate protocol this
-		// release does not have (ROADMAP: partial-fleet failure semantics).
-		// Refusing keeps the invariant that remote shards never retire, which
-		// the two-phase steal path relies on.
+		// Spawning a shard means provisioning an engine, and the worker
+		// protocol can only do that at startup (Worker.Install): a reshard
+		// would have nowhere to put the new topology's remote shards
+		// (ROADMAP: partial-fleet failure semantics).
 		return resp, errors.New("server: live re-sharding is not supported with worker-hosted shards; restart the fleet to repartition")
 	}
 	if p == nil || len(p.Machines) == 0 {
@@ -147,7 +158,8 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 		}
 	}
 	// One topology change at a time; Close takes the same lock, so a closing
-	// server cannot race a reshard spawning loops the shutdown would miss.
+	// server cannot race a reshard spawning loops the shutdown would miss,
+	// and every steal holds it shared, so no job moves except by this reshard.
 	// s.shardsCfg is read and written under it too.
 	s.reshardMu.Lock()
 	defer s.reshardMu.Unlock()
@@ -181,50 +193,51 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	}
 
 	act := s.active()
-
-	newFleet := append([]model.Machine(nil), p.Machines...)
-	groupMachines := make([][]model.Machine, len(groups))
+	plan := &reshardPlan{
+		shards:   p.Shards,
+		fleet:    append([]model.Machine(nil), p.Machines...),
+		groups:   groups,
+		machines: make([][]model.Machine, len(groups)),
+		keep:     make([]*shard, len(groups)),
+		policies: make(map[int]sim.Policy),
+	}
 	for gi, group := range groups {
 		ms := make([]model.Machine, len(group))
 		for k, fi := range group {
-			ms[k] = newFleet[fi]
+			ms[k] = plan.fleet[fi]
 		}
-		groupMachines[gi] = ms
+		plan.machines[gi] = ms
 	}
 
 	// Diff the new partition against the live shard set: first-fit matching
 	// on identical ordered machine signatures. Matched shards are kept
 	// as-is; unmatched running shards retire; unmatched groups spawn.
-	keep := make([]*shard, len(groups))
 	used := make([]bool, len(act))
+	spawnCount := 0
 	for gi := range groups {
-		sig := groupSignature(groupMachines[gi])
+		sig := groupSignature(plan.machines[gi])
 		for ai, sh := range act {
 			if !used[ai] && groupSignature(sh.machines) == sig {
-				used[ai], keep[gi] = true, sh
+				used[ai], plan.keep[gi] = true, sh
 				break
 			}
 		}
-	}
-	var retiring []*shard
-	for ai, sh := range act {
-		if !used[ai] {
-			retiring = append(retiring, sh)
-		}
-	}
-	spawnCount := 0
-	for _, sh := range keep {
-		if sh == nil {
+		if plan.keep[gi] == nil {
 			spawnCount++
 		}
 	}
+	for ai, sh := range act {
+		if !used[ai] {
+			plan.retiring = append(plan.retiring, sh)
+		}
+	}
 
-	if spawnCount == 0 && len(retiring) == 0 {
+	if spawnCount == 0 && len(plan.retiring) == 0 {
 		// No-op: the new platform induces the partition already running.
 		// Refresh the fleet numbering (the document may reorder machines)
 		// and touch nothing else — no generation bump, no migration, so the
 		// server stays trace-identical to one that never resharded.
-		for gi, sh := range keep {
+		for gi, sh := range plan.keep {
 			sh.mu.Lock()
 			sh.machineIdx = append([]int(nil), groups[gi]...)
 			sh.mu.Unlock()
@@ -235,7 +248,7 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 		s.topoMu.Lock()
 		resp.Generation = len(s.gens) - 1
 		s.topoMu.Unlock()
-		s.renumberRetired(newFleet, act)
+		s.renumberRetired(plan.fleet, act)
 		resp.ShardCount = len(act)
 		resp.Noop = true
 		for _, sh := range act {
@@ -244,266 +257,55 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 		return resp, nil
 	}
 
-	// Structural reshard, timed end to end (catch-ups, migration, topology
-	// publish) for the divflow_reshard_migration_seconds histogram.
+	// Structural reshard, timed end to end (topology publish, migration) for
+	// the divflow_reshard_migration_seconds histogram.
 	start := s.tel.now()
 
-	// Catch every retiring shard up to the present
-	// first, each under its own mu alone: its engine may be asleep at its
-	// last event with an allocation that has been (notionally) executing
-	// since, and extracting remaining fractions at that stale time would
-	// retroactively discard all of that work. Doing it here keeps the
-	// event-driven exact re-solves this can trigger out of the all-shards
-	// critical section below, exactly as stealFrom keeps them out of its
-	// two-shard section — the repeat catch-up inside the section then has
-	// at most the sliver since this one to cover.
-	for _, sh := range retiring {
-		sh.mu.Lock()
-		if !sh.closed && sh.lastErr == nil {
-			sh.catchUp()
-		}
-		sh.mu.Unlock()
-	}
-
-	// Lock every active shard in creation order — the same global
-	// acquisition order the steal protocol uses, so a racing steal and the
-	// reshard cannot deadlock.
-	byIdx := append([]*shard(nil), act...)
-	sort.Slice(byIdx, func(a, b int) bool { return byIdx[a].idx < byIdx[b].idx })
-	for _, sh := range byIdx {
-		sh.mu.Lock()
-	}
-	locked := append([]*shard(nil), byIdx...)
-	unlock := func() {
-		for i := len(locked) - 1; i >= 0; i-- {
-			locked[i].mu.Unlock()
-		}
-	}
-	for _, sh := range retiring {
-		if !sh.closed && sh.lastErr == nil {
-			sh.catchUp()
-		}
-	}
-
-	// Atomic placement check before any mutation: every queued or live job
-	// on a retiring shard must fit somewhere on the new topology.
-	for _, donor := range retiring {
-		census := append([]*jobRecord(nil), donor.pending...)
-		for _, id := range donor.eng.LiveIDs() {
-			census = append(census, donor.records[id])
-		}
-		for _, rec := range census {
-			ok := false
-			for gi := range groups {
-				if hostsAny(groupMachines[gi], rec.databanks) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				unlock()
-				return resp, fmt.Errorf(
-					"server: reshard rejected: job %d needs databanks %v, hosted by no machine of the new platform",
-					rec.gid, rec.databanks)
-			}
-		}
-	}
-
-	// The new generation's ID base: strictly above every global ID any
-	// current shard could have issued, so the newest-generation-whose-base-
-	// fits decode rule stays unambiguous.
-	base := 0
-	for _, sh := range byIdx {
-		if b := sh.gidBase + len(sh.records)*sh.stride + sh.pos + 1; b > base {
-			base = b
-		}
-	}
-	newStride := len(groups)
-
 	// Construct every spawned shard's policy before mutating anything: a
-	// constructor failure must leave the running topology untouched, not
-	// kept shards half re-encoded under a generation that never publishes.
-	policies := make(map[int]sim.Policy)
+	// constructor failure must leave the running topology untouched.
 	for gi := range groups {
-		if keep[gi] != nil {
-			continue
+		if plan.keep[gi] == nil {
+			if plan.policies[gi], err = NewPolicy(s.policyCfg); err != nil {
+				return resp, err
+			}
 		}
-		pol, perr := NewPolicy(s.policyCfg)
-		if perr != nil {
-			unlock()
-			return resp, perr
-		}
-		policies[gi] = pol
 	}
-
-	// Build the new shard list: re-encode kept shards in place, spawn fresh
-	// loops for new groups. Spawned shards are locked immediately — their
-	// records fill in below, and the moment a forwarding entry names them a
-	// concurrent read may knock on their mutex. Creation indices continue
-	// past every shard ever made, preserving the idx lock order (spawned
-	// shards sort after every shard currently locked).
-	nextIdx := len(s.allShards())
-	var gen2, spawned []*shard
-	for gi := range groups {
-		if sh := keep[gi]; sh != nil {
-			sh.gidBase, sh.stride, sh.pos = base, newStride, gi
-			sh.machineIdx = append([]int(nil), groups[gi]...)
-			gen2 = append(gen2, sh)
+	gen2, spawned, err := s.publishGeneration(plan, act)
+	if err != nil {
+		return resp, err
+	}
+	resp.Generation = len(s.gens) - 1 // stable under reshardMu: we are its only writer
+	resp.ShardCount = len(gen2)
+	for gi, sh := range gen2 {
+		if plan.keep[gi] != nil {
 			resp.KeptShards = append(resp.KeptShards, sh.idx)
-			continue
+		} else {
+			resp.SpawnedShards = append(resp.SpawnedShards, sh.idx)
 		}
-		nsh := s.wireShard(newShard(nextIdx, gi, newStride, base, s.clock,
-			groupMachines[gi], append([]int(nil), groups[gi]...), policies[gi], s.retention, s.admission))
-		nextIdx++
-		nsh.mu.Lock()
-		locked = append(locked, nsh)
-		gen2 = append(gen2, nsh)
-		spawned = append(spawned, nsh)
-		resp.SpawnedShards = append(resp.SpawnedShards, nsh.idx)
 	}
 
-	// Stamp the new generation on every member (all mus are held): events
-	// and stats emitted from here on carry it. Retiring shards keep the
-	// generation their service ended in. s.gens is stable under reshardMu,
-	// so reading its length without topoMu is safe — we are its only writer.
-	newGen := len(s.gens)
-	for _, sh := range gen2 {
-		sh.gen = newGen
-	}
-
-	// The topology record lands in the WAL before any migration that
-	// references the new generation's shards, and before the publish: replay
-	// rebuilds the generation first, then applies the recorded placements. A
-	// crash in between leaves stranded jobs on retired donors, which restore
-	// re-migrates with the same placement rule (repairRetired).
-	if s.dur != nil {
-		topoRec := &recTopo{
-			Gen:       newGen,
-			Base:      base,
-			Stride:    newStride,
-			Fleet:     encodeMachines(newFleet),
-			ShardsCfg: p.Shards,
-			At:        s.clock.Now(),
-		}
-		for gi, sh := range gen2 {
-			ts := walTopoShard{Idx: sh.idx, MachineIdx: append([]int(nil), groups[gi]...)}
-			if keep[gi] != nil {
-				ts.Kept = true
-			} else {
-				ts.Machines = encodeMachines(groupMachines[gi])
-			}
-			topoRec.Shards = append(topoRec.Shards, ts)
-		}
-		for _, sh := range retiring {
-			topoRec.Retired = append(topoRec.Retired, sh.idx)
-		}
-		s.dur.append(walTypeTopo, topoRec)
-	}
-
-	// Migrate every queued and live job off the retiring shards, exactly as
-	// a steal would: donor record flips to migrated (its executed pieces
-	// stay, translated by the record), the destination gets a fresh record
-	// with the original global ID, flow origin, and exact remaining
-	// fraction, and the forwarding table points reads at the new owner.
-	// Destinations are chosen least-residual-work-first among the new
-	// topology's hosts, the same rule the router applies to submissions.
-	resid := make(map[*shard]*big.Rat, len(gen2))
-	for _, sh := range gen2 {
-		resid[sh] = sh.residualWork()
-	}
-	//divflow:locks requires=shard
-	migrate := func(donor *shard, rec *jobRecord, remaining *big.Rat) {
-		donor.orphanRecord(rec)
-		donor.reshardOut++
-		// Like the router, a kept shard with a latched scheduling error only
-		// takes the job when no healthy host exists — a poisoned loop has
-		// the smallest backlog precisely because it stopped executing, and
-		// parking migrated jobs there would strand them silently. (Every
-		// shard's mu is held, so lastErr reads are stable; spawned shards
-		// are always healthy.)
-		var dest, destStalled *shard
-		for _, sh := range gen2 {
-			if !sh.hosts(rec.databanks) {
-				continue
-			}
-			if sh.lastErr != nil {
-				if destStalled == nil || resid[sh].Cmp(resid[destStalled]) < 0 {
-					destStalled = sh
-				}
-				continue
-			}
-			if dest == nil || resid[sh].Cmp(resid[dest]) < 0 {
-				dest = sh
-			}
-		}
-		if dest == nil {
-			dest = destStalled
-			if resp.Warning == "" {
-				resp.Warning = fmt.Sprintf(
-					"job %d migrated to stalled shard %d (no healthy shard hosts databanks %v): %v",
-					rec.gid, dest.idx, rec.databanks, dest.lastErr)
-			}
-		}
-		// dest is non-nil: the placement check above covered this record.
-		nrec := dest.adoptRecord(rec, remaining)
-		dest.reshardIn++
-		s.fwdMu.Lock()
-		s.forward[rec.gid] = fwdLoc{sh: dest, local: nrec.id}
-		s.fwdMu.Unlock()
-		// Logged with the recorded placement (never re-derived on replay) at
-		// the donor's exact engine time, which fixes the record's later
-		// compaction horizon. Every active shard's mu is held.
-		s.dur.appendMigrate(donor, dest, rec.id, nrec.id, rec.gid, remaining,
-			donor.eng.Now(), "reshard", false)
-		dest.obs.event(obs.EventMigrate, rec.gid, nil, fmt.Sprintf("resharded from shard %d", donor.idx))
-		resid[dest].Add(resid[dest], rec.size)
-		// Backlog conservation; one backlogMu at a time, never nested.
-		donor.backlogMu.Lock()
-		donor.backlog.Sub(donor.backlog, rec.size)
-		donor.backlogMu.Unlock()
-		dest.backlogMu.Lock()
-		dest.backlog.Add(dest.backlog, rec.size)
-		dest.backlogMu.Unlock()
-		resp.MigratedJobs++
-	}
-	for _, donor := range retiring {
-		donor.retired = true
-		pend := donor.pending
-		donor.pending = nil
-		for _, rec := range pend {
-			migrate(donor, rec, rec.remaining)
-		}
-		for _, br := range donor.eng.RemoveAll() {
-			migrate(donor, donor.records[br.ID], br.Job.Remaining)
-		}
+	// Drain every retired shard, exactly as a steal would move the jobs: the
+	// donor record flips to migrated (its executed pieces stay, translated by
+	// the record), the destination gets a fresh record with the original
+	// global ID, flow origin, and exact remaining fraction, and the
+	// forwarding table points reads at the new owner.
+	place := newPlacement(gen2)
+	for _, donor := range plan.retiring {
+		resp.MigratedJobs += s.migrate(donor, shardlink.ExtractArgs{All: true}, migrateReshard, place.pick)
 		resp.RetiredShards = append(resp.RetiredShards, donor.idx)
 	}
+	resp.Warning = place.warning
 
-	// Publish the new topology before releasing any shard mutex: the first
-	// ID a re-encoded shard issues must already decode through the new
-	// generation.
-	if p.Shards > 0 {
-		s.shardsCfg = p.Shards // under reshardMu, like every reader
-	}
-	s.topoMu.Lock()
-	s.gens = append(s.gens, &generation{base: base, stride: newStride, shards: gen2})
-	s.all = append(s.all, spawned...)
-	s.reshards++
-	resp.Generation = len(s.gens) - 1
-	s.topoMu.Unlock()
-	resp.ShardCount = len(gen2)
-	unlock()
-
-	s.tel.event(obs.EventReshard, newGen, -1, fmt.Sprintf(
+	s.tel.event(obs.EventReshard, resp.Generation, -1, fmt.Sprintf(
 		"%d shards (%d kept, %d spawned, %d retired), %d jobs migrated",
-		len(gen2), len(resp.KeptShards), len(spawned), len(retiring), resp.MigratedJobs))
+		len(gen2), len(resp.KeptShards), len(spawned), len(plan.retiring), resp.MigratedJobs))
 	if !start.IsZero() {
 		s.tel.reshardSeconds.Observe(s.tel.sinceSeconds(start))
 	}
 
-	s.renumberRetired(newFleet, gen2)
+	s.renumberRetired(plan.fleet, gen2)
 
-	// Retiring shards' queues are empty and their live sets migrated; their
+	// Retired shards' queues are empty and their live sets migrated; their
 	// records keep serving reads of the pre-reshard history. Without a
 	// retention policy nothing of that history will ever be released, so the
 	// loop stops now; under retention the loop instead stays alive at one
@@ -513,19 +315,18 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	// loops start (or, on a not-yet-started server, wait for Start), and
 	// every new-topology shard is poked: migrated jobs are pending on some
 	// of them.
-	for _, sh := range retiring {
+	for _, sh := range plan.retiring {
 		if s.retention == nil {
 			sh.close()
 		} else {
 			sh.poke()
 		}
 	}
-	// Re-read started *after* the topology publish: a Start racing this
-	// reshard may have snapshotted the shard list before the spawned shards
-	// were in it, and the stale value read at entry would then leave their
-	// loops forever unlaunched. After the publish the race is benign in both
-	// directions — shard.start is idempotent.
-	//divflow:lockorder-ok unlock() above already dropped every shard mu; the checker cannot see through the stored func value
+	// Read started *after* the topology publish: a Start racing this reshard
+	// may have snapshotted the shard list before the spawned shards were in
+	// it, and a value read at entry would then leave their loops forever
+	// unlaunched. After the publish the race is benign in both directions —
+	// shard.start is idempotent.
 	s.mu.Lock()
 	started := s.started
 	s.mu.Unlock()
@@ -538,4 +339,123 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 		sh.poke()
 	}
 	return resp, nil
+}
+
+// publishGeneration is the one step of a reshard that needs every active
+// shard at once, and it moves no job: under all their mus (creation order —
+// a snapshot's cut takes the same order) it verifies that every queued or
+// live job of a retiring shard fits somewhere on the new topology, retires
+// those shards, re-encodes the kept ones, builds the spawned ones, and
+// publishes the new generation — all before the first mutex is released, so
+// the first ID a re-encoded shard issues already decodes through the new
+// generation, and a submission that was waiting on a retiring shard's mu
+// re-routes against a topology that no longer contains it. An error leaves
+// everything untouched.
+//
+//divflow:locks requires=reshard ascending=shard
+func (s *Server) publishGeneration(plan *reshardPlan, act []*shard) (gen2, spawned []*shard, err error) {
+	byIdx := append([]*shard(nil), act...)
+	sort.Slice(byIdx, func(a, b int) bool { return byIdx[a].idx < byIdx[b].idx })
+	for _, sh := range byIdx {
+		sh.mu.Lock()
+	}
+	if err = plan.stranded(); err == nil {
+		gen2, spawned = s.installLocked(plan, byIdx)
+	}
+	for i := len(byIdx) - 1; i >= 0; i-- {
+		byIdx[i].mu.Unlock()
+	}
+	return gen2, spawned, err
+}
+
+// stranded reports the first queued or live job on a retiring shard that no
+// machine of the new platform hosts. The caller holds every retiring shard's
+// mu, and reshardMu keeps steals out, so nothing can join those shards
+// between this check and their retirement.
+//
+//divflow:locks requires=shard
+func (plan *reshardPlan) stranded() error {
+	for _, donor := range plan.retiring {
+		census := append([]*jobRecord(nil), donor.pending...)
+		for _, id := range donor.eng.LiveIDs() {
+			census = append(census, donor.records[id])
+		}
+		for _, rec := range census {
+			if !hostsAny(plan.fleet, rec.databanks) {
+				return fmt.Errorf(
+					"server: reshard rejected: job %d needs databanks %v, hosted by no machine of the new platform",
+					rec.gid, rec.databanks)
+			}
+		}
+	}
+	return nil
+}
+
+// installLocked mutates the topology. Callers hold reshardMu and the mu of
+// every shard in active (sorted by creation index).
+//
+//divflow:locks requires=shard
+func (s *Server) installLocked(plan *reshardPlan, active []*shard) (gen2, spawned []*shard) {
+	// The new generation's ID base: strictly above every global ID any
+	// current shard could have issued, so the newest-generation-whose-base-
+	// fits decode rule stays unambiguous.
+	base := 0
+	for _, sh := range active {
+		if b := sh.gidBase + len(sh.records)*sh.stride + sh.pos + 1; b > base {
+			base = b
+		}
+	}
+	stride := len(plan.groups)
+	// s.gens and s.all are stable under reshardMu, so reading them without
+	// topoMu is safe — we are their only writer. Creation indices continue
+	// past every shard ever made.
+	newGen, nextIdx := len(s.gens), len(s.all)
+	topoRec := &recTopo{
+		Gen:       newGen,
+		Base:      base,
+		Stride:    stride,
+		Fleet:     encodeMachines(plan.fleet),
+		ShardsCfg: plan.shards,
+		At:        s.clock.Now(),
+	}
+	for gi, group := range plan.groups {
+		sh := plan.keep[gi]
+		ts := walTopoShard{MachineIdx: append([]int(nil), group...), Kept: sh != nil}
+		if sh != nil {
+			// Re-encode in place: future IDs decode through the new generation.
+			sh.gidBase, sh.stride, sh.pos = base, stride, gi
+			sh.machineIdx = append([]int(nil), group...)
+		} else {
+			sh = s.wireShard(newShard(nextIdx, gi, stride, base, s.clock,
+				plan.machines[gi], append([]int(nil), group...), plan.policies[gi], s.retention, s.admission))
+			nextIdx++
+			spawned = append(spawned, sh)
+			ts.Machines = encodeMachines(plan.machines[gi])
+		}
+		// Events and stats emitted from here on carry the new generation;
+		// retiring shards keep the one their service ended in.
+		sh.gen = newGen
+		ts.Idx = sh.idx
+		gen2 = append(gen2, sh)
+		topoRec.Shards = append(topoRec.Shards, ts)
+	}
+	for _, sh := range plan.retiring {
+		sh.retired = true
+		topoRec.Retired = append(topoRec.Retired, sh.idx)
+	}
+	// The topology record lands in the WAL before any migration record that
+	// references the new generation's shards, and before the publish: replay
+	// rebuilds the generation first, then retraces the recorded exchanges. A
+	// crash in between leaves jobs on retired donors, which restore drains
+	// with the same placement rule (repairRetired).
+	s.dur.append(walTypeTopo, topoRec)
+	if plan.shards > 0 {
+		s.shardsCfg = plan.shards // under reshardMu, like every reader
+	}
+	s.topoMu.Lock()
+	s.gens = append(s.gens, &generation{base: base, stride: stride, shards: gen2})
+	s.all = append(s.all, spawned...)
+	s.reshards++
+	s.topoMu.Unlock()
+	return gen2, spawned
 }

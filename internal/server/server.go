@@ -169,19 +169,20 @@ type Config struct {
 	// engine, exact state restored — up to a per-shard restart cap.
 	RestartStalled bool
 	// Transport selects how the router talks to its shards:
-	// shardlink.TransportInproc (or empty) calls straight into the shard
-	// under its mutex — bit-for-bit the pre-link behavior — while
-	// shardlink.TransportRPC keeps every shard colocated and local (real
-	// engines, so trace-exact tests still apply) but routes all router
-	// traffic through a loopback net/rpc connection, serializing every
-	// message with gob exactly as a worker socket would. Shards listed in
-	// Workers use RPC regardless of this setting.
+	// shardlink.TransportInproc (or empty) calls the shard's handlers
+	// directly, while shardlink.TransportRPC keeps every shard colocated and
+	// local (real engines, so trace-exact tests, WALDir and live re-sharding
+	// still apply) but routes all router traffic through a loopback net/rpc
+	// connection, serializing every message with gob exactly as a worker
+	// socket would. Shards listed in Workers use RPC regardless of this
+	// setting.
 	Transport string
 	// Workers maps startup-partition positions to worker addresses
 	// (divflowd -worker listeners): shard pos of the initial topology is
 	// provisioned inside that process and driven entirely over net/rpc.
-	// Incompatible with WALDir (two-phase migrations are not write-ahead
-	// logged, so a replay would diverge) and with live re-sharding.
+	// Incompatible with WALDir (the log is the router's; a worker's engine
+	// state never reaches it) and with live re-sharding (a worker can only be
+	// handed a shard at startup).
 	Workers map[int]string
 	// Admission selects the deadline-admission mode every shard runs
 	// (the -admission flag): shardlink.AdmissionStrict (the default, "" too)
@@ -266,9 +267,9 @@ type Server struct {
 
 	// topoMu guards the shard topology: the generation list and the flat
 	// list of every shard ever created. Readers snapshot under RLock; only
-	// Reshard (serialized by reshardMu) writes, while holding every active
-	// shard's mu — so no lock path ever acquires a shard mu while holding
-	// topoMu.
+	// Reshard's publish cut (serialized by reshardMu) writes, while holding
+	// every active shard's mu — so no lock path ever acquires a shard mu
+	// while holding topoMu.
 	//divflow:locks name=topo before=fwd
 	topoMu   sync.RWMutex
 	gens     []*generation
@@ -276,16 +277,20 @@ type Server struct {
 	reshards int      // completed structural reshards (generation count - 1)
 
 	// reshardMu serializes topology changes (Reshard, and Close — which
-	// must not race a reshard spawning shards it would miss).
+	// must not race a reshard spawning shards it would miss) and snapshots,
+	// and keeps all three apart from migrations: a steal runs its whole
+	// exchange under a TryRLock, so steals share the lock with each other —
+	// every step of an exchange is atomic on the one shard it touches — but
+	// never overlap a writer.
 	//divflow:locks name=reshard before=collect
-	reshardMu sync.Mutex
+	reshardMu sync.RWMutex
 
 	// forward maps the global ID of every migrated job to its current
 	// location; IDs never migrated resolve arithmetically through their
-	// birth generation. Entries are written under both involved shards' mus
-	// (see stealFrom) or under every active shard's mu (Reshard), so a read
-	// that misses the table and lands on the donor mid-migration finds the
-	// table updated by the time the donor's mu is free.
+	// birth generation. An entry is written after the destination adopted the
+	// job and before the donor's record flips to migrated (Server.migrate),
+	// so a read that misses the table and lands on the donor mid-migration
+	// either still finds the job there or finds the table already updated.
 	//divflow:locks name=fwd before=backlog
 	fwdMu   sync.RWMutex
 	forward map[int]fwdLoc
@@ -334,12 +339,11 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: unknown transport %q (want %q or %q)",
 			cfg.Transport, shardlink.TransportInproc, shardlink.TransportRPC)
 	}
-	if cfg.WALDir != "" && (transport == shardlink.TransportRPC || len(cfg.Workers) > 0) {
-		// Two-phase migrations deliberately bypass the WAL (reserve/commit
-		// spans processes; logging either side alone would replay into a state
-		// neither process was ever in), so durability and the rpc transport
-		// exclude each other rather than silently diverge on restore.
-		return nil, errors.New("server: WALDir is incompatible with the rpc transport and worker shards")
+	if cfg.WALDir != "" && len(cfg.Workers) > 0 {
+		// The log lives in the router's process and a worker shard's state in
+		// another: the worker's submissions, admissions and completions never
+		// reach it, so a restore would replay onto engines it knows nothing of.
+		return nil, errors.New("server: WALDir is incompatible with worker shards")
 	}
 	for pos := range cfg.Workers {
 		if pos < 0 || pos >= len(groups) {

@@ -52,8 +52,11 @@ type jobRecord struct {
 	// re-)admitted.
 	counted bool
 	// migratedAt, on a donor-side record, is the engine time the job was
-	// stolen away: every donor piece of the job ends at or before it, so
-	// once the retention horizon passes it the record can be compacted.
+	// extracted for a migration: every donor piece of the job ends at or
+	// before it, so once the retention horizon passes it the record can be
+	// compacted. Set while the state is not yet StateMigrated, it marks the
+	// record reserved — out of the engine and the queue, awaiting the
+	// migration's commit or abort (which clears it).
 	migratedAt *big.Rat
 	// submittedWall is the wall-clock submission instant, feeding the
 	// submit→admit latency histogram; zero with telemetry disabled (the
@@ -72,8 +75,9 @@ type shard struct {
 	// idx is the shard's immutable creation index: unique across the whole
 	// life of the server (re-sharding keeps spawning shards with fresh
 	// indices), it names the shard in stats and errors and fixes the global
-	// mutex-acquisition order for multi-shard operations (steals and
-	// reshards lock mus in ascending idx).
+	// mutex-acquisition order of the two sections that hold every shard's mu
+	// at once (a snapshot's consistent cut and a reshard's topology publish
+	// lock mus in ascending idx). No job ever moves under two shard mus.
 	idx int
 
 	clock    Clock
@@ -408,29 +412,15 @@ func (sh *shard) close() {
 	if len(sh.pending) == 0 {
 		return
 	}
-	stranded := new(big.Rat)
-	strandedTenants := make(map[string]*big.Rat)
 	for _, rec := range sh.pending {
 		rec.state = StateRejected
-		stranded.Add(stranded, rec.size)
-		if rec.tenant != "" {
-			if strandedTenants[rec.tenant] == nil {
-				strandedTenants[rec.tenant] = new(big.Rat)
-			}
-			strandedTenants[rec.tenant].Add(strandedTenants[rec.tenant], rec.size)
-		}
 		for i := range sh.eligible {
 			delete(sh.eligible[i], rec.id)
 		}
 		sh.obs.event(obs.EventReject, rec.gid, nil, "shutdown drained the queued job")
 	}
+	sh.shiftBacklog(sh.pending, false)
 	sh.pending = nil
-	sh.backlogMu.Lock()
-	sh.backlog.Sub(sh.backlog, stranded)
-	for t, v := range strandedTenants {
-		sh.tenantBacklogSub(t, v)
-	}
-	sh.backlogMu.Unlock()
 }
 
 // submit accepts one job onto this shard, stamping its flow origin (release)
@@ -658,19 +648,15 @@ func (sh *shard) checkDeadline(args shardlink.CheckDeadlineArgs) shardlink.Check
 	}
 }
 
-// orphanRecord flips a donor-side record to the migrated state after its job
-// was extracted (stolen or resharded away): eligibility scrubbed, the
-// migration time stamped — every donor piece of the job ends by it, so
-// retention can compact the record once the horizon passes — and the record
-// queued for that compaction. Callers hold sh.mu.
+// orphanRecord flips a reserved donor-side record to the migrated state once
+// the destination owns the job, and queues the record for retention: every
+// donor piece of the job ends by its migratedAt (stamped at the extraction),
+// so the record can be compacted once the horizon passes it. Callers hold
+// sh.mu.
 //
 //divflow:locks requires=shard
 func (sh *shard) orphanRecord(rec *jobRecord) {
-	for i := range sh.eligible {
-		delete(sh.eligible[i], rec.id)
-	}
 	rec.state = StateMigrated
-	rec.migratedAt = sh.eng.Now()
 	sh.migratedIDs = append(sh.migratedIDs, rec.id)
 }
 
@@ -681,46 +667,70 @@ func (sh *shard) orphanRecord(rec *jobRecord) {
 // once no matter how often it moves. Callers hold sh.mu.
 //
 //divflow:locks requires=shard
-func (sh *shard) adoptRecord(rec *jobRecord, remaining *big.Rat) *jobRecord {
+func (sh *shard) adoptRecord(mj *shardlink.MigratedJob) *jobRecord {
 	nrec := &jobRecord{
 		id:        len(sh.records),
-		gid:       rec.gid, // the global ID survives the move
-		name:      rec.name,
-		weight:    copyRat(rec.weight),
-		size:      copyRat(rec.size),
-		databanks: rec.databanks,
+		gid:       mj.GID, // the global ID survives the move
+		name:      mj.Name,
+		weight:    copyRat(mj.Weight),
+		size:      copyRat(mj.Size),
+		databanks: mj.Databanks,
 		state:     StateQueued,
-		release:   copyRat(rec.release), // flow origin: still the first submission
-		remaining: copyRat(remaining),
-		deadline:  copyRat(rec.deadline),
-		tenant:    rec.tenant,
-		slaClass:  rec.slaClass,
+		release:   copyRat(mj.Release), // flow origin: still the first submission
+		remaining: copyRat(mj.Remaining),
+		deadline:  copyRat(mj.Deadline),
+		tenant:    mj.Tenant,
+		slaClass:  mj.SLAClass,
 		stolen:    true,
-		counted:   rec.counted,
+		counted:   mj.Counted,
 	}
 	sh.records = append(sh.records, nrec)
 	sh.pending = append(sh.pending, nrec)
-	for i := range sh.machines {
-		if sh.machines[i].Hosts(nrec.databanks) {
-			sh.eligible[i][nrec.id] = true
-		}
-	}
+	sh.markEligible(nrec)
 	return nrec
 }
 
-// residualWork returns the shard's current backlog (a copy): the routing
-// key. It takes only backlogMu, so routing a submission never blocks behind
-// an in-flight exact solve on a busy shard.
-func (sh *shard) residualWork() *big.Rat {
-	sh.backlogMu.Lock()
-	defer sh.backlogMu.Unlock()
-	return new(big.Rat).Set(sh.backlog)
+// markEligible enters the record into the eligibility cache of every machine
+// hosting its databanks, and reports whether any does. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) markEligible(rec *jobRecord) bool {
+	hosted := false
+	for i := range sh.machines {
+		if sh.machines[i].Hosts(rec.databanks) {
+			sh.eligible[i][rec.id] = true
+			hosted = true
+		}
+	}
+	return hosted
 }
 
-// routeInfo returns the backlog (a copy), the shard's latched error text
-// ("" while healthy), and the per-tenant backlog split (nil when no tracked
-// tenant has residual work here) — everything the router's placement and
-// quota decisions need, again without touching mu.
+// shiftBacklog moves the records' sizes into (or out of) the backlog and its
+// per-tenant split in one step under backlogMu: the destination's half of a
+// migration on admit, the donor's on commit, and the shutdown drain. Callers
+// hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) shiftBacklog(recs []*jobRecord, in bool) {
+	sh.backlogMu.Lock()
+	defer sh.backlogMu.Unlock()
+	for _, rec := range recs {
+		if in {
+			sh.backlog.Add(sh.backlog, rec.size)
+			sh.tenantBacklogAdd(rec.tenant, rec.size)
+		} else {
+			sh.backlog.Sub(sh.backlog, rec.size)
+			sh.tenantBacklogSub(rec.tenant, rec.size)
+		}
+	}
+}
+
+// routeInfo returns the backlog (a copy) — the routing key — the shard's
+// latched error text ("" while healthy), and the per-tenant backlog split
+// (nil when no tracked tenant has residual work here): everything the
+// router's placement and quota decisions need. It takes only backlogMu, so
+// routing a submission never blocks behind an in-flight exact solve on a
+// busy shard.
 func (sh *shard) routeInfo() (*big.Rat, string, map[string]*big.Rat) {
 	sh.backlogMu.Lock()
 	defer sh.backlogMu.Unlock()
@@ -778,9 +788,9 @@ func (sh *shard) loop() {
 			return
 		}
 
-		// The steal call runs outside mu: it locks donor and thief shards in
-		// index order, which must not nest inside an already-held mu. The
-		// restart hook runs outside mu for the same reason (it re-takes it).
+		// The steal call runs outside mu: the exchange takes the donor's mu
+		// and then this shard's own, one at a time. The restart hook runs
+		// outside mu for the same reason (it re-takes it).
 		if res.idle && sh.steal != nil && sh.steal() {
 			continue
 		}

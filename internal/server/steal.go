@@ -19,17 +19,10 @@ import (
 // piece of work already executed; the forwarding table makes the move
 // invisible on the wire.
 
-// stealItem is one candidate job for migration out of a donor shard.
-type stealItem struct {
-	rec  *jobRecord
-	work *big.Rat // size · remaining: the exact work that would move
-	live bool     // live in the donor engine (vs still pending)
-}
-
 // stealFor migrates work onto an idle thief shard, trying donors in order
 // of decreasing backlog. It reports whether any job moved. Donors come from
 // the *active* topology: retired shards have nothing left to give, and a
-// retired thief is rejected inside the locked critical section.
+// retired thief refuses the adoption.
 func (s *Server) stealFor(thief *shard) bool {
 	type cand struct {
 		sh   *shard
@@ -40,10 +33,8 @@ func (s *Server) stealFor(thief *shard) bool {
 		if sh == thief {
 			continue
 		}
-		// The routing key crosses the shardlink boundary: for an in-process
-		// shard this is exactly residualWork (same exact value, no transport
-		// on the path), for a worker-hosted shard it is the only way to see
-		// the backlog at all.
+		// The routing key crosses the shardlink boundary: for a worker-hosted
+		// shard it is the only way to see the backlog at all.
 		ri, err := sh.link.RouteInfo(shardlink.RouteInfoArgs{})
 		if err != nil {
 			continue
@@ -64,293 +55,28 @@ func (s *Server) stealFor(thief *shard) bool {
 }
 
 // stealFrom moves up to half of the donor's jobs — those the thief can host,
-// largest remaining work first — onto the thief. When both shards sit behind
-// the in-process transport the migration runs as one dual-mutex critical
-// section (stealInProc, today's behavior bit-for-bit); any other transport
-// pairing runs the two-phase reserve→commit message exchange instead, which
-// never holds two shard locks at once.
-func (s *Server) stealFrom(thief, donor *shard) bool {
-	if thief.link.Transport() == shardlink.TransportInproc &&
-		donor.link.Transport() == shardlink.TransportInproc {
-		return s.stealInProc(thief, donor)
-	}
-	return s.stealMessaged(thief, donor)
-}
-
-// stealInProc is the in-process migration: the whole exchange runs under
-// both shards' mus, locked in index order (the global acquisition order, so
-// concurrent steals in opposite directions cannot deadlock): extraction,
-// insertion, the forwarding-table update, and the backlog transfer are one
-// atomic step as far as every reader is concerned.
+// largest remaining work first — onto the thief, through the same exchange
+// whether the two shards are a goroutine or a process apart.
 //
-//divflow:locks ascending=shard
-func (s *Server) stealInProc(thief, donor *shard) bool {
+// It runs under a reshardMu TryRLock: retired/closed only flip under the
+// write lock, so the read lock pins both shards' dispositions across the
+// multi-message window, and keeps a reshard, a snapshot and Close away from a
+// half-done exchange. Steals share it: two exchanges interleave safely, each
+// step being atomic on its one shard. Try, not block — Close and Reshard wait
+// for shard loops to stop while holding the write lock, so a loop must never
+// wait for it; skipping one steal attempt is free.
+func (s *Server) stealFrom(thief, donor *shard) bool {
+	if !s.reshardMu.TryRLock() {
+		return false
+	}
+	defer s.reshardMu.RUnlock()
 	// Timed end to end — donor catch-up included, since that catch-up (and
 	// any exact re-solve it triggers) is the real cost of a steal.
 	start := s.tel.now()
-	// Catch the donor up to the present first, under its mu alone: its
-	// engine may be asleep at its last event with an allocation that has
-	// been (notionally) executing since — extracting remaining fractions at
-	// that stale time would retroactively discard all of that work. Doing
-	// it here also keeps any event-driven re-solve out of the two-shard
-	// critical section.
-	donor.mu.Lock()
-	if !donor.closed && donor.lastErr == nil {
-		donor.catchUp()
-	}
-	donor.mu.Unlock()
-
-	first, second := thief, donor
-	if donor.idx < thief.idx {
-		first, second = donor, thief
-	}
-	first.mu.Lock()
-	second.mu.Lock()
-	moved := s.stealLocked(thief, donor)
-	// The thief's mu is released first (release order is free; only the
-	// acquisition order matters): the donor's re-plan below may be a whole
-	// exact LP solve, and the thief — whose loop wants to admit the jobs it
-	// just stole — must not wait behind it.
-	thief.mu.Unlock()
-	// Re-plan the donor while still under its mu: the extraction invalidated
-	// its plan cache (Engine.Remove), and without a fresh decision the
-	// machines that ran the stolen jobs would idle until the donor's next
-	// natural event.
-	if moved != nil && moved.removedLive && donor.lastErr == nil {
-		donor.decide()
-	}
-	donor.mu.Unlock()
-	if moved == nil {
+	moved := s.migrate(donor, shardlink.ExtractArgs{ThiefMachines: thief.machines}, migrateSteal,
+		func(*shardlink.MigratedJob) *shard { return thief })
+	if moved == 0 {
 		return false
-	}
-	if !start.IsZero() {
-		thief.obs.steal.Observe(thief.obs.sinceSeconds(start))
-	}
-	// The donor's next event changed (stolen completions vanished): wake its
-	// loop so it re-arms its timer instead of sleeping toward a stale one.
-	donor.poke()
-	return true
-}
-
-// stealOutcome reports what stealLocked moved.
-type stealOutcome struct {
-	removedLive bool
-	moved       int
-}
-
-// stealLocked is the critical section of a migration. Callers hold both
-// shards' mus.
-//
-//divflow:locks requires=shard ascending=backlog
-func (s *Server) stealLocked(thief, donor *shard) *stealOutcome {
-	// The thief must still be an idle, healthy, open, *active* shard: a
-	// submission may have raced in while the locks were acquired, and
-	// stealing onto a shard that already has work (or can never schedule it)
-	// helps nobody. A closed donor is off limits too — during Server.Close a
-	// still-running shard must not extract live jobs from an already-drained
-	// one just to have its own close() mark them rejected — and so is either
-	// side of a racing reshard: a retired thief's loop is about to stop, and
-	// a retired donor's jobs are already being migrated by the reshard
-	// itself.
-	if thief.closed || donor.closed || thief.retired || donor.retired ||
-		thief.lastErr != nil || thief.eng.Live() > 0 || len(thief.pending) > 0 {
-		return nil
-	}
-	items := donor.stealCensus(thief.hosts)
-	if len(items) == 0 {
-		return nil
-	}
-
-	out := &stealOutcome{}
-	movedSize := new(big.Rat)
-	movedTenants := make(map[string]*big.Rat)
-	type movedJob struct {
-		fromLocal, toLocal, gid int
-		remaining               *big.Rat
-	}
-	var movedJobs []movedJob
-	for _, it := range items {
-		rec := it.rec
-		remaining := rec.remaining
-		if it.live {
-			rj, err := donor.eng.Remove(rec.id)
-			if err != nil {
-				// Unreachable while the live census is taken under the same
-				// lock; skip rather than poison the migration.
-				continue
-			}
-			remaining = rj.Remaining
-			out.removedLive = true
-		} else {
-			pending := donor.pending[:0]
-			for _, p := range donor.pending {
-				if p != rec {
-					pending = append(pending, p)
-				}
-			}
-			donor.pending = pending
-		}
-		fromLocal := rec.id
-		donor.orphanRecord(rec)
-		donor.migratedOut++
-		nrec := thief.adoptRecord(rec, remaining)
-		thief.stolenIn++
-		s.fwdMu.Lock()
-		s.forward[rec.gid] = fwdLoc{sh: thief, local: nrec.id}
-		s.fwdMu.Unlock()
-		out.moved++
-		movedJobs = append(movedJobs, movedJob{fromLocal: fromLocal, toLocal: nrec.id, gid: rec.gid, remaining: copyRat(remaining)})
-		thief.obs.event(obs.EventMigrate, rec.gid, nil, fmt.Sprintf("stolen from shard %d", donor.idx))
-		movedSize.Add(movedSize, rec.size)
-		if rec.tenant != "" {
-			if movedTenants[rec.tenant] == nil {
-				movedTenants[rec.tenant] = new(big.Rat)
-			}
-			movedTenants[rec.tenant].Add(movedTenants[rec.tenant], rec.size)
-		}
-	}
-	if movedSize.Sign() == 0 {
-		return nil
-	}
-	// The whole batch is logged under both mus, at the donor's exact engine
-	// time of the extraction; the last record carries the decide flag when the
-	// caller will re-plan the donor, so replay reproduces that single decision.
-	for i, mj := range movedJobs {
-		s.dur.appendMigrate(donor, thief, mj.fromLocal, mj.toLocal, mj.gid, mj.remaining,
-			donor.eng.Now(), "steal", i == len(movedJobs)-1 && out.removedLive)
-	}
-	// The backlog transfer is atomic with respect to the router: both
-	// backlogMus are held (index order again) while the sizes move, so the
-	// fleet-wide residual work is conserved at every instant.
-	a, b := thief, donor
-	if donor.idx < thief.idx {
-		a, b = donor, thief
-	}
-	a.backlogMu.Lock()
-	b.backlogMu.Lock()
-	donor.backlog.Sub(donor.backlog, movedSize)
-	thief.backlog.Add(thief.backlog, movedSize)
-	for t, v := range movedTenants {
-		donor.tenantBacklogSub(t, v)
-		thief.tenantBacklogAdd(t, v)
-	}
-	b.backlogMu.Unlock()
-	a.backlogMu.Unlock()
-	// Journaled under both mus: the thief's generation read is stable and
-	// the event lands before any reader can see the post-steal topology.
-	thief.obs.event(obs.EventSteal, -1, donor.eng.Now(),
-		fmt.Sprintf("%d jobs from shard %d", out.moved, donor.idx))
-	return out
-}
-
-// stealCensus takes the census of the shard's stealable jobs — everything
-// pending or live that the host predicate accepts — and selects the
-// migration set: largest remaining work first (ties to the oldest job), and
-// never more than half the shard's jobs, so the donor keeps at least as much
-// as it gives away. Both migration paths (the locked in-process steal and
-// the two-phase message exchange) select through this one helper, so a steal
-// moves exactly the same jobs no matter which transport carries it. Callers
-// hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) stealCensus(hosts func([]string) bool) []stealItem {
-	// The census counts everything pending plus everything live — including
-	// jobs the thief cannot host, which still anchor the half-rule below.
-	total := len(sh.pending) + sh.eng.Live()
-	if total < 2 {
-		// A donor running its only job gains nothing from losing it; moving
-		// it would just relocate the same serial work (and invite the donor
-		// to steal it straight back).
-		return nil
-	}
-	var items []stealItem
-	for _, rec := range sh.pending {
-		if !hosts(rec.databanks) {
-			continue
-		}
-		work := new(big.Rat).Set(rec.size)
-		if rec.remaining != nil {
-			work.Mul(work, rec.remaining)
-		}
-		items = append(items, stealItem{rec: rec, work: work})
-	}
-	for _, id := range sh.eng.LiveIDs() {
-		rec := sh.records[id]
-		if !hosts(rec.databanks) {
-			continue
-		}
-		work := new(big.Rat).Mul(rec.size, sh.eng.Remaining(id))
-		items = append(items, stealItem{rec: rec, work: work, live: true})
-	}
-	if len(items) == 0 {
-		return nil
-	}
-	sort.SliceStable(items, func(a, b int) bool {
-		if c := items[a].work.Cmp(items[b].work); c != 0 {
-			return c > 0
-		}
-		return items[a].rec.id < items[b].rec.id
-	})
-	k := total / 2
-	if k > len(items) {
-		k = len(items)
-	}
-	return items[:k]
-}
-
-// stealMessaged is the transport-agnostic migration: a two-phase
-// reserve→commit exchange of shardlink messages that never holds two shard
-// mutexes at once, so it works identically whether the donor is a goroutine
-// away or a process away. The donor reserves the extracted jobs (out of its
-// engine, still readable at their pre-move state — no not-found window on
-// the wire); the thief adopts them or, if it went busy/retired while the
-// messages were in flight, the donor takes them back; the forwarding table
-// is updated before the donor's records flip to migrated, so a read chasing
-// a moved gid always lands somewhere that knows it.
-//
-// The exchange runs under a reshardMu TryLock: retired/closed only flip
-// under reshardMu, so holding it pins both shards' dispositions across the
-// multi-message window (the dual-mutex path gets the same stability from
-// its locks alone). TryLock, not Lock — a shard loop must never block
-// behind a reshard, and skipping one steal attempt is free.
-func (s *Server) stealMessaged(thief, donor *shard) bool {
-	if !s.reshardMu.TryLock() {
-		return false
-	}
-	defer s.reshardMu.Unlock()
-	// Timed end to end, like the in-process path: the donor-side catch-up
-	// and any re-solve it triggers are the real cost of a steal.
-	start := s.tel.now()
-	ex, err := donor.link.ExtractJobs(shardlink.ExtractArgs{ThiefMachines: thief.machines})
-	if err != nil || len(ex.Jobs) == 0 {
-		return false
-	}
-	fromLocals := make([]int, len(ex.Jobs))
-	for i := range ex.Jobs {
-		fromLocals[i] = ex.Jobs[i].FromLocal
-	}
-	ad, aerr := thief.link.AdmitMigrated(shardlink.AdmitArgs{Jobs: ex.Jobs, Reason: migrateSteal})
-	if aerr != nil || !ad.Accepted || len(ad.Locals) != len(ex.Jobs) {
-		// Give-back: the donor re-queues the reserved jobs with their exact
-		// remaining fractions; no work was lost or duplicated.
-		_ = donor.link.AbortExtract(shardlink.AbortArgs{Locals: fromLocals})
-		return false
-	}
-	// Forwarding entries land before the donor commits: between the admit
-	// and the commit the job is readable on the donor (pre-move state) and
-	// resolvable to the thief, never on neither.
-	s.fwdMu.Lock()
-	for i := range ex.Jobs {
-		s.forward[ex.Jobs[i].GID] = fwdLoc{sh: thief, local: ad.Locals[i]}
-	}
-	s.fwdMu.Unlock()
-	if err := donor.link.CommitExtract(shardlink.CommitArgs{Locals: fromLocals}); err != nil {
-		// The transport died between admit and commit: the thief owns the
-		// jobs (the forwarding table already says so); the donor keeps
-		// reserved records it will re-orphan on its next extraction attempt.
-		// Nothing to unwind that would not lose work.
-		s.tel.event(obs.EventShardStall, -1, -1,
-			fmt.Sprintf("steal commit to shard %d failed: %v", donor.idx, err))
 	}
 	if !start.IsZero() {
 		thief.obs.steal.Observe(thief.obs.sinceSeconds(start))
@@ -360,4 +86,198 @@ func (s *Server) stealMessaged(thief, donor *shard) bool {
 	_ = donor.link.Poke(shardlink.PokeArgs{})
 	_ = thief.link.Poke(shardlink.PokeArgs{})
 	return true
+}
+
+// migrate is the one way a job changes shard, whatever asked for the move (a
+// steal, a reshard draining a retired shard, the restore-time repair): the
+// donor extracts and reserves; pick names each job's destination; every
+// destination adopts its share; the forwarding table learns the new owners;
+// the donor commits — and takes back whatever no destination adopted, exact
+// remaining fractions intact, so no work is ever lost or duplicated. It holds
+// no shard mutex itself: each step runs under the mu of the one shard it
+// touches, behind that shard's link. Callers hold reshardMu (a steal shared,
+// a reshard exclusively). It returns how many jobs moved.
+func (s *Server) migrate(donor *shard, ex shardlink.ExtractArgs, reason string, pick func(*shardlink.MigratedJob) *shard) int {
+	rep, err := donor.link.ExtractJobs(ex)
+	if err != nil {
+		return 0
+	}
+	// One adoption per destination, jobs in extraction order within each.
+	var dests []*shard
+	share := make(map[*shard][]shardlink.MigratedJob)
+	var moved, back []int
+	for i := range rep.Jobs {
+		dest := pick(&rep.Jobs[i])
+		if dest == nil {
+			s.tel.event(obs.EventReject, s.Generation(), rep.Jobs[i].GID,
+				fmt.Sprintf("no shard hosts databanks %v; the job stays on shard %d", rep.Jobs[i].Databanks, rep.From))
+			back = append(back, rep.Jobs[i].FromLocal)
+			continue
+		}
+		if share[dest] == nil {
+			dests = append(dests, dest)
+		}
+		share[dest] = append(share[dest], rep.Jobs[i])
+	}
+	for _, dest := range dests {
+		jobs := share[dest]
+		ad, aerr := dest.link.AdmitMigrated(shardlink.AdmitArgs{Jobs: jobs, Reason: reason, From: rep.From, At: copyRat(rep.At)})
+		refused := aerr != nil || !ad.Accepted || len(ad.Locals) != len(jobs)
+		if !refused {
+			// Forwarding entries land before the donor commits: between the
+			// admit and the commit the job is readable on the donor (pre-move
+			// state) and resolvable to the destination, never on neither.
+			s.forwardTo(dest, jobs, ad.Locals)
+		}
+		for i := range jobs {
+			if refused {
+				back = append(back, jobs[i].FromLocal)
+			} else {
+				moved = append(moved, jobs[i].FromLocal)
+			}
+		}
+	}
+	if len(back) > 0 {
+		_ = donor.link.AbortExtract(shardlink.AbortArgs{Locals: back})
+	}
+	if len(moved) > 0 {
+		if err := donor.link.CommitExtract(shardlink.CommitArgs{Locals: moved}); err != nil {
+			// The transport died between admit and commit: the destination
+			// owns the jobs (the forwarding table already says so); the donor
+			// keeps reserved records no census will ever offer again. Nothing
+			// to unwind that would not lose work.
+			s.tel.event(obs.EventShardStall, -1, -1,
+				fmt.Sprintf("migration commit to shard %d failed: %v", donor.idx, err))
+		}
+	}
+	return len(moved)
+}
+
+// forwardTo points the forwarding table at the destination records of adopted
+// jobs (locals parallel to jobs).
+func (s *Server) forwardTo(dest *shard, jobs []shardlink.MigratedJob, locals []int) {
+	s.fwdMu.Lock()
+	for i := range jobs {
+		s.forward[jobs[i].GID] = fwdLoc{sh: dest, local: locals[i]}
+	}
+	s.fwdMu.Unlock()
+}
+
+// placement chooses destinations for the jobs drained off retired shards:
+// least residual work first among the shards hosting the job — the same rule
+// the router applies to submissions — counting what it has itself placed. Like
+// the router, a shard with a latched scheduling error only takes a job when no
+// healthy host exists: a poisoned loop has the smallest backlog precisely
+// because it stopped executing, and parking migrated jobs there would strand
+// them silently.
+type placement struct {
+	shards  []*shard
+	resid   map[*shard]*big.Rat
+	stalled map[*shard]string
+	warning string // first placement onto a stalled shard, for the response
+}
+
+func newPlacement(shards []*shard) *placement {
+	pl := &placement{resid: make(map[*shard]*big.Rat), stalled: make(map[*shard]string)}
+	for _, sh := range shards {
+		ri, err := sh.link.RouteInfo(shardlink.RouteInfoArgs{})
+		if err != nil {
+			continue // unreachable: not a candidate
+		}
+		pl.shards = append(pl.shards, sh)
+		pl.resid[sh] = copyRat(ri.Backlog)
+		if ri.Err != "" {
+			pl.stalled[sh] = ri.Err
+		}
+	}
+	return pl
+}
+
+// pick returns the job's destination, nil when no shard hosts its databanks.
+func (pl *placement) pick(mj *shardlink.MigratedJob) *shard {
+	var dest, destStalled *shard
+	for _, sh := range pl.shards {
+		if !sh.hosts(mj.Databanks) {
+			continue
+		}
+		if _, bad := pl.stalled[sh]; bad {
+			if destStalled == nil || pl.resid[sh].Cmp(pl.resid[destStalled]) < 0 {
+				destStalled = sh
+			}
+		} else if dest == nil || pl.resid[sh].Cmp(pl.resid[dest]) < 0 {
+			dest = sh
+		}
+	}
+	if dest == nil && destStalled != nil {
+		dest = destStalled
+		if pl.warning == "" {
+			pl.warning = fmt.Sprintf(
+				"job %d migrated to stalled shard %d (no healthy shard hosts databanks %v): %s",
+				mj.GID, dest.idx, mj.Databanks, pl.stalled[dest])
+		}
+	}
+	if dest != nil {
+		pl.resid[dest].Add(pl.resid[dest], mj.Size)
+	}
+	return dest
+}
+
+// stealCensus takes the census of the shard's stealable jobs — everything
+// pending or live that the host predicate accepts — and selects the
+// migration set: largest remaining work first (ties to the oldest job), and
+// never more than half the shard's jobs, so the donor keeps at least as much
+// as it gives away. It returns the selection's local IDs. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) stealCensus(hosts func([]string) bool) []int {
+	// The census counts everything pending plus everything live — including
+	// jobs the thief cannot host, which still anchor the half-rule below.
+	total := len(sh.pending) + sh.eng.Live()
+	if total < 2 {
+		// A donor running its only job gains nothing from losing it; moving
+		// it would just relocate the same serial work (and invite the donor
+		// to steal it straight back).
+		return nil
+	}
+	type item struct {
+		id   int
+		work *big.Rat // size · remaining: the exact work that would move
+	}
+	var items []item
+	for _, rec := range sh.pending {
+		if !hosts(rec.databanks) {
+			continue
+		}
+		work := new(big.Rat).Set(rec.size)
+		if rec.remaining != nil {
+			work.Mul(work, rec.remaining)
+		}
+		items = append(items, item{rec.id, work})
+	}
+	for _, id := range sh.eng.LiveIDs() {
+		rec := sh.records[id]
+		if !hosts(rec.databanks) {
+			continue
+		}
+		work := new(big.Rat).Mul(rec.size, sh.eng.Remaining(id))
+		items = append(items, item{id, work})
+	}
+	if len(items) == 0 {
+		return nil
+	}
+	sort.SliceStable(items, func(a, b int) bool {
+		if c := items[a].work.Cmp(items[b].work); c != 0 {
+			return c > 0
+		}
+		return items[a].id < items[b].id
+	})
+	k := total / 2
+	if k > len(items) {
+		k = len(items)
+	}
+	locals := make([]int, k)
+	for i := range locals {
+		locals[i] = items[i].id
+	}
+	return locals
 }

@@ -3,19 +3,20 @@
 // ask of a shard, as a typed request/response message pair, plus the Link
 // interface a transport implements. The server package ships two transports
 // pinned equivalent by the trace-exact test suite — an in-process one that
-// calls straight into the shard under its mutex (bit-for-bit the pre-link
-// behavior), and a loopback net/rpc one that serializes every message with
-// gob (exact rationals included: big.Rat gob-encodes losslessly), so a shard
-// can live behind a socket in another process (divflowd -worker).
+// calls the shard's handlers directly, and a net/rpc one that runs the same
+// handlers behind a loopback pipe or a worker's socket, serializing every
+// message with gob (exact rationals included: big.Rat gob-encodes
+// losslessly), so a shard can live in another process (divflowd -worker).
 //
 // The message set is deliberately closed over wire-safe types: exact
 // rationals (*big.Rat), the model wire structs, schedule pieces, and
-// histogram snapshots all cross process boundaries without rounding. Shard
-// identity never crosses the boundary — a Link is pinned to one shard at
-// construction, so a transport handler can address (and lock) only its own
-// shard. The analysis suite enforces that as a lock fact: handler methods
-// carry `//divflow:locks boundary=shardlink` and must never reach code
-// blessed to hold two shard mutexes at once.
+// histogram snapshots all cross process boundaries without rounding. A Link
+// is pinned to one shard at construction, so a transport handler can address
+// (and lock) only its own shard; a migration names its donor by creation
+// index for the destination's journal alone. The analysis suite enforces
+// that as a lock fact: handler methods carry
+// `//divflow:locks boundary=shardlink` and must never reach code blessed to
+// hold two shard mutexes at once.
 package shardlink
 
 import (
@@ -194,59 +195,66 @@ type PokeArgs struct{}
 // PokeReply is empty.
 type PokeReply struct{}
 
-// MigratedJob is one job crossing the boundary in a two-phase migration:
-// everything the destination needs to adopt it (original global ID, flow
-// origin, exact remaining fraction) plus the donor-side local slot the
-// commit/abort phases key on.
+// MigratedJob is one job crossing the boundary in a migration: everything
+// the destination needs to adopt it (original global ID, flow origin, exact
+// remaining fraction) plus the donor-side local slot the commit/abort phases
+// key on. The JSON names are the write-ahead log's: the destination logs the
+// adoption message as it received it.
 type MigratedJob struct {
-	FromLocal int // donor-side local slot (reserve bookkeeping)
-	GID       int // wire-visible global ID; survives the move
-	Name      string
-	Weight    *big.Rat
-	Size      *big.Rat
-	Release   *big.Rat // original submission time: still the flow origin
-	Remaining *big.Rat // exact unprocessed fraction at extraction
-	Databanks []string
-	Counted   bool // arrival statistics already counted this job somewhere
+	FromLocal int      `json:"fromLocal"` // donor-side local slot (reserve bookkeeping)
+	GID       int      `json:"gid"`       // wire-visible global ID; survives the move
+	Name      string   `json:"name,omitempty"`
+	Weight    *big.Rat `json:"weight"`
+	Size      *big.Rat `json:"size"`
+	Release   *big.Rat `json:"release"`             // original submission time: still the flow origin
+	Remaining *big.Rat `json:"remaining,omitempty"` // exact unprocessed fraction at extraction; nil = whole
+	Databanks []string `json:"databanks,omitempty"`
+	Counted   bool     `json:"counted,omitempty"` // arrival statistics already counted this job somewhere
 	// SLA fields travel with the job: a migrated deadline still binds, and
 	// tenant accounting follows the work.
-	Deadline *big.Rat // nil when none
-	Tenant   string
-	SLAClass string
+	Deadline *big.Rat `json:"deadline,omitempty"` // nil when none
+	Tenant   string   `json:"tenant,omitempty"`
+	SLAClass string   `json:"slaClass,omitempty"`
 }
 
-// ExtractArgs opens a two-phase steal against a donor shard: extract up to
-// half its jobs — those some thief machine hosts, largest remaining work
-// first. The donor reserves the extracted records (out of its engine and
-// pending queue, still readable at their pre-move state) until the caller
-// commits or aborts.
+// ExtractArgs opens a migration against a donor shard. The donor reserves
+// the extracted records (out of its engine and pending queue, still readable
+// at their pre-move state) until the caller commits or aborts.
 type ExtractArgs struct {
-	// ThiefMachines is the requesting shard's machine slice; the donor
-	// filters its census to jobs they can host.
+	// ThiefMachines is the requesting shard's machine slice: a steal takes up
+	// to half the donor's jobs — those some thief machine hosts, largest
+	// remaining work first.
 	ThiefMachines []model.Machine
+	// All drains the donor instead: every queued job in queue order, then
+	// every live one in (release, ID) order. Only a shard a reshard retired
+	// answers it, and a retired shard answers nothing else.
+	All bool
 }
 
-// ExtractReply lists the reserved jobs. Empty means nothing stealable (the
-// donor keeps at least as much as it gives away, and never gives its last
-// job).
+// ExtractReply lists the reserved jobs. Empty means nothing to move (a steal
+// leaves the donor at least as much as it takes, and never its last job).
 type ExtractReply struct {
 	Jobs []MigratedJob
-	// RemovedLive reports whether any extracted job was live in the donor
-	// engine (vs still pending): the donor re-plans in that case.
-	RemovedLive bool
+	// From is the donor's creation index and At its exact engine time at the
+	// extraction; both travel on to the destination so its journal names the
+	// donor and dates the move identically on every transport.
+	From int
+	At   *big.Rat
 }
 
 // AdmitArgs asks the destination shard to adopt extracted jobs. Reason
 // ("steal" or "reshard") selects which migration counter the destination
-// bumps.
+// bumps; a steal is refused by a destination with a latched scheduling error.
 type AdmitArgs struct {
-	Jobs   []MigratedJob
-	Reason string
+	Jobs   []MigratedJob `json:"jobs"`
+	Reason string        `json:"reason"`
+	From   int           `json:"from"` // ExtractReply.From
+	At     *big.Rat      `json:"at"`   // ExtractReply.At
 }
 
 // AdmitReply reports adoption. Accepted=false (the destination retired or
-// closed while the exchange was in flight) obliges the caller to abort the
-// extraction so the donor takes its jobs back.
+// closed while the exchange was in flight, or a thief stalled) obliges the
+// caller to abort the extraction so the donor takes its jobs back.
 type AdmitReply struct {
 	Accepted bool
 	// Locals are the destination-side local slots, parallel to AdmitArgs.Jobs;
@@ -254,10 +262,9 @@ type AdmitReply struct {
 	Locals []int
 }
 
-// CommitArgs finishes a two-phase migration on the donor: the reserved
-// records flip to the migrated state (readable only through the forwarding
-// table the router has already updated) and the moved work leaves the
-// donor's backlog.
+// CommitArgs finishes a migration on the donor: the reserved records flip to
+// the migrated state (readable only through the forwarding table the router
+// has already updated) and the moved work leaves the donor's backlog.
 type CommitArgs struct {
 	Locals []int // donor-side local slots from ExtractReply
 }
@@ -303,10 +310,6 @@ type InstallReply struct{}
 // level refusals travel inside the replies (Outcome, Known, Accepted), so
 // the in-process transport never constructs an error on the hot path.
 type Link interface {
-	// Transport names the implementation (TransportInproc, TransportRPC);
-	// it labels the per-transport call counters.
-	Transport() string
-
 	Submit(SubmitArgs) (SubmitReply, error)
 	CheckDeadline(CheckDeadlineArgs) (CheckDeadlineReply, error)
 	JobStatus(JobStatusArgs) (JobStatusReply, error)
@@ -315,9 +318,9 @@ type Link interface {
 	RouteInfo(RouteInfoArgs) (RouteInfoReply, error)
 	Poke(PokeArgs) error
 
-	// Two-phase migration (reserve → commit, with abort as the give-back
-	// path). The transports replace the dual-mutex steal critical section
-	// with this exchange when either side is not an in-process engine.
+	// Migration, the only way a job changes shard: the donor extracts and
+	// reserves, the destination admits, the donor commits — or aborts and
+	// takes the jobs back. Each call runs under one shard's mutex.
 	ExtractJobs(ExtractArgs) (ExtractReply, error)
 	AdmitMigrated(AdmitArgs) (AdmitReply, error)
 	CommitExtract(CommitArgs) error

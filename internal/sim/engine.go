@@ -290,55 +290,6 @@ func (e *Engine) Remove(id int) (*RemovedJob, error) {
 	return out, nil
 }
 
-// BulkRemoved is one entry of RemoveAll's result: a live job's ID paired
-// with the exact state Remove would have extracted for it.
-type BulkRemoved struct {
-	ID  int
-	Job RemovedJob
-}
-
-// RemoveAll extracts every live job from the engine at once, in (release,
-// ID) order — the bulk form of Remove for whole-shard migrations (live
-// re-sharding retires a shard by moving its entire live set elsewhere).
-// Unlike a loop over Remove it clears the live order once, scrubs the whole
-// installed allocation once, and invalidates the policy's plan cache once,
-// so the cost is linear in the live set with no per-job bookkeeping. The
-// executed trace keeps every piece of work already done. An engine with no
-// live jobs returns nil.
-func (e *Engine) RemoveAll() []BulkRemoved {
-	if len(e.order) == 0 {
-		return nil
-	}
-	out := make([]BulkRemoved, 0, len(e.order))
-	for _, id := range e.order {
-		j := e.jobs[id]
-		br := BulkRemoved{ID: id, Job: RemovedJob{
-			Release:   j.release,   //divflow:ratalias-ok ownership transfer; the engine deletes the job
-			Weight:    j.weight,    //divflow:ratalias-ok ownership transfer; the engine deletes the job
-			Remaining: j.remaining, //divflow:ratalias-ok ownership transfer; the engine deletes the job
-		}}
-		if j.size != nil {
-			br.Job.Size = j.size //divflow:ratalias-ok ownership transfer; the engine deletes the job
-		}
-		out = append(out, br)
-		delete(e.jobs, id)
-	}
-	e.order = e.order[:0]
-	// Every live job is gone: no machine may keep executing anything, and a
-	// plan-review point has nothing left to review.
-	if e.haveAlloc {
-		for i := range e.alloc.MachineJob {
-			e.alloc.MachineJob[i] = -1
-		}
-		e.alloc.Review = nil
-	}
-	if inv, ok := e.policy.(PlanInvalidator); ok {
-		inv.InvalidatePlan()
-	}
-	e.migrations += len(out)
-	return out
-}
-
 // Migrations returns how many live jobs have been extracted with Remove.
 func (e *Engine) Migrations() int { return e.migrations }
 
@@ -358,7 +309,7 @@ type ResidualJob struct {
 }
 
 // Residual extracts the live jobs' residual state in (release, ID) order —
-// the read-only sibling of Remove/RemoveAll: nothing leaves the engine, the
+// the read-only sibling of Remove: nothing leaves the engine, the
 // caller just learns exactly how much of each live job is still unprocessed
 // at the current time. Callers that need the post-allocation remainders
 // should advance the engine to the present first (the shard's catch-up does

@@ -114,119 +114,6 @@ func TestEngineRemoveMigratesExactState(t *testing.T) {
 	}
 }
 
-// TestEngineRemoveAllBulkExtraction pins the bulk migration path of live
-// re-sharding: RemoveAll must extract exactly the state a loop of Remove
-// calls would — same IDs in (release, ID) order, same exact remaining
-// fractions — while emptying the live set, scrubbing the whole allocation,
-// bumping Migrations once per job, and leaving the executed trace intact.
-func TestEngineRemoveAllBulkExtraction(t *testing.T) {
-	mk := func() *Engine {
-		e := NewEngine(2, twoMachineCost, NewFCFS())
-		for j, rel := range []*big.Rat{r(0, 1), r(0, 1), r(1, 8)} {
-			if err := e.Add(j, rel, r(int64(j+1), 1), r(1, 1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.Decide(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.AdvanceTo(r(1, 4)); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-
-	// Reference: one-by-one removal in live order.
-	ref := mk()
-	var want []BulkRemoved
-	for _, id := range ref.LiveIDs() {
-		rj, err := ref.Remove(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, BulkRemoved{ID: id, Job: *rj})
-	}
-
-	e := mk()
-	tracePieces := len(e.Schedule().Pieces)
-	got := e.RemoveAll()
-	if len(got) != len(want) {
-		t.Fatalf("RemoveAll extracted %d jobs, want %d", len(got), len(want))
-	}
-	for k := range want {
-		g, w := got[k], want[k]
-		if g.ID != w.ID {
-			t.Fatalf("entry %d has ID %d, want %d (release/ID order)", k, g.ID, w.ID)
-		}
-		if g.Job.Remaining.Cmp(w.Job.Remaining) != 0 ||
-			g.Job.Release.Cmp(w.Job.Release) != 0 ||
-			g.Job.Weight.Cmp(w.Job.Weight) != 0 ||
-			g.Job.Size.Cmp(w.Job.Size) != 0 {
-			t.Fatalf("entry %d = %+v, want %+v", k, g.Job, w.Job)
-		}
-	}
-	if e.Live() != 0 {
-		t.Errorf("live after RemoveAll = %d, want 0", e.Live())
-	}
-	if e.Migrations() != len(want) {
-		t.Errorf("migrations = %d, want %d", e.Migrations(), len(want))
-	}
-	for i, id := range e.alloc.MachineJob {
-		if id >= 0 {
-			t.Errorf("machine %d still allocated to job %d after RemoveAll", i, id)
-		}
-	}
-	if len(e.Schedule().Pieces) != tracePieces {
-		t.Errorf("RemoveAll changed the executed trace: %d pieces, want %d", len(e.Schedule().Pieces), tracePieces)
-	}
-	if e.RemoveAll() != nil {
-		t.Error("second RemoveAll on an empty engine must return nil")
-	}
-}
-
-// TestRemoveAllInvalidatesPlanCacheOnce mirrors TestRemoveInvalidatesPlanCache
-// for the bulk path: one RemoveAll, one invalidation, no stale plan.
-func TestRemoveAllInvalidatesPlanCacheOnce(t *testing.T) {
-	jobs := []model.Job{
-		{Name: "a", Release: r(0, 1), Weight: r(1, 1), Size: r(4, 1)},
-		{Name: "b", Release: r(0, 1), Weight: r(3, 1), Size: r(6, 1)},
-	}
-	machines := []model.Machine{
-		{Name: "m0", InverseSpeed: r(1, 1)},
-		{Name: "m1", InverseSpeed: r(1, 2)},
-	}
-	inst, err := model.NewInstance(jobs, machines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewOnlineMWFLazy()
-	e := NewEngine(inst.M(), inst.Cost, p)
-	for j := 0; j < inst.N(); j++ {
-		if err := e.Add(j, inst.Jobs[j].Release, inst.Jobs[j].Weight, inst.Jobs[j].Size); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Decide(); err != nil {
-		t.Fatalf("%v (inner: %v)", err, p.Err())
-	}
-	next := e.NextEvent()
-	if next == nil {
-		t.Fatal("no upcoming event")
-	}
-	if _, err := e.AdvanceTo(new(big.Rat).Mul(next, r(1, 2))); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.RemoveAll(); len(got) != 2 {
-		t.Fatalf("RemoveAll extracted %d jobs, want 2", len(got))
-	}
-	if p.plan != nil || p.solveRem != nil {
-		t.Error("RemoveAll left a cached plan behind")
-	}
-	if e.NextEvent() != nil {
-		t.Error("empty engine still reports an upcoming completion")
-	}
-}
-
 func TestEngineRemoveRejectsUnknownAndCompleted(t *testing.T) {
 	e := NewEngine(2, twoMachineCost, NewFCFS())
 	if _, err := e.Remove(3); err == nil {
