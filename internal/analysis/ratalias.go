@@ -13,6 +13,14 @@ import (
 // machinery closed by hand. Any call result (new(big.Rat).Set(x), copyRat(x),
 // engine accessors that copy) counts as a fresh value; locals are tracked by
 // a single forward pass so `tmp := rec.size; other.f = tmp` is still caught.
+//
+// A struct *value* whose type carries *big.Rat fields (directly or through
+// struct-typed fields, embedded ones included) is an alias source too:
+// `rec.Job = job` shares every rational in it. Again any call result
+// (job.Clone()) is fresh, and so is a local or parameter struct value once
+// each of its rational-carrying fields has been overwritten with a fresh
+// value — the shape of a Clone method, which the rule thereby checks for
+// completeness.
 var RatAliasAnalyzer = &Analyzer{
 	Name: "ratalias",
 	Doc:  "forbid returning or storing an aliased *big.Rat (from field/map/parameter) without a copy in internal/sim, internal/server, internal/model",
@@ -48,21 +56,36 @@ func checkRatAliases(pass *Pass, fd *ast.FuncDecl) {
 			params[sig.Params().At(i)] = true
 		}
 	}
-	// taint maps a local *big.Rat variable to the description of the alias it
+	// taint maps a local variable to the description of the alias it
 	// currently carries ("" / absent = owned or unknown-but-fresh).
 	taint := make(map[*types.Var]string)
+	// fresh records, per struct-valued variable, the rational-carrying fields
+	// overwritten with fresh values since the variable was last assigned.
+	fresh := make(map[*types.Var]map[*types.Var]bool)
+	cleaned := func(v *types.Var) bool {
+		fields := ratFields(v.Type())
+		for _, f := range fields {
+			if !fresh[v][f] {
+				return false
+			}
+		}
+		return len(fields) > 0
+	}
 
 	// source classifies an expression: where would this *big.Rat alias from?
 	var source func(e ast.Expr) string
 	source = func(e ast.Expr) string {
 		e = ast.Unparen(e)
-		if t, ok := info.Types[e]; !ok || !isBigRatPtr(t.Type) {
+		if t, ok := info.Types[e]; !ok || !carriesRat(t.Type) {
 			return ""
 		}
 		switch e := e.(type) {
 		case *ast.Ident:
 			v, ok := info.Uses[e].(*types.Var)
 			if !ok {
+				return ""
+			}
+			if cleaned(v) {
 				return ""
 			}
 			if params[v] {
@@ -95,7 +118,8 @@ func checkRatAliases(pass *Pass, fd *ast.FuncDecl) {
 				// Track taint through locals.
 				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 					v := localVar(info, id)
-					if v != nil && isBigRatPtr(v.Type()) {
+					if v != nil && carriesRat(v.Type()) {
+						delete(fresh, v)
 						if rhs != nil {
 							taint[v] = source(rhs)
 						} else {
@@ -108,14 +132,23 @@ func checkRatAliases(pass *Pass, fd *ast.FuncDecl) {
 				if rhs == nil {
 					continue
 				}
-				if src := source(rhs); src != "" && storesIntoStructure(info, lhs) {
-					pass.Reportf(n.Pos(), "stores *big.Rat aliased from %s without a copy; wrap it in new(big.Rat).Set(...)", src)
+				src := source(rhs)
+				if v, f := valueField(info, lhs); v != nil && src == "" {
+					if fresh[v] == nil {
+						fresh[v] = make(map[*types.Var]bool)
+					}
+					fresh[v][f] = true
+				}
+				if src != "" && storesIntoStructure(info, lhs) {
+					what, fix := describe(info, rhs)
+					pass.Reportf(n.Pos(), "stores %s aliased from %s without a copy; %s", what, src, fix)
 				}
 			}
 		case *ast.ReturnStmt:
 			for _, e := range n.Results {
 				if src := source(e); src != "" {
-					pass.Reportf(e.Pos(), "returns *big.Rat aliased from %s without a copy; wrap it in new(big.Rat).Set(...)", src)
+					what, fix := describe(info, e)
+					pass.Reportf(e.Pos(), "returns %s aliased from %s without a copy; %s", what, src, fix)
 				}
 			}
 		case *ast.CompositeLit:
@@ -125,12 +158,66 @@ func checkRatAliases(pass *Pass, fd *ast.FuncDecl) {
 					val = kv.Value
 				}
 				if src := source(val); src != "" {
-					pass.Reportf(val.Pos(), "stores *big.Rat aliased from %s into a composite literal without a copy; wrap it in new(big.Rat).Set(...)", src)
+					what, fix := describe(info, val)
+					pass.Reportf(val.Pos(), "stores %s aliased from %s into a composite literal without a copy; %s", what, src, fix)
 				}
 			}
 		}
 		return true
 	})
+}
+
+// ratFields lists the fields through which a struct value of type t shares
+// rationals with whatever it was copied from: *big.Rat fields, and struct-typed
+// fields that carry some. Empty for every non-struct type.
+func ratFields(t types.Type) []*types.Var {
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return nil
+	}
+	var out []*types.Var
+	for i := 0; i < st.NumFields(); i++ {
+		if f := st.Field(i); carriesRat(f.Type()) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// carriesRat reports whether copying a value of type t aliases a rational.
+func carriesRat(t types.Type) bool { return isBigRatPtr(t) || len(ratFields(t)) > 0 }
+
+// describe words a diagnostic for the two kinds of alias: what escaped, and
+// the fix.
+func describe(info *types.Info, e ast.Expr) (what, fix string) {
+	if isBigRatPtr(info.Types[e].Type) {
+		return "*big.Rat", "wrap it in new(big.Rat).Set(...)"
+	}
+	return "a struct value carrying *big.Rat", "clone it"
+}
+
+// valueField resolves `v.f = ...` where v is a struct-valued variable (not a
+// pointer: that would be a store into shared state) and f one of its
+// rational-carrying fields; nil, nil otherwise.
+func valueField(info *types.Info, lhs ast.Expr) (*types.Var, *types.Var) {
+	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+	if !ok {
+		return nil, nil
+	}
+	id, ok := ast.Unparen(sel.X).(*ast.Ident)
+	if !ok {
+		return nil, nil
+	}
+	v, _ := info.Uses[id].(*types.Var)
+	s, ok := info.Selections[sel]
+	if v == nil || !ok || s.Kind() != types.FieldVal || len(ratFields(v.Type())) == 0 {
+		return nil, nil
+	}
+	f, _ := s.Obj().(*types.Var)
+	if f == nil || !carriesRat(f.Type()) {
+		return nil, nil
+	}
+	return v, f
 }
 
 // localVar resolves an identifier to a function-local variable (Defs for :=,

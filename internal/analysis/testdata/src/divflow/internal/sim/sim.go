@@ -1,6 +1,6 @@
 // Package sim seeds ratalias violations: *big.Rat values that arrive through
 // a field, parameter, or element and escape — returned, stored, or packed
-// into a composite literal — without a copy.
+// into a composite literal — without a copy; and struct values that carry them.
 package sim
 
 import "math/big"
@@ -45,4 +45,33 @@ func Lit(j *Job) View {
 
 func TransferOwnership(j *Job) *big.Rat {
 	return j.Weight //divflow:ratalias-ok fixture: ownership transfer, the job is discarded
+}
+
+// A struct value carrying rationals aliases every one of them when copied.
+
+type Record struct {
+	ID int
+	Job
+}
+
+func (j Job) Clone() Job {
+	j.Weight, j.Size = new(big.Rat).Set(j.Weight), new(big.Rat).Set(j.Size)
+	return j
+}
+
+func (j Job) HalfClone() Job {
+	j.Weight = new(big.Rat).Set(j.Weight)
+	return j // want `ratalias: returns a struct value carrying \*big\.Rat aliased from parameter j`
+}
+
+func Embed(rec *Record, job Job) {
+	rec.Job = job // want `ratalias: stores a struct value carrying \*big\.Rat aliased from parameter job without a copy; clone it`
+}
+
+func EmbedLit(src *Record) Record {
+	return Record{ID: 1, Job: src.Job} // want `ratalias: stores a struct value carrying \*big\.Rat aliased from field Job into a composite literal`
+}
+
+func EmbedClone(rec *Record, job Job) {
+	rec.Job = job.Clone()
 }

@@ -18,6 +18,9 @@ func FuzzInstanceJSON(f *testing.F) {
 	f.Add(`{"jobs":[{"release":"1/0"}]}`)
 	f.Add(`not json`)
 	f.Add(`{"jobs":[{"name":"a","release":"-5","weight":"1"}],"machines":[{"name":"m"}],"cost":[["1"]]}`)
+	for _, doc := range incompleteInstanceDocs {
+		f.Add(doc)
+	}
 	f.Fuzz(func(t *testing.T, doc string) {
 		var inst Instance
 		if err := json.Unmarshal([]byte(doc), &inst); err != nil {

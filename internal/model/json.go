@@ -2,7 +2,6 @@ package model
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/big"
 )
 
@@ -15,73 +14,17 @@ import (
 //	  "cost": [["5", null]]        // optional; omit to derive from the uniform model
 //	}
 
-type jsonJob struct {
-	Name      string   `json:"name"`
-	Release   string   `json:"release"`
-	Weight    string   `json:"weight"`
-	Size      string   `json:"size,omitempty"`
-	Databanks []string `json:"databanks,omitempty"`
-}
-
-type jsonMachine struct {
-	Name         string   `json:"name"`
-	InverseSpeed string   `json:"inverseSpeed,omitempty"`
-	Databanks    []string `json:"databanks,omitempty"`
-}
-
+// Jobs and machines encode through their own struct tags; a null cost entry
+// is +∞.
 type jsonInstance struct {
-	Jobs     []jsonJob     `json:"jobs"`
-	Machines []jsonMachine `json:"machines"`
-	Cost     [][]*string   `json:"cost,omitempty"`
-}
-
-func ratToString(r *big.Rat) string {
-	if r == nil {
-		return ""
-	}
-	return r.RatString()
-}
-
-func parseRat(s, what string) (*big.Rat, error) {
-	r, ok := new(big.Rat).SetString(s)
-	if !ok {
-		return nil, fmt.Errorf("model: cannot parse %s %q as a rational", what, s)
-	}
-	return r, nil
+	Jobs     []Job        `json:"jobs"`
+	Machines []Machine    `json:"machines"`
+	Cost     [][]*big.Rat `json:"cost,omitempty"`
 }
 
 // MarshalJSON encodes the instance with exact rationals.
 func (in *Instance) MarshalJSON() ([]byte, error) {
-	doc := jsonInstance{}
-	for j := range in.Jobs {
-		job := &in.Jobs[j]
-		doc.Jobs = append(doc.Jobs, jsonJob{
-			Name:      job.Name,
-			Release:   ratToString(job.Release),
-			Weight:    ratToString(job.Weight),
-			Size:      ratToString(job.Size),
-			Databanks: job.Databanks,
-		})
-	}
-	for i := range in.Machines {
-		m := &in.Machines[i]
-		doc.Machines = append(doc.Machines, jsonMachine{
-			Name:         m.Name,
-			InverseSpeed: ratToString(m.InverseSpeed),
-			Databanks:    m.Databanks,
-		})
-	}
-	doc.Cost = make([][]*string, len(in.cost))
-	for i := range in.cost {
-		doc.Cost[i] = make([]*string, len(in.cost[i]))
-		for j, c := range in.cost[i] {
-			if c != nil {
-				s := c.RatString()
-				doc.Cost[i][j] = &s
-			}
-		}
-	}
-	return json.Marshal(doc)
+	return json.Marshal(jsonInstance{Jobs: in.Jobs, Machines: in.Machines, Cost: in.cost})
 }
 
 // UnmarshalJSON decodes an instance document. When the "cost" matrix is
@@ -92,56 +35,12 @@ func (in *Instance) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return err
 	}
-	jobs := make([]Job, len(doc.Jobs))
-	for j, dj := range doc.Jobs {
-		release, err := parseRat(dj.Release, "release")
-		if err != nil {
-			return err
-		}
-		weight, err := parseRat(dj.Weight, "weight")
-		if err != nil {
-			return err
-		}
-		jobs[j] = Job{Name: dj.Name, Release: release, Weight: weight, Databanks: dj.Databanks}
-		if dj.Size != "" {
-			size, err := parseRat(dj.Size, "size")
-			if err != nil {
-				return err
-			}
-			jobs[j].Size = size
-		}
-	}
-	machines := make([]Machine, len(doc.Machines))
-	for i, dm := range doc.Machines {
-		machines[i] = Machine{Name: dm.Name, Databanks: dm.Databanks}
-		if dm.InverseSpeed != "" {
-			s, err := parseRat(dm.InverseSpeed, "inverseSpeed")
-			if err != nil {
-				return err
-			}
-			machines[i].InverseSpeed = s
-		}
-	}
 	var built *Instance
 	var err error
 	if doc.Cost == nil {
-		built, err = NewInstance(jobs, machines)
+		built, err = NewInstance(doc.Jobs, doc.Machines)
 	} else {
-		cost := make([][]*big.Rat, len(doc.Cost))
-		for i := range doc.Cost {
-			cost[i] = make([]*big.Rat, len(doc.Cost[i]))
-			for j, s := range doc.Cost[i] {
-				if s == nil {
-					continue
-				}
-				c, perr := parseRat(*s, "cost")
-				if perr != nil {
-					return perr
-				}
-				cost[i][j] = c
-			}
-		}
-		built, err = NewUnrelated(jobs, machines, cost)
+		built, err = NewUnrelated(doc.Jobs, doc.Machines, doc.Cost)
 	}
 	if err != nil {
 		return err

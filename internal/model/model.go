@@ -22,40 +22,65 @@ import (
 	"strings"
 )
 
-// Job is one divisible request J_j.
+// Job is one divisible request J_j. The JSON tags are the one written form of
+// a job: instance documents, the daemon's write-ahead log and snapshots, and
+// migration messages all carry exactly these keys (rationals as exact "p/q"
+// strings — big.Rat is a TextMarshaler).
 type Job struct {
-	Name string
+	Name string `json:"name,omitempty"`
 	// Release is the release date r_j in seconds. Must be >= 0.
-	Release *big.Rat
+	Release *big.Rat `json:"release"`
 	// Weight is the priority w_j used by the max weighted flow objective.
 	// Must be > 0. For max-stretch use 1/Size (see WeightsForStretch).
-	Weight *big.Rat
+	Weight *big.Rat `json:"weight"`
 	// Size is the amount of work W_j (e.g. Mflop) used by the uniform cost
 	// model and by the stretch objective. Must be > 0 when the uniform
 	// model is used.
-	Size *big.Rat
+	Size *big.Rat `json:"size,omitempty"`
 	// Databanks lists the databanks the job needs; the job may only run on
 	// machines hosting all of them. Empty means the job runs anywhere.
-	Databanks []string
+	Databanks []string `json:"databanks,omitempty"`
 	// Deadline is an optional absolute deadline d̄_j (nil means none). The
 	// offline solvers take deadlines as an explicit argument; this field is
 	// the service-level carrier — admission control checks it, and it rides
 	// migrations and the WAL with the job.
-	Deadline *big.Rat
+	Deadline *big.Rat `json:"deadline,omitempty"`
 	// Tenant and SLAClass are service-level accounting labels; the solvers
 	// ignore them.
-	Tenant   string
-	SLAClass string
+	Tenant   string `json:"tenant,omitempty"`
+	SLAClass string `json:"slaClass,omitempty"`
 }
 
-// Machine is one compute resource M_i.
+// Machine is one compute resource M_i; like Job, its JSON tags are its one
+// written form (platform and instance documents, WAL, snapshots).
 type Machine struct {
-	Name string
+	Name string `json:"name"`
 	// InverseSpeed is c_i in seconds per unit of work for the uniform cost
 	// model (larger is slower). Must be > 0 when the uniform model is used.
-	InverseSpeed *big.Rat
+	InverseSpeed *big.Rat `json:"inverseSpeed,omitempty"`
 	// Databanks lists the databanks present on the machine.
-	Databanks []string
+	Databanks []string `json:"databanks,omitempty"`
+}
+
+func cloneRat(r *big.Rat) *big.Rat {
+	if r == nil {
+		return nil
+	}
+	return new(big.Rat).Set(r)
+}
+
+// Clone returns a deep copy of the job: no rational and no slice is shared.
+func (j Job) Clone() Job {
+	j.Release, j.Weight, j.Size, j.Deadline = cloneRat(j.Release), cloneRat(j.Weight), cloneRat(j.Size), cloneRat(j.Deadline)
+	j.Databanks = append([]string(nil), j.Databanks...)
+	return j
+}
+
+// Clone returns a deep copy of the machine.
+func (m Machine) Clone() Machine {
+	m.InverseSpeed = cloneRat(m.InverseSpeed)
+	m.Databanks = append([]string(nil), m.Databanks...)
+	return m
 }
 
 // Hosts reports whether the machine holds every databank in need.
@@ -88,6 +113,9 @@ type Instance struct {
 // +∞ otherwise. Jobs are sorted by non-decreasing release date, as the paper
 // assumes.
 func NewInstance(jobs []Job, machines []Machine) (*Instance, error) {
+	if err := needReleases(jobs); err != nil {
+		return nil, err
+	}
 	inst := &Instance{Jobs: append([]Job(nil), jobs...), Machines: append([]Machine(nil), machines...)}
 	sort.SliceStable(inst.Jobs, func(a, b int) bool {
 		return inst.Jobs[a].Release.Cmp(inst.Jobs[b].Release) < 0
@@ -114,6 +142,17 @@ func NewInstance(jobs []Job, machines []Machine) (*Instance, error) {
 	return inst, nil
 }
 
+// needReleases rejects a job without a release date before the constructors
+// sort by it (a decoded document may simply omit the field).
+func needReleases(jobs []Job) error {
+	for j := range jobs {
+		if jobs[j].Release == nil {
+			return fmt.Errorf("model: job %d (%s) needs Release >= 0", j, jobs[j].Name)
+		}
+	}
+	return nil
+}
+
 // NewUnrelated builds an instance from an explicit cost matrix
 // cost[machine][job]; nil entries encode +∞. Jobs are sorted by
 // non-decreasing release date and the matrix columns are permuted
@@ -127,6 +166,9 @@ func NewUnrelated(jobs []Job, machines []Machine, cost [][]*big.Rat) (*Instance,
 			return nil, fmt.Errorf("model: cost row %d has %d columns, want %d jobs", i, len(cost[i]), len(jobs))
 		}
 	}
+	if err := needReleases(jobs); err != nil {
+		return nil, err
+	}
 	perm := make([]int, len(jobs))
 	for j := range perm {
 		perm[j] = j
@@ -137,7 +179,7 @@ func NewUnrelated(jobs []Job, machines []Machine, cost [][]*big.Rat) (*Instance,
 	inst := &Instance{Machines: append([]Machine(nil), machines...)}
 	inst.Jobs = make([]Job, len(jobs))
 	for k, j := range perm {
-		inst.Jobs[k] = jobs[j]
+		inst.Jobs[k] = jobs[j].Clone()
 	}
 	inst.cost = make([][]*big.Rat, len(machines))
 	for i := range cost {
@@ -244,27 +286,11 @@ func (in *Instance) Clone() *Instance {
 		Machines: make([]Machine, len(in.Machines)),
 		cost:     make([][]*big.Rat, len(in.cost)),
 	}
-	for j, job := range in.Jobs {
-		out.Jobs[j] = Job{
-			Name:      job.Name,
-			Release:   new(big.Rat).Set(job.Release),
-			Weight:    new(big.Rat).Set(job.Weight),
-			Databanks: append([]string(nil), job.Databanks...),
-			Tenant:    job.Tenant,
-			SLAClass:  job.SLAClass,
-		}
-		if job.Size != nil {
-			out.Jobs[j].Size = new(big.Rat).Set(job.Size)
-		}
-		if job.Deadline != nil {
-			out.Jobs[j].Deadline = new(big.Rat).Set(job.Deadline)
-		}
+	for j := range in.Jobs {
+		out.Jobs[j] = in.Jobs[j].Clone()
 	}
-	for i, mach := range in.Machines {
-		out.Machines[i] = Machine{Name: mach.Name, Databanks: append([]string(nil), mach.Databanks...)}
-		if mach.InverseSpeed != nil {
-			out.Machines[i].InverseSpeed = new(big.Rat).Set(mach.InverseSpeed)
-		}
+	for i := range in.Machines {
+		out.Machines[i] = in.Machines[i].Clone()
 	}
 	for i := range in.cost {
 		out.cost[i] = make([]*big.Rat, len(in.cost[i]))

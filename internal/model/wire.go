@@ -91,9 +91,9 @@ type BatchSubmitResponse struct {
 const maxWireRatBits = 256
 
 func parseWireRat(s, what string) (*big.Rat, error) {
-	r, err := parseRat(s, what)
-	if err != nil {
-		return nil, err
+	r, ok := new(big.Rat).SetString(s)
+	if !ok {
+		return nil, fmt.Errorf("model: cannot parse %s %q as a rational", what, s)
 	}
 	if r.Num().BitLen() > maxWireRatBits || r.Denom().BitLen() > maxWireRatBits {
 		return nil, fmt.Errorf("model: %s %q exceeds %d bits", what, s, maxWireRatBits)
@@ -545,8 +545,8 @@ func ParsePlatform(data []byte) ([]Machine, error) {
 // optional {"shards": N} scheduling partition override.
 func ParsePlatformConfig(data []byte) (*Platform, error) {
 	var doc struct {
-		Machines []jsonMachine `json:"machines"`
-		Shards   int           `json:"shards"`
+		Machines []Machine `json:"machines"`
+		Shards   int       `json:"shards"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("model: platform: %w", err)
@@ -557,22 +557,15 @@ func ParsePlatformConfig(data []byte) (*Platform, error) {
 	if doc.Shards < 0 {
 		return nil, fmt.Errorf("model: platform shards = %d, want >= 0", doc.Shards)
 	}
-	machines := make([]Machine, len(doc.Machines))
-	for i, dm := range doc.Machines {
-		machines[i] = Machine{Name: dm.Name, Databanks: dm.Databanks}
-		if dm.InverseSpeed == "" {
-			return nil, fmt.Errorf("model: platform machine %d (%s) needs inverseSpeed", i, dm.Name)
+	for i, m := range doc.Machines {
+		if m.InverseSpeed == nil {
+			return nil, fmt.Errorf("model: platform machine %d (%s) needs inverseSpeed", i, m.Name)
 		}
-		s, err := parseRat(dm.InverseSpeed, "inverseSpeed")
-		if err != nil {
-			return nil, err
+		if m.InverseSpeed.Sign() <= 0 {
+			return nil, fmt.Errorf("model: platform machine %d (%s) needs inverseSpeed > 0", i, m.Name)
 		}
-		if s.Sign() <= 0 {
-			return nil, fmt.Errorf("model: platform machine %d (%s) needs inverseSpeed > 0", i, dm.Name)
-		}
-		machines[i].InverseSpeed = s
 	}
-	return &Platform{Machines: machines, Shards: doc.Shards}, nil
+	return &Platform{Machines: doc.Machines, Shards: doc.Shards}, nil
 }
 
 // HealthResponse is the body of GET /healthz: "ok" with HTTP 200 while every

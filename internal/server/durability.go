@@ -13,7 +13,6 @@ import (
 	"divflow/internal/obs"
 	"divflow/internal/shardlink"
 	"divflow/internal/sim"
-	"divflow/internal/stats"
 	"divflow/internal/wal"
 )
 
@@ -52,22 +51,15 @@ const (
 	walTypeAbort   = "abort"
 )
 
-// recSubmit logs one accepted submission. Rationals marshal as exact "p/q"
-// strings (big.Rat implements TextMarshaler/TextUnmarshaler).
+// recSubmit logs one accepted submission: the job as model.Job writes itself
+// (rationals as exact "p/q" strings), release stamped. SLA fields are absent
+// in pre-deadline logs, which replay as deadline-free untracked traffic —
+// exactly what they were.
 type recSubmit struct {
-	Shard     int      `json:"shard"` // creation index
-	Local     int      `json:"local"`
-	GID       int      `json:"gid"`
-	Name      string   `json:"name,omitempty"`
-	Weight    *big.Rat `json:"weight"`
-	Size      *big.Rat `json:"size"`
-	Release   *big.Rat `json:"release"`
-	Databanks []string `json:"databanks,omitempty"`
-	// SLA fields: absent in pre-deadline logs, which replay as deadline-free
-	// untracked traffic — exactly what they were.
-	Deadline *big.Rat `json:"deadline,omitempty"`
-	Tenant   string   `json:"tenant,omitempty"`
-	SLAClass string   `json:"slaClass,omitempty"`
+	Shard int `json:"shard"` // creation index
+	Local int `json:"local"`
+	GID   int `json:"gid"`
+	model.Job
 }
 
 // recAdmit logs one admission batch: the virtual time the loop admitted the
@@ -104,7 +96,7 @@ type recExtract struct {
 // needs nothing from the donor.
 type recAdopt struct {
 	Shard int `json:"shard"`
-	shardlink.AdmitArgs
+	*shardlink.AdmitArgs
 }
 
 // recSettle logs the donor's commit or abort of the listed reservations.
@@ -113,52 +105,26 @@ type recSettle struct {
 	Locals []int `json:"locals"`
 }
 
-// walMachine is one machine in a WAL or snapshot document.
-type walMachine struct {
-	Name         string   `json:"name"`
-	InverseSpeed *big.Rat `json:"inverseSpeed"`
-	Databanks    []string `json:"databanks,omitempty"`
-}
-
-func encodeMachines(ms []model.Machine) []walMachine {
-	out := make([]walMachine, len(ms))
-	for i := range ms {
-		out[i] = walMachine{Name: ms[i].Name, InverseSpeed: copyRat(ms[i].InverseSpeed), Databanks: ms[i].Databanks}
-	}
-	return out
-}
-
-func decodeMachines(ms []walMachine) ([]model.Machine, error) {
-	out := make([]model.Machine, len(ms))
-	for i := range ms {
-		if ms[i].InverseSpeed == nil || ms[i].InverseSpeed.Sign() <= 0 {
-			return nil, fmt.Errorf("server: restore: machine %d (%s) needs InverseSpeed > 0", i, ms[i].Name)
-		}
-		out[i] = model.Machine{Name: ms[i].Name, InverseSpeed: copyRat(ms[i].InverseSpeed), Databanks: ms[i].Databanks}
-	}
-	return out, nil
-}
-
 // walTopoShard is one member of a recTopo generation, in position order.
 type walTopoShard struct {
-	Idx        int          `json:"idx"`
-	Kept       bool         `json:"kept,omitempty"`
-	Machines   []walMachine `json:"machines,omitempty"` // spawned shards only
-	MachineIdx []int        `json:"machineIdx"`
+	Idx        int             `json:"idx"`
+	Kept       bool            `json:"kept,omitempty"`
+	Machines   []model.Machine `json:"machines,omitempty"` // spawned shards only
+	MachineIdx []int           `json:"machineIdx"`
 }
 
 // recTopo logs one structural reshard: everything needed to rebuild the new
 // generation — appended before the migrations that reference its spawned
 // shards, and before the topology publish.
 type recTopo struct {
-	Gen       int            `json:"gen"`
-	Base      int            `json:"base"`
-	Stride    int            `json:"stride"`
-	Shards    []walTopoShard `json:"shards"`
-	Retired   []int          `json:"retired,omitempty"`
-	Fleet     []walMachine   `json:"fleet"`
-	ShardsCfg int            `json:"shardsCfg,omitempty"`
-	At        *big.Rat       `json:"at"`
+	Gen       int             `json:"gen"`
+	Base      int             `json:"base"`
+	Stride    int             `json:"stride"`
+	Shards    []walTopoShard  `json:"shards"`
+	Retired   []int           `json:"retired,omitempty"`
+	Fleet     []model.Machine `json:"fleet"`
+	ShardsCfg int             `json:"shardsCfg,omitempty"`
+	At        *big.Rat        `json:"at"`
 }
 
 // recCompact logs one retention compaction (the horizon is derived from Now
@@ -258,21 +224,6 @@ func (d *durability) append(typ string, v any) {
 	}
 }
 
-// appendSubmit logs one accepted submission write-ahead. Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (d *durability) appendSubmit(sh *shard, rec *jobRecord) {
-	if d == nil {
-		return
-	}
-	d.append(walTypeSubmit, &recSubmit{
-		Shard: sh.idx, Local: rec.id, GID: rec.gid, Name: rec.name,
-		Weight: copyRat(rec.weight), Size: copyRat(rec.size), Release: copyRat(rec.release),
-		Databanks: rec.databanks,
-		Deadline:  copyRat(rec.deadline), Tenant: rec.tenant, SLAClass: rec.slaClass,
-	})
-}
-
 // appendAdmit logs one admission batch write-ahead. Callers hold sh.mu.
 //
 //divflow:locks requires=shard
@@ -313,20 +264,13 @@ func (d *durability) appendCompact(sh *shard, now, horizon *big.Rat) {
 type snapRecord struct {
 	ID         int      `json:"id"`
 	GID        int      `json:"gid"`
-	Name       string   `json:"name,omitempty"`
-	Weight     *big.Rat `json:"weight"`
-	Size       *big.Rat `json:"size"`
-	Databanks  []string `json:"databanks,omitempty"`
 	State      string   `json:"state"`
-	Release    *big.Rat `json:"release"`
 	Completed  *big.Rat `json:"completed,omitempty"`
 	Remaining  *big.Rat `json:"remaining,omitempty"`
 	Stolen     bool     `json:"stolen,omitempty"`
 	Counted    bool     `json:"counted,omitempty"`
 	MigratedAt *big.Rat `json:"migratedAt,omitempty"`
-	Deadline   *big.Rat `json:"deadline,omitempty"`
-	Tenant     string   `json:"tenant,omitempty"`
-	SLAClass   string   `json:"slaClass,omitempty"`
+	model.Job
 }
 
 // snapTenant is one tenant's per-shard accounting in a snapshot document:
@@ -352,47 +296,24 @@ type snapShard struct {
 	Gen        int               `json:"gen"`
 	Retired    bool              `json:"retired,omitempty"`
 	Freed      bool              `json:"freed,omitempty"`
-	Machines   []walMachine      `json:"machines"`
+	Machines   []model.Machine   `json:"machines"`
 	MachineIdx []int             `json:"machineIdx"`
 	Records    []*snapRecord     `json:"records,omitempty"` // aligned; null = compacted
 	PendingIDs []int             `json:"pendingIds,omitempty"`
 	Engine     *sim.EngineState  `json:"engine,omitempty"`
 	Plan       *sim.MWFPlanState `json:"plan,omitempty"`
 
-	ArrivalBatches  int   `json:"arrivalBatches,omitempty"`
-	BatchedArrivals int   `json:"batchedArrivals,omitempty"`
-	LargestBatch    int   `json:"largestBatch,omitempty"`
-	StolenIn        int   `json:"stolenIn,omitempty"`
-	MigratedOut     int   `json:"migratedOut,omitempty"`
-	ReshardIn       int   `json:"reshardIn,omitempty"`
-	ReshardOut      int   `json:"reshardOut,omitempty"`
-	MigratedIDs     []int `json:"migratedIds,omitempty"`
-	DoneCount       int   `json:"doneCount,omitempty"`
+	shardTotals
+	MigratedIDs []int `json:"migratedIds,omitempty"`
 	// Flow is the shard's completed-flow histogram. The counts are the one
 	// piece of shard state that lives in telemetry rather than the engine,
 	// and without them a restored fleet would answer /v1/stats p95Flow from
 	// post-crash completions only.
-	Flow          *obs.HistogramSnapshot `json:"flow,omitempty"`
-	FlowSum       *big.Rat               `json:"flowSum,omitempty"`
-	MaxWF         *big.Rat               `json:"maxWF,omitempty"`
-	MaxStretch    *big.Rat               `json:"maxStretch,omitempty"`
-	LastCompact   *big.Rat               `json:"lastCompact,omitempty"`
-	CompactedJobs int                    `json:"compactedJobs,omitempty"`
-	MakespanHW    *big.Rat               `json:"makespanHW,omitempty"`
-	Backlog       *big.Rat               `json:"backlog"`
-	Panics        int                    `json:"panics,omitempty"`
-	Restarts      int                    `json:"restarts,omitempty"`
-	LastErr       string                 `json:"lastErr,omitempty"`
-	Stalled       bool                   `json:"stalled,omitempty"`
-	Tenants       map[string]*snapTenant `json:"tenants,omitempty"`
-
-	FrozenNow       *big.Rat          `json:"frozenNow,omitempty"`
-	FrozenCompleted int               `json:"frozenCompleted,omitempty"`
-	FrozenDecisions int               `json:"frozenDecisions,omitempty"`
-	FrozenAccepted  int               `json:"frozenAccepted,omitempty"`
-	FrozenSolves    int               `json:"frozenSolves,omitempty"`
-	FrozenCacheHits int               `json:"frozenCacheHits,omitempty"`
-	FrozenSolver    stats.SolverTally `json:"frozenSolver,omitempty"`
+	Flow    *obs.HistogramSnapshot `json:"flow,omitempty"`
+	Backlog *big.Rat               `json:"backlog"`
+	LastErr string                 `json:"lastErr,omitempty"`
+	Stalled bool                   `json:"stalled,omitempty"`
+	Tenants map[string]*snapTenant `json:"tenants,omitempty"`
 }
 
 // snapGen is one topology generation in a snapshot (shards by creation
@@ -420,32 +341,6 @@ type snapDoc struct {
 	Shards    []snapShard `json:"shards"`
 }
 
-func encodeRecord(rec *jobRecord) *snapRecord {
-	if rec == nil {
-		return nil
-	}
-	return &snapRecord{
-		ID: rec.id, GID: rec.gid, Name: rec.name, Weight: copyRat(rec.weight),
-		Size: copyRat(rec.size), Databanks: rec.databanks, State: rec.state,
-		Release: copyRat(rec.release), Completed: copyRat(rec.completed), Remaining: copyRat(rec.remaining),
-		Stolen: rec.stolen, Counted: rec.counted, MigratedAt: copyRat(rec.migratedAt),
-		Deadline: copyRat(rec.deadline), Tenant: rec.tenant, SLAClass: rec.slaClass,
-	}
-}
-
-func decodeRecord(sr *snapRecord) (*jobRecord, error) {
-	if sr.Weight == nil || sr.Size == nil || sr.Release == nil {
-		return nil, fmt.Errorf("server: restore: record %d missing fields", sr.GID)
-	}
-	return &jobRecord{
-		id: sr.ID, gid: sr.GID, name: sr.Name, weight: copyRat(sr.Weight),
-		size: copyRat(sr.Size), databanks: sr.Databanks, state: sr.State,
-		release: copyRat(sr.Release), completed: copyRat(sr.Completed), remaining: copyRat(sr.Remaining),
-		stolen: sr.Stolen, counted: sr.Counted, migratedAt: copyRat(sr.MigratedAt),
-		deadline: copyRat(sr.Deadline), tenant: sr.Tenant, slaClass: sr.SLAClass,
-	}, nil
-}
-
 // exportShardLocked builds one shard's snapshot entry. Callers hold sh.mu.
 //
 //divflow:locks requires=shard
@@ -453,25 +348,22 @@ func exportShardLocked(sh *shard) snapShard {
 	ss := snapShard{
 		Idx: sh.idx, Pos: sh.pos, Stride: sh.stride, GidBase: sh.gidBase,
 		Gen: sh.gen, Retired: sh.retired, Freed: sh.freed,
-		Machines:   encodeMachines(sh.machines),
-		MachineIdx: append([]int(nil), sh.machineIdx...),
-
-		ArrivalBatches: sh.arrivalBatches, BatchedArrivals: sh.batchedArrivals,
-		LargestBatch: sh.largestBatch, StolenIn: sh.stolenIn,
-		MigratedOut: sh.migratedOut, ReshardIn: sh.reshardIn, ReshardOut: sh.reshardOut,
+		Machines:    sh.machines,
+		MachineIdx:  append([]int(nil), sh.machineIdx...),
+		shardTotals: sh.shardTotals.clone(),
 		MigratedIDs: append([]int(nil), sh.migratedIDs...),
-		DoneCount:   sh.doneCount, FlowSum: copyRat(sh.flowSum), MaxWF: copyRat(sh.maxWF),
-		MaxStretch: copyRat(sh.maxStretch), LastCompact: copyRat(sh.lastCompact),
-		CompactedJobs: sh.compactedJobs, MakespanHW: copyRat(sh.makespanHW),
-		Panics: sh.panics, Restarts: sh.restarts, Stalled: sh.stalled,
-
-		FrozenNow: copyRat(sh.frozenNow), FrozenCompleted: sh.frozenCompleted,
-		FrozenDecisions: sh.frozenDecisions, FrozenAccepted: sh.frozenAccepted,
-		FrozenSolves: sh.frozenSolves, FrozenCacheHits: sh.frozenCacheHits,
-		FrozenSolver: sh.frozenSolver,
+		Stalled:     sh.stalled,
 	}
 	for _, rec := range sh.records {
-		ss.Records = append(ss.Records, encodeRecord(rec))
+		var sr *snapRecord
+		if rec != nil {
+			sr = &snapRecord{
+				ID: rec.id, GID: rec.gid, State: rec.state, Job: rec.Job.Clone(),
+				Completed: copyRat(rec.completed), Remaining: copyRat(rec.remaining),
+				Stolen: rec.stolen, Counted: rec.counted, MigratedAt: copyRat(rec.migratedAt),
+			}
+		}
+		ss.Records = append(ss.Records, sr)
 	}
 	for _, rec := range sh.pending {
 		ss.PendingIDs = append(ss.PendingIDs, rec.id)
@@ -722,15 +614,18 @@ func (st *restoreState) hasState() bool { return st.doc != nil || len(st.suffix)
 
 // restoreShard rebuilds one shard from its snapshot entry.
 func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
-	machines, err := decodeMachines(ss.Machines)
-	if err != nil {
+	if err := checkMachines("restore: ", ss.Machines); err != nil {
 		return nil, err
+	}
+	if len(ss.MachineIdx) != len(ss.Machines) {
+		// The executed trace is translated through machineIdx on every read.
+		return nil, fmt.Errorf("server: restore: shard %d maps %d machines through %d fleet indices", ss.Idx, len(ss.Machines), len(ss.MachineIdx))
 	}
 	pol, err := NewPolicy(s.policyCfg)
 	if err != nil {
 		return nil, err
 	}
-	sh := s.wireShard(newShard(ss.Idx, ss.Pos, ss.Stride, ss.GidBase, s.clock, machines, ss.MachineIdx, pol, s.retention, s.admission))
+	sh := s.wireShard(newShard(ss.Idx, ss.Pos, ss.Stride, ss.GidBase, s.clock, ss.Machines, ss.MachineIdx, pol, s.retention, s.admission))
 	sh.gen = ss.Gen
 	sh.retired = ss.Retired
 	for _, sr := range ss.Records {
@@ -738,12 +633,16 @@ func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
 			sh.records = append(sh.records, nil)
 			continue
 		}
-		rec, err := decodeRecord(sr)
-		if err != nil {
-			return nil, err
+		if sr.Weight == nil || sr.Size == nil || sr.Release == nil {
+			return nil, fmt.Errorf("server: restore: record %d missing fields", sr.GID)
 		}
-		if rec.id != len(sh.records) {
-			return nil, fmt.Errorf("server: restore: shard %d record %d out of order", ss.Idx, rec.id)
+		if sr.ID != len(sh.records) {
+			return nil, fmt.Errorf("server: restore: shard %d record %d out of order", ss.Idx, sr.ID)
+		}
+		rec := &jobRecord{
+			id: sr.ID, gid: sr.GID, state: sr.State, Job: sr.Job.Clone(),
+			completed: copyRat(sr.Completed), remaining: copyRat(sr.Remaining),
+			stolen: sr.Stolen, counted: sr.Counted, migratedAt: copyRat(sr.MigratedAt),
 		}
 		sh.records = append(sh.records, rec)
 		if rec.state == StateQueued || rec.state == StateScheduled || rec.state == StateDone {
@@ -757,14 +656,6 @@ func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
 		sh.pending = append(sh.pending, sh.records[id])
 	}
 	if ss.Freed {
-		sh.frozenNow = copyRat(ss.FrozenNow)
-		sh.frozenCompleted = ss.FrozenCompleted
-		sh.frozenDecisions = ss.FrozenDecisions
-		sh.frozenAccepted = ss.FrozenAccepted
-		sh.frozenSolves = ss.FrozenSolves
-		sh.frozenCacheHits = ss.FrozenCacheHits
-		sh.frozenSolver = ss.FrozenSolver
-		sh.makespanHW = copyRat(ss.MakespanHW)
 		sh.freed = true
 		sh.records = nil
 		sh.pending = nil
@@ -783,34 +674,22 @@ func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
 			sh.mwf.RestorePlanState(ss.Plan)
 		}
 	}
-	sh.arrivalBatches = ss.ArrivalBatches
-	sh.batchedArrivals = ss.BatchedArrivals
-	sh.largestBatch = ss.LargestBatch
-	sh.stolenIn = ss.StolenIn
-	sh.migratedOut = ss.MigratedOut
-	sh.reshardIn = ss.ReshardIn
-	sh.reshardOut = ss.ReshardOut
+	// The totals arrive whole; a document that predates a field keeps the
+	// fresh shard's zero for the two rationals the loop adds into.
+	totals := ss.shardTotals.clone()
+	if totals.FlowSum == nil {
+		totals.FlowSum = new(big.Rat)
+	}
+	if totals.LastCompact == nil && sh.retention != nil {
+		totals.LastCompact = new(big.Rat)
+	}
+	sh.shardTotals = totals
 	sh.migratedIDs = append([]int(nil), ss.MigratedIDs...)
-	sh.doneCount = ss.DoneCount
 	if ss.Flow != nil {
 		if err := sh.obs.flow.Restore(*ss.Flow); err != nil {
 			return nil, fmt.Errorf("server: restore: shard %d: %w", ss.Idx, err)
 		}
 	}
-	if ss.FlowSum != nil {
-		sh.flowSum = copyRat(ss.FlowSum)
-	}
-	sh.maxWF = copyRat(ss.MaxWF)
-	sh.maxStretch = copyRat(ss.MaxStretch)
-	if ss.LastCompact != nil {
-		sh.lastCompact = copyRat(ss.LastCompact)
-	}
-	sh.compactedJobs = ss.CompactedJobs
-	if !ss.Freed {
-		sh.makespanHW = copyRat(ss.MakespanHW)
-	}
-	sh.panics = ss.Panics
-	sh.restarts = ss.Restarts
 	if ss.Backlog != nil {
 		sh.backlog = copyRat(ss.Backlog)
 	}
@@ -877,7 +756,11 @@ func (s *Server) restore(st *restoreState) error {
 			s.all = append(s.all, sh)
 		}
 		s.gens = nil
-		for _, sg := range st.doc.Gens {
+		for g, sg := range st.doc.Gens {
+			if sg.Stride != len(sg.Shards) || sg.Stride == 0 {
+				// locate decodes every ID of the generation modulo its stride.
+				return fmt.Errorf("server: restore: generation %d stride %d over %d shards", g, sg.Stride, len(sg.Shards))
+			}
 			gen := &generation{base: sg.Base, stride: sg.Stride}
 			for _, idx := range sg.Shards {
 				sh, ok := byIdx[idx]
@@ -1000,27 +883,10 @@ func (s *Server) replaySubmit(r *recSubmit) error {
 	if r.Weight == nil || r.Size == nil || r.Release == nil {
 		return fmt.Errorf("submit %d missing fields", r.GID)
 	}
-	rec := &jobRecord{
-		id: r.Local, gid: r.GID, name: r.Name, weight: copyRat(r.Weight),
-		size: copyRat(r.Size), databanks: r.Databanks, state: StateQueued,
-		release:  copyRat(r.Release),
-		deadline: copyRat(r.Deadline), tenant: r.Tenant, slaClass: r.SLAClass,
-	}
-	sh.records = append(sh.records, rec)
-	sh.pending = append(sh.pending, rec)
-	if rec.tenant != "" {
-		ta := sh.tenantFor(rec.tenant)
-		ta.submitted++
-		ta.byClass[rec.slaClass]++
-	}
-	sh.backlogMu.Lock()
-	sh.backlog.Add(sh.backlog, rec.size)
-	sh.tenantBacklogAdd(rec.tenant, rec.size)
-	sh.backlogMu.Unlock()
-	if !sh.markEligible(rec) {
+	rec := &jobRecord{id: r.Local, gid: r.GID, state: StateQueued, Job: r.Job.Clone()}
+	if !sh.enqueue(rec, "replayed") {
 		return fmt.Errorf("submit %d: no machine of shard %d hosts %v", r.GID, sh.idx, r.Databanks)
 	}
-	sh.obs.event(obs.EventSubmit, rec.gid, rec.release, "replayed")
 	return nil
 }
 
@@ -1115,7 +981,10 @@ func (s *Server) replayAdopt(r *recAdopt) error {
 	if err != nil {
 		return err
 	}
-	rep := sh.admitMigrated(r.AdmitArgs)
+	if r.AdmitArgs == nil {
+		return errors.New("adopt record carries no adoption message")
+	}
+	rep := sh.admitMigrated(*r.AdmitArgs)
 	if !rep.Accepted {
 		return fmt.Errorf("shard %d refuses the recorded adoption", sh.idx)
 	}
@@ -1140,6 +1009,9 @@ func (s *Server) replayTopo(r *recTopo) error {
 	if r.Stride != len(r.Shards) || r.Stride == 0 {
 		return fmt.Errorf("topology record stride %d over %d shards", r.Stride, len(r.Shards))
 	}
+	if err := checkMachines("restore: ", r.Fleet); err != nil {
+		return err
+	}
 	var gen2 []*shard
 	for pos, ts := range r.Shards {
 		if ts.Kept {
@@ -1153,15 +1025,14 @@ func (s *Server) replayTopo(r *recTopo) error {
 			gen2 = append(gen2, sh)
 			continue
 		}
-		machines, err := decodeMachines(ts.Machines)
-		if err != nil {
+		if err := checkMachines("restore: ", ts.Machines); err != nil {
 			return err
 		}
 		pol, err := NewPolicy(s.policyCfg)
 		if err != nil {
 			return err
 		}
-		nsh := s.wireShard(newShard(ts.Idx, pos, r.Stride, r.Base, s.clock, machines, append([]int(nil), ts.MachineIdx...), pol, s.retention, s.admission))
+		nsh := s.wireShard(newShard(ts.Idx, pos, r.Stride, r.Base, s.clock, ts.Machines, append([]int(nil), ts.MachineIdx...), pol, s.retention, s.admission))
 		nsh.gen = r.Gen
 		s.all = append(s.all, nsh)
 		gen2 = append(gen2, nsh)
@@ -1178,11 +1049,7 @@ func (s *Server) replayTopo(r *recTopo) error {
 	}
 	s.gens = append(s.gens, &generation{base: r.Base, stride: r.Stride, shards: gen2})
 	s.reshards++
-	fleet, err := decodeMachines(r.Fleet)
-	if err != nil {
-		return err
-	}
-	s.renumberRetired(fleet, gen2)
+	s.renumberRetired(r.Fleet, gen2)
 	return nil
 }
 
@@ -1256,7 +1123,7 @@ func (s *Server) restartShard(sh *shard) bool {
 	if sh.lastErr == nil || sh.closed || sh.retired || sh.freed {
 		return false
 	}
-	if sh.restarts >= maxShardRestarts {
+	if sh.Restarts >= maxShardRestarts {
 		return false
 	}
 	st := sh.eng.ExportState()
@@ -1270,7 +1137,7 @@ func (s *Server) restartShard(sh *shard) bool {
 		// not validate, so an in-place rebuild would run from garbage.
 		return false
 	}
-	sh.restarts++
+	sh.Restarts++
 	sh.eng, sh.policy = eng, pol
 	sh.mwf, _ = pol.(*sim.OnlineMWF)
 	if sh.mwf != nil {
@@ -1281,7 +1148,7 @@ func (s *Server) restartShard(sh *shard) bool {
 	sh.backlogMu.Lock()
 	sh.routeErr = ""
 	sh.backlogMu.Unlock()
-	sh.obs.event(obs.EventShardRestart, -1, eng.Now(), fmt.Sprintf("restart %d of %d", sh.restarts, maxShardRestarts))
+	sh.obs.event(obs.EventShardRestart, -1, eng.Now(), fmt.Sprintf("restart %d of %d", sh.Restarts, maxShardRestarts))
 	sh.decide()
 	if !start.IsZero() {
 		s.tel.recoverySecs.Observe(s.tel.sinceSeconds(start))

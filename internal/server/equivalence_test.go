@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math/big"
 	"testing"
 
 	"divflow/internal/model"
@@ -185,13 +184,7 @@ func TestStealOffShardEquivalence(t *testing.T) {
 				sh.mu.Lock()
 				jobs := make([]model.Job, len(sh.records))
 				for i, rec := range sh.records {
-					jobs[i] = model.Job{
-						Name:      rec.name,
-						Release:   new(big.Rat).Set(rec.release),
-						Weight:    new(big.Rat).Set(rec.weight),
-						Size:      new(big.Rat).Set(rec.size),
-						Databanks: rec.databanks,
-					}
+					jobs[i] = rec.Job.Clone()
 				}
 				got := append([]schedule.Piece(nil), sh.eng.Schedule().Pieces...)
 				machines := sh.machines

@@ -169,18 +169,7 @@ func (sh *shard) reserve(locals []int) shardlink.ExtractReply {
 		}
 		rec.migratedAt = copyRat(rep.At)
 		rep.Jobs = append(rep.Jobs, shardlink.MigratedJob{
-			FromLocal: local,
-			GID:       rec.gid,
-			Name:      rec.name,
-			Weight:    copyRat(rec.weight),
-			Size:      copyRat(rec.size),
-			Release:   copyRat(rec.release),
-			Remaining: copyRat(rec.remaining),
-			Databanks: rec.databanks,
-			Counted:   rec.counted,
-			Deadline:  copyRat(rec.deadline),
-			Tenant:    rec.tenant,
-			SLAClass:  rec.slaClass,
+			FromLocal: local, GID: rec.gid, Remaining: copyRat(rec.remaining), Counted: rec.counted, Job: rec.Job.Clone(),
 		})
 	}
 	kept := sh.pending[:0]
@@ -217,7 +206,7 @@ func (sh *shard) admitMigrated(args shardlink.AdmitArgs) shardlink.AdmitReply {
 	if args.Reason == migrateSteal && sh.lastErr != nil {
 		return shardlink.AdmitReply{}
 	}
-	sh.wal.append(walTypeAdopt, &recAdopt{Shard: sh.idx, AdmitArgs: args})
+	sh.wal.append(walTypeAdopt, &recAdopt{Shard: sh.idx, AdmitArgs: &args})
 	rep := shardlink.AdmitReply{Accepted: true}
 	adopted := make([]*jobRecord, len(args.Jobs))
 	for i := range args.Jobs {
@@ -225,14 +214,14 @@ func (sh *shard) admitMigrated(args shardlink.AdmitArgs) shardlink.AdmitReply {
 		adopted[i] = nrec
 		rep.Locals = append(rep.Locals, nrec.id)
 		if args.Reason == migrateReshard {
-			sh.reshardIn++
+			sh.ReshardIn++
 			sh.obs.event(obs.EventMigrate, nrec.gid, nil, fmt.Sprintf("resharded from shard %d", args.From))
 		} else {
-			sh.stolenIn++
+			sh.StolenIn++
 			sh.obs.event(obs.EventMigrate, nrec.gid, nil, fmt.Sprintf("stolen from shard %d", args.From))
 		}
 	}
-	sh.shiftBacklog(adopted, true)
+	sh.shiftBacklog(true, adopted...)
 	if args.Reason == migrateSteal {
 		sh.obs.event(obs.EventSteal, -1, args.At, fmt.Sprintf("%d jobs from shard %d", len(adopted), args.From))
 	}
@@ -275,12 +264,12 @@ func (sh *shard) commitExtract(args shardlink.CommitArgs) {
 		sh.orphanRecord(rec)
 		// Only a reshard drains a retired shard; everything else is a steal.
 		if sh.retired {
-			sh.reshardOut++
+			sh.ReshardOut++
 		} else {
-			sh.migratedOut++
+			sh.MigratedOut++
 		}
 	}
-	sh.shiftBacklog(recs, false)
+	sh.shiftBacklog(false, recs...)
 }
 
 // abortExtract is the give-back path: the destination refused (or the

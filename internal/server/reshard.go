@@ -152,10 +152,8 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	if p == nil || len(p.Machines) == 0 {
 		return resp, errors.New("server: reshard: no machines")
 	}
-	for i := range p.Machines {
-		if p.Machines[i].InverseSpeed == nil || p.Machines[i].InverseSpeed.Sign() <= 0 {
-			return resp, fmt.Errorf("server: reshard: machine %d (%s) needs InverseSpeed > 0", i, p.Machines[i].Name)
-		}
+	if err := checkMachines("reshard: ", p.Machines); err != nil {
+		return resp, err
 	}
 	// One topology change at a time; Close takes the same lock, so a closing
 	// server cannot race a reshard spawning loops the shutdown would miss,
@@ -204,7 +202,7 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	for gi, group := range groups {
 		ms := make([]model.Machine, len(group))
 		for k, fi := range group {
-			ms[k] = plan.fleet[fi]
+			ms[k] = plan.fleet[fi].Clone()
 		}
 		plan.machines[gi] = ms
 	}
@@ -381,10 +379,10 @@ func (plan *reshardPlan) stranded() error {
 			census = append(census, donor.records[id])
 		}
 		for _, rec := range census {
-			if !hostsAny(plan.fleet, rec.databanks) {
+			if !hostsAny(plan.fleet, rec.Databanks) {
 				return fmt.Errorf(
 					"server: reshard rejected: job %d needs databanks %v, hosted by no machine of the new platform",
-					rec.gid, rec.databanks)
+					rec.gid, rec.Databanks)
 			}
 		}
 	}
@@ -414,7 +412,7 @@ func (s *Server) installLocked(plan *reshardPlan, active []*shard) (gen2, spawne
 		Gen:       newGen,
 		Base:      base,
 		Stride:    stride,
-		Fleet:     encodeMachines(plan.fleet),
+		Fleet:     plan.fleet,
 		ShardsCfg: plan.shards,
 		At:        s.clock.Now(),
 	}
@@ -430,7 +428,7 @@ func (s *Server) installLocked(plan *reshardPlan, active []*shard) (gen2, spawne
 				plan.machines[gi], append([]int(nil), group...), plan.policies[gi], s.retention, s.admission))
 			nextIdx++
 			spawned = append(spawned, sh)
-			ts.Machines = encodeMachines(plan.machines[gi])
+			ts.Machines = plan.machines[gi]
 		}
 		// Events and stats emitted from here on carry the new generation;
 		// retiring shards keep the one their service ended in.

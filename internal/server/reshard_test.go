@@ -207,7 +207,7 @@ func TestReshardKeepsUntouchedShard(t *testing.T) {
 		t.Fatal("kept shard object was replaced, not carried over")
 	}
 	keptBefore.mu.Lock()
-	keptStats := keptBefore.reshardOut
+	keptStats := keptBefore.ReshardOut
 	keptBefore.mu.Unlock()
 	if keptStats != 0 {
 		t.Errorf("kept shard migrated %d jobs, want 0", keptStats)

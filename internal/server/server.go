@@ -143,9 +143,6 @@ type Config struct {
 	// as one NDJSON line (the -events-log file). A write error is latched
 	// and stops further sink writes, never the scheduling paths.
 	EventSink io.Writer
-	// EventBufferSize overrides the event journal's ring capacity
-	// (obs.DefJournalCapacity when zero).
-	EventBufferSize int
 	// WALDir, when non-empty, turns on durable crash recovery (the -wal-dir
 	// flag): every submission, admission batch, migration, topology change,
 	// and compaction horizon is appended to a write-ahead log in this
@@ -314,10 +311,8 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Machines) == 0 {
 		return nil, errors.New("server: no machines")
 	}
-	for i := range cfg.Machines {
-		if cfg.Machines[i].InverseSpeed == nil || cfg.Machines[i].InverseSpeed.Sign() <= 0 {
-			return nil, fmt.Errorf("server: machine %d (%s) needs InverseSpeed > 0", i, cfg.Machines[i].Name)
-		}
+	if err := checkMachines("", cfg.Machines); err != nil {
+		return nil, err
 	}
 	// Validate the policy name once up front; every shard then gets its own
 	// fresh instance (policies carry per-run state: plan caches, warm-start
@@ -368,7 +363,7 @@ func New(cfg Config) (*Server, error) {
 		noReshard:      cfg.DisableReshard,
 		restartStalled: cfg.RestartStalled,
 		forward:        make(map[int]fwdLoc),
-		tel:            newTelemetry(!cfg.DisableObs, cfg.EventSink, cfg.EventBufferSize),
+		tel:            newTelemetry(!cfg.DisableObs, cfg.EventSink),
 		transport:      transport,
 		workers:        cfg.Workers,
 		stealStop:      make(chan struct{}),
@@ -438,7 +433,7 @@ func New(cfg Config) (*Server, error) {
 		for idx, group := range groups {
 			machines := make([]model.Machine, len(group))
 			for k, gi := range group {
-				machines[k] = fleet[gi]
+				machines[k] = fleet[gi].Clone()
 			}
 			shardPol := pol
 			if idx > 0 {
@@ -483,6 +478,18 @@ func New(cfg Config) (*Server, error) {
 	// /v1/stats merges; registered once the topology exists.
 	s.tel.reg.OnCollect(s.collectMetrics)
 	return s, nil
+}
+
+// checkMachines is the guard on every fleet entering the server — the startup
+// configuration, a reshard's platform, machine entries read back from a WAL or
+// snapshot document; what names the entry point in the error.
+func checkMachines(what string, ms []model.Machine) error {
+	for i := range ms {
+		if ms[i].InverseSpeed == nil || ms[i].InverseSpeed.Sign() <= 0 {
+			return fmt.Errorf("server: %smachine %d (%s) needs InverseSpeed > 0", what, i, ms[i].Name)
+		}
+	}
+	return nil
 }
 
 // wireShard installs the server-side hooks on a freshly built shard. The
@@ -790,7 +797,7 @@ func (s *Server) Submit(req *model.SubmitRequest) (model.SubmitResponse, error) 
 	// Each attempt that fails with errRetired raced one completed reshard;
 	// the retry bound only guards against a pathological reshard storm.
 	for attempt := 0; attempt < 8; attempt++ {
-		resp, err := s.submitRouted(job)
+		resp, err := s.submitRouted(shardlink.SubmitArgs{Job: job})
 		if errors.Is(err, errRetired) {
 			continue
 		}
@@ -802,7 +809,8 @@ func (s *Server) Submit(req *model.SubmitRequest) (model.SubmitResponse, error) 
 
 // submitRouted is one routing attempt of Submit against a snapshot of the
 // active topology.
-func (s *Server) submitRouted(job model.Job) (model.SubmitResponse, error) {
+func (s *Server) submitRouted(args shardlink.SubmitArgs) (model.SubmitResponse, error) {
+	job := &args.Job
 	shards := s.active()
 	// The weighted-fairness quota reads every shard's per-tenant backlog off
 	// the same RouteInfo replies routing consumes anyway; only shards that
@@ -861,7 +869,7 @@ func (s *Server) submitRouted(job model.Job) (model.SubmitResponse, error) {
 		}
 	}
 	if quota {
-		if err := s.tenantOverQuota(job, tenantBack); err != nil {
+		if err := s.tenantOverQuota(*job, tenantBack); err != nil {
 			s.shedMu.Lock()
 			s.shed[job.Tenant]++
 			s.shedMu.Unlock()
@@ -882,7 +890,7 @@ func (s *Server) submitRouted(job model.Job) (model.SubmitResponse, error) {
 		best = bestStalled
 		resp.Warning = fmt.Sprintf("routed to stalled shard %d (no healthy shard hosts the databanks): %s", best.idx, stalledErr)
 	}
-	rep, lerr := best.link.Submit(shardlink.SubmitArgs{Job: job})
+	rep, lerr := best.link.Submit(args)
 	if lerr != nil {
 		return model.SubmitResponse{}, &shardStalledError{shard: best.idx, err: lerr}
 	}
@@ -986,14 +994,8 @@ func (s *Server) TenantStats() model.TenantsResponse {
 			a := at(name)
 			a.submitted += ts.Submitted
 			a.completed += ts.Completed
-			// Nil-guard the exact fields: gob drops zero big.Rat struct
-			// fields on the rpc transport.
-			if ts.Backlog != nil {
-				a.backlog.Add(a.backlog, ts.Backlog)
-			}
-			if ts.FlowSum != nil {
-				a.flowSum.Add(a.flowSum, ts.FlowSum)
-			}
+			a.backlog.Add(a.backlog, ts.Backlog)
+			a.flowSum.Add(a.flowSum, ts.FlowSum)
 			if ts.MaxWF != nil && (a.maxWF == nil || ts.MaxWF.Cmp(a.maxWF) > 0) {
 				a.maxWF = new(big.Rat).Set(ts.MaxWF)
 			}

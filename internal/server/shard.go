@@ -23,26 +23,17 @@ import (
 // keeps its global ID, with the server's forwarding table pointing reads at
 // the shard that now owns it.
 type jobRecord struct {
-	id        int // shard-local ID
-	gid       int // wire-visible global ID (birth-shard encoding)
-	name      string
-	weight    *big.Rat
-	size      *big.Rat
-	databanks []string
-	state     string
-	release   *big.Rat // submission time: the job's flow origin
+	id    int // shard-local ID
+	gid   int // wire-visible global ID (birth-shard encoding)
+	state string
+	// Job is the job as submitted; Release is the submission time, the job's
+	// flow origin. Deadline, Tenant and SLAClass ride migrations, the WAL and
+	// the snapshot with it.
+	model.Job
 	completed *big.Rat // completion time; nil until done
 	// remaining, when non-nil, is the unprocessed fraction the job arrived
 	// with (a stolen job admitted mid-execution); nil means a whole job.
 	remaining *big.Rat
-	// deadline, when non-nil, is the job's absolute completion deadline:
-	// admission control certified (or waved through) it, completed reads
-	// report whether it was met, and it rides migrations and the WAL.
-	deadline *big.Rat
-	// tenant and slaClass are the job's service-level accounting labels
-	// ("" = untracked traffic / default class).
-	tenant   string
-	slaClass string
 	// stolen marks records created by a migration rather than a submission,
 	// so accepted-job counts and merged validations see each job once.
 	stolen bool
@@ -63,6 +54,60 @@ type jobRecord struct {
 	// clock is never read then) and on migrated records (a re-admission on
 	// the destination shard is not a fresh submission).
 	submittedWall time.Time
+}
+
+// shardTotals is a shard's durable scalar state: everything a snapshot must
+// carry that is neither a record, a queue, nor the engine. shard and snapShard
+// both embed it, so export and restore copy it whole (the JSON names are the
+// snapshot's).
+type shardTotals struct {
+	ArrivalBatches  int `json:"arrivalBatches,omitempty"`
+	BatchedArrivals int `json:"batchedArrivals,omitempty"`
+	LargestBatch    int `json:"largestBatch,omitempty"`
+	StolenIn        int `json:"stolenIn,omitempty"`    // jobs migrated here by work stealing
+	MigratedOut     int `json:"migratedOut,omitempty"` // jobs stolen away from here
+	ReshardIn       int `json:"reshardIn,omitempty"`   // jobs migrated here by a live reshard
+	ReshardOut      int `json:"reshardOut,omitempty"`  // jobs a live reshard migrated away from here
+
+	// Completed-job statistics are accumulated at completion time, not
+	// recomputed from records, so compaction can forget the records without
+	// losing the all-time aggregates.
+	DoneCount  int      `json:"doneCount,omitempty"`
+	FlowSum    *big.Rat `json:"flowSum,omitempty"`
+	MaxWF      *big.Rat `json:"maxWF,omitempty"`
+	MaxStretch *big.Rat `json:"maxStretch,omitempty"`
+
+	LastCompact   *big.Rat `json:"lastCompact,omitempty"` // horizon of the last compaction
+	CompactedJobs int      `json:"compactedJobs,omitempty"`
+	// MakespanHW is the high-water mark of the executed trace's makespan,
+	// folded in before every compaction: Engine.Compact drops old pieces, so
+	// the makespan recomputed from the retained trace alone would move
+	// backwards (to zero once everything is compacted).
+	MakespanHW *big.Rat `json:"makespanHW,omitempty"`
+
+	// Panics counts loop panics the supervisor caught; Restarts in-place
+	// rebuilds by the -restart-stalled supervisor.
+	Panics   int `json:"panics,omitempty"`
+	Restarts int `json:"restarts,omitempty"`
+
+	// Frozen* capture the last engine-derived stats before free() drops the
+	// engine, so /v1/stats keeps reporting the retired shard's history.
+	FrozenNow       *big.Rat          `json:"frozenNow,omitempty"`
+	FrozenCompleted int               `json:"frozenCompleted,omitempty"`
+	FrozenDecisions int               `json:"frozenDecisions,omitempty"`
+	FrozenAccepted  int               `json:"frozenAccepted,omitempty"`
+	FrozenSolves    int               `json:"frozenSolves,omitempty"`
+	FrozenCacheHits int               `json:"frozenCacheHits,omitempty"`
+	FrozenSolver    stats.SolverTally `json:"frozenSolver,omitempty"`
+}
+
+// clone returns the totals with every rational copied: a snapshot is
+// marshaled after the shard's mu is released, while the loop keeps adding
+// into the live ones.
+func (t shardTotals) clone() shardTotals {
+	t.FlowSum, t.MaxWF, t.MaxStretch = copyRat(t.FlowSum), copyRat(t.MaxWF), copyRat(t.MaxStretch)
+	t.LastCompact, t.MakespanHW, t.FrozenNow = copyRat(t.LastCompact), copyRat(t.MakespanHW), copyRat(t.FrozenNow)
+	return t
 }
 
 // shard is one independent scheduling loop over a slice of the fleet: its own
@@ -156,15 +201,9 @@ type shard struct {
 	// appended to the write-ahead log at the point they mutate shard state.
 	wal *durability
 
-	arrivalBatches  int
-	batchedArrivals int
-	largestBatch    int
-	stalled         bool
-	lastErr         error
-	stolenIn        int // jobs migrated here by work stealing
-	migratedOut     int // jobs stolen away from here
-	reshardIn       int // jobs migrated here by a live reshard
-	reshardOut      int // jobs a live reshard migrated away from here
+	shardTotals
+	stalled bool
+	lastErr error
 	// migratedIDs lists donor-side records awaiting retention compaction
 	// (Engine.Compact cannot return them: the engine no longer knows them).
 	migratedIDs []int
@@ -184,43 +223,15 @@ type shard struct {
 	// machine slice) behind its rpcLink.
 	remote bool
 
-	// Completed-job statistics are accumulated at completion time, not
-	// recomputed from records, so compaction can forget the records without
-	// losing the all-time aggregates.
-	doneCount  int
-	flowSum    *big.Rat
-	maxWF      *big.Rat
-	maxStretch *big.Rat
-	// tenants accumulates per-tenant statistics the same way (at submission
-	// and completion time, so compaction loses nothing). Keyed by tenant
-	// name; untracked traffic is absent.
-	tenants       map[string]*tenantAgg
-	retention     *big.Rat
-	lastCompact   *big.Rat // horizon of the last compaction
-	compactedJobs int
-	// makespanHW is the high-water mark of the executed trace's makespan,
-	// folded in before every compaction: Engine.Compact drops old pieces, so
-	// the makespan recomputed from the retained trace alone would move
-	// backwards (to zero once everything is compacted).
-	makespanHW *big.Rat
-
-	// panics counts loop panics the supervisor caught; restarts in-place
-	// rebuilds by the -restart-stalled supervisor.
-	panics   int
-	restarts int
+	// tenants accumulates per-tenant statistics like the totals' completed-
+	// job aggregates (at submission and completion time, so compaction loses
+	// nothing). Keyed by tenant name; untracked traffic is absent.
+	tenants   map[string]*tenantAgg
+	retention *big.Rat
 	// freed marks a retired shard whose fully-compacted history was released:
 	// records, queues, engine, and policy are gone, and only this struct —
-	// the ID-decoding tombstone — remains, with the frozen aggregates below.
+	// the ID-decoding tombstone — remains, with the totals' Frozen* figures.
 	freed bool
-	// frozen* capture the last engine-derived stats before free() drops the
-	// engine, so /v1/stats keeps reporting the retired shard's history.
-	frozenNow       *big.Rat
-	frozenCompleted int
-	frozenDecisions int
-	frozenAccepted  int
-	frozenSolves    int
-	frozenCacheHits int
-	frozenSolver    stats.SolverTally
 
 	started bool
 	closed  bool
@@ -272,9 +283,6 @@ func (sh *shard) tenantBacklogAdd(tenant string, size *big.Rat) {
 	if tenant == "" || size.Sign() == 0 {
 		return
 	}
-	if sh.tenantBacklog == nil {
-		sh.tenantBacklog = make(map[string]*big.Rat)
-	}
 	cur := sh.tenantBacklog[tenant]
 	if cur == nil {
 		cur = new(big.Rat)
@@ -324,14 +332,16 @@ func newShard(idx, pos, stride, gidBase int, clock Clock, machines []model.Machi
 		policy:     pol,
 		admission:  admission,
 		backlog:    new(big.Rat),
-		flowSum:    new(big.Rat),
-		wake:       make(chan struct{}, 1),
-		done:       make(chan struct{}),
-		stopped:    make(chan struct{}),
+		// Never nil: restore assigns tenant entries straight into it.
+		tenantBacklog: make(map[string]*big.Rat),
+		wake:          make(chan struct{}, 1),
+		done:          make(chan struct{}),
+		stopped:       make(chan struct{}),
 	}
+	sh.FlowSum = new(big.Rat)
 	if retention != nil && retention.Sign() > 0 {
 		sh.retention = new(big.Rat).Set(retention)
-		sh.lastCompact = new(big.Rat)
+		sh.LastCompact = new(big.Rat)
 	}
 	sh.obs = detachedShardObs()
 	sh.mwf, _ = pol.(*sim.OnlineMWF)
@@ -373,7 +383,7 @@ func (sh *shard) cost(machine, jobID int) (*big.Rat, bool) {
 	if jobID < 0 || jobID >= len(sh.records) || sh.records[jobID] == nil {
 		return nil, false
 	}
-	return new(big.Rat).Mul(sh.records[jobID].size, sh.machines[machine].InverseSpeed), true
+	return new(big.Rat).Mul(sh.records[jobID].Size, sh.machines[machine].InverseSpeed), true
 }
 
 // start launches the shard's scheduling loop. Safe to call once. A remote
@@ -419,7 +429,7 @@ func (sh *shard) close() {
 		}
 		sh.obs.event(obs.EventReject, rec.gid, nil, "shutdown drained the queued job")
 	}
-	sh.shiftBacklog(sh.pending, false)
+	sh.shiftBacklog(false, sh.pending...)
 	sh.pending = nil
 }
 
@@ -445,13 +455,7 @@ func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error)
 	if sh.closed {
 		return 0, nil, ErrClosed
 	}
-	var hosts []int
-	for i := range sh.machines {
-		if sh.machines[i].Hosts(job.Databanks) {
-			hosts = append(hosts, i)
-		}
-	}
-	if len(hosts) == 0 {
+	if !sh.hosts(job.Databanks) {
 		return 0, nil, fmt.Errorf("server: no machine hosts databanks %v", job.Databanks)
 	}
 	// The flow origin is the submission time: queueing delay before the loop
@@ -471,44 +475,42 @@ func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error)
 			return 0, cert, errDeadline
 		}
 	}
-	rec := &jobRecord{
-		id:        len(sh.records),
-		gid:       sh.globalID(len(sh.records)),
-		name:      job.Name,
-		weight:    copyRat(job.Weight),
-		size:      copyRat(job.Size),
-		databanks: job.Databanks,
-		state:     StateQueued,
-		release:   release,
-		deadline:  copyRat(job.Deadline),
-		tenant:    job.Tenant,
-		slaClass:  job.SLAClass,
-	}
-	if rec.name == "" {
-		rec.name = fmt.Sprintf("job-%d", sh.globalID(rec.id))
+	rec := &jobRecord{id: len(sh.records), gid: sh.globalID(len(sh.records)), state: StateQueued, Job: job.Clone()}
+	rec.Release = release
+	if rec.Name == "" {
+		rec.Name = fmt.Sprintf("job-%d", rec.gid)
 	}
 	// Write-ahead: the submission is logged before any shard state changes,
 	// so a crash between the append and the mutation replays the job rather
 	// than losing an acknowledged submission.
-	sh.wal.appendSubmit(sh, rec)
+	if sh.wal != nil {
+		sh.wal.append(walTypeSubmit, &recSubmit{Shard: sh.idx, Local: rec.id, GID: rec.gid, Job: rec.Job.Clone()})
+	}
 	rec.submittedWall = sh.obs.now()
-	sh.records = append(sh.records, rec)
-	sh.pending = append(sh.pending, rec)
-	if rec.tenant != "" {
-		ta := sh.tenantFor(rec.tenant)
-		ta.submitted++
-		ta.byClass[rec.slaClass]++
-	}
-	sh.backlogMu.Lock()
-	sh.backlog.Add(sh.backlog, rec.size)
-	sh.tenantBacklogAdd(rec.tenant, rec.size)
-	sh.backlogMu.Unlock()
-	for _, i := range hosts {
-		sh.eligible[i][rec.id] = true
-	}
-	sh.obs.event(obs.EventSubmit, rec.gid, rec.release, "")
+	sh.enqueue(rec, "")
 	sh.poke()
 	return rec.gid, cert, nil
+}
+
+// enqueue is a job's birth on this shard, the live submission and its WAL
+// replay alike: the record takes the next local slot and joins the pending
+// queue, the tenant's birth counters, the backlog and the eligibility cache,
+// and the journal notes the submission. It reports whether any machine of
+// the shard hosts the job. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) enqueue(rec *jobRecord, note string) bool {
+	sh.records = append(sh.records, rec)
+	sh.pending = append(sh.pending, rec)
+	if rec.Tenant != "" {
+		ta := sh.tenantFor(rec.Tenant)
+		ta.submitted++
+		ta.byClass[rec.SLAClass]++
+	}
+	sh.shiftBacklog(true, rec)
+	hosted := sh.markEligible(rec)
+	sh.obs.event(obs.EventSubmit, rec.gid, rec.Release, note)
+	return hosted
 }
 
 // admissionCheck runs the deadline-feasibility LP for one candidate job
@@ -529,20 +531,15 @@ func (sh *shard) admissionCheck(job model.Job, now *big.Rat) (*model.AdmissionCe
 		return &model.AdmissionCertificate{Mode: sh.admission, Feasible: true}, nil, nil
 	}
 	jobs, deadlines := sh.residualJobs(now)
-	weight := job.Weight
-	if weight == nil {
-		weight = big.NewRat(1, 1)
-	}
 	// The candidate goes last: NewInstance sorts stably by release, every
 	// release equals now, so the candidate keeps the last index.
-	jobs = append(jobs, model.Job{
-		Name:      job.Name,
-		Release:   new(big.Rat).Set(now),
-		Weight:    copyRat(weight),
-		Size:      copyRat(job.Size),
-		Databanks: job.Databanks,
-	})
-	deadlines = append(deadlines, copyRat(job.Deadline))
+	cand := job.Clone()
+	cand.Release = new(big.Rat).Set(now)
+	if cand.Weight == nil {
+		cand.Weight = big.NewRat(1, 1)
+	}
+	jobs = append(jobs, cand)
+	deadlines = append(deadlines, cand.Deadline)
 	k := len(jobs) - 1
 	inst, err := model.NewInstance(jobs, sh.machines)
 	if err != nil {
@@ -592,20 +589,16 @@ func (sh *shard) residualJobs(now *big.Rat) ([]model.Job, []*big.Rat) {
 		if work.Sign() <= 0 {
 			return
 		}
-		jobs = append(jobs, model.Job{
-			Name:      rec.name,
-			Release:   new(big.Rat).Set(now),
-			Weight:    copyRat(rec.weight),
-			Size:      work,
-			Databanks: rec.databanks,
-		})
-		deadlines = append(deadlines, copyRat(rec.deadline))
+		job := rec.Job.Clone()
+		job.Release, job.Size = new(big.Rat).Set(now), work
+		jobs = append(jobs, job)
+		deadlines = append(deadlines, job.Deadline)
 	}
 	for _, rj := range sh.eng.Residual() {
 		add(sh.records[rj.ID], rj.Size, rj.Remaining)
 	}
 	for _, rec := range sh.pending {
-		add(rec, rec.size, rec.remaining)
+		add(rec, rec.Size, rec.remaining)
 	}
 	return jobs, deadlines
 }
@@ -627,14 +620,7 @@ func (sh *shard) checkDeadline(args shardlink.CheckDeadlineArgs) shardlink.Check
 	if sh.lastErr != nil {
 		return shardlink.CheckDeadlineReply{Err: sh.lastErr.Error()}
 	}
-	var hosted bool
-	for i := range sh.machines {
-		if sh.machines[i].Hosts(job.Databanks) {
-			hosted = true
-			break
-		}
-	}
-	if !hosted {
+	if !sh.hosts(job.Databanks) {
 		return shardlink.CheckDeadlineReply{Err: fmt.Sprintf("no machine hosts databanks %v", job.Databanks)}
 	}
 	cert, counter, err := sh.admissionCheck(job, sh.clock.Now())
@@ -662,27 +648,17 @@ func (sh *shard) orphanRecord(rec *jobRecord) {
 
 // adoptRecord creates the destination-side record of a migrated job: a fresh
 // local slot under the original global ID, flow origin, and exact remaining
-// fraction, queued for admission at the shard's next wake-up. counted
+// fraction, queued for admission at the shard's next wake-up (not a birth:
+// no tenant or arrival counter moves, and the backlog shifts per batch). counted
 // migrates with the job, so arrival statistics see each submission exactly
 // once no matter how often it moves. Callers hold sh.mu.
 //
 //divflow:locks requires=shard
 func (sh *shard) adoptRecord(mj *shardlink.MigratedJob) *jobRecord {
 	nrec := &jobRecord{
-		id:        len(sh.records),
-		gid:       mj.GID, // the global ID survives the move
-		name:      mj.Name,
-		weight:    copyRat(mj.Weight),
-		size:      copyRat(mj.Size),
-		databanks: mj.Databanks,
-		state:     StateQueued,
-		release:   copyRat(mj.Release), // flow origin: still the first submission
-		remaining: copyRat(mj.Remaining),
-		deadline:  copyRat(mj.Deadline),
-		tenant:    mj.Tenant,
-		slaClass:  mj.SLAClass,
-		stolen:    true,
-		counted:   mj.Counted,
+		id: len(sh.records), gid: mj.GID, state: StateQueued,
+		Job:       mj.Job.Clone(), // Release included: the flow origin is still the first submission
+		remaining: copyRat(mj.Remaining), stolen: true, counted: mj.Counted,
 	}
 	sh.records = append(sh.records, nrec)
 	sh.pending = append(sh.pending, nrec)
@@ -697,7 +673,7 @@ func (sh *shard) adoptRecord(mj *shardlink.MigratedJob) *jobRecord {
 func (sh *shard) markEligible(rec *jobRecord) bool {
 	hosted := false
 	for i := range sh.machines {
-		if sh.machines[i].Hosts(rec.databanks) {
+		if sh.machines[i].Hosts(rec.Databanks) {
 			sh.eligible[i][rec.id] = true
 			hosted = true
 		}
@@ -706,21 +682,21 @@ func (sh *shard) markEligible(rec *jobRecord) bool {
 }
 
 // shiftBacklog moves the records' sizes into (or out of) the backlog and its
-// per-tenant split in one step under backlogMu: the destination's half of a
-// migration on admit, the donor's on commit, and the shutdown drain. Callers
+// per-tenant split in one step under backlogMu: a birth, the destination's
+// half of a migration on admit, the donor's on commit, and the shutdown drain. Callers
 // hold sh.mu.
 //
 //divflow:locks requires=shard
-func (sh *shard) shiftBacklog(recs []*jobRecord, in bool) {
+func (sh *shard) shiftBacklog(in bool, recs ...*jobRecord) {
 	sh.backlogMu.Lock()
 	defer sh.backlogMu.Unlock()
 	for _, rec := range recs {
 		if in {
-			sh.backlog.Add(sh.backlog, rec.size)
-			sh.tenantBacklogAdd(rec.tenant, rec.size)
+			sh.backlog.Add(sh.backlog, rec.Size)
+			sh.tenantBacklogAdd(rec.Tenant, rec.Size)
 		} else {
-			sh.backlog.Sub(sh.backlog, rec.size)
-			sh.tenantBacklogSub(rec.tenant, rec.size)
+			sh.backlog.Sub(sh.backlog, rec.Size)
+			sh.tenantBacklogSub(rec.Tenant, rec.Size)
 		}
 	}
 }
@@ -878,7 +854,7 @@ func (sh *shard) recoverPanic(r any) {
 	err := fmt.Errorf("server: shard %d: loop panic: %v", sh.idx, r)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.panics++
+	sh.Panics++
 	sh.fail(err)
 	var vt *big.Rat
 	if sh.eng != nil {
@@ -899,14 +875,14 @@ func (sh *shard) free() {
 		return
 	}
 	sh.freed = true
-	sh.frozenNow = sh.eng.Now()
-	sh.frozenCompleted = sh.eng.CompletedCount()
-	sh.frozenDecisions = sh.eng.Decisions()
-	sh.frozenAccepted = len(sh.records) - sh.stolenIn - sh.reshardIn
+	sh.FrozenNow = sh.eng.Now()
+	sh.FrozenCompleted = sh.eng.CompletedCount()
+	sh.FrozenDecisions = sh.eng.Decisions()
+	sh.FrozenAccepted = len(sh.records) - sh.StolenIn - sh.ReshardIn
 	if sh.mwf != nil {
-		sh.frozenSolves = sh.mwf.Solves()
-		sh.frozenCacheHits = sh.mwf.CacheHits()
-		sh.frozenSolver = sh.mwf.SolverTally()
+		sh.FrozenSolves = sh.mwf.Solves()
+		sh.FrozenCacheHits = sh.mwf.CacheHits()
+		sh.FrozenSolver = sh.mwf.SolverTally()
 	}
 	sh.noteMakespan()
 	sh.records = nil
@@ -997,17 +973,17 @@ func (sh *shard) admitAll(now *big.Rat) {
 		if native == 0 {
 			return
 		}
-		sh.arrivalBatches++
-		sh.batchedArrivals += native
-		if native > sh.largestBatch {
-			sh.largestBatch = native
+		sh.ArrivalBatches++
+		sh.BatchedArrivals += native
+		if native > sh.LargestBatch {
+			sh.LargestBatch = native
 		}
 	}
 	for k, rec := range batch {
 		// Stolen jobs carry the unprocessed fraction they arrived with; the
 		// release stays the original submission time in both cases, so flow
 		// and stretch keep measuring from first contact with the service.
-		if err := sh.eng.AddPartial(rec.id, rec.release, rec.weight, rec.size, rec.remaining); err != nil {
+		if err := sh.eng.AddPartial(rec.id, rec.Release, rec.Weight, rec.Size, rec.remaining); err != nil {
 			// Keep the unadmitted tail (failed record included) in pending:
 			// those jobs stay visible to the steal census — another shard can
 			// still rescue them — and to the close() drain, which must mark
@@ -1061,23 +1037,20 @@ func (sh *shard) step(t *big.Rat) bool {
 //
 //divflow:locks requires=shard
 func (sh *shard) recordCompletion(rec *jobRecord) {
-	sh.doneCount++
-	sh.backlogMu.Lock()
-	sh.backlog.Sub(sh.backlog, rec.size)
-	sh.tenantBacklogSub(rec.tenant, rec.size)
-	sh.backlogMu.Unlock()
-	flow := new(big.Rat).Sub(rec.completed, rec.release)
-	sh.flowSum.Add(sh.flowSum, flow)
-	wf := new(big.Rat).Mul(rec.weight, flow)
-	if sh.maxWF == nil || wf.Cmp(sh.maxWF) > 0 {
-		sh.maxWF = wf
+	sh.DoneCount++
+	sh.shiftBacklog(false, rec)
+	flow := new(big.Rat).Sub(rec.completed, rec.Release)
+	sh.FlowSum.Add(sh.FlowSum, flow)
+	wf := new(big.Rat).Mul(rec.Weight, flow)
+	if sh.MaxWF == nil || wf.Cmp(sh.MaxWF) > 0 {
+		sh.MaxWF = wf
 	}
-	st := new(big.Rat).Quo(flow, rec.size)
-	if sh.maxStretch == nil || st.Cmp(sh.maxStretch) > 0 {
-		sh.maxStretch = st
+	st := new(big.Rat).Quo(flow, rec.Size)
+	if sh.MaxStretch == nil || st.Cmp(sh.MaxStretch) > 0 {
+		sh.MaxStretch = st
 	}
-	if rec.tenant != "" {
-		ta := sh.tenantFor(rec.tenant)
+	if rec.Tenant != "" {
+		ta := sh.tenantFor(rec.Tenant)
 		ta.completed++
 		ta.flowSum.Add(ta.flowSum, flow)
 		if ta.maxWF == nil || wf.Cmp(ta.maxWF) > 0 {
@@ -1086,7 +1059,7 @@ func (sh *shard) recordCompletion(rec *jobRecord) {
 		// The per-tenant weighted-flow histogram backs the /v1/tenants P95,
 		// like the shard flow histogram backs the /v1/stats one.
 		wff, _ := wf.Float64()
-		sh.obs.tenantWFlow(rec.tenant).Observe(wff)
+		sh.obs.tenantWFlow(rec.Tenant).Observe(wff)
 	}
 	// The flow histogram is observed unconditionally — it is the backing
 	// store of the /v1/stats P95 estimate, not just an exported metric.
@@ -1110,7 +1083,7 @@ func (sh *shard) compact(now *big.Rat) {
 		return
 	}
 	horizon := new(big.Rat).Sub(now, sh.retention)
-	if horizon.Sign() <= 0 || horizon.Cmp(sh.lastCompact) <= 0 {
+	if horizon.Sign() <= 0 || horizon.Cmp(sh.LastCompact) <= 0 {
 		return
 	}
 	// Fold the pre-compaction makespan into the high-water mark first:
@@ -1118,8 +1091,8 @@ func (sh *shard) compact(now *big.Rat) {
 	// backwards.
 	sh.noteMakespan()
 	sh.wal.appendCompact(sh, now, horizon)
-	sh.lastCompact = horizon
-	before := sh.compactedJobs
+	sh.LastCompact = horizon
+	before := sh.CompactedJobs
 	drop := func(id int) {
 		rec := sh.records[id]
 		// Only the job's *current* owner releases the forwarding entry: a
@@ -1129,7 +1102,7 @@ func (sh *shard) compact(now *big.Rat) {
 			sh.dropForward(rec.gid)
 		}
 		sh.records[id] = nil
-		sh.compactedJobs++
+		sh.CompactedJobs++
 		for i := range sh.eligible {
 			delete(sh.eligible[i], id)
 		}
@@ -1146,7 +1119,7 @@ func (sh *shard) compact(now *big.Rat) {
 		}
 	}
 	sh.migratedIDs = keep
-	if n := sh.compactedJobs - before; n > 0 {
+	if n := sh.CompactedJobs - before; n > 0 {
 		sh.obs.event(obs.EventCompact, -1, horizon, fmt.Sprintf("%d records dropped", n))
 	}
 }
@@ -1157,8 +1130,8 @@ func (sh *shard) compact(now *big.Rat) {
 //divflow:locks requires=shard
 func (sh *shard) noteMakespan() {
 	ms := sh.eng.Schedule().Makespan()
-	if sh.makespanHW == nil || ms.Cmp(sh.makespanHW) > 0 {
-		sh.makespanHW = ms
+	if sh.MakespanHW == nil || ms.Cmp(sh.MakespanHW) > 0 {
+		sh.MakespanHW = ms
 	}
 }
 
@@ -1169,14 +1142,14 @@ func (sh *shard) noteMakespan() {
 //divflow:locks requires=shard
 func (sh *shard) makespan() *big.Rat {
 	if sh.eng == nil {
-		if sh.makespanHW != nil {
-			return new(big.Rat).Set(sh.makespanHW)
+		if sh.MakespanHW != nil {
+			return new(big.Rat).Set(sh.MakespanHW)
 		}
 		return new(big.Rat)
 	}
 	ms := sh.eng.Schedule().Makespan()
-	if sh.makespanHW != nil && sh.makespanHW.Cmp(ms) > 0 {
-		ms = new(big.Rat).Set(sh.makespanHW)
+	if sh.MakespanHW != nil && sh.MakespanHW.Cmp(ms) > 0 {
+		ms = new(big.Rat).Set(sh.MakespanHW)
 	}
 	return ms
 }
@@ -1255,19 +1228,19 @@ func (sh *shard) jobStatus(local, gid int) (st model.JobStatus, known, migrated 
 	}
 	st = model.JobStatus{
 		ID:        rec.gid,
-		Name:      rec.name,
+		Name:      rec.Name,
 		State:     rec.state,
-		Weight:    rec.weight.RatString(),
-		Size:      rec.size.RatString(),
-		Databanks: rec.databanks,
-		Tenant:    rec.tenant,
-		SLAClass:  rec.slaClass,
+		Weight:    rec.Weight.RatString(),
+		Size:      rec.Size.RatString(),
+		Databanks: rec.Databanks,
+		Tenant:    rec.Tenant,
+		SLAClass:  rec.SLAClass,
 	}
-	if rec.deadline != nil {
-		st.Deadline = rec.deadline.RatString()
+	if rec.Deadline != nil {
+		st.Deadline = rec.Deadline.RatString()
 	}
-	if rec.release != nil {
-		st.Release = rec.release.RatString()
+	if rec.Release != nil {
+		st.Release = rec.Release.RatString()
 	}
 	if rec.state == StateScheduled {
 		if rem := sh.eng.Remaining(rec.id); rem != nil {
@@ -1275,13 +1248,13 @@ func (sh *shard) jobStatus(local, gid int) (st model.JobStatus, known, migrated 
 		}
 	}
 	if rec.completed != nil {
-		flow := new(big.Rat).Sub(rec.completed, rec.release)
+		flow := new(big.Rat).Sub(rec.completed, rec.Release)
 		st.CompletedAt = rec.completed.RatString()
 		st.Flow = flow.RatString()
-		st.WeightedFlow = new(big.Rat).Mul(rec.weight, flow).RatString()
-		st.Stretch = new(big.Rat).Quo(flow, rec.size).RatString()
-		if rec.deadline != nil {
-			met := rec.completed.Cmp(rec.deadline) <= 0
+		st.WeightedFlow = new(big.Rat).Mul(rec.Weight, flow).RatString()
+		st.Stretch = new(big.Rat).Quo(flow, rec.Size).RatString()
+		if rec.Deadline != nil {
+			met := rec.completed.Cmp(rec.Deadline) <= 0
 			st.DeadlineMet = &met
 		}
 	}
@@ -1299,7 +1272,7 @@ func (sh *shard) scheduleSnapshot(since *big.Rat) (pieces []schedule.Piece, now,
 	if sh.freed {
 		// A freed tombstone has no trace left; its makespan contribution
 		// survives in the high-water mark.
-		return nil, new(big.Rat).Set(sh.frozenNow), sh.makespan()
+		return nil, new(big.Rat).Set(sh.FrozenNow), sh.makespan()
 	}
 	sched := sh.eng.Schedule()
 	makespan = sh.makespan()
@@ -1334,13 +1307,13 @@ func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 	for i := range sh.machines {
 		names[i] = sh.machines[i].Name
 	}
-	engNow, live, completed, decisions, accepted := sh.frozenNow, 0, sh.frozenCompleted, sh.frozenDecisions, sh.frozenAccepted
+	engNow, live, completed, decisions, accepted := sh.FrozenNow, 0, sh.FrozenCompleted, sh.FrozenDecisions, sh.FrozenAccepted
 	if !sh.freed {
 		engNow = sh.eng.Now()
 		live = sh.eng.Live()
 		completed = sh.eng.CompletedCount()
 		decisions = sh.eng.Decisions()
-		accepted = len(sh.records) - sh.stolenIn - sh.reshardIn
+		accepted = len(sh.records) - sh.StolenIn - sh.ReshardIn
 	}
 	snap := shardlink.StatsSnapshot{
 		Wire: model.ShardStats{
@@ -1356,30 +1329,30 @@ func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 			JobsLive:        live,
 			JobsCompleted:   completed,
 			Events:          decisions,
-			ArrivalBatches:  sh.arrivalBatches,
-			BatchedArrivals: sh.batchedArrivals,
-			LargestBatch:    sh.largestBatch,
-			CompactedJobs:   sh.compactedJobs,
-			StolenJobs:      sh.stolenIn,
-			Migrations:      sh.migratedOut,
-			ReshardedIn:     sh.reshardIn,
-			ReshardedOut:    sh.reshardOut,
+			ArrivalBatches:  sh.ArrivalBatches,
+			BatchedArrivals: sh.BatchedArrivals,
+			LargestBatch:    sh.LargestBatch,
+			CompactedJobs:   sh.CompactedJobs,
+			StolenJobs:      sh.StolenIn,
+			Migrations:      sh.MigratedOut,
+			ReshardedIn:     sh.ReshardIn,
+			ReshardedOut:    sh.ReshardOut,
 			Retired:         sh.retired,
 			Freed:           sh.freed,
 			Backlog:         sh.backlog.RatString(),
 			Stalled:         sh.stalled,
-			Panics:          sh.panics,
-			Restarts:        sh.restarts,
+			Panics:          sh.Panics,
+			Restarts:        sh.Restarts,
 		},
 		Now:       copyRat(engNow),
-		DoneCount: sh.doneCount,
-		FlowSum:   new(big.Rat).Set(sh.flowSum),
+		DoneCount: sh.DoneCount,
+		FlowSum:   new(big.Rat).Set(sh.FlowSum),
 		// Deep copies: these leave the lock (and possibly the process), and
 		// nothing may alias live aggregate state out of it — recordCompletion
 		// happens to replace rather than mutate the maxima today, but the
 		// snapshot must not depend on that staying true.
-		MaxWF:      copyRat(sh.maxWF),
-		MaxStretch: copyRat(sh.maxStretch),
+		MaxWF:      copyRat(sh.MaxWF),
+		MaxStretch: copyRat(sh.MaxStretch),
 		Flow:       sh.obs.flow.Snapshot(),
 	}
 	// Per-tenant accounting: union of the aggregate slots (birth submissions,
@@ -1424,9 +1397,9 @@ func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 		snap.Wire.PlanCacheHits = sh.mwf.CacheHits()
 		snap.Wire.Solver = sh.mwf.SolverTally()
 	} else if sh.freed {
-		snap.Wire.LPSolves = sh.frozenSolves
-		snap.Wire.PlanCacheHits = sh.frozenCacheHits
-		snap.Wire.Solver = sh.frozenSolver
+		snap.Wire.LPSolves = sh.FrozenSolves
+		snap.Wire.PlanCacheHits = sh.FrozenCacheHits
+		snap.Wire.Solver = sh.FrozenSolver
 	}
 	if sh.lastErr != nil {
 		snap.Wire.LastError = sh.lastErr.Error()

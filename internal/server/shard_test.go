@@ -610,13 +610,7 @@ func validateShard(t *testing.T, sh *shard) {
 		if rec == nil {
 			t.Fatalf("shard %d: record %d compacted; validateShard needs full history", sh.idx, i)
 		}
-		jobs[i] = model.Job{
-			Name:      rec.name,
-			Release:   new(big.Rat).Set(rec.release),
-			Weight:    new(big.Rat).Set(rec.weight),
-			Size:      new(big.Rat).Set(rec.size),
-			Databanks: rec.databanks,
-		}
+		jobs[i] = rec.Job.Clone()
 	}
 	pieces := append([]schedule.Piece(nil), sh.eng.Schedule().Pieces...)
 	machines := sh.machines
@@ -675,13 +669,7 @@ func validateServer(t *testing.T, srv *Server) {
 			if rec.stolen {
 				continue // counted at its birth shard
 			}
-			jobs = append(jobs, gidJob{gid: rec.gid, job: model.Job{
-				Name:      rec.name,
-				Release:   new(big.Rat).Set(rec.release),
-				Weight:    new(big.Rat).Set(rec.weight),
-				Size:      new(big.Rat).Set(rec.size),
-				Databanks: rec.databanks,
-			}})
+			jobs = append(jobs, gidJob{gid: rec.gid, job: rec.Job.Clone()})
 		}
 		for k := range sh.eng.Schedule().Pieces {
 			pc := &sh.eng.Schedule().Pieces[k]

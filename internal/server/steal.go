@@ -245,10 +245,10 @@ func (sh *shard) stealCensus(hosts func([]string) bool) []int {
 	}
 	var items []item
 	for _, rec := range sh.pending {
-		if !hosts(rec.databanks) {
+		if !hosts(rec.Databanks) {
 			continue
 		}
-		work := new(big.Rat).Set(rec.size)
+		work := new(big.Rat).Set(rec.Size)
 		if rec.remaining != nil {
 			work.Mul(work, rec.remaining)
 		}
@@ -256,10 +256,10 @@ func (sh *shard) stealCensus(hosts func([]string) bool) []int {
 	}
 	for _, id := range sh.eng.LiveIDs() {
 		rec := sh.records[id]
-		if !hosts(rec.databanks) {
+		if !hosts(rec.Databanks) {
 			continue
 		}
-		work := new(big.Rat).Mul(rec.size, sh.eng.Remaining(id))
+		work := new(big.Rat).Mul(rec.Size, sh.eng.Remaining(id))
 		items = append(items, item{id, work})
 	}
 	if len(items) == 0 {

@@ -113,13 +113,13 @@ type telemetry struct {
 // newTelemetry builds the registry (every family registered up front, so a
 // scrape before the first event still shows the full schema for families with
 // children) and the journal. sink, when non-nil, receives every journaled
-// event as one NDJSON line; bufSize sizes the ring (0 selects the default).
-func newTelemetry(enabled bool, sink io.Writer, bufSize int) *telemetry {
+// event as one NDJSON line.
+func newTelemetry(enabled bool, sink io.Writer) *telemetry {
 	r := obs.NewRegistry()
 	t := &telemetry{
 		enabled: enabled,
 		reg:     r,
-		journal: obs.NewJournal(bufSize, sink),
+		journal: obs.NewJournal(obs.DefJournalCapacity, sink),
 
 		rejections: r.Counter("divflow_rejections_total",
 			"Submissions refused (unparseable, or no machine hosts the databanks).").With(),
@@ -400,10 +400,8 @@ func (s *Server) collectMetrics() {
 		for name, ts := range snap.Tenants {
 			tenantSub[name] += ts.Submitted
 			tenantDone[name] += ts.Completed
-			if ts.Backlog != nil {
-				bf, _ := ts.Backlog.Float64()
-				tenantBack[name] += bf
-			}
+			bf, _ := ts.Backlog.Float64()
+			tenantBack[name] += bf
 		}
 		w := &snap.Wire
 		l := strconv.Itoa(w.Shard)

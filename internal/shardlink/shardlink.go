@@ -195,26 +195,18 @@ type PokeArgs struct{}
 // PokeReply is empty.
 type PokeReply struct{}
 
-// MigratedJob is one job crossing the boundary in a migration: everything
-// the destination needs to adopt it (original global ID, flow origin, exact
-// remaining fraction) plus the donor-side local slot the commit/abort phases
-// key on. The JSON names are the write-ahead log's: the destination logs the
-// adoption message as it received it.
+// MigratedJob is one job crossing the boundary in a migration: the job itself
+// (original flow origin and SLA fields included — a migrated deadline still
+// binds, and tenant accounting follows the work), the global ID it keeps, the
+// exact remaining fraction, plus the donor-side local slot the commit/abort
+// phases key on. The JSON names are the write-ahead log's: the destination
+// logs the adoption message as it received it.
 type MigratedJob struct {
-	FromLocal int      `json:"fromLocal"` // donor-side local slot (reserve bookkeeping)
-	GID       int      `json:"gid"`       // wire-visible global ID; survives the move
-	Name      string   `json:"name,omitempty"`
-	Weight    *big.Rat `json:"weight"`
-	Size      *big.Rat `json:"size"`
-	Release   *big.Rat `json:"release"`             // original submission time: still the flow origin
+	FromLocal int      `json:"fromLocal"`           // donor-side local slot (reserve bookkeeping)
+	GID       int      `json:"gid"`                 // wire-visible global ID; survives the move
 	Remaining *big.Rat `json:"remaining,omitempty"` // exact unprocessed fraction at extraction; nil = whole
-	Databanks []string `json:"databanks,omitempty"`
-	Counted   bool     `json:"counted,omitempty"` // arrival statistics already counted this job somewhere
-	// SLA fields travel with the job: a migrated deadline still binds, and
-	// tenant accounting follows the work.
-	Deadline *big.Rat `json:"deadline,omitempty"` // nil when none
-	Tenant   string   `json:"tenant,omitempty"`
-	SLAClass string   `json:"slaClass,omitempty"`
+	Counted   bool     `json:"counted,omitempty"`   // arrival statistics already counted this job somewhere
+	model.Job
 }
 
 // ExtractArgs opens a migration against a donor shard. The donor reserves

@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"math/big"
 	"testing"
+
+	"divflow/internal/model"
 )
 
 // roundTrip sends v through gob exactly as net/rpc would: encoded from a
@@ -45,7 +47,10 @@ func sameRat(t *testing.T, field string, got, want *big.Rat) {
 func TestMigrationMessagesSurviveGob(t *testing.T) {
 	// A numerator and denominator past 64 bits: exactness is not a float's.
 	huge, _ := new(big.Rat).SetString("123456789012345678901234567890/987654321098765432109876543211")
+	// (2^128+1)/(2^128-1): both halves need a 129th bit.
+	wide, _ := new(big.Rat).SetString("340282366920938463463374607431768211457/340282366920938463463374607431768211455")
 	for name, r := range map[string]*big.Rat{
+		"wide":     wide,
 		"zero":     new(big.Rat),
 		"nil":      nil,
 		"third":    big.NewRat(1, 3),
@@ -53,11 +58,10 @@ func TestMigrationMessagesSurviveGob(t *testing.T) {
 		"huge":     huge,
 	} {
 		t.Run(name, func(t *testing.T) {
-			job := MigratedJob{
-				FromLocal: 4, GID: 9, Name: "blast", Weight: r, Size: r, Release: r, Remaining: r,
-				Databanks: []string{"swissprot", "pdb"}, Counted: true,
+			job := MigratedJob{FromLocal: 4, GID: 9, Remaining: r, Counted: true, Job: model.Job{
+				Name: "blast", Weight: r, Size: r, Release: r, Databanks: []string{"swissprot", "pdb"},
 				Deadline: r, Tenant: "gold", SLAClass: "premium",
-			}
+			}}
 			checkJob := func(msg string, got MigratedJob) {
 				t.Helper()
 				sameRat(t, msg+".Weight", got.Weight, r)
@@ -96,6 +100,28 @@ func TestMigrationMessagesSurviveGob(t *testing.T) {
 			if ri.Err != "stalled" {
 				t.Errorf("RouteInfoReply.Err arrived as %q", ri.Err)
 			}
+
+			// The stats snapshot: the router folds these rationals unguarded
+			// (Server.Stats, TenantStats, collectMetrics), so a zero backlog or
+			// flow sum must not arrive as nil.
+			st := roundTrip(t, StatsSnapshot{
+				Wire: model.ShardStats{Shard: 2, Backlog: "0"}, Now: r, DoneCount: 3,
+				FlowSum: r, MaxWF: r, MaxStretch: r,
+				Tenants: map[string]TenantShardSnapshot{"gold": {
+					Submitted: 2, Completed: 1, Backlog: r, FlowSum: r, MaxWF: r, ByClass: map[string]int{"premium": 2},
+				}},
+			})
+			sameRat(t, "StatsSnapshot.Now", st.Now, r)
+			sameRat(t, "StatsSnapshot.FlowSum", st.FlowSum, r)
+			sameRat(t, "StatsSnapshot.MaxWF", st.MaxWF, r)
+			sameRat(t, "StatsSnapshot.MaxStretch", st.MaxStretch, r)
+			gold, ok := st.Tenants["gold"]
+			if !ok || st.Wire.Shard != 2 || st.DoneCount != 3 || gold.Submitted != 2 || gold.Completed != 1 || gold.ByClass["premium"] != 2 {
+				t.Fatalf("StatsSnapshot arrived as %+v", st)
+			}
+			sameRat(t, "TenantShardSnapshot.Backlog", gold.Backlog, r)
+			sameRat(t, "TenantShardSnapshot.FlowSum", gold.FlowSum, r)
+			sameRat(t, "TenantShardSnapshot.MaxWF", gold.MaxWF, r)
 		})
 	}
 
