@@ -275,7 +275,9 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
@@ -335,4 +337,8 @@ func main() {
 	if err := httpSrv.Serve(lis); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
+	// Serve returns the moment Shutdown closes the listener, while Shutdown
+	// is still waiting for the in-flight handlers: hold the deferred
+	// srv.Close() and the process exit back until they have been answered.
+	<-drained
 }

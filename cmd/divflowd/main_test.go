@@ -5,12 +5,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/big"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -300,5 +303,81 @@ func TestDistributedFleetSmoke(t *testing.T) {
 		if got == nil || got.Cmp(one) != 0 {
 			t.Fatalf("job %d: merged schedule fractions sum to %v, want 1", id, got)
 		}
+	}
+}
+
+// TestShutdownAnswersInflightRequest pins graceful shutdown: a request the
+// daemon is already serving when SIGTERM arrives is answered in full before
+// the process exits. The client sends its headers and half a body, waits for
+// the handler to be reading it, signals, and only then completes the body.
+func TestShutdownAnswersInflightRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the divflowd binary")
+	}
+	bin := buildDivflowd(t)
+	p := startProc(t, bin, "-addr", "127.0.0.1:0", "-platform", "../../testdata/platform.json")
+	line := p.waitLine(t, "serving 3 machines in ")
+	rest := line[strings.Index(line, " shards on ")+len(" shards on "):]
+	addr := strings.TrimSpace(strings.Split(rest, " ")[0])
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(15 * time.Second))
+	const body = `{"size":"1/2","databanks":["swissprot"]}`
+	// Expect: 100-continue makes the server say when the handler has started
+	// reading the body — the request is then in flight, not merely accepted.
+	fmt.Fprintf(conn, "POST /v1/jobs HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\n"+
+		"Content-Length: %d\r\nExpect: 100-continue\r\n\r\n", addr, len(body))
+	br := bufio.NewReader(conn)
+	if status, err := br.ReadString('\n'); err != nil || !strings.Contains(status, "100 Continue") {
+		t.Fatalf("waiting for the handler to read the body: %q, %v", status, err)
+	}
+	if _, err := br.ReadString('\n'); err != nil { // blank line ending the interim response
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte(body[:len(body)/2])); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	p.waitLine(t, "shutting down")
+	// Long enough for a daemon that does not wait for its handlers to be gone;
+	// one that does wait passes however long this is.
+	time.Sleep(300 * time.Millisecond)
+	if _, err := conn.Write([]byte(body[len(body)/2:])); err != nil {
+		t.Fatalf("completing the body after SIGTERM: %v", err)
+	}
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("in-flight request got no response after SIGTERM: %v", err)
+	}
+	answer, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("in-flight response cut short: %v", err)
+	}
+	switch {
+	case resp.StatusCode/100 == 2:
+	case resp.StatusCode == http.StatusServiceUnavailable && strings.Contains(string(answer), `"fleet_closed"`):
+	default:
+		t.Fatalf("in-flight request answered %d %s, want 2xx or a fleet_closed 503", resp.StatusCode, answer)
+	}
+
+	// The child closes stderr when it exits; only then is Wait safe to call.
+	exited := time.After(15 * time.Second)
+	for open := true; open; {
+		select {
+		case _, open = <-p.lines:
+		case <-exited:
+			t.Fatal("daemon still running 15s after answering its last request")
+		}
+	}
+	if err := p.cmd.Wait(); err != nil {
+		t.Fatalf("daemon exit after graceful shutdown: %v", err)
 	}
 }

@@ -233,8 +233,8 @@ func TestTenantFlashCrowdIsolation(t *testing.T) {
 
 // TestAdmissionCertificatesOverRPC runs the strict admission flow with every
 // router↔shard message crossing a loopback net/rpc+gob connection — the same
-// CheckDeadline/Submit message set a -worker fleet answers — and requires
-// bit-identical certificates to the in-process transport.
+// Submit message a -worker fleet answers — and requires bit-identical
+// certificates to the in-process transport.
 func TestAdmissionCertificatesOverRPC(t *testing.T) {
 	vc := NewVirtualClock()
 	srv, err := New(Config{Machines: testFleet(), Clock: vc, Shards: 1,
@@ -251,20 +251,6 @@ func TestAdmissionCertificatesOverRPC(t *testing.T) {
 	}
 	if resp.Admission == nil || resp.Admission.Feasible || resp.Admission.CounterOffer != "9/2" {
 		t.Fatalf("RPC reject certificate = %+v, want infeasible with counter-offer 9/2", resp.Admission)
-	}
-
-	// The typed CheckDeadline message answers the same certificate directly.
-	job, err := (&model.SubmitRequest{Size: "9", Deadline: "1", Databanks: []string{"swissprot"}}).Job()
-	if err != nil {
-		t.Fatal(err)
-	}
-	job.Release = big.NewRat(0, 1)
-	rep, err := srv.active()[0].link.CheckDeadline(shardlink.CheckDeadlineArgs{Job: job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Feasible || rep.CounterOffer == nil || rep.CounterOffer.RatString() != "9/2" {
-		t.Fatalf("CheckDeadline over RPC = %+v, want infeasible with counter-offer 9/2", rep)
 	}
 
 	// Resubmission at the counter-offer is accepted and met, with the whole

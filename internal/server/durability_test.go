@@ -84,6 +84,9 @@ func TestWALCleanShutdownRestoresWithZeroReplay(t *testing.T) {
 	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 2 })
 	want0, _ := srv.jobStatus(0)
 	want1, _ := srv.jobStatus(1)
+	if w := srv.Stats().WAL; w == nil || w.Appends == 0 || w.Error != "" {
+		t.Fatalf("durable run WAL stats = %+v, want appends > 0 and no error", w)
+	}
 	srv.Close()
 
 	srv2, vc2 := reopenServer(t, cfg)

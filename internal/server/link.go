@@ -2,19 +2,17 @@ package server
 
 import (
 	"fmt"
-	"net/rpc"
 
 	"divflow/internal/obs"
 	"divflow/internal/shardlink"
 )
 
 // This file is the server side of the shardlink boundary: the shard-level
-// handlers behind every transport, plus the two Link implementations —
-// localLink (the handlers called directly) and rpcLink (the same handlers
-// behind net/rpc, over a loopback pipe or a worker's TCP socket). The
-// router holds exactly one Link per shard and speaks to the shard only
-// through it; which transport sits behind the Link is invisible above this
-// file.
+// handlers behind every transport, and the router's handle on one shard —
+// link — which either calls those handlers directly or reaches them behind
+// net/rpc (a loopback pipe or a worker's TCP socket). The router holds
+// exactly one link per shard and speaks to the shard only through it; which
+// transport sits behind it is invisible above this file.
 
 // Migration reasons carried in shardlink.AdmitArgs and the WAL.
 const (
@@ -22,25 +20,37 @@ const (
 	migrateReshard = "reshard"
 )
 
-// Operation labels of the divflow_shardlink_calls_total counter and the
-// divflow_shardlink_rpc_seconds histogram.
+// linkOp indexes linkOps, the one listing of the router↔shard operation set.
+type linkOp int
+
 const (
-	opSubmit        = "submit"
-	opCheckDeadline = "check_deadline"
-	opJobStatus     = "job_status"
-	opSchedule      = "schedule"
-	opStats         = "stats"
-	opRouteInfo     = "route_info"
-	opPoke          = "poke"
-	opExtract       = "extract"
-	opAdmit         = "admit"
-	opCommit        = "commit"
-	opAbort         = "abort"
+	opSubmit linkOp = iota
+	opJobStatus
+	opSchedule
+	opStats
+	opRouteInfo
+	opPoke
+	opExtract
+	opAdmit
+	opCommit
+	opAbort
+	numOps
 )
 
-var linkOps = []string{
-	opSubmit, opCheckDeadline, opJobStatus, opSchedule, opStats, opRouteInfo, opPoke,
-	opExtract, opAdmit, opCommit, opAbort,
+// linkOps names each operation twice: the shardRPC method a remote call
+// addresses, and the op label of the divflow_shardlink_calls_total counter
+// and the divflow_shardlink_rpc_seconds histogram.
+var linkOps = [numOps]struct{ method, label string }{
+	opSubmit:    {"Submit", "submit"},
+	opJobStatus: {"JobStatus", "job_status"},
+	opSchedule:  {"Schedule", "schedule"},
+	opStats:     {"Stats", "stats"},
+	opRouteInfo: {"RouteInfo", "route_info"},
+	opPoke:      {"Poke", "poke"},
+	opExtract:   {"ExtractJobs", "extract"},
+	opAdmit:     {"AdmitMigrated", "admit"},
+	opCommit:    {"CommitExtract", "commit"},
+	opAbort:     {"AbortExtract", "abort"},
 }
 
 // ---------------------------------------------------------------------------
@@ -316,12 +326,6 @@ func (r *shardRPC) Submit(args *shardlink.SubmitArgs, reply *shardlink.SubmitRep
 }
 
 //divflow:locks boundary=shardlink
-func (r *shardRPC) CheckDeadline(args *shardlink.CheckDeadlineArgs, reply *shardlink.CheckDeadlineReply) error {
-	*reply = r.sh.checkDeadline(*args)
-	return nil
-}
-
-//divflow:locks boundary=shardlink
 func (r *shardRPC) JobStatus(args *shardlink.JobStatusArgs, reply *shardlink.JobStatusReply) error {
 	st, known, migrated := r.sh.jobStatus(args.Local, args.GID)
 	*reply = shardlink.JobStatusReply{Status: st, Known: known, Migrated: migrated}
@@ -378,179 +382,110 @@ func (r *shardRPC) AbortExtract(args *shardlink.AbortArgs, _ *shardlink.AbortRep
 	return nil
 }
 
-// linkCallCounters prebuilds one transport's counter children, so the hot
-// paths increment an atomic instead of locking the family map per call.
-func linkCallCounters(t *telemetry, transport string) map[string]*obs.Counter {
-	m := make(map[string]*obs.Counter, len(linkOps))
-	for _, op := range linkOps {
-		m[op] = t.linkCalls.With(transport, op)
+// remoteCaller is the remote side of a link, in the one-method shape
+// *rpc.Client already has: whatever stands between the router and a shardRPC
+// service — the loopback pipe, a worker's socket — is a value of it.
+type remoteCaller interface {
+	Call(serviceMethod string, args, reply any) error
+}
+
+// link is the router's handle on one shard: the complete operation set of
+// the router↔shard boundary, safe for concurrent use. In process (remote
+// nil) an operation is the shard's handler run on the caller's goroutine;
+// otherwise it is one net/rpc round trip to the same handler, registered as
+// service svc. Errors are transport failures only — operation-level refusals
+// travel inside the replies (Outcome, Known, Accepted), so the in-process
+// link never constructs an error on the hot path.
+type link struct {
+	h      shardRPC     // in-process handlers; unused on a remote link
+	remote remoteCaller // nil in process
+	svc    string       // registered service name: "Shard<idx>"
+	tel    *telemetry
+	// Prebuilt metric children, read-only after newLink: the hot paths
+	// increment an atomic instead of locking the family map per call. lat is
+	// filled on remote links only.
+	calls [numOps]*obs.Counter
+	lat   [numOps]*obs.Histogram
+}
+
+// newLink builds sh's link. remote nil selects the in-process transport;
+// otherwise the calls go to remote's service svc (the client multiplexes
+// concurrent calls over its single connection).
+func newLink(t *telemetry, sh *shard, remote remoteCaller, svc string) *link {
+	l := &link{h: shardRPC{sh: sh}, remote: remote, svc: svc, tel: t}
+	transport := shardlink.TransportInproc
+	if remote != nil {
+		transport = shardlink.TransportRPC
 	}
-	return m
-}
-
-// localLink is the in-process transport: the shard's handlers called
-// directly, plus the per-transport call counters. It never returns an error.
-type localLink struct {
-	h     shardRPC
-	calls map[string]*obs.Counter // op → prebuilt child; read-only after build
-}
-
-func newLocalLink(t *telemetry, sh *shard) *localLink {
-	return &localLink{h: shardRPC{sh: sh}, calls: linkCallCounters(t, shardlink.TransportInproc)}
-}
-
-// direct is every in-process operation: count it, run the handler on the
-// caller's goroutine.
-func direct[A, R any](l *localLink, op string, handler func(*A, *R) error, args A) (R, error) {
-	l.calls[op].Inc()
-	var rep R
-	err := handler(&args, &rep)
-	return rep, err
-}
-
-func (l *localLink) Submit(args shardlink.SubmitArgs) (shardlink.SubmitReply, error) {
-	return direct(l, opSubmit, l.h.Submit, args)
-}
-
-func (l *localLink) CheckDeadline(args shardlink.CheckDeadlineArgs) (shardlink.CheckDeadlineReply, error) {
-	return direct(l, opCheckDeadline, l.h.CheckDeadline, args)
-}
-
-func (l *localLink) JobStatus(args shardlink.JobStatusArgs) (shardlink.JobStatusReply, error) {
-	return direct(l, opJobStatus, l.h.JobStatus, args)
-}
-
-func (l *localLink) Schedule(args shardlink.ScheduleArgs) (shardlink.ScheduleReply, error) {
-	return direct(l, opSchedule, l.h.Schedule, args)
-}
-
-func (l *localLink) Stats(args shardlink.StatsArgs) (shardlink.StatsSnapshot, error) {
-	return direct(l, opStats, l.h.Stats, args)
-}
-
-func (l *localLink) RouteInfo(args shardlink.RouteInfoArgs) (shardlink.RouteInfoReply, error) {
-	return direct(l, opRouteInfo, l.h.RouteInfo, args)
-}
-
-func (l *localLink) Poke(args shardlink.PokeArgs) error {
-	_, err := direct(l, opPoke, l.h.Poke, args)
-	return err
-}
-
-func (l *localLink) ExtractJobs(args shardlink.ExtractArgs) (shardlink.ExtractReply, error) {
-	return direct(l, opExtract, l.h.ExtractJobs, args)
-}
-
-func (l *localLink) AdmitMigrated(args shardlink.AdmitArgs) (shardlink.AdmitReply, error) {
-	return direct(l, opAdmit, l.h.AdmitMigrated, args)
-}
-
-func (l *localLink) CommitExtract(args shardlink.CommitArgs) error {
-	_, err := direct(l, opCommit, l.h.CommitExtract, args)
-	return err
-}
-
-func (l *localLink) AbortExtract(args shardlink.AbortArgs) error {
-	_, err := direct(l, opAbort, l.h.AbortExtract, args)
-	return err
-}
-
-// rpcLink speaks to a shardRPC service over one net/rpc client — a loopback
-// pipe in Transport="rpc" mode, a worker's TCP socket in -worker fleets. The
-// client multiplexes concurrent calls over the single connection.
-type rpcLink struct {
-	c     *rpc.Client
-	svc   string // registered service name: "Shard<idx>"
-	tel   *telemetry
-	calls map[string]*obs.Counter
-	lat   map[string]*obs.Histogram
-}
-
-func newRPCLink(t *telemetry, c *rpc.Client, svc string) *rpcLink {
-	l := &rpcLink{
-		c:     c,
-		svc:   svc,
-		tel:   t,
-		calls: linkCallCounters(t, shardlink.TransportRPC),
-		lat:   make(map[string]*obs.Histogram, len(linkOps)),
-	}
-	for _, op := range linkOps {
-		l.lat[op] = t.rpcSeconds.With(op)
+	for op, names := range linkOps {
+		l.calls[op] = t.linkCalls.With(transport, names.label)
+		if remote != nil {
+			l.lat[op] = t.rpcSeconds.With(names.label)
+		}
 	}
 	return l
 }
 
-// call is every RPC operation's round trip: counted per transport, timed
-// into the RPC latency histogram (wall clock read only with telemetry on).
-func (l *rpcLink) call(op, method string, args, reply any) error {
+// call is every link operation: counted per transport, then either the
+// handler run directly or the round trip, timed into the RPC latency
+// histogram (wall clock read only with telemetry on).
+func call[A, R any](l *link, op linkOp, handler func(*shardRPC, *A, *R) error, args A) (R, error) {
 	l.calls[op].Inc()
+	var rep R
+	if l.remote == nil {
+		return rep, handler(&l.h, &args, &rep)
+	}
 	start := l.tel.now()
-	err := l.c.Call(l.svc+"."+method, args, reply)
+	err := l.remote.Call(l.svc+"."+linkOps[op].method, &args, &rep)
 	if !start.IsZero() {
 		l.lat[op].Observe(l.tel.sinceSeconds(start))
 	}
+	return rep, err
+}
+
+func (l *link) Submit(args shardlink.SubmitArgs) (shardlink.SubmitReply, error) {
+	return call(l, opSubmit, (*shardRPC).Submit, args)
+}
+
+func (l *link) JobStatus(args shardlink.JobStatusArgs) (shardlink.JobStatusReply, error) {
+	return call(l, opJobStatus, (*shardRPC).JobStatus, args)
+}
+
+func (l *link) Schedule(args shardlink.ScheduleArgs) (shardlink.ScheduleReply, error) {
+	return call(l, opSchedule, (*shardRPC).Schedule, args)
+}
+
+func (l *link) Stats(args shardlink.StatsArgs) (shardlink.StatsSnapshot, error) {
+	return call(l, opStats, (*shardRPC).Stats, args)
+}
+
+func (l *link) RouteInfo(args shardlink.RouteInfoArgs) (shardlink.RouteInfoReply, error) {
+	return call(l, opRouteInfo, (*shardRPC).RouteInfo, args)
+}
+
+func (l *link) Poke(args shardlink.PokeArgs) error {
+	_, err := call(l, opPoke, (*shardRPC).Poke, args)
 	return err
 }
 
-func (l *rpcLink) Submit(args shardlink.SubmitArgs) (shardlink.SubmitReply, error) {
-	var rep shardlink.SubmitReply
-	err := l.call(opSubmit, "Submit", &args, &rep)
-	return rep, err
+// Migration, the only way a job changes shard: the donor extracts and
+// reserves, the destination admits, the donor commits — or aborts and takes
+// the jobs back. Each call runs under one shard's mutex.
+
+func (l *link) ExtractJobs(args shardlink.ExtractArgs) (shardlink.ExtractReply, error) {
+	return call(l, opExtract, (*shardRPC).ExtractJobs, args)
 }
 
-func (l *rpcLink) CheckDeadline(args shardlink.CheckDeadlineArgs) (shardlink.CheckDeadlineReply, error) {
-	var rep shardlink.CheckDeadlineReply
-	err := l.call(opCheckDeadline, "CheckDeadline", &args, &rep)
-	return rep, err
+func (l *link) AdmitMigrated(args shardlink.AdmitArgs) (shardlink.AdmitReply, error) {
+	return call(l, opAdmit, (*shardRPC).AdmitMigrated, args)
 }
 
-func (l *rpcLink) JobStatus(args shardlink.JobStatusArgs) (shardlink.JobStatusReply, error) {
-	var rep shardlink.JobStatusReply
-	err := l.call(opJobStatus, "JobStatus", &args, &rep)
-	return rep, err
+func (l *link) CommitExtract(args shardlink.CommitArgs) error {
+	_, err := call(l, opCommit, (*shardRPC).CommitExtract, args)
+	return err
 }
 
-func (l *rpcLink) Schedule(args shardlink.ScheduleArgs) (shardlink.ScheduleReply, error) {
-	var rep shardlink.ScheduleReply
-	err := l.call(opSchedule, "Schedule", &args, &rep)
-	return rep, err
-}
-
-func (l *rpcLink) Stats(args shardlink.StatsArgs) (shardlink.StatsSnapshot, error) {
-	var rep shardlink.StatsSnapshot
-	err := l.call(opStats, "Stats", &args, &rep)
-	return rep, err
-}
-
-func (l *rpcLink) RouteInfo(args shardlink.RouteInfoArgs) (shardlink.RouteInfoReply, error) {
-	var rep shardlink.RouteInfoReply
-	err := l.call(opRouteInfo, "RouteInfo", &args, &rep)
-	return rep, err
-}
-
-func (l *rpcLink) Poke(args shardlink.PokeArgs) error {
-	var rep shardlink.PokeReply
-	return l.call(opPoke, "Poke", &args, &rep)
-}
-
-func (l *rpcLink) ExtractJobs(args shardlink.ExtractArgs) (shardlink.ExtractReply, error) {
-	var rep shardlink.ExtractReply
-	err := l.call(opExtract, "ExtractJobs", &args, &rep)
-	return rep, err
-}
-
-func (l *rpcLink) AdmitMigrated(args shardlink.AdmitArgs) (shardlink.AdmitReply, error) {
-	var rep shardlink.AdmitReply
-	err := l.call(opAdmit, "AdmitMigrated", &args, &rep)
-	return rep, err
-}
-
-func (l *rpcLink) CommitExtract(args shardlink.CommitArgs) error {
-	var rep shardlink.CommitReply
-	return l.call(opCommit, "CommitExtract", &args, &rep)
-}
-
-func (l *rpcLink) AbortExtract(args shardlink.AbortArgs) error {
-	var rep shardlink.AbortReply
-	return l.call(opAbort, "AbortExtract", &args, &rep)
+func (l *link) AbortExtract(args shardlink.AbortArgs) error {
+	_, err := call(l, opAbort, (*shardRPC).AbortExtract, args)
+	return err
 }

@@ -517,19 +517,17 @@ func (s *Server) wireShard(sh *shard) *shard {
 	// link (registered as a per-shard named service — creation indices never
 	// repeat, reshard-spawned shards included) or the direct in-process one.
 	if sh.link == nil {
+		var remote remoteCaller
+		svc := fmt.Sprintf("Shard%d", sh.idx)
 		if s.transport == shardlink.TransportRPC {
-			svc := fmt.Sprintf("Shard%d", sh.idx)
-			if err := s.rpcSrv.RegisterName(svc, &shardRPC{sh: sh}); err != nil {
-				// Unreachable (shardRPC's method set is fixed and names are
-				// unique); degrade to the in-process link rather than ship a
-				// shard the router cannot reach.
-				sh.link = newLocalLink(s.tel, sh)
-			} else {
-				sh.link = newRPCLink(s.tel, s.rpcClient, svc)
+			// A registration error is unreachable (shardRPC's method set is
+			// fixed and names are unique); degrade to the in-process link
+			// rather than ship a shard the router cannot reach.
+			if err := s.rpcSrv.RegisterName(svc, &shardRPC{sh: sh}); err == nil {
+				remote = s.rpcClient
 			}
-		} else {
-			sh.link = newLocalLink(s.tel, sh)
 		}
+		sh.link = newLink(s.tel, sh, remote, svc)
 	}
 	return sh
 }

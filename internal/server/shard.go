@@ -213,14 +213,14 @@ type shard struct {
 	// link is the router's transport handle on this shard: every piece of
 	// router-side traffic — submits, job reads, trace windows, stats,
 	// routing keys, migrations — crosses the shardlink boundary through it.
-	// In-process shards carry a localLink (straight calls into this struct);
-	// a worker-mode stub carries an rpcLink to the process that really runs
-	// the shard.
-	link shardlink.Link
+	// In-process shards carry a direct link (straight calls into this
+	// struct); a worker-mode stub carries one dialed to the process that
+	// really runs the shard.
+	link *link
 	// remote marks a stub standing in for a shard hosted by a worker
 	// process: its local engine is never started or consulted — the struct
 	// exists only as the topology/identity handle (idx, gid encoding,
-	// machine slice) behind its rpcLink.
+	// machine slice) behind its link.
 	remote bool
 
 	// tenants accumulates per-tenant statistics like the totals' completed-
@@ -601,37 +601,6 @@ func (sh *shard) residualJobs(now *big.Rat) ([]model.Job, []*big.Rat) {
 		add(rec, rec.Size, rec.remaining)
 	}
 	return jobs, deadlines
-}
-
-// checkDeadline answers the standalone feasibility probe (shardlink op
-// check_deadline): the same exact certificate a Submit would compute, with
-// nothing mutated beyond the engine catch-up. The probe runs even under
-// AdmissionOff — asking explicitly overrides the mode.
-func (sh *shard) checkDeadline(args shardlink.CheckDeadlineArgs) shardlink.CheckDeadlineReply {
-	job := args.Job
-	if job.Deadline == nil {
-		return shardlink.CheckDeadlineReply{Err: "job carries no deadline"}
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.retired || sh.closed || sh.freed {
-		return shardlink.CheckDeadlineReply{Err: "shard retired or closed"}
-	}
-	if sh.lastErr != nil {
-		return shardlink.CheckDeadlineReply{Err: sh.lastErr.Error()}
-	}
-	if !sh.hosts(job.Databanks) {
-		return shardlink.CheckDeadlineReply{Err: fmt.Sprintf("no machine hosts databanks %v", job.Databanks)}
-	}
-	cert, counter, err := sh.admissionCheck(job, sh.clock.Now())
-	if err != nil {
-		return shardlink.CheckDeadlineReply{Err: err.Error()}
-	}
-	return shardlink.CheckDeadlineReply{
-		Feasible:     cert.Feasible,
-		CounterOffer: counter,
-		ResidualJobs: cert.ResidualJobs,
-	}
 }
 
 // orphanRecord flips a reserved donor-side record to the migrated state once

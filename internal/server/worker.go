@@ -47,7 +47,7 @@ func (s *Server) dialWorker(sh *shard, addr, policy string) error {
 		return fmt.Errorf("server: install shard %d on worker %s: %w", sh.idx, addr, err)
 	}
 	sh.remote = true
-	sh.link = newRPCLink(s.tel, client, fmt.Sprintf("Shard%d", sh.idx))
+	sh.link = newLink(s.tel, nil, client, fmt.Sprintf("Shard%d", sh.idx))
 	s.rpcConns = append(s.rpcConns, client)
 	return nil
 }

@@ -1,16 +1,16 @@
 // Package shardlink defines the transport-agnostic boundary between the
 // divflowd router and its scheduling shards: every operation the router may
-// ask of a shard, as a typed request/response message pair, plus the Link
-// interface a transport implements. The server package ships two transports
-// pinned equivalent by the trace-exact test suite — an in-process one that
-// calls the shard's handlers directly, and a net/rpc one that runs the same
-// handlers behind a loopback pipe or a worker's socket, serializing every
-// message with gob (exact rationals included: big.Rat gob-encodes
-// losslessly), so a shard can live in another process (divflowd -worker).
+// ask of a shard, as a typed request/response message pair. The server
+// package's link carries them over two transports pinned equivalent by the
+// trace-exact test suite — in process, calling the shard's handlers
+// directly, and net/rpc, running the same handlers behind a loopback pipe or
+// a worker's socket and serializing every message with gob (exact rationals
+// included: big.Rat gob-encodes losslessly), so a shard can live in another
+// process (divflowd -worker).
 //
 // The message set is deliberately closed over wire-safe types: exact
 // rationals (*big.Rat), the model wire structs, schedule pieces, and
-// histogram snapshots all cross process boundaries without rounding. A Link
+// histogram snapshots all cross process boundaries without rounding. A link
 // is pinned to one shard at construction, so a transport handler can address
 // (and lock) only its own shard; a migration names its donor by creation
 // index for the destination's journal alone. The analysis suite enforces
@@ -73,25 +73,6 @@ type SubmitReply struct {
 	Outcome   string
 	Err       string // detail for OutcomeNoHost
 	Admission *model.AdmissionCertificate
-}
-
-// CheckDeadlineArgs is the standalone feasibility probe: would this job,
-// with Job.Deadline, be admissible against the shard's residual workload
-// right now? Nothing is mutated; the reply is the same exact certificate a
-// Submit would produce. Worker fleets answer it over RPC like every other
-// shard-side operation.
-type CheckDeadlineArgs struct {
-	Job model.Job
-}
-
-// CheckDeadlineReply is the probe's certificate. Err reports a refusal to
-// answer (no machine hosts the databanks, shard retired/closed) rather than
-// a transport failure.
-type CheckDeadlineReply struct {
-	Feasible     bool
-	CounterOffer *big.Rat // minimum feasible deadline when infeasible
-	ResidualJobs int      // jobs the feasibility LP covered (candidate included)
-	Err          string
 }
 
 // JobStatusArgs reads one shard-local record by its local slot and the
@@ -288,33 +269,10 @@ type InstallArgs struct {
 	Policy     string
 	Retention  *big.Rat
 	Now        *big.Rat // router clock reading at install: the shared epoch
-	// Admission is the deadline-admission mode the shard runs Submit and
-	// CheckDeadline under ("" defaults to strict).
+	// Admission is the deadline-admission mode the shard runs Submit under
+	// ("" defaults to strict).
 	Admission string
 }
 
 // InstallReply is empty; installation errors travel as RPC errors.
 type InstallReply struct{}
-
-// Link is the router's transport-agnostic handle on one shard: the complete
-// operation set of the router↔shard boundary. Every implementation must be
-// safe for concurrent use. Errors are transport failures only — operation-
-// level refusals travel inside the replies (Outcome, Known, Accepted), so
-// the in-process transport never constructs an error on the hot path.
-type Link interface {
-	Submit(SubmitArgs) (SubmitReply, error)
-	CheckDeadline(CheckDeadlineArgs) (CheckDeadlineReply, error)
-	JobStatus(JobStatusArgs) (JobStatusReply, error)
-	Schedule(ScheduleArgs) (ScheduleReply, error)
-	Stats(StatsArgs) (StatsSnapshot, error)
-	RouteInfo(RouteInfoArgs) (RouteInfoReply, error)
-	Poke(PokeArgs) error
-
-	// Migration, the only way a job changes shard: the donor extracts and
-	// reserves, the destination admits, the donor commits — or aborts and
-	// takes the jobs back. Each call runs under one shard's mutex.
-	ExtractJobs(ExtractArgs) (ExtractReply, error)
-	AdmitMigrated(AdmitArgs) (AdmitReply, error)
-	CommitExtract(CommitArgs) error
-	AbortExtract(AbortArgs) error
-}

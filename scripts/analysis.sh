@@ -6,7 +6,9 @@
 #      (one process, in-memory cross-package facts; any diagnostic fails)
 #   2. vet driver:   go vet -vettool=<built divflowvet> ./...
 #      (the incremental unitchecker protocol with gob vetx fact files —
-#      exercised here so the path users hit locally can never silently rot)
+#      exercised here so the path users hit locally can never silently rot),
+#      then the same over bench/, the benchmark harness: a module of its own
+#      that `./...` here does not reach
 #
 # Usage:
 #
@@ -23,5 +25,6 @@ TOOL="$(mktemp -d)/divflowvet"
 trap 'rm -rf "$(dirname "$TOOL")"' EXIT
 go build -o "$TOOL" ./cmd/divflowvet
 go vet -vettool="$TOOL" ./...
+go vet -C bench -vettool="$TOOL" ./...
 
 echo "analysis clean"
