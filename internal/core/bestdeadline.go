@@ -3,10 +3,9 @@ package core
 import (
 	"fmt"
 	"math/big"
-	"sort"
 
 	"divflow/internal/affine"
-	"divflow/internal/intervals"
+	"divflow/internal/lp"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 )
@@ -23,10 +22,9 @@ import (
 // objective itself. The epochal order of d̄_k against the constant release
 // dates and deadlines changes only where F crosses one of them; between two
 // consecutive crossings the interval structure is fixed, feasibility is
-// monotone in F (a later deadline only loosens System (2)), and a binary
-// search over the crossing ranges — each range solving one feasibility LP,
-// warm-started from the previous range's optimal basis — finds the leftmost
-// feasible range, whose minimal F is the exact global optimum.
+// monotone in F (a later deadline only loosens System (2)), and the search
+// MinMaxWeightedFlow runs (rangeSearch) finds the leftmost feasible crossing
+// range, whose minimal F is the exact global optimum.
 //
 // It returns (nil, nil) when no deadline works: the other jobs' deadlines
 // are themselves infeasible once job k's work is added.
@@ -47,131 +45,39 @@ func BestDeadline(inst *model.Instance, deadlines []*big.Rat, k int, mode schedu
 		}
 	}
 
-	// Epochal times: every release, every fixed deadline, job k's affine
-	// deadline d̄_k(F) = F, and the same horizon DeadlineFeasible uses so
-	// deadline-free jobs always fit after the last release.
+	// Epochal times: the constants DeadlineFeasible uses (releases, the
+	// other jobs' deadlines, the horizon) and job k's affine deadline
+	// d̄_k(F) = F — without it no interval would end at F, and job k could
+	// only run up to the constant epochal time before it.
+	fixed := append([]*big.Rat(nil), deadlines...)
+	fixed[k] = nil
+	consts := epochalConstants(inst, fixed)
 	fk := affine.New(new(big.Rat), big.NewRat(1, 1))
-	var times []affine.Form
-	horizon := new(big.Rat)
-	for j := range inst.Jobs {
-		times = append(times, affine.Const(inst.Jobs[j].Release))
-		if inst.Jobs[j].Release.Cmp(horizon) > 0 {
-			horizon.Set(inst.Jobs[j].Release)
-		}
+	dls := constDeadlines(fixed)
+	dls[k] = &fk
+	times := []affine.Form{fk}
+	for _, c := range consts {
+		times = append(times, affine.Const(c))
 	}
-	span := new(big.Rat)
-	for j := range inst.Jobs {
-		var best *big.Rat
-		for _, i := range inst.EligibleMachines(j) {
-			c, _ := inst.Cost(i, j)
-			if best == nil || c.Cmp(best) < 0 {
-				best = c
-			}
-		}
-		span.Add(span, best)
-	}
-	horizon.Add(horizon, span)
-	dls := make([]*affine.Form, inst.N())
-	for j, d := range deadlines {
-		if j == k {
-			dls[j] = &fk
-			continue
-		}
-		if d != nil {
-			f := affine.Const(d)
-			dls[j] = &f
-			times = append(times, f)
-			if d.Cmp(horizon) > 0 {
-				horizon.Set(d)
-			}
-		}
-	}
-	times = append(times, affine.Const(horizon))
 
 	// Milestones of this search: the values of F where d̄_k(F) = F crosses a
 	// constant epochal time τ, i.e. F = τ. F must exceed job k's release (a
 	// positive-cost job cannot finish at its release), so the candidate
 	// ranges partition (r_k, +∞).
 	rk := inst.Jobs[k].Release
-	seen := make(map[string]bool)
 	var cross []*big.Rat
-	for _, f := range times {
-		if at, ok := fk.Intersection(f); ok && at.Cmp(rk) > 0 {
-			if key := at.RatString(); !seen[key] {
-				seen[key] = true
-				cross = append(cross, at)
-			}
+	for _, c := range consts {
+		if c.Cmp(rk) > 0 {
+			cross = append(cross, c)
 		}
 	}
-	sort.Slice(cross, func(a, b int) bool { return cross[a].Cmp(cross[b]) < 0 })
-	ranges := make([]affine.Range, 0, len(cross)+1)
-	lo := new(big.Rat).Set(rk)
-	for _, m := range cross {
-		ranges = append(ranges, affine.Range{Lo: lo, Hi: m})
-		lo = m
-	}
-	ranges = append(ranges, affine.Range{Lo: lo})
-
-	var warm *rangeSolution
-	solveOne := func(idx int) (*rangeSolution, error) {
-		rg := ranges[idx]
-		ivs := intervals.Build(times, rg.Interior())
-		rl := newRangeLP(inst, mode, ivs, dls, rg)
-		var wb = warm
-		var sol *rangeSolution
-		var err error
-		if wb != nil {
-			sol, err = rl.solveWith(wb.basis, nil)
-		} else {
-			sol, err = rl.solve()
-		}
-		if err != nil {
-			return nil, err
-		}
-		if sol != nil {
-			warm = sol
-		}
-		return sol, nil
-	}
-
-	// Feasibility is monotone in the range index: a feasible F makes every
-	// F' >= F feasible. Binary search the leftmost feasible range.
-	loIdx, hiIdx := 0, len(ranges)-1
-	_, err := solveOne(hiIdx)
-	if err != nil {
+	s := &rangeSearch{inst: inst, mode: mode, times: times, dls: dls,
+		ranges: rangesFrom(rk, sortDistinct(cross)), probe: lp.SolveFloat}
+	// A nil solution: even an unbounded deadline for job k cannot satisfy
+	// the fixed deadlines, so no counter-offer exists.
+	_, _, sol, err := s.leftmost()
+	if err != nil || sol == nil {
 		return nil, err
 	}
-	if warm == nil {
-		// Even an unbounded deadline for job k cannot satisfy the fixed
-		// deadlines: no counter-offer exists.
-		return nil, nil
-	}
-	best := new(big.Rat).Set(warm.F)
-	for loIdx < hiIdx {
-		mid := loIdx + (hiIdx-loIdx)/2
-		sol, err := solveOne(mid)
-		if err != nil {
-			return nil, err
-		}
-		if sol != nil {
-			best.Set(sol.F)
-			hiIdx = mid
-		} else {
-			loIdx = mid + 1
-		}
-	}
-	if loIdx != len(ranges)-1 {
-		// The binary search may finish on a range it never solved (hiIdx
-		// moved down past solved midpoints); re-solve the winning range so
-		// best is its minimum, not a looser range's.
-		sol, err := solveOne(loIdx)
-		if err != nil {
-			return nil, err
-		}
-		if sol == nil {
-			return nil, fmt.Errorf("core: leftmost feasible range %v unexpectedly infeasible", ranges[loIdx])
-		}
-		best.Set(sol.F)
-	}
-	return best, nil
+	return sol.F, nil
 }

@@ -32,42 +32,7 @@ func DeadlineFeasible(inst *model.Instance, deadlines []*big.Rat, mode schedule.
 			return false, nil, nil
 		}
 	}
-	// Epochal times: all release dates and all (finite) deadlines, plus a
-	// horizon H large enough that jobs *without* a deadline always fit
-	// after the last release (H = r_max + Σ_j min_i c_{i,j} covers running
-	// them back to back on their fastest machines). The extra epochal time
-	// only refines the interval decomposition; it never changes
-	// feasibility of System (2).
-	var times []affine.Form
-	horizon := new(big.Rat)
-	for j := range inst.Jobs {
-		times = append(times, affine.Const(inst.Jobs[j].Release))
-		if inst.Jobs[j].Release.Cmp(horizon) > 0 {
-			horizon.Set(inst.Jobs[j].Release)
-		}
-	}
-	span := new(big.Rat)
-	for j := range inst.Jobs {
-		var best *big.Rat
-		for _, i := range inst.EligibleMachines(j) {
-			c, _ := inst.Cost(i, j)
-			if best == nil || c.Cmp(best) < 0 {
-				best = c
-			}
-		}
-		span.Add(span, best)
-	}
-	horizon.Add(horizon, span)
-	for _, d := range deadlines {
-		if d != nil {
-			times = append(times, affine.Const(d))
-			if d.Cmp(horizon) > 0 {
-				horizon.Set(d)
-			}
-		}
-	}
-	times = append(times, affine.Const(horizon))
-	ivs := intervals.Build(times, new(big.Rat))
+	ivs := intervals.FromConstants(epochalConstants(inst, deadlines))
 
 	rl := newRangeLP(inst, mode, ivs, constDeadlines(deadlines), affine.Range{Lo: new(big.Rat), Hi: new(big.Rat)})
 	sol, err := rl.solve()
@@ -82,4 +47,40 @@ func DeadlineFeasible(inst *model.Instance, deadlines []*big.Rat, mode schedule.
 		return false, nil, err
 	}
 	return true, s, nil
+}
+
+// epochalConstants lists the epochal times of System (2): all release dates
+// and all (finite) deadlines, plus a horizon H large enough that jobs
+// *without* a deadline always fit after the last release (H = r_max +
+// Σ_j min_i c_{i,j} covers running them back to back on their fastest
+// machines). The extra epochal time only refines the interval
+// decomposition; it never changes feasibility of System (2).
+func epochalConstants(inst *model.Instance, deadlines []*big.Rat) []*big.Rat {
+	var times []*big.Rat
+	horizon := new(big.Rat)
+	for j := range inst.Jobs {
+		times = append(times, inst.Jobs[j].Release)
+		if inst.Jobs[j].Release.Cmp(horizon) > 0 {
+			horizon.Set(inst.Jobs[j].Release)
+		}
+	}
+	for j := range inst.Jobs {
+		var best *big.Rat
+		for _, i := range inst.EligibleMachines(j) {
+			c, _ := inst.Cost(i, j)
+			if best == nil || c.Cmp(best) < 0 {
+				best = c
+			}
+		}
+		horizon.Add(horizon, best)
+	}
+	for _, d := range deadlines {
+		if d != nil {
+			times = append(times, d)
+			if d.Cmp(horizon) > 0 {
+				horizon.Set(d)
+			}
+		}
+	}
+	return append(times, horizon)
 }

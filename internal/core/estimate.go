@@ -1,11 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
-	"divflow/internal/affine"
-	"divflow/internal/intervals"
 	"divflow/internal/lp"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
@@ -15,13 +12,15 @@ import (
 type Estimate struct {
 	// Objective approximates the optimal max weighted flow.
 	Objective float64
-	// NumMilestones and LPSolves mirror Result.
+	// NumMilestones mirrors Result; LPSolves counts the range LPs solved,
+	// all in float64 unless a probe stalled and the exact engine stood in.
 	NumMilestones int
 	LPSolves      int
 }
 
 // EstimateMinMaxWeightedFlow is the float64 fast path for large instances:
-// milestones and interval structure stay exact (rational), but each range
+// the search MinMaxWeightedFlow runs, stopped before its certifying solve.
+// Milestones and interval structure stay exact (rational), but each range
 // LP is solved with the float64 simplex, and no schedule is extracted. The
 // result approximates the exact optimum to solver tolerance; it exists so
 // the solver can be driven at scales where the exact rational simplex gets
@@ -35,51 +34,20 @@ func EstimateMinMaxWeightedFlow(inst *model.Instance, mode schedule.Model) (*Est
 	}
 	origins := releaseOrigins(inst)
 	ms := milestonesWithOrigins(inst, origins)
-	ranges := ObjectiveRanges(ms)
 	dls := flowDeadlines(inst, origins)
-
-	solveOne := func(k int) (*lp.FloatSolution, error) {
-		rg := ranges[k]
-		var times []affine.Form
-		for j := range inst.Jobs {
-			times = append(times, affine.Const(inst.Jobs[j].Release))
-			times = append(times, *dls[j])
-		}
-		ivs := intervals.Build(times, rg.Interior())
-		rl := newRangeLP(inst, mode, ivs, dls, rg)
-		rl.build()
-		return lp.SolveFloat(rl.prob)
-	}
-
-	lo, hi := 0, len(ranges)-1
-	solves := 0
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		sol, err := solveOne(mid)
-		solves++
-		if err != nil {
-			return nil, err
-		}
-		switch sol.Status {
-		case lp.Optimal:
-			hi = mid
-		case lp.Infeasible:
-			lo = mid + 1
-		default:
-			return nil, fmt.Errorf("core: estimate range LP reported %v", sol.Status)
-		}
-	}
-	sol, err := solveOne(lo)
-	solves++
+	s := &rangeSearch{inst: inst, mode: mode, times: flowTimes(inst, dls), dls: dls,
+		ranges: ObjectiveRanges(ms), probe: lp.SolveFloat}
+	k, err := s.locate()
 	if err != nil {
 		return nil, err
 	}
-	if sol.Status != lp.Optimal {
-		return nil, errors.New("core: final milestone range unexpectedly infeasible (float)")
+	sol := s.float(k)
+	if sol == nil || sol.Status != lp.Optimal {
+		return nil, fmt.Errorf("core: float range LP on %v did not reach an optimum", s.ranges[k])
 	}
 	return &Estimate{
 		Objective:     sol.Objective,
 		NumMilestones: len(ms),
-		LPSolves:      solves,
+		LPSolves:      s.probes + s.solves,
 	}, nil
 }

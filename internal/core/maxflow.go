@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"divflow/internal/affine"
-	"divflow/internal/intervals"
 	"divflow/internal/lp"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
@@ -24,8 +23,12 @@ type Result struct {
 	Range affine.Range
 	// NumMilestones is the number of distinct milestones of the instance.
 	NumMilestones int
-	// LPSolves counts exact LP solves performed (O(log NumMilestones)).
+	// LPSolves counts exact LP solves performed: one when the float probes
+	// located the optimal range, more when the search had to walk.
 	LPSolves int
+	// Probes counts the float range LPs that located that range
+	// (O(log NumMilestones)); none of them is part of the proof.
+	Probes int
 	// Solver tallies the hybrid-engine paths those solves took.
 	Solver stats.SolverTally
 	// Basis is the optimal basis of the final range LP; re-solvers of
@@ -50,9 +53,10 @@ type SolveOptions struct {
 // MinMaxWeightedFlow computes the exact optimal maximum weighted flow in the
 // divisible-load model (Theorem 2): milestones are enumerated, a binary
 // search locates the first milestone range on which LP (3) is feasible, and
-// the LP's minimal F on that range is the global optimum.
+// the LP's minimal F on that range is the global optimum. The search probes
+// in float64 and certifies with one exact solve (see rangeSearch).
 func MinMaxWeightedFlow(inst *model.Instance) (*Result, error) {
-	return minMaxWeightedFlow(inst, nil, schedule.Divisible, nil)
+	return minMaxWeightedFlow(inst, nil, schedule.Divisible, nil, lp.SolveFloat)
 }
 
 // MinMaxWeightedFlowPreemptive computes the exact optimal maximum weighted
@@ -60,7 +64,7 @@ func MinMaxWeightedFlow(inst *model.Instance) (*Result, error) {
 // LP gains the per-job per-interval bound (5b), and the schedule is rebuilt
 // with the Lawler–Labetoulle decomposition.
 func MinMaxWeightedFlowPreemptive(inst *model.Instance) (*Result, error) {
-	return minMaxWeightedFlow(inst, nil, schedule.Preemptive, nil)
+	return minMaxWeightedFlow(inst, nil, schedule.Preemptive, nil, lp.SolveFloat)
 }
 
 // MinMaxWeightedFlowWithOrigins solves the same problem with each job's
@@ -84,10 +88,10 @@ func MinMaxWeightedFlowWithOptions(inst *model.Instance, origins []*big.Rat, mod
 			return nil, fmt.Errorf("core: origin of job %d must exist and precede its release", j)
 		}
 	}
-	return minMaxWeightedFlow(inst, origins, mode, opts)
+	return minMaxWeightedFlow(inst, origins, mode, opts, lp.SolveFloat)
 }
 
-func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.Model, opts *SolveOptions) (*Result, error) {
+func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.Model, opts *SolveOptions, probe probeFunc) (*Result, error) {
 	start := nowFunc()
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -100,64 +104,42 @@ func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.
 		warm = opts.Warm
 	}
 	ms := milestonesWithOrigins(inst, origins)
-	ranges := ObjectiveRanges(ms)
 	dls := flowDeadlines(inst, origins)
-
-	var tally stats.SolverTally
-	solveOne := func(k int) (*rangeLP, *rangeSolution, error) {
-		rg := ranges[k]
-		var times []affine.Form
-		for j := range inst.Jobs {
-			times = append(times, affine.Const(inst.Jobs[j].Release))
-			times = append(times, *dls[j])
-		}
-		ivs := intervals.Build(times, rg.Interior())
-		rl := newRangeLP(inst, mode, ivs, dls, rg)
-		sol, err := rl.solveWith(warm, &tally)
-		return rl, sol, err
-	}
-
-	// Feasibility of a range is monotone in its index: if some F is
-	// feasible then every F' >= F is (deadlines only loosen). Binary
-	// search for the leftmost feasible range; the last range is always
-	// feasible because every job can run somewhere.
-	lo, hi := 0, len(ranges)-1
-	solves := 0
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		_, sol, err := solveOne(mid)
-		solves++
-		if err != nil {
-			return nil, err
-		}
-		if sol != nil {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	rl, sol, err := solveOne(lo)
-	solves++
+	// The last range is always feasible: every job can run somewhere.
+	s := &rangeSearch{inst: inst, mode: mode, times: flowTimes(inst, dls), dls: dls,
+		ranges: ObjectiveRanges(ms), warm: warm, probe: probe}
+	k, rl, sol, err := s.leftmost()
 	if err != nil {
 		return nil, err
 	}
 	if sol == nil {
 		return nil, errors.New("core: final milestone range unexpectedly infeasible")
 	}
-	s, err := rl.extract(sol)
+	sched, err := rl.extract(sol)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
 		Objective:     sol.F,
-		Schedule:      s,
-		Range:         ranges[lo],
+		Schedule:      sched,
+		Range:         s.ranges[k],
 		NumMilestones: len(ms),
-		LPSolves:      solves,
-		Solver:        tally,
+		LPSolves:      s.solves,
+		Probes:        s.probes,
+		Solver:        s.tally,
 		Basis:         sol.basis,
 		Wall:          nowFunc().Sub(start),
 	}, nil
+}
+
+// flowTimes lists the epochal times of LP (3): every release date and every
+// deadline form.
+func flowTimes(inst *model.Instance, dls []*affine.Form) []affine.Form {
+	times := make([]affine.Form, 0, 2*inst.N())
+	for j := range inst.Jobs {
+		times = append(times, affine.Const(inst.Jobs[j].Release), *dls[j])
+	}
+	return times
 }
 
 // ApproxResult is the outcome of the ε-precision binary search baseline.

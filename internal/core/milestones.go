@@ -25,42 +25,49 @@ func Milestones(inst *model.Instance) []*big.Rat {
 // instance's uniform release date).
 func milestonesWithOrigins(inst *model.Instance, origins []*big.Rat) []*big.Rat {
 	n := inst.N()
-	seen := make(map[string]bool)
 	var out []*big.Rat
 	add := func(f *big.Rat) {
-		if f.Sign() <= 0 {
-			return
+		if f.Sign() > 0 {
+			out = append(out, f)
 		}
-		key := f.RatString()
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		out = append(out, f)
 	}
-	for j := 0; j < n; j++ {
-		dj := affine.New(origins[j], new(big.Rat).Inv(inst.Jobs[j].Weight))
+	dls := flowDeadlines(inst, origins)
+	rels := make([]affine.Form, n)
+	for k := range rels {
+		rels[k] = affine.Const(inst.Jobs[k].Release)
+	}
+	for j, dj := range dls {
 		// Deadline j crosses release k: o_j + F/w_j = r_k. The k == j case
 		// matters only when the origin precedes the release (online
 		// residual solves): there d̄_j crosses its own release at
 		// F = w_j (r_j − o_j) > 0; in the plain problem o_j = r_j gives
 		// F = 0, which is discarded.
-		for k := 0; k < n; k++ {
-			rk := affine.Const(inst.Jobs[k].Release)
+		for _, rk := range rels {
 			if f, ok := dj.Intersection(rk); ok {
 				add(f)
 			}
 		}
 		// Deadline j crosses deadline k (affine forms intersect at most
 		// once; parallel when w_j == w_k).
-		for k := j + 1; k < n; k++ {
-			dk := affine.New(origins[k], new(big.Rat).Inv(inst.Jobs[k].Weight))
-			if f, ok := dj.Intersection(dk); ok {
+		for _, dk := range dls[j+1:] {
+			if f, ok := dj.Intersection(*dk); ok {
 				add(f)
 			}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Cmp(out[b]) < 0 })
+	return sortDistinct(out)
+}
+
+// sortDistinct sorts the values in increasing order and drops duplicates,
+// in place.
+func sortDistinct(vals []*big.Rat) []*big.Rat {
+	sort.Slice(vals, func(a, b int) bool { return vals[a].Cmp(vals[b]) < 0 })
+	out := vals[:0]
+	for _, v := range vals {
+		if len(out) == 0 || v.Cmp(out[len(out)-1]) != 0 {
+			out = append(out, v)
+		}
+	}
 	return out
 }
 
@@ -68,12 +75,16 @@ func milestonesWithOrigins(inst *model.Instance, origins []*big.Rat) []*big.Rat 
 // candidate search ranges [0, F_1], [F_1, F_2], ..., [F_nq, +∞). With no
 // milestone the single range [0, +∞) covers everything.
 func ObjectiveRanges(milestones []*big.Rat) []affine.Range {
-	lo := new(big.Rat)
-	out := make([]affine.Range, 0, len(milestones)+1)
-	for _, m := range milestones {
-		out = append(out, affine.Range{Lo: lo, Hi: m})
-		lo = m
+	return rangesFrom(new(big.Rat), milestones)
+}
+
+// rangesFrom turns sorted, distinct critical values above lo into the
+// candidate ranges [lo, c_1], [c_1, c_2], ..., [c_n, +∞).
+func rangesFrom(lo *big.Rat, critical []*big.Rat) []affine.Range {
+	out := make([]affine.Range, 0, len(critical)+1)
+	for _, c := range critical {
+		out = append(out, affine.Range{Lo: lo, Hi: c})
+		lo = c
 	}
-	out = append(out, affine.Range{Lo: lo})
-	return out
+	return append(out, affine.Range{Lo: lo})
 }

@@ -86,10 +86,20 @@ func (r *rangeLP) build() {
 	n, m := r.inst.N(), r.inst.M()
 	r.prob = lp.NewProblem()
 	one := big.NewRat(1, 1)
+	// Only F is named: names are read by Problem.Dump alone, and formatting
+	// one per fraction variable and row costs more than adding them.
 	r.fCol = r.prob.AddVar("F", one)
 
+	// A job's deadline at the range's interior point is the same for every
+	// interval: evaluate it once, not once per (interval, job) pair.
+	dlAt := make([]*big.Rat, n)
+	for j, dl := range r.dls {
+		if dl != nil {
+			dlAt[j] = dl.Eval(r.at)
+		}
+	}
 	r.cols = make([][][]int, len(r.ivs))
-	for t := range r.ivs {
+	for t, iv := range r.ivs {
 		r.cols[t] = make([][]int, m)
 		for i := 0; i < m; i++ {
 			r.cols[t][i] = make([]int, n)
@@ -97,24 +107,24 @@ func (r *rangeLP) build() {
 				r.cols[t][i][j] = -1
 			}
 		}
+		lo, hi := iv.Lo.Eval(r.at), iv.Hi.Eval(r.at)
 		for j := 0; j < n; j++ {
-			rel := affine.Const(r.inst.Jobs[j].Release)
-			if !intervals.JobActive(rel, r.dls[j], r.ivs[t], r.at) {
+			if !intervals.JobActive(r.inst.Jobs[j].Release, dlAt[j], lo, hi) {
 				continue
 			}
 			for i := 0; i < m; i++ {
 				if !r.inst.CanRun(i, j) {
 					continue
 				}
-				r.cols[t][i][j] = r.prob.AddVar(fmt.Sprintf("a_%d_%d_%d", t, i, j), nil)
+				r.cols[t][i][j] = r.prob.AddVar("", nil)
 			}
 		}
 	}
 
 	// Objective range: F in [Lo, Hi].
-	r.prob.AddRow("F>=lo", []lp.Term{{Col: r.fCol, Coef: one}}, lp.GE, r.rg.Lo)
+	r.prob.AddRow("", []lp.Term{{Col: r.fCol, Coef: one}}, lp.GE, r.rg.Lo)
 	if r.rg.Hi != nil {
-		r.prob.AddRow("F<=hi", []lp.Term{{Col: r.fCol, Coef: one}}, lp.LE, r.rg.Hi)
+		r.prob.AddRow("", []lp.Term{{Col: r.fCol, Coef: one}}, lp.LE, r.rg.Hi)
 	}
 
 	// Capacity rows (1b)/(2c)/(3d)/(5c): for each interval and machine,
@@ -136,7 +146,7 @@ func (r *rangeLP) build() {
 			if negB.Sign() != 0 {
 				terms = append(terms, lp.Term{Col: r.fCol, Coef: negB})
 			}
-			r.prob.AddRow(fmt.Sprintf("cap_%d_%d", t, i), terms, lp.LE, length.A)
+			r.prob.AddRow("", terms, lp.LE, length.A)
 		}
 		// Preemptive-only rows (5b): for each interval and job,
 		// Σ_i α c_{i,j} <= |I_t|.
@@ -157,7 +167,7 @@ func (r *rangeLP) build() {
 			if negB.Sign() != 0 {
 				terms = append(terms, lp.Term{Col: r.fCol, Coef: negB})
 			}
-			r.prob.AddRow(fmt.Sprintf("job_%d_%d", t, j), terms, lp.LE, length.A)
+			r.prob.AddRow("", terms, lp.LE, length.A)
 		}
 	}
 
@@ -171,7 +181,7 @@ func (r *rangeLP) build() {
 				}
 			}
 		}
-		r.prob.AddRow(fmt.Sprintf("done_%d", j), terms, lp.EQ, one)
+		r.prob.AddRow("", terms, lp.EQ, one)
 	}
 }
 

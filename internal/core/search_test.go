@@ -1,0 +1,380 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/big"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"divflow/internal/affine"
+	"divflow/internal/intervals"
+	"divflow/internal/lp"
+	"divflow/internal/model"
+	"divflow/internal/schedule"
+	"divflow/internal/workload"
+)
+
+// referenceResult is what the all-exact bisection returns.
+type referenceResult struct {
+	k      int
+	sol    *rangeSolution
+	sched  *schedule.Schedule
+	solves int
+}
+
+// referenceMWF is the search minMaxWeightedFlow ran before it located with
+// float probes: a bisection whose every step is a full exact solve of the
+// range LP, and a final exact solve of the leftmost feasible range. It is
+// the reference the shared rangeSearch is compared against.
+func referenceMWF(t *testing.T, inst *model.Instance, origins []*big.Rat, mode schedule.Model, warm *lp.Basis) referenceResult {
+	t.Helper()
+	ranges := ObjectiveRanges(milestonesWithOrigins(inst, origins))
+	dls := flowDeadlines(inst, origins)
+	solves := 0
+	solveOne := func(k int) (*rangeLP, *rangeSolution) {
+		rg := ranges[k]
+		rl := newRangeLP(inst, mode, intervals.Build(flowTimes(inst, dls), rg.Interior()), dls, rg)
+		sol, err := rl.solveWith(warm, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solves++
+		return rl, sol
+	}
+	lo, hi := 0, len(ranges)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if _, sol := solveOne(mid); sol != nil {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	rl, sol := solveOne(lo)
+	if sol == nil {
+		t.Fatal("reference: final milestone range infeasible")
+	}
+	sched, err := rl.extract(sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return referenceResult{k: lo, sol: sol, sched: sched, solves: solves}
+}
+
+// sameAsReference requires the bit-identical outcome: objective, range,
+// every schedule piece and the optimal basis.
+func sameAsReference(t *testing.T, label string, got *Result, want referenceResult, ranges []affine.Range) {
+	t.Helper()
+	if got.Objective.Cmp(want.sol.F) != 0 {
+		t.Fatalf("%s: objective %v, reference %v", label, got.Objective, want.sol.F)
+	}
+	if rg := ranges[want.k]; got.Range.Lo.Cmp(rg.Lo) != 0 || (got.Range.Hi == nil) != (rg.Hi == nil) ||
+		(rg.Hi != nil && got.Range.Hi.Cmp(rg.Hi) != 0) {
+		t.Fatalf("%s: range %v, reference %v", label, got.Range, rg)
+	}
+	if !reflect.DeepEqual(got.Basis, want.sol.basis) {
+		t.Fatalf("%s: basis %+v, reference %+v", label, got.Basis, want.sol.basis)
+	}
+	if len(got.Schedule.Pieces) != len(want.sched.Pieces) {
+		t.Fatalf("%s: %d schedule pieces, reference %d", label, len(got.Schedule.Pieces), len(want.sched.Pieces))
+	}
+	for i, p := range got.Schedule.Pieces {
+		q := want.sched.Pieces[i]
+		if p.Machine != q.Machine || p.Job != q.Job || p.Start.Cmp(q.Start) != 0 ||
+			p.End.Cmp(q.End) != 0 || p.Fraction.Cmp(q.Fraction) != 0 {
+			t.Fatalf("%s: piece %d = %+v, reference %+v", label, i, p, q)
+		}
+	}
+}
+
+// The probes a search can be handed. honest is the production one.
+var (
+	honestProbe probeFunc = lp.SolveFloat
+	// rightProbe is never wrong: it asks the exact engine.
+	rightProbe probeFunc = func(p *lp.Problem) (*lp.FloatSolution, error) {
+		sol, err := lp.SolveHybrid(p)
+		if err != nil {
+			return nil, err
+		}
+		return &lp.FloatSolution{Status: sol.Status}, nil
+	}
+	// lyingProbe is never right: it reports the opposite of the truth.
+	lyingProbe probeFunc = func(p *lp.Problem) (*lp.FloatSolution, error) {
+		sol, err := lp.SolveHybrid(p)
+		if err != nil {
+			return nil, err
+		}
+		if sol.Status == lp.Optimal {
+			return &lp.FloatSolution{Status: lp.Infeasible}, nil
+		}
+		return &lp.FloatSolution{Status: lp.Optimal}, nil
+	}
+	// stalledProbe never answers.
+	stalledProbe probeFunc = func(*lp.Problem) (*lp.FloatSolution, error) {
+		return nil, errors.New("float simplex stalled")
+	}
+)
+
+// searchCase is one instance of the differential suite.
+type searchCase struct {
+	label   string
+	inst    *model.Instance
+	origins []*big.Rat
+}
+
+// searchCases generates the seeded instances: uniform and unrelated costs,
+// equal and stretch weights, and the online residual shape (every job
+// released together, flow origins before that).
+func searchCases(t *testing.T) []searchCase {
+	t.Helper()
+	var out []searchCase
+	for seed := int64(0); seed < 10; seed++ {
+		cfg := workload.Default()
+		cfg.Seed = seed
+		cfg.Jobs = 3 + int(seed%4)
+		cfg.Unrelated = seed%2 == 1
+		inst := workload.MustGenerate(cfg)
+		label := fmt.Sprintf("seed %d", seed)
+		if seed%3 != 0 {
+			inst.WeightsForStretch()
+			label += " stretch-weights"
+		} else {
+			label += " equal-weights"
+		}
+		if cfg.Unrelated {
+			label += " unrelated"
+		}
+		out = append(out, searchCase{label, inst, releaseOrigins(inst)})
+
+		// The residual an online re-solve sees: everything already
+		// released, each job's flow running since its original arrival.
+		rng := rand.New(rand.NewSource(seed))
+		cfg.MeanInterarrival = 0
+		res := workload.MustGenerate(cfg)
+		if seed%3 != 0 {
+			res.WeightsForStretch()
+		}
+		origins := make([]*big.Rat, res.N())
+		for j := range origins {
+			origins[j] = new(big.Rat).Sub(res.Jobs[j].Release, big.NewRat(int64(rng.Intn(12)), int64(1+rng.Intn(3))))
+		}
+		out = append(out, searchCase{label + " residual", res, origins})
+	}
+	return out
+}
+
+// TestRangeSearchMatchesReference is the differential test: over seeded
+// random instances and both execution models, the locate-then-certify search
+// returns what the all-exact bisection returns, bit for bit, under every
+// probe — and the honest probe never costs more exact solves than the
+// reference spent.
+func TestRangeSearchMatchesReference(t *testing.T) {
+	probes := []struct {
+		name  string
+		probe probeFunc
+	}{{"honest", honestProbe}, {"right", rightProbe}, {"lying", lyingProbe}, {"stalled", stalledProbe}}
+	for _, tc := range searchCases(t) {
+		for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
+			want := referenceMWF(t, tc.inst, tc.origins, mode, nil)
+			ranges := ObjectiveRanges(milestonesWithOrigins(tc.inst, tc.origins))
+			for _, p := range probes {
+				label := fmt.Sprintf("%s, %v, %s probe", tc.label, mode, p.name)
+				got, err := minMaxWeightedFlow(tc.inst, tc.origins, mode, nil, p.probe)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				sameAsReference(t, label, got, want, ranges)
+				switch p.name {
+				case "honest":
+					if got.LPSolves > want.solves {
+						t.Errorf("%s: %d exact solves, the reference needed %d", label, got.LPSolves, want.solves)
+					}
+				case "right":
+					// One proof, or two when the optimum sits on a milestone.
+					if got.LPSolves > 2 {
+						t.Errorf("%s: %d exact solves behind a probe that is never wrong", label, got.LPSolves)
+					}
+				case "stalled":
+					if got.Probes == 0 || got.LPSolves != want.solves {
+						t.Errorf("%s: %d probes, %d exact solves; want the reference's %d solves, one per unanswered probe plus the proof",
+							label, got.Probes, got.LPSolves, want.solves)
+					}
+				}
+			}
+			// A warm basis reaches the certifying solve exactly as it
+			// reached the reference's last solve.
+			warmWant := referenceMWF(t, tc.inst, tc.origins, mode, want.sol.basis)
+			warmGot, err := minMaxWeightedFlow(tc.inst, tc.origins, mode, &SolveOptions{Warm: want.sol.basis}, honestProbe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAsReference(t, tc.label+" warm", warmGot, warmWant, ranges)
+			if warmGot.Solver.WarmHits == 0 {
+				t.Errorf("%s, %v: the optimal basis handed back as a warm start was not taken (%+v)", tc.label, mode, warmGot.Solver)
+			}
+		}
+	}
+}
+
+// TestRangeSearchCertifyFromAnywhere starts the certifying walk at every
+// range in turn: whatever the probes had pointed at, the proof ends on the
+// reference's range with the reference's optimum.
+func TestRangeSearchCertifyFromAnywhere(t *testing.T) {
+	for _, tc := range searchCases(t)[:8] {
+		want := referenceMWF(t, tc.inst, tc.origins, schedule.Divisible, nil)
+		dls := flowDeadlines(tc.inst, tc.origins)
+		ranges := ObjectiveRanges(milestonesWithOrigins(tc.inst, tc.origins))
+		for start := range ranges {
+			s := &rangeSearch{inst: tc.inst, mode: schedule.Divisible, times: flowTimes(tc.inst, dls),
+				dls: dls, ranges: ranges, probe: honestProbe}
+			k, _, sol, err := s.certify(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol == nil || k != want.k || sol.F.Cmp(want.sol.F) != 0 {
+				t.Fatalf("%s: certify from range %d ended on range %d, want range %d with F = %v",
+					tc.label, start, k, want.k, want.sol.F)
+			}
+		}
+	}
+}
+
+// TestRangeSearchOptimumOnMilestone builds instances whose optimum lands
+// exactly on a milestone: on one unit machine job A (released at 0, size s,
+// weight w) alone sets F* = w·s, and job B is released exactly when A ends,
+// so d̄_A crosses r_B at F = w·s too. The range above that milestone is
+// feasible with its minimum on its lower end — the one case where an exact
+// solve proves nothing about the ranges below and the search must walk left.
+func TestRangeSearchOptimumOnMilestone(t *testing.T) {
+	for _, tc := range []struct{ size, weight *big.Rat }{
+		{r(2, 1), r(1, 1)}, {r(3, 2), r(2, 1)}, {r(5, 1), r(1, 3)}, {r(7, 3), r(3, 2)},
+	} {
+		inst := oneMachine(t, []model.Job{
+			{Name: "A", Release: r(0, 1), Weight: tc.weight, Size: tc.size},
+			{Name: "B", Release: tc.size, Weight: r(1, 100), Size: r(1, 1)},
+		})
+		fstar := new(big.Rat).Mul(tc.weight, tc.size)
+		origins := releaseOrigins(inst)
+		want := referenceMWF(t, inst, origins, schedule.Divisible, nil)
+		ranges := ObjectiveRanges(milestonesWithOrigins(inst, origins))
+		if want.sol.F.Cmp(fstar) != 0 || ranges[want.k].Hi == nil || ranges[want.k].Hi.Cmp(fstar) != 0 {
+			t.Fatalf("size %v weight %v: reference found F = %v on %v, want %v at the range's upper end",
+				tc.size, tc.weight, want.sol.F, ranges[want.k], fstar)
+		}
+		for _, probe := range []probeFunc{honestProbe, rightProbe, lyingProbe, stalledProbe} {
+			got, err := minMaxWeightedFlow(inst, origins, schedule.Divisible, nil, probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAsReference(t, "optimum on milestone", got, want, ranges)
+		}
+		// Started on the range whose lower end is F*, the walk goes left.
+		dls := flowDeadlines(inst, origins)
+		s := &rangeSearch{inst: inst, mode: schedule.Divisible, times: flowTimes(inst, dls),
+			dls: dls, ranges: ranges, probe: honestProbe}
+		k, _, sol, err := s.certify(want.k + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k != want.k || sol.F.Cmp(fstar) != 0 || s.solves != 2 {
+			t.Errorf("certify from the range above the milestone: range %d, F = %v after %d solves; want range %d, %v, 2",
+				k, sol.F, s.solves, want.k, fstar)
+		}
+	}
+}
+
+// TestBestDeadlineReturnsTheMinimum pins the repro of the missing epochal
+// time: job k's own deadline form delimits an interval, so its counter-offer
+// is not snapped up to the next constant epochal time.
+func TestBestDeadlineReturnsTheMinimum(t *testing.T) {
+	inst := oneMachine(t, []model.Job{
+		{Name: "A", Release: r(0, 1), Weight: r(1, 1), Size: r(1, 1)},
+		{Name: "K", Release: r(0, 1), Weight: r(1, 1), Size: r(1, 1)},
+	})
+	got, err := BestDeadline(inst, []*big.Rat{r(10, 1), nil}, 1, schedule.Divisible)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == nil || got.Cmp(r(1, 1)) != 0 {
+		t.Errorf("BestDeadline = %v, want 1 (K runs first, A still ends by 10)", got)
+	}
+}
+
+// TestBestDeadlineBracketedByFeasibility checks BestDeadline against the
+// decision procedure it optimizes over: the instance is feasible with job k
+// due at the answer, and infeasible with it due 999/1000 of the way down
+// from the answer to r_k.
+func TestBestDeadlineBracketedByFeasibility(t *testing.T) {
+	almost := r(999, 1000)
+	for seed := int64(0); seed < 12; seed++ {
+		cfg := workload.Default()
+		cfg.Seed = seed
+		cfg.Jobs = 3 + int(seed%4)
+		cfg.Unrelated = seed%2 == 1
+		inst := workload.MustGenerate(cfg)
+		mode := schedule.Divisible
+		if seed%3 == 2 {
+			mode = schedule.Preemptive
+		}
+		// Deadlines an optimal schedule meets with a fifth to spare; every
+		// third job has none.
+		opt, err := minMaxWeightedFlow(inst, nil, mode, nil, honestProbe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadlines := make([]*big.Rat, inst.N())
+		for j := range deadlines {
+			if j%3 == 2 {
+				continue
+			}
+			d := new(big.Rat).Quo(opt.Objective, inst.Jobs[j].Weight)
+			d.Mul(d, r(6, 5))
+			deadlines[j] = d.Add(d, inst.Jobs[j].Release)
+		}
+		for k := range inst.Jobs {
+			best, err := BestDeadline(inst, deadlines, k, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if best == nil {
+				t.Fatalf("seed %d job %d: no counter-offer although the other deadlines are loose", seed, k)
+			}
+			with := func(d *big.Rat) bool {
+				dls := append([]*big.Rat(nil), deadlines...)
+				dls[k] = d
+				ok, _, err := DeadlineFeasible(inst, dls, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ok
+			}
+			if !with(best) {
+				t.Errorf("seed %d job %d: infeasible at the counter-offer %v", seed, k, best)
+			}
+			rk := inst.Jobs[k].Release
+			below := new(big.Rat).Sub(best, rk)
+			below.Add(below.Mul(below, almost), rk)
+			if with(below) {
+				t.Errorf("seed %d job %d: still feasible at %v, below the counter-offer %v", seed, k, below, best)
+			}
+		}
+	}
+}
+
+// TestBestDeadlineNoCounterOffer keeps the other half of the contract: when
+// the fixed deadlines cannot be met with job k's work added, there is no
+// deadline to offer.
+func TestBestDeadlineNoCounterOffer(t *testing.T) {
+	inst := oneMachine(t, []model.Job{
+		{Name: "A", Release: r(0, 1), Weight: r(1, 1), Size: r(2, 1)},
+		{Name: "K", Release: r(0, 1), Weight: r(1, 1), Size: r(1, 1)},
+	})
+	// A needs the machine through 2 whatever K does, so a deadline of 3/2
+	// is lost before K is considered.
+	got, err := BestDeadline(inst, []*big.Rat{r(3, 2), nil}, 1, schedule.Divisible)
+	if err != nil || got != nil {
+		t.Errorf("BestDeadline = %v, %v; want no counter-offer", got, err)
+	}
+}

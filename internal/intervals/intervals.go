@@ -76,17 +76,13 @@ func FromConstants(points []*big.Rat) []Interval {
 	return Build(forms, new(big.Rat))
 }
 
-// JobActive reports whether a job with release form rel and deadline form
-// dl (dl may be the zero Form with nil coefficients meaning "no deadline")
-// may be processed during iv, evaluated at the point at. The paper's rules
-// (1a)/(2a) and (2b): processing is allowed iff rel <= inf Iv and, when a
-// deadline exists, dl >= sup Iv.
-func JobActive(rel affine.Form, dl *affine.Form, iv Interval, at *big.Rat) bool {
-	if rel.Eval(at).Cmp(iv.Lo.Eval(at)) > 0 {
-		return false
-	}
-	if dl != nil && dl.Eval(at).Cmp(iv.Hi.Eval(at)) < 0 {
-		return false
-	}
-	return true
+// JobActive reports whether a job released at rel, with deadline dl (nil
+// meaning "no deadline"), may be processed during an interval whose bounds
+// are lo and hi. The paper's rules (1a)/(2a) and (2b): processing is allowed
+// iff rel <= inf I and, when a deadline exists, dl >= sup I. All four
+// arguments are values at one point of the objective range: a range LP
+// evaluates each interval bound and each deadline form there once, not once
+// per (interval, job) pair.
+func JobActive(rel, dl, lo, hi *big.Rat) bool {
+	return rel.Cmp(lo) <= 0 && (dl == nil || dl.Cmp(hi) >= 0)
 }

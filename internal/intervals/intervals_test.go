@@ -96,32 +96,25 @@ func TestBuildCoversGaps(t *testing.T) {
 }
 
 func TestJobActive(t *testing.T) {
-	iv := Interval{Lo: affine.Const(r(2, 1)), Hi: affine.Const(r(4, 1))}
-	at := new(big.Rat)
-	rel0 := affine.Const(r(0, 1))
-	rel3 := affine.Const(r(3, 1))
-	rel4 := affine.Const(r(4, 1))
-	if !JobActive(rel0, nil, iv, at) {
+	lo, hi := r(2, 1), r(4, 1)
+	if !JobActive(r(0, 1), nil, lo, hi) {
 		t.Error("released-before job must be active")
 	}
-	if JobActive(rel3, nil, iv, at) {
+	if JobActive(r(3, 1), nil, lo, hi) {
 		// Releases delimit intervals, so rel strictly inside only happens
 		// in malformed usage; the rule rel <= inf must still reject it.
 		t.Error("job released inside the interval must not be active")
 	}
-	if JobActive(rel4, nil, iv, at) {
+	if JobActive(r(4, 1), nil, lo, hi) {
 		t.Error("job released at sup must not be active")
 	}
-	dlEarly := affine.Const(r(3, 1))
-	dlAtHi := affine.Const(r(4, 1))
-	dlLate := affine.Const(r(9, 1))
-	if JobActive(rel0, &dlEarly, iv, at) {
+	if JobActive(r(0, 1), r(3, 1), lo, hi) {
 		t.Error("deadline before sup must deactivate")
 	}
-	if !JobActive(rel0, &dlAtHi, iv, at) {
+	if !JobActive(r(0, 1), r(4, 1), lo, hi) {
 		t.Error("deadline exactly at sup keeps the job active")
 	}
-	if !JobActive(rel0, &dlLate, iv, at) {
+	if !JobActive(r(0, 1), r(9, 1), lo, hi) {
 		t.Error("late deadline keeps the job active")
 	}
 }

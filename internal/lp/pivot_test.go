@@ -1,0 +1,206 @@
+package lp
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// denseTableau is the float simplex with the pivot that sweeps every column
+// of every row: the reference floatTableau's sparse pivot is held to. It
+// shares the tableau's construction and pricing set-up and repeats only what
+// calls pivot.
+type denseTableau struct{ *floatTableau }
+
+func (t denseTableau) pivot(leave, enter int) {
+	prow := t.rowsData[leave]
+	inv := 1 / prow[enter]
+	for j := range prow {
+		prow[j] *= inv
+	}
+	prow[enter] = 1
+	t.rhsData[leave] *= inv
+	for r := range t.rowsData {
+		if r == leave {
+			continue
+		}
+		f := t.rowsData[r][enter]
+		if f == 0 {
+			continue
+		}
+		row := t.rowsData[r]
+		for j := range row {
+			row[j] -= f * prow[j]
+		}
+		row[enter] = 0
+		t.rhsData[r] -= f * t.rhsData[leave]
+		if t.rhsData[r] < 0 && t.rhsData[r] > -floatEps {
+			t.rhsData[r] = 0
+		}
+	}
+	if f := t.obj[enter]; f != 0 {
+		for j := range t.obj {
+			t.obj[j] -= f * prow[j]
+		}
+		t.obj[enter] = 0
+		t.objRHS -= f * t.rhsData[leave]
+	}
+	t.basis[leave] = enter
+}
+
+func (t denseTableau) iterate() Status {
+	perimeter := len(t.rowsData) + t.numCols
+	maxDantzig := blandTrigger * perimeter
+	maxIter := stallFactor * perimeter
+	for iter := 0; ; iter++ {
+		if iter > maxIter {
+			return floatStalled
+		}
+		t.iterations++
+		bland := iter > maxDantzig
+		enter := -1
+		best := -floatEps
+		for j := 0; j < t.numCols; j++ {
+			if t.banned[j] || t.obj[j] >= -floatEps {
+				continue
+			}
+			if bland {
+				enter = j
+				break
+			}
+			if t.obj[j] < best {
+				best = t.obj[j]
+				enter = j
+			}
+		}
+		if enter == -1 {
+			return Optimal
+		}
+		leave := -1
+		bestRatio := math.Inf(1)
+		for r := 0; r < len(t.rowsData); r++ {
+			a := t.rowsData[r][enter]
+			if a <= floatEps {
+				continue
+			}
+			ratio := t.rhsData[r] / a
+			if ratio < bestRatio-floatEps ||
+				(ratio < bestRatio+floatEps && (leave == -1 || t.basis[r] < t.basis[leave])) {
+				leave = r
+				bestRatio = ratio
+			}
+		}
+		if leave == -1 {
+			return Unbounded
+		}
+		t.pivot(leave, enter)
+	}
+}
+
+// runFloatDense is runFloat over the dense pivot, down to the outcome the
+// hybrid driver reads: status, final basis, iteration count.
+func runFloatDense(sf *stdForm) (Status, []int, int) {
+	t := denseTableau{newFloatTableau(sf)}
+	if sf.numArt > 0 {
+		phase1 := make([]float64, t.numCols)
+		for j := sf.artStart; j < t.numCols; j++ {
+			phase1[j] = 1
+		}
+		t.setObjective(phase1)
+		if t.iterate() != Optimal {
+			return floatStalled, t.basis, t.iterations
+		}
+		if t.objectiveValue() > floatEps*float64(len(t.rowsData)+1) {
+			return Infeasible, t.basis, t.iterations
+		}
+		for r, bv := range t.basis {
+			if bv < t.artStart {
+				continue
+			}
+			for j := 0; j < t.artStart; j++ {
+				if math.Abs(t.rowsData[r][j]) > floatEps {
+					t.pivot(r, j)
+					break
+				}
+			}
+		}
+	}
+	phase2 := make([]float64, t.numCols)
+	for j := 0; j < sf.p.numVars; j++ {
+		phase2[j], _ = sf.p.objective[j].Float64()
+	}
+	t.setObjective(phase2)
+	return t.iterate(), t.basis, t.iterations
+}
+
+// schedulingProblem builds an LP of the shape the range LPs have — a block
+// of capacity rows per interval, one completion row per job, and an
+// objective column F that lengthens the last interval — so pivot rows are as
+// sparse as the ones the sparse pivot was written for.
+func schedulingProblem(rng *rand.Rand) *Problem {
+	p := NewProblem()
+	one := rat(1, 1)
+	f := p.AddVar("F", one)
+	jobs, machines, ivs := 2+rng.Intn(5), 1+rng.Intn(3), 1+rng.Intn(4)
+	done := make([][]Term, jobs)
+	for iv := 0; iv < ivs; iv++ {
+		for i := 0; i < machines; i++ {
+			var row []Term
+			for j := 0; j < jobs; j++ {
+				if j > iv+1 && rng.Intn(2) == 0 {
+					continue // not released yet, or not hosted here
+				}
+				v := p.AddVar("", nil)
+				row = append(row, Term{v, rat(int64(1+rng.Intn(9)), int64(1+rng.Intn(3)))})
+				done[j] = append(done[j], Term{v, one})
+			}
+			if iv+1 < ivs {
+				p.AddRow("", row, LE, rat(int64(1+rng.Intn(6)), 1))
+			} else {
+				p.AddRow("", append(row, Term{f, rat(-1, 1)}), LE, rat(0, 1))
+			}
+		}
+	}
+	for j := range done {
+		if len(done[j]) > 0 {
+			p.AddRow("", done[j], EQ, one)
+		}
+	}
+	if rng.Intn(3) == 0 {
+		// A ceiling on F that may or may not leave the LP feasible.
+		p.AddRow("", []Term{{f, one}}, LE, rat(int64(rng.Intn(12)), 1))
+	}
+	return p
+}
+
+// TestSparsePivotMatchesDense holds the sparse pivot to the dense one over
+// whole solves: same status, same final basis, same iteration count — so the
+// basis the hybrid driver verifies, and with it every exact result, is the
+// one the dense pivot produced.
+func TestSparsePivotMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	statuses := map[Status]int{}
+	for n := 0; n < 400; n++ {
+		var p *Problem
+		if n%2 == 0 {
+			p = schedulingProblem(rng)
+		} else {
+			p, _ = randomProblem(rng)
+		}
+		sf, err := newStdForm(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := runFloat(sf)
+		status, basis, iterations := runFloatDense(sf)
+		if got.status != status || got.iterations != iterations || !reflect.DeepEqual(got.basis, basis) {
+			t.Fatalf("problem %d: sparse pivot ended %v after %d iterations on basis %v, dense %v after %d on %v\n%s",
+				n, got.status, got.iterations, got.basis, status, iterations, basis, p.Dump())
+		}
+		statuses[status]++
+	}
+	if statuses[Optimal] == 0 || statuses[Infeasible] == 0 || statuses[Unbounded] == 0 {
+		t.Errorf("statuses covered = %v, want optimal, infeasible and unbounded all present", statuses)
+	}
+}

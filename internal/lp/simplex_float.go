@@ -107,6 +107,7 @@ type floatTableau struct {
 	obj        []float64
 	objRHS     float64
 	iterations int
+	nz         []int // scratch: nonzero columns of the current pivot row
 }
 
 // newFloatTableau converts the standard form to float64.
@@ -202,12 +203,21 @@ func (t *floatTableau) iterate() Status {
 	}
 }
 
+// pivot makes column enter basic in row leave. Every other row and the
+// objective change only where the pivot row is nonzero (x −= f·0 is x), and
+// the range LPs keep that row sparse, so its nonzero columns are collected
+// once and the sweeps visit only those.
 func (t *floatTableau) pivot(leave, enter int) {
 	prow := t.rowsData[leave]
 	inv := 1 / prow[enter]
-	for j := range prow {
-		prow[j] *= inv
+	nz := t.nz[:0]
+	for j, v := range prow {
+		if v != 0 {
+			prow[j] = v * inv
+			nz = append(nz, j)
+		}
 	}
+	t.nz = nz
 	prow[enter] = 1 // avoid drift on the pivot element
 	t.rhsData[leave] *= inv
 	for r := range t.rowsData {
@@ -219,7 +229,7 @@ func (t *floatTableau) pivot(leave, enter int) {
 			continue
 		}
 		row := t.rowsData[r]
-		for j := range row {
+		for _, j := range nz {
 			row[j] -= f * prow[j]
 		}
 		row[enter] = 0
@@ -229,7 +239,7 @@ func (t *floatTableau) pivot(leave, enter int) {
 		}
 	}
 	if f := t.obj[enter]; f != 0 {
-		for j := range t.obj {
+		for _, j := range nz {
 			t.obj[j] -= f * prow[j]
 		}
 		t.obj[enter] = 0

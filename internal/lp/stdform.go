@@ -96,7 +96,7 @@ func newStdForm(p *Problem) (*stdForm, error) {
 		}
 		for k, t := range terms {
 			if k > 0 && terms[k-1].Col == t.Col {
-				return nil, fmt.Errorf("lp: row %q mentions column %d twice", r.Name, t.Col)
+				return nil, fmt.Errorf("lp: row %d %q mentions column %d twice", i, r.Name, t.Col)
 			}
 			v := t.Coef
 			if neg {
