@@ -88,9 +88,6 @@ type Result = core.Result
 // MakespanResult is the outcome of makespan minimization.
 type MakespanResult = core.MakespanResult
 
-// ApproxResult is the outcome of the ε-precision baseline search.
-type ApproxResult = core.ApproxResult
-
 // NewInstance builds a uniform-machines-with-restricted-availabilities
 // instance: c_{i,j} = Size_j · InverseSpeed_i where machine i hosts job j's
 // databanks, +∞ elsewhere.
@@ -138,12 +135,6 @@ func MinMaxWeightedFlowPreemptive(inst *Instance) (*Result, error) {
 // Milestones enumerates the critical objective values of Section 4.3.2.
 func Milestones(inst *Instance) []*big.Rat {
 	return core.Milestones(inst)
-}
-
-// ApproxMinMaxWeightedFlow is the naive ε-precision binary search the paper
-// improves upon; kept as a baseline and cross-check.
-func ApproxMinMaxWeightedFlow(inst *Instance, m ExecutionModel, eps *big.Rat) (*ApproxResult, error) {
-	return core.ApproxMinMaxWeightedFlow(inst, m, eps)
 }
 
 // Estimate is the outcome of the float64 fast path.

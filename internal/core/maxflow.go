@@ -141,75 +141,3 @@ func flowTimes(inst *model.Instance, dls []*affine.Form) []affine.Form {
 	}
 	return times
 }
-
-// ApproxResult is the outcome of the ε-precision binary search baseline.
-type ApproxResult struct {
-	// Lo is an infeasible objective value (or 0) and Hi a feasible one,
-	// with Hi − Lo <= Eps. The true optimum lies in (Lo, Hi].
-	Lo, Hi *big.Rat
-	// Schedule achieves max weighted flow at most Hi.
-	Schedule *schedule.Schedule
-	// FeasibilityChecks counts System (2) solves performed.
-	FeasibilityChecks int
-}
-
-// ApproxMinMaxWeightedFlow is the "naive" alternative the paper argues
-// against in Section 4.3.1: a plain binary search on the objective value
-// using deadline-feasibility tests, stopped when the bracket is smaller
-// than eps. It cannot return the exact optimum (the search may never attain
-// an arbitrary rational), but brackets it; the milestone algorithm is both
-// exact and asymptotically cheaper. Kept as an ablation baseline and as an
-// independent cross-check of MinMaxWeightedFlow.
-func ApproxMinMaxWeightedFlow(inst *model.Instance, mode schedule.Model, eps *big.Rat) (*ApproxResult, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	if eps == nil || eps.Sign() <= 0 {
-		return nil, fmt.Errorf("core: eps must be positive")
-	}
-	feasible := func(f *big.Rat) (bool, *schedule.Schedule, error) {
-		dls := make([]*big.Rat, inst.N())
-		for j := range dls {
-			d := new(big.Rat).Quo(f, inst.Jobs[j].Weight)
-			dls[j] = d.Add(d, inst.Jobs[j].Release)
-		}
-		return DeadlineFeasible(inst, dls, mode)
-	}
-	checks := 0
-	lo := new(big.Rat)
-	hi := big.NewRat(1, 1)
-	var hiSched *schedule.Schedule
-	for {
-		ok, s, err := feasible(hi)
-		checks++
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			hiSched = s
-			break
-		}
-		lo.Set(hi)
-		hi = new(big.Rat).Mul(hi, big.NewRat(2, 1))
-	}
-	for {
-		gap := new(big.Rat).Sub(hi, lo)
-		if gap.Cmp(eps) <= 0 {
-			break
-		}
-		mid := new(big.Rat).Add(lo, hi)
-		mid.Quo(mid, big.NewRat(2, 1))
-		ok, s, err := feasible(mid)
-		checks++
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			hi = mid
-			hiSched = s
-		} else {
-			lo = mid
-		}
-	}
-	return &ApproxResult{Lo: lo, Hi: hi, Schedule: hiSched, FeasibilityChecks: checks}, nil
-}

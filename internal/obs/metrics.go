@@ -203,6 +203,18 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() any { return &Counter{labels: values} }).(*Counter)
 }
 
+// Each calls f with every child's label values and current count, in no
+// particular order: the read side of a counter that is incremented inline
+// and has no other home (GET /v1/tenants reads the quota-shed counts back).
+func (v *CounterVec) Each(f func(labels []string, count uint64)) {
+	v.f.mu.Lock()
+	defer v.f.mu.Unlock()
+	for _, child := range v.f.children {
+		c := child.(*Counter)
+		f(c.labels, c.Value())
+	}
+}
+
 // With returns the gauge child for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.child(values, func() any { return &Gauge{labels: values} }).(*Gauge)

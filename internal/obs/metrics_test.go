@@ -34,6 +34,22 @@ func TestCounterGaugeRender(t *testing.T) {
 	}
 }
 
+// TestCounterVecEach: Each reads back every child an inline counter grew —
+// label values and counts — and nothing for a family never incremented.
+func TestCounterVecEach(t *testing.T) {
+	r := NewRegistry()
+	shed := r.Counter("divflow_tenant_shed_total", "Sheds.", "tenant")
+	shed.Each(func(labels []string, n uint64) { t.Errorf("empty family yields %v = %d", labels, n) })
+	shed.With("acme").Add(2)
+	shed.With("globex").Inc()
+	shed.With("acme").Inc()
+	got := map[string]uint64{}
+	shed.Each(func(labels []string, n uint64) { got[strings.Join(labels, ",")] = n })
+	if len(got) != 2 || got["acme"] != 3 || got["globex"] != 1 {
+		t.Errorf("Each read back %v, want acme=3 globex=1", got)
+	}
+}
+
 func TestCounterSetIsScrapeRefresh(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("x_total", "x")

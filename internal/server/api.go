@@ -14,7 +14,6 @@ import (
 	"divflow/internal/obs"
 	"divflow/internal/schedule"
 	"divflow/internal/shardlink"
-	"divflow/internal/stats"
 )
 
 // Handler returns the HTTP surface of the service:
@@ -392,95 +391,165 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, model.EventsResponse{Events: events, Next: next, Dropped: dropped})
 }
 
-// Stats merges the per-shard counters into fleet-wide aggregates plus the
-// per-shard breakdown. Retired shards stay in the breakdown (marked
-// retired): their counters are history the aggregates must keep.
-func (s *Server) Stats() model.StatsResponse {
+// fleetStats is one read of the whole fleet: the topology figures and every
+// reachable shard's snapshot, whose ledgers flow() and tenants() merge.
+// GET /v1/stats, GET /v1/tenants and the /metrics scrape each project it.
+type fleetStats struct {
+	generation, active, reshards int
+	events                       int64          // journal cursor
+	wal                          model.WALStats // zero without a write-ahead log
+	// shards holds one snapshot per reachable shard in creation order, retired
+	// ones included: their counters are history the aggregates must keep.
+	shards []shardlink.StatsSnapshot
+}
+
+// flow merges every shard's completed-job ledger.
+func (f *fleetStats) flow() shardlink.FlowTotals {
+	var flow shardlink.FlowTotals
+	for i := range f.shards {
+		flow.Merge(f.shards[i].Totals.FlowTotals)
+	}
+	return flow
+}
+
+// tenants merges every shard's tenant ledger.
+func (f *fleetStats) tenants() shardlink.TenantLedger {
+	tenants := make(shardlink.TenantLedger)
+	for i := range f.shards {
+		tenants.Merge(f.shards[i].Tenants)
+	}
+	return tenants
+}
+
+// readFleet is the one fan-out over the shards' stats. Every snapshot crosses
+// the shardlink boundary — the in-process transport serves it under the
+// shard's lock, a worker shard over its RPC connection — and a shard whose
+// transport fails is left out of this read rather than failing it.
+func (s *Server) readFleet() fleetStats {
 	s.topoMu.RLock()
 	shardList := append([]*shard(nil), s.all...)
-	generationNum := len(s.gens) - 1
-	reshardEvents := s.reshards
-	activeCount := len(s.gens[len(s.gens)-1].shards)
+	f := fleetStats{
+		generation: len(s.gens) - 1,
+		active:     len(s.gens[len(s.gens)-1].shards),
+		reshards:   s.reshards,
+	}
 	s.topoMu.RUnlock()
+	f.events, f.wal = s.tel.journal.NextSeq(), s.dur.stats()
+	for _, sh := range shardList {
+		if snap, err := sh.link.Stats(shardlink.StatsArgs{}); err == nil {
+			f.shards = append(f.shards, snap)
+		}
+	}
+	return f
+}
+
+// Stats projects the fleet read onto the GET /v1/stats body: fleet-wide
+// aggregates plus the per-shard breakdown (retired shards marked retired).
+func (s *Server) Stats() model.StatsResponse {
+	f := s.readFleet()
 	resp := model.StatsResponse{
 		Policy:        s.policyName,
-		ShardCount:    activeCount,
-		Generation:    generationNum,
-		ReshardEvents: reshardEvents,
+		ShardCount:    f.active,
+		Generation:    f.generation,
+		ReshardEvents: f.reshards,
 	}
 	if s.dur != nil {
-		appends, snapshots, replayed, walErr := s.dur.counters()
-		w := &model.WALStats{Appends: appends, Snapshots: snapshots, Replayed: replayed}
-		if walErr != nil {
-			w.Error = walErr.Error()
-		}
-		resp.WAL = w
+		resp.WAL = &f.wal
 	}
 	now := new(big.Rat)
-	var solver stats.SolverTally
-	flowSum := new(big.Rat)
-	var maxWF, maxStretch *big.Rat
-	var flowAll obs.HistogramSnapshot
-	doneCount := 0
-	for _, sh := range shardList {
-		// Every per-shard snapshot crosses the shardlink boundary — the
-		// in-process transport serves it under the shard's lock exactly as
-		// before, a worker shard over its RPC connection. A shard whose
-		// transport fails is omitted from this response rather than failing
-		// the whole read.
-		snap, err := sh.link.Stats(shardlink.StatsArgs{})
-		if err != nil {
-			continue
+	for i := range f.shards {
+		if t := f.shards[i].Now; t != nil && t.Cmp(now) > 0 {
+			now = t
 		}
-		resp.Shards = append(resp.Shards, snap.Wire)
-		resp.JobsAccepted += snap.Wire.JobsAccepted
-		resp.JobsLive += snap.Wire.JobsLive
-		resp.JobsCompleted += snap.Wire.JobsCompleted
-		resp.Events += snap.Wire.Events
-		resp.LPSolves += snap.Wire.LPSolves
-		resp.PlanCacheHits += snap.Wire.PlanCacheHits
-		resp.ArrivalBatches += snap.Wire.ArrivalBatches
-		resp.BatchedArrivals += snap.Wire.BatchedArrivals
-		resp.CompactedJobs += snap.Wire.CompactedJobs
-		resp.StolenJobs += snap.Wire.StolenJobs
-		resp.Migrations += snap.Wire.Migrations
-		resp.ReshardedJobs += snap.Wire.ReshardedIn
-		if snap.Wire.LargestBatch > resp.LargestBatch {
-			resp.LargestBatch = snap.Wire.LargestBatch
-		}
+		w := &f.shards[i].Wire
+		resp.Shards = append(resp.Shards, *w)
+		resp.JobsAccepted += w.JobsAccepted
+		resp.JobsLive += w.JobsLive
+		resp.JobsCompleted += w.JobsCompleted
+		resp.Events += w.Events
+		resp.LPSolves += w.LPSolves
+		resp.PlanCacheHits += w.PlanCacheHits
+		resp.ArrivalBatches += w.ArrivalBatches
+		resp.BatchedArrivals += w.BatchedArrivals
+		resp.CompactedJobs += w.CompactedJobs
+		resp.StolenJobs += w.StolenJobs
+		resp.Migrations += w.Migrations
+		resp.ReshardedJobs += w.ReshardedIn
+		resp.LargestBatch = max(resp.LargestBatch, w.LargestBatch)
 		// A retired shard's latched error is history, not service health: its
 		// jobs were migrated to live shards by the reshard that retired it.
-		if snap.Wire.Stalled && !snap.Wire.Retired {
+		if w.Stalled && !w.Retired {
 			resp.Stalled = true
 		}
-		if resp.LastError == "" && !snap.Wire.Retired {
-			resp.LastError = snap.Wire.LastError
+		if resp.LastError == "" && !w.Retired {
+			resp.LastError = w.LastError
 		}
-		if snap.Now != nil && snap.Now.Cmp(now) > 0 {
-			now = snap.Now
-		}
-		solver.Merge(snap.Wire.Solver)
-		doneCount += snap.DoneCount
-		flowSum.Add(flowSum, snap.FlowSum)
-		if snap.MaxWF != nil && (maxWF == nil || snap.MaxWF.Cmp(maxWF) > 0) {
-			maxWF = snap.MaxWF
-		}
-		if snap.MaxStretch != nil && (maxStretch == nil || snap.MaxStretch.Cmp(maxStretch) > 0) {
-			maxStretch = snap.MaxStretch
-		}
-		flowAll.Merge(snap.Flow)
+		resp.Solver.Merge(w.Solver)
 	}
 	resp.Now = now.RatString()
-	resp.Solver = solver
-	if doneCount > 0 {
-		resp.MaxWeightedFlow = maxWF.RatString()
-		resp.MaxStretch = maxStretch.RatString()
-		mean := new(big.Rat).Quo(flowSum, big.NewRat(int64(doneCount), 1))
+	if flow := f.flow(); flow.DoneCount > 0 {
+		resp.MaxWeightedFlow = flow.MaxWF.RatString()
+		resp.MaxStretch = flow.MaxStretch.RatString()
+		mean := new(big.Rat).Quo(flow.FlowSum, big.NewRat(int64(flow.DoneCount), 1))
 		resp.MeanFlow, _ = mean.Float64()
 		// The same bucket counts /metrics exports, the same estimator
 		// Prometheus's histogram_quantile applies to them: the two surfaces
 		// cannot disagree on the P95.
-		resp.P95Flow = flowAll.Quantile(95)
+		resp.P95Flow = p95(flow.Flow)
+	}
+	return resp
+}
+
+// p95 estimates the 95th percentile off a ledger histogram; a ledger restored
+// from a document that predates the histogram has none.
+func p95(h *obs.HistogramSnapshot) float64 {
+	if h == nil {
+		return 0
+	}
+	return h.Quantile(95)
+}
+
+// TenantStats projects the fleet read onto the GET /v1/tenants rows, sorted
+// by tenant name. Retired shards contribute their history like every other
+// read; quota sheds never reach a shard, so their counts come from the
+// router's own counter.
+func (s *Server) TenantStats() model.TenantsResponse {
+	f := s.readFleet()
+	tenants := f.tenants()
+	shed := make(map[string]int)
+	s.tel.tenantShed.Each(func(labels []string, n uint64) {
+		shed[labels[0]] = int(n)
+		tenants.Merge(shardlink.TenantLedger{labels[0]: {}}) // a row even if nothing of the tenant's was ever accepted
+	})
+	names := make([]string, 0, len(tenants))
+	for name := range tenants {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	resp := model.TenantsResponse{Tenants: make([]model.TenantStats, 0, len(names))}
+	for _, name := range names {
+		t := tenants[name]
+		row := model.TenantStats{
+			Tenant:    name,
+			Weight:    s.tenants.Weight(name).RatString(),
+			Submitted: t.Submitted,
+			Completed: t.Completed,
+			Shed:      shed[name],
+			Backlog:   "0",
+			ByClass:   t.ByClass,
+		}
+		if t.Backlog != nil {
+			row.Backlog = t.Backlog.RatString()
+		}
+		if t.Completed > 0 {
+			row.MaxWeightedFlow = t.MaxWF.RatString()
+			mean := new(big.Rat).Quo(t.FlowSum, big.NewRat(int64(t.Completed), 1))
+			row.MeanFlow, _ = mean.Float64()
+			// Same buckets, same estimator as /metrics: the two surfaces
+			// agree on the per-tenant P95.
+			row.P95WeightedFlow = p95(t.WFlow)
+		}
+		resp.Tenants = append(resp.Tenants, row)
 	}
 	return resp
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -165,11 +166,19 @@ type durability struct {
 // when Config.SnapshotEvery is zero.
 const defaultSnapshotEvery = 1024
 
-// counters returns the durability counters for /v1/stats and /metrics.
-func (d *durability) counters() (appends, snapshots, replayed int, err error) {
+// stats returns the durability counters for /v1/stats and /metrics (zero
+// without a write-ahead log).
+func (d *durability) stats() model.WALStats {
+	if d == nil {
+		return model.WALStats{}
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.appends, d.snapshots, d.replayed, d.err
+	w := model.WALStats{Appends: d.appends, Snapshots: d.snapshots, Replayed: d.replayed}
+	if d.err != nil {
+		w.Error = d.err.Error()
+	}
+	return w
 }
 
 // latchedErr returns the frozen WAL failure, nil while durable.
@@ -224,68 +233,7 @@ func (d *durability) append(typ string, v any) {
 	}
 }
 
-// appendAdmit logs one admission batch write-ahead. Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (d *durability) appendAdmit(sh *shard, at *big.Rat, batch []*jobRecord) {
-	if d == nil {
-		return
-	}
-	locals := make([]int, len(batch))
-	for i, rec := range batch {
-		locals[i] = rec.id
-	}
-	d.append(walTypeAdmit, &recAdmit{Shard: sh.idx, At: copyRat(at), Locals: locals})
-}
-
-// appendComplete logs one completion marker. Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (d *durability) appendComplete(sh *shard, rec *jobRecord) {
-	if d == nil {
-		return
-	}
-	d.append(walTypeComplete, &recComplete{Shard: sh.idx, Local: rec.id, GID: rec.gid, At: copyRat(rec.completed)})
-}
-
-// appendCompact logs one retention compaction. Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (d *durability) appendCompact(sh *shard, now, horizon *big.Rat) {
-	if d == nil {
-		return
-	}
-	d.append(walTypeCompact, &recCompact{Shard: sh.idx, Now: copyRat(now), Horizon: copyRat(horizon)})
-}
-
 // --- Snapshots ---------------------------------------------------------
-
-// snapRecord is one jobRecord in a snapshot document.
-type snapRecord struct {
-	ID         int      `json:"id"`
-	GID        int      `json:"gid"`
-	State      string   `json:"state"`
-	Completed  *big.Rat `json:"completed,omitempty"`
-	Remaining  *big.Rat `json:"remaining,omitempty"`
-	Stolen     bool     `json:"stolen,omitempty"`
-	Counted    bool     `json:"counted,omitempty"`
-	MigratedAt *big.Rat `json:"migratedAt,omitempty"`
-	model.Job
-}
-
-// snapTenant is one tenant's per-shard accounting in a snapshot document:
-// the aggregates and histogram live in telemetry rather than the engine, so
-// a restored fleet would otherwise answer /v1/tenants from post-crash
-// completions only.
-type snapTenant struct {
-	Submitted int                    `json:"submitted,omitempty"`
-	Completed int                    `json:"completed,omitempty"`
-	FlowSum   *big.Rat               `json:"flowSum,omitempty"`
-	MaxWF     *big.Rat               `json:"maxWF,omitempty"`
-	ByClass   map[string]int         `json:"byClass,omitempty"`
-	WFlow     *obs.HistogramSnapshot `json:"wflow,omitempty"`
-	Backlog   *big.Rat               `json:"backlog,omitempty"`
-}
 
 // snapShard is one shard's full exported state.
 type snapShard struct {
@@ -298,22 +246,22 @@ type snapShard struct {
 	Freed      bool              `json:"freed,omitempty"`
 	Machines   []model.Machine   `json:"machines"`
 	MachineIdx []int             `json:"machineIdx"`
-	Records    []*snapRecord     `json:"records,omitempty"` // aligned; null = compacted
+	Records    []*jobRecord      `json:"records,omitempty"` // aligned; null = compacted
 	PendingIDs []int             `json:"pendingIds,omitempty"`
 	Engine     *sim.EngineState  `json:"engine,omitempty"`
 	Plan       *sim.MWFPlanState `json:"plan,omitempty"`
 
-	shardTotals
-	MigratedIDs []int `json:"migratedIds,omitempty"`
-	// Flow is the shard's completed-flow histogram. The counts are the one
-	// piece of shard state that lives in telemetry rather than the engine,
-	// and without them a restored fleet would answer /v1/stats p95Flow from
+	// The shard's ledger, as shard.ledger() copies it out: the two flow
+	// histograms live in telemetry rather than the engine, and without them a
+	// restored fleet would answer the /v1/stats and /v1/tenants P95 from
 	// post-crash completions only.
-	Flow    *obs.HistogramSnapshot `json:"flow,omitempty"`
-	Backlog *big.Rat               `json:"backlog"`
-	LastErr string                 `json:"lastErr,omitempty"`
-	Stalled bool                   `json:"stalled,omitempty"`
-	Tenants map[string]*snapTenant `json:"tenants,omitempty"`
+	shardlink.ShardTotals
+	Tenants shardlink.TenantLedger `json:"tenants,omitempty"`
+
+	MigratedIDs []int    `json:"migratedIds,omitempty"`
+	Backlog     *big.Rat `json:"backlog"`
+	LastErr     string   `json:"lastErr,omitempty"`
+	Stalled     bool     `json:"stalled,omitempty"`
 }
 
 // snapGen is one topology generation in a snapshot (shards by creation
@@ -350,26 +298,19 @@ func exportShardLocked(sh *shard) snapShard {
 		Gen: sh.gen, Retired: sh.retired, Freed: sh.freed,
 		Machines:    sh.machines,
 		MachineIdx:  append([]int(nil), sh.machineIdx...),
-		shardTotals: sh.shardTotals.clone(),
 		MigratedIDs: append([]int(nil), sh.migratedIDs...),
+		Backlog:     copyRat(sh.backlog),
 		Stalled:     sh.stalled,
 	}
+	ss.ShardTotals, ss.Tenants = sh.ledger()
 	for _, rec := range sh.records {
-		var sr *snapRecord
 		if rec != nil {
-			sr = &snapRecord{
-				ID: rec.id, GID: rec.gid, State: rec.state, Job: rec.Job.Clone(),
-				Completed: copyRat(rec.completed), Remaining: copyRat(rec.remaining),
-				Stolen: rec.stolen, Counted: rec.counted, MigratedAt: copyRat(rec.migratedAt),
-			}
+			rec = rec.clone()
 		}
-		ss.Records = append(ss.Records, sr)
+		ss.Records = append(ss.Records, rec)
 	}
 	for _, rec := range sh.pending {
-		ss.PendingIDs = append(ss.PendingIDs, rec.id)
-	}
-	if flow := sh.obs.flow.Snapshot(); flow.Count > 0 {
-		ss.Flow = &flow
+		ss.PendingIDs = append(ss.PendingIDs, rec.ID)
 	}
 	if !sh.freed {
 		ss.Engine = sh.eng.ExportState()
@@ -379,39 +320,6 @@ func exportShardLocked(sh *shard) snapShard {
 	}
 	if sh.lastErr != nil {
 		ss.LastErr = sh.lastErr.Error()
-	}
-	sh.backlogMu.Lock()
-	ss.Backlog = new(big.Rat).Set(sh.backlog)
-	for t, b := range sh.tenantBacklog {
-		if ss.Tenants == nil {
-			ss.Tenants = make(map[string]*snapTenant)
-		}
-		ss.Tenants[t] = &snapTenant{Backlog: copyRat(b)}
-	}
-	sh.backlogMu.Unlock()
-	for t, ta := range sh.tenants {
-		st := ss.Tenants[t]
-		if st == nil {
-			if ss.Tenants == nil {
-				ss.Tenants = make(map[string]*snapTenant)
-			}
-			st = &snapTenant{}
-			ss.Tenants[t] = st
-		}
-		st.Submitted = ta.submitted
-		st.Completed = ta.completed
-		st.FlowSum = copyRat(ta.flowSum)
-		st.MaxWF = copyRat(ta.maxWF)
-		if len(ta.byClass) > 0 {
-			st.ByClass = make(map[string]int, len(ta.byClass))
-			for c, n := range ta.byClass {
-				st.ByClass[c] = n
-			}
-		}
-		if wf := sh.obs.tenantWFlow(t).Snapshot(); wf.Count > 0 {
-			snap := wf
-			st.WFlow = &snap
-		}
 	}
 	return ss
 }
@@ -612,6 +520,70 @@ func recordTime(rec wal.Record) *big.Rat {
 // hasState reports whether the disk held anything to restore.
 func (st *restoreState) hasState() bool { return st.doc != nil || len(st.suffix) > 0 }
 
+// validateLedger rejects a ledger that contradicts itself: a document intact
+// on disk (CRC-valid) whose first read would divide by a count that has no
+// sum, or print a maximum that is not there.
+func validateLedger(totals *shardlink.ShardTotals, tenants shardlink.TenantLedger) error {
+	if err := validateTotals("totals", *totals, totals.DoneCount, totals.Flow, totals.FlowSum, totals.MaxWF, totals.MaxStretch); err != nil {
+		return err
+	}
+	for name, t := range tenants {
+		if t == nil {
+			return fmt.Errorf("tenant %q has no entry", name)
+		}
+		if err := validateTotals(fmt.Sprintf("tenant %q", name), *t, t.Completed, t.WFlow, t.FlowSum, t.MaxWF); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateTotals checks one ledger struct: no count is negative, with done > 0
+// every listed rational is present, and the histogram's Count is the sum of
+// its slots.
+func validateTotals(what string, ledger any, done int, hist *obs.HistogramSnapshot, rats ...*big.Rat) error {
+	for _, r := range rats {
+		if done > 0 && r == nil {
+			return fmt.Errorf("%s: %d completed jobs without a flow sum or maximum", what, done)
+		}
+	}
+	if hist != nil {
+		var slots uint64
+		for _, c := range hist.Counts {
+			slots += c
+		}
+		if slots != hist.Count {
+			return fmt.Errorf("%s: flow histogram counts %d observations over slots holding %d", what, hist.Count, slots)
+		}
+	}
+	return negativeCount(what, reflect.ValueOf(ledger))
+}
+
+// negativeCount walks a ledger struct — nested structs and per-class maps
+// included, so a counter added later is covered without being listed here —
+// and reports the first negative count.
+func negativeCount(path string, v reflect.Value) error {
+	switch v.Kind() {
+	case reflect.Int:
+		if v.Int() < 0 {
+			return fmt.Errorf("%s = %d", path, v.Int())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if err := negativeCount(path+"."+v.Type().Field(i).Name, v.Field(i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if err := negativeCount(fmt.Sprintf("%s[%v]", path, it.Key()), it.Value()); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // restoreShard rebuilds one shard from its snapshot entry.
 func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
 	if err := checkMachines("restore: ", ss.Machines); err != nil {
@@ -639,13 +611,9 @@ func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
 		if sr.ID != len(sh.records) {
 			return nil, fmt.Errorf("server: restore: shard %d record %d out of order", ss.Idx, sr.ID)
 		}
-		rec := &jobRecord{
-			id: sr.ID, gid: sr.GID, state: sr.State, Job: sr.Job.Clone(),
-			completed: copyRat(sr.Completed), remaining: copyRat(sr.Remaining),
-			stolen: sr.Stolen, counted: sr.Counted, migratedAt: copyRat(sr.MigratedAt),
-		}
+		rec := sr.clone()
 		sh.records = append(sh.records, rec)
-		if rec.state == StateQueued || rec.state == StateScheduled || rec.state == StateDone {
+		if rec.State == StateQueued || rec.State == StateScheduled || rec.State == StateDone {
 			sh.markEligible(rec) //divflow:emitmu-ok restore builds a private shard that is not yet published; no other goroutine can reach its mu
 		}
 	}
@@ -674,48 +642,42 @@ func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
 			sh.mwf.RestorePlanState(ss.Plan)
 		}
 	}
-	// The totals arrive whole; a document that predates a field keeps the
-	// fresh shard's zero for the two rationals the loop adds into.
-	totals := ss.shardTotals.clone()
-	if totals.FlowSum == nil {
-		totals.FlowSum = new(big.Rat)
+	// The ledger arrives whole, and goes back where shard.ledger() gathered it
+	// from: the histograms into telemetry, the backlog split beside the
+	// routing key, the rest into the shard's own totals and tenant entries.
+	if err := validateLedger(&ss.ShardTotals, ss.Tenants); err != nil {
+		return nil, fmt.Errorf("server: restore: shard %d: %w", ss.Idx, err)
 	}
-	if totals.LastCompact == nil && sh.retention != nil {
-		totals.LastCompact = new(big.Rat)
-	}
-	sh.shardTotals = totals
-	sh.migratedIDs = append([]int(nil), ss.MigratedIDs...)
-	if ss.Flow != nil {
-		if err := sh.obs.flow.Restore(*ss.Flow); err != nil {
+	totals := ss.ShardTotals.Clone()
+	if totals.Flow != nil {
+		if err := sh.obs.flow.Restore(*totals.Flow); err != nil {
 			return nil, fmt.Errorf("server: restore: shard %d: %w", ss.Idx, err)
 		}
+		totals.Flow = nil
 	}
+	if totals.LastCompact == nil && sh.retention != nil {
+		// A document that predates the field keeps the fresh shard's zero.
+		totals.LastCompact = new(big.Rat)
+	}
+	sh.ShardTotals = totals
+	sh.migratedIDs = append([]int(nil), ss.MigratedIDs...)
 	if ss.Backlog != nil {
 		sh.backlog = copyRat(ss.Backlog)
 	}
-	for t, st := range ss.Tenants {
-		if st == nil {
-			continue
+	for t, tt := range ss.Tenants.Clone() {
+		if tt.Backlog != nil && tt.Backlog.Sign() != 0 {
+			sh.tenantBacklog[t] = copyRat(tt.Backlog)
 		}
-		if st.Backlog != nil && st.Backlog.Sign() != 0 {
-			sh.tenantBacklog[t] = copyRat(st.Backlog)
-		}
-		if st.Submitted != 0 || st.Completed != 0 || len(st.ByClass) != 0 {
-			ta := sh.tenantFor(t) //divflow:emitmu-ok restore builds a private shard that is not yet published; no other goroutine can reach its mu
-			ta.submitted = st.Submitted
-			ta.completed = st.Completed
-			if st.FlowSum != nil {
-				ta.flowSum = copyRat(st.FlowSum)
-			}
-			ta.maxWF = copyRat(st.MaxWF)
-			for c, n := range st.ByClass {
-				ta.byClass[c] = n
-			}
-		}
-		if st.WFlow != nil {
-			if err := sh.obs.tenantWFlow(t).Restore(*st.WFlow); err != nil { //divflow:emitmu-ok restore builds a private shard that is not yet published; no other goroutine can reach its mu
+		if tt.WFlow != nil {
+			if err := sh.obs.tenantWFlow(t).Restore(*tt.WFlow); err != nil { //divflow:emitmu-ok restore builds a private shard that is not yet published; no other goroutine can reach its mu
 				return nil, fmt.Errorf("server: restore: shard %d tenant %q: %w", ss.Idx, t, err)
 			}
+		}
+		tt.Backlog, tt.WFlow = nil, nil
+		// A tenant that only ever had migrated work here has a backlog and no
+		// entry of its own.
+		if tt.Submitted+tt.Completed+len(tt.ByClass) > 0 {
+			sh.tenants[t] = tt
 		}
 	}
 	if ss.LastErr != "" {
@@ -821,45 +783,21 @@ func (s *Server) replay(recs []wal.Record) error {
 		var err error
 		switch rec.Type {
 		case walTypeSubmit:
-			var r recSubmit
-			if err = json.Unmarshal(rec.Data, &r); err == nil {
-				err = s.replaySubmit(&r)
-			}
+			err = replayAs(rec, s.replaySubmit)
 		case walTypeAdmit:
-			var r recAdmit
-			if err = json.Unmarshal(rec.Data, &r); err == nil {
-				err = s.replayAdmit(&r)
-			}
+			err = replayAs(rec, s.replayAdmit)
 		case walTypeComplete:
-			var r recComplete
-			if err = json.Unmarshal(rec.Data, &r); err == nil {
-				err = s.replayComplete(&r)
-			}
+			err = replayAs(rec, s.replayComplete)
 		case walTypeExtract:
-			var r recExtract
-			if err = json.Unmarshal(rec.Data, &r); err == nil {
-				err = s.replayExtract(&r)
-			}
+			err = replayAs(rec, s.replayExtract)
 		case walTypeAdopt:
-			var r recAdopt
-			if err = json.Unmarshal(rec.Data, &r); err == nil {
-				err = s.replayAdopt(&r)
-			}
+			err = replayAs(rec, s.replayAdopt)
 		case walTypeCommit, walTypeAbort:
-			var r recSettle
-			if err = json.Unmarshal(rec.Data, &r); err == nil {
-				err = s.replaySettle(&r, rec.Type == walTypeCommit)
-			}
+			err = replayAs(rec, func(r *recSettle) error { return s.replaySettle(r, rec.Type == walTypeCommit) })
 		case walTypeTopo:
-			var r recTopo
-			if err = json.Unmarshal(rec.Data, &r); err == nil {
-				err = s.replayTopo(&r)
-			}
+			err = replayAs(rec, s.replayTopo)
 		case walTypeCompact:
-			var r recCompact
-			if err = json.Unmarshal(rec.Data, &r); err == nil {
-				err = s.replayCompact(&r)
-			}
+			err = replayAs(rec, s.replayCompact)
 		default:
 			err = fmt.Errorf("unknown record type %q", rec.Type)
 		}
@@ -868,6 +806,15 @@ func (s *Server) replay(recs []wal.Record) error {
 		}
 	}
 	return nil
+}
+
+// replayAs decodes one record's payload as an R and applies it.
+func replayAs[R any](rec wal.Record, apply func(*R) error) error {
+	var r R
+	if err := json.Unmarshal(rec.Data, &r); err != nil {
+		return err
+	}
+	return apply(&r)
 }
 
 func (s *Server) replaySubmit(r *recSubmit) error {
@@ -883,7 +830,7 @@ func (s *Server) replaySubmit(r *recSubmit) error {
 	if r.Weight == nil || r.Size == nil || r.Release == nil {
 		return fmt.Errorf("submit %d missing fields", r.GID)
 	}
-	rec := &jobRecord{id: r.Local, gid: r.GID, state: StateQueued, Job: r.Job.Clone()}
+	rec := &jobRecord{ID: r.Local, GID: r.GID, State: StateQueued, Job: r.Job.Clone()}
 	if !sh.enqueue(rec, "replayed") {
 		return fmt.Errorf("submit %d: no machine of shard %d hosts %v", r.GID, sh.idx, r.Databanks)
 	}
@@ -904,8 +851,8 @@ func (s *Server) replayAdmit(r *recAdmit) error {
 		return fmt.Errorf("shard %d has %d pending, admit record lists %d", sh.idx, len(sh.pending), len(r.Locals))
 	}
 	for i, rec := range sh.pending {
-		if rec.id != r.Locals[i] {
-			return fmt.Errorf("shard %d pending[%d] = %d, admit record says %d", sh.idx, i, rec.id, r.Locals[i])
+		if rec.ID != r.Locals[i] {
+			return fmt.Errorf("shard %d pending[%d] = %d, admit record says %d", sh.idx, i, rec.ID, r.Locals[i])
 		}
 	}
 	// The same admission path the live loop runs, at the recorded virtual
@@ -1064,13 +1011,13 @@ func (s *Server) finishMigrations() {
 		var adopted, orphaned []int
 		sh.mu.Lock()
 		for _, rec := range sh.records {
-			if rec == nil || rec.migratedAt == nil || rec.state == StateMigrated {
+			if rec == nil || rec.MigratedAt == nil || rec.State == StateMigrated {
 				continue
 			}
-			if owner, _, _ := s.locate(rec.gid); owner != sh {
-				adopted = append(adopted, rec.id)
+			if owner, _, _ := s.locate(rec.GID); owner != sh {
+				adopted = append(adopted, rec.ID)
 			} else {
-				orphaned = append(orphaned, rec.id)
+				orphaned = append(orphaned, rec.ID)
 			}
 		}
 		sh.mu.Unlock()
@@ -1166,10 +1113,4 @@ func (s *Server) RestoredNow() *big.Rat {
 }
 
 // ReplayedRecords returns how many WAL records the last startup replayed.
-func (s *Server) ReplayedRecords() int {
-	if s.dur == nil {
-		return 0
-	}
-	_, _, replayed, _ := s.dur.counters()
-	return replayed
-}
+func (s *Server) ReplayedRecords() int { return s.dur.stats().Replayed }

@@ -335,8 +335,8 @@ func testWALCrashAfterSteal(t *testing.T, transport string, crash migrationCrash
 		donor := s.allShards()[0]
 		donor.mu.Lock()
 		defer donor.mu.Unlock()
-		if rec := donor.records[idA/2]; rec.state == StateMigrated && rec.migratedAt != nil {
-			return rec.migratedAt.RatString()
+		if rec := donor.records[idA/2]; rec.State == StateMigrated && rec.MigratedAt != nil {
+			return rec.MigratedAt.RatString()
 		}
 		return "not migrated"
 	}

@@ -88,7 +88,7 @@ func testSingleShardEquivalence(t *testing.T, policy string, seed int64, steal b
 	got := append([]schedule.Piece(nil), sh.eng.Schedule().Pieces...)
 	completions := make([]string, inst.N())
 	for id, rec := range sh.records {
-		completions[id] = rec.completed.RatString()
+		completions[id] = rec.Completed.RatString()
 	}
 	sh.mu.Unlock()
 

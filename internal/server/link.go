@@ -135,7 +135,7 @@ func (sh *shard) extractJobs(args shardlink.ExtractArgs) shardlink.ExtractReply 
 	var locals []int
 	if args.All {
 		for _, rec := range sh.pending {
-			locals = append(locals, rec.id)
+			locals = append(locals, rec.ID)
 		}
 		locals = append(locals, sh.eng.LiveIDs()...)
 	} else {
@@ -163,10 +163,10 @@ func (sh *shard) reserve(locals []int) shardlink.ExtractReply {
 	for _, local := range locals {
 		rec := sh.records[local]
 		taken[local] = true
-		if rec.state == StateScheduled {
+		if rec.State == StateScheduled {
 			// Live: the engine hands back the exact unprocessed fraction.
 			if rj, err := sh.eng.Remove(local); err == nil {
-				rec.remaining = copyRat(rj.Remaining)
+				rec.Remaining = copyRat(rj.Remaining)
 				removedLive = true
 			}
 		}
@@ -177,14 +177,14 @@ func (sh *shard) reserve(locals []int) shardlink.ExtractReply {
 		for i := range sh.eligible {
 			delete(sh.eligible[i], local)
 		}
-		rec.migratedAt = copyRat(rep.At)
+		rec.MigratedAt = copyRat(rep.At)
 		rep.Jobs = append(rep.Jobs, shardlink.MigratedJob{
-			FromLocal: local, GID: rec.gid, Remaining: copyRat(rec.remaining), Counted: rec.counted, Job: rec.Job.Clone(),
+			FromLocal: local, GID: rec.GID, Remaining: copyRat(rec.Remaining), Counted: rec.Counted, Job: rec.Job.Clone(),
 		})
 	}
 	kept := sh.pending[:0]
 	for _, rec := range sh.pending {
-		if !taken[rec.id] {
+		if !taken[rec.ID] {
 			kept = append(kept, rec)
 		}
 	}
@@ -222,13 +222,13 @@ func (sh *shard) admitMigrated(args shardlink.AdmitArgs) shardlink.AdmitReply {
 	for i := range args.Jobs {
 		nrec := sh.adoptRecord(&args.Jobs[i])
 		adopted[i] = nrec
-		rep.Locals = append(rep.Locals, nrec.id)
+		rep.Locals = append(rep.Locals, nrec.ID)
 		if args.Reason == migrateReshard {
 			sh.ReshardIn++
-			sh.obs.event(obs.EventMigrate, nrec.gid, nil, fmt.Sprintf("resharded from shard %d", args.From))
+			sh.obs.event(obs.EventMigrate, nrec.GID, nil, fmt.Sprintf("resharded from shard %d", args.From))
 		} else {
 			sh.StolenIn++
-			sh.obs.event(obs.EventMigrate, nrec.gid, nil, fmt.Sprintf("stolen from shard %d", args.From))
+			sh.obs.event(obs.EventMigrate, nrec.GID, nil, fmt.Sprintf("stolen from shard %d", args.From))
 		}
 	}
 	sh.shiftBacklog(true, adopted...)
@@ -248,7 +248,7 @@ func (sh *shard) reservedRecords(locals []int) []*jobRecord {
 		if local < 0 || local >= len(sh.records) || sh.records[local] == nil {
 			continue
 		}
-		if rec := sh.records[local]; rec.migratedAt != nil && rec.state != StateMigrated {
+		if rec := sh.records[local]; rec.MigratedAt != nil && rec.State != StateMigrated {
 			recs = append(recs, rec)
 		}
 	}
@@ -299,8 +299,8 @@ func (sh *shard) abortExtract(args shardlink.AbortArgs) {
 	}
 	sh.wal.append(walTypeAbort, &recSettle{Shard: sh.idx, Locals: args.Locals})
 	for _, rec := range recs {
-		rec.state = StateQueued // out of the engine until the loop re-admits it
-		rec.migratedAt = nil
+		rec.State = StateQueued // out of the engine until the loop re-admits it
+		rec.MigratedAt = nil
 		sh.pending = append(sh.pending, rec)
 		sh.markEligible(rec)
 	}

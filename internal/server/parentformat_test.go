@@ -310,7 +310,9 @@ func sortedKeys(m map[string]bool) []string {
 
 // TestWALRestoreRejectsDamagedSnapshot feeds restore snapshot documents that
 // are intact on disk (CRC-valid) but structurally wrong. Each must come back
-// as a restore error from New — not as a panic on the first read.
+// as a restore error from New — not as a panic on the first read: a fleet
+// that does restore is read through Stats and TenantStats before the test
+// fails, so a hole of that kind shows up here as the panic it would be.
 func TestWALRestoreRejectsDamagedSnapshot(t *testing.T) {
 	_, payload, ok := wal.LoadSnapshot(filepath.Join(parentFixture, "wal"))
 	if !ok {
@@ -342,6 +344,19 @@ func TestWALRestoreRejectsDamagedSnapshot(t *testing.T) {
 			sh := doc["shards"].([]any)[0].(map[string]any)
 			delete(sh["records"].([]any)[1].(map[string]any), "size")
 		}},
+		{"completed jobs without a max weighted flow", func(doc map[string]any) {
+			delete(doc["shards"].([]any)[0].(map[string]any), "maxWF")
+		}},
+		{"tenant completions without a max weighted flow", func(doc map[string]any) {
+			sh := doc["shards"].([]any)[0].(map[string]any)
+			delete(sh["tenants"].(map[string]any)["acme"].(map[string]any), "maxWF")
+		}},
+		{"negative doneCount", func(doc map[string]any) {
+			doc["shards"].([]any)[0].(map[string]any)["doneCount"] = -1
+		}},
+		{"flow histogram miscounting its slots", func(doc map[string]any) {
+			doc["shards"].([]any)[1].(map[string]any)["flow"].(map[string]any)["Count"] = 5
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var doc map[string]any
@@ -361,7 +376,9 @@ func TestWALRestoreRejectsDamagedSnapshot(t *testing.T) {
 			cfg.Clock = NewVirtualClock()
 			srv, err := New(cfg)
 			if err == nil {
-				srv.Close()
+				defer srv.Close()
+				srv.Stats()
+				srv.TenantStats()
 				t.Fatal("New restored the damaged snapshot")
 			}
 			if want := "server: restore: "; !strings.HasPrefix(err.Error(), want) {

@@ -382,7 +382,7 @@ func (plan *reshardPlan) stranded() error {
 			if !hostsAny(plan.fleet, rec.Databanks) {
 				return fmt.Errorf(
 					"server: reshard rejected: job %d needs databanks %v, hosted by no machine of the new platform",
-					rec.gid, rec.Databanks)
+					rec.GID, rec.Databanks)
 			}
 		}
 	}

@@ -26,7 +26,6 @@ import (
 	"math/big"
 	"net"
 	"net/rpc"
-	"sort"
 	"sync"
 	"time"
 
@@ -236,13 +235,6 @@ type Server struct {
 	admission    string              // normalized Config.Admission
 	tenants      *model.TenantConfig // nil: no quota enforcement
 
-	// shedMu guards shed, the per-tenant tenant_over_quota reject counts.
-	// Shed submissions never reach a shard, so the router is the only place
-	// they can be counted; GET /v1/tenants merges them into the rows.
-	//divflow:locks name=shed
-	shedMu sync.Mutex
-	shed   map[string]int
-
 	// dur is the durability layer (nil without Config.WALDir); restoredNow
 	// the virtual time startup restored the fleet at (nil on a fresh start).
 	dur            *durability
@@ -369,7 +361,6 @@ func New(cfg Config) (*Server, error) {
 		stealStop:      make(chan struct{}),
 		admission:      admission,
 		tenants:        cfg.Tenants,
-		shed:           make(map[string]int),
 	}
 	if transport == shardlink.TransportRPC {
 		// One loopback pipe serves every colocated shard: wireShard registers
@@ -868,9 +859,8 @@ func (s *Server) submitRouted(args shardlink.SubmitArgs) (model.SubmitResponse, 
 	}
 	if quota {
 		if err := s.tenantOverQuota(*job, tenantBack); err != nil {
-			s.shedMu.Lock()
-			s.shed[job.Tenant]++
-			s.shedMu.Unlock()
+			// Shed submissions never reach a shard: this counter is their one
+			// count, and GET /v1/tenants reads it back.
 			s.tel.tenantShed.With(job.Tenant).Inc()
 			s.tel.rejections.Inc()
 			s.tel.event(obs.EventReject, s.Generation(), -1, err.Error())
@@ -960,84 +950,6 @@ func (s *Server) tenantOverQuota(job model.Job, backlogs map[string]*big.Rat) er
 			share.RatString(), totalAfter.RatString())
 	}
 	return nil
-}
-
-// TenantStats merges the per-shard tenant accounting into the GET
-// /v1/tenants rows, sorted by tenant name. Retired shards contribute their
-// history like every other read; router-side shed counts (quota rejects
-// never reach a shard) are folded in last.
-func (s *Server) TenantStats() model.TenantsResponse {
-	type agg struct {
-		submitted, completed, shed int
-		backlog, flowSum           *big.Rat
-		maxWF                      *big.Rat
-		byClass                    map[string]int
-		wflow                      obs.HistogramSnapshot
-	}
-	tenants := make(map[string]*agg)
-	at := func(name string) *agg {
-		a := tenants[name]
-		if a == nil {
-			a = &agg{backlog: new(big.Rat), flowSum: new(big.Rat), byClass: make(map[string]int)}
-			tenants[name] = a
-		}
-		return a
-	}
-	for _, sh := range s.allShards() {
-		snap, err := sh.link.Stats(shardlink.StatsArgs{})
-		if err != nil {
-			continue
-		}
-		for name, ts := range snap.Tenants {
-			a := at(name)
-			a.submitted += ts.Submitted
-			a.completed += ts.Completed
-			a.backlog.Add(a.backlog, ts.Backlog)
-			a.flowSum.Add(a.flowSum, ts.FlowSum)
-			if ts.MaxWF != nil && (a.maxWF == nil || ts.MaxWF.Cmp(a.maxWF) > 0) {
-				a.maxWF = new(big.Rat).Set(ts.MaxWF)
-			}
-			for c, n := range ts.ByClass {
-				a.byClass[c] += n
-			}
-			a.wflow.Merge(ts.WFlow)
-		}
-	}
-	s.shedMu.Lock()
-	for name, n := range s.shed {
-		at(name).shed = n
-	}
-	s.shedMu.Unlock()
-	names := make([]string, 0, len(tenants))
-	for name := range tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	resp := model.TenantsResponse{Tenants: make([]model.TenantStats, 0, len(names))}
-	for _, name := range names {
-		a := tenants[name]
-		row := model.TenantStats{
-			Tenant:    name,
-			Weight:    s.tenants.Weight(name).RatString(),
-			Submitted: a.submitted,
-			Completed: a.completed,
-			Shed:      a.shed,
-			Backlog:   a.backlog.RatString(),
-		}
-		if len(a.byClass) > 0 {
-			row.ByClass = a.byClass
-		}
-		if a.completed > 0 {
-			row.MaxWeightedFlow = a.maxWF.RatString()
-			mean := new(big.Rat).Quo(a.flowSum, big.NewRat(int64(a.completed), 1))
-			row.MeanFlow, _ = mean.Float64()
-			// Same buckets, same estimator as /metrics: the two surfaces
-			// agree on the per-tenant P95.
-			row.P95WeightedFlow = a.wflow.Quantile(95)
-		}
-		resp.Tenants = append(resp.Tenants, row)
-	}
-	return resp
 }
 
 // locate resolves a global job ID to the shard that currently owns it and

@@ -14,100 +14,58 @@ import (
 	"divflow/internal/schedule"
 	"divflow/internal/shardlink"
 	"divflow/internal/sim"
-	"divflow/internal/stats"
 )
 
-// jobRecord is the shard-side state of one submitted job. IDs are shard-local
-// (dense indices into shard.records); the wire-visible global ID gid encodes
-// the *birth* shard and survives migration — a job stolen by another shard
-// keeps its global ID, with the server's forwarding table pointing reads at
-// the shard that now owns it.
+// jobRecord is the shard-side state of one submitted job, and its one written
+// form: a snapshot stores the record as it stands (the JSON names are the
+// snapshot's) and a restore takes it back whole. IDs are shard-local (dense
+// indices into shard.records); the wire-visible global ID encodes the *birth*
+// shard and survives migration — a job stolen by another shard keeps its
+// global ID, with the server's forwarding table pointing reads at the shard
+// that now owns it.
 type jobRecord struct {
-	id    int // shard-local ID
-	gid   int // wire-visible global ID (birth-shard encoding)
-	state string
-	// Job is the job as submitted; Release is the submission time, the job's
-	// flow origin. Deadline, Tenant and SLAClass ride migrations, the WAL and
-	// the snapshot with it.
-	model.Job
-	completed *big.Rat // completion time; nil until done
-	// remaining, when non-nil, is the unprocessed fraction the job arrived
+	ID    int    `json:"id"`  // shard-local ID
+	GID   int    `json:"gid"` // wire-visible global ID (birth-shard encoding)
+	State string `json:"state"`
+	// Completed is the completion time; nil until done.
+	Completed *big.Rat `json:"completed,omitempty"`
+	// Remaining, when non-nil, is the unprocessed fraction the job arrived
 	// with (a stolen job admitted mid-execution); nil means a whole job.
-	remaining *big.Rat
-	// stolen marks records created by a migration rather than a submission,
+	Remaining *big.Rat `json:"remaining,omitempty"`
+	// Stolen marks records created by a migration rather than a submission,
 	// so accepted-job counts and merged validations see each job once.
-	stolen bool
-	// counted marks that the job's admission has been folded into some
+	Stolen bool `json:"stolen,omitempty"`
+	// Counted marks that the job's admission has been folded into some
 	// shard's arrival-batch statistics; it migrates with the job, so every
 	// submission is counted exactly once no matter where (or how often
 	// re-)admitted.
-	counted bool
-	// migratedAt, on a donor-side record, is the engine time the job was
+	Counted bool `json:"counted,omitempty"`
+	// MigratedAt, on a donor-side record, is the engine time the job was
 	// extracted for a migration: every donor piece of the job ends at or
 	// before it, so once the retention horizon passes it the record can be
 	// compacted. Set while the state is not yet StateMigrated, it marks the
 	// record reserved — out of the engine and the queue, awaiting the
 	// migration's commit or abort (which clears it).
-	migratedAt *big.Rat
+	MigratedAt *big.Rat `json:"migratedAt,omitempty"`
+	// Job is the job as submitted; Release is the submission time, the job's
+	// flow origin. Deadline, Tenant and SLAClass ride migrations, the WAL and
+	// the snapshot with it.
+	model.Job
 	// submittedWall is the wall-clock submission instant, feeding the
 	// submit→admit latency histogram; zero with telemetry disabled (the
-	// clock is never read then) and on migrated records (a re-admission on
-	// the destination shard is not a fresh submission).
+	// clock is never read then), on migrated records (a re-admission on the
+	// destination shard is not a fresh submission) and after a restore.
 	submittedWall time.Time
 }
 
-// shardTotals is a shard's durable scalar state: everything a snapshot must
-// carry that is neither a record, a queue, nor the engine. shard and snapShard
-// both embed it, so export and restore copy it whole (the JSON names are the
-// snapshot's).
-type shardTotals struct {
-	ArrivalBatches  int `json:"arrivalBatches,omitempty"`
-	BatchedArrivals int `json:"batchedArrivals,omitempty"`
-	LargestBatch    int `json:"largestBatch,omitempty"`
-	StolenIn        int `json:"stolenIn,omitempty"`    // jobs migrated here by work stealing
-	MigratedOut     int `json:"migratedOut,omitempty"` // jobs stolen away from here
-	ReshardIn       int `json:"reshardIn,omitempty"`   // jobs migrated here by a live reshard
-	ReshardOut      int `json:"reshardOut,omitempty"`  // jobs a live reshard migrated away from here
-
-	// Completed-job statistics are accumulated at completion time, not
-	// recomputed from records, so compaction can forget the records without
-	// losing the all-time aggregates.
-	DoneCount  int      `json:"doneCount,omitempty"`
-	FlowSum    *big.Rat `json:"flowSum,omitempty"`
-	MaxWF      *big.Rat `json:"maxWF,omitempty"`
-	MaxStretch *big.Rat `json:"maxStretch,omitempty"`
-
-	LastCompact   *big.Rat `json:"lastCompact,omitempty"` // horizon of the last compaction
-	CompactedJobs int      `json:"compactedJobs,omitempty"`
-	// MakespanHW is the high-water mark of the executed trace's makespan,
-	// folded in before every compaction: Engine.Compact drops old pieces, so
-	// the makespan recomputed from the retained trace alone would move
-	// backwards (to zero once everything is compacted).
-	MakespanHW *big.Rat `json:"makespanHW,omitempty"`
-
-	// Panics counts loop panics the supervisor caught; Restarts in-place
-	// rebuilds by the -restart-stalled supervisor.
-	Panics   int `json:"panics,omitempty"`
-	Restarts int `json:"restarts,omitempty"`
-
-	// Frozen* capture the last engine-derived stats before free() drops the
-	// engine, so /v1/stats keeps reporting the retired shard's history.
-	FrozenNow       *big.Rat          `json:"frozenNow,omitempty"`
-	FrozenCompleted int               `json:"frozenCompleted,omitempty"`
-	FrozenDecisions int               `json:"frozenDecisions,omitempty"`
-	FrozenAccepted  int               `json:"frozenAccepted,omitempty"`
-	FrozenSolves    int               `json:"frozenSolves,omitempty"`
-	FrozenCacheHits int               `json:"frozenCacheHits,omitempty"`
-	FrozenSolver    stats.SolverTally `json:"frozenSolver,omitempty"`
-}
-
-// clone returns the totals with every rational copied: a snapshot is
-// marshaled after the shard's mu is released, while the loop keeps adding
-// into the live ones.
-func (t shardTotals) clone() shardTotals {
-	t.FlowSum, t.MaxWF, t.MaxStretch = copyRat(t.FlowSum), copyRat(t.MaxWF), copyRat(t.MaxStretch)
-	t.LastCompact, t.MakespanHW, t.FrozenNow = copyRat(t.LastCompact), copyRat(t.MakespanHW), copyRat(t.FrozenNow)
-	return t
+// clone returns the record's durable part sharing no rational with it: a
+// snapshot is marshaled after the shard's mu is released.
+func (r *jobRecord) clone() *jobRecord {
+	c := *r
+	c.Job = r.Job.Clone()
+	c.Completed, c.Remaining, c.MigratedAt = copyRat(r.Completed), copyRat(r.Remaining), copyRat(r.MigratedAt)
+	c.submittedWall = time.Time{}
+	return &c
 }
 
 // shard is one independent scheduling loop over a slice of the fleet: its own
@@ -201,7 +159,9 @@ type shard struct {
 	// appended to the write-ahead log at the point they mutate shard state.
 	wal *durability
 
-	shardTotals
+	// The shard's ledger: ShardTotals here, the per-tenant accounting in
+	// tenants below. ledger() is its one reader.
+	shardlink.ShardTotals
 	stalled bool
 	lastErr error
 	// migratedIDs lists donor-side records awaiting retention compaction
@@ -225,8 +185,9 @@ type shard struct {
 
 	// tenants accumulates per-tenant statistics like the totals' completed-
 	// job aggregates (at submission and completion time, so compaction loses
-	// nothing). Keyed by tenant name; untracked traffic is absent.
-	tenants   map[string]*tenantAgg
+	// nothing). Never nil. An entry's WFlow and Backlog stay nil here: the
+	// live values are the exported histogram and tenantBacklog.
+	tenants   shardlink.TenantLedger
 	retention *big.Rat
 	// freed marks a retired shard whose fully-compacted history was released:
 	// records, queues, engine, and policy are gone, and only this struct —
@@ -248,68 +209,17 @@ func copyRat(r *big.Rat) *big.Rat {
 	return new(big.Rat).Set(r)
 }
 
-// tenantAgg is one tenant's all-time accounting on this shard, folded in at
-// submission and completion time like the shard-level aggregates above it in
-// the struct — compaction can forget records without losing it.
-type tenantAgg struct {
-	submitted int // birth submissions (migrations excluded)
-	completed int
-	flowSum   *big.Rat
-	maxWF     *big.Rat
-	byClass   map[string]int // birth submissions per SLA class
-}
-
-// tenantFor returns (creating on first use) the tenant's aggregate slot.
+// tenantFor returns (creating on first use) the tenant's ledger entry.
 // Callers hold sh.mu.
 //
 //divflow:locks requires=shard
-func (sh *shard) tenantFor(tenant string) *tenantAgg {
-	if sh.tenants == nil {
-		sh.tenants = make(map[string]*tenantAgg)
-	}
+func (sh *shard) tenantFor(tenant string) *shardlink.TenantTotals {
 	ta := sh.tenants[tenant]
 	if ta == nil {
-		ta = &tenantAgg{flowSum: new(big.Rat), byClass: make(map[string]int)}
+		ta = &shardlink.TenantTotals{FlowSum: new(big.Rat)}
 		sh.tenants[tenant] = ta
 	}
 	return ta
-}
-
-// tenantBacklogAdd folds size into the tenant's residual-work entry;
-// untracked traffic (empty tenant) is not split. Callers hold backlogMu.
-//
-//divflow:locks requires=backlog
-func (sh *shard) tenantBacklogAdd(tenant string, size *big.Rat) {
-	if tenant == "" || size.Sign() == 0 {
-		return
-	}
-	cur := sh.tenantBacklog[tenant]
-	if cur == nil {
-		cur = new(big.Rat)
-		sh.tenantBacklog[tenant] = cur
-	}
-	cur.Add(cur, size)
-	if cur.Sign() == 0 {
-		delete(sh.tenantBacklog, tenant)
-	}
-}
-
-// tenantBacklogSub takes size back out of the tenant's residual-work entry,
-// pruning it at zero. Callers hold backlogMu.
-//
-//divflow:locks requires=backlog
-func (sh *shard) tenantBacklogSub(tenant string, size *big.Rat) {
-	if tenant == "" || size.Sign() == 0 {
-		return
-	}
-	cur := sh.tenantBacklog[tenant]
-	if cur == nil {
-		return
-	}
-	cur.Sub(cur, size)
-	if cur.Sign() == 0 {
-		delete(sh.tenantBacklog, tenant)
-	}
 }
 
 // newShard builds one scheduling shard over the given slice of the fleet.
@@ -334,6 +244,7 @@ func newShard(idx, pos, stride, gidBase int, clock Clock, machines []model.Machi
 		backlog:    new(big.Rat),
 		// Never nil: restore assigns tenant entries straight into it.
 		tenantBacklog: make(map[string]*big.Rat),
+		tenants:       make(shardlink.TenantLedger),
 		wake:          make(chan struct{}, 1),
 		done:          make(chan struct{}),
 		stopped:       make(chan struct{}),
@@ -362,14 +273,7 @@ func newShard(idx, pos, stride, gidBase int, clock Clock, machines []model.Machi
 func (sh *shard) globalID(local int) int { return sh.gidBase + local*sh.stride + sh.pos }
 
 // hosts reports whether some machine of the shard hosts every databank.
-func (sh *shard) hosts(databanks []string) bool {
-	for i := range sh.machines {
-		if sh.machines[i].Hosts(databanks) {
-			return true
-		}
-	}
-	return false
-}
+func (sh *shard) hosts(databanks []string) bool { return hostsAny(sh.machines, databanks) }
 
 // cost is the shard engine's CostFunc: the uniform model over the shard's
 // machines, c_{i,j} = Size_j · InverseSpeed_i where machine i hosts job j's
@@ -423,11 +327,11 @@ func (sh *shard) close() {
 		return
 	}
 	for _, rec := range sh.pending {
-		rec.state = StateRejected
+		rec.State = StateRejected
 		for i := range sh.eligible {
-			delete(sh.eligible[i], rec.id)
+			delete(sh.eligible[i], rec.ID)
 		}
-		sh.obs.event(obs.EventReject, rec.gid, nil, "shutdown drained the queued job")
+		sh.obs.event(obs.EventReject, rec.GID, nil, "shutdown drained the queued job")
 	}
 	sh.shiftBacklog(false, sh.pending...)
 	sh.pending = nil
@@ -475,21 +379,21 @@ func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error)
 			return 0, cert, errDeadline
 		}
 	}
-	rec := &jobRecord{id: len(sh.records), gid: sh.globalID(len(sh.records)), state: StateQueued, Job: job.Clone()}
+	rec := &jobRecord{ID: len(sh.records), GID: sh.globalID(len(sh.records)), State: StateQueued, Job: job.Clone()}
 	rec.Release = release
 	if rec.Name == "" {
-		rec.Name = fmt.Sprintf("job-%d", rec.gid)
+		rec.Name = fmt.Sprintf("job-%d", rec.GID)
 	}
 	// Write-ahead: the submission is logged before any shard state changes,
 	// so a crash between the append and the mutation replays the job rather
 	// than losing an acknowledged submission.
 	if sh.wal != nil {
-		sh.wal.append(walTypeSubmit, &recSubmit{Shard: sh.idx, Local: rec.id, GID: rec.gid, Job: rec.Job.Clone()})
+		sh.wal.append(walTypeSubmit, &recSubmit{Shard: sh.idx, Local: rec.ID, GID: rec.GID, Job: rec.Job.Clone()})
 	}
 	rec.submittedWall = sh.obs.now()
 	sh.enqueue(rec, "")
 	sh.poke()
-	return rec.gid, cert, nil
+	return rec.GID, cert, nil
 }
 
 // enqueue is a job's birth on this shard, the live submission and its WAL
@@ -503,13 +407,11 @@ func (sh *shard) enqueue(rec *jobRecord, note string) bool {
 	sh.records = append(sh.records, rec)
 	sh.pending = append(sh.pending, rec)
 	if rec.Tenant != "" {
-		ta := sh.tenantFor(rec.Tenant)
-		ta.submitted++
-		ta.byClass[rec.SLAClass]++
+		sh.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Submitted: 1, ByClass: map[string]int{rec.SLAClass: 1}})
 	}
 	sh.shiftBacklog(true, rec)
 	hosted := sh.markEligible(rec)
-	sh.obs.event(obs.EventSubmit, rec.gid, rec.Release, note)
+	sh.obs.event(obs.EventSubmit, rec.GID, rec.Release, note)
 	return hosted
 }
 
@@ -598,7 +500,7 @@ func (sh *shard) residualJobs(now *big.Rat) ([]model.Job, []*big.Rat) {
 		add(sh.records[rj.ID], rj.Size, rj.Remaining)
 	}
 	for _, rec := range sh.pending {
-		add(rec, rec.Size, rec.remaining)
+		add(rec, rec.Size, rec.Remaining)
 	}
 	return jobs, deadlines
 }
@@ -611,8 +513,8 @@ func (sh *shard) residualJobs(now *big.Rat) ([]model.Job, []*big.Rat) {
 //
 //divflow:locks requires=shard
 func (sh *shard) orphanRecord(rec *jobRecord) {
-	rec.state = StateMigrated
-	sh.migratedIDs = append(sh.migratedIDs, rec.id)
+	rec.State = StateMigrated
+	sh.migratedIDs = append(sh.migratedIDs, rec.ID)
 }
 
 // adoptRecord creates the destination-side record of a migrated job: a fresh
@@ -625,9 +527,9 @@ func (sh *shard) orphanRecord(rec *jobRecord) {
 //divflow:locks requires=shard
 func (sh *shard) adoptRecord(mj *shardlink.MigratedJob) *jobRecord {
 	nrec := &jobRecord{
-		id: len(sh.records), gid: mj.GID, state: StateQueued,
+		ID: len(sh.records), GID: mj.GID, State: StateQueued,
 		Job:       mj.Job.Clone(), // Release included: the flow origin is still the first submission
-		remaining: copyRat(mj.Remaining), stolen: true, counted: mj.Counted,
+		Remaining: copyRat(mj.Remaining), Stolen: true, Counted: mj.Counted,
 	}
 	sh.records = append(sh.records, nrec)
 	sh.pending = append(sh.pending, nrec)
@@ -643,7 +545,7 @@ func (sh *shard) markEligible(rec *jobRecord) bool {
 	hosted := false
 	for i := range sh.machines {
 		if sh.machines[i].Hosts(rec.Databanks) {
-			sh.eligible[i][rec.id] = true
+			sh.eligible[i][rec.ID] = true
 			hosted = true
 		}
 	}
@@ -651,21 +553,30 @@ func (sh *shard) markEligible(rec *jobRecord) bool {
 }
 
 // shiftBacklog moves the records' sizes into (or out of) the backlog and its
-// per-tenant split in one step under backlogMu: a birth, the destination's
-// half of a migration on admit, the donor's on commit, and the shutdown drain. Callers
-// hold sh.mu.
+// per-tenant split (untracked traffic is not split, zero entries are pruned)
+// in one step under backlogMu: a birth, the destination's half of a migration
+// on admit, the donor's on commit, and the shutdown drain. Callers hold sh.mu.
 //
 //divflow:locks requires=shard
 func (sh *shard) shiftBacklog(in bool, recs ...*jobRecord) {
 	sh.backlogMu.Lock()
 	defer sh.backlogMu.Unlock()
 	for _, rec := range recs {
-		if in {
-			sh.backlog.Add(sh.backlog, rec.Size)
-			sh.tenantBacklogAdd(rec.Tenant, rec.Size)
-		} else {
-			sh.backlog.Sub(sh.backlog, rec.Size)
-			sh.tenantBacklogSub(rec.Tenant, rec.Size)
+		size := rec.Size
+		if !in {
+			size = new(big.Rat).Neg(size)
+		}
+		sh.backlog.Add(sh.backlog, size)
+		cur := sh.tenantBacklog[rec.Tenant]
+		if rec.Tenant == "" || (cur == nil && !in) {
+			continue
+		}
+		if cur == nil {
+			cur = new(big.Rat)
+			sh.tenantBacklog[rec.Tenant] = cur
+		}
+		if cur.Add(cur, size).Sign() == 0 {
+			delete(sh.tenantBacklog, rec.Tenant)
 		}
 	}
 }
@@ -928,8 +839,14 @@ func (sh *shard) admitAll(now *big.Rat) {
 	if len(sh.pending) == 0 {
 		return
 	}
-	sh.wal.appendAdmit(sh, now, sh.pending)
 	batch := sh.pending
+	if sh.wal != nil {
+		locals := make([]int, len(batch))
+		for i, rec := range batch {
+			locals[i] = rec.ID
+		}
+		sh.wal.append(walTypeAdmit, &recAdmit{Shard: sh.idx, At: copyRat(now), Locals: locals})
+	}
 	sh.pending = nil
 	// Arrival-batch statistics count each job's *first* admission only: a
 	// job stolen after it was admitted once is not a new arrival, while one
@@ -952,7 +869,7 @@ func (sh *shard) admitAll(now *big.Rat) {
 		// Stolen jobs carry the unprocessed fraction they arrived with; the
 		// release stays the original submission time in both cases, so flow
 		// and stretch keep measuring from first contact with the service.
-		if err := sh.eng.AddPartial(rec.id, rec.Release, rec.Weight, rec.Size, rec.remaining); err != nil {
+		if err := sh.eng.AddPartial(rec.ID, rec.Release, rec.Weight, rec.Size, rec.Remaining); err != nil {
 			// Keep the unadmitted tail (failed record included) in pending:
 			// those jobs stay visible to the steal census — another shard can
 			// still rescue them — and to the close() drain, which must mark
@@ -967,14 +884,14 @@ func (sh *shard) admitAll(now *big.Rat) {
 		// Only a successful admit makes the job "scheduled": a rejected Add
 		// must leave the record queued, not claim scheduling that never
 		// happened.
-		rec.state = StateScheduled
+		rec.State = StateScheduled
 		if !rec.submittedWall.IsZero() {
 			sh.obs.submitAdmit.Observe(sh.obs.sinceSeconds(rec.submittedWall))
 			rec.submittedWall = time.Time{}
 		}
-		sh.obs.event(obs.EventAdmit, rec.gid, now, "")
-		if !rec.counted {
-			rec.counted = true
+		sh.obs.event(obs.EventAdmit, rec.GID, now, "")
+		if !rec.Counted {
+			rec.Counted = true
 			native++
 		}
 	}
@@ -993,10 +910,12 @@ func (sh *shard) step(t *big.Rat) bool {
 		return false
 	}
 	for _, id := range done {
-		sh.records[id].state = StateDone
-		sh.records[id].completed = sh.eng.Completion(id)
-		sh.wal.appendComplete(sh, sh.records[id])
-		sh.recordCompletion(sh.records[id])
+		rec := sh.records[id]
+		rec.State, rec.Completed = StateDone, sh.eng.Completion(id)
+		if sh.wal != nil {
+			sh.wal.append(walTypeComplete, &recComplete{Shard: sh.idx, Local: rec.ID, GID: rec.GID, At: copyRat(rec.Completed)})
+		}
+		sh.recordCompletion(rec)
 	}
 	return sh.decide()
 }
@@ -1006,25 +925,13 @@ func (sh *shard) step(t *big.Rat) bool {
 //
 //divflow:locks requires=shard
 func (sh *shard) recordCompletion(rec *jobRecord) {
-	sh.DoneCount++
 	sh.shiftBacklog(false, rec)
-	flow := new(big.Rat).Sub(rec.completed, rec.Release)
-	sh.FlowSum.Add(sh.FlowSum, flow)
+	flow := new(big.Rat).Sub(rec.Completed, rec.Release)
 	wf := new(big.Rat).Mul(rec.Weight, flow)
-	if sh.MaxWF == nil || wf.Cmp(sh.MaxWF) > 0 {
-		sh.MaxWF = wf
-	}
-	st := new(big.Rat).Quo(flow, rec.Size)
-	if sh.MaxStretch == nil || st.Cmp(sh.MaxStretch) > 0 {
-		sh.MaxStretch = st
-	}
+	sh.FlowTotals.Merge(shardlink.FlowTotals{
+		DoneCount: 1, FlowSum: flow, MaxWF: wf, MaxStretch: new(big.Rat).Quo(flow, rec.Size)})
 	if rec.Tenant != "" {
-		ta := sh.tenantFor(rec.Tenant)
-		ta.completed++
-		ta.flowSum.Add(ta.flowSum, flow)
-		if ta.maxWF == nil || wf.Cmp(ta.maxWF) > 0 {
-			ta.maxWF = new(big.Rat).Set(wf)
-		}
+		sh.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Completed: 1, FlowSum: flow, MaxWF: wf})
 		// The per-tenant weighted-flow histogram backs the /v1/tenants P95,
 		// like the shard flow histogram backs the /v1/stats one.
 		wff, _ := wf.Float64()
@@ -1059,7 +966,9 @@ func (sh *shard) compact(now *big.Rat) {
 	// dropping pieces must never move the reported whole-execution makespan
 	// backwards.
 	sh.noteMakespan()
-	sh.wal.appendCompact(sh, now, horizon)
+	if sh.wal != nil {
+		sh.wal.append(walTypeCompact, &recCompact{Shard: sh.idx, Now: copyRat(now), Horizon: copyRat(horizon)})
+	}
 	sh.LastCompact = horizon
 	before := sh.CompactedJobs
 	drop := func(id int) {
@@ -1067,8 +976,8 @@ func (sh *shard) compact(now *big.Rat) {
 		// Only the job's *current* owner releases the forwarding entry: a
 		// record that is stolen but migrated onward describes a hop whose
 		// entry already points at a later shard.
-		if rec.stolen && rec.state != StateMigrated && sh.dropForward != nil {
-			sh.dropForward(rec.gid)
+		if rec.Stolen && rec.State != StateMigrated && sh.dropForward != nil {
+			sh.dropForward(rec.GID)
 		}
 		sh.records[id] = nil
 		sh.CompactedJobs++
@@ -1081,7 +990,7 @@ func (sh *shard) compact(now *big.Rat) {
 	}
 	keep := sh.migratedIDs[:0]
 	for _, id := range sh.migratedIDs {
-		if sh.records[id].migratedAt.Cmp(horizon) <= 0 {
+		if sh.records[id].MigratedAt.Cmp(horizon) <= 0 {
 			drop(id)
 		} else {
 			keep = append(keep, id)
@@ -1189,16 +1098,16 @@ func (sh *shard) jobStatus(local, gid int) (st model.JobStatus, known, migrated 
 		return model.JobStatus{}, false, false
 	}
 	rec := sh.records[local]
-	if rec.state == StateMigrated {
-		return model.JobStatus{}, false, rec.gid == gid
+	if rec.State == StateMigrated {
+		return model.JobStatus{}, false, rec.GID == gid
 	}
-	if rec.gid != gid {
+	if rec.GID != gid {
 		return model.JobStatus{}, false, false
 	}
 	st = model.JobStatus{
-		ID:        rec.gid,
+		ID:        rec.GID,
 		Name:      rec.Name,
-		State:     rec.state,
+		State:     rec.State,
 		Weight:    rec.Weight.RatString(),
 		Size:      rec.Size.RatString(),
 		Databanks: rec.Databanks,
@@ -1211,19 +1120,19 @@ func (sh *shard) jobStatus(local, gid int) (st model.JobStatus, known, migrated 
 	if rec.Release != nil {
 		st.Release = rec.Release.RatString()
 	}
-	if rec.state == StateScheduled {
-		if rem := sh.eng.Remaining(rec.id); rem != nil {
+	if rec.State == StateScheduled {
+		if rem := sh.eng.Remaining(rec.ID); rem != nil {
 			st.Remaining = rem.RatString()
 		}
 	}
-	if rec.completed != nil {
-		flow := new(big.Rat).Sub(rec.completed, rec.Release)
-		st.CompletedAt = rec.completed.RatString()
+	if rec.Completed != nil {
+		flow := new(big.Rat).Sub(rec.Completed, rec.Release)
+		st.CompletedAt = rec.Completed.RatString()
 		st.Flow = flow.RatString()
 		st.WeightedFlow = new(big.Rat).Mul(rec.Weight, flow).RatString()
 		st.Stretch = new(big.Rat).Quo(flow, rec.Size).RatString()
 		if rec.Deadline != nil {
-			met := rec.completed.Cmp(rec.Deadline) <= 0
+			met := rec.Completed.Cmp(rec.Deadline) <= 0
 			st.DeadlineMet = &met
 		}
 	}
@@ -1257,13 +1166,40 @@ func (sh *shard) scheduleSnapshot(since *big.Rat) (pieces []schedule.Piece, now,
 		// always has a record to read.
 		pieces[k] = schedule.Piece{
 			Machine:  sh.machineIdx[pc.Machine],
-			Job:      sh.records[pc.Job].gid,
+			Job:      sh.records[pc.Job].GID,
 			Start:    new(big.Rat).Set(pc.Start),
 			End:      new(big.Rat).Set(pc.End),
 			Fraction: new(big.Rat).Set(pc.Fraction),
 		}
 	}
 	return pieces, sh.eng.Now(), makespan
+}
+
+// ledger copies the shard's ledger out from under its lock: the one reader
+// the snapshot and the stats reply — and through them every fleet read —
+// share. The copy is complete: what lives outside the ledger structs (the two
+// flow histograms, the routing-side backlog split) is filled in, so a tenant
+// that only ever had migrated work here (a backlog, no entry) appears too.
+// Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) ledger() (shardlink.ShardTotals, shardlink.TenantLedger) {
+	totals := sh.ShardTotals.Clone()
+	if flow := sh.obs.flow.Snapshot(); flow.Count > 0 {
+		totals.Flow = &flow
+	}
+	tenants := sh.tenants.Clone()
+	for t, tt := range tenants {
+		if wflow := sh.obs.tenantWFlow(t).Snapshot(); wflow.Count > 0 {
+			tt.WFlow = &wflow
+		}
+	}
+	sh.backlogMu.Lock()
+	defer sh.backlogMu.Unlock()
+	for t, b := range sh.tenantBacklog {
+		tenants.Merge(shardlink.TenantLedger{t: {Backlog: b}})
+	}
+	return totals, tenants
 }
 
 // statsSnapshot captures the shard's counters under its lock, in the wire
@@ -1313,53 +1249,9 @@ func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 			Panics:          sh.Panics,
 			Restarts:        sh.Restarts,
 		},
-		Now:       copyRat(engNow),
-		DoneCount: sh.DoneCount,
-		FlowSum:   new(big.Rat).Set(sh.FlowSum),
-		// Deep copies: these leave the lock (and possibly the process), and
-		// nothing may alias live aggregate state out of it — recordCompletion
-		// happens to replace rather than mutate the maxima today, but the
-		// snapshot must not depend on that staying true.
-		MaxWF:      copyRat(sh.MaxWF),
-		MaxStretch: copyRat(sh.MaxStretch),
-		Flow:       sh.obs.flow.Snapshot(),
+		Now: copyRat(engNow),
 	}
-	// Per-tenant accounting: union of the aggregate slots (birth submissions,
-	// completions) and the backlog split (which may name tenants that only
-	// ever migrated work here).
-	sh.backlogMu.Lock()
-	tenantNames := make(map[string]bool, len(sh.tenants)+len(sh.tenantBacklog))
-	for t := range sh.tenants {
-		tenantNames[t] = true
-	}
-	for t := range sh.tenantBacklog {
-		tenantNames[t] = true
-	}
-	if len(tenantNames) > 0 {
-		snap.Tenants = make(map[string]shardlink.TenantShardSnapshot, len(tenantNames))
-		for t := range tenantNames {
-			ts := shardlink.TenantShardSnapshot{
-				Backlog: new(big.Rat),
-				FlowSum: new(big.Rat),
-				WFlow:   sh.obs.tenantWFlow(t).Snapshot(),
-			}
-			if tb := sh.tenantBacklog[t]; tb != nil {
-				ts.Backlog.Set(tb)
-			}
-			if ta := sh.tenants[t]; ta != nil {
-				ts.Submitted = ta.submitted
-				ts.Completed = ta.completed
-				ts.FlowSum.Set(ta.flowSum)
-				ts.MaxWF = copyRat(ta.maxWF)
-				ts.ByClass = make(map[string]int, len(ta.byClass))
-				for c, n := range ta.byClass {
-					ts.ByClass[c] = n
-				}
-			}
-			snap.Tenants[t] = ts
-		}
-	}
-	sh.backlogMu.Unlock()
+	snap.Totals, snap.Tenants = sh.ledger()
 	snap.BacklogF, _ = sh.backlog.Float64()
 	if sh.mwf != nil {
 		snap.Wire.LPSolves = sh.mwf.Solves()

@@ -666,16 +666,16 @@ func validateServer(t *testing.T, srv *Server) {
 				sh.mu.Unlock()
 				t.Fatalf("shard %d: compacted record; validateServer needs full history", sh.idx)
 			}
-			if rec.stolen {
+			if rec.Stolen {
 				continue // counted at its birth shard
 			}
-			jobs = append(jobs, gidJob{gid: rec.gid, job: rec.Job.Clone()})
+			jobs = append(jobs, gidJob{gid: rec.GID, job: rec.Job.Clone()})
 		}
 		for k := range sh.eng.Schedule().Pieces {
 			pc := &sh.eng.Schedule().Pieces[k]
 			pieces = append(pieces, schedule.Piece{
 				Machine:  sh.machineIdx[pc.Machine],
-				Job:      sh.records[pc.Job].gid,
+				Job:      sh.records[pc.Job].GID,
 				Start:    new(big.Rat).Set(pc.Start),
 				End:      new(big.Rat).Set(pc.End),
 				Fraction: new(big.Rat).Set(pc.Fraction),

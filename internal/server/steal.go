@@ -249,10 +249,10 @@ func (sh *shard) stealCensus(hosts func([]string) bool) []int {
 			continue
 		}
 		work := new(big.Rat).Set(rec.Size)
-		if rec.remaining != nil {
-			work.Mul(work, rec.remaining)
+		if rec.Remaining != nil {
+			work.Mul(work, rec.Remaining)
 		}
-		items = append(items, item{rec.id, work})
+		items = append(items, item{rec.ID, work})
 	}
 	for _, id := range sh.eng.LiveIDs() {
 		rec := sh.records[id]

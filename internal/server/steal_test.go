@@ -266,7 +266,7 @@ func TestStealDisabledPinsJobs(t *testing.T) {
 	sh := srv.active()[0]
 	sh.mu.Lock()
 	for _, pc := range sh.eng.Schedule().Pieces {
-		if sh.records[pc.Job].gid == idA && sh.machineIdx[pc.Machine] != 0 && sh.machineIdx[pc.Machine] != 2 {
+		if sh.records[pc.Job].GID == idA && sh.machineIdx[pc.Machine] != 0 && sh.machineIdx[pc.Machine] != 2 {
 			t.Errorf("A executed on machine %d outside shard 0", sh.machineIdx[pc.Machine])
 		}
 	}

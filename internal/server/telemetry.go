@@ -75,39 +75,99 @@ type telemetry struct {
 	tenantShed     *obs.CounterVec   // {tenant}: submissions shed by the fairness quota
 	tenantWFlow    *obs.HistogramVec // {shard,tenant}: completed weighted flows, virtual time
 
-	// Scrape-time families (Server.collectMetrics).
-	submissions     *obs.CounterVec
-	completions     *obs.CounterVec
-	engineEvents    *obs.CounterVec
-	lpSolves        *obs.CounterVec
-	cacheHits       *obs.CounterVec
-	arrivalBatches  *obs.CounterVec
-	batchedArrivals *obs.CounterVec
-	stolenIn        *obs.CounterVec
-	stolenOut       *obs.CounterVec
-	reshardedIn     *obs.CounterVec
-	reshardedOut    *obs.CounterVec
-	compacted       *obs.CounterVec
-	solverPath      *obs.CounterVec
-	solverWarm      *obs.CounterVec
-	shardPanics     *obs.CounterVec
-	shardRestarts   *obs.CounterVec
-	walAppends      *obs.Counter
-	walSnapshots    *obs.Counter
-	walReplayed     *obs.Counter
-	reshardEvents   *obs.Counter
-	journalEvents   *obs.Counter
-	tenantSubmits   *obs.CounterVec
-	tenantDone      *obs.CounterVec
-	tenantBacklog   *obs.GaugeVec
-	backlog         *obs.GaugeVec
-	jobsLive        *obs.GaugeVec
-	jobsQueued      *obs.GaugeVec
-	shardStalled    *obs.GaugeVec
-	shardRetired    *obs.GaugeVec
-	shardGen        *obs.GaugeVec
-	topoGen         *obs.Gauge
-	activeShards    *obs.Gauge
+	// Scrape-time families (Server.collectMetrics): the three tables' setters,
+	// then the two families whose second label fits no table.
+	setFleet   func(f *fleetStats, _ ...string)
+	setShard   func(snap *shardlink.StatsSnapshot, shard ...string)
+	setTenant  func(totals *shardlink.TenantTotals, tenant ...string)
+	solverPath *obs.CounterVec
+	solverWarm *obs.CounterVec
+}
+
+// series is one scrape-time family — a counter unless gauge — whose samples
+// are read off a T at every scrape, never incremented inline.
+type series[T any] struct {
+	name, help string
+	gauge      bool
+	get        func(*T) float64
+}
+
+// fleetSeries lists the unlabelled scrape-time families, read off the fleet
+// read itself.
+var fleetSeries = []series[fleetStats]{
+	{"divflow_topology_generation", "Current topology generation (0 until the first structural reshard).", true, func(f *fleetStats) float64 { return float64(f.generation) }},
+	{"divflow_active_shards", "Shards in the active topology.", true, func(f *fleetStats) float64 { return float64(f.active) }},
+	{"divflow_reshard_events_total", "Completed structural reshards (topology generation advances).", false, func(f *fleetStats) float64 { return float64(f.reshards) }},
+	{"divflow_journal_events_total", "Events appended to the journal (GET /v1/events).", false, func(f *fleetStats) float64 { return float64(f.events) }},
+	{"divflow_wal_appends_total", "Records durably appended to the write-ahead log.", false, func(f *fleetStats) float64 { return float64(f.wal.Appends) }},
+	{"divflow_wal_snapshots_total", "Fleet snapshots written (the WAL is truncated behind each).", false, func(f *fleetStats) float64 { return float64(f.wal.Snapshots) }},
+	{"divflow_wal_replayed_records_total", "WAL records replayed through the admission paths at the last startup.", false, func(f *fleetStats) float64 { return float64(f.wal.Replayed) }},
+}
+
+type shardSnap = shardlink.StatsSnapshot
+
+// shardSeries lists the {shard}-labelled scrape-time families, each read off
+// the shard's stats snapshot — the one GET /v1/stats renders, so the two
+// surfaces cannot disagree. A new per-shard counter is one row here.
+var shardSeries = []series[shardSnap]{
+	{"divflow_submissions_total", "Jobs accepted, by birth shard.", false, func(s *shardSnap) float64 { return float64(s.Wire.JobsAccepted) }},
+	{"divflow_jobs_completed_total", "Jobs completed, by completing shard.", false, func(s *shardSnap) float64 { return float64(s.Wire.JobsCompleted) }},
+	{"divflow_engine_events_total", "Scheduling decisions (engine events) taken.", false, func(s *shardSnap) float64 { return float64(s.Wire.Events) }},
+	{"divflow_lp_solves_total", "Exact residual LP solves performed.", false, func(s *shardSnap) float64 { return float64(s.Wire.LPSolves) }},
+	{"divflow_plan_cache_hits_total", "Decision points served from the cached plan.", false, func(s *shardSnap) float64 { return float64(s.Wire.PlanCacheHits) }},
+	{"divflow_arrival_batches_total", "Admission batches (arrivals sharing one re-solve).", false, func(s *shardSnap) float64 { return float64(s.Totals.ArrivalBatches) }},
+	{"divflow_batched_arrivals_total", "First admissions folded into arrival batches.", false, func(s *shardSnap) float64 { return float64(s.Totals.BatchedArrivals) }},
+	{"divflow_jobs_stolen_in_total", "Jobs migrated here by work stealing.", false, func(s *shardSnap) float64 { return float64(s.Totals.StolenIn) }},
+	{"divflow_jobs_stolen_out_total", "Jobs stolen away from here.", false, func(s *shardSnap) float64 { return float64(s.Totals.MigratedOut) }},
+	{"divflow_jobs_resharded_in_total", "Jobs migrated here by live reshards.", false, func(s *shardSnap) float64 { return float64(s.Totals.ReshardIn) }},
+	{"divflow_jobs_resharded_out_total", "Jobs migrated away from here by live reshards.", false, func(s *shardSnap) float64 { return float64(s.Totals.ReshardOut) }},
+	{"divflow_compacted_jobs_total", "Job records dropped by the retention policy.", false, func(s *shardSnap) float64 { return float64(s.Totals.CompactedJobs) }},
+	{"divflow_shard_panics_total", "Loop panics caught by the shard supervisor.", false, func(s *shardSnap) float64 { return float64(s.Totals.Panics) }},
+	{"divflow_shard_restarts_total", "In-place shard restarts (-restart-stalled rebuilds from in-memory state).", false, func(s *shardSnap) float64 { return float64(s.Totals.Restarts) }},
+	{"divflow_backlog_work", "Residual work routed to the shard (float approximation of the exact rational).", true, func(s *shardSnap) float64 { return s.BacklogF }},
+	{"divflow_jobs_live", "Jobs live in the shard engine.", true, func(s *shardSnap) float64 { return float64(s.Wire.JobsLive) }},
+	{"divflow_jobs_queued", "Jobs accepted but not yet admitted.", true, func(s *shardSnap) float64 { return float64(s.Wire.JobsQueued) }},
+	{"divflow_shard_stalled", "1 while the shard has latched a scheduling error.", true, func(s *shardSnap) float64 { return boolGauge(s.Wire.Stalled) }},
+	{"divflow_shard_retired", "1 once a reshard retired the shard from the active topology.", true, func(s *shardSnap) float64 { return boolGauge(s.Wire.Retired) }},
+	{"divflow_shard_generation", "Newest topology generation the shard is (or was) a member of.", true, func(s *shardSnap) float64 { return float64(s.Wire.Generation) }},
+}
+
+// tenantSeries lists the {tenant}-labelled ones, read off the fleet's merged
+// tenant ledger — the one GET /v1/tenants renders.
+var tenantSeries = []series[shardlink.TenantTotals]{
+	{"divflow_tenant_submissions_total", "Jobs accepted, by tenant (fleet-wide; untracked traffic absent).", false,
+		func(t *shardlink.TenantTotals) float64 { return float64(t.Submitted) }},
+	{"divflow_tenant_completed_total", "Jobs completed, by tenant (fleet-wide; untracked traffic absent).", false,
+		func(t *shardlink.TenantTotals) float64 { return float64(t.Completed) }},
+	{"divflow_tenant_backlog_work", "Residual work, by tenant (fleet-wide float approximation of the exact rational).", true,
+		func(t *shardlink.TenantTotals) float64 {
+			if t.Backlog == nil {
+				return 0
+			}
+			f, _ := t.Backlog.Float64()
+			return f
+		}},
+}
+
+// registerSeries registers every row's family under the given label (none for
+// the fleet's) and returns the scrape-time setter: it writes each row's
+// sample for the given label value, read off v.
+func registerSeries[T any](r *obs.Registry, rows []series[T], label ...string) func(v *T, value ...string) {
+	sets := make([]func(*T, []string), len(rows))
+	for i, row := range rows {
+		if row.gauge {
+			g := r.Gauge(row.name, row.help, label...)
+			sets[i] = func(v *T, value []string) { g.With(value...).Set(row.get(v)) }
+		} else {
+			c := r.Counter(row.name, row.help, label...)
+			sets[i] = func(v *T, value []string) { c.With(value...).Set(uint64(row.get(v))) }
+		}
+	}
+	return func(v *T, value ...string) {
+		for _, set := range sets {
+			set(v, value)
+		}
+	}
 }
 
 // newTelemetry builds the registry (every family registered up front, so a
@@ -153,71 +213,13 @@ func newTelemetry(enabled bool, sink io.Writer) *telemetry {
 			"Completed jobs' weighted flows (virtual time units), by shard and tenant; backs the /v1/tenants P95.",
 			obs.DefFlowBuckets, "shard", "tenant"),
 
-		submissions: r.Counter("divflow_submissions_total",
-			"Jobs accepted, by birth shard.", "shard"),
-		completions: r.Counter("divflow_jobs_completed_total",
-			"Jobs completed, by completing shard.", "shard"),
-		engineEvents: r.Counter("divflow_engine_events_total",
-			"Scheduling decisions (engine events) taken.", "shard"),
-		lpSolves: r.Counter("divflow_lp_solves_total",
-			"Exact residual LP solves performed.", "shard"),
-		cacheHits: r.Counter("divflow_plan_cache_hits_total",
-			"Decision points served from the cached plan.", "shard"),
-		arrivalBatches: r.Counter("divflow_arrival_batches_total",
-			"Admission batches (arrivals sharing one re-solve).", "shard"),
-		batchedArrivals: r.Counter("divflow_batched_arrivals_total",
-			"First admissions folded into arrival batches.", "shard"),
-		stolenIn: r.Counter("divflow_jobs_stolen_in_total",
-			"Jobs migrated here by work stealing.", "shard"),
-		stolenOut: r.Counter("divflow_jobs_stolen_out_total",
-			"Jobs stolen away from here.", "shard"),
-		reshardedIn: r.Counter("divflow_jobs_resharded_in_total",
-			"Jobs migrated here by live reshards.", "shard"),
-		reshardedOut: r.Counter("divflow_jobs_resharded_out_total",
-			"Jobs migrated away from here by live reshards.", "shard"),
-		compacted: r.Counter("divflow_compacted_jobs_total",
-			"Job records dropped by the retention policy.", "shard"),
 		solverPath: r.Counter("divflow_solver_path_total",
 			"Inner LP solves settled, by hybrid-engine path.", "shard", "path"),
 		solverWarm: r.Counter("divflow_solver_warm_total",
 			"Warm-start attempts of inner LP solves, by outcome.", "shard", "result"),
-		shardPanics: r.Counter("divflow_shard_panics_total",
-			"Loop panics caught by the shard supervisor.", "shard"),
-		shardRestarts: r.Counter("divflow_shard_restarts_total",
-			"In-place shard restarts (-restart-stalled rebuilds from in-memory state).", "shard"),
-		walAppends: r.Counter("divflow_wal_appends_total",
-			"Records durably appended to the write-ahead log.").With(),
-		walSnapshots: r.Counter("divflow_wal_snapshots_total",
-			"Fleet snapshots written (the WAL is truncated behind each).").With(),
-		walReplayed: r.Counter("divflow_wal_replayed_records_total",
-			"WAL records replayed through the admission paths at the last startup.").With(),
-		reshardEvents: r.Counter("divflow_reshard_events_total",
-			"Completed structural reshards (topology generation advances).").With(),
-		journalEvents: r.Counter("divflow_journal_events_total",
-			"Events appended to the journal (GET /v1/events).").With(),
-
-		tenantSubmits: r.Counter("divflow_tenant_submissions_total",
-			"Jobs accepted, by tenant (fleet-wide; untracked traffic absent).", "tenant"),
-		tenantDone: r.Counter("divflow_tenant_completed_total",
-			"Jobs completed, by tenant (fleet-wide; untracked traffic absent).", "tenant"),
-		tenantBacklog: r.Gauge("divflow_tenant_backlog_work",
-			"Residual work, by tenant (fleet-wide float approximation of the exact rational).", "tenant"),
-		backlog: r.Gauge("divflow_backlog_work",
-			"Residual work routed to the shard (float approximation of the exact rational).", "shard"),
-		jobsLive: r.Gauge("divflow_jobs_live",
-			"Jobs live in the shard engine.", "shard"),
-		jobsQueued: r.Gauge("divflow_jobs_queued",
-			"Jobs accepted but not yet admitted.", "shard"),
-		shardStalled: r.Gauge("divflow_shard_stalled",
-			"1 while the shard has latched a scheduling error.", "shard"),
-		shardRetired: r.Gauge("divflow_shard_retired",
-			"1 once a reshard retired the shard from the active topology.", "shard"),
-		shardGen: r.Gauge("divflow_shard_generation",
-			"Newest topology generation the shard is (or was) a member of.", "shard"),
-		topoGen: r.Gauge("divflow_topology_generation",
-			"Current topology generation (0 until the first structural reshard).").With(),
-		activeShards: r.Gauge("divflow_active_shards",
-			"Shards in the active topology.").With(),
+		setFleet:  registerSeries(r, fleetSeries),
+		setShard:  registerSeries(r, shardSeries, "shard"),
+		setTenant: registerSeries(r, tenantSeries, "tenant"),
 	}
 	return t
 }
@@ -363,82 +365,29 @@ func (o *shardObs) ObserveCacheHit() {
 	o.event(obs.EventPlanCacheHit, -1, o.sh.eng.Now(), "")
 }
 
-// collectMetrics refreshes every scrape-time family from the same per-shard
-// snapshots GET /v1/stats merges — each shard's mu is taken briefly, exactly
-// like a stats read — so the exporter and the stats endpoint answer from one
-// source. Registered as the registry's collect hook; runs at every scrape.
+// collectMetrics projects the fleet read onto the scrape-time families —
+// each shard's mu is taken briefly, exactly like a stats read — so the
+// exporter and the stats endpoint answer from one source. A shard whose
+// transport fails mid-scrape just keeps its previous values. Registered as
+// the registry's collect hook; runs at every scrape.
 func (s *Server) collectMetrics() {
 	t := s.tel
 	t.collectMu.Lock()
 	defer t.collectMu.Unlock()
-	s.topoMu.RLock()
-	gen := len(s.gens) - 1
-	active := len(s.gens[len(s.gens)-1].shards)
-	reshards := s.reshards
-	s.topoMu.RUnlock()
-	t.topoGen.Set(float64(gen))
-	t.activeShards.Set(float64(active))
-	t.reshardEvents.Set(uint64(reshards))
-	t.journalEvents.Set(uint64(t.journal.NextSeq()))
-	if s.dur != nil {
-		appends, snapshots, replayed, _ := s.dur.counters()
-		t.walAppends.Set(uint64(appends))
-		t.walSnapshots.Set(uint64(snapshots))
-		t.walReplayed.Set(uint64(replayed))
+	f := s.readFleet()
+	t.setFleet(&f)
+	for i := range f.shards {
+		l := strconv.Itoa(f.shards[i].Wire.Shard)
+		t.setShard(&f.shards[i], l)
+		solver := &f.shards[i].Wire.Solver
+		t.solverPath.With(l, pathFloatVerified).Set(uint64(solver.FloatVerified))
+		t.solverPath.With(l, pathCrossover).Set(uint64(solver.Crossovers))
+		t.solverPath.With(l, pathExactFallback).Set(uint64(solver.Fallbacks))
+		t.solverWarm.With(l, "hit").Set(uint64(solver.WarmHits))
+		t.solverWarm.With(l, "miss").Set(uint64(solver.WarmMisses))
 	}
-	tenantSub := make(map[string]int)
-	tenantDone := make(map[string]int)
-	tenantBack := make(map[string]float64)
-	for _, sh := range s.allShards() {
-		// Through the shardlink boundary, like every router-side read: for a
-		// worker-hosted shard this is the only source of truth, and a shard
-		// whose transport fails mid-scrape just keeps its previous values.
-		snap, err := sh.link.Stats(shardlink.StatsArgs{})
-		if err != nil {
-			continue
-		}
-		for name, ts := range snap.Tenants {
-			tenantSub[name] += ts.Submitted
-			tenantDone[name] += ts.Completed
-			bf, _ := ts.Backlog.Float64()
-			tenantBack[name] += bf
-		}
-		w := &snap.Wire
-		l := strconv.Itoa(w.Shard)
-		t.submissions.With(l).Set(uint64(w.JobsAccepted))
-		t.completions.With(l).Set(uint64(w.JobsCompleted))
-		t.engineEvents.With(l).Set(uint64(w.Events))
-		t.lpSolves.With(l).Set(uint64(w.LPSolves))
-		t.cacheHits.With(l).Set(uint64(w.PlanCacheHits))
-		t.arrivalBatches.With(l).Set(uint64(w.ArrivalBatches))
-		t.batchedArrivals.With(l).Set(uint64(w.BatchedArrivals))
-		t.stolenIn.With(l).Set(uint64(w.StolenJobs))
-		t.stolenOut.With(l).Set(uint64(w.Migrations))
-		t.reshardedIn.With(l).Set(uint64(w.ReshardedIn))
-		t.reshardedOut.With(l).Set(uint64(w.ReshardedOut))
-		t.compacted.With(l).Set(uint64(w.CompactedJobs))
-		t.solverPath.With(l, pathFloatVerified).Set(uint64(w.Solver.FloatVerified))
-		t.solverPath.With(l, pathCrossover).Set(uint64(w.Solver.Crossovers))
-		t.solverPath.With(l, pathExactFallback).Set(uint64(w.Solver.Fallbacks))
-		t.solverWarm.With(l, "hit").Set(uint64(w.Solver.WarmHits))
-		t.solverWarm.With(l, "miss").Set(uint64(w.Solver.WarmMisses))
-		t.backlog.With(l).Set(snap.BacklogF)
-		t.jobsLive.With(l).Set(float64(w.JobsLive))
-		t.jobsQueued.With(l).Set(float64(w.JobsQueued))
-		t.shardStalled.With(l).Set(boolGauge(w.Stalled))
-		t.shardRetired.With(l).Set(boolGauge(w.Retired))
-		t.shardGen.With(l).Set(float64(w.Generation))
-		t.shardPanics.With(l).Set(uint64(w.Panics))
-		t.shardRestarts.With(l).Set(uint64(w.Restarts))
-	}
-	for name, n := range tenantSub {
-		t.tenantSubmits.With(name).Set(uint64(n))
-	}
-	for name, n := range tenantDone {
-		t.tenantDone.With(name).Set(uint64(n))
-	}
-	for name, b := range tenantBack {
-		t.tenantBacklog.With(name).Set(b)
+	for name, totals := range f.tenants() {
+		t.setTenant(totals, name)
 	}
 }
 

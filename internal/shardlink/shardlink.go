@@ -23,7 +23,6 @@ import (
 	"math/big"
 
 	"divflow/internal/model"
-	"divflow/internal/obs"
 	"divflow/internal/schedule"
 )
 
@@ -110,47 +109,22 @@ type ScheduleReply struct {
 // StatsArgs requests the shard's stats snapshot.
 type StatsArgs struct{}
 
-// StatsSnapshot is one shard's contribution to the merged GET /v1/stats
-// response: the wire breakdown plus the exact aggregates the router folds
-// into fleet-wide summaries. Every field is exported so the snapshot crosses
-// the RPC transport intact.
+// StatsSnapshot is one shard's answer to a fleet read (GET /v1/stats,
+// /v1/tenants, /metrics): the wire breakdown of its live state plus its
+// ledger, copied whole (ledger.go). Every field is exported so the snapshot
+// crosses the RPC transport intact.
 type StatsSnapshot struct {
-	Wire       model.ShardStats
-	Now        *big.Rat
-	DoneCount  int
-	FlowSum    *big.Rat
-	MaxWF      *big.Rat
-	MaxStretch *big.Rat
-	// Flow is the shard's completed-flow histogram: the router merges the
-	// per-shard snapshots and estimates the fleet P95 from the merge, the
-	// same estimator a dashboard applies to the exported buckets.
-	Flow obs.HistogramSnapshot
+	Wire model.ShardStats
+	Now  *big.Rat
+	// Totals is the shard's scalar ledger; the router merges its FlowTotals
+	// into the fleet-wide flow summaries and P95.
+	Totals ShardTotals
 	// BacklogF is the float approximation of the exact backlog, for the
 	// divflow_backlog_work gauge.
 	BacklogF float64
-	// Tenants is the shard's per-tenant accounting, keyed by tenant name
-	// (untracked traffic is absent). The router merges these into
+	// Tenants is the shard's per-tenant ledger; the router merges these into
 	// GET /v1/tenants and the per-tenant metric families.
-	Tenants map[string]TenantShardSnapshot
-}
-
-// TenantShardSnapshot is one tenant's exact accounting on one shard.
-type TenantShardSnapshot struct {
-	// Submitted counts birth submissions (like ShardStats.JobsAccepted,
-	// migrations excluded), Completed completions on this shard.
-	Submitted int
-	Completed int
-	// Backlog is the tenant's exact residual work on this shard.
-	Backlog *big.Rat
-	// FlowSum and MaxWF aggregate the tenant's completed jobs: Σ (C_j − r_j)
-	// and max w_j (C_j − r_j).
-	FlowSum *big.Rat
-	MaxWF   *big.Rat
-	// ByClass counts birth submissions per SLA class.
-	ByClass map[string]int
-	// WFlow is the tenant's weighted-flow histogram snapshot; the router
-	// merges shards and estimates the per-tenant P95 from it.
-	WFlow obs.HistogramSnapshot
+	Tenants TenantLedger
 }
 
 // RouteInfoArgs requests the routing key.

@@ -101,27 +101,31 @@ func TestMigrationMessagesSurviveGob(t *testing.T) {
 				t.Errorf("RouteInfoReply.Err arrived as %q", ri.Err)
 			}
 
-			// The stats snapshot: the router folds these rationals unguarded
-			// (Server.Stats, TenantStats, collectMetrics), so a zero backlog or
-			// flow sum must not arrive as nil.
+			// The stats snapshot carries the shard's ledger whole: a zero flow
+			// sum or backlog must arrive as the zero it was, not as nil.
 			st := roundTrip(t, StatsSnapshot{
-				Wire: model.ShardStats{Shard: 2, Backlog: "0"}, Now: r, DoneCount: 3,
-				FlowSum: r, MaxWF: r, MaxStretch: r,
-				Tenants: map[string]TenantShardSnapshot{"gold": {
+				Wire: model.ShardStats{Shard: 2, Backlog: "0"}, Now: r,
+				Totals: ShardTotals{ArrivalBatches: 4, LastCompact: r, MakespanHW: r, FrozenNow: r,
+					FlowTotals: FlowTotals{DoneCount: 3, FlowSum: r, MaxWF: r, MaxStretch: r}},
+				Tenants: TenantLedger{"gold": {
 					Submitted: 2, Completed: 1, Backlog: r, FlowSum: r, MaxWF: r, ByClass: map[string]int{"premium": 2},
 				}},
 			})
 			sameRat(t, "StatsSnapshot.Now", st.Now, r)
-			sameRat(t, "StatsSnapshot.FlowSum", st.FlowSum, r)
-			sameRat(t, "StatsSnapshot.MaxWF", st.MaxWF, r)
-			sameRat(t, "StatsSnapshot.MaxStretch", st.MaxStretch, r)
+			sameRat(t, "ShardTotals.LastCompact", st.Totals.LastCompact, r)
+			sameRat(t, "ShardTotals.MakespanHW", st.Totals.MakespanHW, r)
+			sameRat(t, "ShardTotals.FrozenNow", st.Totals.FrozenNow, r)
+			sameRat(t, "FlowTotals.FlowSum", st.Totals.FlowSum, r)
+			sameRat(t, "FlowTotals.MaxWF", st.Totals.MaxWF, r)
+			sameRat(t, "FlowTotals.MaxStretch", st.Totals.MaxStretch, r)
 			gold, ok := st.Tenants["gold"]
-			if !ok || st.Wire.Shard != 2 || st.DoneCount != 3 || gold.Submitted != 2 || gold.Completed != 1 || gold.ByClass["premium"] != 2 {
+			if !ok || st.Wire.Shard != 2 || st.Totals.ArrivalBatches != 4 || st.Totals.DoneCount != 3 ||
+				gold.Submitted != 2 || gold.Completed != 1 || gold.ByClass["premium"] != 2 {
 				t.Fatalf("StatsSnapshot arrived as %+v", st)
 			}
-			sameRat(t, "TenantShardSnapshot.Backlog", gold.Backlog, r)
-			sameRat(t, "TenantShardSnapshot.FlowSum", gold.FlowSum, r)
-			sameRat(t, "TenantShardSnapshot.MaxWF", gold.MaxWF, r)
+			sameRat(t, "TenantTotals.Backlog", gold.Backlog, r)
+			sameRat(t, "TenantTotals.FlowSum", gold.FlowSum, r)
+			sameRat(t, "TenantTotals.MaxWF", gold.MaxWF, r)
 		})
 	}
 
