@@ -395,9 +395,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // reachable shard's snapshot, whose ledgers flow() and tenants() merge.
 // GET /v1/stats, GET /v1/tenants and the /metrics scrape each project it.
 type fleetStats struct {
-	generation, active, reshards int
-	events                       int64          // journal cursor
-	wal                          model.WALStats // zero without a write-ahead log
+	generation, active int
+	events             int64          // journal cursor
+	wal                model.WALStats // zero without a write-ahead log
 	// shards holds one snapshot per reachable shard in creation order, retired
 	// ones included: their counters are history the aggregates must keep.
 	shards []shardlink.StatsSnapshot
@@ -431,7 +431,6 @@ func (s *Server) readFleet() fleetStats {
 	f := fleetStats{
 		generation: len(s.gens) - 1,
 		active:     len(s.gens[len(s.gens)-1].shards),
-		reshards:   s.reshards,
 	}
 	s.topoMu.RUnlock()
 	f.events, f.wal = s.tel.journal.NextSeq(), s.dur.stats()
@@ -451,7 +450,7 @@ func (s *Server) Stats() model.StatsResponse {
 		Policy:        s.policyName,
 		ShardCount:    f.active,
 		Generation:    f.generation,
-		ReshardEvents: f.reshards,
+		ReshardEvents: f.generation,
 	}
 	if s.dur != nil {
 		resp.WAL = &f.wal

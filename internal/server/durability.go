@@ -235,17 +235,11 @@ func (d *durability) append(typ string, v any) {
 
 // --- Snapshots ---------------------------------------------------------
 
-// snapShard is one shard's full exported state.
+// snapShard is one shard's full exported state: its spec, then what a run left on it.
 type snapShard struct {
-	Idx        int               `json:"idx"`
-	Pos        int               `json:"pos"`
-	Stride     int               `json:"stride"`
-	GidBase    int               `json:"gidBase"`
-	Gen        int               `json:"gen"`
+	shardlink.ShardSpec
 	Retired    bool              `json:"retired,omitempty"`
 	Freed      bool              `json:"freed,omitempty"`
-	Machines   []model.Machine   `json:"machines"`
-	MachineIdx []int             `json:"machineIdx"`
 	Records    []*jobRecord      `json:"records,omitempty"` // aligned; null = compacted
 	PendingIDs []int             `json:"pendingIds,omitempty"`
 	Engine     *sim.EngineState  `json:"engine,omitempty"`
@@ -272,6 +266,25 @@ type snapGen struct {
 	Shards []int `json:"shards"`
 }
 
+// topo rewrites generation g of the document as the record that installs it,
+// created being the number of shards earlier generations made: a member none
+// of them listed is spawned, on its own entry's machines, and retirement is
+// part of the state the entries restore.
+func (doc *snapDoc) topo(g, created int) (*recTopo, error) {
+	r := &recTopo{Gen: g, Base: doc.Gens[g].Base, Stride: doc.Gens[g].Stride}
+	for _, idx := range doc.Gens[g].Shards {
+		if idx < 0 || idx >= len(doc.Shards) {
+			return nil, fmt.Errorf("generation %d names unknown shard %d", g, idx)
+		}
+		ts := walTopoShard{Idx: idx, Kept: idx < created, MachineIdx: doc.Shards[idx].MachineIdx}
+		if !ts.Kept {
+			ts.Machines = doc.Shards[idx].Machines
+		}
+		r.Shards = append(r.Shards, ts)
+	}
+	return r, nil
+}
+
 // snapFwd is one forwarding-table entry.
 type snapFwd struct {
 	GID   int `json:"gid"`
@@ -294,10 +307,11 @@ type snapDoc struct {
 //divflow:locks requires=shard
 func exportShardLocked(sh *shard) snapShard {
 	ss := snapShard{
-		Idx: sh.idx, Pos: sh.pos, Stride: sh.stride, GidBase: sh.gidBase,
-		Gen: sh.gen, Retired: sh.retired, Freed: sh.freed,
-		Machines:    sh.machines,
-		MachineIdx:  append([]int(nil), sh.machineIdx...),
+		ShardSpec: shardlink.ShardSpec{
+			Idx: sh.idx, Pos: sh.pos, Stride: sh.stride, GidBase: sh.gidBase, Gen: sh.gen,
+			Machines: sh.machines, MachineIdx: append([]int(nil), sh.machineIdx...),
+		},
+		Retired: sh.retired, Freed: sh.freed,
 		MigratedIDs: append([]int(nil), sh.migratedIDs...),
 		Backlog:     copyRat(sh.backlog),
 		Stalled:     sh.stalled,
@@ -359,14 +373,13 @@ func (s *Server) snapshotLocked() error {
 		// state must never replace the consistent on-disk prefix.
 		return err
 	}
-	all := s.allShards()
-	sort.Slice(all, func(a, b int) bool { return all[a].idx < all[b].idx })
+	all := s.allShards() // creation order
 	for _, sh := range all {
 		sh.mu.Lock()
 	}
 	doc := snapDoc{Policy: s.policyCfg, ShardsCfg: s.shardsCfg}
 	s.topoMu.RLock()
-	doc.Reshards = s.reshards
+	doc.Reshards = len(s.gens) - 1
 	for _, gen := range s.gens {
 		sg := snapGen{Base: gen.base, Stride: gen.stride}
 		for _, sh := range gen.shards {
@@ -584,21 +597,9 @@ func negativeCount(path string, v reflect.Value) error {
 	return nil
 }
 
-// restoreShard rebuilds one shard from its snapshot entry.
-func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
-	if err := checkMachines("restore: ", ss.Machines); err != nil {
-		return nil, err
-	}
-	if len(ss.MachineIdx) != len(ss.Machines) {
-		// The executed trace is translated through machineIdx on every read.
-		return nil, fmt.Errorf("server: restore: shard %d maps %d machines through %d fleet indices", ss.Idx, len(ss.Machines), len(ss.MachineIdx))
-	}
-	pol, err := NewPolicy(s.policyCfg)
-	if err != nil {
-		return nil, err
-	}
-	sh := s.wireShard(newShard(ss.Idx, ss.Pos, ss.Stride, ss.GidBase, s.clock, ss.Machines, ss.MachineIdx, pol, s.retention, s.admission))
-	sh.gen = ss.Gen
+// loadState fills a freshly built shard from its snapshot entry. The shard is
+// private until the generation it belongs to is installed.
+func (sh *shard) loadState(ss *snapShard) error {
 	sh.retired = ss.Retired
 	for _, sr := range ss.Records {
 		if sr == nil {
@@ -606,10 +607,10 @@ func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
 			continue
 		}
 		if sr.Weight == nil || sr.Size == nil || sr.Release == nil {
-			return nil, fmt.Errorf("server: restore: record %d missing fields", sr.GID)
+			return fmt.Errorf("record %d missing fields", sr.GID)
 		}
 		if sr.ID != len(sh.records) {
-			return nil, fmt.Errorf("server: restore: shard %d record %d out of order", ss.Idx, sr.ID)
+			return fmt.Errorf("shard %d record %d out of order", ss.Idx, sr.ID)
 		}
 		rec := sr.clone()
 		sh.records = append(sh.records, rec)
@@ -619,7 +620,7 @@ func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
 	}
 	for _, id := range ss.PendingIDs {
 		if id < 0 || id >= len(sh.records) || sh.records[id] == nil {
-			return nil, fmt.Errorf("server: restore: shard %d pending %d unknown", ss.Idx, id)
+			return fmt.Errorf("shard %d pending %d unknown", ss.Idx, id)
 		}
 		sh.pending = append(sh.pending, sh.records[id])
 	}
@@ -633,10 +634,10 @@ func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
 		sh.mwf = nil
 	} else {
 		if ss.Engine == nil {
-			return nil, fmt.Errorf("server: restore: shard %d has no engine state", ss.Idx)
+			return fmt.Errorf("shard %d has no engine state", ss.Idx)
 		}
 		if err := sh.eng.RestoreState(ss.Engine); err != nil {
-			return nil, fmt.Errorf("server: restore: shard %d: %w", ss.Idx, err)
+			return fmt.Errorf("shard %d: %w", ss.Idx, err)
 		}
 		if sh.mwf != nil && ss.Plan != nil {
 			sh.mwf.RestorePlanState(ss.Plan)
@@ -646,12 +647,12 @@ func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
 	// from: the histograms into telemetry, the backlog split beside the
 	// routing key, the rest into the shard's own totals and tenant entries.
 	if err := validateLedger(&ss.ShardTotals, ss.Tenants); err != nil {
-		return nil, fmt.Errorf("server: restore: shard %d: %w", ss.Idx, err)
+		return fmt.Errorf("shard %d: %w", ss.Idx, err)
 	}
 	totals := ss.ShardTotals.Clone()
 	if totals.Flow != nil {
 		if err := sh.obs.flow.Restore(*totals.Flow); err != nil {
-			return nil, fmt.Errorf("server: restore: shard %d: %w", ss.Idx, err)
+			return fmt.Errorf("shard %d: %w", ss.Idx, err)
 		}
 		totals.Flow = nil
 	}
@@ -670,7 +671,7 @@ func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
 		}
 		if tt.WFlow != nil {
 			if err := sh.obs.tenantWFlow(t).Restore(*tt.WFlow); err != nil { //divflow:emitmu-ok restore builds a private shard that is not yet published; no other goroutine can reach its mu
-				return nil, fmt.Errorf("server: restore: shard %d tenant %q: %w", ss.Idx, t, err)
+				return fmt.Errorf("shard %d tenant %q: %w", ss.Idx, t, err)
 			}
 		}
 		tt.Backlog, tt.WFlow = nil, nil
@@ -687,7 +688,7 @@ func (s *Server) restoreShard(ss *snapShard) (*shard, error) {
 	} else {
 		sh.stalled = ss.Stalled
 	}
-	return sh, nil
+	return nil
 }
 
 // restore rebuilds the server's whole topology from a snapshot document (or
@@ -707,40 +708,22 @@ func (s *Server) restore(st *restoreState) error {
 		if st.doc.ShardsCfg > 0 {
 			s.shardsCfg = st.doc.ShardsCfg
 		}
-		byIdx := make(map[int]*shard, len(st.doc.Shards))
-		s.all = nil
-		for i := range st.doc.Shards {
-			sh, err := s.restoreShard(&st.doc.Shards[i])
+		for g := range st.doc.Gens {
+			r, err := st.doc.topo(g, len(s.all))
+			if err == nil {
+				_, _, err = s.installGeneration(r, st.doc.Shards, false)
+			}
 			if err != nil {
-				return err
+				return fmt.Errorf("server: restore: %w", err)
 			}
-			byIdx[sh.idx] = sh
-			s.all = append(s.all, sh)
 		}
-		s.gens = nil
-		for g, sg := range st.doc.Gens {
-			if sg.Stride != len(sg.Shards) || sg.Stride == 0 {
-				// locate decodes every ID of the generation modulo its stride.
-				return fmt.Errorf("server: restore: generation %d stride %d over %d shards", g, sg.Stride, len(sg.Shards))
-			}
-			gen := &generation{base: sg.Base, stride: sg.Stride}
-			for _, idx := range sg.Shards {
-				sh, ok := byIdx[idx]
-				if !ok {
-					return fmt.Errorf("server: restore: generation names unknown shard %d", idx)
-				}
-				gen.shards = append(gen.shards, sh)
-			}
-			s.gens = append(s.gens, gen)
+		if len(s.gens) == 0 || len(s.all) != len(st.doc.Shards) {
+			return fmt.Errorf("server: restore: snapshot holds %d shards, its %d generations name %d", len(st.doc.Shards), len(s.gens), len(s.all))
 		}
-		if len(s.gens) == 0 {
-			return errors.New("server: restore: snapshot has no generations")
-		}
-		s.reshards = st.doc.Reshards
 		for _, fw := range st.doc.Forward {
-			sh, ok := byIdx[fw.Shard]
-			if !ok {
-				return fmt.Errorf("server: restore: forwarding entry names unknown shard %d", fw.Shard)
+			sh, err := s.shardByIdx(fw.Shard)
+			if err != nil {
+				return fmt.Errorf("server: restore: forwarding entry: %w", err)
 			}
 			s.forward[fw.GID] = fwdLoc{sh: sh, local: fw.Local}
 		}
@@ -753,14 +736,13 @@ func (s *Server) restore(st *restoreState) error {
 	return nil
 }
 
-// shardByIdx resolves a creation index during replay.
+// shardByIdx resolves a creation index during restore: installGeneration
+// admits a spawned shard only at the next index, so s.all is indexed by it.
 func (s *Server) shardByIdx(idx int) (*shard, error) {
-	for _, sh := range s.all {
-		if sh.idx == idx {
-			return sh, nil
-		}
+	if idx < 0 || idx >= len(s.all) {
+		return nil, fmt.Errorf("unknown shard %d", idx)
 	}
-	return nil, fmt.Errorf("server: replay: unknown shard %d", idx)
+	return s.all[idx], nil
 }
 
 // replay re-executes the WAL suffix through the normal admission paths at
@@ -953,51 +935,8 @@ func (s *Server) replaySettle(r *recSettle, commit bool) error {
 }
 
 func (s *Server) replayTopo(r *recTopo) error {
-	if r.Stride != len(r.Shards) || r.Stride == 0 {
-		return fmt.Errorf("topology record stride %d over %d shards", r.Stride, len(r.Shards))
-	}
-	if err := checkMachines("restore: ", r.Fleet); err != nil {
-		return err
-	}
-	var gen2 []*shard
-	for pos, ts := range r.Shards {
-		if ts.Kept {
-			sh, err := s.shardByIdx(ts.Idx)
-			if err != nil {
-				return err
-			}
-			sh.gidBase, sh.stride, sh.pos = r.Base, r.Stride, pos
-			sh.machineIdx = append([]int(nil), ts.MachineIdx...)
-			sh.gen = r.Gen
-			gen2 = append(gen2, sh)
-			continue
-		}
-		if err := checkMachines("restore: ", ts.Machines); err != nil {
-			return err
-		}
-		pol, err := NewPolicy(s.policyCfg)
-		if err != nil {
-			return err
-		}
-		nsh := s.wireShard(newShard(ts.Idx, pos, r.Stride, r.Base, s.clock, ts.Machines, append([]int(nil), ts.MachineIdx...), pol, s.retention, s.admission))
-		nsh.gen = r.Gen
-		s.all = append(s.all, nsh)
-		gen2 = append(gen2, nsh)
-	}
-	for _, idx := range r.Retired {
-		sh, err := s.shardByIdx(idx)
-		if err != nil {
-			return err
-		}
-		sh.retired = true
-	}
-	if r.ShardsCfg > 0 {
-		s.shardsCfg = r.ShardsCfg
-	}
-	s.gens = append(s.gens, &generation{base: r.Base, stride: r.Stride, shards: gen2})
-	s.reshards++
-	s.renumberRetired(r.Fleet, gen2)
-	return nil
+	_, _, err := s.installGeneration(r, nil, false)
+	return err
 }
 
 // finishMigrations settles every migration a crash cut in half: its reserved
@@ -1073,29 +1012,18 @@ func (s *Server) restartShard(sh *shard) bool {
 	if sh.Restarts >= maxShardRestarts {
 		return false
 	}
-	st := sh.eng.ExportState()
-	pol, err := NewPolicy(s.policyCfg)
-	if err != nil {
-		return false
-	}
-	eng := sim.NewEngine(len(sh.machines), sh.cost, pol)
-	if err := eng.RestoreState(st); err != nil {
+	if sh.resetEngine(s.policyCfg, sh.eng.ExportState()) != nil {
 		// The panic caught the engine mid-mutation: its exported state does
 		// not validate, so an in-place rebuild would run from garbage.
 		return false
 	}
 	sh.Restarts++
-	sh.eng, sh.policy = eng, pol
-	sh.mwf, _ = pol.(*sim.OnlineMWF)
-	if sh.mwf != nil {
-		sh.mwf.Observer = sh.obs
-	}
 	sh.lastErr = nil
 	sh.stalled = false
 	sh.backlogMu.Lock()
 	sh.routeErr = ""
 	sh.backlogMu.Unlock()
-	sh.obs.event(obs.EventShardRestart, -1, eng.Now(), fmt.Sprintf("restart %d of %d", sh.Restarts, maxShardRestarts))
+	sh.obs.event(obs.EventShardRestart, -1, sh.eng.Now(), fmt.Sprintf("restart %d of %d", sh.Restarts, maxShardRestarts))
 	sh.decide()
 	if !start.IsZero() {
 		s.tel.recoverySecs.Observe(s.tel.sinceSeconds(start))

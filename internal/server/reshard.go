@@ -3,14 +3,12 @@ package server
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
 	"divflow/internal/model"
 	"divflow/internal/obs"
 	"divflow/internal/shardlink"
-	"divflow/internal/sim"
 )
 
 // Live re-sharding. The databank-connectivity partition is computed from the
@@ -81,50 +79,33 @@ func hostsAny(machines []model.Machine, databanks []string) bool {
 	return false
 }
 
-// renumberRetired rewrites every non-active shard's machine indices into the
-// new fleet, matching machines by name: the merged /v1/schedule interprets
-// all pieces against the current platform, and without the remap a retired
-// shard's history would keep indices into a fleet document that no longer
-// exists — one response mixing two numbering schemes. Machines absent from
-// the new platform keep their historical index (there is no right answer for
-// a machine that left). Each mu is taken alone, after the topology publish,
-// so lock ordering is trivial; active shards were renumbered by the caller.
-func (s *Server) renumberRetired(newFleet []model.Machine, active []*shard) {
-	nameIdx := make(map[string]int, len(newFleet))
-	for i := range newFleet {
-		if _, dup := nameIdx[newFleet[i].Name]; !dup {
-			nameIdx[newFleet[i].Name] = i
+// fleetIndex maps each machine name of a platform document to its index
+// there (the first, should a name repeat): what shard.renumber matches by.
+func fleetIndex(fleet []model.Machine) map[string]int {
+	idx := make(map[string]int, len(fleet))
+	for i := range fleet {
+		if _, dup := idx[fleet[i].Name]; !dup {
+			idx[fleet[i].Name] = i
 		}
 	}
-	isActive := make(map[*shard]bool, len(active))
-	for _, sh := range active {
-		isActive[sh] = true
-	}
-	for _, sh := range s.allShards() {
-		if isActive[sh] {
-			continue
-		}
-		sh.mu.Lock()
-		for i := range sh.machineIdx {
-			if ni, ok := nameIdx[sh.machines[i].Name]; ok {
-				sh.machineIdx[i] = ni
-			}
-		}
-		sh.mu.Unlock()
-	}
+	return idx
 }
 
-// reshardPlan is a structural reshard between its diff and its publish: the
-// new partition, which running shard each group keeps (nil: spawn one), the
-// shards left over to retire, and a ready policy per spawned group.
-type reshardPlan struct {
-	shards   int // the document's explicit "shards" override; 0 inherits
-	fleet    []model.Machine
-	groups   [][]int           // global machine indices per group
-	machines [][]model.Machine // the same, resolved
-	keep     []*shard          // per group; nil spawns
-	retiring []*shard
-	policies map[int]sim.Policy // per spawned group
+// newTopo starts the record of a generation over fleet partitioned into
+// groups: every member spawned, on a clone of its machines, its creation
+// index its position — a fleet's first generation, which Server.New installs
+// as it stands; Reshard goes on to mark the members its diff keeps, number
+// the rest past every shard ever created, and place the generation's IDs.
+func newTopo(fleet []model.Machine, groups [][]int) *recTopo {
+	r := &recTopo{Stride: len(groups), Fleet: append([]model.Machine(nil), fleet...)}
+	for gi, group := range groups {
+		ms := make([]model.Machine, len(group))
+		for k, fi := range group {
+			ms[k] = fleet[fi].Clone()
+		}
+		r.Shards = append(r.Shards, walTopoShard{Idx: gi, Machines: ms, MachineIdx: append([]int(nil), group...)})
+	}
+	return r
 }
 
 // Reshard repartitions the running fleet against an updated platform
@@ -152,8 +133,8 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	if p == nil || len(p.Machines) == 0 {
 		return resp, errors.New("server: reshard: no machines")
 	}
-	if err := checkMachines("reshard: ", p.Machines); err != nil {
-		return resp, err
+	if err := checkMachines(p.Machines); err != nil {
+		return resp, fmt.Errorf("server: reshard: %w", err)
 	}
 	// One topology change at a time; Close takes the same lock, so a closing
 	// server cannot race a reshard spawning loops the shutdown would miss,
@@ -190,63 +171,59 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 		return resp, err
 	}
 
-	act := s.active()
-	plan := &reshardPlan{
-		shards:   p.Shards,
-		fleet:    append([]model.Machine(nil), p.Machines...),
-		groups:   groups,
-		machines: make([][]model.Machine, len(groups)),
-		keep:     make([]*shard, len(groups)),
-		policies: make(map[int]sim.Policy),
-	}
-	for gi, group := range groups {
-		ms := make([]model.Machine, len(group))
-		for k, fi := range group {
-			ms[k] = plan.fleet[fi].Clone()
-		}
-		plan.machines[gi] = ms
-	}
-
 	// Diff the new partition against the live shard set: first-fit matching
 	// on identical ordered machine signatures. Matched shards are kept
-	// as-is; unmatched running shards retire; unmatched groups spawn.
-	used := make([]bool, len(act))
-	spawnCount := 0
-	for gi := range groups {
-		sig := groupSignature(plan.machines[gi])
-		for ai, sh := range act {
-			if !used[ai] && groupSignature(sh.machines) == sig {
-				used[ai], plan.keep[gi] = true, sh
+	// as-is; unmatched running shards retire; unmatched groups spawn, at
+	// creation indices past every shard ever made (s.all and s.gens are
+	// stable under reshardMu: only a reshard writes them).
+	act, all := s.active(), s.allShards()
+	rec := newTopo(p.Machines, groups)
+	rec.Gen, rec.ShardsCfg = s.Generation()+1, p.Shards
+	keep := make(map[*shard][]int, len(groups)) // kept shard → its group
+	nextIdx := len(all)
+	for gi := range rec.Shards {
+		ts := &rec.Shards[gi]
+		sig := groupSignature(ts.Machines)
+		for _, sh := range act {
+			if keep[sh] == nil && groupSignature(sh.machines) == sig {
+				keep[sh] = groups[gi]
+				ts.Idx, ts.Kept, ts.Machines = sh.idx, true, nil
 				break
 			}
 		}
-		if plan.keep[gi] == nil {
-			spawnCount++
+		if !ts.Kept {
+			ts.Idx = nextIdx
+			nextIdx++
 		}
 	}
-	for ai, sh := range act {
-		if !used[ai] {
-			plan.retiring = append(plan.retiring, sh)
+	var retiring []*shard
+	for _, sh := range act {
+		if keep[sh] == nil {
+			retiring = append(retiring, sh)
+			rec.Retired = append(rec.Retired, sh.idx)
 		}
 	}
 
-	if spawnCount == 0 && len(plan.retiring) == 0 {
+	if nextIdx == len(all) && len(retiring) == 0 {
 		// No-op: the new platform induces the partition already running.
 		// Refresh the fleet numbering (the document may reorder machines)
 		// and touch nothing else — no generation bump, no migration, so the
-		// server stays trace-identical to one that never resharded.
-		for gi, sh := range plan.keep {
+		// server stays trace-identical to one that never resharded. Each mu is
+		// taken alone, so lock ordering is trivial.
+		fleetIdx := fleetIndex(rec.Fleet)
+		for _, sh := range all {
 			sh.mu.Lock()
-			sh.machineIdx = append([]int(nil), groups[gi]...)
+			if group, ok := keep[sh]; ok {
+				sh.reencode(sh.gen, sh.gidBase, sh.stride, sh.pos, group)
+			} else {
+				sh.renumber(fleetIdx)
+			}
 			sh.mu.Unlock()
 		}
 		if p.Shards > 0 {
 			s.shardsCfg = p.Shards // under reshardMu, like every reader
 		}
-		s.topoMu.Lock()
-		resp.Generation = len(s.gens) - 1
-		s.topoMu.Unlock()
-		s.renumberRetired(plan.fleet, act)
+		resp.Generation = s.Generation()
 		resp.ShardCount = len(act)
 		resp.Noop = true
 		for _, sh := range act {
@@ -259,23 +236,14 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	// the divflow_reshard_migration_seconds histogram.
 	start := s.tel.now()
 
-	// Construct every spawned shard's policy before mutating anything: a
-	// constructor failure must leave the running topology untouched.
-	for gi := range groups {
-		if plan.keep[gi] == nil {
-			if plan.policies[gi], err = NewPolicy(s.policyCfg); err != nil {
-				return resp, err
-			}
-		}
-	}
-	gen2, spawned, err := s.publishGeneration(plan, act)
+	gen2, spawned, err := s.publishGeneration(rec, retiring)
 	if err != nil {
 		return resp, err
 	}
-	resp.Generation = len(s.gens) - 1 // stable under reshardMu: we are its only writer
+	resp.Generation = rec.Gen
 	resp.ShardCount = len(gen2)
-	for gi, sh := range gen2 {
-		if plan.keep[gi] != nil {
+	for pos, sh := range gen2 {
+		if rec.Shards[pos].Kept {
 			resp.KeptShards = append(resp.KeptShards, sh.idx)
 		} else {
 			resp.SpawnedShards = append(resp.SpawnedShards, sh.idx)
@@ -288,7 +256,7 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	// global ID, flow origin, and exact remaining fraction, and the
 	// forwarding table points reads at the new owner.
 	place := newPlacement(gen2)
-	for _, donor := range plan.retiring {
+	for _, donor := range retiring {
 		resp.MigratedJobs += s.migrate(donor, shardlink.ExtractArgs{All: true}, migrateReshard, place.pick)
 		resp.RetiredShards = append(resp.RetiredShards, donor.idx)
 	}
@@ -296,12 +264,10 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 
 	s.tel.event(obs.EventReshard, resp.Generation, -1, fmt.Sprintf(
 		"%d shards (%d kept, %d spawned, %d retired), %d jobs migrated",
-		len(gen2), len(resp.KeptShards), len(spawned), len(plan.retiring), resp.MigratedJobs))
+		len(gen2), len(resp.KeptShards), len(spawned), len(retiring), resp.MigratedJobs))
 	if !start.IsZero() {
 		s.tel.reshardSeconds.Observe(s.tel.sinceSeconds(start))
 	}
-
-	s.renumberRetired(plan.fleet, gen2)
 
 	// Retired shards' queues are empty and their live sets migrated; their
 	// records keep serving reads of the pre-reshard history. Without a
@@ -313,7 +279,7 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	// loops start (or, on a not-yet-started server, wait for Start), and
 	// every new-topology shard is poked: migrated jobs are pending on some
 	// of them.
-	for _, sh := range plan.retiring {
+	for _, sh := range retiring {
 		if s.retention == nil {
 			sh.close()
 		} else {
@@ -339,29 +305,38 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	return resp, nil
 }
 
-// publishGeneration is the one step of a reshard that needs every active
-// shard at once, and it moves no job: under all their mus (creation order —
-// a snapshot's cut takes the same order) it verifies that every queued or
-// live job of a retiring shard fits somewhere on the new topology, retires
-// those shards, re-encodes the kept ones, builds the spawned ones, and
-// publishes the new generation — all before the first mutex is released, so
-// the first ID a re-encoded shard issues already decodes through the new
-// generation, and a submission that was waiting on a retiring shard's mu
-// re-routes against a topology that no longer contains it. An error leaves
-// everything untouched.
+// publishGeneration is the one step of a reshard that needs every shard at
+// once, and it moves no job: under all their mus (creation order — a
+// snapshot's cut takes the same order) it verifies that every queued or live
+// job of a retiring shard fits somewhere on the new topology, places the new
+// generation's IDs above every ID issued so far, logs the record write-ahead
+// and installs it — all before the first mutex is released, so the first ID
+// a re-encoded shard issues already decodes through the new generation, and a
+// submission that was waiting on a retiring shard's mu re-routes against a
+// topology that no longer contains it. An error leaves everything untouched.
 //
 //divflow:locks requires=reshard ascending=shard
-func (s *Server) publishGeneration(plan *reshardPlan, act []*shard) (gen2, spawned []*shard, err error) {
-	byIdx := append([]*shard(nil), act...)
-	sort.Slice(byIdx, func(a, b int) bool { return byIdx[a].idx < byIdx[b].idx })
-	for _, sh := range byIdx {
+func (s *Server) publishGeneration(rec *recTopo, retiring []*shard) (gen2, spawned []*shard, err error) {
+	all := s.allShards() // creation order
+	for _, sh := range all {
 		sh.mu.Lock()
 	}
-	if err = plan.stranded(); err == nil {
-		gen2, spawned = s.installLocked(plan, byIdx)
+	if err = stranded(retiring, rec.Fleet); err == nil {
+		// The new generation's ID base: strictly above every global ID any
+		// current shard could have issued, so the newest-generation-whose-
+		// base-fits decode rule stays unambiguous.
+		for _, sh := range s.active() {
+			if b := sh.gidBase + len(sh.records)*sh.stride + sh.pos + 1; b > rec.Base {
+				rec.Base = b
+			}
+		}
+		rec.At = s.clock.Now()
+		if gen2, spawned, err = s.installGeneration(rec, nil, true); err != nil {
+			err = fmt.Errorf("server: reshard: %w", err)
+		}
 	}
-	for i := len(byIdx) - 1; i >= 0; i-- {
-		byIdx[i].mu.Unlock()
+	for i := len(all) - 1; i >= 0; i-- {
+		all[i].mu.Unlock()
 	}
 	return gen2, spawned, err
 }
@@ -372,14 +347,14 @@ func (s *Server) publishGeneration(plan *reshardPlan, act []*shard) (gen2, spawn
 // between this check and their retirement.
 //
 //divflow:locks requires=shard
-func (plan *reshardPlan) stranded() error {
-	for _, donor := range plan.retiring {
+func stranded(retiring []*shard, fleet []model.Machine) error {
+	for _, donor := range retiring {
 		census := append([]*jobRecord(nil), donor.pending...)
 		for _, id := range donor.eng.LiveIDs() {
 			census = append(census, donor.records[id])
 		}
 		for _, rec := range census {
-			if !hostsAny(plan.fleet, rec.Databanks) {
+			if !hostsAny(fleet, rec.Databanks) {
 				return fmt.Errorf(
 					"server: reshard rejected: job %d needs databanks %v, hosted by no machine of the new platform",
 					rec.GID, rec.Databanks)
@@ -389,71 +364,106 @@ func (plan *reshardPlan) stranded() error {
 	return nil
 }
 
-// installLocked mutates the topology. Callers hold reshardMu and the mu of
-// every shard in active (sorted by creation index).
+// installGeneration is how a topology generation comes to exist, and the only
+// writer of s.gens and s.all. Its input is the generation's record: Server.New
+// builds the first in memory from the configured fleet (never logged), Reshard
+// builds one from its diff, WAL replay decodes the one Reshard logged, and a
+// snapshot restore rewrites each generation of its document as one (states is
+// then the document's shard entries by creation index, and a spawned member
+// is restored from its own). Kept members — shards of the generation now
+// newest — are re-encoded in place, spawned ones built at the next creation
+// indices, retired ones marked, everyone else re-pointed at the record's fleet.
 //
-//divflow:locks requires=shard
-func (s *Server) installLocked(plan *reshardPlan, active []*shard) (gen2, spawned []*shard) {
-	// The new generation's ID base: strictly above every global ID any
-	// current shard could have issued, so the newest-generation-whose-base-
-	// fits decode rule stays unambiguous.
-	base := 0
-	for _, sh := range active {
-		if b := sh.gidBase + len(sh.records)*sh.stride + sh.pos + 1; b > base {
-			base = b
+// Every member is resolved, checked and — if spawned — built before anything
+// is touched: an error leaves the running topology as it was. With writeAhead
+// the record is then logged before the first mutation, hence before any
+// migration record naming the generation's shards: replay rebuilds the
+// generation first, then retraces the exchanges (a crash in between leaves
+// jobs on retired donors, which restore drains: repairRetired).
+//
+// A live caller holds reshardMu and every shard's mu (publishGeneration's
+// cut); startup and restore run before any loop, with no lock to hold — hence
+// no requires= contract.
+func (s *Server) installGeneration(r *recTopo, states []snapShard, writeAhead bool) (gen2, spawned []*shard, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("generation %d: %w", r.Gen, err)
+		}
+	}()
+	if r.Stride != len(r.Shards) || r.Stride == 0 {
+		// locate decodes every ID of the generation modulo its stride.
+		return nil, nil, fmt.Errorf("stride %d over %d shards", r.Stride, len(r.Shards))
+	}
+	if err := checkMachines(r.Fleet); err != nil {
+		return nil, nil, fmt.Errorf("fleet: %w", err)
+	}
+	current := make(map[int]*shard)
+	if len(s.gens) > 0 {
+		for _, sh := range s.gens[len(s.gens)-1].shards {
+			current[sh.idx] = sh
 		}
 	}
-	stride := len(plan.groups)
-	// s.gens and s.all are stable under reshardMu, so reading them without
-	// topoMu is safe — we are their only writer. Creation indices continue
-	// past every shard ever made.
-	newGen, nextIdx := len(s.gens), len(s.all)
-	topoRec := &recTopo{
-		Gen:       newGen,
-		Base:      base,
-		Stride:    stride,
-		Fleet:     plan.fleet,
-		ShardsCfg: plan.shards,
-		At:        s.clock.Now(),
-	}
-	for gi, group := range plan.groups {
-		sh := plan.keep[gi]
-		ts := walTopoShard{MachineIdx: append([]int(nil), group...), Kept: sh != nil}
-		if sh != nil {
-			// Re-encode in place: future IDs decode through the new generation.
-			sh.gidBase, sh.stride, sh.pos = base, stride, gi
-			sh.machineIdx = append([]int(nil), group...)
-		} else {
-			sh = s.wireShard(newShard(nextIdx, gi, stride, base, s.clock,
-				plan.machines[gi], append([]int(nil), group...), plan.policies[gi], s.retention, s.admission))
-			nextIdx++
+	member := make(map[*shard]bool, len(r.Shards))
+	for pos, ts := range r.Shards {
+		sh := current[ts.Idx]
+		switch {
+		case !ts.Kept && ts.Idx != len(s.all)+len(spawned):
+			// Creation indices never repeat: every later record names the
+			// shard by its own, and s.all is indexed by it.
+			return nil, nil, fmt.Errorf("spawns shard %d, the next creation index is %d", ts.Idx, len(s.all)+len(spawned))
+		case !ts.Kept:
+			args := &shardlink.InstallArgs{
+				ShardSpec: shardlink.ShardSpec{Idx: ts.Idx, Pos: pos, Stride: r.Stride, GidBase: r.Base, Gen: r.Gen, Machines: ts.Machines, MachineIdx: ts.MachineIdx},
+				Policy:    s.policyCfg, Retention: copyRat(s.retention), Admission: s.admission, Now: s.clock.Now(),
+			}
+			var state *snapShard
+			if ts.Idx < len(states) {
+				state = &states[ts.Idx]
+			}
+			if sh, err = buildShard(s, args, s.clock, state); err != nil {
+				return nil, nil, err
+			}
 			spawned = append(spawned, sh)
-			ts.Machines = plan.machines[gi]
+		case sh == nil:
+			// Retired shards, freed tombstones included, never come back.
+			return nil, nil, fmt.Errorf("keeps shard %d, which is not in generation %d", ts.Idx, len(s.gens)-1)
+		case member[sh]:
+			return nil, nil, fmt.Errorf("lists shard %d twice", ts.Idx)
+		case len(ts.MachineIdx) != len(sh.machines):
+			return nil, nil, fmt.Errorf("kept shard %d maps %d machines through %d fleet indices", ts.Idx, len(sh.machines), len(ts.MachineIdx))
 		}
-		// Events and stats emitted from here on carry the new generation;
-		// retiring shards keep the one their service ended in.
-		sh.gen = newGen
-		ts.Idx = sh.idx
+		member[sh] = true
 		gen2 = append(gen2, sh)
-		topoRec.Shards = append(topoRec.Shards, ts)
 	}
-	for _, sh := range plan.retiring {
-		sh.retired = true
-		topoRec.Retired = append(topoRec.Retired, sh.idx)
+	for _, idx := range r.Retired {
+		if sh := current[idx]; sh == nil || member[sh] {
+			return nil, nil, fmt.Errorf("retires shard %d, which the generation before it does not leave behind", idx)
+		}
 	}
-	// The topology record lands in the WAL before any migration record that
-	// references the new generation's shards, and before the publish: replay
-	// rebuilds the generation first, then retraces the recorded exchanges. A
-	// crash in between leaves jobs on retired donors, which restore drains
-	// with the same placement rule (repairRetired).
-	s.dur.append(walTypeTopo, topoRec)
-	if plan.shards > 0 {
-		s.shardsCfg = plan.shards // under reshardMu, like every reader
+	if writeAhead {
+		s.dur.append(walTypeTopo, r)
+	}
+	for pos, sh := range gen2 {
+		if ts := r.Shards[pos]; ts.Kept {
+			sh.reencode(r.Gen, r.Base, r.Stride, pos, ts.MachineIdx)
+		}
+	}
+	for _, idx := range r.Retired {
+		// A retiring shard keeps the generation its service ended in.
+		current[idx].retired = true
+	}
+	fleetIdx := fleetIndex(r.Fleet)
+	for _, sh := range s.all {
+		if !member[sh] {
+			sh.renumber(fleetIdx)
+		}
+	}
+	if r.ShardsCfg > 0 {
+		s.shardsCfg = r.ShardsCfg // under reshardMu, like every reader
 	}
 	s.topoMu.Lock()
-	s.gens = append(s.gens, &generation{base: base, stride: stride, shards: gen2})
+	s.gens = append(s.gens, &generation{base: r.Base, stride: r.Stride, shards: gen2})
 	s.all = append(s.all, spawned...)
-	s.reshards++
 	s.topoMu.Unlock()
-	return gen2, spawned
+	return gen2, spawned, nil
 }

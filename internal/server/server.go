@@ -255,15 +255,15 @@ type Server struct {
 	stealStop chan struct{}
 
 	// topoMu guards the shard topology: the generation list and the flat
-	// list of every shard ever created. Readers snapshot under RLock; only
-	// Reshard's publish cut (serialized by reshardMu) writes, while holding
-	// every active shard's mu — so no lock path ever acquires a shard mu
-	// while holding topoMu.
+	// list of every shard ever created. Readers snapshot under RLock; the one
+	// writer is installGeneration — at startup before any loop runs, live
+	// under Reshard's publish cut (serialized by reshardMu), which holds
+	// every shard's mu — so no lock path ever acquires a shard mu while
+	// holding topoMu.
 	//divflow:locks name=topo before=fwd
-	topoMu   sync.RWMutex
-	gens     []*generation
-	all      []*shard // every shard ever created, in creation (idx) order
-	reshards int      // completed structural reshards (generation count - 1)
+	topoMu sync.RWMutex
+	gens   []*generation
+	all    []*shard // every shard ever created: all[i].idx == i
 
 	// reshardMu serializes topology changes (Reshard, and Close — which
 	// must not race a reshard spawning shards it would miss) and snapshots,
@@ -299,16 +299,15 @@ type fwdLoc struct {
 
 // New builds a server over the fleet, partitioned into scheduling shards.
 // The loops are not started yet — submissions queue until Start.
-func New(cfg Config) (*Server, error) {
+func New(cfg Config) (_ *Server, err error) {
 	if len(cfg.Machines) == 0 {
 		return nil, errors.New("server: no machines")
 	}
-	if err := checkMachines("", cfg.Machines); err != nil {
-		return nil, err
+	if err := checkMachines(cfg.Machines); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	// Validate the policy name once up front; every shard then gets its own
-	// fresh instance (policies carry per-run state: plan caches, warm-start
-	// basis chains).
+	// fresh instance (shard.resetEngine).
 	pol, err := NewPolicy(cfg.Policy)
 	if err != nil {
 		return nil, err
@@ -338,14 +337,9 @@ func New(cfg Config) (*Server, error) {
 				pos, len(groups))
 		}
 	}
-	admission := cfg.Admission
-	switch admission {
-	case "", shardlink.AdmissionStrict:
-		admission = shardlink.AdmissionStrict
-	case shardlink.AdmissionAdvisory, shardlink.AdmissionOff:
-	default:
-		return nil, fmt.Errorf("server: unknown admission mode %q (want %q, %q or %q)",
-			cfg.Admission, shardlink.AdmissionStrict, shardlink.AdmissionAdvisory, shardlink.AdmissionOff)
+	admission, err := normalizeAdmission(cfg.Admission)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	s := &Server{
 		policyName:     pol.Name(),
@@ -374,6 +368,19 @@ func New(cfg Config) (*Server, error) {
 		s.rpcClient = rpc.NewClient(cliConn)
 		s.rpcConns = append(s.rpcConns, s.rpcClient)
 	}
+	// Whatever New opens from here on — the loopback pair above, dialed
+	// workers, the WAL handle — it releases again if it fails.
+	var st *restoreState
+	defer func() {
+		if err != nil {
+			for _, c := range s.rpcConns {
+				c.Close()
+			}
+			if st != nil {
+				st.log.Close()
+			}
+		}
+	}()
 	if cfg.Retention != nil && cfg.Retention.Sign() > 0 {
 		s.retention = new(big.Rat).Set(cfg.Retention)
 	}
@@ -385,21 +392,19 @@ func New(cfg Config) (*Server, error) {
 	// Open durable state before the clock exists: a restore resumes the real
 	// clock at the restored virtual time, so the fleet's time never jumps
 	// backwards across a restart.
-	var st *restoreState
 	if cfg.WALDir != "" {
 		if st, err = openWAL(cfg.WALDir, cfg.Fsync); err != nil {
 			return nil, err
 		}
 	}
-	clock := cfg.Clock
-	if clock == nil {
+	s.clock = cfg.Clock
+	if s.clock == nil {
 		if st != nil && st.hasState() {
-			clock = NewRealClockAt(st.now)
+			s.clock = NewRealClockAt(st.now)
 		} else {
-			clock = NewRealClock()
+			s.clock = NewRealClock()
 		}
 	}
-	s.clock = clock
 	if st != nil {
 		snapEvery := cfg.SnapshotEvery
 		if snapEvery <= 0 {
@@ -415,44 +420,15 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if st == nil || st.doc == nil {
-		// Fresh topology from the configured fleet. (With durable state but no
-		// snapshot yet, the WAL suffix below replays onto this topology — the
-		// same one the original run built, since the log began under it.)
-		fleet := append([]model.Machine(nil), cfg.Machines...)
-		stride := len(groups)
-		var shards []*shard
-		for idx, group := range groups {
-			machines := make([]model.Machine, len(group))
-			for k, gi := range group {
-				machines[k] = fleet[gi].Clone()
-			}
-			shardPol := pol
-			if idx > 0 {
-				if shardPol, err = NewPolicy(cfg.Policy); err != nil {
-					return nil, err
-				}
-			}
-			sh := newShard(idx, idx, stride, 0, clock, machines, group, shardPol, s.retention, s.admission)
-			if addr, ok := cfg.Workers[idx]; ok {
-				// Worker-hosted shard: the real engine lives in the worker
-				// process; this struct stays behind as the router-side handle
-				// (identity, topology, backlog bookkeeping) with its loop
-				// never started.
-				if err := s.dialWorker(sh, addr, cfg.Policy); err != nil {
-					for _, c := range s.rpcConns {
-						c.Close()
-					}
-					return nil, err
-				}
-			}
-			shards = append(shards, s.wireShard(sh))
+		// The first generation, from the configured fleet, and never logged: a
+		// directory without a snapshot replays its suffix onto this topology —
+		// the same one the original run built, since the log began under it.
+		if _, _, err = s.installGeneration(newTopo(cfg.Machines, groups), nil, false); err != nil {
+			return nil, fmt.Errorf("server: %w", err)
 		}
-		s.gens = []*generation{{base: 0, stride: stride, shards: shards}}
-		s.all = shards
 	}
 	if st != nil && st.hasState() {
-		if err := s.restore(st); err != nil {
-			st.log.Close()
+		if err = s.restore(st); err != nil {
 			return nil, err
 		}
 		s.restoredNow = new(big.Rat).Set(st.now)
@@ -471,26 +447,39 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// checkMachines is the guard on every fleet entering the server — the startup
-// configuration, a reshard's platform, machine entries read back from a WAL or
-// snapshot document; what names the entry point in the error.
-func checkMachines(what string, ms []model.Machine) error {
+// checkMachines is the guard on every machine list entering the server — the
+// startup configuration, a reshard's platform, a spec read back from a WAL or
+// snapshot document or received by a worker; the caller names the entry point.
+func checkMachines(ms []model.Machine) error {
 	for i := range ms {
 		if ms[i].InverseSpeed == nil || ms[i].InverseSpeed.Sign() <= 0 {
-			return fmt.Errorf("server: %smachine %d (%s) needs InverseSpeed > 0", what, i, ms[i].Name)
+			return fmt.Errorf("machine %d (%s) needs InverseSpeed > 0", i, ms[i].Name)
 		}
 	}
 	return nil
 }
 
-// wireShard installs the server-side hooks on a freshly built shard. The
-// steal hook is wired even on a momentarily-singleton topology: a later
-// reshard may grow the active set, and stealFor is a cheap no-op until it
-// does. dropForward is wired unconditionally — reshard migrations write
-// forwarding entries even with stealing disabled, and retention compaction
-// must be able to release them either way. Hooks are set before the shard's
-// loop starts and never change.
-func (s *Server) wireShard(sh *shard) *shard {
+// normalizeAdmission maps a configured or received admission mode to its
+// canonical name ("" is strict).
+func normalizeAdmission(mode string) (string, error) {
+	switch mode {
+	case "", shardlink.AdmissionStrict:
+		return shardlink.AdmissionStrict, nil
+	case shardlink.AdmissionAdvisory, shardlink.AdmissionOff:
+		return mode, nil
+	}
+	return "", fmt.Errorf("unknown admission mode %q (want %q, %q or %q)",
+		mode, shardlink.AdmissionStrict, shardlink.AdmissionAdvisory, shardlink.AdmissionOff)
+}
+
+// wireShard installs the server-side hooks on a freshly allocated shard
+// (buildShard is its one caller). The steal hook is wired even on a
+// momentarily-singleton topology: a later reshard may grow the active set,
+// and stealFor is a cheap no-op until it does. dropForward is wired
+// unconditionally — reshard migrations write forwarding entries even with
+// stealing disabled, and retention compaction must be able to release them
+// either way. Hooks are set before the shard's loop starts and never change.
+func (s *Server) wireShard(sh *shard) {
 	if !s.disableSteal {
 		sh.steal = func() bool { return s.stealFor(sh) }
 	}
@@ -500,9 +489,6 @@ func (s *Server) wireShard(sh *shard) *shard {
 	sh.wal = s.dur
 	sh.dropForward = s.dropForward
 	sh.obs = s.tel.newShardObs(sh)
-	if sh.mwf != nil {
-		sh.mwf.Observer = sh.obs
-	}
 	// Install the router's transport handle. Worker-hosted shards arrive
 	// with their link already dialed; colocated shards get the loopback rpc
 	// link (registered as a per-shard named service — creation indices never
@@ -520,7 +506,6 @@ func (s *Server) wireShard(sh *shard) *shard {
 		}
 		sh.link = newLink(s.tel, sh, remote, svc)
 	}
-	return sh
 }
 
 // active returns the current generation's shard list. The slice is immutable

@@ -222,24 +222,63 @@ func (sh *shard) tenantFor(tenant string) *shardlink.TenantTotals {
 	return ta
 }
 
-// newShard builds one scheduling shard over the given slice of the fleet.
-// idx is the immutable creation index; (gidBase, stride, pos) is the shard's
-// global-ID encoding within its birth generation; machineIdx maps local
-// machine indices to global fleet indices; admission is the deadline-
-// admission mode ("" defaults to strict).
-func newShard(idx, pos, stride, gidBase int, clock Clock, machines []model.Machine, machineIdx []int, pol sim.Policy, retention *big.Rat, admission string) *shard {
-	if admission == "" {
-		admission = shardlink.AdmissionStrict
+// buildShard is the one place a shard comes into being, and so the one place
+// a spec is checked — whether derived from a platform document, read back
+// from a log or snapshot, or arrived on a worker's socket. Under a Server it
+// gets the server's hooks, telemetry and link (at a position a worker serves
+// it is the loop-less router-side stub, and the worker is sent the very same
+// message); with s nil it is the real thing inside a worker process. A
+// non-nil state is the shard's snapshot entry, loaded once the shard stands.
+func buildShard(s *Server, args *shardlink.InstallArgs, clock Clock, state *snapShard) (*shard, error) {
+	spec := args.ShardSpec
+	switch {
+	case spec.Stride < 1 || spec.Pos < 0 || spec.Pos >= spec.Stride:
+		// locate decodes every ID of a generation modulo its stride.
+		return nil, fmt.Errorf("shard %d at position %d of %d", spec.Idx, spec.Pos, spec.Stride)
+	case len(spec.MachineIdx) != len(spec.Machines):
+		// The executed trace is translated through machineIdx on every read.
+		return nil, fmt.Errorf("shard %d maps %d machines through %d fleet indices", spec.Idx, len(spec.Machines), len(spec.MachineIdx))
 	}
+	if err := checkMachines(spec.Machines); err != nil {
+		return nil, fmt.Errorf("shard %d: %w", spec.Idx, err)
+	}
+	admission, err := normalizeAdmission(args.Admission)
+	if err != nil {
+		return nil, err
+	}
+	sh := newShard(spec, clock, args.Retention, admission)
+	if s != nil {
+		// Workers are keyed by startup-partition position; a fleet with workers
+		// never leaves generation 0 (New refuses a log, Reshard a repartition).
+		if addr, ok := s.workers[spec.Pos]; ok {
+			if err := s.dialWorker(sh, addr, args); err != nil {
+				return nil, err
+			}
+		}
+		s.wireShard(sh)
+	}
+	if err := sh.resetEngine(args.Policy, nil); err != nil {
+		return nil, err
+	}
+	if state != nil {
+		if err := sh.loadState(state); err != nil {
+			return nil, err
+		}
+	}
+	return sh, nil
+}
+
+// newShard allocates the shard spec describes, without an engine yet.
+func newShard(spec shardlink.ShardSpec, clock Clock, retention *big.Rat, admission string) *shard {
 	sh := &shard{
-		idx:        idx,
-		pos:        pos,
-		stride:     stride,
-		gidBase:    gidBase,
+		idx:        spec.Idx,
+		pos:        spec.Pos,
+		stride:     spec.Stride,
+		gidBase:    spec.GidBase,
+		gen:        spec.Gen,
 		clock:      clock,
-		machines:   machines,
-		machineIdx: machineIdx,
-		policy:     pol,
+		machines:   spec.Machines,
+		machineIdx: spec.MachineIdx,
 		admission:  admission,
 		backlog:    new(big.Rat),
 		// Never nil: restore assigns tenant entries straight into it.
@@ -254,14 +293,58 @@ func newShard(idx, pos, stride, gidBase int, clock Clock, machines []model.Machi
 		sh.retention = new(big.Rat).Set(retention)
 		sh.LastCompact = new(big.Rat)
 	}
-	sh.obs = detachedShardObs()
-	sh.mwf, _ = pol.(*sim.OnlineMWF)
+	sh.obs = &shardObs{flow: obs.NewHistogram(obs.DefFlowBuckets)}
 	sh.eligible = make([]map[int]bool, len(sh.machines))
 	for i := range sh.eligible {
 		sh.eligible[i] = make(map[int]bool)
 	}
-	sh.eng = sim.NewEngine(len(sh.machines), sh.cost, pol)
 	return sh
+}
+
+// resetEngine gives the shard a fresh policy instance (policies carry per-run
+// state: plan caches, warm-start basis chains) and a fresh engine under it,
+// restored to st when non-nil, observer wired in: a new shard's first engine,
+// and a latched shard's restart. An error leaves the shard as it was.
+func (sh *shard) resetEngine(policy string, st *sim.EngineState) error {
+	pol, err := NewPolicy(policy)
+	if err != nil {
+		return err
+	}
+	eng := sim.NewEngine(len(sh.machines), sh.cost, pol)
+	if st != nil {
+		if err := eng.RestoreState(st); err != nil {
+			return err
+		}
+	}
+	sh.policy, sh.eng = pol, eng
+	if sh.mwf, _ = pol.(*sim.OnlineMWF); sh.mwf != nil {
+		sh.mwf.Observer = sh.obs
+	}
+	return nil
+}
+
+// reencode moves a kept shard into a generation: IDs it issues from here on
+// decode through it, and its machines answer to the new platform document's
+// indices (a no-op reshard changes only those). Callers hold sh.mu, or run
+// before any loop starts.
+func (sh *shard) reencode(gen, base, stride, pos int, machineIdx []int) {
+	sh.gen, sh.gidBase, sh.stride, sh.pos = gen, base, stride, pos
+	sh.machineIdx = append([]int(nil), machineIdx...)
+}
+
+// renumber re-points the machines of a shard outside the active topology at a
+// new platform document, by name: the merged /v1/schedule interprets every
+// piece against the current platform, and without the remap a retired shard's
+// history would keep indices into a document that no longer exists — one
+// response mixing two numbering schemes. A machine absent from the new
+// platform keeps its historical index (there is no right answer for a machine
+// that left). Callers hold sh.mu, or run before any loop starts.
+func (sh *shard) renumber(fleetIdx map[string]int) {
+	for i := range sh.machineIdx {
+		if ni, ok := fleetIdx[sh.machines[i].Name]; ok {
+			sh.machineIdx[i] = ni
+		}
+	}
 }
 
 // globalID encodes a shard-local job ID into the wire-visible global ID

@@ -97,7 +97,7 @@ type series[T any] struct {
 var fleetSeries = []series[fleetStats]{
 	{"divflow_topology_generation", "Current topology generation (0 until the first structural reshard).", true, func(f *fleetStats) float64 { return float64(f.generation) }},
 	{"divflow_active_shards", "Shards in the active topology.", true, func(f *fleetStats) float64 { return float64(f.active) }},
-	{"divflow_reshard_events_total", "Completed structural reshards (topology generation advances).", false, func(f *fleetStats) float64 { return float64(f.reshards) }},
+	{"divflow_reshard_events_total", "Completed structural reshards (topology generation advances).", false, func(f *fleetStats) float64 { return float64(f.generation) }},
 	{"divflow_journal_events_total", "Events appended to the journal (GET /v1/events).", false, func(f *fleetStats) float64 { return float64(f.events) }},
 	{"divflow_wal_appends_total", "Records durably appended to the write-ahead log.", false, func(f *fleetStats) float64 { return float64(f.wal.Appends) }},
 	{"divflow_wal_snapshots_total", "Fleet snapshots written (the WAL is truncated behind each).", false, func(f *fleetStats) float64 { return float64(f.wal.Snapshots) }},
@@ -289,12 +289,6 @@ func (o *shardObs) tenantWFlow(tenant string) *obs.Histogram {
 		o.tenantWF[tenant] = h
 	}
 	return h
-}
-
-// detachedShardObs is the bundle newShard installs before the server wires
-// the real one.
-func detachedShardObs() *shardObs {
-	return &shardObs{flow: obs.NewHistogram(obs.DefFlowBuckets)}
 }
 
 // newShardObs builds the registry-backed bundle for one shard.

@@ -22,29 +22,18 @@ import (
 // lock in both processes at once.
 
 // dialWorker connects a router-side shard stub to the worker process that
-// will host its engine: dial, install the shard there, and pin the stub's
-// link to the worker's per-shard RPC service. The stub's loop never starts
-// (shard.start refuses remote shards); the worker's does, inside Install.
-func (s *Server) dialWorker(sh *shard, addr, policy string) error {
+// will host its engine: dial, install the shard there — with the message the
+// stub itself was built from — and pin the stub's link to the worker's
+// per-shard RPC service. The stub's loop never starts (shard.start refuses
+// remote shards); the worker's does, inside Install.
+func (s *Server) dialWorker(sh *shard, addr string, args *shardlink.InstallArgs) error {
 	client, err := rpc.Dial("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("server: dial worker %s for shard %d: %w", addr, sh.idx, err)
+		return fmt.Errorf("dial worker %s for shard %d: %w", addr, sh.idx, err)
 	}
-	args := shardlink.InstallArgs{
-		Idx:        sh.idx,
-		Pos:        sh.pos,
-		Stride:     sh.stride,
-		GidBase:    sh.gidBase,
-		Machines:   sh.machines,
-		MachineIdx: sh.machineIdx,
-		Policy:     policy,
-		Retention:  copyRat(s.retention),
-		Now:        s.clock.Now(),
-		Admission:  s.admission,
-	}
-	if err := client.Call("Worker.Install", &args, &shardlink.InstallReply{}); err != nil {
+	if err := client.Call("Worker.Install", args, &shardlink.InstallReply{}); err != nil {
 		client.Close()
-		return fmt.Errorf("server: install shard %d on worker %s: %w", sh.idx, addr, err)
+		return fmt.Errorf("install shard %d on worker %s: %w", sh.idx, addr, err)
 	}
 	sh.remote = true
 	sh.link = newLink(s.tel, nil, client, fmt.Sprintf("Shard%d", sh.idx))
@@ -63,12 +52,9 @@ type workerRPC struct {
 }
 
 // Install provisions one shard in this worker process and starts its
-// scheduling loop.
+// scheduling loop. The listener is a network surface: the message goes
+// through the constructor, and so the checks, the router's own shards do.
 func (w *workerRPC) Install(args *shardlink.InstallArgs, _ *shardlink.InstallReply) error {
-	pol, err := NewPolicy(args.Policy)
-	if err != nil {
-		return err
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if _, dup := w.shards[args.Idx]; dup {
@@ -78,9 +64,10 @@ func (w *workerRPC) Install(args *shardlink.InstallArgs, _ *shardlink.InstallRep
 	// processes measure the shared virtual timeline from the same epoch
 	// (modulo the install round-trip, which only shifts release stamps by
 	// real network latency — exactly what a distributed deployment means).
-	clock := NewRealClockAt(args.Now)
-	sh := newShard(args.Idx, args.Pos, args.Stride, args.GidBase, clock,
-		args.Machines, args.MachineIdx, pol, args.Retention, args.Admission)
+	sh, err := buildShard(nil, args, NewRealClockAt(args.Now), nil)
+	if err != nil {
+		return fmt.Errorf("server: install: %w", err)
+	}
 	if err := w.srv.RegisterName(fmt.Sprintf("Shard%d", args.Idx), &shardRPC{sh: sh}); err != nil {
 		return err
 	}

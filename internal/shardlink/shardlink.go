@@ -228,24 +228,37 @@ type AbortArgs struct {
 // AbortReply is empty.
 type AbortReply struct{}
 
-// InstallArgs provisions one shard inside a worker process (divflowd
-// -worker): the shard's identity (creation index and global-ID encoding),
-// its slice of the fleet, its policy, and the router's current clock reading
-// — the worker anchors its real clock at Now, so both processes measure the
-// same virtual timeline from the same epoch.
+// ShardSpec is one shard's identity, and the one form it is written in: the
+// server's shard constructor takes it, InstallArgs ships it to a worker, a
+// snapshot entry embeds it (the JSON names are the snapshot's), and a member
+// of a write-ahead topology record resolves to it.
+type ShardSpec struct {
+	Idx int `json:"idx"` // creation index, unique for the life of the fleet
+	// A global ID born on the shard is GidBase + local*Stride + Pos: Stride
+	// is its generation's shard count and Pos its position there.
+	Pos     int `json:"pos"`
+	Stride  int `json:"stride"`
+	GidBase int `json:"gidBase"`
+	Gen     int `json:"gen"` // newest topology generation the shard belongs (or belonged) to
+	// Machines is the shard's slice of the fleet, in fleet order; MachineIdx
+	// maps each to its index in the platform document (same length).
+	Machines   []model.Machine `json:"machines"`
+	MachineIdx []int           `json:"machineIdx"`
+}
+
+// InstallArgs provisions one shard: its spec, policy, retention and admission
+// mode, and — for a worker process (divflowd -worker) — the router's current
+// clock reading: the worker anchors its real clock at Now, so both processes
+// measure the same virtual timeline from the same epoch. The router builds its
+// colocated shards from the same message, and either side validates all of it:
+// an unknown policy or admission mode, a machine without a positive speed,
+// MachineIdx not matching Machines, Stride < 1 or Pos outside it are errors.
 type InstallArgs struct {
-	Idx        int
-	Pos        int
-	Stride     int
-	GidBase    int
-	Machines   []model.Machine
-	MachineIdx []int
-	Policy     string
-	Retention  *big.Rat
-	Now        *big.Rat // router clock reading at install: the shared epoch
-	// Admission is the deadline-admission mode the shard runs Submit under
-	// ("" defaults to strict).
-	Admission string
+	ShardSpec
+	Policy    string
+	Retention *big.Rat
+	Now       *big.Rat // router clock reading at install: the shared epoch
+	Admission string   // deadline-admission mode ("" defaults to strict)
 }
 
 // InstallReply is empty; installation errors travel as RPC errors.
