@@ -275,11 +275,13 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+	// Registered here, not in the goroutine: a signal that lands before the
+	// goroutine is first scheduled must not find the default action in place.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		log.Print("shutting down")
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -290,9 +292,9 @@ func main() {
 		// SIGHUP reloads the platform file and live-reshards against it: the
 		// operator's replication event needs only a file rewrite and a
 		// signal, no client tooling.
+		hup := make(chan os.Signal, 1)
+		signal.Notify(hup, syscall.SIGHUP)
 		go func() {
-			hup := make(chan os.Signal, 1)
-			signal.Notify(hup, syscall.SIGHUP)
 			for range hup {
 				data, err := os.ReadFile(*platform)
 				if err != nil {

@@ -3,13 +3,9 @@
 // float-exactness invariants the paper reproduction depends on but generic
 // vet/staticcheck cannot see.
 //
-// Standalone (the CI gate):
+// Run it from a module's root (the repo's, or bench/ — a module of its own):
 //
 //	divflowvet ./...
-//
-// As a vet tool, so diagnostics land incrementally with the build cache:
-//
-//	go vet -vettool=$(which divflowvet) ./...
 //
 // Flags: -analyzers=a,b,c restricts the suite; -list prints it.
 package main
@@ -23,21 +19,6 @@ import (
 )
 
 func main() {
-	// The go vet driver protocol: `tool -V=full` prints an identity line,
-	// `tool -flags` describes tool flags as JSON (none), and
-	// `tool <file>.cfg` analyzes one compiled package.
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		printVersion()
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(os.Args) == 2 && isVetCfg(os.Args[1]) {
-		os.Exit(unitchecker(os.Args[1]))
-	}
-
 	names := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	list := flag.Bool("list", false, "print the analyzer suite and exit")
 	flag.Parse()

@@ -64,12 +64,6 @@ func (f Form) Equal(g Form) bool {
 	return f.A.Cmp(g.A) == 0 && f.B.Cmp(g.B) == 0
 }
 
-// CmpAt compares f and g at the point at: -1 if f(at) < g(at), 0 if equal,
-// +1 otherwise.
-func (f Form) CmpAt(g Form, at *big.Rat) int {
-	return f.Eval(at).Cmp(g.Eval(at))
-}
-
 // Intersection returns the unique F at which f and g coincide, or ok=false
 // when the forms are parallel (equal slope).
 func (f Form) Intersection(g Form) (at *big.Rat, ok bool) {

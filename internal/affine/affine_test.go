@@ -72,20 +72,6 @@ func TestIntersectionProperty(t *testing.T) {
 	}
 }
 
-func TestCmpAt(t *testing.T) {
-	f := New(r(0, 1), r(1, 1))
-	g := Const(r(5, 1))
-	if f.CmpAt(g, r(1, 1)) != -1 {
-		t.Error("F < 5 at F=1")
-	}
-	if f.CmpAt(g, r(5, 1)) != 0 {
-		t.Error("F == 5 at F=5")
-	}
-	if f.CmpAt(g, r(9, 1)) != 1 {
-		t.Error("F > 5 at F=9")
-	}
-}
-
 func TestRangeInterior(t *testing.T) {
 	rg := Range{Lo: r(2, 1), Hi: r(4, 1)}
 	mid := rg.Interior()

@@ -100,10 +100,6 @@ func RunAnalyzers(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	for _, pkg := range prog.Pkgs {
 		CollectLocks(prog, pkg, world)
 	}
-	return runWithWorld(prog, world, analyzers)
-}
-
-func runWithWorld(prog *Program, world *World, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range prog.Pkgs {
 		if !pkg.Analyze {
@@ -161,8 +157,7 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // funcKey names a function for cross-package fact storage:
-// "pkgpath.Recv.Name" for methods, "pkgpath.Name" otherwise. Keys are plain
-// strings so they serialize into vetx fact files unchanged.
+// "pkgpath.Recv.Name" for methods, "pkgpath.Name" otherwise.
 func funcKey(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {
 		return ""

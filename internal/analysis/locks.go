@@ -35,8 +35,8 @@ import (
 // transitive call graph contains any `ascending=` blessing is a diagnostic.
 //
 // Everything collected here is keyed by plain strings (class names,
-// "pkgpath.Recv.Name" function keys) so it serializes into vet fact files
-// and crosses package boundaries intact.
+// "pkgpath.Recv.Name" function keys), so a fact collected in one package is
+// found from any other.
 
 // FuncLocks is the exported lock fact for one function: its annotation plus
 // the transitive set of classes it may acquire.
@@ -325,9 +325,10 @@ func lockOp(pkg *Package, world *World, call *ast.CallExpr) (class, op string) {
 }
 
 // heldSet is the abstract state: the lock classes held at a program point.
-// A class, not an instance count: the only blessed multi-instance sections
-// are the all-shards sweeps (a snapshot's cut, a reshard's publish), which
-// take every instance in one loop and release them all in another.
+// A class, not an instance count: the only blessed multi-instance section
+// is the all-shards sweep (Server.cut, under which a snapshot exports and a
+// reshard publishes), which takes every instance in one loop and releases
+// them all in another.
 type heldSet map[string]bool
 
 func (h heldSet) clone() heldSet {
@@ -490,8 +491,8 @@ func (ck *lockChecker) stmt(s ast.Stmt, held heldSet) bool {
 // the body and still held at its end stays held after the loop — and because
 // the body may run again, that is instance-after-instance acquisition, which
 // only functions blessed `ascending=<class>` may do (the all-shards lock
-// sweep in snapshotLocked and publishGeneration). A class the body releases
-// (the matching unlock-descending sweep) is no longer held after the loop.
+// sweep of Server.cut). A class the body releases (the matching
+// unlock-descending sweep) is no longer held after the loop.
 func (ck *lockChecker) loopCarry(pos token.Pos, held, bodyHeld heldSet) {
 	for c := range bodyHeld {
 		if !held[c] && ck.orderMode && !ck.fl.Ascending[c] {

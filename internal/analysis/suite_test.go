@@ -1,10 +1,7 @@
 package analysis_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"divflow/internal/analysis"
@@ -48,38 +45,4 @@ func TestFloatExact(t *testing.T) {
 func TestLockCheckers(t *testing.T) {
 	analysistest.Run(t, testdata(t), analyzers(t, "lockorder,emitmu"),
 		"divflow/internal/obs", "divflow/internal/server")
-}
-
-// TestFuncLocksGob pins the serializability the vettool depends on: lock
-// facts must survive the gob round-trip through vetx files with plain string
-// keys.
-func TestFuncLocksGob(t *testing.T) {
-	in := map[string]*analysis.FuncLocks{
-		"divflow/internal/obs.Journal.Append": {
-			Acquires:  map[string]bool{"journal": true},
-			Ascending: map[string]bool{},
-		},
-		"divflow/internal/server.shard.catchUp": {
-			Acquires:  map[string]bool{"journal": true},
-			Requires:  []string{"shard"},
-			Ascending: map[string]bool{"shard": true},
-		},
-		"divflow/internal/server.shardRPC.Submit": {
-			Acquires:       map[string]bool{"shard": true},
-			Ascending:      map[string]bool{},
-			Boundary:       "shardlink",
-			AscendingReach: map[string]bool{},
-		},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string]*analysis.FuncLocks)
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("gob round-trip mismatch:\n in: %#v\nout: %#v", in, out)
-	}
 }

@@ -67,18 +67,14 @@ func MinMaxWeightedFlowPreemptive(inst *model.Instance) (*Result, error) {
 	return minMaxWeightedFlow(inst, nil, schedule.Preemptive, nil, lp.SolveFloat)
 }
 
-// MinMaxWeightedFlowWithOrigins solves the same problem with each job's
+// MinMaxWeightedFlowWithOptions solves the same problem with each job's
 // flow measured from origins[j] instead of its release date: the objective
 // is max_j w_j (C_j − o_j), with o_j <= r_j. This is the primitive behind
 // the online adaptation sketched in the paper's conclusion: at every event
 // the scheduler re-solves the offline problem on the residual work, with
 // origins remembering how long each job has already been in the system.
-func MinMaxWeightedFlowWithOrigins(inst *model.Instance, origins []*big.Rat, mode schedule.Model) (*Result, error) {
-	return MinMaxWeightedFlowWithOptions(inst, origins, mode, nil)
-}
-
-// MinMaxWeightedFlowWithOptions is MinMaxWeightedFlowWithOrigins plus solver
-// options (warm-start basis reuse). The result is identical for any options.
+// opts (nil for none) carries solver options — warm-start basis reuse; the
+// result is identical for any options.
 func MinMaxWeightedFlowWithOptions(inst *model.Instance, origins []*big.Rat, mode schedule.Model, opts *SolveOptions) (*Result, error) {
 	if len(origins) != inst.N() {
 		return nil, fmt.Errorf("core: %d origins for %d jobs", len(origins), inst.N())

@@ -46,9 +46,6 @@ func (m Method) String() string {
 	}
 }
 
-// WarmStart reports whether the solve reused the caller's warm basis.
-func (m Method) WarmStart() bool { return m == MethodWarmVerified || m == MethodWarmSimplex }
-
 // Basis is a reusable handle to the optimal basis of a solved problem. It is
 // opaque: hand it back to SolveHybridWarm when re-solving a perturbed
 // version of the same problem (changed RHS via SetRHS, changed coefficients

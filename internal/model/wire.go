@@ -530,19 +530,10 @@ type Platform struct {
 	Shards int
 }
 
-// ParsePlatform decodes a platform document's machine fleet — encoded as
-// {"machines":[{"name","inverseSpeed","databanks"}]}. Every machine needs a
-// strictly positive inverseSpeed.
-func ParsePlatform(data []byte) ([]Machine, error) {
-	p, err := ParsePlatformConfig(data)
-	if err != nil {
-		return nil, err
-	}
-	return p.Machines, nil
-}
-
-// ParsePlatformConfig decodes a full platform document, including the
-// optional {"shards": N} scheduling partition override.
+// ParsePlatformConfig decodes a platform document — the machine fleet, encoded
+// as {"machines":[{"name","inverseSpeed","databanks"}]}, every machine with a
+// strictly positive inverseSpeed, and the optional {"shards": N} scheduling
+// partition override.
 func ParsePlatformConfig(data []byte) (*Platform, error) {
 	var doc struct {
 		Machines []Machine `json:"machines"`

@@ -48,10 +48,11 @@ func TestParsePlatform(t *testing.T) {
 	  {"name":"cluster-a","inverseSpeed":"1/2","databanks":["swissprot","pdb"]},
 	  {"name":"cluster-b","inverseSpeed":"1"}
 	]}`
-	machines, err := ParsePlatform([]byte(doc))
+	plat, err := ParsePlatformConfig([]byte(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
+	machines := plat.Machines
 	if len(machines) != 2 {
 		t.Fatalf("got %d machines", len(machines))
 	}
@@ -67,7 +68,7 @@ func TestParsePlatform(t *testing.T) {
 		"malformed doc": `{`,
 	}
 	for what, doc := range bad {
-		if _, err := ParsePlatform([]byte(doc)); err == nil {
+		if _, err := ParsePlatformConfig([]byte(doc)); err == nil {
 			t.Errorf("%s: expected error", what)
 		}
 	}

@@ -101,14 +101,3 @@ func (s *Schedule) TotalBusyTime() *big.Rat {
 	}
 	return total
 }
-
-// Utilization returns TotalBusyTime / (machines × makespan) as a rational
-// in [0, 1]; zero for an empty schedule.
-func (s *Schedule) Utilization(machines int) *big.Rat {
-	ms := s.Makespan()
-	if ms.Sign() == 0 || machines <= 0 {
-		return new(big.Rat)
-	}
-	denom := new(big.Rat).Mul(ms, big.NewRat(int64(machines), 1))
-	return new(big.Rat).Quo(s.TotalBusyTime(), denom)
-}

@@ -48,19 +48,11 @@ func TestJobGlyphs(t *testing.T) {
 	}
 }
 
-func TestBusyTimeAndUtilization(t *testing.T) {
+func TestBusyTime(t *testing.T) {
 	var s Schedule
 	s.Add(0, 0, r(0, 1), r(4, 1), r(1, 1))
 	s.Add(1, 1, r(0, 1), r(2, 1), r(1, 1))
 	if got := s.TotalBusyTime(); got.Cmp(r(6, 1)) != 0 {
 		t.Errorf("busy = %v, want 6", got)
-	}
-	// 6 machine-seconds over 2 machines x 4 seconds = 3/4.
-	if got := s.Utilization(2); got.Cmp(r(3, 4)) != 0 {
-		t.Errorf("utilization = %v, want 3/4", got)
-	}
-	var empty Schedule
-	if got := empty.Utilization(2); got.Sign() != 0 {
-		t.Errorf("empty utilization = %v", got)
 	}
 }

@@ -320,23 +320,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealth is the liveness/readiness probe: 200 while every active shard
-// is healthy, 503 naming the stalled shards. It reuses the latched-error
-// state the router reads (routeInfo takes only backlogMu), so a probe never
-// waits behind an in-flight exact solve. Retired shards are history, not
-// health; they are not consulted.
+// is healthy, 503 naming the stalled shards — an unreachable worker shard is
+// as stalled as a latched one, and listed first. It reads the routing keys the
+// router places by (served off backlogMu alone), so a probe never waits behind
+// an in-flight exact solve. Retired shards are history, not health; they are
+// not consulted.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	resp := model.HealthResponse{Status: "ok"}
-	for _, sh := range s.active() {
-		ri, err := sh.link.RouteInfo(shardlink.RouteInfoArgs{})
-		if err != nil {
-			// An unreachable worker shard is as stalled as a latched one.
-			resp.StalledShards = append(resp.StalledShards, sh.idx)
-			resp.Errors = append(resp.Errors, err.Error())
-			continue
-		}
-		if ri.Err != "" {
-			resp.StalledShards = append(resp.StalledShards, sh.idx)
-			resp.Errors = append(resp.Errors, ri.Err)
+	routes, down := readRoutes(s.active())
+	for _, r := range append(down, routes...) {
+		if r.Err != "" {
+			resp.StalledShards = append(resp.StalledShards, r.sh.idx)
+			resp.Errors = append(resp.Errors, r.Err)
 		}
 	}
 	if err := s.dur.latchedErr(); err != nil {

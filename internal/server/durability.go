@@ -342,11 +342,8 @@ func exportShardLocked(sh *shard) snapShard {
 // background snapshots take) and truncates the WAL behind its watermark.
 func (s *Server) Snapshot() error {
 	s.reshardMu.Lock()
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
 	err := ErrClosed
-	if !closed {
+	if !s.closed.Load() {
 		err = s.snapshotLocked()
 	}
 	s.reshardMu.Unlock()
@@ -359,10 +356,11 @@ func (s *Server) Snapshot() error {
 }
 
 // snapshotLocked exports and writes one snapshot. Callers hold reshardMu (so
-// no topology change is in flight); it takes every shard's mu in idx order,
-// freezing every append source, so the watermark is exact.
+// no topology change is in flight); the export runs under the cut, which
+// freezes every append source, so the watermark is exact. Marshaling and file
+// I/O happen after the cut is released.
 //
-//divflow:locks requires=reshard ascending=shard
+//divflow:locks requires=reshard
 func (s *Server) snapshotLocked() error {
 	d := s.dur
 	if d == nil {
@@ -373,36 +371,31 @@ func (s *Server) snapshotLocked() error {
 		// state must never replace the consistent on-disk prefix.
 		return err
 	}
-	all := s.allShards() // creation order
-	for _, sh := range all {
-		sh.mu.Lock()
-	}
 	doc := snapDoc{Policy: s.policyCfg, ShardsCfg: s.shardsCfg}
-	s.topoMu.RLock()
-	doc.Reshards = len(s.gens) - 1
-	for _, gen := range s.gens {
-		sg := snapGen{Base: gen.base, Stride: gen.stride}
-		for _, sh := range gen.shards {
-			sg.Shards = append(sg.Shards, sh.idx)
+	var seq uint64
+	//divflow:locks requires=reshard,shard
+	s.cut(func(all []*shard) {
+		s.topoMu.RLock()
+		doc.Reshards = len(s.gens) - 1
+		for _, gen := range s.gens {
+			sg := snapGen{Base: gen.base, Stride: gen.stride}
+			for _, sh := range gen.shards {
+				sg.Shards = append(sg.Shards, sh.idx)
+			}
+			doc.Gens = append(doc.Gens, sg)
 		}
-		doc.Gens = append(doc.Gens, sg)
-	}
-	s.topoMu.RUnlock()
-	s.fwdMu.RLock()
-	for gid, loc := range s.forward {
-		doc.Forward = append(doc.Forward, snapFwd{GID: gid, Shard: loc.sh.idx, Local: loc.local})
-	}
-	s.fwdMu.RUnlock()
-	sort.Slice(doc.Forward, func(a, b int) bool { return doc.Forward[a].GID < doc.Forward[b].GID })
-	for _, sh := range all {
-		doc.Shards = append(doc.Shards, exportShardLocked(sh))
-	}
-	d.mu.Lock()
-	seq := d.log.LastSeq()
-	d.mu.Unlock()
-	for i := len(all) - 1; i >= 0; i-- {
-		all[i].mu.Unlock()
-	}
+		for gid, loc := range s.forward {
+			doc.Forward = append(doc.Forward, snapFwd{GID: gid, Shard: loc.sh.idx, Local: loc.local})
+		}
+		s.topoMu.RUnlock()
+		sort.Slice(doc.Forward, func(a, b int) bool { return doc.Forward[a].GID < doc.Forward[b].GID })
+		for _, sh := range all {
+			doc.Shards = append(doc.Shards, exportShardLocked(sh))
+		}
+		d.mu.Lock()
+		seq = d.log.LastSeq()
+		d.mu.Unlock()
+	})
 
 	payload, err := json.Marshal(&doc)
 	if err == nil {

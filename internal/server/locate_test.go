@@ -131,9 +131,9 @@ func TestLocateMultiHopForwardingChain(t *testing.T) {
 	if st, known := srv.jobStatus(idJ0); known {
 		t.Fatalf("compacted job %d still resolves: %+v", idJ0, st)
 	}
-	srv.fwdMu.RLock()
+	srv.topoMu.RLock()
 	entries := len(srv.forward)
-	srv.fwdMu.RUnlock()
+	srv.topoMu.RUnlock()
 	if entries != 0 {
 		t.Errorf("forwarding table holds %d entries after compaction, want 0", entries)
 	}

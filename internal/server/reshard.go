@@ -142,10 +142,7 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	// s.shardsCfg is read and written under it too.
 	s.reshardMu.Lock()
 	defer s.reshardMu.Unlock()
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.closed.Load() {
 		return resp, ErrClosed
 	}
 	if err := s.dur.latchedErr(); err != nil {
@@ -291,10 +288,7 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	// it, and a value read at entry would then leave their loops forever
 	// unlaunched. After the publish the race is benign in both directions —
 	// shard.start is idempotent.
-	s.mu.Lock()
-	started := s.started
-	s.mu.Unlock()
-	if started {
+	if s.started.Load() {
 		for _, sh := range spawned {
 			sh.start()
 		}
@@ -306,22 +300,22 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 }
 
 // publishGeneration is the one step of a reshard that needs every shard at
-// once, and it moves no job: under all their mus (creation order — a
-// snapshot's cut takes the same order) it verifies that every queued or live
-// job of a retiring shard fits somewhere on the new topology, places the new
-// generation's IDs above every ID issued so far, logs the record write-ahead
-// and installs it — all before the first mutex is released, so the first ID
-// a re-encoded shard issues already decodes through the new generation, and a
-// submission that was waiting on a retiring shard's mu re-routes against a
-// topology that no longer contains it. An error leaves everything untouched.
+// once, and it moves no job: under the cut it verifies that every queued or
+// live job of a retiring shard fits somewhere on the new topology, places the
+// new generation's IDs above every ID issued so far, logs the record
+// write-ahead and installs it — all before the first mutex is released, so the
+// first ID a re-encoded shard issues already decodes through the new
+// generation, and a submission that was waiting on a retiring shard's mu
+// re-routes against a topology that no longer contains it. An error leaves
+// everything untouched.
 //
-//divflow:locks requires=reshard ascending=shard
+//divflow:locks requires=reshard
 func (s *Server) publishGeneration(rec *recTopo, retiring []*shard) (gen2, spawned []*shard, err error) {
-	all := s.allShards() // creation order
-	for _, sh := range all {
-		sh.mu.Lock()
-	}
-	if err = stranded(retiring, rec.Fleet); err == nil {
+	//divflow:locks requires=reshard,shard
+	s.cut(func([]*shard) {
+		if err = stranded(retiring, rec.Fleet); err != nil {
+			return
+		}
 		// The new generation's ID base: strictly above every global ID any
 		// current shard could have issued, so the newest-generation-whose-
 		// base-fits decode rule stays unambiguous.
@@ -334,10 +328,7 @@ func (s *Server) publishGeneration(rec *recTopo, retiring []*shard) (gen2, spawn
 		if gen2, spawned, err = s.installGeneration(rec, nil, true); err != nil {
 			err = fmt.Errorf("server: reshard: %w", err)
 		}
-	}
-	for i := len(all) - 1; i >= 0; i-- {
-		all[i].mu.Unlock()
-	}
+	})
 	return gen2, spawned, err
 }
 

@@ -414,9 +414,9 @@ func TestReshardRetentionCompactsRetiredShards(t *testing.T) {
 			}
 			sh.mu.Unlock()
 		}
-		srv.fwdMu.RLock()
+		srv.topoMu.RLock()
 		entries := len(srv.forward)
-		srv.fwdMu.RUnlock()
+		srv.topoMu.RUnlock()
 		if empty && entries == 0 {
 			break
 		}

@@ -27,6 +27,7 @@ import (
 	"net"
 	"net/rpc"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"divflow/internal/model"
@@ -230,7 +231,6 @@ type Server struct {
 	retention    *big.Rat
 	disableSteal bool
 	noReshard    bool
-	dropForward  func(gid int)
 	tel          *telemetry
 	admission    string              // normalized Config.Admission
 	tenants      *model.TenantConfig // nil: no quota enforcement
@@ -254,40 +254,39 @@ type Server struct {
 	workers   map[int]string
 	stealStop chan struct{}
 
-	// topoMu guards the shard topology: the generation list and the flat
-	// list of every shard ever created. Readers snapshot under RLock; the one
-	// writer is installGeneration — at startup before any loop runs, live
-	// under Reshard's publish cut (serialized by reshardMu), which holds
-	// every shard's mu — so no lock path ever acquires a shard mu while
-	// holding topoMu.
-	//divflow:locks name=topo before=fwd
+	// topoMu guards where a job lives: the generation list, the flat list of
+	// every shard ever created, and the forwarding table. Readers snapshot
+	// under RLock. installGeneration is the one writer of the lists — at
+	// startup before any loop runs, live under Reshard's cut (serialized by
+	// reshardMu), which holds every shard's mu; the table is written by
+	// forwardTo and dropForward, the latter under the compacting shard's mu. So
+	// topoMu nests inside a shard mu, no lock path ever acquires a shard mu
+	// while holding it, and nothing re-acquires it (a read lock is not
+	// re-entrant once a writer waits).
+	//divflow:locks name=topo before=backlog
 	topoMu sync.RWMutex
 	gens   []*generation
 	all    []*shard // every shard ever created: all[i].idx == i
-
-	// reshardMu serializes topology changes (Reshard, and Close — which
-	// must not race a reshard spawning shards it would miss) and snapshots,
-	// and keeps all three apart from migrations: a steal runs its whole
-	// exchange under a TryRLock, so steals share the lock with each other —
-	// every step of an exchange is atomic on the one shard it touches — but
-	// never overlap a writer.
-	//divflow:locks name=reshard before=collect
-	reshardMu sync.RWMutex
-
 	// forward maps the global ID of every migrated job to its current
 	// location; IDs never migrated resolve arithmetically through their
 	// birth generation. An entry is written after the destination adopted the
 	// job and before the donor's record flips to migrated (Server.migrate),
 	// so a read that misses the table and lands on the donor mid-migration
 	// either still finds the job there or finds the table already updated.
-	//divflow:locks name=fwd before=backlog
-	fwdMu   sync.RWMutex
 	forward map[int]fwdLoc
 
-	//divflow:locks name=servermu before=shard
-	mu      sync.Mutex
-	started bool
-	closed  bool
+	// reshardMu is who may move things: it serializes topology changes
+	// (Reshard, and Close — which must not race a reshard spawning shards it
+	// would miss) and snapshots, and keeps all three apart from migrations: a
+	// steal runs its whole exchange under a TryRLock, so steals share the lock
+	// with each other — every step of an exchange is atomic on the one shard
+	// it touches — but never overlap a writer.
+	//divflow:locks name=reshard before=collect
+	reshardMu sync.RWMutex
+
+	// started flips once, in Start; closed once, in Close under reshardMu, so
+	// a reshard or a snapshot that holds the lock reads a settled value.
+	started, closed atomic.Bool
 }
 
 // fwdLoc is one forwarding-table entry: the shard that currently owns a
@@ -383,11 +382,6 @@ func New(cfg Config) (_ *Server, err error) {
 	}()
 	if cfg.Retention != nil && cfg.Retention.Sign() > 0 {
 		s.retention = new(big.Rat).Set(cfg.Retention)
-	}
-	s.dropForward = func(gid int) {
-		s.fwdMu.Lock()
-		delete(s.forward, gid)
-		s.fwdMu.Unlock()
 	}
 	// Open durable state before the clock exists: a restore resumes the real
 	// clock at the restored virtual time, so the fleet's time never jumps
@@ -526,6 +520,25 @@ func (s *Server) allShards() []*shard {
 	return append([]*shard(nil), s.all...)
 }
 
+// cut runs body under every shard's mu — taken in creation order, released in
+// reverse — and is the only place two shard mus are ever held together: a
+// snapshot's export and a reshard's publish are its two bodies, and no job
+// ever moves under one. Callers hold reshardMu, so no shard can be created
+// between the listing and the locking; body receives the list, in creation
+// order.
+//
+//divflow:locks requires=reshard ascending=shard
+func (s *Server) cut(body func(all []*shard)) {
+	all := s.allShards()
+	for _, sh := range all {
+		sh.mu.Lock()
+	}
+	body(all)
+	for i := len(all) - 1; i >= 0; i-- {
+		all[i].mu.Unlock()
+	}
+}
+
 // partitionFleet splits the fleet into shard groups of global machine
 // indices. n > 0 deals machines round-robin into n groups; n == 0 groups by
 // databank-connectivity components (union-find over "shares a databank"),
@@ -662,13 +675,9 @@ func (s *Server) Generation() int {
 
 // Start launches every shard's scheduling loop. Safe to call once.
 func (s *Server) Start() {
-	s.mu.Lock()
-	if s.started || s.closed {
-		s.mu.Unlock()
+	if s.closed.Load() || !s.started.CompareAndSwap(false, true) {
 		return
 	}
-	s.started = true
-	s.mu.Unlock()
 	for _, sh := range s.allShards() {
 		sh.start()
 	}
@@ -686,8 +695,8 @@ func (s *Server) Start() {
 // and every tick costs one RouteInfo RPC per remote shard.
 const workerStealInterval = 250 * time.Millisecond
 
-// workerStealLoop polls every remote shard's backlog and steals for the idle
-// ones, until Close. It runs only in fleets with worker-hosted shards.
+// workerStealLoop polls the fleet's backlogs and steals for the idle remote
+// shards, until Close. It runs only in fleets with worker-hosted shards.
 func (s *Server) workerStealLoop() {
 	t := time.NewTicker(workerStealInterval)
 	defer t.Stop()
@@ -697,15 +706,11 @@ func (s *Server) workerStealLoop() {
 			return
 		case <-t.C:
 		}
-		for _, sh := range s.active() {
-			if !sh.remote {
-				continue
+		routes, _ := readRoutes(s.active())
+		for _, r := range routes {
+			if r.sh.remote && r.Err == "" && r.Backlog.Sign() == 0 {
+				s.stealFor(r.sh)
 			}
-			ri, err := sh.link.RouteInfo(shardlink.RouteInfoArgs{})
-			if err != nil || ri.Err != "" || ri.Backlog.Sign() != 0 {
-				continue
-			}
-			s.stealFor(sh)
 		}
 	}
 }
@@ -716,13 +721,9 @@ func (s *Server) workerStealLoop() {
 func (s *Server) Close() {
 	s.reshardMu.Lock()
 	defer s.reshardMu.Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
-	s.closed = true
-	s.mu.Unlock()
 	close(s.stealStop)
 	for _, sh := range s.allShards() {
 		sh.close()
@@ -750,17 +751,14 @@ func (s *Server) Close() {
 	}
 }
 
-// Submit accepts one job, routing it to the eligible *healthy* shard with
-// the least exact residual work (ties to the lowest shard index) and
-// stamping its flow origin (release) there. Shards whose loop has latched an
-// error are skipped — a poisoned loop would queue the job forever — unless
-// no healthy shard hosts the databanks, in which case the least-loaded
-// stalled shard takes it and the response carries that shard's error as a
-// warning. The shard's loop admits the job at its next wake-up, so
-// submissions racing one re-solve share it. A submission that loses the race
-// against a concurrent reshard (the chosen shard retired between the
-// topology snapshot and the enqueue) transparently re-routes against the new
-// topology.
+// Submit accepts one job, routing it by the placement rule (pickRoute) and
+// stamping its flow origin (release) on the chosen shard; a submission that
+// only a stalled shard can host is still taken, and the response carries that
+// shard's error as a warning. The shard's loop admits the job at its next
+// wake-up, so submissions racing one re-solve share it. A submission that
+// loses the race against a concurrent reshard (the chosen shard retired
+// between the topology snapshot and the enqueue) transparently re-routes
+// against the new topology.
 func (s *Server) Submit(req *model.SubmitRequest) (model.SubmitResponse, error) {
 	job, err := req.Job()
 	if err != nil {
@@ -781,69 +779,73 @@ func (s *Server) Submit(req *model.SubmitRequest) (model.SubmitResponse, error) 
 		shard: -1, err: errors.New("server: submission kept racing re-sharding; retry")}
 }
 
+// route is one shard's routing key — its RouteInfo reply — beside the shard
+// that gave it.
+type route struct {
+	sh *shard
+	shardlink.RouteInfoReply
+}
+
+// readRoutes is the one fan-out over the shards' routing keys and the only
+// caller of link.RouteInfo: one route per reachable shard, in the order given.
+// The key crosses the shardlink boundary — for a worker-hosted shard it is the
+// only way to see the backlog at all — and is served off backlogMu alone, so no
+// reader waits behind an in-flight exact solve. Every placement decision routes
+// around the shards whose transport failed; they come back in down, Err
+// holding the failure, for /healthz to report.
+func readRoutes(shards []*shard) (routes, down []route) {
+	for _, sh := range shards {
+		ri, err := sh.link.RouteInfo(shardlink.RouteInfoArgs{})
+		if err != nil {
+			down = append(down, route{sh, shardlink.RouteInfoReply{Err: err.Error()}})
+			continue
+		}
+		routes = append(routes, route{sh, ri})
+	}
+	return routes, down
+}
+
+// pickRoute is the placement rule, stated once — the daemon's face of the
+// paper's c_{i,j} = ∞ off the databank's hosts: among the routes whose shard
+// hosts the databanks, the healthy one with the least exact residual work,
+// ties to the first listed (the lowest index). A shard with a latched error
+// has the smallest backlog precisely because it stopped executing, and work
+// parked there strands silently, so one is chosen — the least loaded of them —
+// only when no healthy host exists: the caller sees Err set on the pick and
+// passes it on as a warning. Nil when no reachable shard hosts the databanks.
+// A caller placing several jobs off one read (placement) adds what it placed
+// to the pick's Backlog.
+func pickRoute(routes []route, databanks []string) *route {
+	var best, stalled *route
+	for i := range routes {
+		r := &routes[i]
+		if !r.sh.hosts(databanks) {
+			continue
+		}
+		switch {
+		case r.Err != "":
+			if stalled == nil || r.Backlog.Cmp(stalled.Backlog) < 0 {
+				stalled = r
+			}
+		case best == nil || r.Backlog.Cmp(best.Backlog) < 0:
+			best = r
+		}
+	}
+	if best == nil {
+		return stalled
+	}
+	return best
+}
+
 // submitRouted is one routing attempt of Submit against a snapshot of the
-// active topology.
+// active topology. One read of the fleet answers all three of its questions:
+// whether the tenant is over quota, where the job goes, and which shards are
+// idle enough to be worth a poke.
 func (s *Server) submitRouted(args shardlink.SubmitArgs) (model.SubmitResponse, error) {
 	job := &args.Job
-	shards := s.active()
-	// The weighted-fairness quota reads every shard's per-tenant backlog off
-	// the same RouteInfo replies routing consumes anyway; only shards that
-	// cannot host the job cost an extra call, and only while quota is armed.
-	quota := s.tenants != nil && job.Tenant != "" && job.SLAClass != model.SLAPremium
-	var tenantBack map[string]*big.Rat
-	addBacklogs := func(m map[string]*big.Rat) {
-		for t, b := range m {
-			if b == nil || b.Sign() == 0 {
-				continue
-			}
-			if cur, ok := tenantBack[t]; ok {
-				cur.Add(cur, b)
-			} else {
-				tenantBack[t] = new(big.Rat).Set(b)
-			}
-		}
-	}
-	if quota {
-		tenantBack = make(map[string]*big.Rat)
-	}
-	var best, bestStalled *shard
-	var bestWork, bestStalledWork *big.Rat
-	var stalledErr string
-	var idle []*shard     // zero-backlog shards seen during routing
-	var nonHosts []*shard // shards that cannot host this job
-	for _, sh := range shards {
-		if !sh.hosts(job.Databanks) {
-			nonHosts = append(nonHosts, sh)
-			if quota {
-				if ri, lerr := sh.link.RouteInfo(shardlink.RouteInfoArgs{}); lerr == nil {
-					addBacklogs(ri.TenantBacklog)
-				}
-			}
-			continue
-		}
-		ri, lerr := sh.link.RouteInfo(shardlink.RouteInfoArgs{})
-		if lerr != nil {
-			continue // transport failure: route around the unreachable shard
-		}
-		if quota {
-			addBacklogs(ri.TenantBacklog)
-		}
-		work, routeErr := ri.Backlog, ri.Err
-		if routeErr != "" {
-			if bestStalled == nil || work.Cmp(bestStalledWork) < 0 {
-				bestStalled, bestStalledWork, stalledErr = sh, work, routeErr
-			}
-			continue
-		}
-		if work.Sign() == 0 {
-			idle = append(idle, sh)
-		}
-		if best == nil || work.Cmp(bestWork) < 0 {
-			best, bestWork = sh, work
-		}
-	}
-	if quota {
-		if err := s.tenantOverQuota(*job, tenantBack); err != nil {
+	routes, _ := readRoutes(s.active())
+	if s.tenants != nil && job.Tenant != "" && job.SLAClass != model.SLAPremium {
+		if err := s.tenantOverQuota(*job, routes); err != nil {
 			// Shed submissions never reach a shard: this counter is their one
 			// count, and GET /v1/tenants reads it back.
 			s.tel.tenantShed.With(job.Tenant).Inc()
@@ -853,19 +855,19 @@ func (s *Server) submitRouted(args shardlink.SubmitArgs) (model.SubmitResponse, 
 		}
 	}
 	resp := model.SubmitResponse{State: StateQueued}
+	best := pickRoute(routes, job.Databanks)
 	if best == nil {
-		if bestStalled == nil {
-			s.tel.rejections.Inc()
-			s.tel.event(obs.EventReject, s.Generation(), -1,
-				fmt.Sprintf("no machine hosts databanks %v", job.Databanks))
-			return resp, fmt.Errorf("server: no machine hosts databanks %v", job.Databanks)
-		}
-		best = bestStalled
-		resp.Warning = fmt.Sprintf("routed to stalled shard %d (no healthy shard hosts the databanks): %s", best.idx, stalledErr)
+		s.tel.rejections.Inc()
+		s.tel.event(obs.EventReject, s.Generation(), -1,
+			fmt.Sprintf("no machine hosts databanks %v", job.Databanks))
+		return resp, fmt.Errorf("server: no machine hosts databanks %v", job.Databanks)
 	}
-	rep, lerr := best.link.Submit(args)
+	if best.Err != "" {
+		resp.Warning = fmt.Sprintf("routed to stalled shard %d (no healthy shard hosts the databanks): %s", best.sh.idx, best.Err)
+	}
+	rep, lerr := best.sh.link.Submit(args)
 	if lerr != nil {
-		return model.SubmitResponse{}, &shardStalledError{shard: best.idx, err: lerr}
+		return model.SubmitResponse{}, &shardStalledError{shard: best.sh.idx, err: lerr}
 	}
 	gid, err := submitErr(rep)
 	if err != nil {
@@ -880,49 +882,48 @@ func (s *Server) submitRouted(args shardlink.SubmitArgs) (model.SubmitResponse, 
 	resp.ID = gid
 	resp.Admission = rep.Admission
 	// New work on one shard is a steal opportunity for every idle one: poke
-	// every zero-backlog shard so its loop re-runs the steal check instead
-	// of sleeping until the next direct submission. Shards that cannot host
-	// *this* job are poked too — the submission can still push the chosen
+	// every healthy zero-backlog shard so its loop re-runs the steal check
+	// instead of sleeping until the next direct submission. Shards that cannot
+	// host *this* job are poked too — the submission can still push the chosen
 	// shard past the donor-keeps-one threshold and make its *other* jobs
-	// stealable by them. (Idleness was read before best.submit, but a poke
-	// is just a wake-up — a shard that meanwhile found work ignores it.)
-	if !s.disableSteal && len(shards) > 1 {
-		for _, sh := range idle {
-			if sh != best {
-				_ = sh.link.Poke(shardlink.PokeArgs{})
-			}
-		}
-		for _, sh := range nonHosts {
-			if ri, lerr := sh.link.RouteInfo(shardlink.RouteInfoArgs{}); lerr == nil && ri.Backlog.Sign() == 0 {
-				_ = sh.link.Poke(shardlink.PokeArgs{})
+	// stealable by them. (Idleness was read before the submit, but a poke is
+	// just a wake-up — a shard that meanwhile found work ignores it.)
+	if !s.disableSteal {
+		for _, r := range routes {
+			if r.sh != best.sh && r.Err == "" && r.Backlog.Sign() == 0 {
+				_ = r.sh.link.Poke(shardlink.PokeArgs{})
 			}
 		}
 	}
 	return resp, nil
 }
 
-// tenantOverQuota applies the weighted-fairness rule to one submission:
-// with backlogs the fleet-wide per-tenant residual work (zero entries
-// absent), the active tenants are those with positive backlog plus the
+// tenantOverQuota applies the weighted-fairness rule to one submission. The
+// fleet-wide residual work per tenant is the sum of the routes' per-tenant
+// backlogs, the shards that cannot host the job included (zero entries are
+// absent); the active tenants are those with positive backlog plus the
 // submitter, and the submission is shed iff admitting it would leave its
 // tenant above its weight share of the active-tenant backlog —
 // exactly, (B_T + W) · Σ_active w  >  w_T · (B_total + W). A lone active
 // tenant owns the whole share and is never shed, so quota only ever bites
 // under actual contention.
-func (s *Server) tenantOverQuota(job model.Job, backlogs map[string]*big.Rat) error {
-	mine := backlogs[job.Tenant]
-	if mine == nil {
-		mine = new(big.Rat)
-	}
+func (s *Server) tenantOverQuota(job model.Job, routes []route) error {
 	myWeight := s.tenants.Weight(job.Tenant)
-	sumW := new(big.Rat).Set(myWeight)
-	total := new(big.Rat).Set(mine)
-	for t, b := range backlogs {
-		if t == job.Tenant || b.Sign() <= 0 {
-			continue
+	mine, total, sumW := new(big.Rat), new(big.Rat), new(big.Rat).Set(myWeight)
+	active := map[string]bool{job.Tenant: true}
+	for _, r := range routes {
+		for t, b := range r.TenantBacklog {
+			if b == nil || b.Sign() <= 0 {
+				continue
+			}
+			total.Add(total, b)
+			if t == job.Tenant {
+				mine.Add(mine, b)
+			} else if !active[t] {
+				active[t] = true
+				sumW.Add(sumW, s.tenants.Weight(t))
+			}
 		}
-		total.Add(total, b)
-		sumW.Add(sumW, s.tenants.Weight(t))
 	}
 	after := new(big.Rat).Add(mine, job.Size)
 	totalAfter := new(big.Rat).Add(total, job.Size)
@@ -937,6 +938,14 @@ func (s *Server) tenantOverQuota(job model.Job, backlogs map[string]*big.Rat) er
 	return nil
 }
 
+// dropForward releases the forwarding entry of a compacted stolen record; the
+// compacting shard calls it under its own mu.
+func (s *Server) dropForward(gid int) {
+	s.topoMu.Lock()
+	delete(s.forward, gid)
+	s.topoMu.Unlock()
+}
+
 // locate resolves a global job ID to the shard that currently owns it and
 // the job's local ID there: migrated jobs through the forwarding table,
 // everything else by the arithmetic encoding of the generation that issued
@@ -947,14 +956,11 @@ func (s *Server) locate(id int) (*shard, int, bool) {
 	if id < 0 {
 		return nil, 0, false
 	}
-	s.fwdMu.RLock()
-	loc, ok := s.forward[id]
-	s.fwdMu.RUnlock()
-	if ok {
-		return loc.sh, loc.local, true
-	}
 	s.topoMu.RLock()
 	defer s.topoMu.RUnlock()
+	if loc, ok := s.forward[id]; ok {
+		return loc.sh, loc.local, true
+	}
 	for g := len(s.gens) - 1; g >= 0; g-- {
 		gen := s.gens[g]
 		if id < gen.base {

@@ -78,9 +78,9 @@ type shard struct {
 	// idx is the shard's immutable creation index: unique across the whole
 	// life of the server (re-sharding keeps spawning shards with fresh
 	// indices), it names the shard in stats and errors and fixes the global
-	// mutex-acquisition order of the two sections that hold every shard's mu
-	// at once (a snapshot's consistent cut and a reshard's topology publish
-	// lock mus in ascending idx). No job ever moves under two shard mus.
+	// mutex-acquisition order of the one function that holds every shard's mu
+	// at once (Server.cut, under which a snapshot exports and a reshard
+	// publishes). No job ever moves under two shard mus.
 	idx int
 
 	clock    Clock

@@ -24,30 +24,18 @@ import (
 // the *active* topology: retired shards have nothing left to give, and a
 // retired thief refuses the adoption.
 func (s *Server) stealFor(thief *shard) bool {
-	type cand struct {
-		sh   *shard
-		work *big.Rat
-	}
-	var cands []cand
-	for _, sh := range s.active() {
-		if sh == thief {
-			continue
-		}
-		// The routing key crosses the shardlink boundary: for a worker-hosted
-		// shard it is the only way to see the backlog at all.
-		ri, err := sh.link.RouteInfo(shardlink.RouteInfoArgs{})
-		if err != nil {
-			continue
-		}
-		if ri.Backlog.Sign() > 0 {
-			cands = append(cands, cand{sh, copyRat(ri.Backlog)})
+	routes, _ := readRoutes(s.active())
+	donors := routes[:0]
+	for _, r := range routes {
+		if r.sh != thief && r.Backlog.Sign() > 0 {
+			donors = append(donors, r)
 		}
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		return cands[a].work.Cmp(cands[b].work) > 0
+	sort.SliceStable(donors, func(a, b int) bool {
+		return donors[a].Backlog.Cmp(donors[b].Backlog) > 0
 	})
-	for _, c := range cands {
-		if s.stealFrom(thief, c.sh) {
+	for _, r := range donors {
+		if s.stealFrom(thief, r.sh) {
 			return true
 		}
 	}
@@ -156,70 +144,40 @@ func (s *Server) migrate(donor *shard, ex shardlink.ExtractArgs, reason string, 
 // forwardTo points the forwarding table at the destination records of adopted
 // jobs (locals parallel to jobs).
 func (s *Server) forwardTo(dest *shard, jobs []shardlink.MigratedJob, locals []int) {
-	s.fwdMu.Lock()
+	s.topoMu.Lock()
 	for i := range jobs {
 		s.forward[jobs[i].GID] = fwdLoc{sh: dest, local: locals[i]}
 	}
-	s.fwdMu.Unlock()
+	s.topoMu.Unlock()
 }
 
-// placement chooses destinations for the jobs drained off retired shards:
-// least residual work first among the shards hosting the job — the same rule
-// the router applies to submissions — counting what it has itself placed. Like
-// the router, a shard with a latched scheduling error only takes a job when no
-// healthy host exists: a poisoned loop has the smallest backlog precisely
-// because it stopped executing, and parking migrated jobs there would strand
-// them silently.
+// placement chooses destinations for the jobs drained off retired shards — a
+// reshard's drain and the restore-time repair — by the rule the router applies
+// to submissions (pickRoute), off one read of the new topology taken before
+// the first job moves, counting what it has itself placed since.
 type placement struct {
-	shards  []*shard
-	resid   map[*shard]*big.Rat
-	stalled map[*shard]string
+	routes  []route
 	warning string // first placement onto a stalled shard, for the response
 }
 
 func newPlacement(shards []*shard) *placement {
-	pl := &placement{resid: make(map[*shard]*big.Rat), stalled: make(map[*shard]string)}
-	for _, sh := range shards {
-		ri, err := sh.link.RouteInfo(shardlink.RouteInfoArgs{})
-		if err != nil {
-			continue // unreachable: not a candidate
-		}
-		pl.shards = append(pl.shards, sh)
-		pl.resid[sh] = copyRat(ri.Backlog)
-		if ri.Err != "" {
-			pl.stalled[sh] = ri.Err
-		}
-	}
-	return pl
+	routes, _ := readRoutes(shards)
+	return &placement{routes: routes}
 }
 
 // pick returns the job's destination, nil when no shard hosts its databanks.
 func (pl *placement) pick(mj *shardlink.MigratedJob) *shard {
-	var dest, destStalled *shard
-	for _, sh := range pl.shards {
-		if !sh.hosts(mj.Databanks) {
-			continue
-		}
-		if _, bad := pl.stalled[sh]; bad {
-			if destStalled == nil || pl.resid[sh].Cmp(pl.resid[destStalled]) < 0 {
-				destStalled = sh
-			}
-		} else if dest == nil || pl.resid[sh].Cmp(pl.resid[dest]) < 0 {
-			dest = sh
-		}
+	dest := pickRoute(pl.routes, mj.Databanks)
+	if dest == nil {
+		return nil
 	}
-	if dest == nil && destStalled != nil {
-		dest = destStalled
-		if pl.warning == "" {
-			pl.warning = fmt.Sprintf(
-				"job %d migrated to stalled shard %d (no healthy shard hosts databanks %v): %s",
-				mj.GID, dest.idx, mj.Databanks, pl.stalled[dest])
-		}
+	if dest.Err != "" && pl.warning == "" {
+		pl.warning = fmt.Sprintf(
+			"job %d migrated to stalled shard %d (no healthy shard hosts databanks %v): %s",
+			mj.GID, dest.sh.idx, mj.Databanks, dest.Err)
 	}
-	if dest != nil {
-		pl.resid[dest].Add(pl.resid[dest], mj.Size)
-	}
-	return dest
+	dest.Backlog.Add(dest.Backlog, mj.Size)
+	return dest.sh
 }
 
 // stealCensus takes the census of the shard's stealable jobs — everything

@@ -106,9 +106,9 @@ func TestStealMigratesHalfExecutedJob(t *testing.T) {
 	if after.Remaining != "1/2" {
 		t.Errorf("A remaining after migration = %s, want 1/2 (the donor was caught up to t=3 before extraction)", after.Remaining)
 	}
-	srv.fwdMu.RLock()
+	srv.topoMu.RLock()
 	loc, forwarded := srv.forward[idA]
-	srv.fwdMu.RUnlock()
+	srv.topoMu.RUnlock()
 	if !forwarded || loc.sh != srv.active()[1] {
 		t.Fatalf("forwarding table does not point job %d at shard 1", idA)
 	}
@@ -358,9 +358,9 @@ func TestRetentionCompactsMigratedRecords(t *testing.T) {
 	}
 	waitStats(t, srv, func(st model.StatsResponse) bool { return st.CompactedJobs >= 5 })
 
-	srv.fwdMu.RLock()
+	srv.topoMu.RLock()
 	entries := len(srv.forward)
-	srv.fwdMu.RUnlock()
+	srv.topoMu.RUnlock()
 	if entries != 0 {
 		t.Errorf("forwarding table holds %d entries after compaction, want 0", entries)
 	}

@@ -58,7 +58,7 @@ type telemetry struct {
 	// collectMu serializes scrape-time collection: two interleaved scrapes
 	// could otherwise write an older snapshot's value after a newer one's,
 	// making a monotone counter appear to regress between two reads.
-	//divflow:locks name=collect before=servermu
+	//divflow:locks name=collect before=shard
 	collectMu sync.Mutex
 
 	// Inline instruments.

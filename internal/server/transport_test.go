@@ -153,9 +153,9 @@ func testTransportSteal(t *testing.T, transport string) {
 	if after.Remaining != "1/2" {
 		t.Errorf("transport %s: A remaining after migration = %s, want 1/2", transport, after.Remaining)
 	}
-	srv.fwdMu.RLock()
+	srv.topoMu.RLock()
 	loc, forwarded := srv.forward[idA]
-	srv.fwdMu.RUnlock()
+	srv.topoMu.RUnlock()
 	if !forwarded || loc.sh != srv.active()[1] {
 		t.Fatalf("forwarding table does not point job %d at shard 1", idA)
 	}

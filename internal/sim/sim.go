@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
 
@@ -169,24 +168,4 @@ func summarize(inst *model.Instance, name string, sched *schedule.Schedule, deci
 		res.Preemptions += c - 1
 	}
 	return res, nil
-}
-
-// ErrNoPolicy is returned by Compare when no policies are supplied.
-var ErrNoPolicy = errors.New("sim: no policies to compare")
-
-// Compare runs every policy on the instance and returns the results in the
-// same order.
-func Compare(inst *model.Instance, policies []Policy) ([]*Result, error) {
-	if len(policies) == 0 {
-		return nil, ErrNoPolicy
-	}
-	out := make([]*Result, len(policies))
-	for k, p := range policies {
-		r, err := Run(inst, p)
-		if err != nil {
-			return nil, fmt.Errorf("sim: policy %s: %w", p.Name(), err)
-		}
-		out[k] = r
-	}
-	return out, nil
 }

@@ -1,14 +1,8 @@
 #!/bin/sh
-# Runs the divflowvet analyzer suite over the whole module — the same gate
-# the CI `analysis` job applies to every PR. Two passes:
-#
-#   1. standalone:   go run ./cmd/divflowvet ./...
-#      (one process, in-memory cross-package facts; any diagnostic fails)
-#   2. vet driver:   go vet -vettool=<built divflowvet> ./...
-#      (the incremental unitchecker protocol with gob vetx fact files —
-#      exercised here so the path users hit locally can never silently rot),
-#      then the same over bench/, the benchmark harness: a module of its own
-#      that `./...` here does not reach
+# Runs the divflowvet analyzer suite — the gate the CI `analysis` job applies
+# to every PR — over the root module and over bench/, the benchmark harness: a
+# module of its own that `./...` from the root does not reach. One process per
+# module, cross-package facts in memory; any diagnostic fails.
 #
 # Usage:
 #
@@ -17,14 +11,10 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "==> divflowvet (standalone)"
+echo "==> divflowvet ./..."
 go run ./cmd/divflowvet ./...
 
-echo "==> divflowvet (go vet -vettool)"
-TOOL="$(mktemp -d)/divflowvet"
-trap 'rm -rf "$(dirname "$TOOL")"' EXIT
-go build -o "$TOOL" ./cmd/divflowvet
-go vet -vettool="$TOOL" ./...
-go vet -C bench -vettool="$TOOL" ./...
+echo "==> divflowvet ./... (bench/)"
+(cd bench && go run divflow/cmd/divflowvet ./...)
 
 echo "analysis clean"
