@@ -5,7 +5,6 @@ import (
 	"math/big"
 
 	"divflow/internal/affine"
-	"divflow/internal/lp"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 )
@@ -44,21 +43,27 @@ func BestDeadline(inst *model.Instance, deadlines []*big.Rat, k int, mode schedu
 			return nil, nil
 		}
 	}
+	// A nil solution: even an unbounded deadline for job k cannot satisfy
+	// the fixed deadlines, so no counter-offer exists.
+	_, _, sol, err := bestDeadlineSearch(inst, deadlines, k, mode).leftmost()
+	if err != nil || sol == nil {
+		return nil, err
+	}
+	return sol.F, nil
+}
 
+// bestDeadlineSearch sets up BestDeadline's ranges and epochal times.
+func bestDeadlineSearch(inst *model.Instance, deadlines []*big.Rat, k int, mode schedule.Model) *rangeSearch {
 	// Epochal times: the constants DeadlineFeasible uses (releases, the
 	// other jobs' deadlines, the horizon) and job k's affine deadline
 	// d̄_k(F) = F — without it no interval would end at F, and job k could
 	// only run up to the constant epochal time before it.
 	fixed := append([]*big.Rat(nil), deadlines...)
 	fixed[k] = nil
-	consts := epochalConstants(inst, fixed)
 	fk := affine.New(new(big.Rat), big.NewRat(1, 1))
 	dls := constDeadlines(fixed)
 	dls[k] = &fk
-	times := []affine.Form{fk}
-	for _, c := range consts {
-		times = append(times, affine.Const(c))
-	}
+	ep := newEpochs(inst, dls, affine.Const(horizon(inst, fixed)))
 
 	// Milestones of this search: the values of F where d̄_k(F) = F crosses a
 	// constant epochal time τ, i.e. F = τ. F must exceed job k's release (a
@@ -66,18 +71,11 @@ func BestDeadline(inst *model.Instance, deadlines []*big.Rat, k int, mode schedu
 	// ranges partition (r_k, +∞).
 	rk := inst.Jobs[k].Release
 	var cross []*big.Rat
-	for _, c := range consts {
-		if c.Cmp(rk) > 0 {
-			cross = append(cross, c)
+	for _, f := range ep.times {
+		if f.IsConst() && f.A.Cmp(rk) > 0 {
+			cross = append(cross, f.A)
 		}
 	}
-	s := &rangeSearch{inst: inst, mode: mode, times: times, dls: dls,
-		ranges: rangesFrom(rk, sortDistinct(cross)), probe: lp.SolveFloat}
-	// A nil solution: even an unbounded deadline for job k cannot satisfy
-	// the fixed deadlines, so no counter-offer exists.
-	_, _, sol, err := s.leftmost()
-	if err != nil || sol == nil {
-		return nil, err
-	}
-	return sol.F, nil
+	return &rangeSearch{inst: inst, mode: mode, ep: ep,
+		ranges: rangesFrom(rk, sortDistinct(cross)), probe: (*rangeSearch).floatProbe}
 }

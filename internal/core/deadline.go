@@ -5,7 +5,6 @@ import (
 	"math/big"
 
 	"divflow/internal/affine"
-	"divflow/internal/intervals"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 )
@@ -32,9 +31,8 @@ func DeadlineFeasible(inst *model.Instance, deadlines []*big.Rat, mode schedule.
 			return false, nil, nil
 		}
 	}
-	ivs := intervals.FromConstants(epochalConstants(inst, deadlines))
-
-	rl := newRangeLP(inst, mode, ivs, constDeadlines(deadlines), affine.Range{Lo: new(big.Rat), Hi: new(big.Rat)})
+	ep := newEpochs(inst, constDeadlines(deadlines), affine.Const(horizon(inst, deadlines)))
+	rl := newRangeLP(inst, mode, ep, affine.Range{Lo: new(big.Rat), Hi: new(big.Rat)})
 	sol, err := rl.solve()
 	if err != nil {
 		return false, nil, err
@@ -49,19 +47,17 @@ func DeadlineFeasible(inst *model.Instance, deadlines []*big.Rat, mode schedule.
 	return true, s, nil
 }
 
-// epochalConstants lists the epochal times of System (2): all release dates
-// and all (finite) deadlines, plus a horizon H large enough that jobs
-// *without* a deadline always fit after the last release (H = r_max +
-// Σ_j min_i c_{i,j} covers running them back to back on their fastest
-// machines). The extra epochal time only refines the interval
-// decomposition; it never changes feasibility of System (2).
-func epochalConstants(inst *model.Instance, deadlines []*big.Rat) []*big.Rat {
-	var times []*big.Rat
-	horizon := new(big.Rat)
+// horizon completes the epochal times of System (2) — all release dates and
+// all (finite) deadlines — with an H large enough that jobs *without* a
+// deadline always fit after the last release (H = r_max + Σ_j min_i c_{i,j}
+// covers running them back to back on their fastest machines), and no
+// earlier than any deadline. The extra epochal time only refines the
+// interval decomposition; it never changes feasibility of System (2).
+func horizon(inst *model.Instance, deadlines []*big.Rat) *big.Rat {
+	h := new(big.Rat)
 	for j := range inst.Jobs {
-		times = append(times, inst.Jobs[j].Release)
-		if inst.Jobs[j].Release.Cmp(horizon) > 0 {
-			horizon.Set(inst.Jobs[j].Release)
+		if inst.Jobs[j].Release.Cmp(h) > 0 {
+			h.Set(inst.Jobs[j].Release)
 		}
 	}
 	for j := range inst.Jobs {
@@ -72,15 +68,12 @@ func epochalConstants(inst *model.Instance, deadlines []*big.Rat) []*big.Rat {
 				best = c
 			}
 		}
-		horizon.Add(horizon, best)
+		h.Add(h, best)
 	}
 	for _, d := range deadlines {
-		if d != nil {
-			times = append(times, d)
-			if d.Cmp(horizon) > 0 {
-				horizon.Set(d)
-			}
+		if d != nil && d.Cmp(h) > 0 {
+			h.Set(d)
 		}
 	}
-	return append(times, horizon)
+	return h
 }

@@ -32,11 +32,7 @@ func EstimateMinMaxWeightedFlow(inst *model.Instance, mode schedule.Model) (*Est
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	origins := releaseOrigins(inst)
-	ms := milestonesWithOrigins(inst, origins)
-	dls := flowDeadlines(inst, origins)
-	s := &rangeSearch{inst: inst, mode: mode, times: flowTimes(inst, dls), dls: dls,
-		ranges: ObjectiveRanges(ms), probe: lp.SolveFloat}
+	s := flowSearch(inst, releaseOrigins(inst), mode, (*rangeSearch).floatProbe)
 	k, err := s.locate()
 	if err != nil {
 		return nil, err
@@ -47,7 +43,7 @@ func EstimateMinMaxWeightedFlow(inst *model.Instance, mode schedule.Model) (*Est
 	}
 	return &Estimate{
 		Objective:     sol.Objective,
-		NumMilestones: len(ms),
+		NumMilestones: len(s.ranges) - 1,
 		LPSolves:      s.probes + s.solves,
 	}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math/big"
 
 	"divflow/internal/affine"
-	"divflow/internal/intervals"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 )
@@ -44,24 +43,18 @@ func minMakespan(inst *model.Instance, mode schedule.Model) (*MakespanResult, er
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	// Epochal times: distinct release dates. Finite intervals between
-	// consecutive releases, plus the final interval [r_max, r_max + F].
-	releaseForms := make([]affine.Form, 0, inst.N())
+	// Epochal times: distinct release dates, and r_max + F. At any F > 0 the
+	// latter sorts last, so the finite intervals between consecutive
+	// releases are followed by the final one, [r_max, r_max + F], whose
+	// length is F = Δ_n.
 	rMax := new(big.Rat)
 	for j := range inst.Jobs {
-		releaseForms = append(releaseForms, affine.Const(inst.Jobs[j].Release))
 		if inst.Jobs[j].Release.Cmp(rMax) > 0 {
 			rMax.Set(inst.Jobs[j].Release)
 		}
 	}
-	ivs := intervals.Build(releaseForms, new(big.Rat))
-	final := intervals.Interval{
-		Lo: affine.Const(rMax),
-		Hi: affine.New(rMax, big.NewRat(1, 1)), // r_max + F, so |I_n| = F = Δ_n
-	}
-	ivs = append(ivs, final)
-
-	rl := newRangeLP(inst, mode, ivs, noDeadlines(inst.N()), affine.Range{Lo: new(big.Rat)})
+	ep := newEpochs(inst, noDeadlines(inst.N()), affine.New(rMax, big.NewRat(1, 1)))
+	rl := newRangeLP(inst, mode, ep, affine.Range{Lo: new(big.Rat)})
 	sol, err := rl.solve()
 	if err != nil {
 		return nil, err
@@ -76,5 +69,5 @@ func minMakespan(inst *model.Instance, mode schedule.Model) (*MakespanResult, er
 		return nil, err
 	}
 	ms := new(big.Rat).Add(rMax, sol.F)
-	return &MakespanResult{Makespan: ms, Schedule: s, Intervals: len(ivs)}, nil
+	return &MakespanResult{Makespan: ms, Schedule: s, Intervals: len(rl.ivs)}, nil
 }

@@ -56,7 +56,7 @@ type SolveOptions struct {
 // the LP's minimal F on that range is the global optimum. The search probes
 // in float64 and certifies with one exact solve (see rangeSearch).
 func MinMaxWeightedFlow(inst *model.Instance) (*Result, error) {
-	return minMaxWeightedFlow(inst, nil, schedule.Divisible, nil, lp.SolveFloat)
+	return minMaxWeightedFlow(inst, nil, schedule.Divisible, nil, (*rangeSearch).floatProbe)
 }
 
 // MinMaxWeightedFlowPreemptive computes the exact optimal maximum weighted
@@ -64,7 +64,7 @@ func MinMaxWeightedFlow(inst *model.Instance) (*Result, error) {
 // LP gains the per-job per-interval bound (5b), and the schedule is rebuilt
 // with the Lawler–Labetoulle decomposition.
 func MinMaxWeightedFlowPreemptive(inst *model.Instance) (*Result, error) {
-	return minMaxWeightedFlow(inst, nil, schedule.Preemptive, nil, lp.SolveFloat)
+	return minMaxWeightedFlow(inst, nil, schedule.Preemptive, nil, (*rangeSearch).floatProbe)
 }
 
 // MinMaxWeightedFlowWithOptions solves the same problem with each job's
@@ -84,7 +84,7 @@ func MinMaxWeightedFlowWithOptions(inst *model.Instance, origins []*big.Rat, mod
 			return nil, fmt.Errorf("core: origin of job %d must exist and precede its release", j)
 		}
 	}
-	return minMaxWeightedFlow(inst, origins, mode, opts, lp.SolveFloat)
+	return minMaxWeightedFlow(inst, origins, mode, opts, (*rangeSearch).floatProbe)
 }
 
 func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.Model, opts *SolveOptions, probe probeFunc) (*Result, error) {
@@ -95,15 +95,11 @@ func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.
 	if origins == nil {
 		origins = releaseOrigins(inst)
 	}
-	var warm *lp.Basis
+	s := flowSearch(inst, origins, mode, probe)
 	if opts != nil {
-		warm = opts.Warm
+		s.warm = opts.Warm
 	}
-	ms := milestonesWithOrigins(inst, origins)
-	dls := flowDeadlines(inst, origins)
 	// The last range is always feasible: every job can run somewhere.
-	s := &rangeSearch{inst: inst, mode: mode, times: flowTimes(inst, dls), dls: dls,
-		ranges: ObjectiveRanges(ms), warm: warm, probe: probe}
 	k, rl, sol, err := s.leftmost()
 	if err != nil {
 		return nil, err
@@ -119,7 +115,7 @@ func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.
 		Objective:     sol.F,
 		Schedule:      sched,
 		Range:         s.ranges[k],
-		NumMilestones: len(ms),
+		NumMilestones: len(s.ranges) - 1,
 		LPSolves:      s.solves,
 		Probes:        s.probes,
 		Solver:        s.tally,
@@ -128,12 +124,10 @@ func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.
 	}, nil
 }
 
-// flowTimes lists the epochal times of LP (3): every release date and every
-// deadline form.
-func flowTimes(inst *model.Instance, dls []*affine.Form) []affine.Form {
-	times := make([]affine.Form, 0, 2*inst.N())
-	for j := range inst.Jobs {
-		times = append(times, affine.Const(inst.Jobs[j].Release), *dls[j])
-	}
-	return times
+// flowSearch sets up the search of Theorem 2: the ranges the milestones cut
+// the objective into, over the epochal times of LP (3) — every release date
+// and every deadline form d̄_j(F) = o_j + F/w_j.
+func flowSearch(inst *model.Instance, origins []*big.Rat, mode schedule.Model, probe probeFunc) *rangeSearch {
+	return &rangeSearch{inst: inst, mode: mode, ep: newEpochs(inst, flowDeadlines(inst, origins)),
+		ranges: ObjectiveRanges(milestonesWithOrigins(inst, origins)), probe: probe}
 }

@@ -39,17 +39,60 @@ import (
 // (interval, machine, job) triple where the job is active in the interval
 // (released at or before inf I_t and, when it has a deadline, due at or
 // after sup I_t) and the machine is eligible (finite c_{i,j}).
+//
+// It is one layout with two fills. The layout — which triples get a column,
+// which rows exist and what they sum — is ints, read off the epochal order
+// when the rangeLP is made. build fills it with exact coefficients into the
+// lp.Problem every solver entry point solves and proves with. fillProbe
+// fills it with float64 into a search's reused tableau, for the probes whose
+// answer only steers a search (see rangeSearch).
 type rangeLP struct {
 	inst *model.Instance
 	mode schedule.Model
 	ivs  []intervals.Interval
-	dls  []*affine.Form // per-job deadline form, nil = none
 	rg   affine.Range
-	at   *big.Rat // interior evaluation point fixing the epochal order
+
+	numVars int     // F and the α columns
+	cols    []int   // [(t·m+i)·n+j] -> LP column, -1 when absent
+	costAt  []int   // per α column, i·n+j: where its c_{i,j} sits in a cost matrix
+	rows    []lpRow // after the rows bounding F: capacity rows interval by interval, then one completion row per job
+	terms   []int   // the rows' α columns, back to back
 
 	prob *lp.Problem
-	fCol int
-	cols [][][]int // [t][i][j] -> LP column, -1 when absent
+}
+
+// lpRow is one constraint row of the layout, over the α columns
+// terms[previous end:end]. A capacity row (t >= 0) weighs each by its
+// c_{i,j} and bounds the sum by the length of interval t; a completion row
+// (t < 0) sums them to 1.
+type lpRow struct{ t, end int }
+
+// fCol is the column of the objective variable F.
+const fCol = 0
+
+// epochs lists the epochal times of a rangeLP in an order its layout can
+// index: times[j] is job j's release date, the deadline forms of the jobs
+// that have one follow — due[j] is where job j's sits, -1 for none — and
+// after them whatever else delimits an interval (a horizon, a moving end).
+type epochs struct {
+	times []affine.Form
+	due   []int
+}
+
+func newEpochs(inst *model.Instance, dls []*affine.Form, extra ...affine.Form) epochs {
+	ep := epochs{times: make([]affine.Form, 0, 2*inst.N()+len(extra)), due: make([]int, inst.N())}
+	for j := range inst.Jobs {
+		ep.times = append(ep.times, affine.Const(inst.Jobs[j].Release))
+	}
+	for j, dl := range dls {
+		ep.due[j] = -1
+		if dl != nil {
+			ep.due[j] = len(ep.times)
+			ep.times = append(ep.times, *dl)
+		}
+	}
+	ep.times = append(ep.times, extra...)
+	return ep
 }
 
 // rangeSolution carries an optimal solution of a rangeLP.
@@ -77,112 +120,212 @@ func recordSolve(t *stats.SolverTally, warmTried bool, sol *lp.Solution) {
 	}
 }
 
-func newRangeLP(inst *model.Instance, mode schedule.Model, ivs []intervals.Interval,
-	dls []*affine.Form, rg affine.Range) *rangeLP {
-	return &rangeLP{inst: inst, mode: mode, ivs: ivs, dls: dls, rg: rg, at: rg.Interior()}
+// newRangeLP lays out the LP of one objective range: the epochal times are
+// ordered at an interior point of the range, where their order is the
+// range's, and job j is active in interval t iff rank(r_j) <= t <
+// rank(d̄_j) in that order (intervals.SortTimes).
+func newRangeLP(inst *model.Instance, mode schedule.Model, ep epochs, rg affine.Range) *rangeLP {
+	n, m := inst.N(), inst.M()
+	ivs, rank := intervals.Build(ep.times, rg.Interior())
+	r := &rangeLP{inst: inst, mode: mode, ivs: ivs, rg: rg,
+		cols: make([]int, len(ivs)*m*n), costAt: []int{fCol: -1}}
+	active := func(t, j int) bool {
+		return rank[j] <= t && (ep.due[j] < 0 || t < rank[ep.due[j]])
+	}
+	// row closes the row whose columns were just appended to terms; a
+	// capacity row nothing can use is left out.
+	start := 0
+	row := func(t int) {
+		if t < 0 || len(r.terms) > start {
+			r.rows = append(r.rows, lpRow{t, len(r.terms)})
+			start = len(r.terms)
+		}
+	}
+	for t := range ivs {
+		at := r.cols[t*m*n : (t+1)*m*n]
+		for c := range at {
+			at[c] = -1
+		}
+		for j := 0; j < n; j++ {
+			if !active(t, j) {
+				continue
+			}
+			for i := 0; i < m; i++ {
+				if inst.CanRun(i, j) {
+					at[i*n+j] = len(r.costAt)
+					r.costAt = append(r.costAt, i*n+j)
+				}
+			}
+		}
+		// Capacity rows (1b)/(2c)/(3d)/(5c): for each interval and machine,
+		// Σ_j α c_{i,j} <= |I_t|.
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				if c := at[i*n+j]; c >= 0 {
+					r.terms = append(r.terms, c)
+				}
+			}
+			row(t)
+		}
+		// Preemptive-only rows (5b): for each interval and job,
+		// Σ_i α c_{i,j} <= |I_t|.
+		if mode != schedule.Preemptive {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			for i := 0; i < m; i++ {
+				if c := at[i*n+j]; c >= 0 {
+					r.terms = append(r.terms, c)
+				}
+			}
+			row(t)
+		}
+	}
+	// Completion rows (1d)/(2d)/(3e)/(5a): Σ_t Σ_i α^{(t)}_{i,j} == 1.
+	for j := 0; j < n; j++ {
+		for t := range ivs {
+			for i := 0; i < m; i++ {
+				if c := r.cols[(t*m+i)*n+j]; c >= 0 {
+					r.terms = append(r.terms, c)
+				}
+			}
+		}
+		row(-1)
+	}
+	r.numVars = len(r.costAt)
+	return r
 }
 
+// build is the exact fill: the lp.Problem of the layout, F in [Lo, Hi] and
+// a capacity row Σ α c_{i,j} <= |I_t| = A + B·F written Σ α c_{i,j} − B·F <= A.
 func (r *rangeLP) build() {
-	n, m := r.inst.N(), r.inst.M()
+	n := r.inst.N()
 	r.prob = lp.NewProblem()
 	one := big.NewRat(1, 1)
 	// Only F is named: names are read by Problem.Dump alone, and formatting
 	// one per fraction variable and row costs more than adding them.
-	r.fCol = r.prob.AddVar("F", one)
-
-	// A job's deadline at the range's interior point is the same for every
-	// interval: evaluate it once, not once per (interval, job) pair.
-	dlAt := make([]*big.Rat, n)
-	for j, dl := range r.dls {
-		if dl != nil {
-			dlAt[j] = dl.Eval(r.at)
-		}
-	}
-	r.cols = make([][][]int, len(r.ivs))
-	for t, iv := range r.ivs {
-		r.cols[t] = make([][]int, m)
-		for i := 0; i < m; i++ {
-			r.cols[t][i] = make([]int, n)
-			for j := 0; j < n; j++ {
-				r.cols[t][i][j] = -1
-			}
-		}
-		lo, hi := iv.Lo.Eval(r.at), iv.Hi.Eval(r.at)
-		for j := 0; j < n; j++ {
-			if !intervals.JobActive(r.inst.Jobs[j].Release, dlAt[j], lo, hi) {
-				continue
-			}
-			for i := 0; i < m; i++ {
-				if !r.inst.CanRun(i, j) {
-					continue
-				}
-				r.cols[t][i][j] = r.prob.AddVar("", nil)
-			}
-		}
+	r.prob.AddVar("F", one)
+	for c := 1; c < r.numVars; c++ {
+		r.prob.AddVar("", nil)
 	}
 
 	// Objective range: F in [Lo, Hi].
-	r.prob.AddRow("", []lp.Term{{Col: r.fCol, Coef: one}}, lp.GE, r.rg.Lo)
+	r.prob.AddRow("", []lp.Term{{Col: fCol, Coef: one}}, lp.GE, r.rg.Lo)
 	if r.rg.Hi != nil {
-		r.prob.AddRow("", []lp.Term{{Col: r.fCol, Coef: one}}, lp.LE, r.rg.Hi)
+		r.prob.AddRow("", []lp.Term{{Col: fCol, Coef: one}}, lp.LE, r.rg.Hi)
 	}
 
-	// Capacity rows (1b)/(2c)/(3d)/(5c): for each interval and machine,
-	// Σ_j α c_{i,j} <= |I_t| = A + B·F, i.e. Σ_j α c_{i,j} − B·F <= A.
-	for t, iv := range r.ivs {
-		length := iv.Length()
-		negB := new(big.Rat).Neg(length.B)
-		for i := 0; i < m; i++ {
-			var terms []lp.Term
-			for j := 0; j < n; j++ {
-				if c := r.cols[t][i][j]; c >= 0 {
-					cost, _ := r.inst.Cost(i, j)
-					terms = append(terms, lp.Term{Col: c, Coef: cost})
-				}
+	var terms []lp.Term // AddRow copies, so one buffer serves every row
+	var length affine.Form
+	var negB *big.Rat
+	cur, lo := -1, 0
+	for _, row := range r.rows {
+		terms = terms[:0]
+		for _, c := range r.terms[lo:row.end] {
+			coef := one
+			if row.t >= 0 {
+				coef, _ = r.inst.Cost(r.costAt[c]/n, r.costAt[c]%n)
 			}
-			if len(terms) == 0 {
-				continue
-			}
-			if negB.Sign() != 0 {
-				terms = append(terms, lp.Term{Col: r.fCol, Coef: negB})
-			}
-			r.prob.AddRow("", terms, lp.LE, length.A)
+			terms = append(terms, lp.Term{Col: c, Coef: coef})
 		}
-		// Preemptive-only rows (5b): for each interval and job,
-		// Σ_i α c_{i,j} <= |I_t|.
-		if r.mode != schedule.Preemptive {
+		lo = row.end
+		if row.t < 0 {
+			r.prob.AddRow("", terms, lp.EQ, one)
 			continue
 		}
-		for j := 0; j < n; j++ {
-			var terms []lp.Term
-			for i := 0; i < m; i++ {
-				if c := r.cols[t][i][j]; c >= 0 {
-					cost, _ := r.inst.Cost(i, j)
-					terms = append(terms, lp.Term{Col: c, Coef: cost})
-				}
-			}
-			if len(terms) == 0 {
-				continue
-			}
-			if negB.Sign() != 0 {
-				terms = append(terms, lp.Term{Col: r.fCol, Coef: negB})
-			}
-			r.prob.AddRow("", terms, lp.LE, length.A)
+		if row.t != cur {
+			cur, length = row.t, r.ivs[row.t].Length()
+			negB = new(big.Rat).Neg(length.B)
 		}
+		if negB.Sign() != 0 {
+			terms = append(terms, lp.Term{Col: fCol, Coef: negB})
+		}
+		r.prob.AddRow("", terms, lp.LE, length.A)
 	}
+}
 
-	// Completion rows (1d)/(2d)/(3e)/(5a): Σ_t Σ_i α^{(t)}_{i,j} == 1.
-	for j := 0; j < n; j++ {
-		var terms []lp.Term
-		for t := range r.ivs {
-			for i := 0; i < m; i++ {
-				if c := r.cols[t][i][j]; c >= 0 {
-					terms = append(terms, lp.Term{Col: c, Coef: one})
-				}
-			}
+// probeBuf is what the probes of one search share: the tableau they all
+// fill, and the float image of the instance's cost matrix.
+type probeBuf struct {
+	tab    lp.FloatTableau
+	cost   []float64 // [i·n+j], 0 where machine i cannot run job j
+	senses []lp.Sense
+	exact  []*big.Rat // what a fill takes from its range, exactly…
+	image  []float64  // …and in float64
+}
+
+func newProbeBuf(inst *model.Instance) *probeBuf {
+	costs := make([]*big.Rat, 0, inst.M()*inst.N())
+	for i := 0; i < inst.M(); i++ {
+		for j := 0; j < inst.N(); j++ {
+			c, _ := inst.Cost(i, j)
+			costs = append(costs, c)
 		}
-		r.prob.AddRow("", terms, lp.EQ, one)
 	}
+	return &probeBuf{cost: lp.FloatImage(nil, costs)}
+}
+
+// fillProbe is the float fill, on the shifted objective F = Lo + F′ with F′
+// in column fCol. A capacity row reads Σ α c_{i,j} − B·F′ <= A + B·Lo, the
+// interval's length at the range's lower end — and the epochal order holds
+// on the closed range, so that is never negative. No row therefore needs
+// negating into a >= row with a surplus and an artificial (build's A alone
+// is negative whenever a deadline form ends an interval that starts at a
+// later release), F >= Lo is the sign constraint on F′, the slack basis
+// covers every capacity row, and phase 1 has the n completion rows'
+// artificials to drive out and nothing else. The right-hand sides are
+// evaluated exactly and converted once; it returns Lo's image, which the
+// caller adds back to the minimum.
+func (r *rangeLP) fillProbe(b *probeBuf) (lo float64) {
+	var width *big.Rat // of the range; none when it has no upper end
+	if r.rg.Hi != nil {
+		width = new(big.Rat).Sub(r.rg.Hi, r.rg.Lo)
+	}
+	b.exact = append(b.exact[:0], r.rg.Lo, width)
+	for _, iv := range r.ivs {
+		length := iv.Length()
+		atLo := length.Eval(r.rg.Lo)
+		b.exact = append(b.exact, atLo, length.B.Neg(length.B))
+	}
+	b.image = lp.FloatImage(b.image[:0], b.exact)
+	perInterval := b.image[2:] // |I_t| at Lo, then −B_t
+
+	first := 0 // the tableau row of the layout's first: F′ <= Hi − Lo precedes it
+	b.senses = b.senses[:0]
+	if width != nil {
+		first = 1
+		b.senses = append(b.senses, lp.LE)
+	}
+	for _, row := range r.rows {
+		if row.t >= 0 {
+			b.senses = append(b.senses, lp.LE)
+		} else {
+			b.senses = append(b.senses, lp.EQ)
+		}
+	}
+	b.tab.Reset(r.numVars, b.senses)
+	if width != nil {
+		b.tab.Set(0, fCol, 1)
+		b.tab.SetRHS(0, b.image[1])
+	}
+	at := 0
+	for k, row := range r.rows {
+		for _, c := range r.terms[at:row.end] {
+			coef := 1.0
+			if row.t >= 0 {
+				coef = b.cost[r.costAt[c]]
+			}
+			b.tab.Set(first+k, c, coef)
+		}
+		at = row.end
+		if row.t < 0 {
+			b.tab.SetRHS(first+k, 1)
+			continue
+		}
+		b.tab.SetRHS(first+k, perInterval[2*row.t])
+		b.tab.Set(first+k, fCol, perInterval[2*row.t+1])
+	}
+	return b.image[0]
 }
 
 // solve builds and solves the LP, minimizing F. It returns (nil, nil) when
@@ -213,7 +356,7 @@ func (r *rangeLP) solveWith(warm *lp.Basis, tally *stats.SolverTally) (*rangeSol
 	default:
 		return nil, fmt.Errorf("core: range LP reported %v", sol.Status)
 	}
-	out := &rangeSolution{F: new(big.Rat).Set(sol.X[r.fCol]), basis: sol.Basis}
+	out := &rangeSolution{F: new(big.Rat).Set(sol.X[fCol]), basis: sol.Basis}
 	n, m := r.inst.N(), r.inst.M()
 	out.alpha = make([][][]*big.Rat, len(r.ivs))
 	for t := range r.ivs {
@@ -221,7 +364,7 @@ func (r *rangeLP) solveWith(warm *lp.Basis, tally *stats.SolverTally) (*rangeSol
 		for i := 0; i < m; i++ {
 			out.alpha[t][i] = make([]*big.Rat, n)
 			for j := 0; j < n; j++ {
-				if c := r.cols[t][i][j]; c >= 0 && sol.X[c].Sign() != 0 {
+				if c := r.cols[(t*m+i)*n+j]; c >= 0 && sol.X[c].Sign() != 0 {
 					out.alpha[t][i][j] = new(big.Rat).Set(sol.X[c])
 				}
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"divflow/internal/affine"
-	"divflow/internal/intervals"
 	"divflow/internal/lp"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
@@ -19,16 +18,19 @@ import (
 // a complete optimality proof: were any lower F feasible, F_k would be too,
 // and the LP would have returned it. So the probes need no exactness — they
 // only choose where the certifying solve happens — and a wrong, stalled or
-// lying probe costs extra exact solves, never the result.
+// lying probe costs extra exact solves, never the result. That is also why a
+// probe may skip everything the proof needs: it fills the range's layout in
+// float64 straight into one tableau the search keeps (rangeLP.fillProbe),
+// building no lp.Problem and no big.Rat coefficient.
 type rangeSearch struct {
 	inst   *model.Instance
 	mode   schedule.Model
-	times  []affine.Form  // epochal times, ordered anew on every range
-	dls    []*affine.Form // per-job deadline form, nil = none
+	ep     epochs // epochal times, ordered anew on every range
 	ranges []affine.Range
 	warm   *lp.Basis // offered to every exact solve
 
 	probe probeFunc
+	buf   *probeBuf // the honest probe's tableau, made by its first call
 
 	tally  stats.SolverTally // hybrid-engine paths of the exact solves
 	probes int               // float solves
@@ -38,15 +40,15 @@ type rangeSearch struct {
 	lo int
 }
 
-// probeFunc answers "is this range LP feasible?" approximately: an error, or
-// any status but Optimal and Infeasible, means "cannot tell". It is
-// lp.SolveFloat everywhere outside the tests, which also pass liars.
-type probeFunc func(*lp.Problem) (*lp.FloatSolution, error)
+// probeFunc answers "is the LP of range k feasible?" approximately: an error,
+// or any status but Optimal and Infeasible, means "cannot tell". It is
+// (*rangeSearch).floatProbe everywhere outside the tests, which also pass
+// liars.
+type probeFunc func(s *rangeSearch, k int) (*lp.FloatSolution, error)
 
-// rangeLP returns the (unbuilt) LP of range k.
+// rangeLP lays out the LP of range k.
 func (s *rangeSearch) rangeLP(k int) *rangeLP {
-	rg := s.ranges[k]
-	return newRangeLP(s.inst, s.mode, intervals.Build(s.times, rg.Interior()), s.dls, rg)
+	return newRangeLP(s.inst, s.mode, s.ep, s.ranges[k])
 }
 
 // exact solves range k exactly; a nil solution means infeasible, which
@@ -61,12 +63,25 @@ func (s *rangeSearch) exact(k int) (*rangeLP, *rangeSolution, error) {
 	return rl, sol, err
 }
 
+// floatProbe is the honest probe: range k's layout, filled in float64 into
+// the search's one tableau and minimized there. No lp.Problem is built and
+// nothing exact is solved; the objective it reports is F = Lo + F′.
+func (s *rangeSearch) floatProbe(k int) (*lp.FloatSolution, error) {
+	if s.buf == nil {
+		s.buf = newProbeBuf(s.inst)
+	}
+	lo := s.rangeLP(k).fillProbe(s.buf)
+	sol, err := s.buf.tab.Minimize(fCol)
+	if err == nil {
+		sol.Objective += lo
+	}
+	return sol, err
+}
+
 // float probes range k; nil means the probe could not tell.
 func (s *rangeSearch) float(k int) *lp.FloatSolution {
-	rl := s.rangeLP(k)
-	rl.build()
 	s.probes++
-	sol, err := s.probe(rl.prob)
+	sol, err := s.probe(s, k)
 	if err != nil || (sol.Status != lp.Optimal && sol.Status != lp.Infeasible) {
 		return nil
 	}

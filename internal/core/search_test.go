@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"divflow/internal/affine"
-	"divflow/internal/intervals"
 	"divflow/internal/lp"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
@@ -31,11 +30,10 @@ type referenceResult struct {
 func referenceMWF(t *testing.T, inst *model.Instance, origins []*big.Rat, mode schedule.Model, warm *lp.Basis) referenceResult {
 	t.Helper()
 	ranges := ObjectiveRanges(milestonesWithOrigins(inst, origins))
-	dls := flowDeadlines(inst, origins)
+	ep := newEpochs(inst, flowDeadlines(inst, origins))
 	solves := 0
 	solveOne := func(k int) (*rangeLP, *rangeSolution) {
-		rg := ranges[k]
-		rl := newRangeLP(inst, mode, intervals.Build(flowTimes(inst, dls), rg.Interior()), dls, rg)
+		rl := newRangeLP(inst, mode, ep, ranges[k])
 		sol, err := rl.solveWith(warm, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -89,30 +87,35 @@ func sameAsReference(t *testing.T, label string, got *Result, want referenceResu
 	}
 }
 
-// The probes a search can be handed. honest is the production one.
+// The probes a search can be handed. honest is the production one; the
+// others put their question about range k to the exact engine, off the
+// search's books.
 var (
-	honestProbe probeFunc = lp.SolveFloat
+	honestProbe probeFunc = (*rangeSearch).floatProbe
 	// rightProbe is never wrong: it asks the exact engine.
-	rightProbe probeFunc = func(p *lp.Problem) (*lp.FloatSolution, error) {
-		sol, err := lp.SolveHybrid(p)
+	rightProbe probeFunc = func(s *rangeSearch, k int) (*lp.FloatSolution, error) {
+		sol, err := s.rangeLP(k).solve()
 		if err != nil {
 			return nil, err
 		}
-		return &lp.FloatSolution{Status: sol.Status}, nil
+		if sol == nil {
+			return &lp.FloatSolution{Status: lp.Infeasible}, nil
+		}
+		return &lp.FloatSolution{Status: lp.Optimal}, nil
 	}
 	// lyingProbe is never right: it reports the opposite of the truth.
-	lyingProbe probeFunc = func(p *lp.Problem) (*lp.FloatSolution, error) {
-		sol, err := lp.SolveHybrid(p)
+	lyingProbe probeFunc = func(s *rangeSearch, k int) (*lp.FloatSolution, error) {
+		sol, err := s.rangeLP(k).solve()
 		if err != nil {
 			return nil, err
 		}
-		if sol.Status == lp.Optimal {
+		if sol != nil {
 			return &lp.FloatSolution{Status: lp.Infeasible}, nil
 		}
 		return &lp.FloatSolution{Status: lp.Optimal}, nil
 	}
 	// stalledProbe never answers.
-	stalledProbe probeFunc = func(*lp.Problem) (*lp.FloatSolution, error) {
+	stalledProbe probeFunc = func(*rangeSearch, int) (*lp.FloatSolution, error) {
 		return nil, errors.New("float simplex stalled")
 	}
 )
@@ -224,11 +227,9 @@ func TestRangeSearchMatchesReference(t *testing.T) {
 func TestRangeSearchCertifyFromAnywhere(t *testing.T) {
 	for _, tc := range searchCases(t)[:8] {
 		want := referenceMWF(t, tc.inst, tc.origins, schedule.Divisible, nil)
-		dls := flowDeadlines(tc.inst, tc.origins)
 		ranges := ObjectiveRanges(milestonesWithOrigins(tc.inst, tc.origins))
 		for start := range ranges {
-			s := &rangeSearch{inst: tc.inst, mode: schedule.Divisible, times: flowTimes(tc.inst, dls),
-				dls: dls, ranges: ranges, probe: honestProbe}
+			s := flowSearch(tc.inst, tc.origins, schedule.Divisible, honestProbe)
 			k, _, sol, err := s.certify(start)
 			if err != nil {
 				t.Fatal(err)
@@ -271,9 +272,7 @@ func TestRangeSearchOptimumOnMilestone(t *testing.T) {
 			sameAsReference(t, "optimum on milestone", got, want, ranges)
 		}
 		// Started on the range whose lower end is F*, the walk goes left.
-		dls := flowDeadlines(inst, origins)
-		s := &rangeSearch{inst: inst, mode: schedule.Divisible, times: flowTimes(inst, dls),
-			dls: dls, ranges: ranges, probe: honestProbe}
+		s := flowSearch(inst, origins, schedule.Divisible, honestProbe)
 		k, _, sol, err := s.certify(want.k + 1)
 		if err != nil {
 			t.Fatal(err)

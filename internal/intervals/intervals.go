@@ -31,58 +31,44 @@ func (iv Interval) Length() affine.Form { return iv.Hi.Sub(iv.Lo) }
 // a milestone range, equal-at-at implies equal-on-the-range, because every
 // crossing of two distinct epochal-time forms is by definition a milestone
 // and milestone ranges contain no milestone in their interior.
-func SortTimes(times []affine.Form, at *big.Rat) []affine.Form {
-	type keyed struct {
-		f affine.Form
-		v *big.Rat
-	}
-	ks := make([]keyed, len(times))
+//
+// rank[i] is the position of times[i] in the sorted result (duplicates share
+// one). That is the whole epochal order in ints: a job released at times[a]
+// and due at times[b] may be processed in the interval between sorted[t] and
+// sorted[t+1] iff rank[a] <= t < rank[b] — the paper's rules (1a)/(2a) and
+// (2b), release <= inf I_t and deadline >= sup I_t, with no further
+// comparison of rationals.
+func SortTimes(times []affine.Form, at *big.Rat) (sorted []affine.Form, rank []int) {
+	vals := make([]*big.Rat, len(times))
+	order := make([]int, len(times))
 	for i, f := range times {
-		ks[i] = keyed{f, f.Eval(at)}
+		vals[i] = f.Eval(at)
+		order[i] = i
 	}
-	sort.SliceStable(ks, func(a, b int) bool { return ks[a].v.Cmp(ks[b].v) < 0 })
-	out := make([]affine.Form, 0, len(ks))
-	for i, k := range ks {
-		if i > 0 && k.v.Cmp(ks[i-1].v) == 0 {
-			continue
+	sort.SliceStable(order, func(a, b int) bool { return vals[order[a]].Cmp(vals[order[b]]) < 0 })
+	sorted = make([]affine.Form, 0, len(times))
+	rank = make([]int, len(times))
+	for k, i := range order {
+		if k == 0 || vals[i].Cmp(vals[order[k-1]]) != 0 {
+			sorted = append(sorted, times[i])
 		}
-		out = append(out, k.f)
+		rank[i] = len(sorted) - 1
 	}
-	return out
+	return sorted, rank
 }
 
 // Build sorts and deduplicates the epochal times at the point at and returns
-// the nint−1 consecutive intervals they delimit. Fewer than two distinct
+// the nint−1 consecutive intervals they delimit, interval t spanning
+// sorted[t] to sorted[t+1], with SortTimes' ranks. Fewer than two distinct
 // times yield no interval.
-func Build(times []affine.Form, at *big.Rat) []Interval {
-	sorted := SortTimes(times, at)
+func Build(times []affine.Form, at *big.Rat) ([]Interval, []int) {
+	sorted, rank := SortTimes(times, at)
 	if len(sorted) < 2 {
-		return nil
+		return nil, rank
 	}
 	out := make([]Interval, len(sorted)-1)
 	for i := range out {
 		out[i] = Interval{Lo: sorted[i], Hi: sorted[i+1]}
 	}
-	return out
-}
-
-// FromConstants builds intervals from plain rational epochal times (release
-// dates, fixed deadlines). Order does not depend on F.
-func FromConstants(points []*big.Rat) []Interval {
-	forms := make([]affine.Form, len(points))
-	for i, p := range points {
-		forms[i] = affine.Const(p)
-	}
-	return Build(forms, new(big.Rat))
-}
-
-// JobActive reports whether a job released at rel, with deadline dl (nil
-// meaning "no deadline"), may be processed during an interval whose bounds
-// are lo and hi. The paper's rules (1a)/(2a) and (2b): processing is allowed
-// iff rel <= inf I and, when a deadline exists, dl >= sup I. All four
-// arguments are values at one point of the objective range: a range LP
-// evaluates each interval bound and each deadline form there once, not once
-// per (interval, job) pair.
-func JobActive(rel, dl, lo, hi *big.Rat) bool {
-	return rel.Cmp(lo) <= 0 && (dl == nil || dl.Cmp(hi) >= 0)
+	return out, rank
 }

@@ -10,8 +10,19 @@ import (
 
 func r(a, b int64) *big.Rat { return big.NewRat(a, b) }
 
+// fromConstants builds intervals from plain rational epochal times (release
+// dates, fixed deadlines): order does not depend on F.
+func fromConstants(points ...*big.Rat) []Interval {
+	forms := make([]affine.Form, len(points))
+	for i, p := range points {
+		forms[i] = affine.Const(p)
+	}
+	ivs, _ := Build(forms, new(big.Rat))
+	return ivs
+}
+
 func TestFromConstants(t *testing.T) {
-	ivs := FromConstants([]*big.Rat{r(5, 1), r(0, 1), r(2, 1), r(5, 1)})
+	ivs := fromConstants(r(5, 1), r(0, 1), r(2, 1), r(5, 1))
 	if len(ivs) != 2 {
 		t.Fatalf("got %d intervals, want 2", len(ivs))
 	}
@@ -24,10 +35,10 @@ func TestFromConstants(t *testing.T) {
 }
 
 func TestFromConstantsDegenerate(t *testing.T) {
-	if ivs := FromConstants([]*big.Rat{r(3, 1), r(3, 1)}); ivs != nil {
+	if ivs := fromConstants(r(3, 1), r(3, 1)); ivs != nil {
 		t.Errorf("single distinct point should yield no interval, got %v", ivs)
 	}
-	if ivs := FromConstants(nil); ivs != nil {
+	if ivs := fromConstants(); ivs != nil {
 		t.Errorf("empty input should yield no interval, got %v", ivs)
 	}
 }
@@ -56,7 +67,7 @@ func TestSortTimesAffine(t *testing.T) {
 		affine.New(r(4, 1), r(1, 2)),
 	}
 	at := r(2, 1)
-	sorted := SortTimes(times, at)
+	sorted, _ := SortTimes(times, at)
 	if len(sorted) != 4 {
 		t.Fatalf("got %d times, want 4", len(sorted))
 	}
@@ -77,15 +88,18 @@ func TestSortTimesDedup(t *testing.T) {
 		affine.New(r(2, 1), r(1, 2)),
 		affine.Const(r(4, 1)),
 	}
-	sorted := SortTimes(times, r(2, 1))
+	sorted, rank := SortTimes(times, r(2, 1))
 	if len(sorted) != 2 {
 		t.Fatalf("got %d times, want 2 after dedup", len(sorted))
+	}
+	if rank[0] != 0 || rank[1] != 0 || rank[2] != 1 {
+		t.Errorf("ranks = %v, want duplicates sharing rank 0 and the constant at 1", rank)
 	}
 }
 
 func TestBuildCoversGaps(t *testing.T) {
 	times := []affine.Form{affine.Const(r(0, 1)), affine.Const(r(10, 1)), affine.Const(r(3, 1))}
-	ivs := Build(times, new(big.Rat))
+	ivs, _ := Build(times, new(big.Rat))
 	if len(ivs) != 2 {
 		t.Fatalf("got %d intervals", len(ivs))
 	}
@@ -95,27 +109,31 @@ func TestBuildCoversGaps(t *testing.T) {
 	}
 }
 
-func TestJobActive(t *testing.T) {
-	lo, hi := r(2, 1), r(4, 1)
-	if !JobActive(r(0, 1), nil, lo, hi) {
-		t.Error("released-before job must be active")
-	}
-	if JobActive(r(3, 1), nil, lo, hi) {
-		// Releases delimit intervals, so rel strictly inside only happens
-		// in malformed usage; the rule rel <= inf must still reject it.
-		t.Error("job released inside the interval must not be active")
-	}
-	if JobActive(r(4, 1), nil, lo, hi) {
-		t.Error("job released at sup must not be active")
-	}
-	if JobActive(r(0, 1), r(3, 1), lo, hi) {
-		t.Error("deadline before sup must deactivate")
-	}
-	if !JobActive(r(0, 1), r(4, 1), lo, hi) {
-		t.Error("deadline exactly at sup keeps the job active")
-	}
-	if !JobActive(r(0, 1), r(9, 1), lo, hi) {
-		t.Error("late deadline keeps the job active")
+// TestRanksDecideActivity holds the integer rule to the paper's rational
+// one: a job released at times[a] and due at times[b] may run in interval t
+// iff rank[a] <= t < rank[b], which must say what (1a)/(2a) and (2b) say —
+// release <= inf I_t and deadline >= sup I_t — for every pair of times.
+func TestRanksDecideActivity(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for it := 0; it < 100; it++ {
+		times := make([]affine.Form, 2+rng.Intn(10))
+		for i := range times {
+			times[i] = affine.New(r(int64(rng.Intn(12)), 1), r(int64(rng.Intn(4)), 1))
+		}
+		at := r(int64(1+rng.Intn(5)), 1)
+		ivs, rank := Build(times, at)
+		for k, iv := range ivs {
+			lo, hi := iv.Lo.Eval(at), iv.Hi.Eval(at)
+			for a, rel := range times {
+				for b, dl := range times {
+					want := rel.Eval(at).Cmp(lo) <= 0 && dl.Eval(at).Cmp(hi) >= 0
+					if got := rank[a] <= k && k < rank[b]; got != want {
+						t.Fatalf("iter %d interval %d [%v,%v], release %v deadline %v: ranks %d, %d say %v, the rationals %v",
+							it, k, lo, hi, rel.Eval(at), dl.Eval(at), rank[a], rank[b], got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -129,7 +147,7 @@ func TestBuildSortedProperty(t *testing.T) {
 			times[i] = affine.New(r(int64(rng.Intn(20)), 1), r(int64(rng.Intn(5)), 1))
 		}
 		at := r(int64(1+rng.Intn(5)), 1)
-		ivs := Build(times, at)
+		ivs, _ := Build(times, at)
 		for k, iv := range ivs {
 			lo, hi := iv.Lo.Eval(at), iv.Hi.Eval(at)
 			if lo.Cmp(hi) >= 0 {

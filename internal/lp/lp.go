@@ -1,7 +1,8 @@
 // Package lp provides linear-programming solvers used by the offline
 // scheduling algorithms of Legrand, Su and Vivien (RR-5386).
 //
-// Three solvers are provided over the same Problem representation:
+// Two exact solvers are provided over the same Problem representation, and
+// the float64 simplex the first is built on:
 //
 //   - SolveHybrid (and SolveHybridWarm): the default exact engine. A
 //     float64 simplex guesses the optimal basis, which is then exactly
@@ -17,9 +18,13 @@
 //     Dantzig pricing degrading to Bland's anti-cycling rule under
 //     sustained degeneracy. The reference implementation the hybrid engine
 //     falls back to.
-//   - SolveFloat: the float64 tableau simplex with epsilon tolerances, used
-//     standalone for large-scale estimates where exactness is not part of
-//     the reproduced claim.
+//   - FloatTableau: the float64 tableau simplex with epsilon tolerances. The
+//     hybrid engine loads it from a Problem's standard form; a caller whose
+//     answer is no part of a proof — the probes of core's milestone search,
+//     and the large-scale estimates built on them — fills one directly
+//     (Reset, Set, SetRHS, Minimize) and reuses it, with no Problem and no
+//     big.Rat in between. Both ways number the columns through one function
+//     and pivot in one loop.
 //
 // Problems are stated in the general form
 //
@@ -202,11 +207,12 @@ type Solution struct {
 // Value returns the primal value of column col.
 func (s *Solution) Value(col int) *big.Rat { return s.X[col] }
 
-// FloatSolution is the result of a float64 solve.
+// FloatSolution is the result of a float64 solve: what a caller with no
+// exact verification to run needs of it. (The hybrid engine reads the final
+// basis instead.)
 type FloatSolution struct {
 	Status    Status
 	Objective float64
-	X         []float64
 }
 
 // Dump renders the problem in a human-readable form, for tests and debugging.

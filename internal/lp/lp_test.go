@@ -38,8 +38,18 @@ func TestSolveRatClassic(t *testing.T) {
 	}
 }
 
+// solveFloat runs the float simplex alone: what the hybrid engine runs before
+// it verifies, reported the way a directly filled tableau reports.
+func solveFloat(p *Problem) (*FloatSolution, error) {
+	sf, err := newStdForm(p)
+	if err != nil {
+		return nil, err
+	}
+	return runFloat(sf).solution()
+}
+
 func TestSolveFloatClassic(t *testing.T) {
-	sol, err := SolveFloat(buildSimple())
+	sol, err := solveFloat(buildSimple())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +115,7 @@ func TestSolveFloatInfeasible(t *testing.T) {
 	x := p.AddVar("x", rat(1, 1))
 	p.AddRow("lo", []Term{{x, rat(1, 1)}}, GE, rat(5, 1))
 	p.AddRow("hi", []Term{{x, rat(1, 1)}}, LE, rat(3, 1))
-	sol, err := SolveFloat(p)
+	sol, err := solveFloat(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +293,7 @@ func TestRatFloatAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", it, err)
 		}
-		fs, err := SolveFloat(p)
+		fs, err := solveFloat(p)
 		if err != nil {
 			t.Fatalf("iter %d: %v", it, err)
 		}
@@ -357,7 +367,7 @@ func BenchmarkSolveFloatMedium(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveFloat(p); err != nil {
+		if _, err := solveFloat(p); err != nil {
 			b.Fatal(err)
 		}
 	}

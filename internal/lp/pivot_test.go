@@ -8,10 +8,10 @@ import (
 )
 
 // denseTableau is the float simplex with the pivot that sweeps every column
-// of every row: the reference floatTableau's sparse pivot is held to. It
+// of every row: the reference FloatTableau's sparse pivot is held to. It
 // shares the tableau's construction and pricing set-up and repeats only what
 // calls pivot.
-type denseTableau struct{ *floatTableau }
+type denseTableau struct{ *FloatTableau }
 
 func (t denseTableau) pivot(leave, enter int) {
 	prow := t.rowsData[leave]
@@ -101,13 +101,13 @@ func (t denseTableau) iterate() Status {
 // runFloatDense is runFloat over the dense pivot, down to the outcome the
 // hybrid driver reads: status, final basis, iteration count.
 func runFloatDense(sf *stdForm) (Status, []int, int) {
-	t := denseTableau{newFloatTableau(sf)}
+	t := denseTableau{new(FloatTableau)}
+	t.load(sf)
 	if sf.numArt > 0 {
-		phase1 := make([]float64, t.numCols)
 		for j := sf.artStart; j < t.numCols; j++ {
-			phase1[j] = 1
+			t.obj[j] = 1
 		}
-		t.setObjective(phase1)
+		t.priceOut()
 		if t.iterate() != Optimal {
 			return floatStalled, t.basis, t.iterations
 		}
@@ -126,11 +126,9 @@ func runFloatDense(sf *stdForm) (Status, []int, int) {
 			}
 		}
 	}
-	phase2 := make([]float64, t.numCols)
-	for j := 0; j < sf.p.numVars; j++ {
-		phase2[j], _ = sf.p.objective[j].Float64()
-	}
-	t.setObjective(phase2)
+	clear(t.obj)
+	copy(t.obj, t.cost)
+	t.priceOut()
 	return t.iterate(), t.basis, t.iterations
 }
 
@@ -202,5 +200,97 @@ func TestSparsePivotMatchesDense(t *testing.T) {
 	}
 	if statuses[Optimal] == 0 || statuses[Infeasible] == 0 || statuses[Unbounded] == 0 {
 		t.Errorf("statuses covered = %v, want optimal, infeasible and unbounded all present", statuses)
+	}
+}
+
+// TestDirectFillMatchesStdForm is what lets the hybrid engine and a
+// milestone search's probes share one tableau type: filling a FloatTableau
+// directly (Reset, Set, SetRHS — one tableau reused across all the problems)
+// and loading it from the same rows through a Problem and newStdForm give
+// the same column numbering, the same initial basis and the same entries,
+// and the simplex then takes the same pivots to the same end on both.
+func TestDirectFillMatchesStdForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var direct FloatTableau
+	negated := 0
+	for n := 0; n < 400; n++ {
+		var p *Problem
+		if n%2 == 0 {
+			p = schedulingProblem(rng)
+		} else {
+			p, _ = randomProblem(rng)
+		}
+		sf, err := newStdForm(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var loaded FloatTableau
+		loaded.load(sf)
+
+		// What newStdForm does for a Problem's rows, done by hand: a row
+		// with a negative RHS is negated and its sense flipped.
+		senses := make([]Sense, len(p.rows))
+		for i, r := range p.rows {
+			senses[i] = r.Sense
+			if r.RHS.Sign() < 0 {
+				senses[i] = flip(r.Sense)
+				negated++
+			}
+		}
+		direct.Reset(p.numVars, senses)
+		for i, r := range p.rows {
+			sign := 1.0
+			if r.RHS.Sign() < 0 {
+				sign = -1
+			}
+			for _, term := range r.Terms {
+				v, _ := term.Coef.Float64()
+				direct.Set(i, term.Col, sign*v)
+			}
+			b, _ := r.RHS.Float64()
+			direct.SetRHS(i, sign*b)
+		}
+		copy(direct.cost, FloatImage(nil, p.objective))
+
+		if direct.numVars != loaded.numVars || direct.numCols != loaded.numCols || direct.artStart != loaded.artStart ||
+			direct.Artificials() != sf.numArt {
+			t.Fatalf("problem %d: direct fill numbers %d/%d/%d columns (structural/artificials from/all), the standard form %d/%d/%d\n%s",
+				n, direct.numVars, direct.artStart, direct.numCols, loaded.numVars, loaded.artStart, loaded.numCols, p.Dump())
+		}
+		if !reflect.DeepEqual(direct.basis, loaded.basis) || !reflect.DeepEqual(direct.banned, loaded.banned) {
+			t.Fatalf("problem %d: direct fill starts on basis %v, the standard form on %v\n%s", n, direct.basis, loaded.basis, p.Dump())
+		}
+		if !reflect.DeepEqual(direct.rowsData, loaded.rowsData) || !reflect.DeepEqual(direct.rhsData, loaded.rhsData) {
+			t.Fatalf("problem %d: direct fill\n%v | %v\nstandard form\n%v | %v\n%s",
+				n, direct.rowsData, direct.rhsData, loaded.rowsData, loaded.rhsData, p.Dump())
+		}
+		got, want := direct.run(), loaded.run()
+		if got.status != want.status || got.iterations != want.iterations || got.objective != want.objective ||
+			!reflect.DeepEqual(got.basis, want.basis) {
+			t.Fatalf("problem %d: direct fill ended %v after %d iterations on basis %v, the standard form %v after %d on %v\n%s",
+				n, got.status, got.iterations, got.basis, want.status, want.iterations, want.basis, p.Dump())
+		}
+	}
+	if negated == 0 {
+		t.Error("no problem had a row to negate")
+	}
+
+	// An entry float64 cannot hold is never solved over.
+	direct.Reset(1, []Sense{LE})
+	direct.Set(0, 0, 1)
+	direct.SetRHS(0, math.Inf(1))
+	if sol, err := direct.Minimize(0); err == nil {
+		t.Errorf("Minimize over an infinite right-hand side answered %+v", sol)
+	}
+	direct.Reset(1, []Sense{LE})
+	direct.Set(0, 0, math.NaN())
+	if sol, err := direct.Minimize(0); err == nil {
+		t.Errorf("Minimize over a NaN coefficient answered %+v", sol)
+	}
+	direct.Reset(1, []Sense{GE})
+	direct.Set(0, 0, 1)
+	direct.SetRHS(0, 3)
+	if sol, err := direct.Minimize(0); err != nil || sol.Status != Optimal || sol.Objective != 3 {
+		t.Errorf("after a Reset the same tableau solves again: got %+v, %v; want min x = 3", sol, err)
 	}
 }

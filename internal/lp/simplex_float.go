@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/big"
 )
 
 const (
@@ -22,25 +24,20 @@ const (
 // iteration cap; it never escapes this package.
 const floatStalled = Status(-1)
 
-// SolveFloat solves the problem with a float64 two-phase tableau simplex.
-// Dantzig (most-negative reduced cost) pricing is used initially, falling
-// back to Bland's rule when the iteration count suggests cycling. The result
-// carries the usual caveats of floating-point LP; exact callers go through
-// SolveHybrid (which verifies float results exactly) or SolveRat instead.
-func SolveFloat(p *Problem) (*FloatSolution, error) {
-	sf, err := newStdForm(p)
-	if err != nil {
-		return nil, err
+// FloatImage appends the float64 images of exact coefficients to dst (nil
+// reads as 0). Callers that fill a FloatTableau themselves convert here, in
+// bulk — a cost matrix once for all the tableaux it will fill — so that the
+// exact packages hold no conversion of their own. A magnitude float64 cannot
+// hold comes out ±Inf; Set and SetRHS catch it on its way into a tableau.
+func FloatImage(dst []float64, vals []*big.Rat) []float64 {
+	for _, v := range vals {
+		f := 0.0
+		if v != nil {
+			f, _ = v.Float64()
+		}
+		dst = append(dst, f)
 	}
-	run := runFloat(sf)
-	switch run.status {
-	case Optimal, Infeasible, Unbounded:
-	case floatStalled:
-		return nil, fmt.Errorf("lp: float simplex stalled after %d iterations", run.iterations)
-	default:
-		return nil, fmt.Errorf("lp: float simplex reported %v", run.status)
-	}
-	return &FloatSolution{Status: run.status, Objective: run.objective, X: run.x}, nil
+	return dst
 }
 
 // floatRun is the full outcome of a float solve, including the final basis
@@ -50,94 +47,191 @@ func SolveFloat(p *Problem) (*FloatSolution, error) {
 type floatRun struct {
 	status     Status
 	objective  float64
-	x          []float64 // structural values, valid when Optimal
-	basis      []int     // basic column per row at termination
+	basis      []int // basic column per row at termination
 	iterations int
+}
+
+// solution reports the run to a caller outside the hybrid engine, which has
+// no exact solver to fall back on: a stall is an error.
+func (run *floatRun) solution() (*FloatSolution, error) {
+	switch run.status {
+	case Optimal, Infeasible, Unbounded:
+	case floatStalled:
+		return nil, fmt.Errorf("lp: float simplex stalled after %d iterations", run.iterations)
+	default:
+		return nil, fmt.Errorf("lp: float simplex reported %v", run.status)
+	}
+	return &FloatSolution{Status: run.status, Objective: run.objective}, nil
 }
 
 // runFloat executes the two-phase float simplex over the standard form.
 func runFloat(sf *stdForm) *floatRun {
-	t := newFloatTableau(sf)
-	out := &floatRun{}
-	if sf.numArt > 0 {
-		phase1 := make([]float64, t.numCols)
-		for j := sf.artStart; j < t.numCols; j++ {
-			phase1[j] = 1
-		}
-		t.setObjective(phase1)
-		if status := t.iterate(); status != Optimal {
-			// Phase 1 is bounded below by 0; "unbounded" here is a float
-			// artifact, so report a stall rather than a wrong status.
-			out.status, out.basis, out.iterations = floatStalled, t.basis, t.iterations
-			return out
-		}
-		if t.objectiveValue() > floatEps*float64(len(t.rowsData)+1) {
-			out.status, out.basis, out.iterations = Infeasible, t.basis, t.iterations
-			return out
-		}
-		t.evictArtificials()
-	}
-	phase2 := make([]float64, t.numCols)
-	for j := 0; j < sf.p.numVars; j++ {
-		phase2[j], _ = sf.p.objective[j].Float64()
-	}
-	t.setObjective(phase2)
-	status := t.iterate()
-	out.status, out.basis, out.iterations = status, t.basis, t.iterations
-	if status != Optimal {
-		return out
-	}
-	out.objective = t.objectiveValue()
-	out.x = make([]float64, sf.p.numVars)
-	for r, bv := range t.basis {
-		if bv < sf.p.numVars {
-			out.x[bv] = t.rhsData[r]
-		}
-	}
-	return out
+	var t FloatTableau
+	t.load(sf)
+	return t.run()
 }
 
-type floatTableau struct {
+// FloatTableau is the dense tableau of the float64 two-phase simplex:
+// Dantzig (most-negative reduced cost) pricing, falling back to Bland's rule
+// when the iteration count suggests cycling, under epsilon tolerances. Its
+// columns are the standard form's, [structural | slack/surplus |
+// artificial], and its rows lie row-major in one flat buffer.
+//
+// It is filled one of two ways. The hybrid engine loads an exact standard
+// form (runFloat) and verifies the resulting basis exactly. A caller whose
+// answer is no part of a proof — the probes of a milestone search — skips
+// the exact Problem altogether: Reset, Set/SetRHS per coefficient, Minimize.
+// Reset reuses the buffers, so such a caller keeps one tableau for all its
+// solves; the zero value is ready to use.
+type FloatTableau struct {
+	numVars    int // structural columns
 	numCols    int
 	artStart   int
-	rowsData   [][]float64
+	buf        []float64   // the rows, row-major
+	rowsData   [][]float64 // rowsData[r] is buf[r*numCols:(r+1)*numCols]
 	rhsData    []float64
 	basis      []int
 	banned     []bool
+	cost       []float64 // phase-2 objective over the structural columns
 	obj        []float64
 	objRHS     float64
 	iterations int
 	nz         []int // scratch: nonzero columns of the current pivot row
+	nonFinite  bool  // an entry float64 cannot hold was written
 }
 
-// newFloatTableau converts the standard form to float64.
-func newFloatTableau(sf *stdForm) *floatTableau {
-	t := &floatTableau{
-		numCols:  sf.numCols,
-		artStart: sf.artStart,
-		rowsData: make([][]float64, sf.m),
-		rhsData:  make([]float64, sf.m),
-		basis:    append([]int(nil), sf.basis0...),
-		banned:   make([]bool, sf.numCols),
+// zeroed returns s resized to n zero elements, reallocating only to grow.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	for j := sf.artStart; j < sf.numCols; j++ {
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// shape sizes the tableau to m all-zero rows.
+func (t *FloatTableau) shape(m, numVars, artStart, numCols int) {
+	t.numVars, t.artStart, t.numCols = numVars, artStart, numCols
+	t.buf = zeroed(t.buf, m*numCols)
+	t.rowsData = t.rowsData[:0]
+	for r := 0; r < m; r++ {
+		t.rowsData = append(t.rowsData, t.buf[r*numCols:(r+1)*numCols:(r+1)*numCols])
+	}
+	t.rhsData = zeroed(t.rhsData, m)
+	t.basis = zeroed(t.basis, m)
+	t.banned = zeroed(t.banned, numCols)
+	for j := artStart; j < numCols; j++ {
 		t.banned[j] = true
 	}
+	t.cost = zeroed(t.cost, numVars)
+	t.obj = zeroed(t.obj, numCols)
+	t.objRHS, t.iterations, t.nonFinite = 0, 0, false
+}
+
+// load converts the standard form to float64.
+func (t *FloatTableau) load(sf *stdForm) {
+	t.shape(sf.m, sf.p.numVars, sf.artStart, sf.numCols)
+	copy(t.basis, sf.basis0)
 	for i := range sf.rows {
-		row := make([]float64, sf.numCols)
-		src := &sf.rows[i]
+		row, src := t.rowsData[i], &sf.rows[i]
 		for k, j := range src.ind {
 			row[j], _ = src.val[k].Float64()
 		}
-		t.rowsData[i] = row
 		t.rhsData[i], _ = sf.rhs[i].Float64()
 	}
-	return t
+	for j := range t.cost {
+		t.cost[j], _ = sf.p.objective[j].Float64()
+	}
 }
 
-func (t *floatTableau) setObjective(c []float64) {
-	t.obj = make([]float64, t.numCols)
-	copy(t.obj, c)
+// Reset shapes the tableau for numVars structural columns and one row per
+// sense, all coefficients and right-hand sides zero, the slack, surplus and
+// artificial columns numbered and filled in as newStdForm would. The caller
+// follows with Set and SetRHS, and owes what newStdForm would otherwise do
+// for it: no right-hand side may be negative (negate the row and flip its
+// sense first).
+func (t *FloatTableau) Reset(numVars int, senses []Sense) {
+	num := numberCols(numVars, senses)
+	t.shape(len(senses), numVars, num.artStart, num.numCols)
+	for i, s := range senses {
+		slack, art := num.next(s)
+		if slack >= 0 {
+			t.rowsData[i][slack] = 1
+			if s == GE {
+				t.rowsData[i][slack] = -1
+			}
+			t.basis[i] = slack
+		}
+		if art >= 0 {
+			t.rowsData[i][art] = 1
+			t.basis[i] = art
+		}
+	}
+}
+
+// Set writes the coefficient of structural column col in row.
+func (t *FloatTableau) Set(row, col int, v float64) {
+	t.nonFinite = t.nonFinite || v-v != 0
+	t.rowsData[row][col] = v
+}
+
+// SetRHS writes the right-hand side of row.
+func (t *FloatTableau) SetRHS(row int, v float64) {
+	t.nonFinite = t.nonFinite || v-v != 0
+	t.rhsData[row] = v
+}
+
+// Artificials reports how many artificial columns phase 1 has to drive out.
+func (t *FloatTableau) Artificials() int { return t.numCols - t.artStart }
+
+// Minimize solves the filled tableau for the minimum of structural column
+// col. A tableau that was handed an infinite or NaN entry is not solved: like
+// a stall, that is an error, and the caller cannot tell.
+func (t *FloatTableau) Minimize(col int) (*FloatSolution, error) {
+	if t.nonFinite {
+		return nil, errors.New("lp: a coefficient exceeds float64")
+	}
+	t.cost[col] = 1
+	return t.run().solution()
+}
+
+// run executes the two phases on the loaded or filled tableau.
+func (t *FloatTableau) run() *floatRun {
+	status := t.phases()
+	out := &floatRun{status: status, basis: t.basis, iterations: t.iterations}
+	if status == Optimal {
+		out.objective = t.objectiveValue()
+	}
+	return out
+}
+
+func (t *FloatTableau) phases() Status {
+	if t.artStart < t.numCols {
+		clear(t.obj)
+		for j := t.artStart; j < t.numCols; j++ {
+			t.obj[j] = 1
+		}
+		t.priceOut()
+		if t.iterate() != Optimal {
+			// Phase 1 is bounded below by 0; "unbounded" here is a float
+			// artifact, so report a stall rather than a wrong status.
+			return floatStalled
+		}
+		if t.objectiveValue() > floatEps*float64(len(t.rowsData)+1) {
+			return Infeasible
+		}
+		t.evictArtificials()
+	}
+	clear(t.obj)
+	copy(t.obj, t.cost)
+	t.priceOut()
+	return t.iterate()
+}
+
+// priceOut turns the objective just written to obj into reduced costs over
+// the current basis.
+func (t *FloatTableau) priceOut() {
 	t.objRHS = 0
 	for r, bv := range t.basis {
 		f := t.obj[bv]
@@ -152,9 +246,9 @@ func (t *floatTableau) setObjective(c []float64) {
 	}
 }
 
-func (t *floatTableau) objectiveValue() float64 { return -t.objRHS }
+func (t *FloatTableau) objectiveValue() float64 { return -t.objRHS }
 
-func (t *floatTableau) iterate() Status {
+func (t *FloatTableau) iterate() Status {
 	perimeter := len(t.rowsData) + t.numCols
 	maxDantzig := blandTrigger * perimeter
 	maxIter := stallFactor * perimeter
@@ -207,7 +301,7 @@ func (t *floatTableau) iterate() Status {
 // objective change only where the pivot row is nonzero (x −= f·0 is x), and
 // the range LPs keep that row sparse, so its nonzero columns are collected
 // once and the sweeps visit only those.
-func (t *floatTableau) pivot(leave, enter int) {
+func (t *FloatTableau) pivot(leave, enter int) {
 	prow := t.rowsData[leave]
 	inv := 1 / prow[enter]
 	nz := t.nz[:0]
@@ -248,7 +342,7 @@ func (t *floatTableau) pivot(leave, enter int) {
 	t.basis[leave] = enter
 }
 
-func (t *floatTableau) evictArtificials() {
+func (t *FloatTableau) evictArtificials() {
 	for r, bv := range t.basis {
 		if bv < t.artStart {
 			continue

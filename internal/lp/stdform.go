@@ -37,39 +37,74 @@ type stdForm struct {
 	colVals [][]*big.Rat
 }
 
+// colNumbering hands out the slack/surplus and artificial columns of the
+// standard form row by row. It is the one statement of the numbering: the
+// exact form (newStdForm) and the directly filled float tableau
+// (FloatTableau.Reset) both walk it, which is what lets a basis found on one
+// index the other.
+type colNumbering struct {
+	artStart, numCols int // first artificial column; all columns
+	slack, art        int // next unassigned of each kind
+}
+
+// numberCols sizes the numbering for rows of the given senses (already
+// flipped where a negative RHS negates the row).
+func numberCols(numVars int, senses []Sense) colNumbering {
+	n := colNumbering{slack: numVars, artStart: numVars}
+	numArt := 0
+	for _, s := range senses {
+		if s != EQ {
+			n.artStart++
+		}
+		if s != LE {
+			numArt++
+		}
+	}
+	n.art, n.numCols = n.artStart, n.artStart+numArt
+	return n
+}
+
+// next numbers the following row: an LE row gains a +1 slack, a GE row a −1
+// surplus and a +1 artificial, an EQ row a +1 artificial; −1 stands for
+// none. The row's initial basic column is its artificial when it has one,
+// its slack otherwise.
+func (n *colNumbering) next(s Sense) (slack, art int) {
+	slack, art = -1, -1
+	if s != EQ {
+		slack = n.slack
+		n.slack++
+	}
+	if s != LE {
+		art = n.art
+		n.art++
+	}
+	return slack, art
+}
+
 // newStdForm normalizes p. It fails only on malformed rows (a column
 // mentioned twice).
 func newStdForm(p *Problem) (*stdForm, error) {
 	m := len(p.rows)
-	numSlack, numArt := 0, 0
-	for _, r := range p.rows {
-		sense := r.Sense
+	senses := make([]Sense, m)
+	for i, r := range p.rows {
+		senses[i] = r.Sense
 		if r.RHS.Sign() < 0 {
-			sense = flip(sense)
-		}
-		switch sense {
-		case LE, GE:
-			numSlack++
-			if sense == GE {
-				numArt++
-			}
-		case EQ:
-			numArt++
+			senses[i] = flip(r.Sense)
 		}
 	}
-	numCols := p.numVars + numSlack + numArt
+	num := numberCols(p.numVars, senses)
 	sf := &stdForm{
 		p:        p,
 		m:        m,
-		numCols:  numCols,
-		artStart: p.numVars + numSlack,
-		numArt:   numArt,
+		numCols:  num.numCols,
+		artStart: num.artStart,
+		numArt:   num.numCols - num.artStart,
 		rows:     make([]spVec, m),
 		rhs:      make([]*big.Rat, m),
 		basis0:   make([]int, m),
-		cost:     make([]*big.Rat, numCols),
+		cost:     make([]*big.Rat, num.numCols),
 	}
-	for j := 0; j < numCols; j++ {
+	for j := range sf.cost {
 		if j < p.numVars {
 			sf.cost[j] = p.objective[j]
 		} else {
@@ -77,16 +112,10 @@ func newStdForm(p *Problem) (*stdForm, error) {
 		}
 	}
 
-	slack := p.numVars
-	art := sf.artStart
 	one := big.NewRat(1, 1)
 	negOne := big.NewRat(-1, 1)
 	for i, r := range p.rows {
 		neg := r.RHS.Sign() < 0
-		sense := r.Sense
-		if neg {
-			sense = flip(sense)
-		}
 		terms := make([]Term, len(r.Terms))
 		copy(terms, r.Terms)
 		sort.Slice(terms, func(a, b int) bool { return terms[a].Col < terms[b].Col })
@@ -109,25 +138,20 @@ func newStdForm(p *Problem) (*stdForm, error) {
 		if neg {
 			b = new(big.Rat).Neg(b)
 		}
-		switch sense {
-		case LE:
+		slack, art := num.next(senses[i])
+		if slack >= 0 {
 			row.ind = append(row.ind, slack)
-			row.val = append(row.val, one)
+			if senses[i] == LE {
+				row.val = append(row.val, one)
+			} else {
+				row.val = append(row.val, negOne)
+			}
 			sf.basis0[i] = slack
-			slack++
-		case GE:
-			row.ind = append(row.ind, slack)
-			row.val = append(row.val, negOne)
-			slack++
+		}
+		if art >= 0 {
 			row.ind = append(row.ind, art)
 			row.val = append(row.val, one)
 			sf.basis0[i] = art
-			art++
-		case EQ:
-			row.ind = append(row.ind, art)
-			row.val = append(row.val, one)
-			sf.basis0[i] = art
-			art++
 		}
 		sf.rows[i] = row
 		sf.rhs[i] = b
