@@ -31,8 +31,7 @@ func DeadlineFeasible(inst *model.Instance, deadlines []*big.Rat, mode schedule.
 			return false, nil, nil
 		}
 	}
-	ep := newEpochs(inst, constDeadlines(deadlines), affine.Const(horizon(inst, deadlines)))
-	rl := newRangeLP(inst, mode, ep, affine.Range{Lo: new(big.Rat), Hi: new(big.Rat)})
+	rl := deadlineLP(inst, deadlines, mode)
 	sol, err := rl.solve()
 	if err != nil {
 		return false, nil, err
@@ -45,6 +44,14 @@ func DeadlineFeasible(inst *model.Instance, deadlines []*big.Rat, mode schedule.
 		return false, nil, err
 	}
 	return true, s, nil
+}
+
+// deadlineLP lays out System (2) (System (5) when mode is Preemptive) for the
+// given deadlines: a range LP on the single point F = 0, so that solving it
+// decides feasibility.
+func deadlineLP(inst *model.Instance, deadlines []*big.Rat, mode schedule.Model) *rangeLP {
+	ep := newEpochs(inst, constDeadlines(deadlines), affine.Const(horizon(inst, deadlines)))
+	return newRangeLP(inst, mode, ep, affine.Range{Lo: new(big.Rat), Hi: new(big.Rat)})
 }
 
 // horizon completes the epochal times of System (2) — all release dates and

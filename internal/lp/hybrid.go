@@ -135,8 +135,11 @@ func SolveHybridWarm(p *Problem, warm *Basis) (*Solution, error) {
 			}
 		}
 	case Infeasible:
-		if sf.validBasis(run.basis) && certifyInfeasible(sf, run.basis) {
-			return &Solution{Status: Infeasible, Method: MethodFloatVerified}, nil
+		if sf.validBasis(run.basis) {
+			if sol := certifyInfeasible(sf, run.basis); sol != nil {
+				sol.Method = MethodFloatVerified
+				return sol, nil
+			}
 		}
 	}
 	// The float engine failed to hand over a verifiable answer. A warm
@@ -211,7 +214,7 @@ func tryBasisExact(sf *stdForm, basis []int) *Solution {
 			obj.Add(obj, &tmp)
 		}
 	}
-	return &Solution{Status: Optimal, Objective: obj, X: x, Basis: newBasis(sf, basis)}
+	return &Solution{Status: Optimal, Objective: obj, X: x, Basis: newBasis(sf, basis), Kernel: len(f.bumpRows)}
 }
 
 // finishFromBasis pivots an exact tableau to the candidate basis and, when
@@ -250,8 +253,8 @@ func finishFromBasis(sf *stdForm, basis []int) *Solution {
 // phase-1 basis is a Farkas certificate of infeasibility: y with yᵀA_j <= 0
 // for every real (non-artificial) column and yᵀb > 0. If it is, no x >= 0
 // satisfies Ax = b, because 0 < yᵀb = yᵀAx = Σ_j (yᵀA_j) x_j <= 0 would be a
-// contradiction.
-func certifyInfeasible(sf *stdForm, basis []int) bool {
+// contradiction. It returns the Infeasible solution then, nil otherwise.
+func certifyInfeasible(sf *stdForm, basis []int) *Solution {
 	hasArt := false
 	for _, c := range basis {
 		if c >= sf.artStart {
@@ -260,12 +263,12 @@ func certifyInfeasible(sf *stdForm, basis []int) bool {
 		}
 	}
 	if !hasArt {
-		return false // no artificial left: nothing suggests infeasibility
+		return nil // no artificial left: nothing suggests infeasibility
 	}
 	sf.columns()
 	f := factorize(sf, basis)
 	if f == nil {
-		return false
+		return nil
 	}
 	one := big.NewRat(1, 1)
 	cB := make([]*big.Rat, sf.m)
@@ -287,12 +290,12 @@ func certifyInfeasible(sf *stdForm, basis []int) bool {
 		yb.Add(yb, &tmp)
 	}
 	if yb.Sign() <= 0 {
-		return false
+		return nil
 	}
 	for j := 0; j < sf.artStart; j++ {
 		if sf.colDot(y, j).Sign() > 0 {
-			return false
+			return nil
 		}
 	}
-	return true
+	return &Solution{Status: Infeasible, Kernel: len(f.bumpRows)}
 }

@@ -28,6 +28,23 @@ func checkAgainstRat(t *testing.T, p *Problem, label string) *Solution {
 		}
 		checkFeasible(t, p, hs, label)
 	}
+	if hs.Status == Optimal && hs.Method == MethodFloatVerified {
+		// The basis that proved it, factored again: it must reproduce the
+		// right-hand side exactly and hold the solution's values.
+		sf, err := newStdForm(p)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		f := checkFactor(t, sf, hs.Basis.cols, sf.rhs, sf.rhs, label)
+		if f == nil || len(f.bumpRows) != hs.Kernel {
+			t.Fatalf("%s: the verified basis factors to %v, the solution reports kernel %d", label, f, hs.Kernel)
+		}
+		for k, v := range f.solve(sf.rhs) {
+			if c := hs.Basis.cols[k]; c < p.numVars && v.Cmp(hs.X[c]) != 0 {
+				t.Fatalf("%s: basic column %d is %v in the factor, %v in the solution", label, c, v, hs.X[c])
+			}
+		}
+	}
 	return hs
 }
 

@@ -7,7 +7,11 @@
 //   - SolveHybrid (and SolveHybridWarm): the default exact engine. A
 //     float64 simplex guesses the optimal basis, which is then exactly
 //     refactorized over math/big.Rat and verified (primal feasibility,
-//     reduced-cost optimality, or a Farkas infeasibility certificate); on
+//     reduced-cost optimality, or a Farkas infeasibility certificate). The
+//     factorization peels the basis's singleton columns and rows into a
+//     pivot order — most of a scheduling basis: slacks, artificials, rows
+//     with one basic fraction — and eliminates only the block that is left
+//     (basisFactor), so verifying costs little more than reading the basis. On
 //     any verification failure the exact simplex finishes the job, so the
 //     status and exact optimal objective always equal SolveRat's. The paper's
 //     polynomial-time optimality arguments rely on exact rational
@@ -202,6 +206,11 @@ type Solution struct {
 	Basis *Basis
 	// Method reports which hybrid-engine path produced the result.
 	Method Method
+	// Kernel is the number of rows of the basis the factorization that proved
+	// the result had to eliminate: what singleton peeling left (see
+	// basisFactor). 0 when the basis was a permuted triangle, and on the
+	// exact-simplex paths, which factor nothing. Observational only.
+	Kernel int
 }
 
 // Value returns the primal value of column col.

@@ -3,7 +3,7 @@ package lp
 import (
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 )
 
 // stdForm is the standard equality form shared by every solver in this
@@ -114,11 +114,15 @@ func newStdForm(p *Problem) (*stdForm, error) {
 
 	one := big.NewRat(1, 1)
 	negOne := big.NewRat(-1, 1)
+	byCol := func(a, b Term) int { return a.Col - b.Col }
 	for i, r := range p.rows {
 		neg := r.RHS.Sign() < 0
-		terms := make([]Term, len(r.Terms))
-		copy(terms, r.Terms)
-		sort.Slice(terms, func(a, b int) bool { return terms[a].Col < terms[b].Col })
+		// Rows built in column order (the range LPs' are) are read in place.
+		terms := r.Terms
+		if !slices.IsSortedFunc(terms, byCol) {
+			terms = slices.Clone(terms)
+			slices.SortFunc(terms, byCol)
+		}
 		row := spVec{
 			ind: make([]int, 0, len(terms)+2),
 			val: make([]*big.Rat, 0, len(terms)+2),
@@ -165,8 +169,25 @@ func (sf *stdForm) columns() {
 	if sf.colRows != nil {
 		return
 	}
+	// Count first, so every column is cut at its final length from one
+	// backing array per view and the fill below appends in place.
+	counts := make([]int, sf.numCols)
+	nnz := 0
+	for i := range sf.rows {
+		for _, j := range sf.rows[i].ind {
+			counts[j]++
+		}
+		nnz += len(sf.rows[i].ind)
+	}
+	rows, vals := make([]int32, nnz), make([]*big.Rat, nnz)
 	sf.colRows = make([][]int32, sf.numCols)
 	sf.colVals = make([][]*big.Rat, sf.numCols)
+	off := 0
+	for j, c := range counts {
+		sf.colRows[j] = rows[off : off : off+c]
+		sf.colVals[j] = vals[off : off : off+c]
+		off += c
+	}
 	for i := range sf.rows {
 		row := &sf.rows[i]
 		for k, j := range row.ind {
@@ -210,7 +231,7 @@ func (sf *stdForm) validBasis(basis []int) bool {
 	if len(basis) != sf.m {
 		return false
 	}
-	seen := make(map[int]bool, len(basis))
+	seen := make([]bool, sf.numCols)
 	for _, c := range basis {
 		if c < 0 || c >= sf.numCols || seen[c] {
 			return false
