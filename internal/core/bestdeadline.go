@@ -37,9 +37,9 @@ func BestDeadline(inst *model.Instance, deadlines []*big.Rat, k int, mode schedu
 	if k < 0 || k >= inst.N() {
 		return nil, fmt.Errorf("core: job index %d out of range", k)
 	}
-	// A fixed window that is trivially impossible dooms every candidate F.
+	// A fixed window its job does not fit alone dooms every candidate F.
 	for j, d := range deadlines {
-		if j != k && d != nil && d.Cmp(inst.Jobs[j].Release) <= 0 {
+		if j != k && d != nil && d.Cmp(earliestEnd(inst, j, mode)) < 0 {
 			return nil, nil
 		}
 	}
@@ -68,7 +68,8 @@ func bestDeadlineSearch(inst *model.Instance, deadlines []*big.Rat, k int, mode 
 	// Milestones of this search: the values of F where d̄_k(F) = F crosses a
 	// constant epochal time τ, i.e. F = τ. F must exceed job k's release (a
 	// positive-cost job cannot finish at its release), so the candidate
-	// ranges partition (r_k, +∞).
+	// ranges partition (r_k, +∞); the floor is job k finishing alone,
+	// r_k + p_k.
 	rk := inst.Jobs[k].Release
 	var cross []*big.Rat
 	for _, f := range ep.times {
@@ -76,6 +77,6 @@ func bestDeadlineSearch(inst *model.Instance, deadlines []*big.Rat, k int, mode 
 			cross = append(cross, f.A)
 		}
 	}
-	return &rangeSearch{inst: inst, mode: mode, ep: ep,
-		ranges: rangesFrom(rk, sortDistinct(cross)), probe: (*rangeSearch).floatProbe}
+	return newRangeSearch(inst, mode, ep, rangesFrom(rk, sortDistinct(cross)),
+		earliestEnd(inst, k, mode), (*rangeSearch).floatProbe)
 }

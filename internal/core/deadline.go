@@ -24,10 +24,10 @@ func DeadlineFeasible(inst *model.Instance, deadlines []*big.Rat, mode schedule.
 	if len(deadlines) != inst.N() {
 		return false, nil, fmt.Errorf("core: %d deadlines for %d jobs", len(deadlines), inst.N())
 	}
-	// Reject trivially-impossible windows up front: with strictly positive
-	// costs a job cannot finish at or before its release date.
+	// Reject trivially-impossible windows up front: the answer the LP and
+	// its Farkas certificate would give, without the LP.
 	for j, d := range deadlines {
-		if d != nil && d.Cmp(inst.Jobs[j].Release) <= 0 {
+		if d != nil && d.Cmp(earliestEnd(inst, j, mode)) < 0 {
 			return false, nil, nil
 		}
 	}
@@ -68,14 +68,7 @@ func horizon(inst *model.Instance, deadlines []*big.Rat) *big.Rat {
 		}
 	}
 	for j := range inst.Jobs {
-		var best *big.Rat
-		for _, i := range inst.EligibleMachines(j) {
-			c, _ := inst.Cost(i, j)
-			if best == nil || c.Cmp(best) < 0 {
-				best = c
-			}
-		}
-		h.Add(h, best)
+		h.Add(h, soloTime(inst, j, schedule.Preemptive))
 	}
 	for _, d := range deadlines {
 		if d != nil && d.Cmp(h) > 0 {

@@ -14,6 +14,8 @@ type Estimate struct {
 	Objective float64
 	// NumMilestones mirrors Result; LPSolves counts the range LPs solved,
 	// all in float64 unless a probe stalled and the exact engine stood in.
+	// The probe that located the answer's range is also the answer, so an
+	// instance whose single-job bound falls in its optimal range costs one.
 	NumMilestones int
 	LPSolves      int
 }
@@ -33,11 +35,13 @@ func EstimateMinMaxWeightedFlow(inst *model.Instance, mode schedule.Model) (*Est
 		return nil, err
 	}
 	s := flowSearch(inst, releaseOrigins(inst), mode, (*rangeSearch).floatProbe)
-	k, err := s.locate()
+	k, sol, err := s.locate()
 	if err != nil {
 		return nil, err
 	}
-	sol := s.float(k)
+	if sol == nil { // range k was never probed: the last one, or an exact solve stood in
+		sol = s.float(k)
+	}
 	if sol == nil || sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("core: float range LP on %v did not reach an optimum", s.ranges[k])
 	}

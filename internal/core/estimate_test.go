@@ -30,6 +30,16 @@ func TestEstimateTracksExact(t *testing.T) {
 			t.Errorf("seed %d: milestone counts differ: %d vs %d",
 				seed, est.NumMilestones, exact.NumMilestones)
 		}
+		// The probe that located the range is the estimate; only the last
+		// range, which the search never probes, costs one more.
+		solves := exact.Probes
+		if exact.Range.Hi == nil {
+			solves++
+		}
+		if est.LPSolves != solves {
+			t.Errorf("seed %d: %d float LPs behind the estimate, want the search's %d probes and no second one of the range they found",
+				seed, est.LPSolves, solves)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -17,8 +18,8 @@ import (
 // (lp.Solution.Kernel) stay under 15 % of the rows factored (6 % measured on
 // the offline-exact benchmark). An LP shape that breaks this — more coupled
 // rows per job, say — shows here before it shows as a slower trajectory. The
-// searches themselves must not have moved: each instance still costs the
-// probes and exact solves recorded in parentCounts.
+// searches themselves must not have moved: each instance still costs the one
+// exact solve recorded in parentCounts, and no more probes (recordedCeiling).
 func TestVerifiedBasesAreNearlyTriangular(t *testing.T) {
 	kernel, rows, verified, other := 0, 0, 0, 0
 	solve := func(label string, rl *rangeLP) {
@@ -41,7 +42,7 @@ func TestVerifiedBasesAreNearlyTriangular(t *testing.T) {
 			solve(ps.label, ps.s.rangeLP(k))
 		}
 	}
-	n := 0
+	var counts recordedCeiling
 	for _, tc := range searchCases(t) {
 		for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
 			rl, _ := makespanLP(tc.inst, mode)
@@ -51,11 +52,7 @@ func TestVerifiedBasesAreNearlyTriangular(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := parentCounts[n]; opt.Probes != want[0] || opt.LPSolves != want[1] {
-				t.Errorf("%s, %v: %d probes and %d exact solves, recorded %d and %d",
-					tc.label, mode, opt.Probes, opt.LPSolves, want[0], want[1])
-			}
-			n++
+			counts.check(t, fmt.Sprintf("%s, %v", tc.label, mode), opt)
 			// Deadlines the optimal schedule meets with a fifth to spare, then
 			// ones only half its flow allows (mostly infeasible: the Farkas
 			// certificate factors a basis too).
@@ -72,6 +69,7 @@ func TestVerifiedBasesAreNearlyTriangular(t *testing.T) {
 			}
 		}
 	}
+	counts.done(t)
 	if verified < 200 || other > verified/10 {
 		t.Errorf("%d solves float-verified and %d settled otherwise; want the suite to exercise the factorization", verified, other)
 	}

@@ -26,8 +26,10 @@ type Result struct {
 	// LPSolves counts exact LP solves performed: one when the float probes
 	// located the optimal range, more when the search had to walk.
 	LPSolves int
-	// Probes counts the float range LPs that located that range
-	// (O(log NumMilestones)); none of them is part of the proof.
+	// Probes counts the float range LPs that located that range: one or
+	// none when it is the range of the single-job bound the search starts
+	// from (flowFloor), O(log NumMilestones) when the load pushes the
+	// optimum far above it; none of them is part of the proof.
 	Probes int
 	// Solver tallies the hybrid-engine paths those solves took.
 	Solver stats.SolverTally
@@ -53,8 +55,9 @@ type SolveOptions struct {
 // MinMaxWeightedFlow computes the exact optimal maximum weighted flow in the
 // divisible-load model (Theorem 2): milestones are enumerated, a binary
 // search locates the first milestone range on which LP (3) is feasible, and
-// the LP's minimal F on that range is the global optimum. The search probes
-// in float64 and certifies with one exact solve (see rangeSearch).
+// the LP's minimal F on that range is the global optimum. The search starts
+// from the single-job lower bound, probes in float64 and certifies with one
+// exact solve (see rangeSearch).
 func MinMaxWeightedFlow(inst *model.Instance) (*Result, error) {
 	return minMaxWeightedFlow(inst, nil, schedule.Divisible, nil, (*rangeSearch).floatProbe)
 }
@@ -128,6 +131,20 @@ func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.
 // the objective into, over the epochal times of LP (3) — every release date
 // and every deadline form d̄_j(F) = o_j + F/w_j.
 func flowSearch(inst *model.Instance, origins []*big.Rat, mode schedule.Model, probe probeFunc) *rangeSearch {
-	return &rangeSearch{inst: inst, mode: mode, ep: newEpochs(inst, flowDeadlines(inst, origins)),
-		ranges: ObjectiveRanges(milestonesWithOrigins(inst, origins)), probe: probe}
+	return newRangeSearch(inst, mode, newEpochs(inst, flowDeadlines(inst, origins)),
+		ObjectiveRanges(milestonesWithOrigins(inst, origins)), flowFloor(inst, origins, mode), probe)
+}
+
+// flowFloor is the single-job bound on the max weighted flow: the weighted
+// flow of the job that is worst off even alone, max_j w_j (r_j + p_j − o_j).
+func flowFloor(inst *model.Instance, origins []*big.Rat, mode schedule.Model) *big.Rat {
+	floor := new(big.Rat)
+	for j := range inst.Jobs {
+		f := earliestEnd(inst, j, mode)
+		f.Sub(f, origins[j])
+		if f.Mul(f, inst.Jobs[j].Weight).Cmp(floor) > 0 {
+			floor = f
+		}
+	}
+	return floor
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/big"
-	"sort"
+	"slices"
 
 	"divflow/internal/affine"
 	"divflow/internal/model"
@@ -61,7 +61,7 @@ func milestonesWithOrigins(inst *model.Instance, origins []*big.Rat) []*big.Rat 
 // sortDistinct sorts the values in increasing order and drops duplicates,
 // in place.
 func sortDistinct(vals []*big.Rat) []*big.Rat {
-	sort.Slice(vals, func(a, b int) bool { return vals[a].Cmp(vals[b]) < 0 })
+	slices.SortFunc(vals, (*big.Rat).Cmp)
 	out := vals[:0]
 	for _, v := range vals {
 		if len(out) == 0 || v.Cmp(out[len(out)-1]) != 0 {

@@ -11,10 +11,14 @@ import (
 	"divflow/internal/workload"
 )
 
-// probeSearch is one search whose every range the probe tests walk.
+// probeSearch is one search whose every range the probe tests walk; a
+// BestDeadline search comes with the job (k >= 0) and deadlines it was made
+// for.
 type probeSearch struct {
-	label string
-	s     *rangeSearch
+	label     string
+	s         *rangeSearch
+	k         int
+	deadlines []*big.Rat
 }
 
 // probeSearches lists the searches of the differential suite (unrelated,
@@ -27,7 +31,7 @@ func probeSearches(t *testing.T) []probeSearch {
 	for _, tc := range searchCases(t) {
 		for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
 			out = append(out, probeSearch{fmt.Sprintf("%s, %v", tc.label, mode),
-				flowSearch(tc.inst, tc.origins, mode, honestProbe)})
+				flowSearch(tc.inst, tc.origins, mode, honestProbe), -1, nil})
 		}
 	}
 	for seed := int64(0); seed < 6; seed++ {
@@ -55,7 +59,7 @@ func probeSearches(t *testing.T) []probeSearch {
 		}
 		for k := range inst.Jobs {
 			out = append(out, probeSearch{fmt.Sprintf("best deadline seed %d job %d, %v", seed, k, mode),
-				bestDeadlineSearch(inst, deadlines, k, mode)})
+				bestDeadlineSearch(inst, deadlines, k, mode), k, deadlines})
 		}
 	}
 	return out
@@ -80,11 +84,37 @@ var parentCounts = [][2]int{
 	{3, 1}, {3, 1}, {2, 1}, {2, 1}, // seed 9, its residual
 }
 
+// recordedCeiling holds a run of the suite to parentCounts, which the search
+// that bisected from the middle produced: one exact solve as recorded, never
+// more probes than recorded on any instance, and — the search now starting
+// at its floor — at most half of them over the suite.
+type recordedCeiling struct{ n, probes, recorded int }
+
+func (c *recordedCeiling) check(t *testing.T, label string, got *Result) {
+	t.Helper()
+	want := parentCounts[c.n]
+	if got.Probes > want[0] || got.LPSolves != want[1] {
+		t.Errorf("%s: %d probes and %d exact solves, recorded %d and %d",
+			label, got.Probes, got.LPSolves, want[0], want[1])
+	}
+	c.n++
+	c.probes += got.Probes
+	c.recorded += want[0]
+}
+
+func (c *recordedCeiling) done(t *testing.T) {
+	t.Helper()
+	if c.n != len(parentCounts) || 2*c.probes > c.recorded {
+		t.Errorf("%d probes over %d searches, want at most half of the %d recorded over %d",
+			c.probes, c.n, c.recorded, len(parentCounts))
+	}
+}
+
 // TestProbeAgreesWithExact holds the honest probe to the proof, range by
 // range: on every range of every search its status is the feasibility the
 // exact solve reports and, where feasible, its objective Lo + F′ is the exact
-// minimum to float tolerance. Agreeing everywhere, it costs each instance
-// exactly the probes and exact solves its predecessor did.
+// minimum to float tolerance. Agreeing everywhere, it costs each instance one
+// exact solve and no more probes than recorded (recordedCeiling).
 func TestProbeAgreesWithExact(t *testing.T) {
 	for _, ps := range probeSearches(t) {
 		for k, rg := range ps.s.ranges {
@@ -108,20 +138,17 @@ func TestProbeAgreesWithExact(t *testing.T) {
 			}
 		}
 	}
-	n := 0
+	var counts recordedCeiling
 	for _, tc := range searchCases(t) {
 		for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
 			got, err := minMaxWeightedFlow(tc.inst, tc.origins, mode, nil, honestProbe)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := parentCounts[n]; got.Probes != want[0] || got.LPSolves != want[1] {
-				t.Errorf("%s, %v: %d probes and %d exact solves, the parent's probe took %d and %d",
-					tc.label, mode, got.Probes, got.LPSolves, want[0], want[1])
-			}
-			n++
+			counts.check(t, fmt.Sprintf("%s, %v", tc.label, mode), got)
 		}
 	}
+	counts.done(t)
 }
 
 // TestProbeFillNegatesNoRow is the invariant the shifted objective rests on,

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/big"
+	"sort"
+
 	"divflow/internal/affine"
 	"divflow/internal/lp"
 	"divflow/internal/model"
@@ -10,8 +13,14 @@ import (
 
 // rangeSearch finds the leftmost feasible range of a sequence of objective
 // ranges over which feasibility is monotone (a feasible F makes every
-// F' >= F feasible): the binary search of Theorem 2, shared by every solver
-// that minimizes an objective the epochal order depends on.
+// F' >= F feasible): the search of Theorem 2, shared by every solver that
+// minimizes an objective the epochal order depends on.
+//
+// It starts from a floor, an exact lower bound on the objective that costs no
+// LP (earliestEnd: a job alone on the platform). Every range that ends below
+// the floor is infeasible by that bound, so the search opens on the leftmost
+// range that reaches it — lo starts there — and unless the platform is
+// saturated that is usually the optimal range itself.
 //
 // It locates with float probes and proves with one exact solve. A range LP
 // on [F_k, F_{k+1}] whose exact minimum lies strictly above F_k is by itself
@@ -36,8 +45,48 @@ type rangeSearch struct {
 	probes int               // float solves
 	solves int               // exact solves
 	// lo is the proven lower end: every range below it is exactly
-	// infeasible.
+	// infeasible — by the floor to begin with, by exact solves after.
 	lo int
+}
+
+// newRangeSearch opens a search at floor, a value no feasible objective is
+// below: on the leftmost range whose upper end reaches it (of the two ranges a
+// milestone is in, the lower), the last range if none does.
+func newRangeSearch(inst *model.Instance, mode schedule.Model, ep epochs, ranges []affine.Range, floor *big.Rat, probe probeFunc) *rangeSearch {
+	seed := sort.Search(len(ranges)-1, func(k int) bool { return ranges[k].Hi.Cmp(floor) >= 0 })
+	return &rangeSearch{inst: inst, mode: mode, ep: ep, ranges: ranges, probe: probe, lo: seed}
+}
+
+// soloTime is p_j, the least time job j takes with the platform to itself:
+// 1/Σ_i 1/c_{i,j} spread over every machine that can run it (divisible),
+// min_i c_{i,j} when it may not run on two at once (preemptive). The range LP
+// cannot do better — its capacity rows give job j at most (d̄_j − r_j)/c_{i,j}
+// of itself on machine i, (5b) at most d̄_j − r_j of machine time in all.
+func soloTime(inst *model.Instance, j int, mode schedule.Model) *big.Rat {
+	p, inv := new(big.Rat), new(big.Rat)
+	for i := 0; i < inst.M(); i++ {
+		c, ok := inst.Cost(i, j)
+		if !ok {
+			continue
+		}
+		if mode == schedule.Divisible {
+			p.Add(p, inv.Inv(c))
+		} else if p.Sign() == 0 || c.Cmp(p) < 0 {
+			p.Set(c)
+		}
+	}
+	if mode == schedule.Divisible {
+		p.Inv(p)
+	}
+	return p
+}
+
+// earliestEnd is r_j + p_j: no schedule, and no solution of a range LP,
+// completes job j sooner. Every search's floor is made of it, and a deadline
+// below it is infeasible whatever else runs.
+func earliestEnd(inst *model.Instance, j int, mode schedule.Model) *big.Rat {
+	p := soloTime(inst, j, mode)
+	return p.Add(p, inst.Jobs[j].Release)
 }
 
 // probeFunc answers "is the LP of range k feasible?" approximately: an error,
@@ -88,30 +137,46 @@ func (s *rangeSearch) float(k int) *lp.FloatSolution {
 	return sol
 }
 
-// locate bisects the ranges with float probes and returns the candidate for
-// the leftmost feasible one. A probe that cannot tell is replaced, for that
-// step, by the exact solve.
-func (s *rangeSearch) locate() (int, error) {
-	lo, hi := 0, len(s.ranges)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		var feasible bool
-		if fs := s.float(mid); fs != nil {
-			feasible = fs.Status == lp.Optimal
-		} else {
-			_, sol, err := s.exact(mid)
+// locate returns the candidate for the leftmost feasible range: seed, gallop,
+// bisect. It asks about the range the floor picked and, while the answer is
+// "infeasible", about the ranges 1, 2, 4, … further right, then bisects what
+// lies between the last "infeasible" and the first "feasible". The last range
+// is assumed feasible and never asked about. A float probe answers; one that
+// cannot tell is replaced, for that step, by the exact solve. With the
+// candidate comes the probe solution that called it feasible — nil when none
+// did (the last range, an exact solve standing in).
+func (s *rangeSearch) locate() (int, *lp.FloatSolution, error) {
+	lo, hi := s.lo, len(s.ranges)-1
+	var at *lp.FloatSolution // the probe that made hi the upper end
+	ask := func(k int) error {
+		fs := s.float(k)
+		feasible := fs != nil && fs.Status == lp.Optimal
+		if fs == nil {
+			_, sol, err := s.exact(k)
 			if err != nil {
-				return 0, err
+				return err
 			}
 			feasible = sol != nil
 		}
 		if feasible {
-			hi = mid
+			hi, at = k, fs
 		} else {
-			lo = mid + 1
+			lo = k + 1
+		}
+		return nil
+	}
+	// A "feasible" at k makes hi = k, which the next k is past.
+	for k, step := lo, 1; k < hi; k, step = k+step, 2*step {
+		if err := ask(k); err != nil {
+			return 0, nil, err
 		}
 	}
-	return lo, nil
+	for lo < hi {
+		if err := ask(lo + (hi-lo)/2); err != nil {
+			return 0, nil, err
+		}
+	}
+	return lo, at, nil
 }
 
 // certify proves the leftmost feasible range, starting from the candidate k,
@@ -144,7 +209,7 @@ func (s *rangeSearch) certify(k int) (int, *rangeLP, *rangeSolution, error) {
 
 // leftmost locates, then certifies.
 func (s *rangeSearch) leftmost() (int, *rangeLP, *rangeSolution, error) {
-	k, err := s.locate()
+	k, _, err := s.locate()
 	if err != nil {
 		return 0, nil, nil, err
 	}

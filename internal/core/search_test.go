@@ -172,7 +172,9 @@ func searchCases(t *testing.T) []searchCase {
 // random instances and both execution models, the locate-then-certify search
 // returns what the all-exact bisection returns, bit for bit, under every
 // probe — and the honest probe never costs more exact solves than the
-// reference spent.
+// reference spent. The search starts at its floor, not in the middle, so a
+// probe that never answers costs it one exact solve per question it asked,
+// not the reference's count.
 func TestRangeSearchMatchesReference(t *testing.T) {
 	probes := []struct {
 		name  string
@@ -200,9 +202,10 @@ func TestRangeSearchMatchesReference(t *testing.T) {
 						t.Errorf("%s: %d exact solves behind a probe that is never wrong", label, got.LPSolves)
 					}
 				case "stalled":
-					if got.Probes == 0 || got.LPSolves != want.solves {
-						t.Errorf("%s: %d probes, %d exact solves; want the reference's %d solves, one per unanswered probe plus the proof",
-							label, got.Probes, got.LPSolves, want.solves)
+					// The stand-ins locate exactly, so the proof is one solve.
+					if got.LPSolves != got.Probes+1 {
+						t.Errorf("%s: %d probes, %d exact solves; want one per unanswered probe plus the proof",
+							label, got.Probes, got.LPSolves)
 					}
 				}
 			}
@@ -280,6 +283,223 @@ func TestRangeSearchOptimumOnMilestone(t *testing.T) {
 		if k != want.k || sol.F.Cmp(fstar) != 0 || s.solves != 2 {
 			t.Errorf("certify from the range above the milestone: range %d, F = %v after %d solves; want range %d, %v, 2",
 				k, sol.F, s.solves, want.k, fstar)
+		}
+	}
+}
+
+// seededSearch is the flow search of tc opened at the given floor instead of
+// flowFloor's; any value up to the optimum is a floor.
+func seededSearch(tc searchCase, mode schedule.Model, floor *big.Rat, probe probeFunc) *rangeSearch {
+	return newRangeSearch(tc.inst, mode, newEpochs(tc.inst, flowDeadlines(tc.inst, tc.origins)),
+		ObjectiveRanges(milestonesWithOrigins(tc.inst, tc.origins)), floor, probe)
+}
+
+// TestRangeSearchSeedEdges walks the places a floor can fall: on a milestone
+// (the range below it, the leftmost the reference bisection reports), inside
+// range 0, inside the optimal range, above every milestone, and in a search
+// with one range — then hands the seed to probes that lie. Whatever the seed
+// and whatever the probes say, the search ends on the reference's range with
+// its optimum and basis.
+func TestRangeSearchSeedEdges(t *testing.T) {
+	run := func(label string, s *rangeSearch, want referenceResult) {
+		t.Helper()
+		k, _, sol, err := s.leftmost()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if sol == nil || k != want.k || sol.F.Cmp(want.sol.F) != 0 || !reflect.DeepEqual(sol.basis, want.sol.basis) {
+			t.Fatalf("%s: ended on range %d with %+v, reference range %d with F = %v", label, k, sol, want.k, want.sol.F)
+		}
+	}
+	// An instance whose optimum has ranges to cross on either side.
+	var tc searchCase
+	var want referenceResult
+	var ranges []affine.Range
+	for _, c := range searchCases(t) {
+		w := referenceMWF(t, c.inst, c.origins, schedule.Divisible, nil)
+		if rgs := ObjectiveRanges(milestonesWithOrigins(c.inst, c.origins)); w.k >= 3 && w.k+3 < len(rgs) {
+			tc, want, ranges = c, w, rgs
+			break
+		}
+	}
+	if tc.inst == nil {
+		t.Fatal("no instance of the suite has its optimum three ranges from either end")
+	}
+	last := len(ranges) - 1
+
+	for k := 0; k < want.k; k++ {
+		// On milestone F_{k+1}, the upper end of range k and the lower of k+1.
+		if s := seededSearch(tc, schedule.Divisible, ranges[k].Hi, honestProbe); s.lo != k {
+			t.Errorf("floor on the upper end of range %d seeds range %d", k, s.lo)
+		}
+		// Strictly inside range k.
+		if s := seededSearch(tc, schedule.Divisible, ranges[k].Interior(), honestProbe); s.lo != k {
+			t.Errorf("floor inside range %d seeds range %d", k, s.lo)
+		}
+	}
+	s := seededSearch(tc, schedule.Divisible, new(big.Rat), honestProbe)
+	run("floor 0", s, want)
+	if s.probes == 0 || s.solves != 1 {
+		t.Errorf("floor 0: %d probes and %d exact solves, want a gallop from range 0 and one proof", s.probes, s.solves)
+	}
+	s = seededSearch(tc, schedule.Divisible, want.sol.F, honestProbe)
+	run("floor at the optimum", s, want)
+	if s.probes != 1 || s.solves != 1 {
+		t.Errorf("floor at the optimum: %d probes and %d exact solves, want 1 and 1", s.probes, s.solves)
+	}
+
+	// A probe that lies "feasible" at the seed, far below the optimum:
+	// certify walks right. One that lies "infeasible" from a seed on the
+	// optimal range all the way up: the gallop runs off the end, the
+	// bisection too, and certify walks left from the last range.
+	s = seededSearch(tc, schedule.Divisible, new(big.Rat), lyingProbe)
+	run("lying feasible at the seed", s, want)
+	if s.probes != 1 || s.solves != want.k+1 {
+		t.Errorf("lying feasible at the seed: %d probes and %d exact solves, want 1 and the %d-range walk", s.probes, s.solves, want.k+1)
+	}
+	s = seededSearch(tc, schedule.Divisible, want.sol.F, lyingProbe)
+	run("lying infeasible all the way up", s, want)
+	if s.solves != last-want.k+1 {
+		t.Errorf("lying infeasible all the way up: %d exact solves, want the walk down from range %d to %d", s.solves, last, want.k)
+	}
+
+	// Above every milestone: on one unit machine A (size 10) alone needs
+	// F = 10, and the one milestone is where d̄_A crosses r_B = 1.
+	inst := oneMachine(t, []model.Job{
+		{Name: "A", Release: r(0, 1), Weight: r(1, 1), Size: r(10, 1)},
+		{Name: "B", Release: r(1, 1), Weight: r(1, 1), Size: r(1, 1)},
+	})
+	above := searchCase{"floor above every milestone", inst, releaseOrigins(inst)}
+	// One range: a job alone, whose floor is its optimum.
+	inst = oneMachine(t, []model.Job{{Name: "J", Release: r(2, 1), Weight: r(3, 1), Size: r(5, 1)}})
+	single := searchCase{"a single range", inst, releaseOrigins(inst)}
+	for _, c := range []searchCase{above, single} {
+		want := referenceMWF(t, c.inst, c.origins, schedule.Divisible, nil)
+		for _, probe := range []probeFunc{honestProbe, lyingProbe, stalledProbe} {
+			s := flowSearch(c.inst, c.origins, schedule.Divisible, probe)
+			run(c.label, s, want)
+			if last := len(s.ranges) - 1; want.k != last || s.lo != last || s.probes != 0 || s.solves != 1 {
+				t.Errorf("%s: seeded range %d of %d, %d probes, %d exact solves; want the last range, no probe, one solve",
+					c.label, s.lo, len(s.ranges), s.probes, s.solves)
+			}
+		}
+	}
+}
+
+// TestFloorIsALowerBound holds the single-job bounds to the optima they seed
+// the searches below, over big.Rat: flowFloor never exceeds the exact optimal
+// max weighted flow (so the seeded range is never right of the optimal one),
+// earliestEnd never the exact counter-offer, in both execution models and
+// with flow origins before the releases — and both are tight for a job alone.
+func TestFloorIsALowerBound(t *testing.T) {
+	modes := []schedule.Model{schedule.Divisible, schedule.Preemptive}
+	tight := 0
+	for _, tc := range searchCases(t) {
+		for _, mode := range modes {
+			want := referenceMWF(t, tc.inst, tc.origins, mode, nil)
+			floor := flowFloor(tc.inst, tc.origins, mode)
+			switch floor.Cmp(want.sol.F) {
+			case 1:
+				t.Errorf("%s, %v: floor %v above the optimum %v", tc.label, mode, floor, want.sol.F)
+			case 0:
+				tight++
+			}
+			if s := flowSearch(tc.inst, tc.origins, mode, honestProbe); s.lo > want.k {
+				t.Errorf("%s, %v: seeded range %d, right of the optimal range %d", tc.label, mode, s.lo, want.k)
+			}
+		}
+	}
+	if tight == 0 {
+		t.Error("no instance of the suite has its optimum on its floor")
+	}
+	for _, ps := range probeSearches(t) {
+		if ps.k < 0 {
+			continue
+		}
+		best, err := BestDeadline(ps.s.inst, ps.deadlines, ps.k, ps.s.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if floor := earliestEnd(ps.s.inst, ps.k, ps.s.mode); best == nil || floor.Cmp(best) > 0 {
+			t.Errorf("%s: floor %v above the counter-offer %v", ps.label, floor, best)
+		}
+	}
+
+	// One job on machines of cost 2 and 6, released at 4, flowing since 1,
+	// weight 3: alone it ends at 4 + 3/2 spread over both, at 4 + 2 on the
+	// faster one, and nothing delays it.
+	inst, err := model.NewUnrelated([]model.Job{{Name: "J", Release: r(4, 1), Weight: r(3, 1)}},
+		[]model.Machine{{Name: "a"}, {Name: "b"}}, [][]*big.Rat{{r(2, 1)}, {r(6, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	origins := []*big.Rat{r(1, 1)}
+	for mode, end := range map[schedule.Model]*big.Rat{schedule.Divisible: r(11, 2), schedule.Preemptive: r(6, 1)} {
+		if got := earliestEnd(inst, 0, mode); got.Cmp(end) != 0 {
+			t.Errorf("%v: job alone ends at %v, want %v", mode, got, end)
+		}
+		flow := new(big.Rat).Sub(end, origins[0])
+		flow.Mul(flow, inst.Jobs[0].Weight)
+		got, err := minMaxWeightedFlow(inst, origins, mode, nil, honestProbe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if floor := flowFloor(inst, origins, mode); floor.Cmp(flow) != 0 || got.Objective.Cmp(flow) != 0 {
+			t.Errorf("%v: floor %v and optimum %v, want both %v", mode, floor, got.Objective, flow)
+		}
+		best, err := BestDeadline(inst, []*big.Rat{nil}, 0, mode)
+		if err != nil || best == nil || best.Cmp(end) != 0 {
+			t.Errorf("%v: counter-offer %v (err %v), want the floor %v", mode, best, err, end)
+		}
+	}
+}
+
+// TestTrivialWindowsRejectedAsTheLPWould pins the early rejection to the
+// answer it replaces: a deadline below r_j + p_j is refused without an LP, and
+// on both sides of that boundary the refusal agrees with the range LP solved
+// regardless (deadlineLP, which DeadlineFeasible reaches only past the
+// shortcut) — d = r + p is feasible for a lone job, d = r + p − ε is not, in
+// both models; BestDeadline gives the same verdict on a fixed window.
+func TestTrivialWindowsRejectedAsTheLPWould(t *testing.T) {
+	// Job K, released long after J's window, rides along so that BestDeadline
+	// has a job to make an offer to.
+	inst, err := model.NewUnrelated(
+		[]model.Job{{Name: "J", Release: r(4, 1), Weight: r(1, 1)}, {Name: "K", Release: r(20, 1), Weight: r(1, 1)}},
+		[]model.Machine{{Name: "a"}, {Name: "b"}}, [][]*big.Rat{{r(2, 1), r(1, 1)}, {r(6, 1), r(1, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := r(1, 1000)
+	for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
+		end := earliestEnd(inst, 0, mode)
+		for _, tc := range []struct {
+			d    *big.Rat
+			want bool
+		}{
+			{end, true},
+			{new(big.Rat).Add(end, eps), true},
+			{new(big.Rat).Sub(end, eps), false},
+			{new(big.Rat).Add(inst.Jobs[0].Release, eps), false},
+		} {
+			dls := []*big.Rat{tc.d, nil}
+			sol, err := deadlineLP(inst, dls, mode).solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ok, _, err := DeadlineFeasible(inst, dls, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != tc.want || (sol != nil) != tc.want {
+				t.Errorf("%v, deadline %v: DeadlineFeasible %v, the LP alone %v, want %v", mode, tc.d, ok, sol != nil, tc.want)
+			}
+			offer, err := BestDeadline(inst, dls, 1, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (offer != nil) != tc.want {
+				t.Errorf("%v, J due at %v: counter-offer for K %v, want one iff J's window is feasible", mode, tc.d, offer)
+			}
 		}
 	}
 }
