@@ -48,7 +48,7 @@ func TestVerifiedBasesAreNearlyTriangular(t *testing.T) {
 			rl, _ := makespanLP(tc.inst, mode)
 			solve(tc.label+" makespan", rl)
 
-			opt, err := minMaxWeightedFlow(tc.inst, tc.origins, mode, nil, honestProbe)
+			opt, err := minMaxWeightedFlow(tc.inst, tc.origins, mode, honestProbe)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"divflow/internal/affine"
-	"divflow/internal/lp"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 	"divflow/internal/stats"
@@ -29,27 +28,16 @@ type Result struct {
 	// Probes counts the float range LPs that located that range: one or
 	// none when it is the range of the single-job bound the search starts
 	// from (flowFloor), O(log NumMilestones) when the load pushes the
-	// optimum far above it; none of them is part of the proof.
+	// optimum far above it; a probe's answer is never trusted, its basis is
+	// verified exactly.
 	Probes int
 	// Solver tallies the hybrid-engine paths those solves took.
 	Solver stats.SolverTally
-	// Basis is the optimal basis of the final range LP; re-solvers of
-	// perturbed instances (the online adaptation) pass it back through
-	// SolveOptions.Warm to start from it instead of from scratch.
-	Basis *lp.Basis
 	// Wall is the wall-clock duration of the whole solve (milestone
 	// enumeration through schedule extraction): the per-solve latency the
 	// telemetry layer exports, timed here so every caller measures the same
 	// span.
 	Wall time.Duration
-}
-
-// SolveOptions tunes the exact solvers without changing their results.
-type SolveOptions struct {
-	// Warm is the optimal basis of a previous, similarly-shaped solve. A
-	// compatible basis lets every range LP try an exact warm start; stale
-	// or mismatched bases are verified away, never trusted.
-	Warm *lp.Basis
 }
 
 // MinMaxWeightedFlow computes the exact optimal maximum weighted flow in the
@@ -59,7 +47,7 @@ type SolveOptions struct {
 // from the single-job lower bound, probes in float64 and certifies with one
 // exact solve (see rangeSearch).
 func MinMaxWeightedFlow(inst *model.Instance) (*Result, error) {
-	return minMaxWeightedFlow(inst, nil, schedule.Divisible, nil, (*rangeSearch).floatProbe)
+	return minMaxWeightedFlow(inst, nil, schedule.Divisible, (*rangeSearch).floatProbe)
 }
 
 // MinMaxWeightedFlowPreemptive computes the exact optimal maximum weighted
@@ -67,18 +55,18 @@ func MinMaxWeightedFlow(inst *model.Instance) (*Result, error) {
 // LP gains the per-job per-interval bound (5b), and the schedule is rebuilt
 // with the Lawler–Labetoulle decomposition.
 func MinMaxWeightedFlowPreemptive(inst *model.Instance) (*Result, error) {
-	return minMaxWeightedFlow(inst, nil, schedule.Preemptive, nil, (*rangeSearch).floatProbe)
+	return minMaxWeightedFlow(inst, nil, schedule.Preemptive, (*rangeSearch).floatProbe)
 }
 
-// MinMaxWeightedFlowWithOptions solves the same problem with each job's
-// flow measured from origins[j] instead of its release date: the objective
+// MinMaxWeightedFlowFrom solves the same problem with each job's flow
+// measured from origins[j] instead of its release date: the objective
 // is max_j w_j (C_j − o_j), with o_j <= r_j. This is the primitive behind
 // the online adaptation sketched in the paper's conclusion: at every event
 // the scheduler re-solves the offline problem on the residual work, with
-// origins remembering how long each job has already been in the system.
-// opts (nil for none) carries solver options — warm-start basis reuse; the
-// result is identical for any options.
-func MinMaxWeightedFlowWithOptions(inst *model.Instance, origins []*big.Rat, mode schedule.Model, opts *SolveOptions) (*Result, error) {
+// origins remembering how long each job has already been in the system. The
+// result is a function of the arguments alone: nothing is carried from one
+// call to the next.
+func MinMaxWeightedFlowFrom(inst *model.Instance, origins []*big.Rat, mode schedule.Model) (*Result, error) {
 	if len(origins) != inst.N() {
 		return nil, fmt.Errorf("core: %d origins for %d jobs", len(origins), inst.N())
 	}
@@ -87,10 +75,10 @@ func MinMaxWeightedFlowWithOptions(inst *model.Instance, origins []*big.Rat, mod
 			return nil, fmt.Errorf("core: origin of job %d must exist and precede its release", j)
 		}
 	}
-	return minMaxWeightedFlow(inst, origins, mode, opts, (*rangeSearch).floatProbe)
+	return minMaxWeightedFlow(inst, origins, mode, (*rangeSearch).floatProbe)
 }
 
-func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.Model, opts *SolveOptions, probe probeFunc) (*Result, error) {
+func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.Model, probe probeFunc) (*Result, error) {
 	start := nowFunc()
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -99,9 +87,6 @@ func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.
 		origins = releaseOrigins(inst)
 	}
 	s := flowSearch(inst, origins, mode, probe)
-	if opts != nil {
-		s.warm = opts.Warm
-	}
 	// The last range is always feasible: every job can run somewhere.
 	k, rl, sol, err := s.leftmost()
 	if err != nil {
@@ -122,7 +107,6 @@ func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.
 		LPSolves:      s.solves,
 		Probes:        s.probes,
 		Solver:        s.tally,
-		Basis:         sol.basis,
 		Wall:          nowFunc().Sub(start),
 	}, nil
 }

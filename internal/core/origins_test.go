@@ -10,13 +10,13 @@ import (
 
 func TestOriginsValidation(t *testing.T) {
 	inst := oneMachine(t, []model.Job{{Name: "J", Release: r(5, 1), Weight: r(1, 1), Size: r(2, 1)}})
-	if _, err := MinMaxWeightedFlowWithOptions(inst, nil, schedule.Divisible, nil); err == nil {
+	if _, err := MinMaxWeightedFlowFrom(inst, nil, schedule.Divisible); err == nil {
 		t.Error("wrong origin count must error")
 	}
-	if _, err := MinMaxWeightedFlowWithOptions(inst, []*big.Rat{nil}, schedule.Divisible, nil); err == nil {
+	if _, err := MinMaxWeightedFlowFrom(inst, []*big.Rat{nil}, schedule.Divisible); err == nil {
 		t.Error("nil origin must error")
 	}
-	if _, err := MinMaxWeightedFlowWithOptions(inst, []*big.Rat{r(6, 1)}, schedule.Divisible, nil); err == nil {
+	if _, err := MinMaxWeightedFlowFrom(inst, []*big.Rat{r(6, 1)}, schedule.Divisible); err == nil {
 		t.Error("origin after release must error")
 	}
 }
@@ -31,7 +31,7 @@ func TestOriginsEqualReleasesMatchPlainSolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	origins := []*big.Rat{r(0, 1), r(1, 1)}
-	withO, err := MinMaxWeightedFlowWithOptions(inst, origins, schedule.Divisible, nil)
+	withO, err := MinMaxWeightedFlowFrom(inst, origins, schedule.Divisible)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestEarlierOriginsRaiseObjective(t *testing.T) {
 	if plain.Objective.Cmp(r(6, 1)) != 0 {
 		t.Fatalf("plain objective = %v, want 6", plain.Objective)
 	}
-	res, err := MinMaxWeightedFlowWithOptions(inst, []*big.Rat{r(0, 1)}, schedule.Divisible, nil)
+	res, err := MinMaxWeightedFlowFrom(inst, []*big.Rat{r(0, 1)}, schedule.Divisible)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestOriginsSingleJobMilestone(t *testing.T) {
 	if len(ms) != 1 || ms[0].Cmp(r(7, 1)) != 0 {
 		t.Fatalf("milestones = %v, want [7]", ms)
 	}
-	res, err := MinMaxWeightedFlowWithOptions(inst, []*big.Rat{r(0, 1)}, schedule.Divisible, nil)
+	res, err := MinMaxWeightedFlowFrom(inst, []*big.Rat{r(0, 1)}, schedule.Divisible)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestOriginsPreemptiveMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	origins := []*big.Rat{r(0, 1), r(2, 1)}
-	res, err := MinMaxWeightedFlowWithOptions(inst, origins, schedule.Preemptive, nil)
+	res, err := MinMaxWeightedFlowFrom(inst, origins, schedule.Preemptive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func probeSearches(t *testing.T) []probeSearch {
 		if seed%3 == 2 {
 			mode = schedule.Preemptive
 		}
-		opt, err := minMaxWeightedFlow(inst, nil, mode, nil, honestProbe)
+		opt, err := minMaxWeightedFlow(inst, nil, mode, honestProbe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,35 +113,61 @@ func (c *recordedCeiling) done(t *testing.T) {
 // TestProbeAgreesWithExact holds the honest probe to the proof, range by
 // range: on every range of every search its status is the feasibility the
 // exact solve reports and, where feasible, its objective Lo + F′ is the exact
-// minimum to float tolerance. Agreeing everywhere, it costs each instance one
-// exact solve and no more probes than recorded (recordedCeiling).
+// minimum to float tolerance and the basis it ended on is the exact optimum's
+// — handed that basis, the exact solve verifies it with no pivot and no float
+// pass (lp.MethodWarmVerified) and returns the X, F′ included, the solve handed
+// nothing returns. A basis is only tried when row count, column count and
+// first artificial agree, so a hit on every feasible range also says the exact
+// fill writes the probe's LP: no >= row, no row negated. Agreeing everywhere,
+// the probe costs each instance one exact solve and no more probes than
+// recorded (recordedCeiling).
 func TestProbeAgreesWithExact(t *testing.T) {
+	verified := 0
 	for _, ps := range probeSearches(t) {
 		for k, rg := range ps.s.ranges {
 			fs := ps.s.float(k)
 			if fs == nil {
 				t.Fatalf("%s, range %d %v: the probe could not tell", ps.label, k, rg)
 			}
-			sol, err := ps.s.rangeLP(k).solve()
+			rl := ps.s.rangeLP(k)
+			rl.build()
+			cold, err := lp.SolveHybrid(rl.prob)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if feasible := fs.Status == lp.Optimal; feasible != (sol != nil) {
-				t.Fatalf("%s, range %d %v: probe says %v, the exact solve feasible=%v", ps.label, k, rg, fs.Status, sol != nil)
-			}
-			if sol == nil {
+			if feasible := cold.Status == lp.Optimal; feasible != (fs.Status == lp.Optimal) {
+				t.Fatalf("%s, range %d %v: probe says %v, the exact solve %v", ps.label, k, rg, fs.Status, cold.Status)
+			} else if !feasible {
 				continue
 			}
-			want, _ := sol.F.Float64()
+			want, _ := new(big.Rat).Add(rg.Lo, cold.X[fCol]).Float64()
 			if math.Abs(fs.Objective-want) > 1e-6*math.Abs(want) {
 				t.Errorf("%s, range %d %v: probe minimum %v, exact %v", ps.label, k, rg, fs.Objective, want)
 			}
+			handed, err := lp.SolveHybridWarm(rl.prob, fs.Basis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if handed.Method != lp.MethodWarmVerified {
+				t.Fatalf("%s, range %d %v: the probe's basis settled the exact solve as %v", ps.label, k, rg, handed.Method)
+			}
+			verified++
+			for c, x := range handed.X {
+				if x.Cmp(cold.X[c]) != 0 {
+					t.Fatalf("%s, range %d %v: column %d is %v from the probe's basis, %v from the engine's own pass",
+						ps.label, k, rg, c, x, cold.X[c])
+				}
+			}
 		}
+	}
+	t.Logf("%d feasible ranges settled from their probe's basis", verified)
+	if verified < 200 {
+		t.Errorf("%d feasible ranges verified from their probe's basis, want the suite's two hundred and more", verified)
 	}
 	var counts recordedCeiling
 	for _, tc := range searchCases(t) {
 		for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
-			got, err := minMaxWeightedFlow(tc.inst, tc.origins, mode, nil, honestProbe)
+			got, err := minMaxWeightedFlow(tc.inst, tc.origins, mode, honestProbe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,11 +178,13 @@ func TestProbeAgreesWithExact(t *testing.T) {
 }
 
 // TestProbeFillNegatesNoRow is the invariant the shifted objective rests on,
-// exactly: every interval's length at the range's lower end is >= 0 over
-// big.Rat (zero where intervals collapse on a milestone), so every capacity
-// row keeps its <= and its slack, the filled tableau's artificials are the n
-// completion rows' and no others, in both modes — and a range with no upper
-// end has no row bounding F′.
+// exactly: every interval's length at the range's lower end — the right-hand
+// side both fills write — is >= 0 over big.Rat (zero where intervals collapse
+// on a milestone), so every capacity row keeps its <= and its slack, the
+// filled tableau's artificials are the n completion rows' and no others, in
+// both modes — and a range with no upper end has no row bounding F′. The exact
+// fill has the same rows, infeasible ranges included (where it is feasible,
+// TestProbeAgreesWithExact holds the two to the same basis).
 func TestProbeFillNegatesNoRow(t *testing.T) {
 	collapsed, unbounded := 0, 0
 	for _, ps := range probeSearches(t) {
@@ -183,6 +211,10 @@ func TestProbeFillNegatesNoRow(t *testing.T) {
 			}
 			if len(buf.senses) != wantRows {
 				t.Errorf("%s, range %d %v: %d tableau rows for %d layout rows", ps.label, k, rg, len(buf.senses), len(rl.rows))
+			}
+			if rl.build(); rl.prob.NumRows() != wantRows || rl.prob.NumVars() != rl.numVars {
+				t.Errorf("%s, range %d %v: the exact fill has %d rows over %d columns, the probe's %d over %d",
+					ps.label, k, rg, rl.prob.NumRows(), rl.prob.NumVars(), wantRows, rl.numVars)
 			}
 		}
 	}
@@ -212,11 +244,11 @@ func TestProbeMagnitudesFloat64CannotHold(t *testing.T) {
 		huge.Jobs[j].Weight = new(big.Rat).Mul(huge.Jobs[j].Weight, scale)
 	}
 	for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
-		want, err := minMaxWeightedFlow(inst, nil, mode, nil, honestProbe)
+		want, err := minMaxWeightedFlow(inst, nil, mode, honestProbe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := minMaxWeightedFlow(huge, nil, mode, nil, honestProbe)
+		got, err := minMaxWeightedFlow(huge, nil, mode, honestProbe)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

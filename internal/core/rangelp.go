@@ -40,12 +40,13 @@ import (
 // (released at or before inf I_t and, when it has a deadline, due at or
 // after sup I_t) and the machine is eligible (finite c_{i,j}).
 //
-// It is one layout with two fills. The layout — which triples get a column,
-// which rows exist and what they sum — is ints, read off the epochal order
-// when the rangeLP is made. build fills it with exact coefficients into the
-// lp.Problem every solver entry point solves and proves with. fillProbe
-// fills it with float64 into a search's reused tableau, for the probes whose
-// answer only steers a search (see rangeSearch).
+// It is one layout with two fills of one LP. The layout — which triples get a
+// column, which rows exist and what they sum — is ints, read off the epochal
+// order when the rangeLP is made. build fills it with exact coefficients into
+// the lp.Problem every solver entry point solves and proves with. fillProbe
+// fills the same rows with float64 into a search's reused tableau, for the
+// probes that steer a search (see rangeSearch); the two agree entry for entry,
+// so the basis a probe ends on is a basis of the exact problem.
 type rangeLP struct {
 	inst *model.Instance
 	mode schedule.Model
@@ -55,7 +56,7 @@ type rangeLP struct {
 	numVars int     // F and the α columns
 	cols    []int   // [(t·m+i)·n+j] -> LP column, -1 when absent
 	costAt  []int   // per α column, i·n+j: where its c_{i,j} sits in a cost matrix
-	rows    []lpRow // after the rows bounding F: capacity rows interval by interval, then one completion row per job
+	rows    []lpRow // after the row bounding F′: capacity rows interval by interval, then one completion row per job
 	terms   []int   // the rows' α columns, back to back
 
 	prob *lp.Problem
@@ -99,7 +100,6 @@ func newEpochs(inst *model.Instance, dls []*affine.Form, extra ...affine.Form) e
 type rangeSolution struct {
 	F     *big.Rat       // optimal objective value within the range
 	alpha [][][]*big.Rat // [t][i][j] fractions, nil where no variable
-	basis *lp.Basis      // optimal basis, reusable as a later warm start
 }
 
 // recordSolve classifies one hybrid solve into the tally.
@@ -196,31 +196,51 @@ func newRangeLP(inst *model.Instance, mode schedule.Model, ep epochs, rg affine.
 	return r
 }
 
-// build is the exact fill: the lp.Problem of the layout, F in [Lo, Hi] and
-// a capacity row Σ α c_{i,j} <= |I_t| = A + B·F written Σ α c_{i,j} − B·F <= A.
+// shifted appends to dst what a fill takes from the range, exactly: Lo, the
+// width Hi − Lo (nil when the range has no upper end) and, per interval, its
+// length at Lo and −B. Both fills write the LP on the shifted objective
+// F = Lo + F′, F′ in column fCol: a capacity row Σ α c_{i,j} <= |I_t| = A + B·F
+// reads Σ α c_{i,j} − B·F′ <= A + B·Lo, the interval's length at the range's
+// lower end — never negative, the epochal order holding on the closed range.
+// So F >= Lo is the sign constraint on F′, no row is negated into a >= row,
+// and phase 1 has only the n completion rows' artificials to drive out.
+func (r *rangeLP) shifted(dst []*big.Rat) []*big.Rat {
+	var width *big.Rat
+	if r.rg.Hi != nil {
+		width = new(big.Rat).Sub(r.rg.Hi, r.rg.Lo)
+	}
+	dst = append(dst, r.rg.Lo, width)
+	for _, iv := range r.ivs {
+		length := iv.Length()
+		dst = append(dst, length.Eval(r.rg.Lo), length.B.Neg(length.B))
+	}
+	return dst
+}
+
+// build is the exact fill: the lp.Problem of the layout.
 func (r *rangeLP) build() {
 	n := r.inst.N()
 	r.prob = lp.NewProblem()
 	one := big.NewRat(1, 1)
-	// Only F is named: names are read by Problem.Dump alone, and formatting
+	// Only F′ is named: names are read by Problem.Dump alone, and formatting
 	// one per fraction variable and row costs more than adding them.
-	r.prob.AddVar("F", one)
+	r.prob.AddVar("F'", one)
 	for c := 1; c < r.numVars; c++ {
 		r.prob.AddVar("", nil)
 	}
-
-	// Objective range: F in [Lo, Hi].
-	r.prob.AddRow("", []lp.Term{{Col: fCol, Coef: one}}, lp.GE, r.rg.Lo)
-	if r.rg.Hi != nil {
-		r.prob.AddRow("", []lp.Term{{Col: fCol, Coef: one}}, lp.LE, r.rg.Hi)
+	exact := r.shifted(nil)
+	if width := exact[1]; width != nil {
+		r.prob.AddRow("", []lp.Term{{Col: fCol, Coef: one}}, lp.LE, width)
 	}
+	perInterval := exact[2:] // |I_t| at Lo, then −B_t
 
 	var terms []lp.Term // AddRow copies, so one buffer serves every row
-	var length affine.Form
-	var negB *big.Rat
-	cur, lo := -1, 0
+	lo := 0
 	for _, row := range r.rows {
 		terms = terms[:0]
+		if row.t >= 0 {
+			terms = append(terms, lp.Term{Col: fCol, Coef: perInterval[2*row.t+1]}) // AddRow drops a zero
+		}
 		for _, c := range r.terms[lo:row.end] {
 			coef := one
 			if row.t >= 0 {
@@ -229,18 +249,11 @@ func (r *rangeLP) build() {
 			terms = append(terms, lp.Term{Col: c, Coef: coef})
 		}
 		lo = row.end
-		if row.t < 0 {
+		if row.t >= 0 {
+			r.prob.AddRow("", terms, lp.LE, perInterval[2*row.t])
+		} else {
 			r.prob.AddRow("", terms, lp.EQ, one)
-			continue
 		}
-		if row.t != cur {
-			cur, length = row.t, r.ivs[row.t].Length()
-			negB = new(big.Rat).Neg(length.B)
-		}
-		if negB.Sign() != 0 {
-			terms = append(terms, lp.Term{Col: fCol, Coef: negB})
-		}
-		r.prob.AddRow("", terms, lp.LE, length.A)
 	}
 }
 
@@ -265,30 +278,13 @@ func newProbeBuf(inst *model.Instance) *probeBuf {
 	return &probeBuf{cost: lp.FloatImage(nil, costs)}
 }
 
-// fillProbe is the float fill, on the shifted objective F = Lo + F′ with F′
-// in column fCol. A capacity row reads Σ α c_{i,j} − B·F′ <= A + B·Lo, the
-// interval's length at the range's lower end — and the epochal order holds
-// on the closed range, so that is never negative. No row therefore needs
-// negating into a >= row with a surplus and an artificial (build's A alone
-// is negative whenever a deadline form ends an interval that starts at a
-// later release), F >= Lo is the sign constraint on F′, the slack basis
-// covers every capacity row, and phase 1 has the n completion rows'
-// artificials to drive out and nothing else. The right-hand sides are
-// evaluated exactly and converted once; it returns Lo's image, which the
+// fillProbe is the float fill: the same rows from the same exact values,
+// converted once, into the search's tableau. It returns Lo's image, which the
 // caller adds back to the minimum.
 func (r *rangeLP) fillProbe(b *probeBuf) (lo float64) {
-	var width *big.Rat // of the range; none when it has no upper end
-	if r.rg.Hi != nil {
-		width = new(big.Rat).Sub(r.rg.Hi, r.rg.Lo)
-	}
-	b.exact = append(b.exact[:0], r.rg.Lo, width)
-	for _, iv := range r.ivs {
-		length := iv.Length()
-		atLo := length.Eval(r.rg.Lo)
-		b.exact = append(b.exact, atLo, length.B.Neg(length.B))
-	}
+	b.exact = r.shifted(b.exact[:0])
 	b.image = lp.FloatImage(b.image[:0], b.exact)
-	perInterval := b.image[2:] // |I_t| at Lo, then −B_t
+	width, perInterval := b.exact[1], b.image[2:] // |I_t| at Lo, then −B_t
 
 	first := 0 // the tableau row of the layout's first: F′ <= Hi − Lo precedes it
 	b.senses = b.senses[:0]
@@ -334,10 +330,10 @@ func (r *rangeLP) solve() (*rangeSolution, error) {
 	return r.solveWith(nil, nil)
 }
 
-// solveWith is solve with warm-start and accounting plumbing: warm is the
-// optimal basis of a previous, similarly-shaped solve (or nil), and each
-// solve's hybrid-engine path is recorded into tally (when non-nil). All
-// paths are exact, so callers that pass nothing lose only speed.
+// solveWith is solve handed warm, the basis a float probe of this range
+// ended on (nil: the engine runs its own float pass), and recording the
+// hybrid engine's path into tally (when non-nil). The basis is verified
+// exactly, never trusted: a caller that passes a wrong one loses only speed.
 func (r *rangeLP) solveWith(warm *lp.Basis, tally *stats.SolverTally) (*rangeSolution, error) {
 	if r.prob == nil {
 		r.build()
@@ -356,7 +352,7 @@ func (r *rangeLP) solveWith(warm *lp.Basis, tally *stats.SolverTally) (*rangeSol
 	default:
 		return nil, fmt.Errorf("core: range LP reported %v", sol.Status)
 	}
-	out := &rangeSolution{F: new(big.Rat).Set(sol.X[fCol]), basis: sol.Basis}
+	out := &rangeSolution{F: new(big.Rat).Add(r.rg.Lo, sol.X[fCol])}
 	n, m := r.inst.N(), r.inst.M()
 	out.alpha = make([][][]*big.Rat, len(r.ivs))
 	for t := range r.ivs {

@@ -25,18 +25,18 @@ import (
 // It locates with float probes and proves with one exact solve. A range LP
 // on [F_k, F_{k+1}] whose exact minimum lies strictly above F_k is by itself
 // a complete optimality proof: were any lower F feasible, F_k would be too,
-// and the LP would have returned it. So the probes need no exactness — they
-// only choose where the certifying solve happens — and a wrong, stalled or
-// lying probe costs extra exact solves, never the result. That is also why a
-// probe may skip everything the proof needs: it fills the range's layout in
-// float64 straight into one tableau the search keeps (rangeLP.fillProbe),
-// building no lp.Problem and no big.Rat coefficient.
+// and the LP would have returned it. So the probes need no exactness: they
+// choose where the certifying solve happens and which basis it tries first.
+// A probe's answer is never trusted, its basis is verified exactly, so a
+// wrong, stalled or lying probe costs extra exact work, never the result —
+// and a probe may skip everything the proof needs: it fills the range's
+// layout in float64 straight into one tableau the search keeps
+// (rangeLP.fillProbe), building no lp.Problem and no big.Rat coefficient.
 type rangeSearch struct {
 	inst   *model.Instance
 	mode   schedule.Model
 	ep     epochs // epochal times, ordered anew on every range
 	ranges []affine.Range
-	warm   *lp.Basis // offered to every exact solve
 
 	probe probeFunc
 	buf   *probeBuf // the honest probe's tableau, made by its first call
@@ -100,11 +100,11 @@ func (s *rangeSearch) rangeLP(k int) *rangeLP {
 	return newRangeLP(s.inst, s.mode, s.ep, s.ranges[k])
 }
 
-// exact solves range k exactly; a nil solution means infeasible, which
-// proves every range up to k infeasible.
-func (s *rangeSearch) exact(k int) (*rangeLP, *rangeSolution, error) {
+// exact solves range k exactly, from the basis a probe of it ended on (or
+// nil); a nil solution means infeasible, which proves every range up to k so.
+func (s *rangeSearch) exact(k int, probed *lp.Basis) (*rangeLP, *rangeSolution, error) {
 	rl := s.rangeLP(k)
-	sol, err := rl.solveWith(s.warm, &s.tally)
+	sol, err := rl.solveWith(probed, &s.tally)
 	s.solves++
 	if err == nil && sol == nil && k >= s.lo {
 		s.lo = k + 1
@@ -152,7 +152,7 @@ func (s *rangeSearch) locate() (int, *lp.FloatSolution, error) {
 		fs := s.float(k)
 		feasible := fs != nil && fs.Status == lp.Optimal
 		if fs == nil {
-			_, sol, err := s.exact(k)
+			_, sol, err := s.exact(k, nil)
 			if err != nil {
 				return err
 			}
@@ -180,17 +180,24 @@ func (s *rangeSearch) locate() (int, *lp.FloatSolution, error) {
 }
 
 // certify proves the leftmost feasible range, starting from the candidate k,
-// and returns it with its LP and exact optimum. The answer at k is accepted
-// iff the exact solve is feasible and either its minimum exceeds the range's
-// lower end or every lower range is already proven infeasible; otherwise the
-// search walks: right past a range proven infeasible, left from a range whose
-// minimum sits on its lower end (the range below contains that value, and is
-// the leftmost one the reference bisection would report). A nil solution
-// means no range is feasible.
-func (s *rangeSearch) certify(k int) (int, *rangeLP, *rangeSolution, error) {
+// and returns it with its LP and exact optimum. The first solve is handed the
+// basis of the probe that called k feasible (at, nil for none) — the basis the
+// engine's own float pass over the same rows would end on, so verifying it
+// replaces that pass. The answer at k is accepted iff the exact solve is
+// feasible and either its minimum exceeds the range's lower end or every
+// lower range is already proven infeasible; otherwise the search walks: right
+// past a range proven infeasible, left from a range whose minimum sits on its
+// lower end (the range below contains that value, and is the leftmost one the
+// reference bisection would report). A nil solution means no range is feasible.
+func (s *rangeSearch) certify(k int, at *lp.FloatSolution) (int, *rangeLP, *rangeSolution, error) {
+	var probed *lp.Basis
+	if at != nil {
+		probed = at.Basis
+	}
 	k = max(k, s.lo)
 	for {
-		rl, sol, err := s.exact(k)
+		rl, sol, err := s.exact(k, probed)
+		probed = nil // the walk's other ranges were not probed
 		switch {
 		case err != nil:
 			return 0, nil, nil, err
@@ -209,9 +216,9 @@ func (s *rangeSearch) certify(k int) (int, *rangeLP, *rangeSolution, error) {
 
 // leftmost locates, then certifies.
 func (s *rangeSearch) leftmost() (int, *rangeLP, *rangeSolution, error) {
-	k, _, err := s.locate()
+	k, at, err := s.locate()
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	return s.certify(k)
+	return s.certify(k, at)
 }

@@ -20,11 +20,13 @@ const (
 	// MethodCrossover means the float basis was exactly feasible but not
 	// exactly optimal; the exact simplex finished from it.
 	MethodCrossover
-	// MethodWarmVerified means a caller-provided warm basis was still
-	// optimal under the perturbed data: verified with zero pivots.
+	// MethodWarmVerified means the basis the caller handed over — the one its
+	// own float solve of the same rows ended on — was exactly optimal:
+	// verified with zero pivots, the engine's float pass never run.
 	MethodWarmVerified
-	// MethodWarmSimplex means the warm basis was still feasible and the
-	// exact simplex re-optimized from it.
+	// MethodWarmSimplex means the handed basis was not optimal but exactly
+	// feasible, the float pass gave nothing verifiable, and the exact
+	// simplex re-optimized from the handed basis.
 	MethodWarmSimplex
 )
 
@@ -46,24 +48,15 @@ func (m Method) String() string {
 	}
 }
 
-// Basis is a reusable handle to the optimal basis of a solved problem. It is
-// opaque: hand it back to SolveHybridWarm when re-solving a perturbed
-// version of the same problem (changed RHS via SetRHS, changed coefficients
-// on an identically-shaped clone) and the solver will try to start from it
-// instead of from scratch. A stale or mismatched basis costs only the failed
+// Basis is the basis a float solve ended on (FloatSolution.Basis). It is
+// opaque: a caller that filled a FloatTableau hands it to SolveHybridWarm
+// with the Problem of the same rows, whose standard form numbers the columns
+// as the tableau did, and the solver verifies it exactly instead of running a
+// float simplex of its own. A stale or mismatched basis costs only the failed
 // exact verification — correctness never depends on it.
 type Basis struct {
 	m, numCols, artStart int
 	cols                 []int
-}
-
-func newBasis(sf *stdForm, cols []int) *Basis {
-	return &Basis{
-		m:        sf.m,
-		numCols:  sf.numCols,
-		artStart: sf.artStart,
-		cols:     append([]int(nil), cols...),
-	}
 }
 
 // compatible reports whether the basis indexes the same standard-form shape.
@@ -89,13 +82,13 @@ func SolveHybrid(p *Problem) (*Solution, error) {
 	return SolveHybridWarm(p, nil)
 }
 
-// SolveHybridWarm is SolveHybrid with a warm-start basis from a previous
-// solve of a similarly-shaped problem. A compatible warm basis that is
-// still optimal settles the solve with one exact refactorization and zero
-// pivots; a stale one costs only that failed check — the float engine then
-// re-locates the optimum as usual, and the warm basis is retried as an
-// exact starting point only if the float basis itself fails verification.
-// Incompatible bases are ignored outright.
+// SolveHybridWarm is SolveHybrid handed the basis a float solve of the same
+// rows already ended on. A compatible basis that is exactly optimal settles
+// the solve with one exact refactorization and zero pivots, in place of the
+// engine's own float pass; a stale one costs only that failed check — the
+// float engine then locates the optimum as usual, and the handed basis is
+// retried as an exact starting point only if the float basis itself fails
+// verification. Incompatible bases are ignored outright.
 func SolveHybridWarm(p *Problem, warm *Basis) (*Solution, error) {
 	sf, err := newStdForm(p)
 	if err != nil {
@@ -214,7 +207,7 @@ func tryBasisExact(sf *stdForm, basis []int) *Solution {
 			obj.Add(obj, &tmp)
 		}
 	}
-	return &Solution{Status: Optimal, Objective: obj, X: x, Basis: newBasis(sf, basis), Kernel: len(f.bumpRows)}
+	return &Solution{Status: Optimal, Objective: obj, X: x, Kernel: len(f.bumpRows)}
 }
 
 // finishFromBasis pivots an exact tableau to the candidate basis and, when

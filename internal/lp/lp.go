@@ -28,7 +28,8 @@
 //     and the large-scale estimates built on them — fills one directly
 //     (Reset, Set, SetRHS, Minimize) and reuses it, with no Problem and no
 //     big.Rat in between. Both ways number the columns through one function
-//     and pivot in one loop.
+//     and pivot in one loop, so the basis a direct fill ends on can be handed
+//     to SolveHybridWarm with the Problem of the same rows and verified there.
 //
 // Problems are stated in the general form
 //
@@ -117,11 +118,6 @@ func (p *Problem) NumVars() int { return p.numVars }
 // NumRows reports the number of constraint rows added so far.
 func (p *Problem) NumRows() int { return len(p.rows) }
 
-// SetObjective overwrites the objective coefficient of variable col.
-func (p *Problem) SetObjective(col int, coef *big.Rat) {
-	p.objective[col].Set(coef)
-}
-
 // AddRow appends a constraint. Terms may mention a column at most once;
 // coefficients are copied, so the caller may reuse the backing rationals.
 func (p *Problem) AddRow(name string, terms []Term, sense Sense, rhs *big.Rat) {
@@ -136,39 +132,6 @@ func (p *Problem) AddRow(name string, terms []Term, sense Sense, rhs *big.Rat) {
 		cp = append(cp, Term{Col: t.Col, Coef: new(big.Rat).Set(t.Coef)})
 	}
 	p.rows = append(p.rows, Row{Terms: cp, Sense: sense, RHS: new(big.Rat).Set(rhs), Name: name})
-}
-
-// Clone returns a deep copy of the problem. Perturb-and-resolve flows clone
-// the base problem, adjust it (SetRHS, SetObjective), and re-solve with the
-// previous solution's Basis as a warm start.
-func (p *Problem) Clone() *Problem {
-	cp := &Problem{
-		numVars:   p.numVars,
-		varNames:  append([]string(nil), p.varNames...),
-		objective: make([]*big.Rat, len(p.objective)),
-		rows:      make([]Row, len(p.rows)),
-	}
-	for j, c := range p.objective {
-		cp.objective[j] = new(big.Rat).Set(c)
-	}
-	for i, r := range p.rows {
-		terms := make([]Term, len(r.Terms))
-		for k, t := range r.Terms {
-			terms[k] = Term{Col: t.Col, Coef: new(big.Rat).Set(t.Coef)}
-		}
-		cp.rows[i] = Row{Terms: terms, Sense: r.Sense, RHS: new(big.Rat).Set(r.RHS), Name: r.Name}
-	}
-	return cp
-}
-
-// SetRHS replaces the right-hand side of row i. Flipping the sign of an
-// inequality's RHS changes the row's standard-form normalization and hence
-// the meaning of the slack/artificial columns a pre-change Basis refers to;
-// such a basis is at best rejected cheaply, at worst tried and discarded by
-// SolveHybridWarm's exact verification — which, not the shape check, is
-// what protects correctness.
-func (p *Problem) SetRHS(i int, rhs *big.Rat) {
-	p.rows[i].RHS = new(big.Rat).Set(rhs)
 }
 
 // Status reports the outcome of a solve.
@@ -200,10 +163,6 @@ type Solution struct {
 	Status    Status
 	Objective *big.Rat   // valid when Status == Optimal
 	X         []*big.Rat // primal values, len == NumVars, valid when Optimal
-	// Basis is a reusable handle to the optimal basis (valid when Optimal
-	// and solved through this package's simplex paths); pass it to
-	// SolveHybridWarm to warm-start a perturbed re-solve.
-	Basis *Basis
 	// Method reports which hybrid-engine path produced the result.
 	Method Method
 	// Kernel is the number of rows of the basis the factorization that proved
@@ -216,12 +175,13 @@ type Solution struct {
 // Value returns the primal value of column col.
 func (s *Solution) Value(col int) *big.Rat { return s.X[col] }
 
-// FloatSolution is the result of a float64 solve: what a caller with no
-// exact verification to run needs of it. (The hybrid engine reads the final
-// basis instead.)
+// FloatSolution is the result of a float64 solve. Status and Objective are
+// approximate; Basis is the basis the simplex ended on, which SolveHybridWarm
+// verifies exactly on the Problem of the same rows.
 type FloatSolution struct {
 	Status    Status
 	Objective float64
+	Basis     *Basis
 }
 
 // Dump renders the problem in a human-readable form, for tests and debugging.

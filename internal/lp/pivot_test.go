@@ -208,11 +208,14 @@ func TestSparsePivotMatchesDense(t *testing.T) {
 // directly (Reset, Set, SetRHS — one tableau reused across all the problems)
 // and loading it from the same rows through a Problem and newStdForm give
 // the same column numbering, the same initial basis and the same entries,
-// and the simplex then takes the same pivots to the same end on both.
+// and the simplex then takes the same pivots to the same end on both. So the
+// Basis a direct fill is handed back indexes the standard form of the same
+// rows, and wherever the engine's own float pass would have been verified,
+// SolveHybridWarm settles from that basis with no pivot, on the same point.
 func TestDirectFillMatchesStdForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var direct FloatTableau
-	negated := 0
+	negated, settled := 0, 0
 	for n := 0; n < 400; n++ {
 		var p *Problem
 		if n%2 == 0 {
@@ -270,9 +273,42 @@ func TestDirectFillMatchesStdForm(t *testing.T) {
 			t.Fatalf("problem %d: direct fill ended %v after %d iterations on basis %v, the standard form %v after %d on %v\n%s",
 				n, got.status, got.iterations, got.basis, want.status, want.iterations, want.basis, p.Dump())
 		}
+		fs, err := got.solution()
+		if err != nil {
+			continue // a stall: nothing is handed over
+		}
+		if !fs.Basis.compatible(sf) || !sf.validBasis(fs.Basis.cols) {
+			t.Fatalf("problem %d: the direct fill's basis %+v does not index the standard form\n%s", n, fs.Basis, p.Dump())
+		}
+		cold, err := SolveHybrid(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handed, err := SolveHybridWarm(p, fs.Basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if handed.Status != cold.Status {
+			t.Fatalf("problem %d: %v from the direct fill's basis, %v cold\n%s", n, handed.Status, cold.Status, p.Dump())
+		}
+		if cold.Status != Optimal || cold.Method != MethodFloatVerified {
+			continue
+		}
+		same := handed.Method == MethodWarmVerified
+		for j, x := range handed.X {
+			same = same && x.Cmp(cold.X[j]) == 0
+		}
+		if !same {
+			t.Fatalf("problem %d: the direct fill's basis settled as %v on %v, the engine's own pass verified %v\n%s",
+				n, handed.Method, handed.X, cold.X, p.Dump())
+		}
+		settled++
 	}
 	if negated == 0 {
 		t.Error("no problem had a row to negate")
+	}
+	if settled < 100 {
+		t.Errorf("%d of 400 problems settled from the direct fill's basis, want the float-verified ones — at least 100", settled)
 	}
 
 	// An entry float64 cannot hold is never solved over.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 )
 
 const (
@@ -47,7 +48,9 @@ func FloatImage(dst []float64, vals []*big.Rat) []float64 {
 type floatRun struct {
 	status     Status
 	objective  float64
-	basis      []int // basic column per row at termination
+	basis      []int // basic column per row at termination: the tableau's own slice
+	artStart   int   // of the tableau, with numCols what makes basis a Basis
+	numCols    int
 	iterations int
 }
 
@@ -61,7 +64,8 @@ func (run *floatRun) solution() (*FloatSolution, error) {
 	default:
 		return nil, fmt.Errorf("lp: float simplex reported %v", run.status)
 	}
-	return &FloatSolution{Status: run.status, Objective: run.objective}, nil
+	basis := &Basis{m: len(run.basis), numCols: run.numCols, artStart: run.artStart, cols: slices.Clone(run.basis)}
+	return &FloatSolution{Status: run.status, Objective: run.objective, Basis: basis}, nil
 }
 
 // runFloat executes the two-phase float simplex over the standard form.
@@ -199,7 +203,7 @@ func (t *FloatTableau) Minimize(col int) (*FloatSolution, error) {
 // run executes the two phases on the loaded or filled tableau.
 func (t *FloatTableau) run() *floatRun {
 	status := t.phases()
-	out := &floatRun{status: status, basis: t.basis, iterations: t.iterations}
+	out := &floatRun{status: status, basis: t.basis, artStart: t.artStart, numCols: t.numCols, iterations: t.iterations}
 	if status == Optimal {
 		out.objective = t.objectiveValue()
 	}

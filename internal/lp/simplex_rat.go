@@ -304,7 +304,7 @@ func (t *ratTableau) evictArtificials() {
 	}
 }
 
-// solution extracts the optimal solution and its basis handle.
+// solution extracts the optimal solution.
 func (t *ratTableau) solution() *Solution {
 	p := t.sf.p
 	x := make([]*big.Rat, p.numVars)
@@ -320,7 +320,6 @@ func (t *ratTableau) solution() *Solution {
 		Status:    Optimal,
 		Objective: t.objectiveValue(),
 		X:         x,
-		Basis:     newBasis(t.sf, t.basis),
 	}
 }
 

@@ -160,12 +160,11 @@ func TestProblemAccessors(t *testing.T) {
 	if p.NumVars() != 0 || p.NumRows() != 0 {
 		t.Error("fresh problem not empty")
 	}
-	x := p.AddVar("x", nil)
+	x := p.AddVar("x", rat(5, 1))
 	p.AddRow("r", []Term{{x, rat(1, 1)}}, LE, rat(1, 1))
 	if p.NumVars() != 1 || p.NumRows() != 1 {
 		t.Error("accessors wrong after adds")
 	}
-	p.SetObjective(x, rat(5, 1))
 	sol, err := SolveRat(p)
 	if err != nil || sol.Status != Optimal || sol.Objective.Sign() != 0 {
 		t.Errorf("min 5x, x>=0 -> 0; got %v %v", sol, err)

@@ -369,9 +369,8 @@ type ShardStats struct {
 	PlanCacheHits int      `json:"planCacheHits"`
 	// Solver is this shard's own hybrid-engine path breakdown (the aggregate
 	// StatsResponse.Solver is the sum over shards): a single shard burning
-	// exact fallbacks — a pathological workload shape, or a warm-start chain
-	// gone stale — is visible here while the fleet aggregate still looks
-	// healthy.
+	// exact fallbacks — a pathological workload shape — is visible here while
+	// the fleet aggregate still looks healthy.
 	Solver          stats.SolverTally `json:"solver"`
 	ArrivalBatches  int               `json:"arrivalBatches"`
 	BatchedArrivals int               `json:"batchedArrivals"`
@@ -431,8 +430,9 @@ type StatsResponse struct {
 	// Solver breaks the LP solves down by the hybrid engine's path: how
 	// many were settled by the float simplex plus an exact verification,
 	// how many needed exact crossover pivots or a full exact fallback, and
-	// how often a previous optimal basis warm-started a re-solve. All paths
-	// are exact; the split is a performance, not a correctness, signal.
+	// how often the basis the milestone search's own float probe ended on
+	// settled the solve. All paths are exact; the split is a performance,
+	// not a correctness, signal.
 	Solver stats.SolverTally `json:"solver"`
 	// ArrivalBatches counts scheduler wake-ups that admitted submitted jobs
 	// and BatchedArrivals the jobs admitted by them, so BatchedArrivals >

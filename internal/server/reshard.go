@@ -23,7 +23,7 @@ import (
 //  2. diff it against the live shard set — a new group whose ordered
 //     machine list (name, speed, databanks) is identical to a running
 //     shard's keeps that shard untouched, engine, executed trace, plan
-//     cache, warm-start basis chain and all;
+//     cache and all;
 //  3. retire every unmatched shard, spawn shards for the new groups and
 //     advance the topology generation in one cut, so new global IDs decode
 //     through the new shard count while old IDs keep resolving through the

@@ -70,7 +70,7 @@ func (r *jobRecord) clone() *jobRecord {
 
 // shard is one independent scheduling loop over a slice of the fleet: its own
 // mutex, its own goroutine, its own sim.Engine, and its own policy instance
-// (for OnlineMWF variants, its own plan cache and warm-start basis chain).
+// (for OnlineMWF variants, its own plan cache).
 // P shards give P concurrent exact solves, each over only the shard's live
 // jobs — so the superlinear residual LP cost is paid on P-times-smaller
 // instances.
@@ -302,7 +302,7 @@ func newShard(spec shardlink.ShardSpec, clock Clock, retention *big.Rat, admissi
 }
 
 // resetEngine gives the shard a fresh policy instance (policies carry per-run
-// state: plan caches, warm-start basis chains) and a fresh engine under it,
+// state: plan caches) and a fresh engine under it,
 // restored to st when non-nil, observer wired in: a new shard's first engine,
 // and a latched shard's restart. An error leaves the shard as it was.
 func (sh *shard) resetEngine(policy string, st *sim.EngineState) error {

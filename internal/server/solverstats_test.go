@@ -10,9 +10,11 @@ import (
 
 // TestSolverCountersOverHTTP: GET /v1/stats must break the exact LP solves
 // down by hybrid-engine path (float-verified vs crossover vs exact
-// fallback) and report warm-start basis reuse. The every-event online-mwf
-// policy re-solves perturbed residual LPs constantly, so warm starts must
-// land some of the time.
+// fallback) and report the hand-off: solves settled from the basis the
+// search's own probe ended on. A search probes only when the optimum lies
+// above the range of its single-job floor, so the jobs get stretch weights
+// and the second wave arrives while the first is still running: residuals
+// with distinct weights and distinct waiting times have milestones to cross.
 func TestSolverCountersOverHTTP(t *testing.T) {
 	cfg := workload.Default()
 	cfg.Jobs = 10
@@ -20,6 +22,7 @@ func TestSolverCountersOverHTTP(t *testing.T) {
 	cfg.Databanks = 2
 	cfg.Seed = 21
 	inst := workload.MustGenerate(cfg)
+	inst.WeightsForStretch()
 
 	vc := NewVirtualClock()
 	srv, err := New(Config{Machines: inst.Machines, Policy: "online-mwf", Clock: vc})
@@ -37,7 +40,7 @@ func TestSolverCountersOverHTTP(t *testing.T) {
 		postJob(t, ts.URL, req)
 	}
 	srv.Start()
-	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 5 })
+	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 3 })
 	for _, req := range reqs[5:] {
 		postJob(t, ts.URL, req)
 	}
@@ -60,11 +63,11 @@ func TestSolverCountersOverHTTP(t *testing.T) {
 	if got := tally.FloatVerified + tally.Crossovers + tally.Fallbacks + tally.WarmHits; got != tally.Total() {
 		t.Errorf("tally inconsistent: %+v", tally)
 	}
-	if tally.FloatVerified == 0 {
-		t.Errorf("no float-verified solves: the hybrid fast path never fired (%+v)", tally)
+	if tally.FloatVerified+tally.WarmHits == 0 {
+		t.Errorf("no solve settled by verifying a float basis: the hybrid fast path never fired (%+v)", tally)
 	}
 	if tally.WarmHits == 0 {
-		t.Errorf("no warm-start hits across %d solves of perturbed residual LPs (%+v)", st.LPSolves, tally)
+		t.Errorf("no solve of %d settled from its search's own probe (%+v)", st.LPSolves, tally)
 	}
 	validateService(t, ts.URL, inst.Machines, len(reqs))
 }

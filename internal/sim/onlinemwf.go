@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"divflow/internal/core"
-	"divflow/internal/lp"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 	"divflow/internal/stats"
@@ -67,12 +66,7 @@ type OnlineMWF struct {
 	// cacheHits counts decision points served from the cached plan.
 	solves    int
 	cacheHits int
-	// basis is the optimal basis of the previous solve's final range LP,
-	// offered to the next solve as a warm start (the residual LPs of
-	// consecutive events are small perturbations of each other whenever the
-	// job set is unchanged); tally aggregates the hybrid-engine paths all
-	// inner LP solves took.
-	basis *lp.Basis
+	// tally aggregates the hybrid-engine paths all inner LP solves took.
 	tally stats.SolverTally
 }
 
@@ -123,7 +117,7 @@ func (p *OnlineMWF) CacheHits() int { return p.cacheHits }
 
 // SolverTally reports, for the last run, how the inner exact LP solves were
 // settled by the hybrid engine (float-verified vs crossover vs full exact
-// fallback) and how often the previous optimal basis warm-started one.
+// fallback) and how often the basis of the search's own probe settled one.
 func (p *OnlineMWF) SolverTally() stats.SolverTally { return p.tally }
 
 // Reset implements Policy.
@@ -135,7 +129,6 @@ func (p *OnlineMWF) Reset() {
 	p.solveRem = nil
 	p.solves = 0
 	p.cacheHits = 0
-	p.basis = nil
 	p.tally = stats.SolverTally{}
 }
 
@@ -146,8 +139,7 @@ func (p *OnlineMWF) Err() error { return p.err }
 // and its residual-workload fingerprint, forcing the next Assign through a
 // fresh solve. The engine calls it when a live job is removed (migrated to
 // another shard), so no stale plan piece for the vanished job is ever
-// followed. The warm-start basis survives: the next residual LP is still a
-// small perturbation of the last one.
+// followed.
 func (p *OnlineMWF) InvalidatePlan() {
 	p.plan = nil
 	p.known = nil
@@ -321,11 +313,10 @@ func (p *OnlineMWF) resolve(s *Snapshot) (*core.Result, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := core.MinMaxWeightedFlowWithOptions(inst, origins, p.Mode, &core.SolveOptions{Warm: p.basis})
+	res, err := core.MinMaxWeightedFlowFrom(inst, origins, p.Mode)
 	if err != nil {
 		return nil, nil, err
 	}
-	p.basis = res.Basis
 	p.tally.Merge(res.Solver)
 	if p.Observer != nil {
 		p.Observer.ObserveSolve(res.Wall, res.Solver)

@@ -191,11 +191,12 @@ type PlanPieceState struct {
 
 // MWFPlanState is OnlineMWF's exported plan cache: the last solve's plan,
 // the residual-workload fingerprint it was computed for, and the solve
-// counters. The warm-start basis is deliberately not exported — it is a
-// pure performance artifact, and the first post-restore solve simply runs
-// cold. With the plan restored, a restored engine's next decision is served
-// from the cache exactly as the original engine's would have been, so the
-// restored trace continues bit-for-bit.
+// counters. That is all the state the policy has: a solve is a function of
+// the residual workload alone and carries nothing to the next one. With the
+// plan restored, a restored engine's next decision is served from the cache
+// exactly as the original engine's would have been, and every later solve
+// returns what the original's would, so the restored trace continues
+// bit-for-bit (TestRestoreAtAnyDecisionKeepsTheTrace).
 type MWFPlanState struct {
 	Plan      []PlanPieceState `json:"plan,omitempty"`
 	Known     []int            `json:"known,omitempty"`

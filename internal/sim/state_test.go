@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"divflow/internal/model"
+	"divflow/internal/workload"
 )
 
 // TestEngineStateRoundTrip pins the durability boundary: export mid-run,
@@ -99,6 +102,96 @@ func TestEngineStateRoundTrip(t *testing.T) {
 	// plan restored they must not.
 	if !reflect.DeepEqual(ea, eb) {
 		t.Fatalf("final states differ:\norig: %s\nrest: %s", mustJSON(ea), mustJSON(eb))
+	}
+}
+
+// runOn is Run's loop from wherever e stands — next is the first job not yet
+// revealed — until every job completes; before, when non-nil, is called ahead
+// of every decision.
+func runOn(t *testing.T, inst *model.Instance, e *Engine, next int, before func(next int)) {
+	t.Helper()
+	for n := inst.N(); e.CompletedCount() < n; {
+		for ; next < n && inst.Jobs[next].Release.Cmp(e.now) <= 0; next++ {
+			job := &inst.Jobs[next]
+			if err := e.Add(next, job.Release, job.Weight, job.Size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if before != nil {
+			before(next)
+		}
+		if err := e.Decide(); err != nil {
+			t.Fatal(err)
+		}
+		at := e.NextEvent()
+		if next < n && (at == nil || inst.Jobs[next].Release.Cmp(at) < 0) {
+			at = inst.Jobs[next].Release
+		}
+		if at == nil || at.Cmp(e.now) <= 0 {
+			t.Fatalf("policy %s stalled at t=%v", e.policy.Name(), e.now)
+		}
+		if _, err := e.AdvanceTo(at); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRestoreAtAnyDecisionKeepsTheTrace is the crash-restore promise at the
+// policy's level: what ExportState and ExportPlanState write is everything a
+// run depends on. Before every decision of every run, both documents go
+// through encoding/json into a fresh engine and a fresh policy, which run on
+// to completion; every piece they execute must be the uninterrupted run's.
+// That holds only while a solve is a function of the residual alone: state
+// the policy carries from solve to solve and no snapshot holds (a warm basis
+// did) picks among equally optimal schedules, and the restored run drifts.
+func TestRestoreAtAnyDecisionKeepsTheTrace(t *testing.T) {
+	viaJSON := func(from, to any) {
+		blob, err := json.Marshal(from)
+		if err == nil {
+			err = json.Unmarshal(blob, to)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, fresh := range []func() *OnlineMWF{NewOnlineMWF, NewOnlineMWFLazy} {
+		diverged, restores := 0, 0
+		for seed := int64(0); seed < 60; seed++ {
+			cfg := workload.Default()
+			cfg.Seed, cfg.Jobs, cfg.MeanInterarrival = seed, 8, 2
+			inst := workload.MustGenerate(cfg)
+
+			pol := fresh()
+			live := NewEngine(inst.M(), inst.Cost, pol)
+			var forks []*Engine // forks[k] was restored before decision k
+			runOn(t, inst, live, 0, func(next int) {
+				var es EngineState
+				var ps MWFPlanState
+				viaJSON(live.ExportState(), &es)
+				viaJSON(pol.ExportPlanState(), &ps)
+				twin := fresh()
+				fork := NewEngine(inst.M(), inst.Cost, twin)
+				if err := fork.RestoreState(&es); err != nil {
+					t.Fatal(err)
+				}
+				twin.RestorePlanState(&ps)
+				runOn(t, inst, fork, next, nil)
+				forks = append(forks, fork)
+			})
+			restores += len(forks)
+			want := mustJSON(live.ExportState().Pieces)
+			for k, fork := range forks {
+				if got := mustJSON(fork.ExportState().Pieces); got != want {
+					diverged++
+					t.Errorf("%s, seed %d: restored before decision %d of %d, the run executes\n%s\nuninterrupted\n%s",
+						pol.Name(), seed, k, len(forks), got, want)
+					break
+				}
+			}
+		}
+		if diverged > 0 {
+			t.Errorf("%s: %d of 60 instances have a restore point that changes the trace (%d restores)", fresh().Name(), diverged, restores)
+		}
 	}
 }
 

@@ -17,9 +17,11 @@ type SolverTally struct {
 	// Fallbacks counts solves that ran the full exact simplex from scratch
 	// because the float result failed exact verification.
 	Fallbacks int `json:"fallbacks"`
-	// WarmHits counts solves that reused the previous optimal basis
-	// (verified still optimal, or re-optimized from it); WarmMisses counts
-	// solves where a warm basis was offered but unusable.
+	// WarmHits counts solves settled from the basis the milestone search's
+	// own float probe of the range ended on (verified exactly optimal in
+	// place of the engine's float pass, or re-optimized from it);
+	// WarmMisses counts solves handed such a basis that rejected it and ran
+	// the float pass after all. A solve no probe visited counts in neither.
 	WarmHits   int `json:"warmHits"`
 	WarmMisses int `json:"warmMisses"`
 }
