@@ -10,51 +10,33 @@ package affine
 
 import (
 	"fmt"
-	"math/big"
+
+	"divflow/internal/exact"
 )
 
 // Form is the affine function F ↦ A + B·F.
 type Form struct {
-	A *big.Rat // constant coefficient
-	B *big.Rat // slope in F
+	A exact.Q // constant coefficient
+	B exact.Q // slope in F
 }
 
 // Const returns the constant form a.
-func Const(a *big.Rat) Form {
-	return Form{A: new(big.Rat).Set(a), B: new(big.Rat)}
-}
+func Const(a exact.Q) Form { return Form{A: a} }
 
 // New returns the form a + b·F.
-func New(a, b *big.Rat) Form {
-	return Form{A: new(big.Rat).Set(a), B: new(big.Rat).Set(b)}
-}
+func New(a, b exact.Q) Form { return Form{A: a, B: b} }
 
 // Eval returns A + B·f.
-func (f Form) Eval(at *big.Rat) *big.Rat {
-	v := new(big.Rat).Mul(f.B, at)
-	return v.Add(v, f.A)
-}
+func (f Form) Eval(at exact.Q) exact.Q { return f.A.Add(f.B.Mul(at)) }
 
 // Add returns f + g.
-func (f Form) Add(g Form) Form {
-	return Form{
-		A: new(big.Rat).Add(f.A, g.A),
-		B: new(big.Rat).Add(f.B, g.B),
-	}
-}
+func (f Form) Add(g Form) Form { return Form{A: f.A.Add(g.A), B: f.B.Add(g.B)} }
 
 // Sub returns f − g.
-func (f Form) Sub(g Form) Form {
-	return Form{
-		A: new(big.Rat).Sub(f.A, g.A),
-		B: new(big.Rat).Sub(f.B, g.B),
-	}
-}
+func (f Form) Sub(g Form) Form { return Form{A: f.A.Sub(g.A), B: f.B.Sub(g.B)} }
 
 // Neg returns −f.
-func (f Form) Neg() Form {
-	return Form{A: new(big.Rat).Neg(f.A), B: new(big.Rat).Neg(f.B)}
-}
+func (f Form) Neg() Form { return Form{A: f.A.Neg(), B: f.B.Neg()} }
 
 // IsConst reports whether the slope is zero.
 func (f Form) IsConst() bool { return f.B.Sign() == 0 }
@@ -66,58 +48,50 @@ func (f Form) Equal(g Form) bool {
 
 // Intersection returns the unique F at which f and g coincide, or ok=false
 // when the forms are parallel (equal slope).
-func (f Form) Intersection(g Form) (at *big.Rat, ok bool) {
-	db := new(big.Rat).Sub(f.B, g.B)
+func (f Form) Intersection(g Form) (at exact.Q, ok bool) {
+	db := f.B.Sub(g.B)
 	if db.Sign() == 0 {
-		return nil, false
+		return exact.Q{}, false
 	}
-	da := new(big.Rat).Sub(g.A, f.A)
-	return da.Quo(da, db), true
+	return g.A.Sub(f.A).Quo(db), true
 }
 
 // String renders the form as "A + B*F" (or just "A" for constants), using
 // exact rational notation.
 func (f Form) String() string {
 	if f.IsConst() {
-		return f.A.RatString()
+		return f.A.String()
 	}
-	return fmt.Sprintf("%s + %s*F", f.A.RatString(), f.B.RatString())
+	return fmt.Sprintf("%s + %s*F", f.A, f.B)
 }
 
 // Range is an interval of objective values [Lo, Hi]; Hi == nil means +∞.
-// Milestone ranges are produced by core.Milestones and consumed by the
+// Milestone ranges are produced by core.ObjectiveRanges and consumed by the
 // range-restricted LPs of Sections 4.3.2 and 4.4.
 type Range struct {
-	Lo *big.Rat
-	Hi *big.Rat // nil for unbounded above
+	Lo exact.Q
+	Hi *exact.Q // nil for unbounded above
 }
 
 // Interior returns a point strictly inside the range (used to freeze the
 // relative order of affine epochal times, which is constant on the open
 // range). For a degenerate range (Lo == Hi) it returns Lo.
-func (r Range) Interior() *big.Rat {
+func (r Range) Interior() exact.Q {
 	if r.Hi == nil {
-		return new(big.Rat).Add(r.Lo, big.NewRat(1, 1))
+		return r.Lo.Add(exact.Int(1))
 	}
-	if r.Lo.Cmp(r.Hi) == 0 {
-		return new(big.Rat).Set(r.Lo)
-	}
-	mid := new(big.Rat).Add(r.Lo, r.Hi)
-	return mid.Quo(mid, big.NewRat(2, 1))
+	return r.Lo.Add(*r.Hi).Quo(exact.Int(2))
 }
 
 // Contains reports whether at lies in [Lo, Hi].
-func (r Range) Contains(at *big.Rat) bool {
-	if at.Cmp(r.Lo) < 0 {
-		return false
-	}
-	return r.Hi == nil || at.Cmp(r.Hi) <= 0
+func (r Range) Contains(at exact.Q) bool {
+	return at.Cmp(r.Lo) >= 0 && (r.Hi == nil || at.Cmp(*r.Hi) <= 0)
 }
 
 // String renders the range.
 func (r Range) String() string {
 	if r.Hi == nil {
-		return fmt.Sprintf("[%s, +inf)", r.Lo.RatString())
+		return fmt.Sprintf("[%s, +inf)", r.Lo)
 	}
-	return fmt.Sprintf("[%s, %s]", r.Lo.RatString(), r.Hi.RatString())
+	return fmt.Sprintf("[%s, %s]", r.Lo, *r.Hi)
 }

@@ -7,13 +7,15 @@ import (
 
 // FloatExactAnalyzer forbids converting exact quantities to floating point
 // inside the decision paths: internal/core and internal/sim compute the
-// paper's schedules in exact rational arithmetic, and a single .Float64()
-// there silently reintroduces the rounding the whole design exists to avoid.
-// The float layer belongs to internal/lp's proposal step (floats propose, the
-// exact layer verifies) and to presentation code.
+// paper's schedules in exact rational arithmetic — *big.Rat at their
+// boundaries, exact.Q inside — and a single .Float64() there silently
+// reintroduces the rounding the whole design exists to avoid. The float layer
+// belongs to internal/lp's proposal step (floats propose, the exact layer
+// verifies; lp.FloatImage is where a probe's coefficients cross) and to
+// presentation code.
 var FloatExactAnalyzer = &Analyzer{
 	Name: "floatexact",
-	Doc:  "forbid big.Rat.Float64/Float32 in internal/core and internal/sim decision paths",
+	Doc:  "forbid big.Rat and exact.Q Float64/Float32 in internal/core and internal/sim decision paths",
 	Run:  runFloatExact,
 }
 
@@ -35,14 +37,24 @@ func runFloatExact(pass *Pass) {
 				return true
 			}
 			fn := staticCallee(pass.Pkg.Info, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "math/big" {
+			if fn == nil {
 				return true
 			}
-			if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil || !isBigRatPtr(sig.Recv().Type()) {
+			if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil ||
+				!isBigRatPtr(sig.Recv().Type()) && !isExactQ(sig.Recv().Type()) {
 				return true
 			}
 			pass.Reportf(call.Pos(), "%s on an exact quantity in a decision path; floats belong to internal/lp proposals and presentation code", sel.Sel.Name)
 			return true
 		})
 	}
+}
+
+// isExactQ reports whether t is divflow's exact.Q or a pointer to it.
+func isExactQ(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Pkg() != nil && pathIn(n.Obj().Pkg().Path(), "internal/exact") && n.Obj().Name() == "Q"
 }

@@ -35,7 +35,7 @@ func TestRatAlias(t *testing.T) {
 }
 
 func TestFloatExact(t *testing.T) {
-	analysistest.Run(t, testdata(t), analyzers(t, "floatexact"), "divflow/internal/core")
+	analysistest.Run(t, testdata(t), analyzers(t, "floatexact"), "divflow/internal/exact", "divflow/internal/core")
 }
 
 // TestLockCheckers exercises lockorder and emitmu together over a two-package

@@ -5,6 +5,7 @@ import (
 	"math/big"
 
 	"divflow/internal/affine"
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 )
@@ -37,41 +38,44 @@ func BestDeadline(inst *model.Instance, deadlines []*big.Rat, k int, mode schedu
 	if k < 0 || k >= inst.N() {
 		return nil, fmt.Errorf("core: job index %d out of range", k)
 	}
+	q, dls := newInstance(inst), constDeadlines(deadlines)
+	dls[k] = nil
 	// A fixed window its job does not fit alone dooms every candidate F.
-	for j, d := range deadlines {
-		if j != k && d != nil && d.Cmp(earliestEnd(inst, j, mode)) < 0 {
+	for j, d := range dls {
+		if d != nil && d.A.Cmp(earliestEnd(q, j, mode)) < 0 {
 			return nil, nil
 		}
 	}
 	// A nil solution: even an unbounded deadline for job k cannot satisfy
 	// the fixed deadlines, so no counter-offer exists.
-	_, _, sol, err := bestDeadlineSearch(inst, deadlines, k, mode).leftmost()
+	_, _, sol, err := bestDeadlineSearch(q, dls, k, mode).leftmost()
 	if err != nil || sol == nil {
 		return nil, err
 	}
-	return sol.F, nil
+	return sol.F.Rat(), nil
 }
 
-// bestDeadlineSearch sets up BestDeadline's ranges and epochal times.
-func bestDeadlineSearch(inst *model.Instance, deadlines []*big.Rat, k int, mode schedule.Model) *rangeSearch {
+// bestDeadlineSearch sets up BestDeadline's ranges and epochal times over the
+// other jobs' constant deadline forms (dls[k] is ignored).
+func bestDeadlineSearch(inst *instance, fixed []*affine.Form, k int, mode schedule.Model) *rangeSearch {
 	// Epochal times: the constants DeadlineFeasible uses (releases, the
 	// other jobs' deadlines, the horizon) and job k's affine deadline
 	// d̄_k(F) = F — without it no interval would end at F, and job k could
 	// only run up to the constant epochal time before it.
-	fixed := append([]*big.Rat(nil), deadlines...)
-	fixed[k] = nil
-	fk := affine.New(new(big.Rat), big.NewRat(1, 1))
-	dls := constDeadlines(fixed)
+	dls := append([]*affine.Form(nil), fixed...)
+	dls[k] = nil
+	h := horizon(inst, dls)
+	fk := affine.New(exact.Q{}, exact.Int(1))
 	dls[k] = &fk
-	ep := newEpochs(inst, dls, affine.Const(horizon(inst, fixed)))
+	ep := newEpochs(inst, dls, affine.Const(h))
 
 	// Milestones of this search: the values of F where d̄_k(F) = F crosses a
 	// constant epochal time τ, i.e. F = τ. F must exceed job k's release (a
 	// positive-cost job cannot finish at its release), so the candidate
 	// ranges partition (r_k, +∞); the floor is job k finishing alone,
 	// r_k + p_k.
-	rk := inst.Jobs[k].Release
-	var cross []*big.Rat
+	rk := inst.release[k]
+	var cross []exact.Q
 	for _, f := range ep.times {
 		if f.IsConst() && f.A.Cmp(rk) > 0 {
 			cross = append(cross, f.A)

@@ -4,12 +4,15 @@ import (
 	"math/big"
 	"testing"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 	"divflow/internal/workload"
 )
 
 func r(a, b int64) *big.Rat { return big.NewRat(a, b) }
+
+func q(a, b int64) exact.Q { return exact.New(a, b) }
 
 // oneMachine builds an instance with a single unit-speed machine.
 func oneMachine(t *testing.T, jobs []model.Job) *model.Instance {
@@ -267,14 +270,14 @@ func TestMilestonesBoundAndOrder(t *testing.T) {
 }
 
 func TestObjectiveRanges(t *testing.T) {
-	rs := ObjectiveRanges([]*big.Rat{r(2, 1), r(5, 1)})
+	rs := ObjectiveRanges([]exact.Q{q(2, 1), q(5, 1)})
 	if len(rs) != 3 {
 		t.Fatalf("got %d ranges", len(rs))
 	}
-	if rs[0].Lo.Sign() != 0 || rs[0].Hi.Cmp(r(2, 1)) != 0 {
+	if rs[0].Lo.Sign() != 0 || rs[0].Hi.Cmp(q(2, 1)) != 0 {
 		t.Errorf("range 0 = %v", rs[0])
 	}
-	if rs[2].Hi != nil || rs[2].Lo.Cmp(r(5, 1)) != 0 {
+	if rs[2].Hi != nil || rs[2].Lo.Cmp(q(5, 1)) != 0 {
 		t.Errorf("range 2 = %v", rs[2])
 	}
 	if one := ObjectiveRanges(nil); len(one) != 1 || one[0].Hi != nil {
@@ -557,7 +560,7 @@ func TestMWFReportsSearchStats(t *testing.T) {
 	if res.LPSolves > res.NumMilestones+2 {
 		t.Errorf("too many LP solves: %d for %d milestones", res.LPSolves, res.NumMilestones)
 	}
-	if !res.Range.Contains(res.Objective) {
+	if !res.Range.Contains(exact.FromRat(res.Objective)) {
 		t.Errorf("objective %v outside reported range %v", res.Objective, res.Range)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/big"
 
 	"divflow/internal/affine"
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 )
@@ -24,14 +25,15 @@ func DeadlineFeasible(inst *model.Instance, deadlines []*big.Rat, mode schedule.
 	if len(deadlines) != inst.N() {
 		return false, nil, fmt.Errorf("core: %d deadlines for %d jobs", len(deadlines), inst.N())
 	}
+	q, dls := newInstance(inst), constDeadlines(deadlines)
 	// Reject trivially-impossible windows up front: the answer the LP and
 	// its Farkas certificate would give, without the LP.
-	for j, d := range deadlines {
-		if d != nil && d.Cmp(earliestEnd(inst, j, mode)) < 0 {
+	for j, d := range dls {
+		if d != nil && d.A.Cmp(earliestEnd(q, j, mode)) < 0 {
 			return false, nil, nil
 		}
 	}
-	rl := deadlineLP(inst, deadlines, mode)
+	rl := deadlineLP(q, dls, mode)
 	sol, err := rl.solve()
 	if err != nil {
 		return false, nil, err
@@ -47,11 +49,11 @@ func DeadlineFeasible(inst *model.Instance, deadlines []*big.Rat, mode schedule.
 }
 
 // deadlineLP lays out System (2) (System (5) when mode is Preemptive) for the
-// given deadlines: a range LP on the single point F = 0, so that solving it
-// decides feasibility.
-func deadlineLP(inst *model.Instance, deadlines []*big.Rat, mode schedule.Model) *rangeLP {
-	ep := newEpochs(inst, constDeadlines(deadlines), affine.Const(horizon(inst, deadlines)))
-	return newRangeLP(inst, mode, ep, affine.Range{Lo: new(big.Rat), Hi: new(big.Rat)})
+// given constant deadline forms: a range LP on the single point F = 0, so
+// that solving it decides feasibility.
+func deadlineLP(inst *instance, dls []*affine.Form, mode schedule.Model) *rangeLP {
+	ep := newEpochs(inst, dls, affine.Const(horizon(inst, dls)))
+	return newRangeLP(inst, mode, ep, affine.Range{Hi: new(exact.Q)})
 }
 
 // horizon completes the epochal times of System (2) — all release dates and
@@ -60,19 +62,19 @@ func deadlineLP(inst *model.Instance, deadlines []*big.Rat, mode schedule.Model)
 // covers running them back to back on their fastest machines), and no
 // earlier than any deadline. The extra epochal time only refines the
 // interval decomposition; it never changes feasibility of System (2).
-func horizon(inst *model.Instance, deadlines []*big.Rat) *big.Rat {
-	h := new(big.Rat)
-	for j := range inst.Jobs {
-		if inst.Jobs[j].Release.Cmp(h) > 0 {
-			h.Set(inst.Jobs[j].Release)
+func horizon(inst *instance, dls []*affine.Form) exact.Q {
+	var h exact.Q
+	for _, r := range inst.release {
+		if r.Cmp(h) > 0 {
+			h = r
 		}
 	}
 	for j := range inst.Jobs {
-		h.Add(h, soloTime(inst, j, schedule.Preemptive))
+		h = h.Add(soloTime(inst, j, schedule.Preemptive))
 	}
-	for _, d := range deadlines {
-		if d != nil && d.Cmp(h) > 0 {
-			h.Set(d)
+	for _, d := range dls {
+		if d != nil && d.A.Cmp(h) > 0 {
+			h = d.A
 		}
 	}
 	return h

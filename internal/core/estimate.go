@@ -34,7 +34,8 @@ func EstimateMinMaxWeightedFlow(inst *model.Instance, mode schedule.Model) (*Est
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	s := flowSearch(inst, releaseOrigins(inst), mode, (*rangeSearch).floatProbe)
+	q := newInstance(inst)
+	s := flowSearch(q, q.release, mode, (*rangeSearch).floatProbe)
 	k, sol, err := s.locate()
 	if err != nil {
 		return nil, err

@@ -45,7 +45,7 @@ func TestVerifiedBasesAreNearlyTriangular(t *testing.T) {
 	var counts recordedCeiling
 	for _, tc := range searchCases(t) {
 		for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
-			rl, _ := makespanLP(tc.inst, mode)
+			rl, _ := makespanLP(newInstance(tc.inst), mode)
 			solve(tc.label+" makespan", rl)
 
 			opt, err := minMaxWeightedFlow(tc.inst, tc.origins, mode, honestProbe)
@@ -65,7 +65,7 @@ func TestVerifiedBasesAreNearlyTriangular(t *testing.T) {
 						deadlines[j] = d
 					}
 				}
-				solve(tc.label+" deadlines", deadlineLP(tc.inst, deadlines, mode))
+				solve(tc.label+" deadlines", deadlineLP(newInstance(tc.inst), constDeadlines(deadlines), mode))
 			}
 		}
 	}

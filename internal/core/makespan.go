@@ -5,6 +5,7 @@ import (
 	"math/big"
 
 	"divflow/internal/affine"
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 )
@@ -43,7 +44,7 @@ func minMakespan(inst *model.Instance, mode schedule.Model) (*MakespanResult, er
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	rl, rMax := makespanLP(inst, mode)
+	rl, rMax := makespanLP(newInstance(inst), mode)
 	sol, err := rl.solve()
 	if err != nil {
 		return nil, err
@@ -57,21 +58,20 @@ func minMakespan(inst *model.Instance, mode schedule.Model) (*MakespanResult, er
 	if err != nil {
 		return nil, err
 	}
-	ms := new(big.Rat).Add(rMax, sol.F)
-	return &MakespanResult{Makespan: ms, Schedule: s, Intervals: len(rl.ivs)}, nil
+	return &MakespanResult{Makespan: rMax.Add(sol.F).Rat(), Schedule: s, Intervals: len(rl.ivs)}, nil
 }
 
 // makespanLP lays out the makespan LP and returns it with r_max. Epochal
 // times: distinct release dates, and r_max + F. At any F > 0 the latter sorts
 // last, so the finite intervals between consecutive releases are followed by
 // the final one, [r_max, r_max + F], whose length is F = Δ_n.
-func makespanLP(inst *model.Instance, mode schedule.Model) (*rangeLP, *big.Rat) {
-	rMax := new(big.Rat)
-	for j := range inst.Jobs {
-		if inst.Jobs[j].Release.Cmp(rMax) > 0 {
-			rMax.Set(inst.Jobs[j].Release)
+func makespanLP(inst *instance, mode schedule.Model) (*rangeLP, exact.Q) {
+	var rMax exact.Q
+	for _, r := range inst.release {
+		if r.Cmp(rMax) > 0 {
+			rMax = r
 		}
 	}
-	ep := newEpochs(inst, noDeadlines(inst.N()), affine.New(rMax, big.NewRat(1, 1)))
-	return newRangeLP(inst, mode, ep, affine.Range{Lo: new(big.Rat)}), rMax
+	ep := newEpochs(inst, noDeadlines(inst.N()), affine.New(rMax, exact.Int(1)))
+	return newRangeLP(inst, mode, ep, affine.Range{}), rMax
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"divflow/internal/affine"
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 	"divflow/internal/stats"
@@ -83,10 +84,12 @@ func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	if origins == nil {
-		origins = releaseOrigins(inst)
+	q := newInstance(inst)
+	o := q.release
+	if origins != nil {
+		o = exactAll(origins)
 	}
-	s := flowSearch(inst, origins, mode, probe)
+	s := flowSearch(q, o, mode, probe)
 	// The last range is always feasible: every job can run somewhere.
 	k, rl, sol, err := s.leftmost()
 	if err != nil {
@@ -100,7 +103,7 @@ func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.
 		return nil, err
 	}
 	return &Result{
-		Objective:     sol.F,
+		Objective:     sol.F.Rat(),
 		Schedule:      sched,
 		Range:         s.ranges[k],
 		NumMilestones: len(s.ranges) - 1,
@@ -114,19 +117,17 @@ func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.
 // flowSearch sets up the search of Theorem 2: the ranges the milestones cut
 // the objective into, over the epochal times of LP (3) — every release date
 // and every deadline form d̄_j(F) = o_j + F/w_j.
-func flowSearch(inst *model.Instance, origins []*big.Rat, mode schedule.Model, probe probeFunc) *rangeSearch {
+func flowSearch(inst *instance, origins []exact.Q, mode schedule.Model, probe probeFunc) *rangeSearch {
 	return newRangeSearch(inst, mode, newEpochs(inst, flowDeadlines(inst, origins)),
 		ObjectiveRanges(milestonesWithOrigins(inst, origins)), flowFloor(inst, origins, mode), probe)
 }
 
 // flowFloor is the single-job bound on the max weighted flow: the weighted
 // flow of the job that is worst off even alone, max_j w_j (r_j + p_j − o_j).
-func flowFloor(inst *model.Instance, origins []*big.Rat, mode schedule.Model) *big.Rat {
-	floor := new(big.Rat)
+func flowFloor(inst *instance, origins []exact.Q, mode schedule.Model) exact.Q {
+	var floor exact.Q
 	for j := range inst.Jobs {
-		f := earliestEnd(inst, j, mode)
-		f.Sub(f, origins[j])
-		if f.Mul(f, inst.Jobs[j].Weight).Cmp(floor) > 0 {
+		if f := earliestEnd(inst, j, mode).Sub(origins[j]).Mul(inst.weight[j]); f.Cmp(floor) > 0 {
 			floor = f
 		}
 	}

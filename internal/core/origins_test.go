@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"testing"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 )
@@ -68,8 +69,8 @@ func TestOriginsSingleJobMilestone(t *testing.T) {
 	// search would start in a range where the deadline precedes the
 	// release (the bug class caught by the online simulator).
 	inst := oneMachine(t, []model.Job{{Name: "J", Release: r(7, 1), Weight: r(1, 1), Size: r(1, 1)}})
-	ms := milestonesWithOrigins(inst, []*big.Rat{r(0, 1)})
-	if len(ms) != 1 || ms[0].Cmp(r(7, 1)) != 0 {
+	ms := milestonesWithOrigins(newInstance(inst), []exact.Q{{}})
+	if len(ms) != 1 || ms[0].Cmp(q(7, 1)) != 0 {
 		t.Fatalf("milestones = %v, want [7]", ms)
 	}
 	res, err := MinMaxWeightedFlowFrom(inst, []*big.Rat{r(0, 1)}, schedule.Divisible)

@@ -31,7 +31,7 @@ func probeSearches(t *testing.T) []probeSearch {
 	for _, tc := range searchCases(t) {
 		for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
 			out = append(out, probeSearch{fmt.Sprintf("%s, %v", tc.label, mode),
-				flowSearch(tc.inst, tc.origins, mode, honestProbe), -1, nil})
+				flowSearch(newInstance(tc.inst), exactAll(tc.origins), mode, honestProbe), -1, nil})
 		}
 	}
 	for seed := int64(0); seed < 6; seed++ {
@@ -59,7 +59,7 @@ func probeSearches(t *testing.T) []probeSearch {
 		}
 		for k := range inst.Jobs {
 			out = append(out, probeSearch{fmt.Sprintf("best deadline seed %d job %d, %v", seed, k, mode),
-				bestDeadlineSearch(inst, deadlines, k, mode), k, deadlines})
+				bestDeadlineSearch(newInstance(inst), constDeadlines(deadlines), k, mode), k, deadlines})
 		}
 	}
 	return out
@@ -140,7 +140,7 @@ func TestProbeAgreesWithExact(t *testing.T) {
 			} else if !feasible {
 				continue
 			}
-			want, _ := new(big.Rat).Add(rg.Lo, cold.X[fCol]).Float64()
+			want := rg.Lo.Add(cold.X[fCol]).Float64()
 			if math.Abs(fs.Objective-want) > 1e-6*math.Abs(want) {
 				t.Errorf("%s, range %d %v: probe minimum %v, exact %v", ps.label, k, rg, fs.Objective, want)
 			}
@@ -270,7 +270,8 @@ func TestProbeMagnitudesFloat64CannotHold(t *testing.T) {
 				mode, got.Probes, got.LPSolves, want.LPSolves)
 		}
 		// The first range's width is a milestone: +Inf as a float64.
-		s := flowSearch(huge, releaseOrigins(huge), mode, honestProbe)
+		q := newInstance(huge)
+		s := flowSearch(q, q.release, mode, honestProbe)
 		if fs, err := s.floatProbe(0); err == nil {
 			t.Errorf("%v: probe of %v answered %+v over a non-finite bound", mode, s.ranges[0], fs)
 		}

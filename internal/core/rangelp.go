@@ -5,9 +5,12 @@
 // the same objective under preemption without divisibility (Section 4.4 /
 // System 5, using the Lawler–Labetoulle reconstruction).
 //
-// All solvers operate on exact rational arithmetic end to end: the LPs are
-// solved with an exact simplex, milestones are exact rationals, and the
-// produced schedules validate exactly.
+// All solvers operate on exact rational arithmetic end to end: every
+// epochal time, milestone and LP entry is an exact rational, every LP's
+// answer is verified exactly, and the produced schedules validate exactly.
+// Inside, the rationals are exact.Q values — two machine words each unless a
+// value outgrows them; *big.Rat is only what comes in (the model.Instance,
+// origins, deadlines) and what goes out (objectives and schedule pieces).
 package core
 
 import (
@@ -15,6 +18,7 @@ import (
 	"math/big"
 
 	"divflow/internal/affine"
+	"divflow/internal/exact"
 	"divflow/internal/intervals"
 	"divflow/internal/llsched"
 	"divflow/internal/lp"
@@ -22,6 +26,40 @@ import (
 	"divflow/internal/schedule"
 	"divflow/internal/stats"
 )
+
+// instance is a model.Instance with the rationals the solvers compute from
+// converted to exact.Q once per call, as probeBuf converts the cost matrix to
+// float64 once per search.
+type instance struct {
+	*model.Instance
+	cost            []exact.Q // [i·n+j], zero where machine i cannot run job j
+	release, weight []exact.Q
+}
+
+func newInstance(inst *model.Instance) *instance {
+	n, m := inst.N(), inst.M()
+	q := &instance{Instance: inst, cost: make([]exact.Q, m*n), release: make([]exact.Q, n), weight: make([]exact.Q, n)}
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			c, _ := inst.Cost(i, j)
+			q.cost[i*n+j] = exact.FromRat(c)
+		}
+	}
+	for j := range inst.Jobs {
+		q.release[j] = exact.FromRat(inst.Jobs[j].Release)
+		q.weight[j] = exact.FromRat(inst.Jobs[j].Weight)
+	}
+	return q
+}
+
+// exactAll converts rationals that all exist.
+func exactAll(xs []*big.Rat) []exact.Q {
+	out := make([]exact.Q, len(xs))
+	for i, x := range xs {
+		out[i] = exact.FromRat(x)
+	}
+	return out
+}
 
 // rangeLP is the unified linear program underlying every result in the
 // paper. It covers:
@@ -48,7 +86,7 @@ import (
 // probes that steer a search (see rangeSearch); the two agree entry for entry,
 // so the basis a probe ends on is a basis of the exact problem.
 type rangeLP struct {
-	inst *model.Instance
+	inst *instance
 	mode schedule.Model
 	ivs  []intervals.Interval
 	rg   affine.Range
@@ -80,10 +118,10 @@ type epochs struct {
 	due   []int
 }
 
-func newEpochs(inst *model.Instance, dls []*affine.Form, extra ...affine.Form) epochs {
+func newEpochs(inst *instance, dls []*affine.Form, extra ...affine.Form) epochs {
 	ep := epochs{times: make([]affine.Form, 0, 2*inst.N()+len(extra)), due: make([]int, inst.N())}
-	for j := range inst.Jobs {
-		ep.times = append(ep.times, affine.Const(inst.Jobs[j].Release))
+	for _, r := range inst.release {
+		ep.times = append(ep.times, affine.Const(r))
 	}
 	for j, dl := range dls {
 		ep.due[j] = -1
@@ -98,8 +136,8 @@ func newEpochs(inst *model.Instance, dls []*affine.Form, extra ...affine.Form) e
 
 // rangeSolution carries an optimal solution of a rangeLP.
 type rangeSolution struct {
-	F     *big.Rat       // optimal objective value within the range
-	alpha [][][]*big.Rat // [t][i][j] fractions, nil where no variable
+	F     exact.Q   // optimal objective value within the range
+	alpha []exact.Q // [(t·m+i)·n+j] fractions, as rangeLP.cols; zero where no variable
 }
 
 // recordSolve classifies one hybrid solve into the tally.
@@ -124,7 +162,7 @@ func recordSolve(t *stats.SolverTally, warmTried bool, sol *lp.Solution) {
 // ordered at an interior point of the range, where their order is the
 // range's, and job j is active in interval t iff rank(r_j) <= t <
 // rank(d̄_j) in that order (intervals.SortTimes).
-func newRangeLP(inst *model.Instance, mode schedule.Model, ep epochs, rg affine.Range) *rangeLP {
+func newRangeLP(inst *instance, mode schedule.Model, ep epochs, rg affine.Range) *rangeLP {
 	n, m := inst.N(), inst.M()
 	ivs, rank := intervals.Build(ep.times, rg.Interior())
 	r := &rangeLP{inst: inst, mode: mode, ivs: ivs, rg: rg,
@@ -197,62 +235,61 @@ func newRangeLP(inst *model.Instance, mode schedule.Model, ep epochs, rg affine.
 }
 
 // shifted appends to dst what a fill takes from the range, exactly: Lo, the
-// width Hi − Lo (nil when the range has no upper end) and, per interval, its
+// width Hi − Lo (zero when the range has no upper end) and, per interval, its
 // length at Lo and −B. Both fills write the LP on the shifted objective
 // F = Lo + F′, F′ in column fCol: a capacity row Σ α c_{i,j} <= |I_t| = A + B·F
 // reads Σ α c_{i,j} − B·F′ <= A + B·Lo, the interval's length at the range's
 // lower end — never negative, the epochal order holding on the closed range.
 // So F >= Lo is the sign constraint on F′, no row is negated into a >= row,
 // and phase 1 has only the n completion rows' artificials to drive out.
-func (r *rangeLP) shifted(dst []*big.Rat) []*big.Rat {
-	var width *big.Rat
+func (r *rangeLP) shifted(dst []exact.Q) []exact.Q {
+	var width exact.Q
 	if r.rg.Hi != nil {
-		width = new(big.Rat).Sub(r.rg.Hi, r.rg.Lo)
+		width = r.rg.Hi.Sub(r.rg.Lo)
 	}
 	dst = append(dst, r.rg.Lo, width)
 	for _, iv := range r.ivs {
 		length := iv.Length()
-		dst = append(dst, length.Eval(r.rg.Lo), length.B.Neg(length.B))
+		dst = append(dst, length.Eval(r.rg.Lo), length.B.Neg())
 	}
 	return dst
 }
 
 // build is the exact fill: the lp.Problem of the layout.
 func (r *rangeLP) build() {
-	n := r.inst.N()
 	r.prob = lp.NewProblem()
-	one := big.NewRat(1, 1)
+	one := exact.Int(1)
 	// Only F′ is named: names are read by Problem.Dump alone, and formatting
 	// one per fraction variable and row costs more than adding them.
-	r.prob.AddVar("F'", one)
+	r.prob.AddVarQ("F'", one)
 	for c := 1; c < r.numVars; c++ {
-		r.prob.AddVar("", nil)
+		r.prob.AddVarQ("", exact.Q{})
 	}
-	exact := r.shifted(nil)
-	if width := exact[1]; width != nil {
-		r.prob.AddRow("", []lp.Term{{Col: fCol, Coef: one}}, lp.LE, width)
+	vals := r.shifted(nil)
+	if r.rg.Hi != nil {
+		r.prob.AddRowQ("", []lp.TermQ{{Col: fCol, Coef: one}}, lp.LE, vals[1])
 	}
-	perInterval := exact[2:] // |I_t| at Lo, then −B_t
+	perInterval := vals[2:] // |I_t| at Lo, then −B_t
 
-	var terms []lp.Term // AddRow copies, so one buffer serves every row
+	var terms []lp.TermQ // AddRowQ copies, so one buffer serves every row
 	lo := 0
 	for _, row := range r.rows {
 		terms = terms[:0]
 		if row.t >= 0 {
-			terms = append(terms, lp.Term{Col: fCol, Coef: perInterval[2*row.t+1]}) // AddRow drops a zero
+			terms = append(terms, lp.TermQ{Col: fCol, Coef: perInterval[2*row.t+1]}) // AddRowQ drops a zero
 		}
 		for _, c := range r.terms[lo:row.end] {
 			coef := one
 			if row.t >= 0 {
-				coef, _ = r.inst.Cost(r.costAt[c]/n, r.costAt[c]%n)
+				coef = r.inst.cost[r.costAt[c]]
 			}
-			terms = append(terms, lp.Term{Col: c, Coef: coef})
+			terms = append(terms, lp.TermQ{Col: c, Coef: coef})
 		}
 		lo = row.end
 		if row.t >= 0 {
-			r.prob.AddRow("", terms, lp.LE, perInterval[2*row.t])
+			r.prob.AddRowQ("", terms, lp.LE, perInterval[2*row.t])
 		} else {
-			r.prob.AddRow("", terms, lp.EQ, one)
+			r.prob.AddRowQ("", terms, lp.EQ, one)
 		}
 	}
 }
@@ -263,19 +300,12 @@ type probeBuf struct {
 	tab    lp.FloatTableau
 	cost   []float64 // [i·n+j], 0 where machine i cannot run job j
 	senses []lp.Sense
-	exact  []*big.Rat // what a fill takes from its range, exactly…
-	image  []float64  // …and in float64
+	exact  []exact.Q // what a fill takes from its range, exactly…
+	image  []float64 // …and in float64
 }
 
-func newProbeBuf(inst *model.Instance) *probeBuf {
-	costs := make([]*big.Rat, 0, inst.M()*inst.N())
-	for i := 0; i < inst.M(); i++ {
-		for j := 0; j < inst.N(); j++ {
-			c, _ := inst.Cost(i, j)
-			costs = append(costs, c)
-		}
-	}
-	return &probeBuf{cost: lp.FloatImage(nil, costs)}
+func newProbeBuf(inst *instance) *probeBuf {
+	return &probeBuf{cost: lp.FloatImage(nil, inst.cost)}
 }
 
 // fillProbe is the float fill: the same rows from the same exact values,
@@ -284,11 +314,11 @@ func newProbeBuf(inst *model.Instance) *probeBuf {
 func (r *rangeLP) fillProbe(b *probeBuf) (lo float64) {
 	b.exact = r.shifted(b.exact[:0])
 	b.image = lp.FloatImage(b.image[:0], b.exact)
-	width, perInterval := b.exact[1], b.image[2:] // |I_t| at Lo, then −B_t
+	bounded, perInterval := r.rg.Hi != nil, b.image[2:] // |I_t| at Lo, then −B_t
 
 	first := 0 // the tableau row of the layout's first: F′ <= Hi − Lo precedes it
 	b.senses = b.senses[:0]
-	if width != nil {
+	if bounded {
 		first = 1
 		b.senses = append(b.senses, lp.LE)
 	}
@@ -300,7 +330,7 @@ func (r *rangeLP) fillProbe(b *probeBuf) (lo float64) {
 		}
 	}
 	b.tab.Reset(r.numVars, b.senses)
-	if width != nil {
+	if bounded {
 		b.tab.Set(0, fCol, 1)
 		b.tab.SetRHS(0, b.image[1])
 	}
@@ -352,18 +382,10 @@ func (r *rangeLP) solveWith(warm *lp.Basis, tally *stats.SolverTally) (*rangeSol
 	default:
 		return nil, fmt.Errorf("core: range LP reported %v", sol.Status)
 	}
-	out := &rangeSolution{F: new(big.Rat).Add(r.rg.Lo, sol.X[fCol])}
-	n, m := r.inst.N(), r.inst.M()
-	out.alpha = make([][][]*big.Rat, len(r.ivs))
-	for t := range r.ivs {
-		out.alpha[t] = make([][]*big.Rat, m)
-		for i := 0; i < m; i++ {
-			out.alpha[t][i] = make([]*big.Rat, n)
-			for j := 0; j < n; j++ {
-				if c := r.cols[(t*m+i)*n+j]; c >= 0 && sol.X[c].Sign() != 0 {
-					out.alpha[t][i][j] = new(big.Rat).Set(sol.X[c])
-				}
-			}
+	out := &rangeSolution{F: r.rg.Lo.Add(sol.X[fCol]), alpha: make([]exact.Q, len(r.cols))}
+	for k, c := range r.cols {
+		if c >= 0 {
+			out.alpha[k] = sol.X[c]
 		}
 	}
 	return out, nil
@@ -378,26 +400,24 @@ func (r *rangeLP) extract(sol *rangeSolution) (*schedule.Schedule, error) {
 	out := &schedule.Schedule{}
 	n, m := r.inst.N(), r.inst.M()
 	for t, iv := range r.ivs {
-		lo := iv.Lo.Eval(sol.F)
-		hi := iv.Hi.Eval(sol.F)
+		lo, hi := iv.Lo.Eval(sol.F), iv.Hi.Eval(sol.F)
 		if lo.Cmp(hi) >= 0 {
 			// Interval collapsed at the range boundary; capacity forces
 			// all its fractions to zero.
 			continue
 		}
+		alpha := sol.alpha[t*m*n : (t+1)*m*n]
 		switch r.mode {
 		case schedule.Divisible:
 			for i := 0; i < m; i++ {
-				cur := new(big.Rat).Set(lo)
+				cur := lo
 				for j := 0; j < n; j++ {
-					a := sol.alpha[t][i][j]
-					if a == nil {
+					a := alpha[i*n+j]
+					if a.Sign() == 0 {
 						continue
 					}
-					cost, _ := r.inst.Cost(i, j)
-					end := new(big.Rat).Mul(a, cost)
-					end.Add(end, cur)
-					out.Add(i, j, cur, end, a)
+					end := cur.Add(a.Mul(r.inst.cost[i*n+j]))
+					out.Add(i, j, cur.Rat(), end.Rat(), a.Rat())
 					cur = end
 				}
 			}
@@ -406,14 +426,12 @@ func (r *rangeLP) extract(sol *rangeSolution) (*schedule.Schedule, error) {
 			for i := 0; i < m; i++ {
 				T[i] = make([]*big.Rat, n)
 				for j := 0; j < n; j++ {
-					if a := sol.alpha[t][i][j]; a != nil {
-						cost, _ := r.inst.Cost(i, j)
-						T[i][j] = new(big.Rat).Mul(a, cost)
+					if a := alpha[i*n+j]; a.Sign() != 0 {
+						T[i][j] = a.Mul(r.inst.cost[i*n+j]).Rat()
 					}
 				}
 			}
-			window := new(big.Rat).Sub(hi, lo)
-			pieces, err := llsched.Decompose(T, window, lo)
+			pieces, err := llsched.Decompose(T, hi.Sub(lo).Rat(), lo.Rat())
 			if err != nil {
 				return nil, fmt.Errorf("core: interval %d reconstruction: %w", t, err)
 			}
@@ -435,33 +453,24 @@ func noDeadlines(n int) []*affine.Form { return make([]*affine.Form, n) }
 // where o_j is the flow origin of job j (its release date in the plain
 // offline problem; possibly earlier in the online re-solve setting, where a
 // job has already waited before the residual instance is formed).
-func flowDeadlines(inst *model.Instance, origins []*big.Rat) []*affine.Form {
+func flowDeadlines(inst *instance, origins []exact.Q) []*affine.Form {
 	out := make([]*affine.Form, inst.N())
 	for j := range out {
-		slope := new(big.Rat).Inv(inst.Jobs[j].Weight)
-		f := affine.New(origins[j], slope)
+		f := affine.New(origins[j], inst.weight[j].Inv())
 		out[j] = &f
 	}
 	return out
 }
 
-// releaseOrigins returns the default flow origins: the release dates.
-func releaseOrigins(inst *model.Instance) []*big.Rat {
-	out := make([]*big.Rat, inst.N())
-	for j := range out {
-		out[j] = inst.Jobs[j].Release
-	}
-	return out
-}
-
-// constDeadlines wraps fixed rational deadlines as constant forms.
+// constDeadlines wraps fixed rational deadlines as constant forms; a nil
+// deadline stays nil.
 func constDeadlines(dls []*big.Rat) []*affine.Form {
 	out := make([]*affine.Form, len(dls))
 	for j, d := range dls {
 		if d == nil {
 			continue
 		}
-		f := affine.Const(d)
+		f := affine.Const(exact.FromRat(d))
 		out[j] = &f
 	}
 	return out

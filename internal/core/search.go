@@ -1,12 +1,11 @@
 package core
 
 import (
-	"math/big"
 	"sort"
 
 	"divflow/internal/affine"
+	"divflow/internal/exact"
 	"divflow/internal/lp"
-	"divflow/internal/model"
 	"divflow/internal/schedule"
 	"divflow/internal/stats"
 )
@@ -31,9 +30,9 @@ import (
 // wrong, stalled or lying probe costs extra exact work, never the result —
 // and a probe may skip everything the proof needs: it fills the range's
 // layout in float64 straight into one tableau the search keeps
-// (rangeLP.fillProbe), building no lp.Problem and no big.Rat coefficient.
+// (rangeLP.fillProbe), building no lp.Problem and no exact coefficient.
 type rangeSearch struct {
-	inst   *model.Instance
+	inst   *instance
 	mode   schedule.Model
 	ep     epochs // epochal times, ordered anew on every range
 	ranges []affine.Range
@@ -52,7 +51,7 @@ type rangeSearch struct {
 // newRangeSearch opens a search at floor, a value no feasible objective is
 // below: on the leftmost range whose upper end reaches it (of the two ranges a
 // milestone is in, the lower), the last range if none does.
-func newRangeSearch(inst *model.Instance, mode schedule.Model, ep epochs, ranges []affine.Range, floor *big.Rat, probe probeFunc) *rangeSearch {
+func newRangeSearch(inst *instance, mode schedule.Model, ep epochs, ranges []affine.Range, floor exact.Q, probe probeFunc) *rangeSearch {
 	seed := sort.Search(len(ranges)-1, func(k int) bool { return ranges[k].Hi.Cmp(floor) >= 0 })
 	return &rangeSearch{inst: inst, mode: mode, ep: ep, ranges: ranges, probe: probe, lo: seed}
 }
@@ -62,21 +61,21 @@ func newRangeSearch(inst *model.Instance, mode schedule.Model, ep epochs, ranges
 // min_i c_{i,j} when it may not run on two at once (preemptive). The range LP
 // cannot do better — its capacity rows give job j at most (d̄_j − r_j)/c_{i,j}
 // of itself on machine i, (5b) at most d̄_j − r_j of machine time in all.
-func soloTime(inst *model.Instance, j int, mode schedule.Model) *big.Rat {
-	p, inv := new(big.Rat), new(big.Rat)
+func soloTime(inst *instance, j int, mode schedule.Model) exact.Q {
+	var p exact.Q
 	for i := 0; i < inst.M(); i++ {
-		c, ok := inst.Cost(i, j)
-		if !ok {
+		if !inst.CanRun(i, j) {
 			continue
 		}
+		c := inst.cost[i*inst.N()+j]
 		if mode == schedule.Divisible {
-			p.Add(p, inv.Inv(c))
+			p = p.Add(c.Inv())
 		} else if p.Sign() == 0 || c.Cmp(p) < 0 {
-			p.Set(c)
+			p = c
 		}
 	}
 	if mode == schedule.Divisible {
-		p.Inv(p)
+		p = p.Inv()
 	}
 	return p
 }
@@ -84,9 +83,8 @@ func soloTime(inst *model.Instance, j int, mode schedule.Model) *big.Rat {
 // earliestEnd is r_j + p_j: no schedule, and no solution of a range LP,
 // completes job j sooner. Every search's floor is made of it, and a deadline
 // below it is infeasible whatever else runs.
-func earliestEnd(inst *model.Instance, j int, mode schedule.Model) *big.Rat {
-	p := soloTime(inst, j, mode)
-	return p.Add(p, inst.Jobs[j].Release)
+func earliestEnd(inst *instance, j int, mode schedule.Model) exact.Q {
+	return soloTime(inst, j, mode).Add(inst.release[j])
 }
 
 // probeFunc answers "is the LP of range k feasible?" approximately: an error,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"divflow/internal/affine"
+	"divflow/internal/exact"
 	"divflow/internal/lp"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
@@ -28,11 +29,12 @@ type referenceResult struct {
 // the reference the shared rangeSearch is compared against.
 func referenceMWF(t *testing.T, inst *model.Instance, origins []*big.Rat, mode schedule.Model) referenceResult {
 	t.Helper()
-	ranges := ObjectiveRanges(milestonesWithOrigins(inst, origins))
-	ep := newEpochs(inst, flowDeadlines(inst, origins))
+	q, o := newInstance(inst), exactAll(origins)
+	ranges := ObjectiveRanges(milestonesWithOrigins(q, o))
+	ep := newEpochs(q, flowDeadlines(q, o))
 	solves := 0
 	solveOne := func(k int) (*rangeLP, *rangeSolution) {
-		rl := newRangeLP(inst, mode, ep, ranges[k])
+		rl := newRangeLP(q, mode, ep, ranges[k])
 		sol, err := rl.solve()
 		if err != nil {
 			t.Fatal(err)
@@ -64,11 +66,11 @@ func referenceMWF(t *testing.T, inst *model.Instance, origins []*big.Rat, mode s
 // every schedule piece — the same optimal vertex.
 func sameAsReference(t *testing.T, label string, got *Result, want referenceResult, ranges []affine.Range) {
 	t.Helper()
-	if got.Objective.Cmp(want.sol.F) != 0 {
+	if exact.FromRat(got.Objective).Cmp(want.sol.F) != 0 {
 		t.Fatalf("%s: objective %v, reference %v", label, got.Objective, want.sol.F)
 	}
 	if rg := ranges[want.k]; got.Range.Lo.Cmp(rg.Lo) != 0 || (got.Range.Hi == nil) != (rg.Hi == nil) ||
-		(rg.Hi != nil && got.Range.Hi.Cmp(rg.Hi) != 0) {
+		(rg.Hi != nil && got.Range.Hi.Cmp(*rg.Hi) != 0) {
 		t.Fatalf("%s: range %v, reference %v", label, got.Range, rg)
 	}
 	if len(got.Schedule.Pieces) != len(want.sched.Pieces) {
@@ -153,6 +155,20 @@ var (
 	}
 )
 
+// flowRanges is the milestone ranges of the flow search over inst, origins.
+func flowRanges(inst *model.Instance, origins []*big.Rat) []affine.Range {
+	return ObjectiveRanges(milestonesWithOrigins(newInstance(inst), exactAll(origins)))
+}
+
+// releaseOrigins returns the default flow origins: the release dates.
+func releaseOrigins(inst *model.Instance) []*big.Rat {
+	out := make([]*big.Rat, inst.N())
+	for j := range out {
+		out[j] = inst.Jobs[j].Release
+	}
+	return out
+}
+
 // searchCase is one instance of the differential suite.
 type searchCase struct {
 	label   string
@@ -221,7 +237,7 @@ func TestRangeSearchMatchesReference(t *testing.T) {
 	for _, tc := range searchCases(t) {
 		for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
 			want := referenceMWF(t, tc.inst, tc.origins, mode)
-			ranges := ObjectiveRanges(milestonesWithOrigins(tc.inst, tc.origins))
+			ranges := flowRanges(tc.inst, tc.origins)
 			var honest *Result
 			for _, p := range probes {
 				label := fmt.Sprintf("%s, %v, %s probe", tc.label, mode, p.name)
@@ -271,9 +287,9 @@ func TestRangeSearchMatchesReference(t *testing.T) {
 func TestRangeSearchCertifyFromAnywhere(t *testing.T) {
 	for _, tc := range searchCases(t)[:8] {
 		want := referenceMWF(t, tc.inst, tc.origins, schedule.Divisible)
-		ranges := ObjectiveRanges(milestonesWithOrigins(tc.inst, tc.origins))
+		ranges := flowRanges(tc.inst, tc.origins)
 		for start := range ranges {
-			s := flowSearch(tc.inst, tc.origins, schedule.Divisible, honestProbe)
+			s := flowSearch(newInstance(tc.inst), exactAll(tc.origins), schedule.Divisible, honestProbe)
 			k, _, sol, err := s.certify(start, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -300,10 +316,10 @@ func TestRangeSearchOptimumOnMilestone(t *testing.T) {
 			{Name: "A", Release: r(0, 1), Weight: tc.weight, Size: tc.size},
 			{Name: "B", Release: tc.size, Weight: r(1, 100), Size: r(1, 1)},
 		})
-		fstar := new(big.Rat).Mul(tc.weight, tc.size)
+		fstar := exact.FromRat(new(big.Rat).Mul(tc.weight, tc.size))
 		origins := releaseOrigins(inst)
 		want := referenceMWF(t, inst, origins, schedule.Divisible)
-		ranges := ObjectiveRanges(milestonesWithOrigins(inst, origins))
+		ranges := flowRanges(inst, origins)
 		if want.sol.F.Cmp(fstar) != 0 || ranges[want.k].Hi == nil || ranges[want.k].Hi.Cmp(fstar) != 0 {
 			t.Fatalf("size %v weight %v: reference found F = %v on %v, want %v at the range's upper end",
 				tc.size, tc.weight, want.sol.F, ranges[want.k], fstar)
@@ -316,7 +332,7 @@ func TestRangeSearchOptimumOnMilestone(t *testing.T) {
 			sameAsReference(t, "optimum on milestone", got, want, ranges)
 		}
 		// Started on the range whose lower end is F*, the walk goes left.
-		s := flowSearch(inst, origins, schedule.Divisible, honestProbe)
+		s := flowSearch(newInstance(inst), exactAll(origins), schedule.Divisible, honestProbe)
 		k, _, sol, err := s.certify(want.k+1, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -330,9 +346,9 @@ func TestRangeSearchOptimumOnMilestone(t *testing.T) {
 
 // seededSearch is the flow search of tc opened at the given floor instead of
 // flowFloor's; any value up to the optimum is a floor.
-func seededSearch(tc searchCase, mode schedule.Model, floor *big.Rat, probe probeFunc) *rangeSearch {
-	return newRangeSearch(tc.inst, mode, newEpochs(tc.inst, flowDeadlines(tc.inst, tc.origins)),
-		ObjectiveRanges(milestonesWithOrigins(tc.inst, tc.origins)), floor, probe)
+func seededSearch(tc searchCase, mode schedule.Model, floor exact.Q, probe probeFunc) *rangeSearch {
+	q, o := newInstance(tc.inst), exactAll(tc.origins)
+	return newRangeSearch(q, mode, newEpochs(q, flowDeadlines(q, o)), ObjectiveRanges(milestonesWithOrigins(q, o)), floor, probe)
 }
 
 // TestRangeSearchSeedEdges walks the places a floor can fall: on a milestone
@@ -355,7 +371,7 @@ func TestRangeSearchSeedEdges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		sameAsReference(t, label, &Result{Objective: sol.F, Schedule: sched, Range: s.ranges[k]}, want, s.ranges)
+		sameAsReference(t, label, &Result{Objective: sol.F.Rat(), Schedule: sched, Range: s.ranges[k]}, want, s.ranges)
 	}
 	// An instance whose optimum has ranges to cross on either side.
 	var tc searchCase
@@ -363,7 +379,7 @@ func TestRangeSearchSeedEdges(t *testing.T) {
 	var ranges []affine.Range
 	for _, c := range searchCases(t) {
 		w := referenceMWF(t, c.inst, c.origins, schedule.Divisible)
-		if rgs := ObjectiveRanges(milestonesWithOrigins(c.inst, c.origins)); w.k >= 3 && w.k+3 < len(rgs) {
+		if rgs := flowRanges(c.inst, c.origins); w.k >= 3 && w.k+3 < len(rgs) {
 			tc, want, ranges = c, w, rgs
 			break
 		}
@@ -375,7 +391,7 @@ func TestRangeSearchSeedEdges(t *testing.T) {
 
 	for k := 0; k < want.k; k++ {
 		// On milestone F_{k+1}, the upper end of range k and the lower of k+1.
-		if s := seededSearch(tc, schedule.Divisible, ranges[k].Hi, honestProbe); s.lo != k {
+		if s := seededSearch(tc, schedule.Divisible, *ranges[k].Hi, honestProbe); s.lo != k {
 			t.Errorf("floor on the upper end of range %d seeds range %d", k, s.lo)
 		}
 		// Strictly inside range k.
@@ -383,7 +399,7 @@ func TestRangeSearchSeedEdges(t *testing.T) {
 			t.Errorf("floor inside range %d seeds range %d", k, s.lo)
 		}
 	}
-	s := seededSearch(tc, schedule.Divisible, new(big.Rat), honestProbe)
+	s := seededSearch(tc, schedule.Divisible, exact.Q{}, honestProbe)
 	run("floor 0", s, want)
 	if s.probes == 0 || s.solves != 1 {
 		t.Errorf("floor 0: %d probes and %d exact solves, want a gallop from range 0 and one proof", s.probes, s.solves)
@@ -398,7 +414,7 @@ func TestRangeSearchSeedEdges(t *testing.T) {
 	// certify walks right. One that lies "infeasible" from a seed on the
 	// optimal range all the way up: the gallop runs off the end, the
 	// bisection too, and certify walks left from the last range.
-	s = seededSearch(tc, schedule.Divisible, new(big.Rat), lyingProbe)
+	s = seededSearch(tc, schedule.Divisible, exact.Q{}, lyingProbe)
 	run("lying feasible at the seed", s, want)
 	if s.probes != 1 || s.solves != want.k+1 {
 		t.Errorf("lying feasible at the seed: %d probes and %d exact solves, want 1 and the %d-range walk", s.probes, s.solves, want.k+1)
@@ -422,7 +438,7 @@ func TestRangeSearchSeedEdges(t *testing.T) {
 	for _, c := range []searchCase{above, single} {
 		want := referenceMWF(t, c.inst, c.origins, schedule.Divisible)
 		for _, probe := range []probeFunc{honestProbe, lyingProbe, stalledProbe} {
-			s := flowSearch(c.inst, c.origins, schedule.Divisible, probe)
+			s := flowSearch(newInstance(c.inst), exactAll(c.origins), schedule.Divisible, probe)
 			run(c.label, s, want)
 			if last := len(s.ranges) - 1; want.k != last || s.lo != last || s.probes != 0 || s.solves != 1 {
 				t.Errorf("%s: seeded range %d of %d, %d probes, %d exact solves; want the last range, no probe, one solve",
@@ -443,14 +459,14 @@ func TestFloorIsALowerBound(t *testing.T) {
 	for _, tc := range searchCases(t) {
 		for _, mode := range modes {
 			want := referenceMWF(t, tc.inst, tc.origins, mode)
-			floor := flowFloor(tc.inst, tc.origins, mode)
+			floor := flowFloor(newInstance(tc.inst), exactAll(tc.origins), mode)
 			switch floor.Cmp(want.sol.F) {
 			case 1:
 				t.Errorf("%s, %v: floor %v above the optimum %v", tc.label, mode, floor, want.sol.F)
 			case 0:
 				tight++
 			}
-			if s := flowSearch(tc.inst, tc.origins, mode, honestProbe); s.lo > want.k {
+			if s := flowSearch(newInstance(tc.inst), exactAll(tc.origins), mode, honestProbe); s.lo > want.k {
 				t.Errorf("%s, %v: seeded range %d, right of the optimal range %d", tc.label, mode, s.lo, want.k)
 			}
 		}
@@ -462,11 +478,11 @@ func TestFloorIsALowerBound(t *testing.T) {
 		if ps.k < 0 {
 			continue
 		}
-		best, err := BestDeadline(ps.s.inst, ps.deadlines, ps.k, ps.s.mode)
+		best, err := BestDeadline(ps.s.inst.Instance, ps.deadlines, ps.k, ps.s.mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if floor := earliestEnd(ps.s.inst, ps.k, ps.s.mode); best == nil || floor.Cmp(best) > 0 {
+		if floor := earliestEnd(ps.s.inst, ps.k, ps.s.mode); best == nil || floor.Cmp(exact.FromRat(best)) > 0 {
 			t.Errorf("%s: floor %v above the counter-offer %v", ps.label, floor, best)
 		}
 	}
@@ -481,7 +497,7 @@ func TestFloorIsALowerBound(t *testing.T) {
 	}
 	origins := []*big.Rat{r(1, 1)}
 	for mode, end := range map[schedule.Model]*big.Rat{schedule.Divisible: r(11, 2), schedule.Preemptive: r(6, 1)} {
-		if got := earliestEnd(inst, 0, mode); got.Cmp(end) != 0 {
+		if got := earliestEnd(newInstance(inst), 0, mode); got.Cmp(exact.FromRat(end)) != 0 {
 			t.Errorf("%v: job alone ends at %v, want %v", mode, got, end)
 		}
 		flow := new(big.Rat).Sub(end, origins[0])
@@ -490,7 +506,7 @@ func TestFloorIsALowerBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if floor := flowFloor(inst, origins, mode); floor.Cmp(flow) != 0 || got.Objective.Cmp(flow) != 0 {
+		if floor := flowFloor(newInstance(inst), exactAll(origins), mode); floor.Cmp(exact.FromRat(flow)) != 0 || got.Objective.Cmp(flow) != 0 {
 			t.Errorf("%v: floor %v and optimum %v, want both %v", mode, floor, got.Objective, flow)
 		}
 		best, err := BestDeadline(inst, []*big.Rat{nil}, 0, mode)
@@ -517,7 +533,7 @@ func TestTrivialWindowsRejectedAsTheLPWould(t *testing.T) {
 	}
 	eps := r(1, 1000)
 	for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
-		end := earliestEnd(inst, 0, mode)
+		end := earliestEnd(newInstance(inst), 0, mode).Rat()
 		for _, tc := range []struct {
 			d    *big.Rat
 			want bool
@@ -528,7 +544,7 @@ func TestTrivialWindowsRejectedAsTheLPWould(t *testing.T) {
 			{new(big.Rat).Add(inst.Jobs[0].Release, eps), false},
 		} {
 			dls := []*big.Rat{tc.d, nil}
-			sol, err := deadlineLP(inst, dls, mode).solve()
+			sol, err := deadlineLP(newInstance(inst), constDeadlines(dls), mode).solve()
 			if err != nil {
 				t.Fatal(err)
 			}

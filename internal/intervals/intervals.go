@@ -11,10 +11,10 @@
 package intervals
 
 import (
-	"math/big"
 	"sort"
 
 	"divflow/internal/affine"
+	"divflow/internal/exact"
 )
 
 // Interval is one epochal interval [Lo, Hi[ whose bounds may depend on F.
@@ -38,8 +38,8 @@ func (iv Interval) Length() affine.Form { return iv.Hi.Sub(iv.Lo) }
 // sorted[t+1] iff rank[a] <= t < rank[b] — the paper's rules (1a)/(2a) and
 // (2b), release <= inf I_t and deadline >= sup I_t, with no further
 // comparison of rationals.
-func SortTimes(times []affine.Form, at *big.Rat) (sorted []affine.Form, rank []int) {
-	vals := make([]*big.Rat, len(times))
+func SortTimes(times []affine.Form, at exact.Q) (sorted []affine.Form, rank []int) {
+	vals := make([]exact.Q, len(times))
 	order := make([]int, len(times))
 	for i, f := range times {
 		vals[i] = f.Eval(at)
@@ -61,7 +61,7 @@ func SortTimes(times []affine.Form, at *big.Rat) (sorted []affine.Form, rank []i
 // the nint−1 consecutive intervals they delimit, interval t spanning
 // sorted[t] to sorted[t+1], with SortTimes' ranks. Fewer than two distinct
 // times yield no interval.
-func Build(times []affine.Form, at *big.Rat) ([]Interval, []int) {
+func Build(times []affine.Form, at exact.Q) ([]Interval, []int) {
 	sorted, rank := SortTimes(times, at)
 	if len(sorted) < 2 {
 		return nil, rank

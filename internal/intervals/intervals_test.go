@@ -1,23 +1,23 @@
 package intervals
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 
 	"divflow/internal/affine"
+	"divflow/internal/exact"
 )
 
-func r(a, b int64) *big.Rat { return big.NewRat(a, b) }
+func r(a, b int64) exact.Q { return exact.New(a, b) }
 
 // fromConstants builds intervals from plain rational epochal times (release
 // dates, fixed deadlines): order does not depend on F.
-func fromConstants(points ...*big.Rat) []Interval {
+func fromConstants(points ...exact.Q) []Interval {
 	forms := make([]affine.Form, len(points))
 	for i, p := range points {
 		forms[i] = affine.Const(p)
 	}
-	ivs, _ := Build(forms, new(big.Rat))
+	ivs, _ := Build(forms, exact.Q{})
 	return ivs
 }
 
@@ -71,7 +71,7 @@ func TestSortTimesAffine(t *testing.T) {
 	if len(sorted) != 4 {
 		t.Fatalf("got %d times, want 4", len(sorted))
 	}
-	want := []*big.Rat{r(0, 1), r(2, 1), r(4, 1), r(5, 1)}
+	want := []exact.Q{r(0, 1), r(2, 1), r(4, 1), r(5, 1)}
 	for i, f := range sorted {
 		if f.Eval(at).Cmp(want[i]) != 0 {
 			t.Errorf("sorted[%d](2) = %v, want %v", i, f.Eval(at), want[i])
@@ -99,12 +99,12 @@ func TestSortTimesDedup(t *testing.T) {
 
 func TestBuildCoversGaps(t *testing.T) {
 	times := []affine.Form{affine.Const(r(0, 1)), affine.Const(r(10, 1)), affine.Const(r(3, 1))}
-	ivs, _ := Build(times, new(big.Rat))
+	ivs, _ := Build(times, exact.Q{})
 	if len(ivs) != 2 {
 		t.Fatalf("got %d intervals", len(ivs))
 	}
 	// Intervals must tile [0,10] without gap or overlap.
-	if ivs[0].Hi.Eval(new(big.Rat)).Cmp(ivs[1].Lo.Eval(new(big.Rat))) != 0 {
+	if ivs[0].Hi.Eval(exact.Q{}).Cmp(ivs[1].Lo.Eval(exact.Q{})) != 0 {
 		t.Error("intervals must be adjacent")
 	}
 }

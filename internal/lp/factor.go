@@ -1,6 +1,6 @@
 package lp
 
-import "math/big"
+import "divflow/internal/exact"
 
 // basisFactor is an exact sparse factorization of the m x m basis matrix B
 // whose columns are the chosen columns of the standard form. It answers the
@@ -43,7 +43,7 @@ type basisFactor struct {
 	// row-major, whose k-th elimination row is physical row perm[k].
 	bumpRows, bumpCols   []int32
 	bumpRowAt, bumpColAt []int32
-	lu                   []big.Rat
+	lu                   []exact.Q
 	perm                 []int32
 }
 
@@ -51,7 +51,7 @@ type basisFactor struct {
 // that line and the standard form's own value.
 type factorEntry struct {
 	idx int32
-	val *big.Rat
+	val exact.Q
 }
 
 // factorPivot is one singleton pivot: a row and the basis position of the
@@ -171,17 +171,16 @@ func factorize(sf *stdForm, basis []int) *basisFactor {
 // reports false when the bump, and so the basis, is singular.
 func (f *basisFactor) factorBump() bool {
 	b := len(f.bumpRows)
-	f.lu = make([]big.Rat, b*b)
+	f.lu = make([]exact.Q, b*b)
 	f.perm = make([]int32, b)
 	for r, i := range f.bumpRows {
 		f.perm[r] = int32(r)
 		for _, e := range f.rows[i] {
 			if c := f.bumpColAt[e.idx]; c >= 0 {
-				f.lu[r*b+int(c)].Set(e.val)
+				f.lu[r*b+int(c)] = e.val
 			}
 		}
 	}
-	var tmp, inv big.Rat
 	for k := 0; k < b; k++ {
 		// Pick the sparsest-looking nonzero pivot in the column: exact
 		// elimination suffers no instability, but small pivots keep the
@@ -189,12 +188,11 @@ func (f *basisFactor) factorBump() bool {
 		pivot := -1
 		best := 0
 		for p := k; p < b; p++ {
-			e := &f.lu[int(f.perm[p])*b+k]
+			e := f.lu[int(f.perm[p])*b+k]
 			if e.Sign() == 0 {
 				continue
 			}
-			sz := e.Num().BitLen() + e.Denom().BitLen()
-			if pivot == -1 || sz < best {
+			if sz := e.BitLen(); pivot == -1 || sz < best {
 				pivot, best = p, sz
 			}
 		}
@@ -203,20 +201,16 @@ func (f *basisFactor) factorBump() bool {
 		}
 		f.perm[k], f.perm[pivot] = f.perm[pivot], f.perm[k]
 		prow := f.luRow(k)
-		inv.Inv(&prow[k])
+		inv := prow[k].Inv()
 		for p := k + 1; p < b; p++ {
 			row := f.luRow(p)
 			if row[k].Sign() == 0 {
 				continue
 			}
-			factor := &row[k]
-			factor.Mul(factor, &inv) // stored L entry
+			factor := row[k].Mul(inv)
+			row[k] = factor // stored L entry
 			for j := k + 1; j < b; j++ {
-				if prow[j].Sign() == 0 {
-					continue
-				}
-				tmp.Mul(factor, &prow[j])
-				row[j].Sub(&row[j], &tmp)
+				row[j] = subMul(row[j], factor, prow[j])
 			}
 		}
 	}
@@ -224,86 +218,71 @@ func (f *basisFactor) factorBump() bool {
 }
 
 // luRow is the k-th row of the bump's L\U in elimination order.
-func (f *basisFactor) luRow(k int) []big.Rat {
+func (f *basisFactor) luRow(k int) []exact.Q {
 	b := len(f.perm)
 	return f.lu[int(f.perm[k])*b:][:b]
 }
 
-// subMul sets acc to acc − a·x, skipping the product when x is zero.
-func subMul(acc, a, x, tmp *big.Rat) {
-	if x.Sign() != 0 {
-		acc.Sub(acc, tmp.Mul(a, x))
+// subMul returns acc − a·x, skipping the product when x is zero.
+func subMul(acc, a, x exact.Q) exact.Q {
+	if x.Sign() == 0 {
+		return acc
 	}
+	return acc.Sub(a.Mul(x))
 }
 
 // readOff solves the equation a line of B (or of Bᵀ) states for its pivot
 // unknown: v[piv] = (rhs − Σ val·v[idx] over the line's other entries) / the
 // pivot's value. Solved in basisFactor's order, every other unknown the line
 // mentions is known by then.
-func readOff(line []factorEntry, piv int32, rhs *big.Rat, v []*big.Rat, tmp *big.Rat) {
-	acc := v[piv].Set(rhs)
-	var d *big.Rat
+func readOff(line []factorEntry, piv int32, rhs exact.Q, v []exact.Q) {
+	acc, d := rhs, exact.Q{}
 	for _, e := range line {
 		if e.idx == piv {
 			d = e.val
 		} else {
-			subMul(acc, e.val, v[e.idx], tmp)
+			acc = subMul(acc, e.val, v[e.idx])
 		}
 	}
-	acc.Quo(acc, d)
-}
-
-// ratVector returns n zero rationals cut from one backing array of n+extra,
-// and the extra ones as scratch.
-func ratVector(n, extra int) ([]*big.Rat, []big.Rat) {
-	vals := make([]big.Rat, n+extra)
-	out := make([]*big.Rat, n)
-	for i := range out {
-		out[i] = &vals[i]
-	}
-	return out, vals[n:]
+	v[piv] = acc.Quo(d)
 }
 
 // solve returns x with B x = b, indexed by basis position: the row pivots
 // as peeled, the bump, the column pivots in reverse, each unknown read off a
 // row of B. It writes only into its own result.
-func (f *basisFactor) solve(b []*big.Rat) []*big.Rat {
-	x, z := ratVector(len(f.rows), len(f.bumpRows))
-	var tmp big.Rat
+func (f *basisFactor) solve(b []exact.Q) []exact.Q {
+	x, z := make([]exact.Q, len(f.rows)), make([]exact.Q, len(f.bumpRows))
 	for _, p := range f.rowPiv {
-		readOff(f.rows[p.row], p.pos, b[p.row], x, &tmp)
+		readOff(f.rows[p.row], p.pos, b[p.row], x)
 	}
 	// The bump's right-hand side: b less what the row pivots fixed.
 	for r, i := range f.bumpRows {
-		z[r].Set(b[i])
+		z[r] = b[i]
 		for _, e := range f.rows[i] {
 			if f.bumpColAt[e.idx] < 0 {
-				subMul(&z[r], e.val, x[e.idx], &tmp)
+				z[r] = subMul(z[r], e.val, x[e.idx])
 			}
 		}
 	}
 	// Forward L w = P z (unit diagonal), then backward U x = w, with w held
 	// in the bump columns' slots of x.
 	for k, pos := range f.bumpCols {
-		w, row := x[pos].Set(&z[f.perm[k]]), f.luRow(k)
+		w, row := z[f.perm[k]], f.luRow(k)
 		for j := 0; j < k; j++ {
-			if row[j].Sign() != 0 {
-				subMul(w, &row[j], x[f.bumpCols[j]], &tmp)
-			}
+			w = subMul(w, row[j], x[f.bumpCols[j]])
 		}
+		x[pos] = w
 	}
 	for k := len(f.bumpCols) - 1; k >= 0; k-- {
 		w, row := x[f.bumpCols[k]], f.luRow(k)
 		for j := k + 1; j < len(row); j++ {
-			if row[j].Sign() != 0 {
-				subMul(w, &row[j], x[f.bumpCols[j]], &tmp)
-			}
+			w = subMul(w, row[j], x[f.bumpCols[j]])
 		}
-		w.Quo(w, &row[k])
+		x[f.bumpCols[k]] = w.Quo(row[k])
 	}
 	for t := len(f.colPiv) - 1; t >= 0; t-- {
 		p := f.colPiv[t]
-		readOff(f.rows[p.row], p.pos, b[p.row], x, &tmp)
+		readOff(f.rows[p.row], p.pos, b[p.row], x)
 	}
 	return x
 }
@@ -312,17 +291,16 @@ func (f *basisFactor) solve(b []*big.Rat) []*big.Rat {
 // position. The mirror image of solve: the column pivots as peeled, the bump
 // transposed, the row pivots in reverse, each unknown read off a column of
 // B. It writes only into its own result.
-func (f *basisFactor) solveT(c []*big.Rat) []*big.Rat {
-	y, z := ratVector(len(f.rows), len(f.bumpCols))
-	var tmp big.Rat
+func (f *basisFactor) solveT(c []exact.Q) []exact.Q {
+	y, z := make([]exact.Q, len(f.rows)), make([]exact.Q, len(f.bumpCols))
 	for _, p := range f.colPiv {
-		readOff(f.cols[p.pos], p.row, c[p.pos], y, &tmp)
+		readOff(f.cols[p.pos], p.row, c[p.pos], y)
 	}
 	for k, pos := range f.bumpCols {
-		z[k].Set(c[pos])
+		z[k] = c[pos]
 		for _, e := range f.cols[pos] {
 			if f.bumpRowAt[e.idx] < 0 {
-				subMul(&z[k], e.val, y[e.idx], &tmp)
+				z[k] = subMul(z[k], e.val, y[e.idx])
 			}
 		}
 	}
@@ -330,25 +308,21 @@ func (f *basisFactor) solveT(c []*big.Rat) []*big.Rat {
 	// forward and Lᵀ v = w backward in place, then y = Pᵀ v.
 	for k := range z {
 		for j := 0; j < k; j++ {
-			if u := &f.luRow(j)[k]; u.Sign() != 0 {
-				subMul(&z[k], u, &z[j], &tmp)
-			}
+			z[k] = subMul(z[k], z[j], f.luRow(j)[k])
 		}
-		z[k].Quo(&z[k], &f.luRow(k)[k])
+		z[k] = z[k].Quo(f.luRow(k)[k])
 	}
 	for k := len(z) - 1; k >= 0; k-- {
 		for j := k + 1; j < len(z); j++ {
-			if l := &f.luRow(j)[k]; l.Sign() != 0 {
-				subMul(&z[k], l, &z[j], &tmp)
-			}
+			z[k] = subMul(z[k], z[j], f.luRow(j)[k])
 		}
 	}
 	for k := range z {
-		y[f.bumpRows[f.perm[k]]].Set(&z[k])
+		y[f.bumpRows[f.perm[k]]] = z[k]
 	}
 	for t := len(f.rowPiv) - 1; t >= 0; t-- {
 		p := f.rowPiv[t]
-		readOff(f.cols[p.pos], p.row, c[p.pos], y, &tmp)
+		readOff(f.cols[p.pos], p.row, c[p.pos], y)
 	}
 	return y
 }

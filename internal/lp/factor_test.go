@@ -1,69 +1,49 @@
 package lp
 
 import (
-	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"divflow/internal/exact"
 )
 
 // mulB returns B·x by row, over the standard form's columns (not the
 // factor's own row view).
-func mulB(sf *stdForm, basis []int, x []*big.Rat) []*big.Rat {
-	out := make([]*big.Rat, sf.m)
-	for i := range out {
-		out[i] = new(big.Rat)
-	}
+func mulB(sf *stdForm, basis []int, x []exact.Q) []exact.Q {
+	out := make([]exact.Q, sf.m)
 	for k, col := range basis {
 		for t, r := range sf.colRows[col] {
-			out[r].Add(out[r], new(big.Rat).Mul(sf.colVals[col][t], x[k]))
+			out[r] = out[r].Add(sf.colVals[col][t].Mul(x[k]))
 		}
 	}
 	return out
 }
 
 // mulBT returns Bᵀ·y by basis position.
-func mulBT(sf *stdForm, basis []int, y []*big.Rat) []*big.Rat {
-	out := make([]*big.Rat, len(basis))
+func mulBT(sf *stdForm, basis []int, y []exact.Q) []exact.Q {
+	out := make([]exact.Q, len(basis))
 	for k, col := range basis {
 		out[k] = sf.colDot(y, col)
 	}
 	return out
 }
 
-func cloneRats(v []*big.Rat) []*big.Rat {
-	out := make([]*big.Rat, len(v))
-	for i, x := range v {
-		out[i] = new(big.Rat).Set(x)
-	}
-	return out
-}
-
-func equalRats(a, b []*big.Rat) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Cmp(b[i]) != 0 {
-			return false
-		}
-	}
-	return true
+func equalQs(a, b []exact.Q) bool {
+	return slices.EqualFunc(a, b, func(x, y exact.Q) bool { return x.Cmp(y) == 0 })
 }
 
 // denseSingular is the reference answer to "is this column set a basis":
 // plain Gaussian elimination on a dense copy.
 func denseSingular(sf *stdForm, basis []int) bool {
 	m := sf.m
-	a := make([][]*big.Rat, m)
+	a := make([][]exact.Q, m)
 	for i := range a {
-		a[i] = make([]*big.Rat, m)
-		for k := range a[i] {
-			a[i][k] = new(big.Rat)
-		}
+		a[i] = make([]exact.Q, m)
 	}
 	for k, col := range basis {
 		for t, r := range sf.colRows[col] {
-			a[r][k].Set(sf.colVals[col][t])
+			a[r][k] = sf.colVals[col][t]
 		}
 	}
 	for k := 0; k < m; k++ {
@@ -79,22 +59,22 @@ func denseSingular(sf *stdForm, basis []int) bool {
 			if a[i][k].Sign() == 0 {
 				continue
 			}
-			q := new(big.Rat).Quo(a[i][k], a[k][k])
+			q := a[i][k].Quo(a[k][k])
 			for j := k; j < m; j++ {
-				a[i][j].Sub(a[i][j], new(big.Rat).Mul(q, a[k][j]))
+				a[i][j] = a[i][j].Sub(q.Mul(a[k][j]))
 			}
 		}
 	}
 	return false
 }
 
-// randomRats draws n small rationals, zeros and negatives included.
-func randomRats(rng *rand.Rand, n int) []*big.Rat {
-	out := make([]*big.Rat, n)
+// randomQs draws n small rationals, zeros and negatives included.
+func randomQs(rng *rand.Rand, n int) []exact.Q {
+	out := make([]exact.Q, n)
 	for i := range out {
-		out[i] = rat(int64(rng.Intn(9)-4), int64(1+rng.Intn(4)))
+		out[i] = exact.New(int64(rng.Intn(9)-4), int64(1+rng.Intn(4)))
 		if rng.Intn(4) == 0 {
-			out[i] = new(big.Rat)
+			out[i] = exact.Q{}
 		}
 	}
 	return out
@@ -104,10 +84,10 @@ func randomRats(rng *rand.Rand, n int) []*big.Rat {
 // solves to their systems by multiplication, for the given right-hand sides
 // and for the form's own. It returns the factor (nil: singular), having
 // checked that answer against dense elimination.
-func checkFactor(t *testing.T, sf *stdForm, basis []int, b, c []*big.Rat, label string) *basisFactor {
+func checkFactor(t *testing.T, sf *stdForm, basis []int, b, c []exact.Q, label string) *basisFactor {
 	t.Helper()
 	sf.columns()
-	rhs0, cost0, b0, c0 := cloneRats(sf.rhs), cloneRats(sf.cost), cloneRats(b), cloneRats(c)
+	rhs0, cost0, b0, c0 := slices.Clone(sf.rhs), slices.Clone(sf.cost), slices.Clone(b), slices.Clone(c)
 	f := factorize(sf, basis)
 	if singular := denseSingular(sf, basis); (f == nil) != singular {
 		t.Fatalf("%s: factorize says singular=%v, dense elimination %v", label, f == nil, singular)
@@ -119,24 +99,24 @@ func checkFactor(t *testing.T, sf *stdForm, basis []int, b, c []*big.Rat, label 
 		t.Fatalf("%s: %d row pivots, %d column pivots and a %d x %d bump on %d rows",
 			label, len(f.rowPiv), len(f.colPiv), len(f.bumpRows), len(f.bumpCols), sf.m)
 	}
-	cB := make([]*big.Rat, sf.m)
+	cB := make([]exact.Q, sf.m)
 	for k, col := range basis {
 		cB[k] = sf.cost[col]
 	}
-	for _, sys := range []struct{ b, c []*big.Rat }{{b, c}, {sf.rhs, cB}} {
+	for _, sys := range []struct{ b, c []exact.Q }{{b, c}, {sf.rhs, cB}} {
 		x := f.solve(sys.b)
-		if got := mulB(sf, basis, x); !equalRats(got, sys.b) {
+		if got := mulB(sf, basis, x); !equalQs(got, sys.b) {
 			t.Fatalf("%s: B·solve(b) = %v, b = %v", label, got, sys.b)
 		}
 		y := f.solveT(sys.c)
-		if got := mulBT(sf, basis, y); !equalRats(got, sys.c) {
+		if got := mulBT(sf, basis, y); !equalQs(got, sys.c) {
 			t.Fatalf("%s: Bᵀ·solveT(c) = %v, c = %v", label, got, sys.c)
 		}
-		if !equalRats(f.solve(sys.b), x) || !equalRats(f.solveT(sys.c), y) {
+		if !equalQs(f.solve(sys.b), x) || !equalQs(f.solveT(sys.c), y) {
 			t.Fatalf("%s: a second solve on the same factor disagrees with the first", label)
 		}
 	}
-	if !equalRats(sf.rhs, rhs0) || !equalRats(sf.cost, cost0) || !equalRats(b, b0) || !equalRats(c, c0) {
+	if !equalQs(sf.rhs, rhs0) || !equalQs(sf.cost, cost0) || !equalQs(b, b0) || !equalQs(c, c0) {
 		t.Fatalf("%s: a solve wrote through its input", label)
 	}
 	return f
@@ -234,7 +214,7 @@ func TestFactorSolvesExactly(t *testing.T) {
 			}
 		}
 		for _, basis := range candidates {
-			f := checkFactor(t, sf, basis, randomRats(rng, sf.m), randomRats(rng, sf.m), p.Dump())
+			f := checkFactor(t, sf, basis, randomQs(rng, sf.m), randomQs(rng, sf.m), p.Dump())
 			if f == nil {
 				singular++
 				continue
@@ -254,7 +234,7 @@ func TestFactorSolvesExactly(t *testing.T) {
 	kinds := func(label string, a [][]int64) (rowPiv, colPiv, kernel int) {
 		t.Helper()
 		sf, basis := matrixForm(t, permuted(rng, a))
-		f := checkFactor(t, sf, basis, randomRats(rng, sf.m), randomRats(rng, sf.m), label)
+		f := checkFactor(t, sf, basis, randomQs(rng, sf.m), randomQs(rng, sf.m), label)
 		if f == nil {
 			t.Fatalf("%s: reported singular", label)
 		}
@@ -335,7 +315,7 @@ func TestFactorSolvesExactly(t *testing.T) {
 		"a singular block under a peeled strip": {{2, 1, 1, 1}, {0, 1, 2, 1}, {0, 2, 4, 2}, {0, 1, 1, 3}},
 	} {
 		sf, basis := matrixForm(t, a)
-		if f := checkFactor(t, sf, basis, randomRats(rng, sf.m), randomRats(rng, sf.m), label); f != nil {
+		if f := checkFactor(t, sf, basis, randomQs(rng, sf.m), randomQs(rng, sf.m), label); f != nil {
 			t.Errorf("%s: factorized", label)
 		}
 	}

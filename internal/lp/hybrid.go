@@ -1,6 +1,6 @@
 package lp
 
-import "math/big"
+import "divflow/internal/exact"
 
 // Method reports which path of the hybrid engine produced a solution. Every
 // path ends in exact rational arithmetic, so the status and optimal
@@ -68,7 +68,7 @@ func (b *Basis) compatible(sf *stdForm) bool {
 // the optimal basis and exact rational refactorization to verify it:
 //
 //  1. The float simplex runs to (approximate) optimality.
-//  2. Its final basis is refactorized over big.Rat; exact primal feasibility
+//  2. Its final basis is refactorized exactly; exact primal feasibility
 //     and exact reduced-cost optimality are checked. If both hold, the exact
 //     solution is read off the factorization — no exact pivots at all.
 //  3. A float "infeasible" outcome is accepted only with an exact Farkas
@@ -173,7 +173,7 @@ func tryBasisExact(sf *stdForm, basis []int) *Solution {
 			return nil // an artificial carries value: not a solution of p
 		}
 	}
-	cB := make([]*big.Rat, sf.m)
+	cB := make([]exact.Q, sf.m)
 	for k, c := range basis {
 		cB[k] = sf.cost[c]
 	}
@@ -186,28 +186,21 @@ func tryBasisExact(sf *stdForm, basis []int) *Solution {
 		if inBasis[j] {
 			continue // basic columns have reduced cost exactly 0
 		}
-		d := sf.colDot(y, j)
-		d.Sub(sf.cost[j], d)
-		if d.Sign() < 0 {
+		if sf.cost[j].Cmp(sf.colDot(y, j)) < 0 {
 			return nil // not dual optimal
 		}
 	}
-	x := make([]*big.Rat, sf.p.numVars)
-	for j := range x {
-		x[j] = new(big.Rat)
-	}
-	obj := new(big.Rat)
-	var tmp big.Rat
+	x := make([]exact.Q, sf.numVars)
+	var obj exact.Q
 	for k, c := range basis {
-		if c < sf.p.numVars {
-			x[c].Set(xB[k])
+		if c < sf.numVars {
+			x[c] = xB[k]
 		}
 		if cB[k].Sign() != 0 {
-			tmp.Mul(cB[k], xB[k])
-			obj.Add(obj, &tmp)
+			obj = obj.Add(cB[k].Mul(xB[k]))
 		}
 	}
-	return &Solution{Status: Optimal, Objective: obj, X: x, Kernel: len(f.bumpRows)}
+	return &Solution{Status: Optimal, Objective: obj.Rat(), X: x, Kernel: len(f.bumpRows)}
 }
 
 // finishFromBasis pivots an exact tableau to the candidate basis and, when
@@ -263,24 +256,18 @@ func certifyInfeasible(sf *stdForm, basis []int) *Solution {
 	if f == nil {
 		return nil
 	}
-	one := big.NewRat(1, 1)
-	cB := make([]*big.Rat, sf.m)
+	cB := make([]exact.Q, sf.m)
 	for k, c := range basis {
 		if c >= sf.artStart {
-			cB[k] = one
-		} else {
-			cB[k] = ratZero
+			cB[k] = exact.Int(1)
 		}
 	}
 	y := f.solveT(cB)
-	yb := new(big.Rat)
-	var tmp big.Rat
+	var yb exact.Q
 	for i, b := range sf.rhs {
-		if y[i].Sign() == 0 || b.Sign() == 0 {
-			continue
+		if y[i].Sign() != 0 && b.Sign() != 0 {
+			yb = yb.Add(y[i].Mul(b))
 		}
-		tmp.Mul(y[i], b)
-		yb.Add(yb, &tmp)
 	}
 	if yb.Sign() <= 0 {
 		return nil

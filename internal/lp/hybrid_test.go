@@ -4,6 +4,8 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"divflow/internal/exact"
 )
 
 // checkAgainstRat solves p with both engines and requires identical status
@@ -41,7 +43,7 @@ func checkAgainstRat(t *testing.T, p *Problem, label string) *Solution {
 			t.Fatalf("%s: the verified basis factors to %v, the solution reports kernel %d", label, f, hs.Kernel)
 		}
 		for k, v := range f.solve(sf.rhs) {
-			if c := basis[k]; c < p.numVars && v.Cmp(hs.X[c]) != 0 {
+			if c := basis[k]; c < p.NumVars() && v.Cmp(hs.X[c]) != 0 {
 				t.Fatalf("%s: basic column %d is %v in the factor, %v in the solution", label, c, v, hs.X[c])
 			}
 		}
@@ -55,27 +57,27 @@ func checkFeasible(t *testing.T, p *Problem, sol *Solution, label string) {
 	t.Helper()
 	for _, v := range sol.X {
 		if v.Sign() < 0 {
-			t.Fatalf("%s: negative primal value %v", label, v.RatString())
+			t.Fatalf("%s: negative primal value %v", label, v)
 		}
 	}
 	for _, row := range p.rows {
-		lhs := new(big.Rat)
-		for _, tm := range row.Terms {
-			lhs.Add(lhs, new(big.Rat).Mul(tm.Coef, sol.X[tm.Col]))
+		var lhs exact.Q
+		for _, tm := range row.terms {
+			lhs = lhs.Add(tm.Coef.Mul(sol.X[tm.Col]))
 		}
-		c := lhs.Cmp(row.RHS)
-		switch row.Sense {
+		c := lhs.Cmp(row.rhs)
+		switch row.sense {
 		case LE:
 			if c > 0 {
-				t.Fatalf("%s: row %q violated: %v > %v", label, row.Name, lhs.RatString(), row.RHS.RatString())
+				t.Fatalf("%s: row %q violated: %v > %v", label, row.name, lhs, row.rhs)
 			}
 		case GE:
 			if c < 0 {
-				t.Fatalf("%s: row %q violated: %v < %v", label, row.Name, lhs.RatString(), row.RHS.RatString())
+				t.Fatalf("%s: row %q violated: %v < %v", label, row.name, lhs, row.rhs)
 			}
 		case EQ:
 			if c != 0 {
-				t.Fatalf("%s: row %q violated: %v != %v", label, row.Name, lhs.RatString(), row.RHS.RatString())
+				t.Fatalf("%s: row %q violated: %v != %v", label, row.name, lhs, row.rhs)
 			}
 		}
 	}
@@ -257,15 +259,15 @@ func floatBasis(t *testing.T, p *Problem) *Basis {
 }
 
 // withRHS builds p anew, row i's right-hand side replaced by rhs(i, b_i).
-func withRHS(p *Problem, rhs func(i int, b *big.Rat) *big.Rat) *Problem {
-	q := NewProblem()
+func withRHS(p *Problem, rhs func(i int, b exact.Q) exact.Q) *Problem {
+	out := NewProblem()
 	for j, c := range p.objective {
-		q.AddVar(p.varNames[j], c)
+		out.AddVarQ(p.varNames[j], c)
 	}
 	for i, r := range p.rows {
-		q.AddRow(r.Name, r.Terms, r.Sense, rhs(i, r.RHS))
+		out.AddRowQ(r.name, r.terms, r.sense, rhs(i, r.rhs))
 	}
-	return q
+	return out
 }
 
 // TestWarmStartRHSPerturbation: the basis of one problem handed to a solve of
@@ -275,8 +277,8 @@ func withRHS(p *Problem, rhs func(i int, b *big.Rat) *big.Rat) *Problem {
 func TestWarmStartRHSPerturbation(t *testing.T) {
 	p := buildSimple() // min -3x -5y; rows x<=4, 2y<=12, 3x+2y<=18
 	base := floatBasis(t, p)
-	binding := func(to *big.Rat) *Problem {
-		return withRHS(p, func(i int, b *big.Rat) *big.Rat {
+	binding := func(to exact.Q) *Problem {
+		return withRHS(p, func(i int, b exact.Q) exact.Q {
 			if i == 2 {
 				return to
 			}
@@ -285,7 +287,7 @@ func TestWarmStartRHSPerturbation(t *testing.T) {
 	}
 
 	// Perturb the binding capacity 18 -> 37/2. Same optimal basis.
-	q := binding(rat(37, 2))
+	q := binding(exact.New(37, 2))
 	warm, err := SolveHybridWarm(q, base)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +308,7 @@ func TestWarmStartRHSPerturbation(t *testing.T) {
 
 	// A drastic perturbation that changes the optimal basis must still be
 	// exact, whichever path it takes.
-	q2 := binding(rat(1, 2))
+	q2 := binding(exact.New(1, 2))
 	warm2, err := SolveHybridWarm(q2, base)
 	if err != nil {
 		t.Fatal(err)
@@ -338,9 +340,9 @@ func TestWarmStartRandom(t *testing.T) {
 		if base.Status != Optimal {
 			t.Fatalf("iter %d: base status %v (feasible bounded by construction)", it, base.Status)
 		}
-		q := withRHS(p, func(_ int, b *big.Rat) *big.Rat {
+		q := withRHS(p, func(_ int, b exact.Q) exact.Q {
 			if rng.Intn(3) == 0 {
-				return new(big.Rat).Add(b, rat(int64(rng.Intn(4)), 1))
+				return b.Add(exact.Int(int64(rng.Intn(4))))
 			}
 			return b
 		})

@@ -2,12 +2,15 @@
 // scheduling algorithms of Legrand, Su and Vivien (RR-5386).
 //
 // Two exact solvers are provided over the same Problem representation, and
-// the float64 simplex the first is built on:
+// the float64 simplex the first is built on. Everything exact is exact.Q:
+// a rational in two machine words that moves to math/big by itself only
+// when a value outgrows them. *big.Rat appears only in the converting
+// wrappers AddVar/AddRow and in Solution.Objective.
 //
 //   - SolveHybrid (and SolveHybridWarm): the default exact engine. A
 //     float64 simplex guesses the optimal basis, which is then exactly
-//     refactorized over math/big.Rat and verified (primal feasibility,
-//     reduced-cost optimality, or a Farkas infeasibility certificate). The
+//     refactorized and verified (primal feasibility, reduced-cost
+//     optimality, or a Farkas infeasibility certificate). The
 //     factorization peels the basis's singleton columns and rows into a
 //     pivot order — most of a scheduling basis: slacks, artificials, rows
 //     with one basic fraction — and eliminates only the block that is left
@@ -18,18 +21,18 @@
 //     arithmetic (the binary search over milestones must terminate on exact
 //     values), and this engine preserves that exactness while paying
 //     rational-arithmetic prices only to check, not to search.
-//   - SolveRat: the exact two-phase primal simplex over big.Rat, with
-//     Dantzig pricing degrading to Bland's anti-cycling rule under
-//     sustained degeneracy. The reference implementation the hybrid engine
-//     falls back to.
+//   - SolveRat: the exact two-phase primal simplex, with Dantzig pricing
+//     degrading to Bland's anti-cycling rule under sustained degeneracy. The
+//     reference implementation the hybrid engine falls back to.
 //   - FloatTableau: the float64 tableau simplex with epsilon tolerances. The
 //     hybrid engine loads it from a Problem's standard form; a caller whose
 //     answer is no part of a proof — the probes of core's milestone search,
 //     and the large-scale estimates built on them — fills one directly
 //     (Reset, Set, SetRHS, Minimize) and reuses it, with no Problem and no
-//     big.Rat in between. Both ways number the columns through one function
-//     and pivot in one loop, so the basis a direct fill ends on can be handed
-//     to SolveHybridWarm with the Problem of the same rows and verified there.
+//     exact coefficient in between. Both ways number the columns through one
+//     function and pivot in one loop, so the basis a direct fill ends on can
+//     be handed to SolveHybridWarm with the Problem of the same rows and
+//     verified there.
 //
 // Problems are stated in the general form
 //
@@ -44,6 +47,8 @@ import (
 	"fmt"
 	"math/big"
 	"strings"
+
+	"divflow/internal/exact"
 )
 
 // Sense is the comparison direction of a constraint row.
@@ -76,22 +81,26 @@ type Term struct {
 	Coef *big.Rat
 }
 
-// Row is a single linear constraint.
-type Row struct {
-	Terms []Term
-	Sense Sense
-	RHS   *big.Rat
-	// Name is an optional label used in error messages and dumps.
-	Name string
+// TermQ is a Term whose coefficient is an exact.Q: what AddRowQ takes.
+type TermQ struct {
+	Col  int
+	Coef exact.Q
+}
+
+// row is a single linear constraint.
+type row struct {
+	terms []TermQ
+	sense Sense
+	rhs   exact.Q
+	name  string // optional label used in error messages and dumps
 }
 
 // Problem is a linear program in general form. The zero value is an empty
 // problem; add variables with AddVar and constraints with AddRow.
 type Problem struct {
-	numVars   int
 	varNames  []string
-	objective []*big.Rat // dense, len == numVars
-	rows      []Row
+	objective []exact.Q // dense, one per variable
+	rows      []row
 }
 
 // NewProblem returns an empty minimization problem.
@@ -100,20 +109,21 @@ func NewProblem() *Problem {
 }
 
 // AddVar appends a new non-negative variable with the given objective
-// coefficient and returns its column index. The name is only used for
-// debugging output and may be empty.
+// coefficient (nil reads as 0) and returns its column index. The name is only
+// used for debugging output and may be empty.
 func (p *Problem) AddVar(name string, objCoef *big.Rat) int {
-	if objCoef == nil {
-		objCoef = new(big.Rat)
-	}
-	p.numVars++
+	return p.AddVarQ(name, exact.FromRat(objCoef))
+}
+
+// AddVarQ is AddVar with an exact.Q coefficient.
+func (p *Problem) AddVarQ(name string, objCoef exact.Q) int {
 	p.varNames = append(p.varNames, name)
-	p.objective = append(p.objective, new(big.Rat).Set(objCoef))
-	return p.numVars - 1
+	p.objective = append(p.objective, objCoef)
+	return len(p.objective) - 1
 }
 
 // NumVars reports the number of variables added so far.
-func (p *Problem) NumVars() int { return p.numVars }
+func (p *Problem) NumVars() int { return len(p.objective) }
 
 // NumRows reports the number of constraint rows added so far.
 func (p *Problem) NumRows() int { return len(p.rows) }
@@ -121,17 +131,26 @@ func (p *Problem) NumRows() int { return len(p.rows) }
 // AddRow appends a constraint. Terms may mention a column at most once;
 // coefficients are copied, so the caller may reuse the backing rationals.
 func (p *Problem) AddRow(name string, terms []Term, sense Sense, rhs *big.Rat) {
-	cp := make([]Term, 0, len(terms))
+	q := make([]TermQ, len(terms))
+	for k, t := range terms {
+		q[k] = TermQ{Col: t.Col, Coef: exact.FromRat(t.Coef)}
+	}
+	p.AddRowQ(name, q, sense, exact.FromRat(rhs))
+}
+
+// AddRowQ is AddRow with exact.Q coefficients. The terms are copied, so the
+// caller may reuse the slice.
+func (p *Problem) AddRowQ(name string, terms []TermQ, sense Sense, rhs exact.Q) {
+	cp := make([]TermQ, 0, len(terms))
 	for _, t := range terms {
-		if t.Col < 0 || t.Col >= p.numVars {
+		if t.Col < 0 || t.Col >= len(p.objective) {
 			panic(fmt.Sprintf("lp: row %q references unknown column %d", name, t.Col))
 		}
-		if t.Coef == nil || t.Coef.Sign() == 0 {
-			continue
+		if t.Coef.Sign() != 0 {
+			cp = append(cp, t)
 		}
-		cp = append(cp, Term{Col: t.Col, Coef: new(big.Rat).Set(t.Coef)})
 	}
-	p.rows = append(p.rows, Row{Terms: cp, Sense: sense, RHS: new(big.Rat).Set(rhs), Name: name})
+	p.rows = append(p.rows, row{terms: cp, sense: sense, rhs: rhs, name: name})
 }
 
 // Status reports the outcome of a solve.
@@ -161,8 +180,8 @@ func (s Status) String() string {
 // Solution is the result of an exact solve.
 type Solution struct {
 	Status    Status
-	Objective *big.Rat   // valid when Status == Optimal
-	X         []*big.Rat // primal values, len == NumVars, valid when Optimal
+	Objective *big.Rat  // valid when Status == Optimal
+	X         []exact.Q // primal values, len == NumVars, valid when Optimal
 	// Method reports which hybrid-engine path produced the result.
 	Method Method
 	// Kernel is the number of rows of the basis the factorization that proved
@@ -171,9 +190,6 @@ type Solution struct {
 	// exact-simplex paths, which factor nothing. Observational only.
 	Kernel int
 }
-
-// Value returns the primal value of column col.
-func (s *Solution) Value(col int) *big.Rat { return s.X[col] }
 
 // FloatSolution is the result of a float64 solve. Status and Objective are
 // approximate; Basis is the basis the simplex ended on, which SolveHybridWarm
@@ -197,22 +213,22 @@ func (p *Problem) Dump() string {
 			b.WriteString(" + ")
 		}
 		first = false
-		fmt.Fprintf(&b, "%s*%s", c.RatString(), p.varName(j))
+		fmt.Fprintf(&b, "%s*%s", c, p.varName(j))
 	}
 	if first {
 		b.WriteString("0")
 	}
 	b.WriteString("\n")
 	for _, r := range p.rows {
-		for i, t := range r.Terms {
+		for i, t := range r.terms {
 			if i > 0 {
 				b.WriteString(" + ")
 			}
-			fmt.Fprintf(&b, "%s*%s", t.Coef.RatString(), p.varName(t.Col))
+			fmt.Fprintf(&b, "%s*%s", t.Coef, p.varName(t.Col))
 		}
-		fmt.Fprintf(&b, " %s %s", r.Sense, r.RHS.RatString())
-		if r.Name != "" {
-			fmt.Fprintf(&b, "   [%s]", r.Name)
+		fmt.Fprintf(&b, " %s %s", r.sense, r.rhs)
+		if r.name != "" {
+			fmt.Fprintf(&b, "   [%s]", r.name)
 		}
 		b.WriteString("\n")
 	}

@@ -6,9 +6,13 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"divflow/internal/exact"
 )
 
 func rat(a, b int64) *big.Rat { return big.NewRat(a, b) }
+
+func q(a, b int64) exact.Q { return exact.New(a, b) }
 
 // buildSimple returns: min -3x -5y s.t. x<=4, 2y<=12, 3x+2y<=18 (classic
 // Dantzig example; optimum -36 at x=2, y=6).
@@ -33,7 +37,7 @@ func TestSolveRatClassic(t *testing.T) {
 	if sol.Objective.Cmp(rat(-36, 1)) != 0 {
 		t.Errorf("objective = %v, want -36", sol.Objective)
 	}
-	if sol.X[0].Cmp(rat(2, 1)) != 0 || sol.X[1].Cmp(rat(6, 1)) != 0 {
+	if sol.X[0].Cmp(q(2, 1)) != 0 || sol.X[1].Cmp(q(6, 1)) != 0 {
 		t.Errorf("x = %v,%v, want 2,6", sol.X[0], sol.X[1])
 	}
 }
@@ -75,7 +79,7 @@ func TestSolveRatEquality(t *testing.T) {
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
-	if sol.X[0].Cmp(rat(7, 1)) != 0 || sol.X[1].Cmp(rat(3, 1)) != 0 {
+	if sol.X[0].Cmp(q(7, 1)) != 0 || sol.X[1].Cmp(q(3, 1)) != 0 {
 		t.Errorf("x = %v,%v, want 7,3", sol.X[0], sol.X[1])
 	}
 }
@@ -212,8 +216,8 @@ func TestSolveRatZeroObjectiveFeasibility(t *testing.T) {
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v, want optimal (feasible)", sol.Status)
 	}
-	sum := new(big.Rat).Add(sol.X[0], sol.X[1])
-	if sum.Cmp(rat(1, 1)) != 0 {
+	sum := sol.X[0].Add(sol.X[1])
+	if sum.Cmp(q(1, 1)) != 0 {
 		t.Errorf("a+b = %v, want 1", sum)
 	}
 }
@@ -320,21 +324,21 @@ func TestRatSolutionSatisfiesConstraints(t *testing.T) {
 			return false
 		}
 		for _, row := range p.rows {
-			lhs := new(big.Rat)
-			for _, tm := range row.Terms {
-				lhs.Add(lhs, new(big.Rat).Mul(tm.Coef, sol.X[tm.Col]))
+			var lhs exact.Q
+			for _, tm := range row.terms {
+				lhs = lhs.Add(tm.Coef.Mul(sol.X[tm.Col]))
 			}
-			switch row.Sense {
+			switch row.sense {
 			case LE:
-				if lhs.Cmp(row.RHS) > 0 {
+				if lhs.Cmp(row.rhs) > 0 {
 					return false
 				}
 			case GE:
-				if lhs.Cmp(row.RHS) < 0 {
+				if lhs.Cmp(row.rhs) < 0 {
 					return false
 				}
 			case EQ:
-				if lhs.Cmp(row.RHS) != 0 {
+				if lhs.Cmp(row.rhs) != 0 {
 					return false
 				}
 			}

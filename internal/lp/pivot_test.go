@@ -234,24 +234,22 @@ func TestDirectFillMatchesStdForm(t *testing.T) {
 		// with a negative RHS is negated and its sense flipped.
 		senses := make([]Sense, len(p.rows))
 		for i, r := range p.rows {
-			senses[i] = r.Sense
-			if r.RHS.Sign() < 0 {
-				senses[i] = flip(r.Sense)
+			senses[i] = r.sense
+			if r.rhs.Sign() < 0 {
+				senses[i] = flip(r.sense)
 				negated++
 			}
 		}
-		direct.Reset(p.numVars, senses)
+		direct.Reset(p.NumVars(), senses)
 		for i, r := range p.rows {
 			sign := 1.0
-			if r.RHS.Sign() < 0 {
+			if r.rhs.Sign() < 0 {
 				sign = -1
 			}
-			for _, term := range r.Terms {
-				v, _ := term.Coef.Float64()
-				direct.Set(i, term.Col, sign*v)
+			for _, term := range r.terms {
+				direct.Set(i, term.Col, sign*term.Coef.Float64())
 			}
-			b, _ := r.RHS.Float64()
-			direct.SetRHS(i, sign*b)
+			direct.SetRHS(i, sign*r.rhs.Float64())
 		}
 		copy(direct.cost, FloatImage(nil, p.objective))
 

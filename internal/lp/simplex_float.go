@@ -4,8 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 	"slices"
+
+	"divflow/internal/exact"
 )
 
 const (
@@ -25,18 +26,15 @@ const (
 // iteration cap; it never escapes this package.
 const floatStalled = Status(-1)
 
-// FloatImage appends the float64 images of exact coefficients to dst (nil
-// reads as 0). Callers that fill a FloatTableau themselves convert here, in
-// bulk — a cost matrix once for all the tableaux it will fill — so that the
-// exact packages hold no conversion of their own. A magnitude float64 cannot
-// hold comes out ±Inf; Set and SetRHS catch it on its way into a tableau.
-func FloatImage(dst []float64, vals []*big.Rat) []float64 {
+// FloatImage appends the float64 images of exact coefficients to dst, each
+// the float64 nearest it. Callers that fill a FloatTableau themselves convert
+// here, in bulk — a cost matrix once for all the tableaux it will fill — so
+// that the exact packages hold no conversion of their own. A magnitude
+// float64 cannot hold comes out ±Inf; Set and SetRHS catch it on its way into
+// a tableau.
+func FloatImage(dst []float64, vals []exact.Q) []float64 {
 	for _, v := range vals {
-		f := 0.0
-		if v != nil {
-			f, _ = v.Float64()
-		}
-		dst = append(dst, f)
+		dst = append(dst, v.Float64())
 	}
 	return dst
 }
@@ -135,18 +133,16 @@ func (t *FloatTableau) shape(m, numVars, artStart, numCols int) {
 
 // load converts the standard form to float64.
 func (t *FloatTableau) load(sf *stdForm) {
-	t.shape(sf.m, sf.p.numVars, sf.artStart, sf.numCols)
+	t.shape(sf.m, sf.numVars, sf.artStart, sf.numCols)
 	copy(t.basis, sf.basis0)
 	for i := range sf.rows {
 		row, src := t.rowsData[i], &sf.rows[i]
 		for k, j := range src.ind {
-			row[j], _ = src.val[k].Float64()
+			row[j] = src.val[k].Float64()
 		}
-		t.rhsData[i], _ = sf.rhs[i].Float64()
 	}
-	for j := range t.cost {
-		t.cost[j], _ = sf.p.objective[j].Float64()
-	}
+	FloatImage(t.rhsData[:0], sf.rhs)
+	FloatImage(t.cost[:0], sf.cost[:sf.numVars])
 }
 
 // Reset shapes the tableau for numVars structural columns and one row per

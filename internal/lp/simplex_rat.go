@@ -2,17 +2,18 @@ package lp
 
 import (
 	"fmt"
-	"math/big"
+	"slices"
+
+	"divflow/internal/exact"
 )
 
 // SolveRat solves the problem exactly with a two-phase primal simplex over
-// big.Rat. Pricing is Dantzig's rule (most negative reduced cost), degrading
-// permanently to Bland's rule once a run of consecutive degenerate pivots
-// suggests cycling — Bland's rule cannot cycle, so termination stays
+// exact rationals. Pricing is Dantzig's rule (most negative reduced cost),
+// degrading permanently to Bland's rule once a run of consecutive degenerate
+// pivots suggests cycling — Bland's rule cannot cycle, so termination stays
 // guaranteed while the common case keeps the much better-behaved pivot
-// counts of Dantzig pricing. The tableau is stored sparsely with a big.Rat
-// free list, so pivots cost (and allocate) proportionally to the nonzeros
-// they touch.
+// counts of Dantzig pricing. The tableau is stored sparsely, so pivots cost
+// proportionally to the nonzeros they touch.
 func SolveRat(p *Problem) (*Solution, error) {
 	sf, err := newStdForm(p)
 	if err != nil {
@@ -28,21 +29,16 @@ func solveRatCold(sf *stdForm) (*Solution, error) {
 
 	// Phase 1: minimize the sum of artificial variables.
 	if sf.numArt > 0 {
-		phase1 := make([]*big.Rat, t.numCols)
-		one := big.NewRat(1, 1)
-		for j := range phase1 {
-			if j >= sf.artStart {
-				phase1[j] = one
-			} else {
-				phase1[j] = ratZero
-			}
+		phase1 := make([]exact.Q, t.numCols)
+		for j := sf.artStart; j < t.numCols; j++ {
+			phase1[j] = exact.Int(1)
 		}
 		t.setObjective(phase1)
 		if status := t.iterate(); status != Optimal {
 			// Phase 1 is bounded below by 0, so it cannot be unbounded.
 			return nil, fmt.Errorf("lp: phase 1 reported %v", status)
 		}
-		if t.objectiveValue().Sign() > 0 {
+		if t.objRHS.Sign() < 0 { // a positive sum of artificials
 			return &Solution{Status: Infeasible}, nil
 		}
 		t.evictArtificials()
@@ -64,16 +60,15 @@ func solveRatCold(sf *stdForm) (*Solution, error) {
 type ratTableau struct {
 	sf      *stdForm
 	numCols int
-	rows    []spVec    // current (pivoted) rows, sparse
-	rhs     []*big.Rat // always >= 0 at a feasible basis
-	basis   []int      // basic column of each row
-	banned  []bool     // columns that may never enter the basis
-	obj     []*big.Rat // reduced-cost row, dense (fills in quickly)
-	objRHS  *big.Rat   // negated objective value
-	pool    ratPool
+	rows    []spVec   // current (pivoted) rows, sparse
+	rhs     []exact.Q // always >= 0 at a feasible basis
+	basis   []int     // basic column of each row
+	banned  []bool    // columns that may never enter the basis
+	obj     []exact.Q // reduced-cost row, dense (fills in quickly)
+	objRHS  exact.Q   // negated objective value
 	// Scratch buffers for the sparse row merge of pivot().
 	scratchInd []int
-	scratchVal []*big.Rat
+	scratchVal []exact.Q
 	// bland latches once the degeneracy heuristic trips: from then on
 	// Bland's anti-cycling rule picks the entering column.
 	bland bool
@@ -87,57 +82,39 @@ func newRatTableau(sf *stdForm) *ratTableau {
 		sf:      sf,
 		numCols: sf.numCols,
 		rows:    make([]spVec, sf.m),
-		rhs:     make([]*big.Rat, sf.m),
-		basis:   append([]int(nil), sf.basis0...),
+		rhs:     slices.Clone(sf.rhs),
+		basis:   slices.Clone(sf.basis0),
 		banned:  make([]bool, sf.numCols),
-		objRHS:  new(big.Rat),
 	}
 	for j := sf.artStart; j < sf.numCols; j++ {
 		t.banned[j] = true // artificials may never re-enter after phase 1
 	}
-	for i := range sf.rows {
-		src := &sf.rows[i]
-		row := spVec{
-			ind: append([]int(nil), src.ind...),
-			val: make([]*big.Rat, len(src.val)),
-		}
-		for k, v := range src.val {
-			row.val[k] = new(big.Rat).Set(v)
-		}
-		t.rows[i] = row
-		t.rhs[i] = new(big.Rat).Set(sf.rhs[i])
+	for i, src := range sf.rows {
+		t.rows[i] = spVec{ind: slices.Clone(src.ind), val: slices.Clone(src.val)}
 	}
 	return t
 }
 
-// setObjective installs c (dense, len numCols, read-only) as the objective
-// and eliminates the basic columns, so obj[j] holds the reduced cost c_j −
-// z_j afterwards.
-func (t *ratTableau) setObjective(c []*big.Rat) {
-	t.obj = make([]*big.Rat, t.numCols)
-	for j := range t.obj {
-		t.obj[j] = new(big.Rat).Set(c[j])
-	}
-	t.objRHS = new(big.Rat)
-	var factor, tmp big.Rat
+// setObjective installs c (dense, len numCols) as the objective and
+// eliminates the basic columns, so obj[j] holds the reduced cost c_j − z_j
+// afterwards.
+func (t *ratTableau) setObjective(c []exact.Q) {
+	t.obj = slices.Clone(c)
+	t.objRHS = exact.Q{}
 	for r, bv := range t.basis {
-		if t.obj[bv].Sign() == 0 {
-			continue
+		if f := t.obj[bv]; f.Sign() != 0 {
+			t.eliminate(f, r)
 		}
-		factor.Set(t.obj[bv])
-		row := &t.rows[r]
-		for k, j := range row.ind {
-			tmp.Mul(&factor, row.val[k])
-			t.obj[j].Sub(t.obj[j], &tmp)
-		}
-		tmp.Mul(&factor, t.rhs[r])
-		t.objRHS.Sub(t.objRHS, &tmp)
 	}
 }
 
-// objectiveValue returns the current objective value (c_B . x_B).
-func (t *ratTableau) objectiveValue() *big.Rat {
-	return new(big.Rat).Neg(t.objRHS)
+// eliminate subtracts f times row r from the objective row.
+func (t *ratTableau) eliminate(f exact.Q, r int) {
+	row := &t.rows[r]
+	for k, j := range row.ind {
+		t.obj[j] = t.obj[j].Sub(f.Mul(row.val[k]))
+	}
+	t.objRHS = t.objRHS.Sub(f.Mul(t.rhs[r]))
 }
 
 // degenLimit bounds the consecutive degenerate pivots tolerated under
@@ -150,23 +127,15 @@ func (t *ratTableau) degenLimit() int { return 2*len(t.rows) + 16 }
 func (t *ratTableau) iterate() Status {
 	for {
 		enter := -1
-		if t.bland {
-			for j := 0; j < t.numCols; j++ {
-				if !t.banned[j] && t.obj[j].Sign() < 0 {
-					enter = j
-					break
-				}
+		for j := 0; j < t.numCols; j++ {
+			if t.banned[j] || t.obj[j].Sign() >= 0 {
+				continue
 			}
-		} else {
-			var most *big.Rat
-			for j := 0; j < t.numCols; j++ {
-				if t.banned[j] || t.obj[j].Sign() >= 0 {
-					continue
-				}
-				if most == nil || t.obj[j].Cmp(most) < 0 {
-					most = t.obj[j]
-					enter = j
-				}
+			if enter == -1 || (!t.bland && t.obj[j].Cmp(t.obj[enter]) < 0) {
+				enter = j
+			}
+			if t.bland {
+				break
 			}
 		}
 		if enter == -1 {
@@ -174,17 +143,17 @@ func (t *ratTableau) iterate() Status {
 		}
 		// Leaving row: minimum ratio; ties broken by smallest basic column.
 		leave := -1
-		var best, ratio big.Rat
+		var best exact.Q
 		for r := 0; r < len(t.rows); r++ {
 			a := t.rows[r].get(enter)
-			if a == nil || a.Sign() <= 0 {
+			if a.Sign() <= 0 {
 				continue
 			}
-			ratio.Quo(t.rhs[r], a)
-			if leave == -1 || ratio.Cmp(&best) < 0 ||
-				(ratio.Cmp(&best) == 0 && t.basis[r] < t.basis[leave]) {
-				leave = r
-				best.Set(&ratio)
+			ratio := t.rhs[r].Quo(a)
+			if leave == -1 {
+				leave, best = r, ratio
+			} else if c := ratio.Cmp(best); c < 0 || (c == 0 && t.basis[r] < t.basis[leave]) {
+				leave, best = r, ratio
 			}
 		}
 		if leave == -1 {
@@ -207,50 +176,41 @@ func (t *ratTableau) iterate() Status {
 // pivot makes column enter basic in row leave.
 func (t *ratTableau) pivot(leave, enter int) {
 	prow := &t.rows[leave]
-	pval := prow.get(enter)
-	inv := new(big.Rat).Inv(pval)
-	for _, v := range prow.val {
-		v.Mul(v, inv)
+	inv := prow.get(enter).Inv()
+	for k, v := range prow.val {
+		prow.val[k] = v.Mul(inv)
 	}
-	t.rhs[leave].Mul(t.rhs[leave], inv)
+	t.rhs[leave] = t.rhs[leave].Mul(inv)
 
-	var factor, tmp big.Rat
 	for r := 0; r < len(t.rows); r++ {
 		if r == leave {
 			continue
 		}
 		f := t.rows[r].get(enter)
-		if f == nil {
+		if f.Sign() == 0 {
 			continue
 		}
-		factor.Set(f)
-		t.axpyRow(r, &factor, prow)
-		tmp.Mul(&factor, t.rhs[leave])
-		t.rhs[r].Sub(t.rhs[r], &tmp)
+		t.axpyRow(r, f, prow)
+		t.rhs[r] = t.rhs[r].Sub(f.Mul(t.rhs[leave]))
 	}
-	if t.obj != nil && t.obj[enter].Sign() != 0 {
-		factor.Set(t.obj[enter])
-		for k, j := range prow.ind {
-			tmp.Mul(&factor, prow.val[k])
-			t.obj[j].Sub(t.obj[j], &tmp)
+	if t.obj != nil {
+		if f := t.obj[enter]; f.Sign() != 0 {
+			t.eliminate(f, leave)
 		}
-		tmp.Mul(&factor, t.rhs[leave])
-		t.objRHS.Sub(t.objRHS, &tmp)
 	}
 	t.basis[leave] = enter
 }
 
-// axpyRow computes rows[r] -= factor · prow with a sparse merge, recycling
-// cancelled entries through the pool. factor is nonzero.
-func (t *ratTableau) axpyRow(r int, factor *big.Rat, prow *spVec) {
+// axpyRow computes rows[r] -= factor · prow with a sparse merge, dropping
+// the entries that cancel. factor is nonzero.
+func (t *ratTableau) axpyRow(r int, factor exact.Q, prow *spVec) {
 	a := &t.rows[r]
 	if cap(t.scratchInd) < t.numCols {
 		t.scratchInd = make([]int, 0, t.numCols)
-		t.scratchVal = make([]*big.Rat, 0, t.numCols)
+		t.scratchVal = make([]exact.Q, 0, t.numCols)
 	}
 	oi := t.scratchInd[:0]
 	ov := t.scratchVal[:0]
-	var tmp big.Rat
 	i, j := 0, 0
 	for i < len(a.ind) || j < len(prow.ind) {
 		switch {
@@ -259,27 +219,20 @@ func (t *ratTableau) axpyRow(r int, factor *big.Rat, prow *spVec) {
 			ov = append(ov, a.val[i])
 			i++
 		case i >= len(a.ind) || a.ind[i] > prow.ind[j]:
-			nv := t.pool.get()
-			nv.Mul(factor, prow.val[j])
-			nv.Neg(nv)
 			oi = append(oi, prow.ind[j])
-			ov = append(ov, nv)
+			ov = append(ov, factor.Mul(prow.val[j]).Neg())
 			j++
 		default:
-			tmp.Mul(factor, prow.val[j])
-			a.val[i].Sub(a.val[i], &tmp)
-			if a.val[i].Sign() != 0 {
+			if v := a.val[i].Sub(factor.Mul(prow.val[j])); v.Sign() != 0 {
 				oi = append(oi, a.ind[i])
-				ov = append(ov, a.val[i])
-			} else {
-				t.pool.put(a.val[i])
+				ov = append(ov, v)
 			}
 			i++
 			j++
 		}
 	}
-	// Copy the merged entries back into the row (pointer copies only); the
-	// scratch buffers keep their full capacity for the next merge.
+	// Copy the merged entries back into the row; the scratch buffers keep
+	// their full capacity for the next merge.
 	a.ind = append(a.ind[:0], oi...)
 	a.val = append(a.val[:0], ov...)
 }
@@ -306,19 +259,15 @@ func (t *ratTableau) evictArtificials() {
 
 // solution extracts the optimal solution.
 func (t *ratTableau) solution() *Solution {
-	p := t.sf.p
-	x := make([]*big.Rat, p.numVars)
-	for j := range x {
-		x[j] = new(big.Rat)
-	}
+	x := make([]exact.Q, t.sf.numVars)
 	for r, bv := range t.basis {
-		if bv < p.numVars {
-			x[bv].Set(t.rhs[r])
+		if bv < t.sf.numVars {
+			x[bv] = t.rhs[r]
 		}
 	}
 	return &Solution{
 		Status:    Optimal,
-		Objective: t.objectiveValue(),
+		Objective: t.objRHS.Neg().Rat(),
 		X:         x,
 	}
 }
@@ -351,11 +300,10 @@ func newWarmRatTableau(sf *stdForm, basis []int) (*ratTableau, bool) {
 				continue
 			}
 			v := t.rows[r].get(c)
-			if v == nil || v.Sign() == 0 {
+			if v.Sign() == 0 {
 				continue
 			}
-			sz := v.Num().BitLen() + v.Denom().BitLen()
-			if pivotRow == -1 || sz < best {
+			if sz := v.BitLen(); pivotRow == -1 || sz < best {
 				pivotRow, best = r, sz
 			}
 		}

@@ -1,48 +1,26 @@
 package lp
 
 import (
-	"math/big"
 	"sort"
+
+	"divflow/internal/exact"
 )
 
 // spVec is a sparse vector: sorted column indices with parallel nonzero
 // rational values. The simplex tableau stores its rows this way — the
 // scheduling LPs are sparse (each fraction variable appears in a handful of
 // rows), and exact cancellation during pivoting keeps them sparse, so
-// iterating nonzeros beats scanning a dense []*big.Rat row.
+// iterating nonzeros beats scanning a dense row.
 type spVec struct {
 	ind []int
-	val []*big.Rat
+	val []exact.Q
 }
 
-// get returns the value at column col, or nil when the entry is zero.
-func (v *spVec) get(col int) *big.Rat {
+// get returns the value at column col, zero when the vector holds none.
+func (v *spVec) get(col int) exact.Q {
 	k := sort.SearchInts(v.ind, col)
 	if k < len(v.ind) && v.ind[k] == col {
 		return v.val[k]
 	}
-	return nil
-}
-
-// ratPool is a free list of big.Rat scratch values. Exact pivoting churns
-// through enormous numbers of temporaries; recycling them removes the
-// dominant allocation source of the rational simplex.
-type ratPool struct {
-	free []*big.Rat
-}
-
-// get returns a rational with unspecified value; the caller must overwrite
-// it (Set/Mul/...) before reading.
-func (p *ratPool) get() *big.Rat {
-	if n := len(p.free); n > 0 {
-		r := p.free[n-1]
-		p.free = p.free[:n-1]
-		return r
-	}
-	return new(big.Rat)
-}
-
-// put recycles r.
-func (p *ratPool) put(r *big.Rat) {
-	p.free = append(p.free, r)
+	return exact.Q{}
 }

@@ -2,8 +2,9 @@ package lp
 
 import (
 	"fmt"
-	"math/big"
 	"slices"
+
+	"divflow/internal/exact"
 )
 
 // stdForm is the standard equality form shared by every solver in this
@@ -18,23 +19,23 @@ import (
 // simplex and the hybrid verifier an identical column numbering, so a basis
 // discovered by one can be handed to another.
 type stdForm struct {
-	p        *Problem
 	m        int // number of rows
+	numVars  int // structural columns
 	numCols  int // structural + slack + artificial
 	artStart int // first artificial column
 	numArt   int
 
-	rows   []spVec    // sparse rows over all columns (artificials included)
-	rhs    []*big.Rat // normalized, >= 0
-	basis0 []int      // initial basic column per row (slack or artificial)
-	cost   []*big.Rat // phase-2 objective, dense over all columns
+	rows   []spVec   // sparse rows over all columns (artificials included)
+	rhs    []exact.Q // normalized, >= 0
+	basis0 []int     // initial basic column per row (slack or artificial)
+	cost   []exact.Q // phase-2 objective, dense over all columns
 
 	// Column-major view of the matrix for dot products against dual
 	// vectors: colRows[j] lists the rows where column j is nonzero and
 	// colVals[j] the corresponding values (aliases of rows' entries).
 	// Built lazily by columns() — only the hybrid verifier needs it.
 	colRows [][]int32
-	colVals [][]*big.Rat
+	colVals [][]exact.Q
 }
 
 // colNumbering hands out the slack/surplus and artificial columns of the
@@ -87,60 +88,53 @@ func newStdForm(p *Problem) (*stdForm, error) {
 	m := len(p.rows)
 	senses := make([]Sense, m)
 	for i, r := range p.rows {
-		senses[i] = r.Sense
-		if r.RHS.Sign() < 0 {
-			senses[i] = flip(r.Sense)
+		senses[i] = r.sense
+		if r.rhs.Sign() < 0 {
+			senses[i] = flip(r.sense)
 		}
 	}
-	num := numberCols(p.numVars, senses)
+	num := numberCols(p.NumVars(), senses)
 	sf := &stdForm{
-		p:        p,
 		m:        m,
+		numVars:  p.NumVars(),
 		numCols:  num.numCols,
 		artStart: num.artStart,
 		numArt:   num.numCols - num.artStart,
 		rows:     make([]spVec, m),
-		rhs:      make([]*big.Rat, m),
+		rhs:      make([]exact.Q, m),
 		basis0:   make([]int, m),
-		cost:     make([]*big.Rat, num.numCols),
+		cost:     make([]exact.Q, num.numCols),
 	}
-	for j := range sf.cost {
-		if j < p.numVars {
-			sf.cost[j] = p.objective[j]
-		} else {
-			sf.cost[j] = ratZero
-		}
-	}
+	copy(sf.cost, p.objective)
 
-	one := big.NewRat(1, 1)
-	negOne := big.NewRat(-1, 1)
-	byCol := func(a, b Term) int { return a.Col - b.Col }
+	one, negOne := exact.Int(1), exact.Int(-1)
+	byCol := func(a, b TermQ) int { return a.Col - b.Col }
 	for i, r := range p.rows {
-		neg := r.RHS.Sign() < 0
+		neg := r.rhs.Sign() < 0
 		// Rows built in column order (the range LPs' are) are read in place.
-		terms := r.Terms
+		terms := r.terms
 		if !slices.IsSortedFunc(terms, byCol) {
 			terms = slices.Clone(terms)
 			slices.SortFunc(terms, byCol)
 		}
 		row := spVec{
 			ind: make([]int, 0, len(terms)+2),
-			val: make([]*big.Rat, 0, len(terms)+2),
+			val: make([]exact.Q, 0, len(terms)+2),
 		}
 		for k, t := range terms {
 			if k > 0 && terms[k-1].Col == t.Col {
-				return nil, fmt.Errorf("lp: row %d %q mentions column %d twice", i, r.Name, t.Col)
+				return nil, fmt.Errorf("lp: row %d %q mentions column %d twice", i, r.name, t.Col)
 			}
 			v := t.Coef
 			if neg {
-				v = new(big.Rat).Neg(v)
+				v = v.Neg()
 			}
 			row.ind = append(row.ind, t.Col)
 			row.val = append(row.val, v)
 		}
-		b := r.RHS
+		b := r.rhs
 		if neg {
-			b = new(big.Rat).Neg(b)
+			b = b.Neg()
 		}
 		slack, art := num.next(senses[i])
 		if slack >= 0 {
@@ -179,9 +173,9 @@ func (sf *stdForm) columns() {
 		}
 		nnz += len(sf.rows[i].ind)
 	}
-	rows, vals := make([]int32, nnz), make([]*big.Rat, nnz)
+	rows, vals := make([]int32, nnz), make([]exact.Q, nnz)
 	sf.colRows = make([][]int32, sf.numCols)
-	sf.colVals = make([][]*big.Rat, sf.numCols)
+	sf.colVals = make([][]exact.Q, sf.numCols)
 	off := 0
 	for j, c := range counts {
 		sf.colRows[j] = rows[off : off : off+c]
@@ -197,8 +191,6 @@ func (sf *stdForm) columns() {
 	}
 }
 
-var ratZero = new(big.Rat)
-
 // flip mirrors a sense across a row negation.
 func flip(s Sense) Sense {
 	switch s {
@@ -212,15 +204,12 @@ func flip(s Sense) Sense {
 }
 
 // colDot returns y . A_j over the sparse column j.
-func (sf *stdForm) colDot(y []*big.Rat, j int) *big.Rat {
-	out := new(big.Rat)
-	var tmp big.Rat
+func (sf *stdForm) colDot(y []exact.Q, j int) exact.Q {
+	var out exact.Q
 	for k, r := range sf.colRows[j] {
-		if y[r].Sign() == 0 {
-			continue
+		if y[r].Sign() != 0 {
+			out = out.Add(y[r].Mul(sf.colVals[j][k]))
 		}
-		tmp.Mul(y[r], sf.colVals[j][k])
-		out.Add(out, &tmp)
 	}
 	return out
 }

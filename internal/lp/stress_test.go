@@ -4,6 +4,8 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"divflow/internal/exact"
 )
 
 // TestSolveRatTransportation solves small random transportation problems
@@ -56,7 +58,7 @@ func TestSolveRatDietProblem(t *testing.T) {
 	if sol.Status != Optimal || sol.Objective.Cmp(rat(48, 5)) != 0 {
 		t.Fatalf("status %v obj %v, want optimal 48/5", sol.Status, sol.Objective)
 	}
-	if sol.X[0].Cmp(rat(18, 5)) != 0 || sol.X[1].Cmp(rat(4, 5)) != 0 {
+	if sol.X[0].Cmp(q(18, 5)) != 0 || sol.X[1].Cmp(q(4, 5)) != 0 {
 		t.Errorf("x = %v, %v; want 18/5, 4/5", sol.X[0], sol.X[1])
 	}
 }
@@ -94,17 +96,16 @@ func TestSolveRatScaleInvariance(t *testing.T) {
 		base := randomFeasibleProblem(rng, 3, 4)
 		scaled := NewProblem()
 		mult := rat(int64(1+rng.Intn(5)), int64(1+rng.Intn(3)))
-		for j := 0; j < base.numVars; j++ {
-			c := new(big.Rat).Mul(base.objective[j], mult)
-			scaled.AddVar("", c)
+		for _, c := range base.objective {
+			scaled.AddVarQ("", c.Mul(exact.FromRat(mult)))
 		}
 		for _, row := range base.rows {
-			rowMult := rat(int64(1+rng.Intn(7)), int64(1+rng.Intn(4)))
-			terms := make([]Term, len(row.Terms))
-			for k, tm := range row.Terms {
-				terms[k] = Term{tm.Col, new(big.Rat).Mul(tm.Coef, rowMult)}
+			rowMult := q(int64(1+rng.Intn(7)), int64(1+rng.Intn(4)))
+			terms := make([]TermQ, len(row.terms))
+			for k, tm := range row.terms {
+				terms[k] = TermQ{tm.Col, tm.Coef.Mul(rowMult)}
 			}
-			scaled.AddRow("", terms, row.Sense, new(big.Rat).Mul(row.RHS, rowMult))
+			scaled.AddRowQ("", terms, row.sense, row.rhs.Mul(rowMult))
 		}
 		a, err := SolveRat(base)
 		if err != nil {
@@ -147,10 +148,10 @@ func TestSolveRatBigCoefficients(t *testing.T) {
 		t.Fatalf("status %v", sol.Status)
 	}
 	wantX := new(big.Rat).Inv(huge)
-	if sol.X[0].Cmp(wantX) != 0 {
+	if sol.X[0].Cmp(exact.FromRat(wantX)) != 0 {
 		t.Errorf("x = %v, want %v", sol.X[0], wantX)
 	}
-	if sol.X[1].Cmp(huge) != 0 {
+	if sol.X[1].Cmp(exact.FromRat(huge)) != 0 {
 		t.Errorf("y = %v, want %v", sol.X[1], huge)
 	}
 }
