@@ -21,6 +21,10 @@ import (
 // each of its rational-carrying fields has been overwritten with a fresh
 // value — the shape of a Clone method, which the rule thereby checks for
 // completeness.
+//
+// exact.Q is the one struct value that carries a *big.Rat and is exempt:
+// nothing writes the rational after the value is built, so a copy shares
+// nothing that can change.
 var RatAliasAnalyzer = &Analyzer{
 	Name: "ratalias",
 	Doc:  "forbid returning or storing an aliased *big.Rat (from field/map/parameter) without a copy in internal/sim, internal/server, internal/model",
@@ -185,7 +189,12 @@ func ratFields(t types.Type) []*types.Var {
 }
 
 // carriesRat reports whether copying a value of type t aliases a rational.
-func carriesRat(t types.Type) bool { return isBigRatPtr(t) || len(ratFields(t)) > 0 }
+func carriesRat(t types.Type) bool {
+	if _, ptr := t.(*types.Pointer); !ptr && isExactQ(t) {
+		return false
+	}
+	return isBigRatPtr(t) || len(ratFields(t)) > 0
+}
 
 // describe words a diagnostic for the two kinds of alias: what escaped, and
 // the fix.

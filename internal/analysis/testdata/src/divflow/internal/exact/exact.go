@@ -1,11 +1,17 @@
 // Package exact stands in for divflow/internal/exact: an exact rational value
-// type whose float images floatexact keeps out of the decision paths.
+// type whose float images floatexact keeps out of the decision paths, and
+// whose math/big escape ratalias must not mistake for a shared rational.
 package exact
 
-type Q struct{ num, den int64 }
+import "math/big"
+
+type Q struct {
+	num, den int64
+	r        *big.Rat
+}
 
 func (q Q) Float64() float64 { return float64(q.num) / float64(q.den) }
 
 func (q Q) Float32() float32 { return float32(q.num) / float32(q.den) }
 
-func (q Q) Add(r Q) Q { return Q{q.num*r.den + r.num*q.den, q.den * r.den} }
+func (q Q) Add(o Q) Q { return Q{num: q.num*o.den + o.num*q.den, den: q.den * o.den} }

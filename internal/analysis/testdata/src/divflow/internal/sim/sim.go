@@ -1,9 +1,14 @@
 // Package sim seeds ratalias violations: *big.Rat values that arrive through
 // a field, parameter, or element and escape — returned, stored, or packed
 // into a composite literal — without a copy; and struct values that carry them.
+// exact.Q values, which hold a *big.Rat nothing writes, copy freely.
 package sim
 
-import "math/big"
+import (
+	"math/big"
+
+	"divflow/internal/exact"
+)
 
 type Job struct {
 	Weight *big.Rat
@@ -74,4 +79,19 @@ func EmbedLit(src *Record) Record {
 
 func EmbedClone(rec *Record, job Job) {
 	rec.Job = job.Clone()
+}
+
+// An exact.Q is a value: copying one out of a field, a map or a parameter
+// shares nothing that can change.
+
+type Plan struct {
+	At  exact.Q
+	Rem map[int]exact.Q
+}
+
+func Fingerprint(p *Plan, at exact.Q, id int) exact.Q {
+	p.At = at
+	p.Rem[id] = p.At
+	_ = Plan{At: p.Rem[id]}
+	return p.Rem[id]
 }

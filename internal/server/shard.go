@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"divflow/internal/core"
+	"divflow/internal/exact"
 	"divflow/internal/faults"
 	"divflow/internal/model"
 	"divflow/internal/obs"
@@ -360,17 +361,18 @@ func (sh *shard) hosts(databanks []string) bool { return hostsAny(sh.machines, d
 
 // cost is the shard engine's CostFunc: the uniform model over the shard's
 // machines, c_{i,j} = Size_j · InverseSpeed_i where machine i hosts job j's
-// databanks. The eligibility map normally implies a live record, but
-// compaction severs that invariant for forgotten IDs — a stale ID must
-// answer ok=false, not dereference a nil record and kill the loop goroutine.
-func (sh *shard) cost(machine, jobID int) (*big.Rat, bool) {
+// databanks, multiplied on exact.Q's words. The eligibility map normally
+// implies a live record, but compaction severs that invariant for forgotten
+// IDs — a stale ID must answer ok=false, not dereference a nil record and kill
+// the loop goroutine.
+func (sh *shard) cost(machine, jobID int) (exact.Q, bool) {
 	if machine < 0 || machine >= len(sh.eligible) || !sh.eligible[machine][jobID] {
-		return nil, false
+		return exact.Q{}, false
 	}
 	if jobID < 0 || jobID >= len(sh.records) || sh.records[jobID] == nil {
-		return nil, false
+		return exact.Q{}, false
 	}
-	return new(big.Rat).Mul(sh.records[jobID].Size, sh.machines[machine].InverseSpeed), true
+	return exact.FromRat(sh.records[jobID].Size).Mul(exact.FromRat(sh.machines[machine].InverseSpeed)), true
 }
 
 // start launches the shard's scheduling loop. Safe to call once. A remote

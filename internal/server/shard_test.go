@@ -586,8 +586,8 @@ func TestCostGuardsCompactedRecords(t *testing.T) {
 	// Simulate the invariant breach compaction normally prevents: a stale
 	// eligibility entry pointing at the forgotten record.
 	sh.eligible[0][id] = true
-	if c, ok := sh.cost(0, id); ok || c != nil {
-		t.Errorf("cost(compacted) = %v, %v, want nil, false", c, ok)
+	if c, ok := sh.cost(0, id); ok || c.Sign() != 0 {
+		t.Errorf("cost(compacted) = %v, %v, want 0, false", c, ok)
 	}
 	delete(sh.eligible[0], id)
 	// Out-of-range IDs and machines answer false, never panic.

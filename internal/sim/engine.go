@@ -3,15 +3,17 @@ package sim
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 
+	"divflow/internal/exact"
 	"divflow/internal/schedule"
 )
 
 // CostFunc gives the cost c_{i,j} for machine i processing the whole of job
 // j, with ok=false when the machine is ineligible. Job IDs are stable,
 // caller-chosen identifiers; they need not be dense.
-type CostFunc func(machine, jobID int) (*big.Rat, bool)
+type CostFunc func(machine, jobID int) (exact.Q, bool)
 
 // Engine is the incremental policy-stepping core shared by Run (the
 // closed-world replay of a full instance) and the divflowd scheduling
@@ -24,14 +26,15 @@ type CostFunc func(machine, jobID int) (*big.Rat, bool)
 //	t := e.NextEvent()                 // earliest completion/review time
 //	done, _ := e.AdvanceTo(t)          // execute the allocation until t
 //
-// All arithmetic is exact; the trace the engine records passes the same
-// validator as the offline solvers' schedules once every job completes.
+// All arithmetic is exact, on exact.Q; the exported methods take and return
+// *big.Rat and convert at the call. The trace the engine records passes the
+// same validator as the offline solvers' schedules once every job completes.
 type Engine struct {
 	m      int
 	cost   CostFunc
 	policy Policy
 
-	now  *big.Rat
+	now  exact.Q
 	jobs map[int]*engineJob
 	// order lists live job IDs sorted by (release, ID): the snapshot order
 	// policies rely on.
@@ -48,15 +51,13 @@ type Engine struct {
 	migrations int
 }
 
-// ratOne is the constant 1; never mutated.
-var ratOne = big.NewRat(1, 1)
-
 type engineJob struct {
-	release   *big.Rat
-	weight    *big.Rat
-	size      *big.Rat // nil when unsized
-	remaining *big.Rat
-	completed *big.Rat // completion time, nil while live
+	release   exact.Q
+	weight    exact.Q
+	size      exact.Q // zero when unsized
+	remaining exact.Q
+	completed exact.Q // completion time, once done
+	done      bool
 }
 
 // NewEngine returns an engine over m machines with the given cost function,
@@ -67,7 +68,6 @@ func NewEngine(m int, cost CostFunc, p Policy) *Engine {
 		m:         m,
 		cost:      cost,
 		policy:    p,
-		now:       new(big.Rat),
 		jobs:      make(map[int]*engineJob),
 		sched:     &schedule.Schedule{},
 		lastPiece: make([]int, m),
@@ -78,8 +78,8 @@ func NewEngine(m int, cost CostFunc, p Policy) *Engine {
 	return e
 }
 
-// Now returns the engine's current time (a copy).
-func (e *Engine) Now() *big.Rat { return new(big.Rat).Set(e.now) }
+// Now returns the engine's current time.
+func (e *Engine) Now() *big.Rat { return e.now.Rat() }
 
 // Policy returns the policy the engine steps.
 func (e *Engine) Policy() Policy { return e.policy }
@@ -93,24 +93,24 @@ func (e *Engine) Live() int { return len(e.order) }
 // CompletedCount returns how many jobs have completed.
 func (e *Engine) CompletedCount() int { return e.completed }
 
-// Completion returns the completion time of a job (a copy), or nil when the
-// job is unknown or still live.
+// Completion returns the completion time of a job, or nil when the job is
+// unknown or still live.
 func (e *Engine) Completion(id int) *big.Rat {
 	j := e.jobs[id]
-	if j == nil || j.completed == nil {
+	if j == nil || !j.done {
 		return nil
 	}
-	return new(big.Rat).Set(j.completed)
+	return j.completed.Rat()
 }
 
-// Remaining returns the unprocessed fraction of a job (a copy), or nil when
-// the job is unknown.
+// Remaining returns the unprocessed fraction of a job, or nil when the job is
+// unknown.
 func (e *Engine) Remaining(id int) *big.Rat {
 	j := e.jobs[id]
 	if j == nil {
 		return nil
 	}
-	return new(big.Rat).Set(j.remaining)
+	return j.remaining.Rat()
 }
 
 // Schedule returns the executed trace. The pointer is live engine state:
@@ -134,17 +134,29 @@ func (e *Engine) Add(id int, release, weight, size *big.Rat) error {
 // origin, so flow and stretch stay measured from first submission no matter
 // how many engines the job crosses.
 func (e *Engine) AddPartial(id int, release, weight, size, remaining *big.Rat) error {
+	if release == nil {
+		return fmt.Errorf("sim: job %d needs a release date >= 0", id)
+	}
+	rem := exact.Int(1)
+	if remaining != nil {
+		rem = exact.FromRat(remaining)
+	}
+	return e.add(id, exact.FromRat(release), exact.FromRat(weight), exact.FromRat(size), rem)
+}
+
+// add is AddPartial on exact values; a zero size is an unsized job.
+func (e *Engine) add(id int, release, weight, size, remaining exact.Q) error {
 	if _, dup := e.jobs[id]; dup {
 		return fmt.Errorf("sim: duplicate job id %d", id)
 	}
-	if release == nil || release.Sign() < 0 {
+	if release.Sign() < 0 {
 		return fmt.Errorf("sim: job %d needs a release date >= 0", id)
 	}
-	if weight == nil || weight.Sign() <= 0 {
+	if weight.Sign() <= 0 {
 		return fmt.Errorf("sim: job %d needs a weight > 0", id)
 	}
-	if remaining != nil && (remaining.Sign() <= 0 || remaining.Cmp(ratOne) > 0) {
-		return fmt.Errorf("sim: job %d needs remaining in (0, 1], got %v", id, remaining.RatString())
+	if remaining.Sign() <= 0 || remaining.Cmp(exact.Int(1)) > 0 {
+		return fmt.Errorf("sim: job %d needs remaining in (0, 1], got %v", id, remaining)
 	}
 	eligible := false
 	for i := 0; i < e.m; i++ {
@@ -158,27 +170,18 @@ func (e *Engine) AddPartial(id int, release, weight, size, remaining *big.Rat) e
 	if !eligible {
 		return fmt.Errorf("sim: job %d cannot run on any machine", id)
 	}
-	j := &engineJob{
-		release:   new(big.Rat).Set(release),
-		weight:    new(big.Rat).Set(weight),
-		remaining: big.NewRat(1, 1),
-	}
-	if remaining != nil {
-		j.remaining.Set(remaining)
-	}
-	if size != nil {
-		j.size = new(big.Rat).Set(size)
-	}
-	e.jobs[id] = j
-	e.order = append(e.order, id)
-	sort.SliceStable(e.order, func(a, b int) bool {
-		ja, jb := e.jobs[e.order[a]], e.jobs[e.order[b]]
-		if c := ja.release.Cmp(jb.release); c != 0 {
-			return c < 0
-		}
-		return e.order[a] < e.order[b]
-	})
+	e.jobs[id] = &engineJob{release: release, weight: weight, size: size, remaining: remaining}
+	k := sort.Search(len(e.order), func(k int) bool { return e.before(id, e.order[k]) })
+	e.order = slices.Insert(e.order, k, id)
 	return nil
+}
+
+// before orders job IDs by (release, ID): the order of e.order.
+func (e *Engine) before(a, b int) bool {
+	if c := e.jobs[a].release.Cmp(e.jobs[b].release); c != 0 {
+		return c < 0
+	}
+	return a < b
 }
 
 // Compact drops execution history from before horizon: executed schedule
@@ -216,9 +219,10 @@ func (e *Engine) Compact(horizon *big.Rat) []int {
 			e.lastPiece[i] = -1
 		}
 	}
+	h := exact.FromRat(horizon)
 	var forgotten []int
 	for id, j := range e.jobs {
-		if j.completed != nil && j.completed.Cmp(horizon) <= 0 {
+		if j.done && j.completed.Cmp(h) <= 0 {
 			forgotten = append(forgotten, id)
 			delete(e.jobs, id)
 		}
@@ -254,16 +258,11 @@ func (e *Engine) Remove(id int) (*RemovedJob, error) {
 	if j == nil {
 		return nil, fmt.Errorf("sim: remove: unknown job %d", id)
 	}
-	if j.completed != nil {
+	if j.done {
 		return nil, fmt.Errorf("sim: remove: job %d already completed", id)
 	}
 	delete(e.jobs, id)
-	for k, oid := range e.order {
-		if oid == id {
-			e.order = append(e.order[:k], e.order[k+1:]...)
-			break
-		}
-	}
+	e.order = slices.DeleteFunc(e.order, func(oid int) bool { return oid == id })
 	// Scrub the installed allocation: a later AdvanceTo must not execute (or
 	// extend a piece of) a job this engine no longer owns.
 	if e.haveAlloc {
@@ -277,17 +276,12 @@ func (e *Engine) Remove(id int) (*RemovedJob, error) {
 		inv.InvalidatePlan()
 	}
 	e.migrations++
-	// Ownership transfer, not aliasing: the job is deleted from the engine
-	// below, so the extracted record becomes the rats' only owner.
-	out := &RemovedJob{
-		Release:   j.release,   //divflow:ratalias-ok ownership transfer; the engine deletes the job
-		Weight:    j.weight,    //divflow:ratalias-ok ownership transfer; the engine deletes the job
-		Remaining: j.remaining, //divflow:ratalias-ok ownership transfer; the engine deletes the job
-	}
-	if j.size != nil {
-		out.Size = j.size //divflow:ratalias-ok ownership transfer; the engine deletes the job
-	}
-	return out, nil
+	return &RemovedJob{
+		Release:   j.release.Rat(),
+		Weight:    j.weight.Rat(),
+		Size:      ratOrNil(j.size),
+		Remaining: j.remaining.Rat(),
+	}, nil
 }
 
 // Migrations returns how many live jobs have been extracted with Remove.
@@ -295,11 +289,11 @@ func (e *Engine) Migrations() int { return e.migrations }
 
 // LiveIDs returns the IDs of released, incomplete jobs (a copy, in
 // (release, ID) order).
-func (e *Engine) LiveIDs() []int { return append([]int(nil), e.order...) }
+func (e *Engine) LiveIDs() []int { return slices.Clone(e.order) }
 
 // ResidualJob is one live job's exact residual state: the inputs an
 // admission-control feasibility check needs to reconstruct the engine's
-// outstanding workload as a fresh model.Instance. All rationals are copies.
+// outstanding workload as a fresh model.Instance.
 type ResidualJob struct {
 	ID        int
 	Release   *big.Rat
@@ -318,32 +312,32 @@ func (e *Engine) Residual() []ResidualJob {
 	out := make([]ResidualJob, 0, len(e.order))
 	for _, id := range e.order {
 		j := e.jobs[id]
-		rj := ResidualJob{
+		out = append(out, ResidualJob{
 			ID:        id,
-			Release:   new(big.Rat).Set(j.release),
-			Weight:    new(big.Rat).Set(j.weight),
-			Remaining: new(big.Rat).Set(j.remaining),
-		}
-		if j.size != nil {
-			rj.Size = new(big.Rat).Set(j.size)
-		}
-		out = append(out, rj)
+			Release:   j.release.Rat(),
+			Weight:    j.weight.Rat(),
+			Size:      ratOrNil(j.size),
+			Remaining: j.remaining.Rat(),
+		})
 	}
 	return out
 }
 
+// ratOrNil returns x over math/big, or nil for zero: the engine's unsized job
+// and absent review point at its *big.Rat edges.
+func ratOrNil(x exact.Q) *big.Rat {
+	if x.Sign() == 0 {
+		return nil
+	}
+	return x.Rat()
+}
+
 // Snapshot builds the policy-visible view of the current state.
 func (e *Engine) Snapshot() *Snapshot {
-	snap := &Snapshot{Now: e.Now(), M: e.m, Cost: e.cost}
+	snap := &Snapshot{Now: e.now, M: e.m, Cost: e.cost, Jobs: make([]JobView, 0, len(e.order))}
 	for _, id := range e.order {
 		j := e.jobs[id]
-		snap.Jobs = append(snap.Jobs, JobView{
-			ID:        id,
-			Release:   j.release, //divflow:ratalias-ok policy views are read-only by contract
-			Weight:    j.weight,  //divflow:ratalias-ok policy views are read-only by contract
-			Size:      j.size,    //divflow:ratalias-ok policy views are read-only by contract
-			Remaining: new(big.Rat).Set(j.remaining),
-		})
+		snap.Jobs = append(snap.Jobs, JobView{ID: id, Release: j.release, Weight: j.weight, Size: j.size, Remaining: j.remaining})
 	}
 	return snap
 }
@@ -361,7 +355,7 @@ func (e *Engine) Decide() error {
 			continue
 		}
 		j := e.jobs[id]
-		if j == nil || j.completed != nil {
+		if j == nil || j.done {
 			return fmt.Errorf("sim: policy %s assigned machine %d an unavailable job %d", e.policy.Name(), i, id)
 		}
 		if _, ok := e.cost(i, id); !ok {
@@ -373,51 +367,42 @@ func (e *Engine) Decide() error {
 	return nil
 }
 
-// rates returns, for every job some machine is working on, the total
-// processing rate Σ 1/c_{i,j} of the current allocation.
-func (e *Engine) rates() map[int]*big.Rat {
-	rate := make(map[int]*big.Rat)
-	if !e.haveAlloc {
-		return rate
-	}
-	for i, id := range e.alloc.MachineJob {
-		if id < 0 {
-			continue
-		}
-		c, _ := e.cost(i, id)
-		if rate[id] == nil {
-			rate[id] = new(big.Rat)
-		}
-		rate[id].Add(rate[id], new(big.Rat).Inv(c))
-	}
-	return rate
-}
-
 // NextEvent returns the earliest time strictly after now at which the
 // current allocation produces an event — a job completion or the policy's
 // requested review point — or nil when nothing is pending (idle machines
 // and no review). The caller decides how far to AdvanceTo, folding in any
 // external events (releases, submissions) it knows about.
 func (e *Engine) NextEvent() *big.Rat {
-	var next *big.Rat
-	consider := func(cand *big.Rat) {
-		if cand.Cmp(e.now) <= 0 {
-			return
-		}
-		if next == nil || cand.Cmp(next) < 0 {
-			next = new(big.Rat).Set(cand)
+	if t, ok := e.nextEvent(); ok {
+		return t.Rat()
+	}
+	return nil
+}
+
+// nextEvent is NextEvent on exact values, ok=false when nothing is pending.
+// A job the allocation runs completes at now + remaining / Σ 1/c_{i,j}, the
+// sum over the machines working on it.
+func (e *Engine) nextEvent() (next exact.Q, ok bool) {
+	if !e.haveAlloc {
+		return next, false
+	}
+	consider := func(cand exact.Q) {
+		if cand.Cmp(e.now) > 0 && (!ok || cand.Cmp(next) < 0) {
+			next, ok = cand, true
 		}
 	}
-	for id, rt := range e.rates() {
-		if rt.Sign() > 0 {
-			dt := new(big.Rat).Quo(e.jobs[id].remaining, rt)
-			consider(new(big.Rat).Add(e.now, dt))
+	rate := make(map[int]exact.Q, e.m)
+	for i, id := range e.alloc.MachineJob {
+		if id >= 0 {
+			c, _ := e.cost(i, id)
+			rate[id] = rate[id].Add(c.Inv())
 		}
 	}
-	if e.haveAlloc && e.alloc.Review != nil {
-		consider(e.alloc.Review)
+	for id, rt := range rate {
+		consider(e.now.Add(e.jobs[id].remaining.Quo(rt)))
 	}
-	return next
+	consider(e.alloc.Review)
+	return next, ok
 }
 
 // AdvanceTo executes the current allocation from now to t, recording
@@ -425,16 +410,19 @@ func (e *Engine) NextEvent() *big.Rat {
 // remaining fraction. It returns the IDs of jobs that completed at t. The
 // target must not move backwards nor overshoot a pending completion
 // (callers advance to min(NextEvent, external event)).
-func (e *Engine) AdvanceTo(t *big.Rat) ([]int, error) {
+func (e *Engine) AdvanceTo(t *big.Rat) ([]int, error) { return e.advanceTo(exact.FromRat(t)) }
+
+// advanceTo is AdvanceTo on exact values. The trace stays in *big.Rat: each
+// piece written or extended converts its new bounds once.
+func (e *Engine) advanceTo(t exact.Q) ([]int, error) {
 	cmp := t.Cmp(e.now)
 	if cmp < 0 {
-		return nil, fmt.Errorf("sim: time moved backwards: %v -> %v", e.now.RatString(), t.RatString())
+		return nil, fmt.Errorf("sim: time moved backwards: %v -> %v", e.now, t)
 	}
 	if cmp == 0 {
 		return nil, nil
 	}
-	dt := new(big.Rat).Sub(t, e.now)
-	end := new(big.Rat).Set(t)
+	dt := t.Sub(e.now)
 	var worked []int
 	if e.haveAlloc {
 		for i, id := range e.alloc.MachineJob {
@@ -442,48 +430,42 @@ func (e *Engine) AdvanceTo(t *big.Rat) ([]int, error) {
 				continue
 			}
 			c, _ := e.cost(i, id)
-			frac := new(big.Rat).Quo(dt, c)
+			frac := dt.Quo(c)
 			j := e.jobs[id]
+			j.remaining = j.remaining.Sub(frac)
+			worked = append(worked, id)
 			// A machine continuing the same job across an event boundary
 			// extends its last piece, so piece counts reflect genuine
 			// preemptions/migrations rather than event granularity.
 			if k := e.lastPiece[i]; k >= 0 {
-				if pc := &e.sched.Pieces[k]; pc.Job == id && pc.End.Cmp(e.now) == 0 {
-					pc.End = new(big.Rat).Set(end)
-					pc.Fraction.Add(pc.Fraction, frac)
-					j.remaining.Sub(j.remaining, frac)
-					worked = append(worked, id)
+				if pc := &e.sched.Pieces[k]; pc.Job == id && exact.FromRat(pc.End).Cmp(e.now) == 0 {
+					pc.End = t.Rat()
+					pc.Fraction = exact.FromRat(pc.Fraction).Add(frac).Rat()
 					continue
 				}
 			}
-			e.sched.Add(i, id, e.now, end, frac)
+			e.sched.Pieces = append(e.sched.Pieces, schedule.Piece{
+				Machine: i, Job: id, Start: e.now.Rat(), End: t.Rat(), Fraction: frac.Rat(),
+			})
 			e.lastPiece[i] = len(e.sched.Pieces) - 1
-			j.remaining.Sub(j.remaining, frac)
-			worked = append(worked, id)
 		}
 	}
 	var done []int
 	for _, id := range worked {
 		j := e.jobs[id]
-		if j.completed != nil || j.remaining.Sign() > 0 {
+		if j.done || j.remaining.Sign() > 0 {
 			continue
 		}
 		if j.remaining.Sign() < 0 {
 			return nil, fmt.Errorf("sim: job %d over-processed (internal error)", id)
 		}
-		j.completed = new(big.Rat).Set(end)
+		j.completed, j.done = t, true
 		e.completed++
 		done = append(done, id)
 	}
 	if len(done) > 0 {
-		live := e.order[:0]
-		for _, id := range e.order {
-			if e.jobs[id].completed == nil {
-				live = append(live, id)
-			}
-		}
-		e.order = live
+		e.order = slices.DeleteFunc(e.order, func(id int) bool { return e.jobs[id].done })
 	}
-	e.now = end
+	e.now = t
 	return done, nil
 }

@@ -1,20 +1,20 @@
 package sim
 
 import (
-	"math/big"
 	"testing"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 )
 
 // twoMachineCost is a CostFunc over two machines (speeds 1 and 2) where
 // every job has unit size: c_{0,j} = 1, c_{1,j} = 1/2.
-func twoMachineCost(machine, jobID int) (*big.Rat, bool) {
+func twoMachineCost(machine, jobID int) (exact.Q, bool) {
 	if machine == 0 {
-		return big.NewRat(1, 1), true
+		return exact.Int(1), true
 	}
-	return big.NewRat(1, 2), true
+	return exact.New(1, 2), true
 }
 
 func TestEngineOpenWorldArrivals(t *testing.T) {
@@ -90,11 +90,11 @@ func TestEngineRejectsBadInput(t *testing.T) {
 
 func TestEngineRejectsIneligibleAssignment(t *testing.T) {
 	// Machine 1 is ineligible for every job.
-	cost := func(machine, jobID int) (*big.Rat, bool) {
+	cost := func(machine, jobID int) (exact.Q, bool) {
 		if machine == 1 {
-			return nil, false
+			return exact.Q{}, false
 		}
-		return big.NewRat(1, 1), true
+		return exact.Int(1), true
 	}
 	e := NewEngine(2, cost, badPolicy{})
 	if err := e.Add(0, r(0, 1), r(1, 1), nil); err != nil {
@@ -108,7 +108,7 @@ func TestEngineRejectsIneligibleAssignment(t *testing.T) {
 func TestEngineMergesPieces(t *testing.T) {
 	// Advancing in many small steps with an unchanged allocation must
 	// produce one merged piece, exactly like a single advance.
-	e := NewEngine(1, func(machine, jobID int) (*big.Rat, bool) { return big.NewRat(1, 1), true }, NewFCFS())
+	e := NewEngine(1, func(machine, jobID int) (exact.Q, bool) { return exact.Int(1), true }, NewFCFS())
 	if err := e.Add(0, r(0, 1), r(1, 1), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestEngineTraceValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(inst.M(), inst.Cost, NewOnlineMWFLazy())
+	e := NewEngine(inst.M(), instanceCost(inst), NewOnlineMWFLazy())
 	nextRelease := 0
 	for e.CompletedCount() < inst.N() {
 		for nextRelease < inst.N() && inst.Jobs[nextRelease].Release.Cmp(e.Now()) <= 0 {

@@ -167,7 +167,7 @@ func TestRemoveInvalidatesPlanCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewOnlineMWFLazy()
-	e := NewEngine(inst.M(), inst.Cost, p)
+	e := NewEngine(inst.M(), instanceCost(inst), p)
 	for j := 0; j < inst.N(); j++ {
 		if err := e.Add(j, inst.Jobs[j].Release, inst.Jobs[j].Weight, inst.Jobs[j].Size); err != nil {
 			t.Fatal(err)

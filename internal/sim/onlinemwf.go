@@ -2,10 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"math/big"
 	"time"
 
 	"divflow/internal/core"
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 	"divflow/internal/stats"
@@ -59,9 +61,10 @@ type OnlineMWF struct {
 	// solveAt and solveRem fingerprint the residual workload the cached
 	// plan was computed for: the solve time and every job's remaining
 	// fraction at that time. Later events are matched against the plan's
-	// own prediction evolved from this state.
-	solveAt  *big.Rat
-	solveRem map[int]*big.Rat
+	// own prediction evolved from this state. Both are set together, and
+	// solveRem is nil while no fingerprint is held.
+	solveAt  exact.Q
+	solveRem map[int]exact.Q
 	// solves counts inner exact LP-based solves, for the ablation report;
 	// cacheHits counts decision points served from the cached plan.
 	solves    int
@@ -80,10 +83,9 @@ type MWFObserver interface {
 }
 
 type planPiece struct {
-	machine int
-	jobID   int
-	start   *big.Rat
-	end     *big.Rat
+	machine    int
+	jobID      int
+	start, end exact.Q
 }
 
 // NewOnlineMWF returns the divisible-model online adaptation.
@@ -125,7 +127,7 @@ func (p *OnlineMWF) Reset() {
 	p.err = nil
 	p.plan = nil
 	p.known = nil
-	p.solveAt = nil
+	p.solveAt = exact.Q{}
 	p.solveRem = nil
 	p.solves = 0
 	p.cacheHits = 0
@@ -143,7 +145,7 @@ func (p *OnlineMWF) Err() error { return p.err }
 func (p *OnlineMWF) InvalidatePlan() {
 	p.plan = nil
 	p.known = nil
-	p.solveAt = nil
+	p.solveAt = exact.Q{}
 	p.solveRem = nil
 }
 
@@ -162,15 +164,15 @@ func (p *OnlineMWF) Assign(s *Snapshot) Allocation {
 	res, ids, err := p.resolve(s)
 	p.solves++
 	if err != nil {
-		p.err = fmt.Errorf("online-mwf: residual solve at t=%v: %w", s.Now.RatString(), err)
+		p.err = fmt.Errorf("online-mwf: residual solve at t=%v: %w", s.Now, err)
 		return idleAllocation(s.M)
 	}
 	p.known = make(map[int]bool, len(ids))
 	if p.LazyResolve {
-		p.solveAt = new(big.Rat).Set(s.Now)
-		p.solveRem = make(map[int]*big.Rat, len(s.Jobs))
+		p.solveAt = s.Now
+		p.solveRem = make(map[int]exact.Q, len(s.Jobs))
 		for k := range s.Jobs {
-			p.solveRem[s.Jobs[k].ID] = new(big.Rat).Set(s.Jobs[k].Remaining)
+			p.solveRem[s.Jobs[k].ID] = s.Jobs[k].Remaining
 		}
 	}
 	for _, id := range ids {
@@ -182,8 +184,8 @@ func (p *OnlineMWF) Assign(s *Snapshot) Allocation {
 		p.plan = append(p.plan, planPiece{
 			machine: piece.Machine,
 			jobID:   ids[piece.Job],
-			start:   piece.Start, //divflow:ratalias-ok the solve result is freshly built; the plan takes ownership of its pieces
-			end:     piece.End,   //divflow:ratalias-ok the solve result is freshly built; the plan takes ownership of its pieces
+			start:   exact.FromRat(piece.Start),
+			end:     exact.FromRat(piece.End),
 		})
 	}
 	return p.followPlan(s)
@@ -223,11 +225,8 @@ func (p *OnlineMWF) planPredicts(s *Snapshot) bool {
 // predictedRemaining evolves the fingerprint state from the solve time to
 // s.Now along the cached plan: each plan piece overlapping [solveAt, now)
 // consumes duration/c_{i,j} of its job.
-func (p *OnlineMWF) predictedRemaining(s *Snapshot) map[int]*big.Rat {
-	pred := make(map[int]*big.Rat, len(p.solveRem))
-	for id, rem := range p.solveRem {
-		pred[id] = new(big.Rat).Set(rem)
-	}
+func (p *OnlineMWF) predictedRemaining(s *Snapshot) map[int]exact.Q {
+	pred := maps.Clone(p.solveRem)
 	for i := range p.plan {
 		piece := &p.plan[i]
 		start, end := piece.start, piece.end
@@ -241,11 +240,11 @@ func (p *OnlineMWF) predictedRemaining(s *Snapshot) map[int]*big.Rat {
 			continue
 		}
 		c, ok := s.Cost(piece.machine, piece.jobID)
-		if !ok || pred[piece.jobID] == nil {
+		rem, known := pred[piece.jobID]
+		if !ok || !known {
 			continue
 		}
-		d := new(big.Rat).Sub(end, start)
-		pred[piece.jobID].Sub(pred[piece.jobID], d.Quo(d, c))
+		pred[piece.jobID] = rem.Sub(end.Sub(start).Quo(c))
 	}
 	return pred
 }
@@ -259,12 +258,9 @@ func (p *OnlineMWF) followPlan(s *Snapshot) Allocation {
 		live[s.Jobs[k].ID] = true
 	}
 	alloc := idleAllocation(s.M)
-	var review *big.Rat
-	consider := func(t *big.Rat) {
-		if t.Cmp(s.Now) <= 0 {
-			return
-		}
-		if review == nil || t.Cmp(review) < 0 {
+	var review exact.Q
+	consider := func(t exact.Q) {
+		if t.Cmp(s.Now) > 0 && (review.Sign() == 0 || t.Cmp(review) < 0) {
 			review = t
 		}
 	}
@@ -297,15 +293,15 @@ func (p *OnlineMWF) resolve(s *Snapshot) (*core.Result, []int, error) {
 	for k := range s.Jobs {
 		jv := &s.Jobs[k]
 		ids[k] = jv.ID
-		origins[k] = new(big.Rat).Set(jv.Release)
+		origins[k] = jv.Release.Rat()
 		jobs[k] = model.Job{
 			Name:    fmt.Sprintf("residual-%d", jv.ID),
-			Release: new(big.Rat).Set(s.Now),
-			Weight:  new(big.Rat).Set(jv.Weight),
+			Release: s.Now.Rat(),
+			Weight:  jv.Weight.Rat(),
 		}
 		for i := 0; i < s.M; i++ {
 			if c, ok := s.Cost(i, jv.ID); ok {
-				cost[i][k] = new(big.Rat).Mul(jv.Remaining, c)
+				cost[i][k] = jv.Remaining.Mul(c).Rat()
 			}
 		}
 	}

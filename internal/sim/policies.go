@@ -1,8 +1,9 @@
 package sim
 
 import (
-	"math/big"
 	"sort"
+
+	"divflow/internal/exact"
 )
 
 // FCFS is the classical first-come-first-served heuristic: jobs start in
@@ -125,23 +126,23 @@ func (p *MCT) Assign(s *Snapshot) Allocation {
 		if p.enqueued[jv.ID] {
 			continue
 		}
-		bestMachine, bestDone := -1, new(big.Rat)
+		bestMachine, bestDone := -1, exact.Q{}
 		for i := 0; i < s.M; i++ {
 			c, ok := s.Cost(i, jv.ID)
 			if !ok {
 				continue
 			}
 			// Backlog: remaining work of queued incomplete jobs on i.
-			backlog := new(big.Rat)
+			var backlog exact.Q
 			for _, q := range p.queue[i] {
 				qv := present[q]
 				if qv == nil {
 					continue
 				}
 				qc, _ := s.Cost(i, q)
-				backlog.Add(backlog, new(big.Rat).Mul(qv.Remaining, qc))
+				backlog = backlog.Add(qv.Remaining.Mul(qc))
 			}
-			doneAt := backlog.Add(backlog, c)
+			doneAt := backlog.Add(c)
 			if bestMachine == -1 || doneAt.Cmp(bestDone) < 0 {
 				bestMachine, bestDone = i, doneAt
 			}
@@ -188,7 +189,7 @@ func (SRPT) Assign(s *Snapshot) Allocation {
 	for k := range order {
 		order[k] = k
 	}
-	key := make([]*big.Rat, len(s.Jobs))
+	key := make([]exact.Q, len(s.Jobs))
 	for k := range s.Jobs {
 		key[k] = remainingWork(s, &s.Jobs[k])
 	}
@@ -217,34 +218,29 @@ func (GreedyWeightedFlow) Assign(s *Snapshot) Allocation {
 	for k := range order {
 		order[k] = k
 	}
-	key := make([]*big.Rat, len(s.Jobs))
+	key := make([]exact.Q, len(s.Jobs))
 	for k := range s.Jobs {
 		jv := &s.Jobs[k]
-		urgency := new(big.Rat).Sub(s.Now, jv.Release)
-		urgency.Add(urgency, remainingWork(s, jv))
-		key[k] = urgency.Mul(urgency, jv.Weight)
+		key[k] = s.Now.Sub(jv.Release).Add(remainingWork(s, jv)).Mul(jv.Weight)
 	}
 	sort.SliceStable(order, func(a, b int) bool { return key[order[a]].Cmp(key[order[b]]) > 0 })
 	return greedyAssign(s, order)
 }
 
 // remainingWork returns the job's remaining processing time on its fastest
-// eligible machine.
-func remainingWork(s *Snapshot, jv *JobView) *big.Rat {
-	var best *big.Rat
+// eligible machine (zero, unreachable for validated instances, when it has
+// none).
+func remainingWork(s *Snapshot, jv *JobView) exact.Q {
+	var best exact.Q
+	found := false
 	for i := 0; i < s.M; i++ {
 		c, ok := s.Cost(i, jv.ID)
 		if !ok {
 			continue
 		}
-		w := new(big.Rat).Mul(jv.Remaining, c)
-		if best == nil || w.Cmp(best) < 0 {
-			best = w
+		if w := jv.Remaining.Mul(c); !found || w.Cmp(best) < 0 {
+			best, found = w, true
 		}
-	}
-	if best == nil {
-		// Unreachable for validated instances.
-		return new(big.Rat)
 	}
 	return best
 }
@@ -256,7 +252,7 @@ func greedyAssign(s *Snapshot, order []int) Allocation {
 	busy := make([]bool, s.M)
 	for _, k := range order {
 		jv := &s.Jobs[k]
-		best, bestCost := -1, new(big.Rat)
+		best, bestCost := -1, exact.Q{}
 		for i := 0; i < s.M; i++ {
 			if busy[i] {
 				continue

@@ -11,12 +11,21 @@
 // schedule pieces so that the resulting trajectory can be validated by the
 // same exact validator as the offline schedules and measured with the same
 // metrics.
+//
+// Inside the package every rational is an exact.Q, the immutable word-sized
+// value the solvers compute with: the engine's clock and job states, the
+// policies' keys and OnlineMWF's cached plan. *big.Rat remains at the edges
+// only — the model.Instance that Run takes and that OnlineMWF hands the
+// offline solver, the executed schedule.Schedule, the exported Engine methods
+// the scheduling service calls, and the EngineState/MWFPlanState documents —
+// each converting once where a value crosses.
 package sim
 
 import (
 	"fmt"
 	"math/big"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 )
@@ -25,32 +34,32 @@ import (
 // that have been released and are not yet complete appear in a Snapshot.
 type JobView struct {
 	ID        int // index into the instance's job list
-	Release   *big.Rat
-	Weight    *big.Rat
-	Size      *big.Rat // nil when the instance has no sizes
-	Remaining *big.Rat // fraction of the job still to process, in (0, 1]
+	Release   exact.Q
+	Weight    exact.Q
+	Size      exact.Q // zero when the job has no size
+	Remaining exact.Q // fraction of the job still to process, in (0, 1]
 }
 
 // Snapshot is the information available to an online policy at a decision
-// point. Policies must not retain the Remaining pointers (they are live
-// simulator state); copy values if needed.
+// point.
 type Snapshot struct {
-	Now  *big.Rat
+	Now  exact.Q
 	Jobs []JobView // released, incomplete, ordered by release then ID
 	M    int       // number of machines
 	// Cost returns c_{i,j} for machine i and *job ID* j, with ok=false
 	// for an ineligible machine.
-	Cost func(i, jobID int) (*big.Rat, bool)
+	Cost CostFunc
 }
 
 // Allocation is a policy decision: MachineJob[i] is the job ID machine i
 // works on until the next event (-1 for idle). Several machines may share a
 // job (the divisible model); policies emulating non-divisible execution
-// simply never do that. Review, when non-nil, requests an extra decision
-// point no later than that absolute time.
+// simply never do that. Review, when later than the decision time, requests
+// an extra decision point no later than that absolute time; the zero value
+// requests none.
 type Allocation struct {
 	MachineJob []int
-	Review     *big.Rat
+	Review     exact.Q
 }
 
 // Policy is an online scheduling strategy.
@@ -89,14 +98,18 @@ func Run(inst *model.Instance, p Policy) (*Result, error) {
 		return nil, err
 	}
 	n := inst.N()
-	e := NewEngine(inst.M(), inst.Cost, p)
+	e := NewEngine(inst.M(), instanceCost(inst), p)
+	release := make([]exact.Q, n)
+	for j := range inst.Jobs {
+		release[j] = exact.FromRat(inst.Jobs[j].Release)
+	}
 	nextRelease := 0 // jobs are sorted by release date
 
 	for e.CompletedCount() < n {
 		// Reveal everything released by now.
-		for nextRelease < n && inst.Jobs[nextRelease].Release.Cmp(e.now) <= 0 {
+		for nextRelease < n && release[nextRelease].Cmp(e.now) <= 0 {
 			job := &inst.Jobs[nextRelease]
-			if err := e.Add(nextRelease, job.Release, job.Weight, job.Size); err != nil {
+			if err := e.add(nextRelease, release[nextRelease], exact.FromRat(job.Weight), exact.FromRat(job.Size), exact.Int(1)); err != nil {
 				return nil, err
 			}
 			nextRelease++
@@ -106,23 +119,39 @@ func Run(inst *model.Instance, p Policy) (*Result, error) {
 		}
 		// Next event: the engine's (completion or review point), capped by
 		// the next release.
-		next := e.NextEvent()
-		if nextRelease < n {
-			r := inst.Jobs[nextRelease].Release
-			if next == nil || r.Cmp(next) < 0 {
-				next = r
-			}
+		next, ok := e.nextEvent()
+		if nextRelease < n && (!ok || release[nextRelease].Cmp(next) < 0) {
+			next, ok = release[nextRelease], true
 		}
-		if next == nil || next.Cmp(e.now) <= 0 {
+		if !ok || next.Cmp(e.now) <= 0 {
 			return nil, fmt.Errorf("sim: policy %s stalled at t=%v with %d jobs unfinished",
-				p.Name(), e.now.RatString(), n-e.CompletedCount())
+				p.Name(), e.now, n-e.CompletedCount())
 		}
-		if _, err := e.AdvanceTo(next); err != nil {
+		if _, err := e.advanceTo(next); err != nil {
 			return nil, err
 		}
 	}
 
 	return summarize(inst, p.Name(), e.Schedule(), e.Decisions())
+}
+
+// instanceCost is the instance's cost matrix as a CostFunc, converted to
+// exact.Q once; a zero entry is an ineligible machine (finite costs are
+// positive).
+func instanceCost(inst *model.Instance) CostFunc {
+	cost := make([][]exact.Q, inst.M())
+	for i := range cost {
+		cost[i] = make([]exact.Q, inst.N())
+		for j := range cost[i] {
+			if c, ok := inst.Cost(i, j); ok {
+				cost[i][j] = exact.FromRat(c)
+			}
+		}
+	}
+	return func(i, j int) (exact.Q, bool) {
+		c := cost[i][j]
+		return c, c.Sign() > 0
+	}
 }
 
 func summarize(inst *model.Instance, name string, sched *schedule.Schedule, decisions int) (*Result, error) {

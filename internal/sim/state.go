@@ -5,15 +5,17 @@ import (
 	"math/big"
 	"sort"
 
+	"divflow/internal/exact"
 	"divflow/internal/schedule"
 )
 
 // This file is the durability boundary of the engine: ExportState captures
-// everything an Engine owns as exact, self-contained values (deep-copied
-// big.Rats, JSON-marshalable — *big.Rat implements TextMarshaler, so the
-// wire form is the usual "p/q" string), and RestoreState rebuilds a fresh
-// engine into bit-for-bit the same state. The pair backs divflowd's
-// snapshot/restore path and the in-process shard-restart supervisor.
+// everything an Engine owns as exact, self-contained values (the engine's
+// exact.Q values converted to fresh big.Rats, JSON-marshalable — *big.Rat
+// implements TextMarshaler, so the wire form is the usual "p/q" string), and
+// RestoreState rebuilds a fresh engine into bit-for-bit the same state. The
+// pair backs divflowd's snapshot/restore path and the in-process
+// shard-restart supervisor.
 
 // JobState is one job's exact state in an EngineState: live when Completed
 // is nil, finished (retained for the trace window) otherwise.
@@ -62,7 +64,7 @@ func ratCopy(r *big.Rat) *big.Rat {
 // export equal documents.
 func (e *Engine) ExportState() *EngineState {
 	st := &EngineState{
-		Now:        ratCopy(e.now),
+		Now:        e.now.Rat(),
 		Decisions:  e.decisions,
 		Completed:  e.completed,
 		Migrations: e.migrations,
@@ -75,14 +77,17 @@ func (e *Engine) ExportState() *EngineState {
 	sort.Ints(ids)
 	for _, id := range ids {
 		j := e.jobs[id]
-		st.Jobs = append(st.Jobs, JobState{
+		js := JobState{
 			ID:        id,
-			Release:   ratCopy(j.release),
-			Weight:    ratCopy(j.weight),
-			Size:      ratCopy(j.size),
-			Remaining: ratCopy(j.remaining),
-			Completed: ratCopy(j.completed),
-		})
+			Release:   j.release.Rat(),
+			Weight:    j.weight.Rat(),
+			Size:      ratOrNil(j.size),
+			Remaining: j.remaining.Rat(),
+		}
+		if j.done {
+			js.Completed = j.completed.Rat()
+		}
+		st.Jobs = append(st.Jobs, js)
 	}
 	for k := range e.sched.Pieces {
 		pc := &e.sched.Pieces[k]
@@ -96,7 +101,7 @@ func (e *Engine) ExportState() *EngineState {
 	}
 	if e.haveAlloc {
 		st.Alloc = append([]int(nil), e.alloc.MachineJob...)
-		st.Review = ratCopy(e.alloc.Review)
+		st.Review = ratOrNil(e.alloc.Review)
 	}
 	return st
 }
@@ -124,23 +129,18 @@ func (e *Engine) RestoreState(st *EngineState) error {
 			return fmt.Errorf("sim: restore: duplicate job %d", js.ID)
 		}
 		e.jobs[js.ID] = &engineJob{
-			release:   ratCopy(js.Release),
-			weight:    ratCopy(js.Weight),
-			size:      ratCopy(js.Size),
-			remaining: ratCopy(js.Remaining),
-			completed: ratCopy(js.Completed),
+			release:   exact.FromRat(js.Release),
+			weight:    exact.FromRat(js.Weight),
+			size:      exact.FromRat(js.Size),
+			remaining: exact.FromRat(js.Remaining),
+			completed: exact.FromRat(js.Completed),
+			done:      js.Completed != nil,
 		}
 		if js.Completed == nil {
 			e.order = append(e.order, js.ID)
 		}
 	}
-	sort.SliceStable(e.order, func(a, b int) bool {
-		ja, jb := e.jobs[e.order[a]], e.jobs[e.order[b]]
-		if c := ja.release.Cmp(jb.release); c != 0 {
-			return c < 0
-		}
-		return e.order[a] < e.order[b]
-	})
+	sort.Slice(e.order, func(a, b int) bool { return e.before(e.order[a], e.order[b]) })
 	for k := range st.Pieces {
 		ps := &st.Pieces[k]
 		if ps.Machine < 0 || ps.Machine >= e.m {
@@ -164,10 +164,10 @@ func (e *Engine) RestoreState(st *EngineState) error {
 		if len(st.Alloc) != e.m {
 			return fmt.Errorf("sim: restore: allocation over %d machines, want %d", len(st.Alloc), e.m)
 		}
-		e.alloc = Allocation{MachineJob: append([]int(nil), st.Alloc...), Review: ratCopy(st.Review)}
+		e.alloc = Allocation{MachineJob: append([]int(nil), st.Alloc...), Review: exact.FromRat(st.Review)}
 		e.haveAlloc = true
 	}
-	e.now = ratCopy(st.Now)
+	e.now = exact.FromRat(st.Now)
 	e.decisions = st.Decisions
 	e.completed = st.Completed
 	e.migrations = st.Migrations
@@ -215,22 +215,24 @@ func (p *OnlineMWF) ExportPlanState() *MWFPlanState {
 		st.Plan = append(st.Plan, PlanPieceState{
 			Machine: pp.machine,
 			Job:     pp.jobID,
-			Start:   ratCopy(pp.start),
-			End:     ratCopy(pp.end),
+			Start:   pp.start.Rat(),
+			End:     pp.end.Rat(),
 		})
 	}
 	for id := range p.known {
 		st.Known = append(st.Known, id)
 	}
 	sort.Ints(st.Known)
-	st.SolveAt = ratCopy(p.solveAt)
+	if p.solveRem != nil {
+		st.SolveAt = p.solveAt.Rat()
+	}
 	ids := make([]int, 0, len(p.solveRem))
 	for id := range p.solveRem {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		st.SolveRem = append(st.SolveRem, PlanJobState{ID: id, Remaining: ratCopy(p.solveRem[id])})
+		st.SolveRem = append(st.SolveRem, PlanJobState{ID: id, Remaining: p.solveRem[id].Rat()})
 	}
 	return st
 }
@@ -248,8 +250,8 @@ func (p *OnlineMWF) RestorePlanState(st *MWFPlanState) {
 		p.plan = append(p.plan, planPiece{
 			machine: pp.Machine,
 			jobID:   pp.Job,
-			start:   ratCopy(pp.Start),
-			end:     ratCopy(pp.End),
+			start:   exact.FromRat(pp.Start),
+			end:     exact.FromRat(pp.End),
 		})
 	}
 	if st.Known != nil {
@@ -258,11 +260,11 @@ func (p *OnlineMWF) RestorePlanState(st *MWFPlanState) {
 			p.known[id] = true
 		}
 	}
-	p.solveAt = ratCopy(st.SolveAt)
+	p.solveAt = exact.FromRat(st.SolveAt)
 	if st.SolveRem != nil {
-		p.solveRem = make(map[int]*big.Rat, len(st.SolveRem))
+		p.solveRem = make(map[int]exact.Q, len(st.SolveRem))
 		for k := range st.SolveRem {
-			p.solveRem[st.SolveRem[k].ID] = ratCopy(st.SolveRem[k].Remaining)
+			p.solveRem[st.SolveRem[k].ID] = exact.FromRat(st.SolveRem[k].Remaining)
 		}
 	}
 }

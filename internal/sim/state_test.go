@@ -111,7 +111,7 @@ func TestEngineStateRoundTrip(t *testing.T) {
 func runOn(t *testing.T, inst *model.Instance, e *Engine, next int, before func(next int)) {
 	t.Helper()
 	for n := inst.N(); e.CompletedCount() < n; {
-		for ; next < n && inst.Jobs[next].Release.Cmp(e.now) <= 0; next++ {
+		for ; next < n && inst.Jobs[next].Release.Cmp(e.Now()) <= 0; next++ {
 			job := &inst.Jobs[next]
 			if err := e.Add(next, job.Release, job.Weight, job.Size); err != nil {
 				t.Fatal(err)
@@ -127,7 +127,7 @@ func runOn(t *testing.T, inst *model.Instance, e *Engine, next int, before func(
 		if next < n && (at == nil || inst.Jobs[next].Release.Cmp(at) < 0) {
 			at = inst.Jobs[next].Release
 		}
-		if at == nil || at.Cmp(e.now) <= 0 {
+		if at == nil || at.Cmp(e.Now()) <= 0 {
 			t.Fatalf("policy %s stalled at t=%v", e.policy.Name(), e.now)
 		}
 		if _, err := e.AdvanceTo(at); err != nil {
@@ -162,7 +162,7 @@ func TestRestoreAtAnyDecisionKeepsTheTrace(t *testing.T) {
 			inst := workload.MustGenerate(cfg)
 
 			pol := fresh()
-			live := NewEngine(inst.M(), inst.Cost, pol)
+			live := NewEngine(inst.M(), instanceCost(inst), pol)
 			var forks []*Engine // forks[k] was restored before decision k
 			runOn(t, inst, live, 0, func(next int) {
 				var es EngineState
@@ -170,7 +170,7 @@ func TestRestoreAtAnyDecisionKeepsTheTrace(t *testing.T) {
 				viaJSON(live.ExportState(), &es)
 				viaJSON(pol.ExportPlanState(), &ps)
 				twin := fresh()
-				fork := NewEngine(inst.M(), inst.Cost, twin)
+				fork := NewEngine(inst.M(), instanceCost(inst), twin)
 				if err := fork.RestoreState(&es); err != nil {
 					t.Fatal(err)
 				}
