@@ -104,39 +104,26 @@ func parseWireRat(s, what string) (*big.Rat, error) {
 // Job converts the request into a model Job with no release date (the
 // scheduler stamps the release when it admits the job).
 func (r *SubmitRequest) Job() (Job, error) {
-	job := Job{Name: r.Name, Databanks: r.Databanks}
+	job := Job{Name: r.Name, Databanks: r.Databanks, Weight: big.NewRat(1, 1)}
 	if r.Size == "" {
 		return job, errors.New("model: submission needs a size")
 	}
-	size, err := parseWireRat(r.Size, "size")
-	if err != nil {
+	var err error
+	if job.Size, err = parseWireRat(r.Size, "size"); err != nil {
 		return job, err
 	}
-	if size.Sign() <= 0 {
-		return job, errors.New("model: submission needs size > 0")
-	}
-	job.Size = size
-	if r.Weight == "" {
-		job.Weight = big.NewRat(1, 1)
-	} else {
-		w, err := parseWireRat(r.Weight, "weight")
-		if err != nil {
+	if r.Weight != "" {
+		if job.Weight, err = parseWireRat(r.Weight, "weight"); err != nil {
 			return job, err
 		}
-		if w.Sign() <= 0 {
-			return job, errors.New("model: submission needs weight > 0")
-		}
-		job.Weight = w
 	}
 	if r.Deadline != "" {
-		d, err := parseWireRat(r.Deadline, "deadline")
-		if err != nil {
+		if job.Deadline, err = parseWireRat(r.Deadline, "deadline"); err != nil {
 			return job, err
 		}
-		if d.Sign() <= 0 {
-			return job, errors.New("model: submission needs deadline > 0")
-		}
-		job.Deadline = d
+	}
+	if err := job.CheckSubmission(); err != nil {
+		return job, err
 	}
 	if !ValidSLAClass(r.SLAClass) {
 		return job, fmt.Errorf("model: unknown slaClass %q (want premium, standard, or batch)", r.SLAClass)
@@ -147,6 +134,24 @@ func (r *SubmitRequest) Job() (Job, error) {
 		job.SLAClass = SLAStandard
 	}
 	return job, nil
+}
+
+// CheckSubmission reports why the scheduling service cannot take the job: it
+// schedules under the uniform cost model, so it needs a size > 0, the
+// objective needs a weight > 0, and a deadline, when set, must be > 0. It is
+// the one statement of these conditions, checked wherever a job enters a
+// shard: SubmitRequest.Job on the HTTP edge, the shard's Submit handler (a
+// worker's network surface) and the replay of a logged submission.
+func (j *Job) CheckSubmission() error {
+	switch {
+	case j.Size == nil || j.Size.Sign() <= 0:
+		return errors.New("model: submission needs size > 0")
+	case j.Weight == nil || j.Weight.Sign() <= 0:
+		return errors.New("model: submission needs weight > 0")
+	case j.Deadline != nil && j.Deadline.Sign() <= 0:
+		return errors.New("model: submission needs deadline > 0")
+	}
+	return nil
 }
 
 // AdmissionCertificate is the exact outcome of the deadline-feasibility

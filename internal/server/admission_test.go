@@ -3,10 +3,12 @@ package server
 import (
 	"fmt"
 	"math/big"
+	"math/rand"
 	"net/http/httptest"
 	"reflect"
 	"testing"
 
+	"divflow/internal/core"
 	"divflow/internal/model"
 	"divflow/internal/shardlink"
 )
@@ -271,6 +273,162 @@ func TestAdmissionCertificatesOverRPC(t *testing.T) {
 	if st.CompletedAt != "3" || st.DeadlineMet == nil || !*st.DeadlineMet {
 		t.Errorf("job over RPC = done @ %s met %v, want @ 3 met", st.CompletedAt, st.DeadlineMet)
 	}
+}
+
+// TestAdmissionMatchesParentOracle holds the census-built admission check to
+// the construction it replaced (parentAdmission) over random shard states:
+// admitted jobs part-executed, stolen jobs arriving with a fraction left and a
+// deadline that fraction decides (some admitted, some still queued), fresh
+// submissions queued behind them, and a
+// candidate whose deadline may or may not be met — in both execution models a
+// shard admits in. The two instances list their rows in different orders (the
+// census puts queued jobs first); verdicts, counter-offers and counts must
+// agree regardless.
+func TestAdmissionMatchesParentOracle(t *testing.T) {
+	feasible, countered := 0, 0
+	for _, policy := range []string{"online-mwf-lazy", "online-mwf-preempt"} {
+		for seed := int64(0); seed < 48; seed++ {
+			switch cert := admissionOracleCase(t, policy, seed); {
+			case cert.Feasible:
+				feasible++
+			case cert.CounterOffer != "":
+				countered++
+			}
+		}
+	}
+	if feasible == 0 || countered == 0 {
+		t.Errorf("%d feasible and %d countered cases: the seeds must cover both", feasible, countered)
+	}
+}
+
+// admissionOracleCase builds one random shard state, runs both checks on the
+// same caught-up state and compares them; it returns the census-built
+// certificate.
+func admissionOracleCase(t *testing.T, policy string, seed int64) model.AdmissionCertificate {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	q := func(lo, hi int64) *big.Rat { return big.NewRat(lo+rng.Int63n(hi-lo+1), 1+rng.Int63n(3)) }
+	machines := []model.Machine{
+		{Name: "m0", InverseSpeed: q(1, 2), Databanks: []string{"a", "b"}},
+		{Name: "m1", InverseSpeed: q(1, 3), Databanks: []string{"a"}},
+		{Name: "m2", InverseSpeed: q(1, 2), Databanks: []string{"b"}},
+	}
+	vc := NewVirtualClock()
+	// Admission off: the fixture's own submissions take no certificate; the
+	// checks under test are called directly below.
+	sh, err := buildShard(nil, &shardlink.InstallArgs{
+		ShardSpec: shardlink.ShardSpec{Stride: 1, Machines: machines, MachineIdx: []int{0, 1, 2}},
+		Policy:    policy, Admission: AdmissionOff,
+	}, vc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	banks := [][]string{{"a"}, {"b"}, {"a", "b"}, nil}
+	job := func() model.Job {
+		j := model.Job{Size: q(1, 12), Weight: q(1, 4), Databanks: banks[rng.Intn(len(banks))]}
+		if rng.Intn(2) == 0 {
+			j.Deadline = new(big.Rat).Add(vc.Now(), q(30, 90))
+		}
+		return j
+	}
+	submit := func(n int) {
+		for ; n > 0; n-- {
+			if _, _, err := sh.submit(job()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	locked := func(f func()) {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		f()
+	}
+	advance := func() { vc.Advance(new(big.Rat).Add(vc.Now(), q(1, 3))) }
+
+	submit(1 + rng.Intn(3))
+	locked(sh.process)
+	advance()
+	locked(sh.process)
+	for k := 1 + rng.Intn(2); k > 0; k-- {
+		stolen := job()
+		stolen.Release = new(big.Rat)
+		stolen.Deadline = new(big.Rat).Add(vc.Now(), q(2, 12))
+		locked(func() {
+			sh.adoptRecord(&shardlink.MigratedJob{GID: 1000 + k, Remaining: big.NewRat(1+rng.Int63n(3), 4), Job: stolen})
+		})
+	}
+	if rng.Intn(2) == 0 {
+		locked(sh.process)
+	}
+	submit(rng.Intn(3))
+	advance() // the check's own catch-up has work to do
+
+	cand := job()
+	cand.Deadline = new(big.Rat).Add(vc.Now(), q(1, 12))
+	now := vc.Now()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	got, _, err := sh.admissionCheck(cand, now)
+	if err != nil {
+		t.Fatalf("%s seed %d: %v", policy, seed, err)
+	}
+	if want := parentAdmission(t, sh, cand, now); *got != want {
+		t.Errorf("%s seed %d: census-built check %+v, parent construction %+v", policy, seed, *got, want)
+	}
+	return *got
+}
+
+// parentAdmission is the admission check as the shard built it before the
+// census, kept as the oracle: live jobs in engine order, then pending ones,
+// each a clone of its job with the size scaled by the remaining fraction and
+// released at now; the candidate appended last; the costs re-derived from
+// sh.machines by model.NewInstance, whose stable sort by release keeps the
+// candidate last. Callers hold sh.mu with the engine caught up.
+func parentAdmission(t *testing.T, sh *shard, job model.Job, now *big.Rat) model.AdmissionCertificate {
+	t.Helper()
+	var jobs []model.Job
+	var deadlines []*big.Rat
+	add := func(rec *jobRecord, size, remaining *big.Rat) {
+		work := new(big.Rat).Set(size)
+		if remaining != nil {
+			work.Mul(work, remaining)
+		}
+		if work.Sign() <= 0 {
+			return
+		}
+		j := rec.Job.Clone()
+		j.Release, j.Size = new(big.Rat).Set(now), work
+		jobs = append(jobs, j)
+		deadlines = append(deadlines, j.Deadline)
+	}
+	for _, v := range sh.eng.Snapshot().Jobs {
+		add(sh.records[v.ID], v.Size.Rat(), v.Remaining.Rat())
+	}
+	for _, rec := range sh.pending {
+		add(rec, rec.Size, rec.Remaining)
+	}
+	cand := job.Clone()
+	cand.Release = new(big.Rat).Set(now)
+	jobs = append(jobs, cand)
+	deadlines = append(deadlines, cand.Deadline)
+	inst, err := model.NewInstance(jobs, sh.machines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert := model.AdmissionCertificate{Mode: sh.admission, Deadline: job.Deadline.RatString(), ResidualJobs: len(jobs)}
+	if cert.Feasible, _, err = core.DeadlineFeasible(inst, deadlines, sh.mwf.Mode); err != nil {
+		t.Fatal(err)
+	}
+	if !cert.Feasible {
+		counter, err := core.BestDeadline(inst, deadlines, len(jobs)-1, sh.mwf.Mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counter != nil {
+			cert.CounterOffer = counter.RatString()
+		}
+	}
+	return cert
 }
 
 // tenantBacklogs reads the per-tenant residual work twice over: the

@@ -802,8 +802,11 @@ func (s *Server) replaySubmit(r *recSubmit) error {
 	if len(sh.records) != r.Local {
 		return fmt.Errorf("shard %d expects local %d, record says %d", sh.idx, len(sh.records), r.Local)
 	}
-	if r.Weight == nil || r.Size == nil || r.Release == nil {
-		return fmt.Errorf("submit %d missing fields", r.GID)
+	if r.Release == nil {
+		return fmt.Errorf("submit %d missing its release", r.GID)
+	}
+	if err := r.Job.CheckSubmission(); err != nil {
+		return fmt.Errorf("submit %d: %w", r.GID, err)
 	}
 	rec := &jobRecord{ID: r.Local, GID: r.GID, State: StateQueued, Job: r.Job.Clone()}
 	if !sh.enqueue(rec, "replayed") {

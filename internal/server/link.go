@@ -134,10 +134,9 @@ func (sh *shard) extractJobs(args shardlink.ExtractArgs) shardlink.ExtractReply 
 	}
 	var locals []int
 	if args.All {
-		for _, rec := range sh.pending {
-			locals = append(locals, rec.ID)
+		for _, v := range sh.census() {
+			locals = append(locals, v.ID)
 		}
-		locals = append(locals, sh.eng.LiveIDs()...)
 	} else {
 		locals = sh.stealCensus(func(databanks []string) bool {
 			return hostsAny(args.ThiefMachines, databanks)

@@ -340,12 +340,8 @@ func (s *Server) publishGeneration(rec *recTopo, retiring []*shard) (gen2, spawn
 //divflow:locks requires=shard
 func stranded(retiring []*shard, fleet []model.Machine) error {
 	for _, donor := range retiring {
-		census := append([]*jobRecord(nil), donor.pending...)
-		for _, id := range donor.eng.LiveIDs() {
-			census = append(census, donor.records[id])
-		}
-		for _, rec := range census {
-			if !hostsAny(fleet, rec.Databanks) {
+		for _, v := range donor.census() {
+			if rec := donor.records[v.ID]; !hostsAny(fleet, rec.Databanks) {
 				return fmt.Errorf(
 					"server: reshard rejected: job %d needs databanks %v, hosted by no machine of the new platform",
 					rec.GID, rec.Databanks)

@@ -372,7 +372,13 @@ func (sh *shard) cost(machine, jobID int) (exact.Q, bool) {
 	if jobID < 0 || jobID >= len(sh.records) || sh.records[jobID] == nil {
 		return exact.Q{}, false
 	}
-	return exact.FromRat(sh.records[jobID].Size).Mul(exact.FromRat(sh.machines[machine].InverseSpeed)), true
+	return sh.uniformCost(machine, sh.records[jobID].Size), true
+}
+
+// uniformCost is the uniform model's c_{i,j} = size · InverseSpeed_i on
+// exact.Q's words, for a machine already known to host the job.
+func (sh *shard) uniformCost(machine int, size *big.Rat) exact.Q {
+	return exact.FromRat(size).Mul(exact.FromRat(sh.machines[machine].InverseSpeed))
 }
 
 // start launches the shard's scheduling loop. Safe to call once. A remote
@@ -435,7 +441,11 @@ func (sh *shard) close() {
 // an infeasible deadline is refused with errDeadline — the certificate then
 // names the best achievable counter-offer deadline — before any state (WAL
 // included) is touched by this submission.
+// The job is checked first: Submit is a worker's network surface.
 func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error) {
+	if err := job.CheckSubmission(); err != nil {
+		return 0, nil, err
+	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.retired {
@@ -501,12 +511,12 @@ func (sh *shard) enqueue(rec *jobRecord, note string) bool {
 }
 
 // admissionCheck runs the deadline-feasibility LP for one candidate job
-// against the shard's residual workload — everything live or queued, at its
-// exact remaining work, released at now, with every stored deadline kept —
-// and returns the exact certificate plus, when infeasible, the best
-// achievable counter-offer deadline as a rational. A stalled shard cannot
-// answer: the check degrades to an uncertified acceptance rather than
-// wedging submissions on a poisoned engine. Callers hold sh.mu.
+// against the shard's residual workload — the census, at its exact remaining
+// work, released at now, with every stored deadline kept — and returns the
+// exact certificate plus, when infeasible, the best achievable counter-offer
+// deadline as a rational. A stalled shard cannot answer: the check degrades
+// to an uncertified acceptance rather than wedging submissions on a poisoned
+// engine. Callers hold sh.mu; the job passed CheckSubmission.
 //
 //divflow:locks requires=shard
 func (sh *shard) admissionCheck(job model.Job, now *big.Rat) (*model.AdmissionCertificate, *big.Rat, error) {
@@ -517,21 +527,29 @@ func (sh *shard) admissionCheck(job model.Job, now *big.Rat) (*model.AdmissionCe
 	if _, ok := sh.catchUp(); !ok {
 		return &model.AdmissionCertificate{Mode: sh.admission, Feasible: true}, nil, nil
 	}
-	jobs, deadlines := sh.residualJobs(now)
-	// The candidate goes last: NewInstance sorts stably by release, every
-	// release equals now, so the candidate keeps the last index.
-	cand := job.Clone()
-	cand.Release = new(big.Rat).Set(now)
-	if cand.Weight == nil {
-		cand.Weight = big.NewRat(1, 1)
+	// The candidate takes the local ID it would be given, and the last index.
+	cand := sim.JobView{ID: len(sh.records), Release: exact.FromRat(now), Remaining: exact.Int(1),
+		Weight: exact.FromRat(job.Weight), Size: exact.FromRat(job.Size)}
+	cost := func(i, id int) (exact.Q, bool) {
+		if id != cand.ID {
+			return sh.cost(i, id)
+		}
+		if !sh.machines[i].Hosts(job.Databanks) {
+			return exact.Q{}, false
+		}
+		return sh.uniformCost(i, job.Size), true
 	}
-	jobs = append(jobs, cand)
-	deadlines = append(deadlines, cand.Deadline)
-	k := len(jobs) - 1
-	inst, err := model.NewInstance(jobs, sh.machines)
+	snap := &sim.Snapshot{Now: cand.Release, Jobs: append(sh.census(), cand), M: len(sh.machines), Cost: cost}
+	inst, _, err := snap.Residual()
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: shard %d: admission instance: %w", sh.idx, err)
 	}
+	k := len(snap.Jobs) - 1
+	deadlines := make([]*big.Rat, len(snap.Jobs))
+	for j := range snap.Jobs[:k] {
+		deadlines[j] = copyRat(sh.records[snap.Jobs[j].ID].Deadline)
+	}
+	deadlines[k] = copyRat(job.Deadline)
 	mode := schedule.Divisible
 	if sh.mwf != nil {
 		mode = sh.mwf.Mode
@@ -539,7 +557,7 @@ func (sh *shard) admissionCheck(job model.Job, now *big.Rat) (*model.AdmissionCe
 	cert := &model.AdmissionCertificate{
 		Mode:         sh.admission,
 		Deadline:     job.Deadline.RatString(),
-		ResidualJobs: len(jobs),
+		ResidualJobs: len(snap.Jobs),
 	}
 	feasible, _, err := core.DeadlineFeasible(inst, deadlines, mode)
 	if err != nil {
@@ -559,35 +577,29 @@ func (sh *shard) admissionCheck(job model.Job, now *big.Rat) (*model.AdmissionCe
 	return cert, counter, nil
 }
 
-// residualJobs extracts the shard's residual workload as instance jobs for
-// the admission LP: every live engine job at its exact remaining work plus
-// every pending submission, all released at now, each carrying its stored
-// deadline (nil for none). Callers hold sh.mu with the engine caught up.
+// census lists every outstanding job of the shard once, as a policy sees a
+// job: the pending queue in order — each view at its flow origin, with the
+// fraction it arrived with — then the engine's live jobs in snapshot order.
+// The admission LP, the steal census, the reshard drain and its stranded-job
+// check read this one list; a view's record is sh.records[v.ID]. Reserved
+// records (extracted, awaiting commit) are in neither part. Callers hold
+// sh.mu, with the engine caught up when remaining fractions matter.
 //
 //divflow:locks requires=shard
-func (sh *shard) residualJobs(now *big.Rat) ([]model.Job, []*big.Rat) {
-	var jobs []model.Job
-	var deadlines []*big.Rat
-	add := func(rec *jobRecord, size, remaining *big.Rat) {
-		work := new(big.Rat).Set(size)
-		if remaining != nil {
-			work.Mul(work, remaining)
-		}
-		if work.Sign() <= 0 {
-			return
-		}
-		job := rec.Job.Clone()
-		job.Release, job.Size = new(big.Rat).Set(now), work
-		jobs = append(jobs, job)
-		deadlines = append(deadlines, job.Deadline)
-	}
-	for _, rj := range sh.eng.Residual() {
-		add(sh.records[rj.ID], rj.Size, rj.Remaining)
-	}
+func (sh *shard) census() []sim.JobView {
+	live := sh.eng.Snapshot().Jobs
+	views := make([]sim.JobView, 0, len(sh.pending)+len(live))
 	for _, rec := range sh.pending {
-		add(rec, rec.Size, rec.Remaining)
+		rem := exact.Int(1)
+		if rec.Remaining != nil {
+			rem = exact.FromRat(rec.Remaining)
+		}
+		views = append(views, sim.JobView{
+			ID: rec.ID, Release: exact.FromRat(rec.Release), Weight: exact.FromRat(rec.Weight),
+			Size: exact.FromRat(rec.Size), Remaining: rem,
+		})
 	}
-	return jobs, deadlines
+	return append(views, live...)
 }
 
 // orphanRecord flips a reserved donor-side record to the migrated state once

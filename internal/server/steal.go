@@ -2,9 +2,9 @@ package server
 
 import (
 	"fmt"
-	"math/big"
 	"sort"
 
+	"divflow/internal/exact"
 	"divflow/internal/obs"
 	"divflow/internal/shardlink"
 )
@@ -190,8 +190,8 @@ func (pl *placement) pick(mj *shardlink.MigratedJob) *shard {
 func (sh *shard) stealCensus(hosts func([]string) bool) []int {
 	// The census counts everything pending plus everything live — including
 	// jobs the thief cannot host, which still anchor the half-rule below.
-	total := len(sh.pending) + sh.eng.Live()
-	if total < 2 {
+	census := sh.census()
+	if len(census) < 2 {
 		// A donor running its only job gains nothing from losing it; moving
 		// it would just relocate the same serial work (and invite the donor
 		// to steal it straight back).
@@ -199,26 +199,13 @@ func (sh *shard) stealCensus(hosts func([]string) bool) []int {
 	}
 	type item struct {
 		id   int
-		work *big.Rat // size · remaining: the exact work that would move
+		work exact.Q // size · remaining: the exact work that would move
 	}
 	var items []item
-	for _, rec := range sh.pending {
-		if !hosts(rec.Databanks) {
-			continue
+	for _, v := range census {
+		if hosts(sh.records[v.ID].Databanks) {
+			items = append(items, item{v.ID, v.Size.Mul(v.Remaining)})
 		}
-		work := new(big.Rat).Set(rec.Size)
-		if rec.Remaining != nil {
-			work.Mul(work, rec.Remaining)
-		}
-		items = append(items, item{rec.ID, work})
-	}
-	for _, id := range sh.eng.LiveIDs() {
-		rec := sh.records[id]
-		if !hosts(rec.Databanks) {
-			continue
-		}
-		work := new(big.Rat).Mul(rec.Size, sh.eng.Remaining(id))
-		items = append(items, item{id, work})
 	}
 	if len(items) == 0 {
 		return nil
@@ -229,7 +216,7 @@ func (sh *shard) stealCensus(hosts func([]string) bool) []int {
 		}
 		return items[a].id < items[b].id
 	})
-	k := total / 2
+	k := len(census) / 2
 	if k > len(items) {
 		k = len(items)
 	}

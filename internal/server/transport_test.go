@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -99,6 +100,56 @@ func testTransportSingleShard(t *testing.T, policy, transport string) {
 	if st := srv.Stats(); st.MaxWeightedFlow != ref.MaxWeightedFlow.RatString() {
 		t.Errorf("transport %s: maxWeightedFlow = %s, simulator %s",
 			transport, st.MaxWeightedFlow, ref.MaxWeightedFlow.RatString())
+	}
+}
+
+// TestSubmitRefusesMalformedJob sends the shard's Submit handler jobs the HTTP
+// edge would never let through, over the loopback net/rpc transport — the one
+// a -worker shard is reached by. Each must come back as a refusal carrying the
+// check's text, and the shard must stay healthy: a nil size used to panic
+// under the shard's mu (net/rpc does not recover, so the process died), and a
+// zero weight was accepted and then latched the engine at its admission. A
+// sound job still runs to completion afterwards.
+func TestSubmitRefusesMalformedJob(t *testing.T) {
+	vc := NewVirtualClock()
+	srv, err := New(Config{Machines: testFleet(), Clock: vc, Shards: 1, Transport: shardlink.TransportRPC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Start()
+	sh := srv.active()[0]
+	banks := []string{"swissprot"}
+	for _, tc := range []struct {
+		name string
+		job  model.Job
+		want string
+	}{
+		{"no size", model.Job{Weight: rat(1, 1), Databanks: banks}, "needs size > 0"},
+		{"zero size", model.Job{Size: rat(0, 1), Weight: rat(1, 1), Databanks: banks}, "needs size > 0"},
+		{"no weight", model.Job{Size: rat(2, 1), Databanks: banks}, "needs weight > 0"},
+		{"zero weight", model.Job{Size: rat(2, 1), Weight: rat(0, 1), Databanks: banks}, "needs weight > 0"},
+		{"negative deadline", model.Job{Size: rat(2, 1), Weight: rat(1, 1), Deadline: rat(-1, 1), Databanks: banks}, "needs deadline > 0"},
+	} {
+		rep, err := sh.link.Submit(shardlink.SubmitArgs{Job: tc.job})
+		if err != nil {
+			t.Fatalf("%s: transport error %v", tc.name, err)
+		}
+		if rep.Outcome != shardlink.OutcomeNoHost || !strings.Contains(rep.Err, tc.want) {
+			t.Errorf("%s: reply %+v, want a refusal containing %q", tc.name, rep, tc.want)
+		}
+	}
+	job, err := (&model.SubmitRequest{Size: "2", Databanks: banks}).Job()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := sh.link.Submit(shardlink.SubmitArgs{Job: job}); err != nil || rep.Outcome != shardlink.OutcomeOK {
+		t.Fatalf("sound submit = %+v, %v; want accepted", rep, err)
+	}
+	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 1 })
+	if st := srv.Stats(); st.Stalled || st.LastError != "" || st.JobsAccepted != 1 {
+		t.Errorf("after the refusals: stalled %v, error %q, %d accepted; want a healthy shard with the one sound job",
+			st.Stalled, st.LastError, st.JobsAccepted)
 	}
 }
 

@@ -40,7 +40,7 @@ const (
 	OutcomeOK       = "ok"       // accepted; GID carries the global ID
 	OutcomeRetired  = "retired"  // shard retired by a racing reshard: re-route
 	OutcomeClosed   = "closed"   // server shutting down
-	OutcomeNoHost   = "nohost"   // no machine of the shard hosts the databanks
+	OutcomeNoHost   = "nohost"   // refused: no machine hosts the databanks, or a malformed job (Err says which)
 	OutcomeDeadline = "deadline" // strict admission: the deadline is infeasible
 )
 
@@ -56,9 +56,13 @@ const (
 )
 
 // SubmitArgs asks the shard to accept one job, stamping its flow origin
-// (release) at the shard's current clock reading. A job carrying a deadline
-// is first run through the deadline-feasibility LP against the shard's
-// residual workload (unless the shard was installed with AdmissionOff).
+// (release) at the shard's current clock reading. The shard validates the job
+// itself (model.Job.CheckSubmission: size and weight > 0, a deadline > 0 when
+// set) and refuses a malformed one with OutcomeNoHost and the reason in Err:
+// the message may come from anything that can reach a worker's port, not only
+// a router that already checked it. A job carrying a deadline is then run
+// through the deadline-feasibility LP against the shard's residual workload
+// (unless the shard was installed with AdmissionOff).
 type SubmitArgs struct {
 	Job model.Job
 }

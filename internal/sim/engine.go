@@ -287,42 +287,6 @@ func (e *Engine) Remove(id int) (*RemovedJob, error) {
 // Migrations returns how many live jobs have been extracted with Remove.
 func (e *Engine) Migrations() int { return e.migrations }
 
-// LiveIDs returns the IDs of released, incomplete jobs (a copy, in
-// (release, ID) order).
-func (e *Engine) LiveIDs() []int { return slices.Clone(e.order) }
-
-// ResidualJob is one live job's exact residual state: the inputs an
-// admission-control feasibility check needs to reconstruct the engine's
-// outstanding workload as a fresh model.Instance.
-type ResidualJob struct {
-	ID        int
-	Release   *big.Rat
-	Weight    *big.Rat
-	Size      *big.Rat // nil when unsized
-	Remaining *big.Rat // unprocessed fraction in (0, 1]
-}
-
-// Residual extracts the live jobs' residual state in (release, ID) order —
-// the read-only sibling of Remove: nothing leaves the engine, the
-// caller just learns exactly how much of each live job is still unprocessed
-// at the current time. Callers that need the post-allocation remainders
-// should advance the engine to the present first (the shard's catch-up does
-// this); Residual itself reads whatever state the engine is at.
-func (e *Engine) Residual() []ResidualJob {
-	out := make([]ResidualJob, 0, len(e.order))
-	for _, id := range e.order {
-		j := e.jobs[id]
-		out = append(out, ResidualJob{
-			ID:        id,
-			Release:   j.release.Rat(),
-			Weight:    j.weight.Rat(),
-			Size:      ratOrNil(j.size),
-			Remaining: j.remaining.Rat(),
-		})
-	}
-	return out
-}
-
 // ratOrNil returns x over math/big, or nil for zero: the engine's unsized job
 // and absent review point at its *big.Rat edges.
 func ratOrNil(x exact.Q) *big.Rat {
@@ -332,7 +296,10 @@ func ratOrNil(x exact.Q) *big.Rat {
 	return x.Rat()
 }
 
-// Snapshot builds the policy-visible view of the current state.
+// Snapshot builds the policy-visible view of the current state: the live jobs
+// in (release, ID) order, at the engine's current time. A caller that needs
+// remaining fractions as of some later instant advances the engine there
+// first (the shard's catch-up does this).
 func (e *Engine) Snapshot() *Snapshot {
 	snap := &Snapshot{Now: e.now, M: e.m, Cost: e.cost, Jobs: make([]JobView, 0, len(e.order))}
 	for _, id := range e.order {

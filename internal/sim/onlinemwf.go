@@ -3,12 +3,10 @@ package sim
 import (
 	"fmt"
 	"maps"
-	"math/big"
 	"time"
 
 	"divflow/internal/core"
 	"divflow/internal/exact"
-	"divflow/internal/model"
 	"divflow/internal/schedule"
 	"divflow/internal/stats"
 )
@@ -161,13 +159,13 @@ func (p *OnlineMWF) Assign(s *Snapshot) Allocation {
 		}
 		return p.followPlan(s)
 	}
-	res, ids, err := p.resolve(s)
+	res, err := p.resolve(s)
 	p.solves++
 	if err != nil {
 		p.err = fmt.Errorf("online-mwf: residual solve at t=%v: %w", s.Now, err)
 		return idleAllocation(s.M)
 	}
-	p.known = make(map[int]bool, len(ids))
+	p.known = make(map[int]bool, len(s.Jobs))
 	if p.LazyResolve {
 		p.solveAt = s.Now
 		p.solveRem = make(map[int]exact.Q, len(s.Jobs))
@@ -175,15 +173,15 @@ func (p *OnlineMWF) Assign(s *Snapshot) Allocation {
 			p.solveRem[s.Jobs[k].ID] = s.Jobs[k].Remaining
 		}
 	}
-	for _, id := range ids {
-		p.known[id] = true
+	for k := range s.Jobs {
+		p.known[s.Jobs[k].ID] = true
 	}
 	p.plan = p.plan[:0]
 	for k := range res.Schedule.Pieces {
 		piece := &res.Schedule.Pieces[k]
 		p.plan = append(p.plan, planPiece{
 			machine: piece.Machine,
-			jobID:   ids[piece.Job],
+			jobID:   s.Jobs[piece.Job].ID,
 			start:   exact.FromRat(piece.Start),
 			end:     exact.FromRat(piece.End),
 		})
@@ -278,52 +276,20 @@ func (p *OnlineMWF) followPlan(s *Snapshot) Allocation {
 	return alloc
 }
 
-// resolve builds the residual offline instance (remaining fractions scaled
-// into sizes and costs, all jobs released "now", flow origins preserved)
-// and solves it exactly. It returns the mapping from residual job index to
-// real job ID.
-func (p *OnlineMWF) resolve(s *Snapshot) (*core.Result, []int, error) {
-	jobs := make([]model.Job, len(s.Jobs))
-	ids := make([]int, len(s.Jobs))
-	origins := make([]*big.Rat, len(s.Jobs))
-	cost := make([][]*big.Rat, s.M)
-	for i := range cost {
-		cost[i] = make([]*big.Rat, len(s.Jobs))
-	}
-	for k := range s.Jobs {
-		jv := &s.Jobs[k]
-		ids[k] = jv.ID
-		origins[k] = jv.Release.Rat()
-		jobs[k] = model.Job{
-			Name:    fmt.Sprintf("residual-%d", jv.ID),
-			Release: s.Now.Rat(),
-			Weight:  jv.Weight.Rat(),
-		}
-		for i := 0; i < s.M; i++ {
-			if c, ok := s.Cost(i, jv.ID); ok {
-				cost[i][k] = jv.Remaining.Mul(c).Rat()
-			}
-		}
-	}
-	inst, err := model.NewUnrelated(jobs, machineStubs(s.M), cost)
+// resolve solves the snapshot's residual instance exactly. Residual job k is
+// s.Jobs[k].
+func (p *OnlineMWF) resolve(s *Snapshot) (*core.Result, error) {
+	inst, origins, err := s.Residual()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res, err := core.MinMaxWeightedFlowFrom(inst, origins, p.Mode)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p.tally.Merge(res.Solver)
 	if p.Observer != nil {
 		p.Observer.ObserveSolve(res.Wall, res.Solver)
 	}
-	return res, ids, nil
-}
-
-func machineStubs(m int) []model.Machine {
-	out := make([]model.Machine, m)
-	for i := range out {
-		out[i].Name = fmt.Sprintf("M%d", i)
-	}
-	return out
+	return res, nil
 }

@@ -15,10 +15,15 @@
 // Inside the package every rational is an exact.Q, the immutable word-sized
 // value the solvers compute with: the engine's clock and job states, the
 // policies' keys and OnlineMWF's cached plan. *big.Rat remains at the edges
-// only — the model.Instance that Run takes and that OnlineMWF hands the
-// offline solver, the executed schedule.Schedule, the exported Engine methods
-// the scheduling service calls, and the EngineState/MWFPlanState documents —
-// each converting once where a value crosses.
+// only — the model.Instance that Run takes and that Snapshot.Residual hands
+// the offline solver, the executed schedule.Schedule, the exported Engine
+// methods the scheduling service calls, and the EngineState/MWFPlanState
+// documents — each converting once where a value crosses.
+//
+// Snapshot.Residual is the one place a view of outstanding work becomes an
+// offline instance: OnlineMWF re-solves the engine's own snapshot through it,
+// and the scheduling service's admission check runs it on a snapshot of the
+// shard's whole census (queued and live jobs, plus the candidate).
 package sim
 
 import (
@@ -41,7 +46,8 @@ type JobView struct {
 }
 
 // Snapshot is the information available to an online policy at a decision
-// point.
+// point. Residual turns it into the offline problem the paper's online
+// adaptation re-solves.
 type Snapshot struct {
 	Now  exact.Q
 	Jobs []JobView // released, incomplete, ordered by release then ID
@@ -49,6 +55,37 @@ type Snapshot struct {
 	// Cost returns c_{i,j} for machine i and *job ID* j, with ok=false
 	// for an ineligible machine.
 	Cost CostFunc
+}
+
+// Residual returns the residual offline instance of the view — the one
+// construction of it, for OnlineMWF's re-solve and the scheduling service's
+// admission check alike. Job k of the instance is Jobs[k]: released at Now,
+// with cost remaining · c_{i,j} on every eligible machine, and origins[k], its
+// flow origin, is the job's release. Every release equals Now, so the
+// instance keeps the order of Jobs.
+func (s *Snapshot) Residual() (inst *model.Instance, origins []*big.Rat, err error) {
+	now := s.Now.Rat()
+	jobs := make([]model.Job, len(s.Jobs))
+	origins = make([]*big.Rat, len(s.Jobs))
+	cost := make([][]*big.Rat, s.M)
+	for i := range cost {
+		cost[i] = make([]*big.Rat, len(s.Jobs))
+	}
+	for k := range s.Jobs {
+		jv := &s.Jobs[k]
+		jobs[k] = model.Job{Release: now, Weight: jv.Weight.Rat()}
+		origins[k] = jv.Release.Rat()
+		for i := range cost {
+			if c, ok := s.Cost(i, jv.ID); ok {
+				cost[i][k] = jv.Remaining.Mul(c).Rat()
+			}
+		}
+	}
+	inst, err = model.NewUnrelated(jobs, make([]model.Machine, s.M), cost)
+	if err != nil {
+		return nil, nil, err
+	}
+	return inst, origins, nil
 }
 
 // Allocation is a policy decision: MachineJob[i] is the job ID machine i
