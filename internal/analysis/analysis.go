@@ -68,7 +68,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{WallclockAnalyzer, RatAliasAnalyzer, LockOrderAnalyzer, EmitMuAnalyzer, FloatExactAnalyzer}
+	return []*Analyzer{WallclockAnalyzer, LockOrderAnalyzer, EmitMuAnalyzer, FloatExactAnalyzer}
 }
 
 // ByName resolves a comma-separated analyzer list; empty means All.

@@ -30,10 +30,6 @@ func TestWallclock(t *testing.T) {
 	analysistest.Run(t, testdata(t), analyzers(t, "wallclock"), "divflow/internal/wc")
 }
 
-func TestRatAlias(t *testing.T) {
-	analysistest.Run(t, testdata(t), analyzers(t, "ratalias"), "divflow/internal/sim")
-}
-
 func TestFloatExact(t *testing.T) {
 	analysistest.Run(t, testdata(t), analyzers(t, "floatexact"), "divflow/internal/exact", "divflow/internal/core")
 }

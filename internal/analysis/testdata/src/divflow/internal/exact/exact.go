@@ -1,13 +1,9 @@
 // Package exact stands in for divflow/internal/exact: an exact rational value
-// type whose float images floatexact keeps out of the decision paths, and
-// whose math/big escape ratalias must not mistake for a shared rational.
+// type whose float images floatexact keeps out of the decision paths.
 package exact
-
-import "math/big"
 
 type Q struct {
 	num, den int64
-	r        *big.Rat
 }
 
 func (q Q) Float64() float64 { return float64(q.num) / float64(q.den) }

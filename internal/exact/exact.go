@@ -13,10 +13,13 @@
 // value alone picks the path.
 //
 // *big.Rat stays at the boundaries: FromRat takes an input in, Rat hands a
-// result out.
+// result out. A Q writes itself as *big.Rat does — the exact "n" or "n/d"
+// text, in JSON documents and over gob alike — so a value can replace a
+// *big.Rat field without changing a byte of what is written.
 package exact
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/bits"
@@ -240,6 +243,26 @@ func (x Q) String() string {
 	}
 	return strconv.FormatInt(x.num, 10) + "/" + strconv.FormatInt(x.den(), 10)
 }
+
+// MarshalText writes x as (*big.Rat).MarshalText does, in its String form,
+// so a Q is a JSON string that reads the bytes a *big.Rat field wrote.
+func (x Q) MarshalText() ([]byte, error) { return []byte(x.String()), nil }
+
+// UnmarshalText reads what (*big.Rat).UnmarshalText reads.
+func (x *Q) UnmarshalText(text []byte) error {
+	r, ok := new(big.Rat).SetString(string(text))
+	if !ok {
+		return fmt.Errorf("exact: cannot unmarshal %q into a rational", text)
+	}
+	*x = norm(r)
+	return nil
+}
+
+// GobEncode makes a Q a gob value, in its text form.
+func (x Q) GobEncode() ([]byte, error) { return x.MarshalText() }
+
+// GobDecode reads what GobEncode wrote.
+func (x *Q) GobDecode(b []byte) error { return x.UnmarshalText(b) }
 
 // addWords returns a/b + c/d in lowest terms from operands in lowest terms
 // (b, d > 0), reporting false on overflow. Knuth's: with g = gcd(b, d), the

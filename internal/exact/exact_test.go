@@ -49,6 +49,23 @@ func same(t *testing.T, label string, q Q, want *big.Rat) {
 	if f, _ := want.Float64(); math.Float64bits(q.Float64()) != math.Float64bits(f) {
 		t.Fatalf("%s = %v: Float64 %v (%#x), big.Rat %v (%#x)", label, want, q.Float64(), math.Float64bits(q.Float64()), f, math.Float64bits(f))
 	}
+	// The written form is big.Rat's, byte for byte, and reads back as the
+	// same value — also from the notations only math/big writes.
+	text, _ := q.MarshalText()
+	if wantText, _ := want.MarshalText(); string(text) != string(wantText) {
+		t.Fatalf("%s = %v: MarshalText %q, big.Rat %q", label, want, text, wantText)
+	}
+	var read Q
+	if err := read.UnmarshalText(text); err != nil || read.Cmp(q) != 0 {
+		t.Fatalf("%s = %v: UnmarshalText(%q) = %v, %v", label, want, text, read, err)
+	}
+	for _, s := range []string{want.FloatString(0) + "/1", "0" + string(text), string(text) + "/0", want.FloatString(3)} {
+		var got Q
+		err := got.UnmarshalText([]byte(s))
+		if r, ok := new(big.Rat).SetString(s); (err == nil) != ok || ok && got.Rat().Cmp(r) != 0 {
+			t.Fatalf("%s = %v: UnmarshalText(%q) = %v, %v; big.Rat reads %v, %v", label, want, s, got, err, r, ok)
+		}
+	}
 	// Neither way across the boundary aliases: changing what Rat handed out
 	// or what FromRat was handed leaves the value alone.
 	out := q.Rat()

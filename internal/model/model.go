@@ -208,7 +208,7 @@ func (in *Instance) Cost(i, j int) (*big.Rat, bool) {
 	if c == nil {
 		return nil, false
 	}
-	return c, true //divflow:ratalias-ok the cost matrix is immutable after construction; callers get a read-only view
+	return c, true
 }
 
 // CanRun reports whether job j may execute (even partially) on machine i.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"divflow/internal/core"
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/shardlink"
 )
@@ -354,7 +355,7 @@ func admissionOracleCase(t *testing.T, policy string, seed int64) model.Admissio
 		stolen.Release = new(big.Rat)
 		stolen.Deadline = new(big.Rat).Add(vc.Now(), q(2, 12))
 		locked(func() {
-			sh.adoptRecord(&shardlink.MigratedJob{GID: 1000 + k, Remaining: big.NewRat(1+rng.Int63n(3), 4), Job: stolen})
+			sh.adoptRecord(&shardlink.MigratedJob{GID: 1000 + k, Remaining: exact.New(1+rng.Int63n(3), 4), Job: shardlink.JobOf(stolen)})
 		})
 	}
 	if rng.Intn(2) == 0 {
@@ -366,9 +367,10 @@ func admissionOracleCase(t *testing.T, policy string, seed int64) model.Admissio
 	cand := job()
 	cand.Deadline = new(big.Rat).Add(vc.Now(), q(1, 12))
 	now := vc.Now()
+	cand.Release = now
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	got, _, err := sh.admissionCheck(cand, now)
+	got, err := sh.admissionCheck(shardlink.JobOf(cand))
 	if err != nil {
 		t.Fatalf("%s seed %d: %v", policy, seed, err)
 	}
@@ -388,21 +390,23 @@ func parentAdmission(t *testing.T, sh *shard, job model.Job, now *big.Rat) model
 	t.Helper()
 	var jobs []model.Job
 	var deadlines []*big.Rat
-	add := func(rec *jobRecord, size, remaining *big.Rat) {
-		work := new(big.Rat).Set(size)
-		if remaining != nil {
-			work.Mul(work, remaining)
+	add := func(rec *jobRecord, size, remaining exact.Q) {
+		work := size
+		if remaining.Sign() != 0 {
+			work = work.Mul(remaining)
 		}
 		if work.Sign() <= 0 {
 			return
 		}
-		j := rec.Job.Clone()
-		j.Release, j.Size = new(big.Rat).Set(now), work
+		j := model.Job{Release: new(big.Rat).Set(now), Weight: rec.Weight.Rat(), Size: work.Rat(), Databanks: rec.Databanks}
+		if rec.Deadline.Sign() != 0 {
+			j.Deadline = rec.Deadline.Rat()
+		}
 		jobs = append(jobs, j)
 		deadlines = append(deadlines, j.Deadline)
 	}
 	for _, v := range sh.eng.Snapshot().Jobs {
-		add(sh.records[v.ID], v.Size.Rat(), v.Remaining.Rat())
+		add(sh.records[v.ID], v.Size, v.Remaining)
 	}
 	for _, rec := range sh.pending {
 		add(rec, rec.Size, rec.Remaining)
@@ -443,22 +447,19 @@ func tenantBacklogs(t *testing.T, srv *Server) (rows, quota map[string]string) {
 			rows[row.Tenant] = row.Backlog
 		}
 	}
-	sum := map[string]*big.Rat{}
+	sum := map[string]exact.Q{}
 	for _, sh := range srv.active() {
 		ri, err := sh.link.RouteInfo(shardlink.RouteInfoArgs{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for tenant, b := range ri.TenantBacklog {
-			if sum[tenant] == nil {
-				sum[tenant] = new(big.Rat)
-			}
-			sum[tenant].Add(sum[tenant], b)
+			sum[tenant] = sum[tenant].Add(b)
 		}
 	}
 	for tenant, b := range sum {
 		if b.Sign() != 0 {
-			quota[tenant] = b.RatString()
+			quota[tenant] = b.String()
 		}
 	}
 	return rows, quota

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"net/http"
 	"sort"
 	"strconv"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/obs"
 	"divflow/internal/schedule"
@@ -264,22 +264,19 @@ func (s *Server) handlePlatform(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	var since *big.Rat
+	var since exact.Q
 	if q := r.URL.Query().Get("since"); q != "" {
-		t, ok := new(big.Rat).SetString(q)
-		if !ok {
+		if since.UnmarshalText([]byte(q)) != nil {
 			writeError(w, http.StatusBadRequest, invalidArg(fmt.Errorf("bad since %q: want a rational like 3/2", q)))
 			return
 		}
-		since = t
 	}
 	// Each shard deep-copies its window under its own lock; the merge and
 	// the serialization run lock-free. Retired shards contribute the pieces
 	// executed before their generation ended, so the merged Gantt stays the
 	// whole execution history across reshards.
 	var merged []schedule.Piece
-	now := new(big.Rat)
-	makespan := new(big.Rat) // of the whole execution, not the window
+	var now, makespan exact.Q // makespan of the whole execution, not the window
 	for _, sh := range s.allShards() {
 		rep, err := sh.link.Schedule(shardlink.ScheduleArgs{Since: since})
 		if err != nil {
@@ -288,10 +285,10 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		merged = append(merged, rep.Pieces...)
-		if rep.Now != nil && rep.Now.Cmp(now) > 0 {
+		if rep.Now.Cmp(now) > 0 {
 			now = rep.Now
 		}
-		if rep.Makespan != nil && rep.Makespan.Cmp(makespan) > 0 {
+		if rep.Makespan.Cmp(makespan) > 0 {
 			makespan = rep.Makespan
 		}
 	}
@@ -309,8 +306,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, model.ScheduleResponse{
-		Now:      now.RatString(),
-		Makespan: makespan.RatString(),
+		Now:      now.String(),
+		Makespan: makespan.String(),
 		Schedule: raw,
 	})
 }
@@ -450,9 +447,9 @@ func (s *Server) Stats() model.StatsResponse {
 	if s.dur != nil {
 		resp.WAL = &f.wal
 	}
-	now := new(big.Rat)
+	var now exact.Q
 	for i := range f.shards {
-		if t := f.shards[i].Now; t != nil && t.Cmp(now) > 0 {
+		if t := f.shards[i].Now; t.Cmp(now) > 0 {
 			now = t
 		}
 		w := &f.shards[i].Wire
@@ -480,12 +477,11 @@ func (s *Server) Stats() model.StatsResponse {
 		}
 		resp.Solver.Merge(w.Solver)
 	}
-	resp.Now = now.RatString()
+	resp.Now = now.String()
 	if flow := f.flow(); flow.DoneCount > 0 {
-		resp.MaxWeightedFlow = flow.MaxWF.RatString()
-		resp.MaxStretch = flow.MaxStretch.RatString()
-		mean := new(big.Rat).Quo(flow.FlowSum, big.NewRat(int64(flow.DoneCount), 1))
-		resp.MeanFlow, _ = mean.Float64()
+		resp.MaxWeightedFlow = flow.MaxWF.String()
+		resp.MaxStretch = flow.MaxStretch.String()
+		resp.MeanFlow = flow.FlowSum.Quo(exact.Int(int64(flow.DoneCount))).Float64()
 		// The same bucket counts /metrics exports, the same estimator
 		// Prometheus's histogram_quantile applies to them: the two surfaces
 		// cannot disagree on the P95.
@@ -529,16 +525,12 @@ func (s *Server) TenantStats() model.TenantsResponse {
 			Submitted: t.Submitted,
 			Completed: t.Completed,
 			Shed:      shed[name],
-			Backlog:   "0",
+			Backlog:   t.Backlog.String(),
 			ByClass:   t.ByClass,
 		}
-		if t.Backlog != nil {
-			row.Backlog = t.Backlog.RatString()
-		}
 		if t.Completed > 0 {
-			row.MaxWeightedFlow = t.MaxWF.RatString()
-			mean := new(big.Rat).Quo(t.FlowSum, big.NewRat(int64(t.Completed), 1))
-			row.MeanFlow, _ = mean.Float64()
+			row.MaxWeightedFlow = t.MaxWF.String()
+			row.MeanFlow = t.FlowSum.Quo(exact.Int(int64(t.Completed))).Float64()
 			// Same buckets, same estimator as /metrics: the two surfaces
 			// agree on the per-tenant P95.
 			row.P95WeightedFlow = p95(t.WFlow)

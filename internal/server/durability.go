@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/obs"
 	"divflow/internal/shardlink"
@@ -67,19 +68,19 @@ type recSubmit struct {
 // listed pending jobs at. The executed trace is a deterministic function of
 // these times, so replaying admissions at them reproduces it exactly.
 type recAdmit struct {
-	Shard  int      `json:"shard"`
-	At     *big.Rat `json:"at"`
-	Locals []int    `json:"locals"`
+	Shard  int     `json:"shard"`
+	At     exact.Q `json:"at"`
+	Locals []int   `json:"locals"`
 }
 
 // recComplete is a truncation marker: the completion replays for free when
 // the engine is advanced across it, but the record moves the restored
 // virtual-time watermark forward.
 type recComplete struct {
-	Shard int      `json:"shard"`
-	Local int      `json:"local"`
-	GID   int      `json:"gid"`
-	At    *big.Rat `json:"at"`
+	Shard int     `json:"shard"`
+	Local int     `json:"local"`
+	GID   int     `json:"gid"`
+	At    exact.Q `json:"at"`
 }
 
 // recExtract logs the donor half of a migration: which records were reserved,
@@ -88,9 +89,9 @@ type recComplete struct {
 // and — when a live job left — the donor's re-plan. The time also fixes the
 // records' later compaction horizon.
 type recExtract struct {
-	Shard  int      `json:"shard"`
-	At     *big.Rat `json:"at"`
-	Locals []int    `json:"locals"`
+	Shard  int     `json:"shard"`
+	At     exact.Q `json:"at"`
+	Locals []int   `json:"locals"`
 }
 
 // recAdopt logs the destination half: the whole adoption message, so replay
@@ -125,16 +126,16 @@ type recTopo struct {
 	Retired   []int           `json:"retired,omitempty"`
 	Fleet     []model.Machine `json:"fleet"`
 	ShardsCfg int             `json:"shardsCfg,omitempty"`
-	At        *big.Rat        `json:"at"`
+	At        exact.Q         `json:"at"`
 }
 
 // recCompact logs one retention compaction (the horizon is derived from Now
 // exactly as the live path derives it, but recording both keeps the document
 // self-describing).
 type recCompact struct {
-	Shard   int      `json:"shard"`
-	Now     *big.Rat `json:"now"`
-	Horizon *big.Rat `json:"horizon"`
+	Shard   int     `json:"shard"`
+	Now     exact.Q `json:"now"`
+	Horizon exact.Q `json:"horizon"`
 }
 
 // durability is the server's write-ahead-log state: the open log, the
@@ -252,10 +253,10 @@ type snapShard struct {
 	shardlink.ShardTotals
 	Tenants shardlink.TenantLedger `json:"tenants,omitempty"`
 
-	MigratedIDs []int    `json:"migratedIds,omitempty"`
-	Backlog     *big.Rat `json:"backlog"`
-	LastErr     string   `json:"lastErr,omitempty"`
-	Stalled     bool     `json:"stalled,omitempty"`
+	MigratedIDs []int   `json:"migratedIds,omitempty"`
+	Backlog     exact.Q `json:"backlog"`
+	LastErr     string  `json:"lastErr,omitempty"`
+	Stalled     bool    `json:"stalled,omitempty"`
 }
 
 // snapGen is one topology generation in a snapshot (shards by creation
@@ -313,7 +314,7 @@ func exportShardLocked(sh *shard) snapShard {
 		},
 		Retired: sh.retired, Freed: sh.freed,
 		MigratedIDs: append([]int(nil), sh.migratedIDs...),
-		Backlog:     copyRat(sh.backlog),
+		Backlog:     sh.backlog,
 		Stalled:     sh.stalled,
 	}
 	ss.ShardTotals, ss.Tenants = sh.ledger()
@@ -455,7 +456,7 @@ type restoreState struct {
 	log     *wal.Log
 	doc     *snapDoc // nil when no valid snapshot existed
 	suffix  []wal.Record
-	now     *big.Rat // watermark virtual time of the restored state
+	now     exact.Q // watermark virtual time of the restored state
 	started time.Time
 }
 
@@ -466,7 +467,7 @@ type restoreState struct {
 // silently dropping history).
 func openWAL(dir string, fsync bool) (*restoreState, error) {
 	//divflow:wallclock-ok recovery wall time only annotates the recovery-duration histogram; no Server clock exists yet while the WAL is being opened
-	st := &restoreState{started: time.Now(), now: new(big.Rat)}
+	st := &restoreState{started: time.Now()}
 	snapSeq, payload, haveSnap := wal.LoadSnapshot(dir)
 	log, recs, err := wal.Open(dir, wal.Options{Fsync: fsync})
 	if err != nil {
@@ -481,12 +482,10 @@ func openWAL(dir string, fsync bool) (*restoreState, error) {
 		st.doc = &doc
 		for i := range doc.Shards {
 			ss := &doc.Shards[i]
-			if ss.Engine != nil && ss.Engine.Now != nil && ss.Engine.Now.Cmp(st.now) > 0 {
-				st.now.Set(ss.Engine.Now)
+			if ss.Engine != nil {
+				st.advance(ss.Engine.Now)
 			}
-			if ss.FrozenNow != nil && ss.FrozenNow.Cmp(st.now) > 0 {
-				st.now.Set(ss.FrozenNow)
-			}
+			st.advance(ss.FrozenNow)
 		}
 	}
 	for _, rec := range recs {
@@ -494,32 +493,27 @@ func openWAL(dir string, fsync bool) (*restoreState, error) {
 			continue
 		}
 		st.suffix = append(st.suffix, rec)
-		if t := recordTime(rec); t != nil && t.Cmp(st.now) > 0 {
-			st.now.Set(t)
+		// A record dates itself by one of at, now or release; one that does
+		// not decode dates nothing here, and replay reports it.
+		var t struct {
+			At      exact.Q `json:"at"`
+			Now     exact.Q `json:"now"`
+			Release exact.Q `json:"release"`
+		}
+		if json.Unmarshal(rec.Data, &t) == nil {
+			st.advance(t.At)
+			st.advance(t.Now)
+			st.advance(t.Release)
 		}
 	}
 	st.log = log
 	return st, nil
 }
 
-// recordTime extracts the virtual time a record describes, nil when it
-// carries none (or fails to decode — replay will surface that properly).
-func recordTime(rec wal.Record) *big.Rat {
-	var probe struct {
-		At      *big.Rat `json:"at"`
-		Release *big.Rat `json:"release"`
-		Now     *big.Rat `json:"now"`
-	}
-	if json.Unmarshal(rec.Data, &probe) != nil {
-		return nil
-	}
-	switch {
-	case probe.At != nil:
-		return copyRat(probe.At)
-	case probe.Now != nil:
-		return copyRat(probe.Now)
-	default:
-		return copyRat(probe.Release)
+// advance moves the watermark forward to t.
+func (st *restoreState) advance(t exact.Q) {
+	if t.Cmp(st.now) > 0 {
+		st.now = t
 	}
 }
 
@@ -537,7 +531,11 @@ func validateLedger(totals *shardlink.ShardTotals, tenants shardlink.TenantLedge
 		if t == nil {
 			return fmt.Errorf("tenant %q has no entry", name)
 		}
-		if err := validateTotals(fmt.Sprintf("tenant %q", name), *t, t.Completed, t.WFlow, t.FlowSum, t.MaxWF); err != nil {
+		var sum exact.Q
+		if t.FlowSum != nil {
+			sum = *t.FlowSum
+		}
+		if err := validateTotals(fmt.Sprintf("tenant %q", name), *t, t.Completed, t.WFlow, sum, t.MaxWF); err != nil {
 			return err
 		}
 	}
@@ -545,11 +543,11 @@ func validateLedger(totals *shardlink.ShardTotals, tenants shardlink.TenantLedge
 }
 
 // validateTotals checks one ledger struct: no count is negative, with done > 0
-// every listed rational is present, and the histogram's Count is the sum of
-// its slots.
-func validateTotals(what string, ledger any, done int, hist *obs.HistogramSnapshot, rats ...*big.Rat) error {
+// every listed rational is positive (each is a sum or a maximum of flows,
+// which are), and the histogram's Count is the sum of its slots.
+func validateTotals(what string, ledger any, done int, hist *obs.HistogramSnapshot, rats ...exact.Q) error {
 	for _, r := range rats {
-		if done > 0 && r == nil {
+		if done > 0 && r.Sign() <= 0 {
 			return fmt.Errorf("%s: %d completed jobs without a flow sum or maximum", what, done)
 		}
 	}
@@ -599,7 +597,7 @@ func (sh *shard) loadState(ss *snapShard) error {
 			sh.records = append(sh.records, nil)
 			continue
 		}
-		if sr.Weight == nil || sr.Size == nil || sr.Release == nil {
+		if sr.Weight.Sign() <= 0 || sr.Size.Sign() <= 0 {
 			return fmt.Errorf("record %d missing fields", sr.GID)
 		}
 		if sr.ID != len(sh.records) {
@@ -649,25 +647,23 @@ func (sh *shard) loadState(ss *snapShard) error {
 		}
 		totals.Flow = nil
 	}
-	if totals.LastCompact == nil && sh.retention != nil {
+	if totals.LastCompact == nil && sh.retention.Sign() > 0 {
 		// A document that predates the field keeps the fresh shard's zero.
-		totals.LastCompact = new(big.Rat)
+		totals.LastCompact = new(exact.Q)
 	}
 	sh.ShardTotals = totals
 	sh.migratedIDs = append([]int(nil), ss.MigratedIDs...)
-	if ss.Backlog != nil {
-		sh.backlog = copyRat(ss.Backlog)
-	}
+	sh.backlog = ss.Backlog
 	for t, tt := range ss.Tenants.Clone() {
-		if tt.Backlog != nil && tt.Backlog.Sign() != 0 {
-			sh.tenantBacklog[t] = copyRat(tt.Backlog)
+		if tt.Backlog.Sign() != 0 {
+			sh.tenantBacklog[t] = tt.Backlog
 		}
 		if tt.WFlow != nil {
 			if err := sh.obs.tenantWFlow(t).Restore(*tt.WFlow); err != nil { //divflow:emitmu-ok restore builds a private shard that is not yet published; no other goroutine can reach its mu
 				return fmt.Errorf("shard %d tenant %q: %w", ss.Idx, t, err)
 			}
 		}
-		tt.Backlog, tt.WFlow = nil, nil
+		tt.Backlog, tt.WFlow = exact.Q{}, nil
 		// A tenant that only ever had migrated work here has a backlog and no
 		// entry of its own.
 		if tt.Submitted+tt.Completed+len(tt.ByClass) > 0 {
@@ -808,7 +804,7 @@ func (s *Server) replaySubmit(r *recSubmit) error {
 	if err := r.Job.CheckSubmission(); err != nil {
 		return fmt.Errorf("submit %d: %w", r.GID, err)
 	}
-	rec := &jobRecord{ID: r.Local, GID: r.GID, State: StateQueued, Job: r.Job.Clone()}
+	rec := &jobRecord{ID: r.Local, GID: r.GID, State: StateQueued, Job: shardlink.JobOf(r.Job)}
 	if !sh.enqueue(rec, "replayed") {
 		return fmt.Errorf("submit %d: no machine of shard %d hosts %v", r.GID, sh.idx, r.Databanks)
 	}
@@ -822,9 +818,6 @@ func (s *Server) replayAdmit(r *recAdmit) error {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if r.At == nil {
-		return errors.New("admit record missing time")
-	}
 	if len(sh.pending) != len(r.Locals) {
 		return fmt.Errorf("shard %d has %d pending, admit record lists %d", sh.idx, len(sh.pending), len(r.Locals))
 	}
@@ -850,9 +843,6 @@ func (s *Server) replayComplete(r *recComplete) error {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if r.At == nil {
-		return errors.New("complete record missing time")
-	}
 	// Advancing across the completion's exact event time executes it through
 	// step(): the record itself carries no state the engine does not rederive.
 	sh.catchUpTo(r.At)
@@ -866,9 +856,6 @@ func (s *Server) replayCompact(r *recCompact) error {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if r.Now == nil {
-		return errors.New("compact record missing time")
-	}
 	if _, ok := sh.catchUpTo(r.Now); !ok {
 		return nil
 	}
@@ -883,9 +870,6 @@ func (s *Server) replayExtract(r *recExtract) error {
 	sh, err := s.shardByIdx(r.Shard)
 	if err != nil {
 		return err
-	}
-	if r.At == nil {
-		return errors.New("extract record missing time")
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -967,7 +951,7 @@ func (s *Server) finishMigrations() {
 // repair itself is durable — using the same least-residual-work placement the
 // reshard would have used, in the same order, so the repaired run matches the
 // uninterrupted one.
-func (s *Server) repairRetired(now *big.Rat) {
+func (s *Server) repairRetired(now exact.Q) {
 	place := newPlacement(s.gens[len(s.gens)-1].shards)
 	for _, donor := range s.all {
 		if !donor.retired || donor.freed {
@@ -1019,7 +1003,7 @@ func (s *Server) restartShard(sh *shard) bool {
 	sh.backlogMu.Lock()
 	sh.routeErr = ""
 	sh.backlogMu.Unlock()
-	sh.obs.event(obs.EventShardRestart, -1, sh.eng.Now(), fmt.Sprintf("restart %d of %d", sh.Restarts, maxShardRestarts))
+	sh.obs.event(obs.EventShardRestart, -1, fmt.Sprintf("restart %d of %d", sh.Restarts, maxShardRestarts), sh.eng.Now())
 	sh.decide()
 	if !start.IsZero() {
 		s.tel.recoverySecs.Observe(s.tel.sinceSeconds(start))
@@ -1029,12 +1013,7 @@ func (s *Server) restartShard(sh *shard) bool {
 
 // RestoredNow returns the virtual time the fleet was restored at (zero for a
 // fresh start or a server without a WAL).
-func (s *Server) RestoredNow() *big.Rat {
-	if s.restoredNow == nil {
-		return new(big.Rat)
-	}
-	return new(big.Rat).Set(s.restoredNow)
-}
+func (s *Server) RestoredNow() *big.Rat { return s.restoredNow.Rat() }
 
 // ReplayedRecords returns how many WAL records the last startup replayed.
 func (s *Server) ReplayedRecords() int { return s.dur.stats().Replayed }

@@ -47,7 +47,7 @@ func quiesce(t *testing.T, srv *Server, now *big.Rat) {
 				if len(sh.pending) > 0 {
 					settled = false
 				}
-				if next := sh.eng.NextEvent(); next != nil && next.Cmp(now) <= 0 {
+				if next, ok := sh.eng.NextEvent(); ok && next.Rat().Cmp(now) <= 0 {
 					settled = false
 				}
 			}
@@ -336,7 +336,7 @@ func testWALCrashAfterSteal(t *testing.T, transport string, crash migrationCrash
 		donor.mu.Lock()
 		defer donor.mu.Unlock()
 		if rec := donor.records[idA/2]; rec.State == StateMigrated && rec.MigratedAt != nil {
-			return rec.MigratedAt.RatString()
+			return rec.MigratedAt.String()
 		}
 		return "not migrated"
 	}

@@ -88,7 +88,7 @@ func testSingleShardEquivalence(t *testing.T, policy string, seed int64, steal b
 	got := append([]schedule.Piece(nil), sh.eng.Schedule().Pieces...)
 	completions := make([]string, inst.N())
 	for id, rec := range sh.records {
-		completions[id] = rec.Completed.RatString()
+		completions[id] = rec.Completed.String()
 	}
 	sh.mu.Unlock()
 
@@ -184,7 +184,7 @@ func TestStealOffShardEquivalence(t *testing.T) {
 				sh.mu.Lock()
 				jobs := make([]model.Job, len(sh.records))
 				for i, rec := range sh.records {
-					jobs[i] = rec.Job.Clone()
+					jobs[i] = modelJob(rec.Job)
 				}
 				got := append([]schedule.Piece(nil), sh.eng.Schedule().Pieces...)
 				machines := sh.machines

@@ -156,7 +156,8 @@ func (sh *shard) reserve(locals []int) shardlink.ExtractReply {
 		return shardlink.ExtractReply{}
 	}
 	rep := shardlink.ExtractReply{From: sh.idx, At: sh.eng.Now()}
-	sh.wal.append(walTypeExtract, &recExtract{Shard: sh.idx, At: copyRat(rep.At), Locals: locals})
+	sh.wal.append(walTypeExtract, &recExtract{Shard: sh.idx, At: rep.At, Locals: locals})
+	at := rep.At
 	taken := make(map[int]bool, len(locals))
 	removedLive := false
 	for _, local := range locals {
@@ -165,7 +166,7 @@ func (sh *shard) reserve(locals []int) shardlink.ExtractReply {
 		if rec.State == StateScheduled {
 			// Live: the engine hands back the exact unprocessed fraction.
 			if rj, err := sh.eng.Remove(local); err == nil {
-				rec.Remaining = copyRat(rj.Remaining)
+				rec.Remaining = rj.Remaining
 				removedLive = true
 			}
 		}
@@ -176,9 +177,9 @@ func (sh *shard) reserve(locals []int) shardlink.ExtractReply {
 		for i := range sh.eligible {
 			delete(sh.eligible[i], local)
 		}
-		rec.MigratedAt = copyRat(rep.At)
+		rec.MigratedAt = &at
 		rep.Jobs = append(rep.Jobs, shardlink.MigratedJob{
-			FromLocal: local, GID: rec.GID, Remaining: copyRat(rec.Remaining), Counted: rec.Counted, Job: rec.Job.Clone(),
+			FromLocal: local, GID: rec.GID, Remaining: rec.Remaining, Counted: rec.Counted, Job: rec.Job,
 		})
 	}
 	kept := sh.pending[:0]
@@ -224,15 +225,15 @@ func (sh *shard) admitMigrated(args shardlink.AdmitArgs) shardlink.AdmitReply {
 		rep.Locals = append(rep.Locals, nrec.ID)
 		if args.Reason == migrateReshard {
 			sh.ReshardIn++
-			sh.obs.event(obs.EventMigrate, nrec.GID, nil, fmt.Sprintf("resharded from shard %d", args.From))
+			sh.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("resharded from shard %d", args.From))
 		} else {
 			sh.StolenIn++
-			sh.obs.event(obs.EventMigrate, nrec.GID, nil, fmt.Sprintf("stolen from shard %d", args.From))
+			sh.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("stolen from shard %d", args.From))
 		}
 	}
 	sh.shiftBacklog(true, adopted...)
 	if args.Reason == migrateSteal {
-		sh.obs.event(obs.EventSteal, -1, args.At, fmt.Sprintf("%d jobs from shard %d", len(adopted), args.From))
+		sh.obs.event(obs.EventSteal, -1, fmt.Sprintf("%d jobs from shard %d", len(adopted), args.From), args.At)
 	}
 	return rep
 }

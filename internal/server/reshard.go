@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/obs"
 	"divflow/internal/shardlink"
@@ -277,7 +278,7 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	// every new-topology shard is poked: migrated jobs are pending on some
 	// of them.
 	for _, sh := range retiring {
-		if s.retention == nil {
+		if s.retention.Sign() == 0 {
 			sh.close()
 		} else {
 			sh.poke()
@@ -324,7 +325,7 @@ func (s *Server) publishGeneration(rec *recTopo, retiring []*shard) (gen2, spawn
 				rec.Base = b
 			}
 		}
-		rec.At = s.clock.Now()
+		rec.At = exact.FromRat(s.clock.Now())
 		if gen2, spawned, err = s.installGeneration(rec, nil, true); err != nil {
 			err = fmt.Errorf("server: reshard: %w", err)
 		}
@@ -401,7 +402,7 @@ func (s *Server) installGeneration(r *recTopo, states []snapShard, writeAhead bo
 		case !ts.Kept:
 			args := &shardlink.InstallArgs{
 				ShardSpec: shardlink.ShardSpec{Idx: ts.Idx, Pos: pos, Stride: r.Stride, GidBase: r.Base, Gen: r.Gen, Machines: ts.Machines, MachineIdx: ts.MachineIdx},
-				Policy:    s.policyCfg, Retention: copyRat(s.retention), Admission: s.admission, Now: s.clock.Now(),
+				Policy:    s.policyCfg, Retention: s.retention, Admission: s.admission, Now: exact.FromRat(s.clock.Now()),
 			}
 			var state *snapShard
 			if ts.Idx < len(states) {

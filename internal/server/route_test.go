@@ -1,11 +1,11 @@
 package server
 
 import (
-	"math/big"
 	"slices"
 	"strings"
 	"testing"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/shardlink"
 )
@@ -20,7 +20,10 @@ func TestPickRoutePlacesSubmitAndDrainAlike(t *testing.T) {
 		var routes []route
 		for i, spec := range specs {
 			f := strings.SplitN(spec, " ", 3)
-			backlog, _ := new(big.Rat).SetString(f[1])
+			var backlog exact.Q
+			if err := backlog.UnmarshalText([]byte(f[1])); err != nil {
+				t.Fatal(err)
+			}
 			r := route{
 				sh:             &shard{idx: i, machines: []model.Machine{{Name: "m", Databanks: []string{f[0]}}}},
 				RouteInfoReply: shardlink.RouteInfoReply{Backlog: backlog},
@@ -66,7 +69,7 @@ func TestPickRoutePlacesSubmitAndDrainAlike(t *testing.T) {
 	pl := &placement{routes: mk("a 1", "a 2", "b 0 boom")}
 	var order []int
 	for gid, bank := range []string{"a", "a", "c", "a", "b"} {
-		dest := pl.pick(&shardlink.MigratedJob{GID: gid, Job: model.Job{Size: big.NewRat(2, 1), Databanks: []string{bank}}})
+		dest := pl.pick(&shardlink.MigratedJob{GID: gid, Job: shardlink.Job{Size: exact.Int(2), Databanks: []string{bank}}})
 		if dest == nil {
 			order = append(order, -1)
 		} else {
@@ -79,7 +82,7 @@ func TestPickRoutePlacesSubmitAndDrainAlike(t *testing.T) {
 	if want := "job 4 migrated to stalled shard 2 (no healthy shard hosts databanks [b]): boom"; pl.warning != want {
 		t.Errorf("drain warning = %q, want %q", pl.warning, want)
 	}
-	if got := pl.routes[0].Backlog; got.Cmp(big.NewRat(5, 1)) != 0 {
-		t.Errorf("shard 0 counts %s after two placements of size 2 on backlog 1, want 5", got.RatString())
+	if got := pl.routes[0].Backlog; got.Cmp(exact.Int(5)) != 0 {
+		t.Errorf("shard 0 counts %v after two placements of size 2 on backlog 1, want 5", got)
 	}
 }

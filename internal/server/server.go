@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/obs"
 	"divflow/internal/shardlink"
@@ -228,7 +229,7 @@ type Server struct {
 	policyCfg    string // Config.Policy verbatim, for spawning reshard shards
 	shardsCfg    int    // Config.Shards verbatim: the standing partition override
 	clock        Clock
-	retention    *big.Rat
+	retention    exact.Q // zero: keep everything
 	disableSteal bool
 	noReshard    bool
 	tel          *telemetry
@@ -236,9 +237,9 @@ type Server struct {
 	tenants      *model.TenantConfig // nil: no quota enforcement
 
 	// dur is the durability layer (nil without Config.WALDir); restoredNow
-	// the virtual time startup restored the fleet at (nil on a fresh start).
+	// the virtual time startup restored the fleet at (zero on a fresh start).
 	dur            *durability
-	restoredNow    *big.Rat
+	restoredNow    exact.Q
 	restartStalled bool
 
 	// transport is the normalized Config.Transport; rpcSrv/rpcClient are the
@@ -381,7 +382,7 @@ func New(cfg Config) (_ *Server, err error) {
 		}
 	}()
 	if cfg.Retention != nil && cfg.Retention.Sign() > 0 {
-		s.retention = new(big.Rat).Set(cfg.Retention)
+		s.retention = exact.FromRat(cfg.Retention)
 	}
 	// Open durable state before the clock exists: a restore resumes the real
 	// clock at the restored virtual time, so the fleet's time never jumps
@@ -394,7 +395,7 @@ func New(cfg Config) (_ *Server, err error) {
 	s.clock = cfg.Clock
 	if s.clock == nil {
 		if st != nil && st.hasState() {
-			s.clock = NewRealClockAt(st.now)
+			s.clock = NewRealClockAt(st.now.Rat())
 		} else {
 			s.clock = NewRealClock()
 		}
@@ -425,9 +426,9 @@ func New(cfg Config) (_ *Server, err error) {
 		if err = s.restore(st); err != nil {
 			return nil, err
 		}
-		s.restoredNow = new(big.Rat).Set(st.now)
+		s.restoredNow = st.now
 		s.tel.event(obs.EventRestore, len(s.gens)-1, -1, fmt.Sprintf(
-			"%d records replayed at virtual time %s", len(st.suffix), st.now.RatString()))
+			"%d records replayed at virtual time %v", len(st.suffix), st.now))
 		if s.tel.enabled {
 			s.tel.recoverySecs.Observe(s.tel.sinceSeconds(st.started))
 		}
@@ -908,32 +909,29 @@ func (s *Server) submitRouted(args shardlink.SubmitArgs) (model.SubmitResponse, 
 // tenant owns the whole share and is never shed, so quota only ever bites
 // under actual contention.
 func (s *Server) tenantOverQuota(job model.Job, routes []route) error {
-	myWeight := s.tenants.Weight(job.Tenant)
-	mine, total, sumW := new(big.Rat), new(big.Rat), new(big.Rat).Set(myWeight)
+	myWeight := exact.FromRat(s.tenants.Weight(job.Tenant))
+	size := exact.FromRat(job.Size)
+	var mine, total exact.Q
+	sumW := myWeight
 	active := map[string]bool{job.Tenant: true}
 	for _, r := range routes {
 		for t, b := range r.TenantBacklog {
-			if b == nil || b.Sign() <= 0 {
+			if b.Sign() <= 0 {
 				continue
 			}
-			total.Add(total, b)
+			total = total.Add(b)
 			if t == job.Tenant {
-				mine.Add(mine, b)
+				mine = mine.Add(b)
 			} else if !active[t] {
 				active[t] = true
-				sumW.Add(sumW, s.tenants.Weight(t))
+				sumW = sumW.Add(exact.FromRat(s.tenants.Weight(t)))
 			}
 		}
 	}
-	after := new(big.Rat).Add(mine, job.Size)
-	totalAfter := new(big.Rat).Add(total, job.Size)
-	lhs := new(big.Rat).Mul(after, sumW)
-	rhs := new(big.Rat).Mul(myWeight, totalAfter)
-	if lhs.Cmp(rhs) > 0 {
-		share := new(big.Rat).Quo(myWeight, sumW)
-		return fmt.Errorf("%w: tenant %q backlog %s + size %s exceeds share %s of fleet backlog %s",
-			errTenantQuota, job.Tenant, mine.RatString(), job.Size.RatString(),
-			share.RatString(), totalAfter.RatString())
+	totalAfter := total.Add(size)
+	if mine.Add(size).Mul(sumW).Cmp(myWeight.Mul(totalAfter)) > 0 {
+		return fmt.Errorf("%w: tenant %q backlog %v + size %v exceeds share %v of fleet backlog %v",
+			errTenantQuota, job.Tenant, mine, size, myWeight.Quo(sumW), totalAfter)
 	}
 	return nil
 }

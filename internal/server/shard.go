@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"math/big"
 	"runtime/debug"
 	"sync"
@@ -28,11 +29,11 @@ type jobRecord struct {
 	ID    int    `json:"id"`  // shard-local ID
 	GID   int    `json:"gid"` // wire-visible global ID (birth-shard encoding)
 	State string `json:"state"`
-	// Completed is the completion time; nil until done.
-	Completed *big.Rat `json:"completed,omitempty"`
-	// Remaining, when non-nil, is the unprocessed fraction the job arrived
-	// with (a stolen job admitted mid-execution); nil means a whole job.
-	Remaining *big.Rat `json:"remaining,omitempty"`
+	// Completed is the completion time; zero until done.
+	Completed exact.Q `json:"completed,omitzero"`
+	// Remaining, when not zero, is the unprocessed fraction the job arrived
+	// with (a stolen job admitted mid-execution); zero means a whole job.
+	Remaining exact.Q `json:"remaining,omitzero"`
 	// Stolen marks records created by a migration rather than a submission,
 	// so accepted-job counts and merged validations see each job once.
 	Stolen bool `json:"stolen,omitempty"`
@@ -46,12 +47,13 @@ type jobRecord struct {
 	// before it, so once the retention horizon passes it the record can be
 	// compacted. Set while the state is not yet StateMigrated, it marks the
 	// record reserved — out of the engine and the queue, awaiting the
-	// migration's commit or abort (which clears it).
-	MigratedAt *big.Rat `json:"migratedAt,omitempty"`
+	// migration's commit or abort (which clears it). It is the record's one
+	// optional rational: an extraction at time zero is still a reservation.
+	MigratedAt *exact.Q `json:"migratedAt,omitempty"`
 	// Job is the job as submitted; Release is the submission time, the job's
 	// flow origin. Deadline, Tenant and SLAClass ride migrations, the WAL and
 	// the snapshot with it.
-	model.Job
+	shardlink.Job
 	// submittedWall is the wall-clock submission instant, feeding the
 	// submit→admit latency histogram; zero with telemetry disabled (the
 	// clock is never read then), on migrated records (a re-admission on the
@@ -59,12 +61,11 @@ type jobRecord struct {
 	submittedWall time.Time
 }
 
-// clone returns the record's durable part sharing no rational with it: a
-// snapshot is marshaled after the shard's mu is released.
+// clone returns the record's durable part: a snapshot is marshaled after the
+// shard's mu is released. The rationals are values and nothing writes to the
+// databank list, so the copy shares nothing that changes.
 func (r *jobRecord) clone() *jobRecord {
 	c := *r
-	c.Job = r.Job.Clone()
-	c.Completed, c.Remaining, c.MigratedAt = copyRat(r.Completed), copyRat(r.Remaining), copyRat(r.MigratedAt)
 	c.submittedWall = time.Time{}
 	return &c
 }
@@ -86,6 +87,7 @@ type shard struct {
 
 	clock    Clock
 	machines []model.Machine // this shard's machines, in fleet order
+	inverse  []exact.Q       // the machines' InverseSpeed, for the cost function
 	policy   sim.Policy
 	mwf      *sim.OnlineMWF // non-nil when policy is an OnlineMWF variant
 	// admission is the deadline-admission mode (shardlink.AdmissionStrict,
@@ -138,11 +140,11 @@ type shard struct {
 	// solves; writers hold mu first, then backlogMu (never the reverse).
 	//divflow:locks name=backlog before=dmu
 	backlogMu sync.Mutex
-	backlog   *big.Rat
+	backlog   exact.Q
 	// tenantBacklog splits backlog by tenant (untracked traffic absent, zero
 	// entries pruned): the router sums it across shards for the weighted-
 	// fairness quota check. Same lock, same conservation rules as backlog.
-	tenantBacklog map[string]*big.Rat
+	tenantBacklog map[string]exact.Q
 	// routeErr mirrors lastErr's text under backlogMu so the router can skip
 	// poisoned shards without contending on mu (empty while healthy).
 	routeErr string
@@ -186,10 +188,10 @@ type shard struct {
 
 	// tenants accumulates per-tenant statistics like the totals' completed-
 	// job aggregates (at submission and completion time, so compaction loses
-	// nothing). Never nil. An entry's WFlow and Backlog stay nil here: the
+	// nothing). Never nil. An entry's WFlow and Backlog stay empty here: the
 	// live values are the exported histogram and tenantBacklog.
 	tenants   shardlink.TenantLedger
-	retention *big.Rat
+	retention exact.Q // zero: keep everything
 	// freed marks a retired shard whose fully-compacted history was released:
 	// records, queues, engine, and policy are gone, and only this struct —
 	// the ID-decoding tombstone — remains, with the totals' Frozen* figures.
@@ -202,14 +204,6 @@ type shard struct {
 	stopped chan struct{}
 }
 
-// copyRat returns a copy of r, passing nil through.
-func copyRat(r *big.Rat) *big.Rat {
-	if r == nil {
-		return nil
-	}
-	return new(big.Rat).Set(r)
-}
-
 // tenantFor returns (creating on first use) the tenant's ledger entry.
 // Callers hold sh.mu.
 //
@@ -217,7 +211,7 @@ func copyRat(r *big.Rat) *big.Rat {
 func (sh *shard) tenantFor(tenant string) *shardlink.TenantTotals {
 	ta := sh.tenants[tenant]
 	if ta == nil {
-		ta = &shardlink.TenantTotals{FlowSum: new(big.Rat)}
+		ta = &shardlink.TenantTotals{FlowSum: new(exact.Q)}
 		sh.tenants[tenant] = ta
 	}
 	return ta
@@ -270,7 +264,7 @@ func buildShard(s *Server, args *shardlink.InstallArgs, clock Clock, state *snap
 }
 
 // newShard allocates the shard spec describes, without an engine yet.
-func newShard(spec shardlink.ShardSpec, clock Clock, retention *big.Rat, admission string) *shard {
+func newShard(spec shardlink.ShardSpec, clock Clock, retention exact.Q, admission string) *shard {
 	sh := &shard{
 		idx:        spec.Idx,
 		pos:        spec.Pos,
@@ -281,18 +275,18 @@ func newShard(spec shardlink.ShardSpec, clock Clock, retention *big.Rat, admissi
 		machines:   spec.Machines,
 		machineIdx: spec.MachineIdx,
 		admission:  admission,
-		backlog:    new(big.Rat),
 		// Never nil: restore assigns tenant entries straight into it.
-		tenantBacklog: make(map[string]*big.Rat),
+		tenantBacklog: make(map[string]exact.Q),
 		tenants:       make(shardlink.TenantLedger),
 		wake:          make(chan struct{}, 1),
 		done:          make(chan struct{}),
 		stopped:       make(chan struct{}),
 	}
-	sh.FlowSum = new(big.Rat)
-	if retention != nil && retention.Sign() > 0 {
-		sh.retention = new(big.Rat).Set(retention)
-		sh.LastCompact = new(big.Rat)
+	if retention.Sign() > 0 {
+		sh.retention, sh.LastCompact = retention, new(exact.Q)
+	}
+	for i := range sh.machines {
+		sh.inverse = append(sh.inverse, exact.FromRat(sh.machines[i].InverseSpeed))
 	}
 	sh.obs = &shardObs{flow: obs.NewHistogram(obs.DefFlowBuckets)}
 	sh.eligible = make([]map[int]bool, len(sh.machines))
@@ -372,14 +366,11 @@ func (sh *shard) cost(machine, jobID int) (exact.Q, bool) {
 	if jobID < 0 || jobID >= len(sh.records) || sh.records[jobID] == nil {
 		return exact.Q{}, false
 	}
-	return sh.uniformCost(machine, sh.records[jobID].Size), true
+	return sh.records[jobID].Size.Mul(sh.inverse[machine]), true
 }
 
-// uniformCost is the uniform model's c_{i,j} = size · InverseSpeed_i on
-// exact.Q's words, for a machine already known to host the job.
-func (sh *shard) uniformCost(machine int, size *big.Rat) exact.Q {
-	return exact.FromRat(size).Mul(exact.FromRat(sh.machines[machine].InverseSpeed))
-}
+// now is the clock's reading as a value.
+func (sh *shard) now() exact.Q { return exact.FromRat(sh.clock.Now()) }
 
 // start launches the shard's scheduling loop. Safe to call once. A remote
 // stub has no loop: the worker process runs the real one.
@@ -422,7 +413,7 @@ func (sh *shard) close() {
 		for i := range sh.eligible {
 			delete(sh.eligible[i], rec.ID)
 		}
-		sh.obs.event(obs.EventReject, rec.GID, nil, "shutdown drained the queued job")
+		sh.obs.event(obs.EventReject, rec.GID, "shutdown drained the queued job")
 	}
 	sh.shiftBacklog(false, sh.pending...)
 	sh.pending = nil
@@ -460,30 +451,30 @@ func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error)
 	// The flow origin is the submission time: queueing delay before the loop
 	// admits the job counts against its flow, exactly like the paper's online
 	// adaptation measures flows from submission.
-	release := sh.clock.Now()
+	job.Release = sh.clock.Now()
+	gid := sh.globalID(len(sh.records))
+	if job.Name == "" {
+		job.Name = fmt.Sprintf("job-%d", gid)
+	}
+	rec := &jobRecord{ID: len(sh.records), GID: gid, State: StateQueued, Job: shardlink.JobOf(job)}
 	var cert *model.AdmissionCertificate
-	if job.Deadline != nil && sh.admission != shardlink.AdmissionOff {
+	if rec.Deadline.Sign() != 0 && sh.admission != shardlink.AdmissionOff {
 		var err error
-		cert, _, err = sh.admissionCheck(job, release)
+		cert, err = sh.admissionCheck(rec.Job)
 		if err != nil {
 			return 0, nil, err
 		}
 		if !cert.Feasible && sh.admission == shardlink.AdmissionStrict {
-			sh.obs.event(obs.EventReject, -1, release,
-				fmt.Sprintf("deadline %s infeasible against %d residual jobs", job.Deadline.RatString(), cert.ResidualJobs))
+			sh.obs.event(obs.EventReject, -1,
+				fmt.Sprintf("deadline %v infeasible against %d residual jobs", rec.Deadline, cert.ResidualJobs), rec.Release)
 			return 0, cert, errDeadline
 		}
-	}
-	rec := &jobRecord{ID: len(sh.records), GID: sh.globalID(len(sh.records)), State: StateQueued, Job: job.Clone()}
-	rec.Release = release
-	if rec.Name == "" {
-		rec.Name = fmt.Sprintf("job-%d", rec.GID)
 	}
 	// Write-ahead: the submission is logged before any shard state changes,
 	// so a crash between the append and the mutation replays the job rather
 	// than losing an acknowledged submission.
 	if sh.wal != nil {
-		sh.wal.append(walTypeSubmit, &recSubmit{Shard: sh.idx, Local: rec.ID, GID: rec.GID, Job: rec.Job.Clone()})
+		sh.wal.append(walTypeSubmit, &recSubmit{Shard: sh.idx, Local: rec.ID, GID: rec.GID, Job: job})
 	}
 	rec.submittedWall = sh.obs.now()
 	sh.enqueue(rec, "")
@@ -506,30 +497,30 @@ func (sh *shard) enqueue(rec *jobRecord, note string) bool {
 	}
 	sh.shiftBacklog(true, rec)
 	hosted := sh.markEligible(rec)
-	sh.obs.event(obs.EventSubmit, rec.GID, rec.Release, note)
+	sh.obs.event(obs.EventSubmit, rec.GID, note, rec.Release)
 	return hosted
 }
 
-// admissionCheck runs the deadline-feasibility LP for one candidate job
-// against the shard's residual workload — the census, at its exact remaining
-// work, released at now, with every stored deadline kept — and returns the
-// exact certificate plus, when infeasible, the best achievable counter-offer
-// deadline as a rational. A stalled shard cannot answer: the check degrades
-// to an uncertified acceptance rather than wedging submissions on a poisoned
-// engine. Callers hold sh.mu; the job passed CheckSubmission.
+// admissionCheck runs the deadline-feasibility LP for one candidate job,
+// submitted at its release, against the shard's residual workload — the
+// census, at its exact remaining work, released with it, with every stored
+// deadline kept — and returns the exact certificate, which names the best
+// achievable counter-offer deadline when the requested one is infeasible. A
+// stalled shard cannot answer: the check degrades to an uncertified
+// acceptance rather than wedging submissions on a poisoned engine. Callers
+// hold sh.mu; the job passed CheckSubmission.
 //
 //divflow:locks requires=shard
-func (sh *shard) admissionCheck(job model.Job, now *big.Rat) (*model.AdmissionCertificate, *big.Rat, error) {
+func (sh *shard) admissionCheck(job shardlink.Job) (*model.AdmissionCertificate, error) {
 	// Catch the engine up first: remaining fractions at a stale time would
 	// overstate the residual workload. This is the same catch-up the loop
 	// would run at its next wake-up, so no-deadline traffic (which never
 	// reaches this function) keeps its trace bit-for-bit.
 	if _, ok := sh.catchUp(); !ok {
-		return &model.AdmissionCertificate{Mode: sh.admission, Feasible: true}, nil, nil
+		return &model.AdmissionCertificate{Mode: sh.admission, Feasible: true}, nil
 	}
 	// The candidate takes the local ID it would be given, and the last index.
-	cand := sim.JobView{ID: len(sh.records), Release: exact.FromRat(now), Remaining: exact.Int(1),
-		Weight: exact.FromRat(job.Weight), Size: exact.FromRat(job.Size)}
+	cand := sim.JobView{ID: len(sh.records), Release: job.Release, Remaining: exact.Int(1), Weight: job.Weight, Size: job.Size}
 	cost := func(i, id int) (exact.Q, bool) {
 		if id != cand.ID {
 			return sh.cost(i, id)
@@ -537,44 +528,46 @@ func (sh *shard) admissionCheck(job model.Job, now *big.Rat) (*model.AdmissionCe
 		if !sh.machines[i].Hosts(job.Databanks) {
 			return exact.Q{}, false
 		}
-		return sh.uniformCost(i, job.Size), true
+		return job.Size.Mul(sh.inverse[i]), true
 	}
 	snap := &sim.Snapshot{Now: cand.Release, Jobs: append(sh.census(), cand), M: len(sh.machines), Cost: cost}
 	inst, _, err := snap.Residual()
 	if err != nil {
-		return nil, nil, fmt.Errorf("server: shard %d: admission instance: %w", sh.idx, err)
+		return nil, fmt.Errorf("server: shard %d: admission instance: %w", sh.idx, err)
 	}
 	k := len(snap.Jobs) - 1
 	deadlines := make([]*big.Rat, len(snap.Jobs))
 	for j := range snap.Jobs[:k] {
-		deadlines[j] = copyRat(sh.records[snap.Jobs[j].ID].Deadline)
+		if d := sh.records[snap.Jobs[j].ID].Deadline; d.Sign() != 0 {
+			deadlines[j] = d.Rat()
+		}
 	}
-	deadlines[k] = copyRat(job.Deadline)
+	deadlines[k] = job.Deadline.Rat()
 	mode := schedule.Divisible
 	if sh.mwf != nil {
 		mode = sh.mwf.Mode
 	}
 	cert := &model.AdmissionCertificate{
 		Mode:         sh.admission,
-		Deadline:     job.Deadline.RatString(),
+		Deadline:     job.Deadline.String(),
 		ResidualJobs: len(snap.Jobs),
 	}
 	feasible, _, err := core.DeadlineFeasible(inst, deadlines, mode)
 	if err != nil {
-		return nil, nil, fmt.Errorf("server: shard %d: deadline feasibility: %w", sh.idx, err)
+		return nil, fmt.Errorf("server: shard %d: deadline feasibility: %w", sh.idx, err)
 	}
 	cert.Feasible = feasible
 	if feasible {
-		return cert, nil, nil
+		return cert, nil
 	}
 	counter, err := core.BestDeadline(inst, deadlines, k, mode)
 	if err != nil {
-		return nil, nil, fmt.Errorf("server: shard %d: counter-offer search: %w", sh.idx, err)
+		return nil, fmt.Errorf("server: shard %d: counter-offer search: %w", sh.idx, err)
 	}
 	if counter != nil {
 		cert.CounterOffer = counter.RatString()
 	}
-	return cert, counter, nil
+	return cert, nil
 }
 
 // census lists every outstanding job of the shard once, as a policy sees a
@@ -590,14 +583,11 @@ func (sh *shard) census() []sim.JobView {
 	live := sh.eng.Snapshot().Jobs
 	views := make([]sim.JobView, 0, len(sh.pending)+len(live))
 	for _, rec := range sh.pending {
-		rem := exact.Int(1)
-		if rec.Remaining != nil {
-			rem = exact.FromRat(rec.Remaining)
+		rem := rec.Remaining
+		if rem.Sign() == 0 {
+			rem = exact.Int(1)
 		}
-		views = append(views, sim.JobView{
-			ID: rec.ID, Release: exact.FromRat(rec.Release), Weight: exact.FromRat(rec.Weight),
-			Size: exact.FromRat(rec.Size), Remaining: rem,
-		})
+		views = append(views, sim.JobView{ID: rec.ID, Release: rec.Release, Weight: rec.Weight, Size: rec.Size, Remaining: rem})
 	}
 	return append(views, live...)
 }
@@ -625,8 +615,8 @@ func (sh *shard) orphanRecord(rec *jobRecord) {
 func (sh *shard) adoptRecord(mj *shardlink.MigratedJob) *jobRecord {
 	nrec := &jobRecord{
 		ID: len(sh.records), GID: mj.GID, State: StateQueued,
-		Job:       mj.Job.Clone(), // Release included: the flow origin is still the first submission
-		Remaining: copyRat(mj.Remaining), Stolen: true, Counted: mj.Counted,
+		Job:       mj.Job, // Release included: the flow origin is still the first submission
+		Remaining: mj.Remaining, Stolen: true, Counted: mj.Counted,
 	}
 	sh.records = append(sh.records, nrec)
 	sh.pending = append(sh.pending, nrec)
@@ -661,40 +651,35 @@ func (sh *shard) shiftBacklog(in bool, recs ...*jobRecord) {
 	for _, rec := range recs {
 		size := rec.Size
 		if !in {
-			size = new(big.Rat).Neg(size)
+			size = size.Neg()
 		}
-		sh.backlog.Add(sh.backlog, size)
-		cur := sh.tenantBacklog[rec.Tenant]
-		if rec.Tenant == "" || (cur == nil && !in) {
+		sh.backlog = sh.backlog.Add(size)
+		cur, ok := sh.tenantBacklog[rec.Tenant]
+		if rec.Tenant == "" || (!ok && !in) {
 			continue
 		}
-		if cur == nil {
-			cur = new(big.Rat)
-			sh.tenantBacklog[rec.Tenant] = cur
-		}
-		if cur.Add(cur, size).Sign() == 0 {
+		if cur = cur.Add(size); cur.Sign() == 0 {
 			delete(sh.tenantBacklog, rec.Tenant)
+		} else {
+			sh.tenantBacklog[rec.Tenant] = cur
 		}
 	}
 }
 
-// routeInfo returns the backlog (a copy) — the routing key — the shard's
-// latched error text ("" while healthy), and the per-tenant backlog split
+// routeInfo returns the backlog — the routing key — the shard's latched
+// error text ("" while healthy), and a copy of the per-tenant backlog split
 // (nil when no tracked tenant has residual work here): everything the
 // router's placement and quota decisions need. It takes only backlogMu, so
 // routing a submission never blocks behind an in-flight exact solve on a
 // busy shard.
-func (sh *shard) routeInfo() (*big.Rat, string, map[string]*big.Rat) {
+func (sh *shard) routeInfo() (exact.Q, string, map[string]exact.Q) {
 	sh.backlogMu.Lock()
 	defer sh.backlogMu.Unlock()
-	var tb map[string]*big.Rat
+	var tb map[string]exact.Q
 	if len(sh.tenantBacklog) > 0 {
-		tb = make(map[string]*big.Rat, len(sh.tenantBacklog))
-		for t, v := range sh.tenantBacklog {
-			tb[t] = new(big.Rat).Set(v)
-		}
+		tb = maps.Clone(sh.tenantBacklog)
 	}
-	return new(big.Rat).Set(sh.backlog), sh.routeErr, tb
+	return sh.backlog, sh.routeErr, tb
 }
 
 // poke wakes the shard's loop if it is sleeping; a no-op when a wake-up is
@@ -798,21 +783,23 @@ func (sh *shard) loopIter() (res loopResult) {
 		return loopResult{exit: true}
 	}
 	sh.process()
-	res.next = sh.eng.NextEvent()
+	if next, ok := sh.eng.NextEvent(); ok {
+		res.next = next.Rat()
+	}
 	// A retired shard must never pull work back onto itself: its loop is
 	// only alive to finish compacting its history.
 	res.idle = sh.lastErr == nil && sh.eng.Live() == 0 && len(sh.pending) == 0 && !sh.retired
 	res.stalled = sh.lastErr != nil && !sh.retired && !sh.closed
-	retiredDone := sh.retired && (sh.retention == nil || sh.historyEmpty())
+	retiredDone := sh.retired && (sh.retention.Sign() == 0 || sh.historyEmpty())
 	if sh.retired && !retiredDone && res.next == nil {
-		res.next = new(big.Rat).Add(sh.clock.Now(), sh.retention)
+		res.next = sh.now().Add(sh.retention).Rat()
 	}
 	if retiredDone {
 		// Once a retired shard's history has fully compacted away there is
 		// nothing left to serve: release everything but the ID-decoding
 		// tombstone, so long-lived fleets do not accumulate dead shard state
 		// across reshards.
-		if sh.retention != nil {
+		if sh.retention.Sign() != 0 {
 			sh.free()
 		}
 		res.exit = true
@@ -833,11 +820,11 @@ func (sh *shard) recoverPanic(r any) {
 	defer sh.mu.Unlock()
 	sh.Panics++
 	sh.fail(err)
-	var vt *big.Rat
+	var at []exact.Q
 	if sh.eng != nil {
-		vt = sh.eng.Now()
+		at = append(at, sh.eng.Now())
 	}
-	sh.obs.event(obs.EventShardPanic, -1, vt, fmt.Sprintf("%v\n%s", r, stack))
+	sh.obs.event(obs.EventShardPanic, -1, fmt.Sprintf("%v\n%s", r, stack), at...)
 }
 
 // free releases a fully-compacted retired shard's memory: records, queues,
@@ -882,8 +869,8 @@ func (sh *shard) free() {
 // healthy. Callers hold sh.mu.
 //
 //divflow:locks requires=shard
-func (sh *shard) catchUp() (*big.Rat, bool) {
-	return sh.catchUpTo(sh.clock.Now())
+func (sh *shard) catchUp() (exact.Q, bool) {
+	return sh.catchUpTo(sh.now())
 }
 
 // catchUpTo is catchUp against an explicit target time: the WAL replay path
@@ -892,27 +879,27 @@ func (sh *shard) catchUp() (*big.Rat, bool) {
 // sh.mu.
 //
 //divflow:locks requires=shard
-func (sh *shard) catchUpTo(now *big.Rat) (*big.Rat, bool) {
+func (sh *shard) catchUpTo(now exact.Q) (exact.Q, bool) {
 	if now.Cmp(sh.eng.Now()) < 0 {
 		// A timer fired marginally early (wall-clock rounding): treat the
 		// engine's exact time as authoritative.
 		now = sh.eng.Now()
 	}
 	for {
-		next := sh.eng.NextEvent()
-		if next == nil || next.Cmp(now) > 0 {
+		next, ok := sh.eng.NextEvent()
+		if !ok || next.Cmp(now) > 0 {
 			break
 		}
 		if !sh.step(next) {
-			return now, false //divflow:ratalias-ok hands the caller back its own argument (or a fresh engine copy when raised); no second owner is created
+			return now, false
 		}
 	}
 	// Partial progress up to the present, crossing no event.
 	if _, err := sh.eng.AdvanceTo(now); err != nil {
 		sh.fail(err)
-		return now, false //divflow:ratalias-ok hands the caller back its own argument (or a fresh engine copy when raised); no second owner is created
+		return now, false
 	}
-	return now, true //divflow:ratalias-ok hands the caller back its own argument (or a fresh engine copy when raised); no second owner is created
+	return now, true
 }
 
 // process catches the engine up with the clock and then admits all pending
@@ -932,7 +919,7 @@ func (sh *shard) process() {
 // the batch write-ahead. Callers hold sh.mu; the engine is caught up to now.
 //
 //divflow:locks requires=shard
-func (sh *shard) admitAll(now *big.Rat) {
+func (sh *shard) admitAll(now exact.Q) {
 	if len(sh.pending) == 0 {
 		return
 	}
@@ -942,7 +929,7 @@ func (sh *shard) admitAll(now *big.Rat) {
 		for i, rec := range batch {
 			locals[i] = rec.ID
 		}
-		sh.wal.append(walTypeAdmit, &recAdmit{Shard: sh.idx, At: copyRat(now), Locals: locals})
+		sh.wal.append(walTypeAdmit, &recAdmit{Shard: sh.idx, At: now, Locals: locals})
 	}
 	sh.pending = nil
 	// Arrival-batch statistics count each job's *first* admission only: a
@@ -986,7 +973,7 @@ func (sh *shard) admitAll(now *big.Rat) {
 			sh.obs.submitAdmit.Observe(sh.obs.sinceSeconds(rec.submittedWall))
 			rec.submittedWall = time.Time{}
 		}
-		sh.obs.event(obs.EventAdmit, rec.GID, now, "")
+		sh.obs.event(obs.EventAdmit, rec.GID, "", now)
 		if !rec.Counted {
 			rec.Counted = true
 			native++
@@ -1000,7 +987,7 @@ func (sh *shard) admitAll(now *big.Rat) {
 // the policy. Callers hold sh.mu.
 //
 //divflow:locks requires=shard
-func (sh *shard) step(t *big.Rat) bool {
+func (sh *shard) step(t exact.Q) bool {
 	done, err := sh.eng.AdvanceTo(t)
 	if err != nil {
 		sh.fail(err)
@@ -1008,9 +995,9 @@ func (sh *shard) step(t *big.Rat) bool {
 	}
 	for _, id := range done {
 		rec := sh.records[id]
-		rec.State, rec.Completed = StateDone, sh.eng.Completion(id)
+		rec.State, rec.Completed = StateDone, t
 		if sh.wal != nil {
-			sh.wal.append(walTypeComplete, &recComplete{Shard: sh.idx, Local: rec.ID, GID: rec.GID, At: copyRat(rec.Completed)})
+			sh.wal.append(walTypeComplete, &recComplete{Shard: sh.idx, Local: rec.ID, GID: rec.GID, At: t})
 		}
 		sh.recordCompletion(rec)
 	}
@@ -1023,21 +1010,18 @@ func (sh *shard) step(t *big.Rat) bool {
 //divflow:locks requires=shard
 func (sh *shard) recordCompletion(rec *jobRecord) {
 	sh.shiftBacklog(false, rec)
-	flow := new(big.Rat).Sub(rec.Completed, rec.Release)
-	wf := new(big.Rat).Mul(rec.Weight, flow)
-	sh.FlowTotals.Merge(shardlink.FlowTotals{
-		DoneCount: 1, FlowSum: flow, MaxWF: wf, MaxStretch: new(big.Rat).Quo(flow, rec.Size)})
+	flow := rec.Completed.Sub(rec.Release)
+	wf := rec.Weight.Mul(flow)
+	sh.FlowTotals.Merge(shardlink.FlowTotals{DoneCount: 1, FlowSum: flow, MaxWF: wf, MaxStretch: flow.Quo(rec.Size)})
 	if rec.Tenant != "" {
-		sh.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Completed: 1, FlowSum: flow, MaxWF: wf})
+		sh.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Completed: 1, FlowSum: &flow, MaxWF: wf})
 		// The per-tenant weighted-flow histogram backs the /v1/tenants P95,
 		// like the shard flow histogram backs the /v1/stats one.
-		wff, _ := wf.Float64()
-		sh.obs.tenantWFlow(rec.Tenant).Observe(wff)
+		sh.obs.tenantWFlow(rec.Tenant).Observe(wf.Float64())
 	}
 	// The flow histogram is observed unconditionally — it is the backing
 	// store of the /v1/stats P95 estimate, not just an exported metric.
-	f, _ := flow.Float64()
-	sh.obs.flow.Observe(f)
+	sh.obs.flow.Observe(flow.Float64())
 }
 
 // compact enforces the retention bound: everything that finished more than
@@ -1051,12 +1035,12 @@ func (sh *shard) recordCompletion(rec *jobRecord) {
 // hold sh.mu.
 //
 //divflow:locks requires=shard
-func (sh *shard) compact(now *big.Rat) {
-	if sh.retention == nil {
+func (sh *shard) compact(now exact.Q) {
+	if sh.retention.Sign() == 0 {
 		return
 	}
-	horizon := new(big.Rat).Sub(now, sh.retention)
-	if horizon.Sign() <= 0 || horizon.Cmp(sh.LastCompact) <= 0 {
+	horizon := now.Sub(sh.retention)
+	if horizon.Sign() <= 0 || horizon.Cmp(*sh.LastCompact) <= 0 {
 		return
 	}
 	// Fold the pre-compaction makespan into the high-water mark first:
@@ -1064,9 +1048,9 @@ func (sh *shard) compact(now *big.Rat) {
 	// backwards.
 	sh.noteMakespan()
 	if sh.wal != nil {
-		sh.wal.append(walTypeCompact, &recCompact{Shard: sh.idx, Now: copyRat(now), Horizon: copyRat(horizon)})
+		sh.wal.append(walTypeCompact, &recCompact{Shard: sh.idx, Now: now, Horizon: horizon})
 	}
-	sh.LastCompact = horizon
+	sh.LastCompact = &horizon
 	before := sh.CompactedJobs
 	drop := func(id int) {
 		rec := sh.records[id]
@@ -1095,7 +1079,7 @@ func (sh *shard) compact(now *big.Rat) {
 	}
 	sh.migratedIDs = keep
 	if n := sh.CompactedJobs - before; n > 0 {
-		sh.obs.event(obs.EventCompact, -1, horizon, fmt.Sprintf("%d records dropped", n))
+		sh.obs.event(obs.EventCompact, -1, fmt.Sprintf("%d records dropped", n), horizon)
 	}
 }
 
@@ -1104,9 +1088,8 @@ func (sh *shard) compact(now *big.Rat) {
 //
 //divflow:locks requires=shard
 func (sh *shard) noteMakespan() {
-	ms := sh.eng.Schedule().Makespan()
-	if sh.MakespanHW == nil || ms.Cmp(sh.MakespanHW) > 0 {
-		sh.MakespanHW = ms
+	if ms := exact.FromRat(sh.eng.Schedule().Makespan()); sh.MakespanHW == nil || ms.Cmp(*sh.MakespanHW) > 0 {
+		sh.MakespanHW = &ms
 	}
 }
 
@@ -1115,16 +1098,13 @@ func (sh *shard) noteMakespan() {
 // hold sh.mu.
 //
 //divflow:locks requires=shard
-func (sh *shard) makespan() *big.Rat {
-	if sh.eng == nil {
-		if sh.MakespanHW != nil {
-			return new(big.Rat).Set(sh.MakespanHW)
-		}
-		return new(big.Rat)
+func (sh *shard) makespan() exact.Q {
+	var ms exact.Q
+	if sh.eng != nil {
+		ms = exact.FromRat(sh.eng.Schedule().Makespan())
 	}
-	ms := sh.eng.Schedule().Makespan()
 	if sh.MakespanHW != nil && sh.MakespanHW.Cmp(ms) > 0 {
-		ms = new(big.Rat).Set(sh.MakespanHW)
+		ms = *sh.MakespanHW
 	}
 	return ms
 }
@@ -1144,7 +1124,8 @@ func (sh *shard) decide() bool {
 	}
 	// Once fail() recorded an engine error the flag stays latched: later
 	// decisions on a poisoned engine must not report the service healthy.
-	sh.stalled = sh.lastErr != nil || (sh.eng.Live() > 0 && sh.eng.NextEvent() == nil)
+	_, pending := sh.eng.NextEvent()
+	sh.stalled = sh.lastErr != nil || (sh.eng.Live() > 0 && !pending)
 	if sh.stalled && sh.lastErr == nil {
 		err := fmt.Errorf("server: shard %d: policy %s idles with %d live jobs", sh.idx, sh.policy.Name(), sh.eng.Live())
 		if sh.mwf != nil && sh.mwf.Err() != nil {
@@ -1152,7 +1133,7 @@ func (sh *shard) decide() bool {
 		}
 		sh.lastErr = err
 		sh.publishRouteErr()
-		sh.obs.event(obs.EventShardStall, -1, sh.eng.Now(), err.Error())
+		sh.obs.event(obs.EventShardStall, -1, err.Error(), sh.eng.Now())
 	}
 	return true
 }
@@ -1164,7 +1145,7 @@ func (sh *shard) decide() bool {
 func (sh *shard) fail(err error) {
 	if sh.lastErr == nil {
 		sh.lastErr = err
-		sh.obs.event(obs.EventShardStall, -1, sh.eng.Now(), err.Error())
+		sh.obs.event(obs.EventShardStall, -1, err.Error(), sh.eng.Now())
 	}
 	sh.stalled = true
 	sh.publishRouteErr()
@@ -1205,30 +1186,28 @@ func (sh *shard) jobStatus(local, gid int) (st model.JobStatus, known, migrated 
 		ID:        rec.GID,
 		Name:      rec.Name,
 		State:     rec.State,
-		Weight:    rec.Weight.RatString(),
-		Size:      rec.Size.RatString(),
+		Weight:    rec.Weight.String(),
+		Size:      rec.Size.String(),
 		Databanks: rec.Databanks,
+		Release:   rec.Release.String(),
 		Tenant:    rec.Tenant,
 		SLAClass:  rec.SLAClass,
 	}
-	if rec.Deadline != nil {
-		st.Deadline = rec.Deadline.RatString()
-	}
-	if rec.Release != nil {
-		st.Release = rec.Release.RatString()
+	if rec.Deadline.Sign() != 0 {
+		st.Deadline = rec.Deadline.String()
 	}
 	if rec.State == StateScheduled {
-		if rem := sh.eng.Remaining(rec.ID); rem != nil {
-			st.Remaining = rem.RatString()
+		if rem, ok := sh.eng.Remaining(rec.ID); ok {
+			st.Remaining = rem.String()
 		}
 	}
-	if rec.Completed != nil {
-		flow := new(big.Rat).Sub(rec.Completed, rec.Release)
-		st.CompletedAt = rec.Completed.RatString()
-		st.Flow = flow.RatString()
-		st.WeightedFlow = new(big.Rat).Mul(rec.Weight, flow).RatString()
-		st.Stretch = new(big.Rat).Quo(flow, rec.Size).RatString()
-		if rec.Deadline != nil {
+	if rec.State == StateDone {
+		flow := rec.Completed.Sub(rec.Release)
+		st.CompletedAt = rec.Completed.String()
+		st.Flow = flow.String()
+		st.WeightedFlow = rec.Weight.Mul(flow).String()
+		st.Stretch = flow.Quo(rec.Size).String()
+		if rec.Deadline.Sign() != 0 {
 			met := rec.Completed.Cmp(rec.Deadline) <= 0
 			st.DeadlineMet = &met
 		}
@@ -1237,22 +1216,22 @@ func (sh *shard) jobStatus(local, gid int) (st model.JobStatus, known, migrated 
 }
 
 // scheduleSnapshot copies the shard's executed trace (windowed to pieces
-// ending after since, when non-nil) with machine indices and job IDs
+// ending after since, when not zero) with machine indices and job IDs
 // translated to fleet/global space, plus the shard's time and monotone
 // makespan. The copies are deep: the caller serializes them after the lock
 // is released, while the loop keeps extending the live pieces.
-func (sh *shard) scheduleSnapshot(since *big.Rat) (pieces []schedule.Piece, now, makespan *big.Rat) {
+func (sh *shard) scheduleSnapshot(since exact.Q) (pieces []schedule.Piece, now, makespan exact.Q) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.freed {
 		// A freed tombstone has no trace left; its makespan contribution
 		// survives in the high-water mark.
-		return nil, new(big.Rat).Set(sh.FrozenNow), sh.makespan()
+		return nil, sh.FrozenNow, sh.makespan()
 	}
 	sched := sh.eng.Schedule()
 	makespan = sh.makespan()
-	if since != nil {
-		sched = sched.Since(since)
+	if since.Sign() != 0 {
+		sched = sched.Since(since.Rat())
 	}
 	pieces = make([]schedule.Piece, len(sched.Pieces))
 	for k := range sched.Pieces {
@@ -1322,7 +1301,7 @@ func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 			Shard:      sh.idx,
 			Generation: sh.gen,
 			Machines:   names,
-			Now:        engNow.RatString(),
+			Now:        engNow.String(),
 			// Births only: records created by a steal or reshard migration are
 			// counted by their birth shard, so the fleet aggregate sees every
 			// job exactly once.
@@ -1341,15 +1320,15 @@ func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 			ReshardedOut:    sh.ReshardOut,
 			Retired:         sh.retired,
 			Freed:           sh.freed,
-			Backlog:         sh.backlog.RatString(),
+			Backlog:         sh.backlog.String(),
 			Stalled:         sh.stalled,
 			Panics:          sh.Panics,
 			Restarts:        sh.Restarts,
 		},
-		Now: copyRat(engNow),
+		Now: engNow,
 	}
 	snap.Totals, snap.Tenants = sh.ledger()
-	snap.BacklogF, _ = sh.backlog.Float64()
+	snap.BacklogF = sh.backlog.Float64()
 	if sh.mwf != nil {
 		snap.Wire.LPSolves = sh.mwf.Solves()
 		snap.Wire.PlanCacheHits = sh.mwf.CacheHits()

@@ -15,6 +15,7 @@ import (
 
 	"divflow/internal/model"
 	"divflow/internal/schedule"
+	"divflow/internal/shardlink"
 )
 
 // twoIslandFleet is four machines in two databank-connectivity components:
@@ -602,6 +603,16 @@ func TestCostGuardsCompactedRecords(t *testing.T) {
 // validateShard rebuilds the shard's offline instance from its records and
 // checks its executed trace against the exact validator. Per-shard local IDs
 // are dense and release-ordered, so they coincide with instance indices.
+// modelJob is a record's job as the offline model takes it.
+func modelJob(j shardlink.Job) model.Job {
+	m := model.Job{Name: j.Name, Release: j.Release.Rat(), Weight: j.Weight.Rat(), Size: j.Size.Rat(),
+		Databanks: j.Databanks, Tenant: j.Tenant, SLAClass: j.SLAClass}
+	if j.Deadline.Sign() != 0 {
+		m.Deadline = j.Deadline.Rat()
+	}
+	return m
+}
+
 func validateShard(t *testing.T, sh *shard) {
 	t.Helper()
 	sh.mu.Lock()
@@ -610,7 +621,7 @@ func validateShard(t *testing.T, sh *shard) {
 		if rec == nil {
 			t.Fatalf("shard %d: record %d compacted; validateShard needs full history", sh.idx, i)
 		}
-		jobs[i] = rec.Job.Clone()
+		jobs[i] = modelJob(rec.Job)
 	}
 	pieces := append([]schedule.Piece(nil), sh.eng.Schedule().Pieces...)
 	machines := sh.machines
@@ -669,7 +680,7 @@ func validateServer(t *testing.T, srv *Server) {
 			if rec.Stolen {
 				continue // counted at its birth shard
 			}
-			jobs = append(jobs, gidJob{gid: rec.GID, job: rec.Job.Clone()})
+			jobs = append(jobs, gidJob{gid: rec.GID, job: modelJob(rec.Job)})
 		}
 		for k := range sh.eng.Schedule().Pieces {
 			pc := &sh.eng.Schedule().Pieces[k]

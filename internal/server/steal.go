@@ -109,7 +109,7 @@ func (s *Server) migrate(donor *shard, ex shardlink.ExtractArgs, reason string, 
 	}
 	for _, dest := range dests {
 		jobs := share[dest]
-		ad, aerr := dest.link.AdmitMigrated(shardlink.AdmitArgs{Jobs: jobs, Reason: reason, From: rep.From, At: copyRat(rep.At)})
+		ad, aerr := dest.link.AdmitMigrated(shardlink.AdmitArgs{Jobs: jobs, Reason: reason, From: rep.From, At: rep.At})
 		refused := aerr != nil || !ad.Accepted || len(ad.Locals) != len(jobs)
 		if !refused {
 			// Forwarding entries land before the donor commits: between the
@@ -176,7 +176,7 @@ func (pl *placement) pick(mj *shardlink.MigratedJob) *shard {
 			"job %d migrated to stalled shard %d (no healthy shard hosts databanks %v): %s",
 			mj.GID, dest.sh.idx, mj.Databanks, dest.Err)
 	}
-	dest.Backlog.Add(dest.Backlog, mj.Size)
+	dest.Backlog = dest.Backlog.Add(mj.Size)
 	return dest.sh
 }
 

@@ -2,11 +2,11 @@ package server
 
 import (
 	"io"
-	"math/big"
 	"strconv"
 	"sync"
 	"time"
 
+	"divflow/internal/exact"
 	"divflow/internal/obs"
 	"divflow/internal/shardlink"
 	"divflow/internal/stats"
@@ -140,13 +140,7 @@ var tenantSeries = []series[shardlink.TenantTotals]{
 	{"divflow_tenant_completed_total", "Jobs completed, by tenant (fleet-wide; untracked traffic absent).", false,
 		func(t *shardlink.TenantTotals) float64 { return float64(t.Completed) }},
 	{"divflow_tenant_backlog_work", "Residual work, by tenant (fleet-wide float approximation of the exact rational).", true,
-		func(t *shardlink.TenantTotals) float64 {
-			if t.Backlog == nil {
-				return 0
-			}
-			f, _ := t.Backlog.Float64()
-			return f
-		}},
+		func(t *shardlink.TenantTotals) float64 { return t.Backlog.Float64() }},
 }
 
 // registerSeries registers every row's family under the given label (none for
@@ -320,17 +314,17 @@ func (o *shardObs) sinceSeconds(start time.Time) float64 {
 	return time.Since(start).Seconds()
 }
 
-// event journals one event of this shard. Callers hold the shard's mu (the
-// generation field is read under it); vtime may be nil.
+// event journals one event of this shard, at the virtual time at when one is
+// given. Callers hold the shard's mu (the generation field is read under it).
 //
 //divflow:locks requires=shard
-func (o *shardObs) event(typ string, gid int, vtime *big.Rat, detail string) {
+func (o *shardObs) event(typ string, gid int, detail string, at ...exact.Q) {
 	if !o.on() {
 		return
 	}
 	e := obs.Event{Type: typ, Shard: o.sh.idx, Gen: o.sh.gen, GID: gid, Detail: detail}
-	if vtime != nil {
-		e.VTime = vtime.RatString()
+	if len(at) > 0 {
+		e.VTime = at[0].String()
 	}
 	o.tel.journal.Append(e)
 }
@@ -345,7 +339,7 @@ func (o *shardObs) ObserveSolve(wall time.Duration, solver stats.SolverTally) {
 	}
 	path := solvePath(solver)
 	o.tel.solveSeconds.With(o.label, path).Observe(wall.Seconds())
-	o.event(obs.EventSolve, -1, o.sh.eng.Now(), path)
+	o.event(obs.EventSolve, -1, path, o.sh.eng.Now())
 }
 
 // ObserveCacheHit implements sim.MWFObserver: one decision point served from
@@ -356,7 +350,7 @@ func (o *shardObs) ObserveCacheHit() {
 	if !o.on() {
 		return
 	}
-	o.event(obs.EventPlanCacheHit, -1, o.sh.eng.Now(), "")
+	o.event(obs.EventPlanCacheHit, -1, "", o.sh.eng.Now())
 }
 
 // collectMetrics projects the fleet read onto the scrape-time families —

@@ -64,7 +64,7 @@ func (w *workerRPC) Install(args *shardlink.InstallArgs, _ *shardlink.InstallRep
 	// processes measure the shared virtual timeline from the same epoch
 	// (modulo the install round-trip, which only shifts release stamps by
 	// real network latency — exactly what a distributed deployment means).
-	sh, err := buildShard(nil, args, NewRealClockAt(args.Now), nil)
+	sh, err := buildShard(nil, args, NewRealClockAt(args.Now.Rat()), nil)
 	if err != nil {
 		return fmt.Errorf("server: install: %w", err)
 	}

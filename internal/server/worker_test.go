@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/shardlink"
 )
@@ -45,7 +46,7 @@ func TestWorkerInstallRejectsBadSpec(t *testing.T) {
 				},
 				MachineIdx: []int{1, 3},
 			},
-			Now: rat(5, 1),
+			Now: exact.Int(5),
 		}
 	}
 	install := func(args shardlink.InstallArgs) error {
@@ -81,7 +82,7 @@ func TestWorkerInstallRejectsBadSpec(t *testing.T) {
 		t.Fatalf("sound Install: %v", err)
 	}
 	var ri shardlink.RouteInfoReply
-	if err := client.Call("Shard3.RouteInfo", &shardlink.RouteInfoArgs{}, &ri); err != nil || ri.Backlog == nil || ri.Backlog.Sign() != 0 {
+	if err := client.Call("Shard3.RouteInfo", &shardlink.RouteInfoArgs{}, &ri); err != nil || ri.Backlog.Sign() != 0 {
 		t.Errorf("installed shard's RouteInfo = %+v, %v; want a zero backlog", ri, err)
 	}
 	if err := install(sound()); err == nil || !strings.Contains(err.Error(), "already hosts shard 3") {

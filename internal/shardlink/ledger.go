@@ -1,8 +1,7 @@
 package shardlink
 
 import (
-	"math/big"
-
+	"divflow/internal/exact"
 	"divflow/internal/obs"
 	"divflow/internal/stats"
 )
@@ -10,37 +9,39 @@ import (
 // The ledger: what a shard counts. Each thing has one struct here, held by
 // the shard, embedded in the snapshot document (the JSON names are the
 // snapshot's) and carried whole by StatsSnapshot; every other holder copies
-// it with Clone and every fleet-wide figure comes from Merge. A rational or
-// histogram that is nil counts as zero / empty.
+// it with Clone and every fleet-wide figure comes from Merge. The rationals
+// are exact.Q values, so a copy shares none that can change; a zero one left
+// out of a document reads back as the zero it was. The few a document writes
+// even at zero, and leaves out only while unset, are pointers to values that
+// nothing writes through. A histogram that is nil counts as empty.
 
 // FlowTotals is the completed-job ledger the paper's objective is read off:
 // Σ (C_j − r_j), max w_j (C_j − r_j) and max stretch over every job that
 // finished, accumulated at completion time so compaction can forget the
 // records without losing the all-time aggregates.
 type FlowTotals struct {
-	DoneCount  int      `json:"doneCount,omitempty"`
-	FlowSum    *big.Rat `json:"flowSum,omitempty"`
-	MaxWF      *big.Rat `json:"maxWF,omitempty"`
-	MaxStretch *big.Rat `json:"maxStretch,omitempty"`
+	DoneCount  int     `json:"doneCount,omitempty"`
+	FlowSum    exact.Q `json:"flowSum"`
+	MaxWF      exact.Q `json:"maxWF,omitzero"`
+	MaxStretch exact.Q `json:"maxStretch,omitzero"`
 	// Flow is the completed-flow histogram backing the P95 estimate. The live
 	// counts sit in the shard's exported histogram; a copy of the ledger
 	// (snapshot, stats read) carries them here, nil while nothing completed.
 	Flow *obs.HistogramSnapshot `json:"flow,omitempty"`
 }
 
-// Clone returns t sharing no rational and no histogram counts with it.
+// Clone returns t sharing no histogram counts with it.
 func (t FlowTotals) Clone() FlowTotals {
-	var c FlowTotals
-	c.Merge(t)
-	return c
+	t.Flow = mergeHist(nil, t.Flow)
+	return t
 }
 
 // Merge folds another shard's completed jobs (or one more completion) into t.
 func (t *FlowTotals) Merge(o FlowTotals) {
 	t.DoneCount += o.DoneCount
-	t.FlowSum = addRat(t.FlowSum, o.FlowSum)
-	t.MaxWF = maxRat(t.MaxWF, o.MaxWF)
-	t.MaxStretch = maxRat(t.MaxStretch, o.MaxStretch)
+	t.FlowSum = t.FlowSum.Add(o.FlowSum)
+	t.MaxWF = maxQ(t.MaxWF, o.MaxWF)
+	t.MaxStretch = maxQ(t.MaxStretch, o.MaxStretch)
 	t.Flow = mergeHist(t.Flow, o.Flow)
 }
 
@@ -57,13 +58,15 @@ type ShardTotals struct {
 
 	FlowTotals
 
-	LastCompact   *big.Rat `json:"lastCompact,omitempty"` // horizon of the last compaction
+	// LastCompact is the horizon of the last compaction: zero on a shard
+	// with retention until its first one, unset on a shard without.
+	LastCompact   *exact.Q `json:"lastCompact,omitempty"`
 	CompactedJobs int      `json:"compactedJobs,omitempty"`
 	// MakespanHW is the high-water mark of the executed trace's makespan,
-	// folded in before every compaction: Engine.Compact drops old pieces, so
-	// the makespan recomputed from the retained trace alone would move
-	// backwards (to zero once everything is compacted).
-	MakespanHW *big.Rat `json:"makespanHW,omitempty"`
+	// folded in before every compaction (unset until the first): Engine.Compact
+	// drops old pieces, so the makespan recomputed from the retained trace
+	// alone would move backwards (to zero once everything is compacted).
+	MakespanHW *exact.Q `json:"makespanHW,omitempty"`
 
 	// Panics counts loop panics the supervisor caught; Restarts in-place
 	// rebuilds by the -restart-stalled supervisor.
@@ -72,7 +75,7 @@ type ShardTotals struct {
 
 	// Frozen* capture the last engine-derived stats before a retired shard's
 	// engine is released, so /v1/stats keeps reporting its history.
-	FrozenNow       *big.Rat          `json:"frozenNow,omitempty"`
+	FrozenNow       exact.Q           `json:"frozenNow,omitzero"`
 	FrozenCompleted int               `json:"frozenCompleted,omitempty"`
 	FrozenDecisions int               `json:"frozenDecisions,omitempty"`
 	FrozenAccepted  int               `json:"frozenAccepted,omitempty"`
@@ -81,12 +84,11 @@ type ShardTotals struct {
 	FrozenSolver    stats.SolverTally `json:"frozenSolver,omitempty"`
 }
 
-// Clone returns t sharing no rational and no histogram counts with it: a
-// snapshot is marshaled, and a stats reply shipped, after the shard's mu is
-// released, while the loop keeps adding into the live totals.
+// Clone returns t sharing no histogram counts with it: a snapshot is
+// marshaled, and a stats reply shipped, after the shard's mu is released,
+// while the loop keeps adding into the live totals.
 func (t ShardTotals) Clone() ShardTotals {
 	t.FlowTotals = t.FlowTotals.Clone()
-	t.LastCompact, t.MakespanHW, t.FrozenNow = addRat(nil, t.LastCompact), addRat(nil, t.MakespanHW), addRat(nil, t.FrozenNow)
 	return t
 }
 
@@ -95,11 +97,13 @@ func (t ShardTotals) Clone() ShardTotals {
 type TenantTotals struct {
 	// Submitted counts birth submissions (migrations excluded, so the fleet
 	// sum sees every job once), Completed completions on this shard; FlowSum
-	// and MaxWF aggregate those as FlowTotals does.
+	// and MaxWF aggregate those as FlowTotals does. Every entry the shard
+	// keeps has a FlowSum, zero until a completion; a copy that names a tenant
+	// only for its backlog here has none, and the document leaves it out.
 	Submitted int      `json:"submitted,omitempty"`
 	Completed int      `json:"completed,omitempty"`
-	FlowSum   *big.Rat `json:"flowSum,omitempty"`
-	MaxWF     *big.Rat `json:"maxWF,omitempty"`
+	FlowSum   *exact.Q `json:"flowSum,omitempty"`
+	MaxWF     exact.Q  `json:"maxWF,omitzero"`
 	// ByClass counts birth submissions per SLA class.
 	ByClass map[string]int `json:"byClass,omitempty"`
 	// WFlow is the tenant's weighted-flow histogram (the per-tenant P95) and
@@ -107,10 +111,10 @@ type TenantTotals struct {
 	// the exported histogram, the routing-side backlog split — and a copy of
 	// the ledger carries them here.
 	WFlow   *obs.HistogramSnapshot `json:"wflow,omitempty"`
-	Backlog *big.Rat               `json:"backlog,omitempty"`
+	Backlog exact.Q                `json:"backlog,omitzero"`
 }
 
-// Clone returns t sharing no rational, map or histogram counts with it.
+// Clone returns t sharing no map or histogram counts with it.
 func (t TenantTotals) Clone() TenantTotals {
 	var c TenantTotals
 	c.Merge(t)
@@ -122,8 +126,14 @@ func (t TenantTotals) Clone() TenantTotals {
 func (t *TenantTotals) Merge(o TenantTotals) {
 	t.Submitted += o.Submitted
 	t.Completed += o.Completed
-	t.FlowSum = addRat(t.FlowSum, o.FlowSum)
-	t.MaxWF = maxRat(t.MaxWF, o.MaxWF)
+	if o.FlowSum != nil {
+		sum := *o.FlowSum
+		if t.FlowSum != nil {
+			sum = t.FlowSum.Add(sum)
+		}
+		t.FlowSum = &sum
+	}
+	t.MaxWF = maxQ(t.MaxWF, o.MaxWF)
 	if len(o.ByClass) > 0 && t.ByClass == nil {
 		t.ByClass = make(map[string]int, len(o.ByClass))
 	}
@@ -131,7 +141,7 @@ func (t *TenantTotals) Merge(o TenantTotals) {
 		t.ByClass[class] += n
 	}
 	t.WFlow = mergeHist(t.WFlow, o.WFlow)
-	t.Backlog = addRat(t.Backlog, o.Backlog)
+	t.Backlog = t.Backlog.Add(o.Backlog)
 }
 
 // TenantLedger is a shard's (or the fleet's) tenant accounting, keyed by
@@ -155,24 +165,12 @@ func (l TenantLedger) Merge(o TenantLedger) {
 	}
 }
 
-// addRat returns dst + src in a rational the caller owns: dst itself once it
-// exists, else a fresh copy of src (nil when both are).
-func addRat(dst, src *big.Rat) *big.Rat {
-	if src == nil {
-		return dst
+// maxQ returns the larger of the two.
+func maxQ(a, b exact.Q) exact.Q {
+	if b.Cmp(a) > 0 {
+		return b
 	}
-	if dst == nil {
-		return new(big.Rat).Set(src)
-	}
-	return dst.Add(dst, src)
-}
-
-// maxRat returns the larger of the two in a rational the caller owns.
-func maxRat(dst, src *big.Rat) *big.Rat {
-	if src == nil || (dst != nil && dst.Cmp(src) >= 0) {
-		return dst
-	}
-	return new(big.Rat).Set(src)
+	return a
 }
 
 // mergeHist folds src's counts into dst, allocating it on first use.

@@ -2,22 +2,30 @@ package shardlink
 
 import (
 	"encoding/json"
-	"math/big"
 	"math/rand"
 	"testing"
 
+	"divflow/internal/exact"
 	"divflow/internal/obs"
 )
 
 // Random ledgers: every optional part (a rational, the histogram, the class
-// map, a whole tenant) is sometimes absent, since nil-means-zero is the part
-// of the contract a hand copy gets wrong.
+// map, a whole tenant) is sometimes absent, since absent-means-zero is the
+// part of the contract a hand copy gets wrong.
 
-func randRat(rng *rand.Rand) *big.Rat {
+func randQ(rng *rand.Rand) exact.Q {
+	if rng.Intn(4) == 0 {
+		return exact.Q{}
+	}
+	return exact.New(rng.Int63n(50), 1+rng.Int63n(7))
+}
+
+func randOpt(rng *rand.Rand) *exact.Q {
 	if rng.Intn(4) == 0 {
 		return nil
 	}
-	return big.NewRat(rng.Int63n(50), 1+rng.Int63n(7))
+	q := randQ(rng)
+	return &q
 }
 
 func randHist(rng *rand.Rand) *obs.HistogramSnapshot {
@@ -33,12 +41,12 @@ func randHist(rng *rand.Rand) *obs.HistogramSnapshot {
 }
 
 func randFlow(rng *rand.Rand) FlowTotals {
-	return FlowTotals{DoneCount: rng.Intn(9), FlowSum: randRat(rng), MaxWF: randRat(rng), MaxStretch: randRat(rng), Flow: randHist(rng)}
+	return FlowTotals{DoneCount: rng.Intn(9), FlowSum: randQ(rng), MaxWF: randQ(rng), MaxStretch: randQ(rng), Flow: randHist(rng)}
 }
 
 func randTenant(rng *rand.Rand) *TenantTotals {
-	t := &TenantTotals{Submitted: rng.Intn(9), Completed: rng.Intn(9), FlowSum: randRat(rng), MaxWF: randRat(rng),
-		WFlow: randHist(rng), Backlog: randRat(rng)}
+	t := &TenantTotals{Submitted: rng.Intn(9), Completed: rng.Intn(9), FlowSum: randOpt(rng), MaxWF: randQ(rng),
+		WFlow: randHist(rng), Backlog: randQ(rng)}
 	for _, class := range []string{"", "batch", "premium"} {
 		if rng.Intn(2) == 0 {
 			if t.ByClass == nil {
@@ -62,7 +70,7 @@ func randLedger(rng *rand.Rand) TenantLedger {
 
 func randTotals(rng *rand.Rand) ShardTotals {
 	return ShardTotals{ArrivalBatches: rng.Intn(9), StolenIn: rng.Intn(9), FlowTotals: randFlow(rng),
-		LastCompact: randRat(rng), MakespanHW: randRat(rng), FrozenNow: randRat(rng)}
+		LastCompact: randOpt(rng), MakespanHW: randOpt(rng), FrozenNow: randQ(rng)}
 }
 
 // written is the ledger as a snapshot would write it — the comparison that
@@ -77,15 +85,8 @@ func written(t *testing.T, v any) string {
 }
 
 // The scribble helpers overwrite, in place, everything a copy could share
-// with its source: every rational, every histogram slot, every map entry.
-func scribbleRats(rs ...*big.Rat) {
-	for _, r := range rs {
-		if r != nil {
-			r.Add(r, big.NewRat(1000, 1))
-		}
-	}
-}
-
+// with its source: every histogram slot, every map entry. The rationals are
+// values, and nothing writes through the one optional flow sum.
 func scribbleHist(h *obs.HistogramSnapshot) {
 	if h != nil {
 		for i := range h.Counts {
@@ -95,12 +96,10 @@ func scribbleHist(h *obs.HistogramSnapshot) {
 }
 
 func scribbleFlow(f *FlowTotals) {
-	scribbleRats(f.FlowSum, f.MaxWF, f.MaxStretch)
 	scribbleHist(f.Flow)
 }
 
 func scribbleTenant(tt *TenantTotals) {
-	scribbleRats(tt.FlowSum, tt.MaxWF, tt.Backlog)
 	scribbleHist(tt.WFlow)
 	for class := range tt.ByClass {
 		tt.ByClass[class] += 1000
@@ -108,7 +107,7 @@ func scribbleTenant(tt *TenantTotals) {
 }
 
 // TestLedgerCloneSharesNothing: scribbling over a clone leaves the source as
-// it was — no *big.Rat, map or histogram slot is common to the two.
+// it was — no map or histogram slot is common to the two.
 func TestLedgerCloneSharesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for i := 0; i < 200; i++ {
@@ -120,7 +119,6 @@ func TestLedgerCloneSharesNothing(t *testing.T) {
 			t.Fatalf("ShardTotals.Clone wrote %s, the source %s", got, written(t, totals))
 		}
 		scribbleFlow(&tc.FlowTotals)
-		scribbleRats(tc.LastCompact, tc.MakespanHW, tc.FrozenNow)
 
 		lc := ledger.Clone()
 		if got := written(t, lc); got != written(t, ledger) {

@@ -4,13 +4,13 @@
 // package's link carries them over two transports pinned equivalent by the
 // trace-exact test suite — in process, calling the shard's handlers
 // directly, and net/rpc, running the same handlers behind a loopback pipe or
-// a worker's socket and serializing every message with gob (exact rationals
-// included: big.Rat gob-encodes losslessly), so a shard can live in another
-// process (divflowd -worker).
+// a worker's socket and serializing every message with gob, so a shard can
+// live in another process (divflowd -worker).
 //
 // The message set is deliberately closed over wire-safe types: exact
-// rationals (*big.Rat), the model wire structs, schedule pieces, and
-// histogram snapshots all cross process boundaries without rounding. A link
+// rationals (exact.Q values, which gob and JSON carry as the exact "n/d" text
+// a *big.Rat writes), the model wire structs, schedule pieces, and histogram
+// snapshots all cross process boundaries without rounding. A link
 // is pinned to one shard at construction, so a transport handler can address
 // (and lock) only its own shard; a migration names its donor by creation
 // index for the destination's journal alone. The analysis suite enforces
@@ -20,8 +20,7 @@
 package shardlink
 
 import (
-	"math/big"
-
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 )
@@ -97,17 +96,17 @@ type JobStatusReply struct {
 }
 
 // ScheduleArgs windows the shard's executed trace to pieces ending after
-// Since (nil keeps everything).
+// Since (zero keeps everything: no piece ends at time zero).
 type ScheduleArgs struct {
-	Since *big.Rat
+	Since exact.Q
 }
 
 // ScheduleReply is one shard's deep-copied trace window, with machine
 // indices and job IDs already translated to fleet/global space.
 type ScheduleReply struct {
 	Pieces   []schedule.Piece
-	Now      *big.Rat
-	Makespan *big.Rat
+	Now      exact.Q
+	Makespan exact.Q
 }
 
 // StatsArgs requests the shard's stats snapshot.
@@ -119,7 +118,7 @@ type StatsArgs struct{}
 // crosses the RPC transport intact.
 type StatsSnapshot struct {
 	Wire model.ShardStats
-	Now  *big.Rat
+	Now  exact.Q
 	// Totals is the shard's scalar ledger; the router merges its FlowTotals
 	// into the fleet-wide flow summaries and P95.
 	Totals ShardTotals
@@ -139,12 +138,12 @@ type RouteInfoArgs struct{}
 // healthy). Shard-side it is served off a dedicated mutex, so routing never
 // waits behind an in-flight exact solve.
 type RouteInfoReply struct {
-	Backlog *big.Rat
+	Backlog exact.Q
 	Err     string
 	// TenantBacklog is the shard's exact residual work per tenant (zero
 	// backlogs omitted): the router sums it across shards for the
 	// weighted-fairness quota check on the submit path.
-	TenantBacklog map[string]*big.Rat
+	TenantBacklog map[string]exact.Q
 }
 
 // PokeArgs wakes the shard's loop if it is sleeping (steal re-check,
@@ -154,6 +153,31 @@ type PokeArgs struct{}
 // PokeReply is empty.
 type PokeReply struct{}
 
+// Job is a job as a shard holds it: model.Job's fields, its rationals exact.Q
+// values. The JSON names, order and omissions are model.Job's, so a record or
+// message carrying a Job writes exactly the bytes one carrying a model.Job
+// did. On a shard Size and Weight are positive and a zero Deadline is none.
+type Job struct {
+	Name      string   `json:"name,omitempty"`
+	Release   exact.Q  `json:"release"`
+	Weight    exact.Q  `json:"weight"`
+	Size      exact.Q  `json:"size,omitzero"`
+	Databanks []string `json:"databanks,omitempty"`
+	Deadline  exact.Q  `json:"deadline,omitzero"`
+	Tenant    string   `json:"tenant,omitempty"`
+	SLAClass  string   `json:"slaClass,omitempty"`
+}
+
+// JobOf converts a submitted job, once, where it enters a shard. The
+// databank list is shared: nothing writes to it.
+func JobOf(j model.Job) Job {
+	return Job{
+		Name: j.Name, Release: exact.FromRat(j.Release), Weight: exact.FromRat(j.Weight),
+		Size: exact.FromRat(j.Size), Databanks: j.Databanks, Deadline: exact.FromRat(j.Deadline),
+		Tenant: j.Tenant, SLAClass: j.SLAClass,
+	}
+}
+
 // MigratedJob is one job crossing the boundary in a migration: the job itself
 // (original flow origin and SLA fields included — a migrated deadline still
 // binds, and tenant accounting follows the work), the global ID it keeps, the
@@ -161,11 +185,11 @@ type PokeReply struct{}
 // phases key on. The JSON names are the write-ahead log's: the destination
 // logs the adoption message as it received it.
 type MigratedJob struct {
-	FromLocal int      `json:"fromLocal"`           // donor-side local slot (reserve bookkeeping)
-	GID       int      `json:"gid"`                 // wire-visible global ID; survives the move
-	Remaining *big.Rat `json:"remaining,omitempty"` // exact unprocessed fraction at extraction; nil = whole
-	Counted   bool     `json:"counted,omitempty"`   // arrival statistics already counted this job somewhere
-	model.Job
+	FromLocal int     `json:"fromLocal"`          // donor-side local slot (reserve bookkeeping)
+	GID       int     `json:"gid"`                // wire-visible global ID; survives the move
+	Remaining exact.Q `json:"remaining,omitzero"` // exact unprocessed fraction at extraction; zero = whole
+	Counted   bool    `json:"counted,omitempty"`  // arrival statistics already counted this job somewhere
+	Job
 }
 
 // ExtractArgs opens a migration against a donor shard. The donor reserves
@@ -190,7 +214,7 @@ type ExtractReply struct {
 	// extraction; both travel on to the destination so its journal names the
 	// donor and dates the move identically on every transport.
 	From int
-	At   *big.Rat
+	At   exact.Q
 }
 
 // AdmitArgs asks the destination shard to adopt extracted jobs. Reason
@@ -200,7 +224,7 @@ type AdmitArgs struct {
 	Jobs   []MigratedJob `json:"jobs"`
 	Reason string        `json:"reason"`
 	From   int           `json:"from"` // ExtractReply.From
-	At     *big.Rat      `json:"at"`   // ExtractReply.At
+	At     exact.Q       `json:"at"`   // ExtractReply.At
 }
 
 // AdmitReply reports adoption. Accepted=false (the destination retired or
@@ -260,9 +284,9 @@ type ShardSpec struct {
 type InstallArgs struct {
 	ShardSpec
 	Policy    string
-	Retention *big.Rat
-	Now       *big.Rat // router clock reading at install: the shared epoch
-	Admission string   // deadline-admission mode ("" defaults to strict)
+	Retention exact.Q // zero: keep everything
+	Now       exact.Q // router clock reading at install: the shared epoch
+	Admission string  // deadline-admission mode ("" defaults to strict)
 }
 
 // InstallReply is empty; installation errors travel as RPC errors.

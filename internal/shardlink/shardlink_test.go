@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"testing"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
 )
 
@@ -24,51 +25,52 @@ func roundTrip[T any](t *testing.T, v T) T {
 	return out
 }
 
-// sameRat is the exactness contract of the boundary for one rational field:
-// nil stays nil, and a non-nil value — the exact zero included — arrives
-// non-nil and equal. The router compares replies like RouteInfoReply.Backlog
-// unconditionally, so a transport that turned new(big.Rat) into nil would
-// crash it.
-func sameRat(t *testing.T, field string, got, want *big.Rat) {
+// sameQ is the exactness contract of the boundary for one rational field:
+// the value arrives equal, in the representation its size calls for — words
+// while it fits them, math/big past them.
+func sameQ(t *testing.T, field string, got, want exact.Q) {
 	t.Helper()
-	switch {
-	case want == nil && got != nil:
-		t.Errorf("%s: nil arrived as %s", field, got.RatString())
-	case want != nil && got == nil:
-		t.Errorf("%s: %s arrived as nil", field, want.RatString())
-	case want != nil && got.Cmp(want) != 0:
-		t.Errorf("%s: %s arrived as %s", field, want.RatString(), got.RatString())
+	if got.Cmp(want) != 0 || got.String() != want.String() || got.BitLen() != want.BitLen() {
+		t.Errorf("%s: %v arrived as %v", field, want, got)
 	}
 }
 
+// orZero reads an optional rational. gob sends no zero value, so a pointer to
+// zero arrives as none: the same zero to every reader.
+func orZero(q *exact.Q) exact.Q {
+	if q == nil {
+		return exact.Q{}
+	}
+	return *q
+}
+
 // TestMigrationMessagesSurviveGob round-trips every message of the migration
-// exchange, plus the routing key, with zero-valued, nil and non-trivial
-// rationals in every rational field.
+// exchange, plus the routing key and the stats snapshot, with zero, small,
+// negative and past-64-bit rationals in every rational field.
 func TestMigrationMessagesSurviveGob(t *testing.T) {
 	// A numerator and denominator past 64 bits: exactness is not a float's.
 	huge, _ := new(big.Rat).SetString("123456789012345678901234567890/987654321098765432109876543211")
 	// (2^128+1)/(2^128-1): both halves need a 129th bit.
 	wide, _ := new(big.Rat).SetString("340282366920938463463374607431768211457/340282366920938463463374607431768211455")
-	for name, r := range map[string]*big.Rat{
-		"wide":     wide,
-		"zero":     new(big.Rat),
-		"nil":      nil,
-		"third":    big.NewRat(1, 3),
-		"negative": big.NewRat(-7, 2),
-		"huge":     huge,
+	for name, r := range map[string]exact.Q{
+		"wide":     exact.FromRat(wide),
+		"zero":     {},
+		"third":    exact.New(1, 3),
+		"negative": exact.New(-7, 2),
+		"huge":     exact.FromRat(huge),
 	} {
 		t.Run(name, func(t *testing.T) {
-			job := MigratedJob{FromLocal: 4, GID: 9, Remaining: r, Counted: true, Job: model.Job{
+			job := MigratedJob{FromLocal: 4, GID: 9, Remaining: r, Counted: true, Job: Job{
 				Name: "blast", Weight: r, Size: r, Release: r, Databanks: []string{"swissprot", "pdb"},
 				Deadline: r, Tenant: "gold", SLAClass: "premium",
 			}}
 			checkJob := func(msg string, got MigratedJob) {
 				t.Helper()
-				sameRat(t, msg+".Weight", got.Weight, r)
-				sameRat(t, msg+".Size", got.Size, r)
-				sameRat(t, msg+".Release", got.Release, r)
-				sameRat(t, msg+".Remaining", got.Remaining, r)
-				sameRat(t, msg+".Deadline", got.Deadline, r)
+				sameQ(t, msg+".Weight", got.Weight, r)
+				sameQ(t, msg+".Size", got.Size, r)
+				sameQ(t, msg+".Release", got.Release, r)
+				sameQ(t, msg+".Remaining", got.Remaining, r)
+				sameQ(t, msg+".Deadline", got.Deadline, r)
 				if got.FromLocal != 4 || got.GID != 9 || got.Name != "blast" || !got.Counted ||
 					got.Tenant != "gold" || got.SLAClass != "premium" || len(got.Databanks) != 2 {
 					t.Errorf("%s: scalar fields arrived as %+v", msg, got)
@@ -77,55 +79,62 @@ func TestMigrationMessagesSurviveGob(t *testing.T) {
 			checkJob("MigratedJob", roundTrip(t, job))
 
 			ex := roundTrip(t, ExtractReply{Jobs: []MigratedJob{job, job}, From: 3, At: r})
-			sameRat(t, "ExtractReply.At", ex.At, r)
+			sameQ(t, "ExtractReply.At", ex.At, r)
 			if ex.From != 3 || len(ex.Jobs) != 2 {
 				t.Fatalf("ExtractReply arrived as %+v", ex)
 			}
 			checkJob("ExtractReply.Jobs[1]", ex.Jobs[1])
 
 			ad := roundTrip(t, AdmitArgs{Jobs: []MigratedJob{job}, Reason: "steal", From: 3, At: r})
-			sameRat(t, "AdmitArgs.At", ad.At, r)
+			sameQ(t, "AdmitArgs.At", ad.At, r)
 			if ad.From != 3 || ad.Reason != "steal" || len(ad.Jobs) != 1 {
 				t.Fatalf("AdmitArgs arrived as %+v", ad)
 			}
 			checkJob("AdmitArgs.Jobs[0]", ad.Jobs[0])
 
-			route := RouteInfoReply{Backlog: r, Err: "stalled"}
-			if r != nil { // the shard omits tenants without backlog; a map holds no nil
-				route.TenantBacklog = map[string]*big.Rat{"gold": r}
+			ri := roundTrip(t, RouteInfoReply{Backlog: r, Err: "stalled", TenantBacklog: map[string]exact.Q{"gold": r}})
+			sameQ(t, "RouteInfoReply.Backlog", ri.Backlog, r)
+			if b, ok := ri.TenantBacklog["gold"]; !ok {
+				t.Error("RouteInfoReply.TenantBacklog lost its entry")
+			} else {
+				sameQ(t, "RouteInfoReply.TenantBacklog[gold]", b, r)
 			}
-			ri := roundTrip(t, route)
-			sameRat(t, "RouteInfoReply.Backlog", ri.Backlog, r)
-			sameRat(t, "RouteInfoReply.TenantBacklog[gold]", ri.TenantBacklog["gold"], r)
 			if ri.Err != "stalled" {
 				t.Errorf("RouteInfoReply.Err arrived as %q", ri.Err)
 			}
 
-			// The stats snapshot carries the shard's ledger whole: a zero flow
-			// sum or backlog must arrive as the zero it was, not as nil.
+			sc := roundTrip(t, ScheduleReply{Now: r, Makespan: r})
+			sameQ(t, "ScheduleReply.Now", sc.Now, r)
+			sameQ(t, "ScheduleReply.Makespan", sc.Makespan, r)
+			sameQ(t, "ScheduleArgs.Since", roundTrip(t, ScheduleArgs{Since: r}).Since, r)
+			in := roundTrip(t, InstallArgs{Retention: r, Now: r})
+			sameQ(t, "InstallArgs.Retention", in.Retention, r)
+			sameQ(t, "InstallArgs.Now", in.Now, r)
+
+			// The stats snapshot carries the shard's ledger whole.
 			st := roundTrip(t, StatsSnapshot{
 				Wire: model.ShardStats{Shard: 2, Backlog: "0"}, Now: r,
-				Totals: ShardTotals{ArrivalBatches: 4, LastCompact: r, MakespanHW: r, FrozenNow: r,
+				Totals: ShardTotals{ArrivalBatches: 4, LastCompact: &r, MakespanHW: &r, FrozenNow: r,
 					FlowTotals: FlowTotals{DoneCount: 3, FlowSum: r, MaxWF: r, MaxStretch: r}},
 				Tenants: TenantLedger{"gold": {
-					Submitted: 2, Completed: 1, Backlog: r, FlowSum: r, MaxWF: r, ByClass: map[string]int{"premium": 2},
+					Submitted: 2, Completed: 1, Backlog: r, FlowSum: &r, MaxWF: r, ByClass: map[string]int{"premium": 2},
 				}},
 			})
-			sameRat(t, "StatsSnapshot.Now", st.Now, r)
-			sameRat(t, "ShardTotals.LastCompact", st.Totals.LastCompact, r)
-			sameRat(t, "ShardTotals.MakespanHW", st.Totals.MakespanHW, r)
-			sameRat(t, "ShardTotals.FrozenNow", st.Totals.FrozenNow, r)
-			sameRat(t, "FlowTotals.FlowSum", st.Totals.FlowSum, r)
-			sameRat(t, "FlowTotals.MaxWF", st.Totals.MaxWF, r)
-			sameRat(t, "FlowTotals.MaxStretch", st.Totals.MaxStretch, r)
+			sameQ(t, "StatsSnapshot.Now", st.Now, r)
+			sameQ(t, "ShardTotals.LastCompact", orZero(st.Totals.LastCompact), r)
+			sameQ(t, "ShardTotals.MakespanHW", orZero(st.Totals.MakespanHW), r)
+			sameQ(t, "ShardTotals.FrozenNow", st.Totals.FrozenNow, r)
+			sameQ(t, "FlowTotals.FlowSum", st.Totals.FlowSum, r)
+			sameQ(t, "FlowTotals.MaxWF", st.Totals.MaxWF, r)
+			sameQ(t, "FlowTotals.MaxStretch", st.Totals.MaxStretch, r)
 			gold, ok := st.Tenants["gold"]
 			if !ok || st.Wire.Shard != 2 || st.Totals.ArrivalBatches != 4 || st.Totals.DoneCount != 3 ||
 				gold.Submitted != 2 || gold.Completed != 1 || gold.ByClass["premium"] != 2 {
 				t.Fatalf("StatsSnapshot arrived as %+v", st)
 			}
-			sameRat(t, "TenantTotals.Backlog", gold.Backlog, r)
-			sameRat(t, "TenantTotals.FlowSum", gold.FlowSum, r)
-			sameRat(t, "TenantTotals.MaxWF", gold.MaxWF, r)
+			sameQ(t, "TenantTotals.Backlog", gold.Backlog, r)
+			sameQ(t, "TenantTotals.MaxWF", gold.MaxWF, r)
+			sameQ(t, "TenantTotals.FlowSum", orZero(gold.FlowSum), r)
 		})
 	}
 

@@ -1,41 +1,43 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+)
 
 // TestEngineCompact: history before the horizon disappears, live state and
 // counters survive, and the machine-piece extension logic keeps working
 // across a compaction boundary.
 func TestEngineCompact(t *testing.T) {
 	e := NewEngine(2, twoMachineCost, NewSRPT())
-	if err := e.Add(0, r(0, 1), r(1, 1), r(1, 1)); err != nil {
+	if err := e.Add(0, q(0, 1), q(1, 1), q(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Decide(); err != nil {
 		t.Fatal(err)
 	}
 	// Job 0 completes at 1/2 on the fast machine.
-	if _, err := e.AdvanceTo(r(1, 2)); err != nil {
+	if _, err := e.AdvanceTo(q(1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Decide(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Add(1, r(1, 2), r(1, 1), r(1, 1)); err != nil {
+	if err := e.Add(1, q(1, 2), q(1, 1), q(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Decide(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AdvanceTo(r(3, 4)); err != nil {
+	if _, err := e.AdvanceTo(q(3, 4)); err != nil {
 		t.Fatal(err)
 	}
 
 	before := len(e.Schedule().Pieces)
-	forgotten := e.Compact(r(1, 2))
+	forgotten := e.Compact(q(1, 2))
 	if len(forgotten) != 1 || forgotten[0] != 0 {
 		t.Fatalf("forgotten = %v, want [0]", forgotten)
 	}
-	if e.Completion(0) != nil {
+	if _, ok := e.Completion(0); ok {
 		t.Error("compacted job still has a completion time")
 	}
 	if e.CompletedCount() != 1 {
@@ -54,8 +56,8 @@ func TestEngineCompact(t *testing.T) {
 	// The live job must finish normally, with its in-flight piece still
 	// extending (compaction must have remapped the last-piece indices).
 	for e.Live() > 0 {
-		next := e.NextEvent()
-		if next == nil {
+		next, ok := e.NextEvent()
+		if !ok {
 			t.Fatal("engine stalled after compaction")
 		}
 		if _, err := e.AdvanceTo(next); err != nil {
@@ -65,7 +67,7 @@ func TestEngineCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.Completion(1) == nil {
+	if _, ok := e.Completion(1); !ok {
 		t.Fatal("job 1 never completed")
 	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/big"
 	"slices"
 	"sort"
 
@@ -26,9 +25,10 @@ type CostFunc func(machine, jobID int) (exact.Q, bool)
 //	t := e.NextEvent()                 // earliest completion/review time
 //	done, _ := e.AdvanceTo(t)          // execute the allocation until t
 //
-// All arithmetic is exact, on exact.Q; the exported methods take and return
-// *big.Rat and convert at the call. The trace the engine records passes the
-// same validator as the offline solvers' schedules once every job completes.
+// All arithmetic is exact, on exact.Q, and so is every method: times, weights,
+// sizes and fractions go in and come out as values. Only the executed trace
+// is *big.Rat (schedule.Piece), and it passes the same validator as the
+// offline solvers' schedules once every job completes.
 type Engine struct {
 	m      int
 	cost   CostFunc
@@ -79,7 +79,7 @@ func NewEngine(m int, cost CostFunc, p Policy) *Engine {
 }
 
 // Now returns the engine's current time.
-func (e *Engine) Now() *big.Rat { return e.now.Rat() }
+func (e *Engine) Now() exact.Q { return e.now }
 
 // Policy returns the policy the engine steps.
 func (e *Engine) Policy() Policy { return e.policy }
@@ -93,24 +93,24 @@ func (e *Engine) Live() int { return len(e.order) }
 // CompletedCount returns how many jobs have completed.
 func (e *Engine) CompletedCount() int { return e.completed }
 
-// Completion returns the completion time of a job, or nil when the job is
+// Completion returns the completion time of a job, ok=false when the job is
 // unknown or still live.
-func (e *Engine) Completion(id int) *big.Rat {
+func (e *Engine) Completion(id int) (exact.Q, bool) {
 	j := e.jobs[id]
 	if j == nil || !j.done {
-		return nil
+		return exact.Q{}, false
 	}
-	return j.completed.Rat()
+	return j.completed, true
 }
 
-// Remaining returns the unprocessed fraction of a job, or nil when the job is
-// unknown.
-func (e *Engine) Remaining(id int) *big.Rat {
+// Remaining returns the unprocessed fraction of a job, ok=false when the job
+// is unknown.
+func (e *Engine) Remaining(id int) (exact.Q, bool) {
 	j := e.jobs[id]
 	if j == nil {
-		return nil
+		return exact.Q{}, false
 	}
-	return j.remaining.Rat()
+	return j.remaining, true
 }
 
 // Schedule returns the executed trace. The pointer is live engine state:
@@ -118,34 +118,25 @@ func (e *Engine) Remaining(id int) *big.Rat {
 // without external synchronization.
 func (e *Engine) Schedule() *schedule.Schedule { return e.sched }
 
-// Add makes a job visible to the policy from the current time onward. The
-// release is the job's flow origin (it may precede the current time: flows
-// are measured from submission, not from admission); weight must be
-// positive; size may be nil for unsized jobs. The job must be eligible on at
+// Add makes a whole job visible to the policy from the current time onward.
+// The release is the job's flow origin (it may precede the current time:
+// flows are measured from submission, not from admission); weight must be
+// positive; a zero size is an unsized job. The job must be eligible on at
 // least one machine, and the ID must be new.
-func (e *Engine) Add(id int, release, weight, size *big.Rat) error {
-	return e.AddPartial(id, release, weight, size, nil)
+func (e *Engine) Add(id int, release, weight, size exact.Q) error {
+	return e.AddPartial(id, release, weight, size, exact.Int(1))
 }
 
 // AddPartial admits a job of which only the given fraction is left to
 // process — the admission path for jobs extracted from another engine with
-// Remove and migrated here. remaining must be in (0, 1]; nil means 1 (a
-// whole job, identical to Add). The release keeps the job's original flow
-// origin, so flow and stretch stay measured from first submission no matter
-// how many engines the job crosses.
-func (e *Engine) AddPartial(id int, release, weight, size, remaining *big.Rat) error {
-	if release == nil {
-		return fmt.Errorf("sim: job %d needs a release date >= 0", id)
+// Remove and migrated here. remaining must be in (0, 1]; zero reads as 1, a
+// whole job, as it does in the records that carry it. The release keeps the
+// job's original flow origin, so flow and stretch stay measured from first
+// submission no matter how many engines the job crosses.
+func (e *Engine) AddPartial(id int, release, weight, size, remaining exact.Q) error {
+	if remaining.Sign() == 0 {
+		remaining = exact.Int(1)
 	}
-	rem := exact.Int(1)
-	if remaining != nil {
-		rem = exact.FromRat(remaining)
-	}
-	return e.add(id, exact.FromRat(release), exact.FromRat(weight), exact.FromRat(size), rem)
-}
-
-// add is AddPartial on exact values; a zero size is an unsized job.
-func (e *Engine) add(id int, release, weight, size, remaining exact.Q) error {
 	if _, dup := e.jobs[id]; dup {
 		return fmt.Errorf("sim: duplicate job id %d", id)
 	}
@@ -155,7 +146,7 @@ func (e *Engine) add(id int, release, weight, size, remaining exact.Q) error {
 	if weight.Sign() <= 0 {
 		return fmt.Errorf("sim: job %d needs a weight > 0", id)
 	}
-	if remaining.Sign() <= 0 || remaining.Cmp(exact.Int(1)) > 0 {
+	if remaining.Sign() < 0 || remaining.Cmp(exact.Int(1)) > 0 {
 		return fmt.Errorf("sim: job %d needs remaining in (0, 1], got %v", id, remaining)
 	}
 	eligible := false
@@ -193,12 +184,13 @@ func (e *Engine) before(a, b int) bool {
 // the current time, or the piece a machine is still extending would be
 // split. After compaction the executed trace no longer accounts for the
 // forgotten jobs' work, so it only validates against the retained window.
-func (e *Engine) Compact(horizon *big.Rat) []int {
+func (e *Engine) Compact(horizon exact.Q) []int {
+	h := horizon.Rat()
 	keep := e.sched.Pieces[:0]
 	remap := make(map[int]int, len(e.lastPiece))
 	for k := range e.sched.Pieces {
 		pc := &e.sched.Pieces[k]
-		if pc.End.Cmp(horizon) <= 0 {
+		if pc.End.Cmp(h) <= 0 {
 			continue
 		}
 		remap[k] = len(keep)
@@ -219,10 +211,9 @@ func (e *Engine) Compact(horizon *big.Rat) []int {
 			e.lastPiece[i] = -1
 		}
 	}
-	h := exact.FromRat(horizon)
 	var forgotten []int
 	for id, j := range e.jobs {
-		if j.done && j.completed.Cmp(h) <= 0 {
+		if j.done && j.completed.Cmp(horizon) <= 0 {
 			forgotten = append(forgotten, id)
 			delete(e.jobs, id)
 		}
@@ -235,10 +226,10 @@ func (e *Engine) Compact(horizon *big.Rat) []int {
 // at removal time. Feeding it to another engine's AddPartial migrates the
 // job without losing or duplicating any work.
 type RemovedJob struct {
-	Release   *big.Rat
-	Weight    *big.Rat
-	Size      *big.Rat // nil when unsized
-	Remaining *big.Rat
+	Release   exact.Q
+	Weight    exact.Q
+	Size      exact.Q // zero when unsized
+	Remaining exact.Q
 }
 
 // PlanInvalidator is implemented by policies whose cached plan is keyed to
@@ -276,25 +267,11 @@ func (e *Engine) Remove(id int) (*RemovedJob, error) {
 		inv.InvalidatePlan()
 	}
 	e.migrations++
-	return &RemovedJob{
-		Release:   j.release.Rat(),
-		Weight:    j.weight.Rat(),
-		Size:      ratOrNil(j.size),
-		Remaining: j.remaining.Rat(),
-	}, nil
+	return &RemovedJob{Release: j.release, Weight: j.weight, Size: j.size, Remaining: j.remaining}, nil
 }
 
 // Migrations returns how many live jobs have been extracted with Remove.
 func (e *Engine) Migrations() int { return e.migrations }
-
-// ratOrNil returns x over math/big, or nil for zero: the engine's unsized job
-// and absent review point at its *big.Rat edges.
-func ratOrNil(x exact.Q) *big.Rat {
-	if x.Sign() == 0 {
-		return nil
-	}
-	return x.Rat()
-}
 
 // Snapshot builds the policy-visible view of the current state: the live jobs
 // in (release, ID) order, at the engine's current time. A caller that needs
@@ -336,20 +313,12 @@ func (e *Engine) Decide() error {
 
 // NextEvent returns the earliest time strictly after now at which the
 // current allocation produces an event — a job completion or the policy's
-// requested review point — or nil when nothing is pending (idle machines
-// and no review). The caller decides how far to AdvanceTo, folding in any
-// external events (releases, submissions) it knows about.
-func (e *Engine) NextEvent() *big.Rat {
-	if t, ok := e.nextEvent(); ok {
-		return t.Rat()
-	}
-	return nil
-}
-
-// nextEvent is NextEvent on exact values, ok=false when nothing is pending.
-// A job the allocation runs completes at now + remaining / Σ 1/c_{i,j}, the
-// sum over the machines working on it.
-func (e *Engine) nextEvent() (next exact.Q, ok bool) {
+// requested review point — with ok=false when nothing is pending (idle
+// machines and no review). The caller decides how far to AdvanceTo, folding
+// in any external events (releases, submissions) it knows about. A job the
+// allocation runs completes at now + remaining / Σ 1/c_{i,j}, the sum over
+// the machines working on it.
+func (e *Engine) NextEvent() (next exact.Q, ok bool) {
 	if !e.haveAlloc {
 		return next, false
 	}
@@ -376,12 +345,9 @@ func (e *Engine) nextEvent() (next exact.Q, ok bool) {
 // schedule pieces, consuming work, and completing jobs that reach zero
 // remaining fraction. It returns the IDs of jobs that completed at t. The
 // target must not move backwards nor overshoot a pending completion
-// (callers advance to min(NextEvent, external event)).
-func (e *Engine) AdvanceTo(t *big.Rat) ([]int, error) { return e.advanceTo(exact.FromRat(t)) }
-
-// advanceTo is AdvanceTo on exact values. The trace stays in *big.Rat: each
-// piece written or extended converts its new bounds once.
-func (e *Engine) advanceTo(t exact.Q) ([]int, error) {
+// (callers advance to min(NextEvent, external event)). The trace stays in
+// *big.Rat: each piece written or extended converts its new bounds once.
+func (e *Engine) AdvanceTo(t exact.Q) ([]int, error) {
 	cmp := t.Cmp(e.now)
 	if cmp < 0 {
 		return nil, fmt.Errorf("sim: time moved backwards: %v -> %v", e.now, t)

@@ -21,22 +21,22 @@ func TestEngineOpenWorldArrivals(t *testing.T) {
 	// The engine accepts jobs the closed-world Run never could: arrivals
 	// decided upon mid-flight, with flow origins before the current time.
 	e := NewEngine(2, twoMachineCost, NewSRPT())
-	if err := e.Add(0, r(0, 1), r(1, 1), r(1, 1)); err != nil {
+	if err := e.Add(0, q(0, 1), q(1, 1), q(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Decide(); err != nil {
 		t.Fatal(err)
 	}
-	next := e.NextEvent()
-	if next == nil || next.Cmp(r(1, 2)) != 0 {
+	next, ok := e.NextEvent()
+	if !ok || next.Cmp(q(1, 2)) != 0 {
 		t.Fatalf("next event = %v, want 1/2 (job on the fast machine)", next)
 	}
 	// Advance only half way to the completion, then admit a second job
 	// whose origin (release) is in the past.
-	if _, err := e.AdvanceTo(r(1, 4)); err != nil {
+	if _, err := e.AdvanceTo(q(1, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Add(7, r(1, 8), r(1, 1), r(1, 1)); err != nil {
+	if err := e.Add(7, q(1, 8), q(1, 1), q(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Decide(); err != nil {
@@ -47,8 +47,8 @@ func TestEngineOpenWorldArrivals(t *testing.T) {
 	}
 	// Drive to quiescence.
 	for e.CompletedCount() < 2 {
-		next := e.NextEvent()
-		if next == nil {
+		next, ok := e.NextEvent()
+		if !ok {
 			t.Fatal("engine stalled")
 		}
 		if _, err := e.AdvanceTo(next); err != nil {
@@ -58,32 +58,32 @@ func TestEngineOpenWorldArrivals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c := e.Completion(7); c == nil || c.Sign() <= 0 {
+	if c, ok := e.Completion(7); !ok || c.Sign() <= 0 {
 		t.Fatalf("completion of job 7 = %v", c)
 	}
-	if e.Remaining(0).Sign() != 0 {
-		t.Fatalf("job 0 remaining = %v, want 0", e.Remaining(0))
+	if rem, _ := e.Remaining(0); rem.Sign() != 0 {
+		t.Fatalf("job 0 remaining = %v, want 0", rem)
 	}
 }
 
 func TestEngineRejectsBadInput(t *testing.T) {
 	e := NewEngine(2, twoMachineCost, NewSRPT())
-	if err := e.Add(0, r(0, 1), r(1, 1), nil); err != nil {
+	if err := e.Add(0, q(0, 1), q(1, 1), exact.Q{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Add(0, r(0, 1), r(1, 1), nil); err == nil {
+	if err := e.Add(0, q(0, 1), q(1, 1), exact.Q{}); err == nil {
 		t.Error("duplicate id must error")
 	}
-	if err := e.Add(1, r(0, 1), r(0, 1), nil); err == nil {
+	if err := e.Add(1, q(0, 1), q(0, 1), exact.Q{}); err == nil {
 		t.Error("zero weight must error")
 	}
-	if err := e.Add(2, nil, r(1, 1), nil); err == nil {
-		t.Error("nil release must error")
+	if err := e.Add(2, q(-1, 1), q(1, 1), exact.Q{}); err == nil {
+		t.Error("negative release must error")
 	}
 	if err := e.Decide(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AdvanceTo(r(-1, 1)); err == nil {
+	if _, err := e.AdvanceTo(q(-1, 1)); err == nil {
 		t.Error("backwards time must error")
 	}
 }
@@ -97,7 +97,7 @@ func TestEngineRejectsIneligibleAssignment(t *testing.T) {
 		return exact.Int(1), true
 	}
 	e := NewEngine(2, cost, badPolicy{})
-	if err := e.Add(0, r(0, 1), r(1, 1), nil); err != nil {
+	if err := e.Add(0, q(0, 1), q(1, 1), exact.Q{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Decide(); err == nil {
@@ -109,14 +109,14 @@ func TestEngineMergesPieces(t *testing.T) {
 	// Advancing in many small steps with an unchanged allocation must
 	// produce one merged piece, exactly like a single advance.
 	e := NewEngine(1, func(machine, jobID int) (exact.Q, bool) { return exact.Int(1), true }, NewFCFS())
-	if err := e.Add(0, r(0, 1), r(1, 1), nil); err != nil {
+	if err := e.Add(0, q(0, 1), q(1, 1), exact.Q{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Decide(); err != nil {
 		t.Fatal(err)
 	}
 	for k := int64(1); k <= 4; k++ {
-		if _, err := e.AdvanceTo(r(k, 4)); err != nil {
+		if _, err := e.AdvanceTo(q(k, 4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,9 +152,9 @@ func TestEngineTraceValidates(t *testing.T) {
 	e := NewEngine(inst.M(), instanceCost(inst), NewOnlineMWFLazy())
 	nextRelease := 0
 	for e.CompletedCount() < inst.N() {
-		for nextRelease < inst.N() && inst.Jobs[nextRelease].Release.Cmp(e.Now()) <= 0 {
+		for nextRelease < inst.N() && exact.FromRat(inst.Jobs[nextRelease].Release).Cmp(e.Now()) <= 0 {
 			job := &inst.Jobs[nextRelease]
-			if err := e.Add(nextRelease, job.Release, job.Weight, job.Size); err != nil {
+			if err := e.Add(nextRelease, exact.FromRat(job.Release), exact.FromRat(job.Weight), exact.FromRat(job.Size)); err != nil {
 				t.Fatal(err)
 			}
 			nextRelease++
@@ -162,14 +162,14 @@ func TestEngineTraceValidates(t *testing.T) {
 		if err := e.Decide(); err != nil {
 			t.Fatal(err)
 		}
-		next := e.NextEvent()
+		next, ok := e.NextEvent()
 		if nextRelease < inst.N() {
-			rel := inst.Jobs[nextRelease].Release
-			if next == nil || rel.Cmp(next) < 0 {
-				next = rel
+			rel := exact.FromRat(inst.Jobs[nextRelease].Release)
+			if !ok || rel.Cmp(next) < 0 {
+				next, ok = rel, true
 			}
 		}
-		if next == nil {
+		if !ok {
 			t.Fatal("stalled")
 		}
 		if _, err := e.AdvanceTo(next); err != nil {

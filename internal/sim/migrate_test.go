@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"testing"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
 )
 
@@ -13,17 +14,17 @@ import (
 // the two traces sum to exactly 1 and the donor trace is left intact.
 func TestEngineRemoveMigratesExactState(t *testing.T) {
 	donor := NewEngine(2, twoMachineCost, NewFCFS())
-	if err := donor.Add(0, r(0, 1), r(1, 1), r(1, 1)); err != nil {
+	if err := donor.Add(0, q(0, 1), q(1, 1), q(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := donor.Add(1, r(0, 1), r(2, 1), r(1, 1)); err != nil {
+	if err := donor.Add(1, q(0, 1), q(2, 1), q(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := donor.Decide(); err != nil {
 		t.Fatal(err)
 	}
 	// FCFS: job 0 on machine 0 (c=1), job 1 on machine 1 (c=1/2).
-	if _, err := donor.AdvanceTo(r(1, 4)); err != nil {
+	if _, err := donor.AdvanceTo(q(1, 4)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -31,12 +32,11 @@ func TestEngineRemoveMigratesExactState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rj.Remaining.Cmp(r(3, 4)) != 0 {
-		t.Errorf("remaining = %v, want 3/4", rj.Remaining.RatString())
+	if rj.Remaining.Cmp(q(3, 4)) != 0 {
+		t.Errorf("remaining = %v, want 3/4", rj.Remaining)
 	}
-	if rj.Release.Sign() != 0 || rj.Weight.Cmp(r(1, 1)) != 0 || rj.Size.Cmp(r(1, 1)) != 0 {
-		t.Errorf("removed state = release %v weight %v size %v, want 0/1/1",
-			rj.Release.RatString(), rj.Weight.RatString(), rj.Size.RatString())
+	if rj.Release.Sign() != 0 || rj.Weight.Cmp(q(1, 1)) != 0 || rj.Size.Cmp(q(1, 1)) != 0 {
+		t.Errorf("removed state = release %v weight %v size %v, want 0/1/1", rj.Release, rj.Weight, rj.Size)
 	}
 	if donor.Live() != 1 {
 		t.Errorf("live after removal = %d, want 1", donor.Live())
@@ -44,15 +44,15 @@ func TestEngineRemoveMigratesExactState(t *testing.T) {
 	if donor.Migrations() != 1 {
 		t.Errorf("migrations = %d, want 1", donor.Migrations())
 	}
-	if donor.Remaining(0) != nil {
+	if _, ok := donor.Remaining(0); ok {
 		t.Error("removed job still answers Remaining")
 	}
 
 	// The donor keeps executing: job 1 finishes, and the removed job's piece
 	// stays in the trace but never grows past the removal time.
 	for donor.CompletedCount() < 1 {
-		next := donor.NextEvent()
-		if next == nil {
+		next, ok := donor.NextEvent()
+		if !ok {
 			t.Fatal("donor stalled")
 		}
 		if _, err := donor.AdvanceTo(next); err != nil {
@@ -81,15 +81,15 @@ func TestEngineRemoveMigratesExactState(t *testing.T) {
 	if err := thief.AddPartial(5, rj.Release, rj.Weight, rj.Size, rj.Remaining); err != nil {
 		t.Fatal(err)
 	}
-	if rem := thief.Remaining(5); rem.Cmp(r(3, 4)) != 0 {
-		t.Errorf("thief remaining = %v, want 3/4", rem.RatString())
+	if rem, _ := thief.Remaining(5); rem.Cmp(q(3, 4)) != 0 {
+		t.Errorf("thief remaining = %v, want 3/4", rem)
 	}
 	if err := thief.Decide(); err != nil {
 		t.Fatal(err)
 	}
 	for thief.CompletedCount() < 1 {
-		next := thief.NextEvent()
-		if next == nil {
+		next, ok := thief.NextEvent()
+		if !ok {
 			t.Fatal("thief stalled")
 		}
 		if _, err := thief.AdvanceTo(next); err != nil {
@@ -109,7 +109,7 @@ func TestEngineRemoveMigratesExactState(t *testing.T) {
 		t.Errorf("migrated job's total executed fraction = %v, want exactly 1", total.RatString())
 	}
 	// FCFS runs the migrated job on machine 0 (c=1): 3/4 of work from t=0.
-	if c := thief.Completion(5); c == nil || c.Cmp(r(3, 4)) != 0 {
+	if c, ok := thief.Completion(5); !ok || c.Cmp(q(3, 4)) != 0 {
 		t.Errorf("thief completion = %v, want 3/4", c)
 	}
 }
@@ -119,13 +119,14 @@ func TestEngineRemoveRejectsUnknownAndCompleted(t *testing.T) {
 	if _, err := e.Remove(3); err == nil {
 		t.Error("removing an unknown job must error")
 	}
-	if err := e.Add(0, r(0, 1), r(1, 1), nil); err != nil {
+	if err := e.Add(0, q(0, 1), q(1, 1), exact.Q{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Decide(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AdvanceTo(e.NextEvent()); err != nil {
+	next, _ := e.NextEvent()
+	if _, err := e.AdvanceTo(next); err != nil {
 		t.Fatal(err)
 	}
 	if e.CompletedCount() != 1 {
@@ -138,13 +139,20 @@ func TestEngineRemoveRejectsUnknownAndCompleted(t *testing.T) {
 
 func TestAddPartialRejectsBadRemaining(t *testing.T) {
 	e := NewEngine(2, twoMachineCost, NewFCFS())
-	for _, rem := range []*big.Rat{r(0, 1), r(-1, 2), r(3, 2)} {
-		if err := e.AddPartial(0, r(0, 1), r(1, 1), nil, rem); err == nil {
-			t.Errorf("remaining %v must be rejected", rem.RatString())
+	for _, rem := range []exact.Q{q(-1, 2), q(3, 2)} {
+		if err := e.AddPartial(0, q(0, 1), q(1, 1), exact.Q{}, rem); err == nil {
+			t.Errorf("remaining %v must be rejected", rem)
 		}
 	}
-	if err := e.AddPartial(0, r(0, 1), r(1, 1), nil, r(1, 1)); err != nil {
+	if err := e.AddPartial(0, q(0, 1), q(1, 1), exact.Q{}, q(1, 1)); err != nil {
 		t.Errorf("remaining 1 must be accepted: %v", err)
+	}
+	// Zero reads as a whole job, as it does in the records that carry it.
+	if err := e.AddPartial(1, q(0, 1), q(1, 1), exact.Q{}, exact.Q{}); err != nil {
+		t.Errorf("remaining 0 must read as 1: %v", err)
+	}
+	if rem, _ := e.Remaining(1); rem.Cmp(q(1, 1)) != 0 {
+		t.Errorf("remaining 0 admitted as %v, want 1", rem)
 	}
 }
 
@@ -169,7 +177,7 @@ func TestRemoveInvalidatesPlanCache(t *testing.T) {
 	p := NewOnlineMWFLazy()
 	e := NewEngine(inst.M(), instanceCost(inst), p)
 	for j := 0; j < inst.N(); j++ {
-		if err := e.Add(j, inst.Jobs[j].Release, inst.Jobs[j].Weight, inst.Jobs[j].Size); err != nil {
+		if err := e.Add(j, exact.FromRat(inst.Jobs[j].Release), exact.FromRat(inst.Jobs[j].Weight), exact.FromRat(inst.Jobs[j].Size)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,11 +188,11 @@ func TestRemoveInvalidatesPlanCache(t *testing.T) {
 		t.Fatalf("solves = %d, want 1", p.Solves())
 	}
 	// Advance strictly between events so the cached plan is mid-flight.
-	next := e.NextEvent()
-	if next == nil {
+	next, ok := e.NextEvent()
+	if !ok {
 		t.Fatal("no upcoming event")
 	}
-	mid := new(big.Rat).Mul(next, r(1, 2))
+	mid := next.Mul(q(1, 2))
 	if _, err := e.AdvanceTo(mid); err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +220,8 @@ func TestRemoveInvalidatesPlanCache(t *testing.T) {
 	}
 	// The remaining job completes under the re-solved plan.
 	for e.CompletedCount() < 1 {
-		next := e.NextEvent()
-		if next == nil {
+		next, ok := e.NextEvent()
+		if !ok {
 			t.Fatalf("engine stalled (inner: %v)", p.Err())
 		}
 		if _, err := e.AdvanceTo(next); err != nil {
@@ -224,7 +232,7 @@ func TestRemoveInvalidatesPlanCache(t *testing.T) {
 		}
 	}
 	for _, pc := range e.Schedule().Pieces {
-		if pc.Job == 1 && pc.End.Cmp(mid) > 0 {
+		if pc.Job == 1 && pc.End.Cmp(mid.Rat()) > 0 {
 			t.Errorf("removed job executed past removal time: piece ends at %v", pc.End.RatString())
 		}
 	}

@@ -13,12 +13,12 @@
 // metrics.
 //
 // Inside the package every rational is an exact.Q, the immutable word-sized
-// value the solvers compute with: the engine's clock and job states, the
-// policies' keys and OnlineMWF's cached plan. *big.Rat remains at the edges
-// only — the model.Instance that Run takes and that Snapshot.Residual hands
-// the offline solver, the executed schedule.Schedule, the exported Engine
-// methods the scheduling service calls, and the EngineState/MWFPlanState
-// documents — each converting once where a value crosses.
+// value the solvers compute with: the engine's clock, job states and
+// methods, the policies' keys, OnlineMWF's cached plan and the
+// EngineState/MWFPlanState documents. *big.Rat remains at two edges only —
+// the model.Instance that Run takes and that Snapshot.Residual hands the
+// offline solver, and the executed schedule.Schedule — each converting once
+// where a value crosses.
 //
 // Snapshot.Residual is the one place a view of outstanding work becomes an
 // offline instance: OnlineMWF re-solves the engine's own snapshot through it,
@@ -146,7 +146,7 @@ func Run(inst *model.Instance, p Policy) (*Result, error) {
 		// Reveal everything released by now.
 		for nextRelease < n && release[nextRelease].Cmp(e.now) <= 0 {
 			job := &inst.Jobs[nextRelease]
-			if err := e.add(nextRelease, release[nextRelease], exact.FromRat(job.Weight), exact.FromRat(job.Size), exact.Int(1)); err != nil {
+			if err := e.Add(nextRelease, release[nextRelease], exact.FromRat(job.Weight), exact.FromRat(job.Size)); err != nil {
 				return nil, err
 			}
 			nextRelease++
@@ -156,7 +156,7 @@ func Run(inst *model.Instance, p Policy) (*Result, error) {
 		}
 		// Next event: the engine's (completion or review point), capped by
 		// the next release.
-		next, ok := e.nextEvent()
+		next, ok := e.NextEvent()
 		if nextRelease < n && (!ok || release[nextRelease].Cmp(next) < 0) {
 			next, ok = release[nextRelease], true
 		}
@@ -164,7 +164,7 @@ func Run(inst *model.Instance, p Policy) (*Result, error) {
 			return nil, fmt.Errorf("sim: policy %s stalled at t=%v with %d jobs unfinished",
 				p.Name(), e.now, n-e.CompletedCount())
 		}
-		if _, err := e.advanceTo(next); err != nil {
+		if _, err := e.AdvanceTo(next); err != nil {
 			return nil, err
 		}
 	}

@@ -6,11 +6,14 @@ import (
 	"testing"
 
 	"divflow/internal/core"
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/workload"
 )
 
 func r(a, b int64) *big.Rat { return big.NewRat(a, b) }
+
+func q(a, b int64) exact.Q { return exact.New(a, b) }
 
 func oneMachineInst(t *testing.T, jobs []model.Job) *model.Instance {
 	t.Helper()

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/big"
 	"sort"
 
 	"divflow/internal/exact"
@@ -10,61 +9,52 @@ import (
 )
 
 // This file is the durability boundary of the engine: ExportState captures
-// everything an Engine owns as exact, self-contained values (the engine's
-// exact.Q values converted to fresh big.Rats, JSON-marshalable — *big.Rat
-// implements TextMarshaler, so the wire form is the usual "p/q" string), and
-// RestoreState rebuilds a fresh engine into bit-for-bit the same state. The
-// pair backs divflowd's snapshot/restore path and the in-process
-// shard-restart supervisor.
+// everything an Engine owns as exact, self-contained values (JSON-marshalable:
+// an exact.Q writes the usual "p/q" string), and RestoreState rebuilds a fresh
+// engine into bit-for-bit the same state. The pair backs divflowd's
+// snapshot/restore path and the in-process shard-restart supervisor.
 
-// JobState is one job's exact state in an EngineState: live when Completed
-// is nil, finished (retained for the trace window) otherwise.
+// JobState is one job's exact state in an EngineState: live while Completed
+// is zero, finished (retained for the trace window) otherwise.
 type JobState struct {
-	ID        int      `json:"id"`
-	Release   *big.Rat `json:"release"`
-	Weight    *big.Rat `json:"weight"`
-	Size      *big.Rat `json:"size,omitempty"`
-	Remaining *big.Rat `json:"remaining"`
-	Completed *big.Rat `json:"completed,omitempty"`
+	ID        int     `json:"id"`
+	Release   exact.Q `json:"release"`
+	Weight    exact.Q `json:"weight"`
+	Size      exact.Q `json:"size,omitzero"`
+	Remaining exact.Q `json:"remaining"`
+	Completed exact.Q `json:"completed,omitzero"`
 }
 
 // PieceState is one executed schedule piece.
 type PieceState struct {
-	Machine  int      `json:"machine"`
-	Job      int      `json:"job"`
-	Start    *big.Rat `json:"start"`
-	End      *big.Rat `json:"end"`
-	Fraction *big.Rat `json:"fraction"`
+	Machine  int     `json:"machine"`
+	Job      int     `json:"job"`
+	Start    exact.Q `json:"start"`
+	End      exact.Q `json:"end"`
+	Fraction exact.Q `json:"fraction"`
 }
 
 // EngineState is the full exported state of an Engine.
 type EngineState struct {
-	Now    *big.Rat     `json:"now"`
+	Now    exact.Q      `json:"now"`
 	Jobs   []JobState   `json:"jobs,omitempty"`
 	Pieces []PieceState `json:"pieces,omitempty"`
 	// Alloc is the installed allocation (machine -> job ID, -1 idle), nil
 	// when no allocation has been decided yet.
-	Alloc      []int    `json:"alloc,omitempty"`
-	Review     *big.Rat `json:"review,omitempty"`
-	HaveAlloc  bool     `json:"haveAlloc,omitempty"`
-	Decisions  int      `json:"decisions,omitempty"`
-	Completed  int      `json:"completed,omitempty"`
-	Migrations int      `json:"migrations,omitempty"`
+	Alloc      []int   `json:"alloc,omitempty"`
+	Review     exact.Q `json:"review,omitzero"`
+	HaveAlloc  bool    `json:"haveAlloc,omitempty"`
+	Decisions  int     `json:"decisions,omitempty"`
+	Completed  int     `json:"completed,omitempty"`
+	Migrations int     `json:"migrations,omitempty"`
 }
 
-func ratCopy(r *big.Rat) *big.Rat {
-	if r == nil {
-		return nil
-	}
-	return new(big.Rat).Set(r)
-}
-
-// ExportState deep-copies the engine's state. Safe to marshal or hold after
-// the engine moves on; jobs are listed in ascending ID order so equal states
+// ExportState copies the engine's state. Safe to marshal or hold after the
+// engine moves on; jobs are listed in ascending ID order so equal states
 // export equal documents.
 func (e *Engine) ExportState() *EngineState {
 	st := &EngineState{
-		Now:        e.now.Rat(),
+		Now:        e.now,
 		Decisions:  e.decisions,
 		Completed:  e.completed,
 		Migrations: e.migrations,
@@ -77,31 +67,21 @@ func (e *Engine) ExportState() *EngineState {
 	sort.Ints(ids)
 	for _, id := range ids {
 		j := e.jobs[id]
-		js := JobState{
-			ID:        id,
-			Release:   j.release.Rat(),
-			Weight:    j.weight.Rat(),
-			Size:      ratOrNil(j.size),
-			Remaining: j.remaining.Rat(),
-		}
-		if j.done {
-			js.Completed = j.completed.Rat()
-		}
-		st.Jobs = append(st.Jobs, js)
+		st.Jobs = append(st.Jobs, JobState{ID: id, Release: j.release, Weight: j.weight, Size: j.size, Remaining: j.remaining, Completed: j.completed})
 	}
 	for k := range e.sched.Pieces {
 		pc := &e.sched.Pieces[k]
 		st.Pieces = append(st.Pieces, PieceState{
 			Machine:  pc.Machine,
 			Job:      pc.Job,
-			Start:    ratCopy(pc.Start),
-			End:      ratCopy(pc.End),
-			Fraction: ratCopy(pc.Fraction),
+			Start:    exact.FromRat(pc.Start),
+			End:      exact.FromRat(pc.End),
+			Fraction: exact.FromRat(pc.Fraction),
 		})
 	}
 	if e.haveAlloc {
 		st.Alloc = append([]int(nil), e.alloc.MachineJob...)
-		st.Review = ratOrNil(e.alloc.Review)
+		st.Review = e.alloc.Review
 	}
 	return st
 }
@@ -117,26 +97,20 @@ func (e *Engine) RestoreState(st *EngineState) error {
 	if st == nil {
 		return fmt.Errorf("sim: restore: nil state")
 	}
-	if st.Now == nil || st.Now.Sign() < 0 {
+	if st.Now.Sign() < 0 {
 		return fmt.Errorf("sim: restore: bad now")
 	}
 	for k := range st.Jobs {
 		js := &st.Jobs[k]
-		if js.Release == nil || js.Weight == nil || js.Remaining == nil {
+		if js.Release.Sign() < 0 || js.Weight.Sign() <= 0 || js.Remaining.Sign() < 0 {
 			return fmt.Errorf("sim: restore: job %d missing fields", js.ID)
 		}
 		if _, dup := e.jobs[js.ID]; dup {
 			return fmt.Errorf("sim: restore: duplicate job %d", js.ID)
 		}
-		e.jobs[js.ID] = &engineJob{
-			release:   exact.FromRat(js.Release),
-			weight:    exact.FromRat(js.Weight),
-			size:      exact.FromRat(js.Size),
-			remaining: exact.FromRat(js.Remaining),
-			completed: exact.FromRat(js.Completed),
-			done:      js.Completed != nil,
-		}
-		if js.Completed == nil {
+		done := js.Completed.Sign() != 0
+		e.jobs[js.ID] = &engineJob{release: js.Release, weight: js.Weight, size: js.Size, remaining: js.Remaining, completed: js.Completed, done: done}
+		if !done {
 			e.order = append(e.order, js.ID)
 		}
 	}
@@ -146,15 +120,15 @@ func (e *Engine) RestoreState(st *EngineState) error {
 		if ps.Machine < 0 || ps.Machine >= e.m {
 			return fmt.Errorf("sim: restore: piece %d on machine %d of %d", k, ps.Machine, e.m)
 		}
-		if ps.Start == nil || ps.End == nil || ps.Fraction == nil {
+		if ps.End.Cmp(ps.Start) <= 0 || ps.Fraction.Sign() <= 0 {
 			return fmt.Errorf("sim: restore: piece %d missing fields", k)
 		}
 		e.sched.Pieces = append(e.sched.Pieces, schedule.Piece{
 			Machine:  ps.Machine,
 			Job:      ps.Job,
-			Start:    ratCopy(ps.Start),
-			End:      ratCopy(ps.End),
-			Fraction: ratCopy(ps.Fraction),
+			Start:    ps.Start.Rat(),
+			End:      ps.End.Rat(),
+			Fraction: ps.Fraction.Rat(),
 		})
 		// Pieces are appended in execution order, so the last occurrence per
 		// machine is exactly the index AdvanceTo would extend.
@@ -164,10 +138,10 @@ func (e *Engine) RestoreState(st *EngineState) error {
 		if len(st.Alloc) != e.m {
 			return fmt.Errorf("sim: restore: allocation over %d machines, want %d", len(st.Alloc), e.m)
 		}
-		e.alloc = Allocation{MachineJob: append([]int(nil), st.Alloc...), Review: exact.FromRat(st.Review)}
+		e.alloc = Allocation{MachineJob: append([]int(nil), st.Alloc...), Review: st.Review}
 		e.haveAlloc = true
 	}
-	e.now = exact.FromRat(st.Now)
+	e.now = st.Now
 	e.decisions = st.Decisions
 	e.completed = st.Completed
 	e.migrations = st.Migrations
@@ -177,16 +151,16 @@ func (e *Engine) RestoreState(st *EngineState) error {
 // PlanJobState is one entry of a plan fingerprint: a job's remaining
 // fraction at the time of the cached solve.
 type PlanJobState struct {
-	ID        int      `json:"id"`
-	Remaining *big.Rat `json:"remaining"`
+	ID        int     `json:"id"`
+	Remaining exact.Q `json:"remaining"`
 }
 
 // PlanPieceState is one piece of the cached plan, in absolute times.
 type PlanPieceState struct {
-	Machine int      `json:"machine"`
-	Job     int      `json:"job"`
-	Start   *big.Rat `json:"start"`
-	End     *big.Rat `json:"end"`
+	Machine int     `json:"machine"`
+	Job     int     `json:"job"`
+	Start   exact.Q `json:"start"`
+	End     exact.Q `json:"end"`
 }
 
 // MWFPlanState is OnlineMWF's exported plan cache: the last solve's plan,
@@ -198,33 +172,31 @@ type PlanPieceState struct {
 // returns what the original's would, so the restored trace continues
 // bit-for-bit (TestRestoreAtAnyDecisionKeepsTheTrace).
 type MWFPlanState struct {
-	Plan      []PlanPieceState `json:"plan,omitempty"`
-	Known     []int            `json:"known,omitempty"`
-	SolveAt   *big.Rat         `json:"solveAt,omitempty"`
-	SolveRem  []PlanJobState   `json:"solveRem,omitempty"`
-	Solves    int              `json:"solves,omitempty"`
-	CacheHits int              `json:"cacheHits,omitempty"`
+	Plan  []PlanPieceState `json:"plan,omitempty"`
+	Known []int            `json:"known,omitempty"`
+	// SolveAt is the time of the cached solve, set exactly when SolveRem is:
+	// a solve at time zero still has a time.
+	SolveAt   *exact.Q       `json:"solveAt,omitempty"`
+	SolveRem  []PlanJobState `json:"solveRem,omitempty"`
+	Solves    int            `json:"solves,omitempty"`
+	CacheHits int            `json:"cacheHits,omitempty"`
 }
 
-// ExportPlanState deep-copies the policy's cached plan and counters. It
-// returns a state even when no plan is cached (counters still carry over).
+// ExportPlanState copies the policy's cached plan and counters. It returns a
+// state even when no plan is cached (counters still carry over).
 func (p *OnlineMWF) ExportPlanState() *MWFPlanState {
 	st := &MWFPlanState{Solves: p.solves, CacheHits: p.cacheHits}
 	for i := range p.plan {
 		pp := &p.plan[i]
-		st.Plan = append(st.Plan, PlanPieceState{
-			Machine: pp.machine,
-			Job:     pp.jobID,
-			Start:   pp.start.Rat(),
-			End:     pp.end.Rat(),
-		})
+		st.Plan = append(st.Plan, PlanPieceState{Machine: pp.machine, Job: pp.jobID, Start: pp.start, End: pp.end})
 	}
 	for id := range p.known {
 		st.Known = append(st.Known, id)
 	}
 	sort.Ints(st.Known)
 	if p.solveRem != nil {
-		st.SolveAt = p.solveAt.Rat()
+		at := p.solveAt
+		st.SolveAt = &at
 	}
 	ids := make([]int, 0, len(p.solveRem))
 	for id := range p.solveRem {
@@ -232,7 +204,7 @@ func (p *OnlineMWF) ExportPlanState() *MWFPlanState {
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		st.SolveRem = append(st.SolveRem, PlanJobState{ID: id, Remaining: p.solveRem[id].Rat()})
+		st.SolveRem = append(st.SolveRem, PlanJobState{ID: id, Remaining: p.solveRem[id]})
 	}
 	return st
 }
@@ -247,12 +219,7 @@ func (p *OnlineMWF) RestorePlanState(st *MWFPlanState) {
 	p.plan = nil
 	for i := range st.Plan {
 		pp := &st.Plan[i]
-		p.plan = append(p.plan, planPiece{
-			machine: pp.Machine,
-			jobID:   pp.Job,
-			start:   exact.FromRat(pp.Start),
-			end:     exact.FromRat(pp.End),
-		})
+		p.plan = append(p.plan, planPiece{machine: pp.Machine, jobID: pp.Job, start: pp.Start, end: pp.End})
 	}
 	if st.Known != nil {
 		p.known = make(map[int]bool, len(st.Known))
@@ -260,11 +227,13 @@ func (p *OnlineMWF) RestorePlanState(st *MWFPlanState) {
 			p.known[id] = true
 		}
 	}
-	p.solveAt = exact.FromRat(st.SolveAt)
+	if st.SolveAt != nil {
+		p.solveAt = *st.SolveAt
+	}
 	if st.SolveRem != nil {
 		p.solveRem = make(map[int]exact.Q, len(st.SolveRem))
 		for k := range st.SolveRem {
-			p.solveRem[st.SolveRem[k].ID] = exact.FromRat(st.SolveRem[k].Remaining)
+			p.solveRem[st.SolveRem[k].ID] = st.SolveRem[k].Remaining
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/workload"
 )
@@ -15,25 +16,26 @@ import (
 func TestEngineStateRoundTrip(t *testing.T) {
 	run := func() *Engine {
 		e := NewEngine(2, twoMachineCost, NewOnlineMWFLazy())
-		if err := e.Add(0, r(0, 1), r(1, 1), r(1, 1)); err != nil {
+		if err := e.Add(0, q(0, 1), q(1, 1), q(1, 1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Add(3, r(0, 1), r(2, 1), r(1, 1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Decide(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.AdvanceTo(r(1, 4)); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Add(5, r(1, 8), r(1, 2), r(1, 1)); err != nil {
+		if err := e.Add(3, q(0, 1), q(2, 1), q(1, 1)); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Decide(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.AdvanceTo(e.NextEvent()); err != nil {
+		if _, err := e.AdvanceTo(q(1, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Add(5, q(1, 8), q(1, 2), q(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Decide(); err != nil {
+			t.Fatal(err)
+		}
+		next, _ := e.NextEvent()
+		if _, err := e.AdvanceTo(next); err != nil {
 			t.Fatal(err)
 		}
 		return e
@@ -77,15 +79,16 @@ func TestEngineStateRoundTrip(t *testing.T) {
 		if err := restored.Decide(); err != nil {
 			t.Fatal(err)
 		}
-		a, b := orig.NextEvent(), restored.NextEvent()
-		if (a == nil) != (b == nil) {
-			t.Fatalf("next-event divergence: %v vs %v", a, b)
+		a, aok := orig.NextEvent()
+		b, bok := restored.NextEvent()
+		if aok != bok {
+			t.Fatalf("next-event divergence: %v vs %v", aok, bok)
 		}
-		if a == nil {
+		if !aok {
 			break
 		}
 		if a.Cmp(b) != 0 {
-			t.Fatalf("next-event times differ: %v vs %v", a.RatString(), b.RatString())
+			t.Fatalf("next-event times differ: %v vs %v", a, b)
 		}
 		if _, err := orig.AdvanceTo(a); err != nil {
 			t.Fatal(err)
@@ -111,9 +114,9 @@ func TestEngineStateRoundTrip(t *testing.T) {
 func runOn(t *testing.T, inst *model.Instance, e *Engine, next int, before func(next int)) {
 	t.Helper()
 	for n := inst.N(); e.CompletedCount() < n; {
-		for ; next < n && inst.Jobs[next].Release.Cmp(e.Now()) <= 0; next++ {
+		for ; next < n && exact.FromRat(inst.Jobs[next].Release).Cmp(e.Now()) <= 0; next++ {
 			job := &inst.Jobs[next]
-			if err := e.Add(next, job.Release, job.Weight, job.Size); err != nil {
+			if err := e.Add(next, exact.FromRat(job.Release), exact.FromRat(job.Weight), exact.FromRat(job.Size)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -123,11 +126,13 @@ func runOn(t *testing.T, inst *model.Instance, e *Engine, next int, before func(
 		if err := e.Decide(); err != nil {
 			t.Fatal(err)
 		}
-		at := e.NextEvent()
-		if next < n && (at == nil || inst.Jobs[next].Release.Cmp(at) < 0) {
-			at = inst.Jobs[next].Release
+		at, ok := e.NextEvent()
+		if next < n {
+			if rel := exact.FromRat(inst.Jobs[next].Release); !ok || rel.Cmp(at) < 0 {
+				at, ok = rel, true
+			}
 		}
-		if at == nil || at.Cmp(e.Now()) <= 0 {
+		if !ok || at.Cmp(e.Now()) <= 0 {
 			t.Fatalf("policy %s stalled at t=%v", e.policy.Name(), e.now)
 		}
 		if _, err := e.AdvanceTo(at); err != nil {
@@ -200,14 +205,14 @@ func TestRestoreStateRejectsBadInput(t *testing.T) {
 	if err := e.RestoreState(nil); err == nil {
 		t.Fatal("nil state accepted")
 	}
-	st := &EngineState{Now: r(0, 1), Jobs: []JobState{{ID: 1}}}
+	st := &EngineState{Jobs: []JobState{{ID: 1}}}
 	if err := e.RestoreState(st); err == nil {
 		t.Fatal("job with missing fields accepted")
 	}
-	if err := e.Add(0, r(0, 1), r(1, 1), nil); err != nil {
+	if err := e.Add(0, q(0, 1), q(1, 1), exact.Q{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RestoreState(&EngineState{Now: r(0, 1)}); err == nil {
+	if err := e.RestoreState(&EngineState{}); err == nil {
 		t.Fatal("restore into non-fresh engine accepted")
 	}
 }
