@@ -199,9 +199,17 @@ func (sh *shard) reserve(locals []int) shardlink.ExtractReply {
 }
 
 // admitMigrated is the adoption phase on the destination. Accepted=false —
-// the shard retired or closed while the exchange was in flight, or a thief
-// latched an error — tells the router to abort the donor's reservation.
+// a job in the message is malformed (MigratedJob.Check), the shard retired or
+// closed while the exchange was in flight, or a thief latched an error —
+// tells the router to abort the donor's reservation. A malformed message is
+// refused before anything is logged or adopted, so it cannot latch the
+// engine.
 func (sh *shard) admitMigrated(args shardlink.AdmitArgs) shardlink.AdmitReply {
+	for i := range args.Jobs {
+		if args.Jobs[i].Check() != nil {
+			return shardlink.AdmitReply{}
+		}
+	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed || sh.retired || sh.freed {

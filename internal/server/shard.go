@@ -1088,7 +1088,7 @@ func (sh *shard) compact(now exact.Q) {
 //
 //divflow:locks requires=shard
 func (sh *shard) noteMakespan() {
-	if ms := exact.FromRat(sh.eng.Schedule().Makespan()); sh.MakespanHW == nil || ms.Cmp(*sh.MakespanHW) > 0 {
+	if ms := sh.eng.Makespan(); sh.MakespanHW == nil || ms.Cmp(*sh.MakespanHW) > 0 {
 		sh.MakespanHW = &ms
 	}
 }
@@ -1101,7 +1101,7 @@ func (sh *shard) noteMakespan() {
 func (sh *shard) makespan() exact.Q {
 	var ms exact.Q
 	if sh.eng != nil {
-		ms = exact.FromRat(sh.eng.Schedule().Makespan())
+		ms = sh.eng.Makespan()
 	}
 	if sh.MakespanHW != nil && sh.MakespanHW.Cmp(ms) > 0 {
 		ms = *sh.MakespanHW

@@ -9,10 +9,12 @@ import (
 	"sync"
 	"testing"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 	"divflow/internal/shardlink"
 	"divflow/internal/sim"
+	"divflow/internal/wal"
 	"divflow/internal/workload"
 )
 
@@ -150,6 +152,77 @@ func TestSubmitRefusesMalformedJob(t *testing.T) {
 	if st := srv.Stats(); st.Stalled || st.LastError != "" || st.JobsAccepted != 1 {
 		t.Errorf("after the refusals: stalled %v, error %q, %d accepted; want a healthy shard with the one sound job",
 			st.Stalled, st.LastError, st.JobsAccepted)
+	}
+}
+
+// TestAdmitMigratedRefusesMalformedJob is the same for the adoption half of a
+// migration, AdmitMigrated over the loopback net/rpc transport: each malformed
+// job must be refused (Accepted=false, so the router aborts and the donor
+// takes the job back) before the shard logs or adopts anything. A zero size
+// used to be logged, adopted and then latched the engine at admission, and a
+// refused steal has nothing to latch. A sound partial job is adopted and runs.
+func TestAdmitMigratedRefusesMalformedJob(t *testing.T) {
+	vc := NewVirtualClock()
+	dir := t.TempDir()
+	srv, err := New(Config{Machines: testFleet(), Clock: vc, Shards: 1, Transport: shardlink.TransportRPC, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Start()
+	sh := srv.active()[0]
+	banks := []string{"swissprot"}
+	sound := shardlink.Job{Size: exact.Int(2), Weight: exact.Int(1), Databanks: banks}
+	for _, tc := range []struct {
+		name string
+		edit func(mj *shardlink.MigratedJob)
+	}{
+		{"no size", func(mj *shardlink.MigratedJob) { mj.Size = exact.Q{} }},
+		{"negative size", func(mj *shardlink.MigratedJob) { mj.Size = exact.Int(-2) }},
+		{"no weight", func(mj *shardlink.MigratedJob) { mj.Weight = exact.Q{} }},
+		{"negative deadline", func(mj *shardlink.MigratedJob) { mj.Deadline = exact.Int(-1) }},
+		{"negative release", func(mj *shardlink.MigratedJob) { mj.Release = exact.Int(-1) }},
+		{"remaining above one", func(mj *shardlink.MigratedJob) { mj.Remaining = exact.New(3, 2) }},
+		{"negative remaining", func(mj *shardlink.MigratedJob) { mj.Remaining = exact.New(-1, 2) }},
+	} {
+		bad := shardlink.MigratedJob{GID: 7, Job: sound}
+		tc.edit(&bad)
+		// The malformed job rides second: the sound one before it must not be
+		// adopted either.
+		args := shardlink.AdmitArgs{Reason: migrateSteal, Jobs: []shardlink.MigratedJob{{GID: 6, Job: sound}, bad}}
+		rep, err := sh.link.AdmitMigrated(args)
+		if err != nil {
+			t.Fatalf("%s: transport error %v", tc.name, err)
+		}
+		if rep.Accepted || len(rep.Locals) != 0 {
+			t.Errorf("%s: reply %+v, want a refusal", tc.name, rep)
+		}
+	}
+	rep, err := sh.link.AdmitMigrated(shardlink.AdmitArgs{Reason: migrateSteal,
+		Jobs: []shardlink.MigratedJob{{GID: 8, Remaining: exact.New(1, 2), Job: sound}}})
+	if err != nil || !rep.Accepted || len(rep.Locals) != 1 {
+		t.Fatalf("sound adoption = %+v, %v; want accepted", rep, err)
+	}
+	if err := sh.link.Poke(shardlink.PokeArgs{}); err != nil { // as the router does after a steal
+		t.Fatal(err)
+	}
+	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 1 })
+	if st := srv.Stats(); st.Stalled || st.LastError != "" {
+		t.Errorf("after the refusals: stalled %v, error %q; want a healthy shard", st.Stalled, st.LastError)
+	}
+	srv.Close()
+	_, recs, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopts := 0
+	for _, rec := range recs {
+		if rec.Type == walTypeAdopt {
+			adopts++
+		}
+	}
+	if adopts != 1 {
+		t.Errorf("the log holds %d adopt records, want the sound one alone", adopts)
 	}
 }
 

@@ -20,6 +20,8 @@
 package shardlink
 
 import (
+	"fmt"
+
 	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
@@ -190,6 +192,28 @@ type MigratedJob struct {
 	Remaining exact.Q `json:"remaining,omitzero"` // exact unprocessed fraction at extraction; zero = whole
 	Counted   bool    `json:"counted,omitempty"`  // arrival statistics already counted this job somewhere
 	Job
+}
+
+// Check reports why a shard cannot adopt the job: the conditions
+// model.Job.CheckSubmission puts on a submission (size and weight > 0, a
+// deadline > 0 when set), a release that is not negative, and a remaining
+// fraction that is zero (the whole job) or in (0, 1]. AdmitMigrated is a
+// worker's network surface, so the destination checks before it logs or
+// adopts anything.
+func (mj *MigratedJob) Check() error {
+	switch {
+	case mj.Size.Sign() <= 0:
+		return fmt.Errorf("shardlink: migrated job %d needs size > 0", mj.GID)
+	case mj.Weight.Sign() <= 0:
+		return fmt.Errorf("shardlink: migrated job %d needs weight > 0", mj.GID)
+	case mj.Deadline.Sign() < 0:
+		return fmt.Errorf("shardlink: migrated job %d needs deadline > 0", mj.GID)
+	case mj.Release.Sign() < 0:
+		return fmt.Errorf("shardlink: migrated job %d needs release >= 0", mj.GID)
+	case mj.Remaining.Sign() < 0 || mj.Remaining.Cmp(exact.Int(1)) > 0:
+		return fmt.Errorf("shardlink: migrated job %d needs remaining in (0, 1], got %v", mj.GID, mj.Remaining)
+	}
+	return nil
 }
 
 // ExtractArgs opens a migration against a donor shard. The donor reserves

@@ -42,6 +42,9 @@ type Engine struct {
 
 	sched     *schedule.Schedule
 	lastPiece []int // last recorded piece per machine, -1 none
+	// finished lists completed, not yet compacted job IDs in completion
+	// order: Compact pops its prefix.
+	finished []int
 
 	alloc     Allocation
 	haveAlloc bool
@@ -179,46 +182,77 @@ func (e *Engine) before(a, b int) bool {
 // pieces that ended at or before it, and completed jobs whose completion
 // time is at or before it (neither can influence any future decision —
 // policies only see live jobs, and finished pieces never change). It
-// returns the IDs of the forgotten jobs so the caller can release its own
-// per-job state. Live jobs are never touched; the horizon should not exceed
-// the current time, or the piece a machine is still extending would be
-// split. After compaction the executed trace no longer accounts for the
-// forgotten jobs' work, so it only validates against the retained window.
+// returns the IDs of the forgotten jobs, in completion order, so the caller
+// can release its own per-job state. Live jobs are never touched; the
+// horizon should not exceed the current time, or the piece a machine is
+// still extending would be split. After compaction the executed trace no
+// longer accounts for the forgotten jobs' work, so it only validates against
+// the retained window.
+//
+// A compaction costs what it drops plus one look per machine, not the
+// retained window. It relies on two orders the engine keeps: pieces are in
+// nondecreasing start order (AdvanceTo appends each at the current time and
+// extending one moves only its end; RestoreState refuses any other order),
+// so every piece from the first one starting at or after the horizon on ends
+// after it, and the prefix before that holds at most one piece per machine
+// that straddles the horizon; and finished jobs are queued in completion
+// order.
 func (e *Engine) Compact(horizon exact.Q) []int {
 	h := horizon.Rat()
-	keep := e.sched.Pieces[:0]
-	remap := make(map[int]int, len(e.lastPiece))
-	for k := range e.sched.Pieces {
-		pc := &e.sched.Pieces[k]
-		if pc.End.Cmp(h) <= 0 {
-			continue
+	pieces := e.sched.Pieces
+	cut, kept := 0, 0
+	for ; cut < len(pieces) && pieces[cut].Start.Cmp(h) < 0; cut++ {
+		pc := &pieces[cut]
+		straddles := pc.End.Cmp(h) > 0
+		if e.lastPiece[pc.Machine] == cut {
+			e.lastPiece[pc.Machine] = -1
+			if straddles {
+				e.lastPiece[pc.Machine] = kept
+			}
 		}
-		remap[k] = len(keep)
-		keep = append(keep, *pc)
-	}
-	// Zero the tail so dropped pieces' rationals can be collected.
-	for k := len(keep); k < len(e.sched.Pieces); k++ {
-		e.sched.Pieces[k] = schedule.Piece{}
-	}
-	e.sched.Pieces = keep
-	for i, k := range e.lastPiece {
-		if k < 0 {
-			continue
-		}
-		if nk, ok := remap[k]; ok {
-			e.lastPiece[i] = nk
-		} else {
-			e.lastPiece[i] = -1
+		if straddles {
+			pieces[kept] = *pc
+			kept++
 		}
 	}
-	var forgotten []int
-	for id, j := range e.jobs {
-		if j.done && j.completed.Cmp(horizon) <= 0 {
-			forgotten = append(forgotten, id)
-			delete(e.jobs, id)
+	if dropped := cut - kept; dropped > 0 {
+		for i, k := range e.lastPiece {
+			if k >= cut {
+				e.lastPiece[i] = k - dropped
+			}
 		}
+		n := kept + copy(pieces[kept:], pieces[cut:])
+		// Zero the tail so dropped pieces' rationals can be collected.
+		clear(pieces[n:])
+		e.sched.Pieces = pieces[:n]
 	}
+	n := 0
+	for n < len(e.finished) && e.jobs[e.finished[n]].completed.Cmp(horizon) <= 0 {
+		delete(e.jobs, e.finished[n])
+		n++
+	}
+	// The engine only ever appends past the queue's end, so the popped
+	// prefix can be handed out as it is.
+	forgotten := e.finished[:n:n]
+	e.finished = e.finished[n:]
 	return forgotten
+}
+
+// Makespan returns the executed trace's makespan, its latest piece end (zero
+// for an empty trace): the same value as Schedule().Makespan(), read from
+// the machines' last pieces. A machine's last piece is its latest, and a
+// machine whose last piece was compacted has none retained.
+func (e *Engine) Makespan() exact.Q {
+	var last *schedule.Piece
+	for _, k := range e.lastPiece {
+		if k >= 0 && (last == nil || e.sched.Pieces[k].End.Cmp(last.End) > 0) {
+			last = &e.sched.Pieces[k]
+		}
+	}
+	if last == nil {
+		return exact.Q{}
+	}
+	return exact.FromRat(last.End)
 }
 
 // RemovedJob is the exact live state Remove extracts from the engine: the
@@ -398,6 +432,7 @@ func (e *Engine) AdvanceTo(t exact.Q) ([]int, error) {
 	}
 	if len(done) > 0 {
 		e.order = slices.DeleteFunc(e.order, func(id int) bool { return e.jobs[id].done })
+		e.finished = append(e.finished, done...)
 	}
 	e.now = t
 	return done, nil

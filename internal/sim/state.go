@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"divflow/internal/exact"
@@ -87,9 +89,12 @@ func (e *Engine) ExportState() *EngineState {
 }
 
 // RestoreState rebuilds the exported state into this engine, which must be
-// fresh (no jobs, time zero). The live order, per-machine last-piece index,
-// and installed allocation are derived exactly as the original engine had
-// them; the policy's own cached state (if any) is restored separately.
+// fresh (no jobs, time zero). The live order, the queue of finished jobs (by
+// completion time, then ID), the per-machine last-piece index, and the
+// installed allocation are derived exactly as the original engine had them;
+// the policy's own cached state (if any) is restored separately. Pieces must
+// come in nondecreasing start order, the order AdvanceTo writes them in and
+// ExportState keeps.
 func (e *Engine) RestoreState(st *EngineState) error {
 	if len(e.jobs) != 0 || e.now.Sign() != 0 || len(e.sched.Pieces) != 0 {
 		return fmt.Errorf("sim: restore into a non-fresh engine")
@@ -110,11 +115,19 @@ func (e *Engine) RestoreState(st *EngineState) error {
 		}
 		done := js.Completed.Sign() != 0
 		e.jobs[js.ID] = &engineJob{release: js.Release, weight: js.Weight, size: js.Size, remaining: js.Remaining, completed: js.Completed, done: done}
-		if !done {
+		if done {
+			e.finished = append(e.finished, js.ID)
+		} else {
 			e.order = append(e.order, js.ID)
 		}
 	}
 	sort.Slice(e.order, func(a, b int) bool { return e.before(e.order[a], e.order[b]) })
+	slices.SortFunc(e.finished, func(a, b int) int {
+		if c := e.jobs[a].completed.Cmp(e.jobs[b].completed); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	for k := range st.Pieces {
 		ps := &st.Pieces[k]
 		if ps.Machine < 0 || ps.Machine >= e.m {
@@ -122,6 +135,10 @@ func (e *Engine) RestoreState(st *EngineState) error {
 		}
 		if ps.End.Cmp(ps.Start) <= 0 || ps.Fraction.Sign() <= 0 {
 			return fmt.Errorf("sim: restore: piece %d missing fields", k)
+		}
+		// Compact relies on the order AdvanceTo writes pieces in.
+		if k > 0 && ps.Start.Cmp(st.Pieces[k-1].Start) < 0 {
+			return fmt.Errorf("sim: restore: piece %d starts at %v, before piece %d's start %v", k, ps.Start, k-1, st.Pieces[k-1].Start)
 		}
 		e.sched.Pieces = append(e.sched.Pieces, schedule.Piece{
 			Machine:  ps.Machine,

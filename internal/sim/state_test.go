@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"divflow/internal/exact"
@@ -208,6 +209,16 @@ func TestRestoreStateRejectsBadInput(t *testing.T) {
 	st := &EngineState{Jobs: []JobState{{ID: 1}}}
 	if err := e.RestoreState(st); err == nil {
 		t.Fatal("job with missing fields accepted")
+	}
+	// Compact reads the trace in start order, so a state whose pieces are out
+	// of it is refused, naming the piece.
+	unordered := &EngineState{Now: q(3, 1), Pieces: []PieceState{
+		{Machine: 0, Job: 0, Start: q(1, 1), End: q(2, 1), Fraction: q(1, 1)},
+		{Machine: 1, Job: 0, Start: q(1, 2), End: q(1, 1), Fraction: q(1, 1)},
+	}}
+	err := NewEngine(2, twoMachineCost, NewSRPT()).RestoreState(unordered)
+	if err == nil || !strings.Contains(err.Error(), "piece 1 starts at 1/2, before piece 0's start 1") {
+		t.Fatalf("pieces out of start order: err %v", err)
 	}
 	if err := e.Add(0, q(0, 1), q(1, 1), exact.Q{}); err != nil {
 		t.Fatal(err)
