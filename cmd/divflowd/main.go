@@ -156,12 +156,21 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// SIGHUP is caught too: its default action would exit the process
+		// and drop every installed shard's state, and a worker has no
+		// platform file to reload.
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
 		go func() {
-			sig := make(chan os.Signal, 1)
-			signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-			<-sig
-			log.Print("worker shutting down")
-			lis.Close()
+			for s := range sig {
+				if s == syscall.SIGHUP {
+					log.Print("SIGHUP ignored: a worker has no platform to reload")
+					continue
+				}
+				log.Print("worker shutting down")
+				lis.Close()
+				return
+			}
 		}()
 		log.Printf("worker awaiting shard installs on %s", lis.Addr())
 		if err := server.ServeWorker(lis); err != nil && !errors.Is(err, net.ErrClosed) {
@@ -288,46 +297,47 @@ func main() {
 		defer cancel()
 		_ = httpSrv.Shutdown(ctx)
 	}()
-	if *reshard {
-		// SIGHUP reloads the platform file and live-reshards against it: the
-		// operator's replication event needs only a file rewrite and a
-		// signal, no client tooling.
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		go func() {
-			for range hup {
-				data, err := os.ReadFile(*platform)
-				if err != nil {
-					log.Printf("SIGHUP reload: %v", err)
-					continue
-				}
-				plat, err := model.ParsePlatformConfig(data)
-				if err != nil {
-					log.Printf("SIGHUP reload: %v", err)
-					continue
-				}
-				// The -shards CLI override outranks the file at startup; a
-				// reload must apply the same precedence, or an unchanged
-				// file would repartition the fleet to the file's (absent)
-				// shard count instead of being the no-op it looks like.
-				if *shards > 0 {
-					plat.Shards = *shards
-				}
-				resp, err := srv.Reshard(plat)
-				switch {
-				case err != nil:
-					log.Printf("SIGHUP reshard rejected: %v", err)
-				case resp.Noop:
-					log.Printf("SIGHUP reshard: platform unchanged, partition kept (%d shards, generation %d)",
-						resp.ShardCount, resp.Generation)
-				default:
-					log.Printf("SIGHUP reshard: generation %d, %d shards (%d spawned, %d retired, %d kept), %d jobs migrated",
-						resp.Generation, resp.ShardCount, len(resp.SpawnedShards), len(resp.RetiredShards),
-						len(resp.KeptShards), resp.MigratedJobs)
-				}
+	// SIGHUP reloads the platform file and live-reshards against it: the
+	// operator's replication event needs only a file rewrite and a signal,
+	// no client tooling. The handler is installed even under -reshard=false,
+	// where Reshard answers ErrReshardDisabled and the HUP is logged as
+	// rejected: left unhandled, SIGHUP's default action would exit the
+	// process without a final snapshot.
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	go func() {
+		for range hup {
+			data, err := os.ReadFile(*platform)
+			if err != nil {
+				log.Printf("SIGHUP reload: %v", err)
+				continue
 			}
-		}()
-	}
+			plat, err := model.ParsePlatformConfig(data)
+			if err != nil {
+				log.Printf("SIGHUP reload: %v", err)
+				continue
+			}
+			// The -shards CLI override outranks the file at startup; a
+			// reload must apply the same precedence, or an unchanged
+			// file would repartition the fleet to the file's (absent)
+			// shard count instead of being the no-op it looks like.
+			if *shards > 0 {
+				plat.Shards = *shards
+			}
+			resp, err := srv.Reshard(plat)
+			switch {
+			case err != nil:
+				log.Printf("SIGHUP reshard rejected: %v", err)
+			case resp.Noop:
+				log.Printf("SIGHUP reshard: platform unchanged, partition kept (%d shards, generation %d)",
+					resp.ShardCount, resp.Generation)
+			default:
+				log.Printf("SIGHUP reshard: generation %d, %d shards (%d spawned, %d retired, %d kept), %d jobs migrated",
+					resp.Generation, resp.ShardCount, len(resp.SpawnedShards), len(resp.RetiredShards),
+					len(resp.KeptShards), resp.MigratedJobs)
+			}
+		}
+	}()
 	// Listen explicitly (rather than ListenAndServe) so the log line carries
 	// the bound address even for -addr :0 — scripted deployments and the
 	// end-to-end tests learn the port from it.

@@ -368,16 +368,66 @@ func TestShutdownAnswersInflightRequest(t *testing.T) {
 		t.Fatalf("in-flight request answered %d %s, want 2xx or a fleet_closed 503", resp.StatusCode, answer)
 	}
 
+	p.waitExit(t)
+}
+
+// waitExit waits for the process to exit and requires exit status 0.
+func (p *proc) waitExit(t *testing.T) {
+	t.Helper()
 	// The child closes stderr when it exits; only then is Wait safe to call.
 	exited := time.After(15 * time.Second)
 	for open := true; open; {
 		select {
 		case _, open = <-p.lines:
 		case <-exited:
-			t.Fatal("daemon still running 15s after answering its last request")
+			t.Fatal("process still running 15s after it was told to stop")
 		}
 	}
 	if err := p.cmd.Wait(); err != nil {
-		t.Fatalf("daemon exit after graceful shutdown: %v", err)
+		t.Fatalf("process exit after graceful shutdown: %v", err)
 	}
+}
+
+// TestSIGHUPKeepsDaemonsAlive: a HUP (log rotation, an operator's reload) must
+// not kill a router started with -reshard=false, which rejects the reload, nor
+// a worker, which has nothing to reload. Unhandled, SIGHUP's default action
+// exits the process: no final snapshot, in-flight requests and a worker's
+// shard state lost. Both must then still stop cleanly on SIGTERM.
+func TestSIGHUPKeepsDaemonsAlive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the divflowd binary")
+	}
+	bin := buildDivflowd(t)
+
+	router := startProc(t, bin, "-addr", "127.0.0.1:0", "-reshard=false", "-platform", "../../testdata/platform.json")
+	line := router.waitLine(t, "serving 3 machines in ")
+	rest := line[strings.Index(line, " shards on ")+len(" shards on "):]
+	base := "http://" + strings.TrimSpace(strings.Split(rest, " ")[0])
+	if err := router.cmd.Process.Signal(syscall.SIGHUP); err != nil {
+		t.Fatal(err)
+	}
+	router.waitLine(t, "SIGHUP reshard rejected: ")
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatalf("router gone after SIGHUP: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after SIGHUP = %d, want 200", resp.StatusCode)
+	}
+	if err := router.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	router.waitExit(t)
+
+	worker := startProc(t, bin, "-worker", "-listen", "127.0.0.1:0")
+	worker.waitLine(t, "worker awaiting shard installs on ")
+	if err := worker.cmd.Process.Signal(syscall.SIGHUP); err != nil {
+		t.Fatal(err)
+	}
+	worker.waitLine(t, "SIGHUP ignored")
+	if err := worker.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	worker.waitExit(t)
 }

@@ -143,13 +143,11 @@ type rangeSolution struct {
 // recordSolve classifies one hybrid solve into the tally.
 func recordSolve(t *stats.SolverTally, warmTried bool, sol *lp.Solution) {
 	switch sol.Method {
-	case lp.MethodWarmVerified, lp.MethodWarmSimplex:
+	case lp.MethodWarmVerified:
 		t.WarmHits++
 		return
 	case lp.MethodFloatVerified:
 		t.FloatVerified++
-	case lp.MethodCrossover:
-		t.Crossovers++
 	case lp.MethodExact:
 		t.Fallbacks++
 	}

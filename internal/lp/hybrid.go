@@ -1,6 +1,10 @@
 package lp
 
-import "divflow/internal/exact"
+import (
+	"slices"
+
+	"divflow/internal/exact"
+)
 
 // Method reports which path of the hybrid engine produced a solution. Every
 // path ends in exact rational arithmetic, so the status and optimal
@@ -11,23 +15,16 @@ type Method int
 
 const (
 	// MethodExact is the full two-phase exact simplex (SolveRat, or the
-	// hybrid driver's last-resort fallback).
+	// hybrid driver's fallback when no basis verified).
 	MethodExact Method = iota
 	// MethodFloatVerified means the float64 simplex proposed a basis (or an
 	// infeasibility certificate) that exact refactorization verified — the
 	// common fast path: no exact pivots at all.
 	MethodFloatVerified
-	// MethodCrossover means the float basis was exactly feasible but not
-	// exactly optimal; the exact simplex finished from it.
-	MethodCrossover
 	// MethodWarmVerified means the basis the caller handed over — the one its
 	// own float solve of the same rows ended on — was exactly optimal:
 	// verified with zero pivots, the engine's float pass never run.
 	MethodWarmVerified
-	// MethodWarmSimplex means the handed basis was not optimal but exactly
-	// feasible, the float pass gave nothing verifiable, and the exact
-	// simplex re-optimized from the handed basis.
-	MethodWarmSimplex
 )
 
 // String implements fmt.Stringer.
@@ -37,12 +34,8 @@ func (m Method) String() string {
 		return "exact"
 	case MethodFloatVerified:
 		return "float-verified"
-	case MethodCrossover:
-		return "crossover"
 	case MethodWarmVerified:
 		return "warm-verified"
-	case MethodWarmSimplex:
-		return "warm-simplex"
 	default:
 		return "unknown"
 	}
@@ -51,9 +44,10 @@ func (m Method) String() string {
 // Basis is the basis a float solve ended on (FloatSolution.Basis). It is
 // opaque: a caller that filled a FloatTableau hands it to SolveHybridWarm
 // with the Problem of the same rows, whose standard form numbers the columns
-// as the tableau did, and the solver verifies it exactly instead of running a
-// float simplex of its own. A stale or mismatched basis costs only the failed
-// exact verification — correctness never depends on it.
+// as the tableau did, and the solver checks it exactly instead of running a
+// float simplex of its own. The basis is only ever verified, never pivoted
+// from: a stale or mismatched one costs the failed check, and correctness
+// never depends on it.
 type Basis struct {
 	m, numCols, artStart int
 	cols                 []int
@@ -73,11 +67,10 @@ func (b *Basis) compatible(sf *stdForm) bool {
 //     solution is read off the factorization — no exact pivots at all.
 //  3. A float "infeasible" outcome is accepted only with an exact Farkas
 //     certificate derived from the phase-1 dual vector.
-//  4. On any check failure, the exact simplex finishes the job — from the
-//     float basis when it is exactly feasible (crossover), from scratch
-//     otherwise — so the status and exact optimal objective always equal
-//     SolveRat's (on degenerate instances the returned vertex may be a
-//     different, equally optimal one).
+//  4. On any check failure, or a float outcome of unbounded or stalled, the
+//     cold two-phase exact simplex decides — so the status and exact optimal
+//     objective always equal SolveRat's (on degenerate instances the
+//     returned vertex may be a different, equally optimal one).
 func SolveHybrid(p *Problem) (*Solution, error) {
 	return SolveHybridWarm(p, nil)
 }
@@ -85,68 +78,42 @@ func SolveHybrid(p *Problem) (*Solution, error) {
 // SolveHybridWarm is SolveHybrid handed the basis a float solve of the same
 // rows already ended on. A compatible basis that is exactly optimal settles
 // the solve with one exact refactorization and zero pivots, in place of the
-// engine's own float pass; a stale one costs only that failed check — the
-// float engine then locates the optimum as usual, and the handed basis is
-// retried as an exact starting point only if the float basis itself fails
-// verification. Incompatible bases are ignored outright.
+// engine's own float pass (MethodWarmVerified). A stale one costs only that
+// failed check: SolveHybrid's steps then run as if no basis had been handed,
+// except that a float basis equal to the rejected one is not checked twice.
+// Incompatible bases are ignored outright.
 func SolveHybridWarm(p *Problem, warm *Basis) (*Solution, error) {
 	sf, err := newStdForm(p)
 	if err != nil {
 		return nil, err
 	}
-	warmUsable := warm.compatible(sf) && sf.validBasis(warm.cols)
-	if warmUsable {
+	warmRejected := false
+	if warm.compatible(sf) && sf.validBasis(warm.cols) {
 		if sol := tryBasisExact(sf, warm.cols); sol != nil {
 			sol.Method = MethodWarmVerified
 			return sol, nil
 		}
+		warmRejected = true
 	}
 	run := runFloat(sf)
-	// A float basis identical to the already-rejected warm basis would just
-	// repeat the same exact checks; skip straight to the fallbacks.
-	sameAsWarm := func(basis []int) bool {
-		if !warmUsable || len(basis) != len(warm.cols) {
-			return false
-		}
-		for i, c := range basis {
-			if warm.cols[i] != c {
-				return false
+	var sol *Solution
+	if sf.validBasis(run.basis) {
+		switch run.status {
+		case Optimal:
+			// A float basis equal to the rejected warm one fails the same check.
+			if !warmRejected || !slices.Equal(run.basis, warm.cols) {
+				sol = tryBasisExact(sf, run.basis)
 			}
-		}
-		return true
-	}
-	switch run.status {
-	case Optimal:
-		if sf.validBasis(run.basis) && !sameAsWarm(run.basis) {
-			if sol := tryBasisExact(sf, run.basis); sol != nil {
-				sol.Method = MethodFloatVerified
-				return sol, nil
-			}
-			if sol := finishFromBasis(sf, run.basis); sol != nil {
-				sol.Method = MethodCrossover
-				return sol, nil
-			}
-		}
-	case Infeasible:
-		if sf.validBasis(run.basis) {
-			if sol := certifyInfeasible(sf, run.basis); sol != nil {
-				sol.Method = MethodFloatVerified
-				return sol, nil
-			}
+		case Infeasible:
+			sol = certifyInfeasible(sf, run.basis)
 		}
 	}
-	// The float engine failed to hand over a verifiable answer. A warm
-	// basis that is still exactly feasible beats a cold start: re-optimize
-	// from it.
-	if warmUsable {
-		if sol := finishFromBasis(sf, warm.cols); sol != nil {
-			sol.Method = MethodWarmSimplex
-			return sol, nil
-		}
+	if sol != nil {
+		sol.Method = MethodFloatVerified
+		return sol, nil
 	}
-	// Unbounded, stalled, or failed verification: full exact fallback.
-	sol, err := solveRatCold(sf)
-	if err != nil {
+	// Unbounded, stalled, or failed verification: the cold exact simplex.
+	if sol, err = solveRatCold(sf); err != nil {
 		return nil, err
 	}
 	sol.Method = MethodExact
@@ -201,38 +168,6 @@ func tryBasisExact(sf *stdForm, basis []int) *Solution {
 		}
 	}
 	return &Solution{Status: Optimal, Objective: obj.Rat(), X: x, Kernel: len(f.bumpRows)}
-}
-
-// finishFromBasis pivots an exact tableau to the candidate basis and, when
-// that basis is exactly primal feasible, lets the exact simplex finish from
-// there. Returns nil when the basis is singular or infeasible (the caller
-// falls back to a cold start).
-func finishFromBasis(sf *stdForm, basis []int) *Solution {
-	t, ok := newWarmRatTableau(sf, basis)
-	if !ok {
-		return nil
-	}
-	for r := range t.rhs {
-		if t.rhs[r].Sign() < 0 {
-			return nil // not primal feasible at this basis
-		}
-		if t.basis[r] >= sf.artStart && t.rhs[r].Sign() != 0 {
-			return nil // a basic artificial carries value
-		}
-	}
-	// Basic artificials at zero are pivoted out (or proven stuck on
-	// redundant rows) exactly as after phase 1.
-	t.evictArtificials()
-	t.setObjective(sf.cost)
-	switch t.iterate() {
-	case Optimal:
-		return t.solution()
-	case Unbounded:
-		// From an exactly feasible basis, exact pivoting to an unbounded
-		// ray is a proof of unboundedness.
-		return &Solution{Status: Unbounded}
-	}
-	return nil
 }
 
 // certifyInfeasible checks, exactly, whether the dual vector of the float

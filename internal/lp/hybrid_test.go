@@ -9,27 +9,23 @@ import (
 )
 
 // checkAgainstRat solves p with both engines and requires identical status
-// and exactly identical objectives. It returns the hybrid solution.
-func checkAgainstRat(t *testing.T, p *Problem, label string) *Solution {
+// and exactly identical objectives. The hybrid engine solves p twice: cold,
+// and handed a stale basis — the one the float simplex ends on for p with
+// every right-hand side raised — which it must verify or reject without
+// changing the answer. It returns the cold and the stale-basis solutions.
+func checkAgainstRat(t *testing.T, p *Problem, label string) (hs, ws *Solution) {
 	t.Helper()
-	hs, err := SolveHybrid(p)
-	if err != nil {
-		t.Fatalf("%s: hybrid: %v", label, err)
-	}
 	rs, err := SolveRat(p)
 	if err != nil {
 		t.Fatalf("%s: rat: %v", label, err)
 	}
-	if hs.Status != rs.Status {
-		t.Fatalf("%s: hybrid status %v (method %v), rat status %v", label, hs.Status, hs.Method, rs.Status)
+	hs = matchRat(t, p, nil, rs, label)
+	raised := withRHS(p, func(i int, b exact.Q) exact.Q { return b.Add(exact.Int(int64(1 + i%3))) })
+	var stale *Basis
+	if fs, err := solveFloat(raised); err == nil { // a stalled float pass hands no basis
+		stale = fs.Basis
 	}
-	if hs.Status == Optimal {
-		if hs.Objective.Cmp(rs.Objective) != 0 {
-			t.Fatalf("%s: hybrid objective %v (method %v) != rat %v",
-				label, hs.Objective.RatString(), hs.Method, rs.Objective.RatString())
-		}
-		checkFeasible(t, p, hs, label)
-	}
+	ws = matchRat(t, p, stale, rs, label+" (stale basis)")
 	if hs.Status == Optimal && hs.Method == MethodFloatVerified {
 		// The basis that proved it, factored again: it must reproduce the
 		// right-hand side exactly and hold the solution's values.
@@ -47,6 +43,27 @@ func checkAgainstRat(t *testing.T, p *Problem, label string) *Solution {
 				t.Fatalf("%s: basic column %d is %v in the factor, %v in the solution", label, c, v, hs.X[c])
 			}
 		}
+	}
+	return hs, ws
+}
+
+// matchRat solves p with SolveHybridWarm handed warm and requires SolveRat's
+// status rs.Status and exact objective, at an exactly feasible point.
+func matchRat(t *testing.T, p *Problem, warm *Basis, rs *Solution, label string) *Solution {
+	t.Helper()
+	hs, err := SolveHybridWarm(p, warm)
+	if err != nil {
+		t.Fatalf("%s: hybrid: %v", label, err)
+	}
+	if hs.Status != rs.Status {
+		t.Fatalf("%s: hybrid status %v (method %v), rat status %v", label, hs.Status, hs.Method, rs.Status)
+	}
+	if hs.Status == Optimal {
+		if hs.Objective.Cmp(rs.Objective) != 0 {
+			t.Fatalf("%s: hybrid objective %v (method %v) != rat %v",
+				label, hs.Objective.RatString(), hs.Method, rs.Objective.RatString())
+		}
+		checkFeasible(t, p, hs, label)
 	}
 	return hs
 }
@@ -134,16 +151,20 @@ func randomProblem(rng *rand.Rand) (*Problem, string) {
 
 // TestHybridDifferential is the differential property test of the hybrid
 // engine: across random feasible, infeasible, unbounded and degenerate LPs,
-// SolveHybrid must match SolveRat's status and exact objective bit for bit.
+// SolveHybrid must match SolveRat's status and exact objective bit for bit,
+// cold and handed a stale basis. The stale bases must reach both ends: some
+// verify, and some are rejected on an LP only the exact simplex decides.
 func TestHybridDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	flavours := map[string]int{}
 	methods := map[Method]int{}
+	staleMethods := map[Method]int{}
 	for it := 0; it < 120; it++ {
 		p, flavour := randomProblem(rng)
-		hs := checkAgainstRat(t, p, flavour)
+		hs, ws := checkAgainstRat(t, p, flavour)
 		flavours[flavour]++
 		methods[hs.Method]++
+		staleMethods[ws.Method]++
 	}
 	for _, f := range []string{"feasible", "infeasible", "unbounded", "degenerate"} {
 		if flavours[f] == 0 {
@@ -153,13 +174,19 @@ func TestHybridDifferential(t *testing.T) {
 	if methods[MethodFloatVerified] == 0 {
 		t.Errorf("float-verified fast path never taken; methods: %v", methods)
 	}
-	t.Logf("flavours: %v, methods: %v", flavours, methods)
+	if staleMethods[MethodWarmVerified] == 0 || staleMethods[MethodExact] == 0 {
+		t.Errorf("stale bases never verified or never fell back to the exact simplex; methods: %v", staleMethods)
+	}
+	t.Logf("flavours: %v, methods: %v, stale-basis methods: %v", flavours, methods, staleMethods)
 }
 
 // TestHybridFallbackPath drives SolveHybrid onto its full-fallback path with
-// instances whose feasibility is decided by quantities far below float64
-// resolution, and onto the crossover path with vertices separated by less
-// than the float solver can see.
+// an instance whose feasibility is decided by a quantity far below float64
+// resolution: the float basis fails exact verification and the cold exact
+// simplex decides. A second instance has vertices separated by less than the
+// float solver can see; whichever basis the float pass ends on, it is either
+// verified exactly optimal or rejected for the cold simplex — there is no
+// path that finishes from an unverified basis.
 func TestHybridFallbackPath(t *testing.T) {
 	tiny := new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Exp(big.NewInt(2), big.NewInt(80), nil))
 
@@ -171,7 +198,7 @@ func TestHybridFallbackPath(t *testing.T) {
 	hi := new(big.Rat).Sub(rat(1, 1), tiny)
 	p.AddRow("lo", []Term{{x, rat(1, 1)}}, GE, rat(1, 1))
 	p.AddRow("hi", []Term{{x, rat(1, 1)}}, LE, hi)
-	hs := checkAgainstRat(t, p, "sub-float-infeasible")
+	hs, _ := checkAgainstRat(t, p, "sub-float-infeasible")
 	if hs.Status != Infeasible {
 		t.Fatalf("status %v, want infeasible", hs.Status)
 	}
@@ -361,7 +388,7 @@ func TestWarmStartRandom(t *testing.T) {
 			t.Fatalf("iter %d: warm objective %v (method %v) != %v",
 				it, warm.Objective.RatString(), warm.Method, ref.Objective.RatString())
 		}
-		if warm.Method == MethodWarmVerified || warm.Method == MethodWarmSimplex {
+		if warm.Method == MethodWarmVerified {
 			warmHits++
 		}
 	}
@@ -385,7 +412,7 @@ func TestWarmStartIncompatibleBasisIgnored(t *testing.T) {
 	if sol.Status != Optimal || sol.Objective.Cmp(rat(2, 1)) != 0 {
 		t.Fatalf("got %v %v, want optimal 2", sol.Status, sol.Objective)
 	}
-	if sol.Method == MethodWarmVerified || sol.Method == MethodWarmSimplex {
+	if sol.Method == MethodWarmVerified {
 		t.Errorf("incompatible basis reported as warm start (%v)", sol.Method)
 	}
 }

@@ -271,47 +271,3 @@ func (t *ratTableau) solution() *Solution {
 		X:         x,
 	}
 }
-
-// newWarmRatTableau positions a tableau at the given basis by Gauss–Jordan
-// pivoting (m sparse pivots, no objective yet). It reports ok=false when the
-// columns are singular. The resulting right-hand side may be negative — the
-// caller must check feasibility before running the primal simplex.
-func newWarmRatTableau(sf *stdForm, basis []int) (*ratTableau, bool) {
-	t := newRatTableau(sf)
-	assigned := make([]bool, sf.m)
-	// Columns already basic in the initial tableau keep their row for free.
-	rowOf := make(map[int]int, sf.m)
-	for r, bv := range t.basis {
-		rowOf[bv] = r
-	}
-	var rest []int
-	for _, c := range basis {
-		if r, ok := rowOf[c]; ok && !assigned[r] {
-			assigned[r] = true
-			continue
-		}
-		rest = append(rest, c)
-	}
-	for _, c := range rest {
-		pivotRow := -1
-		best := 0
-		for r := 0; r < sf.m; r++ {
-			if assigned[r] {
-				continue
-			}
-			v := t.rows[r].get(c)
-			if v.Sign() == 0 {
-				continue
-			}
-			if sz := v.BitLen(); pivotRow == -1 || sz < best {
-				pivotRow, best = r, sz
-			}
-		}
-		if pivotRow == -1 {
-			return nil, false // c is spanned by the columns already placed
-		}
-		t.pivot(pivotRow, c)
-		assigned[pivotRow] = true
-	}
-	return t, true
-}

@@ -434,7 +434,7 @@ type StatsResponse struct {
 	PlanCacheHits int `json:"planCacheHits"`
 	// Solver breaks the LP solves down by the hybrid engine's path: how
 	// many were settled by the float simplex plus an exact verification,
-	// how many needed exact crossover pivots or a full exact fallback, and
+	// how many needed a full exact fallback (crossovers reads 0), and
 	// how often the basis the milestone search's own float probe ended on
 	// settled the solve. All paths are exact; the split is a performance,
 	// not a correctness, signal.

@@ -9,9 +9,9 @@ import (
 )
 
 // TestSolverCountersOverHTTP: GET /v1/stats must break the exact LP solves
-// down by hybrid-engine path (float-verified vs crossover vs exact
-// fallback) and report the hand-off: solves settled from the basis the
-// search's own probe ended on. A search probes only when the optimum lies
+// down by hybrid-engine path (float-verified vs exact fallback; the
+// crossover count stays in the format and reads 0) and report the hand-off:
+// solves settled from the basis the search's own probe ended on. A search probes only when the optimum lies
 // above the range of its single-job floor, so the jobs get stretch weights
 // and the second wave arrives while the first is still running: residuals
 // with distinct weights and distinct waiting times have milestones to cross.
@@ -62,6 +62,9 @@ func TestSolverCountersOverHTTP(t *testing.T) {
 	}
 	if got := tally.FloatVerified + tally.Crossovers + tally.Fallbacks + tally.WarmHits; got != tally.Total() {
 		t.Errorf("tally inconsistent: %+v", tally)
+	}
+	if tally.Crossovers != 0 {
+		t.Errorf("the engine has no crossover path, yet %d solves counted as crossovers", tally.Crossovers)
 	}
 	if tally.FloatVerified+tally.WarmHits == 0 {
 		t.Errorf("no solve settled by verifying a float basis: the hybrid fast path never fired (%+v)", tally)

@@ -16,6 +16,8 @@ import (
 // One scheduling decision can settle several inner range LPs on different
 // paths; the decision is labeled by the worst path any of them took, so a
 // "float_verified" sample really means no LP of that solve needed more.
+// pathCrossover labels only the divflow_solver_path_total series the
+// exposition format keeps: the engine has no crossover path, so it reads 0.
 const (
 	pathWarm          = "warm"
 	pathFloatVerified = "float_verified"
@@ -28,8 +30,6 @@ func solvePath(t stats.SolverTally) string {
 	switch {
 	case t.Fallbacks > 0:
 		return pathExactFallback
-	case t.Crossovers > 0:
-		return pathCrossover
 	case t.FloatVerified > 0:
 		return pathFloatVerified
 	default:

@@ -116,8 +116,8 @@ func (p *OnlineMWF) Solves() int { return p.solves }
 func (p *OnlineMWF) CacheHits() int { return p.cacheHits }
 
 // SolverTally reports, for the last run, how the inner exact LP solves were
-// settled by the hybrid engine (float-verified vs crossover vs full exact
-// fallback) and how often the basis of the search's own probe settled one.
+// settled by the hybrid engine (float-verified vs full exact fallback) and
+// how often the basis of the search's own probe settled one.
 func (p *OnlineMWF) SolverTally() stats.SolverTally { return p.tally }
 
 // Reset implements Policy.

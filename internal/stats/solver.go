@@ -11,15 +11,16 @@ type SolverTally struct {
 	// exact refactorization check (no exact pivoting), including exactly
 	// certified infeasibilities.
 	FloatVerified int `json:"floatVerified"`
-	// Crossovers counts solves where the float basis was exactly feasible
-	// but not optimal and the exact simplex finished from it.
+	// Crossovers reads 0: the engine no longer finishes the exact simplex
+	// from a float basis. The field stays because the stats wire format, the
+	// WAL and the metrics exposition carry it.
 	Crossovers int `json:"crossovers"`
 	// Fallbacks counts solves that ran the full exact simplex from scratch
-	// because the float result failed exact verification.
+	// because neither the handed basis nor the float result verified.
 	Fallbacks int `json:"fallbacks"`
 	// WarmHits counts solves settled from the basis the milestone search's
 	// own float probe of the range ended on (verified exactly optimal in
-	// place of the engine's float pass, or re-optimized from it);
+	// place of the engine's float pass);
 	// WarmMisses counts solves handed such a basis that rejected it and ran
 	// the float pass after all. A solve no probe visited counts in neither.
 	WarmHits   int `json:"warmHits"`
