@@ -93,7 +93,7 @@ func TestLockOrderIsOnePage(t *testing.T) {
 	for _, pkg := range prog.Pkgs {
 		CollectLocks(prog, pkg, world)
 	}
-	chain := []string{"reshard", "collect", "shard", "topo", "backlog", "dmu", "journal"}
+	chain := []string{"reshard", "collect", "shard", "topo", "dmu", "journal"}
 	classes := make(map[string]bool)
 	for field, class := range world.FieldClass {
 		if strings.HasPrefix(field, "divflow/internal/server.") {

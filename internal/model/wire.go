@@ -85,12 +85,16 @@ type BatchSubmitResponse struct {
 	Results []BatchSubmitResult `json:"results"`
 }
 
-// maxWireRatBits bounds the numerator/denominator of submitted rationals:
-// exact arithmetic makes every accepted digit a permanent cost in all later
-// LP solves, so an unbounded "1e100000" would wedge the scheduling loop.
+// maxWireRatBits bounds the numerator/denominator of rationals read off the
+// wire: exact arithmetic makes every accepted digit a permanent cost in all
+// later LP solves, so an unbounded "1e100000" would wedge the scheduling loop.
 const maxWireRatBits = 256
 
-func parseWireRat(s, what string) (*big.Rat, error) {
+// ParseWireRat is the one parse of a rational that arrives over HTTP — a
+// submission's fields, a tenant weight, a platform's inverse speeds, the
+// schedule window's start: any form big.Rat reads, refused past
+// maxWireRatBits; what names the field in the error.
+func ParseWireRat(s, what string) (*big.Rat, error) {
 	r, ok := new(big.Rat).SetString(s)
 	if !ok {
 		return nil, fmt.Errorf("model: cannot parse %s %q as a rational", what, s)
@@ -109,16 +113,16 @@ func (r *SubmitRequest) Job() (Job, error) {
 		return job, errors.New("model: submission needs a size")
 	}
 	var err error
-	if job.Size, err = parseWireRat(r.Size, "size"); err != nil {
+	if job.Size, err = ParseWireRat(r.Size, "size"); err != nil {
 		return job, err
 	}
 	if r.Weight != "" {
-		if job.Weight, err = parseWireRat(r.Weight, "weight"); err != nil {
+		if job.Weight, err = ParseWireRat(r.Weight, "weight"); err != nil {
 			return job, err
 		}
 	}
 	if r.Deadline != "" {
-		if job.Deadline, err = parseWireRat(r.Deadline, "deadline"); err != nil {
+		if job.Deadline, err = ParseWireRat(r.Deadline, "deadline"); err != nil {
 			return job, err
 		}
 	}
@@ -336,7 +340,7 @@ func ParseTenantConfig(data []byte) (*TenantConfig, error) {
 		if t.Weight == "" {
 			return nil, fmt.Errorf("model: tenant %q needs a weight", t.Name)
 		}
-		w, err := parseWireRat(t.Weight, "tenant weight")
+		w, err := ParseWireRat(t.Weight, "tenant weight")
 		if err != nil {
 			return nil, err
 		}
@@ -540,9 +544,13 @@ type Platform struct {
 // strictly positive inverseSpeed, and the optional {"shards": N} scheduling
 // partition override.
 func ParsePlatformConfig(data []byte) (*Platform, error) {
+	// Each inverse speed is read as text, so the bounded parse reads it.
 	var doc struct {
-		Machines []Machine `json:"machines"`
-		Shards   int       `json:"shards"`
+		Machines []struct {
+			Machine
+			InverseSpeed string `json:"inverseSpeed"`
+		} `json:"machines"`
+		Shards int `json:"shards"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("model: platform: %w", err)
@@ -553,15 +561,22 @@ func ParsePlatformConfig(data []byte) (*Platform, error) {
 	if doc.Shards < 0 {
 		return nil, fmt.Errorf("model: platform shards = %d, want >= 0", doc.Shards)
 	}
+	machines := make([]Machine, len(doc.Machines))
 	for i, m := range doc.Machines {
-		if m.InverseSpeed == nil {
+		if m.InverseSpeed == "" {
 			return nil, fmt.Errorf("model: platform machine %d (%s) needs inverseSpeed", i, m.Name)
 		}
-		if m.InverseSpeed.Sign() <= 0 {
+		speed, err := ParseWireRat(m.InverseSpeed, fmt.Sprintf("platform machine %d (%s) inverseSpeed", i, m.Name))
+		if err != nil {
+			return nil, err
+		}
+		if speed.Sign() <= 0 {
 			return nil, fmt.Errorf("model: platform machine %d (%s) needs inverseSpeed > 0", i, m.Name)
 		}
+		machines[i] = m.Machine
+		machines[i].InverseSpeed = speed
 	}
-	return &Platform{Machines: doc.Machines, Shards: doc.Shards}, nil
+	return &Platform{Machines: machines, Shards: doc.Shards}, nil
 }
 
 // HealthResponse is the body of GET /healthz: "ok" with HTTP 200 while every

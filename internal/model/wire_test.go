@@ -61,11 +61,13 @@ func TestParsePlatform(t *testing.T) {
 	}
 
 	bad := map[string]string{
-		"no machines":   `{"machines":[]}`,
-		"no speed":      `{"machines":[{"name":"m"}]}`,
-		"zero speed":    `{"machines":[{"name":"m","inverseSpeed":"0"}]}`,
-		"bad rational":  `{"machines":[{"name":"m","inverseSpeed":"fast"}]}`,
-		"malformed doc": `{`,
+		"no machines":  `{"machines":[]}`,
+		"no speed":     `{"machines":[{"name":"m"}]}`,
+		"zero speed":   `{"machines":[{"name":"m","inverseSpeed":"0"}]}`,
+		"bad rational": `{"machines":[{"name":"m","inverseSpeed":"fast"}]}`,
+		// 1e100 needs 333 bits: past the bound submissions get.
+		"oversized speed": `{"machines":[{"name":"m","inverseSpeed":"1e100"}]}`,
+		"malformed doc":   `{`,
 	}
 	for what, doc := range bad {
 		if _, err := ParsePlatformConfig([]byte(doc)); err == nil {

@@ -266,10 +266,12 @@ func (s *Server) handlePlatform(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var since exact.Q
 	if q := r.URL.Query().Get("since"); q != "" {
-		if since.UnmarshalText([]byte(q)) != nil {
-			writeError(w, http.StatusBadRequest, invalidArg(fmt.Errorf("bad since %q: want a rational like 3/2", q)))
+		rat, err := model.ParseWireRat(q, "since")
+		if err != nil {
+			writeError(w, http.StatusBadRequest, invalidArg(fmt.Errorf("bad since: %w (want a rational like 3/2)", err)))
 			return
 		}
+		since = exact.FromRat(rat)
 	}
 	// Each shard deep-copies its window under its own lock; the merge and
 	// the serialization run lock-free. Retired shards contribute the pieces
@@ -319,7 +321,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleHealth is the liveness/readiness probe: 200 while every active shard
 // is healthy, 503 naming the stalled shards — an unreachable worker shard is
 // as stalled as a latched one, and listed first. It reads the routing keys the
-// router places by (served off backlogMu alone), so a probe never waits behind
+// router places by, which no shard's mu guards, so a probe never waits behind
 // an in-flight exact solve. Retired shards are history, not health; they are
 // not consulted.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {

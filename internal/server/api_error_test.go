@@ -79,11 +79,15 @@ func TestErrorEnvelopeTable(t *testing.T) {
 		{"job id not a number", "GET", "/v1/jobs/abc", "", 404, model.ErrCodeNotFound},
 		{"job never issued", "GET", "/v1/jobs/99", "", 404, model.ErrCodeNotFound},
 		{"schedule bad since", "GET", "/v1/schedule?since=bogus", "", 400, model.ErrCodeInvalidArgument},
+		// 1e100 needs 333 bits: past the bound submissions get.
+		{"schedule oversized since", "GET", "/v1/schedule?since=1e100", "", 400, model.ErrCodeInvalidArgument},
 		{"events bad since", "GET", "/v1/events?since=-1", "", 400, model.ErrCodeInvalidArgument},
 		{"events bad shard", "GET", "/v1/events?shard=x", "", 400, model.ErrCodeInvalidArgument},
 		{"events bad limit", "GET", "/v1/events?limit=0", "", 400, model.ErrCodeInvalidArgument},
 		{"platform malformed JSON", "POST", "/v1/platform", `{`, 400, model.ErrCodeInvalidArgument},
 		{"platform with no machines", "POST", "/v1/platform", `{"machines":[]}`, 400, model.ErrCodeInvalidArgument},
+		{"platform oversized inverseSpeed", "POST", "/v1/platform",
+			`{"machines":[{"name":"m","inverseSpeed":"1e100","databanks":["swissprot"]}]}`, 400, model.ErrCodeInvalidArgument},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -256,7 +256,8 @@ type snapShard struct {
 	MigratedIDs []int   `json:"migratedIds,omitempty"`
 	Backlog     exact.Q `json:"backlog"`
 	LastErr     string  `json:"lastErr,omitempty"`
-	Stalled     bool    `json:"stalled,omitempty"`
+	// Stalled repeats LastErr != "" in the document; a restore reads LastErr.
+	Stalled bool `json:"stalled,omitempty"`
 }
 
 // snapGen is one topology generation in a snapshot (shards by creation
@@ -314,8 +315,8 @@ func exportShardLocked(sh *shard) snapShard {
 		},
 		Retired: sh.retired, Freed: sh.freed,
 		MigratedIDs: append([]int(nil), sh.migratedIDs...),
-		Backlog:     sh.backlog,
-		Stalled:     sh.stalled,
+		Backlog:     sh.route.Load().Backlog,
+		Stalled:     sh.lastErr != nil,
 	}
 	ss.ShardTotals, ss.Tenants = sh.ledger()
 	for _, rec := range sh.records {
@@ -604,10 +605,8 @@ func (sh *shard) loadState(ss *snapShard) error {
 			return fmt.Errorf("shard %d record %d out of order", ss.Idx, sr.ID)
 		}
 		rec := sr.clone()
+		rec.hosts = sh.hostMask(rec.Databanks)
 		sh.records = append(sh.records, rec)
-		if rec.State == StateQueued || rec.State == StateScheduled || rec.State == StateDone {
-			sh.markEligible(rec) //divflow:emitmu-ok restore builds a private shard that is not yet published; no other goroutine can reach its mu
-		}
 	}
 	for _, id := range ss.PendingIDs {
 		if id < 0 || id >= len(sh.records) || sh.records[id] == nil {
@@ -619,7 +618,6 @@ func (sh *shard) loadState(ss *snapShard) error {
 		sh.freed = true
 		sh.records = nil
 		sh.pending = nil
-		sh.eligible = nil
 		sh.eng = nil
 		sh.policy = nil
 		sh.mwf = nil
@@ -635,7 +633,7 @@ func (sh *shard) loadState(ss *snapShard) error {
 		}
 	}
 	// The ledger arrives whole, and goes back where shard.ledger() gathered it
-	// from: the histograms into telemetry, the backlog split beside the
+	// from: the histograms into telemetry, the backlog split into the
 	// routing key, the rest into the shard's own totals and tenant entries.
 	if err := validateLedger(&ss.ShardTotals, ss.Tenants); err != nil {
 		return fmt.Errorf("shard %d: %w", ss.Idx, err)
@@ -653,10 +651,13 @@ func (sh *shard) loadState(ss *snapShard) error {
 	}
 	sh.ShardTotals = totals
 	sh.migratedIDs = append([]int(nil), ss.MigratedIDs...)
-	sh.backlog = ss.Backlog
+	route := shardlink.RouteInfoReply{Backlog: ss.Backlog, Err: ss.LastErr}
 	for t, tt := range ss.Tenants.Clone() {
 		if tt.Backlog.Sign() != 0 {
-			sh.tenantBacklog[t] = tt.Backlog
+			if route.TenantBacklog == nil {
+				route.TenantBacklog = make(map[string]exact.Q)
+			}
+			route.TenantBacklog[t] = tt.Backlog
 		}
 		if tt.WFlow != nil {
 			if err := sh.obs.tenantWFlow(t).Restore(*tt.WFlow); err != nil { //divflow:emitmu-ok restore builds a private shard that is not yet published; no other goroutine can reach its mu
@@ -672,11 +673,8 @@ func (sh *shard) loadState(ss *snapShard) error {
 	}
 	if ss.LastErr != "" {
 		sh.lastErr = errors.New(ss.LastErr)
-		sh.stalled = true
-		sh.publishRouteErr() //divflow:emitmu-ok restore builds a private shard that is not yet published; no other goroutine can reach its mu
-	} else {
-		sh.stalled = ss.Stalled
 	}
+	sh.route.Store(&route)
 	return nil
 }
 
@@ -999,10 +997,7 @@ func (s *Server) restartShard(sh *shard) bool {
 	}
 	sh.Restarts++
 	sh.lastErr = nil
-	sh.stalled = false
-	sh.backlogMu.Lock()
-	sh.routeErr = ""
-	sh.backlogMu.Unlock()
+	sh.publishRouteErr()
 	sh.obs.event(obs.EventShardRestart, -1, fmt.Sprintf("restart %d of %d", sh.Restarts, maxShardRestarts), sh.eng.Now())
 	sh.decide()
 	if !start.IsZero() {

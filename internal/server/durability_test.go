@@ -869,7 +869,7 @@ func TestRetiredShardFreedAfterCompaction(t *testing.T) {
 			continue
 		}
 		sh.mu.Lock()
-		if !sh.freed || sh.eng != nil || sh.policy != nil || sh.records != nil || sh.eligible != nil {
+		if !sh.freed || sh.eng != nil || sh.policy != nil || sh.records != nil {
 			t.Errorf("retired shard %d not fully freed: freed=%v eng=%v records=%d", sh.idx, sh.freed, sh.eng != nil, len(sh.records))
 		}
 		sh.mu.Unlock()

@@ -170,13 +170,9 @@ func (sh *shard) reserve(locals []int) shardlink.ExtractReply {
 				removedLive = true
 			}
 		}
-		// Eligibility scrubbed so no local re-admission can resurrect it; the
-		// extraction time stamped now, because every donor piece of the job
-		// ends by it — that, not the later commit, fixes the record's
+		// The extraction time stamped now, because every donor piece of the
+		// job ends by it — that, not the later commit, fixes the record's
 		// compaction horizon.
-		for i := range sh.eligible {
-			delete(sh.eligible[i], local)
-		}
 		rec.MigratedAt = &at
 		rep.Jobs = append(rep.Jobs, shardlink.MigratedJob{
 			FromLocal: local, GID: rec.GID, Remaining: rec.Remaining, Counted: rec.Counted, Job: rec.Job,
@@ -310,7 +306,6 @@ func (sh *shard) abortExtract(args shardlink.AbortArgs) {
 		rec.State = StateQueued // out of the engine until the loop re-admits it
 		rec.MigratedAt = nil
 		sh.pending = append(sh.pending, rec)
-		sh.markEligible(rec)
 	}
 	sh.poke()
 }
@@ -355,8 +350,7 @@ func (r *shardRPC) Stats(_ *shardlink.StatsArgs, reply *shardlink.StatsSnapshot)
 
 //divflow:locks boundary=shardlink
 func (r *shardRPC) RouteInfo(_ *shardlink.RouteInfoArgs, reply *shardlink.RouteInfoReply) error {
-	backlog, routeErr, tenants := r.sh.routeInfo()
-	*reply = shardlink.RouteInfoReply{Backlog: backlog, Err: routeErr, TenantBacklog: tenants}
+	*reply = *r.sh.route.Load()
 	return nil
 }
 

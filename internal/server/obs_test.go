@@ -212,8 +212,8 @@ func TestHealthzReportsStalledShards(t *testing.T) {
 		t.Fatalf("healthy probe = %+v, want status ok with no stalled shards", healthy)
 	}
 
-	// Fault injection (as in TestSubmitSkipsStalledShard): revoke the routed
-	// job's eligibility so shard 0's loop latches a rejected admit.
+	// Fault injection (as in TestSubmitSkipsStalledShard): clear the routed
+	// job's hosts so shard 0's loop latches a rejected admit.
 	resp, err := srv.Submit(&model.SubmitRequest{Size: "2", Databanks: []string{"shared"}})
 	if err != nil {
 		t.Fatal(err)
@@ -223,9 +223,7 @@ func TestHealthzReportsStalledShards(t *testing.T) {
 	}
 	sh := srv.active()[0]
 	sh.mu.Lock()
-	for i := range sh.eligible {
-		delete(sh.eligible[i], resp.ID/2)
-	}
+	sh.records[resp.ID/2].hosts = nil
 	sh.mu.Unlock()
 	srv.Start()
 	waitStats(t, srv, func(st model.StatsResponse) bool { return st.LastError != "" })

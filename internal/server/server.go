@@ -264,7 +264,7 @@ type Server struct {
 	// topoMu nests inside a shard mu, no lock path ever acquires a shard mu
 	// while holding it, and nothing re-acquires it (a read lock is not
 	// re-entrant once a writer waits).
-	//divflow:locks name=topo before=backlog
+	//divflow:locks name=topo before=dmu
 	topoMu sync.RWMutex
 	gens   []*generation
 	all    []*shard // every shard ever created: all[i].idx == i
@@ -790,8 +790,10 @@ type route struct {
 // readRoutes is the one fan-out over the shards' routing keys and the only
 // caller of link.RouteInfo: one route per reachable shard, in the order given.
 // The key crosses the shardlink boundary — for a worker-hosted shard it is the
-// only way to see the backlog at all — and is served off backlogMu alone, so no
-// reader waits behind an in-flight exact solve. Every placement decision routes
+// only way to see the backlog at all — and is the value the shard last
+// published, read without its mu, so no reader waits behind an in-flight exact
+// solve. A route's TenantBacklog may be the shard's own map: read it, never
+// write it. Every placement decision routes
 // around the shards whose transport failed; they come back in down, Err
 // holding the failure, for /healthz to report.
 func readRoutes(shards []*shard) (routes, down []route) {

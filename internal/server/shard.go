@@ -5,7 +5,9 @@ import (
 	"maps"
 	"math/big"
 	"runtime/debug"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"divflow/internal/core"
@@ -54,6 +56,10 @@ type jobRecord struct {
 	// flow origin. Deadline, Tenant and SLAClass ride migrations, the WAL and
 	// the snapshot with it.
 	shardlink.Job
+	// hosts[i] reports whether local machine i hosts every databank of the
+	// job — the paper's finite c_{i,j} — fixed where the record is created
+	// (databank check done once, not on every cost lookup).
+	hosts []bool
 	// submittedWall is the wall-clock submission instant, feeding the
 	// submit→admit latency histogram; zero with telemetry disabled (the
 	// clock is never read then), on migrated records (a re-admission on the
@@ -127,27 +133,15 @@ type shard struct {
 	// only keeps serving reads of its historical records and trace. The
 	// router and the steal protocol must never place new work on it.
 	retired bool
-	// eligible[i] caches which local job IDs local machine i can serve
-	// (databank check done once at acceptance, not on every cost lookup).
-	eligible []map[int]bool
-	// backlog is the shard's exact residual work: accepted job sizes minus
-	// completed ones (a partially processed job still counts whole, and a
-	// job whose admit the engine later rejects keeps counting — the shard is
-	// poisoned then, and steering new work elsewhere is the right outcome).
-	// The router places a submission eligible on several shards onto the one
-	// with the least backlog. It lives under its own mutex so routing reads
-	// never contend with the loop's mu, which is held across whole exact
-	// solves; writers hold mu first, then backlogMu (never the reverse).
-	//divflow:locks name=backlog before=dmu
-	backlogMu sync.Mutex
-	backlog   exact.Q
-	// tenantBacklog splits backlog by tenant (untracked traffic absent, zero
-	// entries pruned): the router sums it across shards for the weighted-
-	// fairness quota check. Same lock, same conservation rules as backlog.
-	tenantBacklog map[string]exact.Q
-	// routeErr mirrors lastErr's text under backlogMu so the router can skip
-	// poisoned shards without contending on mu (empty while healthy).
-	routeErr string
+	// route is the routing key as last published: the exact residual work
+	// (accepted job sizes minus completed ones; a partially processed job
+	// counts whole, and so does one whose admit the engine rejected — the
+	// shard is poisoned then, and steering new work elsewhere is right), its
+	// per-tenant split (untracked traffic absent, zero entries pruned, nil
+	// when empty) for the quota check, and lastErr's text. Writers hold mu
+	// and store a fresh value; a published value and its map are never
+	// written again, so routing reads it without waiting behind a solve.
+	route atomic.Pointer[shardlink.RouteInfoReply]
 
 	// steal, when non-nil, asks the server to migrate work here from the
 	// largest-backlog shard; the loop calls it (outside mu) whenever it goes
@@ -165,7 +159,6 @@ type shard struct {
 	// The shard's ledger: ShardTotals here, the per-tenant accounting in
 	// tenants below. ledger() is its one reader.
 	shardlink.ShardTotals
-	stalled bool
 	lastErr error
 	// migratedIDs lists donor-side records awaiting retention compaction
 	// (Engine.Compact cannot return them: the engine no longer knows them).
@@ -189,7 +182,7 @@ type shard struct {
 	// tenants accumulates per-tenant statistics like the totals' completed-
 	// job aggregates (at submission and completion time, so compaction loses
 	// nothing). Never nil. An entry's WFlow and Backlog stay empty here: the
-	// live values are the exported histogram and tenantBacklog.
+	// live values are the exported histogram and the route's split.
 	tenants   shardlink.TenantLedger
 	retention exact.Q // zero: keep everything
 	// freed marks a retired shard whose fully-compacted history was released:
@@ -275,13 +268,12 @@ func newShard(spec shardlink.ShardSpec, clock Clock, retention exact.Q, admissio
 		machines:   spec.Machines,
 		machineIdx: spec.MachineIdx,
 		admission:  admission,
-		// Never nil: restore assigns tenant entries straight into it.
-		tenantBacklog: make(map[string]exact.Q),
-		tenants:       make(shardlink.TenantLedger),
-		wake:          make(chan struct{}, 1),
-		done:          make(chan struct{}),
-		stopped:       make(chan struct{}),
+		tenants:    make(shardlink.TenantLedger),
+		wake:       make(chan struct{}, 1),
+		done:       make(chan struct{}),
+		stopped:    make(chan struct{}),
 	}
+	sh.route.Store(&shardlink.RouteInfoReply{})
 	if retention.Sign() > 0 {
 		sh.retention, sh.LastCompact = retention, new(exact.Q)
 	}
@@ -289,10 +281,6 @@ func newShard(spec shardlink.ShardSpec, clock Clock, retention exact.Q, admissio
 		sh.inverse = append(sh.inverse, exact.FromRat(sh.machines[i].InverseSpeed))
 	}
 	sh.obs = &shardObs{flow: obs.NewHistogram(obs.DefFlowBuckets)}
-	sh.eligible = make([]map[int]bool, len(sh.machines))
-	for i := range sh.eligible {
-		sh.eligible[i] = make(map[int]bool)
-	}
 	return sh
 }
 
@@ -353,20 +341,30 @@ func (sh *shard) globalID(local int) int { return sh.gidBase + local*sh.stride +
 // hosts reports whether some machine of the shard hosts every databank.
 func (sh *shard) hosts(databanks []string) bool { return hostsAny(sh.machines, databanks) }
 
+// hostMask is a new record's hosts: which of the shard's machines host every
+// databank the job names.
+func (sh *shard) hostMask(databanks []string) []bool {
+	mask := make([]bool, len(sh.machines))
+	for i := range sh.machines {
+		mask[i] = sh.machines[i].Hosts(databanks)
+	}
+	return mask
+}
+
 // cost is the shard engine's CostFunc: the uniform model over the shard's
 // machines, c_{i,j} = Size_j · InverseSpeed_i where machine i hosts job j's
-// databanks, multiplied on exact.Q's words. The eligibility map normally
-// implies a live record, but compaction severs that invariant for forgotten
-// IDs — a stale ID must answer ok=false, not dereference a nil record and kill
-// the loop goroutine.
+// databanks, multiplied on exact.Q's words. Compaction forgets records, so a
+// stale or out-of-range ID must answer ok=false, not dereference a nil record
+// and kill the loop goroutine.
 func (sh *shard) cost(machine, jobID int) (exact.Q, bool) {
-	if machine < 0 || machine >= len(sh.eligible) || !sh.eligible[machine][jobID] {
-		return exact.Q{}, false
-	}
 	if jobID < 0 || jobID >= len(sh.records) || sh.records[jobID] == nil {
 		return exact.Q{}, false
 	}
-	return sh.records[jobID].Size.Mul(sh.inverse[machine]), true
+	rec := sh.records[jobID]
+	if machine < 0 || machine >= len(rec.hosts) || !rec.hosts[machine] {
+		return exact.Q{}, false
+	}
+	return rec.Size.Mul(sh.inverse[machine]), true
 }
 
 // now is the clock's reading as a value.
@@ -410,9 +408,6 @@ func (sh *shard) close() {
 	}
 	for _, rec := range sh.pending {
 		rec.State = StateRejected
-		for i := range sh.eligible {
-			delete(sh.eligible[i], rec.ID)
-		}
 		sh.obs.event(obs.EventReject, rec.GID, "shutdown drained the queued job")
 	}
 	sh.shiftBacklog(false, sh.pending...)
@@ -484,21 +479,21 @@ func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error)
 
 // enqueue is a job's birth on this shard, the live submission and its WAL
 // replay alike: the record takes the next local slot and joins the pending
-// queue, the tenant's birth counters, the backlog and the eligibility cache,
+// queue, the tenant's birth counters and the backlog, its hosts are fixed,
 // and the journal notes the submission. It reports whether any machine of
 // the shard hosts the job. Callers hold sh.mu.
 //
 //divflow:locks requires=shard
 func (sh *shard) enqueue(rec *jobRecord, note string) bool {
+	rec.hosts = sh.hostMask(rec.Databanks)
 	sh.records = append(sh.records, rec)
 	sh.pending = append(sh.pending, rec)
 	if rec.Tenant != "" {
 		sh.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Submitted: 1, ByClass: map[string]int{rec.SLAClass: 1}})
 	}
 	sh.shiftBacklog(true, rec)
-	hosted := sh.markEligible(rec)
 	sh.obs.event(obs.EventSubmit, rec.GID, note, rec.Release)
-	return hosted
+	return slices.Contains(rec.hosts, true)
 }
 
 // admissionCheck runs the deadline-feasibility LP for one candidate job,
@@ -617,69 +612,47 @@ func (sh *shard) adoptRecord(mj *shardlink.MigratedJob) *jobRecord {
 		ID: len(sh.records), GID: mj.GID, State: StateQueued,
 		Job:       mj.Job, // Release included: the flow origin is still the first submission
 		Remaining: mj.Remaining, Stolen: true, Counted: mj.Counted,
+		hosts: sh.hostMask(mj.Databanks),
 	}
 	sh.records = append(sh.records, nrec)
 	sh.pending = append(sh.pending, nrec)
-	sh.markEligible(nrec)
 	return nrec
-}
-
-// markEligible enters the record into the eligibility cache of every machine
-// hosting its databanks, and reports whether any does. Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) markEligible(rec *jobRecord) bool {
-	hosted := false
-	for i := range sh.machines {
-		if sh.machines[i].Hosts(rec.Databanks) {
-			sh.eligible[i][rec.ID] = true
-			hosted = true
-		}
-	}
-	return hosted
 }
 
 // shiftBacklog moves the records' sizes into (or out of) the backlog and its
 // per-tenant split (untracked traffic is not split, zero entries are pruned)
-// in one step under backlogMu: a birth, the destination's half of a migration
-// on admit, the donor's on commit, and the shutdown drain. Callers hold sh.mu.
+// and publishes the result in one store: a birth, the destination's half of a
+// migration on admit, the donor's on commit, and the shutdown drain. Callers
+// hold sh.mu.
 //
 //divflow:locks requires=shard
 func (sh *shard) shiftBacklog(in bool, recs ...*jobRecord) {
-	sh.backlogMu.Lock()
-	defer sh.backlogMu.Unlock()
+	r := *sh.route.Load()
+	cloned := false
 	for _, rec := range recs {
 		size := rec.Size
 		if !in {
 			size = size.Neg()
 		}
-		sh.backlog = sh.backlog.Add(size)
-		cur, ok := sh.tenantBacklog[rec.Tenant]
+		r.Backlog = r.Backlog.Add(size)
+		cur, ok := r.TenantBacklog[rec.Tenant]
 		if rec.Tenant == "" || (!ok && !in) {
 			continue
 		}
+		if !cloned { // a writable copy: the published map stays as read
+			r.TenantBacklog, cloned = make(map[string]exact.Q, len(r.TenantBacklog)+1), true
+			maps.Copy(r.TenantBacklog, sh.route.Load().TenantBacklog)
+		}
 		if cur = cur.Add(size); cur.Sign() == 0 {
-			delete(sh.tenantBacklog, rec.Tenant)
+			delete(r.TenantBacklog, rec.Tenant)
 		} else {
-			sh.tenantBacklog[rec.Tenant] = cur
+			r.TenantBacklog[rec.Tenant] = cur
 		}
 	}
-}
-
-// routeInfo returns the backlog — the routing key — the shard's latched
-// error text ("" while healthy), and a copy of the per-tenant backlog split
-// (nil when no tracked tenant has residual work here): everything the
-// router's placement and quota decisions need. It takes only backlogMu, so
-// routing a submission never blocks behind an in-flight exact solve on a
-// busy shard.
-func (sh *shard) routeInfo() (exact.Q, string, map[string]exact.Q) {
-	sh.backlogMu.Lock()
-	defer sh.backlogMu.Unlock()
-	var tb map[string]exact.Q
-	if len(sh.tenantBacklog) > 0 {
-		tb = maps.Clone(sh.tenantBacklog)
+	if len(r.TenantBacklog) == 0 {
+		r.TenantBacklog = nil
 	}
-	return sh.backlog, sh.routeErr, tb
+	sh.route.Store(&r)
 }
 
 // poke wakes the shard's loop if it is sleeping; a no-op when a wake-up is
@@ -828,7 +801,7 @@ func (sh *shard) recoverPanic(r any) {
 }
 
 // free releases a fully-compacted retired shard's memory: records, queues,
-// eligibility maps, engine, and policy all go, with the engine-derived stats
+// engine, and policy all go, with the engine-derived stats
 // frozen first so /v1/stats keeps the history. The struct itself stays in the
 // topology as the tombstone that decodes this shard's global IDs (to
 // not-found). Callers hold mu; the shard must be retired with empty history.
@@ -852,7 +825,6 @@ func (sh *shard) free() {
 	sh.records = nil
 	sh.pending = nil
 	sh.migratedIDs = nil
-	sh.eligible = nil
 	sh.eng = nil
 	sh.policy = nil
 	sh.mwf = nil
@@ -1062,9 +1034,6 @@ func (sh *shard) compact(now exact.Q) {
 		}
 		sh.records[id] = nil
 		sh.CompactedJobs++
-		for i := range sh.eligible {
-			delete(sh.eligible[i], id)
-		}
 	}
 	for _, id := range sh.eng.Compact(horizon) {
 		drop(id)
@@ -1122,11 +1091,9 @@ func (sh *shard) decide() bool {
 		sh.fail(err)
 		return false
 	}
-	// Once fail() recorded an engine error the flag stays latched: later
-	// decisions on a poisoned engine must not report the service healthy.
-	_, pending := sh.eng.NextEvent()
-	sh.stalled = sh.lastErr != nil || (sh.eng.Live() > 0 && !pending)
-	if sh.stalled && sh.lastErr == nil {
+	// Once fail() recorded an engine error it stays latched: later decisions
+	// on a poisoned engine must not report the service healthy.
+	if _, pending := sh.eng.NextEvent(); sh.lastErr == nil && sh.eng.Live() > 0 && !pending {
 		err := fmt.Errorf("server: shard %d: policy %s idles with %d live jobs", sh.idx, sh.policy.Name(), sh.eng.Live())
 		if sh.mwf != nil && sh.mwf.Err() != nil {
 			err = sh.mwf.Err()
@@ -1147,18 +1114,20 @@ func (sh *shard) fail(err error) {
 		sh.lastErr = err
 		sh.obs.event(obs.EventShardStall, -1, err.Error(), sh.eng.Now())
 	}
-	sh.stalled = true
 	sh.publishRouteErr()
 }
 
-// publishRouteErr mirrors lastErr where the router can see it without
-// taking mu. Callers hold sh.mu.
+// publishRouteErr publishes lastErr's text ("" once cleared) in the routing
+// key, where the router sees it without taking mu. Callers hold sh.mu.
 //
 //divflow:locks requires=shard
 func (sh *shard) publishRouteErr() {
-	sh.backlogMu.Lock()
-	sh.routeErr = sh.lastErr.Error()
-	sh.backlogMu.Unlock()
+	r := *sh.route.Load()
+	r.Err = ""
+	if sh.lastErr != nil {
+		r.Err = sh.lastErr.Error()
+	}
+	sh.route.Store(&r)
 }
 
 // jobStatus builds the wire status of the shard-local job answering to the
@@ -1270,9 +1239,7 @@ func (sh *shard) ledger() (shardlink.ShardTotals, shardlink.TenantLedger) {
 			tt.WFlow = &wflow
 		}
 	}
-	sh.backlogMu.Lock()
-	defer sh.backlogMu.Unlock()
-	for t, b := range sh.tenantBacklog {
+	for t, b := range sh.route.Load().TenantBacklog {
 		tenants.Merge(shardlink.TenantLedger{t: {Backlog: b}})
 	}
 	return totals, tenants
@@ -1288,6 +1255,7 @@ func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 	for i := range sh.machines {
 		names[i] = sh.machines[i].Name
 	}
+	backlog := sh.route.Load().Backlog
 	engNow, live, completed, decisions, accepted := sh.FrozenNow, 0, sh.FrozenCompleted, sh.FrozenDecisions, sh.FrozenAccepted
 	if !sh.freed {
 		engNow = sh.eng.Now()
@@ -1320,15 +1288,15 @@ func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 			ReshardedOut:    sh.ReshardOut,
 			Retired:         sh.retired,
 			Freed:           sh.freed,
-			Backlog:         sh.backlog.String(),
-			Stalled:         sh.stalled,
+			Backlog:         backlog.String(),
+			Stalled:         sh.lastErr != nil,
 			Panics:          sh.Panics,
 			Restarts:        sh.Restarts,
 		},
 		Now: engNow,
 	}
 	snap.Totals, snap.Tenants = sh.ledger()
-	snap.BacklogF = sh.backlog.Float64()
+	snap.BacklogF = backlog.Float64()
 	if sh.mwf != nil {
 		snap.Wire.LPSolves = sh.mwf.Solves()
 		snap.Wire.PlanCacheHits = sh.mwf.CacheHits()

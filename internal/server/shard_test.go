@@ -172,13 +172,11 @@ func TestSubmitSkipsStalledShard(t *testing.T) {
 	if poisonResp.ID%2 != 0 {
 		t.Fatalf("first job routed to shard %d, want 0 (tie-break)", poisonResp.ID%2)
 	}
-	// Fault injection: revoke the job's eligibility so shard 0's loop latches
-	// a rejected admit.
+	// Fault injection: clear the job's hosts so shard 0's loop latches a
+	// rejected admit.
 	sh := srv.active()[0]
 	sh.mu.Lock()
-	for i := range sh.eligible {
-		delete(sh.eligible[i], poisonResp.ID/2)
-	}
+	sh.records[poisonResp.ID/2].hosts = nil
 	sh.mu.Unlock()
 	srv.Start()
 	waitStats(t, srv, func(st model.StatsResponse) bool { return st.LastError != "" })
@@ -237,9 +235,7 @@ func TestFailedAdmitKeepsTailPending(t *testing.T) {
 	}
 	sh := srv.active()[0]
 	sh.mu.Lock()
-	for i := range sh.eligible {
-		delete(sh.eligible[i], poisoned.ID)
-	}
+	sh.records[poisoned.ID].hosts = nil
 	sh.mu.Unlock()
 	srv.Start()
 	waitStats(t, srv, func(st model.StatsResponse) bool { return st.LastError != "" })
@@ -526,13 +522,11 @@ func TestQueuedUntilEngineAccepts(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := resp.ID
-	// Fault injection: revoke the job's eligibility before the loop starts,
-	// so the engine rejects the admit ("cannot run on any machine").
+	// Fault injection: clear the job's hosts before the loop starts, so the
+	// engine rejects the admit ("cannot run on any machine").
 	sh := srv.active()[0]
 	sh.mu.Lock()
-	for i := range sh.eligible {
-		delete(sh.eligible[i], id)
-	}
+	sh.records[id].hosts = nil
 	sh.mu.Unlock()
 	srv.Start()
 	waitStats(t, srv, func(st model.StatsResponse) bool { return st.LastError != "" })
@@ -555,9 +549,8 @@ func TestQueuedUntilEngineAccepts(t *testing.T) {
 
 // TestCostGuardsCompactedRecords is the regression test for the nil-record
 // panic vector: a compacted job ID reaching the cost function used to
-// dereference a nil record and kill the loop goroutine. The eligibility-map
-// invariant normally prevents it; the guard makes the invariant explicit so
-// a breach answers ok=false instead of panicking the daemon.
+// dereference a nil record and kill the loop goroutine. The guard answers
+// ok=false for a forgotten record instead of panicking the daemon.
 func TestCostGuardsCompactedRecords(t *testing.T) {
 	vc := NewVirtualClock()
 	srv, err := New(Config{Machines: testFleet(), Clock: vc, Retention: big.NewRat(10, 1)})
@@ -573,7 +566,8 @@ func TestCostGuardsCompactedRecords(t *testing.T) {
 	id := resp.ID
 	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 1 })
 	vc.Advance(big.NewRat(100, 1))
-	if _, err := srv.Submit(&model.SubmitRequest{Size: "2", Databanks: []string{"swissprot"}}); err != nil {
+	live, err := srv.Submit(&model.SubmitRequest{Size: "2", Databanks: []string{"swissprot"}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	waitStats(t, srv, func(st model.StatsResponse) bool { return st.CompactedJobs >= 1 })
@@ -584,19 +578,17 @@ func TestCostGuardsCompactedRecords(t *testing.T) {
 	if sh.records[id] != nil {
 		t.Fatal("record not compacted; test setup broken")
 	}
-	// Simulate the invariant breach compaction normally prevents: a stale
-	// eligibility entry pointing at the forgotten record.
-	sh.eligible[0][id] = true
 	if c, ok := sh.cost(0, id); ok || c.Sign() != 0 {
 		t.Errorf("cost(compacted) = %v, %v, want 0, false", c, ok)
 	}
-	delete(sh.eligible[0], id)
 	// Out-of-range IDs and machines answer false, never panic.
 	if _, ok := sh.cost(0, len(sh.records)+7); ok {
 		t.Error("cost(out-of-range job) = true, want false")
 	}
-	if _, ok := sh.cost(len(sh.machines), 0); ok {
-		t.Error("cost(out-of-range machine) = true, want false")
+	for _, machine := range []int{-1, len(sh.machines)} {
+		if _, ok := sh.cost(machine, live.ID); ok {
+			t.Errorf("cost(machine %d of %d, live job) = true, want false", machine, len(sh.machines))
+		}
 	}
 }
 

@@ -137,8 +137,9 @@ type RouteInfoArgs struct{}
 
 // RouteInfoReply is everything the router's placement decision needs: the
 // shard's exact residual backlog and its latched error text ("" while
-// healthy). Shard-side it is served off a dedicated mutex, so routing never
-// waits behind an in-flight exact solve.
+// healthy). Shard-side it is the value the shard last published, read without
+// a lock, so routing never waits behind an in-flight exact solve; a reply and
+// its map are never written again, in-process callers included.
 type RouteInfoReply struct {
 	Backlog exact.Q
 	Err     string
