@@ -159,16 +159,19 @@ func (j *Job) CheckSubmission() error {
 }
 
 // AdmissionCertificate is the exact outcome of the deadline-feasibility
-// check a shard ran for a submission. It rides SubmitResponse on accepted
-// jobs and the error envelope on deadline_infeasible rejects.
+// check a shard ran for a submission: answered by the plan the shard follows
+// when that plan, with the job in its idle time, meets every deadline, and by
+// the feasibility LP otherwise — the two write the same certificate. It rides
+// SubmitResponse on accepted jobs and the error envelope on
+// deadline_infeasible rejects.
 type AdmissionCertificate struct {
 	// Mode is the admission mode the check ran under: "strict" rejects
 	// infeasible deadlines, "advisory" admits them but reports the
 	// certificate.
 	Mode string `json:"mode"`
-	// Feasible is the exact LP verdict: the deadline (and every deadline
+	// Feasible is the exact verdict: the deadline (and every deadline
 	// already admitted) can be met by some schedule of the shard's residual
-	// workload.
+	// workload — one exhibited, or proved to exist by the LP.
 	Feasible bool `json:"feasible"`
 	// Deadline echoes the deadline that was checked.
 	Deadline string `json:"deadline,omitempty"`
@@ -176,8 +179,8 @@ type AdmissionCertificate struct {
 	// same residual workload — the exact best the shard can promise — set
 	// when the requested deadline is infeasible.
 	CounterOffer string `json:"counterOffer,omitempty"`
-	// ResidualJobs is the number of live + queued jobs the feasibility LP
-	// covered (the submitted job included).
+	// ResidualJobs is the number of live + queued jobs the check covered
+	// (the submitted job included).
 	ResidualJobs int `json:"residualJobs"`
 }
 

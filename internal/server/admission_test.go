@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
 	"divflow/internal/core"
 	"divflow/internal/exact"
@@ -309,11 +310,7 @@ func admissionOracleCase(t *testing.T, policy string, seed int64) model.Admissio
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	q := func(lo, hi int64) *big.Rat { return big.NewRat(lo+rng.Int63n(hi-lo+1), 1+rng.Int63n(3)) }
-	machines := []model.Machine{
-		{Name: "m0", InverseSpeed: q(1, 2), Databanks: []string{"a", "b"}},
-		{Name: "m1", InverseSpeed: q(1, 3), Databanks: []string{"a"}},
-		{Name: "m2", InverseSpeed: q(1, 2), Databanks: []string{"b"}},
-	}
+	machines := bankedMachines(q)
 	vc := NewVirtualClock()
 	// Admission off: the fixture's own submissions take no certificate; the
 	// checks under test are called directly below.
@@ -378,6 +375,130 @@ func admissionOracleCase(t *testing.T, policy string, seed int64) model.Admissio
 		t.Errorf("%s seed %d: census-built check %+v, parent construction %+v", policy, seed, *got, want)
 	}
 	return *got
+}
+
+// bankedMachines is the admission tests' three-machine fleet over databanks
+// a and b: m0 hosts both, m1 only a, m2 only b; q draws the inverse speeds.
+func bankedMachines(q func(lo, hi int64) *big.Rat) []model.Machine {
+	return []model.Machine{
+		{Name: "m0", InverseSpeed: q(1, 2), Databanks: []string{"a", "b"}},
+		{Name: "m1", InverseSpeed: q(1, 3), Databanks: []string{"a"}},
+		{Name: "m2", InverseSpeed: q(1, 2), Databanks: []string{"b"}},
+	}
+}
+
+// TestPlanAdmissionMatchesLP drives seeded streams of deadline and
+// deadline-free jobs through a started single-shard strict server and, at
+// every deadline submission, holds the certificate the shard returns to the
+// LP-built parentAdmission oracle on the same caught-up state, counting which
+// path answered (planAdmits). Under the lazy divisible policy the plan the
+// shard follows must answer most feasible verdicts, and the streams must also
+// reach both LP fallbacks of a caught-up shard: a plan that already misses a
+// held deadline, and a candidate that does not fit in the plan's idle time.
+// The preemptive model never takes the plan path, not even with a plan cache
+// forced on: a preemptive job cannot run on two machines at once, so idle time
+// on several machines is no witness.
+func TestPlanAdmissionMatchesLP(t *testing.T) {
+	for _, tc := range []struct {
+		policy string
+		lazy   bool // force the plan cache on
+	}{{"online-mwf-lazy", false}, {"online-mwf-preempt", false}, {"online-mwf-preempt", true}} {
+		t.Run(fmt.Sprintf("%s/lazy=%v", tc.policy, tc.lazy), func(t *testing.T) {
+			verdicts, feasible := map[planVerdict]int{}, 0
+			for seed := int64(1); seed <= 4; seed++ {
+				feasible += planAdmissionStream(t, tc.policy, tc.lazy, seed, verdicts)
+			}
+			t.Logf("%d feasible; plan answered %d, unavailable %d, held deadline missed %d, no room %d", feasible,
+				verdicts[planAnswers], verdicts[planUnavailable], verdicts[planMissesHeld], verdicts[planNoRoom])
+			if tc.policy == "online-mwf-preempt" {
+				if verdicts[planAnswers] != 0 {
+					t.Errorf("the plan answered %d preemptive admissions", verdicts[planAnswers])
+				}
+				return
+			}
+			if 2*verdicts[planAnswers] <= feasible {
+				t.Errorf("the plan answered %d of %d feasible admissions, want most", verdicts[planAnswers], feasible)
+			}
+			if verdicts[planMissesHeld] == 0 || verdicts[planNoRoom] == 0 {
+				t.Errorf("LP fallbacks: %d for a missed held deadline, %d for no room; the streams must reach both",
+					verdicts[planMissesHeld], verdicts[planNoRoom])
+			}
+		})
+	}
+}
+
+// planAdmissionStream runs one seeded stream for TestPlanAdmissionMatchesLP,
+// adds to verdicts how often the plan path answered each way, and returns how
+// many admissions were feasible.
+func planAdmissionStream(t *testing.T, policy string, lazy bool, seed int64, verdicts map[planVerdict]int) (feasible int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	q := func(lo, hi int64) *big.Rat { return big.NewRat(lo+rng.Int63n(hi-lo+1), 1+rng.Int63n(3)) }
+	vc := NewVirtualClock()
+	srv, err := New(Config{Machines: bankedMachines(q), Clock: vc, Shards: 1, Policy: policy, Admission: AdmissionStrict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sh := srv.active()[0]
+	sh.mwf.LazyResolve = sh.mwf.LazyResolve || lazy
+	srv.Start()
+	// settle waits for the loop to admit what was submitted, as a replayed
+	// stream does: the plan covers no queued job.
+	settle := func() {
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			sh.mu.Lock()
+			queued := len(sh.pending)
+			sh.mu.Unlock()
+			if queued == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the shard did not admit its queue in 30s")
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	banks := [][]string{{"a"}, {"b"}, {"a", "b"}, nil}
+	for n := 0; n < 160; n++ {
+		vc.Advance(new(big.Rat).Add(vc.Now(), big.NewRat(rng.Int63n(8), 2)))
+		settle()
+		job := model.Job{Size: q(1, 12), Weight: q(1, 4), Databanks: banks[rng.Intn(len(banks))]}
+		req := model.SubmitRequest{Size: job.Size.RatString(), Weight: job.Weight.RatString(), Databanks: job.Databanks}
+		var want model.AdmissionCertificate
+		if rng.Intn(4) != 0 {
+			now := vc.Now()
+			job.Release, job.Deadline = now, new(big.Rat).Add(now, q(1, 12))
+			req.Deadline = job.Deadline.RatString()
+			sh.mu.Lock()
+			if _, ok := sh.catchUp(); !ok {
+				t.Fatalf("shard latched: %v", sh.lastErr)
+			}
+			verdict := sh.planAdmits(sh.eng.Snapshot(), shardlink.JobOf(job))
+			want = parentAdmission(t, sh, job, now)
+			sh.mu.Unlock()
+			verdicts[verdict]++
+			if want.Feasible {
+				feasible++
+			}
+			if verdict == planAnswers && !want.Feasible {
+				t.Errorf("job %d: the plan answered an admission the LP refuses: %+v", n, want)
+			}
+		}
+		resp, err := srv.Submit(&req)
+		switch {
+		case req.Deadline == "":
+			if err != nil {
+				t.Fatalf("job %d: deadline-free submit: %v", n, err)
+			}
+		case resp.Admission == nil || *resp.Admission != want:
+			t.Errorf("job %d: certificate %+v, LP oracle %+v", n, resp.Admission, want)
+		case (err == nil) != want.Feasible:
+			t.Errorf("job %d: submit error %v for a certificate %+v", n, err, want)
+		}
+	}
+	return feasible
 }
 
 // parentAdmission is the admission check as the shard built it before the

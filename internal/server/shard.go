@@ -421,12 +421,13 @@ func (sh *shard) close() {
 // A shard retired by a racing reshard answers errRetired: the router re-reads
 // the active topology and routes again.
 //
-// A job carrying a deadline is first run through the deadline-feasibility LP
-// against the shard's residual workload (unless the shard was installed with
-// AdmissionOff): the returned certificate is exact, and under AdmissionStrict
-// an infeasible deadline is refused with errDeadline — the certificate then
-// names the best achievable counter-offer deadline — before any state (WAL
-// included) is touched by this submission.
+// A job carrying a deadline is first checked against the shard's residual
+// workload (unless the shard was installed with AdmissionOff): the plan the
+// shard follows answers when it can, the deadline-feasibility LP otherwise
+// (admissionCheck). The returned certificate is exact, and under
+// AdmissionStrict an infeasible deadline is refused with errDeadline — the
+// certificate then names the best achievable counter-offer deadline — before
+// any state (WAL included) is touched by this submission.
 // The job is checked first: Submit is a worker's network surface.
 func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error) {
 	if err := job.CheckSubmission(); err != nil {
@@ -496,14 +497,16 @@ func (sh *shard) enqueue(rec *jobRecord, note string) bool {
 	return slices.Contains(rec.hosts, true)
 }
 
-// admissionCheck runs the deadline-feasibility LP for one candidate job,
+// admissionCheck answers a deadline admission for one candidate job,
 // submitted at its release, against the shard's residual workload — the
 // census, at its exact remaining work, released with it, with every stored
-// deadline kept — and returns the exact certificate, which names the best
-// achievable counter-offer deadline when the requested one is infeasible. A
-// stalled shard cannot answer: the check degrades to an uncertified
-// acceptance rather than wedging submissions on a poisoned engine. Callers
-// hold sh.mu; the job passed CheckSubmission.
+// deadline kept. The plan the shard follows answers first (planAdmits): a
+// schedule meeting every deadline is itself the proof that System (2) is
+// feasible. Otherwise the deadline-feasibility LP decides, and names the best
+// achievable counter-offer deadline when the requested one is infeasible.
+// Both answers write the same certificate. A stalled shard cannot answer: the
+// check degrades to an uncertified acceptance rather than wedging submissions
+// on a poisoned engine. Callers hold sh.mu; the job passed CheckSubmission.
 //
 //divflow:locks requires=shard
 func (sh *shard) admissionCheck(job shardlink.Job) (*model.AdmissionCertificate, error) {
@@ -513,6 +516,12 @@ func (sh *shard) admissionCheck(job shardlink.Job) (*model.AdmissionCertificate,
 	// reaches this function) keeps its trace bit-for-bit.
 	if _, ok := sh.catchUp(); !ok {
 		return &model.AdmissionCertificate{Mode: sh.admission, Feasible: true}, nil
+	}
+	cert := &model.AdmissionCertificate{Mode: sh.admission, Deadline: job.Deadline.String()}
+	if live := sh.eng.Snapshot(); sh.planAdmits(live, job) == planAnswers {
+		// The LP's instance would be the live jobs and the candidate.
+		cert.ResidualJobs, cert.Feasible = len(live.Jobs)+1, true
+		return cert, nil
 	}
 	// The candidate takes the local ID it would be given, and the last index.
 	cand := sim.JobView{ID: len(sh.records), Release: job.Release, Remaining: exact.Int(1), Weight: job.Weight, Size: job.Size}
@@ -542,11 +551,7 @@ func (sh *shard) admissionCheck(job shardlink.Job) (*model.AdmissionCertificate,
 	if sh.mwf != nil {
 		mode = sh.mwf.Mode
 	}
-	cert := &model.AdmissionCertificate{
-		Mode:         sh.admission,
-		Deadline:     job.Deadline.String(),
-		ResidualJobs: len(snap.Jobs),
-	}
+	cert.ResidualJobs = len(snap.Jobs)
 	feasible, _, err := core.DeadlineFeasible(inst, deadlines, mode)
 	if err != nil {
 		return nil, fmt.Errorf("server: shard %d: deadline feasibility: %w", sh.idx, err)
@@ -563,6 +568,69 @@ func (sh *shard) admissionCheck(job shardlink.Job) (*model.AdmissionCertificate,
 		cert.CounterOffer = counter.RatString()
 	}
 	return cert, nil
+}
+
+// planVerdict is how the plan the shard follows answered an admission.
+type planVerdict int
+
+const (
+	// planAnswers: the plan, with the candidate in its idle time, meets
+	// every deadline — the admission is feasible.
+	planAnswers planVerdict = iota
+	// planUnavailable: no plan to read — another policy or execution model,
+	// queued jobs the plan does not cover, or a plan that no longer predicts
+	// the engine.
+	planUnavailable
+	// planMissesHeld: the plan finishes a job after its held deadline.
+	planMissesHeld
+	// planNoRoom: the candidate does not fit in the plan's idle time on its
+	// machines before its deadline.
+	planNoRoom
+)
+
+// planAdmits tries to exhibit a schedule that meets every deadline with the
+// candidate admitted, without the LP. Under a lazy divisible OnlineMWF with
+// nothing queued, the plan's pieces from now on process exactly every live
+// job's remaining fraction (sim.OnlineMWF.PlanAhead); if each job with a
+// deadline finishes there by it, and the candidate's machines have enough idle
+// time between now and its deadline to process it (divisible: on several
+// machines at once), that plan plus the candidate in the idle time is the
+// schedule. Any other answer leaves the decision to the LP. live is the
+// caught-up engine's snapshot. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) planAdmits(live *sim.Snapshot, job shardlink.Job) planVerdict {
+	if sh.mwf == nil || sh.mwf.Mode != schedule.Divisible || len(sh.pending) != 0 {
+		return planUnavailable
+	}
+	ahead, ok := sh.mwf.PlanAhead(live)
+	if !ok {
+		return planUnavailable
+	}
+	busy := make([]exact.Q, len(sh.machines)) // plan time inside [now, deadline]
+	for _, piece := range ahead {
+		if rec := sh.records[piece.Job]; rec != nil && rec.Deadline.Sign() != 0 && piece.End.Cmp(rec.Deadline) > 0 {
+			return planMissesHeld
+		}
+		end := piece.End
+		if end.Cmp(job.Deadline) > 0 {
+			end = job.Deadline
+		}
+		if piece.Start.Cmp(end) < 0 {
+			busy[piece.Machine] = busy[piece.Machine].Add(end.Sub(piece.Start))
+		}
+	}
+	window := job.Deadline.Sub(live.Now) // negative past the deadline: no room
+	var done exact.Q                     // fraction of the candidate the idle time processes
+	for i := range sh.machines {
+		if sh.machines[i].Hosts(job.Databanks) {
+			done = done.Add(window.Sub(busy[i]).Quo(job.Size.Mul(sh.inverse[i])))
+		}
+	}
+	if done.Cmp(exact.Int(1)) < 0 {
+		return planNoRoom
+	}
+	return planAnswers
 }
 
 // census lists every outstanding job of the shard once, as a policy sees a

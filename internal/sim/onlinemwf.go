@@ -220,6 +220,32 @@ func (p *OnlineMWF) planPredicts(s *Snapshot) bool {
 	return true
 }
 
+// PlanAhead is a read-only view of the cached plan from s.Now on: every plan
+// piece that ends after s.Now, clipped to start no earlier. It answers only
+// when the plan still predicts s — no solver failure, a plan and its residual
+// fingerprint held (an eager policy keeps no fingerprint), and planPredicts
+// holds — so the pieces process exactly each live job's Remaining: they are a
+// schedule of the residual workload, the one the policy is following. Nothing
+// changes: no cache hit is counted and the Observer is not called.
+func (p *OnlineMWF) PlanAhead(s *Snapshot) ([]PlanPieceState, bool) {
+	if p.err != nil || p.plan == nil || p.solveRem == nil || !p.planPredicts(s) {
+		return nil, false
+	}
+	ahead := make([]PlanPieceState, 0, len(p.plan))
+	for i := range p.plan {
+		piece := &p.plan[i]
+		if piece.end.Cmp(s.Now) <= 0 {
+			continue
+		}
+		start := piece.start
+		if start.Cmp(s.Now) < 0 {
+			start = s.Now
+		}
+		ahead = append(ahead, PlanPieceState{Machine: piece.machine, Job: piece.jobID, Start: start, End: piece.end})
+	}
+	return ahead, true
+}
+
 // predictedRemaining evolves the fingerprint state from the solve time to
 // s.Now along the cached plan: each plan piece overlapping [solveAt, now)
 // consumes duration/c_{i,j} of its job.
