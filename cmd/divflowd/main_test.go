@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -210,7 +212,7 @@ func TestDistributedFleetSmoke(t *testing.T) {
 	router := startProc(t, bin,
 		"-addr", "127.0.0.1:0",
 		"-platform", platform,
-		"-policy", "srpt",
+		"-policy", "online-mwf-lazy",
 		"-workers", "1="+workerAddr,
 	)
 	rline := router.waitLine(t, "serving 2 machines in 2 shards on ")
@@ -430,4 +432,46 @@ func TestSIGHUPKeepsDaemonsAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	worker.waitExit(t)
+}
+
+// TestDaemonServesPaperPolicies pins the production policy map, which only the
+// built binary sees (the package tests register baselines of their own): the
+// daemon serves the paper's two online max-weighted-flow policies, refuses
+// every baseline at startup naming the two, and -help lists exactly them.
+func TestDaemonServesPaperPolicies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the divflowd binary")
+	}
+	bin := buildDivflowd(t)
+	served := []string{"online-mwf-lazy", "online-mwf-preempt"}
+
+	help, err := exec.Command(bin, "-help").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-help: %v\n%s", err, help)
+	}
+	_, usage, _ := strings.Cut(string(help), "scheduling policy: ")
+	usage, _, _ = strings.Cut(usage, " (default ")
+	if got := strings.Split(usage, ", "); !slices.Equal(got, served) {
+		t.Errorf("-help lists policies %q, want %q", got, served)
+	}
+
+	for _, name := range []string{"srpt", "mct", "fcfs", "greedy-wflow", "online-mwf"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		cmd := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0",
+			"-platform", "../../testdata/platform.json", "-policy", name)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		timedOut := ctx.Err() != nil
+		cancel()
+		if err == nil || timedOut {
+			t.Errorf("-policy %s: daemon started (err %v, still running %v); stderr:\n%s", name, err, timedOut, &stderr)
+			continue
+		}
+		for _, want := range served {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("-policy %s: stderr does not name %s:\n%s", name, want, &stderr)
+			}
+		}
+	}
 }

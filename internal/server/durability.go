@@ -685,12 +685,16 @@ func (sh *shard) loadState(ss *snapShard) error {
 // for the helpers' documented invariants.
 func (s *Server) restore(st *restoreState) error {
 	if st.doc != nil {
-		if st.doc.Policy != s.policyCfg && !(st.doc.Policy == "" && s.policyCfg == "") {
-			// The policy is part of the recorded execution: replaying an
-			// online-mwf history through srpt would "validate" into a
-			// different run.
+		// The policy is part of the recorded execution: replaying a lazy
+		// online-mwf history through the preemptive one would "validate" into
+		// a different run. Names compare resolved, so "" is DefaultPolicy.
+		logged, err := NewPolicy(st.doc.Policy)
+		if err != nil {
+			return fmt.Errorf("server: restore: this build does not serve the snapshot's policy: %w", err)
+		}
+		if logged.Name() != s.policyName {
 			return fmt.Errorf("server: restore: snapshot taken under policy %q, server configured with %q",
-				st.doc.Policy, s.policyCfg)
+				logged.Name(), s.policyName)
 		}
 		if st.doc.ShardsCfg > 0 {
 			s.shardsCfg = st.doc.ShardsCfg

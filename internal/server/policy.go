@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -13,16 +14,15 @@ import (
 // the exact solver runs only when the residual workload actually changes.
 const DefaultPolicy = "online-mwf-lazy"
 
-// policyFactories maps API/flag names to constructors. Each Server gets a
-// fresh policy instance (policies carry per-run state).
+// ErrUnknownPolicy marks a policy name this build does not serve.
+var ErrUnknownPolicy = errors.New("server: unknown policy")
+
+// policyFactories maps API/flag names to constructors: the paper's online
+// max-weighted-flow re-solve, divisible and preemptive (the baselines stay in
+// internal/sim). Each Server gets a fresh instance (policies carry run state).
 var policyFactories = map[string]func() sim.Policy{
 	"online-mwf-lazy":    func() sim.Policy { return sim.NewOnlineMWFLazy() },
-	"online-mwf":         func() sim.Policy { return sim.NewOnlineMWF() },
 	"online-mwf-preempt": func() sim.Policy { return sim.NewOnlineMWFPreemptive() },
-	"mct":                func() sim.Policy { return sim.NewMCT() },
-	"srpt":               func() sim.Policy { return sim.NewSRPT() },
-	"greedy-wflow":       func() sim.Policy { return sim.NewGreedyWeightedFlow() },
-	"fcfs":               func() sim.Policy { return sim.NewFCFS() },
 }
 
 // Policies lists the selectable policy names, sorted.
@@ -42,7 +42,7 @@ func NewPolicy(name string) (sim.Policy, error) {
 	}
 	mk, ok := policyFactories[name]
 	if !ok {
-		return nil, fmt.Errorf("server: unknown policy %q (have %s)", name, strings.Join(Policies(), ", "))
+		return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownPolicy, name, strings.Join(Policies(), ", "))
 	}
 	return mk(), nil
 }

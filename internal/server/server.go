@@ -434,6 +434,16 @@ func New(cfg Config) (_ *Server, err error) {
 		}
 	}
 	if s.dur != nil {
+		if !st.hasState() {
+			// A fresh directory is snapshotted before its first record, so
+			// restore always finds the policy that wrote it.
+			s.reshardMu.Lock()
+			err = s.snapshotLocked()
+			s.reshardMu.Unlock()
+			if err != nil {
+				return nil, err
+			}
+		}
 		go s.snapshotLoop()
 	}
 	// Scrape-time metric collection reads the same per-shard snapshots
