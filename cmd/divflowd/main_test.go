@@ -475,3 +475,98 @@ func TestDaemonServesPaperPolicies(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartRestoresFromSealedLog runs the built binary on a WAL directory:
+// a few jobs complete under cadence snapshots, SIGTERM, and a restart on the
+// same directory must answer /v1/stats with the same jobsCompleted and
+// maxWeightedFlow, replaying nothing. Every snapshot seals the log segment it
+// covers, so the directory holds at most two segments, the first starting
+// just past the older snapshot's watermark.
+func TestRestartRestoresFromSealedLog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the divflowd binary")
+	}
+	bin := buildDivflowd(t)
+	walDir := t.TempDir()
+	// start launches the daemon on walDir; on a restart it requires the
+	// restore line, which comes before the one naming the address.
+	start := func(restart bool) (*proc, string) {
+		t.Helper()
+		p := startProc(t, bin, "-addr", "127.0.0.1:0", "-platform", "../../testdata/platform.json",
+			"-wal-dir", walDir, "-snapshot-every", "4")
+		if restart {
+			if line := p.waitLine(t, "restored durable state"); !strings.Contains(line, ": 0 WAL records replayed") {
+				t.Errorf("restart after SIGTERM: %q, want 0 WAL records replayed", line)
+			}
+		}
+		line := p.waitLine(t, "serving 3 machines in ")
+		rest := line[strings.Index(line, " shards on ")+len(" shards on "):]
+		return p, "http://" + strings.TrimSpace(strings.Split(rest, " ")[0])
+	}
+	stats := func(base string) model.StatsResponse {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st model.StatsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	p, base := start(false)
+	const jobs = 4
+	for i := 0; i < jobs; i++ {
+		body := fmt.Sprintf(`{"size":"1/2","weight":"%d","databanks":["swissprot"]}`, i+1)
+		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: HTTP %d", i, resp.StatusCode)
+		}
+	}
+	var before model.StatsResponse
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		if before = stats(base); before.JobsCompleted == jobs {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d jobs completed in 30s", before.JobsCompleted, jobs)
+		}
+	}
+	if before.MaxWeightedFlow == "" || before.WAL == nil || before.WAL.Snapshots < 3 {
+		t.Fatalf("before the restart: maxWeightedFlow %q, WAL %+v; want a flow and cadence snapshots", before.MaxWeightedFlow, before.WAL)
+	}
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	p.waitExit(t)
+
+	snaps, _ := filepath.Glob(filepath.Join(walDir, "snap-*.json"))
+	segs, _ := filepath.Glob(filepath.Join(walDir, "wal-*.log"))
+	if len(snaps) != 2 || len(segs) == 0 || len(segs) > 2 {
+		t.Fatalf("after SIGTERM the directory holds snapshots %v and segments %v; want two snapshots and at most two segments", snaps, segs)
+	}
+	var older, first uint64
+	fmt.Sscanf(filepath.Base(snaps[0]), "snap-%016x.json", &older)
+	fmt.Sscanf(filepath.Base(segs[0]), "wal-%016x.log", &first)
+	if first != older+1 {
+		t.Fatalf("the log starts at seq %d, want %d: just past the older snapshot's watermark", first, older+1)
+	}
+
+	p2, base2 := start(true)
+	after := stats(base2)
+	if after.JobsCompleted != before.JobsCompleted || after.MaxWeightedFlow != before.MaxWeightedFlow {
+		t.Errorf("after the restart: %d completed, maxWeightedFlow %s; before: %d, %s",
+			after.JobsCompleted, after.MaxWeightedFlow, before.JobsCompleted, before.MaxWeightedFlow)
+	}
+	if err := p2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	p2.waitExit(t)
+}

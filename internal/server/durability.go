@@ -26,11 +26,15 @@ import (
 // and — as pure truncation markers — completions and compaction horizons.
 // Periodic snapshots capture the whole fleet exactly (per-shard engine states
 // with the live jobs' remaining fractions, the forwarding table, the
-// generation list, all counters); the log is truncated behind each. On
-// startup the newest valid snapshot is loaded (torn ones skipped), and the
-// WAL suffix past its watermark is replayed through the normal admission
-// paths at the recorded virtual times — so the restored fleet's merged trace
-// validates exactly and matches an uninterrupted run bit for bit.
+// generation list, all counters). Each one seals the log segment at its
+// watermark, so the records it covers sit in whole segments; once it is
+// written and verified, the log is truncated behind the older of the two
+// snapshots kept on disk, so either one still restores. On startup the newest
+// valid snapshot is loaded (torn ones skipped), and the WAL suffix past its
+// watermark is replayed through the normal admission paths at the recorded
+// virtual times — so the restored fleet's merged trace validates exactly and
+// matches an uninterrupted run bit for bit. A restart decodes at most one
+// snapshot interval of records the snapshot already covers.
 //
 // The failure policy is freeze-and-serve: the first WAL append, fsync, or
 // snapshot failure latches an error, after which no further appends or
@@ -157,6 +161,10 @@ type durability struct {
 	sinceSnap int
 	err       error
 	replaying bool
+	// snapSeq is the watermark of the newest snapshot on disk, written or
+	// restored from. The next snapshot at a later watermark leaves it the
+	// older of the two kept, and truncates the log behind it.
+	snapSeq uint64
 
 	snapReq chan struct{}
 	stop    chan struct{}
@@ -341,7 +349,8 @@ func exportShardLocked(sh *shard) snapShard {
 }
 
 // Snapshot writes one fleet snapshot now (the same path the cadence-driven
-// background snapshots take) and truncates the WAL behind its watermark.
+// background snapshots take) and truncates the WAL behind the previous
+// snapshot's watermark.
 func (s *Server) Snapshot() error {
 	s.reshardMu.Lock()
 	err := ErrClosed
@@ -359,8 +368,9 @@ func (s *Server) Snapshot() error {
 
 // snapshotLocked exports and writes one snapshot. Callers hold reshardMu (so
 // no topology change is in flight); the export runs under the cut, which
-// freezes every append source, so the watermark is exact. Marshaling and file
-// I/O happen after the cut is released.
+// freezes every append source, so the watermark is exact, and the log is
+// sealed there, so the next record starts a segment of its own. Syncing the
+// sealed segment, marshaling and file I/O happen after the cut is released.
 //
 //divflow:locks requires=reshard
 func (s *Server) snapshotLocked() error {
@@ -375,6 +385,8 @@ func (s *Server) snapshotLocked() error {
 	}
 	doc := snapDoc{Policy: s.policyCfg, ShardsCfg: s.shardsCfg}
 	var seq uint64
+	var sealed *wal.Sealed
+	var err error
 	//divflow:locks requires=reshard,shard
 	s.cut(func(all []*shard) {
 		s.topoMu.RLock()
@@ -396,10 +408,17 @@ func (s *Server) snapshotLocked() error {
 		}
 		d.mu.Lock()
 		seq = d.log.LastSeq()
+		sealed, err = d.log.Seal()
 		d.mu.Unlock()
 	})
 
-	payload, err := json.Marshal(&doc)
+	if err == nil {
+		err = sealed.Close()
+	}
+	var payload []byte
+	if err == nil {
+		payload, err = json.Marshal(&doc)
+	}
 	if err == nil {
 		err = wal.WriteSnapshot(d.dir, seq, payload)
 	}
@@ -418,11 +437,17 @@ func (s *Server) snapshotLocked() error {
 		d.latchLocked(fmt.Errorf("server: snapshot: %w", err))
 		return d.err
 	}
-	// Segments wholly at or below the watermark are folded into the
-	// snapshot; the suffix past it stays for replay.
-	if terr := d.log.TruncateBefore(seq + 1); terr != nil {
-		d.latchLocked(terr)
-		return d.err
+	// The previous snapshot is now the older of the two wal.WriteSnapshot
+	// keeps: segments wholly at or below its watermark are folded into both,
+	// and the log from there on stays so that either one restores. A snapshot
+	// at the same watermark replaced the previous file, and the older one kept
+	// is still the one the last truncation stopped at.
+	if seq > d.snapSeq {
+		if terr := d.log.TruncateBefore(d.snapSeq + 1); terr != nil {
+			d.latchLocked(terr)
+			return d.err
+		}
+		d.snapSeq = seq
 	}
 	d.snapshots++
 	d.sinceSnap = 0
@@ -456,6 +481,7 @@ func (s *Server) snapshotLoop() {
 type restoreState struct {
 	log     *wal.Log
 	doc     *snapDoc // nil when no valid snapshot existed
+	snapSeq uint64   // doc's watermark
 	suffix  []wal.Record
 	now     exact.Q // watermark virtual time of the restored state
 	started time.Time
@@ -465,7 +491,9 @@ type restoreState struct {
 // watermark. A torn snapshot or torn log tail is skipped/truncated by the
 // wal package; a snapshot that fails to decode is an error (the disk state
 // claims validity but cannot be interpreted — refusing to guess beats
-// silently dropping history).
+// silently dropping history), and so is a log that does not continue the
+// snapshot: a suffix that starts past the seq after the watermark, or a log
+// that ends before the watermark, whose next append would reuse a covered seq.
 func openWAL(dir string, fsync bool) (*restoreState, error) {
 	//divflow:wallclock-ok recovery wall time only annotates the recovery-duration histogram; no Server clock exists yet while the WAL is being opened
 	st := &restoreState{started: time.Now()}
@@ -474,13 +502,18 @@ func openWAL(dir string, fsync bool) (*restoreState, error) {
 	if err != nil {
 		return nil, err
 	}
+	last := log.LastSeq()
+	if last < snapSeq {
+		log.Close()
+		return nil, fmt.Errorf("server: restore: the log ends at seq %d, before the snapshot watermark %d", last, snapSeq)
+	}
 	if haveSnap {
 		var doc snapDoc
 		if err := json.Unmarshal(payload, &doc); err != nil {
 			log.Close()
 			return nil, fmt.Errorf("server: restore: snapshot decode: %w", err)
 		}
-		st.doc = &doc
+		st.doc, st.snapSeq = &doc, snapSeq
 		for i := range doc.Shards {
 			ss := &doc.Shards[i]
 			if ss.Engine != nil {
@@ -490,7 +523,7 @@ func openWAL(dir string, fsync bool) (*restoreState, error) {
 		}
 	}
 	for _, rec := range recs {
-		if haveSnap && rec.Seq <= snapSeq {
+		if rec.Seq <= snapSeq {
 			continue
 		}
 		st.suffix = append(st.suffix, rec)
@@ -506,6 +539,12 @@ func openWAL(dir string, fsync bool) (*restoreState, error) {
 			st.advance(t.Now)
 			st.advance(t.Release)
 		}
+	}
+	// wal.Open hands back a contiguous log, so the suffix is whole exactly
+	// when it holds every seq past the watermark.
+	if n := uint64(len(st.suffix)); n != last-snapSeq {
+		log.Close()
+		return nil, fmt.Errorf("server: restore: the log resumes at seq %d, the snapshot watermark is %d", last+1-n, snapSeq)
 	}
 	st.log = log
 	return st, nil

@@ -5,12 +5,19 @@ import (
 	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"divflow/internal/faults"
 	"divflow/internal/model"
+	"divflow/internal/wal"
 	"divflow/internal/workload"
 )
 
@@ -1023,4 +1030,244 @@ func TestWALRestorePreservesFlowHistogram(t *testing.T) {
 	if got := srv2.Stats().P95Flow; got != want {
 		t.Errorf("restored p95Flow = %v, pre-crash %v; flow histogram not carried through the snapshot", got, want)
 	}
+}
+
+// walFiles returns the watermarks of the snapshot files in dir and the
+// first seqs of its log segments, both oldest first.
+func walFiles(t *testing.T, dir string) (snaps, segs []uint64) {
+	t.Helper()
+	for _, f := range []struct {
+		glob, prefix, suffix string
+		out                  *[]uint64
+	}{{"snap-*.json", "snap-", ".json", &snaps}, {"wal-*.log", "wal-", ".log", &segs}} {
+		names, err := filepath.Glob(filepath.Join(dir, f.glob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			hex := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(name), f.prefix), f.suffix)
+			n, err := strconv.ParseUint(hex, 16, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			*f.out = append(*f.out, n)
+		}
+	}
+	return snaps, segs
+}
+
+// TestWALSnapshotSealsTheSegmentItCovers pins what a snapshot leaves behind:
+// it seals the log at its watermark and truncates the log behind the older of
+// the two snapshots kept, so after cadence snapshots and a clean Close the
+// directory holds two snapshots and only the log from the older one's
+// watermark on. A restart decodes at most one snapshot interval of records
+// the newest snapshot covers, and with the newest snapshot torn the fleet
+// still restores exactly from the older one.
+func TestWALSnapshotSealsTheSegmentItCovers(t *testing.T) {
+	t.Cleanup(faults.Reset)
+	// One job is three records — submit, admit, complete — and each job runs
+	// alone, so every cadence snapshot falls on a completion.
+	const every = 3
+	cfg := Config{Machines: testFleet(), WALDir: t.TempDir(), SnapshotEvery: every}
+	vc := NewVirtualClock()
+	runCfg := cfg
+	runCfg.Clock = vc
+	srv, err := New(runCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// caughtUp waits for the cadence snapshot an append asked for.
+	caughtUp := func() {
+		t.Helper()
+		waitStats(t, srv, func(model.StatsResponse) bool {
+			srv.dur.mu.Lock()
+			defer srv.dur.mu.Unlock()
+			return srv.dur.sinceSnap < every
+		})
+	}
+	srv.Start()
+	const jobs = 4
+	for k := 1; k <= jobs; k++ {
+		if _, err := srv.Submit(&model.SubmitRequest{Size: "2", Databanks: []string{"swissprot"}}); err != nil {
+			t.Fatal(err)
+		}
+		waitStats(t, srv, func(st model.StatsResponse) bool { return st.BatchedArrivals >= k })
+		drive(t, vc, func() bool { return srv.Stats().JobsCompleted == k })
+		caughtUp()
+	}
+	if n := srv.Stats().WAL.Snapshots; n != 1+jobs {
+		t.Fatalf("%d snapshots after %d jobs of %d records at SnapshotEvery %d, want %d", n, jobs, every, every, 1+jobs)
+	}
+	// A job still queued at shutdown: Close snapshots past the last cadence
+	// watermark.
+	if _, err := srv.Submit(&model.SubmitRequest{Size: "2", Databanks: []string{"pdb"}}); err != nil {
+		t.Fatal(err)
+	}
+	waitStats(t, srv, func(st model.StatsResponse) bool { return st.BatchedArrivals >= jobs+1 })
+	quiesce(t, srv, vc.Now())
+	want := make(map[int]model.JobStatus)
+	for id := 0; id <= jobs; id++ {
+		want[id], _ = srv.jobStatus(id)
+	}
+	wantStats := srv.Stats()
+	srv.Close()
+
+	snaps, segs := walFiles(t, cfg.WALDir)
+	if len(snaps) != 2 || snaps[0] != every*jobs || snaps[1] <= snaps[0] {
+		t.Fatalf("snapshots at watermarks %v, want the last cadence one (%d) and Close's after it", snaps, every*jobs)
+	}
+	older, newest := snaps[0], snaps[1]
+	if len(segs) == 0 || segs[0] != older+1 {
+		t.Fatalf("segments start at seqs %v, want the log from the older snapshot's watermark %d on", segs, older)
+	}
+	_, recs, err := wal.Open(cfg.WALDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := 0
+	for _, rec := range recs {
+		if rec.Seq <= newest {
+			covered++
+		}
+	}
+	if covered == 0 || covered > every {
+		t.Fatalf("a restart decodes %d records at or below the newest watermark %d, want 1 to %d", covered, newest, every)
+	}
+
+	torn := t.TempDir()
+	copyDir(t, cfg.WALDir, torn)
+	restoresExactly := func(srv *Server, replayed int) {
+		t.Helper()
+		if n := srv.ReplayedRecords(); n != replayed {
+			t.Errorf("replayed %d records, want %d", n, replayed)
+		}
+		for id, w := range want {
+			if got, known := srv.jobStatus(id); !known || !reflect.DeepEqual(got, w) {
+				t.Errorf("job %d restored as %+v (known %v), want %+v", id, got, known, w)
+			}
+		}
+		st := srv.Stats()
+		if st.JobsCompleted != wantStats.JobsCompleted || st.MaxWeightedFlow != wantStats.MaxWeightedFlow {
+			t.Errorf("restored %d completed, max weighted flow %s; want %d and %s",
+				st.JobsCompleted, st.MaxWeightedFlow, wantStats.JobsCompleted, wantStats.MaxWeightedFlow)
+		}
+	}
+	srv2, _ := reopenServer(t, cfg)
+	restoresExactly(srv2, 0)
+	srv2.Close()
+
+	// Tear the newest snapshot: the older one and the log kept behind it
+	// restore the same fleet.
+	_, payload, _ := wal.LoadSnapshot(torn)
+	faults.Arm(faults.TornSnapshot, 0)
+	if err := wal.WriteSnapshot(torn, newest, payload); err != nil {
+		t.Fatal(err)
+	}
+	faults.Reset()
+	if seq, _, ok := wal.LoadSnapshot(torn); !ok || seq != older {
+		t.Fatalf("with the newest snapshot torn, LoadSnapshot = %d %v; want the older one at %d", seq, ok, older)
+	}
+	tornCfg := cfg
+	tornCfg.WALDir = torn
+	srv3, _ := reopenServer(t, tornCfg)
+	defer srv3.Close()
+	restoresExactly(srv3, int(newest-older))
+}
+
+// TestWALRefusesLogWithHole: a log that does not continue the snapshot it is
+// restored from is refused with both seqs named, never replayed with a gap —
+// a segment missing from the middle of the log, or, with the newest snapshot
+// torn, the segment the older snapshot's suffix starts in.
+func TestWALRefusesLogWithHole(t *testing.T) {
+	t.Cleanup(faults.Reset)
+	const every = 3
+	cfg := Config{Machines: testFleet(), WALDir: t.TempDir(), SnapshotEvery: every}
+	vc := NewVirtualClock()
+	runCfg := cfg
+	runCfg.Clock = vc
+	srv, err := New(runCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	for k := 1; k <= 2; k++ {
+		if _, err := srv.Submit(&model.SubmitRequest{Size: "2", Databanks: []string{"swissprot"}}); err != nil {
+			t.Fatal(err)
+		}
+		drive(t, vc, func() bool { return srv.Stats().JobsCompleted == k })
+		waitStats(t, srv, func(st model.StatsResponse) bool { return st.WAL.Snapshots == 1+k })
+	}
+	srv.Close()
+	// Snapshots at 3 and 6; the log from 4 on, the last segment empty.
+	snaps, segs := walFiles(t, cfg.WALDir)
+	if !reflect.DeepEqual(snaps, []uint64{3, 6}) || !reflect.DeepEqual(segs, []uint64{4, 7}) {
+		t.Fatalf("snapshots %v, segments %v; want [3 6] and [4 7]", snaps, segs)
+	}
+	restart := func(t *testing.T, prepare func(dir string)) error {
+		t.Helper()
+		dir := t.TempDir()
+		copyDir(t, cfg.WALDir, dir)
+		prepare(dir)
+		c := cfg
+		c.WALDir, c.Clock = dir, NewVirtualClock()
+		srv, err := New(c)
+		if err == nil {
+			srv.Close()
+		}
+		return err
+	}
+	remove := func(t *testing.T, dir string, first uint64) {
+		t.Helper()
+		if err := os.Remove(filepath.Join(dir, fmt.Sprintf("wal-%016x.log", first))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tearNewest := func(t *testing.T, dir string) {
+		t.Helper()
+		seq, payload, _ := wal.LoadSnapshot(dir)
+		faults.Arm(faults.TornSnapshot, 0)
+		defer faults.Reset()
+		if err := wal.WriteSnapshot(dir, seq, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("older snapshot's suffix", func(t *testing.T) {
+		// The newest snapshot covers segment 4 whole ...
+		if err := restart(t, func(dir string) { remove(t, dir, 4) }); err != nil {
+			t.Fatalf("restore without a segment the newest snapshot covers: %v", err)
+		}
+		// ... the older one needs it.
+		err := restart(t, func(dir string) { tearNewest(t, dir); remove(t, dir, 4) })
+		if err == nil || !strings.Contains(err.Error(), "the log resumes at seq 7, the snapshot watermark is 3") {
+			t.Fatalf("restore from snapshot 3 without records 4-6: err = %v, want the hole named", err)
+		}
+	})
+	t.Run("middle segment", func(t *testing.T) {
+		err := restart(t, func(dir string) {
+			// A snapshot that seals the log and then fails verification
+			// truncates nothing: segments 4, 7 and 8.
+			c := cfg
+			c.WALDir = dir
+			srv, _ := reopenServer(t, c)
+			if _, err := srv.Submit(&model.SubmitRequest{Size: "2", Databanks: []string{"pdb"}}); err != nil {
+				t.Fatal(err)
+			}
+			faults.Arm(faults.TornSnapshot, 0)
+			err := srv.Snapshot()
+			faults.Reset()
+			srv.Close()
+			if err == nil {
+				t.Fatal("torn snapshot passed verification")
+			}
+			if _, segs := walFiles(t, dir); !reflect.DeepEqual(segs, []uint64{4, 7, 8}) {
+				t.Fatalf("segments %v, want [4 7 8]", segs)
+			}
+			remove(t, dir, 7)
+		})
+		if err == nil || !strings.Contains(err.Error(), "starts at seq 8, the segment before it ends at seq 6") {
+			t.Fatalf("restore without segment 7: err = %v, want the hole named", err)
+		}
+	})
 }

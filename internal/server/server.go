@@ -410,6 +410,7 @@ func New(cfg Config) (_ *Server, err error) {
 			dir:       cfg.WALDir,
 			snapEvery: snapEvery,
 			log:       st.log,
+			snapSeq:   st.snapSeq,
 			snapReq:   make(chan struct{}, 1),
 			stop:      make(chan struct{}),
 		}

@@ -49,25 +49,22 @@ func WriteSnapshot(dir string, seq uint64, payload []byte) error {
 			payload = []byte("torn")
 		}
 	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %d %08x\n", snapMagic, seq, sum)
-	buf.Write(payload)
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("wal: snapshot: %w", err)
+	_, err = fmt.Fprintf(tmp, "%s %d %08x\n", snapMagic, seq, sum)
+	if err == nil {
+		_, err = tmp.Write(payload)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("wal: snapshot: %w", err)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}

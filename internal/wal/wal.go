@@ -1,5 +1,5 @@
 // Package wal is divflowd's durability layer: an append-only, CRC-framed,
-// segment-rotated record log plus atomic temp-write-and-rename snapshots.
+// segmented record log plus atomic temp-write-and-rename snapshots.
 //
 // Log format. A segment file is the 8-byte magic "DIVWAL01" followed by
 // frames. Each frame is
@@ -7,11 +7,15 @@
 //	[4B little-endian payload length][4B little-endian CRC32-IEEE of payload][payload]
 //
 // where the payload is a JSON envelope {"seq": N, "type": "...", "data": ...}.
-// Segments are named wal-<first-seq, 16 hex digits>.log and rotate once the
-// active segment exceeds Options.SegmentBytes. The reader stops at the first
-// torn or CRC-corrupt frame — a torn tail from a crash mid-append is expected
-// and silently truncated on the next Open, so the log always replays as a
-// consistent prefix of what was appended.
+// Segments are named wal-<first-seq, 16 hex digits>.log. Seal ends the active
+// segment and starts the next one at the next sequence number; Append seals
+// once the active segment exceeds Options.SegmentBytes, and the server seals
+// at every snapshot's watermark, so a snapshot covers whole segments. The
+// reader stops at the first torn or CRC-corrupt frame — a torn tail from a
+// crash mid-append is expected and silently truncated on the next Open, so
+// the log always replays as a consistent prefix of what was appended. A log
+// with a hole (a segment that does not start where the one before it ends)
+// is refused.
 //
 // Snapshots are a separate file per watermark (snapshot.go); TruncateBefore
 // drops the segments a snapshot has made redundant.
@@ -85,7 +89,10 @@ type Log struct {
 
 // Open opens (creating if needed) the log in dir, truncates any torn tail
 // left by a crash, and returns the log together with every record currently
-// on disk, in sequence order. The first record of a fresh log has seq 1.
+// on disk, in sequence order. The first record of a fresh log has seq 1. A
+// log whose segments do not continue one another — a segment lost from the
+// middle, a record out of sequence — is refused with an error naming both
+// seqs rather than replayed with a gap.
 func Open(dir string, opts Options) (*Log, []Record, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -106,25 +113,29 @@ func Open(dir string, opts Options) (*Log, []Record, error) {
 		if !ok {
 			continue
 		}
+		if len(l.segments) > 0 && first != l.nextSeq {
+			return nil, nil, fmt.Errorf("wal: segment %s starts at seq %d, the segment before it ends at seq %d", path, first, l.nextSeq-1)
+		}
+		l.nextSeq = first
 		recs, good, err := readSegment(path)
 		if err != nil {
 			return nil, nil, err
 		}
-		if good < 0 {
-			// Unreadable header: a file that is not (yet) a segment, e.g. a
-			// crash before the magic landed. Usable only if it is the last
-			// segment; drop it either way.
+		switch {
+		case good < 0:
+			// Unreadable header: a crash between creating the segment and
+			// writing its magic. Only the last segment can be caught there, and
+			// it holds no record yet: start it again, empty, at the seq its name
+			// carries.
 			if i != len(names)-1 {
 				return nil, nil, fmt.Errorf("wal: segment %s has no valid header", path)
 			}
-			if err := os.Remove(path); err != nil {
+			if err := os.WriteFile(path, segmentMagic, 0o644); err != nil {
 				return nil, nil, fmt.Errorf("wal: %w", err)
 			}
-			continue
-		}
-		// A torn tail is only legitimate on the final segment; corruption in
-		// the middle of the sequence would orphan everything after it.
-		if tornAt(path, good) {
+		case tornAt(path, good):
+			// A torn tail is only legitimate on the final segment; corruption
+			// in the middle of the sequence would orphan everything after it.
 			if i != len(names)-1 {
 				return nil, nil, fmt.Errorf("wal: segment %s is corrupt mid-log", path)
 			}
@@ -132,13 +143,14 @@ func Open(dir string, opts Options) (*Log, []Record, error) {
 				return nil, nil, fmt.Errorf("wal: %w", err)
 			}
 		}
+		for _, rec := range recs {
+			if rec.Seq != l.nextSeq {
+				return nil, nil, fmt.Errorf("wal: segment %s holds seq %d where seq %d belongs", path, rec.Seq, l.nextSeq)
+			}
+			l.nextSeq++
+		}
 		records = append(records, recs...)
 		l.segments = append(l.segments, segment{path: path, first: first})
-	}
-	if n := len(records); n > 0 {
-		l.nextSeq = records[n-1].Seq + 1
-	} else if n := len(l.segments); n > 0 {
-		l.nextSeq = l.segments[n-1].first
 	}
 	if n := len(l.segments); n > 0 {
 		f, err := os.OpenFile(l.segments[n-1].path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -222,7 +234,7 @@ func (l *Log) NextSeq() uint64 { return l.nextSeq }
 func (l *Log) LastSeq() uint64 { return l.nextSeq - 1 }
 
 // Append encodes v as the data of a record of the given type, frames it, and
-// writes it to the active segment (rotating first if the segment is full).
+// writes it to the active segment (sealing it first if it is full).
 // With Options.Fsync the write is synced before Append returns. The record's
 // sequence number is returned; on error nothing durable past the previous
 // record is promised.
@@ -242,7 +254,11 @@ func (l *Log) Append(typ string, v any) (uint64, error) {
 		return 0, fmt.Errorf("wal: encode %s: %w", typ, err)
 	}
 	if l.active == nil || l.size >= l.opts.SegmentBytes {
-		if err := l.rotate(); err != nil {
+		sealed, err := l.Seal()
+		if err == nil {
+			err = sealed.Close()
+		}
+		if err != nil {
 			return 0, err
 		}
 	}
@@ -298,32 +314,58 @@ func (l *Log) Append(typ string, v any) (uint64, error) {
 	return seq, nil
 }
 
-// rotate closes the active segment and starts a new one whose name carries
-// the next sequence number.
-func (l *Log) rotate() error {
-	if l.active != nil {
-		if err := l.active.Sync(); err != nil {
-			return fmt.Errorf("wal: rotate: %w", err)
-		}
-		if err := l.active.Close(); err != nil {
-			return fmt.Errorf("wal: rotate: %w", err)
-		}
-		l.active = nil
+// Sealed is a segment Seal ended: nothing is appended to it any more, and it
+// is not yet synced.
+type Sealed struct{ f *os.File }
+
+// Close syncs and closes the sealed segment. Closing a nil Sealed (Seal had
+// nothing to end) does nothing.
+func (s *Sealed) Close() error {
+	if s == nil {
+		return nil
+	}
+	err := s.f.Sync()
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("wal: seal: %w", err)
+	}
+	return nil
+}
+
+// Seal starts a new segment, wal-<NextSeq>.log, and makes it the active one:
+// every record appended from here on lands in it. It is the one place a
+// segment starts — Append seals a full segment, and a snapshot seals at its
+// watermark so that TruncateBefore can later drop everything the snapshot
+// covers. Sealing an active segment that holds no record is a no-op and
+// returns nil. The segment Seal ended is handed back unsynced: the caller
+// closes it, off whatever locks it holds.
+func (l *Log) Seal() (*Sealed, error) {
+	if l.crashed {
+		return nil, ErrCrashed
+	}
+	if l.active != nil && l.size <= int64(len(segmentMagic)) {
+		return nil, nil
 	}
 	path := filepath.Join(l.dir, fmt.Sprintf("wal-%016x.log", l.nextSeq))
 	// O_APPEND keeps every write at the true end of file even after a
 	// failed append was truncated back out.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: rotate: %w", err)
+		return nil, fmt.Errorf("wal: seal: %w", err)
 	}
 	if _, err := f.Write(segmentMagic); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: rotate: %w", err)
+		return nil, fmt.Errorf("wal: seal: %w", err)
+	}
+	var sealed *Sealed
+	if l.active != nil {
+		sealed = &Sealed{f: l.active}
 	}
 	l.segments = append(l.segments, segment{path: path, first: l.nextSeq})
 	l.active, l.size = f, int64(len(segmentMagic))
-	return nil
+	return sealed, nil
 }
 
 // Sync flushes the active segment to disk regardless of Options.Fsync.
@@ -339,7 +381,8 @@ func (l *Log) Sync() error {
 
 // TruncateBefore removes segments every record of which has seq < seq —
 // i.e. segments made redundant by a snapshot at watermark seq-1. The active
-// segment is never removed.
+// segment is never removed; a sealed one goes as soon as the segment after
+// it starts at or below seq.
 func (l *Log) TruncateBefore(seq uint64) error {
 	for len(l.segments) > 1 && l.segments[1].first <= seq {
 		if err := os.Remove(l.segments[0].path); err != nil && !os.IsNotExist(err) {

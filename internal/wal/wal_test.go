@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"divflow/internal/faults"
@@ -241,5 +243,168 @@ func TestInjectedAppendAndCrashFaults(t *testing.T) {
 	defer l2.Close()
 	if len(recs) == 0 || recs[len(recs)-1].Seq != seq {
 		t.Fatalf("restore tail seq = %v, want %d", recs, seq)
+	}
+}
+
+// segmentNames lists the segment files in dir, oldest first.
+func segmentNames(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range names {
+		names[i] = filepath.Base(names[i])
+	}
+	return names
+}
+
+func seal(t *testing.T, l *Log) *Sealed {
+	t.Helper()
+	sealed, err := l.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sealed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return sealed
+}
+
+func TestSealStartsSegmentAtNextSeq(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := reopen(t, dir, Options{})
+	appendN(t, l, 1, 3)
+	if seal(t, l) == nil {
+		t.Fatal("sealing a segment holding records handed back nothing")
+	}
+	// The new segment holds no record yet: sealing it again is a no-op.
+	if seal(t, l) != nil {
+		t.Fatal("sealing an empty segment ended it")
+	}
+	if got, want := segmentNames(t, dir), []string{"wal-0000000000000001.log", "wal-0000000000000004.log"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("segments after a seal = %v, want %v", got, want)
+	}
+	appendN(t, l, 4, 2)
+	l.Close()
+	// The appends after the seal landed in the segment named for seq 4.
+	recs, good, err := readSegment(filepath.Join(dir, "wal-0000000000000004.log"))
+	if err != nil || good < 0 || len(recs) != 2 || recs[0].Seq != 4 {
+		t.Fatalf("segment 4 holds %v (good %d, err %v), want seqs 4 and 5", recs, good, err)
+	}
+	l2, recs := reopen(t, dir, Options{})
+	defer l2.Close()
+	checkSeqs(t, recs, 5)
+}
+
+func TestRotationAndSealShareOnePath(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := reopen(t, dir, Options{SegmentBytes: 128})
+	for i := 1; i <= 12; i++ {
+		appendN(t, l, i, 1)
+		if i%5 == 0 {
+			seal(t, l)
+		}
+	}
+	l.Close()
+	l2, recs := reopen(t, dir, Options{SegmentBytes: 128})
+	defer l2.Close()
+	checkSeqs(t, recs, 12)
+	// Whoever ended a segment — the size threshold or a seal — the next one
+	// is named for the first record it holds, and none is empty but the last.
+	names := segmentNames(t, dir)
+	for _, name := range names {
+		recs, _, err := readSegment(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			t.Fatalf("segment %s holds no record", name)
+		}
+		first, _ := segmentFirstSeq(name)
+		if recs[0].Seq != first {
+			t.Fatalf("segment %s starts with seq %d", name, recs[0].Seq)
+		}
+	}
+	if len(names) < 4 {
+		t.Fatalf("12 records over 128-byte segments and two seals made %d segments", len(names))
+	}
+}
+
+func TestOpenReadsAcrossSealedAndEmptySegment(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := reopen(t, dir, Options{})
+	appendN(t, l, 1, 5)
+	seal(t, l)
+	l.Close()
+	// A sealed segment and the empty one after it.
+	l2, recs := reopen(t, dir, Options{})
+	checkSeqs(t, recs, 5)
+	if got := l2.NextSeq(); got != 6 {
+		t.Fatalf("NextSeq across an empty segment = %d, want 6", got)
+	}
+	appendN(t, l2, 6, 2)
+	// The snapshot at watermark 5 covers the sealed segment whole.
+	if err := l2.TruncateBefore(6); err != nil {
+		t.Fatal(err)
+	}
+	l2.Close()
+	if got, want := segmentNames(t, dir), []string{"wal-0000000000000006.log"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("segments after truncating behind 5 = %v, want %v", got, want)
+	}
+	l3, recs := reopen(t, dir, Options{})
+	defer l3.Close()
+	if len(recs) != 2 || recs[0].Seq != 6 || recs[1].Seq != 7 || l3.NextSeq() != 8 {
+		t.Fatalf("after truncation: %d records from seq %d, NextSeq %d; want 6 and 7, NextSeq 8", len(recs), recs[0].Seq, l3.NextSeq())
+	}
+}
+
+// A crash between creating a sealed-to segment and writing its magic leaves
+// an empty file; once the log behind it was truncated, it is the only record
+// of where the sequence goes on.
+func TestOpenRestartsHeaderlessSegment(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := reopen(t, dir, Options{})
+	appendN(t, l, 1, 5)
+	seal(t, l)
+	if err := l.TruncateBefore(6); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if err := os.Truncate(filepath.Join(dir, "wal-0000000000000006.log"), 0); err != nil {
+		t.Fatal(err)
+	}
+	l2, recs := reopen(t, dir, Options{})
+	if len(recs) != 0 || l2.NextSeq() != 6 {
+		t.Fatalf("headerless segment 6: %d records, NextSeq %d; want none and 6", len(recs), l2.NextSeq())
+	}
+	appendN(t, l2, 6, 1)
+	l2.Close()
+	l3, recs := reopen(t, dir, Options{})
+	defer l3.Close()
+	if len(recs) != 1 || recs[0].Seq != 6 {
+		t.Fatalf("after restarting segment 6: %v", recs)
+	}
+}
+
+func TestOpenRefusesHole(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := reopen(t, dir, Options{})
+	for _, n := range []int{1, 4, 7} {
+		appendN(t, l, n, 3)
+		seal(t, l)
+	}
+	l.Close()
+	if err := os.Remove(filepath.Join(dir, "wal-0000000000000004.log")); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := Open(dir, Options{})
+	if err == nil {
+		t.Fatal("Open replayed a log missing its middle segment")
+	}
+	for _, want := range []string{"wal-0000000000000007.log", "starts at seq 7", "ends at seq 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
 	}
 }
