@@ -1,11 +1,10 @@
 // Command divflowd is the divflow scheduling daemon: it owns a machine
 // fleet described by a platform JSON, accepts divisible-job submissions
 // over HTTP, and schedules them online with the paper's exact
-// max-weighted-flow machinery (or a classical heuristic). The fleet runs
-// partitioned into independent scheduling shards — by databank-connectivity
-// components, or -shards N (or the platform's "shards" field) for uniform
-// fleets — with submissions routed to the eligible shard with the least
-// exact residual work.
+// max-weighted-flow machinery. The fleet runs partitioned into independent
+// scheduling shards — by databank-connectivity components, or -shards N (or
+// the platform's "shards" field) for uniform fleets — with submissions
+// routed to the eligible shard with the least exact residual work.
 //
 //	divflowd -platform testdata/platform.json -addr :8080
 //

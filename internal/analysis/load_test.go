@@ -123,3 +123,14 @@ func TestLockOrderIsOnePage(t *testing.T) {
 		t.Errorf("ascending= blesses %v, want Server.cut alone", blessed)
 	}
 }
+
+// sortedKeys returns a map's keys in deterministic order, for stable
+// diagnostics.
+func sortedKeys(m map[string]bool) []string {
+	ks := make([]string, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	return ks
+}

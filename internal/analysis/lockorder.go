@@ -3,19 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
-
-// sortedKeys returns a map's keys in deterministic order, for stable
-// diagnostics.
-func sortedKeys(m map[string]bool) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
 
 // LockOrderAnalyzer enforces the fleet's declared lock order. Every annotated
 // mutex belongs to a class, classes form a partial order through their
@@ -24,8 +12,10 @@ func sortedKeys(m map[string]bool) []string {
 // each function body against that order: a Lock (direct, or transitively via
 // any statically-resolvable callee — callee acquire-sets are cross-package
 // facts) while holding a class that the order does not put first is a
-// diagnostic, and acquiring a second instance of the same class is reserved
-// for the blessed `ascending=` helpers.
+// diagnostic. Acquiring a second instance of the same class is reserved for
+// the blessed `ascending=` helpers, and calling one while already holding
+// the class it blesses is a diagnostic too: the blessing covers the helper's
+// own sweep, not a lock its caller brought in.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc:  "enforce the declared mutex order (//divflow:locks annotations): ascending shard mus via blessed helpers only, no inverted acquisitions",
@@ -51,18 +41,7 @@ func runLockChecks(pass *Pass, orderMode bool) {
 				continue
 			}
 			obj, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-			fl := pass.World.Funcs[funcKey(obj)]
-			if orderMode && fl != nil && fl.Boundary != "" {
-				// A message-boundary handler serves exactly one shard; in a
-				// distributed fleet a second instance of any class would live
-				// in another process, so even blessed multi-instance code is
-				// out of reach for it.
-				for _, c := range sortedKeys(fl.AscendingReach) {
-					pass.Reportf(fd.Pos(), "boundary=%s handler %s reaches ascending=%s code; a handler must never hold a second %s instance (another shard's mu)",
-						fl.Boundary, fd.Name.Name, c, c)
-				}
-			}
-			checkFuncBody(pass, pass.World, fd.Body, fl, orderMode)
+			checkFuncBody(pass, pass.World, fd.Body, pass.World.Funcs[funcKey(obj)], orderMode)
 		}
 	}
 }

@@ -23,16 +23,11 @@ import (
 //
 // `requires` = classes the caller must already hold; `ascending` = classes
 // the function is blessed to acquire more than one instance of (ascending by
-// shard idx — the annotation is the reviewed promise, the analyzer enforces
-// that unblessed code never double-acquires). A function literal invoked
-// under locks can carry the same annotation on the line above the literal.
-//
-// `boundary=<name>` marks a function as a message-boundary handler (the
-// shardlink RPC services): it runs against exactly one shard and must never
-// hold two instances of a class at once — not even through a blessed callee —
-// because in a distributed fleet the second instance would live in another
-// process. lockorder enforces this as reachability: a boundary function whose
-// transitive call graph contains any `ascending=` blessing is a diagnostic.
+// shard idx — the annotation is the reviewed allowlist entry, the analyzer
+// enforces that no other code double-acquires, and that no caller calls a
+// blessed function while already holding the class it blesses). A function
+// literal invoked under locks can carry `requires=` on the line above the
+// literal; a literal is never blessed.
 //
 // Everything collected here is keyed by plain strings (class names,
 // "pkgpath.Recv.Name" function keys), so a fact collected in one package is
@@ -44,14 +39,6 @@ type FuncLocks struct {
 	Acquires  map[string]bool // classes this function (or any callee) may lock
 	Requires  []string        // classes that must be held on entry
 	Ascending map[string]bool // classes blessed for multi-instance acquisition
-	// Boundary names the message boundary this function is a handler of
-	// ("shardlink"); boundary handlers must stay single-instance per class.
-	Boundary string
-	// AscendingReach is the transitive closure of Ascending over the call
-	// graph: classes for which this function — or anything it calls — is
-	// blessed to hold a second instance. Boundary handlers must keep it
-	// empty.
-	AscendingReach map[string]bool
 }
 
 // World is the cross-package fact store shared by all passes.
@@ -190,15 +177,12 @@ func CollectLocks(prog *Program, pkg *Package, world *World) {
 			if key == "" {
 				continue
 			}
-			fl := &FuncLocks{Acquires: make(map[string]bool), Ascending: make(map[string]bool),
-				AscendingReach: make(map[string]bool)}
+			fl := &FuncLocks{Acquires: make(map[string]bool), Ascending: make(map[string]bool)}
 			if kv := annotationFor(fd.Doc); kv != nil {
 				fl.Requires = splitList(kv["requires"])
 				for _, c := range splitList(kv["ascending"]) {
 					fl.Ascending[c] = true
-					fl.AscendingReach[c] = true
 				}
-				fl.Boundary = kv["boundary"]
 			}
 			fi := &funcInfo{fl: fl}
 			// Scan the body for direct Lock/RLock on annotated classes and
@@ -242,12 +226,6 @@ func CollectLocks(prog *Program, pkg *Package, world *World) {
 				for c := range cf.Acquires {
 					if !fi.fl.Acquires[c] {
 						fi.fl.Acquires[c] = true
-						changed = true
-					}
-				}
-				for c := range cf.AscendingReach {
-					if !fi.fl.AscendingReach[c] {
-						fi.fl.AscendingReach[c] = true
 						changed = true
 					}
 				}
@@ -682,7 +660,7 @@ func (ck *lockChecker) call(call *ast.CallExpr, held heldSet) {
 	}
 	for c := range fl.Acquires {
 		if held[c] {
-			if !ck.fl.Ascending[c] && !fl.Ascending[c] {
+			if !ck.fl.Ascending[c] {
 				ck.pass.Reportf(call.Pos(), "call to %s may acquire %s while %s is already held (no ascending blessing)", callee.Name(), c, c)
 			}
 			continue
@@ -717,7 +695,7 @@ func (ck *lockChecker) checkOrder(pos token.Pos, class string, held heldSet, ver
 	}
 }
 
-// funcLit analyzes a function literal under its own annotated contract (the
+// funcLit analyzes a function literal under its own `requires=` contract (the
 // `//divflow:locks` comment on the literal's first line or the line above),
 // or an empty held-set when unannotated.
 func (ck *lockChecker) funcLit(lit *ast.FuncLit) {
@@ -731,9 +709,6 @@ func (ck *lockChecker) funcLitWith(lit *ast.FuncLit, outer heldSet) {
 		for _, c := range ck.pass.Pkg.commentsAt(pos.Filename, line) {
 			if kv := parseLocksAnnotation(c); kv != nil {
 				fl.Requires = splitList(kv["requires"])
-				for _, a := range splitList(kv["ascending"]) {
-					fl.Ascending[a] = true
-				}
 			}
 		}
 	}

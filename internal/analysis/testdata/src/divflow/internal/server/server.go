@@ -84,35 +84,22 @@ func SweepBlessed(f *Fleet) {
 	f.mu.Unlock()
 }
 
-// HandleSubmit is a well-behaved message-boundary handler: one shard, one
-// mu, nothing blessed in reach.
+// LockShards is blessed to sweep shard mus and takes no other class.
 //
-//divflow:locks boundary=shardlink
-func (s *Shard) HandleSubmit() {
-	s.mu.Lock()
-	s.emit()
-	s.mu.Unlock()
-}
-
-// HandleSweep reaches the blessed all-shards sweep through a call, which a
-// boundary handler may never do: the second shard instance would live in
-// another process.
-//
-//divflow:locks boundary=shardlink
-func HandleSweep(f *Fleet) { // want `lockorder: boundary=shardlink handler HandleSweep reaches ascending=shard code`
-	SweepBlessed(f)
-}
-
-// HandleGreedy is itself blessed, which is just as illegal at the boundary.
-//
-//divflow:locks boundary=shardlink ascending=shard
-func HandleGreedy(f *Fleet) { // want `lockorder: boundary=shardlink handler HandleGreedy reaches ascending=shard code`
-	f.mu.Lock()
-	for _, s := range f.shards {
+//divflow:locks ascending=shard
+func LockShards(all []*Shard) {
+	for _, s := range all {
 		s.mu.Lock()
 	}
-	for _, s := range f.shards {
+	for _, s := range all {
 		s.mu.Unlock()
 	}
-	f.mu.Unlock()
+}
+
+// SweepUnderShard holds one shard's mu into the blessed sweep: the blessing
+// covers the helper's own instances, not the one its caller already holds.
+func (s *Shard) SweepUnderShard(all []*Shard) {
+	s.mu.Lock()
+	LockShards(all) // want `lockorder: call to LockShards may acquire shard while shard is already held`
+	s.mu.Unlock()
 }

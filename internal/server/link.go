@@ -315,70 +315,62 @@ func (sh *shard) abortExtract(args shardlink.AbortArgs) {
 // service ("Shard<idx>") — registered per shard on the loopback server and in
 // worker processes — and the in-process transport calls the very same
 // methods directly. A handler is pinned to its own shard at registration: no
-// message can name another shard, so no handler can ever need a second
-// shard's mutex; the lockorder analyzer enforces that shape through the
-// boundary facts below.
+// message can name another shard, so no handler ever needs a second shard's
+// mutex. No handler has a static call path to Server.cut, the one function
+// that holds two; the shard reaches router code only through its steal,
+// restart and dropForward func values, and cut's requires=reshard is checked
+// at every call site.
 type shardRPC struct {
 	sh *shard
 }
 
-//divflow:locks boundary=shardlink
 func (r *shardRPC) Submit(args *shardlink.SubmitArgs, reply *shardlink.SubmitReply) error {
 	*reply = r.sh.submitOp(*args)
 	return nil
 }
 
-//divflow:locks boundary=shardlink
 func (r *shardRPC) JobStatus(args *shardlink.JobStatusArgs, reply *shardlink.JobStatusReply) error {
 	st, known, migrated := r.sh.jobStatus(args.Local, args.GID)
 	*reply = shardlink.JobStatusReply{Status: st, Known: known, Migrated: migrated}
 	return nil
 }
 
-//divflow:locks boundary=shardlink
 func (r *shardRPC) Schedule(args *shardlink.ScheduleArgs, reply *shardlink.ScheduleReply) error {
 	pieces, now, makespan := r.sh.scheduleSnapshot(args.Since)
 	*reply = shardlink.ScheduleReply{Pieces: pieces, Now: now, Makespan: makespan}
 	return nil
 }
 
-//divflow:locks boundary=shardlink
 func (r *shardRPC) Stats(_ *shardlink.StatsArgs, reply *shardlink.StatsSnapshot) error {
 	*reply = r.sh.statsSnapshot()
 	return nil
 }
 
-//divflow:locks boundary=shardlink
 func (r *shardRPC) RouteInfo(_ *shardlink.RouteInfoArgs, reply *shardlink.RouteInfoReply) error {
 	*reply = *r.sh.route.Load()
 	return nil
 }
 
-//divflow:locks boundary=shardlink
 func (r *shardRPC) Poke(_ *shardlink.PokeArgs, _ *shardlink.PokeReply) error {
 	r.sh.poke()
 	return nil
 }
 
-//divflow:locks boundary=shardlink
 func (r *shardRPC) ExtractJobs(args *shardlink.ExtractArgs, reply *shardlink.ExtractReply) error {
 	*reply = r.sh.extractJobs(*args)
 	return nil
 }
 
-//divflow:locks boundary=shardlink
 func (r *shardRPC) AdmitMigrated(args *shardlink.AdmitArgs, reply *shardlink.AdmitReply) error {
 	*reply = r.sh.admitMigrated(*args)
 	return nil
 }
 
-//divflow:locks boundary=shardlink
 func (r *shardRPC) CommitExtract(args *shardlink.CommitArgs, _ *shardlink.CommitReply) error {
 	r.sh.commitExtract(*args)
 	return nil
 }
 
-//divflow:locks boundary=shardlink
 func (r *shardRPC) AbortExtract(args *shardlink.AbortArgs, _ *shardlink.AbortReply) error {
 	r.sh.abortExtract(*args)
 	return nil

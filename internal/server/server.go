@@ -128,7 +128,8 @@ type Config struct {
 	// contributed cached so GET /v1/stats keeps reporting all-time values.
 	// Compacted jobs vanish from GET /v1/jobs/{id} and their pieces from
 	// GET /v1/schedule. Nil (or zero) keeps everything forever — a
-	// long-running daemon under sustained traffic should set it.
+	// long-running daemon under sustained traffic should set it. A negative
+	// value is an error.
 	Retention *big.Rat
 	// DisableReshard turns the live re-sharding admin surface off: Reshard
 	// (and POST /v1/platform) answer ErrReshardDisabled and the partition
@@ -159,7 +160,8 @@ type Config struct {
 	// durability of the tail is bounded by the OS page cache; a clean Close
 	// still flushes everything.
 	Fsync bool
-	// SnapshotEvery is the snapshot cadence in WAL appends (default 1024).
+	// SnapshotEvery is the snapshot cadence in WAL appends (zero means the
+	// default, 1024; a negative value is an error).
 	SnapshotEvery int
 	// RestartStalled wires the in-place restart supervisor (the
 	// -restart-stalled flag): a shard whose loop latched an error or
@@ -306,6 +308,12 @@ func New(cfg Config) (_ *Server, err error) {
 	if err := checkMachines(cfg.Machines); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
+	if cfg.SnapshotEvery < 0 {
+		return nil, fmt.Errorf("server: SnapshotEvery = %d, want >= 0", cfg.SnapshotEvery)
+	}
+	if cfg.Retention != nil && cfg.Retention.Sign() < 0 {
+		return nil, fmt.Errorf("server: Retention = %s, want >= 0", cfg.Retention.RatString())
+	}
 	// Validate the policy name once up front; every shard then gets its own
 	// fresh instance (shard.resetEngine).
 	pol, err := NewPolicy(cfg.Policy)
@@ -402,7 +410,7 @@ func New(cfg Config) (_ *Server, err error) {
 	}
 	if st != nil {
 		snapEvery := cfg.SnapshotEvery
-		if snapEvery <= 0 {
+		if snapEvery == 0 {
 			snapEvery = defaultSnapshotEvery
 		}
 		s.dur = &durability{

@@ -70,6 +70,12 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Machines: testFleet(), Policy: "nope"}); err == nil {
 		t.Error("unknown policy must error")
 	}
+	if _, err := New(Config{Machines: testFleet(), WALDir: t.TempDir(), SnapshotEvery: -5}); err == nil || !strings.Contains(err.Error(), "SnapshotEvery") {
+		t.Errorf("negative SnapshotEvery: err = %v, want an error naming SnapshotEvery", err)
+	}
+	if _, err := New(Config{Machines: testFleet(), Retention: big.NewRat(-1, 2)}); err == nil || !strings.Contains(err.Error(), "Retention") {
+		t.Errorf("negative Retention: err = %v, want an error naming Retention", err)
+	}
 }
 
 func TestSubmitValidation(t *testing.T) {

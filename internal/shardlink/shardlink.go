@@ -13,10 +13,10 @@
 // snapshots all cross process boundaries without rounding. A link
 // is pinned to one shard at construction, so a transport handler can address
 // (and lock) only its own shard; a migration names its donor by creation
-// index for the destination's journal alone. The analysis suite enforces
-// that as a lock fact: handler methods carry
-// `//divflow:locks boundary=shardlink` and must never reach code blessed to
-// hold two shard mutexes at once.
+// index for the destination's journal alone. That message design is what
+// keeps a handler from ever holding two shard mutexes: the lock checker
+// cannot follow the func values through which a shard reaches router code,
+// so it does not prove it.
 package shardlink
 
 import (
