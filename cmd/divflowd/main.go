@@ -131,8 +131,6 @@ func main() {
 			"deadline admission control: strict rejects submissions whose deadline is infeasible against the routed shard's residual workload (with an exact counter-offer), advisory admits them but returns the certificate, off skips the feasibility solve entirely")
 		tenants = flag.String("tenants", "",
 			"multi-tenant weighted fairness: JSON file {\"tenants\":[{\"name\":\"acme\",\"weight\":\"3\"}]} of per-tenant weights; tenants over their weighted share of the fleet backlog are shed with tenant_over_quota (empty disables quota enforcement; unlisted tenants weigh 1)")
-		restartStalled = flag.Bool("restart-stalled", false,
-			"rebuild a shard whose loop latched an error or panicked, in place from its intact engine state (bounded retries per shard)")
 		worker = flag.Bool("worker", false,
 			"run as a shard worker instead of a router: listen on -listen for a router to provision shards over net/rpc; no HTTP API, no -platform")
 		listen = flag.String("listen", ":9090",
@@ -196,7 +194,7 @@ func main() {
 	cfg := server.Config{Machines: machines, Policy: *policy, Shards: plat.Shards,
 		DisableSteal: !*steal, DisableReshard: !*reshard, DisableObs: !*metrics,
 		WALDir: *walDir, Fsync: *fsync, SnapshotEvery: *snapshotEvery,
-		RestartStalled: *restartStalled, Admission: *admission}
+		Admission: *admission}
 	if *tenants != "" {
 		data, err := os.ReadFile(*tenants)
 		if err != nil {

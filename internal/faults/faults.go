@@ -14,8 +14,10 @@ import (
 )
 
 // The registered fault points. Every name here must have a corresponding
-// Hit/Error/MaybePanic call site in the codebase; TestFaultPointsServed pins
-// that each one either keeps the daemon serving or restores exactly.
+// Hit/Error/MaybePanic call site in the codebase (TestPointsHaveCallSites).
+// The TestWAL suites and TestPanicUnderWALRestoresUninterrupted in
+// internal/server pin that each one either keeps the daemon serving or
+// restores exactly.
 const (
 	// WALAppend fails a WAL record append with ErrInjected before any bytes
 	// are written: the record is lost, the log stays consistent.
@@ -33,7 +35,7 @@ const (
 	// place. Restore must skip it and fall back to the previous snapshot.
 	TornSnapshot = "torn-snapshot"
 	// PanicInPolicy panics inside a shard's scheduling decision, exercising
-	// the shard supervisor.
+	// the shard's panic barrier.
 	PanicInPolicy = "panic-in-policy"
 )
 

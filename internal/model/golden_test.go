@@ -147,7 +147,6 @@ func goldenWireValues() map[string]any {
 				Backlog:         "11/2",
 				Stalled:         true,
 				Panics:          1,
-				Restarts:        1,
 				LastError:       "solve: infeasible basis",
 			}},
 			WAL: &WALStats{Appends: 40, Snapshots: 2, Replayed: 13, Error: "write wal: disk full"},

@@ -403,10 +403,8 @@ type ShardStats struct {
 	Freed   bool   `json:"freed,omitempty"`
 	Backlog string `json:"backlog"`
 	Stalled bool   `json:"stalled,omitempty"`
-	// Panics counts loop panics the supervisor caught on this shard and
-	// Restarts how often -restart-stalled rebuilt it from in-memory state.
+	// Panics counts loop panics the panic barrier caught on this shard.
 	Panics    int    `json:"panics,omitempty"`
-	Restarts  int    `json:"restarts,omitempty"`
 	LastError string `json:"lastError,omitempty"`
 }
 

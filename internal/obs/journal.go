@@ -22,7 +22,6 @@ const (
 	EventReject       = "reject"             // a submission was refused, or shutdown drained a queued job
 	EventShardStall   = "shard-stall"        // a shard latched a scheduling error
 	EventShardPanic   = "shard-panic"        // a shard loop panicked; the supervisor latched it
-	EventShardRestart = "shard-restart"      // the supervisor rebuilt a poisoned shard in place
 	EventWALError     = "wal-error"          // the write-ahead log latched a failure; durability frozen
 	EventSnapshot     = "snapshot"           // a fleet snapshot was written (WAL truncated behind it)
 	EventRestore      = "restore"            // startup restored state from snapshot + WAL replay

@@ -653,6 +653,15 @@ func (sh *shard) loadState(ss *snapShard) error {
 		}
 		sh.pending = append(sh.pending, sh.records[id])
 	}
+	// Compaction dereferences every listed record's MigratedAt: a name that is
+	// not a committed reservation would panic the shard's first compaction.
+	for _, id := range ss.MigratedIDs {
+		if id < 0 || id >= len(sh.records) || sh.records[id] == nil ||
+			sh.records[id].State != StateMigrated || sh.records[id].MigratedAt == nil {
+			return fmt.Errorf("shard %d migrated %d is not a migrated reservation", ss.Idx, id)
+		}
+		sh.migratedIDs = append(sh.migratedIDs, id)
+	}
 	if ss.Freed {
 		sh.freed = true
 		sh.records = nil
@@ -689,7 +698,6 @@ func (sh *shard) loadState(ss *snapShard) error {
 		totals.LastCompact = new(exact.Q)
 	}
 	sh.ShardTotals = totals
-	sh.migratedIDs = append([]int(nil), ss.MigratedIDs...)
 	route := shardlink.RouteInfoReply{Backlog: ss.Backlog, Err: ss.LastErr}
 	for t, tt := range ss.Tenants.Clone() {
 		if tt.Backlog.Sign() != 0 {
@@ -1010,43 +1018,6 @@ func (s *Server) repairRetired(now exact.Q) {
 		donor.mu.Unlock()
 		s.migrate(donor, shardlink.ExtractArgs{All: true}, migrateReshard, place.pick)
 	}
-}
-
-// --- Shard restart ------------------------------------------------------
-
-// maxShardRestarts caps in-place restarts per shard: a deterministic failure
-// restarts into itself, and after the cap the shard stays latched for an
-// operator to look at.
-const maxShardRestarts = 5
-
-// restartShard rebuilds a latched shard in place from its intact engine
-// state: fresh policy, fresh engine, exact state restored, error cleared.
-// The plan cache is deliberately not carried over — the failure may live in
-// it. It reports whether the shard came back healthy.
-func (s *Server) restartShard(sh *shard) bool {
-	start := s.tel.now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.lastErr == nil || sh.closed || sh.retired || sh.freed {
-		return false
-	}
-	if sh.Restarts >= maxShardRestarts {
-		return false
-	}
-	if sh.resetEngine(s.policyCfg, sh.eng.ExportState()) != nil {
-		// The panic caught the engine mid-mutation: its exported state does
-		// not validate, so an in-place rebuild would run from garbage.
-		return false
-	}
-	sh.Restarts++
-	sh.lastErr = nil
-	sh.publishRouteErr()
-	sh.obs.event(obs.EventShardRestart, -1, fmt.Sprintf("restart %d of %d", sh.Restarts, maxShardRestarts), sh.eng.Now())
-	sh.decide()
-	if !start.IsZero() {
-		s.tel.recoverySecs.Observe(s.tel.sinceSeconds(start))
-	}
-	return sh.lastErr == nil
 }
 
 // RestoredNow returns the virtual time the fleet was restored at (zero for a

@@ -135,14 +135,19 @@ func TestWALCleanShutdownRestoresWithZeroReplay(t *testing.T) {
 type scriptState struct {
 	ids  []int
 	next int
+	// cut, when set, ends the script at the first quiescence point where it
+	// reports true, before another release group is submitted.
+	cut func() bool
 }
+
+func (st *scriptState) stop() bool { return st.cut != nil && st.cut() }
 
 // runScript submits inst's jobs at their exact release dates over the virtual
 // clock, with a full quiescence barrier before each release group (so routing
 // reads settled exact backlogs — the property that makes two runs of the same
 // script bit-for-bit comparable). With stopAfter >= 0 it returns right after
 // the release group containing that index is admitted; otherwise it drives
-// the whole workload to completion.
+// the whole workload to completion. Either way it returns where st.cut fires.
 func runScript(t *testing.T, srv *Server, vc *VirtualClock, inst *model.Instance, st *scriptState, stopAfter int) {
 	t.Helper()
 	if st.ids == nil {
@@ -152,6 +157,9 @@ func runScript(t *testing.T, srv *Server, vc *VirtualClock, inst *model.Instance
 		r := inst.Jobs[st.next].Release
 		vc.Advance(r)
 		quiesce(t, srv, r)
+		if st.stop() {
+			return
+		}
 		for st.next < inst.N() && inst.Jobs[st.next].Release.Cmp(r) == 0 {
 			j := st.next
 			resp, err := srv.Submit(&model.SubmitRequest{
@@ -170,10 +178,10 @@ func runScript(t *testing.T, srv *Server, vc *VirtualClock, inst *model.Instance
 		}
 		submitted := st.next
 		waitStats(t, srv, func(s model.StatsResponse) bool {
-			return s.BatchedArrivals >= submitted
+			return s.BatchedArrivals >= submitted || st.stop()
 		})
 		quiesce(t, srv, r)
-		if stopAfter >= 0 && st.next > stopAfter {
+		if stopAfter >= 0 && st.next > stopAfter || st.stop() {
 			return
 		}
 	}
@@ -784,55 +792,85 @@ func TestShardPanicSupervised(t *testing.T) {
 	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 1 })
 }
 
-// TestRestartStalledRecoversPanickedShard pins -restart-stalled: the
-// supervisor rebuilds the panicked shard in place from its intact engine
-// state, the interrupted decision is retried, every job completes, and (with
-// a WAL) a crash after the recovery restores the same final state.
-func TestRestartStalledRecoversPanickedShard(t *testing.T) {
+// TestPanicUnderWALRestoresUninterrupted pins the one way a panicked shard
+// recovers: the panic latches the live shard, and a restore from its
+// write-ahead log finishes the stream with exactly the completions of a
+// fault-free run: replay retakes the interrupted decision as the fault-free
+// run took it.
+func TestPanicUnderWALRestoresUninterrupted(t *testing.T) {
 	t.Cleanup(faults.Reset)
-	cfg := Config{Machines: uniformFleet(4), Shards: 2, DisableSteal: true,
-		RestartStalled: true, WALDir: t.TempDir()}
-	vc := NewVirtualClock()
-	runCfg := cfg
-	runCfg.Clock = vc
-	srv, err := New(runCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	faults.Arm(faults.PanicInPolicy, 0)
-	resp, err := srv.Submit(&model.SubmitRequest{Size: "4", Databanks: []string{"shared"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The panic latches the shard; the restart hook rebuilds it and the job
-	// completes without any external intervention.
-	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 1 })
-	st := srv.Stats()
-	if st.Stalled {
-		t.Fatal("fleet still stalled after a supervised restart")
-	}
-	restarted := false
-	for _, ss := range st.Shards {
-		if ss.Panics == 1 && ss.Restarts == 1 && !ss.Stalled {
-			restarted = true
-		}
-	}
-	if !restarted {
-		t.Fatalf("no shard shows panics=1 restarts=1: %+v", st.Shards)
-	}
-	want, _ := srv.jobStatus(resp.ID)
-	faults.Reset()
+	wcfg := workload.Default()
+	wcfg.Jobs, wcfg.Machines, wcfg.Seed = 8, 3, 7
+	inst := workload.MustGenerate(wcfg)
 
-	// Crash after recovery: replay admits the job normally (the fault is
-	// gone) and must land on the identical completion.
-	srv2, vc2 := reopenServer(t, cfg)
-	defer srv2.Close()
-	srv2.Start()
-	drive(t, vc2, func() bool { return srv2.Stats().JobsCompleted == 1 })
-	got, known := srv2.jobStatus(resp.ID)
-	if !known || got.CompletedAt != want.CompletedAt {
-		t.Errorf("restored completion = %s (known %v), want %s", got.CompletedAt, known, want.CompletedAt)
+	refVC := NewVirtualClock()
+	ref, err := New(Config{Machines: uniformFleet(3), Shards: 1, Clock: refVC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	ref.Start()
+	refState := &scriptState{}
+	runScript(t, ref, refVC, inst, refState, -1)
+
+	for _, decision := range []int{5, 7} {
+		t.Run(fmt.Sprintf("decision=%d", decision), func(t *testing.T) {
+			cfg := Config{Machines: uniformFleet(3), Shards: 1, WALDir: t.TempDir()}
+			live := cfg
+			vc := NewVirtualClock()
+			live.Clock = vc
+			srv, err := New(live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Start()
+			faults.Arm(faults.PanicInPolicy, decision-1)
+			// Cut the script where the panic fired: a latched shard admits
+			// nothing, so a later group would reach the log at the wrong
+			// time. Fired turns true inside the panicking decision, before
+			// Stats shows the latch.
+			fired := func() bool { return faults.Fired(faults.PanicInPolicy) }
+			state := &scriptState{cut: fired}
+			runScript(t, srv, vc, inst, state, -1)
+			if !fired() {
+				t.Fatalf("the script ended before decision %d", decision)
+			}
+			waitStats(t, srv, func(s model.StatsResponse) bool { return s.Stalled })
+			st := srv.Stats()
+			if len(st.Shards) != 1 || st.Shards[0].Panics != 1 || st.Shards[0].LastError == "" {
+				t.Fatalf("the panic on decision %d did not latch the shard: %+v", decision, st.Shards)
+			}
+			faults.Reset()
+			state.cut = nil
+
+			// Crash: the log ends where it stands (the latched loop keeps
+			// running), srv is abandoned, and the restore replays the log.
+			srv.dur.mu.Lock()
+			srv.dur.err = faults.ErrCrash
+			srv.dur.mu.Unlock()
+			srv2, vc2 := reopenServer(t, cfg)
+			defer srv2.Close()
+			if st := srv2.Stats(); st.Stalled {
+				t.Fatalf("restored shard still latched: %+v", st.Shards)
+			}
+			srv2.Start()
+			runScript(t, srv2, vc2, inst, state, -1)
+			for j := 0; j < inst.N(); j++ {
+				got, knownGot := srv2.jobStatus(state.ids[j])
+				want, knownWant := ref.jobStatus(refState.ids[j])
+				if !knownGot || !knownWant || state.ids[j] != refState.ids[j] {
+					t.Fatalf("job %d: ID %d (known %v), reference %d (known %v)", j, state.ids[j], knownGot, refState.ids[j], knownWant)
+				}
+				if got.CompletedAt != want.CompletedAt || got.Flow != want.Flow {
+					t.Errorf("job %d restored: done @ %s flow %s; fault-free: @ %s flow %s",
+						j, got.CompletedAt, got.Flow, want.CompletedAt, want.Flow)
+				}
+			}
+			if got, want := srv2.Stats().MaxWeightedFlow, ref.Stats().MaxWeightedFlow; got != want {
+				t.Errorf("maxWeightedFlow restored %s, fault-free %s", got, want)
+			}
+			validateServer(t, srv2)
+		})
 	}
 }
 

@@ -317,9 +317,9 @@ func (sh *shard) abortExtract(args shardlink.AbortArgs) {
 // methods directly. A handler is pinned to its own shard at registration: no
 // message can name another shard, so no handler ever needs a second shard's
 // mutex. No handler has a static call path to Server.cut, the one function
-// that holds two; the shard reaches router code only through its steal,
-// restart and dropForward func values, and cut's requires=reshard is checked
-// at every call site.
+// that holds two; the shard reaches router code only through its steal and
+// dropForward func values, and cut's requires=reshard is checked at every
+// call site.
 type shardRPC struct {
 	sh *shard
 }

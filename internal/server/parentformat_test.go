@@ -365,6 +365,12 @@ func TestWALRestoreRejectsDamagedSnapshot(t *testing.T) {
 		{"flow histogram miscounting its slots", func(doc map[string]any) {
 			doc["shards"].([]any)[1].(map[string]any)["flow"].(map[string]any)["Count"] = 5
 		}},
+		{"migratedIds naming an unknown record", func(doc map[string]any) {
+			doc["shards"].([]any)[0].(map[string]any)["migratedIds"] = []any{99}
+		}},
+		{"migratedIds naming a record that did not migrate", func(doc map[string]any) {
+			doc["shards"].([]any)[0].(map[string]any)["migratedIds"] = []any{0}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var doc map[string]any

@@ -163,11 +163,6 @@ type Config struct {
 	// SnapshotEvery is the snapshot cadence in WAL appends (zero means the
 	// default, 1024; a negative value is an error).
 	SnapshotEvery int
-	// RestartStalled wires the in-place restart supervisor (the
-	// -restart-stalled flag): a shard whose loop latched an error or
-	// panicked is rebuilt from its intact engine state — fresh policy, fresh
-	// engine, exact state restored — up to a per-shard restart cap.
-	RestartStalled bool
 	// Transport selects how the router talks to its shards:
 	// shardlink.TransportInproc (or empty) calls the shard's handlers
 	// directly, while shardlink.TransportRPC keeps every shard colocated and
@@ -240,9 +235,8 @@ type Server struct {
 
 	// dur is the durability layer (nil without Config.WALDir); restoredNow
 	// the virtual time startup restored the fleet at (zero on a fresh start).
-	dur            *durability
-	restoredNow    exact.Q
-	restartStalled bool
+	dur         *durability
+	restoredNow exact.Q
 
 	// transport is the normalized Config.Transport; rpcSrv/rpcClient are the
 	// loopback pair every colocated rpc-transport shard is served over (one
@@ -350,19 +344,18 @@ func New(cfg Config) (_ *Server, err error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s := &Server{
-		policyName:     pol.Name(),
-		policyCfg:      cfg.Policy,
-		shardsCfg:      cfg.Shards,
-		disableSteal:   cfg.DisableSteal,
-		noReshard:      cfg.DisableReshard,
-		restartStalled: cfg.RestartStalled,
-		forward:        make(map[int]fwdLoc),
-		tel:            newTelemetry(!cfg.DisableObs, cfg.EventSink),
-		transport:      transport,
-		workers:        cfg.Workers,
-		stealStop:      make(chan struct{}),
-		admission:      admission,
-		tenants:        cfg.Tenants,
+		policyName:   pol.Name(),
+		policyCfg:    cfg.Policy,
+		shardsCfg:    cfg.Shards,
+		disableSteal: cfg.DisableSteal,
+		noReshard:    cfg.DisableReshard,
+		forward:      make(map[int]fwdLoc),
+		tel:          newTelemetry(!cfg.DisableObs, cfg.EventSink),
+		transport:    transport,
+		workers:      cfg.Workers,
+		stealStop:    make(chan struct{}),
+		admission:    admission,
+		tenants:      cfg.Tenants,
 	}
 	if transport == shardlink.TransportRPC {
 		// One loopback pipe serves every colocated shard: wireShard registers
@@ -496,9 +489,6 @@ func normalizeAdmission(mode string) (string, error) {
 func (s *Server) wireShard(sh *shard) {
 	if !s.disableSteal {
 		sh.steal = func() bool { return s.stealFor(sh) }
-	}
-	if s.restartStalled {
-		sh.restart = func() bool { return s.restartShard(sh) }
 	}
 	sh.wal = s.dur
 	sh.dropForward = s.dropForward

@@ -147,10 +147,6 @@ type shard struct {
 	// largest-backlog shard; the loop calls it (outside mu) whenever it goes
 	// idle. Nil with stealing disabled or a single shard.
 	steal func() bool
-	// restart, when non-nil (-restart-stalled), asks the server to rebuild
-	// this shard in place from its intact engine state after the loop latched
-	// an error or panicked; the loop calls it outside mu.
-	restart func() bool
 	// wal, when non-nil, is the server's durability layer: submissions,
 	// admission batches, completions, migrations, and compaction horizons are
 	// appended to the write-ahead log at the point they mutate shard state.
@@ -245,7 +241,7 @@ func buildShard(s *Server, args *shardlink.InstallArgs, clock Clock, state *snap
 		}
 		s.wireShard(sh)
 	}
-	if err := sh.resetEngine(args.Policy, nil); err != nil {
+	if err := sh.resetEngine(args.Policy); err != nil {
 		return nil, err
 	}
 	if state != nil {
@@ -285,21 +281,14 @@ func newShard(spec shardlink.ShardSpec, clock Clock, retention exact.Q, admissio
 }
 
 // resetEngine gives the shard a fresh policy instance (policies carry per-run
-// state: plan caches) and a fresh engine under it,
-// restored to st when non-nil, observer wired in: a new shard's first engine,
-// and a latched shard's restart. An error leaves the shard as it was.
-func (sh *shard) resetEngine(policy string, st *sim.EngineState) error {
+// state: plan caches) and a fresh engine under it, observer wired in. An
+// error leaves the shard as it was.
+func (sh *shard) resetEngine(policy string) error {
 	pol, err := NewPolicy(policy)
 	if err != nil {
 		return err
 	}
-	eng := sim.NewEngine(len(sh.machines), sh.cost, pol)
-	if st != nil {
-		if err := eng.RestoreState(st); err != nil {
-			return err
-		}
-	}
-	sh.policy, sh.eng = pol, eng
+	sh.policy, sh.eng = pol, sim.NewEngine(len(sh.machines), sh.cost, pol)
 	if sh.mwf, _ = pol.(*sim.OnlineMWF); sh.mwf != nil {
 		sh.mwf.Observer = sh.obs
 	}
@@ -768,12 +757,8 @@ func (sh *shard) loop() {
 		}
 
 		// The steal call runs outside mu: the exchange takes the donor's mu
-		// and then this shard's own, one at a time. The restart hook runs
-		// outside mu for the same reason (it re-takes it).
+		// and then this shard's own, one at a time.
 		if res.idle && sh.steal != nil && sh.steal() {
-			continue
-		}
-		if res.stalled && sh.restart != nil && sh.restart() {
 			continue
 		}
 
@@ -797,10 +782,9 @@ func (sh *shard) loop() {
 
 // loopResult is what one supervised loop iteration tells the outer loop.
 type loopResult struct {
-	next    *big.Rat // next engine event to sleep toward (nil: no deadline)
-	idle    bool     // healthy with nothing to do: try stealing
-	stalled bool     // latched error or panic: try restarting
-	exit    bool     // retired shard fully drained: stop for good
+	next *big.Rat // next engine event to sleep toward (nil: no deadline)
+	idle bool     // healthy with nothing to do: try stealing
+	exit bool     // retired shard fully drained: stop for good
 }
 
 // loopIter is one supervised iteration of the scheduling loop: the locked
@@ -813,7 +797,7 @@ func (sh *shard) loopIter() (res loopResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.recoverPanic(r)
-			res = loopResult{stalled: true}
+			res = loopResult{}
 		}
 	}()
 	sh.mu.Lock()
@@ -830,7 +814,6 @@ func (sh *shard) loopIter() (res loopResult) {
 	// A retired shard must never pull work back onto itself: its loop is
 	// only alive to finish compacting its history.
 	res.idle = sh.lastErr == nil && sh.eng.Live() == 0 && len(sh.pending) == 0 && !sh.retired
-	res.stalled = sh.lastErr != nil && !sh.retired && !sh.closed
 	retiredDone := sh.retired && (sh.retention.Sign() == 0 || sh.historyEmpty())
 	if sh.retired && !retiredDone && res.next == nil {
 		res.next = sh.now().Add(sh.retention).Rat()
@@ -1153,7 +1136,7 @@ func (sh *shard) makespan() exact.Q {
 func (sh *shard) decide() bool {
 	// The fault-injection harness plants a panic here — inside the locked
 	// loop body, exactly where a policy bug would blow up — to exercise the
-	// supervisor's recover/latch/restart path.
+	// panic barrier's recover/latch path.
 	faults.MaybePanic(faults.PanicInPolicy)
 	if err := sh.eng.Decide(); err != nil {
 		sh.fail(err)
@@ -1166,15 +1149,14 @@ func (sh *shard) decide() bool {
 		if sh.mwf != nil && sh.mwf.Err() != nil {
 			err = sh.mwf.Err()
 		}
-		sh.lastErr = err
-		sh.publishRouteErr()
-		sh.obs.event(obs.EventShardStall, -1, err.Error(), sh.eng.Now())
+		sh.fail(err)
 	}
 	return true
 }
 
-// fail records a loop error; the shard keeps serving reads. Callers hold
-// sh.mu.
+// fail latches a loop error — the first one stays — and publishes its text
+// in the routing key, where the router sees it without taking mu; the shard
+// keeps serving reads. Callers hold sh.mu.
 //
 //divflow:locks requires=shard
 func (sh *shard) fail(err error) {
@@ -1182,19 +1164,8 @@ func (sh *shard) fail(err error) {
 		sh.lastErr = err
 		sh.obs.event(obs.EventShardStall, -1, err.Error(), sh.eng.Now())
 	}
-	sh.publishRouteErr()
-}
-
-// publishRouteErr publishes lastErr's text ("" once cleared) in the routing
-// key, where the router sees it without taking mu. Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) publishRouteErr() {
 	r := *sh.route.Load()
-	r.Err = ""
-	if sh.lastErr != nil {
-		r.Err = sh.lastErr.Error()
-	}
+	r.Err = sh.lastErr.Error()
 	sh.route.Store(&r)
 }
 
@@ -1359,7 +1330,6 @@ func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 			Backlog:         backlog.String(),
 			Stalled:         sh.lastErr != nil,
 			Panics:          sh.Panics,
-			Restarts:        sh.Restarts,
 		},
 		Now: engNow,
 	}

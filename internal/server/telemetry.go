@@ -69,7 +69,7 @@ type telemetry struct {
 	reshardSeconds *obs.Histogram    // structural reshard migration
 	flowTime       *obs.HistogramVec // {shard}: completed flows, virtual time
 	walErrors      *obs.Counter      // latched + transient WAL failures
-	recoverySecs   *obs.Histogram    // snapshot-load + WAL-replay and shard-restart durations
+	recoverySecs   *obs.Histogram    // startup snapshot-load + WAL-replay duration
 	linkCalls      *obs.CounterVec   // {transport,op}: shardlink operations issued
 	rpcSeconds     *obs.HistogramVec // {op}: shardlink RPC round-trip wall seconds
 	tenantShed     *obs.CounterVec   // {tenant}: submissions shed by the fairness quota
@@ -123,7 +123,6 @@ var shardSeries = []series[shardSnap]{
 	{"divflow_jobs_resharded_out_total", "Jobs migrated away from here by live reshards.", false, func(s *shardSnap) float64 { return float64(s.Totals.ReshardOut) }},
 	{"divflow_compacted_jobs_total", "Job records dropped by the retention policy.", false, func(s *shardSnap) float64 { return float64(s.Totals.CompactedJobs) }},
 	{"divflow_shard_panics_total", "Loop panics caught by the shard supervisor.", false, func(s *shardSnap) float64 { return float64(s.Totals.Panics) }},
-	{"divflow_shard_restarts_total", "In-place shard restarts (-restart-stalled rebuilds from in-memory state).", false, func(s *shardSnap) float64 { return float64(s.Totals.Restarts) }},
 	{"divflow_backlog_work", "Residual work routed to the shard (float approximation of the exact rational).", true, func(s *shardSnap) float64 { return s.BacklogF }},
 	{"divflow_jobs_live", "Jobs live in the shard engine.", true, func(s *shardSnap) float64 { return float64(s.Wire.JobsLive) }},
 	{"divflow_jobs_queued", "Jobs accepted but not yet admitted.", true, func(s *shardSnap) float64 { return float64(s.Wire.JobsQueued) }},
@@ -194,7 +193,7 @@ func newTelemetry(enabled bool, sink io.Writer) *telemetry {
 		walErrors: r.Counter("divflow_wal_errors_total",
 			"Write-ahead log append/fsync/snapshot failures (the first one latches and freezes durability).").With(),
 		recoverySecs: r.Histogram("divflow_recovery_seconds",
-			"Wall time of one recovery: startup snapshot-load + WAL replay, or one in-place shard restart.",
+			"Wall time of the startup recovery: snapshot load + WAL replay.",
 			obs.DefLatencyBuckets).With(),
 		linkCalls: r.Counter("divflow_shardlink_calls_total",
 			"Shard operations issued by the router, by transport and operation.", "transport", "op"),

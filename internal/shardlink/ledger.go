@@ -68,10 +68,8 @@ type ShardTotals struct {
 	// alone would move backwards (to zero once everything is compacted).
 	MakespanHW *exact.Q `json:"makespanHW,omitempty"`
 
-	// Panics counts loop panics the supervisor caught; Restarts in-place
-	// rebuilds by the -restart-stalled supervisor.
-	Panics   int `json:"panics,omitempty"`
-	Restarts int `json:"restarts,omitempty"`
+	// Panics counts loop panics the panic barrier caught.
+	Panics int `json:"panics,omitempty"`
 
 	// Frozen* capture the last engine-derived stats before a retired shard's
 	// engine is released, so /v1/stats keeps reporting its history.

@@ -14,7 +14,7 @@ import (
 // everything an Engine owns as exact, self-contained values (JSON-marshalable:
 // an exact.Q writes the usual "p/q" string), and RestoreState rebuilds a fresh
 // engine into bit-for-bit the same state. The pair backs divflowd's
-// snapshot/restore path and the in-process shard-restart supervisor.
+// snapshot/restore path.
 
 // JobState is one job's exact state in an EngineState: live while Completed
 // is zero, finished (retained for the trace window) otherwise.
