@@ -34,12 +34,6 @@
 // -events-log mirrors every journaled event to an NDJSON file, and
 // -debug-addr serves net/http/pprof on a second, operator-only listener.
 //
-// The fleet can span processes: `divflowd -worker -listen :9090` runs a bare
-// shard host (no HTTP API), and a router started with
-// `-workers 1=host:9090` provisions that partition's shard inside the worker
-// and drives it over net/rpc — submissions, reads, stats, and two-phase work
-// stealing all cross the socket with exact rationals intact.
-//
 // The platform is live: a replication event that changes databank placement
 // is applied at runtime either by POSTing the updated platform JSON to
 // /v1/platform or by rewriting the -platform file and sending SIGHUP — the
@@ -60,7 +54,6 @@ import (
 	_ "net/http/pprof" // -debug-addr serves DefaultServeMux
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -70,34 +63,6 @@ import (
 	"divflow/internal/model"
 	"divflow/internal/server"
 )
-
-// parseWorkers parses the -workers flag: comma-separated pos=host:port
-// pairs, one per worker-hosted shard position.
-func parseWorkers(spec string) (map[int]string, error) {
-	out := make(map[int]string)
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		pos, addr, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -workers entry %q: want pos=host:port", part)
-		}
-		p, err := strconv.Atoi(pos)
-		if err != nil || p < 0 {
-			return nil, fmt.Errorf("bad -workers position %q: want a shard position >= 0", pos)
-		}
-		if _, dup := out[p]; dup {
-			return nil, fmt.Errorf("duplicate -workers position %d", p)
-		}
-		out[p] = addr
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -workers spec %q", spec)
-	}
-	return out, nil
-}
 
 func main() {
 	log.SetFlags(0)
@@ -131,50 +96,8 @@ func main() {
 			"deadline admission control: strict rejects submissions whose deadline is infeasible against the routed shard's residual workload (with an exact counter-offer), advisory admits them but returns the certificate, off skips the feasibility solve entirely")
 		tenants = flag.String("tenants", "",
 			"multi-tenant weighted fairness: JSON file {\"tenants\":[{\"name\":\"acme\",\"weight\":\"3\"}]} of per-tenant weights; tenants over their weighted share of the fleet backlog are shed with tenant_over_quota (empty disables quota enforcement; unlisted tenants weigh 1)")
-		worker = flag.Bool("worker", false,
-			"run as a shard worker instead of a router: listen on -listen for a router to provision shards over net/rpc; no HTTP API, no -platform")
-		listen = flag.String("listen", ":9090",
-			"RPC listen address in -worker mode")
-		workers = flag.String("workers", "",
-			"comma-separated pos=host:port pairs mapping startup-partition shard positions to divflowd -worker processes; those shards run remotely, driven over net/rpc with two-phase work stealing (incompatible with -wal-dir; live re-sharding is rejected while workers are attached)")
 	)
 	flag.Parse()
-	if *worker {
-		// Worker mode is a bare RPC shard host: the router provisions shards
-		// (fleet slice, policy, clock epoch) over Worker.Install, so every
-		// router-side flag is meaningless here.
-		if *workers != "" {
-			log.Fatal("-worker and -workers are mutually exclusive (one process is either a shard host or a router)")
-		}
-		if *walDir != "" {
-			log.Fatal("-worker does not support -wal-dir (worker shard state is in-memory for the process's life)")
-		}
-		lis, err := net.Listen("tcp", *listen)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// SIGHUP is caught too: its default action would exit the process
-		// and drop every installed shard's state, and a worker has no
-		// platform file to reload.
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
-		go func() {
-			for s := range sig {
-				if s == syscall.SIGHUP {
-					log.Print("SIGHUP ignored: a worker has no platform to reload")
-					continue
-				}
-				log.Print("worker shutting down")
-				lis.Close()
-				return
-			}
-		}()
-		log.Printf("worker awaiting shard installs on %s", lis.Addr())
-		if err := server.ServeWorker(lis); err != nil && !errors.Is(err, net.ErrClosed) {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *platform == "" {
 		flag.Usage()
 		log.Fatal("missing -platform")
@@ -205,13 +128,6 @@ func main() {
 			log.Fatalf("bad -tenants file %s: %v", *tenants, err)
 		}
 		cfg.Tenants = tc
-	}
-	if *workers != "" {
-		w, err := parseWorkers(*workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Workers = w
 	}
 	if *walDir == "" && (*fsync || *snapshotEvery > 0) {
 		log.Fatal("-fsync and -snapshot-every need -wal-dir")

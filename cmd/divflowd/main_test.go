@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/big"
 	"net"
 	"net/http"
 	"os"
@@ -20,7 +19,6 @@ import (
 	"time"
 
 	"divflow/internal/model"
-	"divflow/internal/schedule"
 )
 
 // proc wraps a divflowd child process with a line-buffered view of its
@@ -94,218 +92,6 @@ func buildDivflowd(t *testing.T) string {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return bin
-}
-
-// TestWorkerAdmissionCertificates runs deadline admission across a real
-// two-process fleet: the single shard lives in a -worker process, so the
-// feasibility check and its exact certificate cross the RPC socket. An
-// impossible deadline must come back as a typed deadline_infeasible envelope
-// with a counter-offer, and resubmitting past the counter-offer must be
-// accepted with a feasible certificate.
-func TestWorkerAdmissionCertificates(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the divflowd binary")
-	}
-	bin := buildDivflowd(t)
-	platform := filepath.Join(t.TempDir(), "platform.json")
-	if err := os.WriteFile(platform, []byte(`{
-		"shards": 1,
-		"machines": [{"name": "m", "inverseSpeed": "1", "databanks": ["shared"]}]
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	worker := startProc(t, bin, "-worker", "-listen", "127.0.0.1:0")
-	wline := worker.waitLine(t, "worker awaiting shard installs on ")
-	workerAddr := wline[strings.LastIndex(wline, " on ")+len(" on "):]
-	router := startProc(t, bin,
-		"-addr", "127.0.0.1:0",
-		"-platform", platform,
-		"-workers", "0="+workerAddr,
-	)
-	rline := router.waitLine(t, "serving 1 machines in 1 shards on ")
-	rest := rline[strings.Index(rline, " shards on ")+len(" shards on "):]
-	base := "http://" + strings.TrimSpace(strings.Split(rest, " ")[0])
-
-	// The worker anchors a real clock, so any sub-millisecond deadline is
-	// already hopeless for 9 units of work at speed 1.
-	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(
-		`{"size":"9","deadline":"1/1000","databanks":["shared"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env model.ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity || env.Error.Code != "deadline_infeasible" {
-		t.Fatalf("worker-shard infeasible submit = %d %q, want 422 deadline_infeasible", resp.StatusCode, env.Error.Code)
-	}
-	cert := env.Error.Admission
-	if cert == nil || cert.Feasible || cert.CounterOffer == "" {
-		t.Fatalf("certificate over RPC = %+v, want infeasible with a counter-offer", cert)
-	}
-	counter, ok := new(big.Rat).SetString(cert.CounterOffer)
-	if !ok || counter.Cmp(big.NewRat(9, 1)) < 0 {
-		t.Fatalf("counter-offer %q, want an exact rational >= 9 (release + 9 work / speed 1)", cert.CounterOffer)
-	}
-
-	// Real time moved on since the counter-offer was computed; resubmit with
-	// a minute of slack so the promise is still open when the check reruns.
-	counter.Add(counter, big.NewRat(60, 1))
-	body, _ := json.Marshal(model.SubmitRequest{
-		Size: "9", Deadline: counter.RatString(), Databanks: []string{"shared"}})
-	resp, err = http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub model.SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("resubmit past counter-offer = %d, want 202", resp.StatusCode)
-	}
-	if sub.Admission == nil || !sub.Admission.Feasible || sub.Admission.ResidualJobs != 1 {
-		t.Fatalf("accept certificate over RPC = %+v, want feasible covering 1 job", sub.Admission)
-	}
-}
-
-// TestDistributedFleetSmoke builds the real binary and runs a two-process
-// fleet: a worker hosting shard 1 and a router hosting shard 0, wired over
-// loopback TCP RPC. It submits a burst of jobs over HTTP, waits for the
-// fleet to finish them, and checks that (a) at least one job crossed the
-// socket via the two-phase steal, (b) every job is readable through the
-// forwarding chain, and (c) the merged executed schedule accounts for
-// exactly the whole of every job.
-func TestDistributedFleetSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the divflowd binary")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "divflowd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
-	// Shard 0 (router-local) gets the slow machine, shard 1 (worker) the
-	// fast one: the worker drains its half of the burst quickly, goes idle,
-	// and the router's steal loop migrates queued work to it over RPC.
-	platform := filepath.Join(dir, "platform.json")
-	if err := os.WriteFile(platform, []byte(`{
-		"shards": 2,
-		"machines": [
-			{"name": "slow", "inverseSpeed": "4", "databanks": ["shared"]},
-			{"name": "fast", "inverseSpeed": "1/2", "databanks": ["shared"]}
-		]
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	worker := startProc(t, bin, "-worker", "-listen", "127.0.0.1:0")
-	wline := worker.waitLine(t, "worker awaiting shard installs on ")
-	workerAddr := wline[strings.LastIndex(wline, " on ")+len(" on "):]
-
-	router := startProc(t, bin,
-		"-addr", "127.0.0.1:0",
-		"-platform", platform,
-		"-policy", "online-mwf-lazy",
-		"-workers", "1="+workerAddr,
-	)
-	rline := router.waitLine(t, "serving 2 machines in 2 shards on ")
-	rest := rline[strings.Index(rline, " shards on ")+len(" shards on "):]
-	base := "http://" + strings.TrimSpace(strings.Split(rest, " ")[0])
-
-	const jobs = 10
-	ids := make([]int, 0, jobs)
-	for i := 0; i < jobs; i++ {
-		body, _ := json.Marshal(model.SubmitRequest{
-			Name: fmt.Sprintf("j%d", i), Size: "1/2", Weight: "1",
-			Databanks: []string{"shared"},
-		})
-		resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sub model.SubmitResponse
-		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-			t.Fatalf("submit %d: HTTP %d", i, resp.StatusCode)
-		}
-		ids = append(ids, sub.ID)
-	}
-
-	getJSON := func(path string, into any) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: HTTP %d", path, resp.StatusCode)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-	}
-
-	var st model.StatsResponse
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		getJSON("/v1/stats", &st)
-		if st.JobsCompleted == jobs {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet did not finish: %d/%d jobs completed (stalled=%v lastError=%q)",
-				st.JobsCompleted, jobs, st.Stalled, st.LastError)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	if st.StolenJobs == 0 {
-		t.Fatalf("no job crossed the RPC boundary via steal; stats: %+v", st)
-	}
-
-	// Every submitted ID must resolve through the forwarding chain, even
-	// after its job migrated over the socket.
-	for _, id := range ids {
-		var js model.JobStatus
-		getJSON(fmt.Sprintf("/v1/jobs/%d", id), &js)
-		if js.State != "done" {
-			t.Fatalf("job %d: state %q, want done", id, js.State)
-		}
-	}
-
-	// The merged trace must account for exactly the whole of every job:
-	// fraction sums of 1 across both processes' pieces.
-	var sr model.ScheduleResponse
-	getJSON("/v1/schedule", &sr)
-	var sched schedule.Schedule
-	if err := json.Unmarshal(sr.Schedule, &sched); err != nil {
-		t.Fatal(err)
-	}
-	sums := make(map[int]*big.Rat)
-	for i := range sched.Pieces {
-		p := &sched.Pieces[i]
-		if sums[p.Job] == nil {
-			sums[p.Job] = new(big.Rat)
-		}
-		sums[p.Job].Add(sums[p.Job], p.Fraction)
-	}
-	one := big.NewRat(1, 1)
-	for _, id := range ids {
-		got := sums[id]
-		if got == nil || got.Cmp(one) != 0 {
-			t.Fatalf("job %d: merged schedule fractions sum to %v, want 1", id, got)
-		}
-	}
 }
 
 // TestShutdownAnswersInflightRequest pins graceful shutdown: a request the
@@ -391,10 +177,9 @@ func (p *proc) waitExit(t *testing.T) {
 }
 
 // TestSIGHUPKeepsDaemonsAlive: a HUP (log rotation, an operator's reload) must
-// not kill a router started with -reshard=false, which rejects the reload, nor
-// a worker, which has nothing to reload. Unhandled, SIGHUP's default action
-// exits the process: no final snapshot, in-flight requests and a worker's
-// shard state lost. Both must then still stop cleanly on SIGTERM.
+// not kill a daemon started with -reshard=false, which rejects the reload.
+// Unhandled, SIGHUP's default action exits the process: no final snapshot,
+// in-flight requests lost. It must then still stop cleanly on SIGTERM.
 func TestSIGHUPKeepsDaemonsAlive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the divflowd binary")
@@ -421,17 +206,6 @@ func TestSIGHUPKeepsDaemonsAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	router.waitExit(t)
-
-	worker := startProc(t, bin, "-worker", "-listen", "127.0.0.1:0")
-	worker.waitLine(t, "worker awaiting shard installs on ")
-	if err := worker.cmd.Process.Signal(syscall.SIGHUP); err != nil {
-		t.Fatal(err)
-	}
-	worker.waitLine(t, "SIGHUP ignored")
-	if err := worker.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	worker.waitExit(t)
 }
 
 // TestDaemonServesPaperPolicies pins the production policy map, which only the

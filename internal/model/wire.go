@@ -144,8 +144,8 @@ func (r *SubmitRequest) Job() (Job, error) {
 // schedules under the uniform cost model, so it needs a size > 0, the
 // objective needs a weight > 0, and a deadline, when set, must be > 0. It is
 // the one statement of these conditions, checked wherever a job enters a
-// shard: SubmitRequest.Job on the HTTP edge, the shard's Submit handler (a
-// worker's network surface) and the replay of a logged submission.
+// shard: SubmitRequest.Job on the HTTP edge, the shard's Submit handler (the
+// far side of the shardlink boundary) and the replay of a logged submission.
 func (j *Job) CheckSubmission() error {
 	switch {
 	case j.Size == nil || j.Size.Sign() <= 0:

@@ -319,8 +319,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealth is the liveness/readiness probe: 200 while every active shard
-// is healthy, 503 naming the stalled shards — an unreachable worker shard is
-// as stalled as a latched one, and listed first. It reads the routing keys the
+// is healthy, 503 naming the stalled shards — a shard its transport cannot
+// reach is as stalled as a latched one, and listed first. It reads the routing keys the
 // router places by, which no shard's mu guards, so a probe never waits behind
 // an in-flight exact solve. Retired shards are history, not health; they are
 // not consulted.
@@ -416,9 +416,9 @@ func (f *fleetStats) tenants() shardlink.TenantLedger {
 }
 
 // readFleet is the one fan-out over the shards' stats. Every snapshot crosses
-// the shardlink boundary — the in-process transport serves it under the
-// shard's lock, a worker shard over its RPC connection — and a shard whose
-// transport fails is left out of this read rather than failing it.
+// the shardlink boundary — served under the shard's lock, in process or behind
+// the loopback rpc connection — and a shard whose transport fails is left out
+// of this read rather than failing it.
 func (s *Server) readFleet() fleetStats {
 	s.topoMu.RLock()
 	shardList := append([]*shard(nil), s.all...)

@@ -963,7 +963,14 @@ func (s *Server) replaySettle(r *recSettle, commit bool) error {
 	return nil
 }
 
+// replayTopo reinstalls a logged generation. Its base must clear every ID the
+// replayed shards issued before it, as it did live: a snapshot restore is not
+// held to this, its shards being loaded with records issued under later
+// generations too.
 func (s *Server) replayTopo(r *recTopo) error {
+	if next := s.nextBase(); r.Base < next {
+		return fmt.Errorf("generation %d: based at %d, below %d, the next ID its predecessor would issue", r.Gen, r.Base, next)
+	}
 	_, _, err := s.installGeneration(r, nil, false)
 	return err
 }

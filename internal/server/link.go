@@ -10,9 +10,9 @@ import (
 // This file is the server side of the shardlink boundary: the shard-level
 // handlers behind every transport, and the router's handle on one shard —
 // link — which either calls those handlers directly or reaches them behind
-// net/rpc (a loopback pipe or a worker's TCP socket). The router holds
-// exactly one link per shard and speaks to the shard only through it; which
-// transport sits behind it is invisible above this file.
+// net/rpc over a loopback pipe. The router holds exactly one link per shard
+// and speaks to the shard only through it; which transport sits behind it is
+// invisible above this file.
 
 // Migration reasons carried in shardlink.AdmitArgs and the WAL.
 const (
@@ -312,14 +312,13 @@ func (sh *shard) abortExtract(args shardlink.AbortArgs) {
 
 // ---------------------------------------------------------------------------
 // The shard-side adapter set, written once: shardRPC is one shard's net/rpc
-// service ("Shard<idx>") — registered per shard on the loopback server and in
-// worker processes — and the in-process transport calls the very same
-// methods directly. A handler is pinned to its own shard at registration: no
-// message can name another shard, so no handler ever needs a second shard's
-// mutex. No handler has a static call path to Server.cut, the one function
-// that holds two; the shard reaches router code only through its steal and
-// dropForward func values, and cut's requires=reshard is checked at every
-// call site.
+// service ("Shard<idx>") — registered per shard on the loopback server — and
+// the in-process transport calls the very same methods directly. A handler
+// is pinned to its own shard at registration: no message can name another
+// shard, so no handler ever needs a second shard's mutex. No handler has a
+// static call path to Server.cut, the one function that holds two; the shard
+// reaches router code only through its steal and dropForward func values, and
+// cut's requires=reshard is checked at every call site.
 type shardRPC struct {
 	sh *shard
 }
@@ -378,7 +377,7 @@ func (r *shardRPC) AbortExtract(args *shardlink.AbortArgs, _ *shardlink.AbortRep
 
 // remoteCaller is the remote side of a link, in the one-method shape
 // *rpc.Client already has: whatever stands between the router and a shardRPC
-// service — the loopback pipe, a worker's socket — is a value of it.
+// service — the loopback pipe, or a test's fault seam — is a value of it.
 type remoteCaller interface {
 	Call(serviceMethod string, args, reply any) error
 }

@@ -371,6 +371,12 @@ func TestWALRestoreRejectsDamagedSnapshot(t *testing.T) {
 		{"migratedIds naming a record that did not migrate", func(doc map[string]any) {
 			doc["shards"].([]any)[0].(map[string]any)["migratedIds"] = []any{0}
 		}},
+		{"first generation based above 0", func(doc map[string]any) {
+			doc["gens"].([]any)[0].(map[string]any)["base"] = 7
+		}},
+		{"first generation based below 0", func(doc map[string]any) {
+			doc["gens"].([]any)[0].(map[string]any)["base"] = -2
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var doc map[string]any

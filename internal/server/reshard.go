@@ -124,13 +124,6 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	if s.noReshard {
 		return resp, ErrReshardDisabled
 	}
-	if len(s.workers) > 0 {
-		// Spawning a shard means provisioning an engine, and the worker
-		// protocol can only do that at startup (Worker.Install): a reshard
-		// would have nowhere to put the new topology's remote shards
-		// (ROADMAP: partial-fleet failure semantics).
-		return resp, errors.New("server: live re-sharding is not supported with worker-hosted shards; restart the fleet to repartition")
-	}
 	if p == nil || len(p.Machines) == 0 {
 		return resp, errors.New("server: reshard: no machines")
 	}
@@ -317,20 +310,27 @@ func (s *Server) publishGeneration(rec *recTopo, retiring []*shard) (gen2, spawn
 		if err = stranded(retiring, rec.Fleet); err != nil {
 			return
 		}
-		// The new generation's ID base: strictly above every global ID any
-		// current shard could have issued, so the newest-generation-whose-
-		// base-fits decode rule stays unambiguous.
-		for _, sh := range s.active() {
-			if b := sh.gidBase + len(sh.records)*sh.stride + sh.pos + 1; b > rec.Base {
-				rec.Base = b
-			}
-		}
+		rec.Base = s.nextBase()
 		rec.At = exact.FromRat(s.clock.Now())
 		if gen2, spawned, err = s.installGeneration(rec, nil, true); err != nil {
 			err = fmt.Errorf("server: reshard: %w", err)
 		}
 	})
 	return gen2, spawned, err
+}
+
+// nextBase is the ID base a new generation takes: strictly above every global
+// ID an active shard could have issued, so the newest-generation-whose-base-
+// fits decode rule stays unambiguous. publishGeneration places a generation
+// there under the cut; replay holds a logged one to it, with no loop running.
+func (s *Server) nextBase() int {
+	base := 0
+	for _, sh := range s.active() {
+		if b := sh.gidBase + len(sh.records)*sh.stride + sh.pos + 1; b > base {
+			base = b
+		}
+	}
+	return base
 }
 
 // stranded reports the first queued or live job on a retiring shard that no
@@ -382,6 +382,14 @@ func (s *Server) installGeneration(r *recTopo, states []snapShard, writeAhead bo
 		// locate decodes every ID of the generation modulo its stride.
 		return nil, nil, fmt.Errorf("stride %d over %d shards", r.Stride, len(r.Shards))
 	}
+	// locate takes an ID's generation to be the newest whose base does not
+	// exceed it, and anything below every base to be unissued.
+	if len(s.gens) == 0 && r.Base != 0 {
+		return nil, nil, fmt.Errorf("first generation based at %d, want 0", r.Base)
+	}
+	if len(s.gens) > 0 && r.Base <= s.gens[len(s.gens)-1].base {
+		return nil, nil, fmt.Errorf("based at %d, not above generation %d's base %d", r.Base, len(s.gens)-1, s.gens[len(s.gens)-1].base)
+	}
 	if err := checkMachines(r.Fleet); err != nil {
 		return nil, nil, fmt.Errorf("fleet: %w", err)
 	}
@@ -402,7 +410,7 @@ func (s *Server) installGeneration(r *recTopo, states []snapShard, writeAhead bo
 		case !ts.Kept:
 			args := &shardlink.InstallArgs{
 				ShardSpec: shardlink.ShardSpec{Idx: ts.Idx, Pos: pos, Stride: r.Stride, GidBase: r.Base, Gen: r.Gen, Machines: ts.Machines, MachineIdx: ts.MachineIdx},
-				Policy:    s.policyCfg, Retention: s.retention, Admission: s.admission, Now: exact.FromRat(s.clock.Now()),
+				Policy:    s.policyCfg, Retention: s.retention, Admission: s.admission,
 			}
 			var state *snapShard
 			if ts.Idx < len(states) {

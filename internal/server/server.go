@@ -28,7 +28,6 @@ import (
 	"net/rpc"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"divflow/internal/exact"
 	"divflow/internal/model"
@@ -168,17 +167,9 @@ type Config struct {
 	// directly, while shardlink.TransportRPC keeps every shard colocated and
 	// local (real engines, so trace-exact tests, WALDir and live re-sharding
 	// still apply) but routes all router traffic through a loopback net/rpc
-	// connection, serializing every message with gob exactly as a worker
-	// socket would. Shards listed in Workers use RPC regardless of this
-	// setting.
+	// connection, serializing every message with gob exactly as a socket
+	// would.
 	Transport string
-	// Workers maps startup-partition positions to worker addresses
-	// (divflowd -worker listeners): shard pos of the initial topology is
-	// provisioned inside that process and driven entirely over net/rpc.
-	// Incompatible with WALDir (the log is the router's; a worker's engine
-	// state never reaches it) and with live re-sharding (a worker can only be
-	// handed a shard at startup).
-	Workers map[int]string
 	// Admission selects the deadline-admission mode every shard runs
 	// (the -admission flag): shardlink.AdmissionStrict (the default, "" too)
 	// rejects infeasible deadlines with the exact certificate and counter-
@@ -241,15 +232,10 @@ type Server struct {
 	// transport is the normalized Config.Transport; rpcSrv/rpcClient are the
 	// loopback pair every colocated rpc-transport shard is served over (one
 	// net.Pipe, one multiplexing client — nil under the in-process
-	// transport). rpcConns collects every connection Close must release:
-	// the loopback pair and one dialed client per worker. workers is
-	// Config.Workers verbatim; stealStop stops the worker steal ticker.
+	// transport).
 	transport string
 	rpcSrv    *rpc.Server
 	rpcClient *rpc.Client
-	rpcConns  []io.Closer
-	workers   map[int]string
-	stealStop chan struct{}
 
 	// topoMu guards where a job lives: the generation list, the flat list of
 	// every shard ever created, and the forwarding table. Readers snapshot
@@ -327,18 +313,6 @@ func New(cfg Config) (_ *Server, err error) {
 		return nil, fmt.Errorf("server: unknown transport %q (want %q or %q)",
 			cfg.Transport, shardlink.TransportInproc, shardlink.TransportRPC)
 	}
-	if cfg.WALDir != "" && len(cfg.Workers) > 0 {
-		// The log lives in the router's process and a worker shard's state in
-		// another: the worker's submissions, admissions and completions never
-		// reach it, so a restore would replay onto engines it knows nothing of.
-		return nil, errors.New("server: WALDir is incompatible with worker shards")
-	}
-	for pos := range cfg.Workers {
-		if pos < 0 || pos >= len(groups) {
-			return nil, fmt.Errorf("server: worker position %d out of range (the fleet partitions into %d shards)",
-				pos, len(groups))
-		}
-	}
 	admission, err := normalizeAdmission(cfg.Admission)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -352,8 +326,6 @@ func New(cfg Config) (_ *Server, err error) {
 		forward:      make(map[int]fwdLoc),
 		tel:          newTelemetry(!cfg.DisableObs, cfg.EventSink),
 		transport:    transport,
-		workers:      cfg.Workers,
-		stealStop:    make(chan struct{}),
 		admission:    admission,
 		tenants:      cfg.Tenants,
 	}
@@ -367,15 +339,14 @@ func New(cfg Config) (_ *Server, err error) {
 		cliConn, srvConn := net.Pipe()
 		go s.rpcSrv.ServeConn(srvConn)
 		s.rpcClient = rpc.NewClient(cliConn)
-		s.rpcConns = append(s.rpcConns, s.rpcClient)
 	}
-	// Whatever New opens from here on — the loopback pair above, dialed
-	// workers, the WAL handle — it releases again if it fails.
+	// Whatever New opens from here on — the loopback pair above, the WAL
+	// handle — it releases again if it fails.
 	var st *restoreState
 	defer func() {
 		if err != nil {
-			for _, c := range s.rpcConns {
-				c.Close()
+			if s.rpcClient != nil {
+				s.rpcClient.Close()
 			}
 			if st != nil {
 				st.log.Close()
@@ -456,7 +427,7 @@ func New(cfg Config) (_ *Server, err error) {
 
 // checkMachines is the guard on every machine list entering the server — the
 // startup configuration, a reshard's platform, a spec read back from a WAL or
-// snapshot document or received by a worker; the caller names the entry point.
+// snapshot document; the caller names the entry point.
 func checkMachines(ms []model.Machine) error {
 	for i := range ms {
 		if ms[i].InverseSpeed == nil || ms[i].InverseSpeed.Sign() <= 0 {
@@ -493,23 +464,20 @@ func (s *Server) wireShard(sh *shard) {
 	sh.wal = s.dur
 	sh.dropForward = s.dropForward
 	sh.obs = s.tel.newShardObs(sh)
-	// Install the router's transport handle. Worker-hosted shards arrive
-	// with their link already dialed; colocated shards get the loopback rpc
-	// link (registered as a per-shard named service — creation indices never
+	// Install the router's transport handle: the loopback rpc link
+	// (registered as a per-shard named service — creation indices never
 	// repeat, reshard-spawned shards included) or the direct in-process one.
-	if sh.link == nil {
-		var remote remoteCaller
-		svc := fmt.Sprintf("Shard%d", sh.idx)
-		if s.transport == shardlink.TransportRPC {
-			// A registration error is unreachable (shardRPC's method set is
-			// fixed and names are unique); degrade to the in-process link
-			// rather than ship a shard the router cannot reach.
-			if err := s.rpcSrv.RegisterName(svc, &shardRPC{sh: sh}); err == nil {
-				remote = s.rpcClient
-			}
+	var remote remoteCaller
+	svc := fmt.Sprintf("Shard%d", sh.idx)
+	if s.transport == shardlink.TransportRPC {
+		// A registration error is unreachable (shardRPC's method set is
+		// fixed and names are unique); degrade to the in-process link
+		// rather than ship a shard the router cannot reach.
+		if err := s.rpcSrv.RegisterName(svc, &shardRPC{sh: sh}); err == nil {
+			remote = s.rpcClient
 		}
-		sh.link = newLink(s.tel, sh, remote, svc)
 	}
+	sh.link = newLink(s.tel, sh, remote, svc)
 }
 
 // active returns the current generation's shard list. The slice is immutable
@@ -691,38 +659,6 @@ func (s *Server) Start() {
 	for _, sh := range s.allShards() {
 		sh.start()
 	}
-	if len(s.workers) > 0 && !s.disableSteal {
-		// A worker-hosted shard has no router-side loop to run the steal
-		// hook, so a ticker stands in for it: whenever a remote shard's
-		// backlog reads zero, try to steal on its behalf. Local shards keep
-		// the event-driven hook — this loop is only for remote thieves.
-		go s.workerStealLoop()
-	}
-}
-
-// workerStealInterval is the polling cadence of the worker steal ticker —
-// coarse on purpose: steals only matter when a shard has been idle a while,
-// and every tick costs one RouteInfo RPC per remote shard.
-const workerStealInterval = 250 * time.Millisecond
-
-// workerStealLoop polls the fleet's backlogs and steals for the idle remote
-// shards, until Close. It runs only in fleets with worker-hosted shards.
-func (s *Server) workerStealLoop() {
-	t := time.NewTicker(workerStealInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stealStop:
-			return
-		case <-t.C:
-		}
-		routes, _ := readRoutes(s.active())
-		for _, r := range routes {
-			if r.sh.remote && r.Err == "" && r.Backlog.Sign() == 0 {
-				s.stealFor(r.sh)
-			}
-		}
-	}
 }
 
 // Close stops accepting submissions and terminates the shard loops. It
@@ -734,16 +670,14 @@ func (s *Server) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
-	close(s.stealStop)
 	for _, sh := range s.allShards() {
 		sh.close()
 	}
-	// Release the transport connections after the loops are down: the
-	// loopback pipe pair and any dialed worker clients. In-flight calls on a
-	// closing client fail with rpc.ErrShutdown, which every link caller
-	// treats as a transport failure and skips.
-	for _, c := range s.rpcConns {
-		c.Close()
+	// Release the loopback pipe pair after the loops are down. In-flight
+	// calls on a closing client fail with rpc.ErrShutdown, which every link
+	// caller treats as a transport failure and skips.
+	if s.rpcClient != nil {
+		s.rpcClient.Close()
 	}
 	if s.dur != nil {
 		// Stop the cadence goroutine first (it cannot be inside a snapshot:
@@ -798,8 +732,7 @@ type route struct {
 
 // readRoutes is the one fan-out over the shards' routing keys and the only
 // caller of link.RouteInfo: one route per reachable shard, in the order given.
-// The key crosses the shardlink boundary — for a worker-hosted shard it is the
-// only way to see the backlog at all — and is the value the shard last
+// The key crosses the shardlink boundary and is the value the shard last
 // published, read without its mu, so no reader waits behind an in-flight exact
 // solve. A route's TenantBacklog may be the shard's own map: read it, never
 // write it. Every placement decision routes

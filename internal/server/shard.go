@@ -165,15 +165,9 @@ type shard struct {
 	// link is the router's transport handle on this shard: every piece of
 	// router-side traffic — submits, job reads, trace windows, stats,
 	// routing keys, migrations — crosses the shardlink boundary through it.
-	// In-process shards carry a direct link (straight calls into this
-	// struct); a worker-mode stub carries one dialed to the process that
-	// really runs the shard.
+	// Under the in-process transport it is a direct link (straight calls
+	// into this struct); under rpc, a loopback net/rpc client.
 	link *link
-	// remote marks a stub standing in for a shard hosted by a worker
-	// process: its local engine is never started or consulted — the struct
-	// exists only as the topology/identity handle (idx, gid encoding,
-	// machine slice) behind its link.
-	remote bool
 
 	// tenants accumulates per-tenant statistics like the totals' completed-
 	// job aggregates (at submission and completion time, so compaction loses
@@ -207,11 +201,9 @@ func (sh *shard) tenantFor(tenant string) *shardlink.TenantTotals {
 }
 
 // buildShard is the one place a shard comes into being, and so the one place
-// a spec is checked — whether derived from a platform document, read back
-// from a log or snapshot, or arrived on a worker's socket. Under a Server it
-// gets the server's hooks, telemetry and link (at a position a worker serves
-// it is the loop-less router-side stub, and the worker is sent the very same
-// message); with s nil it is the real thing inside a worker process. A
+// a spec is checked — whether derived from a platform document or read back
+// from a log or snapshot. Under a Server it gets the server's hooks,
+// telemetry and link; with s nil it stands alone (tests drive it directly). A
 // non-nil state is the shard's snapshot entry, loaded once the shard stands.
 func buildShard(s *Server, args *shardlink.InstallArgs, clock Clock, state *snapShard) (*shard, error) {
 	spec := args.ShardSpec
@@ -232,13 +224,6 @@ func buildShard(s *Server, args *shardlink.InstallArgs, clock Clock, state *snap
 	}
 	sh := newShard(spec, clock, args.Retention, admission)
 	if s != nil {
-		// Workers are keyed by startup-partition position; a fleet with workers
-		// never leaves generation 0 (New refuses a log, Reshard a repartition).
-		if addr, ok := s.workers[spec.Pos]; ok {
-			if err := s.dialWorker(sh, addr, args); err != nil {
-				return nil, err
-			}
-		}
 		s.wireShard(sh)
 	}
 	if err := sh.resetEngine(args.Policy); err != nil {
@@ -359,12 +344,11 @@ func (sh *shard) cost(machine, jobID int) (exact.Q, bool) {
 // now is the clock's reading as a value.
 func (sh *shard) now() exact.Q { return exact.FromRat(sh.clock.Now()) }
 
-// start launches the shard's scheduling loop. Safe to call once. A remote
-// stub has no loop: the worker process runs the real one.
+// start launches the shard's scheduling loop. Safe to call once.
 func (sh *shard) start() {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.started || sh.closed || sh.remote {
+	if sh.started || sh.closed {
 		return
 	}
 	sh.started = true
@@ -417,7 +401,8 @@ func (sh *shard) close() {
 // AdmissionStrict an infeasible deadline is refused with errDeadline — the
 // certificate then names the best achievable counter-offer deadline — before
 // any state (WAL included) is touched by this submission.
-// The job is checked first: Submit is a worker's network surface.
+// The job is checked first: a Submit message may come from any caller of the
+// link, not only a router that already checked it.
 func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error) {
 	if err := job.CheckSubmission(); err != nil {
 		return 0, nil, err

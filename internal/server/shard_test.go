@@ -843,3 +843,56 @@ func TestMultiShardExactSolvesUnderRace(t *testing.T) {
 	}
 	validateServer(t, srv)
 }
+
+// TestBuildShardRejectsBadSpec damages one field of a sound spec at a time: the
+// constructor is the one place a spec is checked, and a spec read back from a
+// log or snapshot may carry anything, so each damage must come back as an error
+// naming it instead of a shard that panics on its first read. The sound spec
+// still builds.
+func TestBuildShardRejectsBadSpec(t *testing.T) {
+	sound := func() shardlink.InstallArgs {
+		return shardlink.InstallArgs{
+			ShardSpec: shardlink.ShardSpec{
+				Idx: 3, Pos: 1, Stride: 2,
+				Machines: []model.Machine{
+					{Name: "m0", InverseSpeed: rat(1, 1), Databanks: []string{"bank"}},
+					{Name: "m1", InverseSpeed: rat(1, 2), Databanks: []string{"bank"}},
+				},
+				MachineIdx: []int{1, 3},
+			},
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(*shardlink.InstallArgs)
+		want   string
+	}{
+		{"machine without a speed", func(a *shardlink.InstallArgs) { a.Machines[1].InverseSpeed = nil }, "machine 1 (m1) needs InverseSpeed > 0"},
+		{"machine with a negative speed", func(a *shardlink.InstallArgs) { a.Machines[0].InverseSpeed = rat(-1, 1) }, "machine 0 (m0) needs InverseSpeed > 0"},
+		{"machineIdx shorter than machines", func(a *shardlink.InstallArgs) { a.MachineIdx = a.MachineIdx[:1] }, "maps 2 machines through 1 fleet indices"},
+		{"stride 0", func(a *shardlink.InstallArgs) { a.Stride = 0 }, "at position 1 of 0"},
+		{"position outside the stride", func(a *shardlink.InstallArgs) { a.Pos = 2 }, "at position 2 of 2"},
+		{"unknown admission mode", func(a *shardlink.InstallArgs) { a.Admission = "lenient" }, `unknown admission mode "lenient"`},
+		{"unknown policy", func(a *shardlink.InstallArgs) { a.Policy = "nope" }, `unknown policy "nope"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := sound()
+			tc.damage(&args)
+			sh, err := buildShard(nil, &args, NewVirtualClock(), nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("buildShard = %v, want an error containing %q", err, tc.want)
+			}
+			if sh != nil {
+				t.Error("buildShard returned a shard beside its error")
+			}
+		})
+	}
+	args := sound()
+	sh, err := buildShard(nil, &args, NewVirtualClock(), nil)
+	if err != nil {
+		t.Fatalf("sound spec: %v", err)
+	}
+	if got := sh.route.Load().Backlog; got.Sign() != 0 {
+		t.Errorf("built shard's backlog = %v, want zero", got)
+	}
+}

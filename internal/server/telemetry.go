@@ -198,7 +198,7 @@ func newTelemetry(enabled bool, sink io.Writer) *telemetry {
 		linkCalls: r.Counter("divflow_shardlink_calls_total",
 			"Shard operations issued by the router, by transport and operation.", "transport", "op"),
 		rpcSeconds: r.Histogram("divflow_shardlink_rpc_seconds",
-			"Round-trip wall time of one shardlink RPC (loopback pipe or worker socket), by operation.",
+			"Round-trip wall time of one shardlink RPC (loopback pipe), by operation.",
 			obs.DefLatencyBuckets, "op"),
 		tenantShed: r.Counter("divflow_tenant_shed_total",
 			"Submissions shed by the weighted-fairness quota (tenant_over_quota), by tenant.", "tenant"),

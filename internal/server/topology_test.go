@@ -63,6 +63,19 @@ func TestWALRestoreRejectsDamagedTopology(t *testing.T) {
 			keepShard0(topo, 0, 2)
 			return nil
 		}, "record 29 (topology): generation 1: retires shard 0"},
+		{"base of the generation before", func(topo map[string]any) map[string]any {
+			topo["base"] = 0
+			return nil
+		}, "record 29 (topology): generation 1: based at 0, below 11"},
+		{"negative base", func(topo map[string]any) map[string]any {
+			topo["base"] = -1
+			return nil
+		}, "record 29 (topology): generation 1: based at -1, below 11"},
+		{"base among the IDs already issued", func(topo map[string]any) map[string]any {
+			// Above generation 0's base, so only the issued IDs refuse it.
+			topo["base"] = 5
+			return nil
+		}, "record 29 (topology): generation 1: based at 5, below 11"},
 		{"kept names a tombstone", func(topo map[string]any) map[string]any {
 			// Shard 0 went with generation 1; nothing brings a retired shard back.
 			next := map[string]any{"gen": 2, "base": 40, "stride": 1, "retired": []any{2}, "fleet": topo["fleet"], "at": "107"}

@@ -3,9 +3,9 @@
 // ask of a shard, as a typed request/response message pair. The server
 // package's link carries them over two transports pinned equivalent by the
 // trace-exact test suite — in process, calling the shard's handlers
-// directly, and net/rpc, running the same handlers behind a loopback pipe or
-// a worker's socket and serializing every message with gob, so a shard can
-// live in another process (divflowd -worker).
+// directly, and net/rpc, running the same handlers behind a loopback pipe and
+// serializing every message with gob, so every message is held to what a
+// byte stream can carry.
 //
 // The message set is deliberately closed over wire-safe types: exact
 // rationals (exact.Q values, which gob and JSON carry as the exact "n/d" text
@@ -60,8 +60,8 @@ const (
 // (release) at the shard's current clock reading. The shard validates the job
 // itself (model.Job.CheckSubmission: size and weight > 0, a deadline > 0 when
 // set) and refuses a malformed one with OutcomeNoHost and the reason in Err:
-// the message may come from anything that can reach a worker's port, not only
-// a router that already checked it. A job carrying a deadline is then run
+// the message may come from any caller of the link, not only a router that
+// already checked it. A job carrying a deadline is then run
 // through the deadline-feasibility LP against the shard's residual workload
 // (unless the shard was installed with AdmissionOff).
 type SubmitArgs struct {
@@ -198,9 +198,9 @@ type MigratedJob struct {
 // Check reports why a shard cannot adopt the job: the conditions
 // model.Job.CheckSubmission puts on a submission (size and weight > 0, a
 // deadline > 0 when set), a release that is not negative, and a remaining
-// fraction that is zero (the whole job) or in (0, 1]. AdmitMigrated is a
-// worker's network surface, so the destination checks before it logs or
-// adopts anything.
+// fraction that is zero (the whole job) or in (0, 1]. AdmitMigrated may be
+// called by anything holding the link, so the destination checks before it
+// logs or adopts anything.
 func (mj *MigratedJob) Check() error {
 	switch {
 	case mj.Size.Sign() <= 0:
@@ -282,9 +282,9 @@ type AbortArgs struct {
 type AbortReply struct{}
 
 // ShardSpec is one shard's identity, and the one form it is written in: the
-// server's shard constructor takes it, InstallArgs ships it to a worker, a
-// snapshot entry embeds it (the JSON names are the snapshot's), and a member
-// of a write-ahead topology record resolves to it.
+// server's shard constructor takes it inside InstallArgs, a snapshot entry
+// embeds it (the JSON names are the snapshot's), and a member of a
+// write-ahead topology record resolves to it.
 type ShardSpec struct {
 	Idx int `json:"idx"` // creation index, unique for the life of the fleet
 	// A global ID born on the shard is GidBase + local*Stride + Pos: Stride
@@ -300,19 +300,13 @@ type ShardSpec struct {
 }
 
 // InstallArgs provisions one shard: its spec, policy, retention and admission
-// mode, and — for a worker process (divflowd -worker) — the router's current
-// clock reading: the worker anchors its real clock at Now, so both processes
-// measure the same virtual timeline from the same epoch. The router builds its
-// colocated shards from the same message, and either side validates all of it:
+// mode. The server builds every shard from this message — at startup, on a
+// reshard, and when a log or snapshot is replayed — and validates all of it:
 // an unknown policy or admission mode, a machine without a positive speed,
 // MachineIdx not matching Machines, Stride < 1 or Pos outside it are errors.
 type InstallArgs struct {
 	ShardSpec
 	Policy    string
 	Retention exact.Q // zero: keep everything
-	Now       exact.Q // router clock reading at install: the shared epoch
 	Admission string  // deadline-admission mode ("" defaults to strict)
 }
-
-// InstallReply is empty; installation errors travel as RPC errors.
-type InstallReply struct{}
