@@ -1,7 +1,6 @@
 // Command divflowvet runs divflow's repo-specific static analyzers: the
-// wall-clock, big.Rat-aliasing, lock-order, emission-contract, and
-// float-exactness invariants the paper reproduction depends on but generic
-// vet/staticcheck cannot see.
+// wall-clock, lock-order, emission-contract, and float-exactness invariants
+// the paper reproduction depends on but generic vet/staticcheck cannot see.
 //
 // Run it from a module's root (the repo's, or bench/ — a module of its own):
 //

@@ -420,24 +420,20 @@ func (r *rangeLP) extract(sol *rangeSolution) (*schedule.Schedule, error) {
 				}
 			}
 		case schedule.Preemptive:
-			T := make([][]*big.Rat, m)
+			T := make([][]exact.Q, m)
 			for i := 0; i < m; i++ {
-				T[i] = make([]*big.Rat, n)
+				T[i] = make([]exact.Q, n)
 				for j := 0; j < n; j++ {
-					if a := alpha[i*n+j]; a.Sign() != 0 {
-						T[i][j] = a.Mul(r.inst.cost[i*n+j]).Rat()
-					}
+					T[i][j] = alpha[i*n+j].Mul(r.inst.cost[i*n+j])
 				}
 			}
-			pieces, err := llsched.Decompose(T, hi.Sub(lo).Rat(), lo.Rat())
+			pieces, err := llsched.Decompose(T, hi.Sub(lo), lo)
 			if err != nil {
 				return nil, fmt.Errorf("core: interval %d reconstruction: %w", t, err)
 			}
 			for _, p := range pieces {
-				cost, _ := r.inst.Cost(p.Machine, p.Job)
-				frac := new(big.Rat).Sub(p.End, p.Start)
-				frac.Quo(frac, cost)
-				out.Add(p.Machine, p.Job, p.Start, p.End, frac)
+				frac := p.End.Sub(p.Start).Quo(r.inst.cost[p.Machine*n+p.Job])
+				out.Add(p.Machine, p.Job, p.Start.Rat(), p.End.Rat(), frac.Rat())
 			}
 		}
 	}

@@ -16,12 +16,16 @@
 // the mass of any set of tight rows by L' times the number of columns it
 // touches, and the Mendelsohn–Dulmage theorem combines row- and
 // column-saturating matchings.
+//
+// Every time is an exact.Q, the word-sized rational the solvers compute with;
+// the caller converts a piece to *big.Rat where it enters a schedule.
 package llsched
 
 import (
 	"errors"
 	"fmt"
-	"math/big"
+
+	"divflow/internal/exact"
 )
 
 // Piece is one scheduled run: machine Machine processes job Job during
@@ -29,8 +33,8 @@ import (
 type Piece struct {
 	Machine int
 	Job     int
-	Start   *big.Rat
-	End     *big.Rat
+	Start   exact.Q
+	End     exact.Q
 }
 
 // ErrInfeasible is returned when a row or column sum exceeds the window
@@ -40,33 +44,28 @@ var ErrInfeasible = errors.New("llsched: a line sum exceeds the window length")
 // Decompose builds a preemptive timetable for the processing-time matrix T
 // (T[i][j] = time machine i spends on job j) inside the window
 // [start, start+window). It returns the pieces in chronological order of
-// their start times. T is not modified.
-func Decompose(T [][]*big.Rat, window, start *big.Rat) ([]Piece, error) {
+// their start times. A zero entry is a pair that never runs. T is not
+// modified.
+func Decompose(T [][]exact.Q, window, start exact.Q) ([]Piece, error) {
 	m := len(T)
 	if m == 0 {
 		return nil, nil
 	}
 	n := len(T[0])
 	// Work on a copy; track remaining window length.
-	w := make([][]*big.Rat, m)
+	w := make([][]exact.Q, m)
 	for i := range T {
 		if len(T[i]) != n {
 			return nil, fmt.Errorf("llsched: ragged matrix row %d", i)
 		}
-		w[i] = make([]*big.Rat, n)
 		for j := range T[i] {
-			if T[i][j] == nil {
-				w[i][j] = new(big.Rat)
-			} else {
-				if T[i][j].Sign() < 0 {
-					return nil, fmt.Errorf("llsched: negative entry T[%d][%d]", i, j)
-				}
-				w[i][j] = new(big.Rat).Set(T[i][j])
+			if T[i][j].Sign() < 0 {
+				return nil, fmt.Errorf("llsched: negative entry T[%d][%d]", i, j)
 			}
 		}
+		w[i] = append([]exact.Q(nil), T[i]...)
 	}
-	remaining := new(big.Rat).Set(window)
-	now := new(big.Rat).Set(start)
+	remaining, now := window, start
 
 	var out []Piece
 	for round := 0; ; round++ {
@@ -93,7 +92,12 @@ func Decompose(T [][]*big.Rat, window, start *big.Rat) ([]Piece, error) {
 		}
 		// δ = min(matched entries; slack of lines not covered by the
 		// matching; remaining window).
-		delta := new(big.Rat).Set(remaining)
+		delta := remaining
+		lower := func(x exact.Q) {
+			if x.Cmp(delta) < 0 {
+				delta = x
+			}
+		}
 		coveredRow := make([]bool, m)
 		coveredCol := make([]bool, n)
 		for i, j := range match {
@@ -102,65 +106,49 @@ func Decompose(T [][]*big.Rat, window, start *big.Rat) ([]Piece, error) {
 			}
 			coveredRow[i] = true
 			coveredCol[j] = true
-			if w[i][j].Cmp(delta) < 0 {
-				delta.Set(w[i][j])
-			}
+			lower(w[i][j])
 		}
-		var slack big.Rat
 		for i := range rowSum {
 			if !coveredRow[i] && rowSum[i].Sign() > 0 {
-				slack.Sub(remaining, rowSum[i])
-				if slack.Cmp(delta) < 0 {
-					delta.Set(&slack)
-				}
+				lower(remaining.Sub(rowSum[i]))
 			}
 		}
 		for j := range colSum {
 			if !coveredCol[j] && colSum[j].Sign() > 0 {
-				slack.Sub(remaining, colSum[j])
-				if slack.Cmp(delta) < 0 {
-					delta.Set(&slack)
-				}
+				lower(remaining.Sub(colSum[j]))
 			}
 		}
 		if delta.Sign() <= 0 {
 			return nil, errors.New("llsched: internal error: non-positive step")
 		}
-		end := new(big.Rat).Add(now, delta)
+		end := now.Add(delta)
 		for i, j := range match {
 			if j < 0 {
 				continue
 			}
-			out = append(out, Piece{Machine: i, Job: j, Start: new(big.Rat).Set(now), End: new(big.Rat).Set(end)})
-			w[i][j].Sub(w[i][j], delta)
+			out = append(out, Piece{Machine: i, Job: j, Start: now, End: end})
+			w[i][j] = w[i][j].Sub(delta)
 		}
 		now = end
-		remaining.Sub(remaining, delta)
+		remaining = remaining.Sub(delta)
 	}
 }
 
-func lineSums(w [][]*big.Rat) (rows, cols []*big.Rat) {
-	m, n := len(w), len(w[0])
-	rows = make([]*big.Rat, m)
-	cols = make([]*big.Rat, n)
-	for i := range rows {
-		rows[i] = new(big.Rat)
-	}
-	for j := range cols {
-		cols[j] = new(big.Rat)
-	}
+func lineSums(w [][]exact.Q) (rows, cols []exact.Q) {
+	rows = make([]exact.Q, len(w))
+	cols = make([]exact.Q, len(w[0]))
 	for i := range w {
 		for j := range w[i] {
 			if w[i][j].Sign() > 0 {
-				rows[i].Add(rows[i], w[i][j])
-				cols[j].Add(cols[j], w[i][j])
+				rows[i] = rows[i].Add(w[i][j])
+				cols[j] = cols[j].Add(w[i][j])
 			}
 		}
 	}
 	return rows, cols
 }
 
-func anyPositive(xs []*big.Rat) bool {
+func anyPositive(xs []exact.Q) bool {
 	for _, x := range xs {
 		if x.Sign() > 0 {
 			return true
@@ -184,7 +172,7 @@ func anyPositive(xs []*big.Rat) bool {
 // every tight row and then every tight column saturates all of them; the
 // symmetric-difference argument with the matching guaranteed by
 // Gonzalez–Sahni shows one of the two terminal moves is always reachable.
-func decrementingSet(w [][]*big.Rat, rowSum, colSum []*big.Rat, remaining *big.Rat) ([]int, error) {
+func decrementingSet(w [][]exact.Q, rowSum, colSum []exact.Q, remaining exact.Q) ([]int, error) {
 	m, n := len(w), len(w[0])
 	matchRow := make([]int, m) // row -> col
 	matchCol := make([]int, n) // col -> row

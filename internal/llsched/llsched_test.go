@@ -6,9 +6,51 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"divflow/internal/exact"
 )
 
+// The tests build every matrix and check every decomposition in math/big, and
+// convert only at the call: the check shares no arithmetic with the exact.Q
+// code it checks.
+
 func r(a, b int64) *big.Rat { return big.NewRat(a, b) }
+
+// decompose runs Decompose on the big.Rat matrix T, a nil entry reading as 0.
+func decompose(T [][]*big.Rat, window, start *big.Rat) ([]Piece, error) {
+	q := make([][]exact.Q, len(T))
+	for i := range T {
+		q[i] = make([]exact.Q, len(T[i]))
+		for j := range T[i] {
+			q[i][j] = exact.FromRat(T[i][j])
+		}
+	}
+	return Decompose(q, exact.FromRat(window), exact.FromRat(start))
+}
+
+// maxLineSum is the largest row or column sum of T: the Gonzalez–Sahni
+// optimal window.
+func maxLineSum(T [][]*big.Rat) *big.Rat {
+	sums := make([]*big.Rat, len(T[0]))
+	for j := range sums {
+		sums[j] = new(big.Rat)
+	}
+	for i := range T {
+		row := new(big.Rat)
+		for j := range T[i] {
+			row.Add(row, T[i][j])
+			sums[j].Add(sums[j], T[i][j])
+		}
+		sums = append(sums, row)
+	}
+	best := new(big.Rat)
+	for _, s := range sums {
+		if s.Cmp(best) > 0 {
+			best = s
+		}
+	}
+	return best
+}
 
 func mat(rows ...[]int64) [][]*big.Rat {
 	out := make([][]*big.Rat, len(rows))
@@ -38,13 +80,14 @@ func validate(t *testing.T, T [][]*big.Rat, window, start *big.Rat, pieces []Pie
 	}
 	end := new(big.Rat).Add(start, window)
 	for _, p := range pieces {
-		if p.Start.Cmp(start) < 0 || p.End.Cmp(end) > 0 {
+		ps, pe := p.Start.Rat(), p.End.Rat()
+		if ps.Cmp(start) < 0 || pe.Cmp(end) > 0 {
 			t.Fatalf("piece %+v outside window [%v,%v)", p, start, end)
 		}
-		if p.Start.Cmp(p.End) >= 0 {
+		if ps.Cmp(pe) >= 0 {
 			t.Fatalf("piece %+v empty or inverted", p)
 		}
-		total[p.Machine][p.Job].Add(total[p.Machine][p.Job], new(big.Rat).Sub(p.End, p.Start))
+		total[p.Machine][p.Job].Add(total[p.Machine][p.Job], new(big.Rat).Sub(pe, ps))
 	}
 	for i := range T {
 		for j := range T[i] {
@@ -63,9 +106,9 @@ func validate(t *testing.T, T [][]*big.Rat, window, start *big.Rat, pieces []Pie
 			byG[key(p)] = append(byG[key(p)], p)
 		}
 		for g, ps := range byG {
-			sort.Slice(ps, func(a, b int) bool { return ps[a].Start.Cmp(ps[b].Start) < 0 })
+			sort.Slice(ps, func(a, b int) bool { return ps[a].Start.Rat().Cmp(ps[b].Start.Rat()) < 0 })
 			for k := 1; k < len(ps); k++ {
-				if ps[k].Start.Cmp(ps[k-1].End) < 0 {
+				if ps[k].Start.Rat().Cmp(ps[k-1].End.Rat()) < 0 {
 					t.Fatalf("%s %d overlaps: %+v and %+v", what, g, ps[k-1], ps[k])
 				}
 			}
@@ -77,7 +120,7 @@ func validate(t *testing.T, T [][]*big.Rat, window, start *big.Rat, pieces []Pie
 
 func TestDecomposeIdentity(t *testing.T) {
 	T := mat([]int64{3, 0}, []int64{0, 3})
-	pieces, err := Decompose(T, r(3, 1), r(0, 1))
+	pieces, err := decompose(T, r(3, 1), r(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +134,7 @@ func TestDecomposeNeedsPreemption(t *testing.T) {
 	// 2 machines, 3 jobs; window 2:
 	//   T = [1 1 0; 0 1 1] — every line sum <= 2, job 1 needed on both.
 	T := mat([]int64{1, 1, 0}, []int64{0, 1, 1})
-	pieces, err := Decompose(T, r(2, 1), r(0, 1))
+	pieces, err := decompose(T, r(2, 1), r(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +145,7 @@ func TestDecomposeTightEverywhere(t *testing.T) {
 	// Doubly tight (all row and column sums equal the window): a Birkhoff
 	// decomposition case.
 	T := mat([]int64{2, 1, 1}, []int64{1, 2, 1}, []int64{1, 1, 2})
-	pieces, err := Decompose(T, r(4, 1), r(10, 1))
+	pieces, err := decompose(T, r(4, 1), r(10, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +158,7 @@ func TestDecomposeRationals(t *testing.T) {
 		{r(1, 2), r(1, 3)},
 	}
 	window := r(5, 6)
-	pieces, err := Decompose(T, window, r(1, 7))
+	pieces, err := decompose(T, window, r(1, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,20 +166,22 @@ func TestDecomposeRationals(t *testing.T) {
 }
 
 func TestDecomposeEmptyAndZero(t *testing.T) {
-	pieces, err := Decompose(nil, r(1, 1), r(0, 1))
+	pieces, err := decompose(nil, r(1, 1), r(0, 1))
 	if err != nil || pieces != nil {
 		t.Errorf("empty matrix: %v, %v", pieces, err)
 	}
 	T := mat([]int64{0, 0}, []int64{0, 0})
-	pieces, err = Decompose(T, r(0, 1), r(0, 1))
+	pieces, err = decompose(T, r(0, 1), r(0, 1))
 	if err != nil || len(pieces) != 0 {
 		t.Errorf("zero matrix: %v, %v", pieces, err)
 	}
 }
 
+// TestDecomposeNilEntries: a nil entry of the reference matrix reaches
+// Decompose as a zero exact.Q, a pair that never runs.
 func TestDecomposeNilEntries(t *testing.T) {
 	T := [][]*big.Rat{{r(1, 1), nil}, {nil, r(1, 1)}}
-	pieces, err := Decompose(T, r(1, 1), r(0, 1))
+	pieces, err := decompose(T, r(1, 1), r(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,25 +190,25 @@ func TestDecomposeNilEntries(t *testing.T) {
 
 func TestDecomposeInfeasible(t *testing.T) {
 	T := mat([]int64{3, 2}) // row sum 5 > window 4
-	if _, err := Decompose(T, r(4, 1), r(0, 1)); !errors.Is(err, ErrInfeasible) {
+	if _, err := decompose(T, r(4, 1), r(0, 1)); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
 	Tc := mat([]int64{3}, []int64{2}) // column sum 5 > window 4
-	if _, err := Decompose(Tc, r(4, 1), r(0, 1)); !errors.Is(err, ErrInfeasible) {
+	if _, err := decompose(Tc, r(4, 1), r(0, 1)); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible for column, got %v", err)
 	}
 }
 
 func TestDecomposeNegativeEntry(t *testing.T) {
 	T := [][]*big.Rat{{r(-1, 1)}}
-	if _, err := Decompose(T, r(1, 1), r(0, 1)); err == nil {
+	if _, err := decompose(T, r(1, 1), r(0, 1)); err == nil {
 		t.Fatal("want error for negative entry")
 	}
 }
 
 func TestDecomposeRagged(t *testing.T) {
 	T := [][]*big.Rat{{r(1, 1), r(1, 1)}, {r(1, 1)}}
-	if _, err := Decompose(T, r(2, 1), r(0, 1)); err == nil {
+	if _, err := decompose(T, r(2, 1), r(0, 1)); err == nil {
 		t.Fatal("want error for ragged matrix")
 	}
 }
@@ -186,21 +231,15 @@ func TestDecomposeRandom(t *testing.T) {
 				}
 			}
 		}
-		window := new(big.Rat)
-		rows, cols := lineSums(T)
-		for _, s := range append(rows, cols...) {
-			if s.Cmp(window) > 0 {
-				window.Set(s)
-			}
-		}
+		window := maxLineSum(T)
 		if window.Sign() == 0 {
 			continue
 		}
-		pieces, err := Decompose(T, window, r(int64(rng.Intn(10)), 1))
+		pieces, err := decompose(T, window, r(int64(rng.Intn(10)), 1))
 		if err != nil {
 			t.Fatalf("iter %d: %v", it, err)
 		}
-		start := pieces[0].Start
+		start := pieces[0].Start.Rat()
 		validate(t, T, window, start, pieces)
 	}
 }
@@ -215,7 +254,7 @@ func TestDecomposeOptimalWindow(t *testing.T) {
 		[]int64{0, 3, 3},
 	)
 	// Max line sum: rows 6,6,6; cols 6,6,6 -> window 6.
-	pieces, err := Decompose(T, r(6, 1), r(0, 1))
+	pieces, err := decompose(T, r(6, 1), r(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +263,7 @@ func TestDecomposeOptimalWindow(t *testing.T) {
 	// window: total scheduled time = 18 = 3 machines x 6.
 	total := new(big.Rat)
 	for _, p := range pieces {
-		total.Add(total, new(big.Rat).Sub(p.End, p.Start))
+		total.Add(total, new(big.Rat).Sub(p.End.Rat(), p.Start.Rat()))
 	}
 	if total.Cmp(r(18, 1)) != 0 {
 		t.Errorf("total busy time %v, want 18", total)
@@ -233,24 +272,24 @@ func TestDecomposeOptimalWindow(t *testing.T) {
 
 func BenchmarkDecompose8x8(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	T := make([][]*big.Rat, 8)
+	T := make([][]exact.Q, 8)
 	for i := range T {
-		T[i] = make([]*big.Rat, 8)
+		T[i] = make([]exact.Q, 8)
 		for j := range T[i] {
-			T[i][j] = r(int64(rng.Intn(10)), 1)
+			T[i][j] = exact.Int(int64(rng.Intn(10)))
 		}
 	}
-	window := new(big.Rat)
+	var window exact.Q
 	rows, cols := lineSums(T)
 	for _, s := range append(rows, cols...) {
 		if s.Cmp(window) > 0 {
-			window.Set(s)
+			window = s
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(T, window, new(big.Rat)); err != nil {
+		if _, err := Decompose(T, window, exact.Q{}); err != nil {
 			b.Fatal(err)
 		}
 	}

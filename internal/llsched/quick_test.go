@@ -26,18 +26,12 @@ func TestDecomposeQuick(t *testing.T) {
 				T[i][j] = big.NewRat(num, den)
 			}
 		}
-		window := new(big.Rat)
-		rs, cs := lineSums(T)
-		for _, s := range append(rs, cs...) {
-			if s.Cmp(window) > 0 {
-				window.Set(s)
-			}
-		}
+		window := maxLineSum(T)
 		if window.Sign() == 0 {
 			return true
 		}
 		start := big.NewRat(int64(startNum%16), 1)
-		pieces, err := Decompose(T, window, start)
+		pieces, err := decompose(T, window, start)
 		if err != nil {
 			return false
 		}
@@ -61,10 +55,11 @@ func decompositionValid(T [][]*big.Rat, window, start *big.Rat, pieces []Piece) 
 	}
 	end := new(big.Rat).Add(start, window)
 	for _, p := range pieces {
-		if p.Start.Cmp(start) < 0 || p.End.Cmp(end) > 0 || p.Start.Cmp(p.End) >= 0 {
+		ps, pe := p.Start.Rat(), p.End.Rat()
+		if ps.Cmp(start) < 0 || pe.Cmp(end) > 0 || ps.Cmp(pe) >= 0 {
 			return false
 		}
-		total[p.Machine][p.Job].Add(total[p.Machine][p.Job], new(big.Rat).Sub(p.End, p.Start))
+		total[p.Machine][p.Job].Add(total[p.Machine][p.Job], new(big.Rat).Sub(pe, ps))
 	}
 	for i := range T {
 		for j := range T[i] {
@@ -79,9 +74,9 @@ func decompositionValid(T [][]*big.Rat, window, start *big.Rat, pieces []Piece) 
 			byG[key(p)] = append(byG[key(p)], p)
 		}
 		for _, ps := range byG {
-			sort.Slice(ps, func(a, b int) bool { return ps[a].Start.Cmp(ps[b].Start) < 0 })
+			sort.Slice(ps, func(a, b int) bool { return ps[a].Start.Rat().Cmp(ps[b].Start.Rat()) < 0 })
 			for k := 1; k < len(ps); k++ {
-				if ps[k].Start.Cmp(ps[k-1].End) < 0 {
+				if ps[k].Start.Rat().Cmp(ps[k-1].End.Rat()) < 0 {
 					return false
 				}
 			}

@@ -403,7 +403,7 @@ type ShardStats struct {
 	Freed   bool   `json:"freed,omitempty"`
 	Backlog string `json:"backlog"`
 	Stalled bool   `json:"stalled,omitempty"`
-	// Panics counts loop panics the panic barrier caught on this shard.
+	// Panics counts the panics this shard's panic barrier caught.
 	Panics    int    `json:"panics,omitempty"`
 	LastError string `json:"lastError,omitempty"`
 }

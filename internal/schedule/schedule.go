@@ -133,20 +133,6 @@ func (s *Schedule) SumFlow(inst *model.Instance) (*big.Rat, error) {
 	return sum, nil
 }
 
-// Since returns the sub-schedule of pieces still running at or after t
-// (End > t), preserving order. Long-running services use it to answer
-// windowed Gantt queries without shipping the whole history; pieces
-// straddling t are kept whole so fractions stay consistent with durations.
-func (s *Schedule) Since(t *big.Rat) *Schedule {
-	out := &Schedule{}
-	for i := range s.Pieces {
-		if s.Pieces[i].End.Cmp(t) > 0 {
-			out.Pieces = append(out.Pieces, s.Pieces[i])
-		}
-	}
-	return out
-}
-
 // byStart sorts piece indices by start time.
 func (s *Schedule) sortedByStart(idx []int) {
 	sort.Slice(idx, func(a, b int) bool {

@@ -273,7 +273,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 		since = exact.FromRat(rat)
 	}
-	// Each shard deep-copies its window under its own lock; the merge and
+	// Each shard copies its window under its own lock; the merge and
 	// the serialization run lock-free. Retired shards contribute the pieces
 	// executed before their generation ended, so the merged Gantt stays the
 	// whole execution history across reshards.

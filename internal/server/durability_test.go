@@ -17,6 +17,8 @@ import (
 
 	"divflow/internal/faults"
 	"divflow/internal/model"
+	"divflow/internal/obs"
+	"divflow/internal/shardlink"
 	"divflow/internal/wal"
 	"divflow/internal/workload"
 )
@@ -872,6 +874,123 @@ func TestPanicUnderWALRestoresUninterrupted(t *testing.T) {
 			validateServer(t, srv2)
 		})
 	}
+}
+
+// panicFixture is a standalone shard with two jobs admitted through process(),
+// the virtual clock advanced to the engine's next event and
+// faults.PanicInPolicy armed: the decision the next catch-up runs, wherever it
+// runs, panics. The shard journals into the returned telemetry.
+func panicFixture(t *testing.T, admission string) (*shard, *telemetry) {
+	t.Helper()
+	t.Cleanup(faults.Reset)
+	vc := NewVirtualClock()
+	sh, err := buildShard(nil, &shardlink.InstallArgs{
+		ShardSpec: shardlink.ShardSpec{Stride: 1, Machines: uniformFleet(2), MachineIdx: []int{0, 1}},
+		Admission: admission,
+	}, vc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := newTelemetry(true, nil)
+	sh.obs = tel.newShardObs(sh)
+	for _, size := range []int64{2, 3} {
+		if _, _, err := sh.submit(model.Job{Size: rat(size, 1), Weight: rat(1, 1), Databanks: []string{"shared"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh.mu.Lock()
+	sh.process()
+	next, ok := sh.eng.NextEvent()
+	sh.mu.Unlock()
+	if !ok {
+		t.Fatal("no engine event after admitting two jobs")
+	}
+	vc.Advance(next.Rat())
+	faults.Arm(faults.PanicInPolicy, 0)
+	return sh, tel
+}
+
+// deadlineJob is a job the fixture's shard can host, due well after its
+// two jobs finish.
+func deadlineJob() model.Job {
+	return model.Job{Size: rat(1, 1), Weight: rat(1, 1), Databanks: []string{"shared"}, Deadline: rat(100, 1)}
+}
+
+// checkPanicLatched requires the fixture's panic to have fired and latched
+// the shard: stalled on its routing key and in its stats, counted once, and
+// journaled with its stack.
+func checkPanicLatched(t *testing.T, sh *shard, tel *telemetry) {
+	t.Helper()
+	if !faults.Fired(faults.PanicInPolicy) {
+		t.Fatal("the armed policy panic never fired")
+	}
+	if sh.route.Load().Err == "" {
+		t.Error("the routing key does not report the panic")
+	}
+	snap := sh.statsSnapshot()
+	if !snap.Wire.Stalled || snap.Wire.Panics != 1 || !strings.Contains(snap.Wire.LastError, "injected panic") {
+		t.Errorf("stats after the panic: stalled %v, panics %d, lastError %q", snap.Wire.Stalled, snap.Wire.Panics, snap.Wire.LastError)
+	}
+	events, _, _ := tel.journal.Since(0, obs.Filter{Type: obs.EventShardPanic})
+	if len(events) != 1 || !strings.Contains(events[0].Detail, "goroutine") {
+		t.Errorf("journaled panics %+v, want one with its stack", events)
+	}
+}
+
+// TestDecidePanicInSubmitLatches pins the panic barrier on the admission
+// catch-up: a policy panic in the decision a deadline submission's catch-up
+// runs returns from submit with the shard latched, instead of unwinding
+// through the caller.
+func TestDecidePanicInSubmitLatches(t *testing.T) {
+	sh, tel := panicFixture(t, AdmissionAdvisory)
+	if _, _, err := sh.submit(deadlineJob()); err != nil {
+		t.Fatal(err)
+	}
+	checkPanicLatched(t, sh, tel)
+}
+
+// TestDecidePanicInExtractLatches pins the panic barrier on a donor's
+// catch-up: a steal's extraction, which runs on the thief's loop goroutine
+// outside its loop barrier, returns with the donor latched.
+func TestDecidePanicInExtractLatches(t *testing.T) {
+	sh, tel := panicFixture(t, AdmissionStrict)
+	sh.extractJobs(shardlink.ExtractArgs{ThiefMachines: uniformFleet(1)})
+	checkPanicLatched(t, sh, tel)
+}
+
+// TestStalledAdmissionChecksNothing pins what an admission whose catch-up
+// failed answers: it checked nothing, so it certifies nothing. Strict
+// refuses the job as a stalled shard, over the message boundary too;
+// advisory admits it without a certificate.
+func TestStalledAdmissionChecksNothing(t *testing.T) {
+	t.Run("strict", func(t *testing.T) {
+		sh, _ := panicFixture(t, AdmissionStrict)
+		rep := sh.submitOp(shardlink.SubmitArgs{Job: deadlineJob()})
+		if rep.Outcome != shardlink.OutcomeStalled || rep.Admission != nil {
+			t.Fatalf("strict submit on a failed catch-up: %+v, want outcome %q and no certificate", rep, shardlink.OutcomeStalled)
+		}
+		_, err := submitErr(rep)
+		status, we := submitWireError(err, model.SubmitResponse{})
+		if status != http.StatusServiceUnavailable || we.Code != model.ErrCodeShardStalled || we.RetryAfter == 0 {
+			t.Errorf("strict refusal maps to %d %+v, want 503 shard_stalled with Retry-After", status, we)
+		}
+		if n := len(sh.records); n != 2 {
+			t.Errorf("the refused job took a record: %d records, want 2", n)
+		}
+	})
+	t.Run("advisory", func(t *testing.T) {
+		sh, _ := panicFixture(t, AdmissionAdvisory)
+		gid, cert, err := sh.submit(deadlineJob())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cert != nil {
+			t.Errorf("advisory submit on a failed catch-up certified %+v", *cert)
+		}
+		if rec := sh.records[gid]; rec == nil || rec.State != StateQueued {
+			t.Errorf("advisory submit did not queue the job: %+v", rec)
+		}
+	})
 }
 
 // TestRetiredShardFreedAfterCompaction is the regression test for retired-

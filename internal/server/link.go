@@ -57,42 +57,45 @@ var linkOps = [numOps]struct{ method, label string }{
 // Shard-side operations. These are what both transports ultimately invoke;
 // each takes the shard's own mu and nothing beyond it.
 
+// submitRefusals pairs each refusal outcome of a submit with the router's
+// sentinel error for it; any other error travels as OutcomeNoHost, its text
+// in Err.
+var submitRefusals = map[string]error{
+	shardlink.OutcomeRetired:  errRetired,
+	shardlink.OutcomeClosed:   ErrClosed,
+	shardlink.OutcomeDeadline: errDeadline,
+	shardlink.OutcomeStalled:  errAdmissionStalled,
+}
+
 // submitOp is shard.submit in message form: the error cases the router keys
 // its control flow on (retired → re-route, closed → 503, no-host → 422,
-// infeasible deadline → typed reject with the certificate) travel as a
-// closed outcome enum, so they survive any transport.
+// infeasible deadline → typed reject with the certificate, unchecked strict
+// admission → 503) travel as a closed outcome enum, so they survive any
+// transport.
 func (sh *shard) submitOp(args shardlink.SubmitArgs) shardlink.SubmitReply {
 	gid, cert, err := sh.submit(args.Job)
-	switch {
-	case err == nil:
+	if err == nil {
 		return shardlink.SubmitReply{GID: gid, Outcome: shardlink.OutcomeOK, Admission: cert}
-	case err == errRetired:
-		return shardlink.SubmitReply{Outcome: shardlink.OutcomeRetired}
-	case err == ErrClosed:
-		return shardlink.SubmitReply{Outcome: shardlink.OutcomeClosed}
-	case err == errDeadline:
-		return shardlink.SubmitReply{Outcome: shardlink.OutcomeDeadline, Admission: cert}
-	default:
-		return shardlink.SubmitReply{Outcome: shardlink.OutcomeNoHost, Err: err.Error()}
 	}
+	for outcome, sentinel := range submitRefusals {
+		if err == sentinel {
+			return shardlink.SubmitReply{Outcome: outcome, Admission: cert}
+		}
+	}
+	return shardlink.SubmitReply{Outcome: shardlink.OutcomeNoHost, Err: err.Error()}
 }
 
 // submitErr maps a SubmitReply back to the router's error vocabulary,
 // restoring sentinel identity so Submit's retry loop and the HTTP status
 // mapping behave identically on every transport.
 func submitErr(rep shardlink.SubmitReply) (int, error) {
-	switch rep.Outcome {
-	case shardlink.OutcomeOK:
+	if rep.Outcome == shardlink.OutcomeOK {
 		return rep.GID, nil
-	case shardlink.OutcomeRetired:
-		return 0, errRetired
-	case shardlink.OutcomeClosed:
-		return 0, ErrClosed
-	case shardlink.OutcomeDeadline:
-		return 0, errDeadline
-	default:
-		return 0, fmt.Errorf("%s", rep.Err)
 	}
+	if err, ok := submitRefusals[rep.Outcome]; ok {
+		return 0, err
+	}
+	return 0, fmt.Errorf("%s", rep.Err)
 }
 
 // ---------------------------------------------------------------------------
@@ -335,8 +338,7 @@ func (r *shardRPC) JobStatus(args *shardlink.JobStatusArgs, reply *shardlink.Job
 }
 
 func (r *shardRPC) Schedule(args *shardlink.ScheduleArgs, reply *shardlink.ScheduleReply) error {
-	pieces, now, makespan := r.sh.scheduleSnapshot(args.Since)
-	*reply = shardlink.ScheduleReply{Pieces: pieces, Now: now, Makespan: makespan}
+	*reply = r.sh.scheduleSnapshot(args.Since)
 	return nil
 }
 

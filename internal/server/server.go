@@ -52,6 +52,10 @@ var errRetired = errors.New("server: shard retired by re-sharding")
 // response still carries the exact certificate, counter-offer included.
 var errDeadline = errors.New("server: deadline infeasible against the shard's residual workload")
 
+// errAdmissionStalled is the strict-admission refusal of a deadline job whose
+// shard could not catch up to check it: shard_stalled, with a Retry-After.
+var errAdmissionStalled = &shardStalledError{shard: -1, err: errors.New("server: shard stalled; strict admission cannot check the deadline")}
+
 // errTenantQuota is the weighted-fairness reject: the submission would push
 // its tenant past its weight share of the active-tenant fleet backlog.
 var errTenantQuota = errors.New("server: tenant over its weighted share of the fleet backlog")
@@ -62,10 +66,11 @@ var errTenantQuota = errors.New("server: tenant over its weighted share of the f
 var errWALDegraded = errors.New("server: durability latched; refusing topology change")
 
 // shardStalledError is a submission failure tied to one shard — the chosen
-// shard's transport failed mid-submit, or routing kept racing reshards. It
-// maps to the shard_stalled wire code with a Retry-After hint.
+// shard's transport failed mid-submit, its strict admission could not check
+// a deadline, or routing kept racing reshards. It maps to the shard_stalled
+// wire code with a Retry-After hint.
 type shardStalledError struct {
-	shard int // creation index, -1 when no single shard is to blame
+	shard int // creation index, -1 when the error names no shard
 	err   error
 }
 
@@ -698,11 +703,11 @@ func (s *Server) Close() {
 // Submit accepts one job, routing it by the placement rule (pickRoute) and
 // stamping its flow origin (release) on the chosen shard; a submission that
 // only a stalled shard can host is still taken, and the response carries that
-// shard's error as a warning. The shard's loop admits the job at its next
-// wake-up, so submissions racing one re-solve share it. A submission that
-// loses the race against a concurrent reshard (the chosen shard retired
-// between the topology snapshot and the enqueue) transparently re-routes
-// against the new topology.
+// shard's error as a warning (a deadline strict admission cannot check there
+// is refused). The shard's loop admits the job at its next wake-up, so
+// submissions racing one re-solve share it. A submission that loses the race
+// against a concurrent reshard (the chosen shard retired between the topology
+// snapshot and the enqueue) transparently re-routes against the new topology.
 func (s *Server) Submit(req *model.SubmitRequest) (model.SubmitResponse, error) {
 	job, err := req.Job()
 	if err != nil {

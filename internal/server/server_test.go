@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"divflow/internal/exact"
 	"divflow/internal/model"
+	"divflow/internal/schedule"
+	"divflow/internal/shardlink"
 )
 
 // testFleet is two heterogeneous machines sharing one databank; the second
@@ -200,11 +203,66 @@ func TestScheduleWindowing(t *testing.T) {
 	drive(t, vc, func() bool { return s.Stats().JobsCompleted == 1 })
 	sh := s.active()[0]
 	sh.mu.Lock()
-	full := len(sh.eng.Schedule().Pieces)
-	afterEnd := len(sh.eng.Schedule().Since(big.NewRat(100, 1)).Pieces)
-	fromStart := len(sh.eng.Schedule().Since(new(big.Rat)).Pieces)
+	full := len(sh.eng.Pieces())
 	sh.mu.Unlock()
+	fromStart := len(sh.scheduleSnapshot(exact.Q{}).Pieces)
+	afterEnd := len(sh.scheduleSnapshot(exact.Int(100)).Pieces)
 	if full == 0 || fromStart != full || afterEnd != 0 {
 		t.Errorf("windowing: full=%d fromStart=%d afterEnd=%d", full, fromStart, afterEnd)
+	}
+}
+
+// TestScheduleSinceWindow pins the window's edges on a trace of two known
+// pieces: a job on m0 over [0, 2) and one on m1 over [1, 3), each on the one
+// machine hosting its databank. A piece that ends exactly at since is left
+// out, a piece that straddles since comes back whole, since 0 returns every
+// piece and since past the makespan returns none.
+func TestScheduleSinceWindow(t *testing.T) {
+	vc := NewVirtualClock()
+	sh, err := buildShard(nil, &shardlink.InstallArgs{
+		ShardSpec: shardlink.ShardSpec{Stride: 1, MachineIdx: []int{0, 1}, Machines: []model.Machine{
+			{Name: "m0", InverseSpeed: rat(1, 1), Databanks: []string{"a"}},
+			{Name: "m1", InverseSpeed: rat(1, 1), Databanks: []string{"b"}},
+		}},
+	}, vc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	process := func() {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		sh.process()
+	}
+	for k, bank := range []string{"a", "b"} {
+		vc.Advance(rat(int64(k), 1)) // submitted at 0 and at 1
+		if _, _, err := sh.submit(model.Job{Size: rat(2, 1), Weight: rat(1, 1), Databanks: []string{bank}}); err != nil {
+			t.Fatal(err)
+		}
+		process()
+	}
+	vc.Advance(rat(5, 1))
+	process()
+
+	window := func(since exact.Q) []schedule.Piece {
+		rep := sh.scheduleSnapshot(since)
+		if rep.Makespan.Cmp(exact.Int(3)) != 0 {
+			t.Fatalf("makespan %v, want 3", rep.Makespan)
+		}
+		return rep.Pieces
+	}
+	if got := window(exact.Q{}); len(got) != 2 {
+		t.Fatalf("since 0: %d pieces, want both", len(got))
+	}
+	got := window(exact.Int(2))
+	if len(got) != 1 {
+		t.Fatalf("since 2: %d pieces, want 1 (the piece ending at 2 is left out)", len(got))
+	}
+	want := schedule.Piece{Machine: 1, Job: 1, Start: rat(1, 1), End: rat(3, 1), Fraction: rat(1, 1)}
+	if pc := got[0]; pc.Machine != want.Machine || pc.Job != want.Job ||
+		pc.Start.Cmp(want.Start) != 0 || pc.End.Cmp(want.End) != 0 || pc.Fraction.Cmp(want.Fraction) != 0 {
+		t.Errorf("since 2: straddling piece %v, want it whole: %v", pc, want)
+	}
+	if got := window(exact.Int(4)); len(got) != 0 {
+		t.Errorf("since past the makespan: %d pieces, want none", len(got))
 	}
 }

@@ -434,7 +434,7 @@ func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error)
 		if err != nil {
 			return 0, nil, err
 		}
-		if !cert.Feasible && sh.admission == shardlink.AdmissionStrict {
+		if cert != nil && !cert.Feasible && sh.admission == shardlink.AdmissionStrict {
 			sh.obs.event(obs.EventReject, -1,
 				fmt.Sprintf("deadline %v infeasible against %d residual jobs", rec.Deadline, cert.ResidualJobs), rec.Release)
 			return 0, cert, errDeadline
@@ -478,9 +478,9 @@ func (sh *shard) enqueue(rec *jobRecord, note string) bool {
 // schedule meeting every deadline is itself the proof that System (2) is
 // feasible. Otherwise the deadline-feasibility LP decides, and names the best
 // achievable counter-offer deadline when the requested one is infeasible.
-// Both answers write the same certificate. A stalled shard cannot answer: the
-// check degrades to an uncertified acceptance rather than wedging submissions
-// on a poisoned engine. Callers hold sh.mu; the job passed CheckSubmission.
+// Both answers write the same certificate. A shard whose catch-up fails checks
+// nothing, so it certifies nothing: strict refuses, advisory admits uncertified.
+// Callers hold sh.mu; the job passed CheckSubmission.
 //
 //divflow:locks requires=shard
 func (sh *shard) admissionCheck(job shardlink.Job) (*model.AdmissionCertificate, error) {
@@ -489,7 +489,10 @@ func (sh *shard) admissionCheck(job shardlink.Job) (*model.AdmissionCertificate,
 	// would run at its next wake-up, so no-deadline traffic (which never
 	// reaches this function) keeps its trace bit-for-bit.
 	if _, ok := sh.catchUp(); !ok {
-		return &model.AdmissionCertificate{Mode: sh.admission, Feasible: true}, nil
+		if sh.admission == shardlink.AdmissionStrict {
+			return nil, errAdmissionStalled
+		}
+		return nil, nil
 	}
 	cert := &model.AdmissionCertificate{Mode: sh.admission, Deadline: job.Deadline.String()}
 	if live := sh.eng.Snapshot(); sh.planAdmits(live, job) == planAnswers {
@@ -773,20 +776,12 @@ type loopResult struct {
 }
 
 // loopIter is one supervised iteration of the scheduling loop: the locked
-// body runs under a recover barrier, so a panic anywhere in the engine or
-// policy latches the shard as stalled — counted, journaled, the daemon still
-// serving — instead of killing the process. The mutex is released by its own
-// defer before the recover handler runs, so a panicking iteration never
-// leaves mu held.
+// body runs under the panic barrier, so a panic anywhere in the engine or
+// policy latches the shard as stalled instead of killing the process.
 func (sh *shard) loopIter() (res loopResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			sh.recoverPanic(r)
-			res = loopResult{}
-		}
-	}()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	defer sh.barrier()
 	if sh.freed {
 		// A freed tombstone (restored from a snapshot taken after the free)
 		// has no engine left; its loop has nothing to ever do.
@@ -816,24 +811,22 @@ func (sh *shard) loopIter() (res loopResult) {
 	return res
 }
 
-// recoverPanic latches a caught loop panic: the shard reports stalled (with
-// the panic as its error), the panic is counted and journaled with its stack,
-// and the loop goroutine survives. Callers must NOT hold mu.
-func (sh *shard) recoverPanic(r any) {
+// barrier is the shard's panic barrier, deferred by a caller holding sh.mu: a
+// caught panic latches the shard — it reports stalled, with the panic as its
+// error, counted and journaled with its stack, the daemon still serving — and
+// the caller returns its results as they stand.
+//
+//divflow:locks requires=shard
+func (sh *shard) barrier() {
+	r := recover()
+	if r == nil {
+		return
+	}
 	stack := debug.Stack()
-	if len(stack) > 4096 {
-		stack = stack[:4096]
-	}
-	err := fmt.Errorf("server: shard %d: loop panic: %v", sh.idx, r)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	stack = stack[:min(len(stack), 4096)]
 	sh.Panics++
-	sh.fail(err)
-	var at []exact.Q
-	if sh.eng != nil {
-		at = append(at, sh.eng.Now())
-	}
-	sh.obs.event(obs.EventShardPanic, -1, fmt.Sprintf("%v\n%s", r, stack), at...)
+	sh.fail(fmt.Errorf("server: shard %d: panic: %v", sh.idx, r))
+	sh.obs.event(obs.EventShardPanic, -1, fmt.Sprintf("%v\n%s", r, stack), sh.eng.Now())
 }
 
 // free releases a fully-compacted retired shard's memory: records, queues,
@@ -1115,13 +1108,16 @@ func (sh *shard) makespan() exact.Q {
 }
 
 // decide runs the policy and flags a stall (live work but no upcoming
-// event: the policy idled, or its inner solver failed). Callers hold sh.mu.
+// event: the policy idled, or its inner solver failed). A policy panic stops
+// at its barrier, wherever the decision runs — in the loop or in a catch-up
+// outside it — and reports ok false, its zero value, like a failed decision.
+// Callers hold sh.mu.
 //
 //divflow:locks requires=shard
-func (sh *shard) decide() bool {
-	// The fault-injection harness plants a panic here — inside the locked
-	// loop body, exactly where a policy bug would blow up — to exercise the
-	// panic barrier's recover/latch path.
+func (sh *shard) decide() (ok bool) {
+	defer sh.barrier()
+	// The fault-injection harness plants a panic here, exactly where a
+	// policy bug would blow up, to exercise the barrier's recover/latch path.
 	faults.MaybePanic(faults.PanicInPolicy)
 	if err := sh.eng.Decide(); err != nil {
 		sh.fail(err)
@@ -1208,40 +1204,32 @@ func (sh *shard) jobStatus(local, gid int) (st model.JobStatus, known, migrated 
 	return st, true, false
 }
 
-// scheduleSnapshot copies the shard's executed trace (windowed to pieces
-// ending after since, when not zero) with machine indices and job IDs
-// translated to fleet/global space, plus the shard's time and monotone
-// makespan. The copies are deep: the caller serializes them after the lock
-// is released, while the loop keeps extending the live pieces.
-func (sh *shard) scheduleSnapshot(since exact.Q) (pieces []schedule.Piece, now, makespan exact.Q) {
+// scheduleSnapshot copies the shard's executed trace, windowed to the pieces
+// ending after since (a piece straddling since comes back whole), in
+// fleet/global space and in *big.Rat, plus the shard's time and monotone
+// makespan. The caller serializes the copy after the lock is released.
+func (sh *shard) scheduleSnapshot(since exact.Q) (rep shardlink.ScheduleReply) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	rep.Makespan = sh.makespan()
 	if sh.freed {
 		// A freed tombstone has no trace left; its makespan contribution
 		// survives in the high-water mark.
-		return nil, sh.FrozenNow, sh.makespan()
+		rep.Now = sh.FrozenNow
+		return rep
 	}
-	sched := sh.eng.Schedule()
-	makespan = sh.makespan()
-	if since.Sign() != 0 {
-		sched = sched.Since(since.Rat())
-	}
-	pieces = make([]schedule.Piece, len(sched.Pieces))
-	for k := range sched.Pieces {
-		pc := &sched.Pieces[k]
+	rep.Now = sh.eng.Now()
+	for _, pc := range sh.eng.Pieces() {
 		// Records outlive their pieces (compaction drops a job's pieces no
 		// later than its record), so the translation to the global ID — which
 		// for a migrated job is not the arithmetic encoding of the local ID —
 		// always has a record to read.
-		pieces[k] = schedule.Piece{
-			Machine:  sh.machineIdx[pc.Machine],
-			Job:      sh.records[pc.Job].GID,
-			Start:    new(big.Rat).Set(pc.Start),
-			End:      new(big.Rat).Set(pc.End),
-			Fraction: new(big.Rat).Set(pc.Fraction),
+		if pc.End.Cmp(since) > 0 {
+			rep.Pieces = append(rep.Pieces, schedule.Piece{Machine: sh.machineIdx[pc.Machine], Job: sh.records[pc.Job].GID,
+				Start: pc.Start.Rat(), End: pc.End.Rat(), Fraction: pc.Fraction.Rat()})
 		}
 	}
-	return pieces, sh.eng.Now(), makespan
+	return rep
 }
 
 // ledger copies the shard's ledger out from under its lock: the one reader

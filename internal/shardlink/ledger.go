@@ -68,7 +68,7 @@ type ShardTotals struct {
 	// alone would move backwards (to zero once everything is compacted).
 	MakespanHW *exact.Q `json:"makespanHW,omitempty"`
 
-	// Panics counts loop panics the panic barrier caught.
+	// Panics counts the panics the shard's panic barrier caught.
 	Panics int `json:"panics,omitempty"`
 
 	// Frozen* capture the last engine-derived stats before a retired shard's

@@ -43,6 +43,7 @@ const (
 	OutcomeClosed   = "closed"   // server shutting down
 	OutcomeNoHost   = "nohost"   // refused: no machine hosts the databanks, or a malformed job (Err says which)
 	OutcomeDeadline = "deadline" // strict admission: the deadline is infeasible
+	OutcomeStalled  = "stalled"  // strict admission: the shard could not catch up to check the deadline
 )
 
 // Admission modes a shard runs deadline checks under (InstallArgs.Admission

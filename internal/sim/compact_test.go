@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"divflow/internal/exact"
-	"divflow/internal/schedule"
 )
 
 // TestEngineCompact: history before the horizon disappears, live state and
@@ -84,21 +83,20 @@ func TestEngineCompact(t *testing.T) {
 // map, and a walk over the whole job map. TestCompactMatchesFullScan holds
 // Compact to it.
 func fullScanCompact(e *Engine, horizon exact.Q) []int {
-	h := horizon.Rat()
-	keep := e.sched.Pieces[:0]
+	keep := e.pieces[:0]
 	remap := make(map[int]int, len(e.lastPiece))
-	for k := range e.sched.Pieces {
-		pc := &e.sched.Pieces[k]
-		if pc.End.Cmp(h) <= 0 {
+	for k := range e.pieces {
+		pc := &e.pieces[k]
+		if pc.End.Cmp(horizon) <= 0 {
 			continue
 		}
 		remap[k] = len(keep)
 		keep = append(keep, *pc)
 	}
-	for k := len(keep); k < len(e.sched.Pieces); k++ {
-		e.sched.Pieces[k] = schedule.Piece{}
+	for k := len(keep); k < len(e.pieces); k++ {
+		e.pieces[k] = PieceState{}
 	}
-	e.sched.Pieces = keep
+	e.pieces = keep
 	for i, k := range e.lastPiece {
 		if k < 0 {
 			continue

@@ -25,10 +25,11 @@ type CostFunc func(machine, jobID int) (exact.Q, bool)
 //	t := e.NextEvent()                 // earliest completion/review time
 //	done, _ := e.AdvanceTo(t)          // execute the allocation until t
 //
-// All arithmetic is exact, on exact.Q, and so is every method: times, weights,
-// sizes and fractions go in and come out as values. Only the executed trace
-// is *big.Rat (schedule.Piece), and it passes the same validator as the
-// offline solvers' schedules once every job completes.
+// All arithmetic is exact, on exact.Q, and so is every method and the
+// executed trace: times, weights, sizes, fractions and pieces go in and come
+// out as values. Schedule converts the trace to a *big.Rat schedule.Schedule,
+// which passes the same validator as the offline solvers' schedules once
+// every job completes.
 type Engine struct {
 	m      int
 	cost   CostFunc
@@ -40,8 +41,8 @@ type Engine struct {
 	// policies rely on.
 	order []int
 
-	sched     *schedule.Schedule
-	lastPiece []int // last recorded piece per machine, -1 none
+	pieces    []PieceState // executed trace, in nondecreasing start order
+	lastPiece []int        // last recorded piece per machine, -1 none
 	// finished lists completed, not yet compacted job IDs in completion
 	// order: Compact pops its prefix.
 	finished []int
@@ -72,7 +73,6 @@ func NewEngine(m int, cost CostFunc, p Policy) *Engine {
 		cost:      cost,
 		policy:    p,
 		jobs:      make(map[int]*engineJob),
-		sched:     &schedule.Schedule{},
 		lastPiece: make([]int, m),
 	}
 	for i := range e.lastPiece {
@@ -116,10 +116,21 @@ func (e *Engine) Remaining(id int) (exact.Q, bool) {
 	return j.remaining, true
 }
 
-// Schedule returns the executed trace. The pointer is live engine state:
-// callers must not mutate it, and must not retain it across AdvanceTo calls
-// without external synchronization.
-func (e *Engine) Schedule() *schedule.Schedule { return e.sched }
+// Schedule returns the executed trace as a fresh schedule the caller owns:
+// the one place the trace is converted to *big.Rat.
+func (e *Engine) Schedule() *schedule.Schedule {
+	out := &schedule.Schedule{Pieces: make([]schedule.Piece, len(e.pieces))}
+	for k := range e.pieces {
+		pc := &e.pieces[k]
+		out.Pieces[k] = schedule.Piece{Machine: pc.Machine, Job: pc.Job, Start: pc.Start.Rat(), End: pc.End.Rat(), Fraction: pc.Fraction.Rat()}
+	}
+	return out
+}
+
+// Pieces returns the executed trace itself. The slice is live engine state:
+// callers must not mutate it, and must not retain it across AdvanceTo or
+// Compact calls without external synchronization.
+func (e *Engine) Pieces() []PieceState { return e.pieces }
 
 // Add makes a whole job visible to the policy from the current time onward.
 // The release is the job's flow origin (it may precede the current time:
@@ -198,12 +209,11 @@ func (e *Engine) before(a, b int) bool {
 // that straddles the horizon; and finished jobs are queued in completion
 // order.
 func (e *Engine) Compact(horizon exact.Q) []int {
-	h := horizon.Rat()
-	pieces := e.sched.Pieces
+	pieces := e.pieces
 	cut, kept := 0, 0
-	for ; cut < len(pieces) && pieces[cut].Start.Cmp(h) < 0; cut++ {
+	for ; cut < len(pieces) && pieces[cut].Start.Cmp(horizon) < 0; cut++ {
 		pc := &pieces[cut]
-		straddles := pc.End.Cmp(h) > 0
+		straddles := pc.End.Cmp(horizon) > 0
 		if e.lastPiece[pc.Machine] == cut {
 			e.lastPiece[pc.Machine] = -1
 			if straddles {
@@ -224,7 +234,7 @@ func (e *Engine) Compact(horizon exact.Q) []int {
 		n := kept + copy(pieces[kept:], pieces[cut:])
 		// Zero the tail so dropped pieces' rationals can be collected.
 		clear(pieces[n:])
-		e.sched.Pieces = pieces[:n]
+		e.pieces = pieces[:n]
 	}
 	n := 0
 	for n < len(e.finished) && e.jobs[e.finished[n]].completed.Cmp(horizon) <= 0 {
@@ -243,16 +253,13 @@ func (e *Engine) Compact(horizon exact.Q) []int {
 // the machines' last pieces. A machine's last piece is its latest, and a
 // machine whose last piece was compacted has none retained.
 func (e *Engine) Makespan() exact.Q {
-	var last *schedule.Piece
+	var ms exact.Q
 	for _, k := range e.lastPiece {
-		if k >= 0 && (last == nil || e.sched.Pieces[k].End.Cmp(last.End) > 0) {
-			last = &e.sched.Pieces[k]
+		if k >= 0 && e.pieces[k].End.Cmp(ms) > 0 {
+			ms = e.pieces[k].End
 		}
 	}
-	if last == nil {
-		return exact.Q{}
-	}
-	return exact.FromRat(last.End)
+	return ms
 }
 
 // RemovedJob is the exact live state Remove extracts from the engine: the
@@ -376,11 +383,10 @@ func (e *Engine) NextEvent() (next exact.Q, ok bool) {
 }
 
 // AdvanceTo executes the current allocation from now to t, recording
-// schedule pieces, consuming work, and completing jobs that reach zero
-// remaining fraction. It returns the IDs of jobs that completed at t. The
+// schedule pieces (in exact.Q, as the trace holds them), consuming work, and
+// completing jobs that reach zero remaining fraction. It returns the IDs of jobs that completed at t. The
 // target must not move backwards nor overshoot a pending completion
-// (callers advance to min(NextEvent, external event)). The trace stays in
-// *big.Rat: each piece written or extended converts its new bounds once.
+// (callers advance to min(NextEvent, external event)).
 func (e *Engine) AdvanceTo(t exact.Q) ([]int, error) {
 	cmp := t.Cmp(e.now)
 	if cmp < 0 {
@@ -405,16 +411,14 @@ func (e *Engine) AdvanceTo(t exact.Q) ([]int, error) {
 			// extends its last piece, so piece counts reflect genuine
 			// preemptions/migrations rather than event granularity.
 			if k := e.lastPiece[i]; k >= 0 {
-				if pc := &e.sched.Pieces[k]; pc.Job == id && exact.FromRat(pc.End).Cmp(e.now) == 0 {
-					pc.End = t.Rat()
-					pc.Fraction = exact.FromRat(pc.Fraction).Add(frac).Rat()
+				if pc := &e.pieces[k]; pc.Job == id && pc.End.Cmp(e.now) == 0 {
+					pc.End = t
+					pc.Fraction = pc.Fraction.Add(frac)
 					continue
 				}
 			}
-			e.sched.Pieces = append(e.sched.Pieces, schedule.Piece{
-				Machine: i, Job: id, Start: e.now.Rat(), End: t.Rat(), Fraction: frac.Rat(),
-			})
-			e.lastPiece[i] = len(e.sched.Pieces) - 1
+			e.pieces = append(e.pieces, PieceState{Machine: i, Job: id, Start: e.now, End: t, Fraction: frac})
+			e.lastPiece[i] = len(e.pieces) - 1
 		}
 	}
 	var done []int

@@ -13,12 +13,13 @@
 // metrics.
 //
 // Inside the package every rational is an exact.Q, the immutable word-sized
-// value the solvers compute with: the engine's clock, job states and
-// methods, the policies' keys, OnlineMWF's cached plan and the
-// EngineState/MWFPlanState documents. *big.Rat remains at two edges only —
-// the model.Instance that Run takes and that Snapshot.Residual hands the
-// offline solver, and the executed schedule.Schedule — each converting once
-// where a value crosses.
+// value the solvers compute with: the engine's clock, job states, methods and
+// executed trace (PieceState, the same values EngineState exports), the
+// policies' keys, OnlineMWF's cached plan and the EngineState/MWFPlanState
+// documents. *big.Rat remains at two edges only — the model.Instance that Run
+// takes and that Snapshot.Residual hands the offline solver, and the
+// schedule.Schedule that Engine.Schedule converts the trace to — each
+// converting once where a value crosses.
 //
 // Snapshot.Residual is the one place a view of outstanding work becomes an
 // offline instance: OnlineMWF re-solves the engine's own snapshot through it,

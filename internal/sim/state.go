@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"divflow/internal/exact"
-	"divflow/internal/schedule"
 )
 
 // This file is the durability boundary of the engine: ExportState captures
@@ -27,7 +26,8 @@ type JobState struct {
 	Completed exact.Q `json:"completed,omitzero"`
 }
 
-// PieceState is one executed schedule piece.
+// PieceState is one executed schedule piece: the engine's trace entry, held
+// as it is exported.
 type PieceState struct {
 	Machine  int     `json:"machine"`
 	Job      int     `json:"job"`
@@ -71,16 +71,7 @@ func (e *Engine) ExportState() *EngineState {
 		j := e.jobs[id]
 		st.Jobs = append(st.Jobs, JobState{ID: id, Release: j.release, Weight: j.weight, Size: j.size, Remaining: j.remaining, Completed: j.completed})
 	}
-	for k := range e.sched.Pieces {
-		pc := &e.sched.Pieces[k]
-		st.Pieces = append(st.Pieces, PieceState{
-			Machine:  pc.Machine,
-			Job:      pc.Job,
-			Start:    exact.FromRat(pc.Start),
-			End:      exact.FromRat(pc.End),
-			Fraction: exact.FromRat(pc.Fraction),
-		})
-	}
+	st.Pieces = append([]PieceState(nil), e.pieces...)
 	if e.haveAlloc {
 		st.Alloc = append([]int(nil), e.alloc.MachineJob...)
 		st.Review = e.alloc.Review
@@ -96,7 +87,7 @@ func (e *Engine) ExportState() *EngineState {
 // come in nondecreasing start order, the order AdvanceTo writes them in and
 // ExportState keeps.
 func (e *Engine) RestoreState(st *EngineState) error {
-	if len(e.jobs) != 0 || e.now.Sign() != 0 || len(e.sched.Pieces) != 0 {
+	if len(e.jobs) != 0 || e.now.Sign() != 0 || len(e.pieces) != 0 {
 		return fmt.Errorf("sim: restore into a non-fresh engine")
 	}
 	if st == nil {
@@ -140,16 +131,10 @@ func (e *Engine) RestoreState(st *EngineState) error {
 		if k > 0 && ps.Start.Cmp(st.Pieces[k-1].Start) < 0 {
 			return fmt.Errorf("sim: restore: piece %d starts at %v, before piece %d's start %v", k, ps.Start, k-1, st.Pieces[k-1].Start)
 		}
-		e.sched.Pieces = append(e.sched.Pieces, schedule.Piece{
-			Machine:  ps.Machine,
-			Job:      ps.Job,
-			Start:    ps.Start.Rat(),
-			End:      ps.End.Rat(),
-			Fraction: ps.Fraction.Rat(),
-		})
+		e.pieces = append(e.pieces, *ps)
 		// Pieces are appended in execution order, so the last occurrence per
 		// machine is exactly the index AdvanceTo would extend.
-		e.lastPiece[ps.Machine] = len(e.sched.Pieces) - 1
+		e.lastPiece[ps.Machine] = len(e.pieces) - 1
 	}
 	if st.HaveAlloc {
 		if len(st.Alloc) != e.m {
