@@ -542,8 +542,8 @@ type Platform struct {
 
 // ParsePlatformConfig decodes a platform document — the machine fleet, encoded
 // as {"machines":[{"name","inverseSpeed","databanks"}]}, every machine with a
-// strictly positive inverseSpeed, and the optional {"shards": N} scheduling
-// partition override.
+// name of its own (CheckMachineNames) and a strictly positive inverseSpeed,
+// and the optional {"shards": N} scheduling partition override.
 func ParsePlatformConfig(data []byte) (*Platform, error) {
 	// Each inverse speed is read as text, so the bounded parse reads it.
 	var doc struct {
@@ -577,7 +577,25 @@ func ParsePlatformConfig(data []byte) (*Platform, error) {
 		machines[i] = m.Machine
 		machines[i].InverseSpeed = speed
 	}
+	if err := CheckMachineNames(machines); err != nil {
+		return nil, fmt.Errorf("model: platform %w", err)
+	}
 	return &Platform{Machines: machines, Shards: doc.Shards}, nil
+}
+
+// CheckMachineNames refuses a fleet in which two machines share a name, the
+// empty name included: a server matches the machines of one platform
+// document to the next by name, so a repeated one would attribute executed
+// work to the wrong machine.
+func CheckMachineNames(ms []Machine) error {
+	seen := make(map[string]int, len(ms))
+	for i := range ms {
+		if j, dup := seen[ms[i].Name]; dup {
+			return fmt.Errorf("machines %d and %d are both named %q", j, i, ms[i].Name)
+		}
+		seen[ms[i].Name] = i
+	}
+	return nil
 }
 
 // HealthResponse is the body of GET /healthz: "ok" with HTTP 200 while every

@@ -81,7 +81,9 @@ func hostsAny(machines []model.Machine, databanks []string) bool {
 }
 
 // fleetIndex maps each machine name of a platform document to its index
-// there (the first, should a name repeat): what shard.renumber matches by.
+// there: what shard.renumber matches by. New and Reshard refuse repeated
+// names; a fleet restored from an older directory may still repeat one, and
+// then the first index wins.
 func fleetIndex(fleet []model.Machine) map[string]int {
 	idx := make(map[string]int, len(fleet))
 	for i := range fleet {
@@ -128,6 +130,9 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 		return resp, errors.New("server: reshard: no machines")
 	}
 	if err := checkMachines(p.Machines); err != nil {
+		return resp, fmt.Errorf("server: reshard: %w", err)
+	}
+	if err := model.CheckMachineNames(p.Machines); err != nil {
 		return resp, fmt.Errorf("server: reshard: %w", err)
 	}
 	// One topology change at a time; Close takes the same lock, so a closing

@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -37,6 +38,47 @@ func replicatedFleet() []model.Machine {
 		{Name: "a1", InverseSpeed: rat(1, 1), Databanks: []string{"bankA"}},
 		{Name: "b0", InverseSpeed: rat(1, 1), Databanks: []string{"bankB", "bankA"}},
 		{Name: "b1", InverseSpeed: rat(1, 1), Databanks: []string{"bankB", "bankA"}},
+	}
+}
+
+// TestRepeatedMachineNamesRefused: a reshard matches one platform's machines
+// to the next one's by name (shard.renumber), so with [m{x}, m{y}] resharded
+// to [m{y}, m{x}, z{x}] a finished x job's piece was reported on machine 0,
+// which hosts only y. A fleet that repeats a name, the empty one included, is
+// refused wherever a list comes in: a platform document (-platform, SIGHUP,
+// POST /v1/platform answering 400), New and Reshard.
+func TestRepeatedMachineNamesRefused(t *testing.T) {
+	machine := func(name, bank string) model.Machine {
+		return model.Machine{Name: name, InverseSpeed: rat(1, 1), Databanks: []string{bank}}
+	}
+	for _, name := range []string{"m", ""} {
+		fleet := []model.Machine{machine(name, "x"), machine(name, "y")}
+		if _, err := New(Config{Machines: fleet, Clock: NewVirtualClock()}); err == nil || !strings.Contains(err.Error(), "both named") {
+			t.Errorf("New over two machines named %q: err %v", name, err)
+		}
+		doc := fmt.Sprintf(`{"machines":[{"name":%q,"inverseSpeed":"1","databanks":["x"]},{"name":%q,"inverseSpeed":"1","databanks":["y"]}]}`, name, name)
+		if _, err := model.ParsePlatformConfig([]byte(doc)); err == nil || !strings.Contains(err.Error(), "both named") {
+			t.Errorf("platform document naming two machines %q: err %v", name, err)
+		}
+	}
+
+	srv, err := New(Config{Machines: []model.Machine{machine("m", "x"), machine("y", "y")}, Policy: "srpt", Clock: NewVirtualClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := srv.Reshard(&model.Platform{Machines: []model.Machine{machine("y", "y"), machine("m", "x"), machine("m", "x")}}); err == nil || !strings.Contains(err.Error(), "both named") {
+		t.Errorf("Reshard to a fleet naming two machines m: err %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	status, _, env := apiCall(t, ts, "POST", "/v1/platform",
+		`{"machines":[{"name":"y","inverseSpeed":"1","databanks":["y"]},{"name":"m","inverseSpeed":"1","databanks":["x"]},{"name":"m","inverseSpeed":"1","databanks":["x"]}]}`)
+	if status != http.StatusBadRequest || env.Error.Code != model.ErrCodeInvalidArgument {
+		t.Errorf("POST /v1/platform naming two machines m = %d %q, want 400 %q", status, env.Error.Code, model.ErrCodeInvalidArgument)
+	}
+	if g := srv.Generation(); g != 0 {
+		t.Errorf("generation %d after refused reshards, want 0", g)
 	}
 }
 

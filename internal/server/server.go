@@ -293,6 +293,9 @@ func New(cfg Config) (_ *Server, err error) {
 	if err := checkMachines(cfg.Machines); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
+	if err := model.CheckMachineNames(cfg.Machines); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	if cfg.SnapshotEvery < 0 {
 		return nil, fmt.Errorf("server: SnapshotEvery = %d, want >= 0", cfg.SnapshotEvery)
 	}
@@ -432,7 +435,9 @@ func New(cfg Config) (_ *Server, err error) {
 
 // checkMachines is the guard on every machine list entering the server — the
 // startup configuration, a reshard's platform, a spec read back from a WAL or
-// snapshot document; the caller names the entry point.
+// snapshot document; the caller names the entry point. Repeated names are
+// refused only where a list is passed in (New, Reshard:
+// model.CheckMachineNames): a restored document is acknowledged state.
 func checkMachines(ms []model.Machine) error {
 	for i := range ms {
 		if ms[i].InverseSpeed == nil || ms[i].InverseSpeed.Sign() <= 0 {

@@ -501,7 +501,7 @@ func (sh *shard) admissionCheck(job shardlink.Job) (*model.AdmissionCertificate,
 		return cert, nil
 	}
 	// The candidate takes the local ID it would be given, and the last index.
-	cand := sim.JobView{ID: len(sh.records), Release: job.Release, Remaining: exact.Int(1), Weight: job.Weight, Size: job.Size}
+	cand := sim.JobState{ID: len(sh.records), Release: job.Release, Remaining: exact.Int(1), Weight: job.Weight, Size: job.Size}
 	cost := func(i, id int) (exact.Q, bool) {
 		if id != cand.ID {
 			return sh.cost(i, id)
@@ -619,15 +619,15 @@ func (sh *shard) planAdmits(live *sim.Snapshot, job shardlink.Job) planVerdict {
 // sh.mu, with the engine caught up when remaining fractions matter.
 //
 //divflow:locks requires=shard
-func (sh *shard) census() []sim.JobView {
+func (sh *shard) census() []sim.JobState {
 	live := sh.eng.Snapshot().Jobs
-	views := make([]sim.JobView, 0, len(sh.pending)+len(live))
+	views := make([]sim.JobState, 0, len(sh.pending)+len(live))
 	for _, rec := range sh.pending {
 		rem := rec.Remaining
 		if rem.Sign() == 0 {
 			rem = exact.Int(1)
 		}
-		views = append(views, sim.JobView{ID: rec.ID, Release: rec.Release, Weight: rec.Weight, Size: rec.Size, Remaining: rem})
+		views = append(views, sim.JobState{ID: rec.ID, Release: rec.Release, Weight: rec.Weight, Size: rec.Size, Remaining: rem})
 	}
 	return append(views, live...)
 }

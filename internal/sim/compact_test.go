@@ -109,7 +109,7 @@ func fullScanCompact(e *Engine, horizon exact.Q) []int {
 	}
 	var forgotten []int
 	for id, j := range e.jobs {
-		if j.done && j.completed.Cmp(horizon) <= 0 {
+		if j.done() && j.Completed.Cmp(horizon) <= 0 {
 			forgotten = append(forgotten, id)
 			delete(e.jobs, id)
 		}
@@ -178,7 +178,7 @@ func compactAgainstFullScan(t *testing.T, mk func() Policy, seed int64) (forgot,
 		}
 	}
 	var removed []int
-	removedJobs := map[int]*RemovedJob{}
+	removedJobs := map[int]*JobState{}
 	next := 0
 	for step := 0; step < 80; step++ {
 		what := ""

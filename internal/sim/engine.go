@@ -35,8 +35,11 @@ type Engine struct {
 	cost   CostFunc
 	policy Policy
 
-	now  exact.Q
-	jobs map[int]*engineJob
+	now exact.Q
+	// jobs holds every live job and every completed, not yet compacted one,
+	// in the form ExportState writes: a job is finished once Completed is
+	// set (AdvanceTo only moves forward, so no job completes at time zero).
+	jobs map[int]*JobState
 	// order lists live job IDs sorted by (release, ID): the snapshot order
 	// policies rely on.
 	order []int
@@ -55,15 +58,6 @@ type Engine struct {
 	migrations int
 }
 
-type engineJob struct {
-	release   exact.Q
-	weight    exact.Q
-	size      exact.Q // zero when unsized
-	remaining exact.Q
-	completed exact.Q // completion time, once done
-	done      bool
-}
-
 // NewEngine returns an engine over m machines with the given cost function,
 // stepping the policy from time zero. The policy is Reset.
 func NewEngine(m int, cost CostFunc, p Policy) *Engine {
@@ -72,7 +66,7 @@ func NewEngine(m int, cost CostFunc, p Policy) *Engine {
 		m:         m,
 		cost:      cost,
 		policy:    p,
-		jobs:      make(map[int]*engineJob),
+		jobs:      make(map[int]*JobState),
 		lastPiece: make([]int, m),
 	}
 	for i := range e.lastPiece {
@@ -100,10 +94,10 @@ func (e *Engine) CompletedCount() int { return e.completed }
 // unknown or still live.
 func (e *Engine) Completion(id int) (exact.Q, bool) {
 	j := e.jobs[id]
-	if j == nil || !j.done {
+	if j == nil || !j.done() {
 		return exact.Q{}, false
 	}
-	return j.completed, true
+	return j.Completed, true
 }
 
 // Remaining returns the unprocessed fraction of a job, ok=false when the job
@@ -113,7 +107,7 @@ func (e *Engine) Remaining(id int) (exact.Q, bool) {
 	if j == nil {
 		return exact.Q{}, false
 	}
-	return j.remaining, true
+	return j.Remaining, true
 }
 
 // Schedule returns the executed trace as a fresh schedule the caller owns:
@@ -175,7 +169,7 @@ func (e *Engine) AddPartial(id int, release, weight, size, remaining exact.Q) er
 	if !eligible {
 		return fmt.Errorf("sim: job %d cannot run on any machine", id)
 	}
-	e.jobs[id] = &engineJob{release: release, weight: weight, size: size, remaining: remaining}
+	e.jobs[id] = &JobState{ID: id, Release: release, Weight: weight, Size: size, Remaining: remaining}
 	k := sort.Search(len(e.order), func(k int) bool { return e.before(id, e.order[k]) })
 	e.order = slices.Insert(e.order, k, id)
 	return nil
@@ -183,7 +177,7 @@ func (e *Engine) AddPartial(id int, release, weight, size, remaining exact.Q) er
 
 // before orders job IDs by (release, ID): the order of e.order.
 func (e *Engine) before(a, b int) bool {
-	if c := e.jobs[a].release.Cmp(e.jobs[b].release); c != 0 {
+	if c := e.jobs[a].Release.Cmp(e.jobs[b].Release); c != 0 {
 		return c < 0
 	}
 	return a < b
@@ -237,7 +231,7 @@ func (e *Engine) Compact(horizon exact.Q) []int {
 		e.pieces = pieces[:n]
 	}
 	n := 0
-	for n < len(e.finished) && e.jobs[e.finished[n]].completed.Cmp(horizon) <= 0 {
+	for n < len(e.finished) && e.jobs[e.finished[n]].Completed.Cmp(horizon) <= 0 {
 		delete(e.jobs, e.finished[n])
 		n++
 	}
@@ -262,17 +256,6 @@ func (e *Engine) Makespan() exact.Q {
 	return ms
 }
 
-// RemovedJob is the exact live state Remove extracts from the engine: the
-// job's flow origin, weight, size, and the fraction of it still unprocessed
-// at removal time. Feeding it to another engine's AddPartial migrates the
-// job without losing or duplicating any work.
-type RemovedJob struct {
-	Release   exact.Q
-	Weight    exact.Q
-	Size      exact.Q // zero when unsized
-	Remaining exact.Q
-}
-
 // PlanInvalidator is implemented by policies whose cached plan is keyed to
 // the live job set (OnlineMWF's lazy plan cache). Remove calls it so a stale
 // plan piece for a vanished job can never be followed — the residual
@@ -282,15 +265,16 @@ type PlanInvalidator interface{ InvalidatePlan() }
 
 // Remove extracts a live job from the engine: the job disappears from the
 // policy-visible set and from the current allocation, while the executed
-// trace keeps every piece of work already done on it. The returned state
-// (exact remaining fraction included) lets the caller re-admit the job in a
-// different engine with AddPartial. Unknown and completed jobs error.
-func (e *Engine) Remove(id int) (*RemovedJob, error) {
+// trace keeps every piece of work already done on it. The returned state —
+// flow origin, weight, size and the exact fraction still unprocessed — is the
+// caller's, and feeding it to another engine's AddPartial migrates the job
+// without losing or duplicating any work. Unknown and completed jobs error.
+func (e *Engine) Remove(id int) (*JobState, error) {
 	j := e.jobs[id]
 	if j == nil {
 		return nil, fmt.Errorf("sim: remove: unknown job %d", id)
 	}
-	if j.done {
+	if j.done() {
 		return nil, fmt.Errorf("sim: remove: job %d already completed", id)
 	}
 	delete(e.jobs, id)
@@ -308,7 +292,7 @@ func (e *Engine) Remove(id int) (*RemovedJob, error) {
 		inv.InvalidatePlan()
 	}
 	e.migrations++
-	return &RemovedJob{Release: j.release, Weight: j.weight, Size: j.size, Remaining: j.remaining}, nil
+	return j, nil
 }
 
 // Migrations returns how many live jobs have been extracted with Remove.
@@ -319,10 +303,9 @@ func (e *Engine) Migrations() int { return e.migrations }
 // remaining fractions as of some later instant advances the engine there
 // first (the shard's catch-up does this).
 func (e *Engine) Snapshot() *Snapshot {
-	snap := &Snapshot{Now: e.now, M: e.m, Cost: e.cost, Jobs: make([]JobView, 0, len(e.order))}
-	for _, id := range e.order {
-		j := e.jobs[id]
-		snap.Jobs = append(snap.Jobs, JobView{ID: id, Release: j.release, Weight: j.weight, Size: j.size, Remaining: j.remaining})
+	snap := &Snapshot{Now: e.now, M: e.m, Cost: e.cost, Jobs: make([]JobState, len(e.order))}
+	for k, id := range e.order {
+		snap.Jobs[k] = *e.jobs[id]
 	}
 	return snap
 }
@@ -340,7 +323,7 @@ func (e *Engine) Decide() error {
 			continue
 		}
 		j := e.jobs[id]
-		if j == nil || j.done {
+		if j == nil || j.done() {
 			return fmt.Errorf("sim: policy %s assigned machine %d an unavailable job %d", e.policy.Name(), i, id)
 		}
 		if _, ok := e.cost(i, id); !ok {
@@ -376,7 +359,7 @@ func (e *Engine) NextEvent() (next exact.Q, ok bool) {
 		}
 	}
 	for id, rt := range rate {
-		consider(e.now.Add(e.jobs[id].remaining.Quo(rt)))
+		consider(e.now.Add(e.jobs[id].Remaining.Quo(rt)))
 	}
 	consider(e.alloc.Review)
 	return next, ok
@@ -405,7 +388,7 @@ func (e *Engine) AdvanceTo(t exact.Q) ([]int, error) {
 			c, _ := e.cost(i, id)
 			frac := dt.Quo(c)
 			j := e.jobs[id]
-			j.remaining = j.remaining.Sub(frac)
+			j.Remaining = j.Remaining.Sub(frac)
 			worked = append(worked, id)
 			// A machine continuing the same job across an event boundary
 			// extends its last piece, so piece counts reflect genuine
@@ -424,18 +407,18 @@ func (e *Engine) AdvanceTo(t exact.Q) ([]int, error) {
 	var done []int
 	for _, id := range worked {
 		j := e.jobs[id]
-		if j.done || j.remaining.Sign() > 0 {
+		if j.done() || j.Remaining.Sign() > 0 {
 			continue
 		}
-		if j.remaining.Sign() < 0 {
+		if j.Remaining.Sign() < 0 {
 			return nil, fmt.Errorf("sim: job %d over-processed (internal error)", id)
 		}
-		j.completed, j.done = t, true
+		j.Completed = t
 		e.completed++
 		done = append(done, id)
 	}
 	if len(done) > 0 {
-		e.order = slices.DeleteFunc(e.order, func(id int) bool { return e.jobs[id].done })
+		e.order = slices.DeleteFunc(e.order, func(id int) bool { return e.jobs[id].done() })
 		e.finished = append(e.finished, done...)
 	}
 	e.now = t

@@ -200,7 +200,7 @@ func TestRemoveInvalidatesPlanCache(t *testing.T) {
 	if _, err := e.Remove(1); err != nil {
 		t.Fatal(err)
 	}
-	if p.plan != nil || p.solveRem != nil {
+	if p.cache.Plan != nil || p.cache.SolveRem != nil {
 		t.Error("Remove left a cached plan behind")
 	}
 	hitsBefore := p.CacheHits()

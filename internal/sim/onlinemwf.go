@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
+	"slices"
 	"time"
 
 	"divflow/internal/core"
@@ -51,22 +52,13 @@ type OnlineMWF struct {
 	// err records an inner-solver failure; the policy then idles, which
 	// the simulator reports as a stall carrying this error's context.
 	err error
-	// plan is the schedule computed at the last solve (absolute times,
-	// jobs identified by real IDs); used only with LazyResolve.
-	plan []planPiece
-	// known tracks the job IDs seen by the last solve.
-	known map[int]bool
-	// solveAt and solveRem fingerprint the residual workload the cached
-	// plan was computed for: the solve time and every job's remaining
-	// fraction at that time. Later events are matched against the plan's
-	// own prediction evolved from this state. Both are set together, and
-	// solveRem is nil while no fingerprint is held.
-	solveAt  exact.Q
-	solveRem map[int]exact.Q
-	// solves counts inner exact LP-based solves, for the ablation report;
-	// cacheHits counts decision points served from the cached plan.
-	solves    int
-	cacheHits int
+	// cache is the schedule computed at the last solve (absolute times, jobs
+	// identified by real IDs), under LazyResolve the fingerprint of the
+	// residual workload it was computed for — later events are matched
+	// against the plan's own prediction evolved from it — and the counters:
+	// Solves counts inner exact LP-based solves, for the ablation report,
+	// CacheHits the decision points served from the cached plan.
+	cache MWFPlanState
 	// tally aggregates the hybrid-engine paths all inner LP solves took.
 	tally stats.SolverTally
 }
@@ -78,12 +70,6 @@ type OnlineMWF struct {
 type MWFObserver interface {
 	ObserveSolve(wall time.Duration, solver stats.SolverTally)
 	ObserveCacheHit()
-}
-
-type planPiece struct {
-	machine    int
-	jobID      int
-	start, end exact.Q
 }
 
 // NewOnlineMWF returns the divisible-model online adaptation.
@@ -109,11 +95,11 @@ func (p *OnlineMWF) Name() string {
 }
 
 // Solves reports how many inner offline solves the last run performed.
-func (p *OnlineMWF) Solves() int { return p.solves }
+func (p *OnlineMWF) Solves() int { return p.cache.Solves }
 
 // CacheHits reports how many decision points were served from the cached
 // plan (LazyResolve only) instead of invoking the exact solver.
-func (p *OnlineMWF) CacheHits() int { return p.cacheHits }
+func (p *OnlineMWF) CacheHits() int { return p.cache.CacheHits }
 
 // SolverTally reports, for the last run, how the inner exact LP solves were
 // settled by the hybrid engine (float-verified vs full exact fallback) and
@@ -123,12 +109,7 @@ func (p *OnlineMWF) SolverTally() stats.SolverTally { return p.tally }
 // Reset implements Policy.
 func (p *OnlineMWF) Reset() {
 	p.err = nil
-	p.plan = nil
-	p.known = nil
-	p.solveAt = exact.Q{}
-	p.solveRem = nil
-	p.solves = 0
-	p.cacheHits = 0
+	p.cache = MWFPlanState{}
 	p.tally = stats.SolverTally{}
 }
 
@@ -141,10 +122,7 @@ func (p *OnlineMWF) Err() error { return p.err }
 // another shard), so no stale plan piece for the vanished job is ever
 // followed.
 func (p *OnlineMWF) InvalidatePlan() {
-	p.plan = nil
-	p.known = nil
-	p.solveAt = exact.Q{}
-	p.solveRem = nil
+	p.cache.Plan, p.cache.SolveAt, p.cache.SolveRem = nil, nil, nil
 }
 
 // Assign implements Policy.
@@ -152,68 +130,69 @@ func (p *OnlineMWF) Assign(s *Snapshot) Allocation {
 	if len(s.Jobs) == 0 || p.err != nil {
 		return idleAllocation(s.M)
 	}
-	if p.LazyResolve && p.plan != nil && p.planPredicts(s) {
-		p.cacheHits++
+	if p.LazyResolve && p.planPredicts(s) {
+		p.cache.CacheHits++
 		if p.Observer != nil {
 			p.Observer.ObserveCacheHit()
 		}
 		return p.followPlan(s)
 	}
 	res, err := p.resolve(s)
-	p.solves++
+	p.cache.Solves++
 	if err != nil {
 		p.err = fmt.Errorf("online-mwf: residual solve at t=%v: %w", s.Now, err)
 		return idleAllocation(s.M)
 	}
-	p.known = make(map[int]bool, len(s.Jobs))
 	if p.LazyResolve {
-		p.solveAt = s.Now
-		p.solveRem = make(map[int]exact.Q, len(s.Jobs))
+		at := s.Now
+		p.cache.SolveAt = &at
+		p.cache.SolveRem = make([]PlanJobState, len(s.Jobs))
 		for k := range s.Jobs {
-			p.solveRem[s.Jobs[k].ID] = s.Jobs[k].Remaining
+			p.cache.SolveRem[k] = PlanJobState{ID: s.Jobs[k].ID, Remaining: s.Jobs[k].Remaining}
 		}
+		slices.SortFunc(p.cache.SolveRem, func(a, b PlanJobState) int { return cmp.Compare(a.ID, b.ID) })
 	}
-	for k := range s.Jobs {
-		p.known[s.Jobs[k].ID] = true
-	}
-	p.plan = p.plan[:0]
+	p.cache.Plan = make([]PlanPieceState, len(res.Schedule.Pieces))
 	for k := range res.Schedule.Pieces {
 		piece := &res.Schedule.Pieces[k]
-		p.plan = append(p.plan, planPiece{
-			machine: piece.Machine,
-			jobID:   s.Jobs[piece.Job].ID,
-			start:   exact.FromRat(piece.Start),
-			end:     exact.FromRat(piece.End),
-		})
+		p.cache.Plan[k] = PlanPieceState{
+			Machine: piece.Machine,
+			Job:     s.Jobs[piece.Job].ID,
+			Start:   exact.FromRat(piece.Start),
+			End:     exact.FromRat(piece.End),
+		}
 	}
 	return p.followPlan(s)
 }
 
-// planPredicts reports whether the residual workload at s.Now matches what
-// the cached plan predicted: no unknown job has appeared, every live job's
-// remaining fraction equals the fingerprint state evolved along the plan,
-// and every job the plan still expected to be running is indeed live. On a
-// match the plan is still optimal and the solver can be skipped.
+// fingerprinted finds a job in a fingerprint sorted by ID.
+func fingerprinted(fp []PlanJobState, id int) (int, bool) {
+	return slices.BinarySearchFunc(fp, id, func(e PlanJobState, id int) int { return cmp.Compare(e.ID, id) })
+}
+
+// planPredicts reports whether a plan and its fingerprint are held and the
+// residual workload at s.Now matches what the plan predicted: no job outside
+// the fingerprint has appeared, every live job's remaining fraction equals
+// the fingerprint state evolved along the plan, and every job the plan still
+// expected to be running is indeed live. On a match the plan is still optimal
+// and the solver can be skipped.
 func (p *OnlineMWF) planPredicts(s *Snapshot) bool {
-	live := make(map[int]*JobView, len(s.Jobs))
-	for k := range s.Jobs {
-		jv := &s.Jobs[k]
-		if !p.known[jv.ID] {
-			return false
-		}
-		live[jv.ID] = jv
+	if p.cache.Plan == nil || p.cache.SolveAt == nil || p.cache.SolveRem == nil {
+		return false
 	}
 	pred := p.predictedRemaining(s)
-	for id, rem := range pred {
-		jv := live[id]
-		if jv == nil {
-			// The job left the system: the plan must agree it is done.
-			if rem.Sign() > 0 {
-				return false
-			}
-			continue
+	live := make([]bool, len(pred))
+	for k := range s.Jobs {
+		jv := &s.Jobs[k]
+		i, ok := fingerprinted(pred, jv.ID)
+		if !ok || pred[i].Remaining.Cmp(jv.Remaining) != 0 {
+			return false
 		}
-		if rem.Cmp(jv.Remaining) != 0 {
+		live[i] = true
+	}
+	for i := range pred {
+		// A job that left the system: the plan must agree it is done.
+		if !live[i] && pred[i].Remaining.Sign() > 0 {
 			return false
 		}
 	}
@@ -222,40 +201,39 @@ func (p *OnlineMWF) planPredicts(s *Snapshot) bool {
 
 // PlanAhead is a read-only view of the cached plan from s.Now on: every plan
 // piece that ends after s.Now, clipped to start no earlier. It answers only
-// when the plan still predicts s — no solver failure, a plan and its residual
-// fingerprint held (an eager policy keeps no fingerprint), and planPredicts
-// holds — so the pieces process exactly each live job's Remaining: they are a
-// schedule of the residual workload, the one the policy is following. Nothing
-// changes: no cache hit is counted and the Observer is not called.
+// when there was no solver failure and planPredicts holds (an eager policy
+// keeps no fingerprint, so it never answers) — so the pieces process exactly
+// each live job's Remaining: they are a schedule of the residual workload,
+// the one the policy is following. Nothing changes: no cache hit is counted
+// and the Observer is not called.
 func (p *OnlineMWF) PlanAhead(s *Snapshot) ([]PlanPieceState, bool) {
-	if p.err != nil || p.plan == nil || p.solveRem == nil || !p.planPredicts(s) {
+	if p.err != nil || !p.planPredicts(s) {
 		return nil, false
 	}
-	ahead := make([]PlanPieceState, 0, len(p.plan))
-	for i := range p.plan {
-		piece := &p.plan[i]
-		if piece.end.Cmp(s.Now) <= 0 {
+	ahead := make([]PlanPieceState, 0, len(p.cache.Plan))
+	for _, piece := range p.cache.Plan {
+		if piece.End.Cmp(s.Now) <= 0 {
 			continue
 		}
-		start := piece.start
-		if start.Cmp(s.Now) < 0 {
-			start = s.Now
+		if piece.Start.Cmp(s.Now) < 0 {
+			piece.Start = s.Now
 		}
-		ahead = append(ahead, PlanPieceState{Machine: piece.machine, Job: piece.jobID, Start: start, End: piece.end})
+		ahead = append(ahead, piece)
 	}
 	return ahead, true
 }
 
 // predictedRemaining evolves the fingerprint state from the solve time to
-// s.Now along the cached plan: each plan piece overlapping [solveAt, now)
-// consumes duration/c_{i,j} of its job.
-func (p *OnlineMWF) predictedRemaining(s *Snapshot) map[int]exact.Q {
-	pred := maps.Clone(p.solveRem)
-	for i := range p.plan {
-		piece := &p.plan[i]
-		start, end := piece.start, piece.end
-		if start.Cmp(p.solveAt) < 0 {
-			start = p.solveAt
+// s.Now along the cached plan: each plan piece overlapping [SolveAt, now)
+// consumes duration/c_{i,j} of its job. The caller checks a fingerprint is
+// held.
+func (p *OnlineMWF) predictedRemaining(s *Snapshot) []PlanJobState {
+	pred := slices.Clone(p.cache.SolveRem)
+	for i := range p.cache.Plan {
+		piece := &p.cache.Plan[i]
+		start, end := piece.Start, piece.End
+		if start.Cmp(*p.cache.SolveAt) < 0 {
+			start = *p.cache.SolveAt
 		}
 		if end.Cmp(s.Now) > 0 {
 			end = s.Now
@@ -263,12 +241,12 @@ func (p *OnlineMWF) predictedRemaining(s *Snapshot) map[int]exact.Q {
 		if start.Cmp(end) >= 0 {
 			continue
 		}
-		c, ok := s.Cost(piece.machine, piece.jobID)
-		rem, known := pred[piece.jobID]
+		c, ok := s.Cost(piece.Machine, piece.Job)
+		k, known := fingerprinted(pred, piece.Job)
 		if !ok || !known {
 			continue
 		}
-		pred[piece.jobID] = rem.Sub(end.Sub(start).Quo(c))
+		pred[k].Remaining = pred[k].Remaining.Sub(end.Sub(start).Quo(c))
 	}
 	return pred
 }
@@ -288,14 +266,14 @@ func (p *OnlineMWF) followPlan(s *Snapshot) Allocation {
 			review = t
 		}
 	}
-	for i := range p.plan {
-		piece := &p.plan[i]
-		if piece.start.Cmp(s.Now) <= 0 && piece.end.Cmp(s.Now) > 0 && live[piece.jobID] {
-			alloc.MachineJob[piece.machine] = piece.jobID
-			consider(piece.end)
+	for i := range p.cache.Plan {
+		piece := &p.cache.Plan[i]
+		if piece.Start.Cmp(s.Now) <= 0 && piece.End.Cmp(s.Now) > 0 && live[piece.Job] {
+			alloc.MachineJob[piece.Machine] = piece.Job
+			consider(piece.End)
 		} else {
-			consider(piece.start)
-			consider(piece.end)
+			consider(piece.Start)
+			consider(piece.End)
 		}
 	}
 	alloc.Review = review

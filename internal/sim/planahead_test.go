@@ -96,7 +96,7 @@ func TestPlanAheadContract(t *testing.T) {
 			return
 		}
 		unknown := *s
-		unknown.Jobs = append(slices.Clone(s.Jobs), JobView{ID: 99, Release: s.Now, Weight: q(1, 1), Remaining: q(1, 1)})
+		unknown.Jobs = append(slices.Clone(s.Jobs), JobState{ID: 99, Release: s.Now, Weight: q(1, 1), Remaining: q(1, 1)})
 		if _, ok := lazy.PlanAhead(&unknown); ok {
 			t.Fatalf("t=%v: view answered with an unknown job live", s.Now)
 		}

@@ -93,7 +93,7 @@ func (p *MCT) Assign(s *Snapshot) Allocation {
 	if p.queue == nil {
 		p.queue = make([][]int, s.M)
 	}
-	present := make(map[int]*JobView, len(s.Jobs))
+	present := make(map[int]*JobState, len(s.Jobs))
 	for k := range s.Jobs {
 		present[s.Jobs[k].ID] = &s.Jobs[k]
 	}
@@ -230,7 +230,7 @@ func (GreedyWeightedFlow) Assign(s *Snapshot) Allocation {
 // remainingWork returns the job's remaining processing time on its fastest
 // eligible machine (zero, unreachable for validated instances, when it has
 // none).
-func remainingWork(s *Snapshot, jv *JobView) exact.Q {
+func remainingWork(s *Snapshot, jv *JobState) exact.Q {
 	var best exact.Q
 	found := false
 	for i := 0; i < s.M; i++ {

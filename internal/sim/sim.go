@@ -12,14 +12,18 @@
 // same exact validator as the offline schedules and measured with the same
 // metrics.
 //
+// Each thing the package keeps has one form, the one it exports: a job is a
+// JobState wherever it appears (the engine's map, a policy's Snapshot,
+// Remove's result, EngineState), an executed piece a PieceState, and
+// OnlineMWF's plan cache an MWFPlanState (its PlanPieceState plan, fingerprint
+// and counters), so ExportState and ExportPlanState copy rather than convert.
+//
 // Inside the package every rational is an exact.Q, the immutable word-sized
-// value the solvers compute with: the engine's clock, job states, methods and
-// executed trace (PieceState, the same values EngineState exports), the
-// policies' keys, OnlineMWF's cached plan and the EngineState/MWFPlanState
-// documents. *big.Rat remains at two edges only — the model.Instance that Run
-// takes and that Snapshot.Residual hands the offline solver, and the
-// schedule.Schedule that Engine.Schedule converts the trace to — each
-// converting once where a value crosses.
+// value the solvers compute with: the engine's clock and methods, all the
+// forms above, and the policies' keys. *big.Rat remains at two edges only —
+// the model.Instance that Run takes and that Snapshot.Residual hands the
+// offline solver, and the schedule.Schedule that Engine.Schedule converts the
+// trace to — each converting once where a value crosses.
 //
 // Snapshot.Residual is the one place a view of outstanding work becomes an
 // offline instance: OnlineMWF re-solves the engine's own snapshot through it,
@@ -36,23 +40,13 @@ import (
 	"divflow/internal/schedule"
 )
 
-// JobView is the slice of job state a policy is allowed to see: only jobs
-// that have been released and are not yet complete appear in a Snapshot.
-type JobView struct {
-	ID        int // index into the instance's job list
-	Release   exact.Q
-	Weight    exact.Q
-	Size      exact.Q // zero when the job has no size
-	Remaining exact.Q // fraction of the job still to process, in (0, 1]
-}
-
 // Snapshot is the information available to an online policy at a decision
 // point. Residual turns it into the offline problem the paper's online
 // adaptation re-solves.
 type Snapshot struct {
 	Now  exact.Q
-	Jobs []JobView // released, incomplete, ordered by release then ID
-	M    int       // number of machines
+	Jobs []JobState // released, incomplete, ordered by release then ID
+	M    int        // number of machines
 	// Cost returns c_{i,j} for machine i and *job ID* j, with ok=false
 	// for an ineligible machine.
 	Cost CostFunc

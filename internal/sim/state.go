@@ -15,16 +15,21 @@ import (
 // engine into bit-for-bit the same state. The pair backs divflowd's
 // snapshot/restore path.
 
-// JobState is one job's exact state in an EngineState: live while Completed
-// is zero, finished (retained for the trace window) otherwise.
+// JobState is the package's one form of a job: what the engine holds, what a
+// policy sees in a Snapshot, what Remove hands back for migration and what an
+// EngineState lists. A job is live while Completed is zero and finished
+// (retained for the trace window) once it is set; only live jobs appear in a
+// Snapshot, so a policy never sees Completed set.
 type JobState struct {
 	ID        int     `json:"id"`
-	Release   exact.Q `json:"release"`
+	Release   exact.Q `json:"release"` // flow origin
 	Weight    exact.Q `json:"weight"`
-	Size      exact.Q `json:"size,omitzero"`
-	Remaining exact.Q `json:"remaining"`
+	Size      exact.Q `json:"size,omitzero"` // zero when unsized
+	Remaining exact.Q `json:"remaining"`     // fraction still to process
 	Completed exact.Q `json:"completed,omitzero"`
 }
+
+func (j *JobState) done() bool { return j.Completed.Sign() != 0 }
 
 // PieceState is one executed schedule piece: the engine's trace entry, held
 // as it is exported.
@@ -62,15 +67,10 @@ func (e *Engine) ExportState() *EngineState {
 		Migrations: e.migrations,
 		HaveAlloc:  e.haveAlloc,
 	}
-	ids := make([]int, 0, len(e.jobs))
-	for id := range e.jobs {
-		ids = append(ids, id)
+	for _, j := range e.jobs {
+		st.Jobs = append(st.Jobs, *j)
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		j := e.jobs[id]
-		st.Jobs = append(st.Jobs, JobState{ID: id, Release: j.release, Weight: j.weight, Size: j.size, Remaining: j.remaining, Completed: j.completed})
-	}
+	slices.SortFunc(st.Jobs, func(a, b JobState) int { return cmp.Compare(a.ID, b.ID) })
 	st.Pieces = append([]PieceState(nil), e.pieces...)
 	if e.haveAlloc {
 		st.Alloc = append([]int(nil), e.alloc.MachineJob...)
@@ -96,17 +96,15 @@ func (e *Engine) RestoreState(st *EngineState) error {
 	if st.Now.Sign() < 0 {
 		return fmt.Errorf("sim: restore: bad now")
 	}
-	for k := range st.Jobs {
-		js := &st.Jobs[k]
+	for _, js := range st.Jobs {
 		if js.Release.Sign() < 0 || js.Weight.Sign() <= 0 || js.Remaining.Sign() < 0 {
 			return fmt.Errorf("sim: restore: job %d missing fields", js.ID)
 		}
 		if _, dup := e.jobs[js.ID]; dup {
 			return fmt.Errorf("sim: restore: duplicate job %d", js.ID)
 		}
-		done := js.Completed.Sign() != 0
-		e.jobs[js.ID] = &engineJob{release: js.Release, weight: js.Weight, size: js.Size, remaining: js.Remaining, completed: js.Completed, done: done}
-		if done {
+		e.jobs[js.ID] = &js
+		if js.done() {
 			e.finished = append(e.finished, js.ID)
 		} else {
 			e.order = append(e.order, js.ID)
@@ -114,7 +112,7 @@ func (e *Engine) RestoreState(st *EngineState) error {
 	}
 	sort.Slice(e.order, func(a, b int) bool { return e.before(e.order[a], e.order[b]) })
 	slices.SortFunc(e.finished, func(a, b int) int {
-		if c := e.jobs[a].completed.Cmp(e.jobs[b].completed); c != 0 {
+		if c := e.jobs[a].Completed.Cmp(e.jobs[b].Completed); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
@@ -165,77 +163,42 @@ type PlanPieceState struct {
 	End     exact.Q `json:"end"`
 }
 
-// MWFPlanState is OnlineMWF's exported plan cache: the last solve's plan,
-// the residual-workload fingerprint it was computed for, and the solve
-// counters. That is all the state the policy has: a solve is a function of
-// the residual workload alone and carries nothing to the next one. With the
-// plan restored, a restored engine's next decision is served from the cache
-// exactly as the original engine's would have been, and every later solve
-// returns what the original's would, so the restored trace continues
-// bit-for-bit (TestRestoreAtAnyDecisionKeepsTheTrace).
+// MWFPlanState is OnlineMWF's plan cache, held in the form it exports: the
+// last solve's plan, the residual-workload fingerprint it was computed for,
+// and the solve counters. That is all the state the policy has: a solve is a
+// function of the residual workload alone and carries nothing to the next
+// one. With the plan restored, a restored engine's next decision is served
+// from the cache exactly as the original engine's would have been, and every
+// later solve returns what the original's would, so the restored trace
+// continues bit-for-bit (TestRestoreAtAnyDecisionKeepsTheTrace).
 type MWFPlanState struct {
-	Plan  []PlanPieceState `json:"plan,omitempty"`
-	Known []int            `json:"known,omitempty"`
-	// SolveAt is the time of the cached solve, set exactly when SolveRem is:
-	// a solve at time zero still has a time.
+	Plan []PlanPieceState `json:"plan,omitempty"`
+	// SolveAt and SolveRem are the fingerprint, held only under LazyResolve:
+	// the time of the cached solve (a solve at time zero still has one) and
+	// every job's remaining fraction then, sorted by job ID. The two are set
+	// together, and the policy holds a fingerprint only while both are.
 	SolveAt   *exact.Q       `json:"solveAt,omitempty"`
 	SolveRem  []PlanJobState `json:"solveRem,omitempty"`
 	Solves    int            `json:"solves,omitempty"`
 	CacheHits int            `json:"cacheHits,omitempty"`
 }
 
+// clone copies the state with slices of its own. SolveAt is shared: the
+// policy replaces it and never writes through it.
+func (st MWFPlanState) clone() *MWFPlanState {
+	st.Plan = slices.Clone(st.Plan)
+	st.SolveRem = slices.Clone(st.SolveRem)
+	return &st
+}
+
 // ExportPlanState copies the policy's cached plan and counters. It returns a
 // state even when no plan is cached (counters still carry over).
-func (p *OnlineMWF) ExportPlanState() *MWFPlanState {
-	st := &MWFPlanState{Solves: p.solves, CacheHits: p.cacheHits}
-	for i := range p.plan {
-		pp := &p.plan[i]
-		st.Plan = append(st.Plan, PlanPieceState{Machine: pp.machine, Job: pp.jobID, Start: pp.start, End: pp.end})
-	}
-	for id := range p.known {
-		st.Known = append(st.Known, id)
-	}
-	sort.Ints(st.Known)
-	if p.solveRem != nil {
-		at := p.solveAt
-		st.SolveAt = &at
-	}
-	ids := make([]int, 0, len(p.solveRem))
-	for id := range p.solveRem {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		st.SolveRem = append(st.SolveRem, PlanJobState{ID: id, Remaining: p.solveRem[id]})
-	}
-	return st
-}
+func (p *OnlineMWF) ExportPlanState() *MWFPlanState { return p.cache.clone() }
 
 // RestorePlanState installs an exported plan cache into a fresh policy.
 func (p *OnlineMWF) RestorePlanState(st *MWFPlanState) {
 	if st == nil {
 		return
 	}
-	p.solves = st.Solves
-	p.cacheHits = st.CacheHits
-	p.plan = nil
-	for i := range st.Plan {
-		pp := &st.Plan[i]
-		p.plan = append(p.plan, planPiece{machine: pp.Machine, jobID: pp.Job, start: pp.Start, end: pp.End})
-	}
-	if st.Known != nil {
-		p.known = make(map[int]bool, len(st.Known))
-		for _, id := range st.Known {
-			p.known[id] = true
-		}
-	}
-	if st.SolveAt != nil {
-		p.solveAt = *st.SolveAt
-	}
-	if st.SolveRem != nil {
-		p.solveRem = make(map[int]exact.Q, len(st.SolveRem))
-		for k := range st.SolveRem {
-			p.solveRem[st.SolveRem[k].ID] = st.SolveRem[k].Remaining
-		}
-	}
+	p.cache = *st.clone()
 }

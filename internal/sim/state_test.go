@@ -145,13 +145,14 @@ func runOn(t *testing.T, inst *model.Instance, e *Engine, next int, before func(
 // TestRestoreAtAnyDecisionKeepsTheTrace is the crash-restore promise at the
 // policy's level: what ExportState and ExportPlanState write is everything a
 // run depends on. Before every decision of every run, both documents go
-// through encoding/json into a fresh engine and a fresh policy, which run on
-// to completion; every piece they execute must be the uninterrupted run's.
-// That holds only while a solve is a function of the residual alone: state
-// the policy carries from solve to solve and no snapshot holds (a warm basis
-// did) picks among equally optimal schedules, and the restored run drifts.
+// through encoding/json into a fresh engine and a fresh policy, which export
+// the very same bytes again and then run on to completion; every piece they
+// execute must be the uninterrupted run's. That holds only while a solve is a
+// function of the residual alone: state the policy carries from solve to
+// solve and no snapshot holds (a warm basis did) picks among equally optimal
+// schedules, and the restored run drifts.
 func TestRestoreAtAnyDecisionKeepsTheTrace(t *testing.T) {
-	viaJSON := func(from, to any) {
+	viaJSON := func(from, to any) []byte {
 		blob, err := json.Marshal(from)
 		if err == nil {
 			err = json.Unmarshal(blob, to)
@@ -159,8 +160,9 @@ func TestRestoreAtAnyDecisionKeepsTheTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		return blob
 	}
-	for _, fresh := range []func() *OnlineMWF{NewOnlineMWF, NewOnlineMWFLazy} {
+	for _, fresh := range []func() *OnlineMWF{NewOnlineMWF, NewOnlineMWFLazy, NewOnlineMWFPreemptive} {
 		diverged, restores := 0, 0
 		for seed := int64(0); seed < 60; seed++ {
 			cfg := workload.Default()
@@ -173,14 +175,20 @@ func TestRestoreAtAnyDecisionKeepsTheTrace(t *testing.T) {
 			runOn(t, inst, live, 0, func(next int) {
 				var es EngineState
 				var ps MWFPlanState
-				viaJSON(live.ExportState(), &es)
-				viaJSON(pol.ExportPlanState(), &ps)
+				engineDoc := viaJSON(live.ExportState(), &es)
+				planDoc := viaJSON(pol.ExportPlanState(), &ps)
 				twin := fresh()
 				fork := NewEngine(inst.M(), instanceCost(inst), twin)
 				if err := fork.RestoreState(&es); err != nil {
 					t.Fatal(err)
 				}
 				twin.RestorePlanState(&ps)
+				if got := mustJSON(fork.ExportState()); got != string(engineDoc) {
+					t.Fatalf("%s, seed %d: restored engine re-exports\n%s\nfrom\n%s", pol.Name(), seed, got, engineDoc)
+				}
+				if got := mustJSON(twin.ExportPlanState()); got != string(planDoc) {
+					t.Fatalf("%s, seed %d: restored plan re-exports\n%s\nfrom\n%s", pol.Name(), seed, got, planDoc)
+				}
 				runOn(t, inst, fork, next, nil)
 				forks = append(forks, fork)
 			})
@@ -197,6 +205,113 @@ func TestRestoreAtAnyDecisionKeepsTheTrace(t *testing.T) {
 		}
 		if diverged > 0 {
 			t.Errorf("%s: %d of 60 instances have a restore point that changes the trace (%d restores)", fresh().Name(), diverged, restores)
+		}
+	}
+}
+
+// restoreTwin restores the documents, through encoding/json, into a fresh
+// engine over m machines and a fresh lazy policy; edit rewrites the plan
+// document's JSON object on the way.
+func restoreTwin(t *testing.T, m int, cost CostFunc, es *EngineState, ps *MWFPlanState, edit func(doc map[string]json.RawMessage)) (*Engine, *OnlineMWF) {
+	t.Helper()
+	var est EngineState
+	var pst MWFPlanState
+	doc := map[string]json.RawMessage{}
+	if err := json.Unmarshal([]byte(mustJSON(es)), &est); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(mustJSON(ps)), &doc); err != nil {
+		t.Fatal(err)
+	}
+	edit(doc)
+	if err := json.Unmarshal([]byte(mustJSON(doc)), &pst); err != nil {
+		t.Fatal(err)
+	}
+	pol := NewOnlineMWFLazy()
+	e := NewEngine(m, cost, pol)
+	if err := e.RestoreState(&est); err != nil {
+		t.Fatal(err)
+	}
+	pol.RestorePlanState(&pst)
+	return e, pol
+}
+
+// TestRestoreHalfFingerprintResolves: a plan document that carries only half
+// of the fingerprint — solveRem without solveAt, or the reverse — restores as
+// no fingerprint, so the next lazy decision re-solves (and PlanAhead declines)
+// instead of following the plan from a missing solve time. The whole document
+// is the control: there the same decision is a cache hit.
+func TestRestoreHalfFingerprintResolves(t *testing.T) {
+	e := NewEngine(2, twoMachineCost, NewOnlineMWFLazy())
+	for id, w := range []int64{1, 2} {
+		if err := e.Add(id, q(0, 1), q(w, 1), q(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Decide(); err != nil {
+		t.Fatal(err)
+	}
+	next, ok := e.NextEvent()
+	if !ok {
+		t.Fatal("no upcoming event")
+	}
+	if _, err := e.AdvanceTo(next); err != nil {
+		t.Fatal(err)
+	}
+	es, ps := e.ExportState(), e.Policy().(*OnlineMWF).ExportPlanState()
+	if ps.SolveAt == nil || ps.SolveRem == nil {
+		t.Fatalf("lazy policy exported no fingerprint: %s", mustJSON(ps))
+	}
+	for _, tc := range []struct {
+		drop        string
+		hits, solve int // what the next decision does
+	}{
+		{"", 1, 0},
+		{"solveAt", 0, 1},
+		{"solveRem", 0, 1},
+	} {
+		twin, pol := restoreTwin(t, 2, twoMachineCost, es, ps, func(doc map[string]json.RawMessage) { delete(doc, tc.drop) })
+		if _, ok := pol.PlanAhead(twin.Snapshot()); ok != (tc.hits == 1) {
+			t.Errorf("without %q: PlanAhead answered %v", tc.drop, ok)
+		}
+		if err := twin.Decide(); err != nil {
+			t.Fatalf("without %q: %v (inner: %v)", tc.drop, err, pol.Err())
+		}
+		if hits, solves := pol.CacheHits()-ps.CacheHits, pol.Solves()-ps.Solves; hits != tc.hits || solves != tc.solve {
+			t.Errorf("without %q: next decision made %d cache hits and %d solves, want %d and %d", tc.drop, hits, solves, tc.hits, tc.solve)
+		}
+	}
+}
+
+// TestRestoreIgnoresKnownKey: plan documents that still carry the dropped
+// "known" key (the IDs of the last solve's jobs, exactly solveRem's) restore,
+// before any decision, to the uninterrupted run's trace.
+func TestRestoreIgnoresKnownKey(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		cfg := workload.Default()
+		cfg.Seed, cfg.Jobs, cfg.MeanInterarrival = seed, 6, 2
+		inst := workload.MustGenerate(cfg)
+		live := NewEngine(inst.M(), instanceCost(inst), NewOnlineMWFLazy())
+		var forks []*Engine
+		runOn(t, inst, live, 0, func(next int) {
+			ps := live.Policy().(*OnlineMWF).ExportPlanState()
+			known := make([]int, len(ps.SolveRem))
+			for k := range ps.SolveRem {
+				known[k] = ps.SolveRem[k].ID
+			}
+			fork, _ := restoreTwin(t, inst.M(), instanceCost(inst), live.ExportState(), ps, func(doc map[string]json.RawMessage) {
+				if len(known) > 0 {
+					doc["known"] = json.RawMessage(mustJSON(known))
+				}
+			})
+			runOn(t, inst, fork, next, nil)
+			forks = append(forks, fork)
+		})
+		want := mustJSON(live.ExportState().Pieces)
+		for k, fork := range forks {
+			if got := mustJSON(fork.ExportState().Pieces); got != want {
+				t.Fatalf("seed %d: restored before decision %d of %d, the run executes\n%s\nuninterrupted\n%s", seed, k, len(forks), got, want)
+			}
 		}
 	}
 }

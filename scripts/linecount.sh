@@ -19,7 +19,7 @@ count() { # count <label> <go files...>
 	printf '%6d %s\n' "$(cat "$@" | wc -l)" "$label"
 }
 
-for dir in internal/server internal/shardlink internal/model internal/lp internal/core; do
+for dir in internal/server internal/shardlink internal/model internal/lp internal/core internal/sim; do
 	count "$dir" $(ls "$dir"/*.go | grep -v _test)
 done
 count "internal/server + internal/shardlink" $(ls internal/server/*.go internal/shardlink/*.go | grep -v _test)
