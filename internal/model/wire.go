@@ -397,9 +397,9 @@ type ShardStats struct {
 	ReshardedIn  int  `json:"reshardedIn,omitempty"`
 	ReshardedOut int  `json:"reshardedOut,omitempty"`
 	Retired      bool `json:"retired,omitempty"`
-	// Freed marks a retired shard whose fully-compacted history was released:
-	// only the ID-decoding tombstone remains, so counters below it are the
-	// aggregates frozen at the free.
+	// Freed marks a retired shard with no history left: every record
+	// compacted away and nothing queued. It still decodes its global IDs (to
+	// not-found) and its counters keep the history it served.
 	Freed   bool   `json:"freed,omitempty"`
 	Backlog string `json:"backlog"`
 	Stalled bool   `json:"stalled,omitempty"`

@@ -50,17 +50,21 @@ type Event struct {
 }
 
 // Journal is a bounded ring buffer of events plus an optional NDJSON sink.
-// Appends take one short mutex (no allocation beyond the sink's encoder), so
-// the scheduling hot paths can journal without noticeable cost; once the
-// ring is full the oldest events are overwritten and readers paging through
-// GET /v1/events see the dropped count.
+// Appends take one short mutex (no allocation beyond the sink's encoder once
+// the ring has grown to its capacity — an idle server holds only what it
+// journaled), so the scheduling hot paths can journal without noticeable
+// cost; once the ring is full the oldest events are overwritten and readers
+// paging through GET /v1/events see the dropped count.
 type Journal struct {
 	//divflow:locks name=journal
-	mu      sync.Mutex
-	buf     []Event
-	next    int64 // seq of the next event appended
-	sink    io.Writer
-	sinkErr error
+	mu sync.Mutex
+	// buf grows on demand up to capacity events, then wraps: event seq sits
+	// at seq % capacity.
+	buf      []Event
+	capacity int
+	next     int64 // seq of the next event appended
+	sink     io.Writer
+	sinkErr  error
 }
 
 // DefJournalCapacity is the default ring size: enough to replay minutes of
@@ -75,7 +79,7 @@ func NewJournal(capacity int, sink io.Writer) *Journal {
 	if capacity <= 0 {
 		capacity = DefJournalCapacity
 	}
-	return &Journal{buf: make([]Event, 0, capacity), sink: sink}
+	return &Journal{capacity: capacity, sink: sink}
 }
 
 // Append journals one event, stamping its sequence number and wall time.
@@ -84,10 +88,10 @@ func (j *Journal) Append(e Event) {
 	j.mu.Lock()
 	e.Seq = j.next
 	j.next++
-	if len(j.buf) < cap(j.buf) {
+	if len(j.buf) < j.capacity {
 		j.buf = append(j.buf, e)
 	} else {
-		j.buf[int(e.Seq)%cap(j.buf)] = e
+		j.buf[int(e.Seq)%j.capacity] = e
 	}
 	if j.sink != nil && j.sinkErr == nil {
 		data, err := json.Marshal(&e)
@@ -133,7 +137,7 @@ func (j *Journal) Since(since int64, f Filter) (events []Event, next int64, drop
 		since = oldest
 	}
 	for seq := since; seq < j.next; seq++ {
-		e := j.buf[int(seq)%cap(j.buf)]
+		e := j.buf[int(seq)%j.capacity]
 		if f.Type != "" && e.Type != f.Type {
 			continue
 		}

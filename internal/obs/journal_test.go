@@ -64,6 +64,21 @@ func TestJournalRingOverwrite(t *testing.T) {
 	}
 }
 
+// TestJournalGrowsOnDemand: the ring holds what was journaled, up to its
+// capacity, rather than reserving the whole capacity up front.
+func TestJournalGrowsOnDemand(t *testing.T) {
+	j := NewJournal(0, nil)
+	if cap(j.buf) != 0 {
+		t.Fatalf("a fresh journal reserves %d events", cap(j.buf))
+	}
+	for i := 0; i < 3; i++ {
+		j.Append(Event{Type: EventSubmit, GID: i})
+	}
+	if j.Len() != 3 || cap(j.buf) >= DefJournalCapacity {
+		t.Errorf("after 3 appends the journal holds %d events in room for %d", j.Len(), cap(j.buf))
+	}
+}
+
 func TestJournalNDJSONSink(t *testing.T) {
 	var sb strings.Builder
 	j := NewJournal(4, &sb)

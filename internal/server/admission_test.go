@@ -527,7 +527,7 @@ func parentAdmission(t *testing.T, sh *shard, job model.Job, now *big.Rat) model
 		deadlines = append(deadlines, j.Deadline)
 	}
 	for _, v := range sh.eng.Snapshot().Jobs {
-		add(sh.records[v.ID], v.Size, v.Remaining)
+		add(sh.records.get(v.ID), v.Size, v.Remaining)
 	}
 	for _, rec := range sh.pending {
 		add(rec, rec.Size, rec.Remaining)

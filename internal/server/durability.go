@@ -15,6 +15,7 @@ import (
 	"divflow/internal/obs"
 	"divflow/internal/shardlink"
 	"divflow/internal/sim"
+	"divflow/internal/stats"
 	"divflow/internal/wal"
 )
 
@@ -248,7 +249,6 @@ func (d *durability) append(typ string, v any) {
 type snapShard struct {
 	shardlink.ShardSpec
 	Retired    bool              `json:"retired,omitempty"`
-	Freed      bool              `json:"freed,omitempty"`
 	Records    []*jobRecord      `json:"records,omitempty"` // aligned; null = compacted
 	PendingIDs []int             `json:"pendingIds,omitempty"`
 	Engine     *sim.EngineState  `json:"engine,omitempty"`
@@ -259,6 +259,7 @@ type snapShard struct {
 	// restored fleet would answer the /v1/stats and /v1/tenants P95 from
 	// post-crash completions only.
 	shardlink.ShardTotals
+	legacyFreed
 	Tenants shardlink.TenantLedger `json:"tenants,omitempty"`
 
 	MigratedIDs []int   `json:"migratedIds,omitempty"`
@@ -266,6 +267,44 @@ type snapShard struct {
 	LastErr     string  `json:"lastErr,omitempty"`
 	// Stalled repeats LastErr != "" in the document; a restore reads LastErr.
 	Stalled bool `json:"stalled,omitempty"`
+	// compacted counts the local IDs below Records' first entry: the cut
+	// copies only the retained records, and align writes their nulls.
+	compacted int
+}
+
+// legacyFreed is how older documents describe a freed tombstone: a retired
+// shard whose history had compacted away, written without records, engine or
+// plan, its counters frozen here. Only thaw reads it; every entry still
+// writes the zero FrozenSolver those documents carry.
+type legacyFreed struct {
+	Freed           bool              `json:"freed,omitempty"`
+	FrozenNow       exact.Q           `json:"frozenNow,omitzero"`
+	FrozenCompleted int               `json:"frozenCompleted,omitempty"`
+	FrozenDecisions int               `json:"frozenDecisions,omitempty"`
+	FrozenAccepted  int               `json:"frozenAccepted,omitempty"`
+	FrozenSolves    int               `json:"frozenSolves,omitempty"`
+	FrozenCacheHits int               `json:"frozenCacheHits,omitempty"`
+	FrozenSolver    stats.SolverTally `json:"frozenSolver,omitempty"`
+}
+
+// thaw rewrites a freed tombstone as the empty retired shard it stands for:
+// the frozen figures become the engine's counters, the plan's, and the base
+// of the record index, below which every local ID the shard issued was
+// compacted (it issued one per accepted, stolen or resharded-in job).
+func (ss *snapShard) thaw() {
+	if !ss.Freed {
+		return
+	}
+	ss.compacted = ss.FrozenAccepted + ss.StolenIn + ss.ReshardIn
+	ss.Engine = &sim.EngineState{Now: ss.FrozenNow, Completed: ss.FrozenCompleted, Decisions: ss.FrozenDecisions}
+	ss.Plan = &sim.MWFPlanState{Solves: ss.FrozenSolves, CacheHits: ss.FrozenCacheHits, Solver: ss.FrozenSolver}
+}
+
+// align puts one null per compacted local ID back in front of the retained
+// records, after the cut: the document lists the records aligned by ID.
+func (ss *snapShard) align() {
+	ss.Records = append(make([]*jobRecord, ss.compacted, ss.compacted+len(ss.Records)), ss.Records...)
+	ss.compacted = 0
 }
 
 // snapGen is one topology generation in a snapshot (shards by creation
@@ -321,26 +360,25 @@ func exportShardLocked(sh *shard) snapShard {
 			Idx: sh.idx, Pos: sh.pos, Stride: sh.stride, GidBase: sh.gidBase, Gen: sh.gen,
 			Machines: sh.machines, MachineIdx: append([]int(nil), sh.machineIdx...),
 		},
-		Retired: sh.retired, Freed: sh.freed,
+		Retired:     sh.retired,
+		Records:     make([]*jobRecord, len(sh.records.recs)),
+		compacted:   sh.records.base,
 		MigratedIDs: append([]int(nil), sh.migratedIDs...),
+		Engine:      sh.eng.ExportState(),
 		Backlog:     sh.route.Load().Backlog,
 		Stalled:     sh.lastErr != nil,
 	}
 	ss.ShardTotals, ss.Tenants = sh.ledger()
-	for _, rec := range sh.records {
+	for i, rec := range sh.records.recs {
 		if rec != nil {
-			rec = rec.clone()
+			ss.Records[i] = rec.clone()
 		}
-		ss.Records = append(ss.Records, rec)
 	}
 	for _, rec := range sh.pending {
 		ss.PendingIDs = append(ss.PendingIDs, rec.ID)
 	}
-	if !sh.freed {
-		ss.Engine = sh.eng.ExportState()
-		if sh.mwf != nil {
-			ss.Plan = sh.mwf.ExportPlanState()
-		}
+	if sh.mwf != nil {
+		ss.Plan = sh.mwf.ExportPlanState()
 	}
 	if sh.lastErr != nil {
 		ss.LastErr = sh.lastErr.Error()
@@ -415,6 +453,9 @@ func (s *Server) snapshotLocked() error {
 	if err == nil {
 		err = sealed.Close()
 	}
+	for i := range doc.Shards {
+		doc.Shards[i].align()
+	}
 	var payload []byte
 	if err == nil {
 		payload, err = json.Marshal(&doc)
@@ -458,7 +499,9 @@ func (s *Server) snapshotLocked() error {
 }
 
 // snapshotLoop is the cadence-driven snapshot goroutine: append sites signal
-// it (non-blocking) every SnapshotEvery appends.
+// it (non-blocking) every SnapshotEvery appends. It re-checks the count
+// first: appends made while a snapshot was being written re-arm the signal
+// before that snapshot resets the count, and must not fire a second one.
 func (s *Server) snapshotLoop() {
 	d := s.dur
 	for {
@@ -466,9 +509,12 @@ func (s *Server) snapshotLoop() {
 		case <-d.stop:
 			return
 		case <-d.snapReq:
-			if err := s.Snapshot(); err != nil && !errors.Is(err, ErrClosed) {
-				// Latched and reported through /healthz; nothing to do here.
-				continue
+			d.mu.Lock()
+			due := d.sinceSnap >= d.snapEvery
+			d.mu.Unlock()
+			if due {
+				// A failure is latched and reported through /healthz.
+				_ = s.Snapshot()
 			}
 		}
 	}
@@ -516,10 +562,10 @@ func openWAL(dir string, fsync bool) (*restoreState, error) {
 		st.doc, st.snapSeq = &doc, snapSeq
 		for i := range doc.Shards {
 			ss := &doc.Shards[i]
+			ss.thaw()
 			if ss.Engine != nil {
 				st.advance(ss.Engine.Now)
 			}
-			st.advance(ss.FrozenNow)
 		}
 	}
 	for _, rec := range recs {
@@ -632,53 +678,45 @@ func negativeCount(path string, v reflect.Value) error {
 // private until the generation it belongs to is installed.
 func (sh *shard) loadState(ss *snapShard) error {
 	sh.retired = ss.Retired
+	sh.records.base = ss.compacted
 	for _, sr := range ss.Records {
 		if sr == nil {
-			sh.records = append(sh.records, nil)
+			sh.records.add(nil)
 			continue
 		}
 		if sr.Weight.Sign() <= 0 || sr.Size.Sign() <= 0 {
 			return fmt.Errorf("record %d missing fields", sr.GID)
 		}
-		if sr.ID != len(sh.records) {
+		if sr.ID != sh.records.next() {
 			return fmt.Errorf("shard %d record %d out of order", ss.Idx, sr.ID)
 		}
 		rec := sr.clone()
 		rec.hosts = sh.hostMask(rec.Databanks)
-		sh.records = append(sh.records, rec)
+		sh.records.add(rec)
 	}
 	for _, id := range ss.PendingIDs {
-		if id < 0 || id >= len(sh.records) || sh.records[id] == nil {
+		rec := sh.records.get(id)
+		if rec == nil {
 			return fmt.Errorf("shard %d pending %d unknown", ss.Idx, id)
 		}
-		sh.pending = append(sh.pending, sh.records[id])
+		sh.pending = append(sh.pending, rec)
 	}
 	// Compaction dereferences every listed record's MigratedAt: a name that is
 	// not a committed reservation would panic the shard's first compaction.
 	for _, id := range ss.MigratedIDs {
-		if id < 0 || id >= len(sh.records) || sh.records[id] == nil ||
-			sh.records[id].State != StateMigrated || sh.records[id].MigratedAt == nil {
+		if rec := sh.records.get(id); rec == nil || rec.State != StateMigrated || rec.MigratedAt == nil {
 			return fmt.Errorf("shard %d migrated %d is not a migrated reservation", ss.Idx, id)
 		}
 		sh.migratedIDs = append(sh.migratedIDs, id)
 	}
-	if ss.Freed {
-		sh.freed = true
-		sh.records = nil
-		sh.pending = nil
-		sh.eng = nil
-		sh.policy = nil
-		sh.mwf = nil
-	} else {
-		if ss.Engine == nil {
-			return fmt.Errorf("shard %d has no engine state", ss.Idx)
-		}
-		if err := sh.eng.RestoreState(ss.Engine); err != nil {
-			return fmt.Errorf("shard %d: %w", ss.Idx, err)
-		}
-		if sh.mwf != nil && ss.Plan != nil {
-			sh.mwf.RestorePlanState(ss.Plan)
-		}
+	if ss.Engine == nil {
+		return fmt.Errorf("shard %d has no engine state", ss.Idx)
+	}
+	if err := sh.eng.RestoreState(ss.Engine); err != nil {
+		return fmt.Errorf("shard %d: %w", ss.Idx, err)
+	}
+	if sh.mwf != nil && ss.Plan != nil {
+		sh.mwf.RestorePlanState(ss.Plan)
 	}
 	// The ledger arrives whole, and goes back where shard.ledger() gathered it
 	// from: the histograms into telemetry, the backlog split into the
@@ -844,8 +882,8 @@ func (s *Server) replaySubmit(r *recSubmit) error {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if len(sh.records) != r.Local {
-		return fmt.Errorf("shard %d expects local %d, record says %d", sh.idx, len(sh.records), r.Local)
+	if sh.records.next() != r.Local {
+		return fmt.Errorf("shard %d expects local %d, record says %d", sh.idx, sh.records.next(), r.Local)
 	}
 	if r.Release == nil {
 		return fmt.Errorf("submit %d missing its release", r.GID)
@@ -923,7 +961,7 @@ func (s *Server) replayExtract(r *recExtract) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for _, local := range r.Locals {
-		if local < 0 || local >= len(sh.records) || sh.records[local] == nil {
+		if sh.records.get(local) == nil {
 			return fmt.Errorf("shard %d has no record %d", sh.idx, local)
 		}
 	}
@@ -985,7 +1023,7 @@ func (s *Server) finishMigrations() {
 	for _, sh := range s.all {
 		var adopted, orphaned []int
 		sh.mu.Lock()
-		for _, rec := range sh.records {
+		for _, rec := range sh.records.recs {
 			if rec == nil || rec.MigratedAt == nil || rec.State == StateMigrated {
 				continue
 			}
@@ -1010,20 +1048,21 @@ func (s *Server) finishMigrations() {
 func (s *Server) repairRetired(now exact.Q) {
 	place := newPlacement(s.gens[len(s.gens)-1].shards)
 	for _, donor := range s.all {
-		if !donor.retired || donor.freed {
-			continue
-		}
 		// Catch the donor up to the restored virtual time before extracting:
 		// the lost extract record is what carried the original donor's
 		// catch-up to the reshard time, so without this the work it executed
 		// since its last replayed record would be retroactively discarded and
-		// the repaired remainings would not match the uninterrupted run's.
+		// the repaired remainings would not match the uninterrupted run's. A
+		// donor whose history compacted away has nothing to catch up or give.
 		donor.mu.Lock()
-		if donor.lastErr == nil {
+		drain := donor.retired && !donor.historyEmpty()
+		if drain && donor.lastErr == nil {
 			donor.catchUpTo(now)
 		}
 		donor.mu.Unlock()
-		s.migrate(donor, shardlink.ExtractArgs{All: true}, migrateReshard, place.pick)
+		if drain {
+			s.migrate(donor, shardlink.ExtractArgs{All: true}, migrateReshard, place.pick)
+		}
 	}
 }
 

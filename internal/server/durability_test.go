@@ -52,7 +52,7 @@ func quiesce(t *testing.T, srv *Server, now *big.Rat) {
 		settled := true
 		for _, sh := range srv.active() {
 			sh.mu.Lock()
-			if sh.lastErr == nil && !sh.freed {
+			if sh.lastErr == nil {
 				if len(sh.pending) > 0 {
 					settled = false
 				}
@@ -352,7 +352,7 @@ func testWALCrashAfterSteal(t *testing.T, transport string, crash migrationCrash
 		donor := s.allShards()[0]
 		donor.mu.Lock()
 		defer donor.mu.Unlock()
-		if rec := donor.records[idA/2]; rec.State == StateMigrated && rec.MigratedAt != nil {
+		if rec := donor.records.get(idA / 2); rec.State == StateMigrated && rec.MigratedAt != nil {
 			return rec.MigratedAt.String()
 		}
 		return "not migrated"
@@ -974,7 +974,7 @@ func TestStalledAdmissionChecksNothing(t *testing.T) {
 		if status != http.StatusServiceUnavailable || we.Code != model.ErrCodeShardStalled || we.RetryAfter == 0 {
 			t.Errorf("strict refusal maps to %d %+v, want 503 shard_stalled with Retry-After", status, we)
 		}
-		if n := len(sh.records); n != 2 {
+		if n := sh.records.next(); n != 2 {
 			t.Errorf("the refused job took a record: %d records, want 2", n)
 		}
 	})
@@ -987,19 +987,19 @@ func TestStalledAdmissionChecksNothing(t *testing.T) {
 		if cert != nil {
 			t.Errorf("advisory submit on a failed catch-up certified %+v", *cert)
 		}
-		if rec := sh.records[gid]; rec == nil || rec.State != StateQueued {
+		if rec := sh.records.get(gid); rec == nil || rec.State != StateQueued {
 			t.Errorf("advisory submit did not queue the job: %+v", rec)
 		}
 	})
 }
 
 // TestRetiredShardFreedAfterCompaction is the regression test for retired-
-// shard memory: once a retired shard's whole history compacts away, its
-// records, queues, engine, and policy are released — only the ID-decoding
-// tombstone stays, old global IDs answer not-found, frozen counters keep the
-// history, and the tombstone survives snapshot/restore.
+// shard memory: once a retired shard's whole history compacts away, /v1/stats
+// flags it freed and the shard holds no records, jobs, pieces or plan pieces;
+// old global IDs answer not-found, the aggregates keep the history, and all
+// of it survives snapshot/restore.
 func TestRetiredShardFreedAfterCompaction(t *testing.T) {
-	cfg := Config{Machines: islandFleet(), Policy: "srpt", Retention: rat(5, 1), WALDir: t.TempDir()}
+	cfg := Config{Machines: islandFleet(), Policy: "online-mwf-lazy", Retention: rat(5, 1), WALDir: t.TempDir()}
 	vc := NewVirtualClock()
 	runCfg := cfg
 	runCfg.Clock = vc
@@ -1017,40 +1017,46 @@ func TestRetiredShardFreedAfterCompaction(t *testing.T) {
 	if _, err := srv.Reshard(&model.Platform{Machines: replicatedFleet()}); err != nil {
 		t.Fatal(err)
 	}
-	// The retired islands hold only completed history; their low-duty loops
-	// wake once per retention window, compact it away, and free themselves.
-	drive(t, vc, func() bool {
-		freed := 0
-		for _, ss := range srv.Stats().Shards {
+	freedShards := func(st model.StatsResponse) (freed []model.ShardStats) {
+		for _, ss := range st.Shards {
 			if ss.Freed {
-				freed++
+				freed = append(freed, ss)
 			}
 		}
-		return freed == 2
-	})
+		return freed
+	}
+	// The retired islands hold only completed history; their low-duty loops
+	// wake once per retention window and compact it away.
+	drive(t, vc, func() bool { return len(freedShards(srv.Stats())) == 2 })
+	for _, ss := range freedShards(srv.Stats()) {
+		if !ss.Retired || ss.JobsAccepted != 1 || ss.JobsCompleted != 1 || ss.LPSolves == 0 || ss.Solver.FloatVerified == 0 {
+			t.Errorf("freed shard %d lost its history: %+v", ss.Shard, ss)
+		}
+	}
 	for _, sh := range srv.allShards() {
 		if !sh.retired {
 			continue
 		}
 		sh.mu.Lock()
-		if !sh.freed || sh.eng != nil || sh.policy != nil || sh.records != nil {
-			t.Errorf("retired shard %d not fully freed: freed=%v eng=%v records=%d", sh.idx, sh.freed, sh.eng != nil, len(sh.records))
+		eng, plan := sh.eng.ExportState(), sh.mwf.ExportPlanState()
+		if sh.records.recs != nil || len(eng.Jobs) != 0 || len(eng.Pieces) != 0 || len(plan.Plan) != 0 {
+			t.Errorf("retired shard %d still holds %d record slots, %d jobs, %d pieces, %d plan pieces",
+				sh.idx, len(sh.records.recs), len(eng.Jobs), len(eng.Pieces), len(plan.Plan))
 		}
 		sh.mu.Unlock()
 	}
-	// Old global IDs decode through the tombstone to not-found — no panic, no
-	// phantom status.
+	// Old global IDs decode to not-found — no panic, no phantom status.
 	for id := 0; id < 2; id++ {
 		if _, known := srv.jobStatus(id); known {
 			t.Errorf("compacted job %d still resolves", id)
 		}
 	}
-	// Frozen counters keep the aggregate history.
+	// The aggregates keep the history.
 	st := srv.Stats()
 	if st.JobsCompleted != 2 || st.JobsAccepted != 2 {
-		t.Errorf("aggregates after free = %d completed / %d accepted, want 2/2", st.JobsCompleted, st.JobsAccepted)
+		t.Errorf("aggregates after the free = %d completed / %d accepted, want 2/2", st.JobsCompleted, st.JobsAccepted)
 	}
-	// The tombstones survive snapshot + crash + restore.
+	// The freed shards survive snapshot + crash + restore.
 	if err := srv.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -1058,24 +1064,19 @@ func TestRetiredShardFreedAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 3 })
+	wantFreed := freedShards(srv.Stats())
 
 	srv2, vc2 := reopenServer(t, cfg)
 	defer srv2.Close()
 	st2 := srv2.Stats()
-	freed := 0
-	for _, ss := range st2.Shards {
-		if ss.Freed {
-			freed++
-		}
-	}
-	if freed != 2 {
-		t.Fatalf("restored fleet has %d freed tombstones, want 2", freed)
+	if got := freedShards(st2); !reflect.DeepEqual(got, wantFreed) {
+		t.Errorf("restored freed shards:\n%+v\nbefore the crash:\n%+v", got, wantFreed)
 	}
 	if _, known := srv2.jobStatus(0); known {
 		t.Error("compacted job resolves after restore")
 	}
-	if st2.JobsCompleted != 3 {
-		t.Errorf("restored jobsCompleted = %d, want 3", st2.JobsCompleted)
+	if st2.JobsCompleted != 3 || st2.JobsAccepted != 3 {
+		t.Errorf("restored aggregates = %d completed / %d accepted, want 3/3", st2.JobsCompleted, st2.JobsAccepted)
 	}
 	// The restored fleet still schedules.
 	srv2.Start()
@@ -1427,4 +1428,87 @@ func TestWALRefusesLogWithHole(t *testing.T) {
 			t.Fatalf("restore without segment 7: err = %v, want the hole named", err)
 		}
 	})
+}
+
+// TestSnapshotCadenceFiresOncePerInterval: appends made while a cadence
+// snapshot is held open re-arm the trigger before that snapshot resets the
+// count. The snapshot covers them, so they must not fire a second one at once.
+func TestSnapshotCadenceFiresOncePerInterval(t *testing.T) {
+	const every = 4
+	srv, err := New(Config{Machines: testFleet(), Clock: NewVirtualClock(), WALDir: t.TempDir(), SnapshotEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	submit := func(n int) {
+		t.Helper()
+		for range n {
+			if _, err := srv.Submit(&model.SubmitRequest{Size: "1", Databanks: []string{"swissprot"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not reached in 10s", what)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	before := srv.dur.stats().Snapshots
+	// Hold the snapshot the first crossing triggers: it waits on reshardMu.
+	srv.reshardMu.Lock()
+	submit(every)
+	waitFor("the trigger taken", func() bool { return len(srv.dur.snapReq) == 0 })
+	submit(every) // a second crossing, re-arming the trigger
+	srv.reshardMu.Unlock()
+	waitFor("the held snapshot written", func() bool {
+		return srv.dur.stats().Snapshots > before && len(srv.dur.snapReq) == 0
+	})
+	// The re-armed trigger has been taken; give a second snapshot its chance.
+	time.Sleep(50 * time.Millisecond)
+	srv.reshardMu.Lock()
+	got := srv.dur.stats().Snapshots
+	srv.reshardMu.Unlock()
+	if got != before+1 {
+		t.Errorf("%d cadence snapshots after %d appends held behind one, want 1", got-before, 2*every)
+	}
+}
+
+// TestRestoreKeepsSolverTally: the solver-path tally is part of the plan
+// cache's state, so a restored twin reports the original's — fleet-wide and
+// per shard — instead of starting it over at zero (and running the exported
+// solver-path counters backwards).
+func TestRestoreKeepsSolverTally(t *testing.T) {
+	cfg := Config{Machines: testFleet(), Policy: "online-mwf-lazy", WALDir: t.TempDir()}
+	srv, vc := reopenServer(t, cfg)
+	srv.Start()
+	for k, size := range []string{"4", "2", "3", "1", "5"} {
+		if _, err := srv.Submit(&model.SubmitRequest{Size: size, Databanks: []string{"swissprot"}}); err != nil {
+			t.Fatal(err)
+		}
+		waitStats(t, srv, func(st model.StatsResponse) bool { return st.BatchedArrivals == k+1 })
+		vc.Advance(rat(int64(k+1), 1))
+	}
+	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 5 })
+	want := srv.Stats()
+	srv.Close()
+	if want.LPSolves < 2 || want.Solver.Total() == 0 {
+		t.Fatalf("too few solves tallied before the restart: %+v", want)
+	}
+
+	twin, _ := reopenServer(t, cfg)
+	defer twin.Close()
+	got := twin.Stats()
+	if got.LPSolves != want.LPSolves || !reflect.DeepEqual(got.Solver, want.Solver) {
+		t.Errorf("restored twin: %d solves tallied %+v; the original: %d tallied %+v", got.LPSolves, got.Solver, want.LPSolves, want.Solver)
+	}
+	for i := range want.Shards {
+		if !reflect.DeepEqual(got.Shards[i].Solver, want.Shards[i].Solver) {
+			t.Errorf("restored shard %d tallies %+v, the original %+v", i, got.Shards[i].Solver, want.Shards[i].Solver)
+		}
+	}
 }

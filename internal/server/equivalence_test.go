@@ -87,8 +87,8 @@ func testSingleShardEquivalence(t *testing.T, policy string, seed int64, steal b
 	sh.mu.Lock()
 	got := append([]schedule.Piece(nil), sh.eng.Schedule().Pieces...)
 	completions := make([]string, inst.N())
-	for id, rec := range sh.records {
-		completions[id] = rec.Completed.String()
+	for id := range completions {
+		completions[id] = sh.records.get(id).Completed.String()
 	}
 	sh.mu.Unlock()
 
@@ -182,9 +182,9 @@ func TestStealOffShardEquivalence(t *testing.T) {
 			// shard's trace to match the closed-world simulator exactly.
 			for _, sh := range srv.allShards() {
 				sh.mu.Lock()
-				jobs := make([]model.Job, len(sh.records))
-				for i, rec := range sh.records {
-					jobs[i] = modelJob(rec.Job)
+				jobs := make([]model.Job, sh.records.next())
+				for i := range jobs {
+					jobs[i] = modelJob(sh.records.get(i).Job)
 				}
 				got := append([]schedule.Piece(nil), sh.eng.Schedule().Pieces...)
 				machines := sh.machines

@@ -124,7 +124,7 @@ func (sh *shard) extractJobs(args shardlink.ExtractArgs) shardlink.ExtractReply 
 	// shard must not extract live jobs from an already-drained one just to
 	// have its own close() mark them rejected. Retirement must match the
 	// mode: a steal never touches a shard a reshard is draining.
-	if sh.closed || sh.freed || sh.retired != args.All {
+	if sh.closed || sh.retired != args.All {
 		return shardlink.ExtractReply{}
 	}
 	// Remaining fractions must reflect everything (notionally) executed up
@@ -164,7 +164,7 @@ func (sh *shard) reserve(locals []int) shardlink.ExtractReply {
 	taken := make(map[int]bool, len(locals))
 	removedLive := false
 	for _, local := range locals {
-		rec := sh.records[local]
+		rec := sh.records.get(local)
 		taken[local] = true
 		if rec.State == StateScheduled {
 			// Live: the engine hands back the exact unprocessed fraction.
@@ -211,7 +211,7 @@ func (sh *shard) admitMigrated(args shardlink.AdmitArgs) shardlink.AdmitReply {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.closed || sh.retired || sh.freed {
+	if sh.closed || sh.retired {
 		return shardlink.AdmitReply{}
 	}
 	// Stealing onto a shard that can never schedule the work helps nobody; a
@@ -252,10 +252,7 @@ func (sh *shard) admitMigrated(args shardlink.AdmitArgs) shardlink.AdmitReply {
 func (sh *shard) reservedRecords(locals []int) []*jobRecord {
 	var recs []*jobRecord
 	for _, local := range locals {
-		if local < 0 || local >= len(sh.records) || sh.records[local] == nil {
-			continue
-		}
-		if rec := sh.records[local]; rec.MigratedAt != nil && rec.State != StateMigrated {
+		if rec := sh.records.get(local); rec != nil && rec.MigratedAt != nil && rec.State != StateMigrated {
 			recs = append(recs, rec)
 		}
 	}
@@ -269,9 +266,6 @@ func (sh *shard) reservedRecords(locals []int) []*jobRecord {
 func (sh *shard) commitExtract(args shardlink.CommitArgs) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.freed {
-		return
-	}
 	recs := sh.reservedRecords(args.Locals)
 	if len(recs) == 0 {
 		return
@@ -297,9 +291,6 @@ func (sh *shard) commitExtract(args shardlink.CommitArgs) {
 func (sh *shard) abortExtract(args shardlink.AbortArgs) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.freed {
-		return
-	}
 	recs := sh.reservedRecords(args.Locals)
 	if len(recs) == 0 {
 		return

@@ -223,7 +223,7 @@ func TestHealthzReportsStalledShards(t *testing.T) {
 	}
 	sh := srv.active()[0]
 	sh.mu.Lock()
-	sh.records[resp.ID/2].hosts = nil
+	sh.records.get(resp.ID / 2).hosts = nil
 	sh.mu.Unlock()
 	srv.Start()
 	waitStats(t, srv, func(st model.StatsResponse) bool { return st.LastError != "" })

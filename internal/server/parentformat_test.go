@@ -14,6 +14,7 @@ import (
 
 	"divflow/internal/model"
 	"divflow/internal/schedule"
+	"divflow/internal/stats"
 	"divflow/internal/wal"
 )
 
@@ -405,5 +406,94 @@ func TestWALRestoreRejectsDamagedSnapshot(t *testing.T) {
 				t.Errorf("error %q, want the %q prefix", err, want)
 			}
 		})
+	}
+}
+
+// The freed-format fixture (testdata/freedformat, written by the last build
+// that released retired shards into tombstones — see gen_test.go.txt beside
+// it) is a WAL directory abandoned mid-run whose snapshot holds two freed
+// tombstones: the retired islands of an online-mwf-lazy fleet, their history
+// compacted away, written without records, engine or plan and with their
+// counters frozen. A restore turns each into an ordinary empty retired shard.
+const freedFixture = "testdata/freedformat"
+
+// TestWALRestoresFreedTombstones restores the fixture and requires what the
+// writing build's live fleet answered at the crash point: per shard the freed
+// flag and the counters a tombstone froze, every job read — compacted IDs
+// not-found — and a fleet that keeps scheduling.
+func TestWALRestoresFreedTombstones(t *testing.T) {
+	var want struct {
+		Jobs    map[string]model.JobStatus `json:"jobs"`
+		Unknown []int                      `json:"unknown"`
+		Stats   model.StatsResponse        `json:"stats"`
+	}
+	data, err := os.ReadFile(filepath.Join(freedFixture, "expected.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	copyDir(t, filepath.Join(freedFixture, "wal"), dir)
+	srv, vc := reopenServer(t, Config{Machines: islandFleet(), Policy: "online-mwf-lazy", Retention: rat(5, 1), DisableSteal: true, WALDir: dir})
+	defer srv.Close()
+
+	type shardView struct {
+		Shard                                                        int
+		Freed                                                        bool
+		JobsAccepted, JobsCompleted, Events, LPSolves, PlanCacheHits int
+		Solver                                                       stats.SolverTally
+	}
+	view := func(st model.StatsResponse) (out []shardView) {
+		for _, ss := range st.Shards {
+			out = append(out, shardView{ss.Shard, ss.Freed, ss.JobsAccepted, ss.JobsCompleted, ss.Events, ss.LPSolves, ss.PlanCacheHits, ss.Solver})
+		}
+		return out
+	}
+	st := srv.Stats()
+	if got, w := view(st), view(want.Stats); !reflect.DeepEqual(got, w) {
+		t.Errorf("restored shards:\n%+v\nthe writing build's fleet:\n%+v", got, w)
+	}
+	if st.JobsAccepted != want.Stats.JobsAccepted || st.JobsCompleted != want.Stats.JobsCompleted ||
+		st.MaxWeightedFlow != want.Stats.MaxWeightedFlow || !reflect.DeepEqual(st.Solver, want.Stats.Solver) {
+		t.Errorf("restored aggregates %d accepted, %d completed, max weighted flow %s, solver %+v; want %d, %d, %s, %+v",
+			st.JobsAccepted, st.JobsCompleted, st.MaxWeightedFlow, st.Solver,
+			want.Stats.JobsAccepted, want.Stats.JobsCompleted, want.Stats.MaxWeightedFlow, want.Stats.Solver)
+	}
+	for key, w := range want.Jobs {
+		id, _ := strconv.Atoi(key)
+		if got, known := srv.jobStatus(id); !known || !reflect.DeepEqual(got, w) {
+			t.Errorf("job %d restored as %+v (known %v), the writing build's fleet had %+v", id, got, known, w)
+		}
+	}
+	for _, id := range want.Unknown {
+		if got, known := srv.jobStatus(id); known {
+			t.Errorf("job %d resolves to %+v after restore; it was compacted or never issued", id, got)
+		}
+	}
+	for _, sh := range srv.allShards() {
+		sh.mu.Lock()
+		if sh.retired && (sh.records.recs != nil || sh.eng.Live() != 0 || len(sh.eng.Pieces()) != 0 || len(sh.mwf.ExportPlanState().Plan) != 0) {
+			t.Errorf("restored tombstone %d holds %d record slots, %d live jobs, %d pieces",
+				sh.idx, len(sh.records.recs), sh.eng.Live(), len(sh.eng.Pieces()))
+		}
+		sh.mu.Unlock()
+	}
+
+	// The restored fleet is live: what was running finishes, and a new job
+	// takes the next ID of the newest generation.
+	srv.Start()
+	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == want.Stats.JobsAccepted })
+	resp, err := srv.Submit(&model.SubmitRequest{Size: "2", Databanks: []string{"bankA"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, taken := want.Jobs[strconv.Itoa(resp.ID)]; taken {
+		t.Fatalf("new job got ID %d, already issued before the crash", resp.ID)
+	}
+	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == want.Stats.JobsAccepted+1 })
+	if got, _ := srv.jobStatus(resp.ID); got.State != StateDone {
+		t.Errorf("job submitted after the restore = %+v, want done", got)
 	}
 }

@@ -331,7 +331,7 @@ func (s *Server) publishGeneration(rec *recTopo, retiring []*shard) (gen2, spawn
 func (s *Server) nextBase() int {
 	base := 0
 	for _, sh := range s.active() {
-		if b := sh.gidBase + len(sh.records)*sh.stride + sh.pos + 1; b > base {
+		if b := sh.gidBase + sh.records.next()*sh.stride + sh.pos + 1; b > base {
 			base = b
 		}
 	}
@@ -347,7 +347,7 @@ func (s *Server) nextBase() int {
 func stranded(retiring []*shard, fleet []model.Machine) error {
 	for _, donor := range retiring {
 		for _, v := range donor.census() {
-			if rec := donor.records[v.ID]; !hostsAny(fleet, rec.Databanks) {
+			if rec := donor.records.get(v.ID); !hostsAny(fleet, rec.Databanks) {
 				return fmt.Errorf(
 					"server: reshard rejected: job %d needs databanks %v, hosted by no machine of the new platform",
 					rec.GID, rec.Databanks)
@@ -426,7 +426,7 @@ func (s *Server) installGeneration(r *recTopo, states []snapShard, writeAhead bo
 			}
 			spawned = append(spawned, sh)
 		case sh == nil:
-			// Retired shards, freed tombstones included, never come back.
+			// Retired shards never come back.
 			return nil, nil, fmt.Errorf("keeps shard %d, which is not in generation %d", ts.Idx, len(s.gens)-1)
 		case member[sh]:
 			return nil, nil, fmt.Errorf("lists shard %d twice", ts.Idx)

@@ -91,7 +91,7 @@ func TestRetentionCompaction(t *testing.T) {
 	sh := srv.active()[0]
 	sh.mu.Lock()
 	retained := 0
-	for _, rec := range sh.records {
+	for _, rec := range sh.records.recs {
 		if rec != nil {
 			retained++
 		}
@@ -125,5 +125,47 @@ func TestRetentionKeepsRecentWork(t *testing.T) {
 	}
 	if srv.Stats().CompactedJobs != 0 {
 		t.Errorf("compactedJobs = %d inside the window, want 0", srv.Stats().CompactedJobs)
+	}
+}
+
+// TestRetentionBoundsRecordIndex: retention bounds what a live shard holds,
+// not only what it serves. After many times more jobs than the window
+// retains, the shard's record index and the snapshot cut's copy of it hold
+// just the retained records, while the written document keeps its aligned
+// form: one null per compacted local ID.
+func TestRetentionBoundsRecordIndex(t *testing.T) {
+	vc := NewVirtualClock()
+	srv, err := New(Config{Machines: testFleet(), Clock: vc, Retention: big.NewRat(10, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Start()
+	// One size-4 job every 5 virtual seconds, each done in 4/3: a 10s window
+	// retains the last three at most.
+	const jobs, retained = 120, 3
+	for k := 0; k < jobs; k++ {
+		if _, err := srv.Submit(&model.SubmitRequest{Size: "4", Databanks: []string{"swissprot"}}); err != nil {
+			t.Fatal(err)
+		}
+		drive(t, vc, func() bool { return srv.Stats().JobsCompleted == k+1 })
+		vc.Advance(big.NewRat(int64(k+1)*5, 1))
+	}
+
+	sh := srv.active()[0]
+	sh.mu.Lock()
+	slots, next := len(sh.records.recs), sh.records.next()
+	cut := exportShardLocked(sh)
+	sh.mu.Unlock()
+	if next != jobs {
+		t.Fatalf("the shard issued %d local IDs, want %d", next, jobs)
+	}
+	if slots > retained || len(cut.Records) > retained {
+		t.Errorf("the index holds %d slots and the cut copies %d after %d jobs, want at most the %d retained",
+			slots, len(cut.Records), jobs, retained)
+	}
+	cut.align()
+	if n := len(cut.Records); n != jobs || cut.Records[0] != nil || cut.Records[n-1] == nil || cut.Records[n-1].ID != jobs-1 {
+		t.Errorf("the written entry lists %d records, want %d aligned by local ID", n, jobs)
 	}
 }

@@ -235,7 +235,7 @@ func testRouteKeyMatchesRecords(t *testing.T, seed int64) {
 	sh := srv.active()[0]
 	sh.mu.Lock()
 	job.Release = sh.clock.Now()
-	poisoned := &jobRecord{ID: len(sh.records), GID: sh.globalID(len(sh.records)), State: StateQueued, Job: shardlink.JobOf(job)}
+	poisoned := &jobRecord{ID: sh.records.next(), GID: sh.globalID(sh.records.next()), State: StateQueued, Job: shardlink.JobOf(job)}
 	sh.enqueue(poisoned, "")
 	poisoned.hosts = nil
 	sh.mu.Unlock()
@@ -272,7 +272,7 @@ func checkRouteKey(t *testing.T, step string, sh *shard) {
 	defer sh.mu.Unlock()
 	var backlog exact.Q
 	tenants := map[string]exact.Q{}
-	for _, rec := range sh.records {
+	for _, rec := range sh.records.recs {
 		if rec == nil || (rec.State != StateQueued && rec.State != StateScheduled) {
 			continue
 		}

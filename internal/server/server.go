@@ -128,12 +128,12 @@ type Config struct {
 	// Retention, when positive, bounds the execution history kept in
 	// memory: executed schedule pieces that ended more than Retention ago
 	// and the records of jobs completed more than Retention ago are
-	// compacted away, with the aggregate flow/stretch statistics they
-	// contributed cached so GET /v1/stats keeps reporting all-time values.
-	// Compacted jobs vanish from GET /v1/jobs/{id} and their pieces from
-	// GET /v1/schedule. Nil (or zero) keeps everything forever — a
-	// long-running daemon under sustained traffic should set it. A negative
-	// value is an error.
+	// compacted away — a shard holds records only from its oldest retained
+	// one on, and a retired shard compacts until nothing is left — with
+	// their flow/stretch statistics cached so GET /v1/stats keeps reporting
+	// all-time values. Compacted jobs vanish from GET /v1/jobs/{id} and their
+	// pieces from GET /v1/schedule. Nil (or zero) keeps everything forever;
+	// a long-running daemon should set it. A negative value is an error.
 	Retention *big.Rat
 	// DisableReshard turns the live re-sharding admin surface off: Reshard
 	// (and POST /v1/platform) answer ErrReshardDisabled and the partition

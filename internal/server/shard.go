@@ -22,8 +22,8 @@ import (
 
 // jobRecord is the shard-side state of one submitted job, and its one written
 // form: a snapshot stores the record as it stands (the JSON names are the
-// snapshot's) and a restore takes it back whole. IDs are shard-local (dense
-// indices into shard.records); the wire-visible global ID encodes the *birth*
+// snapshot's) and a restore takes it back whole. IDs are shard-local (dense,
+// in the shard's recordIndex); the wire-visible global ID encodes the *birth*
 // shard and survives migration — a job stolen by another shard keeps its
 // global ID, with the server's forwarding table pointing reads at the shard
 // that now owns it.
@@ -76,6 +76,51 @@ func (r *jobRecord) clone() *jobRecord {
 	return &c
 }
 
+// recordIndex is a shard's job records by local ID, holding only the retained
+// ones: the IDs below base were compacted, and recs[i] is local ID base+i —
+// nil where compaction freed a record later than the first retained one, so
+// recs is empty or starts with a record. Compaction trims the freed prefix,
+// so the index costs O(retained) however many jobs the shard has held.
+type recordIndex struct {
+	base int
+	recs []*jobRecord
+}
+
+// next is the local ID the next record takes: how many the shard ever held.
+func (x *recordIndex) next() int { return x.base + len(x.recs) }
+
+// get returns the record with the given local ID, nil when the ID was never
+// issued or its record compacted.
+func (x *recordIndex) get(id int) *jobRecord {
+	if id < x.base || id >= x.next() {
+		return nil
+	}
+	return x.recs[id-x.base]
+}
+
+// add appends a record, which takes ID next(); a compacted one (nil) ahead of
+// every retained record only moves the base.
+func (x *recordIndex) add(rec *jobRecord) {
+	if rec == nil && len(x.recs) == 0 {
+		x.base++
+		return
+	}
+	x.recs = append(x.recs, rec)
+}
+
+// drop compacts a held record and trims the freed prefix.
+func (x *recordIndex) drop(id int) {
+	x.recs[id-x.base] = nil
+	n := 0
+	for n < len(x.recs) && x.recs[n] == nil {
+		n++
+	}
+	x.base += n
+	if x.recs = x.recs[n:]; len(x.recs) == 0 {
+		x.recs = nil // release the array: a drained index holds nothing
+	}
+}
+
 // shard is one independent scheduling loop over a slice of the fleet: its own
 // mutex, its own goroutine, its own sim.Engine, and its own policy instance
 // (for OnlineMWF variants, its own plan cache).
@@ -104,7 +149,7 @@ type shard struct {
 	//divflow:locks name=shard before=topo
 	mu      sync.Mutex
 	eng     *sim.Engine
-	records []*jobRecord
+	records recordIndex
 	pending []*jobRecord // accepted but not yet admitted
 	// Global-ID encoding of this shard within the *current* generation:
 	// gid = gidBase + local*stride + pos, where stride is the generation's
@@ -175,10 +220,6 @@ type shard struct {
 	// live values are the exported histogram and the route's split.
 	tenants   shardlink.TenantLedger
 	retention exact.Q // zero: keep everything
-	// freed marks a retired shard whose fully-compacted history was released:
-	// records, queues, engine, and policy are gone, and only this struct —
-	// the ID-decoding tombstone — remains, with the totals' Frozen* figures.
-	freed bool
 
 	started bool
 	closed  bool
@@ -331,10 +372,10 @@ func (sh *shard) hostMask(databanks []string) []bool {
 // stale or out-of-range ID must answer ok=false, not dereference a nil record
 // and kill the loop goroutine.
 func (sh *shard) cost(machine, jobID int) (exact.Q, bool) {
-	if jobID < 0 || jobID >= len(sh.records) || sh.records[jobID] == nil {
+	rec := sh.records.get(jobID)
+	if rec == nil {
 		return exact.Q{}, false
 	}
-	rec := sh.records[jobID]
 	if machine < 0 || machine >= len(rec.hosts) || !rec.hosts[machine] {
 		return exact.Q{}, false
 	}
@@ -422,11 +463,11 @@ func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error)
 	// admits the job counts against its flow, exactly like the paper's online
 	// adaptation measures flows from submission.
 	job.Release = sh.clock.Now()
-	gid := sh.globalID(len(sh.records))
+	gid := sh.globalID(sh.records.next())
 	if job.Name == "" {
 		job.Name = fmt.Sprintf("job-%d", gid)
 	}
-	rec := &jobRecord{ID: len(sh.records), GID: gid, State: StateQueued, Job: shardlink.JobOf(job)}
+	rec := &jobRecord{ID: sh.records.next(), GID: gid, State: StateQueued, Job: shardlink.JobOf(job)}
 	var cert *model.AdmissionCertificate
 	if rec.Deadline.Sign() != 0 && sh.admission != shardlink.AdmissionOff {
 		var err error
@@ -461,7 +502,7 @@ func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error)
 //divflow:locks requires=shard
 func (sh *shard) enqueue(rec *jobRecord, note string) bool {
 	rec.hosts = sh.hostMask(rec.Databanks)
-	sh.records = append(sh.records, rec)
+	sh.records.add(rec)
 	sh.pending = append(sh.pending, rec)
 	if rec.Tenant != "" {
 		sh.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Submitted: 1, ByClass: map[string]int{rec.SLAClass: 1}})
@@ -501,7 +542,7 @@ func (sh *shard) admissionCheck(job shardlink.Job) (*model.AdmissionCertificate,
 		return cert, nil
 	}
 	// The candidate takes the local ID it would be given, and the last index.
-	cand := sim.JobState{ID: len(sh.records), Release: job.Release, Remaining: exact.Int(1), Weight: job.Weight, Size: job.Size}
+	cand := sim.JobState{ID: sh.records.next(), Release: job.Release, Remaining: exact.Int(1), Weight: job.Weight, Size: job.Size}
 	cost := func(i, id int) (exact.Q, bool) {
 		if id != cand.ID {
 			return sh.cost(i, id)
@@ -519,7 +560,7 @@ func (sh *shard) admissionCheck(job shardlink.Job) (*model.AdmissionCertificate,
 	k := len(snap.Jobs) - 1
 	deadlines := make([]*big.Rat, len(snap.Jobs))
 	for j := range snap.Jobs[:k] {
-		if d := sh.records[snap.Jobs[j].ID].Deadline; d.Sign() != 0 {
+		if d := sh.records.get(snap.Jobs[j].ID).Deadline; d.Sign() != 0 {
 			deadlines[j] = d.Rat()
 		}
 	}
@@ -586,7 +627,7 @@ func (sh *shard) planAdmits(live *sim.Snapshot, job shardlink.Job) planVerdict {
 	}
 	busy := make([]exact.Q, len(sh.machines)) // plan time inside [now, deadline]
 	for _, piece := range ahead {
-		if rec := sh.records[piece.Job]; rec != nil && rec.Deadline.Sign() != 0 && piece.End.Cmp(rec.Deadline) > 0 {
+		if rec := sh.records.get(piece.Job); rec != nil && rec.Deadline.Sign() != 0 && piece.End.Cmp(rec.Deadline) > 0 {
 			return planMissesHeld
 		}
 		end := piece.End
@@ -614,7 +655,7 @@ func (sh *shard) planAdmits(live *sim.Snapshot, job shardlink.Job) planVerdict {
 // job: the pending queue in order — each view at its flow origin, with the
 // fraction it arrived with — then the engine's live jobs in snapshot order.
 // The admission LP, the steal census, the reshard drain and its stranded-job
-// check read this one list; a view's record is sh.records[v.ID]. Reserved
+// check read this one list; a view's record is sh.records.get(v.ID). Reserved
 // records (extracted, awaiting commit) are in neither part. Callers hold
 // sh.mu, with the engine caught up when remaining fractions matter.
 //
@@ -654,12 +695,12 @@ func (sh *shard) orphanRecord(rec *jobRecord) {
 //divflow:locks requires=shard
 func (sh *shard) adoptRecord(mj *shardlink.MigratedJob) *jobRecord {
 	nrec := &jobRecord{
-		ID: len(sh.records), GID: mj.GID, State: StateQueued,
+		ID: sh.records.next(), GID: mj.GID, State: StateQueued,
 		Job:       mj.Job, // Release included: the flow origin is still the first submission
 		Remaining: mj.Remaining, Stolen: true, Counted: mj.Counted,
 		hosts: sh.hostMask(mj.Databanks),
 	}
-	sh.records = append(sh.records, nrec)
+	sh.records.add(nrec)
 	sh.pending = append(sh.pending, nrec)
 	return nrec
 }
@@ -715,17 +756,7 @@ func (sh *shard) poke() {
 // serve and its loop can stop for good. Callers hold sh.mu.
 //
 //divflow:locks requires=shard
-func (sh *shard) historyEmpty() bool {
-	if len(sh.pending) != 0 {
-		return false
-	}
-	for _, rec := range sh.records {
-		if rec != nil {
-			return false
-		}
-	}
-	return true
-}
+func (sh *shard) historyEmpty() bool { return len(sh.pending) == 0 && len(sh.records.recs) == 0 }
 
 // loop is the scheduling event loop: process everything due, arm a timer
 // for the next engine event, sleep until the timer or a submission wakes it.
@@ -735,7 +766,8 @@ func (sh *shard) historyEmpty() bool {
 // under a retention policy keeps a low-duty-cycle loop alive purely to run
 // compaction — one wake-up per retention window — so `-retention` keeps
 // bounding memory (and releasing forwarding entries) across reshards; once
-// its whole history is compacted the loop exits for good.
+// its whole history is compacted the loop exits for good, leaving an
+// ordinary shard with no records, jobs, pieces or plan.
 func (sh *shard) loop() {
 	defer close(sh.stopped)
 	for {
@@ -782,9 +814,9 @@ func (sh *shard) loopIter() (res loopResult) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	defer sh.barrier()
-	if sh.freed {
-		// A freed tombstone (restored from a snapshot taken after the free)
-		// has no engine left; its loop has nothing to ever do.
+	if sh.retired && sh.historyEmpty() {
+		// Nothing left to serve or compact: retired with no records (or
+		// restored so), the catch-up would only move the engine's clock.
 		return loopResult{exit: true}
 	}
 	sh.process()
@@ -794,19 +826,9 @@ func (sh *shard) loopIter() (res loopResult) {
 	// A retired shard must never pull work back onto itself: its loop is
 	// only alive to finish compacting its history.
 	res.idle = sh.lastErr == nil && sh.eng.Live() == 0 && len(sh.pending) == 0 && !sh.retired
-	retiredDone := sh.retired && (sh.retention.Sign() == 0 || sh.historyEmpty())
-	if sh.retired && !retiredDone && res.next == nil {
+	res.exit = sh.retired && (sh.retention.Sign() == 0 || sh.historyEmpty())
+	if sh.retired && !res.exit && res.next == nil {
 		res.next = sh.now().Add(sh.retention).Rat()
-	}
-	if retiredDone {
-		// Once a retired shard's history has fully compacted away there is
-		// nothing left to serve: release everything but the ID-decoding
-		// tombstone, so long-lived fleets do not accumulate dead shard state
-		// across reshards.
-		if sh.retention.Sign() != 0 {
-			sh.free()
-		}
-		res.exit = true
 	}
 	return res
 }
@@ -827,36 +849,6 @@ func (sh *shard) barrier() {
 	sh.Panics++
 	sh.fail(fmt.Errorf("server: shard %d: panic: %v", sh.idx, r))
 	sh.obs.event(obs.EventShardPanic, -1, fmt.Sprintf("%v\n%s", r, stack), sh.eng.Now())
-}
-
-// free releases a fully-compacted retired shard's memory: records, queues,
-// engine, and policy all go, with the engine-derived stats
-// frozen first so /v1/stats keeps the history. The struct itself stays in the
-// topology as the tombstone that decodes this shard's global IDs (to
-// not-found). Callers hold mu; the shard must be retired with empty history.
-//
-//divflow:locks requires=shard
-func (sh *shard) free() {
-	if sh.freed {
-		return
-	}
-	sh.freed = true
-	sh.FrozenNow = sh.eng.Now()
-	sh.FrozenCompleted = sh.eng.CompletedCount()
-	sh.FrozenDecisions = sh.eng.Decisions()
-	sh.FrozenAccepted = len(sh.records) - sh.StolenIn - sh.ReshardIn
-	if sh.mwf != nil {
-		sh.FrozenSolves = sh.mwf.Solves()
-		sh.FrozenCacheHits = sh.mwf.CacheHits()
-		sh.FrozenSolver = sh.mwf.SolverTally()
-	}
-	sh.noteMakespan()
-	sh.records = nil
-	sh.pending = nil
-	sh.migratedIDs = nil
-	sh.eng = nil
-	sh.policy = nil
-	sh.mwf = nil
 }
 
 // catchUp advances the engine through every completion/review event that is
@@ -995,7 +987,7 @@ func (sh *shard) step(t exact.Q) bool {
 		return false
 	}
 	for _, id := range done {
-		rec := sh.records[id]
+		rec := sh.records.get(id)
 		rec.State, rec.Completed = StateDone, t
 		if sh.wal != nil {
 			sh.wal.append(walTypeComplete, &recComplete{Shard: sh.idx, Local: rec.ID, GID: rec.GID, At: t})
@@ -1054,14 +1046,14 @@ func (sh *shard) compact(now exact.Q) {
 	sh.LastCompact = &horizon
 	before := sh.CompactedJobs
 	drop := func(id int) {
-		rec := sh.records[id]
+		rec := sh.records.get(id)
 		// Only the job's *current* owner releases the forwarding entry: a
 		// record that is stolen but migrated onward describes a hop whose
 		// entry already points at a later shard.
 		if rec.Stolen && rec.State != StateMigrated && sh.dropForward != nil {
 			sh.dropForward(rec.GID)
 		}
-		sh.records[id] = nil
+		sh.records.drop(id)
 		sh.CompactedJobs++
 	}
 	for _, id := range sh.eng.Compact(horizon) {
@@ -1069,13 +1061,18 @@ func (sh *shard) compact(now exact.Q) {
 	}
 	keep := sh.migratedIDs[:0]
 	for _, id := range sh.migratedIDs {
-		if sh.records[id].MigratedAt.Cmp(horizon) <= 0 {
+		if sh.records.get(id).MigratedAt.Cmp(horizon) <= 0 {
 			drop(id)
 		} else {
 			keep = append(keep, id)
 		}
 	}
 	sh.migratedIDs = keep
+	if sh.retired && sh.historyEmpty() && sh.mwf != nil {
+		// The engine's jobs and pieces went with the records: the plan's
+		// pieces are all a drained retired shard would still hold.
+		sh.mwf.InvalidatePlan()
+	}
 	if n := sh.CompactedJobs - before; n > 0 {
 		sh.obs.event(obs.EventCompact, -1, fmt.Sprintf("%d records dropped", n), horizon)
 	}
@@ -1097,10 +1094,7 @@ func (sh *shard) noteMakespan() {
 //
 //divflow:locks requires=shard
 func (sh *shard) makespan() exact.Q {
-	var ms exact.Q
-	if sh.eng != nil {
-		ms = sh.eng.Makespan()
-	}
+	ms := sh.eng.Makespan()
 	if sh.MakespanHW != nil && sh.MakespanHW.Cmp(ms) > 0 {
 		ms = *sh.MakespanHW
 	}
@@ -1161,10 +1155,10 @@ func (sh *shard) fail(err error) {
 func (sh *shard) jobStatus(local, gid int) (st model.JobStatus, known, migrated bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if local < 0 || local >= len(sh.records) || sh.records[local] == nil {
+	rec := sh.records.get(local)
+	if rec == nil {
 		return model.JobStatus{}, false, false
 	}
-	rec := sh.records[local]
 	if rec.State == StateMigrated {
 		return model.JobStatus{}, false, rec.GID == gid
 	}
@@ -1212,12 +1206,6 @@ func (sh *shard) scheduleSnapshot(since exact.Q) (rep shardlink.ScheduleReply) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	rep.Makespan = sh.makespan()
-	if sh.freed {
-		// A freed tombstone has no trace left; its makespan contribution
-		// survives in the high-water mark.
-		rep.Now = sh.FrozenNow
-		return rep
-	}
 	rep.Now = sh.eng.Now()
 	for _, pc := range sh.eng.Pieces() {
 		// Records outlive their pieces (compaction drops a job's pieces no
@@ -1225,7 +1213,7 @@ func (sh *shard) scheduleSnapshot(since exact.Q) (rep shardlink.ScheduleReply) {
 		// for a migrated job is not the arithmetic encoding of the local ID —
 		// always has a record to read.
 		if pc.End.Cmp(since) > 0 {
-			rep.Pieces = append(rep.Pieces, schedule.Piece{Machine: sh.machineIdx[pc.Machine], Job: sh.records[pc.Job].GID,
+			rep.Pieces = append(rep.Pieces, schedule.Piece{Machine: sh.machineIdx[pc.Machine], Job: sh.records.get(pc.Job).GID,
 				Start: pc.Start.Rat(), End: pc.End.Rat(), Fraction: pc.Fraction.Rat()})
 		}
 	}
@@ -1258,8 +1246,7 @@ func (sh *shard) ledger() (shardlink.ShardTotals, shardlink.TenantLedger) {
 }
 
 // statsSnapshot captures the shard's counters under its lock, in the wire
-// form every transport ships (shardlink.StatsSnapshot). A freed tombstone
-// answers from the aggregates frozen when its history was released.
+// form every transport ships (shardlink.StatsSnapshot).
 func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -1268,14 +1255,7 @@ func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 		names[i] = sh.machines[i].Name
 	}
 	backlog := sh.route.Load().Backlog
-	engNow, live, completed, decisions, accepted := sh.FrozenNow, 0, sh.FrozenCompleted, sh.FrozenDecisions, sh.FrozenAccepted
-	if !sh.freed {
-		engNow = sh.eng.Now()
-		live = sh.eng.Live()
-		completed = sh.eng.CompletedCount()
-		decisions = sh.eng.Decisions()
-		accepted = len(sh.records) - sh.StolenIn - sh.ReshardIn
-	}
+	engNow := sh.eng.Now()
 	snap := shardlink.StatsSnapshot{
 		Wire: model.ShardStats{
 			Shard:      sh.idx,
@@ -1285,11 +1265,11 @@ func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 			// Births only: records created by a steal or reshard migration are
 			// counted by their birth shard, so the fleet aggregate sees every
 			// job exactly once.
-			JobsAccepted:    accepted,
+			JobsAccepted:    sh.records.next() - sh.StolenIn - sh.ReshardIn,
 			JobsQueued:      len(sh.pending),
-			JobsLive:        live,
-			JobsCompleted:   completed,
-			Events:          decisions,
+			JobsLive:        sh.eng.Live(),
+			JobsCompleted:   sh.eng.CompletedCount(),
+			Events:          sh.eng.Decisions(),
 			ArrivalBatches:  sh.ArrivalBatches,
 			BatchedArrivals: sh.BatchedArrivals,
 			LargestBatch:    sh.LargestBatch,
@@ -1299,7 +1279,7 @@ func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 			ReshardedIn:     sh.ReshardIn,
 			ReshardedOut:    sh.ReshardOut,
 			Retired:         sh.retired,
-			Freed:           sh.freed,
+			Freed:           sh.retired && sh.historyEmpty(),
 			Backlog:         backlog.String(),
 			Stalled:         sh.lastErr != nil,
 			Panics:          sh.Panics,
@@ -1312,10 +1292,6 @@ func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 		snap.Wire.LPSolves = sh.mwf.Solves()
 		snap.Wire.PlanCacheHits = sh.mwf.CacheHits()
 		snap.Wire.Solver = sh.mwf.SolverTally()
-	} else if sh.freed {
-		snap.Wire.LPSolves = sh.FrozenSolves
-		snap.Wire.PlanCacheHits = sh.FrozenCacheHits
-		snap.Wire.Solver = sh.FrozenSolver
 	}
 	if sh.lastErr != nil {
 		snap.Wire.LastError = sh.lastErr.Error()

@@ -176,7 +176,7 @@ func TestSubmitSkipsStalledShard(t *testing.T) {
 	// rejected admit.
 	sh := srv.active()[0]
 	sh.mu.Lock()
-	sh.records[poisonResp.ID/2].hosts = nil
+	sh.records.get(poisonResp.ID / 2).hosts = nil
 	sh.mu.Unlock()
 	srv.Start()
 	waitStats(t, srv, func(st model.StatsResponse) bool { return st.LastError != "" })
@@ -235,7 +235,7 @@ func TestFailedAdmitKeepsTailPending(t *testing.T) {
 	}
 	sh := srv.active()[0]
 	sh.mu.Lock()
-	sh.records[poisoned.ID].hosts = nil
+	sh.records.get(poisoned.ID).hosts = nil
 	sh.mu.Unlock()
 	srv.Start()
 	waitStats(t, srv, func(st model.StatsResponse) bool { return st.LastError != "" })
@@ -526,7 +526,7 @@ func TestQueuedUntilEngineAccepts(t *testing.T) {
 	// engine rejects the admit ("cannot run on any machine").
 	sh := srv.active()[0]
 	sh.mu.Lock()
-	sh.records[id].hosts = nil
+	sh.records.get(id).hosts = nil
 	sh.mu.Unlock()
 	srv.Start()
 	waitStats(t, srv, func(st model.StatsResponse) bool { return st.LastError != "" })
@@ -575,14 +575,14 @@ func TestCostGuardsCompactedRecords(t *testing.T) {
 	sh := srv.active()[0]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.records[id] != nil {
+	if sh.records.get(id) != nil {
 		t.Fatal("record not compacted; test setup broken")
 	}
 	if c, ok := sh.cost(0, id); ok || c.Sign() != 0 {
 		t.Errorf("cost(compacted) = %v, %v, want 0, false", c, ok)
 	}
 	// Out-of-range IDs and machines answer false, never panic.
-	if _, ok := sh.cost(0, len(sh.records)+7); ok {
+	if _, ok := sh.cost(0, sh.records.next()+7); ok {
 		t.Error("cost(out-of-range job) = true, want false")
 	}
 	for _, machine := range []int{-1, len(sh.machines)} {
@@ -608,8 +608,9 @@ func modelJob(j shardlink.Job) model.Job {
 func validateShard(t *testing.T, sh *shard) {
 	t.Helper()
 	sh.mu.Lock()
-	jobs := make([]model.Job, len(sh.records))
-	for i, rec := range sh.records {
+	jobs := make([]model.Job, sh.records.next())
+	for i := range jobs {
+		rec := sh.records.get(i)
 		if rec == nil {
 			t.Fatalf("shard %d: record %d compacted; validateShard needs full history", sh.idx, i)
 		}
@@ -664,7 +665,8 @@ func validateServer(t *testing.T, srv *Server) {
 		for i := range sh.machines {
 			machines[sh.machineIdx[i]] = sh.machines[i]
 		}
-		for _, rec := range sh.records {
+		for i := range sh.records.next() {
+			rec := sh.records.get(i)
 			if rec == nil {
 				sh.mu.Unlock()
 				t.Fatalf("shard %d: compacted record; validateServer needs full history", sh.idx)
@@ -678,7 +680,7 @@ func validateServer(t *testing.T, srv *Server) {
 			pc := &sh.eng.Schedule().Pieces[k]
 			pieces = append(pieces, schedule.Piece{
 				Machine:  sh.machineIdx[pc.Machine],
-				Job:      sh.records[pc.Job].GID,
+				Job:      sh.records.get(pc.Job).GID,
 				Start:    new(big.Rat).Set(pc.Start),
 				End:      new(big.Rat).Set(pc.End),
 				Fraction: new(big.Rat).Set(pc.Fraction),

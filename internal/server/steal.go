@@ -203,7 +203,7 @@ func (sh *shard) stealCensus(hosts func([]string) bool) []int {
 	}
 	var items []item
 	for _, v := range census {
-		if hosts(sh.records[v.ID].Databanks) {
+		if hosts(sh.records.get(v.ID).Databanks) {
 			items = append(items, item{v.ID, v.Size.Mul(v.Remaining)})
 		}
 	}

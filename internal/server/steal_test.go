@@ -266,7 +266,7 @@ func TestStealDisabledPinsJobs(t *testing.T) {
 	sh := srv.active()[0]
 	sh.mu.Lock()
 	for _, pc := range sh.eng.Schedule().Pieces {
-		if sh.records[pc.Job].GID == idA && sh.machineIdx[pc.Machine] != 0 && sh.machineIdx[pc.Machine] != 2 {
+		if sh.records.get(pc.Job).GID == idA && sh.machineIdx[pc.Machine] != 0 && sh.machineIdx[pc.Machine] != 2 {
 			t.Errorf("A executed on machine %d outside shard 0", sh.machineIdx[pc.Machine])
 		}
 	}
@@ -366,7 +366,7 @@ func TestRetentionCompactsMigratedRecords(t *testing.T) {
 	}
 	sh := srv.active()[0]
 	sh.mu.Lock()
-	migrated := sh.records[idA/2]
+	migrated := sh.records.get(idA / 2)
 	pendingMigrated := len(sh.migratedIDs)
 	sh.mu.Unlock()
 	if migrated != nil {

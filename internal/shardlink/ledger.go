@@ -3,7 +3,6 @@ package shardlink
 import (
 	"divflow/internal/exact"
 	"divflow/internal/obs"
-	"divflow/internal/stats"
 )
 
 // The ledger: what a shard counts. Each thing has one struct here, held by
@@ -70,16 +69,6 @@ type ShardTotals struct {
 
 	// Panics counts the panics the shard's panic barrier caught.
 	Panics int `json:"panics,omitempty"`
-
-	// Frozen* capture the last engine-derived stats before a retired shard's
-	// engine is released, so /v1/stats keeps reporting its history.
-	FrozenNow       exact.Q           `json:"frozenNow,omitzero"`
-	FrozenCompleted int               `json:"frozenCompleted,omitempty"`
-	FrozenDecisions int               `json:"frozenDecisions,omitempty"`
-	FrozenAccepted  int               `json:"frozenAccepted,omitempty"`
-	FrozenSolves    int               `json:"frozenSolves,omitempty"`
-	FrozenCacheHits int               `json:"frozenCacheHits,omitempty"`
-	FrozenSolver    stats.SolverTally `json:"frozenSolver,omitempty"`
 }
 
 // Clone returns t sharing no histogram counts with it: a snapshot is

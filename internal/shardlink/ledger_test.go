@@ -70,7 +70,7 @@ func randLedger(rng *rand.Rand) TenantLedger {
 
 func randTotals(rng *rand.Rand) ShardTotals {
 	return ShardTotals{ArrivalBatches: rng.Intn(9), StolenIn: rng.Intn(9), FlowTotals: randFlow(rng),
-		LastCompact: randOpt(rng), MakespanHW: randOpt(rng), FrozenNow: randQ(rng)}
+		LastCompact: randOpt(rng), MakespanHW: randOpt(rng)}
 }
 
 // written is the ledger as a snapshot would write it — the comparison that

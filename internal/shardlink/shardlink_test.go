@@ -112,7 +112,7 @@ func TestMigrationMessagesSurviveGob(t *testing.T) {
 			// The stats snapshot carries the shard's ledger whole.
 			st := roundTrip(t, StatsSnapshot{
 				Wire: model.ShardStats{Shard: 2, Backlog: "0"}, Now: r,
-				Totals: ShardTotals{ArrivalBatches: 4, LastCompact: &r, MakespanHW: &r, FrozenNow: r,
+				Totals: ShardTotals{ArrivalBatches: 4, LastCompact: &r, MakespanHW: &r,
 					FlowTotals: FlowTotals{DoneCount: 3, FlowSum: r, MaxWF: r, MaxStretch: r}},
 				Tenants: TenantLedger{"gold": {
 					Submitted: 2, Completed: 1, Backlog: r, FlowSum: &r, MaxWF: r, ByClass: map[string]int{"premium": 2},
@@ -121,7 +121,6 @@ func TestMigrationMessagesSurviveGob(t *testing.T) {
 			sameQ(t, "StatsSnapshot.Now", st.Now, r)
 			sameQ(t, "ShardTotals.LastCompact", orZero(st.Totals.LastCompact), r)
 			sameQ(t, "ShardTotals.MakespanHW", orZero(st.Totals.MakespanHW), r)
-			sameQ(t, "ShardTotals.FrozenNow", st.Totals.FrozenNow, r)
 			sameQ(t, "FlowTotals.FlowSum", st.Totals.FlowSum, r)
 			sameQ(t, "FlowTotals.MaxWF", st.Totals.MaxWF, r)
 			sameQ(t, "FlowTotals.MaxStretch", st.Totals.MaxStretch, r)

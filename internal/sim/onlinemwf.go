@@ -57,10 +57,9 @@ type OnlineMWF struct {
 	// residual workload it was computed for — later events are matched
 	// against the plan's own prediction evolved from it — and the counters:
 	// Solves counts inner exact LP-based solves, for the ablation report,
-	// CacheHits the decision points served from the cached plan.
+	// CacheHits the decision points served from the cached plan, Solver the
+	// hybrid-engine paths all inner LP solves took.
 	cache MWFPlanState
-	// tally aggregates the hybrid-engine paths all inner LP solves took.
-	tally stats.SolverTally
 }
 
 // MWFObserver receives OnlineMWF's per-decision telemetry. ObserveSolve is
@@ -104,13 +103,12 @@ func (p *OnlineMWF) CacheHits() int { return p.cache.CacheHits }
 // SolverTally reports, for the last run, how the inner exact LP solves were
 // settled by the hybrid engine (float-verified vs full exact fallback) and
 // how often the basis of the search's own probe settled one.
-func (p *OnlineMWF) SolverTally() stats.SolverTally { return p.tally }
+func (p *OnlineMWF) SolverTally() stats.SolverTally { return p.cache.Solver }
 
 // Reset implements Policy.
 func (p *OnlineMWF) Reset() {
 	p.err = nil
 	p.cache = MWFPlanState{}
-	p.tally = stats.SolverTally{}
 }
 
 // Err reports the first inner-solver failure, if any.
@@ -291,7 +289,7 @@ func (p *OnlineMWF) resolve(s *Snapshot) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.tally.Merge(res.Solver)
+	p.cache.Solver.Merge(res.Solver)
 	if p.Observer != nil {
 		p.Observer.ObserveSolve(res.Wall, res.Solver)
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"divflow/internal/exact"
+	"divflow/internal/stats"
 )
 
 // This file is the durability boundary of the engine: ExportState captures
@@ -181,6 +182,9 @@ type MWFPlanState struct {
 	SolveRem  []PlanJobState `json:"solveRem,omitempty"`
 	Solves    int            `json:"solves,omitempty"`
 	CacheHits int            `json:"cacheHits,omitempty"`
+	// Solver tallies the hybrid-engine paths of every solve: a restore
+	// without it would run the exported solver-path counters backwards.
+	Solver stats.SolverTally `json:"solver,omitzero"`
 }
 
 // clone copies the state with slices of its own. SolveAt is shared: the
