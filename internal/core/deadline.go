@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"divflow/internal/affine"
 	"divflow/internal/exact"
@@ -15,31 +17,19 @@ import (
 // given execution model (System (5) adds the per-job interval bound when
 // mode is Preemptive). On success it also returns a schedule meeting all
 // deadlines, reconstructed per Section 4.2 (divisible) or Section 4.4
-// (preemptive, via Lawler–Labetoulle).
+// (preemptive, via Lawler–Labetoulle). It is the milestone search with every
+// deadline held and no deadline form: one range, one LP (newSearch).
 //
 // deadlines must have one entry per job; nil entries mean "no deadline".
 func DeadlineFeasible(inst *model.Instance, deadlines []*big.Rat, mode schedule.Model) (bool, *schedule.Schedule, error) {
-	if err := inst.Validate(); err != nil {
+	if err := checkDeadlines(inst, deadlines); err != nil {
 		return false, nil, err
 	}
-	if len(deadlines) != inst.N() {
-		return false, nil, fmt.Errorf("core: %d deadlines for %d jobs", len(deadlines), inst.N())
-	}
-	q, dls := newInstance(inst), constDeadlines(deadlines)
-	// Reject trivially-impossible windows up front: the answer the LP and
-	// its Farkas certificate would give, without the LP.
-	for j, d := range dls {
-		if d != nil && d.A.Cmp(earliestEnd(q, j, mode)) < 0 {
-			return false, nil, nil
-		}
-	}
-	rl := deadlineLP(q, dls, mode)
-	sol, err := rl.solve()
-	if err != nil {
-		return false, nil, err
-	}
-	if sol == nil {
+	_, rl, sol, err := newSearch(newInstance(inst), mode, nil, deadlines, (*rangeSearch).floatProbe).leftmost()
+	if errors.Is(err, ErrDeadlinesInfeasible) {
 		return false, nil, nil
+	} else if err != nil {
+		return false, nil, err
 	}
 	s, err := rl.extract(sol)
 	if err != nil {
@@ -48,21 +38,60 @@ func DeadlineFeasible(inst *model.Instance, deadlines []*big.Rat, mode schedule.
 	return true, s, nil
 }
 
-// deadlineLP lays out System (2) (System (5) when mode is Preemptive) for the
-// given constant deadline forms: a range LP on the single point F = 0, so
-// that solving it decides feasibility.
-func deadlineLP(inst *instance, dls []*affine.Form, mode schedule.Model) *rangeLP {
-	ep := newEpochs(inst, dls, affine.Const(horizon(inst, dls)))
-	return newRangeLP(inst, mode, ep, affine.Range{Hi: new(exact.Q)})
+// BestDeadline computes the exact minimum deadline for job k that keeps the
+// instance deadline-feasible, holding every other job's deadline fixed (the
+// entry deadlines[k] is ignored). It is the counter-offer half of admission
+// control: when DeadlineFeasible rejects a requested deadline, BestDeadline
+// names the earliest completion time the residual workload can still
+// guarantee for the new job without breaking any admitted deadline.
+//
+// It is the milestone search of Theorem 2 with job k's deadline the form
+// d̄_k(F) = F, so the candidate deadline is the LP objective itself, and the
+// other jobs' deadlines held (newSearch). The epochal order changes only
+// where F crosses a constant epochal time; between two crossings feasibility
+// is monotone in F (a later deadline only loosens System (2)), and the
+// leftmost feasible range's minimal F is the exact global optimum.
+//
+// It returns (nil, nil) when no deadline works: the other jobs' deadlines
+// are themselves infeasible once job k's work is added.
+func BestDeadline(inst *model.Instance, deadlines []*big.Rat, k int, mode schedule.Model) (*big.Rat, error) {
+	if err := checkDeadlines(inst, deadlines); err != nil {
+		return nil, err
+	}
+	if k < 0 || k >= inst.N() {
+		return nil, fmt.Errorf("core: job index %d out of range", k)
+	}
+	dls, held := make([]*affine.Form, inst.N()), slices.Clone(deadlines)
+	f := affine.New(exact.Q{}, exact.Int(1))
+	dls[k], held[k] = &f, nil
+	_, _, sol, err := newSearch(newInstance(inst), mode, dls, held, (*rangeSearch).floatProbe).leftmost()
+	if errors.Is(err, ErrDeadlinesInfeasible) {
+		return nil, nil
+	} else if err != nil {
+		return nil, err
+	}
+	return sol.F.Rat(), nil
 }
 
-// horizon completes the epochal times of System (2) — all release dates and
-// all (finite) deadlines — with an H large enough that jobs *without* a
-// deadline always fit after the last release (H = r_max + Σ_j min_i c_{i,j}
+// checkDeadlines validates the instance and that deadlines has one entry per
+// job.
+func checkDeadlines(inst *model.Instance, deadlines []*big.Rat) error {
+	if err := inst.Validate(); err != nil {
+		return err
+	}
+	if len(deadlines) != inst.N() {
+		return fmt.Errorf("core: %d deadlines for %d jobs", len(deadlines), inst.N())
+	}
+	return nil
+}
+
+// horizon completes the epochal times of a search in which some job has no
+// deadline form: an H large enough that a job with neither a form nor a held
+// deadline always fits after the last release (H = r_max + Σ_j min_i c_{i,j}
 // covers running them back to back on their fastest machines), and no
-// earlier than any deadline. The extra epochal time only refines the
+// earlier than any held deadline. The extra epochal time only refines the
 // interval decomposition; it never changes feasibility of System (2).
-func horizon(inst *instance, dls []*affine.Form) exact.Q {
+func horizon(inst *instance, ep epochs) exact.Q {
 	var h exact.Q
 	for _, r := range inst.release {
 		if r.Cmp(h) > 0 {
@@ -72,9 +101,9 @@ func horizon(inst *instance, dls []*affine.Form) exact.Q {
 	for j := range inst.Jobs {
 		h = h.Add(soloTime(inst, j, schedule.Preemptive))
 	}
-	for _, d := range dls {
-		if d != nil && d.A.Cmp(h) > 0 {
-			h = d.A
+	for _, k := range ep.hard {
+		if k >= 0 && ep.times[k].A.Cmp(h) > 0 {
+			h = ep.times[k].A
 		}
 	}
 	return h

@@ -35,7 +35,7 @@ func EstimateMinMaxWeightedFlow(inst *model.Instance, mode schedule.Model) (*Est
 		return nil, err
 	}
 	q := newInstance(inst)
-	s := flowSearch(q, q.release, mode, (*rangeSearch).floatProbe)
+	s := newSearch(q, mode, flowDeadlines(q, nil), nil, (*rangeSearch).floatProbe)
 	k, sol, err := s.locate()
 	if err != nil {
 		return nil, err

@@ -48,7 +48,7 @@ func TestVerifiedBasesAreNearlyTriangular(t *testing.T) {
 			rl, _ := makespanLP(newInstance(tc.inst), mode)
 			solve(tc.label+" makespan", rl)
 
-			opt, err := minMaxWeightedFlow(tc.inst, tc.origins, mode, honestProbe)
+			opt, err := minMaxWeightedFlow(tc.inst, tc.origins, nil, mode, honestProbe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +65,7 @@ func TestVerifiedBasesAreNearlyTriangular(t *testing.T) {
 						deadlines[j] = d
 					}
 				}
-				solve(tc.label+" deadlines", deadlineLP(newInstance(tc.inst), constDeadlines(deadlines), mode))
+				solve(tc.label+" deadlines", newSearch(newInstance(tc.inst), mode, nil, deadlines, honestProbe).rangeLP(0))
 			}
 		}
 	}

@@ -72,6 +72,7 @@ func makespanLP(inst *instance, mode schedule.Model) (*rangeLP, exact.Q) {
 			rMax = r
 		}
 	}
-	ep := newEpochs(inst, noDeadlines(inst.N()), affine.New(rMax, exact.Int(1)))
+	ep := newEpochs(inst, nil, nil)
+	ep.times = append(ep.times, affine.New(rMax, exact.Int(1)))
 	return newRangeLP(inst, mode, ep, affine.Range{}), rMax
 }

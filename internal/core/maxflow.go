@@ -1,13 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
 	"time"
 
 	"divflow/internal/affine"
-	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 	"divflow/internal/stats"
@@ -48,7 +46,7 @@ type Result struct {
 // from the single-job lower bound, probes in float64 and certifies with one
 // exact solve (see rangeSearch).
 func MinMaxWeightedFlow(inst *model.Instance) (*Result, error) {
-	return minMaxWeightedFlow(inst, nil, schedule.Divisible, (*rangeSearch).floatProbe)
+	return minMaxWeightedFlow(inst, nil, nil, schedule.Divisible, (*rangeSearch).floatProbe)
 }
 
 // MinMaxWeightedFlowPreemptive computes the exact optimal maximum weighted
@@ -56,47 +54,46 @@ func MinMaxWeightedFlow(inst *model.Instance) (*Result, error) {
 // LP gains the per-job per-interval bound (5b), and the schedule is rebuilt
 // with the Lawler–Labetoulle decomposition.
 func MinMaxWeightedFlowPreemptive(inst *model.Instance) (*Result, error) {
-	return minMaxWeightedFlow(inst, nil, schedule.Preemptive, (*rangeSearch).floatProbe)
+	return minMaxWeightedFlow(inst, nil, nil, schedule.Preemptive, (*rangeSearch).floatProbe)
 }
 
 // MinMaxWeightedFlowFrom solves the same problem with each job's flow
-// measured from origins[j] instead of its release date: the objective
-// is max_j w_j (C_j − o_j), with o_j <= r_j. This is the primitive behind
-// the online adaptation sketched in the paper's conclusion: at every event
-// the scheduler re-solves the offline problem on the residual work, with
-// origins remembering how long each job has already been in the system. The
-// result is a function of the arguments alone: nothing is carried from one
-// call to the next.
-func MinMaxWeightedFlowFrom(inst *model.Instance, origins []*big.Rat, mode schedule.Model) (*Result, error) {
+// measured from origins[j] instead of its release date, and every held
+// deadline kept: the objective is max_j w_j (C_j − o_j), with o_j <= r_j,
+// over the schedules that complete job j by deadlines[j]. A nil deadlines
+// slice, or a nil entry, holds no deadline. This is the primitive behind the
+// online adaptation sketched in the paper's conclusion: at every event the
+// scheduler re-solves the offline problem on the residual work, with origins
+// remembering how long each job has already been in the system and the held
+// deadlines what admission promised. A held deadline caps its job's window
+// at min(o_j + F/w_j, D_j); when no schedule meets them all the error is
+// ErrDeadlinesInfeasible. The result is a function of the arguments alone:
+// nothing is carried from one call to the next.
+func MinMaxWeightedFlowFrom(inst *model.Instance, origins, deadlines []*big.Rat, mode schedule.Model) (*Result, error) {
 	if len(origins) != inst.N() {
 		return nil, fmt.Errorf("core: %d origins for %d jobs", len(origins), inst.N())
+	}
+	if deadlines != nil && len(deadlines) != inst.N() {
+		return nil, fmt.Errorf("core: %d deadlines for %d jobs", len(deadlines), inst.N())
 	}
 	for j, o := range origins {
 		if o == nil || o.Cmp(inst.Jobs[j].Release) > 0 {
 			return nil, fmt.Errorf("core: origin of job %d must exist and precede its release", j)
 		}
 	}
-	return minMaxWeightedFlow(inst, origins, mode, (*rangeSearch).floatProbe)
+	return minMaxWeightedFlow(inst, origins, deadlines, mode, (*rangeSearch).floatProbe)
 }
 
-func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.Model, probe probeFunc) (*Result, error) {
+func minMaxWeightedFlow(inst *model.Instance, origins, deadlines []*big.Rat, mode schedule.Model, probe probeFunc) (*Result, error) {
 	start := nowFunc()
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
 	q := newInstance(inst)
-	o := q.release
-	if origins != nil {
-		o = exactAll(origins)
-	}
-	s := flowSearch(q, o, mode, probe)
-	// The last range is always feasible: every job can run somewhere.
+	s := newSearch(q, mode, flowDeadlines(q, origins), deadlines, probe)
 	k, rl, sol, err := s.leftmost()
 	if err != nil {
 		return nil, err
-	}
-	if sol == nil {
-		return nil, errors.New("core: final milestone range unexpectedly infeasible")
 	}
 	sched, err := rl.extract(sol)
 	if err != nil {
@@ -112,24 +109,4 @@ func minMaxWeightedFlow(inst *model.Instance, origins []*big.Rat, mode schedule.
 		Solver:        s.tally,
 		Wall:          nowFunc().Sub(start),
 	}, nil
-}
-
-// flowSearch sets up the search of Theorem 2: the ranges the milestones cut
-// the objective into, over the epochal times of LP (3) — every release date
-// and every deadline form d̄_j(F) = o_j + F/w_j.
-func flowSearch(inst *instance, origins []exact.Q, mode schedule.Model, probe probeFunc) *rangeSearch {
-	return newRangeSearch(inst, mode, newEpochs(inst, flowDeadlines(inst, origins)),
-		ObjectiveRanges(milestonesWithOrigins(inst, origins)), flowFloor(inst, origins, mode), probe)
-}
-
-// flowFloor is the single-job bound on the max weighted flow: the weighted
-// flow of the job that is worst off even alone, max_j w_j (r_j + p_j − o_j).
-func flowFloor(inst *instance, origins []exact.Q, mode schedule.Model) exact.Q {
-	var floor exact.Q
-	for j := range inst.Jobs {
-		if f := earliestEnd(inst, j, mode).Sub(origins[j]).Mul(inst.weight[j]); f.Cmp(floor) > 0 {
-			floor = f
-		}
-	}
-	return floor
 }

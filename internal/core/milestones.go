@@ -18,7 +18,7 @@ import (
 // is sorted in increasing order and duplicate-free.
 func Milestones(inst *model.Instance) []*big.Rat {
 	q := newInstance(inst)
-	ms := milestonesWithOrigins(q, q.release)
+	ms := milestones(newEpochs(q, flowDeadlines(q, nil), nil).times)
 	out := make([]*big.Rat, len(ms))
 	for i, m := range ms {
 		out[i] = m.Rat()
@@ -26,60 +26,33 @@ func Milestones(inst *model.Instance) []*big.Rat {
 	return out
 }
 
-// milestonesWithOrigins generalizes Milestones to deadlines anchored at
-// arbitrary flow origins o_j (used by the online residual re-solve, where a
-// job's flow started at its original submission, before the residual
-// instance's uniform release date).
-func milestonesWithOrigins(inst *instance, origins []exact.Q) []exact.Q {
+// milestones returns, sorted and distinct, the positive values of F at which
+// two epochal times cross: a deadline form and a constant (a release, a held
+// deadline, the horizon), or two deadline forms. Constants never cross, nor
+// do forms of one slope. A deadline form anchored at an origin before its
+// job's release crosses that release at F = w_j (r_j − o_j) > 0 (online
+// residual solves); anchored at the release, at F = 0, which is discarded.
+func milestones(times []affine.Form) []exact.Q {
 	var out []exact.Q
-	add := func(f exact.Q) {
-		if f.Sign() > 0 {
-			out = append(out, f)
-		}
-	}
-	dls := flowDeadlines(inst, origins)
-	for j, dj := range dls {
-		// Deadline j crosses release k: o_j + F/w_j = r_k. The k == j case
-		// matters only when the origin precedes the release (online
-		// residual solves): there d̄_j crosses its own release at
-		// F = w_j (r_j − o_j) > 0; in the plain problem o_j = r_j gives
-		// F = 0, which is discarded.
-		for _, rk := range inst.release {
-			if f, ok := dj.Intersection(affine.Const(rk)); ok {
-				add(f)
-			}
-		}
-		// Deadline j crosses deadline k (affine forms intersect at most
-		// once; parallel when w_j == w_k).
-		for _, dk := range dls[j+1:] {
-			if f, ok := dj.Intersection(*dk); ok {
-				add(f)
+	for a, fa := range times {
+		for _, fb := range times[a+1:] {
+			if f, ok := fa.Intersection(fb); ok && f.Sign() > 0 {
+				out = append(out, f)
 			}
 		}
 	}
-	return sortDistinct(out)
-}
-
-// sortDistinct sorts the values in increasing order and drops duplicates,
-// in place.
-func sortDistinct(vals []exact.Q) []exact.Q {
-	slices.SortFunc(vals, exact.Q.Cmp)
-	return slices.CompactFunc(vals, func(a, b exact.Q) bool { return a.Cmp(b) == 0 })
+	slices.SortFunc(out, exact.Q.Cmp)
+	return slices.CompactFunc(out, func(a, b exact.Q) bool { return a.Cmp(b) == 0 })
 }
 
 // ObjectiveRanges turns the sorted milestones F_1 < ... < F_nq into the
 // candidate search ranges [0, F_1], [F_1, F_2], ..., [F_nq, +∞). With no
 // milestone the single range [0, +∞) covers everything.
 func ObjectiveRanges(milestones []exact.Q) []affine.Range {
-	return rangesFrom(exact.Q{}, milestones)
-}
-
-// rangesFrom turns sorted, distinct critical values above lo into the
-// candidate ranges [lo, c_1], [c_1, c_2], ..., [c_n, +∞).
-func rangesFrom(lo exact.Q, critical []exact.Q) []affine.Range {
-	out := make([]affine.Range, 0, len(critical)+1)
-	for i, c := range critical {
-		out = append(out, affine.Range{Lo: lo, Hi: &critical[i]})
+	out := make([]affine.Range, 0, len(milestones)+1)
+	var lo exact.Q
+	for i, c := range milestones {
+		out = append(out, affine.Range{Lo: lo, Hi: &milestones[i]})
 		lo = c
 	}
 	return append(out, affine.Range{Lo: lo})

@@ -4,20 +4,19 @@ import (
 	"math/big"
 	"testing"
 
-	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 )
 
 func TestOriginsValidation(t *testing.T) {
 	inst := oneMachine(t, []model.Job{{Name: "J", Release: r(5, 1), Weight: r(1, 1), Size: r(2, 1)}})
-	if _, err := MinMaxWeightedFlowFrom(inst, nil, schedule.Divisible); err == nil {
+	if _, err := MinMaxWeightedFlowFrom(inst, nil, nil, schedule.Divisible); err == nil {
 		t.Error("wrong origin count must error")
 	}
-	if _, err := MinMaxWeightedFlowFrom(inst, []*big.Rat{nil}, schedule.Divisible); err == nil {
+	if _, err := MinMaxWeightedFlowFrom(inst, []*big.Rat{nil}, nil, schedule.Divisible); err == nil {
 		t.Error("nil origin must error")
 	}
-	if _, err := MinMaxWeightedFlowFrom(inst, []*big.Rat{r(6, 1)}, schedule.Divisible); err == nil {
+	if _, err := MinMaxWeightedFlowFrom(inst, []*big.Rat{r(6, 1)}, nil, schedule.Divisible); err == nil {
 		t.Error("origin after release must error")
 	}
 }
@@ -32,7 +31,7 @@ func TestOriginsEqualReleasesMatchPlainSolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	origins := []*big.Rat{r(0, 1), r(1, 1)}
-	withO, err := MinMaxWeightedFlowFrom(inst, origins, schedule.Divisible)
+	withO, err := MinMaxWeightedFlowFrom(inst, origins, nil, schedule.Divisible)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestEarlierOriginsRaiseObjective(t *testing.T) {
 	if plain.Objective.Cmp(r(6, 1)) != 0 {
 		t.Fatalf("plain objective = %v, want 6", plain.Objective)
 	}
-	res, err := MinMaxWeightedFlowFrom(inst, []*big.Rat{r(0, 1)}, schedule.Divisible)
+	res, err := MinMaxWeightedFlowFrom(inst, []*big.Rat{r(0, 1)}, nil, schedule.Divisible)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +68,12 @@ func TestOriginsSingleJobMilestone(t *testing.T) {
 	// search would start in a range where the deadline precedes the
 	// release (the bug class caught by the online simulator).
 	inst := oneMachine(t, []model.Job{{Name: "J", Release: r(7, 1), Weight: r(1, 1), Size: r(1, 1)}})
-	ms := milestonesWithOrigins(newInstance(inst), []exact.Q{{}})
+	qi := newInstance(inst)
+	ms := milestones(newEpochs(qi, flowDeadlines(qi, []*big.Rat{r(0, 1)}), nil).times)
 	if len(ms) != 1 || ms[0].Cmp(q(7, 1)) != 0 {
 		t.Fatalf("milestones = %v, want [7]", ms)
 	}
-	res, err := MinMaxWeightedFlowFrom(inst, []*big.Rat{r(0, 1)}, schedule.Divisible)
+	res, err := MinMaxWeightedFlowFrom(inst, []*big.Rat{r(0, 1)}, nil, schedule.Divisible)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestOriginsPreemptiveMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	origins := []*big.Rat{r(0, 1), r(2, 1)}
-	res, err := MinMaxWeightedFlowFrom(inst, origins, schedule.Preemptive)
+	res, err := MinMaxWeightedFlowFrom(inst, origins, nil, schedule.Preemptive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"testing"
 
+	"divflow/internal/affine"
+	"divflow/internal/exact"
 	"divflow/internal/lp"
 	"divflow/internal/schedule"
 	"divflow/internal/workload"
@@ -30,8 +33,9 @@ func probeSearches(t *testing.T) []probeSearch {
 	var out []probeSearch
 	for _, tc := range searchCases(t) {
 		for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
+			q := newInstance(tc.inst)
 			out = append(out, probeSearch{fmt.Sprintf("%s, %v", tc.label, mode),
-				flowSearch(newInstance(tc.inst), exactAll(tc.origins), mode, honestProbe), -1, nil})
+				newSearch(q, mode, flowDeadlines(q, tc.origins), nil, honestProbe), -1, nil})
 		}
 	}
 	for seed := int64(0); seed < 6; seed++ {
@@ -44,7 +48,7 @@ func probeSearches(t *testing.T) []probeSearch {
 		if seed%3 == 2 {
 			mode = schedule.Preemptive
 		}
-		opt, err := minMaxWeightedFlow(inst, nil, mode, honestProbe)
+		opt, err := minMaxWeightedFlow(inst, nil, nil, mode, honestProbe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,8 +62,13 @@ func probeSearches(t *testing.T) []probeSearch {
 			deadlines[j] = d.Add(d, inst.Jobs[j].Release)
 		}
 		for k := range inst.Jobs {
+			// BestDeadline's search: job k's deadline is the form F, the
+			// others' are held.
+			dls, held := make([]*affine.Form, inst.N()), slices.Clone(deadlines)
+			f := affine.New(exact.Q{}, exact.Int(1))
+			dls[k], held[k] = &f, nil
 			out = append(out, probeSearch{fmt.Sprintf("best deadline seed %d job %d, %v", seed, k, mode),
-				bestDeadlineSearch(newInstance(inst), constDeadlines(deadlines), k, mode), k, deadlines})
+				newSearch(newInstance(inst), mode, dls, held, honestProbe), k, deadlines})
 		}
 	}
 	return out
@@ -167,7 +176,7 @@ func TestProbeAgreesWithExact(t *testing.T) {
 	var counts recordedCeiling
 	for _, tc := range searchCases(t) {
 		for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
-			got, err := minMaxWeightedFlow(tc.inst, tc.origins, mode, honestProbe)
+			got, err := minMaxWeightedFlow(tc.inst, tc.origins, nil, mode, honestProbe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,11 +253,11 @@ func TestProbeMagnitudesFloat64CannotHold(t *testing.T) {
 		huge.Jobs[j].Weight = new(big.Rat).Mul(huge.Jobs[j].Weight, scale)
 	}
 	for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
-		want, err := minMaxWeightedFlow(inst, nil, mode, honestProbe)
+		want, err := minMaxWeightedFlow(inst, nil, nil, mode, honestProbe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := minMaxWeightedFlow(huge, nil, mode, honestProbe)
+		got, err := minMaxWeightedFlow(huge, nil, nil, mode, honestProbe)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -271,7 +280,7 @@ func TestProbeMagnitudesFloat64CannotHold(t *testing.T) {
 		}
 		// The first range's width is a milestone: +Inf as a float64.
 		q := newInstance(huge)
-		s := flowSearch(q, q.release, mode, honestProbe)
+		s := newSearch(q, mode, flowDeadlines(q, nil), nil, honestProbe)
 		if fs, err := s.floatProbe(0); err == nil {
 			t.Errorf("%v: probe of %v answered %+v over a non-finite bound", mode, s.ranges[0], fs)
 		}

@@ -5,6 +5,12 @@
 // the same objective under preemption without divisibility (Section 4.4 /
 // System 5, using the Lawler–Labetoulle reconstruction).
 //
+// One milestone search (newSearch) serves every entry point but the
+// makespan: max weighted flow, with or without held deadlines, the
+// counter-offer BestDeadline and DeadlineFeasible differ only in which jobs'
+// windows close at a flow form and which at a held deadline. System (2) is
+// that search with no flow form: one point range, one LP.
+//
 // All solvers operate on exact rational arithmetic end to end: every
 // epochal time, milestone and LP entry is an exact rational, every LP's
 // answer is verified exactly, and the produced schedules validate exactly.
@@ -52,31 +58,25 @@ func newInstance(inst *model.Instance) *instance {
 	return q
 }
 
-// exactAll converts rationals that all exist.
-func exactAll(xs []*big.Rat) []exact.Q {
-	out := make([]exact.Q, len(xs))
-	for i, x := range xs {
-		out[i] = exact.FromRat(x)
-	}
-	return out
-}
-
 // rangeLP is the unified linear program underlying every result in the
 // paper. It covers:
 //
 //   - LP (1), makespan: no deadlines; the final interval is [r_max, r_max+F]
 //     so its length is exactly the variable Δ_n = F;
-//   - System (2), deadline feasibility: constant deadline forms, F pinned to
-//     the degenerate range [0,0];
 //   - LP (3), max weighted flow on a milestone range: deadline forms
-//     d̄_j(F) = r_j + F/w_j, range [F_i, F_{i+1}];
-//   - System (5), the preemptive variant: same as LP (3) plus the per-job
-//     per-interval bound (5b).
+//     d̄_j(F) = o_j + F/w_j, range [F_i, F_{i+1}], and held deadlines D_j as
+//     hard caps on the windows;
+//   - System (2), deadline feasibility: the same range LP with no deadline
+//     form, only held deadlines, F pinned to the degenerate range [0,0] —
+//     not a layout of its own;
+//   - System (5), the preemptive variant of either: the per-job
+//     per-interval bound (5b) added.
 //
 // Variables: F (column 0) plus one fraction α^{(t)}_{i,j} for every
 // (interval, machine, job) triple where the job is active in the interval
-// (released at or before inf I_t and, when it has a deadline, due at or
-// after sup I_t) and the machine is eligible (finite c_{i,j}).
+// (released at or before inf I_t and, when it has a deadline form or a held
+// deadline, due at or after sup I_t) and the machine is eligible (finite
+// c_{i,j}).
 //
 // It is one layout with two fills of one LP. The layout — which triples get a
 // column, which rows exist and what they sum — is ints, read off the epochal
@@ -110,27 +110,34 @@ type lpRow struct{ t, end int }
 const fCol = 0
 
 // epochs lists the epochal times of a rangeLP in an order its layout can
-// index: times[j] is job j's release date, the deadline forms of the jobs
-// that have one follow — due[j] is where job j's sits, -1 for none — and
-// after them whatever else delimits an interval (a horizon, a moving end).
+// index: times[j] is job j's release date, the deadline forms and held
+// deadlines of the jobs that have them follow — due[j] is where job j's form
+// sits, hard[j] its held deadline, -1 for none — and after them whatever
+// else delimits an interval (a horizon, a moving end).
 type epochs struct {
-	times []affine.Form
-	due   []int
+	times     []affine.Form
+	due, hard []int
 }
 
-func newEpochs(inst *instance, dls []*affine.Form, extra ...affine.Form) epochs {
-	ep := epochs{times: make([]affine.Form, 0, 2*inst.N()+len(extra)), due: make([]int, inst.N())}
+// newEpochs lists the releases, the deadline forms (dls[j], nil for none) and
+// the held deadlines (held[j], nil for none); either slice may be nil.
+func newEpochs(inst *instance, dls []*affine.Form, held []*big.Rat) epochs {
+	n := inst.N()
+	ep := epochs{times: make([]affine.Form, 0, 2*n+1), due: make([]int, n), hard: make([]int, n)}
 	for _, r := range inst.release {
 		ep.times = append(ep.times, affine.Const(r))
 	}
-	for j, dl := range dls {
-		ep.due[j] = -1
-		if dl != nil {
+	for j := range n {
+		ep.due[j], ep.hard[j] = -1, -1
+		if j < len(dls) && dls[j] != nil {
 			ep.due[j] = len(ep.times)
-			ep.times = append(ep.times, *dl)
+			ep.times = append(ep.times, *dls[j])
+		}
+		if j < len(held) && held[j] != nil {
+			ep.hard[j] = len(ep.times)
+			ep.times = append(ep.times, affine.Const(exact.FromRat(held[j])))
 		}
 	}
-	ep.times = append(ep.times, extra...)
 	return ep
 }
 
@@ -159,14 +166,15 @@ func recordSolve(t *stats.SolverTally, warmTried bool, sol *lp.Solution) {
 // newRangeLP lays out the LP of one objective range: the epochal times are
 // ordered at an interior point of the range, where their order is the
 // range's, and job j is active in interval t iff rank(r_j) <= t <
-// rank(d̄_j) in that order (intervals.SortTimes).
+// rank(d̄_j) and t < rank(D_j) in that order (intervals.SortTimes), each
+// bound only where the job has it.
 func newRangeLP(inst *instance, mode schedule.Model, ep epochs, rg affine.Range) *rangeLP {
 	n, m := inst.N(), inst.M()
 	ivs, rank := intervals.Build(ep.times, rg.Interior())
 	r := &rangeLP{inst: inst, mode: mode, ivs: ivs, rg: rg,
 		cols: make([]int, len(ivs)*m*n), costAt: []int{fCol: -1}}
 	active := func(t, j int) bool {
-		return rank[j] <= t && (ep.due[j] < 0 || t < rank[ep.due[j]])
+		return rank[j] <= t && (ep.due[j] < 0 || t < rank[ep.due[j]]) && (ep.hard[j] < 0 || t < rank[ep.hard[j]])
 	}
 	// row closes the row whose columns were just appended to terms; a
 	// capacity row nothing can use is left out.
@@ -440,31 +448,19 @@ func (r *rangeLP) extract(sol *rangeSolution) (*schedule.Schedule, error) {
 	return out, nil
 }
 
-// noDeadlines returns a deadline slice with no entries set.
-func noDeadlines(n int) []*affine.Form { return make([]*affine.Form, n) }
-
 // flowDeadlines returns the affine deadline forms d̄_j(F) = o_j + F/w_j,
-// where o_j is the flow origin of job j (its release date in the plain
-// offline problem; possibly earlier in the online re-solve setting, where a
-// job has already waited before the residual instance is formed).
-func flowDeadlines(inst *instance, origins []exact.Q) []*affine.Form {
+// where o_j is the flow origin of job j: origins[j], or its release date when
+// origins is nil (the plain offline problem; the online re-solve passes
+// earlier origins, where a job has already waited before the residual
+// instance is formed).
+func flowDeadlines(inst *instance, origins []*big.Rat) []*affine.Form {
 	out := make([]*affine.Form, inst.N())
 	for j := range out {
-		f := affine.New(origins[j], inst.weight[j].Inv())
-		out[j] = &f
-	}
-	return out
-}
-
-// constDeadlines wraps fixed rational deadlines as constant forms; a nil
-// deadline stays nil.
-func constDeadlines(dls []*big.Rat) []*affine.Form {
-	out := make([]*affine.Form, len(dls))
-	for j, d := range dls {
-		if d == nil {
-			continue
+		o := inst.release[j]
+		if origins != nil {
+			o = exact.FromRat(origins[j])
 		}
-		f := affine.Const(exact.FromRat(d))
+		f := affine.New(o, inst.weight[j].Inv())
 		out[j] = &f
 	}
 	return out

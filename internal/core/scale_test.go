@@ -78,11 +78,11 @@ func scaleInvariant(t *testing.T, k *big.Rat) {
 		huge, origins := scaledInstance(t, tc.inst, k), scaledTimes(tc.origins, k)
 		for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
 			label := fmt.Sprintf("%s, %v", tc.label, mode)
-			want, err := MinMaxWeightedFlowFrom(tc.inst, tc.origins, mode)
+			want, err := MinMaxWeightedFlowFrom(tc.inst, tc.origins, nil, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := MinMaxWeightedFlowFrom(huge, origins, mode)
+			got, err := MinMaxWeightedFlowFrom(huge, origins, nil, mode)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

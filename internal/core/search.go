@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"math/big"
+	"slices"
 	"sort"
 
 	"divflow/internal/affine"
@@ -44,8 +47,65 @@ type rangeSearch struct {
 	probes int               // float solves
 	solves int               // exact solves
 	// lo is the proven lower end: every range below it is exactly
-	// infeasible — by the floor to begin with, by exact solves after.
+	// infeasible — by the floor to begin with (all of them, for a held
+	// deadline below its job's earliest end), by exact solves after.
 	lo int
+}
+
+// ErrDeadlinesInfeasible reports that no schedule meets every held deadline:
+// one falls before its job could end alone, or the search's last range — the
+// flow windows as wide as they get — is infeasible.
+var ErrDeadlinesInfeasible = errors.New("core: held deadlines are infeasible")
+
+// newSearch sets up the search of Theorem 2 over the jobs' windows. Job j's
+// window opens at r_j; it closes at its deadline form d̄_j(F) when it has one
+// (dls[j]) and no later than its held deadline D_j when it holds one
+// (held[j]): a constant epochal time, the window's hard cap. A nil entry, or
+// a nil slice, means none. The entry points differ only there:
+//
+//   - max weighted flow: every job has d̄_j(F) = o_j + F/w_j, some hold D_j;
+//   - BestDeadline: job k has d̄_k(F) = F, the others hold their deadlines;
+//   - DeadlineFeasible: no job has a form, so there is no milestone, and the
+//     one range is the point F = 0 — System (2).
+//
+// The horizon closes the windows of the jobs that have no form. The
+// milestones are where the forms cross each other and every constant
+// epochal time; the floor is flowFloor; and a held deadline its job cannot
+// meet even alone proves every range infeasible before any LP (lo = the
+// number of ranges), as the LP and its Farkas certificate would.
+func newSearch(inst *instance, mode schedule.Model, dls []*affine.Form, held []*big.Rat, probe probeFunc) *rangeSearch {
+	ep := newEpochs(inst, dls, held)
+	if slices.Contains(ep.due, -1) { // some job has no form
+		ep.times = append(ep.times, affine.Const(horizon(inst, ep)))
+	}
+	ranges := []affine.Range{{Hi: new(exact.Q)}} // the point F = 0
+	if slices.Max(ep.due) >= 0 {                 // some job has a form
+		ranges = ObjectiveRanges(milestones(ep.times))
+	}
+	s := newRangeSearch(inst, mode, ep, ranges, flowFloor(inst, dls, mode), probe)
+	for j, h := range ep.hard {
+		if h >= 0 && ep.times[h].A.Cmp(earliestEnd(inst, j, mode)) < 0 {
+			s.lo = len(ranges)
+		}
+	}
+	return s
+}
+
+// flowFloor is the single-job bound on the objective: the F at which the
+// deadline form of the job worst off even alone reaches its earliest end,
+// max_j w_j (r_j + p_j − o_j) over the jobs that have a form (r_k + p_k for
+// BestDeadline's F); zero when none has.
+func flowFloor(inst *instance, dls []*affine.Form, mode schedule.Model) exact.Q {
+	var floor exact.Q
+	for j, dl := range dls {
+		if dl == nil {
+			continue
+		}
+		if f, _ := dl.Intersection(affine.Const(earliestEnd(inst, j, mode))); f.Cmp(floor) > 0 {
+			floor = f
+		}
+	}
+	return floor
 }
 
 // newRangeSearch opens a search at floor, a value no feasible objective is
@@ -81,8 +141,8 @@ func soloTime(inst *instance, j int, mode schedule.Model) exact.Q {
 }
 
 // earliestEnd is r_j + p_j: no schedule, and no solution of a range LP,
-// completes job j sooner. Every search's floor is made of it, and a deadline
-// below it is infeasible whatever else runs.
+// completes job j sooner. The search's floor is made of it, and a held
+// deadline below it is infeasible whatever else runs.
 func earliestEnd(inst *instance, j int, mode schedule.Model) exact.Q {
 	return soloTime(inst, j, mode).Add(inst.release[j])
 }
@@ -186,23 +246,20 @@ func (s *rangeSearch) locate() (int, *lp.FloatSolution, error) {
 // lower range is already proven infeasible; otherwise the search walks: right
 // past a range proven infeasible, left from a range whose minimum sits on its
 // lower end (the range below contains that value, and is the leftmost one the
-// reference bisection would report). A nil solution means no range is feasible.
+// reference bisection would report). Walking off the last range, the search
+// has proven every range infeasible: ErrDeadlinesInfeasible.
 func (s *rangeSearch) certify(k int, at *lp.FloatSolution) (int, *rangeLP, *rangeSolution, error) {
 	var probed *lp.Basis
 	if at != nil {
 		probed = at.Basis
 	}
-	k = max(k, s.lo)
-	for {
+	for k = max(k, s.lo); k < len(s.ranges); {
 		rl, sol, err := s.exact(k, probed)
 		probed = nil // the walk's other ranges were not probed
 		switch {
 		case err != nil:
 			return 0, nil, nil, err
 		case sol == nil:
-			if k == len(s.ranges)-1 {
-				return 0, nil, nil, nil
-			}
 			k++
 		case k == s.lo || sol.F.Cmp(s.ranges[k].Lo) > 0:
 			return k, rl, sol, nil
@@ -210,6 +267,7 @@ func (s *rangeSearch) certify(k int, at *lp.FloatSolution) (int, *rangeLP, *rang
 			k--
 		}
 	}
+	return 0, nil, nil, ErrDeadlinesInfeasible
 }
 
 // leftmost locates, then certifies.

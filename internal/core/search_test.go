@@ -29,9 +29,9 @@ type referenceResult struct {
 // the reference the shared rangeSearch is compared against.
 func referenceMWF(t *testing.T, inst *model.Instance, origins []*big.Rat, mode schedule.Model) referenceResult {
 	t.Helper()
-	q, o := newInstance(inst), exactAll(origins)
-	ranges := ObjectiveRanges(milestonesWithOrigins(q, o))
-	ep := newEpochs(q, flowDeadlines(q, o))
+	q := newInstance(inst)
+	flow := newSearch(q, mode, flowDeadlines(q, origins), nil, honestProbe)
+	ranges, ep := flow.ranges, flow.ep
 	solves := 0
 	solveOne := func(k int) (*rangeLP, *rangeSolution) {
 		rl := newRangeLP(q, mode, ep, ranges[k])
@@ -157,7 +157,8 @@ var (
 
 // flowRanges is the milestone ranges of the flow search over inst, origins.
 func flowRanges(inst *model.Instance, origins []*big.Rat) []affine.Range {
-	return ObjectiveRanges(milestonesWithOrigins(newInstance(inst), exactAll(origins)))
+	q := newInstance(inst)
+	return newSearch(q, schedule.Divisible, flowDeadlines(q, origins), nil, honestProbe).ranges
 }
 
 // releaseOrigins returns the default flow origins: the release dates.
@@ -241,7 +242,7 @@ func TestRangeSearchMatchesReference(t *testing.T) {
 			var honest *Result
 			for _, p := range probes {
 				label := fmt.Sprintf("%s, %v, %s probe", tc.label, mode, p.name)
-				got, err := minMaxWeightedFlow(tc.inst, tc.origins, mode, p.probe)
+				got, err := minMaxWeightedFlow(tc.inst, tc.origins, nil, mode, p.probe)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -289,7 +290,8 @@ func TestRangeSearchCertifyFromAnywhere(t *testing.T) {
 		want := referenceMWF(t, tc.inst, tc.origins, schedule.Divisible)
 		ranges := flowRanges(tc.inst, tc.origins)
 		for start := range ranges {
-			s := flowSearch(newInstance(tc.inst), exactAll(tc.origins), schedule.Divisible, honestProbe)
+			q := newInstance(tc.inst)
+			s := newSearch(q, schedule.Divisible, flowDeadlines(q, tc.origins), nil, honestProbe)
 			k, _, sol, err := s.certify(start, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -325,14 +327,15 @@ func TestRangeSearchOptimumOnMilestone(t *testing.T) {
 				tc.size, tc.weight, want.sol.F, ranges[want.k], fstar)
 		}
 		for _, probe := range []probeFunc{honestProbe, rightProbe, lyingProbe, stalledProbe} {
-			got, err := minMaxWeightedFlow(inst, origins, schedule.Divisible, probe)
+			got, err := minMaxWeightedFlow(inst, origins, nil, schedule.Divisible, probe)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameAsReference(t, "optimum on milestone", got, want, ranges)
 		}
 		// Started on the range whose lower end is F*, the walk goes left.
-		s := flowSearch(newInstance(inst), exactAll(origins), schedule.Divisible, honestProbe)
+		q := newInstance(inst)
+		s := newSearch(q, schedule.Divisible, flowDeadlines(q, origins), nil, honestProbe)
 		k, _, sol, err := s.certify(want.k+1, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -347,8 +350,9 @@ func TestRangeSearchOptimumOnMilestone(t *testing.T) {
 // seededSearch is the flow search of tc opened at the given floor instead of
 // flowFloor's; any value up to the optimum is a floor.
 func seededSearch(tc searchCase, mode schedule.Model, floor exact.Q, probe probeFunc) *rangeSearch {
-	q, o := newInstance(tc.inst), exactAll(tc.origins)
-	return newRangeSearch(q, mode, newEpochs(q, flowDeadlines(q, o)), ObjectiveRanges(milestonesWithOrigins(q, o)), floor, probe)
+	q := newInstance(tc.inst)
+	flow := newSearch(q, mode, flowDeadlines(q, tc.origins), nil, probe)
+	return newRangeSearch(q, mode, flow.ep, flow.ranges, floor, probe)
 }
 
 // TestRangeSearchSeedEdges walks the places a floor can fall: on a milestone
@@ -438,7 +442,8 @@ func TestRangeSearchSeedEdges(t *testing.T) {
 	for _, c := range []searchCase{above, single} {
 		want := referenceMWF(t, c.inst, c.origins, schedule.Divisible)
 		for _, probe := range []probeFunc{honestProbe, lyingProbe, stalledProbe} {
-			s := flowSearch(newInstance(c.inst), exactAll(c.origins), schedule.Divisible, probe)
+			q := newInstance(c.inst)
+			s := newSearch(q, schedule.Divisible, flowDeadlines(q, c.origins), nil, probe)
 			run(c.label, s, want)
 			if last := len(s.ranges) - 1; want.k != last || s.lo != last || s.probes != 0 || s.solves != 1 {
 				t.Errorf("%s: seeded range %d of %d, %d probes, %d exact solves; want the last range, no probe, one solve",
@@ -459,14 +464,15 @@ func TestFloorIsALowerBound(t *testing.T) {
 	for _, tc := range searchCases(t) {
 		for _, mode := range modes {
 			want := referenceMWF(t, tc.inst, tc.origins, mode)
-			floor := flowFloor(newInstance(tc.inst), exactAll(tc.origins), mode)
+			q := newInstance(tc.inst)
+			floor := flowFloor(q, flowDeadlines(q, tc.origins), mode)
 			switch floor.Cmp(want.sol.F) {
 			case 1:
 				t.Errorf("%s, %v: floor %v above the optimum %v", tc.label, mode, floor, want.sol.F)
 			case 0:
 				tight++
 			}
-			if s := flowSearch(newInstance(tc.inst), exactAll(tc.origins), mode, honestProbe); s.lo > want.k {
+			if s := newSearch(q, mode, flowDeadlines(q, tc.origins), nil, honestProbe); s.lo > want.k {
 				t.Errorf("%s, %v: seeded range %d, right of the optimal range %d", tc.label, mode, s.lo, want.k)
 			}
 		}
@@ -502,11 +508,12 @@ func TestFloorIsALowerBound(t *testing.T) {
 		}
 		flow := new(big.Rat).Sub(end, origins[0])
 		flow.Mul(flow, inst.Jobs[0].Weight)
-		got, err := minMaxWeightedFlow(inst, origins, mode, honestProbe)
+		got, err := minMaxWeightedFlow(inst, origins, nil, mode, honestProbe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if floor := flowFloor(newInstance(inst), exactAll(origins), mode); floor.Cmp(exact.FromRat(flow)) != 0 || got.Objective.Cmp(flow) != 0 {
+		q := newInstance(inst)
+		if floor := flowFloor(q, flowDeadlines(q, origins), mode); floor.Cmp(exact.FromRat(flow)) != 0 || got.Objective.Cmp(flow) != 0 {
 			t.Errorf("%v: floor %v and optimum %v, want both %v", mode, floor, got.Objective, flow)
 		}
 		best, err := BestDeadline(inst, []*big.Rat{nil}, 0, mode)
@@ -519,8 +526,8 @@ func TestFloorIsALowerBound(t *testing.T) {
 // TestTrivialWindowsRejectedAsTheLPWould pins the early rejection to the
 // answer it replaces: a deadline below r_j + p_j is refused without an LP, and
 // on both sides of that boundary the refusal agrees with the range LP solved
-// regardless (deadlineLP, which DeadlineFeasible reaches only past the
-// shortcut) — d = r + p is feasible for a lone job, d = r + p − ε is not, in
+// regardless (the one range of DeadlineFeasible's search, which it reaches
+// only past the shortcut) — d = r + p is feasible for a lone job, d = r + p − ε is not, in
 // both models; BestDeadline gives the same verdict on a fixed window.
 func TestTrivialWindowsRejectedAsTheLPWould(t *testing.T) {
 	// Job K, released long after J's window, rides along so that BestDeadline
@@ -544,7 +551,7 @@ func TestTrivialWindowsRejectedAsTheLPWould(t *testing.T) {
 			{new(big.Rat).Add(inst.Jobs[0].Release, eps), false},
 		} {
 			dls := []*big.Rat{tc.d, nil}
-			sol, err := deadlineLP(newInstance(inst), constDeadlines(dls), mode).solve()
+			sol, err := newSearch(newInstance(inst), mode, nil, dls, honestProbe).rangeLP(0).solve()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -601,7 +608,7 @@ func TestBestDeadlineBracketedByFeasibility(t *testing.T) {
 		}
 		// Deadlines an optimal schedule meets with a fifth to spare; every
 		// third job has none.
-		opt, err := minMaxWeightedFlow(inst, nil, mode, honestProbe)
+		opt, err := minMaxWeightedFlow(inst, nil, nil, mode, honestProbe)
 		if err != nil {
 			t.Fatal(err)
 		}

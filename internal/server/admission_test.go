@@ -238,9 +238,9 @@ func TestTenantFlashCrowdIsolation(t *testing.T) {
 }
 
 // TestAdmissionCertificatesOverRPC runs the strict admission flow with every
-// router↔shard message crossing a loopback net/rpc+gob connection — the same
-// Submit message a -worker fleet answers — and requires bit-identical
-// certificates to the in-process transport.
+// router↔shard message crossing a loopback net/rpc+gob connection — the
+// Submit message the in-process transport hands over directly — and requires
+// bit-identical certificates to the in-process transport.
 func TestAdmissionCertificatesOverRPC(t *testing.T) {
 	vc := NewVirtualClock()
 	srv, err := New(Config{Machines: testFleet(), Clock: vc, Shards: 1,

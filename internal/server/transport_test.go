@@ -106,12 +106,12 @@ func testTransportSingleShard(t *testing.T, policy, transport string) {
 }
 
 // TestSubmitRefusesMalformedJob sends the shard's Submit handler jobs the HTTP
-// edge would never let through, over the loopback net/rpc transport — the one
-// a -worker shard is reached by. Each must come back as a refusal carrying the
-// check's text, and the shard must stay healthy: a nil size used to panic
-// under the shard's mu (net/rpc does not recover, so the process died), and a
-// zero weight was accepted and then latched the engine at its admission. A
-// sound job still runs to completion afterwards.
+// edge would never let through, over the loopback net/rpc transport, where
+// every message crosses a gob round trip. Each must come back as a refusal
+// carrying the check's text, and the shard must stay healthy: a nil size used
+// to panic under the shard's mu (net/rpc does not recover, so the process
+// died), and a zero weight was accepted and then latched the engine at its
+// admission. A sound job still runs to completion afterwards.
 func TestSubmitRefusesMalformedJob(t *testing.T) {
 	vc := NewVirtualClock()
 	srv, err := New(Config{Machines: testFleet(), Clock: vc, Shards: 1, Transport: shardlink.TransportRPC})

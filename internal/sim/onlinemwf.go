@@ -285,7 +285,8 @@ func (p *OnlineMWF) resolve(s *Snapshot) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.MinMaxWeightedFlowFrom(inst, origins, p.Mode)
+	// No deadline is held: a JobState carries none.
+	res, err := core.MinMaxWeightedFlowFrom(inst, origins, nil, p.Mode)
 	if err != nil {
 		return nil, err
 	}
