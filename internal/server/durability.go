@@ -248,8 +248,12 @@ func (d *durability) append(typ string, v any) {
 // snapShard is one shard's full exported state: its spec, then what a run left on it.
 type snapShard struct {
 	shardlink.ShardSpec
-	Retired    bool              `json:"retired,omitempty"`
-	Records    []*jobRecord      `json:"records,omitempty"` // aligned; null = compacted
+	Retired bool `json:"retired,omitempty"`
+	// RecordBase is the record index's base, the first retained local ID:
+	// Records lists the slots from there (null = compacted). A document that
+	// predates the key lists every slot from 0, leading nulls included.
+	RecordBase int               `json:"recordBase,omitempty"`
+	Records    []*jobRecord      `json:"records,omitempty"`
 	PendingIDs []int             `json:"pendingIds,omitempty"`
 	Engine     *sim.EngineState  `json:"engine,omitempty"`
 	Plan       *sim.MWFPlanState `json:"plan,omitempty"`
@@ -265,17 +269,11 @@ type snapShard struct {
 	MigratedIDs []int   `json:"migratedIds,omitempty"`
 	Backlog     exact.Q `json:"backlog"`
 	LastErr     string  `json:"lastErr,omitempty"`
-	// Stalled repeats LastErr != "" in the document; a restore reads LastErr.
-	Stalled bool `json:"stalled,omitempty"`
-	// compacted counts the local IDs below Records' first entry: the cut
-	// copies only the retained records, and align writes their nulls.
-	compacted int
 }
 
 // legacyFreed is how older documents describe a freed tombstone: a retired
 // shard whose history had compacted away, written without records, engine or
-// plan, its counters frozen here. Only thaw reads it; every entry still
-// writes the zero FrozenSolver those documents carry.
+// plan, its counters frozen here. Only thaw reads it, and no entry writes it.
 type legacyFreed struct {
 	Freed           bool              `json:"freed,omitempty"`
 	FrozenNow       exact.Q           `json:"frozenNow,omitzero"`
@@ -284,7 +282,7 @@ type legacyFreed struct {
 	FrozenAccepted  int               `json:"frozenAccepted,omitempty"`
 	FrozenSolves    int               `json:"frozenSolves,omitempty"`
 	FrozenCacheHits int               `json:"frozenCacheHits,omitempty"`
-	FrozenSolver    stats.SolverTally `json:"frozenSolver,omitempty"`
+	FrozenSolver    stats.SolverTally `json:"frozenSolver,omitzero"`
 }
 
 // thaw rewrites a freed tombstone as the empty retired shard it stands for:
@@ -295,16 +293,9 @@ func (ss *snapShard) thaw() {
 	if !ss.Freed {
 		return
 	}
-	ss.compacted = ss.FrozenAccepted + ss.StolenIn + ss.ReshardIn
+	ss.RecordBase = ss.FrozenAccepted + ss.StolenIn + ss.ReshardIn
 	ss.Engine = &sim.EngineState{Now: ss.FrozenNow, Completed: ss.FrozenCompleted, Decisions: ss.FrozenDecisions}
 	ss.Plan = &sim.MWFPlanState{Solves: ss.FrozenSolves, CacheHits: ss.FrozenCacheHits, Solver: ss.FrozenSolver}
-}
-
-// align puts one null per compacted local ID back in front of the retained
-// records, after the cut: the document lists the records aligned by ID.
-func (ss *snapShard) align() {
-	ss.Records = append(make([]*jobRecord, ss.compacted, ss.compacted+len(ss.Records)), ss.Records...)
-	ss.compacted = 0
 }
 
 // snapGen is one topology generation in a snapshot (shards by creation
@@ -362,11 +353,10 @@ func exportShardLocked(sh *shard) snapShard {
 		},
 		Retired:     sh.retired,
 		Records:     make([]*jobRecord, len(sh.records.recs)),
-		compacted:   sh.records.base,
+		RecordBase:  sh.records.base,
 		MigratedIDs: append([]int(nil), sh.migratedIDs...),
 		Engine:      sh.eng.ExportState(),
 		Backlog:     sh.route.Load().Backlog,
-		Stalled:     sh.lastErr != nil,
 	}
 	ss.ShardTotals, ss.Tenants = sh.ledger()
 	for i, rec := range sh.records.recs {
@@ -452,9 +442,6 @@ func (s *Server) snapshotLocked() error {
 
 	if err == nil {
 		err = sealed.Close()
-	}
-	for i := range doc.Shards {
-		doc.Shards[i].align()
 	}
 	var payload []byte
 	if err == nil {
@@ -678,7 +665,10 @@ func negativeCount(path string, v reflect.Value) error {
 // private until the generation it belongs to is installed.
 func (sh *shard) loadState(ss *snapShard) error {
 	sh.retired = ss.Retired
-	sh.records.base = ss.compacted
+	if ss.RecordBase < 0 {
+		return fmt.Errorf("shard %d record base %d is negative", ss.Idx, ss.RecordBase)
+	}
+	sh.records.base = ss.RecordBase
 	for _, sr := range ss.Records {
 		if sr == nil {
 			sh.records.add(nil)

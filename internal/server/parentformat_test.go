@@ -29,6 +29,12 @@ import (
 
 const parentFixture = "testdata/parentformat"
 
+// The base-format fixture (testdata/baseformat) is the same script run by the
+// first build whose snapshot entries state the record index's base instead of
+// one null per compacted local ID; its expected.json equals the parent
+// fixture's apart from the WAL counters.
+const baseFixture = "testdata/baseformat"
+
 func parentFixtureCfg(dir string) Config {
 	return Config{Machines: hotSharedFleet(), Shards: 2, Policy: "srpt", Retention: rat(50, 1), WALDir: dir}
 }
@@ -50,18 +56,24 @@ func copyDir(t *testing.T, from, to string) {
 	}
 }
 
-// TestWALRestoresParentFormat restores the committed parent-built directory
-// and requires the fleet the parent left: every job status, the /v1/stats
+// TestWALRestoresParentFormat restores each committed directory and requires
+// the fleet its writing build left: every job status, the /v1/stats
 // aggregates and per-shard breakdown, the tenant rows — and, driven to
 // completion, a merged schedule that validates exactly.
 func TestWALRestoresParentFormat(t *testing.T) {
+	for _, fixture := range []string{parentFixture, baseFixture} {
+		t.Run(filepath.Base(fixture), func(t *testing.T) { restoresFixture(t, fixture) })
+	}
+}
+
+func restoresFixture(t *testing.T, fixture string) {
 	var want struct {
 		Jobs    map[string]model.JobStatus `json:"jobs"`
 		Unknown []int                      `json:"unknown"`
 		Stats   model.StatsResponse        `json:"stats"`
 		Tenants model.TenantsResponse      `json:"tenants"`
 	}
-	data, err := os.ReadFile(filepath.Join(parentFixture, "expected.json"))
+	data, err := os.ReadFile(filepath.Join(fixture, "expected.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +81,7 @@ func TestWALRestoresParentFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	copyDir(t, filepath.Join(parentFixture, "wal"), dir)
+	copyDir(t, filepath.Join(fixture, "wal"), dir)
 	srv, vc := reopenServer(t, parentFixtureCfg(dir))
 	defer srv.Close()
 	if now := srv.RestoredNow().RatString(); now != "107" || srv.ReplayedRecords() != 23 {
@@ -206,13 +218,13 @@ func recordKeys(t *testing.T, recs []wal.Record) map[string]map[string]bool {
 }
 
 // TestWALWritesParentFormat is the other direction: what this build writes
-// is what the parent wrote. From the fixture's snapshot alone the rebuilt
-// fleet must snapshot to the very same document; re-running the suffix's
-// script from there must log records that, type by type, carry exactly the
-// JSON keys the parent's records carry.
+// is what the base-format fixture's build wrote. From the fixture's snapshot
+// alone the rebuilt fleet must snapshot to the very same document; re-running
+// the suffix's script from there must log records that, type by type, carry
+// exactly the JSON keys the fixture's records carry.
 func TestWALWritesParentFormat(t *testing.T) {
 	src := t.TempDir()
-	copyDir(t, filepath.Join(parentFixture, "wal"), src)
+	copyDir(t, filepath.Join(baseFixture, "wal"), src)
 	snapSeq, parentSnap, ok := wal.LoadSnapshot(src)
 	if !ok {
 		t.Fatal("fixture holds no valid snapshot")
@@ -377,6 +389,12 @@ func TestWALRestoreRejectsDamagedSnapshot(t *testing.T) {
 		}},
 		{"first generation based below 0", func(doc map[string]any) {
 			doc["gens"].([]any)[0].(map[string]any)["base"] = -2
+		}},
+		{"negative recordBase", func(doc map[string]any) {
+			doc["shards"].([]any)[0].(map[string]any)["recordBase"] = -1
+		}},
+		{"recordBase above the first record's ID", func(doc map[string]any) {
+			doc["shards"].([]any)[0].(map[string]any)["recordBase"] = 5
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 
 	"divflow/internal/model"
 	"divflow/internal/schedule"
+	"divflow/internal/wal"
 )
 
 // TestRetentionCompaction drives a retention-bounded server through many
@@ -129,13 +130,14 @@ func TestRetentionKeepsRecentWork(t *testing.T) {
 }
 
 // TestRetentionBoundsRecordIndex: retention bounds what a live shard holds,
-// not only what it serves. After many times more jobs than the window
-// retains, the shard's record index and the snapshot cut's copy of it hold
-// just the retained records, while the written document keeps its aligned
-// form: one null per compacted local ID.
+// not only what it serves, and what its snapshot entry writes. After many
+// times more jobs than the window retains, the shard's record index and the
+// written entry hold just the retained records: the entry states the index's
+// base instead of one null per compacted local ID.
 func TestRetentionBoundsRecordIndex(t *testing.T) {
+	dir := t.TempDir()
 	vc := NewVirtualClock()
-	srv, err := New(Config{Machines: testFleet(), Clock: vc, Retention: big.NewRat(10, 1)})
+	srv, err := New(Config{Machines: testFleet(), Clock: vc, Retention: big.NewRat(10, 1), WALDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,17 +157,46 @@ func TestRetentionBoundsRecordIndex(t *testing.T) {
 	sh := srv.active()[0]
 	sh.mu.Lock()
 	slots, next := len(sh.records.recs), sh.records.next()
-	cut := exportShardLocked(sh)
 	sh.mu.Unlock()
 	if next != jobs {
 		t.Fatalf("the shard issued %d local IDs, want %d", next, jobs)
 	}
-	if slots > retained || len(cut.Records) > retained {
-		t.Errorf("the index holds %d slots and the cut copies %d after %d jobs, want at most the %d retained",
-			slots, len(cut.Records), jobs, retained)
+	if slots > retained {
+		t.Errorf("the index holds %d slots after %d jobs, want at most the %d retained", slots, jobs, retained)
 	}
-	cut.align()
-	if n := len(cut.Records); n != jobs || cut.Records[0] != nil || cut.Records[n-1] == nil || cut.Records[n-1].ID != jobs-1 {
-		t.Errorf("the written entry lists %d records, want %d aligned by local ID", n, jobs)
+
+	if err := srv.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	_, payload, ok := wal.LoadSnapshot(dir)
+	if !ok {
+		t.Fatal("no valid snapshot after Snapshot()")
+	}
+	var doc struct {
+		Shards []struct {
+			RecordBase int          `json:"recordBase"`
+			Records    []*jobRecord `json:"records"`
+		} `json:"shards"`
+	}
+	if err := json.Unmarshal(payload, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Shards) != 1 {
+		t.Fatalf("the snapshot holds %d shard entries, want 1", len(doc.Shards))
+	}
+	entry := doc.Shards[0]
+	if n := len(entry.Records); n == 0 || n > retained {
+		t.Fatalf("the written entry lists %d records after %d jobs, want 1 to %d", n, jobs, retained)
+	}
+	for i, rec := range entry.Records {
+		if rec == nil {
+			t.Errorf("the written entry's slot %d is null; it holds only the retained records", i)
+		}
+	}
+	if first := entry.Records[0]; first != nil && first.ID != entry.RecordBase {
+		t.Errorf("the written entry's first record has local ID %d, its recordBase is %d", first.ID, entry.RecordBase)
+	}
+	if end := entry.RecordBase + len(entry.Records); end != jobs {
+		t.Errorf("recordBase %d + %d records = %d, want the %d local IDs issued", entry.RecordBase, len(entry.Records), end, jobs)
 	}
 }
