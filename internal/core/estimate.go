@@ -36,6 +36,7 @@ func EstimateMinMaxWeightedFlow(inst *model.Instance, mode schedule.Model) (*Est
 	}
 	q := newInstance(inst)
 	s := newSearch(q, mode, flowDeadlines(q, nil), nil, (*rangeSearch).floatProbe)
+	defer s.done()
 	k, sol, err := s.locate()
 	if err != nil {
 		return nil, err

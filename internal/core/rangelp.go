@@ -143,8 +143,8 @@ func newEpochs(inst *instance, dls []*affine.Form, held []*big.Rat) epochs {
 
 // rangeSolution carries an optimal solution of a rangeLP.
 type rangeSolution struct {
-	F     exact.Q   // optimal objective value within the range
-	alpha []exact.Q // [(t·m+i)·n+j] fractions, as rangeLP.cols; zero where no variable
+	F exact.Q   // optimal objective value within the range
+	x []exact.Q // the LP's values by column: α^{(t)}_{i,j} is x[cols[(t·m+i)·n+j]]
 }
 
 // recordSolve classifies one hybrid solve into the tally.
@@ -261,9 +261,12 @@ func (r *rangeLP) shifted(dst []exact.Q) []exact.Q {
 	return dst
 }
 
-// build is the exact fill: the lp.Problem of the layout.
+// build is the exact fill: the lp.Problem of the layout, sized once — its
+// variables, its rows (F′'s bound and the layout's) and their terms (the α
+// columns, and F′ in every capacity row).
 func (r *rangeLP) build() {
 	r.prob = lp.NewProblem()
+	r.prob.Grow(r.numVars, len(r.rows)+1, len(r.terms)+len(r.rows)+1)
 	one := exact.Int(1)
 	// Only F′ is named: names are read by Problem.Dump alone, and formatting
 	// one per fraction variable and row costs more than adding them.
@@ -301,9 +304,10 @@ func (r *rangeLP) build() {
 }
 
 // probeBuf is what the probes of one search share: the tableau they all
-// fill, and the float image of the instance's cost matrix.
+// fill, lp's spare when one is kept, and the float image of the instance's
+// cost matrix.
 type probeBuf struct {
-	tab    lp.FloatTableau
+	tab    *lp.FloatTableau
 	cost   []float64 // [i·n+j], 0 where machine i cannot run job j
 	senses []lp.Sense
 	exact  []exact.Q // what a fill takes from its range, exactly…
@@ -311,7 +315,7 @@ type probeBuf struct {
 }
 
 func newProbeBuf(inst *instance) *probeBuf {
-	return &probeBuf{cost: lp.FloatImage(nil, inst.cost)}
+	return &probeBuf{tab: lp.TakeTableau(), cost: lp.FloatImage(nil, inst.cost)}
 }
 
 // fillProbe is the float fill: the same rows from the same exact values,
@@ -388,22 +392,30 @@ func (r *rangeLP) solveWith(warm *lp.Basis, tally *stats.SolverTally) (*rangeSol
 	default:
 		return nil, fmt.Errorf("core: range LP reported %v", sol.Status)
 	}
-	out := &rangeSolution{F: r.rg.Lo.Add(sol.X[fCol]), alpha: make([]exact.Q, len(r.cols))}
-	for k, c := range r.cols {
-		if c >= 0 {
-			out.alpha[k] = sol.X[c]
-		}
+	return &rangeSolution{F: r.rg.Lo.Add(sol.X[fCol]), x: sol.X}, nil
+}
+
+// alpha is the fraction α^{(t)}_{i,j} of a solution, zero where the layout
+// has no such variable.
+func (r *rangeLP) alpha(sol *rangeSolution, t, i, j int) exact.Q {
+	n, m := r.inst.N(), r.inst.M()
+	if c := r.cols[(t*m+i)*n+j]; c >= 0 {
+		return sol.x[c]
 	}
-	return out, nil
+	return exact.Q{}
 }
 
 // extract materializes a schedule from an LP solution: interval bounds are
 // evaluated at the optimal F; inside each interval the divisible model lines
 // the fractions up back to back on each machine, while the preemptive model
 // runs the Lawler–Labetoulle decomposition so that no job ever executes on
-// two machines simultaneously.
+// two machines simultaneously. Empty pieces are dropped while still exact,
+// and each piece is appended with the rationals made for it, uncopied.
 func (r *rangeLP) extract(sol *rangeSolution) (*schedule.Schedule, error) {
 	out := &schedule.Schedule{}
+	add := func(i, j int, start, end, frac exact.Q) {
+		out.Pieces = append(out.Pieces, schedule.Piece{Machine: i, Job: j, Start: start.Rat(), End: end.Rat(), Fraction: frac.Rat()})
+	}
 	n, m := r.inst.N(), r.inst.M()
 	for t, iv := range r.ivs {
 		lo, hi := iv.Lo.Eval(sol.F), iv.Hi.Eval(sol.F)
@@ -412,18 +424,17 @@ func (r *rangeLP) extract(sol *rangeSolution) (*schedule.Schedule, error) {
 			// all its fractions to zero.
 			continue
 		}
-		alpha := sol.alpha[t*m*n : (t+1)*m*n]
 		switch r.mode {
 		case schedule.Divisible:
 			for i := 0; i < m; i++ {
 				cur := lo
 				for j := 0; j < n; j++ {
-					a := alpha[i*n+j]
+					a := r.alpha(sol, t, i, j)
 					if a.Sign() == 0 {
 						continue
 					}
 					end := cur.Add(a.Mul(r.inst.cost[i*n+j]))
-					out.Add(i, j, cur.Rat(), end.Rat(), a.Rat())
+					add(i, j, cur, end, a)
 					cur = end
 				}
 			}
@@ -432,7 +443,7 @@ func (r *rangeLP) extract(sol *rangeSolution) (*schedule.Schedule, error) {
 			for i := 0; i < m; i++ {
 				T[i] = make([]exact.Q, n)
 				for j := 0; j < n; j++ {
-					T[i][j] = alpha[i*n+j].Mul(r.inst.cost[i*n+j])
+					T[i][j] = r.alpha(sol, t, i, j).Mul(r.inst.cost[i*n+j])
 				}
 			}
 			pieces, err := llsched.Decompose(T, hi.Sub(lo), lo)
@@ -440,8 +451,10 @@ func (r *rangeLP) extract(sol *rangeSolution) (*schedule.Schedule, error) {
 				return nil, fmt.Errorf("core: interval %d reconstruction: %w", t, err)
 			}
 			for _, p := range pieces {
-				frac := p.End.Sub(p.Start).Quo(r.inst.cost[p.Machine*n+p.Job])
-				out.Add(p.Machine, p.Job, p.Start.Rat(), p.End.Rat(), frac.Rat())
+				if p.Start.Cmp(p.End) >= 0 {
+					continue
+				}
+				add(p.Machine, p.Job, p.Start, p.End, p.End.Sub(p.Start).Quo(r.inst.cost[p.Machine*n+p.Job]))
 			}
 		}
 	}

@@ -33,7 +33,8 @@ import (
 // wrong, stalled or lying probe costs extra exact work, never the result —
 // and a probe may skip everything the proof needs: it fills the range's
 // layout in float64 straight into one tableau the search keeps
-// (rangeLP.fillProbe), building no lp.Problem and no exact coefficient.
+// (rangeLP.fillProbe), building no lp.Problem and no exact coefficient. The
+// exact solve of a range a probe filled takes the layout the probe made.
 type rangeSearch struct {
 	inst   *instance
 	mode   schedule.Model
@@ -41,7 +42,9 @@ type rangeSearch struct {
 	ranges []affine.Range
 
 	probe probeFunc
-	buf   *probeBuf // the honest probe's tableau, made by its first call
+	buf   *probeBuf // the honest probe's tableau, taken by its first call
+	laid  *rangeLP  // the layout last made, of range laidK
+	laidK int
 
 	tally  stats.SolverTally // hybrid-engine paths of the exact solves
 	probes int               // float solves
@@ -153,9 +156,13 @@ func earliestEnd(inst *instance, j int, mode schedule.Model) exact.Q {
 // liars.
 type probeFunc func(s *rangeSearch, k int) (*lp.FloatSolution, error)
 
-// rangeLP lays out the LP of range k.
+// rangeLP lays out the LP of range k, or hands back the layout last made
+// when it is range k's.
 func (s *rangeSearch) rangeLP(k int) *rangeLP {
-	return newRangeLP(s.inst, s.mode, s.ep, s.ranges[k])
+	if s.laid == nil || s.laidK != k {
+		s.laid, s.laidK = newRangeLP(s.inst, s.mode, s.ep, s.ranges[k]), k
+	}
+	return s.laid
 }
 
 // exact solves range k exactly, from the basis a probe of it ended on (or
@@ -172,7 +179,8 @@ func (s *rangeSearch) exact(k int, probed *lp.Basis) (*rangeLP, *rangeSolution, 
 
 // floatProbe is the honest probe: range k's layout, filled in float64 into
 // the search's one tableau and minimized there. No lp.Problem is built and
-// nothing exact is solved; the objective it reports is F = Lo + F′.
+// nothing exact is solved; the objective it reports is F = Lo + F′. The
+// tableau is lp's spare when one is kept; done hands it back.
 func (s *rangeSearch) floatProbe(k int) (*lp.FloatSolution, error) {
 	if s.buf == nil {
 		s.buf = newProbeBuf(s.inst)
@@ -195,6 +203,14 @@ func (s *rangeSearch) float(k int) *lp.FloatSolution {
 	return sol
 }
 
+// done hands the probes' tableau back to lp; the search probes no more.
+func (s *rangeSearch) done() {
+	if s.buf != nil {
+		lp.ReturnTableau(s.buf.tab)
+		s.buf = nil
+	}
+}
+
 // locate returns the candidate for the leftmost feasible range: seed, gallop,
 // bisect. It asks about the range the floor picked and, while the answer is
 // "infeasible", about the ranges 1, 2, 4, … further right, then bisects what
@@ -202,10 +218,12 @@ func (s *rangeSearch) float(k int) *lp.FloatSolution {
 // is assumed feasible and never asked about. A float probe answers; one that
 // cannot tell is replaced, for that step, by the exact solve. With the
 // candidate comes the probe solution that called it feasible — nil when none
-// did (the last range, an exact solve standing in).
+// did (the last range, an exact solve standing in); the layout that probe
+// filled is the one the search hands out for the candidate next.
 func (s *rangeSearch) locate() (int, *lp.FloatSolution, error) {
 	lo, hi := s.lo, len(s.ranges)-1
-	var at *lp.FloatSolution // the probe that made hi the upper end
+	var at *lp.FloatSolution // the probe that made hi the upper end…
+	var atLP *rangeLP        // …and the layout it filled
 	ask := func(k int) error {
 		fs := s.float(k)
 		feasible := fs != nil && fs.Status == lp.Optimal
@@ -217,7 +235,7 @@ func (s *rangeSearch) locate() (int, *lp.FloatSolution, error) {
 			feasible = sol != nil
 		}
 		if feasible {
-			hi, at = k, fs
+			hi, at, atLP = k, fs, s.rangeLP(k)
 		} else {
 			lo = k + 1
 		}
@@ -233,6 +251,9 @@ func (s *rangeSearch) locate() (int, *lp.FloatSolution, error) {
 		if err := ask(lo + (hi-lo)/2); err != nil {
 			return 0, nil, err
 		}
+	}
+	if atLP != nil {
+		s.laid, s.laidK = atLP, lo
 	}
 	return lo, at, nil
 }
@@ -270,8 +291,11 @@ func (s *rangeSearch) certify(k int, at *lp.FloatSolution) (int, *rangeLP, *rang
 	return 0, nil, nil, ErrDeadlinesInfeasible
 }
 
-// leftmost locates, then certifies.
+// leftmost locates, then certifies; the probes' tableau goes back to lp
+// after the certifying solve, whose own float pass, when the probe's basis
+// misses, finds the spare taken and fills a tableau of its own.
 func (s *rangeSearch) leftmost() (int, *rangeLP, *rangeSolution, error) {
+	defer s.done()
 	k, at, err := s.locate()
 	if err != nil {
 		return 0, nil, nil, err

@@ -70,12 +70,18 @@ func FromRat(x *big.Rat) Q {
 	return Q{r: new(big.Rat).Set(x)}
 }
 
-// Rat returns the value as a new *big.Rat the caller owns.
+// Rat returns the value as a new *big.Rat the caller owns. The words are in
+// lowest terms already, so they are set as they stand, with no GCD: Denom is
+// the new Rat's own denominator once the numerator is set.
 func (x Q) Rat() *big.Rat {
 	if x.r != nil {
 		return new(big.Rat).Set(x.r)
 	}
-	return big.NewRat(x.num, x.den())
+	r := new(big.Rat).SetInt64(x.num)
+	if x.den1 != 0 {
+		r.Denom().SetInt64(x.den())
+	}
+	return r
 }
 
 // fit returns x in words, if it fits them.

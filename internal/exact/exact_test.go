@@ -35,7 +35,9 @@ func operand(t *testing.T, n, d int64, shift int8) (Q, *big.Rat) {
 // representation the value has: in words exactly when they can hold it.
 func same(t *testing.T, label string, q Q, want *big.Rat) {
 	t.Helper()
-	if got := q.Rat(); got.Cmp(want) != 0 {
+	// Rat sets the words as they stand: they must already be want's lowest
+	// terms.
+	if got := q.Rat(); got.Cmp(want) != 0 || got.Num().Cmp(want.Num()) != 0 || got.Denom().Cmp(want.Denom()) != 0 {
 		t.Fatalf("%s = %v, want %v", label, got, want)
 	}
 	if _, fits := fit(want); fits != (q.r == nil) {

@@ -108,6 +108,7 @@ func SolveHybridWarm(p *Problem, warm *Basis) (*Solution, error) {
 			sol = certifyInfeasible(sf, run.basis)
 		}
 	}
+	run.release()
 	if sol != nil {
 		sol.Method = MethodFloatVerified
 		return sol, nil

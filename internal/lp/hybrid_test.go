@@ -289,7 +289,11 @@ func floatBasis(t *testing.T, p *Problem) *Basis {
 func withRHS(p *Problem, rhs func(i int, b exact.Q) exact.Q) *Problem {
 	out := NewProblem()
 	for j, c := range p.objective {
-		out.AddVarQ(p.varNames[j], c)
+		name := "" // varNames stops at the last named variable
+		if j < len(p.varNames) {
+			name = p.varNames[j]
+		}
+		out.AddVarQ(name, c)
 	}
 	for i, r := range p.rows {
 		out.AddRowQ(r.name, r.terms, r.sense, rhs(i, r.rhs))

@@ -46,6 +46,7 @@ package lp
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"strings"
 
 	"divflow/internal/exact"
@@ -98,9 +99,10 @@ type row struct {
 // Problem is a linear program in general form. The zero value is an empty
 // problem; add variables with AddVar and constraints with AddRow.
 type Problem struct {
-	varNames  []string
+	varNames  []string  // up to the last named variable; "" for no name
 	objective []exact.Q // dense, one per variable
 	rows      []row
+	terms     []TermQ // the rows' terms are cut from its array; room past len is free
 }
 
 // NewProblem returns an empty minimization problem.
@@ -117,9 +119,26 @@ func (p *Problem) AddVar(name string, objCoef *big.Rat) int {
 
 // AddVarQ is AddVar with an exact.Q coefficient.
 func (p *Problem) AddVarQ(name string, objCoef exact.Q) int {
-	p.varNames = append(p.varNames, name)
+	if name != "" {
+		for len(p.varNames) < len(p.objective) {
+			p.varNames = append(p.varNames, "")
+		}
+		p.varNames = append(p.varNames, name)
+	}
 	p.objective = append(p.objective, objCoef)
 	return len(p.objective) - 1
+}
+
+// Grow reserves room for vars more variables, rows more rows and terms more
+// nonzero row terms in all, so that adding them allocates nothing further.
+// A caller that knows its problem's size calls it first; adding more than
+// it reserved is still correct.
+func (p *Problem) Grow(vars, rows, terms int) {
+	p.objective = slices.Grow(p.objective, vars)
+	p.rows = slices.Grow(p.rows, rows)
+	if cap(p.terms)-len(p.terms) < terms {
+		p.terms = make([]TermQ, 0, terms)
+	}
 }
 
 // NumVars reports the number of variables added so far.
@@ -139,18 +158,23 @@ func (p *Problem) AddRow(name string, terms []Term, sense Sense, rhs *big.Rat) {
 }
 
 // AddRowQ is AddRow with exact.Q coefficients. The terms are copied, so the
-// caller may reuse the slice.
+// caller may reuse the slice: into the room Grow reserved when it holds them,
+// else into an array of their own, whose tail the next rows may take.
 func (p *Problem) AddRowQ(name string, terms []TermQ, sense Sense, rhs exact.Q) {
-	cp := make([]TermQ, 0, len(terms))
+	if cap(p.terms)-len(p.terms) < len(terms) {
+		p.terms = make([]TermQ, 0, len(terms))
+	}
+	start := len(p.terms)
 	for _, t := range terms {
 		if t.Col < 0 || t.Col >= len(p.objective) {
 			panic(fmt.Sprintf("lp: row %q references unknown column %d", name, t.Col))
 		}
 		if t.Coef.Sign() != 0 {
-			cp = append(cp, t)
+			p.terms = append(p.terms, t)
 		}
 	}
-	p.rows = append(p.rows, row{terms: cp, sense: sense, rhs: rhs, name: name})
+	end := len(p.terms)
+	p.rows = append(p.rows, row{terms: p.terms[start:end:end], sense: sense, rhs: rhs, name: name})
 }
 
 // Status reports the outcome of a solve.
@@ -236,7 +260,7 @@ func (p *Problem) Dump() string {
 }
 
 func (p *Problem) varName(j int) string {
-	if p.varNames[j] != "" {
+	if j < len(p.varNames) && p.varNames[j] != "" {
 		return p.varNames[j]
 	}
 	return fmt.Sprintf("x%d", j)

@@ -1,10 +1,10 @@
 package lp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"divflow/internal/exact"
 )
@@ -23,15 +23,46 @@ const (
 )
 
 // floatStalled is the internal status for a float solve that hit its
-// iteration cap; it never escapes this package.
+// iteration cap or was handed an entry float64 cannot hold; it never escapes
+// this package.
 const floatStalled = Status(-1)
+
+// spareBytes caps the buffer of the one tableau kept between solves: most
+// range LPs fit under it, a larger one allocates its own, and what the
+// process holds between calls stays at most one tableau this size.
+const spareBytes = 256 << 10
+
+// spare is the tableau kept between solves, nil while one is taken. A solve
+// takes it whole (TakeTableau), so concurrent solves never share one: the
+// second finds none and allocates.
+var spare atomic.Pointer[FloatTableau]
+
+// TakeTableau returns the spare tableau, or a new one when none is kept. The
+// caller owns it until it hands it to ReturnTableau.
+func TakeTableau() *FloatTableau {
+	if t := spare.Swap(nil); t != nil {
+		return t
+	}
+	return new(FloatTableau)
+}
+
+// ReturnTableau offers t back as the spare, once nothing reads it any more —
+// nor a basis it ended on, which is the tableau's own slice. It is kept only
+// while its buffer is at most spareBytes; a larger one is left to the
+// collector, and so is the spare it would replace.
+func ReturnTableau(t *FloatTableau) {
+	if t != nil && cap(t.buf)*8 <= spareBytes {
+		spare.Store(t)
+	}
+}
 
 // FloatImage appends the float64 images of exact coefficients to dst, each
 // the float64 nearest it. Callers that fill a FloatTableau themselves convert
 // here, in bulk — a cost matrix once for all the tableaux it will fill — so
 // that the exact packages hold no conversion of their own. A magnitude
-// float64 cannot hold comes out ±Inf; Set and SetRHS catch it on its way into
-// a tableau.
+// float64 cannot hold comes out ±Inf; Set and SetRHS flag it on its way into
+// a tableau, as loading a standard form does, and the flagged tableau is not
+// solved.
 func FloatImage(dst []float64, vals []exact.Q) []float64 {
 	for _, v := range vals {
 		dst = append(dst, v.Float64())
@@ -50,6 +81,13 @@ type floatRun struct {
 	artStart   int   // of the tableau, with numCols what makes basis a Basis
 	numCols    int
 	iterations int
+	tab        *FloatTableau // what basis lies in: release hands it back
+}
+
+// release hands the run's tableau back as the spare; basis is not read after.
+func (run *floatRun) release() {
+	ReturnTableau(run.tab)
+	run.tab, run.basis = nil, nil
 }
 
 // solution reports the run to a caller outside the hybrid engine, which has
@@ -66,11 +104,15 @@ func (run *floatRun) solution() (*FloatSolution, error) {
 	return &FloatSolution{Status: run.status, Objective: run.objective, Basis: basis}, nil
 }
 
-// runFloat executes the two-phase float simplex over the standard form.
+// runFloat executes the two-phase float simplex over the standard form, in
+// the spare tableau when one is kept; the caller releases the run once it
+// has read the basis.
 func runFloat(sf *stdForm) *floatRun {
-	var t FloatTableau
+	t := TakeTableau()
 	t.load(sf)
-	return t.run()
+	run := t.run()
+	run.tab = t
+	return run
 }
 
 // FloatTableau is the dense tableau of the float64 two-phase simplex:
@@ -84,7 +126,9 @@ func runFloat(sf *stdForm) *floatRun {
 // answer is no part of a proof — the probes of a milestone search — skips
 // the exact Problem altogether: Reset, Set/SetRHS per coefficient, Minimize.
 // Reset reuses the buffers, so such a caller keeps one tableau for all its
-// solves; the zero value is ready to use.
+// solves; the zero value is ready to use. Between solves the package keeps
+// one spare tableau of at most spareBytes (TakeTableau, ReturnTableau), which
+// the engine's own float pass and a search's probes take in turn.
 type FloatTableau struct {
 	numVars    int // structural columns
 	numCols    int
@@ -98,8 +142,9 @@ type FloatTableau struct {
 	obj        []float64
 	objRHS     float64
 	iterations int
-	nz         []int // scratch: nonzero columns of the current pivot row
-	nonFinite  bool  // an entry float64 cannot hold was written
+	nz         []int     // scratch: nonzero columns of the current pivot row…
+	nzv        []float64 // …and their values, scaled
+	nonFinite  bool      // an entry float64 cannot hold was written
 }
 
 // zeroed returns s resized to n zero elements, reallocating only to grow.
@@ -131,7 +176,8 @@ func (t *FloatTableau) shape(m, numVars, artStart, numCols int) {
 	t.objRHS, t.iterations, t.nonFinite = 0, 0, false
 }
 
-// load converts the standard form to float64.
+// load converts the standard form to float64, flagging an entry float64
+// cannot hold as Set does.
 func (t *FloatTableau) load(sf *stdForm) {
 	t.shape(sf.m, sf.numVars, sf.artStart, sf.numCols)
 	copy(t.basis, sf.basis0)
@@ -139,10 +185,15 @@ func (t *FloatTableau) load(sf *stdForm) {
 		row, src := t.rowsData[i], &sf.rows[i]
 		for k, j := range src.ind {
 			row[j] = src.val[k].Float64()
+			t.nonFinite = t.nonFinite || row[j]-row[j] != 0
 		}
 	}
-	FloatImage(t.rhsData[:0], sf.rhs)
-	FloatImage(t.cost[:0], sf.cost[:sf.numVars])
+	for _, v := range FloatImage(t.rhsData[:0], sf.rhs) {
+		t.nonFinite = t.nonFinite || v-v != 0
+	}
+	for _, v := range FloatImage(t.cost[:0], sf.cost[:sf.numVars]) {
+		t.nonFinite = t.nonFinite || v-v != 0
+	}
 }
 
 // Reset shapes the tableau for numVars structural columns and one row per
@@ -186,19 +237,21 @@ func (t *FloatTableau) SetRHS(row int, v float64) {
 func (t *FloatTableau) Artificials() int { return t.numCols - t.artStart }
 
 // Minimize solves the filled tableau for the minimum of structural column
-// col. A tableau that was handed an infinite or NaN entry is not solved: like
-// a stall, that is an error, and the caller cannot tell.
+// col. A tableau that was handed an infinite or NaN entry is not solved: it
+// stalls (run), which is an error, and the caller cannot tell.
 func (t *FloatTableau) Minimize(col int) (*FloatSolution, error) {
-	if t.nonFinite {
-		return nil, errors.New("lp: a coefficient exceeds float64")
-	}
 	t.cost[col] = 1
 	return t.run().solution()
 }
 
-// run executes the two phases on the loaded or filled tableau.
+// run executes the two phases on the loaded or filled tableau. One that was
+// handed an infinite or NaN entry stalls at once: pivoting over it would
+// only spread it, and the exact engine decides.
 func (t *FloatTableau) run() *floatRun {
-	status := t.phases()
+	status := floatStalled
+	if !t.nonFinite {
+		status = t.phases()
+	}
 	out := &floatRun{status: status, basis: t.basis, artStart: t.artStart, numCols: t.numCols, iterations: t.iterations}
 	if status == Optimal {
 		out.objective = t.objectiveValue()
@@ -304,15 +357,20 @@ func (t *FloatTableau) iterate() Status {
 func (t *FloatTableau) pivot(leave, enter int) {
 	prow := t.rowsData[leave]
 	inv := 1 / prow[enter]
-	nz := t.nz[:0]
+	nz, nzv := t.nz[:0], t.nzv[:0]
 	for j, v := range prow {
-		if v != 0 {
-			prow[j] = v * inv
-			nz = append(nz, j)
+		if v == 0 {
+			continue
 		}
+		if j == enter {
+			v = 1 // avoid drift on the pivot element
+		} else {
+			v *= inv
+		}
+		prow[j] = v
+		nz, nzv = append(nz, j), append(nzv, v)
 	}
-	t.nz = nz
-	prow[enter] = 1 // avoid drift on the pivot element
+	t.nz, t.nzv = nz, nzv
 	t.rhsData[leave] *= inv
 	for r := range t.rowsData {
 		if r == leave {
@@ -323,8 +381,8 @@ func (t *FloatTableau) pivot(leave, enter int) {
 			continue
 		}
 		row := t.rowsData[r]
-		for _, j := range nz {
-			row[j] -= f * prow[j]
+		for k, j := range nz {
+			row[j] -= f * nzv[k]
 		}
 		row[enter] = 0
 		t.rhsData[r] -= f * t.rhsData[leave]
@@ -333,8 +391,8 @@ func (t *FloatTableau) pivot(leave, enter int) {
 		}
 	}
 	if f := t.obj[enter]; f != 0 {
-		for _, j := range nz {
-			t.obj[j] -= f * prow[j]
+		for k, j := range nz {
+			t.obj[j] -= f * nzv[k]
 		}
 		t.obj[enter] = 0
 		t.objRHS -= f * t.rhsData[leave]

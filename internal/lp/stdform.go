@@ -106,6 +106,19 @@ func newStdForm(p *Problem) (*stdForm, error) {
 		cost:     make([]exact.Q, num.numCols),
 	}
 	copy(sf.cost, p.objective)
+	// Every row is cut from one index and one value array, at its final
+	// width: its terms, then its slack or surplus, then its artificial.
+	width := func(i int) int {
+		if senses[i] == GE {
+			return len(p.rows[i].terms) + 2
+		}
+		return len(p.rows[i].terms) + 1
+	}
+	size := 0
+	for i := range p.rows {
+		size += width(i)
+	}
+	ind, val := make([]int, size), make([]exact.Q, size)
 
 	one, negOne := exact.Int(1), exact.Int(-1)
 	byCol := func(a, b TermQ) int { return a.Col - b.Col }
@@ -117,10 +130,9 @@ func newStdForm(p *Problem) (*stdForm, error) {
 			terms = slices.Clone(terms)
 			slices.SortFunc(terms, byCol)
 		}
-		row := spVec{
-			ind: make([]int, 0, len(terms)+2),
-			val: make([]exact.Q, 0, len(terms)+2),
-		}
+		n := width(i)
+		row := spVec{ind: ind[:0:n], val: val[:0:n]}
+		ind, val = ind[n:], val[n:]
 		for k, t := range terms {
 			if k > 0 && terms[k-1].Col == t.Col {
 				return nil, fmt.Errorf("lp: row %d %q mentions column %d twice", i, r.name, t.Col)
