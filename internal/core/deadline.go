@@ -25,10 +25,8 @@ func DeadlineFeasible(inst *model.Instance, deadlines []*big.Rat, mode schedule.
 	if err := checkDeadlines(inst, deadlines); err != nil {
 		return false, nil, err
 	}
-	_, rl, sol, err := newSearch(newInstance(inst), mode, nil, deadlines, (*rangeSearch).floatProbe).leftmost()
-	if errors.Is(err, ErrDeadlinesInfeasible) {
-		return false, nil, nil
-	} else if err != nil {
+	rl, sol, err := deadlineFeasible(newInstance(inst), heldQ(deadlines), mode)
+	if rl == nil {
 		return false, nil, err
 	}
 	s, err := rl.extract(sol)
@@ -36,6 +34,18 @@ func DeadlineFeasible(inst *model.Instance, deadlines []*big.Rat, mode schedule.
 		return false, nil, err
 	}
 	return true, s, nil
+}
+
+// deadlineFeasible is System (2) on q: the LP and its solution when every
+// held deadline can be met, nil and no error when they cannot.
+func deadlineFeasible(q *instance, held []*exact.Q, mode schedule.Model) (*rangeLP, *rangeSolution, error) {
+	_, rl, sol, err := newSearchQ(q, mode, nil, held, (*rangeSearch).floatProbe).leftmost()
+	if errors.Is(err, ErrDeadlinesInfeasible) {
+		return nil, nil, nil
+	} else if err != nil {
+		return nil, nil, err
+	}
+	return rl, sol, nil
 }
 
 // BestDeadline computes the exact minimum deadline for job k that keeps the
@@ -61,16 +71,27 @@ func BestDeadline(inst *model.Instance, deadlines []*big.Rat, k int, mode schedu
 	if k < 0 || k >= inst.N() {
 		return nil, fmt.Errorf("core: job index %d out of range", k)
 	}
-	dls, held := make([]*affine.Form, inst.N()), slices.Clone(deadlines)
-	f := affine.New(exact.Q{}, exact.Int(1))
-	dls[k], held[k] = &f, nil
-	_, _, sol, err := newSearch(newInstance(inst), mode, dls, held, (*rangeSearch).floatProbe).leftmost()
-	if errors.Is(err, ErrDeadlinesInfeasible) {
-		return nil, nil
-	} else if err != nil {
+	best, ok, err := bestDeadline(newInstance(inst), heldQ(deadlines), k, mode)
+	if !ok {
 		return nil, err
 	}
-	return sol.F.Rat(), nil
+	return best.Rat(), nil
+}
+
+// bestDeadline is BestDeadline's search on q: job k's deadline the form
+// d̄_k(F) = F, every other held. ok is false when no deadline works, or on an
+// error.
+func bestDeadline(q *instance, held []*exact.Q, k int, mode schedule.Model) (best exact.Q, ok bool, err error) {
+	dls, h := make([]*affine.Form, q.N()), slices.Clone(held)
+	f := affine.New(exact.Q{}, exact.Int(1))
+	dls[k], h[k] = &f, nil
+	_, _, sol, err := newSearchQ(q, mode, dls, h, (*rangeSearch).floatProbe).leftmost()
+	if errors.Is(err, ErrDeadlinesInfeasible) {
+		return exact.Q{}, false, nil
+	} else if err != nil {
+		return exact.Q{}, false, err
+	}
+	return sol.F, true, nil
 }
 
 // checkDeadlines validates the instance and that deadlines has one entry per
@@ -98,7 +119,7 @@ func horizon(inst *instance, ep epochs) exact.Q {
 			h = r
 		}
 	}
-	for j := range inst.Jobs {
+	for j := range inst.N() {
 		h = h.Add(soloTime(inst, j, schedule.Preemptive))
 	}
 	for _, k := range ep.hard {

@@ -24,8 +24,8 @@ func TestVerifiedBasesAreNearlyTriangular(t *testing.T) {
 	kernel, rows, verified, other := 0, 0, 0, 0
 	solve := func(label string, rl *rangeLP) {
 		t.Helper()
-		rl.build()
-		sol, err := lp.SolveHybrid(rl.prob)
+		p := rangeProblem(rl)
+		sol, err := lp.SolveHybrid(p)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -35,7 +35,7 @@ func TestVerifiedBasesAreNearlyTriangular(t *testing.T) {
 		}
 		verified++
 		kernel += sol.Kernel
-		rows += rl.prob.NumRows()
+		rows += p.NumRows()
 	}
 	for _, ps := range probeSearches(t) {
 		for k := range ps.s.ranges {

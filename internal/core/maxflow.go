@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"divflow/internal/affine"
+	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
 	"divflow/internal/stats"
@@ -109,4 +110,29 @@ func minMaxWeightedFlow(inst *model.Instance, origins, deadlines []*big.Rat, mod
 		Solver:        s.tally,
 		Wall:          nowFunc().Sub(start),
 	}, nil
+}
+
+// exactAll converts rationals to exact.Q, nil reading as 0.
+func exactAll(rats []*big.Rat) []exact.Q {
+	out := make([]exact.Q, len(rats))
+	for j, x := range rats {
+		out[j] = exact.FromRat(x)
+	}
+	return out
+}
+
+// heldQ converts held deadlines to exact.Q, a nil entry (or slice) holding
+// none.
+func heldQ(deadlines []*big.Rat) []*exact.Q {
+	if deadlines == nil {
+		return nil
+	}
+	vals := exactAll(deadlines)
+	out := make([]*exact.Q, len(deadlines))
+	for j, d := range deadlines {
+		if d != nil {
+			out[j] = &vals[j]
+		}
+	}
+	return out
 }

@@ -10,16 +10,18 @@ import (
 	"divflow/internal/affine"
 	"divflow/internal/exact"
 	"divflow/internal/lp"
+	"divflow/internal/model"
 	"divflow/internal/schedule"
 	"divflow/internal/workload"
 )
 
-// probeSearch is one search whose every range the probe tests walk; a
-// BestDeadline search comes with the job (k >= 0) and deadlines it was made
-// for.
+// probeSearch is one search whose every range the probe tests walk, with the
+// instance it searches; a BestDeadline search comes with the job (k >= 0) and
+// deadlines it was made for.
 type probeSearch struct {
 	label     string
 	s         *rangeSearch
+	inst      *model.Instance
 	k         int
 	deadlines []*big.Rat
 }
@@ -35,7 +37,7 @@ func probeSearches(t *testing.T) []probeSearch {
 		for _, mode := range []schedule.Model{schedule.Divisible, schedule.Preemptive} {
 			q := newInstance(tc.inst)
 			out = append(out, probeSearch{fmt.Sprintf("%s, %v", tc.label, mode),
-				newSearch(q, mode, flowDeadlines(q, tc.origins), nil, honestProbe), -1, nil})
+				newSearch(q, mode, flowDeadlines(q, tc.origins), nil, honestProbe), tc.inst, -1, nil})
 		}
 	}
 	for seed := int64(0); seed < 6; seed++ {
@@ -68,7 +70,7 @@ func probeSearches(t *testing.T) []probeSearch {
 			f := affine.New(exact.Q{}, exact.Int(1))
 			dls[k], held[k] = &f, nil
 			out = append(out, probeSearch{fmt.Sprintf("best deadline seed %d job %d, %v", seed, k, mode),
-				newSearch(newInstance(inst), mode, dls, held, honestProbe), k, deadlines})
+				newSearch(newInstance(inst), mode, dls, held, honestProbe), inst, k, deadlines})
 		}
 	}
 	return out
@@ -139,8 +141,8 @@ func TestProbeAgreesWithExact(t *testing.T) {
 				t.Fatalf("%s, range %d %v: the probe could not tell", ps.label, k, rg)
 			}
 			rl := ps.s.rangeLP(k)
-			rl.build()
-			cold, err := lp.SolveHybrid(rl.prob)
+			p := rangeProblem(rl)
+			cold, err := lp.SolveHybrid(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +155,7 @@ func TestProbeAgreesWithExact(t *testing.T) {
 			if math.Abs(fs.Objective-want) > 1e-6*math.Abs(want) {
 				t.Errorf("%s, range %d %v: probe minimum %v, exact %v", ps.label, k, rg, fs.Objective, want)
 			}
-			handed, err := lp.SolveHybridWarm(rl.prob, fs.Basis)
+			handed, err := lp.SolveHybridWarm(p, fs.Basis)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,9 +223,9 @@ func TestProbeFillNegatesNoRow(t *testing.T) {
 			if len(buf.senses) != wantRows {
 				t.Errorf("%s, range %d %v: %d tableau rows for %d layout rows", ps.label, k, rg, len(buf.senses), len(rl.rows))
 			}
-			if rl.build(); rl.prob.NumRows() != wantRows || rl.prob.NumVars() != rl.numVars {
+			if p := rangeProblem(rl); p.NumRows() != wantRows || p.NumVars() != rl.numVars {
 				t.Errorf("%s, range %d %v: the exact fill has %d rows over %d columns, the probe's %d over %d",
-					ps.label, k, rg, rl.prob.NumRows(), rl.prob.NumVars(), wantRows, rl.numVars)
+					ps.label, k, rg, p.NumRows(), p.NumVars(), wantRows, rl.numVars)
 			}
 		}
 	}

@@ -15,8 +15,10 @@
 // epochal time, milestone and LP entry is an exact rational, every LP's
 // answer is verified exactly, and the produced schedules validate exactly.
 // Inside, the rationals are exact.Q values — two machine words each unless a
-// value outgrows them; *big.Rat is only what comes in (the model.Instance,
-// origins, deadlines) and what goes out (objectives and schedule pieces).
+// value outgrows them. The online path has no *big.Rat at all: a Residual
+// comes in as exact.Q and its Plan goes out as exact.Q. The offline entry
+// points convert at their own boundary — the model.Instance, origins and
+// deadlines in, objectives and schedule pieces out — onto the same search.
 package core
 
 import (
@@ -33,18 +35,19 @@ import (
 	"divflow/internal/stats"
 )
 
-// instance is a model.Instance with the rationals the solvers compute from
-// converted to exact.Q once per call, as probeBuf converts the cost matrix to
-// float64 once per search.
+// instance is what every solver computes from: n jobs on m machines, their
+// release dates, weights and cost matrix as exact.Q values, converted once
+// per call from a model.Instance (newInstance) or taken as they stand from a
+// Residual, as probeBuf converts the cost matrix to float64 once per search.
 type instance struct {
-	*model.Instance
+	n, m            int
 	cost            []exact.Q // [i·n+j], zero where machine i cannot run job j
 	release, weight []exact.Q
 }
 
 func newInstance(inst *model.Instance) *instance {
 	n, m := inst.N(), inst.M()
-	q := &instance{Instance: inst, cost: make([]exact.Q, m*n), release: make([]exact.Q, n), weight: make([]exact.Q, n)}
+	q := &instance{n: n, m: m, cost: make([]exact.Q, m*n), release: make([]exact.Q, n), weight: make([]exact.Q, n)}
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			c, _ := inst.Cost(i, j)
@@ -57,6 +60,15 @@ func newInstance(inst *model.Instance) *instance {
 	}
 	return q
 }
+
+// N is the number of jobs.
+func (q *instance) N() int { return q.n }
+
+// M is the number of machines.
+func (q *instance) M() int { return q.m }
+
+// CanRun reports whether machine i can run job j.
+func (q *instance) CanRun(i, j int) bool { return q.cost[i*q.n+j].Sign() != 0 }
 
 // rangeLP is the unified linear program underlying every result in the
 // paper. It covers:
@@ -80,11 +92,12 @@ func newInstance(inst *model.Instance) *instance {
 //
 // It is one layout with two fills of one LP. The layout — which triples get a
 // column, which rows exist and what they sum — is ints, read off the epochal
-// order when the rangeLP is made. build fills it with exact coefficients into
-// the lp.Problem every solver entry point solves and proves with. fillProbe
-// fills the same rows with float64 into a search's reused tableau, for the
-// probes that steer a search (see rangeSearch); the two agree entry for entry,
-// so the basis a probe ends on is a basis of the exact problem.
+// order when the rangeLP is made. build fills it with exact coefficients
+// straight into lp's standard form (lp.ExactFill), which every solver entry
+// point solves and proves with. fillProbe fills the same rows with float64
+// into a search's reused tableau, for the probes that steer a search (see
+// rangeSearch); the two agree entry for entry, so the basis a probe ends on is
+// a basis of the exact problem.
 type rangeLP struct {
 	inst *instance
 	mode schedule.Model
@@ -97,7 +110,7 @@ type rangeLP struct {
 	rows    []lpRow // after the row bounding F′: capacity rows interval by interval, then one completion row per job
 	terms   []int   // the rows' α columns, back to back
 
-	prob *lp.Problem
+	fill *lp.ExactFill // the exact fill, made by the first exact solve
 }
 
 // lpRow is one constraint row of the layout, over the α columns
@@ -121,7 +134,7 @@ type epochs struct {
 
 // newEpochs lists the releases, the deadline forms (dls[j], nil for none) and
 // the held deadlines (held[j], nil for none); either slice may be nil.
-func newEpochs(inst *instance, dls []*affine.Form, held []*big.Rat) epochs {
+func newEpochs(inst *instance, dls []*affine.Form, held []*exact.Q) epochs {
 	n := inst.N()
 	ep := epochs{times: make([]affine.Form, 0, 2*n+1), due: make([]int, n), hard: make([]int, n)}
 	for _, r := range inst.release {
@@ -135,7 +148,7 @@ func newEpochs(inst *instance, dls []*affine.Form, held []*big.Rat) epochs {
 		}
 		if j < len(held) && held[j] != nil {
 			ep.hard[j] = len(ep.times)
-			ep.times = append(ep.times, affine.Const(exact.FromRat(held[j])))
+			ep.times = append(ep.times, affine.Const(*held[j]))
 		}
 	}
 	return ep
@@ -261,45 +274,55 @@ func (r *rangeLP) shifted(dst []exact.Q) []exact.Q {
 	return dst
 }
 
-// build is the exact fill: the lp.Problem of the layout, sized once — its
-// variables, its rows (F′'s bound and the layout's) and their terms (the α
-// columns, and F′ in every capacity row).
-func (r *rangeLP) build() {
-	r.prob = lp.NewProblem()
-	r.prob.Grow(r.numVars, len(r.rows)+1, len(r.terms)+len(r.rows)+1)
-	one := exact.Int(1)
-	// Only F′ is named: names are read by Problem.Dump alone, and formatting
-	// one per fraction variable and row costs more than adding them.
-	r.prob.AddVarQ("F'", one)
-	for c := 1; c < r.numVars; c++ {
-		r.prob.AddVarQ("", exact.Q{})
-	}
-	vals := r.shifted(nil)
+// senses appends to dst the sense of every row a fill writes: the row
+// bounding F′ when the range has an upper end, then the layout's — a capacity
+// row is <=, a completion row ==.
+func (r *rangeLP) senses(dst []lp.Sense) []lp.Sense {
 	if r.rg.Hi != nil {
-		r.prob.AddRowQ("", []lp.TermQ{{Col: fCol, Coef: one}}, lp.LE, vals[1])
+		dst = append(dst, lp.LE)
 	}
-	perInterval := vals[2:] // |I_t| at Lo, then −B_t
-
-	var terms []lp.TermQ // AddRowQ copies, so one buffer serves every row
-	lo := 0
 	for _, row := range r.rows {
-		terms = terms[:0]
 		if row.t >= 0 {
-			terms = append(terms, lp.TermQ{Col: fCol, Coef: perInterval[2*row.t+1]}) // AddRowQ drops a zero
+			dst = append(dst, lp.LE)
+		} else {
+			dst = append(dst, lp.EQ)
 		}
-		for _, c := range r.terms[lo:row.end] {
+	}
+	return dst
+}
+
+// build is the exact fill: the layout's rows written in order straight into
+// lp's standard form, sized once — F′'s bound, then the capacity rows with F′
+// first in each, then the completion rows — and F′ the objective.
+func (r *rangeLP) build() {
+	one := exact.Int(1)
+	vals := r.shifted(nil)
+	perInterval := vals[2:] // |I_t| at Lo, then −B_t
+	r.fill = new(lp.ExactFill)
+	r.fill.Reset(r.numVars, r.senses(nil), len(r.terms)+len(r.rows)+1)
+	r.fill.SetCost(fCol, one)
+	first := 0 // the row of the layout's first: F′ <= Hi − Lo precedes it
+	if r.rg.Hi != nil {
+		first = 1
+		r.fill.Set(0, fCol, one)
+		r.fill.SetRHS(0, vals[1])
+	}
+	at := 0
+	for k, row := range r.rows {
+		rhs := one
+		if row.t >= 0 {
+			r.fill.Set(first+k, fCol, perInterval[2*row.t+1]) // Set drops a zero
+			rhs = perInterval[2*row.t]
+		}
+		for _, c := range r.terms[at:row.end] {
 			coef := one
 			if row.t >= 0 {
 				coef = r.inst.cost[r.costAt[c]]
 			}
-			terms = append(terms, lp.TermQ{Col: c, Coef: coef})
+			r.fill.Set(first+k, c, coef)
 		}
-		lo = row.end
-		if row.t >= 0 {
-			r.prob.AddRowQ("", terms, lp.LE, perInterval[2*row.t])
-		} else {
-			r.prob.AddRowQ("", terms, lp.EQ, one)
-		}
+		at = row.end
+		r.fill.SetRHS(first+k, rhs)
 	}
 }
 
@@ -327,20 +350,10 @@ func (r *rangeLP) fillProbe(b *probeBuf) (lo float64) {
 	bounded, perInterval := r.rg.Hi != nil, b.image[2:] // |I_t| at Lo, then −B_t
 
 	first := 0 // the tableau row of the layout's first: F′ <= Hi − Lo precedes it
-	b.senses = b.senses[:0]
-	if bounded {
-		first = 1
-		b.senses = append(b.senses, lp.LE)
-	}
-	for _, row := range r.rows {
-		if row.t >= 0 {
-			b.senses = append(b.senses, lp.LE)
-		} else {
-			b.senses = append(b.senses, lp.EQ)
-		}
-	}
+	b.senses = r.senses(b.senses[:0])
 	b.tab.Reset(r.numVars, b.senses)
 	if bounded {
+		first = 1
 		b.tab.Set(0, fCol, 1)
 		b.tab.SetRHS(0, b.image[1])
 	}
@@ -375,10 +388,10 @@ func (r *rangeLP) solve() (*rangeSolution, error) {
 // hybrid engine's path into tally (when non-nil). The basis is verified
 // exactly, never trusted: a caller that passes a wrong one loses only speed.
 func (r *rangeLP) solveWith(warm *lp.Basis, tally *stats.SolverTally) (*rangeSolution, error) {
-	if r.prob == nil {
+	if r.fill == nil {
 		r.build()
 	}
-	sol, err := lp.SolveHybridWarm(r.prob, warm)
+	sol, err := r.fill.Solve(warm)
 	if err != nil {
 		return nil, err
 	}
@@ -405,17 +418,14 @@ func (r *rangeLP) alpha(sol *rangeSolution, t, i, j int) exact.Q {
 	return exact.Q{}
 }
 
-// extract materializes a schedule from an LP solution: interval bounds are
+// pieces materializes a schedule from an LP solution: interval bounds are
 // evaluated at the optimal F; inside each interval the divisible model lines
 // the fractions up back to back on each machine, while the preemptive model
 // runs the Lawler–Labetoulle decomposition so that no job ever executes on
-// two machines simultaneously. Empty pieces are dropped while still exact,
-// and each piece is appended with the rationals made for it, uncopied.
-func (r *rangeLP) extract(sol *rangeSolution) (*schedule.Schedule, error) {
-	out := &schedule.Schedule{}
-	add := func(i, j int, start, end, frac exact.Q) {
-		out.Pieces = append(out.Pieces, schedule.Piece{Machine: i, Job: j, Start: start.Rat(), End: end.Rat(), Fraction: frac.Rat()})
-	}
+// two machines simultaneously. Empty pieces are dropped while still exact;
+// each piece is handed to add — machine, job, start, end and the fraction of
+// the job it processes — in the order the schedule lists them.
+func (r *rangeLP) pieces(sol *rangeSolution, add func(i, j int, start, end, frac exact.Q)) error {
 	n, m := r.inst.N(), r.inst.M()
 	for t, iv := range r.ivs {
 		lo, hi := iv.Lo.Eval(sol.F), iv.Hi.Eval(sol.F)
@@ -448,7 +458,7 @@ func (r *rangeLP) extract(sol *rangeSolution) (*schedule.Schedule, error) {
 			}
 			pieces, err := llsched.Decompose(T, hi.Sub(lo), lo)
 			if err != nil {
-				return nil, fmt.Errorf("core: interval %d reconstruction: %w", t, err)
+				return fmt.Errorf("core: interval %d reconstruction: %w", t, err)
 			}
 			for _, p := range pieces {
 				if p.Start.Cmp(p.End) >= 0 {
@@ -457,6 +467,20 @@ func (r *rangeLP) extract(sol *rangeSolution) (*schedule.Schedule, error) {
 				add(p.Machine, p.Job, p.Start, p.End, p.End.Sub(p.Start).Quo(r.inst.cost[p.Machine*n+p.Job]))
 			}
 		}
+	}
+	return nil
+}
+
+// extract is the schedule of a solution over *big.Rat, each piece appended
+// with the rationals made for it, uncopied: what the offline entry points
+// return.
+func (r *rangeLP) extract(sol *rangeSolution) (*schedule.Schedule, error) {
+	out := &schedule.Schedule{}
+	err := r.pieces(sol, func(i, j int, start, end, frac exact.Q) {
+		out.Pieces = append(out.Pieces, schedule.Piece{Machine: i, Job: j, Start: start.Rat(), End: end.Rat(), Fraction: frac.Rat()})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -467,14 +491,23 @@ func (r *rangeLP) extract(sol *rangeSolution) (*schedule.Schedule, error) {
 // earlier origins, where a job has already waited before the residual
 // instance is formed).
 func flowDeadlines(inst *instance, origins []*big.Rat) []*affine.Form {
+	if origins == nil {
+		return flowDeadlinesQ(inst, nil)
+	}
+	return flowDeadlinesQ(inst, exactAll(origins))
+}
+
+// flowDeadlinesQ is flowDeadlines with exact.Q origins.
+func flowDeadlinesQ(inst *instance, origins []exact.Q) []*affine.Form {
 	out := make([]*affine.Form, inst.N())
+	forms := make([]affine.Form, inst.N())
 	for j := range out {
 		o := inst.release[j]
 		if origins != nil {
-			o = exact.FromRat(origins[j])
+			o = origins[j]
 		}
-		f := affine.New(o, inst.weight[j].Inv())
-		out[j] = &f
+		forms[j] = affine.New(o, inst.weight[j].Inv())
+		out[j] = &forms[j]
 	}
 	return out
 }

@@ -77,6 +77,11 @@ var ErrDeadlinesInfeasible = errors.New("core: held deadlines are infeasible")
 // meet even alone proves every range infeasible before any LP (lo = the
 // number of ranges), as the LP and its Farkas certificate would.
 func newSearch(inst *instance, mode schedule.Model, dls []*affine.Form, held []*big.Rat, probe probeFunc) *rangeSearch {
+	return newSearchQ(inst, mode, dls, heldQ(held), probe)
+}
+
+// newSearchQ is newSearch with the held deadlines as exact.Q.
+func newSearchQ(inst *instance, mode schedule.Model, dls []*affine.Form, held []*exact.Q, probe probeFunc) *rangeSearch {
 	ep := newEpochs(inst, dls, held)
 	if slices.Contains(ep.due, -1) { // some job has no form
 		ep.times = append(ep.times, affine.Const(horizon(inst, ep)))

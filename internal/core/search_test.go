@@ -484,7 +484,7 @@ func TestFloorIsALowerBound(t *testing.T) {
 		if ps.k < 0 {
 			continue
 		}
-		best, err := BestDeadline(ps.s.inst.Instance, ps.deadlines, ps.k, ps.s.mode)
+		best, err := BestDeadline(ps.inst, ps.deadlines, ps.k, ps.s.mode)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,9 +43,10 @@ func (m Method) String() string {
 
 // Basis is the basis a float solve ended on (FloatSolution.Basis). It is
 // opaque: a caller that filled a FloatTableau hands it to SolveHybridWarm
-// with the Problem of the same rows, whose standard form numbers the columns
-// as the tableau did, and the solver checks it exactly instead of running a
-// float simplex of its own. The basis is only ever verified, never pivoted
+// with the Problem of the same rows, or to ExactFill.Solve with the same rows
+// filled exactly — either's standard form numbers the columns as the tableau
+// did — and the solver checks it exactly instead of running a float simplex
+// of its own. The basis is only ever verified, never pivoted
 // from: a stale or mismatched one costs the failed check, and correctness
 // never depends on it.
 type Basis struct {
@@ -87,6 +88,11 @@ func SolveHybridWarm(p *Problem, warm *Basis) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	return withRat(solveHybrid(sf, warm))
+}
+
+// solveHybrid is SolveHybridWarm on a filled standard form.
+func solveHybrid(sf *stdForm, warm *Basis) (*Solution, error) {
 	warmRejected := false
 	if warm.compatible(sf) && sf.validBasis(warm.cols) {
 		if sol := tryBasisExact(sf, warm.cols); sol != nil {
@@ -97,6 +103,7 @@ func SolveHybridWarm(p *Problem, warm *Basis) (*Solution, error) {
 	}
 	run := runFloat(sf)
 	var sol *Solution
+	var err error
 	if sf.validBasis(run.basis) {
 		switch run.status {
 		case Optimal:
@@ -168,7 +175,7 @@ func tryBasisExact(sf *stdForm, basis []int) *Solution {
 			obj = obj.Add(cB[k].Mul(xB[k]))
 		}
 	}
-	return &Solution{Status: Optimal, Objective: obj.Rat(), X: x, Kernel: len(f.bumpRows)}
+	return &Solution{Status: Optimal, ObjectiveQ: obj, X: x, Kernel: len(f.bumpRows)}
 }
 
 // certifyInfeasible checks, exactly, whether the dual vector of the float

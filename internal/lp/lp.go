@@ -5,7 +5,8 @@
 // the float64 simplex the first is built on. Everything exact is exact.Q:
 // a rational in two machine words that moves to math/big by itself only
 // when a value outgrows them. *big.Rat appears only in the converting
-// wrappers AddVar/AddRow and in Solution.Objective.
+// wrappers AddVar/AddRow and in Solution.Objective, which the Problem entry
+// points write.
 //
 //   - SolveHybrid (and SolveHybridWarm): the default exact engine. A
 //     float64 simplex guesses the optimal basis, which is then exactly
@@ -33,6 +34,12 @@
 //     function and pivot in one loop, so the basis a direct fill ends on can
 //     be handed to SolveHybridWarm with the Problem of the same rows and
 //     verified there.
+//   - ExactFill: the exact twin of a directly filled FloatTableau (Reset,
+//     Set, SetRHS, SetCost, then Solve). A caller that knows its rows in
+//     order writes the standard form the hybrid engine solves straight from
+//     them, with no Problem in between — core's range LPs do, and hand Solve
+//     the basis their probe's tableau ended on. A Problem's rows reach the
+//     same fill (Problem.Fill), so a standard form has one construction.
 //
 // Problems are stated in the general form
 //
@@ -46,7 +53,6 @@ package lp
 import (
 	"fmt"
 	"math/big"
-	"slices"
 	"strings"
 
 	"divflow/internal/exact"
@@ -102,7 +108,6 @@ type Problem struct {
 	varNames  []string  // up to the last named variable; "" for no name
 	objective []exact.Q // dense, one per variable
 	rows      []row
-	terms     []TermQ // the rows' terms are cut from its array; room past len is free
 }
 
 // NewProblem returns an empty minimization problem.
@@ -129,18 +134,6 @@ func (p *Problem) AddVarQ(name string, objCoef exact.Q) int {
 	return len(p.objective) - 1
 }
 
-// Grow reserves room for vars more variables, rows more rows and terms more
-// nonzero row terms in all, so that adding them allocates nothing further.
-// A caller that knows its problem's size calls it first; adding more than
-// it reserved is still correct.
-func (p *Problem) Grow(vars, rows, terms int) {
-	p.objective = slices.Grow(p.objective, vars)
-	p.rows = slices.Grow(p.rows, rows)
-	if cap(p.terms)-len(p.terms) < terms {
-		p.terms = make([]TermQ, 0, terms)
-	}
-}
-
 // NumVars reports the number of variables added so far.
 func (p *Problem) NumVars() int { return len(p.objective) }
 
@@ -158,23 +151,18 @@ func (p *Problem) AddRow(name string, terms []Term, sense Sense, rhs *big.Rat) {
 }
 
 // AddRowQ is AddRow with exact.Q coefficients. The terms are copied, so the
-// caller may reuse the slice: into the room Grow reserved when it holds them,
-// else into an array of their own, whose tail the next rows may take.
+// caller may reuse the slice.
 func (p *Problem) AddRowQ(name string, terms []TermQ, sense Sense, rhs exact.Q) {
-	if cap(p.terms)-len(p.terms) < len(terms) {
-		p.terms = make([]TermQ, 0, len(terms))
-	}
-	start := len(p.terms)
+	kept := make([]TermQ, 0, len(terms))
 	for _, t := range terms {
 		if t.Col < 0 || t.Col >= len(p.objective) {
 			panic(fmt.Sprintf("lp: row %q references unknown column %d", name, t.Col))
 		}
 		if t.Coef.Sign() != 0 {
-			p.terms = append(p.terms, t)
+			kept = append(kept, t)
 		}
 	}
-	end := len(p.terms)
-	p.rows = append(p.rows, row{terms: p.terms[start:end:end], sense: sense, rhs: rhs, name: name})
+	p.rows = append(p.rows, row{terms: kept, sense: sense, rhs: rhs, name: name})
 }
 
 // Status reports the outcome of a solve.
@@ -203,9 +191,14 @@ func (s Status) String() string {
 
 // Solution is the result of an exact solve.
 type Solution struct {
-	Status    Status
-	Objective *big.Rat  // valid when Status == Optimal
-	X         []exact.Q // primal values, len == NumVars, valid when Optimal
+	Status Status
+	// ObjectiveQ is the optimal objective, valid when Status == Optimal;
+	// Objective is the same value as a *big.Rat, written by the Problem
+	// entry points (SolveRat, SolveHybrid, SolveHybridWarm) alone — an
+	// ExactFill's caller computes in exact.Q and reads ObjectiveQ.
+	ObjectiveQ exact.Q
+	Objective  *big.Rat
+	X          []exact.Q // primal values, len == NumVars, valid when Optimal
 	// Method reports which hybrid-engine path produced the result.
 	Method Method
 	// Kernel is the number of rows of the basis the factorization that proved
@@ -222,6 +215,15 @@ type FloatSolution struct {
 	Status    Status
 	Objective float64
 	Basis     *Basis
+}
+
+// withRat writes an optimal solution's objective as a *big.Rat, for the
+// Problem entry points.
+func withRat(sol *Solution, err error) (*Solution, error) {
+	if err == nil && sol.Status == Optimal {
+		sol.Objective = sol.ObjectiveQ.Rat()
+	}
+	return sol, err
 }
 
 // Dump renders the problem in a human-readable form, for tests and debugging.

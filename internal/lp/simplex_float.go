@@ -198,10 +198,10 @@ func (t *FloatTableau) load(sf *stdForm) {
 
 // Reset shapes the tableau for numVars structural columns and one row per
 // sense, all coefficients and right-hand sides zero, the slack, surplus and
-// artificial columns numbered and filled in as newStdForm would. The caller
-// follows with Set and SetRHS, and owes what newStdForm would otherwise do
-// for it: no right-hand side may be negative (negate the row and flip its
-// sense first).
+// artificial columns numbered and filled in as ExactFill numbers and fills
+// them. The caller follows with Set and SetRHS, and owes what newStdForm
+// would otherwise do for it: no right-hand side may be negative (negate the
+// row and flip its sense first).
 func (t *FloatTableau) Reset(numVars int, senses []Sense) {
 	num := numberCols(numVars, senses)
 	t.shape(len(senses), numVars, num.artStart, num.numCols)

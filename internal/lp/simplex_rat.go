@@ -19,7 +19,7 @@ func SolveRat(p *Problem) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return solveRatCold(sf)
+	return withRat(solveRatCold(sf))
 }
 
 // solveRatCold runs the classic two-phase method from the all-slack/
@@ -265,9 +265,5 @@ func (t *ratTableau) solution() *Solution {
 			x[bv] = t.rhs[r]
 		}
 	}
-	return &Solution{
-		Status:    Optimal,
-		Objective: t.objRHS.Neg().Rat(),
-		X:         x,
-	}
+	return &Solution{Status: Optimal, ObjectiveQ: t.objRHS.Neg(), X: x}
 }

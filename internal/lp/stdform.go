@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"divflow/internal/exact"
 )
@@ -40,8 +41,8 @@ type stdForm struct {
 
 // colNumbering hands out the slack/surplus and artificial columns of the
 // standard form row by row. It is the one statement of the numbering: the
-// exact form (newStdForm) and the directly filled float tableau
-// (FloatTableau.Reset) both walk it, which is what lets a basis found on one
+// exact fill (ExactFill, which newStdForm uses) and the directly filled float
+// tableau (FloatTableau.Reset) both walk it, which is what lets a basis found on one
 // index the other.
 type colNumbering struct {
 	artStart, numCols int // first artificial column; all columns
@@ -82,92 +83,225 @@ func (n *colNumbering) next(s Sense) (slack, art int) {
 	return slack, art
 }
 
-// newStdForm normalizes p. It fails only on malformed rows (a column
-// mentioned twice).
-func newStdForm(p *Problem) (*stdForm, error) {
-	m := len(p.rows)
-	senses := make([]Sense, m)
+// ExactFill writes a standard form directly: the exact twin of a FloatTableau
+// filled by Reset, Set and SetRHS. A caller that already knows its rows in
+// order — core's range LPs — fills one in place of building a Problem that
+// would only be copied into the form, and solves it with Solve; newStdForm
+// fills one from a Problem's rows, so a standard form has this one
+// construction. Its columns are numbered by numberCols, as a FloatTableau's
+// are, so a basis a direct float fill of the same rows ended on indexes it.
+//
+// Rows arrive in order and each row's terms in increasing column order; a
+// zero coefficient is dropped, as AddRowQ drops it. As with a FloatTableau,
+// the caller owes what newStdForm does for a Problem: no right-hand side may
+// be negative (negate the row and flip its sense first). A fill that breaks
+// either rule is not solved: Solve returns the error.
+type ExactFill struct {
+	sf     stdForm
+	num    colNumbering
+	senses []Sense
+	ind    []int     // the rows' entries, back to back…
+	val    []exact.Q // …and their values
+	row    int       // the row being written; the ones before it are closed
+	start  int       // where its entries begin in ind and val
+	err    error
+}
+
+// Reset starts a form of numVars structural columns and one row per sense,
+// every coefficient, right-hand side and cost zero. terms is how many nonzero
+// structural coefficients the caller will write: room for them, and for the
+// slack, surplus and artificial entries, is reserved at once (more is still
+// correct). The fill keeps senses, which the caller leaves as they are until
+// the form is solved, and discards the form it held before.
+func (f *ExactFill) Reset(numVars int, senses []Sense, terms int) {
+	m := len(senses)
+	f.num = numberCols(numVars, senses)
+	f.sf = stdForm{
+		m:        m,
+		numVars:  numVars,
+		numCols:  f.num.numCols,
+		artStart: f.num.artStart,
+		numArt:   f.num.numCols - f.num.artStart,
+		rows:     make([]spVec, m),
+		rhs:      make([]exact.Q, m),
+		basis0:   make([]int, m),
+		cost:     make([]exact.Q, f.num.numCols),
+	}
+	f.senses = senses
+	size := terms + f.num.numCols - numVars // every slack, surplus and artificial is one entry
+	f.ind, f.val = make([]int, 0, size), make([]exact.Q, 0, size)
+	f.row, f.start, f.err = 0, 0, nil
+}
+
+// Set writes the coefficient of structural column col in row: a row at or
+// after the last one written, a column after the row's last.
+func (f *ExactFill) Set(row, col int, v exact.Q) {
+	if f.err != nil || v.Sign() == 0 {
+		return
+	}
+	switch {
+	case row < f.row || row >= f.sf.m:
+		f.err = fmt.Errorf("lp: row %d written after row %d, of %d", row, f.row, f.sf.m)
+		return
+	case col < 0 || col >= f.sf.numVars:
+		f.err = fmt.Errorf("lp: row %d references unknown column %d", row, col)
+		return
+	}
+	f.close(row)
+	if len(f.ind) > f.start && f.ind[len(f.ind)-1] >= col {
+		f.err = fmt.Errorf("lp: row %d writes column %d after column %d", row, col, f.ind[len(f.ind)-1])
+		return
+	}
+	f.ind = append(f.ind, col)
+	f.val = append(f.val, v)
+}
+
+// SetRHS writes the right-hand side of row, which must not be negative.
+func (f *ExactFill) SetRHS(row int, v exact.Q) {
+	if f.err != nil {
+		return
+	}
+	if row < 0 || row >= f.sf.m || v.Sign() < 0 {
+		f.err = fmt.Errorf("lp: right-hand side %v of row %d, of %d: want a row of the form, never negative", v, row, f.sf.m)
+		return
+	}
+	f.sf.rhs[row] = v
+}
+
+// SetCost writes the objective coefficient of structural column col.
+func (f *ExactFill) SetCost(col int, v exact.Q) {
+	if f.err != nil {
+		return
+	}
+	if col < 0 || col >= f.sf.numVars {
+		f.err = fmt.Errorf("lp: objective references unknown column %d", col)
+		return
+	}
+	f.sf.cost[col] = v
+}
+
+// close closes every row before row: each gains its slack or surplus and its
+// artificial, numbered in row order, and is cut from the shared arrays at its
+// final width.
+func (f *ExactFill) close(row int) {
+	for ; f.row < row; f.row++ {
+		s := f.senses[f.row]
+		slack, art := f.num.next(s)
+		if slack >= 0 {
+			f.ind = append(f.ind, slack)
+			if s == LE {
+				f.val = append(f.val, exact.Int(1))
+			} else {
+				f.val = append(f.val, exact.Int(-1))
+			}
+			f.sf.basis0[f.row] = slack
+		}
+		if art >= 0 {
+			f.ind = append(f.ind, art)
+			f.val = append(f.val, exact.Int(1))
+			f.sf.basis0[f.row] = art
+		}
+		end := len(f.ind)
+		f.sf.rows[f.row] = spVec{ind: f.ind[f.start:end:end], val: f.val[f.start:end:end]}
+		f.start = end
+	}
+}
+
+// form closes the rows left open and returns the finished form, or the error
+// of the first write that broke the fill's rules.
+func (f *ExactFill) form() (*stdForm, error) {
+	if f.err != nil {
+		return nil, f.err
+	}
+	f.close(f.sf.m)
+	return &f.sf, nil
+}
+
+// Solve solves the filled form exactly, as SolveHybridWarm solves a Problem
+// of the same rows: warm is the basis a float solve of those rows ended on,
+// or nil.
+func (f *ExactFill) Solve(warm *Basis) (*Solution, error) {
+	sf, err := f.form()
+	if err != nil {
+		return nil, err
+	}
+	return solveHybrid(sf, warm)
+}
+
+// Dump renders the finished form — its column numbering, initial basis, rows
+// with their right-hand sides, and objective — for tests that hold two fills
+// of the same rows to each other, and for debugging.
+func (f *ExactFill) Dump() string {
+	sf, err := f.form()
+	if err != nil {
+		return err.Error()
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "columns %d/%d/%d basis %v\n", sf.numVars, sf.artStart, sf.numCols, sf.basis0)
+	for i, r := range sf.rows {
+		for k, j := range r.ind {
+			fmt.Fprintf(&b, "%s*x%d ", r.val[k], j)
+		}
+		fmt.Fprintf(&b, "= %s\n", sf.rhs[i])
+	}
+	b.WriteString("min")
+	for j, c := range sf.cost {
+		if c.Sign() != 0 {
+			fmt.Fprintf(&b, " %s*x%d", c, j)
+		}
+	}
+	b.WriteString("\n")
+	return b.String()
+}
+
+// Fill is the standard form of p's rows, filled as a caller writing them
+// directly would: what SolveHybrid and SolveRat solve p on. A row with a
+// negative right-hand side is negated and its sense flipped, and terms out of
+// column order are sorted; a column mentioned twice in a row breaks the
+// fill's column order, which Solve reports.
+func (p *Problem) Fill() *ExactFill {
+	senses := make([]Sense, len(p.rows))
+	terms := 0
 	for i, r := range p.rows {
 		senses[i] = r.sense
 		if r.rhs.Sign() < 0 {
 			senses[i] = flip(r.sense)
 		}
+		terms += len(r.terms)
 	}
-	num := numberCols(p.NumVars(), senses)
-	sf := &stdForm{
-		m:        m,
-		numVars:  p.NumVars(),
-		numCols:  num.numCols,
-		artStart: num.artStart,
-		numArt:   num.numCols - num.artStart,
-		rows:     make([]spVec, m),
-		rhs:      make([]exact.Q, m),
-		basis0:   make([]int, m),
-		cost:     make([]exact.Q, num.numCols),
+	f := new(ExactFill)
+	f.Reset(p.NumVars(), senses, terms)
+	for j, c := range p.objective {
+		f.SetCost(j, c)
 	}
-	copy(sf.cost, p.objective)
-	// Every row is cut from one index and one value array, at its final
-	// width: its terms, then its slack or surplus, then its artificial.
-	width := func(i int) int {
-		if senses[i] == GE {
-			return len(p.rows[i].terms) + 2
-		}
-		return len(p.rows[i].terms) + 1
-	}
-	size := 0
-	for i := range p.rows {
-		size += width(i)
-	}
-	ind, val := make([]int, size), make([]exact.Q, size)
-
-	one, negOne := exact.Int(1), exact.Int(-1)
 	byCol := func(a, b TermQ) int { return a.Col - b.Col }
 	for i, r := range p.rows {
 		neg := r.rhs.Sign() < 0
-		// Rows built in column order (the range LPs' are) are read in place.
+		// Rows built in column order are read in place.
 		terms := r.terms
 		if !slices.IsSortedFunc(terms, byCol) {
 			terms = slices.Clone(terms)
 			slices.SortFunc(terms, byCol)
 		}
-		n := width(i)
-		row := spVec{ind: ind[:0:n], val: val[:0:n]}
-		ind, val = ind[n:], val[n:]
-		for k, t := range terms {
-			if k > 0 && terms[k-1].Col == t.Col {
-				return nil, fmt.Errorf("lp: row %d %q mentions column %d twice", i, r.name, t.Col)
-			}
+		for _, t := range terms {
 			v := t.Coef
 			if neg {
 				v = v.Neg()
 			}
-			row.ind = append(row.ind, t.Col)
-			row.val = append(row.val, v)
+			f.Set(i, t.Col, v)
 		}
 		b := r.rhs
 		if neg {
 			b = b.Neg()
 		}
-		slack, art := num.next(senses[i])
-		if slack >= 0 {
-			row.ind = append(row.ind, slack)
-			if senses[i] == LE {
-				row.val = append(row.val, one)
-			} else {
-				row.val = append(row.val, negOne)
-			}
-			sf.basis0[i] = slack
-		}
-		if art >= 0 {
-			row.ind = append(row.ind, art)
-			row.val = append(row.val, one)
-			sf.basis0[i] = art
-		}
-		sf.rows[i] = row
-		sf.rhs[i] = b
+		f.SetRHS(i, b)
 	}
+	return f
+}
 
-	return sf, nil
+// newStdForm normalizes p: the form Fill makes of its rows.
+func newStdForm(p *Problem) (*stdForm, error) {
+	return p.Fill().form()
 }
 
 // columns builds (once) the column-major view of the matrix.

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"divflow/internal/core"
 	"divflow/internal/exact"
 	"divflow/internal/faults"
 	"divflow/internal/model"
@@ -553,24 +552,25 @@ func (sh *shard) admissionCheck(job shardlink.Job) (*model.AdmissionCertificate,
 		return job.Size.Mul(sh.inverse[i]), true
 	}
 	snap := &sim.Snapshot{Now: cand.Release, Jobs: append(sh.census(), cand), M: len(sh.machines), Cost: cost}
-	inst, _, err := snap.Residual()
+	res, err := snap.Residual()
 	if err != nil {
 		return nil, fmt.Errorf("server: shard %d: admission instance: %w", sh.idx, err)
 	}
 	k := len(snap.Jobs) - 1
-	deadlines := make([]*big.Rat, len(snap.Jobs))
+	held := make([]*exact.Q, len(snap.Jobs))
 	for j := range snap.Jobs[:k] {
-		if d := sh.records.get(snap.Jobs[j].ID).Deadline; d.Sign() != 0 {
-			deadlines[j] = d.Rat()
+		if rec := sh.records.get(snap.Jobs[j].ID); rec.Deadline.Sign() != 0 {
+			held[j] = &rec.Deadline
 		}
 	}
-	deadlines[k] = job.Deadline.Rat()
+	candDeadline := job.Deadline
+	held[k] = &candDeadline
 	mode := schedule.Divisible
 	if sh.mwf != nil {
 		mode = sh.mwf.Mode
 	}
 	cert.ResidualJobs = len(snap.Jobs)
-	feasible, _, err := core.DeadlineFeasible(inst, deadlines, mode)
+	feasible, err := res.DeadlineFeasible(held, mode)
 	if err != nil {
 		return nil, fmt.Errorf("server: shard %d: deadline feasibility: %w", sh.idx, err)
 	}
@@ -578,12 +578,12 @@ func (sh *shard) admissionCheck(job shardlink.Job) (*model.AdmissionCertificate,
 	if feasible {
 		return cert, nil
 	}
-	counter, err := core.BestDeadline(inst, deadlines, k, mode)
+	counter, ok, err := res.BestDeadline(held, k, mode)
 	if err != nil {
 		return nil, fmt.Errorf("server: shard %d: counter-offer search: %w", sh.idx, err)
 	}
-	if counter != nil {
-		cert.CounterOffer = counter.RatString()
+	if ok {
+		cert.CounterOffer = counter.String()
 	}
 	return cert, nil
 }

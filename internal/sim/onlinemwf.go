@@ -135,7 +135,7 @@ func (p *OnlineMWF) Assign(s *Snapshot) Allocation {
 		}
 		return p.followPlan(s)
 	}
-	res, err := p.resolve(s)
+	plan, err := p.resolve(s)
 	p.cache.Solves++
 	if err != nil {
 		p.err = fmt.Errorf("online-mwf: residual solve at t=%v: %w", s.Now, err)
@@ -150,15 +150,9 @@ func (p *OnlineMWF) Assign(s *Snapshot) Allocation {
 		}
 		slices.SortFunc(p.cache.SolveRem, func(a, b PlanJobState) int { return cmp.Compare(a.ID, b.ID) })
 	}
-	p.cache.Plan = make([]PlanPieceState, len(res.Schedule.Pieces))
-	for k := range res.Schedule.Pieces {
-		piece := &res.Schedule.Pieces[k]
-		p.cache.Plan[k] = PlanPieceState{
-			Machine: piece.Machine,
-			Job:     s.Jobs[piece.Job].ID,
-			Start:   exact.FromRat(piece.Start),
-			End:     exact.FromRat(piece.End),
-		}
+	p.cache.Plan = make([]PlanPieceState, len(plan.Pieces))
+	for k, piece := range plan.Pieces {
+		p.cache.Plan[k] = PlanPieceState{Machine: piece.Machine, Job: s.Jobs[piece.Job].ID, Start: piece.Start, End: piece.End}
 	}
 	return p.followPlan(s)
 }
@@ -278,21 +272,21 @@ func (p *OnlineMWF) followPlan(s *Snapshot) Allocation {
 	return alloc
 }
 
-// resolve solves the snapshot's residual instance exactly. Residual job k is
+// resolve solves the snapshot's residual exactly. Residual job k is
 // s.Jobs[k].
-func (p *OnlineMWF) resolve(s *Snapshot) (*core.Result, error) {
-	inst, origins, err := s.Residual()
+func (p *OnlineMWF) resolve(s *Snapshot) (*core.Plan, error) {
+	r, err := s.Residual()
 	if err != nil {
 		return nil, err
 	}
 	// No deadline is held: a JobState carries none.
-	res, err := core.MinMaxWeightedFlowFrom(inst, origins, nil, p.Mode)
+	plan, err := r.MinMaxWeightedFlow(p.Mode)
 	if err != nil {
 		return nil, err
 	}
-	p.cache.Solver.Merge(res.Solver)
+	p.cache.Solver.Merge(plan.Solver)
 	if p.Observer != nil {
-		p.Observer.ObserveSolve(res.Wall, res.Solver)
+		p.Observer.ObserveSolve(plan.Wall, plan.Solver)
 	}
-	return res, nil
+	return plan, nil
 }

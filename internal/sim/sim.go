@@ -20,13 +20,14 @@
 //
 // Inside the package every rational is an exact.Q, the immutable word-sized
 // value the solvers compute with: the engine's clock and methods, all the
-// forms above, and the policies' keys. *big.Rat remains at two edges only —
-// the model.Instance that Run takes and that Snapshot.Residual hands the
-// offline solver, and the schedule.Schedule that Engine.Schedule converts the
-// trace to — each converting once where a value crosses.
+// forms above, the policies' keys, and the core.Residual a re-solve hands the
+// offline solver and the plan it gets back. *big.Rat remains at two edges
+// only — the model.Instance that Run takes, and the schedule.Schedule that
+// Engine.Schedule converts the trace to — each converting once where a value
+// crosses.
 //
 // Snapshot.Residual is the one place a view of outstanding work becomes an
-// offline instance: OnlineMWF re-solves the engine's own snapshot through it,
+// offline problem: OnlineMWF re-solves the engine's own snapshot through it,
 // and the scheduling service's admission check runs it on a snapshot of the
 // shard's whole census (queued and live jobs, plus the candidate).
 package sim
@@ -35,6 +36,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"divflow/internal/core"
 	"divflow/internal/exact"
 	"divflow/internal/model"
 	"divflow/internal/schedule"
@@ -52,35 +54,30 @@ type Snapshot struct {
 	Cost CostFunc
 }
 
-// Residual returns the residual offline instance of the view — the one
+// Residual returns the residual offline problem of the view — the one
 // construction of it, for OnlineMWF's re-solve and the scheduling service's
-// admission check alike. Job k of the instance is Jobs[k]: released at Now,
-// with cost remaining · c_{i,j} on every eligible machine, and origins[k], its
-// flow origin, is the job's release. Every release equals Now, so the
-// instance keeps the order of Jobs.
-func (s *Snapshot) Residual() (inst *model.Instance, origins []*big.Rat, err error) {
-	now := s.Now.Rat()
-	jobs := make([]model.Job, len(s.Jobs))
-	origins = make([]*big.Rat, len(s.Jobs))
-	cost := make([][]*big.Rat, s.M)
-	for i := range cost {
-		cost[i] = make([]*big.Rat, len(s.Jobs))
-	}
+// admission check alike. Residual job k is Jobs[k]: released at Now, its flow
+// origin its release, with cost remaining · c_{i,j} on every eligible machine.
+// An eligible machine whose cost is not positive is an error; the rest of the
+// residual's checks are core's, made by the solve.
+func (s *Snapshot) Residual() (*core.Residual, error) {
+	n := len(s.Jobs)
+	vals := make([]exact.Q, (2+s.M)*n)
+	r := &core.Residual{Now: s.Now, M: s.M, Origin: vals[:n:n], Weight: vals[n : 2*n : 2*n], Cost: vals[2*n:]}
 	for k := range s.Jobs {
 		jv := &s.Jobs[k]
-		jobs[k] = model.Job{Release: now, Weight: jv.Weight.Rat()}
-		origins[k] = jv.Release.Rat()
-		for i := range cost {
-			if c, ok := s.Cost(i, jv.ID); ok {
-				cost[i][k] = jv.Remaining.Mul(c).Rat()
+		r.Origin[k], r.Weight[k] = jv.Release, jv.Weight
+		for i := range s.M {
+			c, ok := s.Cost(i, jv.ID)
+			if !ok {
+				continue
+			}
+			if r.Cost[i*n+k] = jv.Remaining.Mul(c); r.Cost[i*n+k].Sign() <= 0 {
+				return nil, fmt.Errorf("sim: job %d costs %v on eligible machine %d, want > 0", jv.ID, r.Cost[i*n+k], i)
 			}
 		}
 	}
-	inst, err = model.NewUnrelated(jobs, make([]model.Machine, s.M), cost)
-	if err != nil {
-		return nil, nil, err
-	}
-	return inst, origins, nil
+	return r, nil
 }
 
 // Allocation is a policy decision: MachineJob[i] is the job ID machine i
