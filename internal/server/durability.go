@@ -30,12 +30,14 @@ import (
 // generation list, all counters). Each one seals the log segment at its
 // watermark, so the records it covers sit in whole segments; once it is
 // written and verified, the log is truncated behind the older of the two
-// snapshots kept on disk, so either one still restores. On startup the newest
-// valid snapshot is loaded (torn ones skipped), and the WAL suffix past its
-// watermark is replayed through the normal admission paths at the recorded
-// virtual times — so the restored fleet's merged trace validates exactly and
-// matches an uninterrupted run bit for bit. A restart decodes at most one
-// snapshot interval of records the snapshot already covers.
+// snapshots kept on disk, so either one still restores. Each record type has
+// one transition, which checks the record against the shard's state, appends
+// it and applies it; the live paths decide a record and call its transition.
+// On startup the newest valid snapshot is loaded (torn ones skipped), and each
+// record of the WAL suffix past its watermark goes through its transition
+// before the log is attached — so the restored fleet's merged trace validates
+// exactly and matches an uninterrupted run bit for bit. A restart decodes at
+// most one snapshot interval of records the snapshot already covers.
 //
 // The failure policy is freeze-and-serve: the first WAL append, fsync, or
 // snapshot failure latches an error, after which no further appends or
@@ -60,7 +62,7 @@ const (
 
 // recSubmit logs one accepted submission: the job as model.Job writes itself
 // (rationals as exact "p/q" strings), release stamped. SLA fields are absent
-// in pre-deadline logs, which replay as deadline-free untracked traffic —
+// in pre-deadline logs, which restore as deadline-free untracked traffic —
 // exactly what they were.
 type recSubmit struct {
 	Shard int `json:"shard"` // creation index
@@ -71,16 +73,17 @@ type recSubmit struct {
 
 // recAdmit logs one admission batch: the virtual time the loop admitted the
 // listed pending jobs at. The executed trace is a deterministic function of
-// these times, so replaying admissions at them reproduces it exactly.
+// these times, so admitting at them again reproduces it exactly.
 type recAdmit struct {
 	Shard  int     `json:"shard"`
 	At     exact.Q `json:"at"`
 	Locals []int   `json:"locals"`
 }
 
-// recComplete is a truncation marker: the completion replays for free when
-// the engine is advanced across it, but the record moves the restored
-// virtual-time watermark forward.
+// recComplete logs one completion. It is the engine's output, not an input:
+// restore re-derives it by advancing the engine across At, and holds the
+// record to what that did. The record also moves the restored virtual-time
+// watermark forward.
 type recComplete struct {
 	Shard int     `json:"shard"`
 	Local int     `json:"local"`
@@ -89,7 +92,7 @@ type recComplete struct {
 }
 
 // recExtract logs the donor half of a migration: which records were reserved,
-// at the donor's exact engine time. Replay catches the donor up to that time
+// at the donor's exact engine time. Restore catches the donor up to that time
 // and reserves the same records, which reproduces the remaining fractions
 // and — when a live job left — the donor's re-plan. The time also fixes the
 // records' later compaction horizon.
@@ -99,7 +102,7 @@ type recExtract struct {
 	Locals []int   `json:"locals"`
 }
 
-// recAdopt logs the destination half: the whole adoption message, so replay
+// recAdopt logs the destination half: the whole adoption message, so restore
 // needs nothing from the donor.
 type recAdopt struct {
 	Shard int `json:"shard"`
@@ -161,7 +164,6 @@ type durability struct {
 	replayed  int
 	sinceSnap int
 	err       error
-	replaying bool
 	// snapSeq is the watermark of the newest snapshot on disk, written or
 	// restored from. The next snapshot at a later watermark leaves it the
 	// older of the two kept, and truncates the log behind it.
@@ -216,13 +218,14 @@ func (d *durability) latchLocked(err error) {
 }
 
 // append logs one record. Failures latch; callers never see them — the
-// scheduling paths must keep running when durability freezes.
+// scheduling paths must keep running when durability freezes. Until restore
+// attaches the log, it drops the record: the suffix is on disk already.
 func (d *durability) append(typ string, v any) {
 	if d == nil {
 		return
 	}
 	d.mu.Lock()
-	if d.replaying || d.err != nil || d.log == nil {
+	if d.err != nil || d.log == nil {
 		d.mu.Unlock()
 		return
 	}
@@ -561,7 +564,7 @@ func openWAL(dir string, fsync bool) (*restoreState, error) {
 		}
 		st.suffix = append(st.suffix, rec)
 		// A record dates itself by one of at, now or release; one that does
-		// not decode dates nothing here, and replay reports it.
+		// not decode dates nothing here, and its transition reports it.
 		var t struct {
 			At      exact.Q `json:"at"`
 			Now     exact.Q `json:"now"`
@@ -754,13 +757,15 @@ func (sh *shard) loadState(ss *snapShard) error {
 }
 
 // restore rebuilds the server's whole topology from a snapshot document (or
-// the fresh-start topology the caller built when none existed) and replays
-// the WAL suffix through the normal admission paths. Called from New, before
-// any loop starts, so it is single-threaded; the shard locks it takes are
-// for the helpers' documented invariants.
+// the fresh-start topology the caller built when none existed), applies the
+// WAL suffix and only then attaches the log, so nothing the suffix holds is
+// appended twice, while the repairs after it are. Called from New for every
+// write-ahead-logged server, before any loop starts, so it is
+// single-threaded; the shard locks it takes are for the helpers' documented
+// invariants.
 func (s *Server) restore(st *restoreState) error {
 	if st.doc != nil {
-		// The policy is part of the recorded execution: replaying a lazy
+		// The policy is part of the recorded execution: restoring a lazy
 		// online-mwf history through the preemptive one would "validate" into
 		// a different run. Names compare resolved, so "" is DefaultPolicy.
 		logged, err := NewPolicy(st.doc.Policy)
@@ -777,7 +782,7 @@ func (s *Server) restore(st *restoreState) error {
 		for g := range st.doc.Gens {
 			r, err := st.doc.topo(g, len(s.all))
 			if err == nil {
-				_, _, err = s.installGeneration(r, st.doc.Shards, false)
+				_, _, err = s.installGeneration(r, st.doc.Shards)
 			}
 			if err != nil {
 				return fmt.Errorf("server: restore: %w", err)
@@ -794,9 +799,14 @@ func (s *Server) restore(st *restoreState) error {
 			s.forward[fw.GID] = fwdLoc{sh: sh, local: fw.Local}
 		}
 	}
-	if err := s.replay(st.suffix); err != nil {
-		return err
+	for _, rec := range st.suffix {
+		if err := s.apply(rec); err != nil {
+			return fmt.Errorf("server: replay: record %d (%s): %w", rec.Seq, rec.Type, err)
+		}
 	}
+	s.dur.mu.Lock()
+	s.dur.log, s.dur.replayed = st.log, len(st.suffix)
+	s.dur.mu.Unlock()
 	s.finishMigrations()
 	s.repairRetired(st.now)
 	return nil
@@ -811,204 +821,83 @@ func (s *Server) shardByIdx(idx int) (*shard, error) {
 	return s.all[idx], nil
 }
 
-// replay re-executes the WAL suffix through the normal admission paths at
-// the recorded virtual times. The write-ahead hooks are gated off for its
-// duration, so replay never re-logs what the log already holds.
-func (s *Server) replay(recs []wal.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	s.dur.mu.Lock()
-	s.dur.replaying = true
-	s.dur.mu.Unlock()
-	defer func() {
-		s.dur.mu.Lock()
-		s.dur.replaying = false
-		s.dur.replayed = len(recs)
-		s.dur.mu.Unlock()
-	}()
-	for _, rec := range recs {
-		var err error
-		switch rec.Type {
-		case walTypeSubmit:
-			err = replayAs(rec, s.replaySubmit)
-		case walTypeAdmit:
-			err = replayAs(rec, s.replayAdmit)
-		case walTypeComplete:
-			err = replayAs(rec, s.replayComplete)
-		case walTypeExtract:
-			err = replayAs(rec, s.replayExtract)
-		case walTypeAdopt:
-			err = replayAs(rec, s.replayAdopt)
-		case walTypeCommit, walTypeAbort:
-			err = replayAs(rec, func(r *recSettle) error { return s.replaySettle(r, rec.Type == walTypeCommit) })
-		case walTypeTopo:
-			err = replayAs(rec, s.replayTopo)
-		case walTypeCompact:
-			err = replayAs(rec, s.replayCompact)
-		default:
-			err = fmt.Errorf("unknown record type %q", rec.Type)
+// apply runs one logged record through the transition the live path called
+// when it wrote it. A completion is the engine's output, not an input:
+// catching up across its time runs its transition (step), and the logged
+// record is held to the one that ran.
+func (s *Server) apply(rec wal.Record) error {
+	switch rec.Type {
+	case walTypeTopo:
+		var r recTopo
+		if err := json.Unmarshal(rec.Data, &r); err != nil {
+			return err
 		}
-		if err != nil {
-			return fmt.Errorf("server: replay: record %d (%s): %w", rec.Seq, rec.Type, err)
-		}
+		_, _, err := s.installGeneration(&r, nil)
+		return err
+	case walTypeSubmit:
+		return onShard(s, rec.Data, (*shard).applySubmit)
+	case walTypeAdmit:
+		return onShard(s, rec.Data, (*shard).applyAdmit)
+	case walTypeComplete:
+		//divflow:locks requires=shard
+		return onShard(s, rec.Data, func(sh *shard, r *recComplete) error {
+			sh.catchUpTo(r.At)
+			return sh.checkComplete(r)
+		})
+	case walTypeCompact:
+		return onShard(s, rec.Data, (*shard).applyCompact)
+	case walTypeExtract:
+		//divflow:locks requires=shard
+		return onShard(s, rec.Data, func(sh *shard, r *recExtract) error {
+			_, err := sh.applyExtract(r)
+			return err
+		})
+	case walTypeAdopt:
+		// The router points the forwarding table at the adopted jobs once
+		// the destination accepts them (Server.migrate), and so does restore.
+		//divflow:locks requires=shard
+		return onShard(s, rec.Data, func(sh *shard, r *recAdopt) error {
+			locals, err := sh.applyAdopt(r)
+			if err == nil {
+				s.forwardTo(sh, r.Jobs, locals)
+			}
+			return err
+		})
+	case walTypeCommit, walTypeAbort:
+		//divflow:locks requires=shard
+		return onShard(s, rec.Data, func(sh *shard, r *recSettle) error { return sh.applySettle(rec.Type, r) })
 	}
-	return nil
+	return fmt.Errorf("unknown record type %q", rec.Type)
 }
 
-// replayAs decodes one record's payload as an R and applies it.
-func replayAs[R any](rec wal.Record, apply func(*R) error) error {
+// onShard decodes a shard's record as an R and runs transition on the shard
+// it names, under that shard's mu.
+func onShard[R any](s *Server, data []byte, transition func(*shard, *R) error) error {
 	var r R
-	if err := json.Unmarshal(rec.Data, &r); err != nil {
+	var to struct {
+		Shard int `json:"shard"`
+	}
+	if err := json.Unmarshal(data, &r); err != nil {
 		return err
 	}
-	return apply(&r)
-}
-
-func (s *Server) replaySubmit(r *recSubmit) error {
-	sh, err := s.shardByIdx(r.Shard)
+	if err := json.Unmarshal(data, &to); err != nil {
+		return err
+	}
+	sh, err := s.shardByIdx(to.Shard)
 	if err != nil {
 		return err
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.records.next() != r.Local {
-		return fmt.Errorf("shard %d expects local %d, record says %d", sh.idx, sh.records.next(), r.Local)
-	}
-	if r.Release == nil {
-		return fmt.Errorf("submit %d missing its release", r.GID)
-	}
-	if err := r.Job.CheckSubmission(); err != nil {
-		return fmt.Errorf("submit %d: %w", r.GID, err)
-	}
-	rec := &jobRecord{ID: r.Local, GID: r.GID, State: StateQueued, Job: shardlink.JobOf(r.Job)}
-	if !sh.enqueue(rec, "replayed") {
-		return fmt.Errorf("submit %d: no machine of shard %d hosts %v", r.GID, sh.idx, r.Databanks)
-	}
-	return nil
-}
-
-func (s *Server) replayAdmit(r *recAdmit) error {
-	sh, err := s.shardByIdx(r.Shard)
-	if err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if len(sh.pending) != len(r.Locals) {
-		return fmt.Errorf("shard %d has %d pending, admit record lists %d", sh.idx, len(sh.pending), len(r.Locals))
-	}
-	for i, rec := range sh.pending {
-		if rec.ID != r.Locals[i] {
-			return fmt.Errorf("shard %d pending[%d] = %d, admit record says %d", sh.idx, i, rec.ID, r.Locals[i])
-		}
-	}
-	// The same admission path the live loop runs, at the recorded virtual
-	// time: catch the engine up, then admit the batch. Completions crossed on
-	// the way replay implicitly.
-	if _, ok := sh.catchUpTo(r.At); !ok {
-		return nil // the original run latched here too; the error is restored
-	}
-	sh.admitAll(r.At)
-	return nil
-}
-
-func (s *Server) replayComplete(r *recComplete) error {
-	sh, err := s.shardByIdx(r.Shard)
-	if err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	// Advancing across the completion's exact event time executes it through
-	// step(): the record itself carries no state the engine does not rederive.
-	sh.catchUpTo(r.At)
-	return nil
-}
-
-func (s *Server) replayCompact(r *recCompact) error {
-	sh, err := s.shardByIdx(r.Shard)
-	if err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.catchUpTo(r.Now); !ok {
-		return nil
-	}
-	sh.compact(r.Now)
-	return nil
-}
-
-// The migration records replay through the very functions that logged them
-// (the write-ahead hooks are off), each under its one shard's mu.
-
-func (s *Server) replayExtract(r *recExtract) error {
-	sh, err := s.shardByIdx(r.Shard)
-	if err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, local := range r.Locals {
-		if sh.records.get(local) == nil {
-			return fmt.Errorf("shard %d has no record %d", sh.idx, local)
-		}
-	}
-	// The donor's engine time at the extraction is part of the recorded
-	// execution: it sets the remaining fractions and migratedAt.
-	sh.catchUpTo(r.At)
-	sh.reserve(r.Locals)
-	return nil
-}
-
-func (s *Server) replayAdopt(r *recAdopt) error {
-	sh, err := s.shardByIdx(r.Shard)
-	if err != nil {
-		return err
-	}
-	if r.AdmitArgs == nil {
-		return errors.New("adopt record carries no adoption message")
-	}
-	rep := sh.admitMigrated(*r.AdmitArgs)
-	if !rep.Accepted {
-		return fmt.Errorf("shard %d refuses the recorded adoption", sh.idx)
-	}
-	s.forwardTo(sh, r.Jobs, rep.Locals)
-	return nil
-}
-
-func (s *Server) replaySettle(r *recSettle, commit bool) error {
-	sh, err := s.shardByIdx(r.Shard)
-	if err != nil {
-		return err
-	}
-	if commit {
-		sh.commitExtract(shardlink.CommitArgs{Locals: r.Locals})
-	} else {
-		sh.abortExtract(shardlink.AbortArgs{Locals: r.Locals})
-	}
-	return nil
-}
-
-// replayTopo reinstalls a logged generation. Its base must clear every ID the
-// replayed shards issued before it, as it did live: a snapshot restore is not
-// held to this, its shards being loaded with records issued under later
-// generations too.
-func (s *Server) replayTopo(r *recTopo) error {
-	if next := s.nextBase(); r.Base < next {
-		return fmt.Errorf("generation %d: based at %d, below %d, the next ID its predecessor would issue", r.Gen, r.Base, next)
-	}
-	_, _, err := s.installGeneration(r, nil, false)
-	return err
+	return transition(sh, &r)
 }
 
 // finishMigrations settles every migration a crash cut in half: its reserved
 // records — extracted, neither committed nor aborted — are still on the
 // donor. A reservation whose job a destination already adopted (the
 // forwarding table names another shard) is committed; one nobody adopted is
-// aborted, and the donor keeps the job. The write-ahead hooks are live again,
-// so the settlement itself is durable.
+// aborted, and the donor keeps the job. The log is attached by now, so the
+// settlement itself is durable.
 func (s *Server) finishMigrations() {
 	for _, sh := range s.all {
 		var adopted, orphaned []int
@@ -1024,15 +913,15 @@ func (s *Server) finishMigrations() {
 			}
 		}
 		sh.mu.Unlock()
-		sh.commitExtract(shardlink.CommitArgs{Locals: adopted})
-		sh.abortExtract(shardlink.AbortArgs{Locals: orphaned})
+		sh.settle(walTypeCommit, adopted)
+		sh.settle(walTypeAbort, orphaned)
 	}
 }
 
 // repairRetired finishes an interrupted reshard: a crash after the topology
 // record leaves queued or live jobs on retired shards. They are drained
-// through the normal exchange — with the write-ahead hooks live again, so the
-// repair itself is durable — using the same least-residual-work placement the
+// through the normal exchange — with the log attached, so the repair itself
+// is durable — using the same least-residual-work placement the
 // reshard would have used, in the same order, so the repaired run matches the
 // uninterrupted one.
 func (s *Server) repairRetired(now exact.Q) {

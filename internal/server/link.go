@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 
 	"divflow/internal/obs"
@@ -101,13 +102,13 @@ func submitErr(rep shardlink.SubmitReply) (int, error) {
 // ---------------------------------------------------------------------------
 // Migration. "Move job j with remaining fraction ρ_j from shard A to shard B"
 // is the divisible-load model's one structural operation, and these four
-// handlers are its only implementation: work stealing, live re-sharding, WAL
-// replay and the restore-time repair all drive them (Server.migrate, and the
-// replay functions in durability.go). Each runs under its own shard's mu and
-// nothing else, and each logs its own WAL record under that mu — so the log
-// orders a migration's steps exactly as the donor's and the destination's
-// other records saw them, and replaying the records through these same
-// functions retraces the live run.
+// handlers are its only implementation: work stealing, live re-sharding and
+// the restore-time repair all drive them (Server.migrate). Each runs under its
+// own shard's mu and nothing else, and each step is one transition — extract,
+// adopt, commit or abort — that appends its own WAL record under that mu, so
+// the log orders a migration's steps exactly as the donor's and the
+// destination's other records saw them, and restore retraces the live run by
+// calling the same transitions on the logged records.
 
 // extractJobs is the reserve phase, on the donor: catch up, select — the
 // steal census against the thief's machines, or everything when a reshard
@@ -115,7 +116,7 @@ func submitErr(rep shardlink.SubmitReply) (int, error) {
 // pending queue. The extracted records are *reserved*, not yet migrated: they
 // stay readable at their pre-move state (no not-found window while the
 // messages are in flight) and their work stays in the donor's backlog until
-// commitExtract, so the router's view of fleet-wide residual work never dips
+// the commit, so the router's view of fleet-wide residual work never dips
 // mid-exchange.
 func (sh *shard) extractJobs(args shardlink.ExtractArgs) shardlink.ExtractReply {
 	sh.mu.Lock()
@@ -145,27 +146,40 @@ func (sh *shard) extractJobs(args shardlink.ExtractArgs) shardlink.ExtractReply 
 			return hostsAny(args.ThiefMachines, databanks)
 		})
 	}
-	return sh.reserve(locals)
-}
-
-// reserve takes the listed jobs out of the engine and the pending queue at
-// the engine's current time, logging the extraction write-ahead. Replay calls
-// it with the recorded selection after catching up to the recorded time.
-// Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) reserve(locals []int) shardlink.ExtractReply {
 	if len(locals) == 0 {
 		return shardlink.ExtractReply{}
 	}
-	rep := shardlink.ExtractReply{From: sh.idx, At: sh.eng.Now()}
-	sh.wal.append(walTypeExtract, &recExtract{Shard: sh.idx, At: rep.At, Locals: locals})
-	at := rep.At
-	taken := make(map[int]bool, len(locals))
-	removedLive := false
-	for _, local := range locals {
+	rep, err := sh.applyExtract(&recExtract{Shard: sh.idx, At: sh.eng.Now(), Locals: locals})
+	if err != nil {
+		sh.fail(err)
+	}
+	return rep
+}
+
+// applyExtract is the extract transition: the engine catches up to the
+// record's time, which sets the remaining fractions, and the listed records,
+// each queued or live and not yet reserved, leave it and the pending queue.
+// It returns the extraction message. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) applyExtract(r *recExtract) (shardlink.ExtractReply, error) {
+	sh.catchUpTo(r.At)
+	taken := make(map[int]bool, len(r.Locals))
+	for _, local := range r.Locals {
 		rec := sh.records.get(local)
+		switch {
+		case rec == nil:
+			return shardlink.ExtractReply{}, fmt.Errorf("shard %d has no record %d", sh.idx, local)
+		case taken[local] || rec.MigratedAt != nil || (rec.State != StateQueued && rec.State != StateScheduled):
+			return shardlink.ExtractReply{}, fmt.Errorf("shard %d record %d is %s, not a queued or live job to extract", sh.idx, local, rec.State)
+		}
 		taken[local] = true
+	}
+	sh.wal.append(walTypeExtract, r)
+	rep := shardlink.ExtractReply{From: sh.idx, At: sh.eng.Now()}
+	removedLive := false
+	for _, local := range r.Locals {
+		rec := sh.records.get(local)
 		if rec.State == StateScheduled {
 			// Live: the engine hands back the exact unprocessed fraction.
 			if rj, err := sh.eng.Remove(local); err == nil {
@@ -176,7 +190,7 @@ func (sh *shard) reserve(locals []int) shardlink.ExtractReply {
 		// The extraction time stamped now, because every donor piece of the
 		// job ends by it — that, not the later commit, fixes the record's
 		// compaction horizon.
-		rec.MigratedAt = &at
+		rec.MigratedAt = &rep.At
 		rep.Jobs = append(rep.Jobs, shardlink.MigratedJob{
 			FromLocal: local, GID: rec.GID, Remaining: rec.Remaining, Counted: rec.Counted, Job: rec.Job,
 		})
@@ -194,85 +208,118 @@ func (sh *shard) reserve(locals []int) shardlink.ExtractReply {
 	if removedLive && sh.lastErr == nil {
 		sh.decide()
 	}
-	return rep
+	return rep, nil
 }
 
 // admitMigrated is the adoption phase on the destination. Accepted=false —
-// a job in the message is malformed (MigratedJob.Check), the shard retired or
-// closed while the exchange was in flight, or a thief latched an error —
-// tells the router to abort the donor's reservation. A malformed message is
-// refused before anything is logged or adopted, so it cannot latch the
-// engine.
+// the adopt transition refuses the message (applyAdopt) — tells the router to
+// abort the donor's reservation. A refused message is neither logged nor
+// adopted, so it cannot latch the engine.
 func (sh *shard) admitMigrated(args shardlink.AdmitArgs) shardlink.AdmitReply {
-	for i := range args.Jobs {
-		if args.Jobs[i].Check() != nil {
-			return shardlink.AdmitReply{}
-		}
-	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.closed || sh.retired {
+	locals, err := sh.applyAdopt(&recAdopt{Shard: sh.idx, AdmitArgs: &args})
+	if err != nil {
 		return shardlink.AdmitReply{}
 	}
-	// Stealing onto a shard that can never schedule the work helps nobody; a
-	// reshard does place on a stalled shard, when the router found no healthy
-	// host. A thief that was idle when it asked and has since been handed a
-	// submission still adopts: the donor's machines have already moved on,
-	// and giving the jobs back would cost it two more exact solves to end up
-	// where it started.
-	if args.Reason == migrateSteal && sh.lastErr != nil {
-		return shardlink.AdmitReply{}
+	return shardlink.AdmitReply{Accepted: true, Locals: locals}
+}
+
+// applyAdopt is the adopt transition: every job of the message takes a fresh
+// local slot, queued for admission, and its work joins the backlog. A message
+// with a malformed job (MigratedJob.Check) or one no machine hosts is refused,
+// and so is a retired or closed shard, and a latched one a steal would not
+// help (a reshard does place on a stalled shard when no healthy one hosts the
+// job). It returns the adopted jobs' local IDs, in message order. Callers
+// hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) applyAdopt(r *recAdopt) ([]int, error) {
+	if r.AdmitArgs == nil {
+		return nil, errors.New("adopt record carries no adoption message")
 	}
-	sh.wal.append(walTypeAdopt, &recAdopt{Shard: sh.idx, AdmitArgs: &args})
-	rep := shardlink.AdmitReply{Accepted: true}
-	adopted := make([]*jobRecord, len(args.Jobs))
-	for i := range args.Jobs {
-		nrec := sh.adoptRecord(&args.Jobs[i])
-		adopted[i] = nrec
-		rep.Locals = append(rep.Locals, nrec.ID)
-		if args.Reason == migrateReshard {
+	for i := range r.Jobs {
+		if err := r.Jobs[i].Check(); err != nil {
+			return nil, fmt.Errorf("job %d: %w", r.Jobs[i].GID, err)
+		}
+		if !sh.hosts(r.Jobs[i].Databanks) {
+			return nil, fmt.Errorf("job %d: no machine of shard %d hosts %v", r.Jobs[i].GID, sh.idx, r.Jobs[i].Databanks)
+		}
+	}
+	switch {
+	case sh.retired || sh.closed:
+		return nil, fmt.Errorf("shard %d is retired or closed", sh.idx)
+	case r.Reason == migrateSteal && sh.lastErr != nil:
+		return nil, fmt.Errorf("shard %d is stalled", sh.idx)
+	}
+	sh.wal.append(walTypeAdopt, r)
+	locals := make([]int, len(r.Jobs))
+	adopted := make([]*jobRecord, len(r.Jobs))
+	for i := range r.Jobs {
+		nrec := sh.adoptRecord(&r.Jobs[i])
+		adopted[i], locals[i] = nrec, nrec.ID
+		if r.Reason == migrateReshard {
 			sh.ReshardIn++
-			sh.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("resharded from shard %d", args.From))
+			sh.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("resharded from shard %d", r.From))
 		} else {
 			sh.StolenIn++
-			sh.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("stolen from shard %d", args.From))
+			sh.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("stolen from shard %d", r.From))
 		}
 	}
 	sh.shiftBacklog(true, adopted...)
-	if args.Reason == migrateSteal {
-		sh.obs.event(obs.EventSteal, -1, fmt.Sprintf("%d jobs from shard %d", len(adopted), args.From), args.At)
+	if r.Reason == migrateSteal {
+		sh.obs.event(obs.EventSteal, -1, fmt.Sprintf("%d jobs from shard %d", len(adopted), r.From), r.At)
 	}
-	return rep
+	return locals, nil
 }
 
-// reservedRecords returns the listed records that an extraction reserved and
-// no commit or abort has settled yet. Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) reservedRecords(locals []int) []*jobRecord {
-	var recs []*jobRecord
-	for _, local := range locals {
-		if rec := sh.records.get(local); rec != nil && rec.MigratedAt != nil && rec.State != StateMigrated {
-			recs = append(recs, rec)
-		}
-	}
-	return recs
-}
-
-// commitExtract finishes a migration on the donor: the reserved records flip
-// to the migrated state (readable only through the forwarding table, which
-// the router updated before committing) and the moved work finally leaves the
-// donor's backlog.
-func (sh *shard) commitExtract(args shardlink.CommitArgs) {
+// settle finishes a migration on the donor: the commit transition (typ
+// walTypeCommit) once the destinations adopted the listed jobs, the abort
+// transition when one refused them or the transport failed before adoption.
+func (sh *shard) settle(typ string, locals []int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	recs := sh.reservedRecords(args.Locals)
-	if len(recs) == 0 {
+	if len(locals) == 0 {
 		return
 	}
-	sh.wal.append(walTypeCommit, &recSettle{Shard: sh.idx, Locals: args.Locals})
+	if err := sh.applySettle(typ, &recSettle{Shard: sh.idx, Locals: locals}); err != nil {
+		sh.fail(err)
+	}
+	if typ == walTypeAbort {
+		sh.poke()
+	}
+}
+
+// applySettle is the commit or abort transition (typ) of the listed records,
+// each reserved by an extraction and not yet settled. A commit flips them to
+// the migrated state — readable only through the forwarding table, which the
+// router updated before committing, and compacted once the retention horizon
+// passes their extraction — and the moved work finally leaves the donor's
+// backlog. An abort returns them to the pending queue with their exact
+// remaining fractions: re-admission conserves every piece of executed work,
+// under the record's original local ID (the engine accepts a removed ID
+// back). Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) applySettle(typ string, r *recSettle) error {
+	recs := make([]*jobRecord, len(r.Locals))
+	seen := make(map[int]bool, len(r.Locals))
+	for i, local := range r.Locals {
+		recs[i] = sh.records.get(local)
+		if seen[local] || recs[i] == nil || recs[i].MigratedAt == nil || recs[i].State == StateMigrated {
+			return fmt.Errorf("shard %d record %d is not a reservation to settle", sh.idx, local)
+		}
+		seen[local] = true
+	}
+	sh.wal.append(typ, r)
 	for _, rec := range recs {
-		sh.orphanRecord(rec)
+		if typ == walTypeAbort {
+			rec.State, rec.MigratedAt = StateQueued, nil // out of the engine until the loop re-admits it
+			sh.pending = append(sh.pending, rec)
+			continue
+		}
+		rec.State = StateMigrated
+		sh.migratedIDs = append(sh.migratedIDs, rec.ID)
 		// Only a reshard drains a retired shard; everything else is a steal.
 		if sh.retired {
 			sh.ReshardOut++
@@ -280,28 +327,10 @@ func (sh *shard) commitExtract(args shardlink.CommitArgs) {
 			sh.MigratedOut++
 		}
 	}
-	sh.shiftBacklog(false, recs...)
-}
-
-// abortExtract is the give-back path: the destination refused (or the
-// transport failed before adoption), so the reserved records re-enter the
-// pending queue with their exact remaining fractions — re-admission through
-// admitAll conserves every piece of executed work, under the record's
-// original local ID (the engine accepts a removed ID back).
-func (sh *shard) abortExtract(args shardlink.AbortArgs) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	recs := sh.reservedRecords(args.Locals)
-	if len(recs) == 0 {
-		return
+	if typ == walTypeCommit {
+		sh.shiftBacklog(false, recs...)
 	}
-	sh.wal.append(walTypeAbort, &recSettle{Shard: sh.idx, Locals: args.Locals})
-	for _, rec := range recs {
-		rec.State = StateQueued // out of the engine until the loop re-admits it
-		rec.MigratedAt = nil
-		sh.pending = append(sh.pending, rec)
-	}
-	sh.poke()
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -359,12 +388,12 @@ func (r *shardRPC) AdmitMigrated(args *shardlink.AdmitArgs, reply *shardlink.Adm
 }
 
 func (r *shardRPC) CommitExtract(args *shardlink.CommitArgs, _ *shardlink.CommitReply) error {
-	r.sh.commitExtract(*args)
+	r.sh.settle(walTypeCommit, args.Locals)
 	return nil
 }
 
 func (r *shardRPC) AbortExtract(args *shardlink.AbortArgs, _ *shardlink.AbortReply) error {
-	r.sh.abortExtract(*args)
+	r.sh.settle(walTypeAbort, args.Locals)
 	return nil
 }
 

@@ -39,7 +39,7 @@ func parentFixtureCfg(dir string) Config {
 	return Config{Machines: hotSharedFleet(), Shards: 2, Policy: "srpt", Retention: rat(50, 1), WALDir: dir}
 }
 
-func copyDir(t *testing.T, from, to string) {
+func copyDir(t testing.TB, from, to string) {
 	t.Helper()
 	ents, err := os.ReadDir(from)
 	if err != nil {

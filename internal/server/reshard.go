@@ -301,8 +301,8 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 // publishGeneration is the one step of a reshard that needs every shard at
 // once, and it moves no job: under the cut it verifies that every queued or
 // live job of a retiring shard fits somewhere on the new topology, places the
-// new generation's IDs above every ID issued so far, logs the record
-// write-ahead and installs it — all before the first mutex is released, so the
+// new generation's IDs above every ID issued so far and installs it through
+// the topology transition — all before the first mutex is released, so the
 // first ID a re-encoded shard issues already decodes through the new
 // generation, and a submission that was waiting on a retiring shard's mu
 // re-routes against a topology that no longer contains it. An error leaves
@@ -317,7 +317,7 @@ func (s *Server) publishGeneration(rec *recTopo, retiring []*shard) (gen2, spawn
 		}
 		rec.Base = s.nextBase()
 		rec.At = exact.FromRat(s.clock.Now())
-		if gen2, spawned, err = s.installGeneration(rec, nil, true); err != nil {
+		if gen2, spawned, err = s.installGeneration(rec, nil); err != nil {
 			err = fmt.Errorf("server: reshard: %w", err)
 		}
 	})
@@ -327,7 +327,7 @@ func (s *Server) publishGeneration(rec *recTopo, retiring []*shard) (gen2, spawn
 // nextBase is the ID base a new generation takes: strictly above every global
 // ID an active shard could have issued, so the newest-generation-whose-base-
 // fits decode rule stays unambiguous. publishGeneration places a generation
-// there under the cut; replay holds a logged one to it, with no loop running.
+// there under the cut, and installGeneration holds every logged one to it.
 func (s *Server) nextBase() int {
 	base := 0
 	for _, sh := range s.active() {
@@ -357,27 +357,29 @@ func stranded(retiring []*shard, fleet []model.Machine) error {
 	return nil
 }
 
-// installGeneration is how a topology generation comes to exist, and the only
-// writer of s.gens and s.all. Its input is the generation's record: Server.New
-// builds the first in memory from the configured fleet (never logged), Reshard
-// builds one from its diff, WAL replay decodes the one Reshard logged, and a
-// snapshot restore rewrites each generation of its document as one (states is
-// then the document's shard entries by creation index, and a spawned member
-// is restored from its own). Kept members — shards of the generation now
-// newest — are re-encoded in place, spawned ones built at the next creation
-// indices, retired ones marked, everyone else re-pointed at the record's fleet.
+// installGeneration is the topology transition: how a generation comes to
+// exist, and the only writer of s.gens and s.all. Its input is the
+// generation's record: Server.New builds the first in memory from the
+// configured fleet, Reshard builds one from its diff, restore decodes the one
+// Reshard logged, and a snapshot restore rewrites each generation of its
+// document as one (states is then the document's shard entries by creation
+// index, and a spawned member is restored from its own). Kept members —
+// shards of the generation now newest — are re-encoded in place, spawned ones
+// built at the next creation indices, retired ones marked, everyone else
+// re-pointed at the record's fleet.
 //
 // Every member is resolved, checked and — if spawned — built before anything
-// is touched: an error leaves the running topology as it was. With writeAhead
-// the record is then logged before the first mutation, hence before any
-// migration record naming the generation's shards: replay rebuilds the
-// generation first, then retraces the exchanges (a crash in between leaves
-// jobs on retired donors, which restore drains: repairRetired).
+// is touched: an error leaves the running topology as it was. The record is
+// then appended before the first mutation, hence before any migration record
+// naming the generation's shards: restore rebuilds the generation first, then
+// retraces the exchanges (a crash in between leaves jobs on retired donors,
+// which restore drains: repairRetired). The first generation and a snapshot's
+// are never logged: no log is attached to the server while they install.
 //
 // A live caller holds reshardMu and every shard's mu (publishGeneration's
 // cut); startup and restore run before any loop, with no lock to hold — hence
 // no requires= contract.
-func (s *Server) installGeneration(r *recTopo, states []snapShard, writeAhead bool) (gen2, spawned []*shard, err error) {
+func (s *Server) installGeneration(r *recTopo, states []snapShard) (gen2, spawned []*shard, err error) {
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("generation %d: %w", r.Gen, err)
@@ -388,9 +390,17 @@ func (s *Server) installGeneration(r *recTopo, states []snapShard, writeAhead bo
 		return nil, nil, fmt.Errorf("stride %d over %d shards", r.Stride, len(r.Shards))
 	}
 	// locate takes an ID's generation to be the newest whose base does not
-	// exceed it, and anything below every base to be unissued.
+	// exceed it, and anything below every base to be unissued. A generation
+	// must clear every ID the shards before it issued, as it did live; a
+	// snapshot's is not held to this, its shards being loaded with records
+	// issued under later generations too.
 	if len(s.gens) == 0 && r.Base != 0 {
 		return nil, nil, fmt.Errorf("first generation based at %d, want 0", r.Base)
+	}
+	if len(s.gens) > 0 && states == nil {
+		if next := s.nextBase(); r.Base < next {
+			return nil, nil, fmt.Errorf("based at %d, below %d, the next ID its predecessor would issue", r.Base, next)
+		}
 	}
 	if len(s.gens) > 0 && r.Base <= s.gens[len(s.gens)-1].base {
 		return nil, nil, fmt.Errorf("based at %d, not above generation %d's base %d", r.Base, len(s.gens)-1, s.gens[len(s.gens)-1].base)
@@ -441,9 +451,7 @@ func (s *Server) installGeneration(r *recTopo, states []snapShard, writeAhead bo
 			return nil, nil, fmt.Errorf("retires shard %d, which the generation before it does not leave behind", idx)
 		}
 	}
-	if writeAhead {
-		s.dur.append(walTypeTopo, r)
-	}
+	s.dur.append(walTypeTopo, r)
 	for pos, sh := range gen2 {
 		if ts := r.Shards[pos]; ts.Kept {
 			sh.reencode(r.Gen, r.Base, r.Stride, pos, ts.MachineIdx)

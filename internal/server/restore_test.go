@@ -1,0 +1,180 @@
+package server
+
+import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"divflow/internal/wal"
+)
+
+// parentSuffix returns the parent-format fixture's snapshot and its log's
+// records: seq 1 to 45, of which the snapshot covers the first 22.
+func parentSuffix(t testing.TB) (snapSeq uint64, snap []byte, recs []wal.Record) {
+	t.Helper()
+	src := t.TempDir()
+	copyDir(t, filepath.Join(parentFixture, "wal"), src)
+	snapSeq, snap, ok := wal.LoadSnapshot(src)
+	if !ok {
+		t.Fatal("fixture holds no valid snapshot")
+	}
+	log, recs, err := wal.Open(src, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	return snapSeq, snap, recs
+}
+
+// restoreLog writes recs as a fresh log behind the fixture's snapshot and
+// restores a fleet from it. A fleet that does restore is read through
+// /v1/schedule, Stats, TenantStats and jobStatus and closed before the error
+// (nil) is returned, so a restore that should have failed shows up as the
+// panic it leads to.
+func restoreLog(t testing.TB, snapSeq uint64, snap []byte, recs []wal.Record) error {
+	t.Helper()
+	dir := t.TempDir()
+	out, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if _, err := out.Append(rec.Type, rec.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out.Close()
+	if err := wal.WriteSnapshot(dir, snapSeq, snap); err != nil {
+		t.Fatal(err)
+	}
+	cfg := parentFixtureCfg(dir)
+	cfg.Clock = NewVirtualClock()
+	srv, err := New(cfg)
+	if err != nil {
+		return err
+	}
+	defer srv.Close()
+	srv.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/schedule", nil))
+	srv.Stats()
+	srv.TenantStats()
+	for id := 0; id < 20; id++ {
+		srv.jobStatus(id)
+	}
+	return nil
+}
+
+// TestWALRestoreRejectsDamagedRecords is TestWALRestoreRejectsDamagedTopology
+// for the shard records: the fixture's log is rewritten with one field of one
+// record changed (or a record appended), intact on disk, and each case must
+// come back from New as an error naming the record's seq and type. The
+// complete and compact cases are held to what the live path wrote them from:
+// the job the engine completed at the record's time, and the horizon
+// retention puts behind the record's now.
+func TestWALRestoreRejectsDamagedRecords(t *testing.T) {
+	snapSeq, snap, recs := parentSuffix(t)
+	set := func(field string, v any) func(map[string]any) {
+		return func(r map[string]any) { r[field] = v }
+	}
+	for _, tc := range []struct {
+		name string
+		seq  uint64                 // the record damaged; 0 when one is only appended
+		edit func(r map[string]any) // applied to record seq's payload
+		// appended, when set, is a record written behind the log.
+		appended *wal.Record
+		want     string
+	}{
+		{"submit out of local order", 24, set("local", 4), nil,
+			"record 24 (submit): shard 1 expects local 3, record says 4"},
+		{"submit without its release", 24, func(r map[string]any) { delete(r, "release") }, nil,
+			"record 24 (submit): submit 7 missing its release"},
+		{"submit to databanks no machine hosts", 24, set("databanks", []string{"cold"}), nil,
+			"record 24 (submit): submit 7: no machine of shard 1 hosts [cold]"},
+		{"admit of another pending set", 25, set("locals", []int{2}), nil,
+			"record 25 (admit): shard 1 pending[0] = 3, admit record says 2"},
+		{"admit of more than is pending", 25, set("locals", []int{3, 4}), nil,
+			"record 25 (admit): shard 1 has 1 pending, admit record lists 2"},
+		{"extract of an unknown record", 30, set("locals", []int{3, 9}), nil,
+			"record 30 (extract): shard 0 has no record 9"},
+		{"adopt without its message", 31, func(r map[string]any) {
+			for k := range r {
+				if k != "shard" {
+					delete(r, k)
+				}
+			}
+		}, nil, "record 31 (adopt): adopt record carries no adoption message"},
+		{"record of the retired migrate type", 0, nil,
+			&wal.Record{Type: "migrate", Data: json.RawMessage(`{"shard":0,"locals":[0]}`)},
+			`record 46 (migrate): unknown record type "migrate"`},
+		{"complete of another local", 42, set("local", 1), nil,
+			"record 42 (complete): shard 2 did not complete local 1 (job 4) at 106"},
+		{"complete of another job", 42, set("gid", 5), nil,
+			"record 42 (complete): shard 2 did not complete local 2 (job 5) at 106"},
+		{"complete at another time", 42, set("at", "211/2"), nil,
+			"record 42 (complete): shard 2 did not complete local 2 (job 4) at 211/2"},
+		{"compact off its now", 45, set("horizon", "56"), nil,
+			"record 45 (compact): shard 2 horizon 56, want now 107 less retention 50 = 57"},
+		{"compact at the last horizon", 0, nil,
+			&wal.Record{Type: walTypeCompact, Data: json.RawMessage(`{"shard":2,"now":"107","horizon":"57"}`)},
+			"record 46 (compact): shard 2 horizon 57 is not above the last compaction 57"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			damaged := append([]wal.Record(nil), recs...)
+			found := tc.seq == 0
+			for i := range damaged {
+				if damaged[i].Seq != tc.seq {
+					continue
+				}
+				var r map[string]any
+				if err := json.Unmarshal(damaged[i].Data, &r); err != nil {
+					t.Fatal(err)
+				}
+				tc.edit(r)
+				data, err := json.Marshal(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				damaged[i].Data, found = data, true
+			}
+			if !found {
+				t.Fatalf("the fixture holds no record %d", tc.seq)
+			}
+			if tc.appended != nil {
+				damaged = append(damaged, *tc.appended)
+			}
+			err := restoreLog(t, snapSeq, snap, damaged)
+			if err == nil {
+				t.Fatal("New restored the damaged log")
+			}
+			if want := "server: replay: " + tc.want; !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("error %q, want the %q prefix", err, want)
+			}
+		})
+	}
+}
+
+// FuzzWALReplay replaces one suffix record's payload of the parent-format
+// fixture and restores: New must refuse the log or hand back a fleet whose
+// reads do not panic. The seed corpus is the fixture's own records; no loop
+// starts.
+func FuzzWALReplay(f *testing.F) {
+	snapSeq, snap, recs := parentSuffix(f)
+	first := 0 // index of the first suffix record
+	for first < len(recs) && recs[first].Seq <= snapSeq {
+		first++
+	}
+	suffix := uint(len(recs) - first)
+	for i := range suffix {
+		f.Add(i, []byte(recs[first+int(i)].Data))
+	}
+	f.Fuzz(func(t *testing.T, i uint, payload []byte) {
+		if !json.Valid(payload) {
+			t.Skip("the log holds only valid JSON payloads")
+		}
+		damaged := append([]wal.Record(nil), recs...)
+		damaged[first+int(i%suffix)].Data = payload
+		restoreLog(t, snapSeq, snap, damaged)
+	})
+}

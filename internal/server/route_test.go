@@ -235,9 +235,12 @@ func testRouteKeyMatchesRecords(t *testing.T, seed int64) {
 	sh := srv.active()[0]
 	sh.mu.Lock()
 	job.Release = sh.clock.Now()
-	poisoned := &jobRecord{ID: sh.records.next(), GID: sh.globalID(sh.records.next()), State: StateQueued, Job: shardlink.JobOf(job)}
-	sh.enqueue(poisoned, "")
-	poisoned.hosts = nil
+	r := &recSubmit{Shard: sh.idx, Local: sh.records.next(), Job: job}
+	r.GID = sh.globalID(r.Local)
+	if err := sh.applySubmit(r); err != nil {
+		t.Fatal(err)
+	}
+	sh.records.get(r.Local).hosts = nil
 	sh.mu.Unlock()
 	sh.poke()
 	waitStats(t, srv, func(st model.StatsResponse) bool { return st.LastError != "" })

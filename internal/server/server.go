@@ -154,11 +154,12 @@ type Config struct {
 	// and compaction horizon is appended to a write-ahead log in this
 	// directory, with periodic fleet snapshots truncating the log behind
 	// them. On startup, existing durable state in the directory is
-	// authoritative: the newest valid snapshot is loaded and the WAL suffix
-	// replayed through the normal admission paths, and Machines is then only
-	// used for a fresh start. The first WAL failure latches: durability
-	// freezes (the on-disk state stays a consistent prefix) while the daemon
-	// keeps scheduling, and /healthz reports "degraded".
+	// authoritative: the newest valid snapshot is loaded, each record of the
+	// WAL suffix is applied through the transition that wrote it, and
+	// Machines is then only used for a fresh start. The first WAL failure
+	// latches: durability freezes (the on-disk state stays a consistent
+	// prefix) while the daemon keeps scheduling, and /healthz reports
+	// "degraded".
 	WALDir string
 	// Fsync syncs the WAL after every append (the -fsync flag). Off,
 	// durability of the tail is bounded by the OS page cache; a clean Close
@@ -385,11 +386,11 @@ func New(cfg Config) (_ *Server, err error) {
 		if snapEvery == 0 {
 			snapEvery = defaultSnapshotEvery
 		}
+		// The log is attached once restore has applied its suffix.
 		s.dur = &durability{
 			tel:       s.tel,
 			dir:       cfg.WALDir,
 			snapEvery: snapEvery,
-			log:       st.log,
 			snapSeq:   st.snapSeq,
 			snapReq:   make(chan struct{}, 1),
 			stop:      make(chan struct{}),
@@ -397,25 +398,24 @@ func New(cfg Config) (_ *Server, err error) {
 	}
 	if st == nil || st.doc == nil {
 		// The first generation, from the configured fleet, and never logged: a
-		// directory without a snapshot replays its suffix onto this topology —
-		// the same one the original run built, since the log began under it.
-		if _, _, err = s.installGeneration(newTopo(cfg.Machines, groups), nil, false); err != nil {
+		// directory without a snapshot restores its suffix onto this topology
+		// — the same one the original run built, since the log began under it.
+		if _, _, err = s.installGeneration(newTopo(cfg.Machines, groups), nil); err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
-	if st != nil && st.hasState() {
+	if st != nil {
 		if err = s.restore(st); err != nil {
 			return nil, err
 		}
-		s.restoredNow = st.now
-		s.tel.event(obs.EventRestore, len(s.gens)-1, -1, fmt.Sprintf(
-			"%d records replayed at virtual time %v", len(st.suffix), st.now))
-		if s.tel.enabled {
-			s.tel.recoverySecs.Observe(s.tel.sinceSeconds(st.started))
-		}
-	}
-	if s.dur != nil {
-		if !st.hasState() {
+		if st.hasState() {
+			s.restoredNow = st.now
+			s.tel.event(obs.EventRestore, len(s.gens)-1, -1, fmt.Sprintf(
+				"%d records replayed at virtual time %v", len(st.suffix), st.now))
+			if s.tel.enabled {
+				s.tel.recoverySecs.Observe(s.tel.sinceSeconds(st.started))
+			}
+		} else {
 			// A fresh directory is snapshotted before its first record, so
 			// restore always finds the policy that wrote it.
 			s.reshardMu.Lock()

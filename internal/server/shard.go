@@ -462,53 +462,64 @@ func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error)
 	// admits the job counts against its flow, exactly like the paper's online
 	// adaptation measures flows from submission.
 	job.Release = sh.clock.Now()
-	gid := sh.globalID(sh.records.next())
-	if job.Name == "" {
-		job.Name = fmt.Sprintf("job-%d", gid)
+	r := &recSubmit{Shard: sh.idx, Local: sh.records.next(), Job: job}
+	r.GID = sh.globalID(r.Local)
+	if r.Name == "" {
+		r.Name = fmt.Sprintf("job-%d", r.GID)
 	}
-	rec := &jobRecord{ID: sh.records.next(), GID: gid, State: StateQueued, Job: shardlink.JobOf(job)}
 	var cert *model.AdmissionCertificate
-	if rec.Deadline.Sign() != 0 && sh.admission != shardlink.AdmissionOff {
+	if job.Deadline != nil && sh.admission != shardlink.AdmissionOff {
+		cand := shardlink.JobOf(r.Job)
 		var err error
-		cert, err = sh.admissionCheck(rec.Job)
+		cert, err = sh.admissionCheck(cand)
 		if err != nil {
 			return 0, nil, err
 		}
 		if cert != nil && !cert.Feasible && sh.admission == shardlink.AdmissionStrict {
 			sh.obs.event(obs.EventReject, -1,
-				fmt.Sprintf("deadline %v infeasible against %d residual jobs", rec.Deadline, cert.ResidualJobs), rec.Release)
+				fmt.Sprintf("deadline %v infeasible against %d residual jobs", cand.Deadline, cert.ResidualJobs), cand.Release)
 			return 0, cert, errDeadline
 		}
 	}
-	// Write-ahead: the submission is logged before any shard state changes,
-	// so a crash between the append and the mutation replays the job rather
-	// than losing an acknowledged submission.
-	if sh.wal != nil {
-		sh.wal.append(walTypeSubmit, &recSubmit{Shard: sh.idx, Local: rec.ID, GID: rec.GID, Job: job})
+	if err := sh.applySubmit(r); err != nil {
+		return 0, nil, err
 	}
-	rec.submittedWall = sh.obs.now()
-	sh.enqueue(rec, "")
+	sh.records.get(r.Local).submittedWall = sh.obs.now()
 	sh.poke()
-	return rec.GID, cert, nil
+	return r.GID, cert, nil
 }
 
-// enqueue is a job's birth on this shard, the live submission and its WAL
-// replay alike: the record takes the next local slot and joins the pending
-// queue, the tenant's birth counters and the backlog, its hosts are fixed,
-// and the journal notes the submission. It reports whether any machine of
-// the shard hosts the job. Callers hold sh.mu.
+// applySubmit is the submit transition: the job takes the shard's next local
+// slot and joins the pending queue, the tenant's birth counters and the
+// backlog, its hosts fixed, and the journal notes the submission. The record
+// is appended before any of that, so a crash between the append and the
+// mutation restores the job rather than losing an acknowledged submission.
+// Callers hold sh.mu.
 //
 //divflow:locks requires=shard
-func (sh *shard) enqueue(rec *jobRecord, note string) bool {
-	rec.hosts = sh.hostMask(rec.Databanks)
+func (sh *shard) applySubmit(r *recSubmit) error {
+	if sh.records.next() != r.Local {
+		return fmt.Errorf("shard %d expects local %d, record says %d", sh.idx, sh.records.next(), r.Local)
+	}
+	if r.Release == nil {
+		return fmt.Errorf("submit %d missing its release", r.GID)
+	}
+	if err := r.Job.CheckSubmission(); err != nil {
+		return fmt.Errorf("submit %d: %w", r.GID, err)
+	}
+	rec := &jobRecord{ID: r.Local, GID: r.GID, State: StateQueued, Job: shardlink.JobOf(r.Job), hosts: sh.hostMask(r.Databanks)}
+	if !slices.Contains(rec.hosts, true) {
+		return fmt.Errorf("submit %d: no machine of shard %d hosts %v", r.GID, sh.idx, r.Databanks)
+	}
+	sh.wal.append(walTypeSubmit, r)
 	sh.records.add(rec)
 	sh.pending = append(sh.pending, rec)
 	if rec.Tenant != "" {
 		sh.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Submitted: 1, ByClass: map[string]int{rec.SLAClass: 1}})
 	}
 	sh.shiftBacklog(true, rec)
-	sh.obs.event(obs.EventSubmit, rec.GID, note, rec.Release)
-	return slices.Contains(rec.hosts, true)
+	sh.obs.event(obs.EventSubmit, rec.GID, "", rec.Release)
+	return nil
 }
 
 // admissionCheck answers a deadline admission for one candidate job,
@@ -671,18 +682,6 @@ func (sh *shard) census() []sim.JobState {
 		views = append(views, sim.JobState{ID: rec.ID, Release: rec.Release, Weight: rec.Weight, Size: rec.Size, Remaining: rem})
 	}
 	return append(views, live...)
-}
-
-// orphanRecord flips a reserved donor-side record to the migrated state once
-// the destination owns the job, and queues the record for retention: every
-// donor piece of the job ends by its migratedAt (stamped at the extraction),
-// so the record can be compacted once the horizon passes it. Callers hold
-// sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) orphanRecord(rec *jobRecord) {
-	rec.State = StateMigrated
-	sh.migratedIDs = append(sh.migratedIDs, rec.ID)
 }
 
 // adoptRecord creates the destination-side record of a migrated job: a fresh
@@ -866,9 +865,9 @@ func (sh *shard) catchUp() (exact.Q, bool) {
 	return sh.catchUpTo(sh.now())
 }
 
-// catchUpTo is catchUp against an explicit target time: the WAL replay path
-// drives shards to recorded virtual times instead of the clock, so a restored
-// engine retraces exactly the events the original crossed. Callers hold
+// catchUpTo is catchUp against an explicit target time: restore drives
+// shards to recorded virtual times instead of the clock, so a restored engine
+// retraces exactly the events the original crossed. Callers hold
 // sh.mu.
 //
 //divflow:locks requires=shard
@@ -908,22 +907,49 @@ func (sh *shard) process() {
 	sh.admitAll(now)
 }
 
-// admitAll admits every pending submission as one batch at time now, logging
-// the batch write-ahead. Callers hold sh.mu; the engine is caught up to now.
+// admitAll admits every pending submission as one batch at time now, through
+// the admit transition. Callers hold sh.mu; the engine is caught up to now.
 //
 //divflow:locks requires=shard
 func (sh *shard) admitAll(now exact.Q) {
 	if len(sh.pending) == 0 {
 		return
 	}
-	batch := sh.pending
-	if sh.wal != nil {
-		locals := make([]int, len(batch))
-		for i, rec := range batch {
-			locals[i] = rec.ID
+	r := &recAdmit{Shard: sh.idx, At: now, Locals: make([]int, len(sh.pending))}
+	for i, rec := range sh.pending {
+		r.Locals[i] = rec.ID
+		// The submit→admit latency ends at the batch's admission attempt.
+		if !rec.submittedWall.IsZero() {
+			sh.obs.submitAdmit.Observe(sh.obs.sinceSeconds(rec.submittedWall))
+			rec.submittedWall = time.Time{}
 		}
-		sh.wal.append(walTypeAdmit, &recAdmit{Shard: sh.idx, At: now, Locals: locals})
 	}
+	if err := sh.applyAdmit(r); err != nil {
+		sh.fail(err)
+	}
+}
+
+// applyAdmit is the admit transition: the engine catches up to the record's
+// time, and the pending queue, exactly the records it lists, enters it there
+// as one batch; the policy then re-decides. The executed trace is a
+// deterministic function of these times. A catch-up that fails admits
+// nothing: the original run latched there too. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) applyAdmit(r *recAdmit) error {
+	if _, ok := sh.catchUpTo(r.At); !ok {
+		return nil
+	}
+	if len(sh.pending) != len(r.Locals) {
+		return fmt.Errorf("shard %d has %d pending, admit record lists %d", sh.idx, len(sh.pending), len(r.Locals))
+	}
+	for i, rec := range sh.pending {
+		if rec.ID != r.Locals[i] {
+			return fmt.Errorf("shard %d pending[%d] = %d, admit record says %d", sh.idx, i, rec.ID, r.Locals[i])
+		}
+	}
+	sh.wal.append(walTypeAdmit, r)
+	batch := sh.pending
 	sh.pending = nil
 	// Arrival-batch statistics count each job's *first* admission only: a
 	// job stolen after it was admitted once is not a new arrival, while one
@@ -956,17 +982,13 @@ func (sh *shard) admitAll(now exact.Q) {
 			sh.pending = batch[k:]
 			flushBatchStats()
 			sh.fail(err)
-			return
+			return nil
 		}
 		// Only a successful admit makes the job "scheduled": a rejected Add
 		// must leave the record queued, not claim scheduling that never
 		// happened.
 		rec.State = StateScheduled
-		if !rec.submittedWall.IsZero() {
-			sh.obs.submitAdmit.Observe(sh.obs.sinceSeconds(rec.submittedWall))
-			rec.submittedWall = time.Time{}
-		}
-		sh.obs.event(obs.EventAdmit, rec.GID, "", now)
+		sh.obs.event(obs.EventAdmit, rec.GID, "", r.At)
 		if !rec.Counted {
 			rec.Counted = true
 			native++
@@ -974,10 +996,11 @@ func (sh *shard) admitAll(now exact.Q) {
 	}
 	flushBatchStats()
 	sh.decide()
+	return nil
 }
 
-// step advances the engine to the event at t, completes jobs, and re-runs
-// the policy. Callers hold sh.mu.
+// step advances the engine to the event at t, runs the complete transition
+// for every job done there, and re-runs the policy. Callers hold sh.mu.
 //
 //divflow:locks requires=shard
 func (sh *shard) step(t exact.Q) bool {
@@ -987,21 +1010,41 @@ func (sh *shard) step(t exact.Q) bool {
 		return false
 	}
 	for _, id := range done {
-		rec := sh.records.get(id)
-		rec.State, rec.Completed = StateDone, t
-		if sh.wal != nil {
-			sh.wal.append(walTypeComplete, &recComplete{Shard: sh.idx, Local: rec.ID, GID: rec.GID, At: t})
+		if err := sh.applyComplete(&recComplete{Shard: sh.idx, Local: id, GID: sh.records.get(id).GID, At: t}); err != nil {
+			sh.fail(err)
+			return false
 		}
-		sh.recordCompletion(rec)
 	}
 	return sh.decide()
 }
 
-// recordCompletion folds one finished job into the all-time aggregates, so
-// later compaction of its record loses no statistics. Callers hold sh.mu.
+// checkComplete reports a complete record that does not name a job the
+// engine completed at the record's time. A completion is the engine's output,
+// not an input: the live path checks the record it built, and restore checks
+// the logged one after crossing its time has run the transition.
+// Callers hold sh.mu.
 //
 //divflow:locks requires=shard
-func (sh *shard) recordCompletion(rec *jobRecord) {
+func (sh *shard) checkComplete(r *recComplete) error {
+	rec := sh.records.get(r.Local)
+	if at, ok := sh.eng.Completion(r.Local); !ok || at.Cmp(r.At) != 0 || rec == nil || rec.GID != r.GID {
+		return fmt.Errorf("shard %d did not complete local %d (job %d) at %v", sh.idx, r.Local, r.GID, r.At)
+	}
+	return nil
+}
+
+// applyComplete is the complete transition: the job the engine completed at
+// the record's time is done, and folded into the all-time aggregates, so later
+// compaction of its record loses no statistics. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) applyComplete(r *recComplete) error {
+	if err := sh.checkComplete(r); err != nil {
+		return err
+	}
+	sh.wal.append(walTypeComplete, r)
+	rec := sh.records.get(r.Local)
+	rec.State, rec.Completed = StateDone, r.At
 	sh.shiftBacklog(false, rec)
 	flow := rec.Completed.Sub(rec.Release)
 	wf := rec.Weight.Mul(flow)
@@ -1015,6 +1058,7 @@ func (sh *shard) recordCompletion(rec *jobRecord) {
 	// The flow histogram is observed unconditionally — it is the backing
 	// store of the /v1/stats P95 estimate, not just an exported metric.
 	sh.obs.flow.Observe(flow.Float64())
+	return nil
 }
 
 // compact enforces the retention bound: everything that finished more than
@@ -1036,13 +1080,36 @@ func (sh *shard) compact(now exact.Q) {
 	if horizon.Sign() <= 0 || horizon.Cmp(*sh.LastCompact) <= 0 {
 		return
 	}
+	if err := sh.applyCompact(&recCompact{Shard: sh.idx, Now: now, Horizon: horizon}); err != nil {
+		sh.fail(err)
+	}
+}
+
+// applyCompact is the compact transition: the engine catches up to the
+// record's now, and the horizon, retention behind it and above the last one,
+// becomes the shard's; every record it passes is dropped. A catch-up that
+// fails compacts nothing, as in applyAdmit. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) applyCompact(r *recCompact) error {
+	if _, ok := sh.catchUpTo(r.Now); !ok {
+		return nil
+	}
+	if sh.retention.Sign() == 0 {
+		return fmt.Errorf("shard %d keeps every record", sh.idx)
+	}
+	if want := r.Now.Sub(sh.retention); r.Horizon.Cmp(want) != 0 {
+		return fmt.Errorf("shard %d horizon %v, want now %v less retention %v = %v", sh.idx, r.Horizon, r.Now, sh.retention, want)
+	}
+	if r.Horizon.Cmp(*sh.LastCompact) <= 0 {
+		return fmt.Errorf("shard %d horizon %v is not above the last compaction %v", sh.idx, r.Horizon, *sh.LastCompact)
+	}
+	sh.wal.append(walTypeCompact, r)
 	// Fold the pre-compaction makespan into the high-water mark first:
 	// dropping pieces must never move the reported whole-execution makespan
 	// backwards.
 	sh.noteMakespan()
-	if sh.wal != nil {
-		sh.wal.append(walTypeCompact, &recCompact{Shard: sh.idx, Now: now, Horizon: horizon})
-	}
+	horizon := r.Horizon
 	sh.LastCompact = &horizon
 	before := sh.CompactedJobs
 	drop := func(id int) {
@@ -1076,6 +1143,7 @@ func (sh *shard) compact(now exact.Q) {
 	if n := sh.CompactedJobs - before; n > 0 {
 		sh.obs.event(obs.EventCompact, -1, fmt.Sprintf("%d records dropped", n), horizon)
 	}
+	return nil
 }
 
 // noteMakespan raises the makespan high-water mark to the current executed

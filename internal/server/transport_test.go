@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/big"
 	"net/http/httptest"
 	"strings"
@@ -454,4 +455,118 @@ func testTransportReshardStorm(t *testing.T, transport string) {
 		}
 	}
 	validateServer(t, srv)
+}
+
+// TestTransportMigrationConservesBacklog reads every shard's routing key
+// between the steps of a steal — extract, adopt, commit — and of a give-back
+// — extract, abort — on both transports. The fleet-wide backlog and each
+// tenant's never dip below their value before the exchange, because the donor
+// keeps reserved work in its backlog until the commit or abort settles it;
+// between the adoption and the commit the moved work is counted on both
+// shards, exactly once more; and a settled exchange leaves every sum where it
+// started.
+func TestTransportMigrationConservesBacklog(t *testing.T) {
+	for _, tr := range transportAxis {
+		t.Run(tr, func(t *testing.T) { testTransportMigrationBacklog(t, tr) })
+	}
+}
+
+func testTransportMigrationBacklog(t *testing.T, transport string) {
+	vc := NewVirtualClock()
+	srv, err := New(Config{Machines: hotSharedFleet(), Shards: 2, Policy: "srpt", Clock: vc, Transport: transport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	donor, thief := srv.active()[0], srv.active()[1]
+	for _, spec := range []struct{ size, tenant string }{
+		{"6", "acme"}, {"4", "globex"}, {"2", "acme"}, {"3", ""}, {"5", "globex"},
+	} {
+		job, err := (&model.SubmitRequest{Size: spec.size, Tenant: spec.tenant, Databanks: []string{"shared"}}).Job()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := donor.submit(job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One unit executed before the exchange, with no completion yet: srpt
+	// runs the donor's four shortest jobs on its four machines, and the
+	// longest waits.
+	donor.mu.Lock()
+	donor.process()
+	donor.mu.Unlock()
+	vc.Advance(rat(1, 1))
+	donor.mu.Lock()
+	donor.process()
+	donor.mu.Unlock()
+
+	// sums totals every shard's routing key: the fleet backlog under "", each
+	// tenant's under its name.
+	sums := func() map[string]exact.Q {
+		out := make(map[string]exact.Q)
+		for _, sh := range srv.allShards() {
+			ri, err := sh.link.RouteInfo(shardlink.RouteInfoArgs{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[""] = out[""].Add(ri.Backlog)
+			for tenant, b := range ri.TenantBacklog {
+				out[tenant] = out[tenant].Add(b)
+			}
+		}
+		return out
+	}
+	check := func(step string, want map[string]exact.Q) {
+		t.Helper()
+		got := sums()
+		for _, key := range []string{"", "acme", "globex"} {
+			if got[key].Cmp(want[key]) != 0 {
+				t.Errorf("%s: backlog %q sums to %v, want %v", step, key, got[key], want[key])
+			}
+		}
+	}
+	fromLocals := func(rep shardlink.ExtractReply) []int {
+		var locals []int
+		for _, mj := range rep.Jobs {
+			locals = append(locals, mj.FromLocal)
+		}
+		return locals
+	}
+
+	before := sums()
+	if before[""].Cmp(exact.Int(20)) != 0 {
+		t.Fatalf("fleet backlog %v before the exchange, want the 20 units submitted", before[""])
+	}
+	rep, err := donor.link.ExtractJobs(shardlink.ExtractArgs{ThiefMachines: thief.machines})
+	if err != nil || len(rep.Jobs) != 2 {
+		t.Fatalf("extract: %d jobs (%v), want half of the donor's 5", len(rep.Jobs), err)
+	}
+	check("after extract", before)
+	ad, err := thief.link.AdmitMigrated(shardlink.AdmitArgs{Jobs: rep.Jobs, Reason: migrateSteal, From: rep.From, At: rep.At})
+	if err != nil || !ad.Accepted {
+		t.Fatalf("the thief refused the adoption (%v)", err)
+	}
+	twice := maps.Clone(before)
+	for _, mj := range rep.Jobs {
+		twice[""] = twice[""].Add(mj.Size)
+		if mj.Tenant != "" {
+			twice[mj.Tenant] = twice[mj.Tenant].Add(mj.Size)
+		}
+	}
+	check("after admit", twice)
+	if err := donor.link.CommitExtract(shardlink.CommitArgs{Locals: fromLocals(rep)}); err != nil {
+		t.Fatal(err)
+	}
+	check("after commit", before)
+
+	back, err := donor.link.ExtractJobs(shardlink.ExtractArgs{ThiefMachines: thief.machines})
+	if err != nil || len(back.Jobs) == 0 {
+		t.Fatalf("second extract: %d jobs (%v)", len(back.Jobs), err)
+	}
+	check("after the give-back's extract", before)
+	if err := donor.link.AbortExtract(shardlink.AbortArgs{Locals: fromLocals(back)}); err != nil {
+		t.Fatal(err)
+	}
+	check("after abort", before)
 }
