@@ -169,21 +169,23 @@ func main() {
 	if *debugAddr != "" {
 		// pprof registers on http.DefaultServeMux; serving that mux on a
 		// separate listener keeps the profiling surface off the service
-		// address, so exposing the API never exposes the profiler.
-		go func() {
-			log.Printf("pprof on %s/debug/pprof/", *debugAddr)
+		// address, so exposing the API never exposes the profiler. Listened
+		// on here, as the API is below, so the log line carries the bound
+		// address even for -debug-addr :0.
+		if dbgLis, err := net.Listen("tcp", *debugAddr); err != nil {
+			log.Printf("debug listener: %v", err)
+		} else {
+			log.Printf("pprof on %s/debug/pprof/", dbgLis.Addr())
 			// Same slowloris bounds as the API listener: operator-only does
 			// not mean unreachable, and a handful of stuck header reads would
 			// pin goroutines for the life of the process.
-			dbg := &http.Server{
-				Addr:              *debugAddr,
-				ReadHeaderTimeout: 10 * time.Second,
-				IdleTimeout:       2 * time.Minute,
-			}
-			if err := dbg.ListenAndServe(); err != nil {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
+			dbg := &http.Server{ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+			go func() {
+				if err := dbg.Serve(dbgLis); err != nil {
+					log.Printf("debug listener: %v", err)
+				}
+			}()
+		}
 	}
 
 	httpSrv := &http.Server{

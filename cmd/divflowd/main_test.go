@@ -344,3 +344,31 @@ func TestRestartRestoresFromSealedLog(t *testing.T) {
 	}
 	p2.waitExit(t)
 }
+
+// TestDebugAddrServesPprofOnItsOwnListener starts the daemon with both
+// listeners on ephemeral ports: /debug/pprof/ answers on the -debug-addr
+// listener and is not found on the API's.
+func TestDebugAddrServesPprofOnItsOwnListener(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the divflowd binary")
+	}
+	p := startProc(t, buildDivflowd(t), "-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0",
+		"-platform", "../../testdata/platform.json")
+	line := p.waitLine(t, "pprof on ")
+	debug := "http://" + strings.TrimSuffix(line[strings.Index(line, "pprof on ")+len("pprof on "):], "/debug/pprof/")
+	line = p.waitLine(t, "serving 3 machines in ")
+	api := "http://" + strings.TrimSpace(strings.Split(line[strings.Index(line, " shards on ")+len(" shards on "):], " ")[0])
+	for _, tc := range []struct {
+		base string
+		want int
+	}{{debug, http.StatusOK}, {api, http.StatusNotFound}} {
+		resp, err := http.Get(tc.base + "/debug/pprof/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("GET %s/debug/pprof/: HTTP %d, want %d", tc.base, resp.StatusCode, tc.want)
+		}
+	}
+}

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -472,7 +474,7 @@ func planAdmissionStream(t *testing.T, policy string, lazy bool, seed int64, ver
 			job.Release, job.Deadline = now, new(big.Rat).Add(now, q(1, 12))
 			req.Deadline = job.Deadline.RatString()
 			sh.mu.Lock()
-			if _, ok := sh.catchUp(); !ok {
+			if _, ok := sh.catchUpTo(sh.now()); !ok {
 				t.Fatalf("shard latched: %v", sh.lastErr)
 			}
 			verdict := sh.planAdmits(sh.eng.Snapshot(), shardlink.JobOf(job))
@@ -672,4 +674,68 @@ func TestReshardConservesTenantBacklog(t *testing.T) {
 	}
 	restored.Start()
 	drained(restored, vc2)
+}
+
+// tickClock reads one tick later at every Now: the gap between two reads of a
+// real clock, made exact. No loop runs under it (At never fires).
+type tickClock struct {
+	mu        sync.Mutex
+	now, tick *big.Rat
+}
+
+func (c *tickClock) Now() *big.Rat {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t := new(big.Rat).Set(c.now)
+	c.now.Add(c.now, c.tick)
+	return t
+}
+
+// peek is what the next Now returns.
+func (c *tickClock) peek() *big.Rat {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return new(big.Rat).Set(c.now)
+}
+
+func (c *tickClock) At(*big.Rat) (<-chan struct{}, func()) { return nil, func() {} }
+
+// TestAdmissionReadsTheClockOnce holds a deadline admission to one instant:
+// the candidate's release, which the census's remaining work and the free
+// machines are both measured at. On one unit-speed machine, job A (size 10,
+// deadline D) runs alone from its admission at tA; the candidate B, released
+// at t1 with the same deadline and size D − tA − 19/2, needs A's remaining
+// 10 − (t1 − tA) plus its own size: half a unit more than D − t1. An
+// admission that measured A's remaining at a second, later clock read, one
+// tick on, while counting the machine free from t1, certified B.
+func TestAdmissionReadsTheClockOnce(t *testing.T) {
+	clock := &tickClock{now: rat(0, 1), tick: rat(1, 1)}
+	srv, err := New(Config{
+		Machines: []model.Machine{{Name: "m0", InverseSpeed: rat(1, 1), Databanks: []string{"db"}}},
+		Shards:   1, Policy: "srpt", Clock: clock, Admission: AdmissionStrict,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	deadline := rat(100, 1)
+	if _, err := srv.Submit(&model.SubmitRequest{Name: "A", Size: "10", Databanks: []string{"db"}, Deadline: deadline.RatString()}); err != nil {
+		t.Fatalf("A: %v", err)
+	}
+	sh := srv.active()[0]
+	tA := clock.peek()
+	sh.mu.Lock()
+	sh.process() // admits A at tA: the loop's one clock read
+	live := sh.eng.Live()
+	sh.mu.Unlock()
+	if live != 1 {
+		t.Fatalf("%d live jobs after admitting A, want 1", live)
+	}
+	size := new(big.Rat).Sub(deadline, tA)
+	size.Sub(size, rat(19, 2))
+	resp, err := srv.Submit(&model.SubmitRequest{Name: "B", Size: size.RatString(), Databanks: []string{"db"}, Deadline: deadline.RatString()})
+	if !errors.Is(err, errDeadline) || resp.Admission == nil || resp.Admission.Feasible {
+		t.Fatalf("B (size %s, deadline %s, A admitted at %s): %+v, %v; want an infeasible certificate",
+			size.RatString(), deadline.RatString(), tA.RatString(), resp.Admission, err)
+	}
 }

@@ -30,11 +30,9 @@ import (
 // generation list, all counters). Each one seals the log segment at its
 // watermark, so the records it covers sit in whole segments; once it is
 // written and verified, the log is truncated behind the older of the two
-// snapshots kept on disk, so either one still restores. Each record type has
-// one transition, which checks the record against the shard's state, appends
-// it and applies it; the live paths decide a record and call its transition.
-// On startup the newest valid snapshot is loaded (torn ones skipped), and each
-// record of the WAL suffix past its watermark goes through its transition
+// snapshots kept on disk, so either one still restores. On startup the newest
+// valid snapshot is loaded (torn ones skipped), and each record of the WAL
+// suffix past its watermark goes through its transition (transition.go)
 // before the log is attached — so the restored fleet's merged trace validates
 // exactly and matches an uninterrupted run bit for bit. A restart decodes at
 // most one snapshot interval of records the snapshot already covers.
@@ -44,107 +42,6 @@ import (
 // snapshots happen — the on-disk state stays a consistent prefix of the
 // execution — while the daemon keeps scheduling. GET /healthz reports the
 // degraded state ("degraded", still HTTP 200).
-
-// WAL record types.
-const (
-	walTypeSubmit   = "submit"
-	walTypeAdmit    = "admit"
-	walTypeComplete = "complete"
-	walTypeTopo     = "topology"
-	walTypeCompact  = "compact"
-	// The steps of a migration, each logged by the shard-side function that
-	// performs it, under the mu of the shard whose state it changes.
-	walTypeExtract = "extract"
-	walTypeAdopt   = "adopt"
-	walTypeCommit  = "commit"
-	walTypeAbort   = "abort"
-)
-
-// recSubmit logs one accepted submission: the job as model.Job writes itself
-// (rationals as exact "p/q" strings), release stamped. SLA fields are absent
-// in pre-deadline logs, which restore as deadline-free untracked traffic —
-// exactly what they were.
-type recSubmit struct {
-	Shard int `json:"shard"` // creation index
-	Local int `json:"local"`
-	GID   int `json:"gid"`
-	model.Job
-}
-
-// recAdmit logs one admission batch: the virtual time the loop admitted the
-// listed pending jobs at. The executed trace is a deterministic function of
-// these times, so admitting at them again reproduces it exactly.
-type recAdmit struct {
-	Shard  int     `json:"shard"`
-	At     exact.Q `json:"at"`
-	Locals []int   `json:"locals"`
-}
-
-// recComplete logs one completion. It is the engine's output, not an input:
-// restore re-derives it by advancing the engine across At, and holds the
-// record to what that did. The record also moves the restored virtual-time
-// watermark forward.
-type recComplete struct {
-	Shard int     `json:"shard"`
-	Local int     `json:"local"`
-	GID   int     `json:"gid"`
-	At    exact.Q `json:"at"`
-}
-
-// recExtract logs the donor half of a migration: which records were reserved,
-// at the donor's exact engine time. Restore catches the donor up to that time
-// and reserves the same records, which reproduces the remaining fractions
-// and — when a live job left — the donor's re-plan. The time also fixes the
-// records' later compaction horizon.
-type recExtract struct {
-	Shard  int     `json:"shard"`
-	At     exact.Q `json:"at"`
-	Locals []int   `json:"locals"`
-}
-
-// recAdopt logs the destination half: the whole adoption message, so restore
-// needs nothing from the donor.
-type recAdopt struct {
-	Shard int `json:"shard"`
-	*shardlink.AdmitArgs
-}
-
-// recSettle logs the donor's commit or abort of the listed reservations.
-type recSettle struct {
-	Shard  int   `json:"shard"`
-	Locals []int `json:"locals"`
-}
-
-// walTopoShard is one member of a recTopo generation, in position order.
-type walTopoShard struct {
-	Idx        int             `json:"idx"`
-	Kept       bool            `json:"kept,omitempty"`
-	Machines   []model.Machine `json:"machines,omitempty"` // spawned shards only
-	MachineIdx []int           `json:"machineIdx"`
-}
-
-// recTopo logs one structural reshard: everything needed to rebuild the new
-// generation — appended before the migrations that reference its spawned
-// shards, and before the topology publish.
-type recTopo struct {
-	Gen       int             `json:"gen"`
-	Base      int             `json:"base"`
-	Stride    int             `json:"stride"`
-	Shards    []walTopoShard  `json:"shards"`
-	Retired   []int           `json:"retired,omitempty"`
-	Fleet     []model.Machine `json:"fleet"`
-	ShardsCfg int             `json:"shardsCfg,omitempty"`
-	At        exact.Q         `json:"at"`
-}
-
-// recCompact logs one retention compaction (the horizon is derived from Now
-// exactly as the live path derives it, but recording both keeps the document
-// self-describing).
-type recCompact struct {
-	Shard   int     `json:"shard"`
-	Now     exact.Q `json:"now"`
-	Horizon exact.Q `json:"horizon"`
-}
 
 // durability is the server's write-ahead-log state: the open log, the
 // append/snapshot counters, the latched error, and the snapshot trigger.
@@ -519,7 +416,8 @@ type restoreState struct {
 	doc     *snapDoc // nil when no valid snapshot existed
 	snapSeq uint64   // doc's watermark
 	suffix  []wal.Record
-	now     exact.Q // watermark virtual time of the restored state
+	decoded []walRecord // suffix, each decoded once as the type its kind names
+	now     exact.Q     // watermark virtual time of the restored state
 	started time.Time
 }
 
@@ -527,9 +425,10 @@ type restoreState struct {
 // watermark. A torn snapshot or torn log tail is skipped/truncated by the
 // wal package; a snapshot that fails to decode is an error (the disk state
 // claims validity but cannot be interpreted — refusing to guess beats
-// silently dropping history), and so is a log that does not continue the
-// snapshot: a suffix that starts past the seq after the watermark, or a log
-// that ends before the watermark, whose next append would reuse a covered seq.
+// silently dropping history), and so is a suffix record that does not decode
+// as the type its kind names, and a log that does not continue the snapshot:
+// a suffix that starts past the seq after the watermark, or a log that ends
+// before the watermark, whose next append would reuse a covered seq.
 func openWAL(dir string, fsync bool) (*restoreState, error) {
 	//divflow:wallclock-ok recovery wall time only annotates the recovery-duration histogram; no Server clock exists yet while the WAL is being opened
 	st := &restoreState{started: time.Now()}
@@ -562,19 +461,19 @@ func openWAL(dir string, fsync bool) (*restoreState, error) {
 		if rec.Seq <= snapSeq {
 			continue
 		}
-		st.suffix = append(st.suffix, rec)
-		// A record dates itself by one of at, now or release; one that does
-		// not decode dates nothing here, and its transition reports it.
-		var t struct {
-			At      exact.Q `json:"at"`
-			Now     exact.Q `json:"now"`
-			Release exact.Q `json:"release"`
+		var r walRecord
+		err := fmt.Errorf("unknown record type %q", rec.Type)
+		if kind, ok := walKinds[rec.Type]; ok {
+			r = kind()
+			err = json.Unmarshal(rec.Data, r)
 		}
-		if json.Unmarshal(rec.Data, &t) == nil {
-			st.advance(t.At)
-			st.advance(t.Now)
-			st.advance(t.Release)
+		if err != nil {
+			log.Close()
+			return nil, replayErr(rec, err)
 		}
+		_, t, _ := r.head()
+		st.advance(t)
+		st.suffix, st.decoded = append(st.suffix, rec), append(st.decoded, r)
 	}
 	// wal.Open hands back a contiguous log, so the suffix is whole exactly
 	// when it holds every seq past the watermark.
@@ -799,9 +698,9 @@ func (s *Server) restore(st *restoreState) error {
 			s.forward[fw.GID] = fwdLoc{sh: sh, local: fw.Local}
 		}
 	}
-	for _, rec := range st.suffix {
-		if err := s.apply(rec); err != nil {
-			return fmt.Errorf("server: replay: record %d (%s): %w", rec.Seq, rec.Type, err)
+	for i, r := range st.decoded {
+		if err := s.replay(r); err != nil {
+			return replayErr(st.suffix[i], err)
 		}
 	}
 	s.dur.mu.Lock()
@@ -812,6 +711,11 @@ func (s *Server) restore(st *restoreState) error {
 	return nil
 }
 
+// replayErr names the suffix record a restore refuses.
+func replayErr(rec wal.Record, err error) error {
+	return fmt.Errorf("server: replay: record %d (%s): %w", rec.Seq, rec.Type, err)
+}
+
 // shardByIdx resolves a creation index during restore: installGeneration
 // admits a spawned shard only at the next index, so s.all is indexed by it.
 func (s *Server) shardByIdx(idx int) (*shard, error) {
@@ -819,77 +723,6 @@ func (s *Server) shardByIdx(idx int) (*shard, error) {
 		return nil, fmt.Errorf("unknown shard %d", idx)
 	}
 	return s.all[idx], nil
-}
-
-// apply runs one logged record through the transition the live path called
-// when it wrote it. A completion is the engine's output, not an input:
-// catching up across its time runs its transition (step), and the logged
-// record is held to the one that ran.
-func (s *Server) apply(rec wal.Record) error {
-	switch rec.Type {
-	case walTypeTopo:
-		var r recTopo
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		_, _, err := s.installGeneration(&r, nil)
-		return err
-	case walTypeSubmit:
-		return onShard(s, rec.Data, (*shard).applySubmit)
-	case walTypeAdmit:
-		return onShard(s, rec.Data, (*shard).applyAdmit)
-	case walTypeComplete:
-		//divflow:locks requires=shard
-		return onShard(s, rec.Data, func(sh *shard, r *recComplete) error {
-			sh.catchUpTo(r.At)
-			return sh.checkComplete(r)
-		})
-	case walTypeCompact:
-		return onShard(s, rec.Data, (*shard).applyCompact)
-	case walTypeExtract:
-		//divflow:locks requires=shard
-		return onShard(s, rec.Data, func(sh *shard, r *recExtract) error {
-			_, err := sh.applyExtract(r)
-			return err
-		})
-	case walTypeAdopt:
-		// The router points the forwarding table at the adopted jobs once
-		// the destination accepts them (Server.migrate), and so does restore.
-		//divflow:locks requires=shard
-		return onShard(s, rec.Data, func(sh *shard, r *recAdopt) error {
-			locals, err := sh.applyAdopt(r)
-			if err == nil {
-				s.forwardTo(sh, r.Jobs, locals)
-			}
-			return err
-		})
-	case walTypeCommit, walTypeAbort:
-		//divflow:locks requires=shard
-		return onShard(s, rec.Data, func(sh *shard, r *recSettle) error { return sh.applySettle(rec.Type, r) })
-	}
-	return fmt.Errorf("unknown record type %q", rec.Type)
-}
-
-// onShard decodes a shard's record as an R and runs transition on the shard
-// it names, under that shard's mu.
-func onShard[R any](s *Server, data []byte, transition func(*shard, *R) error) error {
-	var r R
-	var to struct {
-		Shard int `json:"shard"`
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return err
-	}
-	if err := json.Unmarshal(data, &to); err != nil {
-		return err
-	}
-	sh, err := s.shardByIdx(to.Shard)
-	if err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return transition(sh, &r)
 }
 
 // finishMigrations settles every migration a crash cut in half: its reserved

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 
 	"divflow/internal/obs"
@@ -105,10 +104,9 @@ func submitErr(rep shardlink.SubmitReply) (int, error) {
 // handlers are its only implementation: work stealing, live re-sharding and
 // the restore-time repair all drive them (Server.migrate). Each runs under its
 // own shard's mu and nothing else, and each step is one transition — extract,
-// adopt, commit or abort — that appends its own WAL record under that mu, so
-// the log orders a migration's steps exactly as the donor's and the
-// destination's other records saw them, and restore retraces the live run by
-// calling the same transitions on the logged records.
+// adopt, commit or abort — that logs under that mu, so the log orders a
+// migration's steps exactly as the donor's and the destination's other
+// records saw them.
 
 // extractJobs is the reserve phase, on the donor: catch up, select — the
 // steal census against the thief's machines, or everything when a reshard
@@ -134,7 +132,7 @@ func (sh *shard) extractJobs(args shardlink.ExtractArgs) shardlink.ExtractReply 
 	// A latched donor skips it and still gives: its jobs are better off
 	// anywhere else.
 	if sh.lastErr == nil {
-		sh.catchUp()
+		sh.catchUpTo(sh.now())
 	}
 	var locals []int
 	if args.All {
@@ -149,128 +147,25 @@ func (sh *shard) extractJobs(args shardlink.ExtractArgs) shardlink.ExtractReply 
 	if len(locals) == 0 {
 		return shardlink.ExtractReply{}
 	}
-	rep, err := sh.applyExtract(&recExtract{Shard: sh.idx, At: sh.eng.Now(), Locals: locals})
-	if err != nil {
+	r := &recExtract{Shard: sh.idx, At: sh.eng.Now(), Locals: locals}
+	if err := sh.run(r); err != nil {
 		sh.fail(err)
 	}
-	return rep
-}
-
-// applyExtract is the extract transition: the engine catches up to the
-// record's time, which sets the remaining fractions, and the listed records,
-// each queued or live and not yet reserved, leave it and the pending queue.
-// It returns the extraction message. Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) applyExtract(r *recExtract) (shardlink.ExtractReply, error) {
-	sh.catchUpTo(r.At)
-	taken := make(map[int]bool, len(r.Locals))
-	for _, local := range r.Locals {
-		rec := sh.records.get(local)
-		switch {
-		case rec == nil:
-			return shardlink.ExtractReply{}, fmt.Errorf("shard %d has no record %d", sh.idx, local)
-		case taken[local] || rec.MigratedAt != nil || (rec.State != StateQueued && rec.State != StateScheduled):
-			return shardlink.ExtractReply{}, fmt.Errorf("shard %d record %d is %s, not a queued or live job to extract", sh.idx, local, rec.State)
-		}
-		taken[local] = true
-	}
-	sh.wal.append(walTypeExtract, r)
-	rep := shardlink.ExtractReply{From: sh.idx, At: sh.eng.Now()}
-	removedLive := false
-	for _, local := range r.Locals {
-		rec := sh.records.get(local)
-		if rec.State == StateScheduled {
-			// Live: the engine hands back the exact unprocessed fraction.
-			if rj, err := sh.eng.Remove(local); err == nil {
-				rec.Remaining = rj.Remaining
-				removedLive = true
-			}
-		}
-		// The extraction time stamped now, because every donor piece of the
-		// job ends by it — that, not the later commit, fixes the record's
-		// compaction horizon.
-		rec.MigratedAt = &rep.At
-		rep.Jobs = append(rep.Jobs, shardlink.MigratedJob{
-			FromLocal: local, GID: rec.GID, Remaining: rec.Remaining, Counted: rec.Counted, Job: rec.Job,
-		})
-	}
-	kept := sh.pending[:0]
-	for _, rec := range sh.pending {
-		if !taken[rec.ID] {
-			kept = append(kept, rec)
-		}
-	}
-	sh.pending = kept
-	// Re-plan immediately: the extraction invalidated the plan cache, and the
-	// machines that ran the extracted jobs must not idle for a whole message
-	// round-trip waiting for the commit.
-	if removedLive && sh.lastErr == nil {
-		sh.decide()
-	}
-	return rep, nil
+	return r.reply
 }
 
 // admitMigrated is the adoption phase on the destination. Accepted=false —
-// the adopt transition refuses the message (applyAdopt) — tells the router to
-// abort the donor's reservation. A refused message is neither logged nor
-// adopted, so it cannot latch the engine.
+// the adopt transition refuses the message — tells the router to abort the
+// donor's reservation. A refused message is neither logged nor adopted, so it
+// cannot latch the engine.
 func (sh *shard) admitMigrated(args shardlink.AdmitArgs) shardlink.AdmitReply {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	locals, err := sh.applyAdopt(&recAdopt{Shard: sh.idx, AdmitArgs: &args})
-	if err != nil {
+	r := &recAdopt{Shard: sh.idx, AdmitArgs: args}
+	if err := sh.run(r); err != nil {
 		return shardlink.AdmitReply{}
 	}
-	return shardlink.AdmitReply{Accepted: true, Locals: locals}
-}
-
-// applyAdopt is the adopt transition: every job of the message takes a fresh
-// local slot, queued for admission, and its work joins the backlog. A message
-// with a malformed job (MigratedJob.Check) or one no machine hosts is refused,
-// and so is a retired or closed shard, and a latched one a steal would not
-// help (a reshard does place on a stalled shard when no healthy one hosts the
-// job). It returns the adopted jobs' local IDs, in message order. Callers
-// hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) applyAdopt(r *recAdopt) ([]int, error) {
-	if r.AdmitArgs == nil {
-		return nil, errors.New("adopt record carries no adoption message")
-	}
-	for i := range r.Jobs {
-		if err := r.Jobs[i].Check(); err != nil {
-			return nil, fmt.Errorf("job %d: %w", r.Jobs[i].GID, err)
-		}
-		if !sh.hosts(r.Jobs[i].Databanks) {
-			return nil, fmt.Errorf("job %d: no machine of shard %d hosts %v", r.Jobs[i].GID, sh.idx, r.Jobs[i].Databanks)
-		}
-	}
-	switch {
-	case sh.retired || sh.closed:
-		return nil, fmt.Errorf("shard %d is retired or closed", sh.idx)
-	case r.Reason == migrateSteal && sh.lastErr != nil:
-		return nil, fmt.Errorf("shard %d is stalled", sh.idx)
-	}
-	sh.wal.append(walTypeAdopt, r)
-	locals := make([]int, len(r.Jobs))
-	adopted := make([]*jobRecord, len(r.Jobs))
-	for i := range r.Jobs {
-		nrec := sh.adoptRecord(&r.Jobs[i])
-		adopted[i], locals[i] = nrec, nrec.ID
-		if r.Reason == migrateReshard {
-			sh.ReshardIn++
-			sh.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("resharded from shard %d", r.From))
-		} else {
-			sh.StolenIn++
-			sh.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("stolen from shard %d", r.From))
-		}
-	}
-	sh.shiftBacklog(true, adopted...)
-	if r.Reason == migrateSteal {
-		sh.obs.event(obs.EventSteal, -1, fmt.Sprintf("%d jobs from shard %d", len(adopted), r.From), r.At)
-	}
-	return locals, nil
+	return shardlink.AdmitReply{Accepted: true, Locals: r.locals}
 }
 
 // settle finishes a migration on the donor: the commit transition (typ
@@ -282,55 +177,12 @@ func (sh *shard) settle(typ string, locals []int) {
 	if len(locals) == 0 {
 		return
 	}
-	if err := sh.applySettle(typ, &recSettle{Shard: sh.idx, Locals: locals}); err != nil {
+	if err := sh.run(&recSettle{Shard: sh.idx, Locals: locals, kind: typ}); err != nil {
 		sh.fail(err)
 	}
 	if typ == walTypeAbort {
 		sh.poke()
 	}
-}
-
-// applySettle is the commit or abort transition (typ) of the listed records,
-// each reserved by an extraction and not yet settled. A commit flips them to
-// the migrated state — readable only through the forwarding table, which the
-// router updated before committing, and compacted once the retention horizon
-// passes their extraction — and the moved work finally leaves the donor's
-// backlog. An abort returns them to the pending queue with their exact
-// remaining fractions: re-admission conserves every piece of executed work,
-// under the record's original local ID (the engine accepts a removed ID
-// back). Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) applySettle(typ string, r *recSettle) error {
-	recs := make([]*jobRecord, len(r.Locals))
-	seen := make(map[int]bool, len(r.Locals))
-	for i, local := range r.Locals {
-		recs[i] = sh.records.get(local)
-		if seen[local] || recs[i] == nil || recs[i].MigratedAt == nil || recs[i].State == StateMigrated {
-			return fmt.Errorf("shard %d record %d is not a reservation to settle", sh.idx, local)
-		}
-		seen[local] = true
-	}
-	sh.wal.append(typ, r)
-	for _, rec := range recs {
-		if typ == walTypeAbort {
-			rec.State, rec.MigratedAt = StateQueued, nil // out of the engine until the loop re-admits it
-			sh.pending = append(sh.pending, rec)
-			continue
-		}
-		rec.State = StateMigrated
-		sh.migratedIDs = append(sh.migratedIDs, rec.ID)
-		// Only a reshard drains a retired shard; everything else is a steal.
-		if sh.retired {
-			sh.ReshardOut++
-		} else {
-			sh.MigratedOut++
-		}
-	}
-	if typ == walTypeCommit {
-		sh.shiftBacklog(false, recs...)
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"divflow/internal/model"
 	"divflow/internal/wal"
 )
 
@@ -116,6 +119,8 @@ func TestWALRestoreRejectsDamagedRecords(t *testing.T) {
 			"record 42 (complete): shard 2 did not complete local 2 (job 4) at 211/2"},
 		{"compact off its now", 45, set("horizon", "56"), nil,
 			"record 45 (compact): shard 2 horizon 56, want now 107 less retention 50 = 57"},
+		{"admit dated past the records after it", 41, set("at", "1000000"), nil,
+			"record 42 (complete): shard 2 record dated 106 is behind its engine at 1000000"},
 		{"compact at the last horizon", 0, nil,
 			&wal.Record{Type: walTypeCompact, Data: json.RawMessage(`{"shard":2,"now":"107","horizon":"57"}`)},
 			"record 46 (compact): shard 2 horizon 57 is not above the last compaction 57"},
@@ -177,4 +182,108 @@ func FuzzWALReplay(f *testing.F) {
 		damaged[first+int(i%suffix)].Data = payload
 		restoreLog(t, snapSeq, snap, damaged)
 	})
+}
+
+// crashedDir runs three jobs to completion under policy on testFleet, then
+// copies the WAL directory as a crash would leave it (the server is closed
+// after the copy, so its final snapshot lands elsewhere), and returns the copy
+// with every job's status.
+func crashedDir(t *testing.T, policy string) (string, map[int]model.JobStatus) {
+	t.Helper()
+	vc := NewVirtualClock()
+	srv, err := New(Config{Machines: testFleet(), WALDir: t.TempDir(), Policy: policy, Clock: vc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var ids []int
+	for _, size := range []string{"6", "1", "3"} {
+		resp, err := srv.Submit(&model.SubmitRequest{Size: size, Databanks: []string{"swissprot"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, resp.ID)
+	}
+	srv.Start()
+	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == len(ids) })
+	quiesce(t, srv, vc.Now())
+	dir := t.TempDir()
+	copyDir(t, srv.dur.dir, dir)
+	jobs := make(map[int]model.JobStatus)
+	for _, id := range ids {
+		jobs[id], _ = srv.jobStatus(id)
+	}
+	return dir, jobs
+}
+
+// TestWALRestoresLogOnlyDirectoryUnderItsPolicy restores a directory holding a
+// log and no snapshot (a build before the watermark-0 snapshot left such
+// directories), which names no policy of its own: under the policy that wrote
+// it the log replays to the jobs it left; under any other, the first
+// completion the engine does not reproduce refuses it.
+func TestWALRestoresLogOnlyDirectoryUnderItsPolicy(t *testing.T) {
+	dir, want := crashedDir(t, "srpt")
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.json"))
+	for _, f := range snaps {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, policy := range []string{"mct", "online-mwf-lazy"} {
+		other := t.TempDir()
+		copyDir(t, dir, other)
+		_, err := New(Config{Machines: testFleet(), WALDir: other, Policy: policy, Clock: NewVirtualClock()})
+		if prefix := "server: replay: record 5 (complete): shard 0 did not complete local 1 (job 1) at 1/2"; err == nil || !strings.HasPrefix(err.Error(), prefix) {
+			t.Errorf("a log written under srpt restored under %s: %v, want the %q prefix", policy, err, prefix)
+		}
+	}
+	srv, _ := reopenServer(t, Config{Machines: testFleet(), WALDir: dir, Policy: "srpt"})
+	defer srv.Close()
+	for id, w := range want {
+		if got, known := srv.jobStatus(id); !known || !reflect.DeepEqual(got, w) {
+			t.Errorf("job %d restored as %+v (known %v), the crashed fleet had %+v", id, got, known, w)
+		}
+	}
+}
+
+// TestWALRestoresRepeatedMachineNames restores a snapshot whose fleet names two
+// machines alike, which New and Reshard now refuse: a restored document is
+// acknowledged state (checkMachines), so it restores as it stands and keeps
+// scheduling on both machines.
+func TestWALRestoresRepeatedMachineNames(t *testing.T) {
+	dir, want := crashedDir(t, "srpt")
+	seq, payload, ok := wal.LoadSnapshot(dir)
+	if !ok {
+		t.Fatal("no snapshot to rewrite")
+	}
+	var doc snapDoc
+	if err := json.Unmarshal(payload, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for i := range doc.Shards {
+		for j := range doc.Shards[i].Machines {
+			doc.Shards[i].Machines[j].Name = "twin"
+		}
+	}
+	if payload, err := json.Marshal(&doc); err != nil {
+		t.Fatal(err)
+	} else if err := wal.WriteSnapshot(dir, seq, payload); err != nil {
+		t.Fatal(err)
+	}
+	srv, vc := reopenServer(t, Config{Machines: testFleet(), WALDir: dir, Policy: "srpt"})
+	defer srv.Close()
+	if machines := srv.Stats().Shards[0].Machines; !reflect.DeepEqual(machines, []string{"twin", "twin"}) {
+		t.Fatalf("restored shard machines %v, want the document's [twin twin]", machines)
+	}
+	for id, w := range want {
+		if got, known := srv.jobStatus(id); !known || !reflect.DeepEqual(got, w) {
+			t.Errorf("job %d restored as %+v (known %v), the crashed fleet had %+v", id, got, known, w)
+		}
+	}
+	srv.Start()
+	if _, err := srv.Submit(&model.SubmitRequest{Size: "3", Databanks: []string{"swissprot"}}); err != nil {
+		t.Fatal(err)
+	}
+	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == len(want)+1 })
+	validateServer(t, srv)
 }

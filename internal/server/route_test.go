@@ -237,7 +237,7 @@ func testRouteKeyMatchesRecords(t *testing.T, seed int64) {
 	job.Release = sh.clock.Now()
 	r := &recSubmit{Shard: sh.idx, Local: sh.records.next(), Job: job}
 	r.GID = sh.globalID(r.Local)
-	if err := sh.applySubmit(r); err != nil {
+	if err := sh.run(r); err != nil {
 		t.Fatal(err)
 	}
 	sh.records.get(r.Local).hosts = nil

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"math/big"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -481,45 +480,12 @@ func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error)
 			return 0, cert, errDeadline
 		}
 	}
-	if err := sh.applySubmit(r); err != nil {
+	if err := sh.run(r); err != nil {
 		return 0, nil, err
 	}
 	sh.records.get(r.Local).submittedWall = sh.obs.now()
 	sh.poke()
 	return r.GID, cert, nil
-}
-
-// applySubmit is the submit transition: the job takes the shard's next local
-// slot and joins the pending queue, the tenant's birth counters and the
-// backlog, its hosts fixed, and the journal notes the submission. The record
-// is appended before any of that, so a crash between the append and the
-// mutation restores the job rather than losing an acknowledged submission.
-// Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) applySubmit(r *recSubmit) error {
-	if sh.records.next() != r.Local {
-		return fmt.Errorf("shard %d expects local %d, record says %d", sh.idx, sh.records.next(), r.Local)
-	}
-	if r.Release == nil {
-		return fmt.Errorf("submit %d missing its release", r.GID)
-	}
-	if err := r.Job.CheckSubmission(); err != nil {
-		return fmt.Errorf("submit %d: %w", r.GID, err)
-	}
-	rec := &jobRecord{ID: r.Local, GID: r.GID, State: StateQueued, Job: shardlink.JobOf(r.Job), hosts: sh.hostMask(r.Databanks)}
-	if !slices.Contains(rec.hosts, true) {
-		return fmt.Errorf("submit %d: no machine of shard %d hosts %v", r.GID, sh.idx, r.Databanks)
-	}
-	sh.wal.append(walTypeSubmit, r)
-	sh.records.add(rec)
-	sh.pending = append(sh.pending, rec)
-	if rec.Tenant != "" {
-		sh.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Submitted: 1, ByClass: map[string]int{rec.SLAClass: 1}})
-	}
-	sh.shiftBacklog(true, rec)
-	sh.obs.event(obs.EventSubmit, rec.GID, "", rec.Release)
-	return nil
 }
 
 // admissionCheck answers a deadline admission for one candidate job,
@@ -535,11 +501,12 @@ func (sh *shard) applySubmit(r *recSubmit) error {
 //
 //divflow:locks requires=shard
 func (sh *shard) admissionCheck(job shardlink.Job) (*model.AdmissionCertificate, error) {
-	// Catch the engine up first: remaining fractions at a stale time would
-	// overstate the residual workload. This is the same catch-up the loop
-	// would run at its next wake-up, so no-deadline traffic (which never
-	// reaches this function) keeps its trace bit-for-bit.
-	if _, ok := sh.catchUp(); !ok {
+	// Catch the engine up to the release, the one instant both the census and
+	// the free machines are measured at. This is the catch-up the loop would
+	// run at its next wake-up, so no-deadline traffic (which never reaches
+	// this function) keeps its trace bit-for-bit.
+	now, ok := sh.catchUpTo(job.Release)
+	if !ok {
 		if sh.admission == shardlink.AdmissionStrict {
 			return nil, errAdmissionStalled
 		}
@@ -562,7 +529,7 @@ func (sh *shard) admissionCheck(job shardlink.Job) (*model.AdmissionCertificate,
 		}
 		return job.Size.Mul(sh.inverse[i]), true
 	}
-	snap := &sim.Snapshot{Now: cand.Release, Jobs: append(sh.census(), cand), M: len(sh.machines), Cost: cost}
+	snap := &sim.Snapshot{Now: now, Jobs: append(sh.census(), cand), M: len(sh.machines), Cost: cost}
 	res, err := snap.Residual()
 	if err != nil {
 		return nil, fmt.Errorf("server: shard %d: admission instance: %w", sh.idx, err)
@@ -850,25 +817,15 @@ func (sh *shard) barrier() {
 	sh.obs.event(obs.EventShardPanic, -1, fmt.Sprintf("%v\n%s", r, stack), sh.eng.Now())
 }
 
-// catchUp advances the engine through every completion/review event that is
-// due and then to the present, executing the installed allocation — without
-// admitting pending submissions. The steal protocol calls it on a donor
-// before taking the census, so remaining fractions reflect everything the
-// donor has (notionally) executed since its last event rather than a stale
-// snapshot; admissions are deliberately left out, since pending jobs have
-// no executed work to conserve and admitting them would force a full-size
-// solve the steal is about to shrink. It reports whether the shard is still
-// healthy. Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) catchUp() (exact.Q, bool) {
-	return sh.catchUpTo(sh.now())
-}
-
-// catchUpTo is catchUp against an explicit target time: restore drives
-// shards to recorded virtual times instead of the clock, so a restored engine
-// retraces exactly the events the original crossed. Callers hold
-// sh.mu.
+// catchUpTo advances the engine through every completion/review event due by
+// now and then to now, executing the installed allocation — without admitting
+// pending submissions: they have no executed work to conserve, and a steal's
+// census must not force a full-size solve the steal is about to shrink. The
+// loop and a steal's donor catch up to the clock (sh.now()); shard.run drives
+// a restored shard to each record's time, so a restored engine retraces
+// exactly the events the original crossed; admission catches up to the
+// candidate's release. It returns the time reached and whether the shard is
+// still healthy. Callers hold sh.mu.
 //
 //divflow:locks requires=shard
 func (sh *shard) catchUpTo(now exact.Q) (exact.Q, bool) {
@@ -899,7 +856,7 @@ func (sh *shard) catchUpTo(now exact.Q) (exact.Q, bool) {
 //
 //divflow:locks requires=shard
 func (sh *shard) process() {
-	now, ok := sh.catchUp()
+	now, ok := sh.catchUpTo(sh.now())
 	if !ok {
 		return
 	}
@@ -924,79 +881,9 @@ func (sh *shard) admitAll(now exact.Q) {
 			rec.submittedWall = time.Time{}
 		}
 	}
-	if err := sh.applyAdmit(r); err != nil {
+	if err := sh.run(r); err != nil {
 		sh.fail(err)
 	}
-}
-
-// applyAdmit is the admit transition: the engine catches up to the record's
-// time, and the pending queue, exactly the records it lists, enters it there
-// as one batch; the policy then re-decides. The executed trace is a
-// deterministic function of these times. A catch-up that fails admits
-// nothing: the original run latched there too. Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) applyAdmit(r *recAdmit) error {
-	if _, ok := sh.catchUpTo(r.At); !ok {
-		return nil
-	}
-	if len(sh.pending) != len(r.Locals) {
-		return fmt.Errorf("shard %d has %d pending, admit record lists %d", sh.idx, len(sh.pending), len(r.Locals))
-	}
-	for i, rec := range sh.pending {
-		if rec.ID != r.Locals[i] {
-			return fmt.Errorf("shard %d pending[%d] = %d, admit record says %d", sh.idx, i, rec.ID, r.Locals[i])
-		}
-	}
-	sh.wal.append(walTypeAdmit, r)
-	batch := sh.pending
-	sh.pending = nil
-	// Arrival-batch statistics count each job's *first* admission only: a
-	// job stolen after it was admitted once is not a new arrival, while one
-	// stolen straight out of the pending queue is counted here, by its first
-	// admitter. Fleet-wide, BatchedArrivals converges to exactly the
-	// submission count no matter how often jobs migrate (the same
-	// once-per-job rule JobsAccepted follows).
-	native := 0
-	flushBatchStats := func() {
-		if native == 0 {
-			return
-		}
-		sh.ArrivalBatches++
-		sh.BatchedArrivals += native
-		if native > sh.LargestBatch {
-			sh.LargestBatch = native
-		}
-	}
-	for k, rec := range batch {
-		// Stolen jobs carry the unprocessed fraction they arrived with; the
-		// release stays the original submission time in both cases, so flow
-		// and stretch keep measuring from first contact with the service.
-		if err := sh.eng.AddPartial(rec.ID, rec.Release, rec.Weight, rec.Size, rec.Remaining); err != nil {
-			// Keep the unadmitted tail (failed record included) in pending:
-			// those jobs stay visible to the steal census — another shard can
-			// still rescue them — and to the close() drain, which must mark
-			// them rejected and return their sizes, not leave them "queued"
-			// in limbo forever. The successfully admitted prefix still counts
-			// toward the arrival statistics.
-			sh.pending = batch[k:]
-			flushBatchStats()
-			sh.fail(err)
-			return nil
-		}
-		// Only a successful admit makes the job "scheduled": a rejected Add
-		// must leave the record queued, not claim scheduling that never
-		// happened.
-		rec.State = StateScheduled
-		sh.obs.event(obs.EventAdmit, rec.GID, "", r.At)
-		if !rec.Counted {
-			rec.Counted = true
-			native++
-		}
-	}
-	flushBatchStats()
-	sh.decide()
-	return nil
 }
 
 // step advances the engine to the event at t, runs the complete transition
@@ -1010,55 +897,12 @@ func (sh *shard) step(t exact.Q) bool {
 		return false
 	}
 	for _, id := range done {
-		if err := sh.applyComplete(&recComplete{Shard: sh.idx, Local: id, GID: sh.records.get(id).GID, At: t}); err != nil {
+		if err := sh.run(&recComplete{Shard: sh.idx, Local: id, GID: sh.records.get(id).GID, At: t}); err != nil {
 			sh.fail(err)
 			return false
 		}
 	}
 	return sh.decide()
-}
-
-// checkComplete reports a complete record that does not name a job the
-// engine completed at the record's time. A completion is the engine's output,
-// not an input: the live path checks the record it built, and restore checks
-// the logged one after crossing its time has run the transition.
-// Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) checkComplete(r *recComplete) error {
-	rec := sh.records.get(r.Local)
-	if at, ok := sh.eng.Completion(r.Local); !ok || at.Cmp(r.At) != 0 || rec == nil || rec.GID != r.GID {
-		return fmt.Errorf("shard %d did not complete local %d (job %d) at %v", sh.idx, r.Local, r.GID, r.At)
-	}
-	return nil
-}
-
-// applyComplete is the complete transition: the job the engine completed at
-// the record's time is done, and folded into the all-time aggregates, so later
-// compaction of its record loses no statistics. Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) applyComplete(r *recComplete) error {
-	if err := sh.checkComplete(r); err != nil {
-		return err
-	}
-	sh.wal.append(walTypeComplete, r)
-	rec := sh.records.get(r.Local)
-	rec.State, rec.Completed = StateDone, r.At
-	sh.shiftBacklog(false, rec)
-	flow := rec.Completed.Sub(rec.Release)
-	wf := rec.Weight.Mul(flow)
-	sh.FlowTotals.Merge(shardlink.FlowTotals{DoneCount: 1, FlowSum: flow, MaxWF: wf, MaxStretch: flow.Quo(rec.Size)})
-	if rec.Tenant != "" {
-		sh.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Completed: 1, FlowSum: &flow, MaxWF: wf})
-		// The per-tenant weighted-flow histogram backs the /v1/tenants P95,
-		// like the shard flow histogram backs the /v1/stats one.
-		sh.obs.tenantWFlow(rec.Tenant).Observe(wf.Float64())
-	}
-	// The flow histogram is observed unconditionally — it is the backing
-	// store of the /v1/stats P95 estimate, not just an exported metric.
-	sh.obs.flow.Observe(flow.Float64())
-	return nil
 }
 
 // compact enforces the retention bound: everything that finished more than
@@ -1080,70 +924,9 @@ func (sh *shard) compact(now exact.Q) {
 	if horizon.Sign() <= 0 || horizon.Cmp(*sh.LastCompact) <= 0 {
 		return
 	}
-	if err := sh.applyCompact(&recCompact{Shard: sh.idx, Now: now, Horizon: horizon}); err != nil {
+	if err := sh.run(&recCompact{Shard: sh.idx, Now: now, Horizon: horizon}); err != nil {
 		sh.fail(err)
 	}
-}
-
-// applyCompact is the compact transition: the engine catches up to the
-// record's now, and the horizon, retention behind it and above the last one,
-// becomes the shard's; every record it passes is dropped. A catch-up that
-// fails compacts nothing, as in applyAdmit. Callers hold sh.mu.
-//
-//divflow:locks requires=shard
-func (sh *shard) applyCompact(r *recCompact) error {
-	if _, ok := sh.catchUpTo(r.Now); !ok {
-		return nil
-	}
-	if sh.retention.Sign() == 0 {
-		return fmt.Errorf("shard %d keeps every record", sh.idx)
-	}
-	if want := r.Now.Sub(sh.retention); r.Horizon.Cmp(want) != 0 {
-		return fmt.Errorf("shard %d horizon %v, want now %v less retention %v = %v", sh.idx, r.Horizon, r.Now, sh.retention, want)
-	}
-	if r.Horizon.Cmp(*sh.LastCompact) <= 0 {
-		return fmt.Errorf("shard %d horizon %v is not above the last compaction %v", sh.idx, r.Horizon, *sh.LastCompact)
-	}
-	sh.wal.append(walTypeCompact, r)
-	// Fold the pre-compaction makespan into the high-water mark first:
-	// dropping pieces must never move the reported whole-execution makespan
-	// backwards.
-	sh.noteMakespan()
-	horizon := r.Horizon
-	sh.LastCompact = &horizon
-	before := sh.CompactedJobs
-	drop := func(id int) {
-		rec := sh.records.get(id)
-		// Only the job's *current* owner releases the forwarding entry: a
-		// record that is stolen but migrated onward describes a hop whose
-		// entry already points at a later shard.
-		if rec.Stolen && rec.State != StateMigrated && sh.dropForward != nil {
-			sh.dropForward(rec.GID)
-		}
-		sh.records.drop(id)
-		sh.CompactedJobs++
-	}
-	for _, id := range sh.eng.Compact(horizon) {
-		drop(id)
-	}
-	keep := sh.migratedIDs[:0]
-	for _, id := range sh.migratedIDs {
-		if sh.records.get(id).MigratedAt.Cmp(horizon) <= 0 {
-			drop(id)
-		} else {
-			keep = append(keep, id)
-		}
-	}
-	sh.migratedIDs = keep
-	if sh.retired && sh.historyEmpty() && sh.mwf != nil {
-		// The engine's jobs and pieces went with the records: the plan's
-		// pieces are all a drained retired shard would still hold.
-		sh.mwf.InvalidatePlan()
-	}
-	if n := sh.CompactedJobs - before; n > 0 {
-		sh.obs.event(obs.EventCompact, -1, fmt.Sprintf("%d records dropped", n), horizon)
-	}
-	return nil
 }
 
 // noteMakespan raises the makespan high-water mark to the current executed

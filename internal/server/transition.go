@@ -1,0 +1,531 @@
+package server
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+
+	"divflow/internal/exact"
+	"divflow/internal/model"
+	"divflow/internal/obs"
+	"divflow/internal/shardlink"
+)
+
+// The WAL's records and their transitions. Each record type has one
+// transition — check the record against the shard, append it, mutate — and
+// the live shells, which make every decision, and restore (Server.replay) all
+// reach it through shard.run. Topology's is Server.installGeneration.
+
+// WAL record types.
+const (
+	walTypeSubmit   = "submit"
+	walTypeAdmit    = "admit"
+	walTypeComplete = "complete"
+	walTypeTopo     = "topology"
+	walTypeCompact  = "compact"
+	// The steps of a migration, each logged by the shard-side function that
+	// performs it, under the mu of the shard whose state it changes.
+	walTypeExtract = "extract"
+	walTypeAdopt   = "adopt"
+	walTypeCommit  = "commit"
+	walTypeAbort   = "abort"
+)
+
+// walRecord is a record decoded from the log. head is the shard it names (-1:
+// topology), the time it carries (zero for none; restore resumes the clock at
+// the latest) and whether that is the engine time its shard runs it at.
+type walRecord interface {
+	head() (shard int, t exact.Q, engine bool)
+}
+
+// shardRecord is a record of one shard's state: every type but topology. Its
+// transition, apply, runs only through shard.run.
+type shardRecord interface {
+	walRecord
+	apply(sh *shard) error
+}
+
+// walKinds is the one kind → type table restore decodes each record through.
+var walKinds = map[string]func() walRecord{
+	walTypeSubmit:   func() walRecord { return new(recSubmit) },
+	walTypeAdmit:    func() walRecord { return new(recAdmit) },
+	walTypeComplete: func() walRecord { return &recComplete{logged: true} },
+	walTypeCompact:  func() walRecord { return new(recCompact) },
+	walTypeExtract:  func() walRecord { return new(recExtract) },
+	walTypeAdopt:    func() walRecord { return new(recAdopt) },
+	walTypeCommit:   func() walRecord { return &recSettle{kind: walTypeCommit} },
+	walTypeAbort:    func() walRecord { return &recSettle{kind: walTypeAbort} },
+	walTypeTopo:     func() walRecord { return new(recTopo) },
+}
+
+// run is the one door to a shard's transitions. A record that runs at an
+// engine time is refused when the engine is already past it, and otherwise
+// the engine catches up to it first (live records are built at the engine's
+// time, so only restore catches up). A catch-up that fails has latched the
+// shard, as it latched the run that wrote the record, and the record runs on
+// the latched shard, as a latched donor still gives. Callers hold sh.mu.
+//
+//divflow:locks requires=shard
+func (sh *shard) run(r shardRecord) error {
+	if _, t, engine := r.head(); engine {
+		switch now := sh.eng.Now(); t.Cmp(now) {
+		case -1:
+			return fmt.Errorf("shard %d record dated %v is behind its engine at %v", sh.idx, t, now)
+		case 1:
+			sh.catchUpTo(t)
+		}
+	}
+	return r.apply(sh)
+}
+
+// replay runs one logged record through the transition the live path ran
+// when it wrote it.
+func (s *Server) replay(r walRecord) error {
+	if topo, ok := r.(*recTopo); ok {
+		_, _, err := s.installGeneration(topo, nil)
+		return err
+	}
+	idx, _, _ := r.head()
+	sh, err := s.shardByIdx(idx)
+	if err != nil {
+		return err
+	}
+	sh.mu.Lock()
+	err = sh.run(r.(shardRecord))
+	sh.mu.Unlock()
+	// The router points the forwarding table at adopted jobs once the
+	// destination accepts them (Server.migrate), and so does restore.
+	if adopt, ok := r.(*recAdopt); ok && err == nil {
+		s.forwardTo(sh, adopt.Jobs, adopt.locals)
+	}
+	return err
+}
+
+// recSubmit logs one accepted submission: the job as model.Job writes itself
+// (rationals as exact "p/q" strings), release stamped. SLA fields are absent
+// in pre-deadline logs, which restore as deadline-free untracked traffic —
+// exactly what they were.
+type recSubmit struct {
+	Shard int `json:"shard"` // creation index
+	Local int `json:"local"`
+	GID   int `json:"gid"`
+	model.Job
+}
+
+func (r *recSubmit) head() (int, exact.Q, bool) { return r.Shard, exact.FromRat(r.Release), false }
+
+// apply is the submit transition: the job takes the shard's next local slot
+// and joins the pending queue, the tenant's birth counters and the backlog,
+// its hosts fixed, and the journal notes the submission. The record is
+// appended before any of that, so a crash between the append and the
+// mutation restores the job rather than losing an acknowledged submission.
+//
+//divflow:locks requires=shard
+func (r *recSubmit) apply(sh *shard) error {
+	if sh.records.next() != r.Local {
+		return fmt.Errorf("shard %d expects local %d, record says %d", sh.idx, sh.records.next(), r.Local)
+	}
+	if r.Release == nil {
+		return fmt.Errorf("submit %d missing its release", r.GID)
+	}
+	if err := r.Job.CheckSubmission(); err != nil {
+		return fmt.Errorf("submit %d: %w", r.GID, err)
+	}
+	rec := &jobRecord{ID: r.Local, GID: r.GID, State: StateQueued, Job: shardlink.JobOf(r.Job), hosts: sh.hostMask(r.Databanks)}
+	if !slices.Contains(rec.hosts, true) {
+		return fmt.Errorf("submit %d: no machine of shard %d hosts %v", r.GID, sh.idx, r.Databanks)
+	}
+	sh.wal.append(walTypeSubmit, r)
+	sh.records.add(rec)
+	sh.pending = append(sh.pending, rec)
+	if rec.Tenant != "" {
+		sh.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Submitted: 1, ByClass: map[string]int{rec.SLAClass: 1}})
+	}
+	sh.shiftBacklog(true, rec)
+	sh.obs.event(obs.EventSubmit, rec.GID, "", rec.Release)
+	return nil
+}
+
+// recAdmit logs one admission batch: the virtual time the loop admitted the
+// listed pending jobs at. The executed trace is a deterministic function of
+// these times, so admitting at them again reproduces it exactly.
+type recAdmit struct {
+	Shard  int     `json:"shard"`
+	At     exact.Q `json:"at"`
+	Locals []int   `json:"locals"`
+}
+
+func (r *recAdmit) head() (int, exact.Q, bool) { return r.Shard, r.At, true }
+
+// apply is the admit transition: the pending queue, exactly the records it
+// lists, enters the engine as one batch; the policy then re-decides.
+//
+//divflow:locks requires=shard
+func (r *recAdmit) apply(sh *shard) error {
+	if len(sh.pending) != len(r.Locals) {
+		return fmt.Errorf("shard %d has %d pending, admit record lists %d", sh.idx, len(sh.pending), len(r.Locals))
+	}
+	for i, rec := range sh.pending {
+		if rec.ID != r.Locals[i] {
+			return fmt.Errorf("shard %d pending[%d] = %d, admit record says %d", sh.idx, i, rec.ID, r.Locals[i])
+		}
+	}
+	sh.wal.append(walTypeAdmit, r)
+	batch := sh.pending
+	sh.pending = nil
+	// Arrival-batch statistics count each job's *first* admission only: a
+	// job stolen after it was admitted once is not a new arrival, while one
+	// stolen straight out of the pending queue is counted here, by its first
+	// admitter. Fleet-wide, BatchedArrivals converges to exactly the
+	// submission count no matter how often jobs migrate (the same
+	// once-per-job rule JobsAccepted follows).
+	native := 0
+	for k, rec := range batch {
+		// Stolen jobs carry the unprocessed fraction they arrived with; the
+		// release stays the original submission time in both cases, so flow
+		// and stretch keep measuring from first contact with the service.
+		if err := sh.eng.AddPartial(rec.ID, rec.Release, rec.Weight, rec.Size, rec.Remaining); err != nil {
+			// Keep the unadmitted tail (failed record included) in pending:
+			// those jobs stay visible to the steal census — another shard can
+			// still rescue them — and to the close() drain, which must mark
+			// them rejected and return their sizes, not leave them "queued"
+			// in limbo forever. The successfully admitted prefix still counts
+			// toward the arrival statistics.
+			sh.pending = batch[k:]
+			sh.fail(err)
+			break
+		}
+		// Only a successful admit makes the job "scheduled": a rejected Add
+		// must leave the record queued, not claim scheduling that never
+		// happened.
+		rec.State = StateScheduled
+		sh.obs.event(obs.EventAdmit, rec.GID, "", r.At)
+		if !rec.Counted {
+			rec.Counted = true
+			native++
+		}
+	}
+	if native > 0 {
+		sh.ArrivalBatches++
+		sh.BatchedArrivals += native
+		sh.LargestBatch = max(sh.LargestBatch, native)
+	}
+	if len(sh.pending) == 0 {
+		sh.decide()
+	}
+	return nil
+}
+
+// recComplete logs one completion, the engine's output rather than an input.
+// logged marks a record read back from the log: run has crossed its time,
+// which ran the transition from step, so the logged record is only held to
+// the completion that ran.
+type recComplete struct {
+	Shard  int     `json:"shard"`
+	Local  int     `json:"local"`
+	GID    int     `json:"gid"`
+	At     exact.Q `json:"at"`
+	logged bool
+}
+
+func (r *recComplete) head() (int, exact.Q, bool) { return r.Shard, r.At, true }
+
+// apply is the complete transition, which step runs for every job the engine
+// completed at the record's time: the job is done, and folded into the
+// all-time aggregates, so later compaction of its record loses no statistics.
+//
+//divflow:locks requires=shard
+func (r *recComplete) apply(sh *shard) error {
+	rec := sh.records.get(r.Local)
+	if at, ok := sh.eng.Completion(r.Local); !ok || at.Cmp(r.At) != 0 || rec == nil || rec.GID != r.GID {
+		return fmt.Errorf("shard %d did not complete local %d (job %d) at %v", sh.idx, r.Local, r.GID, r.At)
+	}
+	if r.logged {
+		return nil
+	}
+	sh.wal.append(walTypeComplete, r)
+	rec.State, rec.Completed = StateDone, r.At
+	sh.shiftBacklog(false, rec)
+	flow := rec.Completed.Sub(rec.Release)
+	wf := rec.Weight.Mul(flow)
+	sh.FlowTotals.Merge(shardlink.FlowTotals{DoneCount: 1, FlowSum: flow, MaxWF: wf, MaxStretch: flow.Quo(rec.Size)})
+	if rec.Tenant != "" {
+		sh.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Completed: 1, FlowSum: &flow, MaxWF: wf})
+		// The per-tenant weighted-flow histogram backs the /v1/tenants P95,
+		// like the shard flow histogram backs the /v1/stats one.
+		sh.obs.tenantWFlow(rec.Tenant).Observe(wf.Float64())
+	}
+	// The flow histogram is observed unconditionally — it is the backing
+	// store of the /v1/stats P95 estimate, not just an exported metric.
+	sh.obs.flow.Observe(flow.Float64())
+	return nil
+}
+
+// recCompact logs one retention compaction (the horizon is derived from Now
+// exactly as the live path derives it, but recording both keeps the document
+// self-describing).
+type recCompact struct {
+	Shard   int     `json:"shard"`
+	Now     exact.Q `json:"now"`
+	Horizon exact.Q `json:"horizon"`
+}
+
+func (r *recCompact) head() (int, exact.Q, bool) { return r.Shard, r.Now, true }
+
+// apply is the compact transition: the horizon, retention behind the
+// record's now and above the last one, becomes the shard's; every record it
+// passes is dropped.
+//
+//divflow:locks requires=shard
+func (r *recCompact) apply(sh *shard) error {
+	if sh.retention.Sign() == 0 {
+		return fmt.Errorf("shard %d keeps every record", sh.idx)
+	}
+	if want := r.Now.Sub(sh.retention); r.Horizon.Cmp(want) != 0 {
+		return fmt.Errorf("shard %d horizon %v, want now %v less retention %v = %v", sh.idx, r.Horizon, r.Now, sh.retention, want)
+	}
+	if r.Horizon.Cmp(*sh.LastCompact) <= 0 {
+		return fmt.Errorf("shard %d horizon %v is not above the last compaction %v", sh.idx, r.Horizon, *sh.LastCompact)
+	}
+	sh.wal.append(walTypeCompact, r)
+	// Fold the pre-compaction makespan into the high-water mark first:
+	// dropping pieces must never move the reported whole-execution makespan
+	// backwards.
+	sh.noteMakespan()
+	horizon := r.Horizon
+	sh.LastCompact = &horizon
+	before := sh.CompactedJobs
+	drop := func(id int) {
+		rec := sh.records.get(id)
+		// Only the job's *current* owner releases the forwarding entry: a
+		// record that is stolen but migrated onward describes a hop whose
+		// entry already points at a later shard.
+		if rec.Stolen && rec.State != StateMigrated && sh.dropForward != nil {
+			sh.dropForward(rec.GID)
+		}
+		sh.records.drop(id)
+		sh.CompactedJobs++
+	}
+	for _, id := range sh.eng.Compact(horizon) {
+		drop(id)
+	}
+	keep := sh.migratedIDs[:0]
+	for _, id := range sh.migratedIDs {
+		if sh.records.get(id).MigratedAt.Cmp(horizon) <= 0 {
+			drop(id)
+		} else {
+			keep = append(keep, id)
+		}
+	}
+	sh.migratedIDs = keep
+	if sh.retired && sh.historyEmpty() && sh.mwf != nil {
+		// The engine's jobs and pieces went with the records: the plan's
+		// pieces are all a drained retired shard would still hold.
+		sh.mwf.InvalidatePlan()
+	}
+	if n := sh.CompactedJobs - before; n > 0 {
+		sh.obs.event(obs.EventCompact, -1, fmt.Sprintf("%d records dropped", n), horizon)
+	}
+	return nil
+}
+
+// recExtract logs the donor half of a migration: which records were reserved,
+// at the donor's exact engine time, which fixes their remaining fractions,
+// the donor's re-plan and the records' later compaction horizon. reply, which
+// the transition fills, is the extraction message.
+type recExtract struct {
+	Shard  int     `json:"shard"`
+	At     exact.Q `json:"at"`
+	Locals []int   `json:"locals"`
+	reply  shardlink.ExtractReply
+}
+
+func (r *recExtract) head() (int, exact.Q, bool) { return r.Shard, r.At, true }
+
+// apply is the extract transition: the listed records, each queued or live
+// and not yet reserved, leave the engine and the pending queue, reserved at
+// the record's time.
+//
+//divflow:locks requires=shard
+func (r *recExtract) apply(sh *shard) error {
+	taken := make(map[int]bool, len(r.Locals))
+	for _, local := range r.Locals {
+		rec := sh.records.get(local)
+		switch {
+		case rec == nil:
+			return fmt.Errorf("shard %d has no record %d", sh.idx, local)
+		case taken[local] || rec.MigratedAt != nil || (rec.State != StateQueued && rec.State != StateScheduled):
+			return fmt.Errorf("shard %d record %d is %s, not a queued or live job to extract", sh.idx, local, rec.State)
+		}
+		taken[local] = true
+	}
+	sh.wal.append(walTypeExtract, r)
+	r.reply = shardlink.ExtractReply{From: sh.idx, At: r.At}
+	removedLive := false
+	for _, local := range r.Locals {
+		rec := sh.records.get(local)
+		if rec.State == StateScheduled {
+			// Live: the engine hands back the exact unprocessed fraction.
+			if rj, err := sh.eng.Remove(local); err == nil {
+				rec.Remaining = rj.Remaining
+				removedLive = true
+			}
+		}
+		// Every donor piece of the job ends by the extraction time — that,
+		// not the later commit, fixes the record's compaction horizon.
+		rec.MigratedAt = &r.reply.At
+		r.reply.Jobs = append(r.reply.Jobs, shardlink.MigratedJob{
+			FromLocal: local, GID: rec.GID, Remaining: rec.Remaining, Counted: rec.Counted, Job: rec.Job,
+		})
+	}
+	kept := sh.pending[:0]
+	for _, rec := range sh.pending {
+		if !taken[rec.ID] {
+			kept = append(kept, rec)
+		}
+	}
+	sh.pending = kept
+	// Re-plan immediately: the extraction invalidated the plan cache, and the
+	// machines that ran the extracted jobs must not idle for a whole message
+	// round-trip waiting for the commit.
+	if removedLive && sh.lastErr == nil {
+		sh.decide()
+	}
+	return nil
+}
+
+// recAdopt logs the destination half: the whole adoption message, so restore
+// needs nothing from the donor. locals, which the transition fills, are the
+// adopted jobs' local IDs, in message order.
+type recAdopt struct {
+	Shard int `json:"shard"`
+	shardlink.AdmitArgs
+	locals []int
+}
+
+func (r *recAdopt) head() (int, exact.Q, bool) { return r.Shard, r.At, false }
+
+// apply is the adopt transition: every job of the message takes a fresh local
+// slot, queued for admission, and its work joins the backlog. A message with
+// no job, a malformed one (MigratedJob.Check) or one no machine hosts is
+// refused, and so is a retired or closed shard, and a latched one a steal
+// would not help (a reshard does place on a stalled shard when no healthy one
+// hosts the job).
+//
+//divflow:locks requires=shard
+func (r *recAdopt) apply(sh *shard) error {
+	if len(r.Jobs) == 0 {
+		return errors.New("adopt record carries no adoption message")
+	}
+	for i := range r.Jobs {
+		if err := r.Jobs[i].Check(); err != nil {
+			return fmt.Errorf("job %d: %w", r.Jobs[i].GID, err)
+		}
+		if !sh.hosts(r.Jobs[i].Databanks) {
+			return fmt.Errorf("job %d: no machine of shard %d hosts %v", r.Jobs[i].GID, sh.idx, r.Jobs[i].Databanks)
+		}
+	}
+	switch {
+	case sh.retired || sh.closed:
+		return fmt.Errorf("shard %d is retired or closed", sh.idx)
+	case r.Reason == migrateSteal && sh.lastErr != nil:
+		return fmt.Errorf("shard %d is stalled", sh.idx)
+	}
+	sh.wal.append(walTypeAdopt, r)
+	r.locals = make([]int, len(r.Jobs))
+	adopted := make([]*jobRecord, len(r.Jobs))
+	for i := range r.Jobs {
+		nrec := sh.adoptRecord(&r.Jobs[i])
+		adopted[i], r.locals[i] = nrec, nrec.ID
+		if r.Reason == migrateReshard {
+			sh.ReshardIn++
+			sh.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("resharded from shard %d", r.From))
+		} else {
+			sh.StolenIn++
+			sh.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("stolen from shard %d", r.From))
+		}
+	}
+	sh.shiftBacklog(true, adopted...)
+	if r.Reason == migrateSteal {
+		sh.obs.event(obs.EventSteal, -1, fmt.Sprintf("%d jobs from shard %d", len(adopted), r.From), r.At)
+	}
+	return nil
+}
+
+// recSettle logs the donor's commit or abort (kind) of the listed
+// reservations.
+type recSettle struct {
+	Shard  int   `json:"shard"`
+	Locals []int `json:"locals"`
+	kind   string
+}
+
+func (r *recSettle) head() (int, exact.Q, bool) { return r.Shard, exact.Q{}, false }
+
+// apply is the commit or abort transition of the listed records, each
+// reserved by an extraction and not yet settled. A commit flips them to the
+// migrated state — readable only through the forwarding table, which the
+// router updated before committing, and compacted once the retention horizon
+// passes their extraction — and the moved work finally leaves the donor's
+// backlog. An abort returns them to the pending queue with their exact
+// remaining fractions: re-admission conserves every piece of executed work,
+// under the record's original local ID (the engine accepts a removed ID
+// back).
+//
+//divflow:locks requires=shard
+func (r *recSettle) apply(sh *shard) error {
+	recs := make([]*jobRecord, len(r.Locals))
+	seen := make(map[int]bool, len(r.Locals))
+	for i, local := range r.Locals {
+		recs[i] = sh.records.get(local)
+		if seen[local] || recs[i] == nil || recs[i].MigratedAt == nil || recs[i].State == StateMigrated {
+			return fmt.Errorf("shard %d record %d is not a reservation to settle", sh.idx, local)
+		}
+		seen[local] = true
+	}
+	sh.wal.append(r.kind, r)
+	for _, rec := range recs {
+		if r.kind == walTypeAbort {
+			rec.State, rec.MigratedAt = StateQueued, nil // out of the engine until the loop re-admits it
+			sh.pending = append(sh.pending, rec)
+			continue
+		}
+		rec.State = StateMigrated
+		sh.migratedIDs = append(sh.migratedIDs, rec.ID)
+		// Only a reshard drains a retired shard; everything else is a steal.
+		if sh.retired {
+			sh.ReshardOut++
+		} else {
+			sh.MigratedOut++
+		}
+	}
+	if r.kind == walTypeCommit {
+		sh.shiftBacklog(false, recs...)
+	}
+	return nil
+}
+
+// walTopoShard is one member of a recTopo generation, in position order.
+type walTopoShard struct {
+	Idx        int             `json:"idx"`
+	Kept       bool            `json:"kept,omitempty"`
+	Machines   []model.Machine `json:"machines,omitempty"` // spawned shards only
+	MachineIdx []int           `json:"machineIdx"`
+}
+
+// recTopo logs one structural reshard: everything needed to rebuild the new
+// generation — appended before the migrations that reference its spawned
+// shards, and before the topology publish. Its transition is
+// Server.installGeneration.
+type recTopo struct {
+	Gen       int             `json:"gen"`
+	Base      int             `json:"base"`
+	Stride    int             `json:"stride"`
+	Shards    []walTopoShard  `json:"shards"`
+	Retired   []int           `json:"retired,omitempty"`
+	Fleet     []model.Machine `json:"fleet"`
+	ShardsCfg int             `json:"shardsCfg,omitempty"`
+	At        exact.Q         `json:"at"`
+}
+
+func (r *recTopo) head() (int, exact.Q, bool) { return -1, r.At, false }
