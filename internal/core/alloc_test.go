@@ -72,8 +72,8 @@ func BenchmarkResolveResidual(b *testing.B) {
 // allocated when last measured (amd64, go1.24): the figures
 // TestSolveBytesBudget holds the solve paths to, with 15 % of headroom.
 const (
-	solveSweepBytes   uint64 = 7_597_968
-	resolveSweepBytes uint64 = 1_933_728
+	solveSweepBytes   uint64 = 3_387_496
+	resolveSweepBytes uint64 = 933_992
 )
 
 // TestSolveBytesBudget holds the bytes one sweep allocates to its recorded

@@ -61,8 +61,9 @@ func TestExactFillMatchesStdForm(t *testing.T) {
 	check := func(label string, rl *rangeLP) {
 		t.Helper()
 		want := rangeProblem(rl).Fill()
-		rl.build()
-		if got, want := rl.fill.Dump(), want.Dump(); got != want {
+		var got lp.ExactFill
+		rl.build(&got)
+		if got, want := got.Dump(), want.Dump(); got != want {
 			t.Fatalf("%s: the direct fill\n%s\nthe Problem's standard form\n%s", label, got, want)
 		}
 		ranges++

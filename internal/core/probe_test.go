@@ -199,7 +199,7 @@ func TestProbeAgreesWithExact(t *testing.T) {
 func TestProbeFillNegatesNoRow(t *testing.T) {
 	collapsed, unbounded := 0, 0
 	for _, ps := range probeSearches(t) {
-		buf := newProbeBuf(ps.s.inst)
+		buf := newProbeBuf(ps.s.inst, new(lp.FloatTableau))
 		for k, rg := range ps.s.ranges {
 			rl := ps.s.rangeLP(k)
 			for i, iv := range rl.ivs {

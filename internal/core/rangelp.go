@@ -109,8 +109,6 @@ type rangeLP struct {
 	costAt  []int   // per α column, i·n+j: where its c_{i,j} sits in a cost matrix
 	rows    []lpRow // after the row bounding F′: capacity rows interval by interval, then one completion row per job
 	terms   []int   // the rows' α columns, back to back
-
-	fill *lp.ExactFill // the exact fill, made by the first exact solve
 }
 
 // lpRow is one constraint row of the layout, over the α columns
@@ -292,26 +290,25 @@ func (r *rangeLP) senses(dst []lp.Sense) []lp.Sense {
 }
 
 // build is the exact fill: the layout's rows written in order straight into
-// lp's standard form, sized once — F′'s bound, then the capacity rows with F′
-// first in each, then the completion rows — and F′ the objective.
-func (r *rangeLP) build() {
+// lp's standard form f, sized once — F′'s bound, then the capacity rows with
+// F′ first in each, then the completion rows — and F′ the objective.
+func (r *rangeLP) build(f *lp.ExactFill) {
 	one := exact.Int(1)
 	vals := r.shifted(nil)
 	perInterval := vals[2:] // |I_t| at Lo, then −B_t
-	r.fill = new(lp.ExactFill)
-	r.fill.Reset(r.numVars, r.senses(nil), len(r.terms)+len(r.rows)+1)
-	r.fill.SetCost(fCol, one)
+	f.Reset(r.numVars, r.senses(nil), len(r.terms)+len(r.rows)+1)
+	f.SetCost(fCol, one)
 	first := 0 // the row of the layout's first: F′ <= Hi − Lo precedes it
 	if r.rg.Hi != nil {
 		first = 1
-		r.fill.Set(0, fCol, one)
-		r.fill.SetRHS(0, vals[1])
+		f.Set(0, fCol, one)
+		f.SetRHS(0, vals[1])
 	}
 	at := 0
 	for k, row := range r.rows {
 		rhs := one
 		if row.t >= 0 {
-			r.fill.Set(first+k, fCol, perInterval[2*row.t+1]) // Set drops a zero
+			f.Set(first+k, fCol, perInterval[2*row.t+1]) // Set drops a zero
 			rhs = perInterval[2*row.t]
 		}
 		for _, c := range r.terms[at:row.end] {
@@ -319,16 +316,16 @@ func (r *rangeLP) build() {
 			if row.t >= 0 {
 				coef = r.inst.cost[r.costAt[c]]
 			}
-			r.fill.Set(first+k, c, coef)
+			f.Set(first+k, c, coef)
 		}
 		at = row.end
-		r.fill.SetRHS(first+k, rhs)
+		f.SetRHS(first+k, rhs)
 	}
 }
 
 // probeBuf is what the probes of one search share: the tableau they all
-// fill, lp's spare when one is kept, and the float image of the instance's
-// cost matrix.
+// fill, the search's workspace's, and the float image of the instance's cost
+// matrix.
 type probeBuf struct {
 	tab    *lp.FloatTableau
 	cost   []float64 // [i·n+j], 0 where machine i cannot run job j
@@ -337,8 +334,8 @@ type probeBuf struct {
 	image  []float64 // …and in float64
 }
 
-func newProbeBuf(inst *instance) *probeBuf {
-	return &probeBuf{tab: lp.TakeTableau(), cost: lp.FloatImage(nil, inst.cost)}
+func newProbeBuf(inst *instance, tab *lp.FloatTableau) *probeBuf {
+	return &probeBuf{tab: tab, cost: lp.FloatImage(nil, inst.cost)}
 }
 
 // fillProbe is the float fill: the same rows from the same exact values,
@@ -377,21 +374,22 @@ func (r *rangeLP) fillProbe(b *probeBuf) (lo float64) {
 	return b.image[0]
 }
 
-// solve builds and solves the LP, minimizing F. It returns (nil, nil) when
-// the range admits no feasible schedule.
+// solve builds and solves the LP in lp's spare workspace, minimizing F. It
+// returns (nil, nil) when the range admits no feasible schedule.
 func (r *rangeLP) solve() (*rangeSolution, error) {
-	return r.solveWith(nil, nil)
+	w := lp.TakeWorkspace()
+	defer lp.ReturnWorkspace(w)
+	r.build(w.Fill())
+	return r.solveWith(w.Fill(), nil, nil)
 }
 
-// solveWith is solve handed warm, the basis a float probe of this range
-// ended on (nil: the engine runs its own float pass), and recording the
-// hybrid engine's path into tally (when non-nil). The basis is verified
-// exactly, never trusted: a caller that passes a wrong one loses only speed.
-func (r *rangeLP) solveWith(warm *lp.Basis, tally *stats.SolverTally) (*rangeSolution, error) {
-	if r.fill == nil {
-		r.build()
-	}
-	sol, err := r.fill.Solve(warm)
+// solveWith solves f, which holds this layout's build, handed warm, the basis
+// a float probe of this range ended on (nil: the engine runs its own float
+// pass), and recording the hybrid engine's path into tally (when non-nil). The
+// basis is verified exactly, never trusted: a caller that passes a wrong one
+// loses only speed.
+func (r *rangeLP) solveWith(f *lp.ExactFill, warm *lp.Basis, tally *stats.SolverTally) (*rangeSolution, error) {
+	sol, err := f.Solve(warm)
 	if err != nil {
 		return nil, err
 	}

@@ -32,9 +32,14 @@ import (
 // A probe's answer is never trusted, its basis is verified exactly, so a
 // wrong, stalled or lying probe costs extra exact work, never the result —
 // and a probe may skip everything the proof needs: it fills the range's
-// layout in float64 straight into one tableau the search keeps
-// (rangeLP.fillProbe), building no lp.Problem and no exact coefficient. The
-// exact solve of a range a probe filled takes the layout the probe made.
+// layout in float64 straight into the search's tableau (rangeLP.fillProbe),
+// building no lp.Problem and no exact coefficient. The exact solve of a range
+// a probe filled takes the layout the probe made.
+//
+// The search solves in one lp.Workspace, taken when it starts and handed back
+// by done: the probes' tableau, which an exact solve's own float pass also
+// runs in when the probe's basis misses, the exact fill, and the column view
+// and factorization the verifier builds over it.
 type rangeSearch struct {
 	inst   *instance
 	mode   schedule.Model
@@ -42,7 +47,8 @@ type rangeSearch struct {
 	ranges []affine.Range
 
 	probe probeFunc
-	buf   *probeBuf // the honest probe's tableau, taken by its first call
+	ws    *lp.Workspace
+	buf   *probeBuf // the honest probe's, made by its first call
 	laid  *rangeLP  // the layout last made, of range laidK
 	laidK int
 
@@ -121,7 +127,7 @@ func flowFloor(inst *instance, dls []*affine.Form, mode schedule.Model) exact.Q 
 // milestone is in, the lower), the last range if none does.
 func newRangeSearch(inst *instance, mode schedule.Model, ep epochs, ranges []affine.Range, floor exact.Q, probe probeFunc) *rangeSearch {
 	seed := sort.Search(len(ranges)-1, func(k int) bool { return ranges[k].Hi.Cmp(floor) >= 0 })
-	return &rangeSearch{inst: inst, mode: mode, ep: ep, ranges: ranges, probe: probe, lo: seed}
+	return &rangeSearch{inst: inst, mode: mode, ep: ep, ranges: ranges, probe: probe, ws: lp.TakeWorkspace(), lo: seed}
 }
 
 // soloTime is p_j, the least time job j takes with the platform to itself:
@@ -174,7 +180,8 @@ func (s *rangeSearch) rangeLP(k int) *rangeLP {
 // nil); a nil solution means infeasible, which proves every range up to k so.
 func (s *rangeSearch) exact(k int, probed *lp.Basis) (*rangeLP, *rangeSolution, error) {
 	rl := s.rangeLP(k)
-	sol, err := rl.solveWith(probed, &s.tally)
+	rl.build(s.ws.Fill())
+	sol, err := rl.solveWith(s.ws.Fill(), probed, &s.tally)
 	s.solves++
 	if err == nil && sol == nil && k >= s.lo {
 		s.lo = k + 1
@@ -183,12 +190,11 @@ func (s *rangeSearch) exact(k int, probed *lp.Basis) (*rangeLP, *rangeSolution, 
 }
 
 // floatProbe is the honest probe: range k's layout, filled in float64 into
-// the search's one tableau and minimized there. No lp.Problem is built and
-// nothing exact is solved; the objective it reports is F = Lo + F′. The
-// tableau is lp's spare when one is kept; done hands it back.
+// the search's tableau and minimized there. No lp.Problem is built and
+// nothing exact is solved; the objective it reports is F = Lo + F′.
 func (s *rangeSearch) floatProbe(k int) (*lp.FloatSolution, error) {
 	if s.buf == nil {
-		s.buf = newProbeBuf(s.inst)
+		s.buf = newProbeBuf(s.inst, s.ws.Tableau())
 	}
 	lo := s.rangeLP(k).fillProbe(s.buf)
 	sol, err := s.buf.tab.Minimize(fCol)
@@ -208,12 +214,10 @@ func (s *rangeSearch) float(k int) *lp.FloatSolution {
 	return sol
 }
 
-// done hands the probes' tableau back to lp; the search probes no more.
+// done hands the workspace back to lp; the search solves no more.
 func (s *rangeSearch) done() {
-	if s.buf != nil {
-		lp.ReturnTableau(s.buf.tab)
-		s.buf = nil
-	}
+	lp.ReturnWorkspace(s.ws)
+	s.ws, s.buf = nil, nil
 }
 
 // locate returns the candidate for the leftmost feasible range: seed, gallop,
@@ -296,9 +300,7 @@ func (s *rangeSearch) certify(k int, at *lp.FloatSolution) (int, *rangeLP, *rang
 	return 0, nil, nil, ErrDeadlinesInfeasible
 }
 
-// leftmost locates, then certifies; the probes' tableau goes back to lp
-// after the certifying solve, whose own float pass, when the probe's basis
-// misses, finds the spare taken and fills a tableau of its own.
+// leftmost locates, then certifies, and hands the workspace back.
 func (s *rangeSearch) leftmost() (int, *rangeLP, *rangeSolution, error) {
 	defer s.done()
 	k, at, err := s.locate()

@@ -39,12 +39,16 @@ type basisFactor struct {
 	rowPiv, colPiv []factorPivot // the peel, each kind in the order taken
 
 	// The bump: its rows and basis positions ascending, their inverses (−1
-	// outside the bump), and the combined L\U of its dense copy, b x b
-	// row-major, whose k-th elimination row is physical row perm[k].
+	// outside the bump; the peel's counts before that), and the combined L\U
+	// of its dense copy, b x b row-major, whose k-th elimination row is
+	// physical row perm[k].
 	bumpRows, bumpCols   []int32
 	bumpRowAt, bumpColAt []int32
 	lu                   []exact.Q
 	perm                 []int32
+
+	entries []factorEntry // what rows and cols are cut from
+	queue   []int32       // the peel's work queue
 }
 
 // factorEntry is one nonzero of a basis row or column: where it sits along
@@ -59,24 +63,30 @@ type factorEntry struct {
 type factorPivot struct{ row, pos int32 }
 
 // factorize factors the basis columns, or returns nil when the chosen columns
-// are singular (not a basis). sf.columns() must have run.
+// are singular (not a basis). sf.columns() must have run. The factor is the
+// form's own, written over the arrays of the one before it: the next
+// factorize of the form ends it.
 func factorize(sf *stdForm, basis []int) *basisFactor {
-	m := sf.m
-	f := &basisFactor{rows: make([][]factorEntry, m), cols: make([][]factorEntry, m)}
+	m, f := sf.m, &sf.fac
+	f.rows, f.cols = zeroed(f.rows, m), zeroed(f.cols, m)
+	f.rowPiv, f.colPiv, f.bumpRows, f.bumpCols = f.rowPiv[:0], f.colPiv[:0], f.bumpRows[:0], f.bumpCols[:0]
 
 	// Both views are cut from one backing array; rowCnt and colCnt count the
 	// entries of a line still active, −1 marking a pivoted line.
 	nnz := 0
 	for _, col := range basis {
-		nnz += len(sf.colRows[col])
+		nnz += int(sf.colStart[col+1] - sf.colStart[col])
 	}
-	entries := make([]factorEntry, 2*nnz)
-	rowCnt, colCnt := make([]int32, m), make([]int32, m)
+	f.entries = zeroed(f.entries, 2*nnz)
+	entries := f.entries
+	rowCnt, colCnt := zeroed(f.bumpRowAt, m), zeroed(f.bumpColAt, m)
+	f.bumpRowAt, f.bumpColAt = rowCnt, colCnt // the counts, spent by the time they are the bump's
 	for k, col := range basis {
-		n := len(sf.colRows[col])
+		rows, vals := sf.col(col)
+		n := len(rows)
 		f.cols[k], entries = entries[:n:n], entries[n:]
-		for t, r := range sf.colRows[col] {
-			f.cols[k][t] = factorEntry{r, sf.colVals[col][t]}
+		for t, r := range rows {
+			f.cols[k][t] = factorEntry{r, vals[t]}
 			rowCnt[r]++
 		}
 		colCnt[k] = int32(n)
@@ -93,7 +103,7 @@ func factorize(sf *stdForm, basis []int) *basisFactor {
 	// The work queue holds basis position k as k and row i as m+i; a line
 	// enters it once, when its count reaches one. An empty line, at the start
 	// or once the peel has emptied it, means the columns are dependent.
-	queue := make([]int32, 0, 2*m)
+	queue := f.queue[:0]
 	for base, cnt := range [][]int32{colCnt, rowCnt} {
 		for i, n := range cnt {
 			if n == 0 {
@@ -147,10 +157,10 @@ func factorize(sf *stdForm, basis []int) *basisFactor {
 			return nil
 		}
 	}
+	f.queue = queue
 
 	// What no singleton reached is the bump. Every pivot took one row and one
 	// column, so it is square.
-	f.bumpRowAt, f.bumpColAt = rowCnt, colCnt // reused: the counts are spent
 	for i := range f.bumpRowAt {
 		if f.bumpRowAt[i] > 0 {
 			f.bumpRowAt[i] = int32(len(f.bumpRows))
@@ -171,8 +181,7 @@ func factorize(sf *stdForm, basis []int) *basisFactor {
 // reports false when the bump, and so the basis, is singular.
 func (f *basisFactor) factorBump() bool {
 	b := len(f.bumpRows)
-	f.lu = make([]exact.Q, b*b)
-	f.perm = make([]int32, b)
+	f.lu, f.perm = zeroed(f.lu, b*b), zeroed(f.perm, b)
 	for r, i := range f.bumpRows {
 		f.perm[r] = int32(r)
 		for _, e := range f.rows[i] {

@@ -13,8 +13,9 @@ import (
 func mulB(sf *stdForm, basis []int, x []exact.Q) []exact.Q {
 	out := make([]exact.Q, sf.m)
 	for k, col := range basis {
-		for t, r := range sf.colRows[col] {
-			out[r] = out[r].Add(sf.colVals[col][t].Mul(x[k]))
+		rows, vals := sf.col(col)
+		for t, r := range rows {
+			out[r] = out[r].Add(vals[t].Mul(x[k]))
 		}
 	}
 	return out
@@ -42,8 +43,9 @@ func denseSingular(sf *stdForm, basis []int) bool {
 		a[i] = make([]exact.Q, m)
 	}
 	for k, col := range basis {
-		for t, r := range sf.colRows[col] {
-			a[r][k] = sf.colVals[col][t]
+		rows, vals := sf.col(col)
+		for t, r := range rows {
+			a[r][k] = vals[t]
 		}
 	}
 	for k := 0; k < m; k++ {

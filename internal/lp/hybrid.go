@@ -82,13 +82,12 @@ func SolveHybrid(p *Problem) (*Solution, error) {
 // engine's own float pass (MethodWarmVerified). A stale one costs only that
 // failed check: SolveHybrid's steps then run as if no basis had been handed,
 // except that a float basis equal to the rejected one is not checked twice.
-// Incompatible bases are ignored outright.
+// Incompatible bases are ignored outright. p's rows are filled into the
+// spare workspace.
 func SolveHybridWarm(p *Problem, warm *Basis) (*Solution, error) {
-	sf, err := newStdForm(p)
-	if err != nil {
-		return nil, err
-	}
-	return withRat(solveHybrid(sf, warm))
+	w := TakeWorkspace()
+	defer ReturnWorkspace(w)
+	return withRat(p.fill(w.Fill()).Solve(warm))
 }
 
 // solveHybrid is SolveHybridWarm on a filled standard form.
@@ -115,7 +114,6 @@ func solveHybrid(sf *stdForm, warm *Basis) (*Solution, error) {
 			sol = certifyInfeasible(sf, run.basis)
 		}
 	}
-	run.release()
 	if sol != nil {
 		sol.Method = MethodFloatVerified
 		return sol, nil

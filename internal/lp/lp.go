@@ -40,6 +40,11 @@
 //     them, with no Problem in between — core's range LPs do, and hand Solve
 //     the basis their probe's tableau ended on. A Problem's rows reach the
 //     same fill (Problem.Fill), so a standard form has one construction.
+//   - Workspace: one FloatTableau and one ExactFill, with the column view
+//     and factorization the verifier builds over the fill, all refilled in
+//     place. A milestone search takes one (TakeWorkspace) for its probes and
+//     exact solves and hands it back (ReturnWorkspace); the package keeps one
+//     spare of at most 1 MiB between searches, which SolveHybrid takes too.
 //
 // Problems are stated in the general form
 //

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"divflow/internal/exact"
 )
@@ -26,35 +25,6 @@ const (
 // iteration cap or was handed an entry float64 cannot hold; it never escapes
 // this package.
 const floatStalled = Status(-1)
-
-// spareBytes caps the buffer of the one tableau kept between solves: most
-// range LPs fit under it, a larger one allocates its own, and what the
-// process holds between calls stays at most one tableau this size.
-const spareBytes = 256 << 10
-
-// spare is the tableau kept between solves, nil while one is taken. A solve
-// takes it whole (TakeTableau), so concurrent solves never share one: the
-// second finds none and allocates.
-var spare atomic.Pointer[FloatTableau]
-
-// TakeTableau returns the spare tableau, or a new one when none is kept. The
-// caller owns it until it hands it to ReturnTableau.
-func TakeTableau() *FloatTableau {
-	if t := spare.Swap(nil); t != nil {
-		return t
-	}
-	return new(FloatTableau)
-}
-
-// ReturnTableau offers t back as the spare, once nothing reads it any more —
-// nor a basis it ended on, which is the tableau's own slice. It is kept only
-// while its buffer is at most spareBytes; a larger one is left to the
-// collector, and so is the spare it would replace.
-func ReturnTableau(t *FloatTableau) {
-	if t != nil && cap(t.buf)*8 <= spareBytes {
-		spare.Store(t)
-	}
-}
 
 // FloatImage appends the float64 images of exact coefficients to dst, each
 // the float64 nearest it. Callers that fill a FloatTableau themselves convert
@@ -81,13 +51,6 @@ type floatRun struct {
 	artStart   int   // of the tableau, with numCols what makes basis a Basis
 	numCols    int
 	iterations int
-	tab        *FloatTableau // what basis lies in: release hands it back
-}
-
-// release hands the run's tableau back as the spare; basis is not read after.
-func (run *floatRun) release() {
-	ReturnTableau(run.tab)
-	run.tab, run.basis = nil, nil
 }
 
 // solution reports the run to a caller outside the hybrid engine, which has
@@ -105,14 +68,15 @@ func (run *floatRun) solution() (*FloatSolution, error) {
 }
 
 // runFloat executes the two-phase float simplex over the standard form, in
-// the spare tableau when one is kept; the caller releases the run once it
-// has read the basis.
+// its workspace's tableau (a form outside a workspace runs in one of its
+// own). The run's basis is that tableau's: read it before the next fill.
 func runFloat(sf *stdForm) *floatRun {
-	t := TakeTableau()
+	t := sf.tab
+	if t == nil {
+		t = new(FloatTableau)
+	}
 	t.load(sf)
-	run := t.run()
-	run.tab = t
-	return run
+	return t.run()
 }
 
 // FloatTableau is the dense tableau of the float64 two-phase simplex:
@@ -126,9 +90,8 @@ func runFloat(sf *stdForm) *floatRun {
 // answer is no part of a proof — the probes of a milestone search — skips
 // the exact Problem altogether: Reset, Set/SetRHS per coefficient, Minimize.
 // Reset reuses the buffers, so such a caller keeps one tableau for all its
-// solves; the zero value is ready to use. Between solves the package keeps
-// one spare tableau of at most spareBytes (TakeTableau, ReturnTableau), which
-// the engine's own float pass and a search's probes take in turn.
+// solves; the zero value is ready to use. A Workspace holds one, which a
+// search's probes fill and its exact solves' own float passes load in turn.
 type FloatTableau struct {
 	numVars    int // structural columns
 	numCols    int
@@ -145,16 +108,6 @@ type FloatTableau struct {
 	nz         []int     // scratch: nonzero columns of the current pivot row…
 	nzv        []float64 // …and their values, scaled
 	nonFinite  bool      // an entry float64 cannot hold was written
-}
-
-// zeroed returns s resized to n zero elements, reallocating only to grow.
-func zeroed[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // shape sizes the tableau to m all-zero rows.

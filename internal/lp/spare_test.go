@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -47,8 +49,8 @@ func sameSolution(t *testing.T, label string, got, want *Solution) {
 
 // TestSpareTableauIsNeverShared solves 8 × 50 seeded problems through
 // SolveHybrid on 8 goroutines at once, each of them taking and returning the
-// spare tableau, and holds every answer to a sequential solve of the same
-// problem. Two solves that shared a tableau would pivot over each other's
+// spare workspace, and holds every answer to a sequential solve of the same
+// problem. Two solves that shared a workspace would pivot over each other's
 // rows; under the race detector they would also be reported.
 func TestSpareTableauIsNeverShared(t *testing.T) {
 	const workers, each = 8, 50
@@ -109,38 +111,37 @@ func coverProblem(rows, vars int) *Problem {
 	return p
 }
 
-// TestSpareTableauCap: the tableau of an LP above spareBytes is not kept
-// after its solve, and the tableau of one below it is, so what the package
-// holds between solves is at most one tableau of at most spareBytes.
+// TestSpareTableauCap: what lp holds between solves is at most one workspace
+// of at most spareBytes. A solve whose tableau is above the cap hands its
+// workspace back without the tableau's buffer and the rest is kept as the
+// spare; one below it keeps the buffer too.
 func TestSpareTableauCap(t *testing.T) {
 	for _, tc := range []struct {
 		rows, vars int
-		kept       bool
-	}{{10, 20, true}, {120, 300, false}, {40, 60, true}} {
-		sf, err := newStdForm(coverProblem(tc.rows, tc.vars))
+		kept       bool // the tableau's buffer
+	}{{10, 20, true}, {130, 900, false}, {40, 60, true}} {
+		p := coverProblem(tc.rows, tc.vars)
+		sf, err := newStdForm(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if size := sf.m * sf.numCols * 8; (size <= spareBytes) != tc.kept {
-			t.Fatalf("%d×%d: a %d-byte tableau; the case is misdrawn", tc.rows, tc.vars, size)
+		size := sf.m * sf.numCols
+		if (size*8 <= spareBytes) != tc.kept {
+			t.Fatalf("%d×%d: a %d-byte tableau; the case is misdrawn", tc.rows, tc.vars, size*8)
 		}
 		spare.Store(nil)
-		run := runFloat(sf)
-		tab := run.tab
-		if run.status != Optimal {
-			t.Fatalf("%d×%d: float status %v", tc.rows, tc.vars, run.status)
-		}
-		run.release()
-		if kept := spare.Load() == tab; kept != tc.kept {
-			t.Errorf("%d×%d (%d-byte buffer): kept %v, want %v", tc.rows, tc.vars, cap(tab.buf)*8, kept, tc.kept)
-		}
-		// The whole engine returns it too.
-		spare.Store(nil)
-		if _, err := SolveHybrid(coverProblem(tc.rows, tc.vars)); err != nil {
+		if _, err := SolveHybrid(p); err != nil {
 			t.Fatal(err)
 		}
-		if kept := spare.Load(); (kept != nil) != tc.kept || (kept != nil && cap(kept.buf)*8 > spareBytes) {
-			t.Errorf("%d×%d: after SolveHybrid the spare is %v, want kept %v", tc.rows, tc.vars, kept != nil, tc.kept)
+		switch w := spare.Load(); {
+		case w == nil:
+			t.Errorf("%d×%d: no workspace kept", tc.rows, tc.vars)
+		case w.bytes() > spareBytes:
+			t.Errorf("%d×%d: a %d-byte workspace kept", tc.rows, tc.vars, w.bytes())
+		case (cap(w.tab.buf) >= size) != tc.kept:
+			t.Errorf("%d×%d: a %d-entry tableau buffer kept, want kept %v", tc.rows, tc.vars, cap(w.tab.buf), tc.kept)
+		case cap(w.fill.val) == 0 || cap(w.fill.sf.colRow) == 0 || cap(w.fill.sf.fac.entries) == 0:
+			t.Errorf("%d×%d: the fill, its column view or its factorization was not kept", tc.rows, tc.vars)
 		}
 	}
 }
@@ -193,6 +194,123 @@ func TestLoadFlagsNonFinite(t *testing.T) {
 		}
 		if got.Method != MethodExact {
 			t.Errorf("%s: method %v, want the exact engine", tc.name, got.Method)
+		}
+	}
+}
+
+// TestWorkspaceRefillMatchesFresh: a fill refilled in place answers as a
+// fresh one. Over the seeded problems of TestExactFillMatchesStdForm, taken
+// largest, smallest, second largest, … so every refill follows a form of
+// another size, one plain ExactFill and one Workspace's fill are refilled
+// with each problem's rows; the form (Dump), the column view and the solve —
+// status, method, kernel, objective and every value — equal those of a fresh
+// fill of the same rows.
+func TestWorkspaceRefillMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	problems := make([]*Problem, 400)
+	for n := range problems {
+		if n%2 == 0 {
+			problems[n] = schedulingProblem(rng)
+		} else {
+			problems[n], _ = randomProblem(rng)
+		}
+	}
+	size := func(p *Problem) int { return len(p.rows) * (p.NumVars() + 2*len(p.rows)) }
+	slices.SortStableFunc(problems, func(a, b *Problem) int { return size(b) - size(a) })
+	order := make([]*Problem, 0, len(problems))
+	for lo, hi := 0, len(problems)-1; lo <= hi; lo, hi = lo+1, hi-1 {
+		order = append(order, problems[lo])
+		if lo < hi {
+			order = append(order, problems[hi])
+		}
+	}
+	var plain ExactFill
+	w := TakeWorkspace()
+	defer ReturnWorkspace(w)
+	for n, p := range order {
+		fresh := p.Fill()
+		want, err := fresh.Solve(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.sf.columns()
+		for _, refill := range []struct {
+			name string
+			f    *ExactFill
+		}{{"plain", &plain}, {"in a workspace", w.Fill()}} {
+			f, label := refill.f, fmt.Sprintf("problem %d, refilled %s", n, refill.name)
+			if got, want := p.fill(f).Dump(), fresh.Dump(); got != want {
+				t.Fatalf("%s: the form\n%s\nwant\n%s", label, got, want)
+			}
+			got, err := f.Solve(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.sf.columns()
+			if !slices.Equal(f.sf.colStart, fresh.sf.colStart) || !slices.Equal(f.sf.colRow, fresh.sf.colRow) || !equalQs(f.sf.colVal, fresh.sf.colVal) {
+				t.Fatalf("%s: column view %v %v %v, want %v %v %v", label,
+					f.sf.colStart, f.sf.colRow, f.sf.colVal, fresh.sf.colStart, fresh.sf.colRow, fresh.sf.colVal)
+			}
+			if got.Status != want.Status || got.Method != want.Method || got.Kernel != want.Kernel ||
+				got.ObjectiveQ.Cmp(want.ObjectiveQ) != 0 || !equalQs(got.X, want.X) {
+				t.Fatalf("%s: solved %v %v by %v (kernel %d), fresh %v %v by %v (kernel %d)\n%s", label,
+					got.Status, got.ObjectiveQ, got.Method, got.Kernel, want.Status, want.ObjectiveQ, want.Method, want.Kernel, p.Dump())
+			}
+		}
+	}
+}
+
+// TestWorkspacesAreNeverShared: 8 goroutines each take a workspace, solve 30
+// seeded problems in it and hand it back, 5 times over; no workspace is
+// handed to a second taker while its first holds it, and every answer equals
+// a sequential solve's. Under the race detector a shared one would also be
+// reported.
+func TestWorkspacesAreNeverShared(t *testing.T) {
+	const workers, rounds, each = 8, 5, 30
+	problems := make([][]*Problem, workers)
+	want := make([][]*Solution, workers)
+	for g := range problems {
+		problems[g] = spareProblems(int64(200+g), each)
+		for _, p := range problems[g] {
+			sol, err := p.Fill().Solve(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[g] = append(want[g], sol)
+		}
+	}
+	var held sync.Map // *Workspace -> the goroutine holding it
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for g := range problems {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				w := TakeWorkspace()
+				if other, taken := held.LoadOrStore(w, g); taken {
+					errs[g] = fmt.Errorf("goroutine %d took the workspace goroutine %d holds", g, other)
+					return
+				}
+				for k, p := range problems[g] {
+					got, err := p.fill(w.Fill()).Solve(nil)
+					if err == nil && (got.Status != want[g][k].Status || got.ObjectiveQ.Cmp(want[g][k].ObjectiveQ) != 0 || !equalQs(got.X, want[g][k].X)) {
+						err = fmt.Errorf("goroutine %d, problem %d: %v %v, sequential %v %v", g, k, got.Status, got.ObjectiveQ, want[g][k].Status, want[g][k].ObjectiveQ)
+					}
+					if err != nil {
+						errs[g] = err
+						return
+					}
+				}
+				held.Delete(w)
+				ReturnWorkspace(w)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

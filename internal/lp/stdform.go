@@ -32,11 +32,14 @@ type stdForm struct {
 	cost   []exact.Q // phase-2 objective, dense over all columns
 
 	// Column-major view of the matrix for dot products against dual
-	// vectors: colRows[j] lists the rows where column j is nonzero and
-	// colVals[j] the corresponding values (aliases of rows' entries).
-	// Built lazily by columns() — only the hybrid verifier needs it.
-	colRows [][]int32
-	colVals [][]exact.Q
+	// vectors: column j's nonzeros sit at colStart[j]:colStart[j+1] of colRow
+	// (their rows, ascending) and colVal (their values). Built by columns() —
+	// only the hybrid verifier needs it.
+	colStart, colRow []int32
+	colVal           []exact.Q
+
+	fac basisFactor   // the last factorization of the form's columns (factorize)
+	tab *FloatTableau // where the engine's float pass runs: the workspace's (runFloat)
 }
 
 // colNumbering hands out the slack/surplus and artificial columns of the
@@ -112,24 +115,18 @@ type ExactFill struct {
 // structural coefficients the caller will write: room for them, and for the
 // slack, surplus and artificial entries, is reserved at once (more is still
 // correct). The fill keeps senses, which the caller leaves as they are until
-// the form is solved, and discards the form it held before.
+// the form is solved, and discards the form it held before, whose arrays —
+// and those of its column view and factorization — it writes the new one in.
 func (f *ExactFill) Reset(numVars int, senses []Sense, terms int) {
-	m := len(senses)
+	m, sf := len(senses), &f.sf
 	f.num = numberCols(numVars, senses)
-	f.sf = stdForm{
-		m:        m,
-		numVars:  numVars,
-		numCols:  f.num.numCols,
-		artStart: f.num.artStart,
-		numArt:   f.num.numCols - f.num.artStart,
-		rows:     make([]spVec, m),
-		rhs:      make([]exact.Q, m),
-		basis0:   make([]int, m),
-		cost:     make([]exact.Q, f.num.numCols),
-	}
+	sf.m, sf.numVars, sf.numCols, sf.artStart = m, numVars, f.num.numCols, f.num.artStart
+	sf.numArt = f.num.numCols - f.num.artStart
+	sf.rows, sf.rhs, sf.basis0 = zeroed(sf.rows, m), zeroed(sf.rhs, m), zeroed(sf.basis0, m)
+	sf.cost, sf.colStart = zeroed(sf.cost, sf.numCols), sf.colStart[:0]
 	f.senses = senses
 	size := terms + f.num.numCols - numVars // every slack, surplus and artificial is one entry
-	f.ind, f.val = make([]int, 0, size), make([]exact.Q, 0, size)
+	f.ind, f.val = slices.Grow(f.ind[:0], size), slices.Grow(f.val[:0], size)
 	f.row, f.start, f.err = 0, 0, nil
 }
 
@@ -260,6 +257,11 @@ func (f *ExactFill) Dump() string {
 // column order are sorted; a column mentioned twice in a row breaks the
 // fill's column order, which Solve reports.
 func (p *Problem) Fill() *ExactFill {
+	return p.fill(new(ExactFill))
+}
+
+// fill is Fill into f, which it returns.
+func (p *Problem) fill(f *ExactFill) *ExactFill {
 	senses := make([]Sense, len(p.rows))
 	terms := 0
 	for i, r := range p.rows {
@@ -269,7 +271,6 @@ func (p *Problem) Fill() *ExactFill {
 		}
 		terms += len(r.terms)
 	}
-	f := new(ExactFill)
 	f.Reset(p.NumVars(), senses, terms)
 	for j, c := range p.objective {
 		f.SetCost(j, c)
@@ -304,37 +305,38 @@ func newStdForm(p *Problem) (*stdForm, error) {
 	return p.Fill().form()
 }
 
-// columns builds (once) the column-major view of the matrix.
+// columns builds the column-major view of the matrix, once per form: a
+// counting sort of the rows' entries into the arrays the last form left.
 func (sf *stdForm) columns() {
-	if sf.colRows != nil {
+	if len(sf.colStart) == sf.numCols+1 {
 		return
 	}
-	// Count first, so every column is cut at its final length from one
-	// backing array per view and the fill below appends in place.
-	counts := make([]int, sf.numCols)
-	nnz := 0
+	start := zeroed(sf.colStart, sf.numCols+1)
 	for i := range sf.rows {
 		for _, j := range sf.rows[i].ind {
-			counts[j]++
+			start[j+1]++
 		}
-		nnz += len(sf.rows[i].ind)
 	}
-	rows, vals := make([]int32, nnz), make([]exact.Q, nnz)
-	sf.colRows = make([][]int32, sf.numCols)
-	sf.colVals = make([][]exact.Q, sf.numCols)
-	off := 0
-	for j, c := range counts {
-		sf.colRows[j] = rows[off : off : off+c]
-		sf.colVals[j] = vals[off : off : off+c]
-		off += c
+	for j := range sf.numCols {
+		start[j+1] += start[j]
 	}
+	sf.colRow, sf.colVal = zeroed(sf.colRow, int(start[sf.numCols])), zeroed(sf.colVal, int(start[sf.numCols]))
+	// start[j] walks column j's slots, ending on column j+1's first.
 	for i := range sf.rows {
 		row := &sf.rows[i]
 		for k, j := range row.ind {
-			sf.colRows[j] = append(sf.colRows[j], int32(i))
-			sf.colVals[j] = append(sf.colVals[j], row.val[k])
+			sf.colRow[start[j]], sf.colVal[start[j]] = int32(i), row.val[k]
+			start[j]++
 		}
 	}
+	copy(start[1:], start)
+	start[0], sf.colStart = 0, start
+}
+
+// col is column j's nonzeros: their rows and values.
+func (sf *stdForm) col(j int) ([]int32, []exact.Q) {
+	a, b := sf.colStart[j], sf.colStart[j+1]
+	return sf.colRow[a:b], sf.colVal[a:b]
 }
 
 // flip mirrors a sense across a row negation.
@@ -352,9 +354,10 @@ func flip(s Sense) Sense {
 // colDot returns y . A_j over the sparse column j.
 func (sf *stdForm) colDot(y []exact.Q, j int) exact.Q {
 	var out exact.Q
-	for k, r := range sf.colRows[j] {
+	rows, vals := sf.col(j)
+	for k, r := range rows {
 		if y[r].Sign() != 0 {
-			out = out.Add(y[r].Mul(sf.colVals[j][k]))
+			out = out.Add(y[r].Mul(vals[k]))
 		}
 	}
 	return out

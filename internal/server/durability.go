@@ -378,7 +378,9 @@ func (s *Server) snapshotLocked() error {
 		d.snapSeq = seq
 	}
 	d.snapshots++
-	d.sinceSnap = 0
+	// Records appended since the cut are past the watermark: they count
+	// toward the next snapshot.
+	d.sinceSnap = int(d.log.LastSeq() - seq)
 	if d.tel.enabled {
 		d.tel.event(obs.EventSnapshot, -1, -1, fmt.Sprintf("watermark %d", seq))
 	}
@@ -387,8 +389,9 @@ func (s *Server) snapshotLocked() error {
 
 // snapshotLoop is the cadence-driven snapshot goroutine: append sites signal
 // it (non-blocking) every SnapshotEvery appends. It re-checks the count
-// first: appends made while a snapshot was being written re-arm the signal
-// before that snapshot resets the count, and must not fire a second one.
+// first: appends made before a snapshot's cut may re-arm the signal while it
+// is being written, and the snapshot covers them, so they must not fire a
+// second one.
 func (s *Server) snapshotLoop() {
 	d := s.dur
 	for {

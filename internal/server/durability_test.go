@@ -1478,6 +1478,51 @@ func TestSnapshotCadenceFiresOncePerInterval(t *testing.T) {
 	}
 }
 
+// TestSnapshotCountsAppendsPastItsWatermark: appends that land while a
+// snapshot is being written — after its cut, before it is published — are
+// past its watermark, so they count toward the next snapshot. After
+// snapshots taken beside a stream of submits that stops only when the last
+// one returns, the count is the number of records past its watermark.
+func TestSnapshotCountsAppendsPastItsWatermark(t *testing.T) {
+	srv, err := New(Config{Machines: testFleet(), Clock: NewVirtualClock(), WALDir: t.TempDir(), SnapshotEvery: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if _, err := srv.Submit(&model.SubmitRequest{Size: "1", Databanks: []string{"swissprot"}}); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	const snapshots = 10
+	for range snapshots {
+		if err := srv.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	d := srv.dur
+	d.mu.Lock()
+	got, want := d.sinceSnap, int(d.log.LastSeq()-d.snapSeq)
+	d.mu.Unlock()
+	if got != want {
+		t.Errorf("after %d snapshots beside a stream of submits, %d appends counted toward the next snapshot; %d records are past the newest watermark", snapshots, got, want)
+	}
+}
+
 // TestRestoreKeepsSolverTally: the solver-path tally is part of the plan
 // cache's state, so a restored twin reports the original's — fleet-wide and
 // per shard — instead of starting it over at zero (and running the exported

@@ -93,6 +93,8 @@ func TestWALRestoreRejectsDamagedRecords(t *testing.T) {
 			"record 24 (submit): shard 1 expects local 3, record says 4"},
 		{"submit without its release", 24, func(r map[string]any) { delete(r, "release") }, nil,
 			"record 24 (submit): submit 7 missing its release"},
+		{"submit released after its admit", 24, set("release", "1000000"), nil,
+			"record 25 (admit): shard 1 record 3 released at 1000000, after the admit at 103"},
 		{"submit to databanks no machine hosts", 24, set("databanks", []string{"cold"}), nil,
 			"record 24 (submit): submit 7: no machine of shard 1 hosts [cold]"},
 		{"admit of another pending set", 25, set("locals", []int{2}), nil,

@@ -169,6 +169,9 @@ func (r *recAdmit) apply(sh *shard) error {
 		if rec.ID != r.Locals[i] {
 			return fmt.Errorf("shard %d pending[%d] = %d, admit record says %d", sh.idx, i, rec.ID, r.Locals[i])
 		}
+		if err := rec.releasedBy(sh, "admit", r.At); err != nil {
+			return err
+		}
 	}
 	sh.wal.append(walTypeAdmit, r)
 	batch := sh.pending
@@ -212,6 +215,17 @@ func (r *recAdmit) apply(sh *shard) error {
 	}
 	if len(sh.pending) == 0 {
 		sh.decide()
+	}
+	return nil
+}
+
+// releasedBy refuses a record released after at, the time a transition
+// takes it at: a live release is stamped from the clock the shard's engine
+// catches up to before it admits or extracts, so only a damaged log has one
+// (or a latched donor, whose engine no longer catches up).
+func (rec *jobRecord) releasedBy(sh *shard, what string, at exact.Q) error {
+	if rec.Release.Cmp(at) > 0 {
+		return fmt.Errorf("shard %d record %d released at %v, after the %s at %v", sh.idx, rec.ID, rec.Release, what, at)
 	}
 	return nil
 }
@@ -356,6 +370,10 @@ func (r *recExtract) apply(sh *shard) error {
 			return fmt.Errorf("shard %d has no record %d", sh.idx, local)
 		case taken[local] || rec.MigratedAt != nil || (rec.State != StateQueued && rec.State != StateScheduled):
 			return fmt.Errorf("shard %d record %d is %s, not a queued or live job to extract", sh.idx, local, rec.State)
+		}
+		// A latched donor's engine stopped short of the clock, and it still gives.
+		if err := rec.releasedBy(sh, "extract", r.At); err != nil && sh.lastErr == nil {
+			return err
 		}
 		taken[local] = true
 	}
