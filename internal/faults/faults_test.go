@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestHitFiresOncePerArm pins the contract every crash-restore test leans
@@ -166,5 +167,50 @@ func TestConcurrentHitsFireExactlyOnce(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("point fired %d times across 64 concurrent hits, want exactly 1", n)
+	}
+}
+
+// TestUnarmedPointTakesNoLockAndAllocatesNothing pins the cost of a fault
+// point on the production paths when nothing is armed: Hit, Error and
+// MaybePanic on every registered name return at once while another goroutine
+// holds the package mutex — they never wait for it — and allocate nothing.
+func TestUnarmedPointTakesNoLockAndAllocatesNothing(t *testing.T) {
+	t.Cleanup(Reset)
+	Reset()
+	calls := func() {
+		for _, name := range Points() {
+			if Hit(name) || Error(name) != nil {
+				t.Errorf("unarmed point %s fired", name)
+			}
+			MaybePanic(name)
+		}
+	}
+	mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		calls()
+	}()
+	select {
+	case <-done:
+		mu.Unlock()
+	case <-time.After(5 * time.Second):
+		mu.Unlock()
+		<-done
+		t.Fatal("an unarmed point waited for the package mutex")
+	}
+	for _, name := range Points() {
+		for _, tc := range []struct {
+			what string
+			call func()
+		}{
+			{"Hit", func() { Hit(name) }},
+			{"Error", func() { _ = Error(name) }},
+			{"MaybePanic", func() { MaybePanic(name) }},
+		} {
+			if n := testing.AllocsPerRun(100, tc.call); n != 0 {
+				t.Errorf("%s(%s) unarmed allocates %v times a call", tc.what, name, n)
+			}
+		}
 	}
 }

@@ -316,10 +316,10 @@ func admissionOracleCase(t *testing.T, policy string, seed int64) model.Admissio
 	vc := NewVirtualClock()
 	// Admission off: the fixture's own submissions take no certificate; the
 	// checks under test are called directly below.
-	sh, err := buildShard(nil, &shardlink.InstallArgs{
+	sh, err := buildShard(&shardlink.InstallArgs{
 		ShardSpec: shardlink.ShardSpec{Stride: 1, Machines: machines, MachineIdx: []int{0, 1, 2}},
 		Policy:    policy, Admission: AdmissionOff,
-	}, vc, nil)
+	}, vc, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,7 @@ type snapShard struct {
 	Engine     *sim.EngineState  `json:"engine,omitempty"`
 	Plan       *sim.MWFPlanState `json:"plan,omitempty"`
 
-	// The shard's ledger, as shard.ledger() copies it out: the two flow
+	// The shard's ledger, as shardCore.ledger copies it out: the two flow
 	// histograms live in telemetry rather than the engine, and without them a
 	// restored fleet would answer the /v1/stats and /v1/tenants P95 from
 	// post-crash completions only.
@@ -242,36 +242,36 @@ type snapDoc struct {
 	Shards    []snapShard `json:"shards"`
 }
 
-// exportShardLocked builds one shard's snapshot entry. Callers hold sh.mu.
+// exportState builds the core's snapshot entry.
 //
 //divflow:locks requires=shard
-func exportShardLocked(sh *shard) snapShard {
+func (c *shardCore) exportState() snapShard {
 	ss := snapShard{
 		ShardSpec: shardlink.ShardSpec{
-			Idx: sh.idx, Pos: sh.pos, Stride: sh.stride, GidBase: sh.gidBase, Gen: sh.gen,
-			Machines: sh.machines, MachineIdx: append([]int(nil), sh.machineIdx...),
+			Idx: c.idx, Pos: c.pos, Stride: c.stride, GidBase: c.gidBase, Gen: c.gen,
+			Machines: c.machines, MachineIdx: append([]int(nil), c.machineIdx...),
 		},
-		Retired:     sh.retired,
-		Records:     make([]*jobRecord, len(sh.records.recs)),
-		RecordBase:  sh.records.base,
-		MigratedIDs: append([]int(nil), sh.migratedIDs...),
-		Engine:      sh.eng.ExportState(),
-		Backlog:     sh.route.Load().Backlog,
+		Retired:     c.retired,
+		Records:     make([]*jobRecord, len(c.records.recs)),
+		RecordBase:  c.records.base,
+		MigratedIDs: append([]int(nil), c.migratedIDs...),
+		Engine:      c.eng.ExportState(),
+		Backlog:     c.route.Load().Backlog,
 	}
-	ss.ShardTotals, ss.Tenants = sh.ledger()
-	for i, rec := range sh.records.recs {
+	ss.ShardTotals, ss.Tenants = c.ledger()
+	for i, rec := range c.records.recs {
 		if rec != nil {
 			ss.Records[i] = rec.clone()
 		}
 	}
-	for _, rec := range sh.pending {
+	for _, rec := range c.pending {
 		ss.PendingIDs = append(ss.PendingIDs, rec.ID)
 	}
-	if sh.mwf != nil {
-		ss.Plan = sh.mwf.ExportPlanState()
+	if c.mwf != nil {
+		ss.Plan = c.mwf.ExportPlanState()
 	}
-	if sh.lastErr != nil {
-		ss.LastErr = sh.lastErr.Error()
+	if c.lastErr != nil {
+		ss.LastErr = c.lastErr.Error()
 	}
 	return ss
 }
@@ -332,7 +332,7 @@ func (s *Server) snapshotLocked() error {
 		s.topoMu.RUnlock()
 		sort.Slice(doc.Forward, func(a, b int) bool { return doc.Forward[a].GID < doc.Forward[b].GID })
 		for _, sh := range all {
-			doc.Shards = append(doc.Shards, exportShardLocked(sh))
+			doc.Shards = append(doc.Shards, sh.exportState())
 		}
 		d.mu.Lock()
 		seq = d.log.LastSeq()
@@ -566,54 +566,54 @@ func negativeCount(path string, v reflect.Value) error {
 	return nil
 }
 
-// loadState fills a freshly built shard from its snapshot entry. The shard is
-// private until the generation it belongs to is installed.
-func (sh *shard) loadState(ss *snapShard) error {
-	sh.retired = ss.Retired
+// loadState fills a freshly built core from its snapshot entry. The core is
+// private until the generation its shard belongs to is installed.
+func (c *shardCore) loadState(ss *snapShard) error {
+	c.retired = ss.Retired
 	if ss.RecordBase < 0 {
 		return fmt.Errorf("shard %d record base %d is negative", ss.Idx, ss.RecordBase)
 	}
-	sh.records.base = ss.RecordBase
+	c.records.base = ss.RecordBase
 	for _, sr := range ss.Records {
 		if sr == nil {
-			sh.records.add(nil)
+			c.records.add(nil)
 			continue
 		}
 		if sr.Weight.Sign() <= 0 || sr.Size.Sign() <= 0 {
 			return fmt.Errorf("record %d missing fields", sr.GID)
 		}
-		if sr.ID != sh.records.next() {
+		if sr.ID != c.records.next() {
 			return fmt.Errorf("shard %d record %d out of order", ss.Idx, sr.ID)
 		}
 		rec := sr.clone()
-		rec.hosts = sh.hostMask(rec.Databanks)
-		sh.records.add(rec)
+		rec.hosts = c.hostMask(rec.Databanks)
+		c.records.add(rec)
 	}
 	for _, id := range ss.PendingIDs {
-		rec := sh.records.get(id)
+		rec := c.records.get(id)
 		if rec == nil {
 			return fmt.Errorf("shard %d pending %d unknown", ss.Idx, id)
 		}
-		sh.pending = append(sh.pending, rec)
+		c.pending = append(c.pending, rec)
 	}
 	// Compaction dereferences every listed record's MigratedAt: a name that is
 	// not a committed reservation would panic the shard's first compaction.
 	for _, id := range ss.MigratedIDs {
-		if rec := sh.records.get(id); rec == nil || rec.State != StateMigrated || rec.MigratedAt == nil {
+		if rec := c.records.get(id); rec == nil || rec.State != StateMigrated || rec.MigratedAt == nil {
 			return fmt.Errorf("shard %d migrated %d is not a migrated reservation", ss.Idx, id)
 		}
-		sh.migratedIDs = append(sh.migratedIDs, id)
+		c.migratedIDs = append(c.migratedIDs, id)
 	}
 	if ss.Engine == nil {
 		return fmt.Errorf("shard %d has no engine state", ss.Idx)
 	}
-	if err := sh.eng.RestoreState(ss.Engine); err != nil {
+	if err := c.eng.RestoreState(ss.Engine); err != nil {
 		return fmt.Errorf("shard %d: %w", ss.Idx, err)
 	}
-	if sh.mwf != nil && ss.Plan != nil {
-		sh.mwf.RestorePlanState(ss.Plan)
+	if c.mwf != nil && ss.Plan != nil {
+		c.mwf.RestorePlanState(ss.Plan)
 	}
-	// The ledger arrives whole, and goes back where shard.ledger() gathered it
+	// The ledger arrives whole, and goes back where shardCore.ledger gathered it
 	// from: the histograms into telemetry, the backlog split into the
 	// routing key, the rest into the shard's own totals and tenant entries.
 	if err := validateLedger(&ss.ShardTotals, ss.Tenants); err != nil {
@@ -621,16 +621,16 @@ func (sh *shard) loadState(ss *snapShard) error {
 	}
 	totals := ss.ShardTotals.Clone()
 	if totals.Flow != nil {
-		if err := sh.obs.flow.Restore(*totals.Flow); err != nil {
+		if err := c.obs.flow.Restore(*totals.Flow); err != nil {
 			return fmt.Errorf("shard %d: %w", ss.Idx, err)
 		}
 		totals.Flow = nil
 	}
-	if totals.LastCompact == nil && sh.retention.Sign() > 0 {
+	if totals.LastCompact == nil && c.retention.Sign() > 0 {
 		// A document that predates the field keeps the fresh shard's zero.
 		totals.LastCompact = new(exact.Q)
 	}
-	sh.ShardTotals = totals
+	c.ShardTotals = totals
 	route := shardlink.RouteInfoReply{Backlog: ss.Backlog, Err: ss.LastErr}
 	for t, tt := range ss.Tenants.Clone() {
 		if tt.Backlog.Sign() != 0 {
@@ -640,7 +640,7 @@ func (sh *shard) loadState(ss *snapShard) error {
 			route.TenantBacklog[t] = tt.Backlog
 		}
 		if tt.WFlow != nil {
-			if err := sh.obs.tenantWFlow(t).Restore(*tt.WFlow); err != nil { //divflow:emitmu-ok restore builds a private shard that is not yet published; no other goroutine can reach its mu
+			if err := c.obs.tenantWFlow(t).Restore(*tt.WFlow); err != nil { //divflow:emitmu-ok restore builds a private shard that is not yet published; no other goroutine can reach its mu
 				return fmt.Errorf("shard %d tenant %q: %w", ss.Idx, t, err)
 			}
 		}
@@ -648,13 +648,13 @@ func (sh *shard) loadState(ss *snapShard) error {
 		// A tenant that only ever had migrated work here has a backlog and no
 		// entry of its own.
 		if tt.Submitted+tt.Completed+len(tt.ByClass) > 0 {
-			sh.tenants[t] = tt
+			c.tenants[t] = tt
 		}
 	}
 	if ss.LastErr != "" {
-		sh.lastErr = errors.New(ss.LastErr)
+		c.lastErr = errors.New(ss.LastErr)
 	}
-	sh.route.Store(&route)
+	c.route.Store(&route)
 	return nil
 }
 

@@ -884,15 +884,15 @@ func panicFixture(t *testing.T, admission string) (*shard, *telemetry) {
 	t.Helper()
 	t.Cleanup(faults.Reset)
 	vc := NewVirtualClock()
-	sh, err := buildShard(nil, &shardlink.InstallArgs{
+	sh, err := buildShard(&shardlink.InstallArgs{
 		ShardSpec: shardlink.ShardSpec{Stride: 1, Machines: uniformFleet(2), MachineIdx: []int{0, 1}},
 		Admission: admission,
-	}, vc, nil)
+	}, vc, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tel := newTelemetry(true, nil)
-	sh.obs = tel.newShardObs(sh)
+	sh.obs = tel.newShardObs(&sh.shardCore)
 	for _, size := range []int64{2, 3} {
 		if _, _, err := sh.submit(model.Job{Size: rat(size, 1), Weight: rat(1, 1), Databanks: []string{"shared"}}); err != nil {
 			t.Fatal(err)

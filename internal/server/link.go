@@ -155,12 +155,15 @@ func (sh *shard) extractJobs(args shardlink.ExtractArgs) shardlink.ExtractReply 
 }
 
 // admitMigrated is the adoption phase on the destination. Accepted=false —
-// the adopt transition refuses the message — tells the router to abort the
-// donor's reservation. A refused message is neither logged nor adopted, so it
-// cannot latch the engine.
+// the shard is closed, or the adopt transition refuses the message — tells
+// the router to abort the donor's reservation. A refused message is neither
+// logged nor adopted, so it cannot latch the engine.
 func (sh *shard) admitMigrated(args shardlink.AdmitArgs) shardlink.AdmitReply {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if sh.closed {
+		return shardlink.AdmitReply{}
+	}
 	r := &recAdopt{Shard: sh.idx, AdmitArgs: args}
 	if err := sh.run(r); err != nil {
 		return shardlink.AdmitReply{}

@@ -431,9 +431,10 @@ func (s *Server) installGeneration(r *recTopo, states []snapShard) (gen2, spawne
 			if ts.Idx < len(states) {
 				state = &states[ts.Idx]
 			}
-			if sh, err = buildShard(s, args, s.clock, state); err != nil {
+			if sh, err = buildShard(args, s.clock, s.dur, s.tel, state); err != nil {
 				return nil, nil, err
 			}
+			s.wireShard(sh)
 			spawned = append(spawned, sh)
 		case sh == nil:
 			// Retired shards never come back.
@@ -475,4 +476,126 @@ func (s *Server) installGeneration(r *recTopo, states []snapShard) (gen2, spawne
 	s.all = append(s.all, spawned...)
 	s.topoMu.Unlock()
 	return gen2, spawned, nil
+}
+
+// partitionFleet splits the fleet into shard groups of global machine
+// indices. n > 0 deals machines round-robin into n groups; n == 0 groups by
+// databank-connectivity components (union-find over "shares a databank"),
+// ordered by smallest member index. Every group preserves fleet order.
+//
+// The round-robin override is validated: a databank whose hosts land in
+// several shards with only *partial* coverage of one of them is a
+// configuration error, because a job restricted to it would be pinned to a
+// shard where some machines cannot serve it while full hosts idle in other
+// shards — silently squandering both the divisible-load flexibility and the
+// work-stealing escape hatch. Databanks hosted by every machine of each
+// shard they touch (the uniform-fleet shape round-robin sharding exists
+// for) stay legal: a restricted job can then use the whole of whichever
+// shard it routes to, and any shard can steal it.
+func partitionFleet(machines []model.Machine, n int) ([][]int, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("server: shards = %d, want >= 0", n)
+	}
+	if n > len(machines) {
+		return nil, fmt.Errorf("server: %d shards over %d machines (at most one shard per machine)", n, len(machines))
+	}
+	if n > 0 {
+		groups := make([][]int, n)
+		for i := range machines {
+			groups[i%n] = append(groups[i%n], i)
+		}
+		if err := checkNoDatabankSplit(machines, n); err != nil {
+			return nil, err
+		}
+		return groups, nil
+	}
+	// Union-find over machines; two machines join when they share a databank.
+	// Machines hosting no databanks at all can only serve unrestricted jobs
+	// (which may run anywhere), so they pool into one shared group instead of
+	// shattering into singleton shards: a fully databank-less fleet stays a
+	// single loop, exactly the pre-shard behavior.
+	parent := make([]int, len(machines))
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(int) int
+	find = func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int) { parent[find(a)] = find(b) }
+	byBank := make(map[string]int)
+	bare := -1
+	for i := range machines {
+		if len(machines[i].Databanks) == 0 {
+			if bare >= 0 {
+				union(i, bare)
+			} else {
+				bare = i
+			}
+			continue
+		}
+		for _, d := range machines[i].Databanks {
+			if first, ok := byBank[d]; ok {
+				union(i, first)
+			} else {
+				byBank[d] = i
+			}
+		}
+	}
+	// Components in order of their smallest member, members in fleet order.
+	index := make(map[int]int)
+	var groups [][]int
+	for i := range machines {
+		root := find(i)
+		g, ok := index[root]
+		if !ok {
+			g = len(groups)
+			index[root] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups, nil
+}
+
+// checkNoDatabankSplit rejects a round-robin sharding (machine i → shard
+// i%n) that scatters a databank's hosts over several shards while leaving
+// some touched shard only partially able to serve it.
+func checkNoDatabankSplit(machines []model.Machine, n int) error {
+	type spread struct {
+		shards map[int]bool // shards holding at least one host
+		hosts  map[int]bool // machines hosting the databank
+	}
+	banks := make(map[string]*spread)
+	order := []string{} // deterministic error choice: first databank seen
+	for i := range machines {
+		for _, d := range machines[i].Databanks {
+			sp := banks[d]
+			if sp == nil {
+				sp = &spread{shards: make(map[int]bool), hosts: make(map[int]bool)}
+				banks[d] = sp
+				order = append(order, d)
+			}
+			sp.shards[i%n] = true
+			sp.hosts[i] = true
+		}
+	}
+	for _, d := range order {
+		sp := banks[d]
+		if len(sp.shards) < 2 {
+			continue // all hosts in one shard: restricted jobs keep every host
+		}
+		for i := range machines {
+			if sp.shards[i%n] && !sp.hosts[i] {
+				return fmt.Errorf(
+					"server: %d shards split databank %q across shards with partial coverage (machine %d (%s) in a shard serving it cannot host it); use the databank-connectivity partition (shards=0) or regroup the fleet",
+					n, d, i, machines[i].Name)
+			}
+		}
+	}
+	return nil
 }

@@ -32,7 +32,7 @@ func TestPickRoutePlacesSubmitAndDrainAlike(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := route{
-				sh:             &shard{idx: i, machines: []model.Machine{{Name: "m", Databanks: []string{f[0]}}}},
+				sh:             &shard{shardCore: shardCore{idx: i, machines: []model.Machine{{Name: "m", Databanks: []string{f[0]}}}}},
 				RouteInfoReply: shardlink.RouteInfoReply{Backlog: backlog},
 			}
 			if len(f) == 3 {

@@ -304,7 +304,7 @@ func New(cfg Config) (_ *Server, err error) {
 		return nil, fmt.Errorf("server: Retention = %s, want >= 0", cfg.Retention.RatString())
 	}
 	// Validate the policy name once up front; every shard then gets its own
-	// fresh instance (shard.resetEngine).
+	// fresh instance (shardCore.build).
 	pol, err := NewPolicy(cfg.Policy)
 	if err != nil {
 		return nil, err
@@ -460,8 +460,8 @@ func normalizeAdmission(mode string) (string, error) {
 		mode, shardlink.AdmissionStrict, shardlink.AdmissionAdvisory, shardlink.AdmissionOff)
 }
 
-// wireShard installs the server-side hooks on a freshly allocated shard
-// (buildShard is its one caller). The steal hook is wired even on a
+// wireShard installs the server-side hooks and link on a freshly built shard
+// (installGeneration is its one caller). The steal hook is wired even on a
 // momentarily-singleton topology: a later reshard may grow the active set,
 // and stealFor is a cheap no-op until it does. dropForward is wired
 // unconditionally — reshard migrations write forwarding entries even with
@@ -471,9 +471,7 @@ func (s *Server) wireShard(sh *shard) {
 	if !s.disableSteal {
 		sh.steal = func() bool { return s.stealFor(sh) }
 	}
-	sh.wal = s.dur
 	sh.dropForward = s.dropForward
-	sh.obs = s.tel.newShardObs(sh)
 	// Install the router's transport handle: the loopback rpc link
 	// (registered as a per-shard named service — creation indices never
 	// repeat, reshard-spawned shards included) or the direct in-process one.
@@ -525,128 +523,6 @@ func (s *Server) cut(body func(all []*shard)) {
 	for i := len(all) - 1; i >= 0; i-- {
 		all[i].mu.Unlock()
 	}
-}
-
-// partitionFleet splits the fleet into shard groups of global machine
-// indices. n > 0 deals machines round-robin into n groups; n == 0 groups by
-// databank-connectivity components (union-find over "shares a databank"),
-// ordered by smallest member index. Every group preserves fleet order.
-//
-// The round-robin override is validated: a databank whose hosts land in
-// several shards with only *partial* coverage of one of them is a
-// configuration error, because a job restricted to it would be pinned to a
-// shard where some machines cannot serve it while full hosts idle in other
-// shards — silently squandering both the divisible-load flexibility and the
-// work-stealing escape hatch. Databanks hosted by every machine of each
-// shard they touch (the uniform-fleet shape round-robin sharding exists
-// for) stay legal: a restricted job can then use the whole of whichever
-// shard it routes to, and any shard can steal it.
-func partitionFleet(machines []model.Machine, n int) ([][]int, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("server: shards = %d, want >= 0", n)
-	}
-	if n > len(machines) {
-		return nil, fmt.Errorf("server: %d shards over %d machines (at most one shard per machine)", n, len(machines))
-	}
-	if n > 0 {
-		groups := make([][]int, n)
-		for i := range machines {
-			groups[i%n] = append(groups[i%n], i)
-		}
-		if err := checkNoDatabankSplit(machines, n); err != nil {
-			return nil, err
-		}
-		return groups, nil
-	}
-	// Union-find over machines; two machines join when they share a databank.
-	// Machines hosting no databanks at all can only serve unrestricted jobs
-	// (which may run anywhere), so they pool into one shared group instead of
-	// shattering into singleton shards: a fully databank-less fleet stays a
-	// single loop, exactly the pre-shard behavior.
-	parent := make([]int, len(machines))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	byBank := make(map[string]int)
-	bare := -1
-	for i := range machines {
-		if len(machines[i].Databanks) == 0 {
-			if bare >= 0 {
-				union(i, bare)
-			} else {
-				bare = i
-			}
-			continue
-		}
-		for _, d := range machines[i].Databanks {
-			if first, ok := byBank[d]; ok {
-				union(i, first)
-			} else {
-				byBank[d] = i
-			}
-		}
-	}
-	// Components in order of their smallest member, members in fleet order.
-	index := make(map[int]int)
-	var groups [][]int
-	for i := range machines {
-		root := find(i)
-		g, ok := index[root]
-		if !ok {
-			g = len(groups)
-			index[root] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-	}
-	return groups, nil
-}
-
-// checkNoDatabankSplit rejects a round-robin sharding (machine i → shard
-// i%n) that scatters a databank's hosts over several shards while leaving
-// some touched shard only partially able to serve it.
-func checkNoDatabankSplit(machines []model.Machine, n int) error {
-	type spread struct {
-		shards map[int]bool // shards holding at least one host
-		hosts  map[int]bool // machines hosting the databank
-	}
-	banks := make(map[string]*spread)
-	order := []string{} // deterministic error choice: first databank seen
-	for i := range machines {
-		for _, d := range machines[i].Databanks {
-			sp := banks[d]
-			if sp == nil {
-				sp = &spread{shards: make(map[int]bool), hosts: make(map[int]bool)}
-				banks[d] = sp
-				order = append(order, d)
-			}
-			sp.shards[i%n] = true
-			sp.hosts[i] = true
-		}
-	}
-	for _, d := range order {
-		sp := banks[d]
-		if len(sp.shards) < 2 {
-			continue // all hosts in one shard: restricted jobs keep every host
-		}
-		for i := range machines {
-			if sp.shards[i%n] && !sp.hosts[i] {
-				return fmt.Errorf(
-					"server: %d shards split databank %q across shards with partial coverage (machine %d (%s) in a shard serving it cannot host it); use the databank-connectivity partition (shards=0) or regroup the fleet",
-					n, d, i, machines[i].Name)
-			}
-		}
-	}
-	return nil
 }
 
 // ShardCount returns the number of active scheduling shards the fleet is
@@ -888,87 +764,4 @@ func (s *Server) tenantOverQuota(job model.Job, routes []route) error {
 			errTenantQuota, job.Tenant, mine, size, myWeight.Quo(sumW), totalAfter)
 	}
 	return nil
-}
-
-// dropForward releases the forwarding entry of a compacted stolen record; the
-// compacting shard calls it under its own mu.
-func (s *Server) dropForward(gid int) {
-	s.topoMu.Lock()
-	delete(s.forward, gid)
-	s.topoMu.Unlock()
-}
-
-// locate resolves a global job ID to the shard that currently owns it and
-// the job's local ID there: migrated jobs through the forwarding table,
-// everything else by the arithmetic encoding of the generation that issued
-// the ID — the newest generation whose base does not exceed it (bases
-// strictly increase, and each generation only issues IDs at or above its
-// base, so the match is unique).
-func (s *Server) locate(id int) (*shard, int, bool) {
-	if id < 0 {
-		return nil, 0, false
-	}
-	s.topoMu.RLock()
-	defer s.topoMu.RUnlock()
-	if loc, ok := s.forward[id]; ok {
-		return loc.sh, loc.local, true
-	}
-	for g := len(s.gens) - 1; g >= 0; g-- {
-		gen := s.gens[g]
-		if id < gen.base {
-			continue
-		}
-		off := id - gen.base
-		return gen.shards[off%gen.stride], off / gen.stride, true
-	}
-	return nil, 0, false // unreachable: generation 0 has base 0
-}
-
-// jobStatus reads one job's wire status by global ID, chasing the forwarding
-// table: a read that decoded the birth shard arithmetically while a
-// migration was in flight finds a migrated-away record and retries, by which
-// time the table (written under the donor's lock) names the new owner.
-// Never-issued IDs and compacted records answer not-found; a miss on a nil
-// record is only definitive after re-resolving the ID to the same place,
-// because a slow read can land on a stale location whose record was both
-// migrated away *and* compacted in the meantime — the forwarding table then
-// already names the live owner, and answering 404 would vanish a live job.
-// (Location pairs are never reused — records only append — so a re-resolve
-// that still matches really means the record is gone for good.) Each retry
-// can only miss again if the job migrated yet another time in between.
-func (s *Server) jobStatus(id int) (model.JobStatus, bool) {
-	var prevSh *shard
-	prevLocal := -1
-	for attempt := 0; attempt < 6; attempt++ {
-		sh, local, ok := s.locate(id)
-		if !ok {
-			return model.JobStatus{}, false
-		}
-		// The same location twice in a row means nothing moved between the
-		// attempts — the miss is permanent. This is the terminal state of a
-		// fully compacted migration chain: the dangling donor record keeps
-		// answering "migrated away" while the forwarding entry it once had
-		// is gone, and without this check every read of the dead ID would
-		// burn all its attempts re-chasing it. (A migration in flight always
-		// changes the resolved location, because records are never reused.)
-		if sh == prevSh && local == prevLocal {
-			return model.JobStatus{}, false
-		}
-		prevSh, prevLocal = sh, local
-		rep, lerr := sh.link.JobStatus(shardlink.JobStatusArgs{Local: local, GID: id})
-		if lerr != nil {
-			return model.JobStatus{}, false
-		}
-		if rep.Known {
-			return rep.Status, true
-		}
-		if rep.Migrated {
-			continue
-		}
-		if sh2, local2, ok2 := s.locate(id); ok2 && (sh2 != sh || local2 != local) {
-			continue // stale location: the job moved while we were reading
-		}
-		return model.JobStatus{}, false
-	}
-	return model.JobStatus{}, false
 }

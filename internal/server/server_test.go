@@ -219,12 +219,12 @@ func TestScheduleWindowing(t *testing.T) {
 // piece and since past the makespan returns none.
 func TestScheduleSinceWindow(t *testing.T) {
 	vc := NewVirtualClock()
-	sh, err := buildShard(nil, &shardlink.InstallArgs{
+	sh, err := buildShard(&shardlink.InstallArgs{
 		ShardSpec: shardlink.ShardSpec{Stride: 1, MachineIdx: []int{0, 1}, Machines: []model.Machine{
 			{Name: "m0", InverseSpeed: rat(1, 1), Databanks: []string{"a"}},
 			{Name: "m1", InverseSpeed: rat(1, 1), Databanks: []string{"b"}},
 		}},
-	}, vc, nil)
+	}, vc, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -880,7 +880,7 @@ func TestBuildShardRejectsBadSpec(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			args := sound()
 			tc.damage(&args)
-			sh, err := buildShard(nil, &args, NewVirtualClock(), nil)
+			sh, err := buildShard(&args, NewVirtualClock(), nil, nil, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("buildShard = %v, want an error containing %q", err, tc.want)
 			}
@@ -890,7 +890,7 @@ func TestBuildShardRejectsBadSpec(t *testing.T) {
 		})
 	}
 	args := sound()
-	sh, err := buildShard(nil, &args, NewVirtualClock(), nil)
+	sh, err := buildShard(&args, NewVirtualClock(), nil, nil, nil)
 	if err != nil {
 		t.Fatalf("sound spec: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"divflow/internal/exact"
+	"divflow/internal/model"
 	"divflow/internal/obs"
 	"divflow/internal/shardlink"
 )
@@ -151,6 +152,91 @@ func (s *Server) forwardTo(dest *shard, jobs []shardlink.MigratedJob, locals []i
 	s.topoMu.Unlock()
 }
 
+// dropForward releases the forwarding entries of compacted stolen records;
+// the compacting shard calls it under its own mu.
+func (s *Server) dropForward(gids []int) {
+	s.topoMu.Lock()
+	for _, gid := range gids {
+		delete(s.forward, gid)
+	}
+	s.topoMu.Unlock()
+}
+
+// locate resolves a global job ID to the shard that currently owns it and
+// the job's local ID there: migrated jobs through the forwarding table,
+// everything else by the arithmetic encoding of the generation that issued
+// the ID — the newest generation whose base does not exceed it (bases
+// strictly increase, and each generation only issues IDs at or above its
+// base, so the match is unique).
+func (s *Server) locate(id int) (*shard, int, bool) {
+	if id < 0 {
+		return nil, 0, false
+	}
+	s.topoMu.RLock()
+	defer s.topoMu.RUnlock()
+	if loc, ok := s.forward[id]; ok {
+		return loc.sh, loc.local, true
+	}
+	for g := len(s.gens) - 1; g >= 0; g-- {
+		gen := s.gens[g]
+		if id < gen.base {
+			continue
+		}
+		off := id - gen.base
+		return gen.shards[off%gen.stride], off / gen.stride, true
+	}
+	return nil, 0, false // unreachable: generation 0 has base 0
+}
+
+// jobStatus reads one job's wire status by global ID, chasing the forwarding
+// table: a read that decoded the birth shard arithmetically while a
+// migration was in flight finds a migrated-away record and retries, by which
+// time the table (written under the donor's lock) names the new owner.
+// Never-issued IDs and compacted records answer not-found; a miss on a nil
+// record is only definitive after re-resolving the ID to the same place,
+// because a slow read can land on a stale location whose record was both
+// migrated away *and* compacted in the meantime — the forwarding table then
+// already names the live owner, and answering 404 would vanish a live job.
+// (Location pairs are never reused — records only append — so a re-resolve
+// that still matches really means the record is gone for good.) Each retry
+// can only miss again if the job migrated yet another time in between.
+func (s *Server) jobStatus(id int) (model.JobStatus, bool) {
+	var prevSh *shard
+	prevLocal := -1
+	for attempt := 0; attempt < 6; attempt++ {
+		sh, local, ok := s.locate(id)
+		if !ok {
+			return model.JobStatus{}, false
+		}
+		// The same location twice in a row means nothing moved between the
+		// attempts — the miss is permanent. This is the terminal state of a
+		// fully compacted migration chain: the dangling donor record keeps
+		// answering "migrated away" while the forwarding entry it once had
+		// is gone, and without this check every read of the dead ID would
+		// burn all its attempts re-chasing it. (A migration in flight always
+		// changes the resolved location, because records are never reused.)
+		if sh == prevSh && local == prevLocal {
+			return model.JobStatus{}, false
+		}
+		prevSh, prevLocal = sh, local
+		rep, lerr := sh.link.JobStatus(shardlink.JobStatusArgs{Local: local, GID: id})
+		if lerr != nil {
+			return model.JobStatus{}, false
+		}
+		if rep.Known {
+			return rep.Status, true
+		}
+		if rep.Migrated {
+			continue
+		}
+		if sh2, local2, ok2 := s.locate(id); ok2 && (sh2 != sh || local2 != local) {
+			continue // stale location: the job moved while we were reading
+		}
+		return model.JobStatus{}, false
+	}
+	return model.JobStatus{}, false
+}
+
 // placement chooses destinations for the jobs drained off retired shards — a
 // reshard's drain and the restore-time repair — by the rule the router applies
 // to submissions (pickRoute), off one read of the new topology taken before
@@ -184,13 +270,13 @@ func (pl *placement) pick(mj *shardlink.MigratedJob) *shard {
 // pending or live that the host predicate accepts — and selects the
 // migration set: largest remaining work first (ties to the oldest job), and
 // never more than half the shard's jobs, so the donor keeps at least as much
-// as it gives away. It returns the selection's local IDs. Callers hold sh.mu.
+// as it gives away. It returns the selection's local IDs.
 //
 //divflow:locks requires=shard
-func (sh *shard) stealCensus(hosts func([]string) bool) []int {
+func (c *shardCore) stealCensus(hosts func([]string) bool) []int {
 	// The census counts everything pending plus everything live — including
 	// jobs the thief cannot host, which still anchor the half-rule below.
-	census := sh.census()
+	census := c.census()
 	if len(census) < 2 {
 		// A donor running its only job gains nothing from losing it; moving
 		// it would just relocate the same serial work (and invite the donor
@@ -203,7 +289,7 @@ func (sh *shard) stealCensus(hosts func([]string) bool) []int {
 	}
 	var items []item
 	for _, v := range census {
-		if hosts(sh.records.get(v.ID).Databanks) {
+		if hosts(c.records.get(v.ID).Databanks) {
 			items = append(items, item{v.ID, v.Size.Mul(v.Remaining)})
 		}
 	}

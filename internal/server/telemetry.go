@@ -252,7 +252,7 @@ func (t *telemetry) event(typ string, gen, gid int, detail string) {
 // whose every other method is a no-op.
 type shardObs struct {
 	tel   *telemetry // nil on a detached bundle
-	sh    *shard
+	core  *shardCore
 	label string
 
 	flow        *obs.Histogram
@@ -284,12 +284,17 @@ func (o *shardObs) tenantWFlow(tenant string) *obs.Histogram {
 	return h
 }
 
-// newShardObs builds the registry-backed bundle for one shard.
-func (t *telemetry) newShardObs(sh *shard) *shardObs {
-	label := strconv.Itoa(sh.idx)
+// newShardObs builds the registry-backed bundle for one shard's core; with
+// no telemetry (t nil), a detached bundle, whose flow histogram still backs
+// the P95 estimate.
+func (t *telemetry) newShardObs(c *shardCore) *shardObs {
+	if t == nil {
+		return &shardObs{flow: obs.NewHistogram(obs.DefFlowBuckets)}
+	}
+	label := strconv.Itoa(c.idx)
 	return &shardObs{
 		tel:         t,
-		sh:          sh,
+		core:        c,
 		label:       label,
 		flow:        t.flowTime.With(label),
 		submitAdmit: t.submitAdmit.With(label),
@@ -321,7 +326,7 @@ func (o *shardObs) event(typ string, gid int, detail string, at ...exact.Q) {
 	if !o.on() {
 		return
 	}
-	e := obs.Event{Type: typ, Shard: o.sh.idx, Gen: o.sh.gen, GID: gid, Detail: detail}
+	e := obs.Event{Type: typ, Shard: o.core.idx, Gen: o.core.gen, GID: gid, Detail: detail}
 	if len(at) > 0 {
 		e.VTime = at[0].String()
 	}
@@ -338,7 +343,7 @@ func (o *shardObs) ObserveSolve(wall time.Duration, solver stats.SolverTally) {
 	}
 	path := solvePath(solver)
 	o.tel.solveSeconds.With(o.label, path).Observe(wall.Seconds())
-	o.event(obs.EventSolve, -1, path, o.sh.eng.Now())
+	o.event(obs.EventSolve, -1, path, o.core.eng.Now())
 }
 
 // ObserveCacheHit implements sim.MWFObserver: one decision point served from
@@ -349,7 +354,7 @@ func (o *shardObs) ObserveCacheHit() {
 	if !o.on() {
 		return
 	}
-	o.event(obs.EventPlanCacheHit, -1, "", o.sh.eng.Now())
+	o.event(obs.EventPlanCacheHit, -1, "", o.core.eng.Now())
 }
 
 // collectMetrics projects the fleet read onto the scrape-time families —

@@ -12,9 +12,9 @@ import (
 )
 
 // The WAL's records and their transitions. Each record type has one
-// transition — check the record against the shard, append it, mutate — and
-// the live shells, which make every decision, and restore (Server.replay) all
-// reach it through shard.run. Topology's is Server.installGeneration.
+// transition — check the record against the shard's core, append it, mutate —
+// and the live shells, which make every decision, and restore (Server.replay)
+// all reach it through shardCore.run. Topology's is Server.installGeneration.
 
 // WAL record types.
 const (
@@ -39,10 +39,10 @@ type walRecord interface {
 }
 
 // shardRecord is a record of one shard's state: every type but topology. Its
-// transition, apply, runs only through shard.run.
+// transition, apply, runs only through shardCore.run.
 type shardRecord interface {
 	walRecord
-	apply(sh *shard) error
+	apply(c *shardCore) error
 }
 
 // walKinds is the one kind → type table restore decodes each record through.
@@ -63,19 +63,19 @@ var walKinds = map[string]func() walRecord{
 // the engine catches up to it first (live records are built at the engine's
 // time, so only restore catches up). A catch-up that fails has latched the
 // shard, as it latched the run that wrote the record, and the record runs on
-// the latched shard, as a latched donor still gives. Callers hold sh.mu.
+// the latched shard, as a latched donor still gives.
 //
 //divflow:locks requires=shard
-func (sh *shard) run(r shardRecord) error {
+func (c *shardCore) run(r shardRecord) error {
 	if _, t, engine := r.head(); engine {
-		switch now := sh.eng.Now(); t.Cmp(now) {
+		switch now := c.eng.Now(); t.Cmp(now) {
 		case -1:
-			return fmt.Errorf("shard %d record dated %v is behind its engine at %v", sh.idx, t, now)
+			return fmt.Errorf("shard %d record dated %v is behind its engine at %v", c.idx, t, now)
 		case 1:
-			sh.catchUpTo(t)
+			c.catchUpTo(t)
 		}
 	}
-	return r.apply(sh)
+	return r.apply(c)
 }
 
 // replay runs one logged record through the transition the live path ran
@@ -93,12 +93,19 @@ func (s *Server) replay(r walRecord) error {
 	sh.mu.Lock()
 	err = sh.run(r.(shardRecord))
 	sh.mu.Unlock()
-	// The router points the forwarding table at adopted jobs once the
-	// destination accepts them (Server.migrate), and so does restore.
-	if adopt, ok := r.(*recAdopt); ok && err == nil {
-		s.forwardTo(sh, adopt.Jobs, adopt.locals)
+	if err != nil {
+		return err
 	}
-	return err
+	// The router points the forwarding table at adopted jobs once the
+	// destination accepts them (Server.migrate), and releases the entries of
+	// compacted ones (shard.process); so does restore.
+	switch r := r.(type) {
+	case *recAdopt:
+		s.forwardTo(sh, r.Jobs, r.locals)
+	case *recCompact:
+		s.dropForward(r.released)
+	}
+	return nil
 }
 
 // recSubmit logs one accepted submission: the job as model.Job writes itself
@@ -121,9 +128,9 @@ func (r *recSubmit) head() (int, exact.Q, bool) { return r.Shard, exact.FromRat(
 // mutation restores the job rather than losing an acknowledged submission.
 //
 //divflow:locks requires=shard
-func (r *recSubmit) apply(sh *shard) error {
-	if sh.records.next() != r.Local {
-		return fmt.Errorf("shard %d expects local %d, record says %d", sh.idx, sh.records.next(), r.Local)
+func (r *recSubmit) apply(c *shardCore) error {
+	if c.records.next() != r.Local {
+		return fmt.Errorf("shard %d expects local %d, record says %d", c.idx, c.records.next(), r.Local)
 	}
 	if r.Release == nil {
 		return fmt.Errorf("submit %d missing its release", r.GID)
@@ -131,18 +138,18 @@ func (r *recSubmit) apply(sh *shard) error {
 	if err := r.Job.CheckSubmission(); err != nil {
 		return fmt.Errorf("submit %d: %w", r.GID, err)
 	}
-	rec := &jobRecord{ID: r.Local, GID: r.GID, State: StateQueued, Job: shardlink.JobOf(r.Job), hosts: sh.hostMask(r.Databanks)}
+	rec := &jobRecord{ID: r.Local, GID: r.GID, State: StateQueued, Job: shardlink.JobOf(r.Job), hosts: c.hostMask(r.Databanks)}
 	if !slices.Contains(rec.hosts, true) {
-		return fmt.Errorf("submit %d: no machine of shard %d hosts %v", r.GID, sh.idx, r.Databanks)
+		return fmt.Errorf("submit %d: no machine of shard %d hosts %v", r.GID, c.idx, r.Databanks)
 	}
-	sh.wal.append(walTypeSubmit, r)
-	sh.records.add(rec)
-	sh.pending = append(sh.pending, rec)
+	c.wal.append(walTypeSubmit, r)
+	c.records.add(rec)
+	c.pending = append(c.pending, rec)
 	if rec.Tenant != "" {
-		sh.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Submitted: 1, ByClass: map[string]int{rec.SLAClass: 1}})
+		c.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Submitted: 1, ByClass: map[string]int{rec.SLAClass: 1}})
 	}
-	sh.shiftBacklog(true, rec)
-	sh.obs.event(obs.EventSubmit, rec.GID, "", rec.Release)
+	c.shiftBacklog(true, rec)
+	c.obs.event(obs.EventSubmit, rec.GID, "", rec.Release)
 	return nil
 }
 
@@ -161,21 +168,21 @@ func (r *recAdmit) head() (int, exact.Q, bool) { return r.Shard, r.At, true }
 // lists, enters the engine as one batch; the policy then re-decides.
 //
 //divflow:locks requires=shard
-func (r *recAdmit) apply(sh *shard) error {
-	if len(sh.pending) != len(r.Locals) {
-		return fmt.Errorf("shard %d has %d pending, admit record lists %d", sh.idx, len(sh.pending), len(r.Locals))
+func (r *recAdmit) apply(c *shardCore) error {
+	if len(c.pending) != len(r.Locals) {
+		return fmt.Errorf("shard %d has %d pending, admit record lists %d", c.idx, len(c.pending), len(r.Locals))
 	}
-	for i, rec := range sh.pending {
+	for i, rec := range c.pending {
 		if rec.ID != r.Locals[i] {
-			return fmt.Errorf("shard %d pending[%d] = %d, admit record says %d", sh.idx, i, rec.ID, r.Locals[i])
+			return fmt.Errorf("shard %d pending[%d] = %d, admit record says %d", c.idx, i, rec.ID, r.Locals[i])
 		}
-		if err := rec.releasedBy(sh, "admit", r.At); err != nil {
+		if err := rec.releasedBy(c, "admit", r.At); err != nil {
 			return err
 		}
 	}
-	sh.wal.append(walTypeAdmit, r)
-	batch := sh.pending
-	sh.pending = nil
+	c.wal.append(walTypeAdmit, r)
+	batch := c.pending
+	c.pending = nil
 	// Arrival-batch statistics count each job's *first* admission only: a
 	// job stolen after it was admitted once is not a new arrival, while one
 	// stolen straight out of the pending queue is counted here, by its first
@@ -187,34 +194,34 @@ func (r *recAdmit) apply(sh *shard) error {
 		// Stolen jobs carry the unprocessed fraction they arrived with; the
 		// release stays the original submission time in both cases, so flow
 		// and stretch keep measuring from first contact with the service.
-		if err := sh.eng.AddPartial(rec.ID, rec.Release, rec.Weight, rec.Size, rec.Remaining); err != nil {
+		if err := c.eng.AddPartial(rec.ID, rec.Release, rec.Weight, rec.Size, rec.Remaining); err != nil {
 			// Keep the unadmitted tail (failed record included) in pending:
 			// those jobs stay visible to the steal census — another shard can
 			// still rescue them — and to the close() drain, which must mark
 			// them rejected and return their sizes, not leave them "queued"
 			// in limbo forever. The successfully admitted prefix still counts
 			// toward the arrival statistics.
-			sh.pending = batch[k:]
-			sh.fail(err)
+			c.pending = batch[k:]
+			c.fail(err)
 			break
 		}
 		// Only a successful admit makes the job "scheduled": a rejected Add
 		// must leave the record queued, not claim scheduling that never
 		// happened.
 		rec.State = StateScheduled
-		sh.obs.event(obs.EventAdmit, rec.GID, "", r.At)
+		c.obs.event(obs.EventAdmit, rec.GID, "", r.At)
 		if !rec.Counted {
 			rec.Counted = true
 			native++
 		}
 	}
 	if native > 0 {
-		sh.ArrivalBatches++
-		sh.BatchedArrivals += native
-		sh.LargestBatch = max(sh.LargestBatch, native)
+		c.ArrivalBatches++
+		c.BatchedArrivals += native
+		c.LargestBatch = max(c.LargestBatch, native)
 	}
-	if len(sh.pending) == 0 {
-		sh.decide()
+	if len(c.pending) == 0 {
+		c.decide()
 	}
 	return nil
 }
@@ -223,9 +230,9 @@ func (r *recAdmit) apply(sh *shard) error {
 // takes it at: a live release is stamped from the clock the shard's engine
 // catches up to before it admits or extracts, so only a damaged log has one
 // (or a latched donor, whose engine no longer catches up).
-func (rec *jobRecord) releasedBy(sh *shard, what string, at exact.Q) error {
+func (rec *jobRecord) releasedBy(c *shardCore, what string, at exact.Q) error {
 	if rec.Release.Cmp(at) > 0 {
-		return fmt.Errorf("shard %d record %d released at %v, after the %s at %v", sh.idx, rec.ID, rec.Release, what, at)
+		return fmt.Errorf("shard %d record %d released at %v, after the %s at %v", c.idx, rec.ID, rec.Release, what, at)
 	}
 	return nil
 }
@@ -249,39 +256,41 @@ func (r *recComplete) head() (int, exact.Q, bool) { return r.Shard, r.At, true }
 // all-time aggregates, so later compaction of its record loses no statistics.
 //
 //divflow:locks requires=shard
-func (r *recComplete) apply(sh *shard) error {
-	rec := sh.records.get(r.Local)
-	if at, ok := sh.eng.Completion(r.Local); !ok || at.Cmp(r.At) != 0 || rec == nil || rec.GID != r.GID {
-		return fmt.Errorf("shard %d did not complete local %d (job %d) at %v", sh.idx, r.Local, r.GID, r.At)
+func (r *recComplete) apply(c *shardCore) error {
+	rec := c.records.get(r.Local)
+	if at, ok := c.eng.Completion(r.Local); !ok || at.Cmp(r.At) != 0 || rec == nil || rec.GID != r.GID {
+		return fmt.Errorf("shard %d did not complete local %d (job %d) at %v", c.idx, r.Local, r.GID, r.At)
 	}
 	if r.logged {
 		return nil
 	}
-	sh.wal.append(walTypeComplete, r)
+	c.wal.append(walTypeComplete, r)
 	rec.State, rec.Completed = StateDone, r.At
-	sh.shiftBacklog(false, rec)
+	c.shiftBacklog(false, rec)
 	flow := rec.Completed.Sub(rec.Release)
 	wf := rec.Weight.Mul(flow)
-	sh.FlowTotals.Merge(shardlink.FlowTotals{DoneCount: 1, FlowSum: flow, MaxWF: wf, MaxStretch: flow.Quo(rec.Size)})
+	c.FlowTotals.Merge(shardlink.FlowTotals{DoneCount: 1, FlowSum: flow, MaxWF: wf, MaxStretch: flow.Quo(rec.Size)})
 	if rec.Tenant != "" {
-		sh.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Completed: 1, FlowSum: &flow, MaxWF: wf})
+		c.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Completed: 1, FlowSum: &flow, MaxWF: wf})
 		// The per-tenant weighted-flow histogram backs the /v1/tenants P95,
 		// like the shard flow histogram backs the /v1/stats one.
-		sh.obs.tenantWFlow(rec.Tenant).Observe(wf.Float64())
+		c.obs.tenantWFlow(rec.Tenant).Observe(wf.Float64())
 	}
 	// The flow histogram is observed unconditionally — it is the backing
 	// store of the /v1/stats P95 estimate, not just an exported metric.
-	sh.obs.flow.Observe(flow.Float64())
+	c.obs.flow.Observe(flow.Float64())
 	return nil
 }
 
 // recCompact logs one retention compaction (the horizon is derived from Now
 // exactly as the live path derives it, but recording both keeps the document
-// self-describing).
+// self-describing). released, which the transition fills, are the global IDs
+// of the compacted records whose forwarding-table entries the router drops.
 type recCompact struct {
-	Shard   int     `json:"shard"`
-	Now     exact.Q `json:"now"`
-	Horizon exact.Q `json:"horizon"`
+	Shard    int     `json:"shard"`
+	Now      exact.Q `json:"now"`
+	Horizon  exact.Q `json:"horizon"`
+	released []int
 }
 
 func (r *recCompact) head() (int, exact.Q, bool) { return r.Shard, r.Now, true }
@@ -291,54 +300,54 @@ func (r *recCompact) head() (int, exact.Q, bool) { return r.Shard, r.Now, true }
 // passes is dropped.
 //
 //divflow:locks requires=shard
-func (r *recCompact) apply(sh *shard) error {
-	if sh.retention.Sign() == 0 {
-		return fmt.Errorf("shard %d keeps every record", sh.idx)
+func (r *recCompact) apply(c *shardCore) error {
+	if c.retention.Sign() == 0 {
+		return fmt.Errorf("shard %d keeps every record", c.idx)
 	}
-	if want := r.Now.Sub(sh.retention); r.Horizon.Cmp(want) != 0 {
-		return fmt.Errorf("shard %d horizon %v, want now %v less retention %v = %v", sh.idx, r.Horizon, r.Now, sh.retention, want)
+	if want := r.Now.Sub(c.retention); r.Horizon.Cmp(want) != 0 {
+		return fmt.Errorf("shard %d horizon %v, want now %v less retention %v = %v", c.idx, r.Horizon, r.Now, c.retention, want)
 	}
-	if r.Horizon.Cmp(*sh.LastCompact) <= 0 {
-		return fmt.Errorf("shard %d horizon %v is not above the last compaction %v", sh.idx, r.Horizon, *sh.LastCompact)
+	if r.Horizon.Cmp(*c.LastCompact) <= 0 {
+		return fmt.Errorf("shard %d horizon %v is not above the last compaction %v", c.idx, r.Horizon, *c.LastCompact)
 	}
-	sh.wal.append(walTypeCompact, r)
+	c.wal.append(walTypeCompact, r)
 	// Fold the pre-compaction makespan into the high-water mark first:
 	// dropping pieces must never move the reported whole-execution makespan
 	// backwards.
-	sh.noteMakespan()
+	c.noteMakespan()
 	horizon := r.Horizon
-	sh.LastCompact = &horizon
-	before := sh.CompactedJobs
+	c.LastCompact = &horizon
+	before := c.CompactedJobs
 	drop := func(id int) {
-		rec := sh.records.get(id)
+		rec := c.records.get(id)
 		// Only the job's *current* owner releases the forwarding entry: a
 		// record that is stolen but migrated onward describes a hop whose
 		// entry already points at a later shard.
-		if rec.Stolen && rec.State != StateMigrated && sh.dropForward != nil {
-			sh.dropForward(rec.GID)
+		if rec.Stolen && rec.State != StateMigrated {
+			r.released = append(r.released, rec.GID)
 		}
-		sh.records.drop(id)
-		sh.CompactedJobs++
+		c.records.drop(id)
+		c.CompactedJobs++
 	}
-	for _, id := range sh.eng.Compact(horizon) {
+	for _, id := range c.eng.Compact(horizon) {
 		drop(id)
 	}
-	keep := sh.migratedIDs[:0]
-	for _, id := range sh.migratedIDs {
-		if sh.records.get(id).MigratedAt.Cmp(horizon) <= 0 {
+	keep := c.migratedIDs[:0]
+	for _, id := range c.migratedIDs {
+		if c.records.get(id).MigratedAt.Cmp(horizon) <= 0 {
 			drop(id)
 		} else {
 			keep = append(keep, id)
 		}
 	}
-	sh.migratedIDs = keep
-	if sh.retired && sh.historyEmpty() && sh.mwf != nil {
+	c.migratedIDs = keep
+	if c.retired && c.historyEmpty() && c.mwf != nil {
 		// The engine's jobs and pieces went with the records: the plan's
 		// pieces are all a drained retired shard would still hold.
-		sh.mwf.InvalidatePlan()
+		c.mwf.InvalidatePlan()
 	}
-	if n := sh.CompactedJobs - before; n > 0 {
-		sh.obs.event(obs.EventCompact, -1, fmt.Sprintf("%d records dropped", n), horizon)
+	if n := c.CompactedJobs - before; n > 0 {
+		c.obs.event(obs.EventCompact, -1, fmt.Sprintf("%d records dropped", n), horizon)
 	}
 	return nil
 }
@@ -361,30 +370,30 @@ func (r *recExtract) head() (int, exact.Q, bool) { return r.Shard, r.At, true }
 // the record's time.
 //
 //divflow:locks requires=shard
-func (r *recExtract) apply(sh *shard) error {
+func (r *recExtract) apply(c *shardCore) error {
 	taken := make(map[int]bool, len(r.Locals))
 	for _, local := range r.Locals {
-		rec := sh.records.get(local)
+		rec := c.records.get(local)
 		switch {
 		case rec == nil:
-			return fmt.Errorf("shard %d has no record %d", sh.idx, local)
+			return fmt.Errorf("shard %d has no record %d", c.idx, local)
 		case taken[local] || rec.MigratedAt != nil || (rec.State != StateQueued && rec.State != StateScheduled):
-			return fmt.Errorf("shard %d record %d is %s, not a queued or live job to extract", sh.idx, local, rec.State)
+			return fmt.Errorf("shard %d record %d is %s, not a queued or live job to extract", c.idx, local, rec.State)
 		}
 		// A latched donor's engine stopped short of the clock, and it still gives.
-		if err := rec.releasedBy(sh, "extract", r.At); err != nil && sh.lastErr == nil {
+		if err := rec.releasedBy(c, "extract", r.At); err != nil && c.lastErr == nil {
 			return err
 		}
 		taken[local] = true
 	}
-	sh.wal.append(walTypeExtract, r)
-	r.reply = shardlink.ExtractReply{From: sh.idx, At: r.At}
+	c.wal.append(walTypeExtract, r)
+	r.reply = shardlink.ExtractReply{From: c.idx, At: r.At}
 	removedLive := false
 	for _, local := range r.Locals {
-		rec := sh.records.get(local)
+		rec := c.records.get(local)
 		if rec.State == StateScheduled {
 			// Live: the engine hands back the exact unprocessed fraction.
-			if rj, err := sh.eng.Remove(local); err == nil {
+			if rj, err := c.eng.Remove(local); err == nil {
 				rec.Remaining = rj.Remaining
 				removedLive = true
 			}
@@ -396,18 +405,18 @@ func (r *recExtract) apply(sh *shard) error {
 			FromLocal: local, GID: rec.GID, Remaining: rec.Remaining, Counted: rec.Counted, Job: rec.Job,
 		})
 	}
-	kept := sh.pending[:0]
-	for _, rec := range sh.pending {
+	kept := c.pending[:0]
+	for _, rec := range c.pending {
 		if !taken[rec.ID] {
 			kept = append(kept, rec)
 		}
 	}
-	sh.pending = kept
+	c.pending = kept
 	// Re-plan immediately: the extraction invalidated the plan cache, and the
 	// machines that ran the extracted jobs must not idle for a whole message
 	// round-trip waiting for the commit.
-	if removedLive && sh.lastErr == nil {
-		sh.decide()
+	if removedLive && c.lastErr == nil {
+		c.decide()
 	}
 	return nil
 }
@@ -426,12 +435,12 @@ func (r *recAdopt) head() (int, exact.Q, bool) { return r.Shard, r.At, false }
 // apply is the adopt transition: every job of the message takes a fresh local
 // slot, queued for admission, and its work joins the backlog. A message with
 // no job, a malformed one (MigratedJob.Check) or one no machine hosts is
-// refused, and so is a retired or closed shard, and a latched one a steal
-// would not help (a reshard does place on a stalled shard when no healthy one
-// hosts the job).
+// refused, and so is a retired shard, and a latched one a steal would not
+// help (a reshard does place on a stalled shard when no healthy one hosts the
+// job); a closed one's shell refuses it first (admitMigrated).
 //
 //divflow:locks requires=shard
-func (r *recAdopt) apply(sh *shard) error {
+func (r *recAdopt) apply(c *shardCore) error {
 	if len(r.Jobs) == 0 {
 		return errors.New("adopt record carries no adoption message")
 	}
@@ -439,33 +448,33 @@ func (r *recAdopt) apply(sh *shard) error {
 		if err := r.Jobs[i].Check(); err != nil {
 			return fmt.Errorf("job %d: %w", r.Jobs[i].GID, err)
 		}
-		if !sh.hosts(r.Jobs[i].Databanks) {
-			return fmt.Errorf("job %d: no machine of shard %d hosts %v", r.Jobs[i].GID, sh.idx, r.Jobs[i].Databanks)
+		if !c.hosts(r.Jobs[i].Databanks) {
+			return fmt.Errorf("job %d: no machine of shard %d hosts %v", r.Jobs[i].GID, c.idx, r.Jobs[i].Databanks)
 		}
 	}
 	switch {
-	case sh.retired || sh.closed:
-		return fmt.Errorf("shard %d is retired or closed", sh.idx)
-	case r.Reason == migrateSteal && sh.lastErr != nil:
-		return fmt.Errorf("shard %d is stalled", sh.idx)
+	case c.retired:
+		return fmt.Errorf("shard %d is retired", c.idx)
+	case r.Reason == migrateSteal && c.lastErr != nil:
+		return fmt.Errorf("shard %d is stalled", c.idx)
 	}
-	sh.wal.append(walTypeAdopt, r)
+	c.wal.append(walTypeAdopt, r)
 	r.locals = make([]int, len(r.Jobs))
 	adopted := make([]*jobRecord, len(r.Jobs))
 	for i := range r.Jobs {
-		nrec := sh.adoptRecord(&r.Jobs[i])
+		nrec := c.adoptRecord(&r.Jobs[i])
 		adopted[i], r.locals[i] = nrec, nrec.ID
 		if r.Reason == migrateReshard {
-			sh.ReshardIn++
-			sh.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("resharded from shard %d", r.From))
+			c.ReshardIn++
+			c.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("resharded from shard %d", r.From))
 		} else {
-			sh.StolenIn++
-			sh.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("stolen from shard %d", r.From))
+			c.StolenIn++
+			c.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("stolen from shard %d", r.From))
 		}
 	}
-	sh.shiftBacklog(true, adopted...)
+	c.shiftBacklog(true, adopted...)
 	if r.Reason == migrateSteal {
-		sh.obs.event(obs.EventSteal, -1, fmt.Sprintf("%d jobs from shard %d", len(adopted), r.From), r.At)
+		c.obs.event(obs.EventSteal, -1, fmt.Sprintf("%d jobs from shard %d", len(adopted), r.From), r.At)
 	}
 	return nil
 }
@@ -491,34 +500,34 @@ func (r *recSettle) head() (int, exact.Q, bool) { return r.Shard, exact.Q{}, fal
 // back).
 //
 //divflow:locks requires=shard
-func (r *recSettle) apply(sh *shard) error {
+func (r *recSettle) apply(c *shardCore) error {
 	recs := make([]*jobRecord, len(r.Locals))
 	seen := make(map[int]bool, len(r.Locals))
 	for i, local := range r.Locals {
-		recs[i] = sh.records.get(local)
+		recs[i] = c.records.get(local)
 		if seen[local] || recs[i] == nil || recs[i].MigratedAt == nil || recs[i].State == StateMigrated {
-			return fmt.Errorf("shard %d record %d is not a reservation to settle", sh.idx, local)
+			return fmt.Errorf("shard %d record %d is not a reservation to settle", c.idx, local)
 		}
 		seen[local] = true
 	}
-	sh.wal.append(r.kind, r)
+	c.wal.append(r.kind, r)
 	for _, rec := range recs {
 		if r.kind == walTypeAbort {
 			rec.State, rec.MigratedAt = StateQueued, nil // out of the engine until the loop re-admits it
-			sh.pending = append(sh.pending, rec)
+			c.pending = append(c.pending, rec)
 			continue
 		}
 		rec.State = StateMigrated
-		sh.migratedIDs = append(sh.migratedIDs, rec.ID)
+		c.migratedIDs = append(c.migratedIDs, rec.ID)
 		// Only a reshard drains a retired shard; everything else is a steal.
-		if sh.retired {
-			sh.ReshardOut++
+		if c.retired {
+			c.ReshardOut++
 		} else {
-			sh.MigratedOut++
+			c.MigratedOut++
 		}
 	}
 	if r.kind == walTypeCommit {
-		sh.shiftBacklog(false, recs...)
+		c.shiftBacklog(false, recs...)
 	}
 	return nil
 }
