@@ -25,21 +25,24 @@ func DeadlineFeasible(inst *model.Instance, deadlines []*big.Rat, mode schedule.
 	if err := checkDeadlines(inst, deadlines); err != nil {
 		return false, nil, err
 	}
-	rl, sol, err := deadlineFeasible(newInstance(inst), heldQ(deadlines), mode)
+	s := newSearch(newInstance(inst), mode, nil, deadlines, (*rangeSearch).floatProbe)
+	defer s.done()
+	rl, sol, err := s.feasible()
 	if rl == nil {
 		return false, nil, err
 	}
-	s, err := rl.extract(sol)
+	sched, err := rl.extract(sol)
 	if err != nil {
 		return false, nil, err
 	}
-	return true, s, nil
+	return true, sched, nil
 }
 
-// deadlineFeasible is System (2) on q: the LP and its solution when every
-// held deadline can be met, nil and no error when they cannot.
-func deadlineFeasible(q *instance, held []*exact.Q, mode schedule.Model) (*rangeLP, *rangeSolution, error) {
-	_, rl, sol, err := newSearchQ(q, mode, nil, held, (*rangeSearch).floatProbe).leftmost()
+// feasible is leftmost for a search that decides whether its held deadlines
+// can be met — System (2), or BestDeadline's: the LP and its solution when
+// they can, nil and no error when they cannot.
+func (s *rangeSearch) feasible() (*rangeLP, *rangeSolution, error) {
+	_, rl, sol, err := s.leftmost()
 	if errors.Is(err, ErrDeadlinesInfeasible) {
 		return nil, nil, nil
 	} else if err != nil {
@@ -85,10 +88,10 @@ func bestDeadline(q *instance, held []*exact.Q, k int, mode schedule.Model) (bes
 	dls, h := make([]*affine.Form, q.N()), slices.Clone(held)
 	f := affine.New(exact.Q{}, exact.Int(1))
 	dls[k], h[k] = &f, nil
-	_, _, sol, err := newSearchQ(q, mode, dls, h, (*rangeSearch).floatProbe).leftmost()
-	if errors.Is(err, ErrDeadlinesInfeasible) {
-		return exact.Q{}, false, nil
-	} else if err != nil {
+	s := newSearchQ(q, mode, dls, h, (*rangeSearch).floatProbe)
+	defer s.done()
+	_, sol, err := s.feasible()
+	if sol == nil {
 		return exact.Q{}, false, err
 	}
 	return sol.F, true, nil

@@ -44,28 +44,31 @@ func minMakespan(inst *model.Instance, mode schedule.Model) (*MakespanResult, er
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	rl, rMax := makespanLP(newInstance(inst), mode)
-	sol, err := rl.solve()
-	if err != nil {
-		return nil, err
-	}
-	if sol == nil {
+	q := newInstance(inst)
+	ep, rMax := makespanEpochs(q)
+	s := newRangeSearch(q, mode, ep, []affine.Range{{}}, exact.Q{}, (*rangeSearch).floatProbe)
+	defer s.done()
+	_, rl, sol, err := s.leftmost()
+	if errors.Is(err, ErrDeadlinesInfeasible) {
 		// Every valid instance admits a schedule (run everything after
 		// r_max), so infeasibility indicates a programming error.
 		return nil, errors.New("core: makespan LP unexpectedly infeasible")
+	} else if err != nil {
+		return nil, err
 	}
-	s, err := rl.extract(sol)
+	sched, err := rl.extract(sol)
 	if err != nil {
 		return nil, err
 	}
-	return &MakespanResult{Makespan: rMax.Add(sol.F).Rat(), Schedule: s, Intervals: len(rl.ivs)}, nil
+	return &MakespanResult{Makespan: rMax.Add(sol.F).Rat(), Schedule: sched, Intervals: len(rl.ivs)}, nil
 }
 
-// makespanLP lays out the makespan LP and returns it with r_max. Epochal
-// times: distinct release dates, and r_max + F. At any F > 0 the latter sorts
+// makespanEpochs lists the makespan LP's epochal times and returns them with
+// r_max: the release dates, and r_max + F. At any F > 0 the latter sorts
 // last, so the finite intervals between consecutive releases are followed by
-// the final one, [r_max, r_max + F], whose length is F = Δ_n.
-func makespanLP(inst *instance, mode schedule.Model) (*rangeLP, exact.Q) {
+// the final one, [r_max, r_max + F], whose length is F = Δ_n. Its one range
+// is F >= 0, searched as a search of one range is: one exact solve, no probe.
+func makespanEpochs(inst *instance) (epochs, exact.Q) {
 	var rMax exact.Q
 	for _, r := range inst.release {
 		if r.Cmp(rMax) > 0 {
@@ -74,5 +77,5 @@ func makespanLP(inst *instance, mode schedule.Model) (*rangeLP, exact.Q) {
 	}
 	ep := newEpochs(inst, nil, nil)
 	ep.times = append(ep.times, affine.New(rMax, exact.Int(1)))
-	return newRangeLP(inst, mode, ep, affine.Range{}), rMax
+	return ep, rMax
 }

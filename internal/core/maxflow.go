@@ -92,6 +92,7 @@ func minMaxWeightedFlow(inst *model.Instance, origins, deadlines []*big.Rat, mod
 	}
 	q := newInstance(inst)
 	s := newSearch(q, mode, flowDeadlines(q, origins), deadlines, probe)
+	defer s.done()
 	k, rl, sol, err := s.leftmost()
 	if err != nil {
 		return nil, err

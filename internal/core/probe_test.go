@@ -199,7 +199,7 @@ func TestProbeAgreesWithExact(t *testing.T) {
 func TestProbeFillNegatesNoRow(t *testing.T) {
 	collapsed, unbounded := 0, 0
 	for _, ps := range probeSearches(t) {
-		buf := newProbeBuf(ps.s.inst, new(lp.FloatTableau))
+		buf := new(probeBuf).reset(ps.s.inst, new(lp.FloatTableau))
 		for k, rg := range ps.s.ranges {
 			rl := ps.s.rangeLP(k)
 			for i, iv := range rl.ivs {
@@ -220,8 +220,8 @@ func TestProbeFillNegatesNoRow(t *testing.T) {
 				wantRows--
 				unbounded++
 			}
-			if len(buf.senses) != wantRows {
-				t.Errorf("%s, range %d %v: %d tableau rows for %d layout rows", ps.label, k, rg, len(buf.senses), len(rl.rows))
+			if len(rl.sense) != wantRows {
+				t.Errorf("%s, range %d %v: %d tableau rows for %d layout rows", ps.label, k, rg, len(rl.sense), len(rl.rows))
 			}
 			if p := rangeProblem(rl); p.NumRows() != wantRows || p.NumVars() != rl.numVars {
 				t.Errorf("%s, range %d %v: the exact fill has %d rows over %d columns, the probe's %d over %d",

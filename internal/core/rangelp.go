@@ -24,6 +24,8 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"slices"
+	"unsafe"
 
 	"divflow/internal/affine"
 	"divflow/internal/exact"
@@ -92,23 +94,27 @@ func (q *instance) CanRun(i, j int) bool { return q.cost[i*q.n+j].Sign() != 0 }
 //
 // It is one layout with two fills of one LP. The layout — which triples get a
 // column, which rows exist and what they sum — is ints, read off the epochal
-// order when the rangeLP is made. build fills it with exact coefficients
-// straight into lp's standard form (lp.ExactFill), which every solver entry
-// point solves and proves with. fillProbe fills the same rows with float64
-// into a search's reused tableau, for the probes that steer a search (see
-// rangeSearch); the two agree entry for entry, so the basis a probe ends on is
-// a basis of the exact problem.
+// order when the rangeLP is laid (lay), in arrays the next lay reuses. build
+// fills it with exact coefficients straight into lp's standard form
+// (lp.ExactFill), which every solver entry point solves and proves with.
+// fillProbe fills the same rows with float64 into a search's reused tableau,
+// for the probes that steer a search (see rangeSearch); the two agree entry
+// for entry, so the basis a probe ends on is a basis of the exact problem.
 type rangeLP struct {
 	inst *instance
 	mode schedule.Model
 	ivs  []intervals.Interval
 	rg   affine.Range
 
-	numVars int     // F and the α columns
-	cols    []int   // [(t·m+i)·n+j] -> LP column, -1 when absent
-	costAt  []int   // per α column, i·n+j: where its c_{i,j} sits in a cost matrix
-	rows    []lpRow // after the row bounding F′: capacity rows interval by interval, then one completion row per job
-	terms   []int   // the rows' α columns, back to back
+	numVars int        // F and the α columns
+	cols    []int      // [(t·m+i)·n+j] -> LP column, -1 when absent
+	costAt  []int      // per α column, i·n+j: where its c_{i,j} sits in a cost matrix
+	rows    []lpRow    // after the row bounding F′: capacity rows interval by interval, then one completion row per job
+	terms   []int      // the rows' α columns, back to back
+	vals    []exact.Q  // what both fills take from the range (shifted)
+	sense   []lp.Sense // the sense of every row both fills write (senses)
+
+	sort intervals.Sorter // the epochal sort's buffers, for the next lay
 }
 
 // lpRow is one constraint row of the layout, over the α columns
@@ -174,16 +180,18 @@ func recordSolve(t *stats.SolverTally, warmTried bool, sol *lp.Solution) {
 	}
 }
 
-// newRangeLP lays out the LP of one objective range: the epochal times are
-// ordered at an interior point of the range, where their order is the
-// range's, and job j is active in interval t iff rank(r_j) <= t <
-// rank(d̄_j) and t < rank(D_j) in that order (intervals.SortTimes), each
-// bound only where the job has it.
-func newRangeLP(inst *instance, mode schedule.Model, ep epochs, rg affine.Range) *rangeLP {
+// lay lays r out as the LP of one objective range, in r's own arrays,
+// resliced: the epochal times are ordered at an interior point of the range,
+// where their order is the range's, and job j is active in interval t iff
+// rank(r_j) <= t < rank(d̄_j) and t < rank(D_j) in that order
+// (intervals.Sorter), each bound only where the job has it. A re-laid rangeLP
+// is the rangeLP a zero one laid for the same range would be.
+func (r *rangeLP) lay(inst *instance, mode schedule.Model, ep epochs, rg affine.Range) {
 	n, m := inst.N(), inst.M()
-	ivs, rank := intervals.Build(ep.times, rg.Interior())
-	r := &rangeLP{inst: inst, mode: mode, ivs: ivs, rg: rg,
-		cols: make([]int, len(ivs)*m*n), costAt: []int{fCol: -1}}
+	ivs, rank := r.sort.Build(r.ivs[:0], ep.times, rg.Interior())
+	r.inst, r.mode, r.ivs, r.rg = inst, mode, ivs, rg
+	r.cols = slices.Grow(r.cols[:0], len(ivs)*m*n)[:len(ivs)*m*n]
+	r.costAt, r.rows, r.terms = append(r.costAt[:0], -1), r.rows[:0], r.terms[:0] // fCol has no cost
 	active := func(t, j int) bool {
 		return rank[j] <= t && (ep.due[j] < 0 || t < rank[ep.due[j]]) && (ep.hard[j] < 0 || t < rank[ep.hard[j]])
 	}
@@ -248,7 +256,7 @@ func newRangeLP(inst *instance, mode schedule.Model, ep epochs, rg affine.Range)
 		row(-1)
 	}
 	r.numVars = len(r.costAt)
-	return r
+	r.vals, r.sense = r.shifted(r.vals[:0]), r.senses(r.sense[:0])
 }
 
 // shifted appends to dst what a fill takes from the range, exactly: Lo, the
@@ -294,15 +302,14 @@ func (r *rangeLP) senses(dst []lp.Sense) []lp.Sense {
 // F′ first in each, then the completion rows — and F′ the objective.
 func (r *rangeLP) build(f *lp.ExactFill) {
 	one := exact.Int(1)
-	vals := r.shifted(nil)
-	perInterval := vals[2:] // |I_t| at Lo, then −B_t
-	f.Reset(r.numVars, r.senses(nil), len(r.terms)+len(r.rows)+1)
+	perInterval := r.vals[2:] // |I_t| at Lo, then −B_t
+	f.Reset(r.numVars, r.sense, len(r.terms)+len(r.rows)+1)
 	f.SetCost(fCol, one)
 	first := 0 // the row of the layout's first: F′ <= Hi − Lo precedes it
 	if r.rg.Hi != nil {
 		first = 1
 		f.Set(0, fCol, one)
-		f.SetRHS(0, vals[1])
+		f.SetRHS(0, r.vals[1])
 	}
 	at := 0
 	for k, row := range r.rows {
@@ -323,32 +330,71 @@ func (r *rangeLP) build(f *lp.ExactFill) {
 	}
 }
 
-// probeBuf is what the probes of one search share: the tableau they all
-// fill, the search's workspace's, and the float image of the instance's cost
-// matrix.
-type probeBuf struct {
-	tab    *lp.FloatTableau
-	cost   []float64 // [i·n+j], 0 where machine i cannot run job j
-	senses []lp.Sense
-	exact  []exact.Q // what a fill takes from its range, exactly…
-	image  []float64 // …and in float64
+// layouts is what a search lays its ranges out in and its probes fill from,
+// kept with the lp.Workspace it solves in (lp.Workspace.Layout), so that the
+// arrays outlive the search: two layouts, because locate holds the one its
+// probe called feasible while the next range is laid, and the probes' float
+// images. An entry point hands it back, with the workspace, once it has read
+// its answer off the layout.
+type layouts struct {
+	pair  [2]rangeLP
+	probe probeBuf
 }
 
-func newProbeBuf(inst *instance, tab *lp.FloatTableau) *probeBuf {
-	return &probeBuf{tab: tab, cost: lp.FloatImage(nil, inst.cost)}
+// layoutsOf returns the layouts kept with w, making them for a workspace
+// that has none.
+func layoutsOf(w *lp.Workspace) *layouts {
+	l, ok := w.Layout.(*layouts)
+	if !ok {
+		l = new(layouts)
+		w.Layout = l
+	}
+	return l
+}
+
+// Bytes is what the layouts' arrays hold, at their capacities: lp caps the
+// spare workspace with them.
+func (l *layouts) Bytes() int {
+	b := size(l.probe.cost) + size(l.probe.image)
+	for i := range l.pair {
+		r := &l.pair[i]
+		b += size(r.ivs) + size(r.cols) + size(r.costAt) + size(r.rows) + size(r.terms) +
+			size(r.vals) + size(r.sense) + r.sort.Bytes()
+	}
+	return b
+}
+
+// size is the bytes behind a slice's capacity.
+func size[T any](s []T) int {
+	var z T
+	return cap(s) * int(unsafe.Sizeof(z))
+}
+
+// probeBuf is what the probes of one search share: the tableau they all
+// fill, the search's workspace's, and the float images of the instance's cost
+// matrix and of a range's shifted values.
+type probeBuf struct {
+	tab   *lp.FloatTableau
+	cost  []float64 // [i·n+j], 0 where machine i cannot run job j
+	image []float64 // a range's vals in float64
+}
+
+// reset points b at tab and converts inst's cost matrix into b, in b's own
+// arrays.
+func (b *probeBuf) reset(inst *instance, tab *lp.FloatTableau) *probeBuf {
+	b.tab, b.cost = tab, lp.FloatImage(b.cost[:0], inst.cost)
+	return b
 }
 
 // fillProbe is the float fill: the same rows from the same exact values,
 // converted once, into the search's tableau. It returns Lo's image, which the
 // caller adds back to the minimum.
 func (r *rangeLP) fillProbe(b *probeBuf) (lo float64) {
-	b.exact = r.shifted(b.exact[:0])
-	b.image = lp.FloatImage(b.image[:0], b.exact)
+	b.image = lp.FloatImage(b.image[:0], r.vals)
 	bounded, perInterval := r.rg.Hi != nil, b.image[2:] // |I_t| at Lo, then −B_t
 
 	first := 0 // the tableau row of the layout's first: F′ <= Hi − Lo precedes it
-	b.senses = r.senses(b.senses[:0])
-	b.tab.Reset(r.numVars, b.senses)
+	b.tab.Reset(r.numVars, r.sense)
 	if bounded {
 		first = 1
 		b.tab.Set(0, fCol, 1)
@@ -372,15 +418,6 @@ func (r *rangeLP) fillProbe(b *probeBuf) (lo float64) {
 		b.tab.Set(first+k, fCol, perInterval[2*row.t+1])
 	}
 	return b.image[0]
-}
-
-// solve builds and solves the LP in lp's spare workspace, minimizing F. It
-// returns (nil, nil) when the range admits no feasible schedule.
-func (r *rangeLP) solve() (*rangeSolution, error) {
-	w := lp.TakeWorkspace()
-	defer lp.ReturnWorkspace(w)
-	r.build(w.Fill())
-	return r.solveWith(w.Fill(), nil, nil)
 }
 
 // solveWith solves f, which holds this layout's build, handed warm, the basis

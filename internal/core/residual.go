@@ -104,6 +104,7 @@ func (r *Residual) MinMaxWeightedFlow(mode schedule.Model) (*Plan, error) {
 		return nil, err
 	}
 	s := newSearchQ(q, mode, flowDeadlinesQ(q, r.Origin), nil, (*rangeSearch).floatProbe)
+	defer s.done()
 	_, rl, sol, err := s.leftmost()
 	if err != nil {
 		return nil, err
@@ -134,7 +135,9 @@ func (r *Residual) DeadlineFeasible(held []*exact.Q, mode schedule.Model) (bool,
 	if err != nil {
 		return false, err
 	}
-	rl, _, err := deadlineFeasible(q, held, mode)
+	s := newSearchQ(q, mode, nil, held, (*rangeSearch).floatProbe)
+	defer s.done()
+	rl, _, err := s.feasible()
 	return rl != nil, err
 }
 

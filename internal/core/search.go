@@ -39,7 +39,9 @@ import (
 // The search solves in one lp.Workspace, taken when it starts and handed back
 // by done: the probes' tableau, which an exact solve's own float pass also
 // runs in when the probe's basis misses, the exact fill, and the column view
-// and factorization the verifier builds over it.
+// and factorization the verifier builds over it — and, kept with it, the two
+// layouts it lays its ranges out in (layouts). The entry point calls done once
+// it has read its answer off the layout certify returned.
 type rangeSearch struct {
 	inst   *instance
 	mode   schedule.Model
@@ -48,9 +50,11 @@ type rangeSearch struct {
 
 	probe probeFunc
 	ws    *lp.Workspace
-	buf   *probeBuf // the honest probe's, made by its first call
+	lays  *layouts  // the workspace's
+	buf   *probeBuf // the honest probe's, reset by its first call
 	laid  *rangeLP  // the layout last made, of range laidK
 	laidK int
+	kept  *rangeLP // the layout locate holds: the next is laid in the other
 
 	tally  stats.SolverTally // hybrid-engine paths of the exact solves
 	probes int               // float solves
@@ -127,7 +131,8 @@ func flowFloor(inst *instance, dls []*affine.Form, mode schedule.Model) exact.Q 
 // milestone is in, the lower), the last range if none does.
 func newRangeSearch(inst *instance, mode schedule.Model, ep epochs, ranges []affine.Range, floor exact.Q, probe probeFunc) *rangeSearch {
 	seed := sort.Search(len(ranges)-1, func(k int) bool { return ranges[k].Hi.Cmp(floor) >= 0 })
-	return &rangeSearch{inst: inst, mode: mode, ep: ep, ranges: ranges, probe: probe, ws: lp.TakeWorkspace(), lo: seed}
+	ws := lp.TakeWorkspace()
+	return &rangeSearch{inst: inst, mode: mode, ep: ep, ranges: ranges, probe: probe, ws: ws, lays: layoutsOf(ws), lo: seed}
 }
 
 // soloTime is p_j, the least time job j takes with the platform to itself:
@@ -167,11 +172,16 @@ func earliestEnd(inst *instance, j int, mode schedule.Model) exact.Q {
 // liars.
 type probeFunc func(s *rangeSearch, k int) (*lp.FloatSolution, error)
 
-// rangeLP lays out the LP of range k, or hands back the layout last made
-// when it is range k's.
+// rangeLP lays out the LP of range k in whichever of the two layouts locate
+// does not hold, or hands back the layout last made when it is range k's.
 func (s *rangeSearch) rangeLP(k int) *rangeLP {
 	if s.laid == nil || s.laidK != k {
-		s.laid, s.laidK = newRangeLP(s.inst, s.mode, s.ep, s.ranges[k]), k
+		r := &s.lays.pair[0]
+		if r == s.kept {
+			r = &s.lays.pair[1]
+		}
+		r.lay(s.inst, s.mode, s.ep, s.ranges[k])
+		s.laid, s.laidK = r, k
 	}
 	return s.laid
 }
@@ -194,7 +204,7 @@ func (s *rangeSearch) exact(k int, probed *lp.Basis) (*rangeLP, *rangeSolution, 
 // nothing exact is solved; the objective it reports is F = Lo + F′.
 func (s *rangeSearch) floatProbe(k int) (*lp.FloatSolution, error) {
 	if s.buf == nil {
-		s.buf = newProbeBuf(s.inst, s.ws.Tableau())
+		s.buf = s.lays.probe.reset(s.inst, s.ws.Tableau())
 	}
 	lo := s.rangeLP(k).fillProbe(s.buf)
 	sol, err := s.buf.tab.Minimize(fCol)
@@ -214,10 +224,11 @@ func (s *rangeSearch) float(k int) *lp.FloatSolution {
 	return sol
 }
 
-// done hands the workspace back to lp; the search solves no more.
+// done hands the workspace back to lp, the layouts with it: the search
+// solves no more, and nothing reads the layout it answered on any more.
 func (s *rangeSearch) done() {
 	lp.ReturnWorkspace(s.ws)
-	s.ws, s.buf = nil, nil
+	s.ws, s.lays, s.buf, s.laid, s.kept = nil, nil, nil, nil, nil
 }
 
 // locate returns the candidate for the leftmost feasible range: seed, gallop,
@@ -228,11 +239,11 @@ func (s *rangeSearch) done() {
 // cannot tell is replaced, for that step, by the exact solve. With the
 // candidate comes the probe solution that called it feasible — nil when none
 // did (the last range, an exact solve standing in); the layout that probe
-// filled is the one the search hands out for the candidate next.
+// filled, held while the others are laid (kept), is the one the search hands
+// out for the candidate next.
 func (s *rangeSearch) locate() (int, *lp.FloatSolution, error) {
 	lo, hi := s.lo, len(s.ranges)-1
-	var at *lp.FloatSolution // the probe that made hi the upper end…
-	var atLP *rangeLP        // …and the layout it filled
+	var at *lp.FloatSolution // the probe that made hi the upper end
 	ask := func(k int) error {
 		fs := s.float(k)
 		feasible := fs != nil && fs.Status == lp.Optimal
@@ -244,7 +255,7 @@ func (s *rangeSearch) locate() (int, *lp.FloatSolution, error) {
 			feasible = sol != nil
 		}
 		if feasible {
-			hi, at, atLP = k, fs, s.rangeLP(k)
+			hi, at, s.kept = k, fs, s.rangeLP(k)
 		} else {
 			lo = k + 1
 		}
@@ -261,8 +272,8 @@ func (s *rangeSearch) locate() (int, *lp.FloatSolution, error) {
 			return 0, nil, err
 		}
 	}
-	if atLP != nil {
-		s.laid, s.laidK = atLP, lo
+	if s.kept != nil {
+		s.laid, s.laidK = s.kept, lo
 	}
 	return lo, at, nil
 }
@@ -300,9 +311,9 @@ func (s *rangeSearch) certify(k int, at *lp.FloatSolution) (int, *rangeLP, *rang
 	return 0, nil, nil, ErrDeadlinesInfeasible
 }
 
-// leftmost locates, then certifies, and hands the workspace back.
+// leftmost locates, then certifies. The layout it returns is the search's
+// until done.
 func (s *rangeSearch) leftmost() (int, *rangeLP, *rangeSolution, error) {
-	defer s.done()
 	k, at, err := s.locate()
 	if err != nil {
 		return 0, nil, nil, err

@@ -126,8 +126,8 @@ var (
 			return nil, err
 		}
 		rl := s.rangeLP(k)
-		s.buf.tab.Reset(rl.numVars, s.buf.senses)
-		s.buf.tab.SetRHS(len(s.buf.senses)-1, 1)
+		s.buf.tab.Reset(rl.numVars, rl.sense)
+		s.buf.tab.SetRHS(len(rl.sense)-1, 1)
 		blank, err := s.buf.tab.Minimize(fCol)
 		if err != nil {
 			return nil, err

@@ -11,7 +11,8 @@
 package intervals
 
 import (
-	"sort"
+	"slices"
+	"unsafe"
 
 	"divflow/internal/affine"
 	"divflow/internal/exact"
@@ -26,6 +27,24 @@ type Interval struct {
 // Length returns Hi − Lo as an affine form (the RHS of the capacity rows).
 func (iv Interval) Length() affine.Form { return iv.Hi.Sub(iv.Lo) }
 
+// Sorter sorts epochal times into buffers it keeps — the values at the
+// point, the order, the sorted times and their ranks — so a caller that sorts
+// again and again, a milestone search laying out range after range, reuses
+// them instead of allocating per sort. The zero value is ready to use. What a
+// sort returns aliases the buffers and holds until the next sort.
+type Sorter struct {
+	vals   []exact.Q
+	order  []int
+	sorted []affine.Form
+	rank   []int
+}
+
+// Bytes is what the sorter's buffers hold, at their capacities.
+func (s *Sorter) Bytes() int {
+	return cap(s.vals)*int(unsafe.Sizeof(exact.Q{})) + (cap(s.order)+cap(s.rank))*int(unsafe.Sizeof(0)) +
+		cap(s.sorted)*int(unsafe.Sizeof(affine.Form{}))
+}
+
 // SortTimes sorts the forms by their value at the point at and removes
 // duplicates (forms with equal value at at). When at is an interior point of
 // a milestone range, equal-at-at implies equal-on-the-range, because every
@@ -38,37 +57,34 @@ func (iv Interval) Length() affine.Form { return iv.Hi.Sub(iv.Lo) }
 // sorted[t+1] iff rank[a] <= t < rank[b] — the paper's rules (1a)/(2a) and
 // (2b), release <= inf I_t and deadline >= sup I_t, with no further
 // comparison of rationals.
-func SortTimes(times []affine.Form, at exact.Q) (sorted []affine.Form, rank []int) {
-	vals := make([]exact.Q, len(times))
-	order := make([]int, len(times))
+func (s *Sorter) SortTimes(times []affine.Form, at exact.Q) (sorted []affine.Form, rank []int) {
+	n := len(times)
+	s.vals, s.order = slices.Grow(s.vals[:0], n), slices.Grow(s.order[:0], n)
 	for i, f := range times {
-		vals[i] = f.Eval(at)
-		order[i] = i
+		s.vals = append(s.vals, f.Eval(at))
+		s.order = append(s.order, i)
 	}
-	sort.SliceStable(order, func(a, b int) bool { return vals[order[a]].Cmp(vals[order[b]]) < 0 })
-	sorted = make([]affine.Form, 0, len(times))
-	rank = make([]int, len(times))
-	for k, i := range order {
-		if k == 0 || vals[i].Cmp(vals[order[k-1]]) != 0 {
-			sorted = append(sorted, times[i])
+	vals := s.vals
+	slices.SortStableFunc(s.order, func(a, b int) int { return vals[a].Cmp(vals[b]) })
+	s.sorted, s.rank = slices.Grow(s.sorted[:0], n), slices.Grow(s.rank[:0], n)[:n]
+	for k, i := range s.order {
+		if k == 0 || vals[i].Cmp(vals[s.order[k-1]]) != 0 {
+			s.sorted = append(s.sorted, times[i])
 		}
-		rank[i] = len(sorted) - 1
+		s.rank[i] = len(s.sorted) - 1
 	}
-	return sorted, rank
+	return s.sorted, s.rank
 }
 
-// Build sorts and deduplicates the epochal times at the point at and returns
-// the nint−1 consecutive intervals they delimit, interval t spanning
-// sorted[t] to sorted[t+1], with SortTimes' ranks. Fewer than two distinct
-// times yield no interval.
-func Build(times []affine.Form, at exact.Q) ([]Interval, []int) {
-	sorted, rank := SortTimes(times, at)
-	if len(sorted) < 2 {
-		return nil, rank
+// Build sorts and deduplicates the epochal times at the point at and appends
+// to dst the nint−1 consecutive intervals they delimit, interval t spanning
+// sorted[t] to sorted[t+1]; it returns them with SortTimes' ranks. Fewer than
+// two distinct times append no interval.
+func (s *Sorter) Build(dst []Interval, times []affine.Form, at exact.Q) ([]Interval, []int) {
+	sorted, rank := s.SortTimes(times, at)
+	dst = slices.Grow(dst, max(len(sorted)-1, 0))
+	for i := 1; i < len(sorted); i++ {
+		dst = append(dst, Interval{Lo: sorted[i-1], Hi: sorted[i]})
 	}
-	out := make([]Interval, len(sorted)-1)
-	for i := range out {
-		out[i] = Interval{Lo: sorted[i], Hi: sorted[i+1]}
-	}
-	return out, rank
+	return dst, rank
 }

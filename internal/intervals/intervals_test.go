@@ -17,7 +17,8 @@ func fromConstants(points ...exact.Q) []Interval {
 	for i, p := range points {
 		forms[i] = affine.Const(p)
 	}
-	ivs, _ := Build(forms, exact.Q{})
+	var s Sorter
+	ivs, _ := s.Build(nil, forms, exact.Q{})
 	return ivs
 }
 
@@ -67,7 +68,8 @@ func TestSortTimesAffine(t *testing.T) {
 		affine.New(r(4, 1), r(1, 2)),
 	}
 	at := r(2, 1)
-	sorted, _ := SortTimes(times, at)
+	var s Sorter
+	sorted, _ := s.SortTimes(times, at)
 	if len(sorted) != 4 {
 		t.Fatalf("got %d times, want 4", len(sorted))
 	}
@@ -88,7 +90,8 @@ func TestSortTimesDedup(t *testing.T) {
 		affine.New(r(2, 1), r(1, 2)),
 		affine.Const(r(4, 1)),
 	}
-	sorted, rank := SortTimes(times, r(2, 1))
+	var s Sorter
+	sorted, rank := s.SortTimes(times, r(2, 1))
 	if len(sorted) != 2 {
 		t.Fatalf("got %d times, want 2 after dedup", len(sorted))
 	}
@@ -99,7 +102,8 @@ func TestSortTimesDedup(t *testing.T) {
 
 func TestBuildCoversGaps(t *testing.T) {
 	times := []affine.Form{affine.Const(r(0, 1)), affine.Const(r(10, 1)), affine.Const(r(3, 1))}
-	ivs, _ := Build(times, exact.Q{})
+	var s Sorter
+	ivs, _ := s.Build(nil, times, exact.Q{})
 	if len(ivs) != 2 {
 		t.Fatalf("got %d intervals", len(ivs))
 	}
@@ -112,16 +116,21 @@ func TestBuildCoversGaps(t *testing.T) {
 // TestRanksDecideActivity holds the integer rule to the paper's rational
 // one: a job released at times[a] and due at times[b] may run in interval t
 // iff rank[a] <= t < rank[b], which must say what (1a)/(2a) and (2b) say —
-// release <= inf I_t and deadline >= sup I_t — for every pair of times.
+// release <= inf I_t and deadline >= sup I_t — for every pair of times. One
+// Sorter and one interval slice serve every iteration, as a search reuses
+// them range after range.
 func TestRanksDecideActivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	var s Sorter
+	var ivs []Interval
 	for it := 0; it < 100; it++ {
 		times := make([]affine.Form, 2+rng.Intn(10))
 		for i := range times {
 			times[i] = affine.New(r(int64(rng.Intn(12)), 1), r(int64(rng.Intn(4)), 1))
 		}
 		at := r(int64(1+rng.Intn(5)), 1)
-		ivs, rank := Build(times, at)
+		var rank []int
+		ivs, rank = s.Build(ivs[:0], times, at)
 		for k, iv := range ivs {
 			lo, hi := iv.Lo.Eval(at), iv.Hi.Eval(at)
 			for a, rel := range times {
@@ -137,9 +146,11 @@ func TestRanksDecideActivity(t *testing.T) {
 	}
 }
 
-// TestBuildSortedProperty checks ordering and adjacency on random inputs.
+// TestBuildSortedProperty checks ordering and adjacency on random inputs,
+// through one reused Sorter.
 func TestBuildSortedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	var s Sorter
 	for it := 0; it < 100; it++ {
 		n := 2 + rng.Intn(10)
 		times := make([]affine.Form, n)
@@ -147,7 +158,7 @@ func TestBuildSortedProperty(t *testing.T) {
 			times[i] = affine.New(r(int64(rng.Intn(20)), 1), r(int64(rng.Intn(5)), 1))
 		}
 		at := r(int64(1+rng.Intn(5)), 1)
-		ivs, _ := Build(times, at)
+		ivs, _ := s.Build(nil, times, at)
 		for k, iv := range ivs {
 			lo, hi := iv.Lo.Eval(at), iv.Hi.Eval(at)
 			if lo.Cmp(hi) >= 0 {

@@ -42,9 +42,10 @@
 //     same fill (Problem.Fill), so a standard form has one construction.
 //   - Workspace: one FloatTableau and one ExactFill, with the column view
 //     and factorization the verifier builds over the fill, all refilled in
-//     place. A milestone search takes one (TakeWorkspace) for its probes and
-//     exact solves and hands it back (ReturnWorkspace); the package keeps one
-//     spare of at most 1 MiB between searches, which SolveHybrid takes too.
+//     place, and the caller's Layout kept with them. A milestone search takes
+//     one (TakeWorkspace) for its probes and exact solves and hands it back
+//     (ReturnWorkspace); the package keeps one spare of at most 2 MiB between
+//     searches, which SolveHybrid takes too.
 //
 // Problems are stated in the general form
 //

@@ -100,7 +100,6 @@ type FloatTableau struct {
 	rowsData   [][]float64 // rowsData[r] is buf[r*numCols:(r+1)*numCols]
 	rhsData    []float64
 	basis      []int
-	banned     []bool
 	cost       []float64 // phase-2 objective over the structural columns
 	obj        []float64
 	objRHS     float64
@@ -120,10 +119,6 @@ func (t *FloatTableau) shape(m, numVars, artStart, numCols int) {
 	}
 	t.rhsData = zeroed(t.rhsData, m)
 	t.basis = zeroed(t.basis, m)
-	t.banned = zeroed(t.banned, numCols)
-	for j := artStart; j < numCols; j++ {
-		t.banned[j] = true
-	}
 	t.cost = zeroed(t.cost, numVars)
 	t.obj = zeroed(t.obj, numCols)
 	t.objRHS, t.iterations, t.nonFinite = 0, 0, false
@@ -266,8 +261,8 @@ func (t *FloatTableau) iterate() Status {
 		bland := iter > maxDantzig
 		enter := -1
 		best := -floatEps
-		for j := 0; j < t.numCols; j++ {
-			if t.banned[j] || t.obj[j] >= -floatEps {
+		for j := 0; j < t.artStart; j++ { // an artificial never enters
+			if t.obj[j] >= -floatEps {
 				continue
 			}
 			if bland {

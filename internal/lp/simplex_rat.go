@@ -44,7 +44,7 @@ func solveRatCold(sf *stdForm) (*Solution, error) {
 		t.evictArtificials()
 	}
 
-	// Phase 2: original objective, artificial columns banned.
+	// Phase 2: original objective; an artificial never enters (iterate).
 	t.setObjective(sf.cost)
 	switch status := t.iterate(); status {
 	case Optimal:
@@ -63,7 +63,6 @@ type ratTableau struct {
 	rows    []spVec   // current (pivoted) rows, sparse
 	rhs     []exact.Q // always >= 0 at a feasible basis
 	basis   []int     // basic column of each row
-	banned  []bool    // columns that may never enter the basis
 	obj     []exact.Q // reduced-cost row, dense (fills in quickly)
 	objRHS  exact.Q   // negated objective value
 	// Scratch buffers for the sparse row merge of pivot().
@@ -84,10 +83,6 @@ func newRatTableau(sf *stdForm) *ratTableau {
 		rows:    make([]spVec, sf.m),
 		rhs:     slices.Clone(sf.rhs),
 		basis:   slices.Clone(sf.basis0),
-		banned:  make([]bool, sf.numCols),
-	}
-	for j := sf.artStart; j < sf.numCols; j++ {
-		t.banned[j] = true // artificials may never re-enter after phase 1
 	}
 	for i, src := range sf.rows {
 		t.rows[i] = spVec{ind: slices.Clone(src.ind), val: slices.Clone(src.val)}
@@ -123,12 +118,14 @@ func (t *ratTableau) eliminate(f exact.Q, r int) {
 // objective, so only an unbroken degenerate run can cycle).
 func (t *ratTableau) degenLimit() int { return 2*len(t.rows) + 16 }
 
-// iterate runs primal simplex pivots until optimality or unboundedness.
+// iterate runs primal simplex pivots until optimality or unboundedness. Only
+// the columns before the artificials are priced: an artificial never enters
+// the basis, in phase 1 or after it.
 func (t *ratTableau) iterate() Status {
 	for {
 		enter := -1
-		for j := 0; j < t.numCols; j++ {
-			if t.banned[j] || t.obj[j].Sign() >= 0 {
+		for j := 0; j < t.sf.artStart; j++ {
+			if t.obj[j].Sign() >= 0 {
 				continue
 			}
 			if enter == -1 || (!t.bland && t.obj[j].Cmp(t.obj[enter]) < 0) {

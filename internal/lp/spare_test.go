@@ -112,14 +112,14 @@ func coverProblem(rows, vars int) *Problem {
 }
 
 // TestSpareTableauCap: what lp holds between solves is at most one workspace
-// of at most spareBytes. A solve whose tableau is above the cap hands its
+// of at most spareBytes (2 MiB). A solve whose tableau is above the cap hands its
 // workspace back without the tableau's buffer and the rest is kept as the
 // spare; one below it keeps the buffer too.
 func TestSpareTableauCap(t *testing.T) {
 	for _, tc := range []struct {
 		rows, vars int
 		kept       bool // the tableau's buffer
-	}{{10, 20, true}, {130, 900, false}, {40, 60, true}} {
+	}{{10, 20, true}, {180, 1300, false}, {40, 60, true}} {
 		p := coverProblem(tc.rows, tc.vars)
 		sf, err := newStdForm(p)
 		if err != nil {
@@ -142,6 +142,50 @@ func TestSpareTableauCap(t *testing.T) {
 			t.Errorf("%d×%d: a %d-entry tableau buffer kept, want kept %v", tc.rows, tc.vars, cap(w.tab.buf), tc.kept)
 		case cap(w.fill.val) == 0 || cap(w.fill.sf.colRow) == 0 || cap(w.fill.sf.fac.entries) == 0:
 			t.Errorf("%d×%d: the fill, its column view or its factorization was not kept", tc.rows, tc.vars)
+		}
+	}
+}
+
+// layoutOf is a Layout of a given size.
+type layoutOf int
+
+func (l layoutOf) Bytes() int { return int(l) }
+
+// TestSpareLayoutCap: the cap counts a workspace's Layout too, and what lp
+// keeps between searches stays under it. A Layout the workspace fits beside
+// is kept with it, tableau and all; one that fits only once the tableau's
+// buffer is dropped costs that buffer; one that does not fit even then is
+// dropped too, and the rest of the workspace is kept.
+func TestSpareLayoutCap(t *testing.T) {
+	p := coverProblem(40, 60)
+	for _, tc := range []struct {
+		name              string
+		layout            int  // bytes
+		keepLayout, table bool // what the spare keeps
+	}{
+		{"small", 1 << 10, true, true},
+		{"beside a dropped tableau", spareBytes - 1<<16, true, false},
+		{"over the cap alone", spareBytes + 1, false, false},
+	} {
+		w := TakeWorkspace()
+		w.Layout = nil // the last case's
+		if _, err := p.fill(w.Fill()).Solve(nil); err != nil {
+			t.Fatal(err)
+		}
+		tableau := size(w.tab.buf)
+		if tableau == 0 || tableau > 1<<16 || w.bytes() > 1<<17 {
+			t.Fatalf("%s: a %d-byte tableau in a %d-byte workspace; the case is misdrawn", tc.name, tableau, w.bytes())
+		}
+		w.Layout = layoutOf(tc.layout)
+		spare.Store(nil)
+		ReturnWorkspace(w)
+		switch kept := spare.Load(); {
+		case kept == nil:
+			t.Errorf("%s: no workspace kept", tc.name)
+		case kept.bytes() > spareBytes:
+			t.Errorf("%s: a %d-byte workspace kept", tc.name, kept.bytes())
+		case (kept.Layout != nil) != tc.keepLayout || (kept.tab.buf != nil) != tc.table:
+			t.Errorf("%s: kept layout %v and tableau %v, want %v and %v", tc.name, kept.Layout != nil, kept.tab.buf != nil, tc.keepLayout, tc.table)
 		}
 	}
 }

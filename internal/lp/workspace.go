@@ -5,11 +5,12 @@ import (
 	"unsafe"
 )
 
-// spareBytes caps the workspace kept between searches. A tableau that takes
-// it over drops its buffer on the way back and the rest is kept: the other
+// spareBytes caps the workspace kept between searches, its caller's Layout
+// included. A tableau that takes it over drops its buffer on the way back,
+// then the Layout if that is not enough, and the rest is kept: the other
 // buffers grow with the LP's rows and columns, not with their product. So
 // what the process holds between solves is at most one workspace this size.
-const spareBytes = 1 << 20
+const spareBytes = 2 << 20
 
 // spare is the workspace kept between searches, nil while one is taken. A
 // search takes it whole (TakeWorkspace), so concurrent searches never share
@@ -26,6 +27,17 @@ var spare atomic.Pointer[Workspace]
 type Workspace struct {
 	tab  FloatTableau
 	fill ExactFill
+	// Layout is the caller's own memory for laying its LPs out, kept, capped
+	// and handed out with the workspace: nil in a new one, and whatever the
+	// last holder left in one taken from the spare.
+	Layout Layout
+}
+
+// Layout is what a caller keeps with a workspace beyond the workspace's own
+// buffers: the arrays it lays its LPs out in before it fills them.
+type Layout interface {
+	// Bytes is what its buffers hold, at their capacities.
+	Bytes() int
 }
 
 // TakeWorkspace returns the spare workspace, or a new one when none is kept.
@@ -39,12 +51,16 @@ func TakeWorkspace() *Workspace {
 	return w
 }
 
-// ReturnWorkspace offers w back as the spare, once nothing reads it any more.
-// A workspace above spareBytes drops its tableau's buffer and is kept if that
-// brings it under; the spare it replaces is left to the collector.
+// ReturnWorkspace offers w back as the spare, once nothing reads it, or its
+// Layout, any more. A workspace above spareBytes drops its tableau's buffer,
+// then its Layout, and is kept if that brings it under; the spare it replaces
+// is left to the collector.
 func ReturnWorkspace(w *Workspace) {
 	if w.bytes() > spareBytes {
 		w.tab.buf, w.tab.rowsData = nil, nil
+	}
+	if w.bytes() > spareBytes {
+		w.Layout = nil
 	}
 	if w.bytes() <= spareBytes {
 		spare.Store(w)
@@ -57,10 +73,15 @@ func (w *Workspace) Tableau() *FloatTableau { return &w.tab }
 // Fill is the workspace's exact fill.
 func (w *Workspace) Fill() *ExactFill { return &w.fill }
 
-// bytes is what the workspace's buffers hold, at their capacities.
+// bytes is what the workspace's buffers and its Layout hold, at their
+// capacities.
 func (w *Workspace) bytes() int {
 	t, f, sf, fac := &w.tab, &w.fill, &w.fill.sf, &w.fill.sf.fac
-	return size(t.buf) + size(t.rowsData) + size(t.rhsData) + size(t.basis) + size(t.banned) +
+	layout := 0
+	if w.Layout != nil {
+		layout = w.Layout.Bytes()
+	}
+	return layout + size(t.buf) + size(t.rowsData) + size(t.rhsData) + size(t.basis) +
 		size(t.cost) + size(t.obj) + size(t.nz) + size(t.nzv) +
 		size(f.ind) + size(f.val) + size(sf.rows) + size(sf.rhs) + size(sf.basis0) + size(sf.cost) +
 		size(sf.colStart) + size(sf.colRow) + size(sf.colVal) +
