@@ -256,15 +256,15 @@ func scanSync(root ast.Node, visit func(ast.Node)) {
 }
 
 // lockOp classifies a call as a mutex operation on an annotated lock class.
-// It returns the class and the method name (Lock/RLock/Unlock/RUnlock), or
-// "" when the call is anything else.
+// It returns the class and the method name (Lock/RLock/Unlock/RUnlock, or
+// TryLock/TryRLock), or "" when the call is anything else.
 func lockOp(pkg *Package, world *World, call *ast.CallExpr) (class, op string) {
 	fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", ""
 	}
 	switch fun.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
+	case "Lock", "RLock", "Unlock", "RUnlock", "TryLock", "TryRLock":
 	default:
 		return "", ""
 	}
@@ -432,9 +432,16 @@ func (ck *lockChecker) stmt(s ast.Stmt, held heldSet) bool {
 			ck.stmt(s.Init, held)
 		}
 		ck.expr(s.Cond, held)
-		thenHeld := held.clone()
+		thenHeld, elseHeld := held.clone(), held.clone()
+		if class, negated := ck.tryLock(s.Cond); class != "" {
+			// The branch the try succeeded on holds the class.
+			if negated {
+				elseHeld[class] = true
+			} else {
+				thenHeld[class] = true
+			}
+		}
 		thenLive := ck.stmts(s.Body.List, thenHeld)
-		elseHeld := held.clone()
 		elseLive := true
 		if s.Else != nil {
 			elseLive = ck.stmt(s.Else, elseHeld)
@@ -463,6 +470,24 @@ func (ck *lockChecker) stmt(s ast.Stmt, held heldSet) bool {
 		ck.branches(s, held)
 	}
 	return true
+}
+
+// tryLock recognizes an if condition that is a TryLock or TryRLock of an
+// annotated class, or its negation. A try never blocks, so it is checked
+// against no order; it only adds the class to the branch it succeeded on.
+func (ck *lockChecker) tryLock(cond ast.Expr) (class string, negated bool) {
+	e := ast.Unparen(cond)
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.NOT {
+		e, negated = ast.Unparen(u.X), true
+	}
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return "", false
+	}
+	if class, op := lockOp(ck.pass.Pkg, ck.world, call); op == "TryLock" || op == "TryRLock" {
+		return class, negated
+	}
+	return "", false
 }
 
 // loopCarry propagates a loop body's net lock effect. A class acquired in

@@ -103,3 +103,27 @@ func (s *Shard) SweepUnderShard(all []*Shard) {
 	LockShards(all) // want `lockorder: call to LockShards may acquire shard while shard is already held`
 	s.mu.Unlock()
 }
+
+// count reads the fleet under its mu.
+//
+//divflow:locks requires=fleet
+func (f *Fleet) count() int { return len(f.shards) }
+
+// TryCount takes the fleet's mu only when it is free: past the failed try's
+// return, the fleet is held.
+func TryCount(f *Fleet) int {
+	if !f.mu.TryLock() {
+		return 0
+	}
+	defer f.mu.Unlock()
+	return f.count()
+}
+
+// TryCountUnheld reads on the branch where the try failed, holding nothing.
+func TryCountUnheld(f *Fleet) int {
+	if f.mu.TryLock() {
+		defer f.mu.Unlock()
+		return f.count()
+	}
+	return f.count() // want `emitmu: call to count requires fleet held \(holding nothing\)`
+}

@@ -40,15 +40,15 @@ func TestCoreRunsWithoutServer(t *testing.T) {
 	runScript(t, srv, vc, inst, st, 6)
 	// The give-back: what a steal would take, extracted and then aborted, as
 	// when the thief refuses the adoption.
-	rep := sh.extractJobs(shardlink.ExtractArgs{ThiefMachines: sh.machines})
-	if len(rep.Jobs) == 0 {
+	sh.mu.Lock()
+	ex := sh.extractJobs(false, sh.hosts)
+	if ex != nil {
+		sh.settle(walTypeAbort, ex.Locals)
+	}
+	sh.mu.Unlock()
+	if ex == nil {
 		t.Fatal("the extraction took no job")
 	}
-	var locals []int
-	for _, mj := range rep.Jobs {
-		locals = append(locals, mj.FromLocal)
-	}
-	sh.settle(walTypeAbort, locals)
 	runScript(t, srv, vc, inst, st, -1)
 	quiesce(t, srv, vc.Now())
 

@@ -316,7 +316,7 @@ func (s *Server) snapshotLocked() error {
 	var sealed *wal.Sealed
 	var err error
 	//divflow:locks requires=reshard,shard
-	s.cut(func(all []*shard) {
+	s.cut(s.allShards(), func(all []*shard) {
 		s.topoMu.RLock()
 		doc.Reshards = len(s.gens) - 1
 		for _, gen := range s.gens {
@@ -710,7 +710,9 @@ func (s *Server) restore(st *restoreState) error {
 	s.dur.log, s.dur.replayed = st.log, len(st.suffix)
 	s.dur.mu.Unlock()
 	s.finishMigrations()
+	s.reshardMu.Lock()
 	s.repairRetired(st.now)
+	s.reshardMu.Unlock()
 	return nil
 }
 
@@ -726,59 +728,6 @@ func (s *Server) shardByIdx(idx int) (*shard, error) {
 		return nil, fmt.Errorf("unknown shard %d", idx)
 	}
 	return s.all[idx], nil
-}
-
-// finishMigrations settles every migration a crash cut in half: its reserved
-// records — extracted, neither committed nor aborted — are still on the
-// donor. A reservation whose job a destination already adopted (the
-// forwarding table names another shard) is committed; one nobody adopted is
-// aborted, and the donor keeps the job. The log is attached by now, so the
-// settlement itself is durable.
-func (s *Server) finishMigrations() {
-	for _, sh := range s.all {
-		var adopted, orphaned []int
-		sh.mu.Lock()
-		for _, rec := range sh.records.recs {
-			if rec == nil || rec.MigratedAt == nil || rec.State == StateMigrated {
-				continue
-			}
-			if owner, _, _ := s.locate(rec.GID); owner != sh {
-				adopted = append(adopted, rec.ID)
-			} else {
-				orphaned = append(orphaned, rec.ID)
-			}
-		}
-		sh.mu.Unlock()
-		sh.settle(walTypeCommit, adopted)
-		sh.settle(walTypeAbort, orphaned)
-	}
-}
-
-// repairRetired finishes an interrupted reshard: a crash after the topology
-// record leaves queued or live jobs on retired shards. They are drained
-// through the normal exchange — with the log attached, so the repair itself
-// is durable — using the same least-residual-work placement the
-// reshard would have used, in the same order, so the repaired run matches the
-// uninterrupted one.
-func (s *Server) repairRetired(now exact.Q) {
-	place := newPlacement(s.gens[len(s.gens)-1].shards)
-	for _, donor := range s.all {
-		// Catch the donor up to the restored virtual time before extracting:
-		// the lost extract record is what carried the original donor's
-		// catch-up to the reshard time, so without this the work it executed
-		// since its last replayed record would be retroactively discarded and
-		// the repaired remainings would not match the uninterrupted run's. A
-		// donor whose history compacted away has nothing to catch up or give.
-		donor.mu.Lock()
-		drain := donor.retired && !donor.historyEmpty()
-		if drain && donor.lastErr == nil {
-			donor.catchUpTo(now)
-		}
-		donor.mu.Unlock()
-		if drain {
-			s.migrate(donor, shardlink.ExtractArgs{All: true}, migrateReshard, place.pick)
-		}
-	}
 }
 
 // RestoredNow returns the virtual time the fleet was restored at (zero for a

@@ -951,10 +951,13 @@ func TestDecidePanicInSubmitLatches(t *testing.T) {
 
 // TestDecidePanicInExtractLatches pins the panic barrier on a donor's
 // catch-up: a steal's extraction, which runs on the thief's loop goroutine
-// outside its loop barrier, returns with the donor latched.
+// outside its loop barrier, under the mutex the migration holds, returns
+// with the donor latched.
 func TestDecidePanicInExtractLatches(t *testing.T) {
 	sh, tel := panicFixture(t, AdmissionStrict)
-	sh.extractJobs(shardlink.ExtractArgs{ThiefMachines: uniformFleet(1)})
+	sh.mu.Lock()
+	sh.extractJobs(false, func(databanks []string) bool { return hostsAny(uniformFleet(1), databanks) })
+	sh.mu.Unlock()
 	checkPanicLatched(t, sh, tel)
 }
 

@@ -14,12 +14,6 @@ import (
 // and speaks to the shard only through it; which transport sits behind it is
 // invisible above this file.
 
-// Migration reasons carried in shardlink.AdmitArgs and the WAL.
-const (
-	migrateSteal   = "steal"
-	migrateReshard = "reshard"
-)
-
 // linkOp indexes linkOps, the one listing of the router↔shard operation set.
 type linkOp int
 
@@ -30,10 +24,6 @@ const (
 	opStats
 	opRouteInfo
 	opPoke
-	opExtract
-	opAdmit
-	opCommit
-	opAbort
 	numOps
 )
 
@@ -47,10 +37,6 @@ var linkOps = [numOps]struct{ method, label string }{
 	opStats:     {"Stats", "stats"},
 	opRouteInfo: {"RouteInfo", "route_info"},
 	opPoke:      {"Poke", "poke"},
-	opExtract:   {"ExtractJobs", "extract"},
-	opAdmit:     {"AdmitMigrated", "admit"},
-	opCommit:    {"CommitExtract", "commit"},
-	opAbort:     {"AbortExtract", "abort"},
 }
 
 // ---------------------------------------------------------------------------
@@ -99,104 +85,16 @@ func submitErr(rep shardlink.SubmitReply) (int, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Migration. "Move job j with remaining fraction ρ_j from shard A to shard B"
-// is the divisible-load model's one structural operation, and these four
-// handlers are its only implementation: work stealing, live re-sharding and
-// the restore-time repair all drive them (Server.migrate). Each runs under its
-// own shard's mu and nothing else, and each step is one transition — extract,
-// adopt, commit or abort — that logs under that mu, so the log orders a
-// migration's steps exactly as the donor's and the destination's other
-// records saw them.
-
-// extractJobs is the reserve phase, on the donor: catch up, select — the
-// steal census against the thief's machines, or everything when a reshard
-// drains a retired shard — and pull the selection out of the engine and the
-// pending queue. The extracted records are *reserved*, not yet migrated: they
-// stay readable at their pre-move state (no not-found window while the
-// messages are in flight) and their work stays in the donor's backlog until
-// the commit, so the router's view of fleet-wide residual work never dips
-// mid-exchange.
-func (sh *shard) extractJobs(args shardlink.ExtractArgs) shardlink.ExtractReply {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	// A closed donor is off limits — during Server.Close a still-running
-	// shard must not extract live jobs from an already-drained one just to
-	// have its own close() mark them rejected. Retirement must match the
-	// mode: a steal never touches a shard a reshard is draining.
-	if sh.closed || sh.retired != args.All {
-		return shardlink.ExtractReply{}
-	}
-	// Remaining fractions must reflect everything (notionally) executed up
-	// to the present — the engine may be asleep at its last event — and the
-	// catch-up's re-solve must happen before the selection reads the engine.
-	// A latched donor skips it and still gives: its jobs are better off
-	// anywhere else.
-	if sh.lastErr == nil {
-		sh.catchUpTo(sh.now())
-	}
-	var locals []int
-	if args.All {
-		for _, v := range sh.census() {
-			locals = append(locals, v.ID)
-		}
-	} else {
-		locals = sh.stealCensus(func(databanks []string) bool {
-			return hostsAny(args.ThiefMachines, databanks)
-		})
-	}
-	if len(locals) == 0 {
-		return shardlink.ExtractReply{}
-	}
-	r := &recExtract{Shard: sh.idx, At: sh.eng.Now(), Locals: locals}
-	if err := sh.run(r); err != nil {
-		sh.fail(err)
-	}
-	return r.reply
-}
-
-// admitMigrated is the adoption phase on the destination. Accepted=false —
-// the shard is closed, or the adopt transition refuses the message — tells
-// the router to abort the donor's reservation. A refused message is neither
-// logged nor adopted, so it cannot latch the engine.
-func (sh *shard) admitMigrated(args shardlink.AdmitArgs) shardlink.AdmitReply {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.closed {
-		return shardlink.AdmitReply{}
-	}
-	r := &recAdopt{Shard: sh.idx, AdmitArgs: args}
-	if err := sh.run(r); err != nil {
-		return shardlink.AdmitReply{}
-	}
-	return shardlink.AdmitReply{Accepted: true, Locals: r.locals}
-}
-
-// settle finishes a migration on the donor: the commit transition (typ
-// walTypeCommit) once the destinations adopted the listed jobs, the abort
-// transition when one refused them or the transport failed before adoption.
-func (sh *shard) settle(typ string, locals []int) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if len(locals) == 0 {
-		return
-	}
-	if err := sh.run(&recSettle{Shard: sh.idx, Locals: locals, kind: typ}); err != nil {
-		sh.fail(err)
-	}
-	if typ == walTypeAbort {
-		sh.poke()
-	}
-}
-
-// ---------------------------------------------------------------------------
 // The shard-side adapter set, written once: shardRPC is one shard's net/rpc
 // service ("Shard<idx>") — registered per shard on the loopback server — and
 // the in-process transport calls the very same methods directly. A handler
-// is pinned to its own shard at registration: no message can name another
-// shard, so no handler ever needs a second shard's mutex. No handler has a
-// static call path to Server.cut, the one function that holds two; the shard
-// reaches router code only through its steal and dropForward func values, and
-// cut's requires=reshard is checked at every call site.
+// is pinned to its own shard at registration and takes that shard's mu at
+// most: each of the six operations reads or feeds one shard. Moving a job is
+// not one of them — Server.migrate holds the donor and its destinations
+// together, through Server.cut, the one function that holds two shard mus. No
+// handler has a static call path to cut; the shard reaches router code only
+// through its steal and dropForward func values, and cut's requires=reshard
+// is checked at every call site.
 type shardRPC struct {
 	sh *shard
 }
@@ -229,26 +127,6 @@ func (r *shardRPC) RouteInfo(_ *shardlink.RouteInfoArgs, reply *shardlink.RouteI
 
 func (r *shardRPC) Poke(_ *shardlink.PokeArgs, _ *shardlink.PokeReply) error {
 	r.sh.poke()
-	return nil
-}
-
-func (r *shardRPC) ExtractJobs(args *shardlink.ExtractArgs, reply *shardlink.ExtractReply) error {
-	*reply = r.sh.extractJobs(*args)
-	return nil
-}
-
-func (r *shardRPC) AdmitMigrated(args *shardlink.AdmitArgs, reply *shardlink.AdmitReply) error {
-	*reply = r.sh.admitMigrated(*args)
-	return nil
-}
-
-func (r *shardRPC) CommitExtract(args *shardlink.CommitArgs, _ *shardlink.CommitReply) error {
-	r.sh.settle(walTypeCommit, args.Locals)
-	return nil
-}
-
-func (r *shardRPC) AbortExtract(args *shardlink.AbortArgs, _ *shardlink.AbortReply) error {
-	r.sh.settle(walTypeAbort, args.Locals)
 	return nil
 }
 
@@ -335,27 +213,5 @@ func (l *link) RouteInfo(args shardlink.RouteInfoArgs) (shardlink.RouteInfoReply
 
 func (l *link) Poke(args shardlink.PokeArgs) error {
 	_, err := call(l, opPoke, (*shardRPC).Poke, args)
-	return err
-}
-
-// Migration, the only way a job changes shard: the donor extracts and
-// reserves, the destination admits, the donor commits — or aborts and takes
-// the jobs back. Each call runs under one shard's mutex.
-
-func (l *link) ExtractJobs(args shardlink.ExtractArgs) (shardlink.ExtractReply, error) {
-	return call(l, opExtract, (*shardRPC).ExtractJobs, args)
-}
-
-func (l *link) AdmitMigrated(args shardlink.AdmitArgs) (shardlink.AdmitReply, error) {
-	return call(l, opAdmit, (*shardRPC).AdmitMigrated, args)
-}
-
-func (l *link) CommitExtract(args shardlink.CommitArgs) error {
-	_, err := call(l, opCommit, (*shardRPC).CommitExtract, args)
-	return err
-}
-
-func (l *link) AbortExtract(args shardlink.AbortArgs) error {
-	_, err := call(l, opAbort, (*shardRPC).AbortExtract, args)
 	return err
 }

@@ -31,7 +31,7 @@ import (
 //     generation that issued them;
 //  4. drain each retired shard onto the new topology — exact remaining
 //     fractions, original global IDs and flow origins — through the same
-//     extract → admit → commit exchange work stealing uses (Server.migrate).
+//     migration work stealing uses (Server.migrate), one section per donor.
 //
 // A reshard whose platform induces the partition already running is a no-op:
 // nothing migrates, the generation does not advance, and the server is
@@ -253,7 +253,7 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	// forwarding table points reads at the new owner.
 	place := newPlacement(gen2)
 	for _, donor := range retiring {
-		resp.MigratedJobs += s.migrate(donor, shardlink.ExtractArgs{All: true}, migrateReshard, place.pick)
+		resp.MigratedJobs += s.migrate(donor, gen2, migrateReshard, place.pick)
 		resp.RetiredShards = append(resp.RetiredShards, donor.idx)
 	}
 	resp.Warning = place.warning
@@ -311,7 +311,7 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 //divflow:locks requires=reshard
 func (s *Server) publishGeneration(rec *recTopo, retiring []*shard) (gen2, spawned []*shard, err error) {
 	//divflow:locks requires=reshard,shard
-	s.cut(func([]*shard) {
+	s.cut(s.allShards(), func([]*shard) {
 		if err = stranded(retiring, rec.Fleet); err != nil {
 			return
 		}
@@ -372,7 +372,7 @@ func stranded(retiring []*shard, fleet []model.Machine) error {
 // is touched: an error leaves the running topology as it was. The record is
 // then appended before the first mutation, hence before any migration record
 // naming the generation's shards: restore rebuilds the generation first, then
-// retraces the exchanges (a crash in between leaves jobs on retired donors,
+// retraces the migrations (a crash in between leaves jobs on retired donors,
 // which restore drains: repairRetired). The first generation and a snapshot's
 // are never logged: no log is attached to the server while they install.
 //

@@ -75,11 +75,17 @@ func restoreLog(t testing.TB, snapSeq uint64, snap []byte, recs []wal.Record) er
 // come back from New as an error naming the record's seq and type. The
 // complete and compact cases are held to what the live path wrote them from:
 // the job the engine completed at the record's time, and the horizon
-// retention puts behind the record's now.
+// retention puts behind the record's now. The log is the one outside source
+// of an adoption, so a malformed migrated job is refused here
+// (MigratedJob.Check).
 func TestWALRestoreRejectsDamagedRecords(t *testing.T) {
 	snapSeq, snap, recs := parentSuffix(t)
 	set := func(field string, v any) func(map[string]any) {
 		return func(r map[string]any) { r[field] = v }
+	}
+	// setJob edits the first job of an adopt record's message.
+	setJob := func(field string, v any) func(map[string]any) {
+		return func(r map[string]any) { r["jobs"].([]any)[0].(map[string]any)[field] = v }
 	}
 	for _, tc := range []struct {
 		name string
@@ -110,6 +116,10 @@ func TestWALRestoreRejectsDamagedRecords(t *testing.T) {
 				}
 			}
 		}, nil, "record 31 (adopt): adopt record carries no adoption message"},
+		{"adopt of a zero-size job", 31, setJob("size", "0"), nil,
+			"record 31 (adopt): job 6: shardlink: migrated job 6 needs size > 0"},
+		{"adopt of more than the whole job", 31, setJob("remaining", "3/2"), nil,
+			"record 31 (adopt): job 6: shardlink: migrated job 6 needs remaining in (0, 1], got 3/2"},
 		{"record of the retired migrate type", 0, nil,
 			&wal.Record{Type: "migrate", Data: json.RawMessage(`{"shard":0,"locals":[0]}`)},
 			`record 46 (migrate): unknown record type "migrate"`},

@@ -26,6 +26,7 @@ import (
 	"math/big"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -259,17 +260,18 @@ type Server struct {
 	// forward maps the global ID of every migrated job to its current
 	// location; IDs never migrated resolve arithmetically through their
 	// birth generation. An entry is written after the destination adopted the
-	// job and before the donor's record flips to migrated (Server.migrate),
-	// so a read that misses the table and lands on the donor mid-migration
-	// either still finds the job there or finds the table already updated.
+	// job and before the donor's record flips to migrated, both inside one
+	// migration's section (Server.migrate), so a read that resolved the job
+	// to the donor before the migration finds it migrated there and chases
+	// the table, which already names the new owner.
 	forward map[int]fwdLoc
 
 	// reshardMu is who may move things: it serializes topology changes
 	// (Reshard, and Close — which must not race a reshard spawning shards it
 	// would miss) and snapshots, and keeps all three apart from migrations: a
-	// steal runs its whole exchange under a TryRLock, so steals share the lock
-	// with each other — every step of an exchange is atomic on the one shard
-	// it touches — but never overlap a writer.
+	// steal runs its migration under a TryRLock, so steals share the lock
+	// with each other — two that share a shard serialize on its mu — but
+	// never overlap a writer.
 	//divflow:locks name=reshard before=collect
 	reshardMu sync.RWMutex
 
@@ -506,22 +508,24 @@ func (s *Server) allShards() []*shard {
 	return append([]*shard(nil), s.all...)
 }
 
-// cut runs body under every shard's mu — taken in creation order, released in
-// reverse — and is the only place two shard mus are ever held together: a
-// snapshot's export and a reshard's publish are its two bodies, and no job
-// ever moves under one. Callers hold reshardMu, so no shard can be created
-// between the listing and the locking; body receives the list, in creation
-// order.
+// cut runs body under the mu of every shard of set — taken in creation order,
+// released in reverse — and is the only place two shard mus are ever held
+// together: a snapshot's export and a reshard's publish pass every shard, a
+// migration its donor and candidate destinations. Callers hold reshardMu, so
+// no shard can be created between the listing and the locking. body receives
+// the set in creation order, each shard once; set itself is not reordered.
 //
 //divflow:locks requires=reshard ascending=shard
-func (s *Server) cut(body func(all []*shard)) {
-	all := s.allShards()
-	for _, sh := range all {
+func (s *Server) cut(set []*shard, body func(locked []*shard)) {
+	set = slices.Clone(set)
+	slices.SortFunc(set, func(a, b *shard) int { return a.idx - b.idx })
+	set = slices.Compact(set)
+	for _, sh := range set {
 		sh.mu.Lock()
 	}
-	body(all)
-	for i := len(all) - 1; i >= 0; i-- {
-		all[i].mu.Unlock()
+	body(set)
+	for i := len(set) - 1; i >= 0; i-- {
+		set[i].mu.Unlock()
 	}
 }
 

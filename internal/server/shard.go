@@ -191,8 +191,8 @@ func (sh *shard) loop() {
 			return
 		}
 
-		// The steal call runs outside mu: the exchange takes the donor's mu
-		// and then this shard's own, one at a time.
+		// The steal call runs outside mu: the migration takes this shard's
+		// mu together with the donor's.
 		if res.idle && sh.steal != nil && sh.steal() {
 			continue
 		}

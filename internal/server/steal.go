@@ -18,7 +18,9 @@ import (
 // remaining fractions) from the largest-backlog shard whose databanks the
 // thief hosts. Migrated jobs keep their global ID, flow origin, and every
 // piece of work already executed; the forwarding table makes the move
-// invisible on the wire.
+// invisible on the wire. This file also holds migrate, the one way a job
+// changes shard, and the restore-time repairs of a migration a crash cut
+// short.
 
 // stealFor migrates work onto an idle thief shard, trying donors in order
 // of decreasing backlog. It reports whether any job moved. Donors come from
@@ -44,16 +46,15 @@ func (s *Server) stealFor(thief *shard) bool {
 }
 
 // stealFrom moves up to half of the donor's jobs — those the thief can host,
-// largest remaining work first — onto the thief, through the same exchange
-// whether the two shards are a goroutine or a process apart.
+// largest remaining work first — onto the thief, in one migration that holds
+// both shards.
 //
 // It runs under a reshardMu TryRLock: retired/closed only flip under the
 // write lock, so the read lock pins both shards' dispositions across the
-// multi-message window, and keeps a reshard, a snapshot and Close away from a
-// half-done exchange. Steals share it: two exchanges interleave safely, each
-// step being atomic on its one shard. Try, not block — Close and Reshard wait
-// for shard loops to stop while holding the write lock, so a loop must never
-// wait for it; skipping one steal attempt is free.
+// migration, and keeps a reshard, a snapshot and Close away from it. Steals
+// share it: two that share a shard serialize on its mutex. Try, not block —
+// Close and Reshard wait for shard loops to stop while holding the write
+// lock, so a loop must never wait for it; skipping one steal attempt is free.
 func (s *Server) stealFrom(thief, donor *shard) bool {
 	if !s.reshardMu.TryRLock() {
 		return false
@@ -62,7 +63,7 @@ func (s *Server) stealFrom(thief, donor *shard) bool {
 	// Timed end to end — donor catch-up included, since that catch-up (and
 	// any exact re-solve it triggers) is the real cost of a steal.
 	start := s.tel.now()
-	moved := s.migrate(donor, shardlink.ExtractArgs{ThiefMachines: thief.machines}, migrateSteal,
+	moved := s.migrate(donor, []*shard{thief}, migrateSteal,
 		func(*shardlink.MigratedJob) *shard { return thief })
 	if moved == 0 {
 		return false
@@ -77,69 +78,199 @@ func (s *Server) stealFrom(thief, donor *shard) bool {
 	return true
 }
 
-// migrate is the one way a job changes shard, whatever asked for the move (a
-// steal, a reshard draining a retired shard, the restore-time repair): the
-// donor extracts and reserves; pick names each job's destination; every
-// destination adopts its share; the forwarding table learns the new owners;
-// the donor commits — and takes back whatever no destination adopted, exact
-// remaining fractions intact, so no work is ever lost or duplicated. It holds
-// no shard mutex itself: each step runs under the mu of the one shard it
-// touches, behind that shard's link. Callers hold reshardMu (a steal shared,
-// a reshard exclusively). It returns how many jobs moved.
-func (s *Server) migrate(donor *shard, ex shardlink.ExtractArgs, reason string, pick func(*shardlink.MigratedJob) *shard) int {
-	rep, err := donor.link.ExtractJobs(ex)
-	if err != nil {
-		return 0
-	}
-	// One adoption per destination, jobs in extraction order within each.
-	var dests []*shard
-	share := make(map[*shard][]shardlink.MigratedJob)
-	var moved, back []int
-	for i := range rep.Jobs {
-		dest := pick(&rep.Jobs[i])
-		if dest == nil {
-			s.tel.event(obs.EventReject, s.Generation(), rep.Jobs[i].GID,
-				fmt.Sprintf("no shard hosts databanks %v; the job stays on shard %d", rep.Jobs[i].Databanks, rep.From))
-			back = append(back, rep.Jobs[i].FromLocal)
-			continue
-		}
-		if share[dest] == nil {
-			dests = append(dests, dest)
-		}
-		share[dest] = append(share[dest], rep.Jobs[i])
-	}
-	for _, dest := range dests {
-		jobs := share[dest]
-		ad, aerr := dest.link.AdmitMigrated(shardlink.AdmitArgs{Jobs: jobs, Reason: reason, From: rep.From, At: rep.At})
-		refused := aerr != nil || !ad.Accepted || len(ad.Locals) != len(jobs)
-		if !refused {
-			// Forwarding entries land before the donor commits: between the
-			// admit and the commit the job is readable on the donor (pre-move
-			// state) and resolvable to the destination, never on neither.
-			s.forwardTo(dest, jobs, ad.Locals)
-		}
-		for i := range jobs {
-			if refused {
-				back = append(back, jobs[i].FromLocal)
-			} else {
-				moved = append(moved, jobs[i].FromLocal)
+// Migration reasons carried in shardlink.AdmitArgs and the WAL. A steal takes
+// part of a serving donor's work; a reshard drains a retired donor whole.
+const (
+	migrateSteal   = "steal"
+	migrateReshard = "reshard"
+)
+
+// migrate is the one way a job changes shard — "move job j with remaining
+// fraction ρ_j from shard A to shard B", the divisible-load model's one
+// structural operation — whatever asked for the move: a steal, a reshard
+// draining a retired shard, the restore-time repair. It is one section under
+// the mutexes of the donor and every candidate destination, taken together
+// by cut: the donor extracts, pick names each job's destination among dests,
+// every destination adopts its share, the forwarding table learns the new
+// owners, and the donor commits what moved and takes back, exact remaining
+// fractions intact, whatever no destination adopted. So no work is ever lost
+// or duplicated, and no reader that takes a shard's mu sees a step half done
+// (the routing keys, read without one, are published step by step). Each
+// step is one transition through shardCore.run, logged in that order.
+// Callers hold reshardMu (a steal shared, a reshard and the repair
+// exclusively). It returns how many jobs moved.
+//
+//divflow:locks requires=reshard
+func (s *Server) migrate(donor *shard, dests []*shard, reason string, pick func(*shardlink.MigratedJob) *shard) (moved int) {
+	hosts := func(databanks []string) bool {
+		for _, d := range dests {
+			if d.hosts(databanks) {
+				return true
 			}
 		}
+		return false
 	}
-	if len(back) > 0 {
-		_ = donor.link.AbortExtract(shardlink.AbortArgs{Locals: back})
+	//divflow:locks requires=reshard,shard
+	s.cut(append([]*shard{donor}, dests...), func([]*shard) {
+		ex := donor.extractJobs(reason == migrateReshard, hosts)
+		if ex == nil {
+			return
+		}
+		// One adoption per destination, jobs in extraction order within each.
+		var order []*shard
+		share := make(map[*shard][]shardlink.MigratedJob)
+		var gone, back []int
+		for i := range ex.jobs {
+			mj := &ex.jobs[i]
+			dest := pick(mj)
+			if dest == nil {
+				s.tel.event(obs.EventReject, s.Generation(), mj.GID,
+					fmt.Sprintf("no shard hosts databanks %v; the job stays on shard %d", mj.Databanks, donor.idx))
+				back = append(back, mj.FromLocal)
+				continue
+			}
+			if share[dest] == nil {
+				order = append(order, dest)
+			}
+			share[dest] = append(share[dest], *mj)
+		}
+		for _, dest := range order {
+			jobs := share[dest]
+			ad := &recAdopt{Shard: dest.idx, AdmitArgs: shardlink.AdmitArgs{Jobs: jobs, Reason: reason, From: donor.idx, At: ex.At}}
+			// A closed destination refuses before its transition does.
+			adopted := !dest.closed && dest.run(ad) == nil
+			if adopted {
+				// The donor's records flip to migrated at the commit below;
+				// a locate from here on already finds the destination.
+				s.forwardTo(dest, jobs, ad.locals)
+			}
+			for i := range jobs {
+				if adopted {
+					gone = append(gone, jobs[i].FromLocal)
+				} else {
+					back = append(back, jobs[i].FromLocal)
+				}
+			}
+		}
+		donor.settle(walTypeAbort, back)
+		donor.settle(walTypeCommit, gone)
+		moved = len(gone)
+	})
+	return moved
+}
+
+// extractJobs is the donor's step of a migration: catch up, select — every
+// queued or live job when all (a reshard draining a retired shard), else the
+// steal census of the jobs hosts accepts — and run the extract transition on
+// the selection. It returns the extraction, nil when nothing moves.
+//
+//divflow:locks requires=shard
+func (sh *shard) extractJobs(all bool, hosts func(databanks []string) bool) *recExtract {
+	// A closed donor is off limits — during Server.Close a still-running
+	// shard must not extract live jobs from an already-drained one just to
+	// have its own close() mark them rejected. Retirement must match the
+	// mode: a steal never touches a shard a reshard is draining.
+	if sh.closed || sh.retired != all {
+		return nil
 	}
-	if len(moved) > 0 {
-		if err := donor.link.CommitExtract(shardlink.CommitArgs{Locals: moved}); err != nil {
-			// The transport died between admit and commit: the destination
-			// owns the jobs (the forwarding table already says so); the donor
-			// keeps reserved records no census will ever offer again. Nothing
-			// to unwind that would not lose work.
-			s.tel.event(obs.EventShardStall, -1, -1,
-				fmt.Sprintf("migration commit to shard %d failed: %v", donor.idx, err))
+	// Remaining fractions must reflect everything (notionally) executed up
+	// to the present — the engine may be asleep at its last event — and the
+	// catch-up's re-solve must happen before the selection reads the engine.
+	// A latched donor skips it and still gives: its jobs are better off
+	// anywhere else.
+	if sh.lastErr == nil {
+		sh.catchUpTo(sh.now())
+	}
+	var locals []int
+	if all {
+		for _, v := range sh.census() {
+			locals = append(locals, v.ID)
+		}
+	} else {
+		locals = sh.stealCensus(hosts)
+	}
+	if len(locals) == 0 {
+		return nil
+	}
+	r := &recExtract{Shard: sh.idx, At: sh.eng.Now(), Locals: locals}
+	if err := sh.run(r); err != nil {
+		sh.fail(err)
+		return nil
+	}
+	return r
+}
+
+// settle finishes a migration on the donor: the commit transition (kind
+// walTypeCommit) of the jobs the destinations adopted, the abort transition
+// of those they refused, or that no shard hosts. An abort wakes the donor to
+// re-admit them.
+//
+//divflow:locks requires=shard
+func (sh *shard) settle(kind string, locals []int) {
+	if len(locals) == 0 {
+		return
+	}
+	if err := sh.run(&recSettle{Shard: sh.idx, Locals: locals, kind: kind}); err != nil {
+		sh.fail(err)
+	}
+	if kind == walTypeAbort {
+		sh.poke()
+	}
+}
+
+// finishMigrations settles every migration a crash cut in half: its reserved
+// records — extracted, neither committed nor aborted — are still on the
+// donor. A reservation whose job a destination already adopted (the
+// forwarding table names another shard) is committed; one nobody adopted is
+// aborted, and the donor keeps the job. The log is attached by now, so the
+// settlement itself is durable.
+func (s *Server) finishMigrations() {
+	for _, sh := range s.all {
+		var adopted, orphaned []int
+		sh.mu.Lock()
+		for _, rec := range sh.records.recs {
+			if rec == nil || rec.MigratedAt == nil || rec.State == StateMigrated {
+				continue
+			}
+			if owner, _, _ := s.locate(rec.GID); owner != sh {
+				adopted = append(adopted, rec.ID)
+			} else {
+				orphaned = append(orphaned, rec.ID)
+			}
+		}
+		sh.settle(walTypeCommit, adopted)
+		sh.settle(walTypeAbort, orphaned)
+		sh.mu.Unlock()
+	}
+}
+
+// repairRetired finishes an interrupted reshard: a crash after the topology
+// record leaves queued or live jobs on retired shards. They are drained
+// through migrate — with the log attached, so the repair itself is durable —
+// using the same least-residual-work placement the reshard would have used,
+// in the same order, so the repaired run matches the uninterrupted one.
+//
+//divflow:locks requires=reshard
+func (s *Server) repairRetired(now exact.Q) {
+	newest := s.gens[len(s.gens)-1].shards
+	place := newPlacement(newest)
+	for _, donor := range s.all {
+		// Catch the donor up to the restored virtual time before extracting:
+		// the lost extract record is what carried the original donor's
+		// catch-up to the reshard time, so without this the work it executed
+		// since its last replayed record would be retroactively discarded and
+		// the repaired remainings would not match the uninterrupted run's. A
+		// donor whose history compacted away has nothing to catch up or give.
+		donor.mu.Lock()
+		drain := donor.retired && !donor.historyEmpty()
+		if drain && donor.lastErr == nil {
+			donor.catchUpTo(now)
+		}
+		donor.mu.Unlock()
+		if drain {
+			s.migrate(donor, newest, migrateReshard, place.pick)
 		}
 	}
-	return len(moved)
 }
 
 // forwardTo points the forwarding table at the destination records of adopted

@@ -425,3 +425,42 @@ func TestStatsRaceUnderCompletions(t *testing.T) {
 	readers.Wait()
 	validateServer(t, srv)
 }
+
+// TestCutLocksInCreationOrder holds cut to the order every multi-shard
+// section relies on, which the lock checker cannot see: whatever order a
+// caller lists the shards in, repeats included, the body gets each shard
+// once, ascending by creation index and locked, and the caller's list is
+// left as it was.
+func TestCutLocksInCreationOrder(t *testing.T) {
+	srv, err := New(Config{Machines: uniformFleet(4), Shards: 4, Clock: NewVirtualClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	all := srv.allShards()
+	set := []*shard{all[3], all[1], all[3], all[0]}
+	srv.reshardMu.Lock()
+	srv.cut(set, func(locked []*shard) {
+		var idx []int
+		for _, sh := range locked {
+			idx = append(idx, sh.idx)
+			if sh.mu.TryLock() {
+				sh.mu.Unlock()
+				t.Errorf("shard %d is not locked inside the cut", sh.idx)
+			}
+		}
+		if fmt.Sprint(idx) != "[0 1 3]" {
+			t.Errorf("the cut locked shards %v, want [0 1 3]", idx)
+		}
+	})
+	srv.reshardMu.Unlock()
+	if set[0] != all[3] || set[3] != all[0] {
+		t.Error("cut reordered its caller's list")
+	}
+	for _, sh := range all {
+		if !sh.mu.TryLock() {
+			t.Fatalf("shard %d is still locked after the cut", sh.idx)
+		}
+		sh.mu.Unlock()
+	}
+}

@@ -23,8 +23,8 @@ const (
 	walTypeComplete = "complete"
 	walTypeTopo     = "topology"
 	walTypeCompact  = "compact"
-	// The steps of a migration, each logged by the shard-side function that
-	// performs it, under the mu of the shard whose state it changes.
+	// The steps of a migration, logged back to back by Server.migrate, each
+	// through the shard whose state it changes.
 	walTypeExtract = "extract"
 	walTypeAdopt   = "adopt"
 	walTypeCommit  = "commit"
@@ -354,13 +354,14 @@ func (r *recCompact) apply(c *shardCore) error {
 
 // recExtract logs the donor half of a migration: which records were reserved,
 // at the donor's exact engine time, which fixes their remaining fractions,
-// the donor's re-plan and the records' later compaction horizon. reply, which
-// the transition fills, is the extraction message.
+// the donor's re-plan and the records' later compaction horizon. jobs, which
+// the transition fills, are the extracted jobs, in the order Locals lists
+// them.
 type recExtract struct {
 	Shard  int     `json:"shard"`
 	At     exact.Q `json:"at"`
 	Locals []int   `json:"locals"`
-	reply  shardlink.ExtractReply
+	jobs   []shardlink.MigratedJob
 }
 
 func (r *recExtract) head() (int, exact.Q, bool) { return r.Shard, r.At, true }
@@ -387,7 +388,6 @@ func (r *recExtract) apply(c *shardCore) error {
 		taken[local] = true
 	}
 	c.wal.append(walTypeExtract, r)
-	r.reply = shardlink.ExtractReply{From: c.idx, At: r.At}
 	removedLive := false
 	for _, local := range r.Locals {
 		rec := c.records.get(local)
@@ -400,8 +400,8 @@ func (r *recExtract) apply(c *shardCore) error {
 		}
 		// Every donor piece of the job ends by the extraction time — that,
 		// not the later commit, fixes the record's compaction horizon.
-		rec.MigratedAt = &r.reply.At
-		r.reply.Jobs = append(r.reply.Jobs, shardlink.MigratedJob{
+		rec.MigratedAt = &r.At
+		r.jobs = append(r.jobs, shardlink.MigratedJob{
 			FromLocal: local, GID: rec.GID, Remaining: rec.Remaining, Counted: rec.Counted, Job: rec.Job,
 		})
 	}
@@ -413,8 +413,8 @@ func (r *recExtract) apply(c *shardCore) error {
 	}
 	c.pending = kept
 	// Re-plan immediately: the extraction invalidated the plan cache, and the
-	// machines that ran the extracted jobs must not idle for a whole message
-	// round-trip waiting for the commit.
+	// machines that ran the extracted jobs must not idle until the donor's
+	// next wake-up.
 	if removedLive && c.lastErr == nil {
 		c.decide()
 	}
@@ -437,7 +437,7 @@ func (r *recAdopt) head() (int, exact.Q, bool) { return r.Shard, r.At, false }
 // no job, a malformed one (MigratedJob.Check) or one no machine hosts is
 // refused, and so is a retired shard, and a latched one a steal would not
 // help (a reshard does place on a stalled shard when no healthy one hosts the
-// job); a closed one's shell refuses it first (admitMigrated).
+// job); a closed one's shell refuses it first (Server.migrate).
 //
 //divflow:locks requires=shard
 func (r *recAdopt) apply(c *shardCore) error {

@@ -2,8 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"maps"
 	"math/big"
 	"net/http/httptest"
 	"strings"
@@ -23,9 +23,10 @@ import (
 // through one table-driven harness. The in-process transport must stay
 // bit-for-bit the pre-shardlink behavior; the loopback rpc transport runs
 // the same local shards but routes every router↔shard operation through a
-// full net/rpc+gob round-trip (and migrations through the two-phase
-// reserve→commit exchange), and must reproduce the same exact traces,
+// full net/rpc+gob round-trip, and must reproduce the same exact traces,
 // times, and fractions — the equivalence suite's transport dimension.
+// Migrations take no link operation on either: they hold the shards they
+// move jobs between.
 var transportAxis = []string{shardlink.TransportInproc, shardlink.TransportRPC}
 
 // TestTransportSingleShardEquivalence is the P=1 pin on the transport axis:
@@ -156,57 +157,59 @@ func TestSubmitRefusesMalformedJob(t *testing.T) {
 	}
 }
 
-// TestAdmitMigratedRefusesMalformedJob is the same for the adoption half of a
-// migration, AdmitMigrated over the loopback net/rpc transport: each malformed
-// job must be refused (Accepted=false, so the router aborts and the donor
-// takes the job back) before the shard logs or adopts anything. A zero size
-// used to be logged, adopted and then latched the engine at admission, and a
-// refused steal has nothing to latch. A sound partial job is adopted and runs.
-func TestAdmitMigratedRefusesMalformedJob(t *testing.T) {
+// TestAdoptRefusesMalformedJob is the same for the adopt transition, the
+// destination's step of a migration, run under the shard's mutex as
+// Server.migrate runs it: each malformed job must be refused, naming the
+// check, before the shard logs or adopts anything. The write-ahead log is the
+// one outside source of an adoption, and restore runs the same transition. A
+// zero size used to be logged, adopted and then latched the engine at
+// admission, and a refused steal has nothing to latch. A sound partial job is
+// adopted and runs.
+func TestAdoptRefusesMalformedJob(t *testing.T) {
 	vc := NewVirtualClock()
 	dir := t.TempDir()
-	srv, err := New(Config{Machines: testFleet(), Clock: vc, Shards: 1, Transport: shardlink.TransportRPC, WALDir: dir})
+	srv, err := New(Config{Machines: testFleet(), Clock: vc, Shards: 1, WALDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	srv.Start()
 	sh := srv.active()[0]
+	adopt := func(jobs ...shardlink.MigratedJob) (*recAdopt, error) {
+		r := &recAdopt{Shard: sh.idx, AdmitArgs: shardlink.AdmitArgs{Reason: migrateSteal, Jobs: jobs}}
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return r, sh.run(r)
+	}
 	banks := []string{"swissprot"}
 	sound := shardlink.Job{Size: exact.Int(2), Weight: exact.Int(1), Databanks: banks}
 	for _, tc := range []struct {
 		name string
 		edit func(mj *shardlink.MigratedJob)
+		want string
 	}{
-		{"no size", func(mj *shardlink.MigratedJob) { mj.Size = exact.Q{} }},
-		{"negative size", func(mj *shardlink.MigratedJob) { mj.Size = exact.Int(-2) }},
-		{"no weight", func(mj *shardlink.MigratedJob) { mj.Weight = exact.Q{} }},
-		{"negative deadline", func(mj *shardlink.MigratedJob) { mj.Deadline = exact.Int(-1) }},
-		{"negative release", func(mj *shardlink.MigratedJob) { mj.Release = exact.Int(-1) }},
-		{"remaining above one", func(mj *shardlink.MigratedJob) { mj.Remaining = exact.New(3, 2) }},
-		{"negative remaining", func(mj *shardlink.MigratedJob) { mj.Remaining = exact.New(-1, 2) }},
+		{"no size", func(mj *shardlink.MigratedJob) { mj.Size = exact.Q{} }, "needs size > 0"},
+		{"negative size", func(mj *shardlink.MigratedJob) { mj.Size = exact.Int(-2) }, "needs size > 0"},
+		{"no weight", func(mj *shardlink.MigratedJob) { mj.Weight = exact.Q{} }, "needs weight > 0"},
+		{"negative deadline", func(mj *shardlink.MigratedJob) { mj.Deadline = exact.Int(-1) }, "needs deadline > 0"},
+		{"negative release", func(mj *shardlink.MigratedJob) { mj.Release = exact.Int(-1) }, "needs release >= 0"},
+		{"remaining above one", func(mj *shardlink.MigratedJob) { mj.Remaining = exact.New(3, 2) }, "needs remaining in (0, 1]"},
+		{"negative remaining", func(mj *shardlink.MigratedJob) { mj.Remaining = exact.New(-1, 2) }, "needs remaining in (0, 1]"},
 	} {
 		bad := shardlink.MigratedJob{GID: 7, Job: sound}
 		tc.edit(&bad)
 		// The malformed job rides second: the sound one before it must not be
 		// adopted either.
-		args := shardlink.AdmitArgs{Reason: migrateSteal, Jobs: []shardlink.MigratedJob{{GID: 6, Job: sound}, bad}}
-		rep, err := sh.link.AdmitMigrated(args)
-		if err != nil {
-			t.Fatalf("%s: transport error %v", tc.name, err)
-		}
-		if rep.Accepted || len(rep.Locals) != 0 {
-			t.Errorf("%s: reply %+v, want a refusal", tc.name, rep)
+		r, err := adopt(shardlink.MigratedJob{GID: 6, Job: sound}, bad)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || len(r.locals) != 0 {
+			t.Errorf("%s: adopted %v (%v), want a refusal containing %q", tc.name, r.locals, err, tc.want)
 		}
 	}
-	rep, err := sh.link.AdmitMigrated(shardlink.AdmitArgs{Reason: migrateSteal,
-		Jobs: []shardlink.MigratedJob{{GID: 8, Remaining: exact.New(1, 2), Job: sound}}})
-	if err != nil || !rep.Accepted || len(rep.Locals) != 1 {
-		t.Fatalf("sound adoption = %+v, %v; want accepted", rep, err)
+	r, err := adopt(shardlink.MigratedJob{GID: 8, Remaining: exact.New(1, 2), Job: sound})
+	if err != nil || len(r.locals) != 1 {
+		t.Fatalf("sound adoption = %v, %v; want adopted", r.locals, err)
 	}
-	if err := sh.link.Poke(shardlink.PokeArgs{}); err != nil { // as the router does after a steal
-		t.Fatal(err)
-	}
+	sh.poke() // as a steal does once its migration is over
 	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 1 })
 	if st := srv.Stats(); st.Stalled || st.LastError != "" {
 		t.Errorf("after the refusals: stalled %v, error %q; want a healthy shard", st.Stalled, st.LastError)
@@ -229,9 +232,9 @@ func TestAdmitMigratedRefusesMalformedJob(t *testing.T) {
 
 // TestTransportStealScenario replays the exact half-executed-job migration
 // scenario of TestStealMigratesHalfExecutedJob on both transports: under
-// rpc the steal runs as the two-phase reserve→commit message exchange, and
-// every time, fraction, and ID must still come out identical — D@2, B@3,
-// A stolen with exactly 1/2 remaining and done @6, C@12.
+// rpc every read and submit crosses gob, and every time, fraction, and ID
+// must still come out identical — D@2, B@3, A stolen with exactly 1/2
+// remaining and done @6, C@12.
 func TestTransportStealScenario(t *testing.T) {
 	for _, tr := range transportAxis {
 		t.Run(tr, func(t *testing.T) { testTransportSteal(t, tr) })
@@ -457,14 +460,14 @@ func testTransportReshardStorm(t *testing.T, transport string) {
 	validateServer(t, srv)
 }
 
-// TestTransportMigrationConservesBacklog reads every shard's routing key
-// between the steps of a steal — extract, adopt, commit — and of a give-back
-// — extract, abort — on both transports. The fleet-wide backlog and each
-// tenant's never dip below their value before the exchange, because the donor
-// keeps reserved work in its backlog until the commit or abort settles it;
-// between the adoption and the commit the moved work is counted on both
-// shards, exactly once more; and a settled exchange leaves every sum where it
-// started.
+// TestTransportMigrationConservesBacklog reads every shard's routing key,
+// through the link of either transport, before and after a steal and a
+// give-back — a migration whose destination refuses the adoption, so the
+// donor takes its jobs back — each one call of Server.migrate. The fleet-wide
+// backlog and each tenant's must be where they were: the section moves the
+// work whole. A reader that takes no shard mutex can still see the adopt's
+// routing key published before the commit's, inside the one section; a reader
+// that locks either shard cannot.
 func TestTransportMigrationConservesBacklog(t *testing.T) {
 	for _, tr := range transportAxis {
 		t.Run(tr, func(t *testing.T) { testTransportMigrationBacklog(t, tr) })
@@ -490,7 +493,7 @@ func testTransportMigrationBacklog(t *testing.T, transport string) {
 			t.Fatal(err)
 		}
 	}
-	// One unit executed before the exchange, with no completion yet: srpt
+	// One unit executed before the steal, with no completion yet: srpt
 	// runs the donor's four shortest jobs on its four machines, and the
 	// longest waits.
 	donor.mu.Lock()
@@ -526,47 +529,35 @@ func testTransportMigrationBacklog(t *testing.T, transport string) {
 			}
 		}
 	}
-	fromLocals := func(rep shardlink.ExtractReply) []int {
-		var locals []int
-		for _, mj := range rep.Jobs {
-			locals = append(locals, mj.FromLocal)
-		}
-		return locals
-	}
-
 	before := sums()
 	if before[""].Cmp(exact.Int(20)) != 0 {
-		t.Fatalf("fleet backlog %v before the exchange, want the 20 units submitted", before[""])
+		t.Fatalf("fleet backlog %v before the steal, want the 20 units submitted", before[""])
 	}
-	rep, err := donor.link.ExtractJobs(shardlink.ExtractArgs{ThiefMachines: thief.machines})
-	if err != nil || len(rep.Jobs) != 2 {
-		t.Fatalf("extract: %d jobs (%v), want half of the donor's 5", len(rep.Jobs), err)
+	steal := func() int {
+		srv.reshardMu.RLock()
+		defer srv.reshardMu.RUnlock()
+		return srv.migrate(donor, []*shard{thief}, migrateSteal, func(*shardlink.MigratedJob) *shard { return thief })
 	}
-	check("after extract", before)
-	ad, err := thief.link.AdmitMigrated(shardlink.AdmitArgs{Jobs: rep.Jobs, Reason: migrateSteal, From: rep.From, At: rep.At})
-	if err != nil || !ad.Accepted {
-		t.Fatalf("the thief refused the adoption (%v)", err)
+	if moved := steal(); moved != 2 {
+		t.Fatalf("the steal moved %d jobs, want half of the donor's 5", moved)
 	}
-	twice := maps.Clone(before)
-	for _, mj := range rep.Jobs {
-		twice[""] = twice[""].Add(mj.Size)
-		if mj.Tenant != "" {
-			twice[mj.Tenant] = twice[mj.Tenant].Add(mj.Size)
-		}
+	check("after the steal", before)
+	if ri, err := thief.link.RouteInfo(shardlink.RouteInfoArgs{}); err != nil || ri.Backlog.Sign() <= 0 {
+		t.Fatalf("the thief's routing key holds %v of the stolen work (%v)", ri.Backlog, err)
 	}
-	check("after admit", twice)
-	if err := donor.link.CommitExtract(shardlink.CommitArgs{Locals: fromLocals(rep)}); err != nil {
-		t.Fatal(err)
-	}
-	check("after commit", before)
 
-	back, err := donor.link.ExtractJobs(shardlink.ExtractArgs{ThiefMachines: thief.machines})
-	if err != nil || len(back.Jobs) == 0 {
-		t.Fatalf("second extract: %d jobs (%v)", len(back.Jobs), err)
+	// A latched thief refuses a steal's adoption.
+	thief.mu.Lock()
+	thief.fail(errors.New("injected fault"))
+	thief.mu.Unlock()
+	if moved := steal(); moved != 0 {
+		t.Fatalf("the stalled thief adopted %d jobs", moved)
 	}
-	check("after the give-back's extract", before)
-	if err := donor.link.AbortExtract(shardlink.AbortArgs{Locals: fromLocals(back)}); err != nil {
-		t.Fatal(err)
+	donor.mu.Lock()
+	back := len(donor.pending)
+	donor.mu.Unlock()
+	if back != 1 {
+		t.Fatalf("%d jobs back on the donor's queue, want the one the give-back extracted", back)
 	}
-	check("after abort", before)
+	check("after the give-back", before)
 }

@@ -12,11 +12,10 @@
 // a *big.Rat writes), the model wire structs, schedule pieces, and histogram
 // snapshots all cross process boundaries without rounding. A link
 // is pinned to one shard at construction, so a transport handler can address
-// (and lock) only its own shard; a migration names its donor by creation
-// index for the destination's journal alone. That message design is what
-// keeps a handler from ever holding two shard mutexes: the lock checker
-// cannot follow the func values through which a shard reaches router code,
-// so it does not prove it.
+// (and lock) only its own shard. A migration is no message: the router moves
+// a job holding the donor and its destinations together, and only its
+// adoption, the write-ahead adopt record's payload (AdmitArgs), is written
+// here.
 package shardlink
 
 import (
@@ -182,12 +181,12 @@ func JobOf(j model.Job) Job {
 	}
 }
 
-// MigratedJob is one job crossing the boundary in a migration: the job itself
-// (original flow origin and SLA fields included — a migrated deadline still
-// binds, and tenant accounting follows the work), the global ID it keeps, the
-// exact remaining fraction, plus the donor-side local slot the commit/abort
-// phases key on. The JSON names are the write-ahead log's: the destination
-// logs the adoption message as it received it.
+// MigratedJob is one job moving in a migration: the job itself (original
+// flow origin and SLA fields included — a migrated deadline still binds, and
+// tenant accounting follows the work), the global ID it keeps, the exact
+// remaining fraction, plus the donor-side local slot the commit/abort key on.
+// The JSON names are the write-ahead log's: the destination logs the adoption
+// as it took it.
 type MigratedJob struct {
 	FromLocal int     `json:"fromLocal"`          // donor-side local slot (reserve bookkeeping)
 	GID       int     `json:"gid"`                // wire-visible global ID; survives the move
@@ -199,9 +198,9 @@ type MigratedJob struct {
 // Check reports why a shard cannot adopt the job: the conditions
 // model.Job.CheckSubmission puts on a submission (size and weight > 0, a
 // deadline > 0 when set), a release that is not negative, and a remaining
-// fraction that is zero (the whole job) or in (0, 1]. AdmitMigrated may be
-// called by anything holding the link, so the destination checks before it
-// logs or adopts anything.
+// fraction that is zero (the whole job) or in (0, 1]. An adoption also comes
+// back from the write-ahead log, which is outside input, so the destination
+// checks before it logs or adopts anything.
 func (mj *MigratedJob) Check() error {
 	switch {
 	case mj.Size.Sign() <= 0:
@@ -218,69 +217,17 @@ func (mj *MigratedJob) Check() error {
 	return nil
 }
 
-// ExtractArgs opens a migration against a donor shard. The donor reserves
-// the extracted records (out of its engine and pending queue, still readable
-// at their pre-move state) until the caller commits or aborts.
-type ExtractArgs struct {
-	// ThiefMachines is the requesting shard's machine slice: a steal takes up
-	// to half the donor's jobs — those some thief machine hosts, largest
-	// remaining work first.
-	ThiefMachines []model.Machine
-	// All drains the donor instead: every queued job in queue order, then
-	// every live one in (release, ID) order. Only a shard a reshard retired
-	// answers it, and a retired shard answers nothing else.
-	All bool
-}
-
-// ExtractReply lists the reserved jobs. Empty means nothing to move (a steal
-// leaves the donor at least as much as it takes, and never its last job).
-type ExtractReply struct {
-	Jobs []MigratedJob
-	// From is the donor's creation index and At its exact engine time at the
-	// extraction; both travel on to the destination so its journal names the
-	// donor and dates the move identically on every transport.
-	From int
-	At   exact.Q
-}
-
-// AdmitArgs asks the destination shard to adopt extracted jobs. Reason
-// ("steal" or "reshard") selects which migration counter the destination
-// bumps; a steal is refused by a destination with a latched scheduling error.
+// AdmitArgs is an adoption: the extracted jobs one destination shard takes,
+// as its write-ahead adopt record carries them. Reason ("steal" or "reshard")
+// selects which migration counter the destination bumps; a steal is refused
+// by a destination with a latched scheduling error. From and At name the
+// donor and date the move, so the destination's journal needs nothing else.
 type AdmitArgs struct {
 	Jobs   []MigratedJob `json:"jobs"`
 	Reason string        `json:"reason"`
-	From   int           `json:"from"` // ExtractReply.From
-	At     exact.Q       `json:"at"`   // ExtractReply.At
+	From   int           `json:"from"` // the donor's creation index
+	At     exact.Q       `json:"at"`   // the donor's exact engine time at the extraction
 }
-
-// AdmitReply reports adoption. Accepted=false (the destination retired or
-// closed while the exchange was in flight, or a thief stalled) obliges the
-// caller to abort the extraction so the donor takes its jobs back.
-type AdmitReply struct {
-	Accepted bool
-	// Locals are the destination-side local slots, parallel to AdmitArgs.Jobs;
-	// the router writes them into the forwarding table before committing.
-	Locals []int
-}
-
-// CommitArgs finishes a migration on the donor: the reserved records flip to
-// the migrated state (readable only through the forwarding table the router
-// has already updated) and the moved work leaves the donor's backlog.
-type CommitArgs struct {
-	Locals []int // donor-side local slots from ExtractReply
-}
-
-// CommitReply is empty.
-type CommitReply struct{}
-
-// AbortArgs undoes a reservation: the donor re-queues the extracted records
-// (exact remaining fractions intact) for re-admission at its next wake-up.
-type AbortArgs struct {
-	Locals []int
-}
-
-// AbortReply is empty.
-type AbortReply struct{}
 
 // ShardSpec is one shard's identity, and the one form it is written in: the
 // server's shard constructor takes it inside InstallArgs, a snapshot entry
