@@ -245,9 +245,7 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is one fixed-bucket histogram sample. It can live inside a
-// registry (HistogramVec.With) or standalone (NewHistogram): the shard flow
-// histogram backs the /v1/stats P95 estimate even when the exporter is
-// disabled, so stats and metrics can never disagree on the same quantile.
+// registry (HistogramVec.With) or standalone (NewHistogram).
 type Histogram struct {
 	labels  []string
 	buckets []float64 // upper bounds; counts has one extra slot for +Inf
@@ -304,19 +302,24 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Restore replaces the histogram's contents with a snapshot's — the
-// durability layer reloading a shard's flow histogram from a DIVSNAP1
-// document before WAL replay re-observes the post-snapshot completions. The
-// snapshot must share the receiver's bucket layout.
-func (h *Histogram) Restore(s HistogramSnapshot) error {
+// Set overwrites the histogram with a same-layout snapshot, as Counter.Set
+// and Gauge.Set overwrite theirs with a value read at scrape time.
+func (h *Histogram) Set(s *HistogramSnapshot) {
 	if len(s.Counts) != len(h.counts) {
-		return fmt.Errorf("obs: restore: snapshot has %d count slots, histogram has %d", len(s.Counts), len(h.counts))
+		panic("obs: setting a histogram from a different bucket layout")
 	}
 	for i := range h.counts {
 		h.counts[i].Store(s.Counts[i])
 	}
 	h.sumBits.Store(math.Float64bits(s.Sum))
-	return nil
+}
+
+// Observe records one sample as Histogram.Observe does, so a histogram kept
+// as a snapshot (a shard ledger's, under its owner's lock) reads the same.
+func (s *HistogramSnapshot) Observe(v float64) {
+	s.Counts[sort.SearchFloat64s(s.Buckets, v)]++
+	s.Count++
+	s.Sum += v
 }
 
 // Merge folds o's counts into s (same bucket layout required): the server

@@ -14,6 +14,7 @@ import (
 	"divflow/internal/schedule"
 	"divflow/internal/shardlink"
 	"divflow/internal/sim"
+	"divflow/internal/stats"
 )
 
 // jobRecord is the shard-side state of one submitted job, and its one written
@@ -56,10 +57,10 @@ type jobRecord struct {
 	// job — the paper's finite c_{i,j} — fixed where the record is created
 	// (databank check done once, not on every cost lookup).
 	hosts []bool
-	// submittedWall is the wall-clock submission instant, feeding the
-	// submit→admit latency histogram; zero with telemetry disabled (the
-	// clock is never read then), on migrated records (a re-admission on the
-	// destination shard is not a fresh submission) and after a restore.
+	// submittedWall is the shell's wall-clock submission stamp, for the
+	// submit→admit latency; zero with telemetry disabled (the clock is never
+	// read then), on migrated records (a re-admission on the destination
+	// shard is not a fresh submission) and after a restore.
 	submittedWall time.Time
 }
 
@@ -124,8 +125,8 @@ func (x *recordIndex) drop(id int) {
 // core is stepped from one goroutine at a time — by its shard (the shell that
 // embeds it) under the shard's mu, which the requires=shard contracts below
 // name, or on its own, with no server (TestCoreRunsWithoutServer). Its only
-// outbound edges are the durability appender (nil: nothing is logged) and the
-// telemetry bundle. Every transition goes through run.
+// outbound edge is the durability appender (nil: nothing is logged); the
+// shell reports its effects. Every transition goes through run.
 type shardCore struct {
 	// idx is the shard's immutable creation index, unique across the whole
 	// life of the server: it names the shard in stats, records and errors,
@@ -155,10 +156,9 @@ type shardCore struct {
 	// gen is the newest topology generation the shard belongs (or belonged)
 	// to; events and stats are tagged with it.
 	gen int
-	// obs is the shard's telemetry bundle (histogram children and journal
-	// hookup); never nil, and detached when built without telemetry — its
-	// flow histogram still backs the P95 estimate.
-	obs *shardObs
+	// effects lists, in order, what the steps since the shell's last drain
+	// did: transitions, the barrier, fail and the policy's observer append.
+	effects []effect
 	// retired marks a shard dropped from the active topology by a reshard:
 	// its jobs have been migrated away, and it only serves reads of its
 	// history. The router and the steal protocol never place work on it.
@@ -185,18 +185,18 @@ type shardCore struct {
 	migratedIDs []int
 	// tenants accumulates per-tenant statistics like the totals' completed-
 	// job aggregates (at submission and completion time, so compaction loses
-	// nothing). Never nil. An entry's WFlow and Backlog stay empty here: the
-	// live values are the exported histogram and the route's split.
+	// nothing). Never nil. An entry's Backlog stays empty here: the live value
+	// is the route's split.
 	tenants   shardlink.TenantLedger
 	retention exact.Q // zero: keep everything
 }
 
 // build makes c the core args describes: the one place a shard comes into
 // being, and so the one place a spec is checked, whether derived from a
-// platform document or read back from a log or snapshot. dur and tel are the
-// server's durability layer and telemetry, nil for none; a non-nil state is
-// the shard's snapshot entry, loaded once the core stands.
-func (c *shardCore) build(args *shardlink.InstallArgs, dur *durability, tel *telemetry, state *snapShard) error {
+// platform document or read back from a log or snapshot. dur is the server's
+// durability layer, nil for none; a non-nil state is the shard's snapshot
+// entry, loaded once the core stands.
+func (c *shardCore) build(args *shardlink.InstallArgs, dur *durability, state *snapShard) error {
 	spec := args.ShardSpec
 	switch {
 	case spec.Stride < 1 || spec.Pos < 0 || spec.Pos >= spec.Stride:
@@ -227,10 +227,9 @@ func (c *shardCore) build(args *shardlink.InstallArgs, dur *durability, tel *tel
 	for i := range c.machines {
 		c.inverse = append(c.inverse, exact.FromRat(c.machines[i].InverseSpeed))
 	}
-	c.obs = tel.newShardObs(c)
 	c.policy, c.eng = pol, sim.NewEngine(len(c.machines), c.cost, pol)
 	if c.mwf, _ = pol.(*sim.OnlineMWF); c.mwf != nil {
-		c.mwf.Observer = c.obs
+		c.mwf.Observer = c
 	}
 	if state != nil {
 		return c.loadState(state)
@@ -549,7 +548,8 @@ func (c *shardCore) barrier() {
 	stack = stack[:min(len(stack), 4096)]
 	c.Panics++
 	c.fail(fmt.Errorf("server: shard %d: panic: %v", c.idx, r))
-	c.obs.event(obs.EventShardPanic, -1, fmt.Sprintf("%v\n%s", r, stack), c.eng.Now())
+	now := c.eng.Now()
+	c.note(obs.EventShardPanic, -1, &now, "%v\n%s", r, stack)
 }
 
 // catchUpTo advances the engine through every completion/review event due by
@@ -595,11 +595,6 @@ func (c *shardCore) admitAll(now exact.Q) {
 	r := &recAdmit{Shard: c.idx, At: now, Locals: make([]int, len(c.pending))}
 	for i, rec := range c.pending {
 		r.Locals[i] = rec.ID
-		// The submit→admit latency ends at the batch's admission attempt.
-		if !rec.submittedWall.IsZero() {
-			c.obs.submitAdmit.Observe(c.obs.sinceSeconds(rec.submittedWall))
-			rec.submittedWall = time.Time{}
-		}
 	}
 	if err := c.run(r); err != nil {
 		c.fail(err)
@@ -705,7 +700,8 @@ func (c *shardCore) decide() (ok bool) {
 func (c *shardCore) fail(err error) {
 	if c.lastErr == nil {
 		c.lastErr = err
-		c.obs.event(obs.EventShardStall, -1, err.Error(), c.eng.Now())
+		now := c.eng.Now()
+		c.note(obs.EventShardStall, -1, &now, "%v", err)
 	}
 	r := *c.route.Load()
 	r.Err = c.lastErr.Error()
@@ -714,24 +710,75 @@ func (c *shardCore) fail(err error) {
 
 // ledger copies the shard's ledger out of the core: the one reader the
 // snapshot and the stats reply — and through them every fleet read — share.
-// The copy is complete: what lives outside the ledger structs (the two flow
-// histograms, the routing-side backlog split) is filled in, so a tenant that
-// only ever had migrated work here (a backlog, no entry) appears too.
+// The copy is complete: the routing-side backlog split is filled in, so a
+// tenant that only ever had migrated work here (a backlog, no entry) appears.
 //
 //divflow:locks requires=shard
 func (c *shardCore) ledger() (shardlink.ShardTotals, shardlink.TenantLedger) {
-	totals := c.ShardTotals.Clone()
-	if flow := c.obs.flow.Snapshot(); flow.Count > 0 {
-		totals.Flow = &flow
-	}
-	tenants := c.tenants.Clone()
-	for t, tt := range tenants {
-		if wflow := c.obs.tenantWFlow(t).Snapshot(); wflow.Count > 0 {
-			tt.WFlow = &wflow
-		}
-	}
+	totals, tenants := c.ShardTotals.Clone(), c.tenants.Clone()
 	for t, b := range c.route.Load().TenantBacklog {
 		tenants.Merge(shardlink.TenantLedger{t: {Backlog: b}})
 	}
 	return totals, tenants
+}
+
+// observeFlow records v in the ledger histogram *h, laid out at its first
+// sample: nil is how the ledger says nothing completed.
+func observeFlow(h **obs.HistogramSnapshot, v float64) {
+	if *h == nil {
+		*h = &obs.HistogramSnapshot{Buckets: obs.DefFlowBuckets, Counts: make([]uint64, len(obs.DefFlowBuckets)+1)}
+	}
+	(*h).Observe(v)
+}
+
+// effect is one journal event a step made, kept as values until the shell
+// formats it: the detail is format applied to args (a solve's: its path).
+type effect struct {
+	typ      string
+	gid, gen int // gid -1: not job-scoped; gen: the core's at the step
+	at       exact.Q
+	timed    bool // at is the exact virtual time the event describes
+	format   string
+	args     []any
+	wall     time.Duration // a solve's wall time, for divflow_solve_seconds
+}
+
+// event is the journal event e reports on shard idx.
+func (e *effect) event(idx int) obs.Event {
+	ev := obs.Event{Type: e.typ, Shard: idx, Gen: e.gen, GID: e.gid}
+	if e.timed {
+		ev.VTime = e.at.String()
+	}
+	if e.format != "" {
+		ev.Detail = fmt.Sprintf(e.format, e.args...)
+	}
+	return ev
+}
+
+// note records an effect of the running step, at the virtual time at if any.
+//
+//divflow:locks requires=shard
+func (c *shardCore) note(typ string, gid int, at *exact.Q, format string, args ...any) *effect {
+	e := effect{typ: typ, gid: gid, gen: c.gen, format: format, args: args}
+	if at != nil {
+		e.at, e.timed = *at, true
+	}
+	c.effects = append(c.effects, e)
+	return &c.effects[len(c.effects)-1]
+}
+
+// ObserveSolve implements sim.MWFObserver: one settled exact solve.
+//
+//divflow:locks requires=shard
+func (c *shardCore) ObserveSolve(wall time.Duration, solver stats.SolverTally) {
+	now := c.eng.Now()
+	c.note(obs.EventSolve, -1, &now, "%s", solvePath(solver)).wall = wall
+}
+
+// ObserveCacheHit implements sim.MWFObserver: one plan-cache hit.
+//
+//divflow:locks requires=shard
+func (c *shardCore) ObserveCacheHit() {
+	now := c.eng.Now()
+	c.note(obs.EventPlanCacheHit, -1, &now, "")
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/big"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -158,10 +159,8 @@ type snapShard struct {
 	Engine     *sim.EngineState  `json:"engine,omitempty"`
 	Plan       *sim.MWFPlanState `json:"plan,omitempty"`
 
-	// The shard's ledger, as shardCore.ledger copies it out: the two flow
-	// histograms live in telemetry rather than the engine, and without them a
-	// restored fleet would answer the /v1/stats and /v1/tenants P95 from
-	// post-crash completions only.
+	// The shard's ledger as shardCore.ledger copies it out, flow histograms
+	// included: a restored fleet's P95s count pre-crash completions too.
 	shardlink.ShardTotals
 	legacyFreed
 	Tenants shardlink.TenantLedger `json:"tenants,omitempty"`
@@ -522,7 +521,8 @@ func validateLedger(totals *shardlink.ShardTotals, tenants shardlink.TenantLedge
 
 // validateTotals checks one ledger struct: no count is negative, with done > 0
 // every listed rational is positive (each is a sum or a maximum of flows,
-// which are), and the histogram's Count is the sum of its slots.
+// which are), and the histogram has the DefFlow layout, with Count the sum of
+// its slots.
 func validateTotals(what string, ledger any, done int, hist *obs.HistogramSnapshot, rats ...exact.Q) error {
 	for _, r := range rats {
 		if done > 0 && r.Sign() <= 0 {
@@ -530,6 +530,9 @@ func validateTotals(what string, ledger any, done int, hist *obs.HistogramSnapsh
 		}
 	}
 	if hist != nil {
+		if !slices.Equal(hist.Buckets, obs.DefFlowBuckets) || len(hist.Counts) != len(hist.Buckets)+1 {
+			return fmt.Errorf("%s: flow histogram of %d bounds and %d slots, not this build's layout", what, len(hist.Buckets), len(hist.Counts))
+		}
 		var slots uint64
 		for _, c := range hist.Counts {
 			slots += c
@@ -613,38 +616,25 @@ func (c *shardCore) loadState(ss *snapShard) error {
 	if c.mwf != nil && ss.Plan != nil {
 		c.mwf.RestorePlanState(ss.Plan)
 	}
-	// The ledger arrives whole, and goes back where shardCore.ledger gathered it
-	// from: the histograms into telemetry, the backlog split into the
-	// routing key, the rest into the shard's own totals and tenant entries.
+	// The ledger arrives whole and is the core's as it stands, but for the
+	// backlog split, which goes back into the routing key.
 	if err := validateLedger(&ss.ShardTotals, ss.Tenants); err != nil {
 		return fmt.Errorf("shard %d: %w", ss.Idx, err)
 	}
-	totals := ss.ShardTotals.Clone()
-	if totals.Flow != nil {
-		if err := c.obs.flow.Restore(*totals.Flow); err != nil {
-			return fmt.Errorf("shard %d: %w", ss.Idx, err)
-		}
-		totals.Flow = nil
-	}
-	if totals.LastCompact == nil && c.retention.Sign() > 0 {
+	c.ShardTotals = ss.ShardTotals
+	if c.LastCompact == nil && c.retention.Sign() > 0 {
 		// A document that predates the field keeps the fresh shard's zero.
-		totals.LastCompact = new(exact.Q)
+		c.LastCompact = new(exact.Q)
 	}
-	c.ShardTotals = totals
 	route := shardlink.RouteInfoReply{Backlog: ss.Backlog, Err: ss.LastErr}
-	for t, tt := range ss.Tenants.Clone() {
+	for t, tt := range ss.Tenants {
 		if tt.Backlog.Sign() != 0 {
 			if route.TenantBacklog == nil {
 				route.TenantBacklog = make(map[string]exact.Q)
 			}
 			route.TenantBacklog[t] = tt.Backlog
 		}
-		if tt.WFlow != nil {
-			if err := c.obs.tenantWFlow(t).Restore(*tt.WFlow); err != nil { //divflow:emitmu-ok restore builds a private shard that is not yet published; no other goroutine can reach its mu
-				return fmt.Errorf("shard %d tenant %q: %w", ss.Idx, t, err)
-			}
-		}
-		tt.Backlog, tt.WFlow = exact.Q{}, nil
+		tt.Backlog = exact.Q{}
 		// A tenant that only ever had migrated work here has a backlog and no
 		// entry of its own.
 		if tt.Submitted+tt.Completed+len(tt.ByClass) > 0 {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -884,15 +885,14 @@ func panicFixture(t *testing.T, admission string) (*shard, *telemetry) {
 	t.Helper()
 	t.Cleanup(faults.Reset)
 	vc := NewVirtualClock()
+	tel := newTelemetry(true, nil)
 	sh, err := buildShard(&shardlink.InstallArgs{
 		ShardSpec: shardlink.ShardSpec{Stride: 1, Machines: uniformFleet(2), MachineIdx: []int{0, 1}},
 		Admission: admission,
-	}, vc, nil, nil, nil)
+	}, vc, nil, tel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := newTelemetry(true, nil)
-	sh.obs = tel.newShardObs(&sh.shardCore)
 	for _, size := range []int64{2, 3} {
 		if _, _, err := sh.submit(model.Job{Size: rat(size, 1), Weight: rat(1, 1), Databanks: []string{"shared"}}); err != nil {
 			t.Fatal(err)
@@ -1190,6 +1190,91 @@ func TestWALRestorePreservesFlowHistogram(t *testing.T) {
 	}
 	if got := srv2.Stats().P95Flow; got != want {
 		t.Errorf("restored p95Flow = %v, pre-crash %v; flow histogram not carried through the snapshot", got, want)
+	}
+}
+
+// TestWALRestorePreservesExportedFlowHistograms is
+// TestWALRestorePreservesFlowHistogram on /metrics: on a two-shard fleet with
+// three tenants — flows observed before a snapshot and after it, a tenant with
+// a job still running and none done, which exports no line — the
+// divflow_flow_time and divflow_tenant_weighted_flow lines of a scrape after a
+// crash restore are the lines scraped before the crash. The scrape rebuilds
+// both families from the restored ledger.
+func TestWALRestorePreservesExportedFlowHistograms(t *testing.T) {
+	tc, err := model.ParseTenantConfig([]byte(`{"tenants":[
+		{"name":"acme","weight":"1"},{"name":"globex","weight":"2"},{"name":"initech","weight":"1"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Machines: hotSharedFleet(), Shards: 2, Policy: "srpt", DisableSteal: true, WALDir: t.TempDir(), Tenants: tc}
+	vc := NewVirtualClock()
+	first := cfg
+	first.Clock = vc
+	srv, err := New(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(shard int, size, tenant string) {
+		t.Helper()
+		job, err := (&model.SubmitRequest{Size: size, Weight: "3/2", Tenant: tenant, Databanks: []string{"shared"}}).Job()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := srv.active()[shard].submit(job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit(0, "2", "acme")
+	submit(0, "5", "globex")
+	submit(1, "3", "acme")
+	srv.Start()
+	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 3 })
+	if err := srv.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	submit(1, "4", "globex")
+	submit(0, "1", "acme")
+	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == 5 })
+	// Admitted, and held short of its completion by the clock.
+	submit(1, "1000", "initech")
+	quiesce(t, srv, vc.Now())
+
+	flowLines := func(srv *Server) []string {
+		t.Helper()
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		_, raw := scrapeMetrics(t, ts.URL)
+		var lines []string
+		for _, line := range strings.Split(raw, "\n") {
+			if strings.HasPrefix(line, "divflow_flow_time") || strings.HasPrefix(line, "divflow_tenant_weighted_flow") {
+				lines = append(lines, line)
+			}
+		}
+		return lines
+	}
+	want := flowLines(srv)
+	for _, child := range []string{
+		`divflow_flow_time_count{shard="0"} 3`,
+		`divflow_flow_time_count{shard="1"} 2`,
+		`divflow_tenant_weighted_flow_count{shard="0",tenant="acme"} 2`,
+		`divflow_tenant_weighted_flow_count{shard="1",tenant="globex"} 1`,
+	} {
+		if !slices.Contains(want, child) {
+			t.Errorf("the pre-crash scrape has no line %q:\n%s", child, strings.Join(want, "\n"))
+		}
+	}
+	if n := strings.Count(strings.Join(want, "\n"), `tenant="initech"`); n != 0 {
+		t.Errorf("initech, with no job done, has %d weighted-flow lines", n)
+	}
+
+	// Crash: srv is abandoned, not closed — restore = snapshot + WAL suffix.
+	srv2, _ := reopenServer(t, cfg)
+	defer srv2.Close()
+	if srv2.ReplayedRecords() == 0 {
+		t.Fatal("crash restore replayed no WAL records; the post-snapshot completions should be in the suffix")
+	}
+	if got := flowLines(srv2); !slices.Equal(got, want) {
+		t.Errorf("the restored fleet exports\n%s\nbefore the crash\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

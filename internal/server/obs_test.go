@@ -694,3 +694,52 @@ func TestObsDisabledKeepsServiceSurface(t *testing.T) {
 		t.Errorf("journal appended %d events with telemetry disabled", n)
 	}
 }
+
+// TestObsDisabledLeavesNoEffects: with telemetry off the shells still drain
+// what their cores record, and drop it. A two-shard fleet under retention
+// runs a steal and a seeded stream to completion, compacting as it goes;
+// once it is quiet no shard holds an effect, the journal holds no event, and
+// the ledger still backs p95Flow.
+func TestObsDisabledLeavesNoEffects(t *testing.T) {
+	vc := NewVirtualClock()
+	srv, err := New(Config{Machines: hotSharedFleet(), Shards: 2, Retention: rat(4, 1), Clock: vc, DisableObs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, size := range []string{"2", "6", "10"} {
+		submitTo(t, srv.active()[0], size, "shared")
+	}
+	submitTo(t, srv.active()[1], "3", "shared")
+	srv.Start()
+	waitStats(t, srv, func(st model.StatsResponse) bool { return st.BatchedArrivals == 4 })
+	vc.Advance(rat(3, 2)) // shard 1 runs dry and steals
+	waitStats(t, srv, func(st model.StatsResponse) bool { return st.Migrations > 0 })
+	wcfg := workload.Default()
+	wcfg.Jobs, wcfg.Machines, wcfg.Seed = 12, 4, 9
+	inst := workload.MustGenerate(wcfg)
+	base := vc.Now()
+	for _, job := range inst.Jobs {
+		vc.Advance(new(big.Rat).Add(base, job.Release))
+		req := model.SubmitRequest{Weight: job.Weight.RatString(), Size: job.Size.RatString(), Databanks: []string{"shared"}}
+		if _, err := srv.Submit(&req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drive(t, vc, func() bool { return srv.Stats().JobsCompleted == inst.N()+4 })
+	quiesce(t, srv, vc.Now())
+	for _, sh := range srv.allShards() {
+		sh.mu.Lock()
+		if n := len(sh.effects); n != 0 {
+			t.Errorf("shard %d holds %d undrained effects", sh.idx, n)
+		}
+		sh.mu.Unlock()
+	}
+	st := srv.Stats()
+	if st.Migrations == 0 || st.CompactedJobs == 0 || st.P95Flow <= 0 {
+		t.Errorf("stolen %d, compacted %d, p95Flow %v: want all positive", st.Migrations, st.CompactedJobs, st.P95Flow)
+	}
+	if n := srv.tel.journal.NextSeq(); n != 0 {
+		t.Errorf("journal appended %d events with telemetry disabled", n)
+	}
+}

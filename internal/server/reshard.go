@@ -250,10 +250,13 @@ func (s *Server) Reshard(p *model.Platform) (model.ReshardResponse, error) {
 	// donor record flips to migrated (its executed pieces stay, translated by
 	// the record), the destination gets a fresh record with the original
 	// global ID, flow origin, and exact remaining fraction, and the
-	// forwarding table points reads at the new owner.
+	// forwarding table points reads at the new owner. Each donor catches up
+	// alone first, holding no new shard's mu.
 	place := newPlacement(gen2)
 	for _, donor := range retiring {
-		resp.MigratedJobs += s.migrate(donor, gen2, migrateReshard, place.pick)
+		if donor.catchUpRetired(donor.now()) {
+			resp.MigratedJobs += s.migrate(donor, gen2, migrateReshard, place.pick)
+		}
 		resp.RetiredShards = append(resp.RetiredShards, donor.idx)
 	}
 	resp.Warning = place.warning

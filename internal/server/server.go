@@ -514,18 +514,22 @@ func (s *Server) allShards() []*shard {
 // migration its donor and candidate destinations. Callers hold reshardMu, so
 // no shard can be created between the listing and the locking. body receives
 // the set in creation order, each shard once; set itself is not reordered.
+// Their effects are reported before the release in set's order, donor first.
 //
 //divflow:locks requires=reshard ascending=shard
 func (s *Server) cut(set []*shard, body func(locked []*shard)) {
-	set = slices.Clone(set)
-	slices.SortFunc(set, func(a, b *shard) int { return a.idx - b.idx })
-	set = slices.Compact(set)
-	for _, sh := range set {
+	locked := slices.Clone(set)
+	slices.SortFunc(locked, func(a, b *shard) int { return a.idx - b.idx })
+	locked = slices.Compact(locked)
+	for _, sh := range locked {
 		sh.mu.Lock()
 	}
-	body(set)
-	for i := len(set) - 1; i >= 0; i-- {
-		set[i].mu.Unlock()
+	body(locked)
+	for _, sh := range set {
+		sh.drain()
+	}
+	for i := len(locked) - 1; i >= 0; i-- {
+		locked[i].mu.Unlock()
 	}
 }
 

@@ -3,7 +3,9 @@ package server
 import (
 	"fmt"
 	"math/big"
+	"strconv"
 	"sync"
+	"time"
 
 	"divflow/internal/exact"
 	"divflow/internal/model"
@@ -15,15 +17,20 @@ import (
 // shard is one independent scheduling loop over a slice of the fleet: its
 // core (shardCore, the state and every transition of it, embedded by value)
 // in the shell that runs it — its own mutex, clock, goroutine and wake-up
-// channels, the router's link and hooks. P shards give P concurrent exact
-// solves, each over only the shard's live jobs — so the superlinear residual
-// LP cost is paid on P-times-smaller instances.
+// channels, the router's link and hooks, and the telemetry it reports to. P
+// shards give P concurrent exact solves, each over only the shard's live jobs
+// — so the superlinear residual LP cost is paid on P-times-smaller instances.
 type shard struct {
 	shardCore
 
 	clock Clock
 	//divflow:locks name=shard before=topo
 	mu sync.Mutex
+
+	// tel is the server's telemetry (nil: none); submitAdmit and stealSeconds
+	// are the shard's latency children there, made with the shard.
+	tel                       *telemetry
+	submitAdmit, stealSeconds *obs.Histogram
 
 	// steal, when non-nil, asks the server to migrate work here from the
 	// largest-backlog shard; the loop calls it (outside mu) whenever it goes
@@ -44,15 +51,28 @@ type shard struct {
 	stopped chan struct{}
 }
 
-// buildShard builds a shell on clock around the core shardCore.build makes
-// (where the spec is checked), with no hooks or link yet: a Server wires
-// them (wireShard), a shell-level test drives the shard as it stands.
+// buildShard builds a shell on clock and tel around the core shardCore.build
+// makes (where the spec is checked), with no hooks or link yet: a Server
+// wires them (wireShard), a shell-level test drives the shard as it stands.
 func buildShard(args *shardlink.InstallArgs, clock Clock, dur *durability, tel *telemetry, state *snapShard) (*shard, error) {
-	sh := &shard{clock: clock, wake: make(chan struct{}, 1), done: make(chan struct{}), stopped: make(chan struct{})}
-	if err := sh.build(args, dur, tel, state); err != nil {
+	sh := &shard{clock: clock, tel: tel, wake: make(chan struct{}, 1), done: make(chan struct{}), stopped: make(chan struct{})}
+	if err := sh.build(args, dur, state); err != nil {
 		return nil, err
 	}
+	if tel != nil {
+		l := strconv.Itoa(sh.idx)
+		sh.submitAdmit, sh.stealSeconds = tel.submitAdmit.With(l), tel.stealSeconds.With(l)
+	}
 	return sh, nil
+}
+
+// unlock ends a hold of mu, reporting the core's effects first. The holds
+// that step or read the core end here, but a migration's: Server.cut drains.
+//
+//divflow:locks requires=shard
+func (sh *shard) unlock() {
+	sh.drain()
+	sh.mu.Unlock()
 }
 
 // now is the clock's reading as a value.
@@ -89,13 +109,13 @@ func (sh *shard) close() {
 	// The loop is gone (or never ran): whatever is still pending can be
 	// drained without racing an admission.
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	defer sh.unlock()
 	if len(sh.pending) == 0 {
 		return
 	}
 	for _, rec := range sh.pending {
 		rec.State = StateRejected
-		sh.obs.event(obs.EventReject, rec.GID, "shutdown drained the queued job")
+		sh.note(obs.EventReject, rec.GID, nil, "shutdown drained the queued job")
 	}
 	sh.shiftBacklog(false, sh.pending...)
 	sh.pending = nil
@@ -122,7 +142,7 @@ func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error)
 		return 0, nil, err
 	}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	defer sh.unlock()
 	if sh.retired {
 		return 0, nil, errRetired
 	}
@@ -150,15 +170,14 @@ func (sh *shard) submit(job model.Job) (int, *model.AdmissionCertificate, error)
 			return 0, nil, err
 		}
 		if cert != nil && !cert.Feasible && sh.admission == shardlink.AdmissionStrict {
-			sh.obs.event(obs.EventReject, -1,
-				fmt.Sprintf("deadline %v infeasible against %d residual jobs", cand.Deadline, cert.ResidualJobs), cand.Release)
+			sh.note(obs.EventReject, -1, &cand.Release, "deadline %v infeasible against %d residual jobs", cand.Deadline, cert.ResidualJobs)
 			return 0, cert, errDeadline
 		}
 	}
 	if err := sh.run(r); err != nil {
 		return 0, nil, err
 	}
-	sh.records.get(r.Local).submittedWall = sh.obs.now()
+	sh.records.get(r.Local).submittedWall = sh.tel.now()
 	sh.poke()
 	return r.GID, cert, nil
 }
@@ -227,7 +246,7 @@ type loopResult struct {
 // policy latches the shard as stalled instead of killing the process.
 func (sh *shard) loopIter() (res loopResult) {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	defer sh.unlock()
 	defer sh.barrier()
 	if sh.retired && sh.historyEmpty() {
 		// Nothing left to serve or compact: retired with no records (or
@@ -250,7 +269,7 @@ func (sh *shard) loopIter() (res loopResult) {
 
 // process catches the engine up with the clock, compacts — releasing the
 // forwarding entries of compacted stolen records — and then admits all
-// pending submissions as one batch. Callers hold sh.mu.
+// pending submissions as one batch, where their submit→admit latency ends.
 //
 //divflow:locks requires=shard
 func (sh *shard) process() {
@@ -260,6 +279,12 @@ func (sh *shard) process() {
 	}
 	if gids := sh.compact(now); gids != nil && sh.dropForward != nil {
 		sh.dropForward(gids)
+	}
+	for _, rec := range sh.pending {
+		if !rec.submittedWall.IsZero() {
+			sh.submitAdmit.Observe(sh.tel.sinceSeconds(rec.submittedWall))
+			rec.submittedWall = time.Time{}
+		}
 	}
 	sh.admitAll(now)
 }
@@ -274,7 +299,7 @@ func (sh *shard) process() {
 // table again — from definitive not-found answers.
 func (sh *shard) jobStatus(local, gid int) (st model.JobStatus, known, migrated bool) {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	defer sh.unlock()
 	rec := sh.records.get(local)
 	if rec == nil {
 		return model.JobStatus{}, false, false
@@ -324,7 +349,7 @@ func (sh *shard) jobStatus(local, gid int) (st model.JobStatus, known, migrated 
 // makespan. The caller serializes the copy after the lock is released.
 func (sh *shard) scheduleSnapshot(since exact.Q) (rep shardlink.ScheduleReply) {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	defer sh.unlock()
 	rep.Makespan = sh.makespan()
 	rep.Now = sh.eng.Now()
 	for _, pc := range sh.eng.Pieces() {
@@ -344,7 +369,7 @@ func (sh *shard) scheduleSnapshot(since exact.Q) (rep shardlink.ScheduleReply) {
 // form every transport ships (shardlink.StatsSnapshot).
 func (sh *shard) statsSnapshot() shardlink.StatsSnapshot {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	defer sh.unlock()
 	names := make([]string, len(sh.machines))
 	for i := range sh.machines {
 		names[i] = sh.machines[i].Name

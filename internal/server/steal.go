@@ -69,7 +69,7 @@ func (s *Server) stealFrom(thief, donor *shard) bool {
 		return false
 	}
 	if !start.IsZero() {
-		thief.obs.steal.Observe(thief.obs.sinceSeconds(start))
+		thief.stealSeconds.Observe(s.tel.sinceSeconds(start))
 	}
 	// Both loops re-arm: the donor's next event changed (stolen completions
 	// vanished), and the thief has fresh pending work to admit.
@@ -240,6 +240,7 @@ func (s *Server) finishMigrations() {
 		}
 		sh.settle(walTypeCommit, adopted)
 		sh.settle(walTypeAbort, orphaned)
+		sh.drain() // unlock, which the lock checker cannot follow in a loop
 		sh.mu.Unlock()
 	}
 }
@@ -255,22 +256,31 @@ func (s *Server) repairRetired(now exact.Q) {
 	newest := s.gens[len(s.gens)-1].shards
 	place := newPlacement(newest)
 	for _, donor := range s.all {
-		// Catch the donor up to the restored virtual time before extracting:
+		// The donor catches up to the restored virtual time before extracting:
 		// the lost extract record is what carried the original donor's
 		// catch-up to the reshard time, so without this the work it executed
 		// since its last replayed record would be retroactively discarded and
-		// the repaired remainings would not match the uninterrupted run's. A
-		// donor whose history compacted away has nothing to catch up or give.
-		donor.mu.Lock()
-		drain := donor.retired && !donor.historyEmpty()
-		if drain && donor.lastErr == nil {
-			donor.catchUpTo(now)
-		}
-		donor.mu.Unlock()
-		if drain {
+		// the repaired remainings would not match the uninterrupted run's.
+		if donor.catchUpRetired(now) {
 			s.migrate(donor, newest, migrateReshard, place.pick)
 		}
 	}
+}
+
+// catchUpRetired catches a retired donor up to now under its own mu before
+// the migration that drains it, so its re-solves hold no destination's mu; a
+// latched donor skips it and still gives. It reports whether the donor has
+// history to give: a closed or fully compacted one has none.
+func (sh *shard) catchUpRetired(now exact.Q) bool {
+	sh.mu.Lock()
+	defer sh.unlock()
+	if !sh.retired || sh.closed || sh.historyEmpty() {
+		return false
+	}
+	if sh.lastErr == nil {
+		sh.catchUpTo(now)
+	}
+	return true
 }
 
 // forwardTo points the forwarding table at the destination records of adopted

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"divflow/internal/exact"
 	"divflow/internal/obs"
 	"divflow/internal/shardlink"
 	"divflow/internal/stats"
@@ -38,17 +37,16 @@ func solvePath(t stats.SolverTally) string {
 }
 
 // telemetry is the server's observability state: the metric registry behind
-// GET /metrics and the event journal behind GET /v1/events. It always exists
-// — the per-shard flow histograms it owns back the /v1/stats P95 estimate
-// even with the exporter disabled — but enabled=false (the -metrics=false
-// kill switch) turns off everything with a measurable cost on the scheduling
-// paths: journal appends and the wall-clock reads feeding the latency
-// histograms. The HTTP surface then 404s /metrics and /v1/events.
+// GET /metrics and the event journal behind GET /v1/events. It always exists,
+// but enabled=false (the -metrics=false kill switch) turns off everything
+// with a measurable cost on the scheduling paths: journal appends, the
+// formatting of the shards' effects and the wall-clock reads feeding the
+// latency histograms. The HTTP surface then 404s /metrics and /v1/events.
 //
-// Counters and gauges describing shard state are not incremented inline:
-// Server.collectMetrics refreshes them at scrape time from the same
-// statsSnapshot GET /v1/stats reads, so the two surfaces cannot disagree.
-// Only quantities with no authoritative counter elsewhere (latency
+// Nothing describing shard state is recorded inline: Server.collectMetrics
+// refreshes the counters, gauges and flow histograms at scrape time from the
+// same statsSnapshot GET /v1/stats reads, so the two surfaces cannot disagree.
+// Only quantities with no authoritative record elsewhere (latency
 // histograms, rejected submissions) are recorded inline.
 type telemetry struct {
 	enabled bool
@@ -67,16 +65,16 @@ type telemetry struct {
 	solveSeconds   *obs.HistogramVec // {shard,path}: per-solve wall seconds
 	stealSeconds   *obs.HistogramVec // {shard}: donor catch-up + migration
 	reshardSeconds *obs.Histogram    // structural reshard migration
-	flowTime       *obs.HistogramVec // {shard}: completed flows, virtual time
+	flowTime       *obs.HistogramVec // {shard}: scrape-time copy of the ledger's flow histogram
 	walErrors      *obs.Counter      // latched + transient WAL failures
 	recoverySecs   *obs.Histogram    // startup snapshot-load + WAL-replay duration
 	linkCalls      *obs.CounterVec   // {transport,op}: shardlink operations issued
 	rpcSeconds     *obs.HistogramVec // {op}: shardlink RPC round-trip wall seconds
 	tenantShed     *obs.CounterVec   // {tenant}: submissions shed by the fairness quota
-	tenantWFlow    *obs.HistogramVec // {shard,tenant}: completed weighted flows, virtual time
+	tenantWFlow    *obs.HistogramVec // {shard,tenant}: scrape-time copy of the tenant ledger's
 
-	// Scrape-time families (Server.collectMetrics): the three tables' setters,
-	// then the two families whose second label fits no table.
+	// Scrape-time families (Server.collectMetrics) besides the two flow
+	// histograms: the three tables' setters, then two that fit no table.
 	setFleet   func(f *fleetStats, _ ...string)
 	setShard   func(snap *shardlink.StatsSnapshot, shard ...string)
 	setTenant  func(totals *shardlink.TenantTotals, tenant ...string)
@@ -217,11 +215,12 @@ func newTelemetry(enabled bool, sink io.Writer) *telemetry {
 	return t
 }
 
-// now reads the wall clock only when telemetry is on: the zero time tells
-// instrumentation sites to skip their histogram observation, so the
-// -metrics=false kill switch removes every clock read from the hot paths.
+// now reads the wall clock only when telemetry is on (a nil t is off): the
+// zero time tells instrumentation sites to skip their histogram observation,
+// so the -metrics=false kill switch removes every clock read from the hot
+// paths.
 func (t *telemetry) now() time.Time {
-	if !t.enabled {
+	if t == nil || !t.enabled {
 		return time.Time{}
 	}
 	return time.Now()
@@ -243,118 +242,27 @@ func (t *telemetry) event(typ string, gen, gid int, detail string) {
 	t.journal.Append(obs.Event{Type: typ, Shard: -1, Gen: gen, GID: gid, Detail: detail})
 }
 
-// shardObs is one shard's bundle of telemetry instruments: cached histogram
-// children (no per-observation map lookups on the completion path) plus the
-// journal hookup. It also implements sim.MWFObserver, so the policy's solve
-// telemetry lands here without the shard layer re-deriving it. Shards built
-// outside a server (unit tests driving newShard directly) get a detached
-// bundle whose flow histogram still works — it backs the P95 estimate — and
-// whose every other method is a no-op.
-type shardObs struct {
-	tel   *telemetry // nil on a detached bundle
-	core  *shardCore
-	label string
-
-	flow        *obs.Histogram
-	submitAdmit *obs.Histogram
-	steal       *obs.Histogram
-	// tenantWF caches per-tenant weighted-flow histogram children, built
-	// lazily on a tenant's first completion. Accessed under the shard's mu.
-	tenantWF map[string]*obs.Histogram
-}
-
-// tenantWFlow returns (creating on first use) the tenant's weighted-flow
-// histogram child; detached bundles get a free-standing histogram so the
-// snapshot path works in unit tests too. Callers hold the shard's mu.
+// drain reports the core's effects, each a journal event and a solve's also a
+// divflow_solve_seconds sample, and empties the list; with telemetry off it
+// formats nothing. Every hold of mu that steps the core ends with a drain.
 //
 //divflow:locks requires=shard
-func (o *shardObs) tenantWFlow(tenant string) *obs.Histogram {
-	if o.tenantWF == nil {
-		o.tenantWF = make(map[string]*obs.Histogram)
+func (sh *shard) drain() {
+	if len(sh.effects) == 0 {
+		return
 	}
-	h := o.tenantWF[tenant]
-	if h == nil {
-		if o.tel != nil {
-			h = o.tel.tenantWFlow.With(o.label, tenant)
-		} else {
-			h = obs.NewHistogram(obs.DefFlowBuckets)
+	if t := sh.tel; t != nil && t.enabled {
+		for i := range sh.effects {
+			e := &sh.effects[i]
+			ev := e.event(sh.idx)
+			if e.typ == obs.EventSolve {
+				t.solveSeconds.With(strconv.Itoa(sh.idx), ev.Detail).Observe(e.wall.Seconds())
+			}
+			t.journal.Append(ev)
 		}
-		o.tenantWF[tenant] = h
 	}
-	return h
-}
-
-// newShardObs builds the registry-backed bundle for one shard's core; with
-// no telemetry (t nil), a detached bundle, whose flow histogram still backs
-// the P95 estimate.
-func (t *telemetry) newShardObs(c *shardCore) *shardObs {
-	if t == nil {
-		return &shardObs{flow: obs.NewHistogram(obs.DefFlowBuckets)}
-	}
-	label := strconv.Itoa(c.idx)
-	return &shardObs{
-		tel:         t,
-		core:        c,
-		label:       label,
-		flow:        t.flowTime.With(label),
-		submitAdmit: t.submitAdmit.With(label),
-		steal:       t.stealSeconds.With(label),
-	}
-}
-
-// on reports whether the bundle feeds a live telemetry layer.
-func (o *shardObs) on() bool { return o.tel != nil && o.tel.enabled }
-
-// now is telemetry.now for shard-side instrumentation sites.
-func (o *shardObs) now() time.Time {
-	if !o.on() {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// sinceSeconds is telemetry.sinceSeconds for shard-side sites.
-func (o *shardObs) sinceSeconds(start time.Time) float64 {
-	return time.Since(start).Seconds()
-}
-
-// event journals one event of this shard, at the virtual time at when one is
-// given. Callers hold the shard's mu (the generation field is read under it).
-//
-//divflow:locks requires=shard
-func (o *shardObs) event(typ string, gid int, detail string, at ...exact.Q) {
-	if !o.on() {
-		return
-	}
-	e := obs.Event{Type: typ, Shard: o.core.idx, Gen: o.core.gen, GID: gid, Detail: detail}
-	if len(at) > 0 {
-		e.VTime = at[0].String()
-	}
-	o.tel.journal.Append(e)
-}
-
-// ObserveSolve implements sim.MWFObserver: one settled exact solve, timed by
-// the core solver. Called under the shard's mu.
-//
-//divflow:locks requires=shard
-func (o *shardObs) ObserveSolve(wall time.Duration, solver stats.SolverTally) {
-	if !o.on() {
-		return
-	}
-	path := solvePath(solver)
-	o.tel.solveSeconds.With(o.label, path).Observe(wall.Seconds())
-	o.event(obs.EventSolve, -1, path, o.core.eng.Now())
-}
-
-// ObserveCacheHit implements sim.MWFObserver: one decision point served from
-// the cached plan. Called under the shard's mu.
-//
-//divflow:locks requires=shard
-func (o *shardObs) ObserveCacheHit() {
-	if !o.on() {
-		return
-	}
-	o.event(obs.EventPlanCacheHit, -1, "", o.core.eng.Now())
+	clear(sh.effects)
+	sh.effects = sh.effects[:0]
 }
 
 // collectMetrics projects the fleet read onto the scrape-time families —
@@ -371,6 +279,15 @@ func (s *Server) collectMetrics() {
 	for i := range f.shards {
 		l := strconv.Itoa(f.shards[i].Wire.Shard)
 		t.setShard(&f.shards[i], l)
+		// A shard with no completion exports an empty child; a tenant, none.
+		if flow, h := f.shards[i].Totals.Flow, t.flowTime.With(l); flow != nil {
+			h.Set(flow)
+		}
+		for name, tt := range f.shards[i].Tenants {
+			if tt.WFlow != nil {
+				t.tenantWFlow.With(l, name).Set(tt.WFlow)
+			}
+		}
 		solver := &f.shards[i].Wire.Solver
 		t.solverPath.With(l, pathFloatVerified).Set(uint64(solver.FloatVerified))
 		t.solverPath.With(l, pathCrossover).Set(uint64(solver.Crossovers))

@@ -92,7 +92,7 @@ func (s *Server) replay(r walRecord) error {
 	}
 	sh.mu.Lock()
 	err = sh.run(r.(shardRecord))
-	sh.mu.Unlock()
+	sh.unlock()
 	if err != nil {
 		return err
 	}
@@ -123,7 +123,7 @@ func (r *recSubmit) head() (int, exact.Q, bool) { return r.Shard, exact.FromRat(
 
 // apply is the submit transition: the job takes the shard's next local slot
 // and joins the pending queue, the tenant's birth counters and the backlog,
-// its hosts fixed, and the journal notes the submission. The record is
+// its hosts fixed, and an effect notes the submission. The record is
 // appended before any of that, so a crash between the append and the
 // mutation restores the job rather than losing an acknowledged submission.
 //
@@ -149,7 +149,7 @@ func (r *recSubmit) apply(c *shardCore) error {
 		c.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Submitted: 1, ByClass: map[string]int{rec.SLAClass: 1}})
 	}
 	c.shiftBacklog(true, rec)
-	c.obs.event(obs.EventSubmit, rec.GID, "", rec.Release)
+	c.note(obs.EventSubmit, rec.GID, &rec.Release, "")
 	return nil
 }
 
@@ -209,7 +209,7 @@ func (r *recAdmit) apply(c *shardCore) error {
 		// must leave the record queued, not claim scheduling that never
 		// happened.
 		rec.State = StateScheduled
-		c.obs.event(obs.EventAdmit, rec.GID, "", r.At)
+		c.note(obs.EventAdmit, rec.GID, &r.At, "")
 		if !rec.Counted {
 			rec.Counted = true
 			native++
@@ -253,7 +253,8 @@ func (r *recComplete) head() (int, exact.Q, bool) { return r.Shard, r.At, true }
 
 // apply is the complete transition, which step runs for every job the engine
 // completed at the record's time: the job is done, and folded into the
-// all-time aggregates, so later compaction of its record loses no statistics.
+// all-time aggregates and flow histograms, so later compaction of its record
+// loses no statistics.
 //
 //divflow:locks requires=shard
 func (r *recComplete) apply(c *shardCore) error {
@@ -270,15 +271,12 @@ func (r *recComplete) apply(c *shardCore) error {
 	flow := rec.Completed.Sub(rec.Release)
 	wf := rec.Weight.Mul(flow)
 	c.FlowTotals.Merge(shardlink.FlowTotals{DoneCount: 1, FlowSum: flow, MaxWF: wf, MaxStretch: flow.Quo(rec.Size)})
+	observeFlow(&c.Flow, flow.Float64())
 	if rec.Tenant != "" {
-		c.tenantFor(rec.Tenant).Merge(shardlink.TenantTotals{Completed: 1, FlowSum: &flow, MaxWF: wf})
-		// The per-tenant weighted-flow histogram backs the /v1/tenants P95,
-		// like the shard flow histogram backs the /v1/stats one.
-		c.obs.tenantWFlow(rec.Tenant).Observe(wf.Float64())
+		ta := c.tenantFor(rec.Tenant)
+		ta.Merge(shardlink.TenantTotals{Completed: 1, FlowSum: &flow, MaxWF: wf})
+		observeFlow(&ta.WFlow, wf.Float64())
 	}
-	// The flow histogram is observed unconditionally — it is the backing
-	// store of the /v1/stats P95 estimate, not just an exported metric.
-	c.obs.flow.Observe(flow.Float64())
 	return nil
 }
 
@@ -347,7 +345,7 @@ func (r *recCompact) apply(c *shardCore) error {
 		c.mwf.InvalidatePlan()
 	}
 	if n := c.CompactedJobs - before; n > 0 {
-		c.obs.event(obs.EventCompact, -1, fmt.Sprintf("%d records dropped", n), horizon)
+		c.note(obs.EventCompact, -1, &horizon, "%d records dropped", n)
 	}
 	return nil
 }
@@ -466,15 +464,15 @@ func (r *recAdopt) apply(c *shardCore) error {
 		adopted[i], r.locals[i] = nrec, nrec.ID
 		if r.Reason == migrateReshard {
 			c.ReshardIn++
-			c.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("resharded from shard %d", r.From))
+			c.note(obs.EventMigrate, nrec.GID, nil, "resharded from shard %d", r.From)
 		} else {
 			c.StolenIn++
-			c.obs.event(obs.EventMigrate, nrec.GID, fmt.Sprintf("stolen from shard %d", r.From))
+			c.note(obs.EventMigrate, nrec.GID, nil, "stolen from shard %d", r.From)
 		}
 	}
 	c.shiftBacklog(true, adopted...)
 	if r.Reason == migrateSteal {
-		c.obs.event(obs.EventSteal, -1, fmt.Sprintf("%d jobs from shard %d", len(adopted), r.From), r.At)
+		c.note(obs.EventSteal, -1, &r.At, "%d jobs from shard %d", len(adopted), r.From)
 	}
 	return nil
 }

@@ -23,9 +23,9 @@ type FlowTotals struct {
 	FlowSum    exact.Q `json:"flowSum"`
 	MaxWF      exact.Q `json:"maxWF,omitzero"`
 	MaxStretch exact.Q `json:"maxStretch,omitzero"`
-	// Flow is the completed-flow histogram backing the P95 estimate. The live
-	// counts sit in the shard's exported histogram; a copy of the ledger
-	// (snapshot, stats read) carries them here, nil while nothing completed.
+	// Flow is the completed-flow histogram backing the P95 estimate, nil
+	// while nothing completed. The shard's ledger holds the live counts, which
+	// the complete transition observes in place; /metrics copies them.
 	Flow *obs.HistogramSnapshot `json:"flow,omitempty"`
 }
 
@@ -93,10 +93,10 @@ type TenantTotals struct {
 	MaxWF     exact.Q  `json:"maxWF,omitzero"`
 	// ByClass counts birth submissions per SLA class.
 	ByClass map[string]int `json:"byClass,omitempty"`
-	// WFlow is the tenant's weighted-flow histogram (the per-tenant P95) and
-	// Backlog its exact residual work. On the live shard both sit elsewhere —
-	// the exported histogram, the routing-side backlog split — and a copy of
-	// the ledger carries them here.
+	// WFlow is the tenant's weighted-flow histogram (the per-tenant P95),
+	// live in the shard's ledger like FlowTotals.Flow, and Backlog its exact
+	// residual work, which on the live shard sits in the routing-side backlog
+	// split: a copy of the ledger carries it here.
 	WFlow   *obs.HistogramSnapshot `json:"wflow,omitempty"`
 	Backlog exact.Q                `json:"backlog,omitzero"`
 }

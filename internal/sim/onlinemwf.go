@@ -29,8 +29,8 @@ type OnlineMWF struct {
 	// duration and solver-path tally of every settled inner solve, and every
 	// decision point served from the cached plan. It is called synchronously
 	// on the scheduling goroutine (divflowd invokes Assign under the shard
-	// mutex), so implementations must be cheap — a histogram observation and
-	// a journal append, not I/O. Unlike the counters below it survives
+	// mutex), so implementations must be cheap — an effect append, not I/O.
+	// Unlike the counters below it survives
 	// Reset: it describes where telemetry goes, not per-run state.
 	Observer MWFObserver
 	// LazyResolve, when set, caches the plan of the last solve and skips
@@ -65,7 +65,9 @@ type OnlineMWF struct {
 // MWFObserver receives OnlineMWF's per-decision telemetry. ObserveSolve is
 // called after every inner exact solve that settled (with the wall time the
 // core solver measured and the per-call solver-path tally); ObserveCacheHit
-// after every decision point the cached plan answered without a solve.
+// after every decision point the cached plan answered without a solve. The
+// divflowd shard core implements it with an effect append each, which its
+// shell reports once the step is over.
 type MWFObserver interface {
 	ObserveSolve(wall time.Duration, solver stats.SolverTally)
 	ObserveCacheHit()
